@@ -10,7 +10,6 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
-	"nuconsensus/internal/trace"
 )
 
 // payload is a minimal model.Payload for scripted runs.
@@ -419,31 +418,6 @@ func TestSinkFanoutConcurrent(t *testing.T) {
 	}
 	if got := reg.Counter("msgs.sent.EST").Value(); got != procs*per {
 		t.Errorf("msgs.sent.EST = %d, want %d", got, procs*per)
-	}
-}
-
-// TestRecorderSink: the bus reconstructs the legacy trace.Recorder
-// counters, samples and decisions from the event stream.
-func TestRecorderSink(t *testing.T) {
-	rec := &trace.Recorder{RecordSamples: true}
-	bus := obs.NewBus(nil, nil, obs.RecorderSink{R: rec})
-
-	m := msg(0, 1, 1, "EST")
-	q := fd.QuorumValue{Quorum: model.FullSet(2)}
-	bus.OnStep(1, 0, nil, q, []*model.Message{m}, nil)
-	bus.OnStep(2, 1, m, nil, nil, roundState{decided: true, val: 3})
-
-	if rec.StepCount != 2 || rec.MessagesSent != 1 || rec.MessagesRecvd != 1 {
-		t.Errorf("steps/sent/recvd = %d/%d/%d, want 2/1/1", rec.StepCount, rec.MessagesSent, rec.MessagesRecvd)
-	}
-	if rec.SentKinds["EST"] != 1 {
-		t.Errorf("SentKinds = %v, want EST:1", rec.SentKinds)
-	}
-	if len(rec.Samples) != 1 {
-		t.Errorf("got %d FD samples, want 1", len(rec.Samples))
-	}
-	if got := rec.DecidedValues(); len(got) != 1 || got[1] != 3 {
-		t.Errorf("DecidedValues = %v, want p1:3", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package rsm
 
 import (
+	"fmt"
 	"testing"
 
 	"nuconsensus/internal/consensus"
@@ -40,92 +41,63 @@ func reportsForSlot(sends []model.Send, slot int) []consensus.ReportPayload {
 
 // TestParkedMessageReplaysOnWindowOpen: a message for an in-range slot
 // whose instance has not opened yet must be parked and replayed when the
-// pipelined window reaches the slot — not dropped. A_nuc sends each phase
-// message exactly once, so a dropped leader LEAD wedges the late opener in
+// window reaches the slot — not dropped. A_nuc sends each phase message
+// exactly once, so a dropped leader LEAD wedges the late opener in
 // phaseLead forever (the liveness bug cmd/nucd hit: every replica's first
 // window decided no-ops before client traffic arrived, later slots opened
-// at different times across replicas, and the cluster froze).
+// at different times across replicas, and the cluster froze). Window 1
+// opens slot k+1 lazily when slot k decides, so it carries the same
+// park-and-replay obligation as the wider windows.
 func TestParkedMessageReplaysOnWindowOpen(t *testing.T) {
-	aut := NewLog([][]int{{}, {}, {}}, 8).WithPipeline(2)
-	d := parkedFD()
+	for _, window := range []int{1, 2} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			aut := NewLog([][]int{{}, {}, {}}, 8).WithPipeline(window)
+			d := parkedFD()
 
-	// The window is [0,2): slot 2 has no instance, so the leader's LEAD
-	// for slot 2 must park.
-	ns, _ := aut.Step(0, aut.InitState(0), leadFrom1(2), d)
-	st := ns.(*logState)
-	if len(st.parked[2]) != 1 {
-		t.Fatalf("parked[2] has %d messages, want 1", len(st.parked[2]))
-	}
+			// The window is [0,window): the first slot beyond it has no
+			// instance, so the leader's LEAD for that slot must park.
+			next := window
+			ns, _ := aut.Step(0, aut.InitState(0), leadFrom1(next), d)
+			st := ns.(*logState)
+			if len(st.parked[next]) != 1 {
+				t.Fatalf("parked[%d] has %d messages, want 1", next, len(st.parked[next]))
+			}
 
-	// Both window slots decide; harvest advances the frontier to 2, opens
-	// slots 2 and 3, and must replay the parked LEAD into the fresh slot-2
-	// instance.
-	st.decided[0] = NoOp
-	st.decided[1] = NoOp
-	sends := st.harvest(aut, d)
-	if len(st.parked) != 0 {
-		t.Fatalf("parked map not drained after openWindow: %v", st.parked)
-	}
-	if _, live := st.instances[2]; !live {
-		t.Fatal("slot 2 did not open")
-	}
-	gotLead := false
-	for _, snd := range sends {
-		if sp, ok := snd.Payload.(SlotPayload); ok && sp.Slot == 2 && sp.Kind() == "LEAD" {
-			gotLead = true
-		}
-	}
-	if !gotLead {
-		t.Error("replay produced no slot-2 LEAD broadcast (fresh instance never stepped)")
-	}
+			// Every window slot decides; harvest advances the frontier past
+			// them, refills the window, and must replay the parked LEAD into
+			// the fresh instance.
+			for i := range st.win {
+				st.win[i] = windowSlot{state: slotDecided, v: NoOp}
+			}
+			sends := st.harvest(aut, d)
+			if st.slot != next {
+				t.Fatalf("frontier = %d, want %d", st.slot, next)
+			}
+			if len(st.parked) != 0 {
+				t.Fatalf("parked map not drained after openWindow: %v", st.parked)
+			}
+			if _, live := st.instances[next]; !live {
+				t.Fatalf("slot %d did not open", next)
+			}
+			gotLead := false
+			for _, snd := range sends {
+				if sp, ok := snd.Payload.(SlotPayload); ok && sp.Slot == next && sp.Kind() == "LEAD" {
+					gotLead = true
+				}
+			}
+			if !gotLead {
+				t.Errorf("replay produced no slot-%d LEAD broadcast (fresh instance never stepped)", next)
+			}
 
-	// The replayed LEAD must be in the instance's round-1 inbox: one more
-	// inner step completes the phaseLead wait on leader 1 and reports the
-	// adopted estimate. Before the fix the message was dropped and the
-	// instance waited here forever.
-	inst, out := aut.inner.Step(0, st.instances[2], nil, d)
-	st.instances[2] = inst
-	reps := reportsForSlot(wrapSends(2, out), 2)
-	if len(reps) == 0 || reps[0].K != 1 || reps[0].V != 42 {
-		t.Fatalf("slot-2 instance did not adopt the replayed LEAD: reports = %v", reps)
-	}
-}
-
-// decidedStub stands in for a slot instance that has already decided; it
-// lets the sequential-path test trigger checkDecided without simulating a
-// full A_nuc round.
-type decidedStub struct{}
-
-func (decidedStub) CloneState() model.State { return decidedStub{} }
-func (decidedStub) Decision() (int, bool)   { return NoOp, true }
-
-// TestParkedMessageReplaysSequential: the sequential (pipeline=1) log
-// opens slot k+1 lazily when slot k decides, so it has the same
-// park-and-replay obligation.
-func TestParkedMessageReplaysSequential(t *testing.T) {
-	aut := NewLog([][]int{{}, {}, {}}, 4)
-	d := parkedFD()
-
-	ns, _ := aut.Step(0, aut.InitState(0), leadFrom1(1), d)
-	st := ns.(*logState)
-	if len(st.parked[1]) != 1 {
-		t.Fatalf("parked[1] has %d messages, want 1", len(st.parked[1]))
-	}
-
-	// Slot 0 decides; checkDecided opens slot 1 and replays.
-	st.instances[0] = decidedStub{}
-	st.checkDecided(aut, d)
-	if st.slot != 1 {
-		t.Fatalf("slot = %d, want 1", st.slot)
-	}
-	if len(st.parked) != 0 {
-		t.Fatalf("parked map not drained after checkDecided: %v", st.parked)
-	}
-	inst, out := aut.inner.Step(0, st.instances[1], nil, d)
-	st.instances[1] = inst
-	reps := reportsForSlot(wrapSends(1, out), 1)
-	if len(reps) == 0 || reps[0].K != 1 || reps[0].V != 42 {
-		t.Fatalf("slot-1 instance did not adopt the replayed LEAD: reports = %v", reps)
+			// The replayed LEAD must be in the instance's round-1 inbox: one
+			// more inner step completes the phaseLead wait on leader 1 and
+			// reports the adopted estimate. Before the fix the message was
+			// dropped and the instance waited here forever.
+			reps := reportsForSlot(st.stepInstance(aut, next, nil, d), next)
+			if len(reps) == 0 || reps[0].K != 1 || reps[0].V != 42 {
+				t.Fatalf("slot-%d instance did not adopt the replayed LEAD: reports = %v", next, reps)
+			}
+		})
 	}
 }
 
@@ -145,6 +117,7 @@ func TestParkedSlotBounds(t *testing.T) {
 	st.progress = []int{2, 2, 2}
 	delete(st.instances, 0)
 	delete(st.instances, 1)
+	st.win = make([]windowSlot, 2) // slots 2 and 3: not opened yet
 	ns, _ = aut.Step(0, st, leadFrom1(1), d)
 	if p := ns.(*logState).parked; len(p) != 0 {
 		t.Errorf("retired slot parked: %v", p)

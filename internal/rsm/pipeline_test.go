@@ -1,6 +1,7 @@
 package rsm_test
 
 import (
+	"fmt"
 	"testing"
 
 	"nuconsensus/internal/model"
@@ -130,6 +131,62 @@ func TestPipelinedAgreement(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// stepRecorder logs the (state, sends) pair of every step an automaton
+// takes, rendered as text.
+type stepRecorder struct {
+	model.Automaton
+	steps []string
+}
+
+func (r *stepRecorder) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	ns, out := r.Automaton.Step(p, s, m, d)
+	r.steps = append(r.steps, fmt.Sprintf("p%d %s %v", p, rsm.DebugState(ns), out))
+	return ns, out
+}
+
+// TestWindowOfOneIsTheDefault: NewLog already runs the window of 1, so
+// WithPipeline(1) must change nothing — the same (state, sends) sequence,
+// step for step, over a fixed 200-step schedule with a crash in it, in
+// both history modes.
+func TestWindowOfOneIsTheDefault(t *testing.T) {
+	cmds := [][]int{{10, 11}, {20}, {30, 31}, {40}}
+	crashes := map[model.ProcessID]model.Time{3: 60}
+	for _, shared := range []bool{false, true} {
+		record := func(widen bool) []string {
+			pattern := model.PatternFromCrashes(len(cmds), crashes)
+			aut := rsm.NewLog(cmds, 6)
+			var hist model.History = rsm.PairForLog(pattern, 80, 3)
+			if shared {
+				sampler := rsm.SamplerForLog(pattern, 80, 3)
+				aut, hist = rsm.NewSharedLog(cmds, 6).WithSampler(sampler), sampler
+			}
+			if widen {
+				aut = aut.WithPipeline(1)
+			}
+			rec := &stepRecorder{Automaton: aut}
+			if _, err := sim.Run(sim.Exec{
+				Automaton: rec,
+				Pattern:   pattern,
+				History:   hist,
+				Scheduler: sim.NewFairScheduler(3, 0.8, 3),
+				MaxSteps:  200,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return rec.steps
+		}
+		plain, widened := record(false), record(true)
+		if len(plain) != 200 || len(widened) != 200 {
+			t.Fatalf("shared=%v: recorded %d and %d steps, want 200", shared, len(plain), len(widened))
+		}
+		for i := range plain {
+			if plain[i] != widened[i] {
+				t.Fatalf("shared=%v: step %d differs:\n  NewLog:          %s\n  WithPipeline(1): %s", shared, i, plain[i], widened[i])
+			}
+		}
 	}
 }
 

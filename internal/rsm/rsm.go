@@ -93,11 +93,11 @@ type Log struct {
 	slots int     // stop appending after this many slots
 	inner *consensus.ANuc
 
-	shared   bool        // one shared history store per process (see shared.go)
-	metrics  *logMetrics // pre-resolved obs instruments; nil if unmetered
-	sampler  *fd.Sampler // shared FD sample source; nil unless attached
-	pipeline int         // in-flight slot instances; <=1 means sequential
-	sink     EntrySink   // decided entries leave the state; nil keeps them
+	shared  bool        // one shared history store per process (see shared.go)
+	metrics *logMetrics // pre-resolved obs instruments; nil if unmetered
+	sampler *fd.Sampler // shared FD sample source; nil unless attached
+	window  int         // in-flight slot instances, >= 1 (see WithPipeline)
+	sink    EntrySink   // decided entries leave the state; nil keeps them
 }
 
 // EntrySink receives decided entries the moment a process appends them,
@@ -122,18 +122,19 @@ type RoundSink interface {
 	OnEntryRound(p model.ProcessID, slot int, v int, round int)
 }
 
-// WithPipeline keeps up to k slot instances in flight: slots
+// WithPipeline widens the window of in-flight slot instances to k: slots
 // [frontier, frontier+k) all run A_nuc concurrently, and each outer step
 // advances one of them round-robin, so the per-step send budget — and
 // therefore msgs/slot — stays flat as k grows. Decisions can land out of
 // order; entries are still appended in slot order, and a command decided
 // in two slots (possible when a re-proposal races its own decision) is the
-// serving layer's dedup problem. k <= 1 is the sequential log, unchanged.
+// serving layer's dedup problem. A new log has window 1 — slot k+1 opens
+// when slot k is appended — and a k at or below the current window leaves
+// it alone.
 func (a *Log) WithPipeline(k int) *Log {
-	if k < 1 {
-		panic("rsm: pipeline depth must be >= 1")
+	if k > a.window {
+		a.window = k
 	}
-	a.pipeline = k
 	return a
 }
 
@@ -161,7 +162,7 @@ func NewLog(cmds [][]int, slots int) *Log {
 	for i, c := range cmds {
 		cp[i] = append([]int(nil), c...)
 	}
-	return &Log{n: n, cmds: cp, slots: slots, inner: consensus.NewANuc(make([]int, n))}
+	return &Log{n: n, cmds: cp, slots: slots, window: 1, inner: consensus.NewANuc(make([]int, n))}
 }
 
 // Name implements model.Automaton.
@@ -175,7 +176,7 @@ type logState struct {
 	p       model.ProcessID
 	pending []int // own commands not yet appended
 	known   []int // forwarded commands from others, not yet appended
-	slot    int   // current undecided slot
+	slot    int   // frontier: lowest slot not yet appended
 	slots   int   // total slots in the log
 	entries []int // the log: decided values per slot
 
@@ -187,17 +188,32 @@ type logState struct {
 	steps     int                 // own step counter (pump throttling)
 	appended  int                 // entries appended (== len(entries) unless sinking)
 
-	// Pipeline mode only (Log.pipeline > 1); nil maps otherwise.
-	decided      map[int]int // out-of-order decisions >= slot, not yet appended
-	decidedRound map[int]int // round observed at harvest, keyed like decided
-	myProp       map[int]int // own proposal per open in-flight slot
-	rr           int         // round-robin cursor over in-flight instances
+	win []windowSlot // in-flight slots: win[i] is slot+i, len == Log.window
+	rr  int          // round-robin cursor over in-flight instances
 
 	// Shared-store mode only (see shared.go); all nil/empty in owned mode.
 	store      *sharedStore
 	sentVer    []uint64 // per destination: store version last shipped there
 	appliedVer []uint64 // per sender: that sender's version applied through
 }
+
+// windowSlot is the log's bookkeeping for one in-flight slot. It sits
+// beside the slot's entry in instances: a slot's instance is opened with
+// proposal v (slotOpen), harvest later swaps v for the decided value
+// (slotDecided), and the entry leaves the window when the frontier passes.
+type windowSlot struct {
+	state slotState
+	v     int // slotOpen: own proposal; slotDecided: the decision
+	round int // slotDecided: A_nuc round observed at harvest
+}
+
+type slotState uint8
+
+const (
+	slotUnopened slotState = iota // no instance yet (or beyond the log's end)
+	slotOpen                      // running, no decision harvested
+	slotDecided                   // decided out of order, awaiting the frontier
+)
 
 // parkedMsg is a message that arrived for a slot whose instance this
 // process has not opened yet. A_nuc's liveness assumes reliable links: a
@@ -234,24 +250,7 @@ func (s *logState) CloneState() model.State {
 		c.sentVer = append([]uint64(nil), s.sentVer...)
 		c.appliedVer = append([]uint64(nil), s.appliedVer...)
 	}
-	if s.decided != nil {
-		c.decided = make(map[int]int, len(s.decided))
-		for k, v := range s.decided {
-			c.decided[k] = v
-		}
-	}
-	if s.decidedRound != nil {
-		c.decidedRound = make(map[int]int, len(s.decidedRound))
-		for k, v := range s.decidedRound {
-			c.decidedRound[k] = v
-		}
-	}
-	if s.myProp != nil {
-		c.myProp = make(map[int]int, len(s.myProp))
-		for k, v := range s.myProp {
-			c.myProp[k] = v
-		}
-	}
+	c.win = append([]windowSlot(nil), s.win...)
 	c.instances = make(map[int]model.State, len(s.instances))
 	for k, v := range s.instances {
 		inst := v.CloneState()
@@ -289,40 +288,15 @@ func (a *Log) InitState(p model.ProcessID) model.State {
 		entries:   make([]int, 0, a.slots),
 		instances: make(map[int]model.State, 2),
 		progress:  make([]int, a.n),
+		win:       make([]windowSlot, a.window),
 	}
 	if a.shared {
 		st.store = newSharedStore(a.n)
 		st.sentVer = make([]uint64, a.n)
 		st.appliedVer = make([]uint64, a.n)
 	}
-	if a.pipeline > 1 {
-		st.decided = make(map[int]int, a.pipeline)
-		st.decidedRound = make(map[int]int, a.pipeline)
-		st.myProp = make(map[int]int, a.pipeline)
-		st.openWindow(a, nil) // nothing parked at init: no sends, no FD use
-		return st
-	}
-	st.instances[0] = a.newInstance(p, st)
+	st.openWindow(a, nil) // nothing parked at init: no sends, no FD use
 	return st
-}
-
-// newInstance opens a slot instance for p's next proposal, injecting the
-// shared history store when the log runs in shared mode.
-func (a *Log) newInstance(p model.ProcessID, st *logState) model.State {
-	if st.store != nil {
-		return a.inner.InitStateProposingWith(p, st.nextProposal(), st.store)
-	}
-	return a.inner.InitStateProposing(p, st.nextProposal())
-}
-
-func (s *logState) nextProposal() int {
-	if len(s.pending) > 0 {
-		return s.pending[0]
-	}
-	if len(s.known) > 0 {
-		return s.known[0]
-	}
-	return NoOp
 }
 
 // Step implements model.Automaton.
@@ -335,7 +309,7 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	if m != nil {
 		switch pl := m.Payload.(type) {
 		case CommandPayload:
-			st.learnCommand(a, pl.Cmd)
+			st.learnCommand(pl.Cmd)
 		case ProgressPayload:
 			if pl.Slot > st.progress[m.From] {
 				st.progress[m.From] = pl.Slot
@@ -349,18 +323,12 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 				// this sender must stay unbroken for later slots.
 				payload = st.applyIncoming(m.From, payload, a.metrics)
 			}
-			if inst, live := st.instances[pl.Slot]; live {
+			if _, live := st.instances[pl.Slot]; live {
 				inner := &model.Message{From: m.From, To: m.To, Seq: m.Seq, Payload: payload}
-				ns, sends := a.inner.Step(p, inst, inner, d)
-				st.instances[pl.Slot] = ns
-				out = append(out, st.wrap(pl.Slot, sends)...)
-				currentGotMsg = pl.Slot >= st.slot
-				if a.pipeline > 1 {
-					if pl.Slot >= st.slot {
-						out = append(out, st.harvest(a, d)...)
-					}
-				} else if pl.Slot == st.slot {
-					out = append(out, st.checkDecided(a, d)...)
+				out = append(out, st.stepInstance(a, pl.Slot, inner, d)...)
+				if pl.Slot >= st.slot {
+					currentGotMsg = true
+					out = append(out, st.harvest(a, d)...)
 				}
 			} else if pl.Slot >= st.slot && pl.Slot < st.slots {
 				// The sender is ahead: it opened this slot before we did.
@@ -389,22 +357,13 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	}
 
 	// Advance one in-flight instance (λ step if none just received the
-	// message): the current slot sequentially, or the round-robin next of
-	// the k open slots under pipelining — one inner step either way, so
-	// pipelining does not inflate the per-step send budget.
+	// message): the round-robin next of the window's open slots — one inner
+	// step however wide the window, so pipelining does not inflate the
+	// per-step send budget.
 	if st.slot < a.slots && !currentGotMsg {
-		if a.pipeline > 1 {
-			if slot, ok := st.nextInflight(a); ok {
-				ns, sends := a.inner.Step(p, st.instances[slot], nil, d)
-				st.instances[slot] = ns
-				out = append(out, st.wrap(slot, sends)...)
-				out = append(out, st.harvest(a, d)...)
-			}
-		} else if inst, live := st.instances[st.slot]; live {
-			ns, sends := a.inner.Step(p, inst, nil, d)
-			st.instances[st.slot] = ns
-			out = append(out, st.wrap(st.slot, sends)...)
-			out = append(out, st.checkDecided(a, d)...)
+		if slot, ok := st.nextInflight(); ok {
+			out = append(out, st.stepInstance(a, slot, nil, d)...)
+			out = append(out, st.harvest(a, d)...)
 		}
 	}
 
@@ -419,9 +378,7 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	if older := st.olderSlots(); len(older) > 0 && st.steps%pumpPeriod == 0 {
 		slot := older[st.pump%len(older)]
 		st.pump++
-		ns, sends := a.inner.Step(p, st.instances[slot], nil, d)
-		st.instances[slot] = ns
-		out = append(out, st.wrap(slot, sends)...)
+		out = append(out, st.stepInstance(a, slot, nil, d)...)
 	}
 
 	if st.store != nil {
@@ -431,34 +388,20 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	return st, out
 }
 
-// checkDecided harvests a decision of the current slot, opens the next
-// instance, and gossips progress. It loops because (in principle) the next
-// instance could already be decided... it cannot on creation, but keeping
-// the loop makes the invariant local.
-func (s *logState) checkDecided(a *Log, d model.FDValue) []model.Send {
-	var out []model.Send
-	for s.slot < a.slots {
-		inst := s.instances[s.slot]
-		v, ok := model.DecisionOf(inst)
-		if !ok {
-			break
-		}
-		round, _ := model.RoundOf(inst)
-		s.appendEntry(a, v, round)
-		s.forgetCommand(v)
-		s.slot++
-		s.progress[s.p] = s.slot
-		out = append(out, model.Broadcast(model.FullSet(len(s.progress)).Remove(s.p), ProgressPayload{Slot: s.slot})...)
-		if s.slot < a.slots {
-			s.instances[s.slot] = a.newInstance(s.p, s)
-			out = append(out, s.replayParked(a, s.slot, d)...)
-		}
-		s.retire()
+// stepInstance advances slot's live instance by one inner step — delivering
+// m, or a λ step when m is nil — and returns its sends slot-tagged,
+// delta-encoding history payloads in shared mode (wrapShared, shared.go).
+// Every inner step of the log goes through here.
+func (s *logState) stepInstance(a *Log, slot int, m *model.Message, d model.FDValue) []model.Send {
+	ns, sends := a.inner.Step(s.p, s.instances[slot], m, d)
+	s.instances[slot] = ns
+	if s.store != nil {
+		return s.wrapShared(slot, sends)
 	}
-	return out
+	return wrapSends(slot, sends)
 }
 
-// appendEntry commits the decided value of the current slot: into the
+// appendEntry commits the decided value of the frontier slot: into the
 // retained entries slice, or out through the sink in sink mode. round is
 // the A_nuc round this process observed the decision at, forwarded to
 // RoundSink implementors.
@@ -476,44 +419,29 @@ func (s *logState) appendEntry(a *Log, v, round int) {
 	s.appended++
 }
 
-// harvest is checkDecided's pipelined counterpart: collect decisions from
-// every in-flight slot (they can land out of order), append the contiguous
-// prefix at the frontier, gossip progress, and refill the window with
-// fresh instances. A decided value leaves the proposal pools immediately —
-// before it is appended — so the window never proposes it a second time.
+// harvest collects decisions from every in-flight slot (they can land out
+// of order), appends the contiguous prefix at the frontier, gossips
+// progress, and refills the window with fresh instances. A decided value
+// leaves the proposal pools immediately — before it is appended — so the
+// window never proposes it a second time.
 func (s *logState) harvest(a *Log, d model.FDValue) []model.Send {
-	end := s.slot + a.pipeline
-	if end > s.slots {
-		end = s.slots
-	}
-	for slot := s.slot; slot < end; slot++ {
-		if _, done := s.decided[slot]; done {
+	for i := range s.win {
+		if s.win[i].state != slotOpen {
 			continue
 		}
-		inst, live := s.instances[slot]
-		if !live {
-			continue
-		}
+		inst := s.instances[s.slot+i]
 		if v, ok := model.DecisionOf(inst); ok {
-			s.decided[slot] = v
-			if r, has := model.RoundOf(inst); has {
-				s.decidedRound[slot] = r
-			}
+			round, _ := model.RoundOf(inst)
+			s.win[i] = windowSlot{state: slotDecided, v: v, round: round}
 			s.forgetCommand(v)
-			delete(s.myProp, slot)
 		}
 	}
 	var out []model.Send
-	for s.slot < a.slots {
-		v, ok := s.decided[s.slot]
-		if !ok {
-			break
-		}
-		round := s.decidedRound[s.slot]
-		delete(s.decided, s.slot)
-		delete(s.decidedRound, s.slot)
-		delete(s.myProp, s.slot)
-		s.appendEntry(a, v, round)
+	for s.win[0].state == slotDecided {
+		w := s.win[0]
+		copy(s.win, s.win[1:])
+		s.win[len(s.win)-1] = windowSlot{}
+		s.appendEntry(a, w.v, w.round)
 		s.slot++
 		s.progress[s.p] = s.slot
 		out = append(out, model.Broadcast(model.FullSet(len(s.progress)).Remove(s.p), ProgressPayload{Slot: s.slot})...)
@@ -527,20 +455,17 @@ func (s *logState) harvest(a *Log, d model.FDValue) []model.Send {
 // assigning each a proposal no other open slot is already carrying, and
 // replays any messages that arrived for those slots before they opened.
 func (s *logState) openWindow(a *Log, d model.FDValue) []model.Send {
-	end := s.slot + a.pipeline
-	if end > s.slots {
-		end = s.slots
-	}
 	var out []model.Send
-	for slot := s.slot; slot < end; slot++ {
-		if _, done := s.decided[slot]; done {
+	for i := range s.win {
+		slot := s.slot + i
+		if slot >= s.slots {
+			break
+		}
+		if s.win[i].state != slotUnopened {
 			continue
 		}
-		if _, live := s.instances[slot]; live {
-			continue
-		}
-		v := s.nextFreeProposal(a)
-		s.myProp[slot] = v
+		v := s.nextFreeProposal()
+		s.win[i] = windowSlot{state: slotOpen, v: v}
 		if s.store != nil {
 			s.instances[slot] = a.inner.InitStateProposingWith(s.p, v, s.store)
 		} else {
@@ -568,34 +493,33 @@ func (s *logState) replayParked(a *Log, slot int, d model.FDValue) []model.Send 
 	var out []model.Send
 	for _, pm := range msgs {
 		inner := &model.Message{From: pm.from, To: s.p, Seq: pm.seq, Payload: pm.pl}
-		ns, sends := a.inner.Step(s.p, s.instances[slot], inner, d)
-		s.instances[slot] = ns
-		out = append(out, s.wrap(slot, sends)...)
+		out = append(out, s.stepInstance(a, slot, inner, d)...)
 	}
 	return out
 }
 
 // nextFreeProposal returns the first pending-then-known command not
 // already proposed in an open in-flight slot, or NoOp.
-func (s *logState) nextFreeProposal(a *Log) int {
+func (s *logState) nextFreeProposal() int {
 	for _, c := range s.pending {
-		if !s.proposedInWindow(a, c) {
+		if !s.inWindow(slotOpen, c) {
 			return c
 		}
 	}
 	for _, c := range s.known {
-		if !s.proposedInWindow(a, c) {
+		if !s.inWindow(slotOpen, c) {
 			return c
 		}
 	}
 	return NoOp
 }
 
-// proposedInWindow reports whether c is my live proposal at some in-flight
-// slot. The scan walks slot numbers, not the map, to stay order-free.
-func (s *logState) proposedInWindow(a *Log, c int) bool {
-	for slot := s.slot; slot < s.slot+a.pipeline && slot < s.slots; slot++ {
-		if v, ok := s.myProp[slot]; ok && v == c {
+// inWindow reports whether some in-flight slot in the given state carries
+// c: as my live proposal (slotOpen) or as a decision not yet appended
+// (slotDecided).
+func (s *logState) inWindow(state slotState, c int) bool {
+	for _, w := range s.win {
+		if w.state == state && w.v == c {
 			return true
 		}
 	}
@@ -605,8 +529,8 @@ func (s *logState) proposedInWindow(a *Log, c int) bool {
 // nextInflight picks the in-flight slot whose instance advances this step,
 // rotating round-robin so every open slot — decided ones included, their
 // instances must keep cycling for laggards — advances infinitely often.
-func (s *logState) nextInflight(a *Log) (int, bool) {
-	end := s.slot + a.pipeline
+func (s *logState) nextInflight() (int, bool) {
+	end := s.slot + len(s.win)
 	if end > s.slots {
 		end = s.slots
 	}
@@ -625,17 +549,12 @@ func (s *logState) nextInflight(a *Log) (int, bool) {
 // pending, known, or decided-in-flight. (In sink mode the entries scan is
 // vacuous: a late re-learn of an appended command costs one duplicate
 // slot, which the serving layer's session dedup absorbs.)
-func (s *logState) learnCommand(a *Log, c int) {
-	if c == NoOp {
+func (s *logState) learnCommand(c int) {
+	if c == NoOp || s.inWindow(slotDecided, c) {
 		return
 	}
 	for _, v := range s.entries {
 		if v == c {
-			return
-		}
-	}
-	for slot := s.slot; slot < s.slot+a.pipeline && slot < s.slots; slot++ {
-		if v, ok := s.decided[slot]; ok && v == c {
 			return
 		}
 	}
@@ -697,15 +616,6 @@ func (s *logState) liveSlots(limit int) []int {
 
 // olderSlots lists live instances strictly below the current slot.
 func (s *logState) olderSlots() []int { return s.liveSlots(s.slot) }
-
-// wrap slot-tags an instance's sends, delta-encoding history payloads in
-// shared mode (wrapShared, shared.go).
-func (s *logState) wrap(slot int, sends []model.Send) []model.Send {
-	if s.store != nil {
-		return s.wrapShared(slot, sends)
-	}
-	return wrapSends(slot, sends)
-}
 
 func wrapSends(slot int, sends []model.Send) []model.Send {
 	out := make([]model.Send, len(sends))

@@ -115,40 +115,44 @@ func TestNewLogValidation(t *testing.T) {
 	mustPanic("zero slots", func() { rsm.NewLog([][]int{{1}, {2}}, 0) })
 }
 
-// TestReplicatedLogOverTCP runs the full SMR stack over real sockets.
+// TestReplicatedLogOverTCP runs the full SMR stack over real sockets, once
+// per seed: each seed is a different pre-stabilization detector history
+// and a different socket interleaving.
 func TestReplicatedLogOverTCP(t *testing.T) {
 	cmds := [][]int{{7}, {8}, {9}}
 	const slots = 3
 	pattern := model.PatternFromCrashes(3, nil)
-	// The tick budget is shared across goroutines, so a spinning process
-	// burns it on behalf of a socket-delayed laggard — be generous.
-	res, err := netrun.New().Run(context.Background(), rsm.NewLog(cmds, slots), rsm.PairForLog(pattern, 100, 4), pattern, substrate.Options{
-		Seed:            4,
-		MaxSteps:        3_000_000,
-		StopWhenDecided: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Decided {
-		t.Fatalf("TCP log never filled (%d ticks)", res.Ticks)
-	}
-	var ref []int
-	for p := 0; p < 3; p++ {
-		entries := res.Config.States[p].(rsm.LogHolder).Entries()
-		if ref == nil {
-			ref = entries
-		} else if len(entries) != len(ref) {
-			t.Fatalf("log lengths diverge: %v vs %v", entries, ref)
-		} else {
-			for i := range ref {
-				if entries[i] != ref[i] {
-					t.Fatalf("logs diverge: %v vs %v", entries, ref)
+	for seed := int64(4); seed <= 9; seed++ {
+		// The tick budget is shared across goroutines, so a spinning process
+		// burns it on behalf of a socket-delayed laggard — be generous.
+		res, err := netrun.New().Run(context.Background(), rsm.NewLog(cmds, slots), rsm.PairForLog(pattern, 100, seed), pattern, substrate.Options{
+			Seed:            seed,
+			MaxSteps:        3_000_000,
+			StopWhenDecided: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Decided {
+			t.Fatalf("seed=%d: TCP log never filled (%d ticks)", seed, res.Ticks)
+		}
+		var ref []int
+		for p := 0; p < 3; p++ {
+			entries := res.Config.States[p].(rsm.LogHolder).Entries()
+			if ref == nil {
+				ref = entries
+			} else if len(entries) != len(ref) {
+				t.Fatalf("seed=%d: log lengths diverge: %v vs %v", seed, entries, ref)
+			} else {
+				for i := range ref {
+					if entries[i] != ref[i] {
+						t.Fatalf("seed=%d: logs diverge: %v vs %v", seed, entries, ref)
+					}
 				}
 			}
 		}
+		t.Logf("seed=%d: TCP replicated log: %v (%d wire bytes)", seed, ref, res.BytesSent)
 	}
-	t.Logf("TCP replicated log: %v (%d wire bytes)", ref, res.BytesSent)
 }
 
 func TestDebugStateRenders(t *testing.T) {

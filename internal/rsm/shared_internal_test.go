@@ -1,6 +1,7 @@
 package rsm
 
 import (
+	"reflect"
 	"testing"
 
 	"nuconsensus/internal/consensus"
@@ -20,10 +21,9 @@ func TestDeliveryToRetiredSlotKeepsDeltaChain(t *testing.T) {
 	st := aut.InitState(0).(*logState)
 	// Fabricate a just-retired slot 0: this process decided it, opened slot
 	// 1, and then learned every peer passed it too.
-	st.slot = 1
-	st.entries = append(st.entries, NoOp)
+	st.win[0] = windowSlot{state: slotDecided, v: NoOp}
+	st.harvest(aut, nil)
 	st.progress = []int{1, 1, 1}
-	st.instances[1] = aut.newInstance(0, st)
 	st.retire()
 	if _, live := st.instances[0]; live {
 		t.Fatal("slot 0 should have retired")
@@ -79,11 +79,10 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 	st := aut.InitState(0).(*logState)
 	// Fabricate a filled log whose three instances all linger as "older"
 	// (peers have not confirmed progress yet), with the cursor mid-cycle.
-	st.slot = 3
-	st.entries = []int{NoOp, NoOp, NoOp}
-	st.progress = []int{3, 0, 0}
-	st.instances[1] = aut.newInstance(0, st)
-	st.instances[2] = aut.newInstance(0, st)
+	for st.slot < 3 {
+		st.win[0] = windowSlot{state: slotDecided, v: NoOp}
+		st.harvest(aut, nil)
+	}
 	st.pump = 2
 	st.steps = pumpPeriod - 1 // the very next step pumps
 
@@ -120,5 +119,46 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 	for i := 0; i < 2*pumpPeriod; i++ {
 		n, _ := aut.Step(0, cur, nil, hist.Output(0, model.Time(22+i)))
 		cur = n.(*logState)
+	}
+}
+
+// TestSharedCloneIsolation: Step must never mutate its input state — in
+// shared mode that hinges on CloneState deep-copying the one shared store
+// and rebinding every cloned instance to the copy. Incoming history deltas
+// land in the store, so delivering one to a state and re-reading that same
+// state is the sharpest probe. The in-flight window slice is the other
+// piece of state Step writes in place, so the clone must own its copy.
+func TestSharedCloneIsolation(t *testing.T) {
+	pattern := model.PatternFromCrashes(3, nil)
+	hist := PairForLog(pattern, 40, 7)
+	aut := NewSharedLog([][]int{{1}, {2}, {3}}, 2)
+	ns := aut.InitState(0)
+	for i := 1; i <= 6; i++ {
+		d := quorum.Delta{Base: uint64(i - 1), To: uint64(i), Adds: []quorum.DeltaEntry{
+			{R: 1, Q: model.SetOf(1, model.ProcessID(i%3))},
+		}}
+		m := &model.Message{From: 1, To: 0, Seq: uint64(i),
+			Payload: SlotPayload{Slot: 0, Inner: consensus.LeadDeltaPayload{K: i, V: 5, Delta: d}}}
+		before := StatsOf(ns)
+		next, _ := aut.Step(0, ns, m, hist.Output(0, model.Time(i)))
+		if after := StatsOf(ns); after != before {
+			t.Fatalf("delivery %d: Step mutated its input state: %+v → %+v", i, before, after)
+		}
+		ns = next
+	}
+	if got := StatsOf(ns); got.StoreVersion == 0 || got.StoreBytes == 0 {
+		t.Fatalf("store never absorbed the deltas: %+v", got)
+	}
+
+	// The window bookkeeping is per-state too: harvest rewrites and shifts
+	// it in place on the clone Step works on.
+	orig := ns.(*logState)
+	before := append([]windowSlot(nil), orig.win...)
+	clone := orig.CloneState().(*logState)
+	for i := range clone.win {
+		clone.win[i] = windowSlot{state: slotDecided, v: 99, round: 7}
+	}
+	if !reflect.DeepEqual(orig.win, before) {
+		t.Fatalf("mutating the clone's window reached the original: %+v → %+v", before, orig.win)
 	}
 }

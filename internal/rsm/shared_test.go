@@ -4,11 +4,9 @@ import (
 	"context"
 	"testing"
 
-	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/netrun"
 	"nuconsensus/internal/obs"
-	"nuconsensus/internal/quorum"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
@@ -177,34 +175,6 @@ func TestSharedLogOverTCP(t *testing.T) {
 		t.Errorf("delta_gaps = %d over TCP, want 0 (per-link FIFO)", gaps)
 	}
 	t.Logf("shared TCP replicated log: %v (%d wire bytes)", ref, res.BytesSent)
-}
-
-// TestSharedCloneIsolation: Step must never mutate its input state — in
-// shared mode that hinges on CloneState deep-copying the one shared store
-// and rebinding every cloned instance to the copy. Incoming history deltas
-// land in the store, so delivering one to a state and re-reading that same
-// state is the sharpest probe.
-func TestSharedCloneIsolation(t *testing.T) {
-	pattern := model.PatternFromCrashes(3, nil)
-	hist := rsm.PairForLog(pattern, 40, 7)
-	aut := rsm.NewSharedLog([][]int{{1}, {2}, {3}}, 2)
-	ns := aut.InitState(0)
-	for i := 1; i <= 6; i++ {
-		d := quorum.Delta{Base: uint64(i - 1), To: uint64(i), Adds: []quorum.DeltaEntry{
-			{R: 1, Q: model.SetOf(1, model.ProcessID(i%3))},
-		}}
-		m := &model.Message{From: 1, To: 0, Seq: uint64(i),
-			Payload: rsm.SlotPayload{Slot: 0, Inner: consensus.LeadDeltaPayload{K: i, V: 5, Delta: d}}}
-		before := rsm.StatsOf(ns)
-		next, _ := aut.Step(0, ns, m, hist.Output(0, model.Time(i)))
-		if after := rsm.StatsOf(ns); after != before {
-			t.Fatalf("delivery %d: Step mutated its input state: %+v → %+v", i, before, after)
-		}
-		ns = next
-	}
-	if got := rsm.StatsOf(ns); got.StoreVersion == 0 || got.StoreBytes == 0 {
-		t.Fatalf("store never absorbed the deltas: %+v", got)
-	}
 }
 
 // TestStatsOfModes: StatsOf distinguishes shared from owned states and is

@@ -12,8 +12,7 @@ import (
 type Config struct {
 	N        int       // processes
 	Slots    int       // log capacity (consensus instances)
-	Pipeline int       // slot instances in flight (<=1: sequential)
-	Owned    bool      // per-instance history copies instead of the shared store
+	Pipeline int       // slot instances in flight (rsm.Log.WithPipeline; 0 keeps the window of 1)
 	Workload [][]Batch // initial batches per process (IDs assigned here)
 	Target   int       // total distinct commands; reaching it is the stop signal (0: log-full)
 	// Correct is the set of processes that never crash (pattern.Correct()).
@@ -32,7 +31,7 @@ type Config struct {
 }
 
 // Cluster wires the serving stack for one run: a Replica automaton over a
-// (usually shared-store) rsm log, one Applier and one Ingress per process.
+// shared-store rsm log, one Applier and one Ingress per process.
 type Cluster struct {
 	rep      *Replica
 	appliers []*Applier
@@ -47,9 +46,6 @@ type Cluster struct {
 func NewCluster(cfg Config) *Cluster {
 	if cfg.N < 2 {
 		panic("serve: cluster needs at least 2 processes")
-	}
-	if cfg.Pipeline < 1 {
-		cfg.Pipeline = 1
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -77,12 +73,8 @@ func NewCluster(cfg Config) *Cluster {
 			c.appliers[p].PutBody(b.ID, b.Cmds)
 		}
 	}
-	if cfg.Owned {
-		c.log = rsm.NewLog(cmds, cfg.Slots)
-	} else {
-		c.log = rsm.NewSharedLog(cmds, cfg.Slots)
-	}
-	c.log = c.log.WithEntrySink(sinkDispatch{appliers: c.appliers}).WithPipeline(cfg.Pipeline)
+	c.log = rsm.NewSharedLog(cmds, cfg.Slots).
+		WithEntrySink(sinkDispatch{appliers: c.appliers}).WithPipeline(cfg.Pipeline)
 	correct := cfg.Correct
 	if correct.IsEmpty() {
 		correct = model.FullSet(cfg.N)

@@ -19,18 +19,12 @@ func runCluster(t *testing.T, cfg serve.Config, crashes map[model.ProcessID]mode
 	pattern := model.PatternFromCrashes(cfg.N, crashes)
 	cfg.Correct = pattern.Correct()
 	cl := serve.NewCluster(cfg)
-	var hist model.History
-	if cfg.Owned {
-		hist = rsm.PairForLog(pattern, stabilize, seed)
-	} else {
-		sampler := rsm.SamplerForLog(pattern, stabilize, seed)
-		cl.Log().WithSampler(sampler)
-		hist = sampler
-	}
+	sampler := rsm.SamplerForLog(pattern, stabilize, seed)
+	cl.Log().WithSampler(sampler)
 	res, err := sim.Run(sim.Exec{
 		Automaton: cl.Automaton(),
 		Pattern:   pattern,
-		History:   hist,
+		History:   sampler,
 		Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 		MaxSteps:  400000,
 		StopWhen:  substrate.AllCorrectDecided(pattern),
