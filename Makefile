@@ -48,18 +48,19 @@ bench-hot:
 # bench-report regenerates the committed perf baseline from a fresh run
 # (median of $(BENCH_COUNT); see README "Benchmarks and the perf contract").
 bench-report:
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -count=$(BENCH_COUNT) . > bench-hot.txt
-	$(GO) run ./cmd/benchreport -in bench-hot.txt -out $(BENCH_JSON)
-	@rm -f bench-hot.txt
+	mkdir -p $(ARTIFACTS)
+	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -count=$(BENCH_COUNT) . > $(ARTIFACTS)/bench-hot.txt
+	$(GO) run ./cmd/benchreport -in $(ARTIFACTS)/bench-hot.txt -out $(BENCH_JSON)
 	@echo "bench: wrote $(BENCH_JSON)"
 
 # bench-check is the CI perf gate: re-run the hot-path slice and fail if
 # allocs/op on the sim step loop or the wire codec regresses against the
-# committed baseline (0-alloc baselines fail on ANY allocation).
+# committed baseline (0-alloc baselines fail on ANY allocation). The raw
+# runs stay in $(ARTIFACTS)/bench-hot.txt for CI's perf job to upload.
 bench-check:
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -count=$(BENCH_COUNT) . > bench-hot.txt
-	$(GO) run ./cmd/benchreport -in bench-hot.txt -check $(BENCH_JSON)
-	@rm -f bench-hot.txt
+	mkdir -p $(ARTIFACTS)
+	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -count=$(BENCH_COUNT) . > $(ARTIFACTS)/bench-hot.txt
+	$(GO) run ./cmd/benchreport -in $(ARTIFACTS)/bench-hot.txt -check $(BENCH_JSON)
 
 experiments:
 	$(GO) run ./cmd/experiments
@@ -77,10 +78,10 @@ substrate-smoke:
 # between -parallel 1 and -parallel 8 (it must be byte-identical). The
 # full E6 counterexample hunt runs in CI's explore job and in the tests.
 explore-smoke:
-	$(GO) run ./cmd/explore -target anuc -n 3 -f 1 -bound 6 -parallel 1 > explore-smoke.p1.txt
-	$(GO) run ./cmd/explore -target anuc -n 3 -f 1 -bound 6 -parallel 8 > explore-smoke.p8.txt
-	diff explore-smoke.p1.txt explore-smoke.p8.txt
-	@rm -f explore-smoke.p1.txt explore-smoke.p8.txt
+	mkdir -p $(ARTIFACTS)
+	$(GO) run ./cmd/explore -target anuc -n 3 -f 1 -bound 6 -parallel 1 > $(ARTIFACTS)/explore-smoke.p1.txt
+	$(GO) run ./cmd/explore -target anuc -n 3 -f 1 -bound 6 -parallel 8 > $(ARTIFACTS)/explore-smoke.p8.txt
+	diff $(ARTIFACTS)/explore-smoke.p1.txt $(ARTIFACTS)/explore-smoke.p8.txt
 	@echo "explore: verified, byte-identical at -parallel 1 and 8"
 
 # obs-smoke exports E1's causal event stream on the sim substrate and
@@ -88,14 +89,14 @@ explore-smoke:
 # event log and the metrics dump must be byte-identical at -parallel 1 and
 # -parallel 8, and the Chrome trace must be well-formed JSON.
 obs-smoke:
-	$(GO) run ./cmd/experiments -e E1 -parallel 1 \
-		-events obs-smoke.p1.jsonl -trace obs-smoke.trace.json -metrics obs-smoke.p1.metrics > /dev/null
-	$(GO) run ./cmd/experiments -e E1 -parallel 8 \
-		-events obs-smoke.p8.jsonl -metrics obs-smoke.p8.metrics > /dev/null
-	diff obs-smoke.p1.jsonl obs-smoke.p8.jsonl
-	diff obs-smoke.p1.metrics obs-smoke.p8.metrics
-	python3 -m json.tool obs-smoke.trace.json > /dev/null
-	@rm -f obs-smoke.p1.jsonl obs-smoke.p8.jsonl obs-smoke.p1.metrics obs-smoke.p8.metrics obs-smoke.trace.json
+	mkdir -p $(ARTIFACTS)
+	$(GO) run ./cmd/experiments -e E1 -parallel 1 -events $(ARTIFACTS)/obs-smoke.p1.jsonl \
+		-trace $(ARTIFACTS)/obs-smoke.trace.json -metrics $(ARTIFACTS)/obs-smoke.p1.metrics > /dev/null
+	$(GO) run ./cmd/experiments -e E1 -parallel 8 -events $(ARTIFACTS)/obs-smoke.p8.jsonl \
+		-metrics $(ARTIFACTS)/obs-smoke.p8.metrics > /dev/null
+	diff $(ARTIFACTS)/obs-smoke.p1.jsonl $(ARTIFACTS)/obs-smoke.p8.jsonl
+	diff $(ARTIFACTS)/obs-smoke.p1.metrics $(ARTIFACTS)/obs-smoke.p8.metrics
+	python3 -m json.tool $(ARTIFACTS)/obs-smoke.trace.json > /dev/null
 	@echo "obs: event log and metrics byte-identical at -parallel 1 and 8; trace is valid JSON"
 
 # serve-smoke checks the serving layer both ways it runs. First E18 on
@@ -168,10 +169,11 @@ trace-smoke:
 # identical at -parallel 1 and 8 (the rsm.hist.* counters fold
 # commutatively), zero delta gaps on FIFO substrates, and incremental
 # delta hits dominating snapshot fallbacks. The experiment run itself
-# fails the target if E17's claim stops holding.
+# fails the target if E17's claim stops holding. The rendered table and
+# both dumps stay under $(ARTIFACTS) for CI's e17-scale job to upload.
 e17-smoke:
 	mkdir -p $(ARTIFACTS)
-	$(GO) run ./cmd/experiments -e E17 -parallel 1 -metrics $(ARTIFACTS)/e17-smoke.p1.metrics > /dev/null
+	$(GO) run ./cmd/experiments -e E17 -parallel 1 -metrics $(ARTIFACTS)/e17-smoke.p1.metrics > $(ARTIFACTS)/e17-smoke.tables.md
 	$(GO) run ./cmd/experiments -e E17 -parallel 8 -metrics $(ARTIFACTS)/e17-smoke.p8.metrics > /dev/null
 	diff $(ARTIFACTS)/e17-smoke.p1.metrics $(ARTIFACTS)/e17-smoke.p8.metrics
 	grep -q '^rsm.hist.delta_gaps counter 0$$' $(ARTIFACTS)/e17-smoke.p1.metrics

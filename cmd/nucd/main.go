@@ -204,7 +204,7 @@ func main() {
 		fmt.Printf("trace spans=%d file=%s\n", tracer.Spans(), *trace)
 	}
 	if *metrics != "" {
-		if err := writeMetricsJSONL(*metrics, reg); err != nil {
+		if err := reg.WriteJSONLFile(*metrics); err != nil {
 			log.Fatalf("nucd: %v", err)
 		}
 	}
@@ -224,28 +224,6 @@ func writeAddrFile(path string, addrs []string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// writeMetricsJSONL dumps the registry snapshot, one JSON object per
-// instrument in sorted name order.
-func writeMetricsJSONL(path string, reg *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, s := range reg.Snapshot() {
-		if err := enc.Encode(s); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // nodeStatus is one node's entry in the /statusz report.

@@ -20,7 +20,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -135,7 +134,7 @@ func main() {
 		log.Fatalf("nucload: trace file: %v", err)
 	}
 	if *metrics != "" {
-		if err := writeMetricsJSONL(*metrics, reg); err != nil {
+		if err := reg.WriteJSONLFile(*metrics); err != nil {
 			log.Fatalf("nucload: %v", err)
 		}
 	}
@@ -164,26 +163,6 @@ func resolveAddrs(addrs, file string, timeout time.Duration) ([]string, error) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-func writeMetricsJSONL(path string, reg *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, s := range reg.Snapshot() {
-		if err := enc.Encode(s); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // readSeqBit separates read sequence numbers from the write session-seq

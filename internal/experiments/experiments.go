@@ -23,10 +23,10 @@ import (
 	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/trace"
 
-	// The substrate backends register themselves on import, so every
-	// consumer of this package can resolve -substrate sim|async|tcp.
+	// The substrate backends register themselves on import (async comes
+	// with package substrate), so every consumer of this package can
+	// resolve -substrate sim|async|tcp.
 	_ "nuconsensus/internal/netrun"
-	_ "nuconsensus/internal/runtime"
 	_ "nuconsensus/internal/sim"
 )
 

@@ -20,7 +20,6 @@ func TestScopeFollowsLockDiscipline(t *testing.T) {
 		"nuconsensus/internal/obs":       true,
 		"nuconsensus/internal/substrate": true,
 		"nuconsensus/internal/netrun":    true,
-		"nuconsensus/internal/runtime":   true,
 		"nuconsensus/internal/model":     false,
 		"nuconsensus/internal/wire":      false,
 	} {

@@ -1,5 +1,5 @@
 // Package locksafe implements the `locksafe` analyzer: mutexes in the
-// concurrent packages (substrate, netrun, obs, runtime) follow three
+// concurrent packages (substrate, netrun, obs) follow three
 // rules that a data race or deadlock would otherwise smuggle past
 // review. First, every sync.Mutex/RWMutex acquired in a function is
 // released on every path out of it — early returns and panic paths
@@ -54,7 +54,6 @@ var LockedPackages = []string{
 	"internal/substrate",
 	"internal/netrun",
 	"internal/obs",
-	"internal/runtime",
 }
 
 // Covered reports whether the lock discipline applies to the package

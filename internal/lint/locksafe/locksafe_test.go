@@ -21,7 +21,6 @@ func TestScopeNamesConcurrentPackages(t *testing.T) {
 		"nuconsensus/internal/substrate": true,
 		"nuconsensus/internal/netrun":    true,
 		"nuconsensus/internal/obs":       true,
-		"nuconsensus/internal/runtime":   true,
 		"nuconsensus/internal/model":     false, // pure data, no goroutines
 		"nuconsensus/internal/wire":      false, // pools, but no mutex-guarded state
 		"nuconsensus/internal/lint":      false,

@@ -47,16 +47,16 @@ var CriticalPackages = []string{
 // are outside nodeterm's scope. Every internal/ package must appear in
 // exactly one of the two lists.
 var ExemptPackages = map[string]string{
-	"internal/check":   "pure predicates over finished runs; no execution of its own",
-	"internal/fd":      "failure-detector histories are seeded by their constructors; timing-free",
-	"internal/hb":      "heartbeat modules model partial synchrony and are exercised under seeded schedulers",
-	"internal/netrun":  "real-network runner: wall-clock delivery is its purpose, not table input",
-	"internal/rsm":     "replicated-log layer runs inside the deterministic simulator; validated by its own tests",
-	"internal/runtime": "wall-clock concurrent runtime: the intentionally nondeterministic twin of internal/sim",
+	"internal/check":  "pure predicates over finished runs; no execution of its own",
+	"internal/fd":     "failure-detector histories are seeded by their constructors; timing-free",
+	"internal/hb":     "heartbeat modules model partial synchrony and are exercised under seeded schedulers",
+	"internal/netrun": "real-network runner: wall-clock delivery is its purpose, not table input",
+	"internal/rsm":    "replicated-log layer runs inside the deterministic simulator; validated by its own tests",
 	// internal/substrate hosts the shared concurrent cluster driver
-	// (goroutine-per-process loop, yield sleeps, delay timers) on behalf of
-	// the async and tcp backends: those timing sites are sanctioned — they
-	// ARE the nondeterminism the concurrent substrates exist to provide.
+	// (goroutine-per-process loop, yield sleeps): the whole async backend,
+	// the intentionally nondeterministic twin of internal/sim, and the
+	// loop under tcp. Those timing sites are sanctioned — they ARE the
+	// nondeterminism the concurrent substrates exist to provide.
 	// The sim backend's determinism is not at risk: its step engine lives
 	// in internal/sim, which stays on the critical list.
 	"internal/substrate": "shared driver of the intentionally nondeterministic concurrent substrates; sanctioned timing sites",

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -31,10 +30,6 @@ import (
 )
 
 func init() { substrate.Register(S{}) }
-
-// seedStride separates the per-process RNG streams (kept from the
-// pre-substrate netrun so historical runs remain reproducible).
-const seedStride = 104729
 
 // link is one direction of a TCP connection with a write lock.
 type link struct {
@@ -223,7 +218,6 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 	inboxes := substrate.NewInboxes(n)
 	var (
 		bytesSent atomic.Int64
-		seq       atomic.Uint64
 		readers   sync.WaitGroup
 	)
 
@@ -328,15 +322,7 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 		}
 	}
 
-	wrap := func(from model.ProcessID, sends []model.Send, _ *rand.Rand) []*model.Message {
-		msgs := make([]*model.Message, 0, len(sends))
-		for _, s := range sends {
-			msgs = append(msgs, &model.Message{From: from, To: s.To, Seq: seq.Add(1), Payload: s.Payload})
-		}
-		return msgs
-	}
-
-	dispatch := func(msgs []*model.Message, _ *rand.Rand) {
+	dispatch := func(msgs []*model.Message) {
 		for _, out := range msgs {
 			if out.To == out.From {
 				inboxes[out.From].Put(out) // loopback without the socket
@@ -360,11 +346,9 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 	}
 
 	res, err := substrate.RunCluster(ctx, aut, hist, pattern, opts, substrate.ClusterHooks{
-		Inboxes:    inboxes,
-		SeedStride: seedStride,
-		Wrap:       wrap,
-		Dispatch:   dispatch,
-		Resolve:    resolve,
+		Inboxes:  inboxes,
+		Dispatch: dispatch,
+		Resolve:  resolve,
 		// A halting process — crashed or merely done — closes its links so
 		// peers' readers see EOF rather than a silent, wedged socket.
 		OnHalt: func(p model.ProcessID) { m.closeAll(int(p)) },

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -266,4 +269,27 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, nil
+}
+
+// WriteJSONLFile dumps the snapshot to path, one JSON object per
+// instrument in name order — the -metrics format of cmd/nucd and
+// cmd/nucload.
+func (r *Registry) WriteJSONLFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	enc := json.NewEncoder(w)
+	for _, s := range r.Snapshot() {
+		if err := enc.Encode(s); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,7 +2,7 @@
 // substrate and driver in this repository: one causal event bus, one
 // metrics registry and one set of profiling hooks, consumed identically by
 // the deterministic simulator (internal/sim), the concurrent substrates
-// (internal/runtime, internal/netrun via internal/substrate.RunCluster),
+// (async and internal/netrun, both via internal/substrate.RunCluster),
 // the experiment engine (internal/experiments) and the bounded model
 // checker (internal/explore).
 //

@@ -3,6 +3,8 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -365,6 +367,31 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 	want := []string{"a.depth", "b.count", "c.hist"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("snapshot order %v, want sorted %v", names, want)
+	}
+
+	// The JSONL file dump (nucd/nucload -metrics) is the same snapshot, one
+	// object per line; the counter line pins the byte format its readers
+	// parse.
+	path := filepath.Join(t.TempDir(), "m.jsonl")
+	if err := build(false).WriteJSONLFile(path); err != nil {
+		t.Fatal(err)
+	}
+	dump, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(dump, []byte("\n")), []byte("\n"))
+	if len(lines) != len(snap) {
+		t.Fatalf("%d JSONL lines for %d instruments:\n%s", len(lines), len(snap), dump)
+	}
+	for i, line := range lines {
+		var got obs.MetricSnapshot
+		if err := json.Unmarshal(line, &got); err != nil || !reflect.DeepEqual(got, snap[i]) {
+			t.Errorf("line %d = %s (err %v), want %+v", i, line, err, snap[i])
+		}
+	}
+	if want := `{"name":"b.count","kind":"counter","value":5}`; string(lines[1]) != want {
+		t.Errorf("counter line %s, want %s", lines[1], want)
 	}
 }
 

@@ -28,8 +28,8 @@ func init() { substrate.Register(S{}) }
 
 // Exec configures one step-level execution: the run's inputs plus the
 // scheduler embodying the model's nondeterminism. (The shared, substrate-
-// portable knobs — seed, fairness budget, GST — live in
-// substrate.Options; Exec is the lower layer they compile down to.)
+// portable knobs — seed, budget, GST — live in substrate.Options; Exec is
+// the lower layer they compile down to.)
 type Exec struct {
 	Automaton model.Automaton
 	Pattern   *model.FailurePattern
@@ -101,7 +101,7 @@ func Run(x Exec) (*substrate.Result, error) {
 		sent := c.Apply(x.Automaton, e)
 		res.Steps++
 		res.Ticks = t
-		x.Recorder.OnStep(step, t, p, m, d, len(sent))
+		x.Recorder.OnStep(t, p, m, d, len(sent))
 		if x.Recorder != nil {
 			for _, sm := range sent {
 				x.Recorder.OnSend(sm.Payload)
@@ -179,9 +179,10 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 }
 
 // SchedulerFor builds the scheduler the shared options describe: a fair
-// scheduler with the options' fairness budget (defaults 0.8 / 3), or — when
-// GST is set — a partially synchronous one that is hostile before GST and
-// timely after.
+// scheduler on the sim substrate's fixed fairness budget (receive the
+// oldest pending message with probability 0.8, at most 3 consecutive
+// λ-receives while messages are pending), or — when GST is set — a
+// partially synchronous one that is hostile before GST and timely after.
 func SchedulerFor(opts substrate.Options) Scheduler {
 	if opts.GST > 0 {
 		return &PartialSyncScheduler{
@@ -190,13 +191,5 @@ func SchedulerFor(opts substrate.Options) Scheduler {
 			After:  NewFairScheduler(opts.Seed+1, 0.9, 2),
 		}
 	}
-	deliverProb := opts.DeliverProb
-	if deliverProb <= 0 {
-		deliverProb = 0.8
-	}
-	maxSkip := opts.MaxSkip
-	if maxSkip <= 0 {
-		maxSkip = 3
-	}
-	return NewFairScheduler(opts.Seed, deliverProb, maxSkip)
+	return NewFairScheduler(opts.Seed, 0.8, 3)
 }

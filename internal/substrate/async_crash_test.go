@@ -1,4 +1,4 @@
-package runtime_test
+package substrate_test
 
 import (
 	"context"
@@ -8,22 +8,28 @@ import (
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/runtime"
 	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/transform"
 )
 
 // TestCrashedProcessesStopStepping: no recorded step by a crashed process
-// may carry a time at or after its crash (run property (3)).
+// may carry a time at or after its crash (run property (3)), and the tick
+// on which a process discovers its crash is not a step. Nor are the ticks
+// on which each process discovers the budget is spent: they may not push
+// Ticks past the budget or make an exhausted run look stopped. (The clock
+// used to be reported as both: with one crash, Steps=3001 Ticks=3001 against
+// a recorder StepCount of 2999.)
 func TestCrashedProcessesStopStepping(t *testing.T) {
-	pattern := model.PatternFromCrashes(4, map[model.ProcessID]model.Time{1: 60, 2: 120})
+	crashes := map[model.ProcessID]model.Time{1: 60, 2: 120}
+	pattern := model.PatternFromCrashes(4, crashes)
 	hist := fd.PairHistory{
 		First:  fd.NewOmega(pattern, 200, 5),
 		Second: fd.NewSigmaNuPlus(pattern, 200, 5),
 	}
-	res, err := runtime.New().Run(context.Background(), consensus.NewANuc([]int{0, 1, 0, 1}), hist, pattern, substrate.Options{
+	const budget = 3000
+	res, err := async.Run(context.Background(), consensus.NewANuc([]int{0, 1, 0, 1}), hist, pattern, substrate.Options{
 		Seed:     5,
-		MaxSteps: 3000,
+		MaxSteps: budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +38,16 @@ func TestCrashedProcessesStopStepping(t *testing.T) {
 		if pattern.Crashed(s.P, s.T) {
 			t.Fatalf("crashed %v took a step at t=%d", s.P, s.T)
 		}
+	}
+	// Every tick of the budget went to a step or to one crash discovery.
+	if want := budget - len(crashes); res.Steps != want || res.Rec.StepCount != want {
+		t.Errorf("Steps=%d, recorder StepCount=%d, want both %d", res.Steps, res.Rec.StepCount, want)
+	}
+	if res.Ticks != budget {
+		t.Errorf("Ticks=%d, want the budget %d", res.Ticks, budget)
+	}
+	if res.Stopped {
+		t.Error("Stopped=true on a run that exhausted its budget with no stop condition set")
 	}
 }
 
@@ -43,11 +59,11 @@ func TestRuntimeValidation(t *testing.T) {
 	ctx := context.Background()
 	ten := substrate.Options{MaxSteps: 10}
 	cases := []func() error{
-		func() error { _, err := runtime.New().Run(ctx, nil, hist, pattern, ten); return err },
-		func() error { _, err := runtime.New().Run(ctx, aut, hist, nil, ten); return err },
-		func() error { _, err := runtime.New().Run(ctx, aut, hist, pattern, substrate.Options{}); return err },
+		func() error { _, err := async.Run(ctx, nil, hist, pattern, ten); return err },
+		func() error { _, err := async.Run(ctx, aut, hist, nil, ten); return err },
+		func() error { _, err := async.Run(ctx, aut, hist, pattern, substrate.Options{}); return err },
 		func() error {
-			_, err := runtime.New().Run(ctx, aut, hist, model.NewFailurePattern(4), ten)
+			_, err := async.Run(ctx, aut, hist, model.NewFailurePattern(4), ten)
 			return err
 		},
 	}
@@ -64,7 +80,7 @@ func TestRuntimeValidation(t *testing.T) {
 func TestRuntimeTransformerEmulation(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, map[model.ProcessID]model.Time{1: 60})
 	hist := fd.NewSigmaNu(pattern, 150, 3)
-	res, err := runtime.New().Run(context.Background(), transform.NewSigmaNuPlusTransformer(3), hist, pattern, substrate.Options{
+	res, err := async.Run(context.Background(), transform.NewSigmaNuPlusTransformer(3), hist, pattern, substrate.Options{
 		Seed:     3,
 		MaxSteps: 900,
 	})
@@ -92,7 +108,7 @@ func TestRuntimeSafetyAcrossSeeds(t *testing.T) {
 			First:  fd.NewOmega(pattern, 150, seed),
 			Second: fd.NewSigmaNuPlus(pattern, 150, seed),
 		}
-		res, err := runtime.New().Run(context.Background(), consensus.NewANuc([]int{1, 0, 1, 0}), hist, pattern, substrate.Options{
+		res, err := async.Run(context.Background(), consensus.NewANuc([]int{1, 0, 1, 0}), hist, pattern, substrate.Options{
 			Seed:            seed,
 			MaxSteps:        100000,
 			StopWhenDecided: true,

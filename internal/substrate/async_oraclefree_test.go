@@ -1,4 +1,4 @@
-package runtime_test
+package substrate_test
 
 import (
 	"context"
@@ -9,7 +9,6 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/runtime"
 	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/transform"
 )
@@ -29,7 +28,7 @@ func TestOracleFreeOnGoroutineRuntime(t *testing.T) {
 			transform.NewScratchSigmaNuPlus(n, tf),
 			consensus.NewANuc([]int{0, 1, 0, 1, 0}),
 		)
-		res, err := runtime.New().Run(context.Background(), aut, fd.Null, pattern, substrate.Options{
+		res, err := async.Run(context.Background(), aut, fd.Null, pattern, substrate.Options{
 			Seed:            seed,
 			MaxSteps:        300000,
 			StopWhenDecided: true,

@@ -1,9 +1,11 @@
 package substrate
 
 // This file is the shared concurrent driver: the goroutine-per-process
-// loop, crash injection, logical clock and decision collection that the
-// async and TCP substrates used to copy from each other. A backend
-// provides only its transport (how sends reach inboxes) via ClusterHooks.
+// loop, crash injection, logical clock, message sequence numbering and
+// decision collection of the async and TCP substrates. A backend provides
+// only its transport (how a built message reaches its destination inbox)
+// via ClusterHooks; the in-memory transport is the default, so the "async"
+// backend at the bottom of this file is a name and a take probability.
 //
 // The wall-clock and goroutine use in here is sanctioned: this package is
 // the home of the intentionally nondeterministic substrates, exempt from
@@ -25,32 +27,23 @@ import (
 
 // ClusterHooks adapts the shared concurrent driver to one transport.
 type ClusterHooks struct {
-	// Inboxes are the per-process mailboxes the driver drains; the
-	// transport's Deliver (and any reader goroutines) put into them.
+	// Inboxes are the per-process mailboxes the driver drains. A transport
+	// whose reader goroutines put into them brings its own; nil makes the
+	// driver allocate them.
 	Inboxes []*Inbox
 
 	// TakeProb is the per-step probability of draining the inbox; <= 0 or
 	// >= 1 means every step receives the oldest pending message.
 	TakeProb float64
 
-	// SeedStride separates the per-process RNG streams derived from
-	// Options.Seed (a distinct prime per backend keeps historical runs
-	// reproducible).
-	SeedStride int64
-
-	// Wrap and Dispatch split one step's sends into two phases so the
-	// driver can observe the outgoing messages (stamping the event bus's
-	// Send events) before a receiver can possibly take them — that
+	// Dispatch transmits one step's messages — puts them into inboxes,
+	// writes them to sockets. The driver has already built them (assigning
+	// sequence numbers) and stamped the event bus's Send events, so a
+	// receiver cannot take a message whose send is unstamped — that
 	// ordering is what keeps the bus's Lamport annotation consistent with
-	// send-before-receive even under real concurrency.
-	//
-	// Wrap constructs the concrete messages: it assigns sequence numbers
-	// and applies per-send drop decisions (a dropped send never becomes a
-	// message). Dispatch transmits previously wrapped messages — puts them
-	// into inboxes, writes them to sockets, schedules their delayed
-	// delivery. rng is the stepping process's private stream.
-	Wrap     func(from model.ProcessID, sends []model.Send, rng *rand.Rand) []*model.Message
-	Dispatch func(msgs []*model.Message, rng *rand.Rand)
+	// send-before-receive even under real concurrency. Nil is the in-memory
+	// transport: each message goes straight into its destination inbox.
+	Dispatch func(msgs []*model.Message)
 
 	// OnHalt, if non-nil, runs exactly once when process p stops — by
 	// crashing, by budget exhaustion or by early termination — e.g. to
@@ -64,6 +57,10 @@ type ClusterHooks struct {
 	// vanish. A nil result (resolution failure) skips the message.
 	Resolve func(m *model.Message) *model.Message
 }
+
+// seedStride separates the per-process RNG streams derived from
+// Options.Seed.
+const seedStride = 7919
 
 // idleBackoffAfter and idleBackoffSleep throttle a process whose inbox has
 // been empty for that many consecutive attempted takes: it keeps stepping
@@ -82,8 +79,19 @@ const (
 // until the cluster stops and returns the finished Result.
 func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pattern *model.FailurePattern, opts Options, h ClusterHooks) (*Result, error) {
 	n := aut.N()
+	if h.Inboxes == nil {
+		h.Inboxes = NewInboxes(n)
+	}
+	if h.Dispatch == nil {
+		h.Dispatch = func(msgs []*model.Message) {
+			for _, m := range msgs {
+				h.Inboxes[m.To].Put(m)
+			}
+		}
+	}
 	var (
 		clock    atomic.Int64
+		seq      atomic.Uint64 // message sequence numbers, unique per run
 		stop     = make(chan struct{})
 		stopOnce sync.Once
 		wg       sync.WaitGroup
@@ -92,6 +100,8 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 		states  = make([]model.State, n)
 		decided = make(map[model.ProcessID]bool)
 		rec     = opts.Recorder
+		steps   int  // executed steps; the clock also counts crash and budget discoveries
+		stopped bool // the StopWhenDecided condition fired
 	)
 	if rec == nil {
 		rec = &trace.Recorder{RecordSamples: true}
@@ -130,7 +140,7 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 			if h.OnHalt != nil {
 				defer h.OnHalt(p)
 			}
-			rng := rand.New(rand.NewSource(opts.Seed + int64(p)*h.SeedStride))
+			rng := rand.New(rand.NewSource(opts.Seed + int64(p)*seedStride))
 			st := aut.InitState(p)
 			idle := 0
 			for {
@@ -163,11 +173,15 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 				d := hist.Output(p, t)
 				ns, sends := aut.Step(p, st, m, d)
 				st = ns
-				msgs := h.Wrap(p, sends, rng)
+				msgs := make([]*model.Message, len(sends))
+				for i, s := range sends {
+					msgs[i] = &model.Message{From: p, To: s.To, Seq: seq.Add(1), Payload: s.Payload}
+				}
 
 				mu.Lock()
+				steps++
 				states[p] = st
-				rec.OnStep(int(t), t, p, m, d, len(sends))
+				rec.OnStep(t, p, m, d, len(sends))
 				for _, s := range sends {
 					rec.OnSend(s.Payload)
 				}
@@ -181,11 +195,12 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 							allDecided = false
 						}
 					})
+					stopped = stopped || allDecided
 				}
 				mu.Unlock()
 				// Dispatch after the bus has the Send events: a receiver
 				// cannot observe a message whose send is unstamped.
-				h.Dispatch(msgs, rng)
+				h.Dispatch(msgs)
 				if allDecided {
 					halt()
 					return
@@ -221,13 +236,39 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 
 	mu.Lock()
 	defer mu.Unlock()
-	ticks := model.Time(clock.Load())
 	res := &Result{
 		Config:  &model.Configuration{States: states, Buffer: model.NewMessageBuffer()},
-		Steps:   int(ticks),
-		Ticks:   ticks,
-		Stopped: ticks <= maxTicks, // a stop condition fired before the budget ran out
+		Steps:   steps,
+		Ticks:   min(model.Time(clock.Load()), maxTicks), // each process that finds the budget spent ticks past it
+		Stopped: stopped,
 		Rec:     rec,
 	}
 	return Finish(res, pattern), nil
+}
+
+func init() { Register(async{}) }
+
+// asyncTakeProb is the async substrate's per-step probability of draining
+// the inbox: receiving usually-but-not-always keeps the interleavings
+// adversarial. It is the one behavioural difference from the TCP transport,
+// which always takes.
+const asyncTakeProb = 0.8
+
+// async is the goroutine backend over in-memory links: the cluster driver
+// with its default transport.
+type async struct{}
+
+// Name implements Substrate.
+func (async) Name() string { return "async" }
+
+// Deterministic implements Substrate: goroutine scheduling makes every run
+// different.
+func (async) Deterministic() bool { return false }
+
+// Run implements Substrate.
+func (async) Run(ctx context.Context, aut model.Automaton, hist model.History, pattern *model.FailurePattern, opts Options) (*Result, error) {
+	if err := Validate("async", aut, hist, pattern, opts); err != nil {
+		return nil, err
+	}
+	return RunCluster(ctx, aut, hist, pattern, opts, ClusterHooks{TakeProb: asyncTakeProb})
 }

@@ -22,9 +22,8 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/substrate"
 
-	// Register all three backends.
+	// Register the other two backends; async comes with package substrate.
 	_ "nuconsensus/internal/netrun"
-	_ "nuconsensus/internal/runtime"
 	_ "nuconsensus/internal/sim"
 )
 

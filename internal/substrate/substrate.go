@@ -5,7 +5,7 @@
 // very different realizations of that model:
 //
 //   - "sim"   — the deterministic step simulator (internal/sim, DESIGN.md S6)
-//   - "async" — one goroutine per process over in-memory links (internal/runtime, S7)
+//   - "async" — one goroutine per process over in-memory links (cluster.go, S7)
 //   - "tcp"   — a real TCP loopback mesh with wire-serialized payloads
 //     (internal/netrun, S24)
 //
@@ -15,10 +15,15 @@
 // mesh, a real network) drop in by implementing Substrate and calling
 // Register.
 //
-// The package also hosts the code the three backends used to duplicate:
-// the per-link FIFO Inbox (inbox.go), the shared concurrent cluster driver
-// with crash injection (cluster.go), and the decision-collection helpers
-// below.
+// The package also hosts what the backends share: the per-link FIFO Inbox
+// (inbox.go), the concurrent cluster driver with crash injection
+// (cluster.go) and the decision-collection helpers below. The two
+// concurrent backends are that one driver over two transports, and a
+// transport is a single function — ClusterHooks.Dispatch, "deliver these
+// messages" — which is the paper's one kind of link (§2.4: reliable, every
+// sent message eventually received) and the one place a link nemesis would
+// wrap. The async backend is the driver with its default in-memory
+// Dispatch, so it needs no package of its own.
 package substrate
 
 import (
@@ -26,17 +31,17 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
 	"nuconsensus/internal/trace"
 )
 
-// Options is the one execution configuration shared by every substrate.
-// The zero value of any knob means "use the substrate's default"; knobs a
-// backend cannot honor (e.g. MeanDelay on the deterministic simulator,
-// DropProb on reliable TCP streams) are documented per field and ignored.
+// Options is the one execution configuration shared by every substrate:
+// the run's seed, budget and stop condition, plus where its observations
+// go. Scheduling and link behaviour are not options — each substrate fixes
+// its own (the simulator's fairness budget, the async take probability) —
+// and GST, the one field only the simulator honors, says so.
 type Options struct {
 	// Seed derives all randomness of the run: the simulator's fair
 	// scheduler and the concurrent substrates' per-process RNG streams.
@@ -52,30 +57,11 @@ type Options struct {
 	// the failure pattern) has decided.
 	StopWhenDecided bool
 
-	// DeliverProb and MaxSkip are the fairness budget of the simulator's
-	// fair scheduler: the per-step probability of receiving the oldest
-	// pending message, and the bound on consecutive λ-receives while
-	// messages are pending (defaults 0.8 and 3). On the async substrate
-	// DeliverProb is the per-step probability of draining the inbox.
-	DeliverProb float64
-	MaxSkip     int
-
 	// GST, if positive, makes the simulated execution partially
 	// synchronous: hostile scheduling before GST, timely after. Honored by
 	// the sim substrate; the concurrent substrates are inherently
 	// partially synchronous. (Used by the from-scratch detector stacks.)
 	GST model.Time
-
-	// MeanDelay adds an average artificial link delay on the async
-	// substrate; zero delivers as fast as the scheduler allows. The sim
-	// substrate models delay through its scheduler; TCP has real delays.
-	MeanDelay time.Duration
-
-	// DropProb drops each non-loopback message with the given probability
-	// on the async substrate (a lossy-link knob; dropping may cost
-	// liveness, safety must survive it). Ignored by sim (the model's
-	// buffer is reliable) and tcp (streams are reliable by construction).
-	DropProb float64
 
 	// Recorder, if non-nil, receives step/sample/decision events. The
 	// concurrent substrates allocate one when nil so Result.Rec is always
@@ -102,10 +88,11 @@ type Result struct {
 	// (on the simulator) the in-flight message buffer.
 	Config *model.Configuration
 
-	// Steps is the number of atomic steps executed; Ticks is the logical
-	// time when the run stopped. On the simulator both advance together;
-	// on the concurrent substrates Ticks is the shared clock (which every
-	// process's steps advance).
+	// Steps is the number of atomic steps executed (what Rec.StepCount
+	// counts); Ticks is the logical time when the run stopped, never past
+	// MaxSteps. On the simulator both advance together; on the concurrent
+	// substrates Ticks is the shared clock, which also ticks when a process
+	// discovers it has crashed, so Steps <= Ticks there.
 	Steps int
 	Ticks model.Time
 
@@ -121,8 +108,8 @@ type Result struct {
 	MaxRound  int
 
 	// Rec is the run's trace (message counts by kind, FD samples, decision
-	// times, optionally per-step records). Nil only when the simulator's
-	// low-level engine ran without a recorder.
+	// times). Nil only when the simulator's low-level engine ran without a
+	// recorder.
 	Rec *trace.Recorder
 
 	// BytesSent counts wire bytes written to sockets (tcp substrate only).
@@ -149,7 +136,8 @@ type Substrate interface {
 }
 
 // registry holds the substrates by name. Backends self-register from their
-// init functions; importing a backend package is what makes it available.
+// init functions: importing a backend package is what makes "sim" and "tcp"
+// available, and "async" registers from this package.
 var registry = map[string]Substrate{}
 
 // Register adds a substrate under its Name. Registering two substrates

@@ -1,5 +1,5 @@
 // Package trace records what happened during a simulated or live execution:
-// steps, failure-detector samples, emulated failure-detector outputs,
+// step counts, failure-detector samples, emulated failure-detector outputs,
 // decisions, and message counters. Checkers in internal/check consume these
 // records to verify the paper's properties on finite executions.
 package trace
@@ -27,27 +27,16 @@ type Decision struct {
 	Val int
 }
 
-// StepRecord summarizes one step for debugging traces.
-type StepRecord struct {
-	Index    int
-	T        model.Time
-	P        model.ProcessID
-	Received string // "λ" or the message
-	Sent     int    // number of messages sent
-}
-
 // Recorder accumulates execution records. The zero value is ready to use.
-// RecordSteps controls whether per-step records are kept; RecordSamples
-// whether failure-detector samples and emulated outputs are kept (both are
-// the bulky parts; counters are always maintained). Callers that read
-// Samples or Outputs must set RecordSamples — with it off, samples are
-// counted in DroppedSamples/DroppedOutputs instead of retained, which keeps
-// long experiment sweeps from accumulating per-step garbage.
+// RecordSamples controls whether failure-detector samples and emulated
+// outputs are kept (they are the bulky part; counters are always
+// maintained). Callers that read Samples or Outputs must set RecordSamples
+// — with it off, samples are counted in DroppedSamples/DroppedOutputs
+// instead of retained, which keeps long experiment sweeps from accumulating
+// per-step garbage.
 type Recorder struct {
-	RecordSteps   bool
 	RecordSamples bool
 
-	Steps     []StepRecord
 	Samples   []Sample // FD values seen in steps (RecordSamples only)
 	Outputs   []Sample // emulated FD output_p values (RecordSamples only)
 	Decisions []Decision
@@ -57,7 +46,6 @@ type Recorder struct {
 	MessagesRecvd int
 	SentKinds     map[string]int
 
-	DroppedSteps   int // step records skipped because RecordSteps is off
 	DroppedSamples int // FD samples skipped because RecordSamples is off
 	DroppedOutputs int // output samples skipped because RecordSamples is off
 }
@@ -74,7 +62,7 @@ func (r *Recorder) OnSend(pl model.Payload) {
 }
 
 // OnStep records one executed step.
-func (r *Recorder) OnStep(idx int, t model.Time, p model.ProcessID, m *model.Message, d model.FDValue, sent int) {
+func (r *Recorder) OnStep(t model.Time, p model.ProcessID, m *model.Message, d model.FDValue, sent int) {
 	if r == nil {
 		return
 	}
@@ -85,15 +73,6 @@ func (r *Recorder) OnStep(idx int, t model.Time, p model.ProcessID, m *model.Mes
 	}
 	if d != nil {
 		r.OnFDSample(t, p, d)
-	}
-	if r.RecordSteps {
-		rec := StepRecord{Index: idx, T: t, P: p, Received: "λ", Sent: sent}
-		if m != nil {
-			rec.Received = m.String()
-		}
-		r.Steps = append(r.Steps, rec)
-	} else {
-		r.DroppedSteps++
 	}
 }
 
@@ -154,14 +133,14 @@ func (r *Recorder) DecidedValues() map[model.ProcessID]int {
 }
 
 // Summary renders a one-line summary for CLI tools, including how many
-// records the RecordSteps/RecordSamples knobs dropped.
+// records were dropped because RecordSamples is off.
 func (r *Recorder) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "steps=%d sent=%d recvd=%d decisions=%d",
 		r.StepCount, r.MessagesSent, r.MessagesRecvd, len(r.Decisions))
-	if n := r.DroppedSteps + r.DroppedSamples + r.DroppedOutputs; n > 0 {
-		fmt.Fprintf(&b, " dropped=%d(steps=%d,samples=%d,outputs=%d)",
-			n, r.DroppedSteps, r.DroppedSamples, r.DroppedOutputs)
+	if n := r.DroppedSamples + r.DroppedOutputs; n > 0 {
+		fmt.Fprintf(&b, " dropped=%d(samples=%d,outputs=%d)",
+			n, r.DroppedSamples, r.DroppedOutputs)
 	}
 	return b.String()
 }

@@ -19,8 +19,8 @@ func (val) String() string { return "v" }
 func TestRecorderCounters(t *testing.T) {
 	r := &Recorder{RecordSamples: true}
 	m := &model.Message{From: 1, To: 0, Payload: pl{"X"}}
-	r.OnStep(0, 1, 0, nil, val{}, 2)
-	r.OnStep(1, 2, 0, m, val{}, 0)
+	r.OnStep(1, 0, nil, val{}, 2)
+	r.OnStep(2, 0, m, val{}, 0)
 	if r.StepCount != 2 || r.MessagesSent != 2 || r.MessagesRecvd != 1 {
 		t.Errorf("counters: steps=%d sent=%d recvd=%d", r.StepCount, r.MessagesSent, r.MessagesRecvd)
 	}
@@ -33,41 +33,24 @@ func TestRecorderCounters(t *testing.T) {
 }
 
 func TestRecorderDropsSamplesWhenDisabled(t *testing.T) {
-	r := &Recorder{} // zero value: both record knobs off
+	r := &Recorder{} // zero value: RecordSamples off
 	m := &model.Message{From: 1, To: 0, Payload: pl{"X"}}
-	r.OnStep(0, 1, 0, nil, val{}, 2)
-	r.OnStep(1, 2, 0, m, val{}, 0)
+	r.OnStep(1, 0, nil, val{}, 2)
+	r.OnStep(2, 0, m, val{}, 0)
 	r.OnOutput(3, 0, val{})
-	if len(r.Samples) != 0 || len(r.Outputs) != 0 || len(r.Steps) != 0 {
-		t.Errorf("retained records with knobs off: samples=%d outputs=%d steps=%d",
-			len(r.Samples), len(r.Outputs), len(r.Steps))
+	if len(r.Samples) != 0 || len(r.Outputs) != 0 {
+		t.Errorf("retained records with the knob off: samples=%d outputs=%d",
+			len(r.Samples), len(r.Outputs))
 	}
 	if r.StepCount != 2 || r.MessagesSent != 2 || r.MessagesRecvd != 1 {
-		t.Errorf("counters must survive knobs: steps=%d sent=%d recvd=%d",
+		t.Errorf("counters must survive the knob: steps=%d sent=%d recvd=%d",
 			r.StepCount, r.MessagesSent, r.MessagesRecvd)
 	}
-	if r.DroppedSamples != 2 || r.DroppedOutputs != 1 || r.DroppedSteps != 2 {
-		t.Errorf("drop counts: samples=%d outputs=%d steps=%d",
-			r.DroppedSamples, r.DroppedOutputs, r.DroppedSteps)
+	if r.DroppedSamples != 2 || r.DroppedOutputs != 1 {
+		t.Errorf("drop counts: samples=%d outputs=%d", r.DroppedSamples, r.DroppedOutputs)
 	}
-	if s := r.Summary(); !strings.Contains(s, "dropped=5") {
-		t.Errorf("Summary() = %q, want dropped=5", s)
-	}
-}
-
-func TestRecorderStepRecords(t *testing.T) {
-	r := &Recorder{RecordSteps: true}
-	m := &model.Message{From: 1, To: 0, Payload: pl{"X"}}
-	r.OnStep(0, 1, 0, nil, val{}, 0)
-	r.OnStep(1, 2, 0, m, val{}, 1)
-	if len(r.Steps) != 2 {
-		t.Fatalf("Steps = %d", len(r.Steps))
-	}
-	if r.Steps[0].Received != "λ" {
-		t.Errorf("λ step recorded as %q", r.Steps[0].Received)
-	}
-	if !strings.Contains(r.Steps[1].Received, "X") {
-		t.Errorf("message step recorded as %q", r.Steps[1].Received)
+	if s := r.Summary(); !strings.Contains(s, "dropped=3(samples=2,outputs=1)") {
+		t.Errorf("Summary() = %q, want dropped=3(samples=2,outputs=1)", s)
 	}
 }
 
@@ -103,7 +86,7 @@ func TestRecorderOutputsAndKinds(t *testing.T) {
 
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
-	r.OnStep(0, 1, 0, nil, val{}, 1)
+	r.OnStep(1, 0, nil, val{}, 1)
 	r.OnDecision(1, 0, 1)
 	r.OnOutput(1, 0, val{})
 	r.OnSend(pl{"A"})

@@ -8,7 +8,6 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/netrun"
-	"nuconsensus/internal/runtime"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/trace"
@@ -124,7 +123,11 @@ func runConcurrent(s substrate.Substrate, opts ClusterOptions) (*SimResult, erro
 // (the "async" substrate) and blocks until every correct process decides or
 // the budget runs out.
 func RunCluster(opts ClusterOptions) (*SimResult, error) {
-	return runConcurrent(runtime.New(), opts)
+	async, err := substrate.Get("async")
+	if err != nil {
+		return nil, err
+	}
+	return runConcurrent(async, opts)
 }
 
 // RunTCP executes the automaton over a real TCP mesh on the loopback
