@@ -1,5 +1,5 @@
 // Steady-state allocation pins for the sim step loop (DESIGN.md §8). The
-// CI perf job gates allocs/op through BENCH_9.json; these tests pin the
+// CI perf job gates allocs/op through BENCH_15.json; these tests pin the
 // same contract in plain `go test`, so a regression fails everywhere, not
 // only in the perf job.
 package nuconsensus_test

@@ -1,10 +1,11 @@
 // Hot-path benchmarks: the four inner loops every layer multiplies (the
 // sim step loop, the wire codec, substrate.Inbox, the explore frontier —
 // the last one lives in bench_test.go as BenchmarkExploreFrontier). These
-// are the benchmarks cmd/benchreport normalizes into BENCH_9.json and the
+// are the benchmarks cmd/benchreport normalizes into BENCH_15.json and the
 // CI perf job gates on: allocs/op on the sim step loop and the wire
 // decode/encode paths must stay at their committed baseline (zero in
-// steady state), per DESIGN.md §8.
+// steady state), per DESIGN.md §8, and the explorer frontier within 10% of
+// its own.
 package nuconsensus_test
 
 import (

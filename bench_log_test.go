@@ -1,10 +1,13 @@
 // Long-log and history-delta benchmarks: the replicated log's end-to-end
 // cost in its two history-plumbing modes (owned full-copy vs the shared
 // versioned store of internal/rsm/shared.go), and the delta machinery's
-// inner loops. BenchmarkHistoryDelta is part of the allocs/op perf gate:
-// the append-shaped delta paths (AppendSince into a scratch buffer,
-// redundant Apply, delta payload encode) must stay at 0 allocs/op so the
-// per-send cost of shared mode never scales with history size.
+// inner loops. Both are part of the allocs/op perf gate (BENCH_15.json):
+// BenchmarkHistoryDelta's append-shaped delta paths (AppendSince into a
+// scratch buffer, redundant Apply, delta payload encode) must stay at 0
+// allocs/op so the per-send cost of shared mode never scales with history
+// size, and BenchmarkLogLongRun's ~10 allocs per step is what a run costs
+// when Step mutates the state it owns — a per-step CloneState creeping
+// back multiplies it by six and fails the gate.
 package nuconsensus_test
 
 import (

@@ -1,6 +1,6 @@
 // Serving-layer benchmarks: the batch codec and the exactly-once apply
 // path cmd/nucd runs per decided slot. They join the hot-path slice that
-// cmd/benchreport normalizes into BENCH_9.json and the CI perf job gates
+// cmd/benchreport normalizes into BENCH_15.json and the CI perf job gates
 // on. Every gated sub-benchmark is designed so allocs/op is a pure
 // function of the code, not of b.N: either a zero-allocation contract
 // (encode into a reused buffer, a read-only dedup probe) or fixed work

@@ -5,8 +5,8 @@
 // Usage:
 //
 //	go test -run '^$' -bench 'SimStep|Wire|Inbox|ExploreFrontier' -benchmem -count=3 . > bench.txt
-//	go run ./cmd/benchreport -in bench.txt -out BENCH_9.json        # normalise
-//	go run ./cmd/benchreport -in bench.txt -check BENCH_9.json      # regression gate
+//	go run ./cmd/benchreport -in bench.txt -out BENCH_15.json       # normalise
+//	go run ./cmd/benchreport -in bench.txt -check BENCH_15.json     # regression gate
 //
 // Normalisation takes the median of each metric across the -count runs
 // (ns/op, B/op, allocs/op and any custom unit the benchmark reports) and
@@ -16,9 +16,10 @@
 //
 // The -check gate compares only allocs/op, and only on the benchmarks the
 // hot-path contract covers (-gate regexp; default: the sim step loop, the
-// wire decode/encode paths, the history-delta inner loops and the serving
-// layer's batch codec and session dedup): allocation
-// counts are deterministic
+// wire decode/encode paths, the history-delta inner loops, the serving
+// layer's batch codec and session dedup, the long replicated-log run and
+// the explorer frontier — the last two are where a per-step or per-fork
+// clone creeping back would show): allocation counts are deterministic
 // across hosts, unlike ns/op, so the gate neither flakes on slow CI
 // runners nor needs per-host baselines. A baseline of 0 allocs/op fails on
 // ANY allocation; nonzero baselines fail on a >10% regression (-max-regress).
@@ -201,7 +202,7 @@ func main() {
 		in         = flag.String("in", "-", "go test -bench output to read ('-' for stdin)")
 		out        = flag.String("out", "", "write the canonical JSON report to this file ('-' for stdout)")
 		checkPath  = flag.String("check", "", "compare against this committed baseline report and fail on allocs/op regressions")
-		gateExpr   = flag.String("gate", `^BenchmarkSimStep/|^BenchmarkWireDecode/|^BenchmarkWireEncode/|^BenchmarkHistoryDelta/|^BenchmarkServeBatch/|^BenchmarkSessionDedup/`, "regexp selecting the benchmarks the allocs/op gate covers")
+		gateExpr   = flag.String("gate", `^BenchmarkSimStep/|^BenchmarkWireDecode/|^BenchmarkWireEncode/|^BenchmarkHistoryDelta/|^BenchmarkServeBatch/|^BenchmarkSessionDedup/|^BenchmarkLogLongRun/|^BenchmarkExploreFrontier`, "regexp selecting the benchmarks the allocs/op gate covers")
 		maxRegress = flag.Float64("max-regress", 0.10, "allowed fractional allocs/op regression for nonzero baselines")
 	)
 	flag.Parse()

@@ -186,7 +186,7 @@ func (a *ANuc) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *ANuc) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*anucState)
+	st := s.(*anucState)
 	var out []model.Send
 	if m != nil {
 		out = append(out, st.handleMessage(m)...)

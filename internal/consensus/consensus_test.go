@@ -93,19 +93,6 @@ func TestANucDeterministic(t *testing.T) {
 	}
 }
 
-// TestANucStepPurity: Step must not mutate its input state (the DAG
-// extraction branches configurations and relies on this).
-func TestANucStepPurity(t *testing.T) {
-	aut := consensus.NewANuc([]int{0, 1, 1})
-	s0 := aut.InitState(0)
-	snapshot := s0.CloneState()
-	d := fd.PairValue{First: fd.LeaderValue{Leader: 0}, Second: fd.QuorumValue{Quorum: model.SetOf(0, 1)}}
-	_, _ = aut.Step(0, s0, nil, d)
-	if !reflect.DeepEqual(s0, snapshot) {
-		t.Fatal("Step mutated its input state")
-	}
-}
-
 // TestANucDecisionIrrevocable: once a process decides, its decision never
 // changes even as the protocol continues (§2.8).
 func TestANucDecisionIrrevocable(t *testing.T) {

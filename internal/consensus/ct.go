@@ -167,7 +167,7 @@ func (a *CT) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *CT) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*ctState)
+	st := s.(*ctState)
 	var out []model.Send
 	if m != nil {
 		out = append(out, st.handle(a, m)...)

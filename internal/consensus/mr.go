@@ -119,7 +119,7 @@ func (a *MR) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *MR) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*mrState)
+	st := s.(*mrState)
 	if m != nil {
 		st.handleMessage(m)
 	}

@@ -27,15 +27,16 @@ type HistoryStore interface {
 	// carry inline: a clone for owned stores, nil for shared stores whose
 	// transport ships versioned deltas out-of-band instead.
 	Outgoing() quorum.Histories
-	// CloneStore supports the clone-then-mutate step discipline. Owned
+	// CloneStore is the store's half of the owning state's CloneState — the
+	// fork a caller takes before stepping a state it wants to keep. Owned
 	// stores deep-copy; a shared store returns itself and relies on its
-	// owner (the rsm log state) to clone once per step and rebind.
+	// owner (the rsm log state) to clone it once per fork and rebind.
 	CloneStore() HistoryStore
 }
 
 // StoreBound is implemented by states whose history store can be rebound
-// after a clone. The rsm log state clones its shared store once per step
-// and rebinds every cloned slot instance to the copy.
+// after a clone. When the rsm log state is forked it clones its shared
+// store once and rebinds every cloned slot instance to the copy.
 type StoreBound interface {
 	BindStore(HistoryStore)
 }

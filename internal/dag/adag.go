@@ -104,7 +104,7 @@ func (a *ADag) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *ADag) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*adagState)
+	st := s.(*adagState)
 	_, sends := st.b.DoStep(m, d, model.FullSet(a.n))
 	return st, sends
 }

@@ -34,13 +34,9 @@ func TestADagBuildsSharedDAG(t *testing.T) {
 	}
 }
 
-func TestADagStepIsPure(t *testing.T) {
+func TestADagStepAddsSample(t *testing.T) {
 	a := dag.NewADag(2)
-	s0 := a.InitState(0)
-	s1, _ := a.Step(0, s0, nil, fd.LeaderValue{Leader: 0})
-	if s0.(dag.GraphHolder).SampleGraph().Len() != 0 {
-		t.Error("Step mutated its input state")
-	}
+	s1, _ := a.Step(0, a.InitState(0), nil, fd.LeaderValue{Leader: 0})
 	if s1.(dag.GraphHolder).SampleGraph().Len() != 1 {
 		t.Error("Step did not add a sample")
 	}
@@ -79,7 +75,7 @@ func (a decideAfter) InitState(model.ProcessID) model.State {
 }
 
 func (a decideAfter) Step(_ model.ProcessID, s model.State, _ *model.Message, _ model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*decideAfterState)
+	st := s.(*decideAfterState)
 	st.steps++
 	if st.steps >= st.after {
 		st.decided = true

@@ -396,10 +396,15 @@ func (e *engine) enabled(cfg *model.Configuration, t model.Time, alive model.Pro
 	return out
 }
 
-// apply executes choice ch (a step at time t) on a clone of cfg and
-// returns the child configuration plus its per-process state hashes.
+// apply executes choice ch (a step at time t) on a fork of cfg and returns
+// the child configuration plus its per-process state hashes. The fork
+// clones what the step writes — the stepping process's state and the
+// buffer — and shares every other state with cfg. That is sound because
+// this is the only place an explored state is ever stepped: a state
+// reachable from a frontier node is never mutated, only forked again.
 func (e *engine) apply(cfg *model.Configuration, procH []uint64, ch Choice, t model.Time) (*model.Configuration, []uint64, int) {
-	child := cfg.Clone()
+	child := &model.Configuration{States: append([]model.State(nil), cfg.States...), Buffer: cfg.Buffer.Clone()}
+	child.States[ch.P] = cfg.States[ch.P].CloneState()
 	var m *model.Message
 	if ch.From != model.NoProcess {
 		m = child.Buffer.OldestFrom(ch.P, ch.From)

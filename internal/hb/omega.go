@@ -147,7 +147,7 @@ func (a *Omega) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *Omega) Step(p model.ProcessID, s model.State, m *model.Message, _ model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*omegaState)
+	st := s.(*omegaState)
 	st.clock++
 	if m != nil {
 		if _, ok := m.Payload.(HeartbeatPayload); !ok {

@@ -17,9 +17,15 @@ type History interface {
 	Output(p ProcessID, t Time) FDValue
 }
 
-// State is the local state of one process automaton. States must be deeply
-// clonable because the DAG-based extraction of §4–5 simulates alternative
-// schedules by branching configurations.
+// State is the local state of one process automaton. A state has exactly
+// one owner — the configuration or driver that holds it — and Step consumes
+// it (see Automaton). CloneState is how an owner forks: it returns a deep
+// copy sharing no mutable memory with the receiver, so either side can be
+// stepped without the other noticing. It must not write to the receiver
+// (the explorer clones one state from several goroutines). The only callers
+// are the places a configuration has to survive a step: Configuration.Clone
+// (behind Schedule.Apply and ApplicableTo, which compute S(C) without
+// consuming C) and the explorer's fork.
 type State interface {
 	CloneState() State
 }
@@ -33,8 +39,16 @@ type State interface {
 // detector receiving d, changes state, and sends messages. The new state
 // and the messages sent are uniquely determined by (p, s, m, d).
 //
-// Step must not mutate s; it returns a new (or structurally shared but
-// observationally distinct) state. Implementations typically clone eagerly.
+// Ownership: the caller owns s and gives it up by calling Step. Step may
+// mutate s in place and return it; the caller continues with the returned
+// state and must not look at s again. Whoever needs the configuration
+// before the step — to branch a schedule, to fork an explored state —
+// calls CloneState (or Configuration.Clone) first. Three obligations keep
+// that rule sufficient: InitState returns fresh memory that aliases neither
+// the automaton nor an earlier InitState result; a payload handed out in a
+// Send never aliases the state (it is immutable from then on, and shared
+// by all its recipients); and a driver keeps no reference to a state it
+// has stepped.
 type Automaton interface {
 	// Name identifies the algorithm in traces and errors.
 	Name() string
@@ -42,7 +56,7 @@ type Automaton interface {
 	N() int
 	// InitState returns process p's state in the initial configuration.
 	InitState(p ProcessID) State
-	// Step applies one atomic step of process p.
+	// Step applies one atomic step of process p to s, which it may consume.
 	Step(p ProcessID, s State, m *Message, d FDValue) (State, []Send)
 }
 

@@ -20,7 +20,8 @@ func InitialConfiguration(a Automaton) *Configuration {
 	return &Configuration{States: states, Buffer: NewMessageBuffer()}
 }
 
-// Clone returns a deep copy of the configuration. Messages are shared (they
+// Clone returns a deep copy of the configuration: the fork a caller takes
+// before applying steps it may want to take back. Messages are shared (they
 // are immutable); states are cloned.
 func (c *Configuration) Clone() *Configuration {
 	states := make([]State, len(c.States))
@@ -58,7 +59,9 @@ func (e Step) Applicable(c *Configuration) bool {
 }
 
 // Apply applies step e to configuration c in place using automaton a, and
-// returns the messages sent. It panics if e is not applicable: callers are
+// returns the messages sent: States[e.P] is handed to Step and replaced by
+// what Step returns, so c becomes e(c) and the old c is gone — Clone first
+// to keep it. It panics if e is not applicable: callers are
 // expected to check Applicable (or construct steps from buffer contents).
 // The message passed to the automaton is the buffer's own instance of e.M's
 // identity, so replays of a schedule in a different configuration (e.g. a

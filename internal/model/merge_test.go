@@ -29,7 +29,7 @@ func (a loopAut) N() int                    { return a.n }
 func (a loopAut) InitState(ProcessID) State { return &loopState{} }
 
 func (a loopAut) Step(p ProcessID, s State, m *Message, _ FDValue) (State, []Send) {
-	st := s.CloneState().(*loopState)
+	st := s.(*loopState)
 	if m != nil {
 		st.Received = append(st.Received, m.Payload.(notePayload).N)
 	}

@@ -31,7 +31,7 @@ func (a chainAut) InitState(ProcessID) State {
 }
 
 func (a chainAut) Step(p ProcessID, s State, m *Message, _ FDValue) (State, []Send) {
-	st := s.CloneState().(*chainState)
+	st := s.(*chainState)
 	var out []Send
 	if p == 0 && !st.started {
 		st.started = true

@@ -213,9 +213,9 @@ func (v *Versioned) Compact(upTo uint64) {
 	v.floor = upTo
 }
 
-// Clone deep-copies the store, including the add log (the clone must not
-// share backing arrays with the original — rsm clones its shared store
-// once per step).
+// Clone deep-copies the store, including the add log: the clone must not
+// share backing arrays with the original, because both sides of a fork
+// (rsm's logState.CloneState) go on appending and compacting in place.
 func (v *Versioned) Clone() *Versioned {
 	c := &Versioned{
 		h:       v.h.Clone(),

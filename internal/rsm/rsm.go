@@ -103,10 +103,10 @@ type Log struct {
 // EntrySink receives decided entries the moment a process appends them,
 // in slot order per process. Sink mode keeps the automaton state O(window)
 // instead of O(log length): entries are not retained in logState, so
-// CloneState stops scaling with how much has been decided. The sink is a
-// per-process external resource (like the shared fd.Sampler): it is only
-// sound on linear executions — sim.Run and the concurrent substrates —
-// never under explore, which branches states.
+// neither its memory nor a fork of it scales with how much has been
+// decided. The sink is a per-process external resource (like the shared
+// fd.Sampler): it is only sound on linear executions — sim.Run and the
+// concurrent substrates — never under explore, which branches states.
 type EntrySink interface {
 	OnEntry(p model.ProcessID, slot int, v int)
 }
@@ -230,7 +230,8 @@ type parkedMsg struct {
 	pl   model.Payload
 }
 
-// CloneState implements model.State.
+// CloneState implements model.State: the fork of a log state. Step and
+// Inject never call it — they mutate the state they are handed.
 func (s *logState) CloneState() model.State {
 	c := *s
 	c.pending = append([]int(nil), s.pending...)
@@ -301,7 +302,7 @@ func (a *Log) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*logState)
+	st := s.(*logState)
 	var out []model.Send
 
 	// Deliver the received message to its slot's instance (if live).
@@ -627,11 +628,12 @@ func wrapSends(slot int, sends []model.Send) []model.Send {
 
 // Inject appends freshly arrived commands to a process's pending queue
 // outside the message-driven step cycle — the serving layer's ingress
-// path. It returns the updated state plus the CommandPayload broadcasts
-// forwarding the commands; if the state has not announced yet, the initial
-// announce will forward them instead and no sends are produced here.
+// path. Like Step it consumes s: it returns the updated state (s itself,
+// mutated) plus the CommandPayload broadcasts forwarding the commands; if
+// the state has not announced yet, the initial announce will forward them
+// instead and no sends are produced here.
 func (a *Log) Inject(s model.State, cmds ...int) (model.State, []model.Send) {
-	st := s.CloneState().(*logState)
+	st := s.(*logState)
 	var out []model.Send
 	for _, c := range cmds {
 		st.pending = append(st.pending, c)

@@ -126,11 +126,12 @@ func (m *logMetrics) replayed(n int) {
 }
 
 // sharedStore adapts one process's quorum.Versioned to the
-// consensus.HistoryStore interface. CloneStore returns the receiver: the
-// owning logState clones the Versioned exactly once per step
-// (CloneState) and rebinds every cloned instance, so the per-instance
-// clone-then-mutate discipline costs O(1) per instance instead of
-// O(history) per instance.
+// consensus.HistoryStore interface. CloneStore returns the receiver: when
+// the owning logState is forked (CloneState) it clones the Versioned
+// exactly once and rebinds every cloned instance, so a fork costs
+// O(history) once instead of once per live instance — and without the
+// rebind the fork's instances would keep writing the original's store.
+// Steps never clone: they mutate the one store in place.
 type sharedStore struct {
 	v *quorum.Versioned
 	// lastSizedVer throttles the O(entries) wire-size walk behind version

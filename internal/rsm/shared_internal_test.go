@@ -122,12 +122,13 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 	}
 }
 
-// TestSharedCloneIsolation: Step must never mutate its input state — in
-// shared mode that hinges on CloneState deep-copying the one shared store
-// and rebinding every cloned instance to the copy. Incoming history deltas
-// land in the store, so delivering one to a state and re-reading that same
-// state is the sharpest probe. The in-flight window slice is the other
-// piece of state Step writes in place, so the clone must own its copy.
+// TestSharedCloneIsolation: a fork of a shared-mode state hinges on
+// CloneState deep-copying the one shared store and rebinding every cloned
+// instance to the copy, and on the fork owning its in-flight window slice —
+// the two pieces Step writes in place. Incoming history deltas land in the
+// store, so a state that has absorbed some is the sharpest one to fork.
+// (That neither side of a fork can reach the other is checked for every
+// automaton by explore's TestOwnershipContract; this pins the mechanism.)
 func TestSharedCloneIsolation(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, nil)
 	hist := PairForLog(pattern, 40, 7)
@@ -139,22 +140,18 @@ func TestSharedCloneIsolation(t *testing.T) {
 		}}
 		m := &model.Message{From: 1, To: 0, Seq: uint64(i),
 			Payload: SlotPayload{Slot: 0, Inner: consensus.LeadDeltaPayload{K: i, V: 5, Delta: d}}}
-		before := StatsOf(ns)
-		next, _ := aut.Step(0, ns, m, hist.Output(0, model.Time(i)))
-		if after := StatsOf(ns); after != before {
-			t.Fatalf("delivery %d: Step mutated its input state: %+v → %+v", i, before, after)
-		}
-		ns = next
+		ns, _ = aut.Step(0, ns, m, hist.Output(0, model.Time(i)))
 	}
 	if got := StatsOf(ns); got.StoreVersion == 0 || got.StoreBytes == 0 {
 		t.Fatalf("store never absorbed the deltas: %+v", got)
 	}
 
-	// The window bookkeeping is per-state too: harvest rewrites and shifts
-	// it in place on the clone Step works on.
 	orig := ns.(*logState)
-	before := append([]windowSlot(nil), orig.win...)
 	clone := orig.CloneState().(*logState)
+	if clone.store == orig.store || clone.store.v == orig.store.v {
+		t.Fatal("the clone shares the original's history store")
+	}
+	before := append([]windowSlot(nil), orig.win...)
 	for i := range clone.win {
 		clone.win[i] = windowSlot{state: slotDecided, v: 99, round: 7}
 	}

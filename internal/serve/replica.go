@@ -191,7 +191,7 @@ func (r *Replica) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*replicaState)
+	st := s.(*replicaState)
 	var out []model.Send
 
 	// Serving-layer payloads are consumed here; everything else belongs to

@@ -141,7 +141,7 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 				defer h.OnHalt(p)
 			}
 			rng := rand.New(rand.NewSource(opts.Seed + int64(p)*seedStride))
-			st := aut.InitState(p)
+			st := states[p] // this goroutine owns it until it halts; Step mutates it in place
 			idle := 0
 			for {
 				select {

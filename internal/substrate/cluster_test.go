@@ -62,3 +62,52 @@ func TestRunClusterNumbersMessages(t *testing.T) {
 		t.Fatalf("dispatched %d messages, recorder counted %d sent", total, res.Rec.MessagesSent)
 	}
 }
+
+// onceAut counts InitState calls; its states count their own steps in
+// place, which is what the ownership rule of model.Automaton permits.
+type onceAut struct {
+	n     int
+	mu    sync.Mutex
+	inits map[model.ProcessID]int
+}
+
+type onceState struct{ steps int }
+
+func (s *onceState) CloneState() model.State { c := *s; return &c }
+
+func (a *onceAut) Name() string { return "once" }
+func (a *onceAut) N() int       { return a.n }
+func (a *onceAut) InitState(p model.ProcessID) model.State {
+	a.mu.Lock()
+	a.inits[p]++
+	a.mu.Unlock()
+	return &onceState{}
+}
+func (a *onceAut) Step(_ model.ProcessID, s model.State, _ *model.Message, _ model.FDValue) (model.State, []model.Send) {
+	s.(*onceState).steps++
+	return s, nil
+}
+
+// TestRunClusterOwnsOneStatePerProcess: the driver owns the states, so it
+// builds each exactly once and the object it reports in Result.Config is
+// the one it stepped. (It used to call InitState a second time inside each
+// process goroutine and step that copy.)
+func TestRunClusterOwnsOneStatePerProcess(t *testing.T) {
+	const n = 3
+	aut := &onceAut{n: n, inits: map[model.ProcessID]int{}}
+	res, err := substrate.RunCluster(context.Background(), aut, fd.Null, model.NewFailurePattern(n),
+		substrate.Options{Seed: 1, MaxSteps: 300}, substrate.ClusterHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for p := model.ProcessID(0); p < n; p++ {
+		if aut.inits[p] != 1 {
+			t.Errorf("InitState(%v) called %d times, want 1", p, aut.inits[p])
+		}
+		total += res.Config.States[p].(*onceState).steps
+	}
+	if total != res.Steps || total == 0 {
+		t.Errorf("reported states took %d steps between them, the run %d", total, res.Steps)
+	}
+}

@@ -87,7 +87,7 @@ func (a *Composed) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *Composed) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*composedState)
+	st := s.(*composedState)
 
 	// Route the received message.
 	var mT, mC *model.Message

@@ -135,7 +135,7 @@ func (a *SigmaNuExtractor) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton (Fig. 2 lines 5–19).
 func (a *SigmaNuExtractor) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*extractorState)
+	st := s.(*extractorState)
 	idx, sends := st.b.DoStep(m, d, model.FullSet(a.n))
 	v := st.b.G.Node(idx).Key()
 	if st.b.K == 1 {

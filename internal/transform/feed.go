@@ -79,7 +79,7 @@ func (a *Feed) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *Feed) Step(p model.ProcessID, s model.State, m *model.Message, _ model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*feedState)
+	st := s.(*feedState)
 	var me, mc *model.Message
 	if m != nil {
 		if a.emitterOwns(m.Payload) {

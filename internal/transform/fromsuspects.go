@@ -56,7 +56,7 @@ func (a *OmegaFromSuspects) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *OmegaFromSuspects) Step(p model.ProcessID, s model.State, _ *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*omegaFromSuspectsState)
+	st := s.(*omegaFromSuspectsState)
 	sus, ok := fd.SuspectsOf(d)
 	if !ok {
 		panic(fmt.Sprintf("transform: T_{◇P→Ω} needs a suspects component, got %v", d))

@@ -97,7 +97,7 @@ func (a *OracleFree) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *OracleFree) Step(p model.ProcessID, s model.State, m *model.Message, _ model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*oracleFreeState)
+	st := s.(*oracleFreeState)
 
 	var mo, ms, mc *model.Message
 	if m != nil {

@@ -54,7 +54,7 @@ func (a *PassthroughQuorum) InitState(model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *PassthroughQuorum) Step(_ model.ProcessID, s model.State, _ *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*passthroughState)
+	st := s.(*passthroughState)
 	if q, ok := fd.QuorumOf(d); ok {
 		st.output = q
 	}

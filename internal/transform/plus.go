@@ -67,7 +67,7 @@ func (a *SigmaNuPlusTransformer) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton (Fig. 3 lines 5–17).
 func (a *SigmaNuPlusTransformer) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*plusState)
+	st := s.(*plusState)
 	idx, sends := st.b.DoStep(m, d, model.FullSet(a.n))
 	v := st.b.G.Node(idx).Key()
 	if st.b.K == 1 {

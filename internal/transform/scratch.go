@@ -102,7 +102,7 @@ func (a *ScratchSigma) InitState(p model.ProcessID) model.State {
 
 // Step implements model.Automaton.
 func (a *ScratchSigma) Step(p model.ProcessID, s model.State, m *model.Message, _ model.FDValue) (model.State, []model.Send) {
-	st := s.CloneState().(*scratchState)
+	st := s.(*scratchState)
 	var out []model.Send
 	if m != nil {
 		pl, ok := m.Payload.(RoundPayload)

@@ -137,7 +137,7 @@ func TestPooledBufferReuse(t *testing.T) {
 }
 
 // TestEncodeSteadyStateAllocFree pins the zero-allocation contract the CI
-// perf gate enforces through BENCH_9.json, directly in `go test`: encoding
+// perf gate enforces through BENCH_15.json, directly in `go test`: encoding
 // any payload kind into a reused buffer and decoding a heartbeat into a
 // reused message must not allocate in steady state.
 func TestEncodeSteadyStateAllocFree(t *testing.T) {
