@@ -25,12 +25,16 @@ import (
 // long-run shape E17 measures, at benchmark-friendly size. The owned and
 // shared sub-benchmarks run the same commands, seeds and scheduler, so
 // their ns/op and allocs/op compare the history plumbing alone.
+// shared-crash is E17's stalled-retirement shape on a log long enough to
+// show ageing: n=4, the last process crashed at time 30, 32 slots, none of
+// which ever retires. Its steps/slot must sit where E17's 4-slot point
+// does — decided instances go quiet, so a slot costs the same however many
+// are held — and its allocs/op must not grow a per-step term in the
+// number of held instances.
 func BenchmarkLogLongRun(b *testing.B) {
-	const n, slots = 3, 8
-	cmds := [][]int{{1, 2, 3}, {4, 5, 6}, {7, 8}}
-	run := func(b *testing.B, shared bool) {
+	run := func(b *testing.B, cmds [][]int, slots int, crashes map[model.ProcessID]model.Time, shared bool) {
 		b.Helper()
-		pattern := model.PatternFromCrashes(n, nil)
+		pattern := model.PatternFromCrashes(len(cmds), crashes)
 		var steps int
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -62,9 +66,15 @@ func BenchmarkLogLongRun(b *testing.B) {
 			steps += res.Steps
 		}
 		b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		b.ReportMetric(float64(steps)/float64(b.N)/float64(slots), "steps/slot")
 	}
-	b.Run("owned", func(b *testing.B) { run(b, false) })
-	b.Run("shared", func(b *testing.B) { run(b, true) })
+	three := [][]int{{1, 2, 3}, {4, 5, 6}, {7, 8}}
+	b.Run("owned", func(b *testing.B) { run(b, three, 8, nil, false) })
+	b.Run("shared", func(b *testing.B) { run(b, three, 8, nil, true) })
+	four := [][]int{{1}, {101}, {201}, {301}}
+	b.Run("shared-crash", func(b *testing.B) {
+		run(b, four, 32, map[model.ProcessID]model.Time{3: 30}, true)
+	})
 }
 
 // benchVersioned builds a 5-process store holding every 2-process quorum

@@ -243,10 +243,17 @@ type nodeStatus struct {
 
 // statusReport is the /statusz body.
 type statusReport struct {
-	Pipeline int          `json:"pipeline"`
-	Parked   int64        `json:"parked"` // live parked messages: parked - replayed
-	Spans    int64        `json:"spans"`
-	Nodes    []nodeStatus `json:"nodes"`
+	Pipeline int   `json:"pipeline"`
+	Parked   int64 `json:"parked"` // messages waiting for their slot to open here: parked - replayed
+	// The quiet gate, cluster-wide (internal/rsm): slot instances held
+	// (opened - retired; a dead replica stalls retirement, so this is what
+	// grows), and how many of those are decided and asleep (enter - wake -
+	// retired while quiet). Held but not quiet means still deciding, or
+	// kept awake for a replica that is behind.
+	LiveInstances  int64        `json:"live_instances"`
+	QuietInstances int64        `json:"quiet_instances"`
+	Spans          int64        `json:"spans"`
+	Nodes          []nodeStatus `json:"nodes"`
 }
 
 // serveDebug runs the telemetry HTTP listener.
@@ -262,9 +269,12 @@ func serveDebug(ln net.Listener, cl *serve.Cluster, reg *obs.Registry, n, pipeli
 	})
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
 		rep := statusReport{
-			Pipeline: pipeline,
-			Parked:   reg.Counter("rsm.parked_msgs").Value() - reg.Counter("rsm.parked_replayed").Value(),
-			Spans:    reg.Counter("obs.spans").Value(),
+			Pipeline:      pipeline,
+			Parked:        reg.Counter("rsm.parked_msgs").Value() - reg.Counter("rsm.parked_replayed").Value(),
+			LiveInstances: reg.Counter("rsm.instances_opened").Value() - reg.Counter("rsm.instances_retired").Value(),
+			QuietInstances: reg.Counter("rsm.quiet_enter").Value() - reg.Counter("rsm.quiet_wake").Value() -
+				reg.Counter("rsm.quiet_retired").Value(),
+			Spans: reg.Counter("obs.spans").Value(),
 		}
 		for p := 0; p < n; p++ {
 			st := cl.Applier(model.ProcessID(p)).StatsOf()

@@ -150,3 +150,26 @@ func (AckPayload) Kind() string { return "ACK" }
 
 // String implements model.Payload.
 func (m AckPayload) String() string { return fmt.Sprintf("ACK(%s,k=%d)", m.Q, m.K) }
+
+// PayloadRound returns the round number the sender was in when it sent pl:
+// the K of a phase message (plain or delta-encoded) or of an ACK. SAW
+// carries no round. A host that multiplexes many instances (internal/rsm)
+// reads it to learn how far a peer has got in one instance without looking
+// inside that peer's state.
+func PayloadRound(pl model.Payload) (int, bool) {
+	switch p := pl.(type) {
+	case LeadPayload:
+		return p.K, true
+	case ReportPayload:
+		return p.K, true
+	case ProposalPayload:
+		return p.K, true
+	case LeadDeltaPayload:
+		return p.K, true
+	case ProposalDeltaPayload:
+		return p.K, true
+	case AckPayload:
+		return p.K, true
+	}
+	return 0, false
+}

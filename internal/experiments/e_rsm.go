@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 
 	"nuconsensus/internal/model"
@@ -89,5 +90,27 @@ var q7Spec = &Spec{
 		return []string{itoa(g.Key.N), itoa(g.Key.F), itoa(q7Slots),
 			itoa(g.Runs()), itoa(g.OKs()),
 			avg(g.Sum("steps")/q7Slots, g.OKs()), avg(g.Sum("msgs")/q7Slots, g.OKs())}
+	},
+	Finalize: func(_ Scale, t *Table, gs []Group) {
+		// A crashed replica must cost less per slot, not more: its decided
+		// slots go quiet at the survivors, and n−1 senders remain.
+		faultFree := map[int]Group{}
+		for _, g := range gs {
+			if g.Key.F == 0 {
+				faultFree[g.Key.N] = g
+			}
+		}
+		for _, g := range gs {
+			base, ok := faultFree[g.Key.N]
+			if g.Key.F == 0 || !ok || g.OKs() == 0 || base.OKs() == 0 {
+				continue
+			}
+			for _, k := range []string{"steps", "msgs"} {
+				if g.Sum(k)*base.OKs() > base.Sum(k)*g.OKs() {
+					t.Pass = false
+					t.Notes = append(t.Notes, fmt.Sprintf("FAIL: n=%d f=%d pays more %s per slot than f=0", g.Key.N, g.Key.F, k))
+				}
+			}
+		}
 	},
 }

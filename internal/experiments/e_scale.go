@@ -32,7 +32,7 @@ import (
 
 const e17N = 5
 
-var e17SlotsGrid = []int{4, 8, 16}
+var e17SlotsGrid = []int{4, 8, 16, 64}
 
 // e17Meter wraps the log automaton with measurement taps. The substrate
 // steps processes from independent goroutines on the concurrent backends,
@@ -110,7 +110,9 @@ var e17Spec = &Spec{
 		"instance (live state grows with log length) and re-ships full " +
 		"histories in every LEAD/PROP; the shared versioned store holds one " +
 		"copy and ships O(delta) frames, so live state stays flat and " +
-		"incremental deltas dominate snapshot fallbacks.",
+		"incremental deltas dominate snapshot fallbacks. In both modes a " +
+		"decided slot goes quiet once nobody can use its messages, so " +
+		"msgs/slot does not grow with the number of unretired instances.",
 	Columns: []string{"mode", "slots", "runs", "ok", "msgs/slot", "hist bytes/msg", "peak hist entries", "delta hits", "fallbacks"},
 	// Portable: the unit drives the substrate interface directly (with
 	// StopWhenDecided — logState implements model.Decider), so it runs
@@ -230,6 +232,7 @@ var e17Spec = &Spec{
 		// high-water live-state entry count.
 		perMsg := map[string]map[int]float64{"owned": {}, "shared": {}}
 		peak := map[string]map[int]float64{"owned": {}, "shared": {}}
+		perSlot := map[string]map[int]float64{"owned": {}, "shared": {}}
 		var hits, falls int
 		for _, g := range gs {
 			if g.OKs() == 0 {
@@ -238,6 +241,7 @@ var e17Spec = &Spec{
 			}
 			perMsg[g.Key.Label][g.Key.Arg] = float64(g.Sum("histwire")) / float64(g.Sum("msgs"))
 			peak[g.Key.Label][g.Key.Arg] = float64(g.Sum("hist")) / float64(g.OKs())
+			perSlot[g.Key.Label][g.Key.Arg] = float64(g.Sum("msgs")) / float64(g.Key.Arg*g.OKs())
 			if g.Key.Label == "shared" {
 				hits += g.Sum("hits")
 				falls += g.Sum("falls")
@@ -250,7 +254,15 @@ var e17Spec = &Spec{
 				long, perMsg["owned"][long], perMsg["shared"][long]),
 			fmt.Sprintf("peak live-state entries, %d→%d slots: owned %.0f→%.0f (one history copy per unretired instance), shared %.0f→%.0f (one store)",
 				short, long, peak["owned"][short], peak["owned"][long], peak["shared"][short], peak["shared"][long]),
-			fmt.Sprintf("shared transport: %d incremental delta applications vs %d full-snapshot fallbacks", hits, falls))
+			fmt.Sprintf("shared transport: %d incremental delta applications vs %d full-snapshot fallbacks", hits, falls),
+			fmt.Sprintf("msgs/slot at %d slots over msgs/slot at %d: owned %.2f, shared %.2f (a decided slot goes quiet; the crash costs no more per slot as the log ages)",
+				long, short, perSlot["owned"][long]/perSlot["owned"][short], perSlot["shared"][long]/perSlot["shared"][short]))
+		for _, mode := range []string{"owned", "shared"} {
+			if perSlot[mode][long] > 1.1*perSlot[mode][short] {
+				t.Pass = false
+				t.Notes = append(t.Notes, "FAIL: "+mode+" msgs/slot should stay flat as the log grows (decided instances go quiet)")
+			}
+		}
 		if perMsg["owned"][long] < 3*perMsg["shared"][long] {
 			t.Pass = false
 			t.Notes = append(t.Notes, "FAIL: owned history freight per message should be at least 3x shared's on long logs")

@@ -1,0 +1,292 @@
+package rsm_test
+
+import (
+	"context"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"nuconsensus/internal/fd"
+	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
+	"nuconsensus/internal/rsm"
+	"nuconsensus/internal/sim"
+	"nuconsensus/internal/substrate"
+)
+
+// The two quiet-gate cases the repo benchmark cannot reach (it only ever
+// crashes a replica): a correct process that is merely slow, for which the
+// others must really sleep and really wake, and a process that dies right
+// after speaking in a slot, for which they must still fall silent.
+
+const (
+	quietN      = 4
+	quietSlots  = 12
+	quietStarve = 8 // slots the fast three decide before the laggard moves
+	quietLag    = model.ProcessID(3)
+)
+
+func quietCmds() [][]int {
+	return [][]int{{10, 11, 12}, {20, 21, 22}, {30, 31, 32}, {40, 41, 42}}
+}
+
+// threeOfFour is a stable (Ω, Σν+) history with every process correct in
+// which the fast three never wait for the fourth: leader p0 everywhere,
+// quorum {p0,p1,p2} at the fast three and Π at p3 (self-inclusion, and it
+// meets every other quorum). The stock SigmaNuPlus history puts every
+// correct process in every quorum, so a starved correct process would
+// simply stall the cluster instead of falling behind it.
+var threeOfFour = fd.HistoryFunc(func(p model.ProcessID, _ model.Time) model.FDValue {
+	q := model.SetOf(0, 1, 2)
+	if p == quietLag {
+		q = model.FullSet(quietN)
+	}
+	return fd.PairValue{First: fd.LeaderValue{Leader: 0}, Second: fd.QuorumValue{Quorum: q}}
+})
+
+// appendedBy reports how many entries process p's log holds.
+func appendedBy(s model.State) int { return len(s.(rsm.LogHolder).Entries()) }
+
+// starveUntil withholds every step from victim until release first holds
+// (the model's asynchrony: any process may be arbitrarily slow).
+type starveUntil struct {
+	inner    sim.Scheduler
+	victim   model.ProcessID
+	release  func(*model.Configuration) bool
+	released bool
+}
+
+func (s *starveUntil) Next(t model.Time, alive model.ProcessSet, c *model.Configuration) (model.ProcessID, *model.Message) {
+	if !s.released {
+		if s.released = s.release(c); !s.released {
+			return s.inner.Next(t, alive.Remove(s.victim), c)
+		}
+	}
+	return s.inner.Next(t, alive, c)
+}
+
+// starveFor starves victim for the scheduler's first n picks.
+func starveFor(n int, victim model.ProcessID, inner sim.Scheduler) *starveUntil {
+	picks := 0
+	return &starveUntil{inner: inner, victim: victim, release: func(*model.Configuration) bool {
+		picks++
+		return picks > n
+	}}
+}
+
+// assertQuietLaggardRun checks the outcome both substrates must produce:
+// four identical full logs, and counters showing the fast three slept,
+// kept what they were sent meanwhile, and woke for the laggard.
+func assertQuietLaggardRun(t *testing.T, states []model.State, reg *obs.Registry) {
+	t.Helper()
+	ref := states[0].(rsm.LogHolder).Entries()
+	if len(ref) != quietSlots {
+		t.Fatalf("p0 appended %d of %d slots", len(ref), quietSlots)
+	}
+	for p := 1; p < quietN; p++ {
+		if got := states[p].(rsm.LogHolder).Entries(); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("p%d's log %v differs from p0's %v", p, got, ref)
+		}
+	}
+	for _, name := range []string{"rsm.quiet_enter", "rsm.quiet_wake", "rsm.quiet_replayed"} {
+		if reg.Counter(name).Value() == 0 {
+			t.Errorf("%s = 0: the fast processes never slept, or never woke for the laggard", name)
+		}
+	}
+	if p, r := reg.Counter("rsm.quiet_parked").Value(), reg.Counter("rsm.quiet_replayed").Value(); r > p {
+		t.Errorf("replayed %d quiet-parked messages but only parked %d", r, p)
+	}
+}
+
+// TestQuietLaggardCatchesUp: p3 takes no step until the other three have
+// appended 8 slots; their decided instances go quiet meanwhile (nothing
+// was ever heard from p3). Once released, p3 fills its log from what was
+// already sent to it plus what its LEAD broadcasts wake the others for.
+func TestQuietLaggardCatchesUp(t *testing.T) {
+	pattern := model.PatternFromCrashes(quietN, nil)
+	reg := obs.NewRegistry()
+	aut := rsm.NewSharedLog(quietCmds(), quietSlots).WithPipeline(2).WithMetrics(reg)
+	res, err := sim.Run(sim.Exec{
+		Automaton: aut,
+		Pattern:   pattern,
+		History:   threeOfFour,
+		Scheduler: &starveUntil{
+			inner:  sim.NewFairScheduler(11, 0.8, 3),
+			victim: quietLag,
+			release: func(c *model.Configuration) bool {
+				return appendedBy(c.States[0]) >= quietStarve && appendedBy(c.States[1]) >= quietStarve && appendedBy(c.States[2]) >= quietStarve
+			},
+		},
+		MaxSteps: 400000,
+		StopWhen: rsm.AllAppended(pattern, quietSlots),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped {
+		t.Fatalf("laggard never caught up: %s", rsm.DebugState(res.Config.States[quietLag]))
+	}
+	if enter := reg.Counter("rsm.quiet_enter").Value(); enter < 3*quietStarve {
+		t.Errorf("quiet_enter = %d, want at least %d (three processes × %d starved slots)", enter, 3*quietStarve, quietStarve)
+	}
+	assertQuietLaggardRun(t, res.Config.States, reg)
+}
+
+// slowStart makes one process slow on any substrate: until released its
+// steps do nothing but queue what they receive; afterwards each step
+// feeds the automaton the oldest queued message (per-link FIFO survives,
+// one receive per step as the model demands). Holding a process's steps
+// back is asynchrony, not a fault.
+type slowStart struct {
+	model.Automaton
+	victim   model.ProcessID
+	released atomic.Bool
+	progress [quietN]atomic.Int64 // entries appended, per process
+	queue    []*model.Message     // touched by the victim's goroutine only
+}
+
+func (a *slowStart) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	if p == a.victim {
+		if m != nil {
+			a.queue = append(a.queue, m)
+		}
+		if !a.released.Load() {
+			return s, nil
+		}
+		m = nil
+		if len(a.queue) > 0 {
+			m, a.queue = a.queue[0], a.queue[1:]
+		}
+	}
+	ns, out := a.Automaton.Step(p, s, m, d)
+	a.progress[p].Store(int64(appendedBy(ns)))
+	if !a.released.Load() {
+		fast := true
+		for q := range a.progress {
+			if model.ProcessID(q) != a.victim && a.progress[q].Load() < quietStarve {
+				fast = false
+			}
+		}
+		if fast {
+			a.released.Store(true)
+		}
+	}
+	return ns, out
+}
+
+// TestQuietLaggardCatchesUpAsync is the same shape on the goroutine
+// substrate (run it under -race): real interleavings decide when the
+// sleepers hear the laggard, and the budget is generous because the shared
+// clock also ticks on idle spins.
+func TestQuietLaggardCatchesUpAsync(t *testing.T) {
+	sub, err := substrate.Get("async")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := model.PatternFromCrashes(quietN, nil)
+	reg := obs.NewRegistry()
+	aut := &slowStart{
+		Automaton: rsm.NewSharedLog(quietCmds(), quietSlots).WithPipeline(2).WithMetrics(reg),
+		victim:    quietLag,
+	}
+	res, err := sub.Run(context.Background(), aut, threeOfFour, pattern, substrate.Options{
+		Seed:            5,
+		MaxSteps:        20_000_000,
+		StopWhenDecided: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Decided {
+		t.Fatalf("laggard never caught up: %s", rsm.DebugState(res.Config.States[quietLag]))
+	}
+	assertQuietLaggardRun(t, res.Config.States, reg)
+}
+
+// sendTap notes the last step at which the log sent anything slot-tagged —
+// for slot 0, where the zombie spoke, and for any slot — and whether a
+// survivor was handed the zombie's one LEAD.
+type sendTap struct {
+	model.Automaton
+	zombie              model.ProcessID
+	step                int
+	lastZombie, lastAny int // -1: never
+	heardLead           bool
+}
+
+func (a *sendTap) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	if m != nil && m.From == a.zombie {
+		if sp, ok := m.Payload.(rsm.SlotPayload); ok && sp.Slot == 0 && sp.Kind() == "LEADD" {
+			a.heardLead = true
+		}
+	}
+	ns, out := a.Automaton.Step(p, s, m, d)
+	for _, snd := range out {
+		if sp, ok := snd.Payload.(rsm.SlotPayload); ok {
+			a.lastAny = a.step
+			if sp.Slot == 0 {
+				a.lastZombie = a.step
+			}
+		}
+	}
+	a.step++
+	return ns, out
+}
+
+// TestQuietZombieSlot: p3 takes exactly one step — it broadcasts LEAD(1)
+// for slot 0 — and crashes. It will never announce progress past slot 0
+// and the survivors did hear it there, so a rule that keeps a decided
+// instance up for every not-passed process that ever spoke would cycle
+// slot 0 forever. The round margin does not: round 1 is all the zombie
+// will ever be heard at, and a decided instance is past round 3 soon
+// enough. Long after the log fills, slot 0 — and every other slot — is
+// silent.
+func TestQuietZombieSlot(t *testing.T) {
+	const steps, tail = 40000, 10000
+	// The fair scheduler steps every alive process once per pass of four:
+	// crashing at time 5 gives p3 exactly its first step.
+	crashes := map[model.ProcessID]model.Time{quietLag: 5}
+	pattern := model.PatternFromCrashes(quietN, crashes)
+	reg := obs.NewRegistry()
+	sampler := rsm.SamplerForLog(pattern, 80, 3)
+	tap := &sendTap{
+		Automaton: rsm.NewSharedLog(quietCmds(), quietSlots).WithPipeline(2).WithMetrics(reg).WithSampler(sampler),
+		zombie:    quietLag, lastZombie: -1, lastAny: -1,
+	}
+	res, err := sim.Run(sim.Exec{
+		Automaton: tap,
+		Pattern:   pattern,
+		History:   sampler,
+		Scheduler: sim.NewFairScheduler(3, 0.8, 3),
+		MaxSteps:  steps,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tap.heardLead {
+		t.Fatal("no survivor was handed the zombie's slot-0 LEAD: the test lost its premise")
+	}
+	pattern.Correct().ForEach(func(p model.ProcessID) {
+		if got := appendedBy(res.Config.States[p]); got != quietSlots {
+			t.Fatalf("%v appended %d of %d slots", p, got, quietSlots)
+		}
+	})
+	if tap.lastZombie >= steps-tail {
+		t.Errorf("slot 0 still sending at step %d of %d: the zombie's LEAD(1) keeps it awake", tap.lastZombie, steps)
+	}
+	if tap.lastAny >= steps-tail {
+		t.Errorf("a decided slot still sending at step %d of %d", tap.lastAny, steps)
+	}
+	t.Logf("last slot-0 send at step %d, last slot send at step %d of %d", tap.lastZombie, tap.lastAny, steps)
+	// Nothing retires (the zombie's progress is 0 for ever), so every
+	// instance the survivors opened is still held — and every one is quiet.
+	opened := reg.Counter("rsm.instances_opened").Value()
+	quiet := reg.Counter("rsm.quiet_enter").Value() - reg.Counter("rsm.quiet_wake").Value()
+	if retired := reg.Counter("rsm.instances_retired").Value(); retired != 0 {
+		t.Errorf("%d instances retired under a stalled floor", retired)
+	}
+	// The zombie opened its two window slots before crashing.
+	if want := opened - 2; quiet != want {
+		t.Errorf("quiet instances = %d, want all %d the survivors hold", quiet, want)
+	}
+}

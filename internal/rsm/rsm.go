@@ -20,8 +20,15 @@
 //   - Slot instances stay alive after deciding. A_nuc's termination
 //     argument assumes correct processes keep taking steps; a process that
 //     halted its instance upon deciding could strand a laggard waiting for
-//     the stable leader's next-round message. Each step therefore also
-//     advances one older live instance, round-robin.
+//     the stable leader's next-round message. A decided instance therefore
+//     keeps stepping — pumped round-robin with the other awake ones — for
+//     as long as some process that has not passed the slot could be
+//     waiting on it, and goes quiet once it is quietMargin rounds ahead of
+//     everything heard from every such process: by then all it could be
+//     asked for is already sent. A quiet instance takes no steps, wakes
+//     when such a process is heard catching up, and costs nothing in
+//     between — in particular a crashed process, whose progress never
+//     moves, does not keep every later slot cycling for ever (see quiet).
 //
 // Retirement is still possible — safely — through progress gossip: once
 // every process is known to have passed a slot, its instance is discarded.
@@ -43,6 +50,11 @@ const NoOp = -1
 // pumpPeriod throttles old-instance pumping to one inner step per this many
 // outer steps (see Log.Step).
 const pumpPeriod = 4
+
+// quietMargin is how many rounds a decided instance must be ahead of every
+// process that may still need the slot before it stops stepping (see
+// quiet; DESIGN.md "Quiet decided instances" derives the 2).
+const quietMargin = 2
 
 // SlotPayload wraps a consensus payload with its slot number.
 type SlotPayload struct {
@@ -184,12 +196,21 @@ type logState struct {
 	instances map[int]model.State // live slot instances (current and older)
 	parked    map[int][]parkedMsg // messages for slots not yet opened here
 	progress  []int               // known progress of every process
-	pump      int                 // round-robin cursor over older instances
+	pump      int                 // round-robin cursor over awake older instances
 	steps     int                 // own step counter (pump throttling)
 	appended  int                 // entries appended (== len(entries) unless sinking)
 
 	win []windowSlot // in-flight slots: win[i] is slot+i, len == Log.window
 	rr  int          // round-robin cursor over in-flight instances
+
+	// Quiet gating of decided instances (see quiet). heard[slot][q] is
+	// the highest A_nuc round of any slot message delivered from q; a row is
+	// allocated on the slot's first such message and dropped with the
+	// instance. awake lists, ascending, the decided live slots that still
+	// step: every other decided live slot is quiet.
+	heard map[int][]int
+	awake []int
+	floor int // min(progress) as of the last retire: every slot below it is gone
 
 	// Shared-store mode only (see shared.go); all nil/empty in owned mode.
 	store      *sharedStore
@@ -252,6 +273,13 @@ func (s *logState) CloneState() model.State {
 		c.appliedVer = append([]uint64(nil), s.appliedVer...)
 	}
 	c.win = append([]windowSlot(nil), s.win...)
+	c.awake = append([]int(nil), s.awake...)
+	if s.heard != nil {
+		c.heard = make(map[int][]int, len(s.heard))
+		for k, v := range s.heard {
+			c.heard[k] = append([]int(nil), v...)
+		}
+	}
 	c.instances = make(map[int]model.State, len(s.instances))
 	for k, v := range s.instances {
 		inst := v.CloneState()
@@ -314,7 +342,8 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 		case ProgressPayload:
 			if pl.Slot > st.progress[m.From] {
 				st.progress[m.From] = pl.Slot
-				st.retire()
+				st.retire(a)
+				st.sleepPassed(a)
 			}
 		case SlotPayload:
 			payload := pl.Inner
@@ -324,24 +353,31 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 				// this sender must stay unbroken for later slots.
 				payload = st.applyIncoming(m.From, payload, a.metrics)
 			}
-			if _, live := st.instances[pl.Slot]; live {
-				inner := &model.Message{From: m.From, To: m.To, Seq: m.Seq, Payload: payload}
-				out = append(out, st.stepInstance(a, pl.Slot, inner, d)...)
+			_, live := st.instances[pl.Slot]
+			switch {
+			case live && st.isQuiet(pl.Slot) && !st.mayNeed(m.From, pl.Slot):
+				// A quiet instance hears only the processes it sleeps for.
+				// The sender is done with this slot, so nobody is waiting
+				// on our reaction; the message is kept, not dropped, because
+				// a later wake-up resumes A_nuc where it stopped and A_nuc
+				// sends each phase message exactly once.
+				st.park(pl.Slot, m, payload)
+				a.metrics.quietParked()
+			case live:
+				out = append(out, st.deliver(a, pl.Slot, m.From, m.Seq, payload, d)...)
 				if pl.Slot >= st.slot {
 					currentGotMsg = true
 					out = append(out, st.harvest(a, d)...)
 				}
-			} else if pl.Slot >= st.slot && pl.Slot < st.slots {
+				out = append(out, st.settle(a, pl.Slot, d)...)
+			case pl.Slot >= st.slot && pl.Slot < st.slots:
 				// The sender is ahead: it opened this slot before we did.
 				// Park the message for replay when our instance opens —
 				// dropping it would break the reliable-link assumption
 				// A_nuc's termination proof rests on (see parkedMsg). Slots
 				// below st.slot really are droppable: we decided them, and
 				// retirement means every process has.
-				if st.parked == nil {
-					st.parked = make(map[int][]parkedMsg)
-				}
-				st.parked[pl.Slot] = append(st.parked[pl.Slot], parkedMsg{from: m.From, seq: m.Seq, pl: payload})
+				st.park(pl.Slot, m, payload)
 				a.metrics.parked()
 			}
 		default:
@@ -358,28 +394,35 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	}
 
 	// Advance one in-flight instance (λ step if none just received the
-	// message): the round-robin next of the window's open slots — one inner
+	// message): the round-robin next of the window's awake slots — one inner
 	// step however wide the window, so pipelining does not inflate the
 	// per-step send budget.
 	if st.slot < a.slots && !currentGotMsg {
 		if slot, ok := st.nextInflight(); ok {
 			out = append(out, st.stepInstance(a, slot, nil, d)...)
 			out = append(out, st.harvest(a, d)...)
+			out = append(out, st.settle(a, slot, d)...)
 		}
 	}
 
-	// Pump one older live instance so laggards are never stranded — but
-	// only every few steps. Decided A_nuc instances keep cycling rounds
-	// forever (the algorithm never halts), so pumping them at full speed
-	// floods laggards faster than the one-receive-per-step model lets them
-	// drain, and their round-trip latency grows without bound. Throttling
-	// keeps aggregate production below consumption while still advancing
-	// old instances infinitely often.
+	// Pump one awake older instance so laggards are never stranded — but
+	// only every few steps. A decided A_nuc instance cycles rounds for as
+	// long as it is awake (the algorithm never halts; only the quiet rule
+	// stops it, once it is quietMargin rounds ahead of whoever still needs
+	// the slot), so pumping at full speed floods laggards faster than the
+	// one-receive-per-step model lets them drain, and their round-trip
+	// latency grows without bound. Throttling keeps aggregate production
+	// below consumption while still advancing every awake instance
+	// infinitely often. The awake older slots are the prefix of st.awake
+	// below the frontier: per-step work is O(awake), not O(live).
 	st.steps++
-	if older := st.olderSlots(); len(older) > 0 && st.steps%pumpPeriod == 0 {
-		slot := older[st.pump%len(older)]
-		st.pump++
-		out = append(out, st.stepInstance(a, slot, nil, d)...)
+	if st.steps%pumpPeriod == 0 {
+		if k := sort.SearchInts(st.awake, st.slot); k > 0 {
+			slot := st.awake[st.pump%k]
+			st.pump++
+			out = append(out, st.stepInstance(a, slot, nil, d)...)
+			out = append(out, st.settle(a, slot, d)...)
+		}
 	}
 
 	if st.store != nil {
@@ -400,6 +443,36 @@ func (s *logState) stepInstance(a *Log, slot int, m *model.Message, d model.FDVa
 		return s.wrapShared(slot, sends)
 	}
 	return wrapSends(slot, sends)
+}
+
+// deliver hands one slot message to the slot's live instance, first noting
+// the sender's round in the heard table the quiet rule reads. Every message
+// an instance ever receives — on arrival or replayed from the park buffer —
+// comes through here.
+func (s *logState) deliver(a *Log, slot int, from model.ProcessID, seq uint64, pl model.Payload, d model.FDValue) []model.Send {
+	if k, ok := consensus.PayloadRound(pl); ok {
+		row := s.heard[slot]
+		if row == nil {
+			if s.heard == nil {
+				s.heard = make(map[int][]int)
+			}
+			row = make([]int, len(s.progress))
+			s.heard[slot] = row
+		}
+		if k > row[from] {
+			row[from] = k
+		}
+	}
+	return s.stepInstance(a, slot, &model.Message{From: from, To: s.p, Seq: seq, Payload: pl}, d)
+}
+
+// park keeps a slot message for later replay (see parkedMsg); payload is
+// m's inner payload after delta resolution.
+func (s *logState) park(slot int, m *model.Message, payload model.Payload) {
+	if s.parked == nil {
+		s.parked = make(map[int][]parkedMsg)
+	}
+	s.parked[slot] = append(s.parked[slot], parkedMsg{from: m.From, seq: m.Seq, pl: payload})
 }
 
 // appendEntry commits the decided value of the frontier slot: into the
@@ -435,6 +508,11 @@ func (s *logState) harvest(a *Log, d model.FDValue) []model.Send {
 			round, _ := model.RoundOf(inst)
 			s.win[i] = windowSlot{state: slotDecided, v: v, round: round}
 			s.forgetCommand(v)
+			if s.quietNow(s.slot + i) {
+				a.metrics.quietEnter()
+			} else {
+				s.setAwake(s.slot+i, true)
+			}
 		}
 	}
 	var out []model.Send
@@ -446,7 +524,7 @@ func (s *logState) harvest(a *Log, d model.FDValue) []model.Send {
 		s.slot++
 		s.progress[s.p] = s.slot
 		out = append(out, model.Broadcast(model.FullSet(len(s.progress)).Remove(s.p), ProgressPayload{Slot: s.slot})...)
-		s.retire()
+		s.retire(a)
 	}
 	out = append(out, s.openWindow(a, d)...)
 	return out
@@ -472,31 +550,145 @@ func (s *logState) openWindow(a *Log, d model.FDValue) []model.Send {
 		} else {
 			s.instances[slot] = a.inner.InitStateProposing(s.p, v)
 		}
-		out = append(out, s.replayParked(a, slot, d)...)
+		a.metrics.opened()
+		n, sends := s.replayParked(a, slot, d)
+		a.metrics.replayed(n)
+		out = append(out, sends...)
 	}
 	return out
 }
 
-// replayParked delivers the messages that arrived for slot before its
-// instance opened, in arrival order (which preserves per-sender FIFO). The
+// replayParked delivers the messages parked for slot, in arrival order
+// (which preserves per-sender FIFO), and reports how many there were. It
+// serves both park reasons: arrivals before the instance opened (replayed
+// by openWindow) and arrivals while it was quiet (replayed by settle). The
 // burst of inner steps runs under one outer step: each parked message
 // already paid for an outer step when it arrived, so the per-step send
-// budget holds amortized. The parked list for a slot is bounded by what
-// faster processes sent between opening the slot themselves and our window
-// reaching it — a few rounds of phase messages per peer in practice.
-func (s *logState) replayParked(a *Log, slot int, d model.FDValue) []model.Send {
+// budget holds amortized. The list is short either way — what faster
+// processes sent between opening the slot themselves and our window
+// reaching it, or what its last awake peers sent before they too went
+// quiet: a few rounds of phase messages per peer.
+func (s *logState) replayParked(a *Log, slot int, d model.FDValue) (int, []model.Send) {
 	msgs := s.parked[slot]
 	if len(msgs) == 0 {
-		return nil
+		return 0, nil
 	}
 	delete(s.parked, slot)
-	a.metrics.replayed(len(msgs))
 	var out []model.Send
 	for _, pm := range msgs {
-		inner := &model.Message{From: pm.from, To: s.p, Seq: pm.seq, Payload: pm.pl}
-		out = append(out, s.stepInstance(a, slot, inner, d)...)
+		out = append(out, s.deliver(a, slot, pm.from, pm.seq, pm.pl, d)...)
+	}
+	return len(msgs), out
+}
+
+// quiet is the gate on decided instances: a process's decided instance of
+// slot, currently in round own, takes no steps while it is at least
+// quietMargin rounds ahead of the highest round heard, in this slot, from
+// every other process not known to have passed the slot (a nil heard row,
+// or a zero in it, is a process never heard from). An undecided instance
+// is never quiet, and the process itself is not one it stays up for.
+// Withholding a step is ordinary asynchrony, so safety does not depend on
+// this rule; DESIGN.md "Quiet decided instances" has the liveness lemma.
+func quiet(decided bool, own int, self model.ProcessID, slot int, progress, heard []int) bool {
+	if !decided {
+		return false
+	}
+	for q, passed := range progress {
+		if model.ProcessID(q) == self || passed > slot {
+			continue
+		}
+		h := 0
+		if heard != nil {
+			h = heard[q]
+		}
+		if own < h+quietMargin {
+			return false
+		}
+	}
+	return true
+}
+
+// mayNeed reports whether q may still need this process's slot messages:
+// it is another process and has not announced progress past slot. These
+// are exactly the processes quiet compares rounds with, and a message from
+// one of them is always delivered.
+func (s *logState) mayNeed(q model.ProcessID, slot int) bool {
+	return q != s.p && s.progress[q] <= slot
+}
+
+// decided reports whether the decision of a live slot has been harvested.
+func (s *logState) decided(slot int) bool {
+	return slot < s.slot || s.win[slot-s.slot].state == slotDecided
+}
+
+// quietNow evaluates the quiet rule for a live slot on the current state.
+func (s *logState) quietNow(slot int) bool {
+	own, _ := model.RoundOf(s.instances[slot])
+	return quiet(s.decided(slot), own, s.p, slot, s.progress, s.heard[slot])
+}
+
+// isQuiet reports the recorded status of a live slot: decided and not in
+// the awake list.
+func (s *logState) isQuiet(slot int) bool {
+	if !s.decided(slot) {
+		return false
+	}
+	i := sort.SearchInts(s.awake, slot)
+	return i == len(s.awake) || s.awake[i] != slot
+}
+
+// setAwake inserts slot into, or removes it from, the ordered awake list.
+func (s *logState) setAwake(slot int, awake bool) {
+	i := sort.SearchInts(s.awake, slot)
+	if awake {
+		s.awake = append(s.awake, 0)
+		copy(s.awake[i+1:], s.awake[i:])
+		s.awake[i] = slot
+	} else {
+		s.awake = append(s.awake[:i], s.awake[i+1:]...)
+	}
+}
+
+// settle brings a slot's recorded status in line with the quiet rule after
+// something the rule reads moved: the instance stepped (own round) or a
+// delivery raised a heard round. Falling asleep is bookkeeping; waking
+// replays what was parked while quiet, after which A_nuc steps as ever.
+func (s *logState) settle(a *Log, slot int, d model.FDValue) []model.Send {
+	if _, live := s.instances[slot]; !live || !s.decided(slot) {
+		return nil
+	}
+	now := s.quietNow(slot)
+	if now == s.isQuiet(slot) {
+		return nil
+	}
+	s.setAwake(slot, !now)
+	if now {
+		a.metrics.quietEnter()
+		return nil
+	}
+	n, out := s.replayParked(a, slot, d)
+	a.metrics.quietWake(n)
+	if n > 0 && s.quietNow(slot) {
+		// The replay itself carried the instance past the margin again.
+		s.setAwake(slot, false)
+		a.metrics.quietEnter()
 	}
 	return out
+}
+
+// sleepPassed re-evaluates every awake slot after a progress announcement:
+// a process passing a slot can only remove a reason to stay up, so the
+// only transitions are into quiet.
+func (s *logState) sleepPassed(a *Log) {
+	keep := s.awake[:0]
+	for _, slot := range s.awake {
+		if s.quietNow(slot) {
+			a.metrics.quietEnter()
+		} else {
+			keep = append(keep, slot)
+		}
+	}
+	s.awake = keep
 }
 
 // nextFreeProposal returns the first pending-then-known command not
@@ -528,8 +720,9 @@ func (s *logState) inWindow(state slotState, c int) bool {
 }
 
 // nextInflight picks the in-flight slot whose instance advances this step,
-// rotating round-robin so every open slot — decided ones included, their
-// instances must keep cycling for laggards — advances infinitely often.
+// rotating round-robin so every open slot that is not quiet — decided ones
+// included, while a laggard can still use their messages — advances
+// infinitely often.
 func (s *logState) nextInflight() (int, bool) {
 	end := s.slot + len(s.win)
 	if end > s.slots {
@@ -538,7 +731,7 @@ func (s *logState) nextInflight() (int, bool) {
 	k := end - s.slot
 	for i := 0; i < k; i++ {
 		slot := s.slot + (s.rr+i)%k
-		if _, live := s.instances[slot]; live {
+		if _, live := s.instances[slot]; live && !s.isQuiet(slot) {
 			s.rr = (s.rr + i + 1) % k
 			return slot, true
 		}
@@ -586,37 +779,41 @@ func (s *logState) forgetCommand(v int) {
 }
 
 // retire discards instances below everyone's known progress: every process
-// has decided those slots, so nobody can still need their messages.
-func (s *logState) retire() {
+// has decided those slots, so nobody can still need their messages. The
+// slot's heard row, anything parked for it while quiet and its awake entry
+// go with it. Instances only ever open at or above the frontier, so the
+// slots to drop are exactly [floor, min): the work is O(retired), not
+// O(live), however long a crash has stalled the floor.
+func (s *logState) retire(a *Log) {
 	min := s.progress[0]
 	for _, pr := range s.progress[1:] {
 		if pr < min {
 			min = pr
 		}
 	}
-	for slot := range s.instances {
-		if slot < min {
-			delete(s.instances, slot)
+	retired := 0
+	for ; s.floor < min; s.floor++ {
+		if _, live := s.instances[s.floor]; live {
+			delete(s.instances, s.floor)
+			delete(s.heard, s.floor)
+			delete(s.parked, s.floor)
+			retired++
 		}
 	}
+	k := sort.SearchInts(s.awake, min)
+	s.awake = append(s.awake[:0], s.awake[k:]...)
+	a.metrics.retired(retired, retired-k)
 }
 
-// liveSlots lists live instances strictly below limit, in increasing
-// order (the set is tiny, bounded by retirement). It backs both the pump
-// cursor (limit = current slot) and DebugState (limit = all slots).
-func (s *logState) liveSlots(limit int) []int {
-	var out []int
+// liveSlots lists every live instance in increasing order, for DebugState.
+func (s *logState) liveSlots() []int {
+	out := make([]int, 0, len(s.instances))
 	for slot := range s.instances {
-		if slot < limit {
-			out = append(out, slot)
-		}
+		out = append(out, slot)
 	}
 	sort.Ints(out)
 	return out
 }
-
-// olderSlots lists live instances strictly below the current slot.
-func (s *logState) olderSlots() []int { return s.liveSlots(s.slot) }
 
 func wrapSends(slot int, sends []model.Send) []model.Send {
 	out := make([]model.Send, len(sends))
@@ -649,17 +846,10 @@ func (a *Log) Inject(s model.State, cmds ...int) (model.State, []model.Send) {
 // every slot below the floor, so decided values there can no longer be
 // re-proposed — the serving layer keys its dedup-table compaction on it.
 func FloorOf(s model.State) int {
-	st, ok := s.(*logState)
-	if !ok {
-		return 0
+	if st, ok := s.(*logState); ok {
+		return st.floor // retire runs on every progress change
 	}
-	min := st.progress[0]
-	for _, pr := range st.progress[1:] {
-		if pr < min {
-			min = pr
-		}
-	}
-	return min
+	return 0
 }
 
 // AllAppended returns a stop predicate: every correct process has filled
@@ -695,13 +885,13 @@ func DebugState(s model.State) string {
 	if !ok {
 		return fmt.Sprintf("%T", s)
 	}
-	live := st.liveSlots(st.slots + 1)
+	live := st.liveSlots()
 	cur := "nil"
 	if inst, ok := st.instances[st.slot]; ok {
 		if r, has := model.RoundOf(inst); has {
 			cur = fmt.Sprintf("round=%d", r)
 		}
 	}
-	return fmt.Sprintf("slot=%d entries=%v progress=%v live=%v current{%s} pending=%v known=%v",
-		st.slot, st.entries, st.progress, live, cur, st.pending, st.known)
+	return fmt.Sprintf("slot=%d entries=%v progress=%v live=%v awake=%v current{%s} pending=%v known=%v",
+		st.slot, st.entries, st.progress, live, st.awake, cur, st.pending, st.known)
 }

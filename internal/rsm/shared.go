@@ -58,6 +58,13 @@ func (a *Log) WithMetrics(reg *obs.Registry) *Log {
 		fdEpochs:      reg.Counter("rsm.fd.epochs"),
 		parkedMsgs:    reg.Counter("rsm.parked_msgs"),
 		parkedReplay:  reg.Counter("rsm.parked_replayed"),
+		quietParks:    reg.Counter("rsm.quiet_parked"),
+		quietReplays:  reg.Counter("rsm.quiet_replayed"),
+		quietEnters:   reg.Counter("rsm.quiet_enter"),
+		quietWakes:    reg.Counter("rsm.quiet_wake"),
+		quietRetires:  reg.Counter("rsm.quiet_retired"),
+		instOpened:    reg.Counter("rsm.instances_opened"),
+		instRetired:   reg.Counter("rsm.instances_retired"),
 	}
 	return a
 }
@@ -87,12 +94,27 @@ type logMetrics struct {
 	storeBytes    *obs.Gauge // high-water wire size of one process's store
 	storeEntries  *obs.Gauge // high-water entry count of one process's store
 	fdEpochs      *obs.Counter
-	// parkedMsgs / parkedReplay count messages entering and leaving the
-	// park buffers (see parkedMsg). Both are monotone counters — the live
-	// parked population is their difference — because only commutative
-	// instruments keep metric dumps deterministic under concurrency.
+	// parkedMsgs / parkedReplay count messages that arrived before their
+	// slot opened here entering and leaving the park buffers (see
+	// parkedMsg). Both are monotone counters — the live parked population
+	// is their difference — because only commutative instruments keep
+	// metric dumps deterministic under concurrency.
 	parkedMsgs   *obs.Counter
 	parkedReplay *obs.Counter
+	// The quiet gate's own books (see quiet in rsm.go), kept apart from the
+	// two above so those keep meaning "late opener": messages parked at /
+	// replayed into a quiet instance, transitions into and out of quiet,
+	// and quiet instances discarded by retirement — the quiet population is
+	// enter − wake − retired.
+	quietParks   *obs.Counter
+	quietReplays *obs.Counter
+	quietEnters  *obs.Counter
+	quietWakes   *obs.Counter
+	quietRetires *obs.Counter
+	// instOpened / instRetired count slot instances created and discarded; their
+	// difference is the live-instance population a stalled floor grows.
+	instOpened  *obs.Counter
+	instRetired *obs.Counter
 }
 
 func (m *logMetrics) hit() {
@@ -122,6 +144,40 @@ func (m *logMetrics) parked() {
 func (m *logMetrics) replayed(n int) {
 	if m != nil {
 		m.parkedReplay.Add(int64(n))
+	}
+}
+
+func (m *logMetrics) quietParked() {
+	if m != nil {
+		m.quietParks.Add(1)
+	}
+}
+
+func (m *logMetrics) quietEnter() {
+	if m != nil {
+		m.quietEnters.Add(1)
+	}
+}
+
+// quietWake counts one wake-up and the n parked messages it replayed.
+func (m *logMetrics) quietWake(n int) {
+	if m != nil {
+		m.quietWakes.Add(1)
+		m.quietReplays.Add(int64(n))
+	}
+}
+
+func (m *logMetrics) opened() {
+	if m != nil {
+		m.instOpened.Add(1)
+	}
+}
+
+// retired counts n discarded instances, quiet of which were quiet.
+func (m *logMetrics) retired(n, quiet int) {
+	if m != nil {
+		m.instRetired.Add(int64(n))
+		m.quietRetires.Add(int64(quiet))
 	}
 }
 

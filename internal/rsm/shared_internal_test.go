@@ -24,7 +24,7 @@ func TestDeliveryToRetiredSlotKeepsDeltaChain(t *testing.T) {
 	st.win[0] = windowSlot{state: slotDecided, v: NoOp}
 	st.harvest(aut, nil)
 	st.progress = []int{1, 1, 1}
-	st.retire()
+	st.retire(aut)
 	if _, live := st.instances[0]; live {
 		t.Fatal("slot 0 should have retired")
 	}
@@ -69,7 +69,7 @@ func TestDeliveryToUnknownSlotIgnored(t *testing.T) {
 }
 
 // TestPumpCursorSurvivesMidCycleRetirement: the round-robin cursor over
-// older live instances must stay valid when retirement shrinks (or empties)
+// awake older instances must stay valid when retirement shrinks (or empties)
 // the set between pump steps.
 func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 	aut := NewLog([][]int{{1}, {2}, {3}}, 3)
@@ -83,6 +83,7 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 		st.win[0] = windowSlot{state: slotDecided, v: NoOp}
 		st.harvest(aut, nil)
 	}
+	st.awake = []int{0, 1, 2} // none heard from: fresh instances are not yet quietMargin ahead
 	st.pump = 2
 	st.steps = pumpPeriod - 1 // the very next step pumps
 
@@ -98,8 +99,8 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 		n, _ := aut.Step(0, cur, &model.Message{From: from, To: 0, Seq: 1, Payload: ProgressPayload{Slot: 2}}, hist.Output(0, 2))
 		cur = n.(*logState)
 	}
-	if got := cur.olderSlots(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("older slots after retirement = %v, want [2]", got)
+	if got := cur.awake; len(got) != 1 || got[0] != 2 {
+		t.Fatalf("awake older slots after retirement = %v, want [2]", got)
 	}
 
 	// Keep stepping through several pump cycles: the cursor must keep
@@ -124,8 +125,8 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 
 // TestSharedCloneIsolation: a fork of a shared-mode state hinges on
 // CloneState deep-copying the one shared store and rebinding every cloned
-// instance to the copy, and on the fork owning its in-flight window slice —
-// the two pieces Step writes in place. Incoming history deltas land in the
+// instance to the copy, and on the fork owning its in-flight window slice,
+// its awake list and its heard rows — the pieces Step writes in place. Incoming history deltas land in the
 // store, so a state that has absorbed some is the sharpest one to fork.
 // (That neither side of a fork can reach the other is checked for every
 // automaton by explore's TestOwnershipContract; this pins the mechanism.)
@@ -147,6 +148,10 @@ func TestSharedCloneIsolation(t *testing.T) {
 	}
 
 	orig := ns.(*logState)
+	if orig.heard[0][1] != 6 {
+		t.Fatalf("heard[0] = %v, want round 6 from p1", orig.heard[0])
+	}
+	orig.awake = []int{0, 1} // as if both window slots were decided and awake
 	clone := orig.CloneState().(*logState)
 	if clone.store == orig.store || clone.store.v == orig.store.v {
 		t.Fatal("the clone shares the original's history store")
@@ -157,5 +162,10 @@ func TestSharedCloneIsolation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig.win, before) {
 		t.Fatalf("mutating the clone's window reached the original: %+v → %+v", before, orig.win)
+	}
+	clone.setAwake(0, false)
+	clone.heard[0][1] = 99
+	if !reflect.DeepEqual(orig.awake, []int{0, 1}) || orig.heard[0][1] != 6 {
+		t.Fatalf("mutating the clone's quiet bookkeeping reached the original: awake=%v heard[0]=%v", orig.awake, orig.heard[0])
 	}
 }

@@ -193,27 +193,6 @@ func TestStatsOfModes(t *testing.T) {
 	}
 }
 
-// starveScheduler excludes one process from scheduling for its first
-// `until` decisions, then behaves exactly like its inner scheduler — a
-// deterministic way to create a laggard that must catch up through slots
-// its peers decided (and whose stores compacted) long ago.
-type starveScheduler struct {
-	inner  sim.Scheduler
-	victim model.ProcessID
-	until  int
-	calls  int
-}
-
-func (s *starveScheduler) Next(t model.Time, alive model.ProcessSet, c *model.Configuration) (model.ProcessID, *model.Message) {
-	s.calls++
-	if s.calls <= s.until {
-		if rest := alive.Remove(s.victim); !rest.IsEmpty() {
-			return s.inner.Next(t, rest, c)
-		}
-	}
-	return s.inner.Next(t, alive, c)
-}
-
 // TestSharedLogLaggardCatchesUp: a process starved through thousands of
 // steps — while its peers decide slots, retire instances, and compact
 // their delta logs — must still drain its FIFO backlog, decide every slot
@@ -230,7 +209,7 @@ func TestSharedLogLaggardCatchesUp(t *testing.T) {
 		Automaton: aut,
 		Pattern:   pattern,
 		History:   sampler,
-		Scheduler: &starveScheduler{inner: sim.NewFairScheduler(6, 0.8, 3), victim: 2, until: 4000},
+		Scheduler: starveFor(4000, 2, sim.NewFairScheduler(6, 0.8, 3)),
 		MaxSteps:  200000,
 		StopWhen:  rsm.AllAppended(pattern, slots),
 	})
