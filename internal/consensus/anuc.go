@@ -166,13 +166,23 @@ func (s *anucState) Proposal() int { return s.proposal }
 // Round exposes the current round for instrumentation.
 func (s *anucState) Round() int { return s.k }
 
-// InitState implements model.Automaton.
+// InitState implements model.Automaton: p proposes its entry of the
+// constructor's vector and owns its histories (Fig. 4's shape).
 func (a *ANuc) InitState(p model.ProcessID) model.State {
+	return a.InitStateProposing(p, a.proposals[p], newOwnedHistories(a.N()))
+}
+
+// InitStateProposing returns p's initial state proposing v, with H_p kept
+// in store. Multi-instance users (the replicated log in internal/rsm)
+// determine proposals at runtime — a process's slot-k proposal is its next
+// unappended command, which the constructor's static vector cannot know —
+// and hand every live slot instance of a process the one per-process store.
+func (a *ANuc) InitStateProposing(p model.ProcessID, v int, store HistoryStore) model.State {
 	return &anucState{
 		p:        p,
-		proposal: a.proposals[p],
-		x:        a.proposals[p],
-		store:    newOwnedHistories(a.N()),
+		proposal: v,
+		x:        v,
+		store:    store,
 		ph:       phaseInit,
 		sent:     make(map[model.ProcessSet]bool),
 		acks:     make(map[model.ProcessSet]model.ProcessSet),
@@ -428,25 +438,4 @@ func (s *anucState) BindStore(store HistoryStore) { s.store = store }
 // FaultView is implemented by states exposing their considered-faulty set.
 type FaultView interface {
 	ConsideredFaulty() model.ProcessSet
-}
-
-// InitStateProposing returns p's initial state proposing v, overriding the
-// constructor's proposal vector. Multi-instance users (the replicated log
-// in internal/rsm) determine proposals at runtime — a process's slot-k
-// proposal is its next unappended command — so the static vector cannot be
-// known when the automaton is built.
-func (a *ANuc) InitStateProposing(p model.ProcessID, v int) model.State {
-	st := a.InitState(p).(*anucState)
-	st.proposal = v
-	st.x = v
-	return st
-}
-
-// InitStateProposingWith is InitStateProposing with an injected history
-// store: the shared-store mode of internal/rsm, where every live slot
-// instance of a process reads and writes one per-process H_p.
-func (a *ANuc) InitStateProposingWith(p model.ProcessID, v int, store HistoryStore) model.State {
-	st := a.InitStateProposing(p, v).(*anucState)
-	st.store = store
-	return st
 }

@@ -69,24 +69,3 @@ func (o *ownedHistories) ConsideredFaulty(p model.ProcessID) model.ProcessSet {
 func (o *ownedHistories) Outgoing() quorum.Histories { return o.h.Clone() }
 
 func (o *ownedHistories) CloneStore() HistoryStore { return &ownedHistories{h: o.h.Clone()} }
-
-// Histories exposes the owned state for tests and size accounting.
-func (o *ownedHistories) Histories() quorum.Histories { return o.h }
-
-// HistoryLen returns the number of distinct (process, quorum) entries a
-// state's store holds, for live-state accounting (E17). Shared stores are
-// counted once by their owner, so they report 0 here.
-func HistoryLen(s model.State) int {
-	st, ok := s.(*anucState)
-	if !ok {
-		return 0
-	}
-	if o, ok := st.store.(*ownedHistories); ok {
-		n := 0
-		for _, set := range o.h {
-			n += len(set)
-		}
-		return n
-	}
-	return 0
-}

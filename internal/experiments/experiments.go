@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction experiments of
-// EXPERIMENTS.md: one Spec per experiment (E1–E17) and per quantitative
-// figure (Q1–Q7), each producing a Table that cmd/experiments renders and
+// EXPERIMENTS.md: one Spec per experiment (E1–E18) and per quantitative
+// figure (Q1–Q7), 25 in all, each producing a Table that cmd/experiments renders and
 // bench_test.go regenerates. Every theorem, algorithm and proof scenario of
 // the paper maps to one of these. The specs run on the parallel
 // deterministic engine in engine.go: RunAll fans the per-seed units of

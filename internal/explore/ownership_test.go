@@ -90,11 +90,11 @@ func ownershipCases() []ownershipCase {
 		{name: "Ω-heartbeat", build: func() model.Automaton { return hb.NewOmega(n, 0, 0) }, hist: fd.Null},
 	}
 	for _, window := range []int{1, 2} {
-		suffix := fmt.Sprintf("/window=%d", window)
-		cases = append(cases,
-			ownershipCase{name: "rsm/owned" + suffix, build: func() model.Automaton { return rsm.NewLog(cmds, 6).WithPipeline(window) }, hist: pair},
-			ownershipCase{name: "rsm/shared" + suffix, build: func() model.Automaton { return rsm.NewSharedLog(cmds, 6).WithPipeline(window) }, hist: pair},
-		)
+		cases = append(cases, ownershipCase{
+			name:  fmt.Sprintf("rsm/shared/window=%d", window),
+			build: func() model.Automaton { return rsm.NewLog(cmds, 6).WithPipeline(window) },
+			hist:  pair,
+		})
 	}
 
 	batch := func(client uint32, seq uint64) []serve.Command {

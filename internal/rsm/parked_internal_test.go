@@ -19,10 +19,10 @@ func parkedFD() model.FDValue {
 }
 
 // leadFrom1 is a round-1 leader message for the given slot, as sent by
-// process 1's instance of that slot.
+// process 1's instance of that slot: a delta frame with nothing new in it.
 func leadFrom1(slot int) *model.Message {
 	return &model.Message{From: 1, To: 0, Seq: 1,
-		Payload: SlotPayload{Slot: slot, Inner: consensus.LeadPayload{K: 1, V: 42}}}
+		Payload: SlotPayload{Slot: slot, Inner: consensus.LeadDeltaPayload{K: 1, V: 42}}}
 }
 
 // reportsForSlot collects the wrapped REP payloads addressed from the
@@ -81,7 +81,7 @@ func TestParkedMessageReplaysOnWindowOpen(t *testing.T) {
 			}
 			gotLead := false
 			for _, snd := range sends {
-				if sp, ok := snd.Payload.(SlotPayload); ok && sp.Slot == next && sp.Kind() == "LEAD" {
+				if sp, ok := snd.Payload.(SlotPayload); ok && sp.Slot == next && sp.Kind() == "LEADD" {
 					gotLead = true
 				}
 			}

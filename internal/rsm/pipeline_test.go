@@ -26,43 +26,22 @@ func (s *testSink) OnEntry(p model.ProcessID, slot, v int) {
 }
 
 // runPipelined drives a pipelined (optionally sinking) log to completion.
-func runPipelined(t *testing.T, cmds [][]int, slots, depth int, crashes map[model.ProcessID]model.Time, seed int64, sink *testSink, shared bool) ([][]int, bool, int) {
+func runPipelined(t *testing.T, cmds [][]int, slots, depth int, crashes map[model.ProcessID]model.Time, seed int64, sink *testSink) ([][]int, bool, int) {
 	t.Helper()
 	n := len(cmds)
 	pattern := model.PatternFromCrashes(n, crashes)
-	var aut *rsm.Log
-	var hist model.History
-	if shared {
-		sampler := rsm.SamplerForLog(pattern, 80, seed)
-		aut = rsm.NewSharedLog(cmds, slots).WithSampler(sampler)
-		hist = sampler
-	} else {
-		aut = rsm.NewLog(cmds, slots)
-		hist = rsm.PairForLog(pattern, 80, seed)
-	}
-	aut = aut.WithPipeline(depth)
-	stop := rsm.AllAppended(pattern, slots)
+	sampler := rsm.SamplerForLog(pattern, 80, seed)
+	aut := rsm.NewLog(cmds, slots).WithSampler(sampler).WithPipeline(depth)
 	if sink != nil {
 		aut = aut.WithEntrySink(sink)
-		// Sink mode keeps no entries in the state; stop on the sink's view.
-		correct := pattern.Correct()
-		stop = func(c *model.Configuration, _ model.Time) bool {
-			done := true
-			correct.ForEach(func(p model.ProcessID) {
-				if len(sink.entries[p]) < slots {
-					done = false
-				}
-			})
-			return done
-		}
 	}
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,
-		History:   hist,
+		History:   sampler,
 		Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 		MaxSteps:  200000,
-		StopWhen:  stop,
+		StopWhen:  rsm.AllAppended(pattern, slots),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,26 +58,23 @@ func runPipelined(t *testing.T, cmds [][]int, slots, depth int, crashes map[mode
 // TestPipelinedAgreement: with k slots in flight, correct logs still agree
 // slot-for-slot, every entry is someone's command or a no-op, and no
 // command is decided into two different slots more often than the window
-// permits — table-driven across depths, modes and adversarial seeds (short
+// permits — table-driven across depths and adversarial seeds (short
 // stabilization keeps the pre-GST failure-detector noise in play).
 func TestPipelinedAgreement(t *testing.T) {
 	cases := []struct {
 		name    string
 		depth   int
-		shared  bool
 		crashes map[model.ProcessID]model.Time
 	}{
-		{"depth2-owned", 2, false, nil},
-		{"depth4-owned", 4, false, map[model.ProcessID]model.Time{3: 60}},
-		{"depth2-shared", 2, true, map[model.ProcessID]model.Time{3: 60}},
-		{"depth4-shared", 4, true, nil},
+		{"depth2-shared", 2, map[model.ProcessID]model.Time{3: 60}},
+		{"depth4-shared", 4, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				cmds := [][]int{{10, 11, 12}, {20, 21}, {30, 31}, {40}}
 				const slots = 8
-				logs, done, _ := runPipelined(t, cmds, slots, tc.depth, tc.crashes, seed, nil, tc.shared)
+				logs, done, _ := runPipelined(t, cmds, slots, tc.depth, tc.crashes, seed, nil)
 				if !done {
 					t.Fatalf("seed=%d: log never filled", seed)
 				}
@@ -149,43 +125,36 @@ func (r *stepRecorder) Step(p model.ProcessID, s model.State, m *model.Message, 
 
 // TestWindowOfOneIsTheDefault: NewLog already runs the window of 1, so
 // WithPipeline(1) must change nothing — the same (state, sends) sequence,
-// step for step, over a fixed 200-step schedule with a crash in it, in
-// both history modes.
+// step for step, over a fixed 200-step schedule with a crash in it.
 func TestWindowOfOneIsTheDefault(t *testing.T) {
 	cmds := [][]int{{10, 11}, {20}, {30, 31}, {40}}
 	crashes := map[model.ProcessID]model.Time{3: 60}
-	for _, shared := range []bool{false, true} {
-		record := func(widen bool) []string {
-			pattern := model.PatternFromCrashes(len(cmds), crashes)
-			aut := rsm.NewLog(cmds, 6)
-			var hist model.History = rsm.PairForLog(pattern, 80, 3)
-			if shared {
-				sampler := rsm.SamplerForLog(pattern, 80, 3)
-				aut, hist = rsm.NewSharedLog(cmds, 6).WithSampler(sampler), sampler
-			}
-			if widen {
-				aut = aut.WithPipeline(1)
-			}
-			rec := &stepRecorder{Automaton: aut}
-			if _, err := sim.Run(sim.Exec{
-				Automaton: rec,
-				Pattern:   pattern,
-				History:   hist,
-				Scheduler: sim.NewFairScheduler(3, 0.8, 3),
-				MaxSteps:  200,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return rec.steps
+	record := func(widen bool) []string {
+		pattern := model.PatternFromCrashes(len(cmds), crashes)
+		sampler := rsm.SamplerForLog(pattern, 80, 3)
+		aut := rsm.NewLog(cmds, 6).WithSampler(sampler)
+		if widen {
+			aut = aut.WithPipeline(1)
 		}
-		plain, widened := record(false), record(true)
-		if len(plain) != 200 || len(widened) != 200 {
-			t.Fatalf("shared=%v: recorded %d and %d steps, want 200", shared, len(plain), len(widened))
+		rec := &stepRecorder{Automaton: aut}
+		if _, err := sim.Run(sim.Exec{
+			Automaton: rec,
+			Pattern:   pattern,
+			History:   sampler,
+			Scheduler: sim.NewFairScheduler(3, 0.8, 3),
+			MaxSteps:  200,
+		}); err != nil {
+			t.Fatal(err)
 		}
-		for i := range plain {
-			if plain[i] != widened[i] {
-				t.Fatalf("shared=%v: step %d differs:\n  NewLog:          %s\n  WithPipeline(1): %s", shared, i, plain[i], widened[i])
-			}
+		return rec.steps
+	}
+	plain, widened := record(false), record(true)
+	if len(plain) != 200 || len(widened) != 200 {
+		t.Fatalf("recorded %d and %d steps, want 200", len(plain), len(widened))
+	}
+	for i := range plain {
+		if plain[i] != widened[i] {
+			t.Fatalf("step %d differs:\n  NewLog:          %s\n  WithPipeline(1): %s", i, plain[i], widened[i])
 		}
 	}
 }
@@ -194,7 +163,7 @@ func TestWindowOfOneIsTheDefault(t *testing.T) {
 // slots to spare, every process's commands land.
 func TestPipelinedDrainsCommands(t *testing.T) {
 	cmds := [][]int{{1, 2}, {3}, {4}}
-	logs, done, _ := runPipelined(t, cmds, 10, 4, nil, 3, nil, true)
+	logs, done, _ := runPipelined(t, cmds, 10, 4, nil, 3, nil)
 	if !done {
 		t.Fatal("log never filled")
 	}
@@ -212,14 +181,16 @@ func TestPipelinedDrainsCommands(t *testing.T) {
 }
 
 // TestEntrySinkOrder: sink mode delivers exactly the appended entries, in
-// slot order per process, while the state itself retains none of them.
+// slot order per process, while the state itself retains none of them —
+// and the run still stops under AllAppended, which counts appended entries
+// rather than retained ones.
 func TestEntrySinkOrder(t *testing.T) {
 	sink := newTestSink()
 	cmds := [][]int{{10, 11}, {20}, {30}}
 	const slots = 6
-	logs, done, _ := runPipelined(t, cmds, slots, 2, nil, 5, sink, true)
+	logs, done, _ := runPipelined(t, cmds, slots, 2, nil, 5, sink)
 	if !done {
-		t.Fatal("log never filled")
+		t.Fatal("sink-mode log never stopped under AllAppended")
 	}
 	for p := model.ProcessID(0); p < 3; p++ {
 		got := sink.entries[p]

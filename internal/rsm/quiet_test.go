@@ -105,7 +105,7 @@ func assertQuietLaggardRun(t *testing.T, states []model.State, reg *obs.Registry
 func TestQuietLaggardCatchesUp(t *testing.T) {
 	pattern := model.PatternFromCrashes(quietN, nil)
 	reg := obs.NewRegistry()
-	aut := rsm.NewSharedLog(quietCmds(), quietSlots).WithPipeline(2).WithMetrics(reg)
+	aut := rsm.NewLog(quietCmds(), quietSlots).WithPipeline(2).WithMetrics(reg)
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,
@@ -186,7 +186,7 @@ func TestQuietLaggardCatchesUpAsync(t *testing.T) {
 	pattern := model.PatternFromCrashes(quietN, nil)
 	reg := obs.NewRegistry()
 	aut := &slowStart{
-		Automaton: rsm.NewSharedLog(quietCmds(), quietSlots).WithPipeline(2).WithMetrics(reg),
+		Automaton: rsm.NewLog(quietCmds(), quietSlots).WithPipeline(2).WithMetrics(reg),
 		victim:    quietLag,
 	}
 	res, err := sub.Run(context.Background(), aut, threeOfFour, pattern, substrate.Options{
@@ -250,7 +250,7 @@ func TestQuietZombieSlot(t *testing.T) {
 	reg := obs.NewRegistry()
 	sampler := rsm.SamplerForLog(pattern, 80, 3)
 	tap := &sendTap{
-		Automaton: rsm.NewSharedLog(quietCmds(), quietSlots).WithPipeline(2).WithMetrics(reg).WithSampler(sampler),
+		Automaton: rsm.NewLog(quietCmds(), quietSlots).WithPipeline(2).WithMetrics(reg).WithSampler(sampler),
 		zombie:    quietLag, lastZombie: -1, lastAny: -1,
 	}
 	res, err := sim.Run(sim.Exec{

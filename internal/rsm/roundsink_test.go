@@ -37,7 +37,7 @@ func TestRoundSink(t *testing.T) {
 	const slots, depth = 6, 2
 	pattern := model.PatternFromCrashes(3, nil)
 	sampler := rsm.SamplerForLog(pattern, 80, 5)
-	aut := rsm.NewSharedLog(cmds, slots).WithSampler(sampler).WithMetrics(reg).
+	aut := rsm.NewLog(cmds, slots).WithSampler(sampler).WithMetrics(reg).
 		WithPipeline(depth).WithEntrySink(sink)
 	correct := pattern.Correct()
 	res, err := sim.Run(sim.Exec{

@@ -32,6 +32,13 @@
 //
 // Retirement is still possible — safely — through progress gossip: once
 // every process is known to have passed a slot, its instance is discarded.
+//
+// The quorum histories H_p (Fig. 5) are kept once per process, not once
+// per slot instance: every instance of a process reads and writes the one
+// versioned store in its log state, and LEAD/PROP carry deltas against
+// what the destination was last sent instead of inline copies (shared.go).
+// That is the only history plumbing the log has; A_nuc's own per-state
+// histories and inline Hist are for the standalone automaton.
 package rsm
 
 import (
@@ -105,9 +112,7 @@ type Log struct {
 	slots int     // stop appending after this many slots
 	inner *consensus.ANuc
 
-	shared  bool        // one shared history store per process (see shared.go)
 	metrics *logMetrics // pre-resolved obs instruments; nil if unmetered
-	sampler *fd.Sampler // shared FD sample source; nil unless attached
 	window  int         // in-flight slot instances, >= 1 (see WithPipeline)
 	sink    EntrySink   // decided entries leave the state; nil keeps them
 }
@@ -212,7 +217,8 @@ type logState struct {
 	awake []int
 	floor int // min(progress) as of the last retire: every slot below it is gone
 
-	// Shared-store mode only (see shared.go); all nil/empty in owned mode.
+	// The process's quorum histories H_p and their delta transport (see
+	// shared.go): one store read and written by every live instance.
 	store      *sharedStore
 	sentVer    []uint64 // per destination: store version last shipped there
 	appliedVer []uint64 // per sender: that sender's version applied through
@@ -265,13 +271,11 @@ func (s *logState) CloneState() model.State {
 			c.parked[k] = append([]parkedMsg(nil), v...)
 		}
 	}
-	if s.store != nil {
-		// Clone the shared store ONCE, then rebind every cloned instance:
-		// the instances' own CloneStore is identity for shared stores.
-		c.store = s.store.clone()
-		c.sentVer = append([]uint64(nil), s.sentVer...)
-		c.appliedVer = append([]uint64(nil), s.appliedVer...)
-	}
+	// Clone the shared store ONCE, then rebind every cloned instance: the
+	// instances' own CloneStore is identity for shared stores.
+	c.store = s.store.clone()
+	c.sentVer = append([]uint64(nil), s.sentVer...)
+	c.appliedVer = append([]uint64(nil), s.appliedVer...)
 	c.win = append([]windowSlot(nil), s.win...)
 	c.awake = append([]int(nil), s.awake...)
 	if s.heard != nil {
@@ -283,9 +287,7 @@ func (s *logState) CloneState() model.State {
 	c.instances = make(map[int]model.State, len(s.instances))
 	for k, v := range s.instances {
 		inst := v.CloneState()
-		if s.store != nil {
-			inst.(consensus.StoreBound).BindStore(c.store)
-		}
+		inst.(consensus.StoreBound).BindStore(c.store)
 		c.instances[k] = inst
 	}
 	return &c
@@ -311,18 +313,16 @@ type LogHolder interface {
 // InitState implements model.Automaton.
 func (a *Log) InitState(p model.ProcessID) model.State {
 	st := &logState{
-		p:         p,
-		pending:   append([]int(nil), a.cmds[p]...),
-		slots:     a.slots,
-		entries:   make([]int, 0, a.slots),
-		instances: make(map[int]model.State, 2),
-		progress:  make([]int, a.n),
-		win:       make([]windowSlot, a.window),
-	}
-	if a.shared {
-		st.store = newSharedStore(a.n)
-		st.sentVer = make([]uint64, a.n)
-		st.appliedVer = make([]uint64, a.n)
+		p:          p,
+		pending:    append([]int(nil), a.cmds[p]...),
+		slots:      a.slots,
+		entries:    make([]int, 0, a.slots),
+		instances:  make(map[int]model.State, 2),
+		progress:   make([]int, a.n),
+		win:        make([]windowSlot, a.window),
+		store:      newSharedStore(a.n),
+		sentVer:    make([]uint64, a.n),
+		appliedVer: make([]uint64, a.n),
 	}
 	st.openWindow(a, nil) // nothing parked at init: no sends, no FD use
 	return st
@@ -346,13 +346,10 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 				st.sleepPassed(a)
 			}
 		case SlotPayload:
-			payload := pl.Inner
-			if st.store != nil {
-				// Apply any piggybacked history delta to the shared store
-				// even when the slot has retired: the delta chain from
-				// this sender must stay unbroken for later slots.
-				payload = st.applyIncoming(m.From, payload, a.metrics)
-			}
+			// Apply any piggybacked history delta to the shared store even
+			// when the slot has retired: the delta chain from this sender
+			// must stay unbroken for later slots.
+			payload := st.applyIncoming(m.From, pl.Inner, a.metrics)
 			_, live := st.instances[pl.Slot]
 			switch {
 			case live && st.isQuiet(pl.Slot) && !st.mayNeed(m.From, pl.Slot):
@@ -425,24 +422,19 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 		}
 	}
 
-	if st.store != nil {
-		st.compactStore(a.metrics)
-	}
+	st.compactStore(a.metrics)
 
 	return st, out
 }
 
 // stepInstance advances slot's live instance by one inner step — delivering
-// m, or a λ step when m is nil — and returns its sends slot-tagged,
-// delta-encoding history payloads in shared mode (wrapShared, shared.go).
-// Every inner step of the log goes through here.
+// m, or a λ step when m is nil — and returns its sends slot-tagged, with
+// history payloads delta-encoded (wrapShared, shared.go). Every inner step
+// of the log goes through here.
 func (s *logState) stepInstance(a *Log, slot int, m *model.Message, d model.FDValue) []model.Send {
 	ns, sends := a.inner.Step(s.p, s.instances[slot], m, d)
 	s.instances[slot] = ns
-	if s.store != nil {
-		return s.wrapShared(slot, sends)
-	}
-	return wrapSends(slot, sends)
+	return s.wrapShared(slot, sends)
 }
 
 // deliver hands one slot message to the slot's live instance, first noting
@@ -545,11 +537,7 @@ func (s *logState) openWindow(a *Log, d model.FDValue) []model.Send {
 		}
 		v := s.nextFreeProposal()
 		s.win[i] = windowSlot{state: slotOpen, v: v}
-		if s.store != nil {
-			s.instances[slot] = a.inner.InitStateProposingWith(s.p, v, s.store)
-		} else {
-			s.instances[slot] = a.inner.InitStateProposing(s.p, v)
-		}
+		s.instances[slot] = a.inner.InitStateProposing(s.p, v, s.store)
 		a.metrics.opened()
 		n, sends := s.replayParked(a, slot, d)
 		a.metrics.replayed(n)
@@ -815,14 +803,6 @@ func (s *logState) liveSlots() []int {
 	return out
 }
 
-func wrapSends(slot int, sends []model.Send) []model.Send {
-	out := make([]model.Send, len(sends))
-	for i, snd := range sends {
-		out[i] = model.Send{To: snd.To, Payload: SlotPayload{Slot: slot, Inner: snd.Payload}}
-	}
-	return out
-}
-
 // Inject appends freshly arrived commands to a process's pending queue
 // outside the message-driven step cycle — the serving layer's ingress
 // path. Like Step it consumes s: it returns the updated state (s itself,
@@ -853,14 +833,15 @@ func FloorOf(s model.State) int {
 }
 
 // AllAppended returns a stop predicate: every correct process has filled
-// its log.
+// its log. It reads the state's Decision — the appended count once the log
+// is full — so it costs no copy per step and holds in sink mode too, where
+// entries are not retained.
 func AllAppended(pattern *model.FailurePattern, slots int) func(*model.Configuration, model.Time) bool {
 	correct := pattern.Correct()
 	return func(c *model.Configuration, _ model.Time) bool {
 		done := true
 		correct.ForEach(func(p model.ProcessID) {
-			st, ok := c.States[p].(LogHolder)
-			if !ok || len(st.Entries()) < slots {
+			if n, full := model.DecisionOf(c.States[p]); !full || n < slots {
 				done = false
 			}
 		})

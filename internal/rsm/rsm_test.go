@@ -6,6 +6,7 @@ import (
 
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/netrun"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
@@ -117,7 +118,8 @@ func TestNewLogValidation(t *testing.T) {
 
 // TestReplicatedLogOverTCP runs the full SMR stack over real sockets, once
 // per seed: each seed is a different pre-stabilization detector history
-// and a different socket interleaving.
+// and a different socket interleaving. The history deltas ride real TCP
+// links here, so the chain must hold: deltas applied, none out of order.
 func TestReplicatedLogOverTCP(t *testing.T) {
 	cmds := [][]int{{7}, {8}, {9}}
 	const slots = 3
@@ -125,7 +127,8 @@ func TestReplicatedLogOverTCP(t *testing.T) {
 	for seed := int64(4); seed <= 9; seed++ {
 		// The tick budget is shared across goroutines, so a spinning process
 		// burns it on behalf of a socket-delayed laggard — be generous.
-		res, err := netrun.New().Run(context.Background(), rsm.NewLog(cmds, slots), rsm.PairForLog(pattern, 100, seed), pattern, substrate.Options{
+		reg := obs.NewRegistry()
+		res, err := netrun.New().Run(context.Background(), rsm.NewLog(cmds, slots).WithMetrics(reg), rsm.PairForLog(pattern, 100, seed), pattern, substrate.Options{
 			Seed:            seed,
 			MaxSteps:        3_000_000,
 			StopWhenDecided: true,
@@ -150,6 +153,12 @@ func TestReplicatedLogOverTCP(t *testing.T) {
 					}
 				}
 			}
+		}
+		if gaps := reg.Counter("rsm.hist.delta_gaps").Value(); gaps != 0 {
+			t.Errorf("seed=%d: delta_gaps = %d over TCP, want 0 (per-link FIFO)", seed, gaps)
+		}
+		if hits := reg.Counter("rsm.hist.delta_hits").Value(); hits == 0 {
+			t.Errorf("seed=%d: delta_hits = 0 over TCP: no history delta was ever applied", seed)
 		}
 		t.Logf("seed=%d: TCP replicated log: %v (%d wire bytes)", seed, ref, res.BytesSent)
 	}

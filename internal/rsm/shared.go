@@ -1,15 +1,15 @@
-// Shared-detector runtime for the replicated log.
+// History plumbing of the replicated log: the paper's quorum histories H_p
+// are monotone global facts ("r saw quorum q"), so the log keeps them once
+// per process, not once per slot instance.
 //
-// In the default (owned) mode every live slot instance owns a full copy of
-// its process's quorum histories and every LEAD/PROP message carries a
-// complete clone — per-slot live state and bytes-on-wire both scale with
-// the total history size. In shared mode (NewSharedLog) each process holds
-// ONE versioned history store (quorum.Versioned) that all its live slot
-// instances read and write through the consensus.HistoryStore interface,
-// and outgoing LEAD/PROP messages carry (baseVersion, delta) against the
-// version this process last shipped to that destination. Receivers apply
-// the delta to their own shared store before handing the inner instance a
-// history-free payload.
+// Each process holds ONE versioned history store (quorum.Versioned) that
+// all its live slot instances read and write through the
+// consensus.HistoryStore interface, and outgoing LEAD/PROP messages carry
+// (baseVersion, delta) against the version this process last shipped to
+// that destination. Receivers apply the delta to their own store before
+// handing the inner instance a history-free payload. Neither live state
+// nor bytes-on-wire scale with how many instances are live or how much
+// history has accumulated (E17).
 //
 // Delta chaining is sound because every substrate in this repository
 // delivers FIFO per link and delta payloads never implement
@@ -31,23 +31,8 @@ import (
 	"nuconsensus/internal/quorum"
 )
 
-// NewSharedLog returns the replicated-log automaton in shared-store mode:
-// one versioned history store and one failure-detector sample stream per
-// process, shared by all live slot instances, with delta-encoded history
-// transport. Log semantics (decided entries) are the same as NewLog's;
-// only the history plumbing differs.
-func NewSharedLog(cmds [][]int, slots int) *Log {
-	a := NewLog(cmds, slots)
-	a.shared = true
-	return a
-}
-
-// Shared reports whether the log runs in shared-store mode.
-func (a *Log) Shared() bool { return a.shared }
-
 // WithMetrics attaches an obs metrics registry, pre-resolving the counters
-// on the hot path (PR-6 discipline). Safe to call on either mode; the
-// delta counters only move in shared mode.
+// on the hot path (PR-6 discipline).
 func (a *Log) WithMetrics(reg *obs.Registry) *Log {
 	a.metrics = &logMetrics{
 		deltaHits:     reg.Counter("rsm.hist.delta_hits"),
@@ -73,7 +58,6 @@ func (a *Log) WithMetrics(reg *obs.Registry) *Log {
 // drive this log, subscribing the epoch-fanout counter: every epoch
 // change any process's module announces is one rsm.fd.epochs increment.
 func (a *Log) WithSampler(s *fd.Sampler) *Log {
-	a.sampler = s
 	s.Subscribe(func(model.ProcessID, fd.Sample) {
 		if a.metrics != nil {
 			a.metrics.fdEpochs.Add(1)
@@ -81,9 +65,6 @@ func (a *Log) WithSampler(s *fd.Sampler) *Log {
 	})
 	return a
 }
-
-// Sampler returns the attached sampler (nil if none).
-func (a *Log) Sampler() *fd.Sampler { return a.sampler }
 
 // logMetrics holds the pre-resolved obs instruments. All methods are
 // nil-receiver-safe so unmetered runs pay only a nil check.
@@ -214,7 +195,7 @@ func (s *sharedStore) ConsideredFaulty(p model.ProcessID) model.ProcessSet {
 	return s.v.ConsideredFaulty(p)
 }
 
-// Outgoing returns nil: shared-mode payloads carry no inline histories —
+// Outgoing returns nil: the log's payloads carry no inline histories —
 // the transport ships versioned deltas instead (wrapShared).
 func (s *sharedStore) Outgoing() quorum.Histories { return nil }
 
@@ -244,15 +225,16 @@ func (s *sharedStore) sizeBytes() int {
 // uvarintLen is the LEB128 length of v (the wire codec's varint).
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// wrapShared converts an inner instance's sends into slot-tagged,
-// delta-encoded payloads: LEAD/PROP (whose Hist is nil in shared mode)
-// become LeadDeltaPayload/ProposalDeltaPayload carrying everything this
-// process's store gained since the version last shipped to that
-// destination. Per-link FIFO delivery makes the per-destination chain
-// airtight; sends within one step to the same destination chain through
-// sentVer just like sends in different steps.
+// wrapShared turns an inner instance's sends into slot-tagged,
+// delta-encoded payloads, in place: LEAD/PROP (whose Hist is nil — see
+// Outgoing) become LeadDeltaPayload/ProposalDeltaPayload carrying
+// everything this process's store gained since the version last shipped to
+// that destination; REP/SAW/ACK are only slot-tagged. Per-link FIFO
+// delivery makes the per-destination chain airtight; sends within one step
+// to the same destination chain through sentVer just like sends in
+// different steps. Overwriting is legal because A_nuc builds a fresh send
+// slice every step and Step owns what it is handed.
 func (s *logState) wrapShared(slot int, sends []model.Send) []model.Send {
-	out := make([]model.Send, len(sends))
 	for i, snd := range sends {
 		pl := snd.Payload
 		switch p := pl.(type) {
@@ -261,9 +243,9 @@ func (s *logState) wrapShared(slot int, sends []model.Send) []model.Send {
 		case consensus.ProposalPayload:
 			pl = consensus.ProposalDeltaPayload{K: p.K, V: p.V, HasV: p.HasV, Delta: s.deltaFor(snd.To)}
 		}
-		out[i] = model.Send{To: snd.To, Payload: SlotPayload{Slot: slot, Inner: pl}}
+		sends[i].Payload = SlotPayload{Slot: slot, Inner: pl}
 	}
-	return out
+	return sends
 }
 
 func (s *logState) deltaFor(to model.ProcessID) quorum.Delta {
@@ -272,11 +254,10 @@ func (s *logState) deltaFor(to model.ProcessID) quorum.Delta {
 	return d
 }
 
-// applyIncoming runs on every slot-wrapped payload a shared-mode process
-// receives: delta payloads are applied to the shared store and replaced
-// by their history-free plain forms before the inner instance sees them.
-// Non-delta payloads (REP, SAW, ACK — and LEAD/PROP from an owned-mode
-// peer, which cannot occur in practice) pass through untouched.
+// applyIncoming runs on every slot-wrapped payload a process receives:
+// delta payloads are applied to the store and replaced by their
+// history-free plain forms before the inner instance sees them. The
+// payloads that carry no histories (REP, SAW, ACK) pass through untouched.
 func (s *logState) applyIncoming(from model.ProcessID, inner model.Payload, m *logMetrics) model.Payload {
 	switch p := inner.(type) {
 	case consensus.LeadDeltaPayload:
@@ -311,7 +292,7 @@ func (s *logState) applyDelta(from model.ProcessID, d quorum.Delta, m *logMetric
 // compactStore advances the shared store's compaction floor to the lowest
 // version shipped to any destination: every future outgoing delta bases
 // at or above it, so the discarded log prefix can never be asked for
-// again. Called once per step in shared mode.
+// again. Called once per step.
 func (s *logState) compactStore(m *logMetrics) {
 	min := s.sentVer[0]
 	for _, v := range s.sentVer[1:] {
@@ -328,13 +309,13 @@ func (s *logState) compactStore(m *logMetrics) {
 
 // StateStats reports the live-state footprint of one process's log state,
 // for the long-log scale experiment (E17): how much history the state
-// holds across all live instances (the shared store counted once) and how
-// many instances are live.
+// holds (one store, however many instances read it) and how many instances
+// are live.
 type StateStats struct {
 	LiveInstances int
-	HistEntries   int    // total (process, quorum) entries held
-	StoreVersion  uint64 // shared mode: version counter; 0 in owned mode
-	StoreBytes    int    // shared mode: exact wire size of the store
+	HistEntries   int    // (process, quorum) entries held by the store
+	StoreVersion  uint64 // the store's version counter
+	StoreBytes    int    // exact wire size of the store
 }
 
 // StatsOf computes StateStats for a log state (zero value for other
@@ -344,17 +325,12 @@ func StatsOf(st model.State) StateStats {
 	if !ok {
 		return StateStats{}
 	}
-	stats := StateStats{LiveInstances: len(s.instances)}
-	if s.store != nil {
-		stats.HistEntries = s.store.v.Len()
-		stats.StoreVersion = s.store.v.Version()
-		stats.StoreBytes = s.store.sizeBytes()
-		return stats
+	return StateStats{
+		LiveInstances: len(s.instances),
+		HistEntries:   s.store.v.Len(),
+		StoreVersion:  s.store.v.Version(),
+		StoreBytes:    s.store.sizeBytes(),
 	}
-	for _, inst := range s.instances {
-		stats.HistEntries += consensus.HistoryLen(inst)
-	}
-	return stats
 }
 
 // SamplerForLog wraps PairForLog in a shared fd.Sampler: one (Ω, Σν+)

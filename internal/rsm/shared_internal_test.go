@@ -10,11 +10,11 @@ import (
 )
 
 // TestDeliveryToRetiredSlotKeepsDeltaChain: a SlotPayload for a slot that
-// progress gossip already retired must not panic, and in shared mode its
-// piggybacked history delta must still be applied — dropping it would break
+// progress gossip already retired must not panic, and its piggybacked
+// history delta must still be applied — dropping it would break
 // the sender's per-link version chain for every later slot.
 func TestDeliveryToRetiredSlotKeepsDeltaChain(t *testing.T) {
-	aut := NewSharedLog([][]int{{1}, {2}, {3}}, 3)
+	aut := NewLog([][]int{{1}, {2}, {3}}, 3)
 	pattern := model.PatternFromCrashes(3, nil)
 	hist := PairForLog(pattern, 0, 9)
 
@@ -49,22 +49,16 @@ func TestDeliveryToRetiredSlotKeepsDeltaChain(t *testing.T) {
 }
 
 // TestDeliveryToUnknownSlotIgnored: a slot number that was never opened
-// (far ahead of the current one) is ignored without panicking, in both
-// modes.
+// (far ahead of the current one) is ignored without panicking.
 func TestDeliveryToUnknownSlotIgnored(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, nil)
 	hist := PairForLog(pattern, 0, 9)
-	for _, aut := range []*Log{
-		NewLog([][]int{{1}, {2}, {3}}, 3),
-		NewSharedLog([][]int{{1}, {2}, {3}}, 3),
-	} {
-		st := aut.InitState(0)
-		m := &model.Message{From: 2, To: 0, Seq: 1,
-			Payload: SlotPayload{Slot: 7, Inner: consensus.ReportPayload{K: 1, V: 5}}}
-		ns, _ := aut.Step(0, st, m, hist.Output(0, 1))
-		if _, live := ns.(*logState).instances[7]; live {
-			t.Errorf("shared=%v: unknown slot must not open an instance", aut.Shared())
-		}
+	aut := NewLog([][]int{{1}, {2}, {3}}, 3)
+	m := &model.Message{From: 2, To: 0, Seq: 1,
+		Payload: SlotPayload{Slot: 7, Inner: consensus.ReportPayload{K: 1, V: 5}}}
+	ns, _ := aut.Step(0, aut.InitState(0), m, hist.Output(0, 1))
+	if _, live := ns.(*logState).instances[7]; live {
+		t.Error("unknown slot must not open an instance")
 	}
 }
 
@@ -123,8 +117,7 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 	}
 }
 
-// TestSharedCloneIsolation: a fork of a shared-mode state hinges on
-// CloneState deep-copying the one shared store and rebinding every cloned
+// TestSharedCloneIsolation: a fork of a log state hinges on CloneState deep-copying the one shared store and rebinding every cloned
 // instance to the copy, and on the fork owning its in-flight window slice,
 // its awake list and its heard rows — the pieces Step writes in place. Incoming history deltas land in the
 // store, so a state that has absorbed some is the sharpest one to fork.
@@ -133,7 +126,7 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 func TestSharedCloneIsolation(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, nil)
 	hist := PairForLog(pattern, 40, 7)
-	aut := NewSharedLog([][]int{{1}, {2}, {3}}, 2)
+	aut := NewLog([][]int{{1}, {2}, {3}}, 2)
 	ns := aut.InitState(0)
 	for i := 1; i <= 6; i++ {
 		d := quorum.Delta{Base: uint64(i - 1), To: uint64(i), Adds: []quorum.DeltaEntry{

@@ -12,7 +12,8 @@ import (
 	"nuconsensus/internal/substrate"
 )
 
-// runSharedLog drives a shared-store replicated log to completion and
+// runSharedLog drives a metered replicated log, fed by a shared fd.Sampler
+// rather than the raw detector history runLog uses, to completion and
 // returns each process's final entries, the stop flag, and the metrics
 // registry the run was instrumented with.
 func runSharedLog(t *testing.T, cmds [][]int, slots int, crashes map[model.ProcessID]model.Time, seed int64) ([][]int, bool, *obs.Registry) {
@@ -21,7 +22,7 @@ func runSharedLog(t *testing.T, cmds [][]int, slots int, crashes map[model.Proce
 	pattern := model.PatternFromCrashes(n, crashes)
 	reg := obs.NewRegistry()
 	sampler := rsm.SamplerForLog(pattern, 80, seed)
-	aut := rsm.NewSharedLog(cmds, slots).WithMetrics(reg).WithSampler(sampler)
+	aut := rsm.NewLog(cmds, slots).WithMetrics(reg).WithSampler(sampler)
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,
@@ -42,9 +43,9 @@ func runSharedLog(t *testing.T, cmds [][]int, slots int, crashes map[model.Proce
 	return logs, res.Stopped, reg
 }
 
-// TestSharedLogAgreement: the shared-store log satisfies the same per-slot
-// agreement and validity as the owned-mode log, under the same seeds and
-// crash pattern as TestReplicatedLogAgreement.
+// TestSharedLogAgreement: per-slot agreement and validity under the same
+// seeds and crash pattern as TestReplicatedLogAgreement, with the detector
+// sampled once per process and the delta transport's counters checked.
 func TestSharedLogAgreement(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		cmds := [][]int{{10, 11}, {20}, {30, 31}, {40}}
@@ -85,7 +86,7 @@ func TestSharedLogAgreement(t *testing.T) {
 	}
 }
 
-// assertDeltaTransport checks the shared-mode transport counters: delta
+// assertDeltaTransport checks the history transport's counters: delta
 // chaining dominates (hits far above the at-most-one snapshot-shaped first
 // transfer per link), and FIFO delivery makes gaps impossible.
 func assertDeltaTransport(t *testing.T, reg *obs.Registry, n int) {
@@ -114,8 +115,8 @@ func assertDeltaTransport(t *testing.T, reg *obs.Registry, n int) {
 	}
 }
 
-// TestSharedLogDrainsCommands mirrors TestReplicatedLogDrainsCommands in
-// shared mode.
+// TestSharedLogDrainsCommands mirrors TestReplicatedLogDrainsCommands on
+// the sampler-fed log.
 func TestSharedLogDrainsCommands(t *testing.T) {
 	cmds := [][]int{{1}, {2}, {3}}
 	logs, done, _ := runSharedLog(t, cmds, 6, nil, 2)
@@ -135,7 +136,7 @@ func TestSharedLogDrainsCommands(t *testing.T) {
 	}
 }
 
-// TestSharedLogOverTCP runs the shared-store stack over real sockets: delta
+// TestSharedLogOverTCP runs the sampler-fed log over real sockets: delta
 // payloads cross the wire codec and the sampler is hit from per-process
 // goroutines concurrently.
 func TestSharedLogOverTCP(t *testing.T) {
@@ -144,7 +145,7 @@ func TestSharedLogOverTCP(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, nil)
 	reg := obs.NewRegistry()
 	sampler := rsm.SamplerForLog(pattern, 100, 4)
-	aut := rsm.NewSharedLog(cmds, slots).WithMetrics(reg).WithSampler(sampler)
+	aut := rsm.NewLog(cmds, slots).WithMetrics(reg).WithSampler(sampler)
 	res, err := netrun.New().Run(context.Background(), aut, sampler, pattern, substrate.Options{
 		Seed:            4,
 		MaxSteps:        3_000_000,
@@ -177,19 +178,66 @@ func TestSharedLogOverTCP(t *testing.T) {
 	t.Logf("shared TCP replicated log: %v (%d wire bytes)", ref, res.BytesSent)
 }
 
-// TestStatsOfModes: StatsOf distinguishes shared from owned states and is
-// zero for foreign ones.
+// TestStatsOfModes: StatsOf reads a log state's store and instance count,
+// and is zero for foreign states.
 func TestStatsOfModes(t *testing.T) {
 	if got := rsm.StatsOf(nonLogState{}); got != (rsm.StateStats{}) {
 		t.Errorf("StatsOf(foreign) = %+v, want zero", got)
 	}
-	owned := rsm.NewLog([][]int{{1}, {2}}, 2).InitState(0)
-	if got := rsm.StatsOf(owned); got.StoreVersion != 0 || got.LiveInstances != 1 {
-		t.Errorf("StatsOf(owned init) = %+v", got)
+	init := rsm.NewLog([][]int{{1}, {2}}, 2).InitState(0)
+	if got := rsm.StatsOf(init); got != (rsm.StateStats{LiveInstances: 1}) {
+		t.Errorf("StatsOf(init) = %+v, want one live instance over an empty store", got)
 	}
-	shared := rsm.NewSharedLog([][]int{{1}, {2}}, 2).InitState(0)
-	if got := rsm.StatsOf(shared); got.LiveInstances != 1 || got.HistEntries != 0 {
-		t.Errorf("StatsOf(shared init) = %+v", got)
+}
+
+// peakHist records the high-water StatsOf().HistEntries of any process.
+type peakHist struct {
+	model.Automaton
+	peak int
+}
+
+func (a *peakHist) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	ns, out := a.Automaton.Step(p, s, m, d)
+	a.peak = max(a.peak, rsm.StatsOf(ns).HistEntries)
+	return ns, out
+}
+
+// TestHistoryFootprintFlatInLogLength: with one process crashed the
+// retirement floor stalls and every later slot's instance is held for good,
+// but the histories live once per process, not once per instance — so the
+// most any process ever holds is the same on a 16-slot log as on a 4-slot
+// one (E17's shape, n=5). A per-instance copy held 20 vs 68 entries here.
+func TestHistoryFootprintFlatInLogLength(t *testing.T) {
+	const n = 5
+	pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{n - 1: 30})
+	cmds := make([][]int, n)
+	for p := range cmds {
+		cmds[p] = []int{100*p + 1}
+	}
+	peakAt := func(slots int) int {
+		meter := &peakHist{Automaton: rsm.NewLog(cmds, slots)}
+		res, err := sim.Run(sim.Exec{
+			Automaton: meter,
+			Pattern:   pattern,
+			History:   rsm.PairForLog(pattern, 80, 1),
+			Scheduler: sim.NewFairScheduler(1, 0.8, 3),
+			MaxSteps:  200000,
+			StopWhen:  rsm.AllAppended(pattern, slots),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Stopped {
+			t.Fatalf("%d-slot log never filled", slots)
+		}
+		if live := rsm.StatsOf(res.Config.States[0]).LiveInstances; live < slots-1 {
+			t.Fatalf("%d-slot log holds %d live instances: the crash did not stall retirement", slots, live)
+		}
+		return meter.peak
+	}
+	short, long := peakAt(4), peakAt(16)
+	if short == 0 || long != short {
+		t.Errorf("peak history entries: %d at 4 slots, %d at 16; want equal and nonzero", short, long)
 	}
 }
 
@@ -204,7 +252,7 @@ func TestSharedLogLaggardCatchesUp(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, nil)
 	reg := obs.NewRegistry()
 	sampler := rsm.SamplerForLog(pattern, 80, 6)
-	aut := rsm.NewSharedLog(cmds, slots).WithMetrics(reg).WithSampler(sampler)
+	aut := rsm.NewLog(cmds, slots).WithMetrics(reg).WithSampler(sampler)
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,

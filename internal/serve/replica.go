@@ -73,7 +73,7 @@ func NewCluster(cfg Config) *Cluster {
 			c.appliers[p].PutBody(b.ID, b.Cmds)
 		}
 	}
-	c.log = rsm.NewSharedLog(cmds, cfg.Slots).
+	c.log = rsm.NewLog(cmds, cfg.Slots).
 		WithEntrySink(sinkDispatch{appliers: c.appliers}).WithPipeline(cfg.Pipeline)
 	correct := cfg.Correct
 	if correct.IsEmpty() {

@@ -210,8 +210,9 @@ func HeartbeatSuspector(n, every, timeout int) Automaton {
 }
 
 // ReplicatedLog returns the replicated-log automaton of internal/rsm: one
-// A_nuc instance per log slot, command forwarding, and progress-based
-// instance retirement. Drive it like A_nuc, with (Ω, Σν+) pair histories
+// A_nuc instance per log slot, command forwarding, progress-based instance
+// retirement, and one quorum-history store per process whose additions
+// travel as deltas on LEAD/PROP. Drive it like A_nuc, with (Ω, Σν+) pair histories
 // (PairForANuc); the execution "decides" when every correct replica's log
 // holds slots entries.
 func ReplicatedLog(commands [][]int, slots int) Automaton {
