@@ -239,6 +239,11 @@ type nodeStatus struct {
 	ReplyCache int   `json:"reply_cache"`
 	IngressLen int   `json:"ingress_len"`
 	BatchOpen  int   `json:"batch_open"`
+	// Aware is the last slot instance this node opened and why it was or
+	// was not seeded with an already-acknowledged quorum (internal/rsm
+	// aware.go): "unseeded, quorum {…} not yet acknowledged by {p2}" is a
+	// slot that pays its own SAW/ACK round trip, three rounds instead of one.
+	Aware string `json:"aware"`
 }
 
 // statusReport is the /statusz body.
@@ -284,6 +289,7 @@ func serveDebug(ln net.Listener, cl *serve.Cluster, reg *obs.Registry, n, pipeli
 				Stalled: st.Stalled, Sessions: st.Sessions, ReplyCache: st.ReplyCache,
 				IngressLen: cl.Ingress(model.ProcessID(p)).Len(),
 				BatchOpen:  batchers[p].open(),
+				Aware:      cl.Log().AwareStatus(model.ProcessID(p)),
 			})
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -115,6 +115,8 @@ type anucState struct {
 
 	decided  bool
 	decision int
+	decidedQ model.ProcessSet // Q_p of the deciding line-30 test
+	decidedK int              // k_p of the deciding line-30 test
 }
 
 // CloneState implements model.State.
@@ -165,6 +167,14 @@ func (s *anucState) Proposal() int { return s.proposal }
 
 // Round exposes the current round for instrumentation.
 func (s *anucState) Round() int { return s.k }
+
+// DecidedWith exposes, for instrumentation, the quorum Q_p and round k_p of
+// the line-30 test that decided: the PROPs consumed are (PROP, k_p) from
+// every member of Q_p, and Lemma 6.24 says each member held (p, Q_p) in its
+// history when it sent its one.
+func (s *anucState) DecidedWith() (model.ProcessSet, int, bool) {
+	return s.decidedQ, s.decidedK, s.decided
+}
 
 // InitState implements model.Automaton: p proposes its entry of the
 // constructor's vector and owns its histories (Fig. 4's shape).
@@ -335,6 +345,7 @@ func (s *anucState) advance(a *ANuc, d model.FDValue) []model.Send {
 			if (a.ablation.NoSeenGate || (ok && seen < s.k)) && !s.decided {
 				s.decided = true
 				s.decision = s.x
+				s.decidedQ, s.decidedK = q, s.k
 			}
 		}
 		// Lines 31–33: announce the first use of Q_p for collecting
@@ -434,6 +445,13 @@ func (s *anucState) ConsideredFaulty() model.ProcessSet {
 
 // BindStore implements StoreBound.
 func (s *anucState) BindStore(store HistoryStore) { s.store = store }
+
+// SeedAcknowledged implements AwarenessSeeded: the state behaves as if it
+// had sent (SAW, p, q) and every member had acknowledged before round 1.
+func (s *anucState) SeedAcknowledged(q model.ProcessSet) {
+	s.sent[q] = true
+	s.seen[q] = 0
+}
 
 // FaultView is implemented by states exposing their considered-faulty set.
 type FaultView interface {

@@ -41,6 +41,18 @@ type StoreBound interface {
 	BindStore(HistoryStore)
 }
 
+// AwarenessSeeded is implemented by states that a multi-instance host can
+// hand, before their first step, a quorum q every member of which is known
+// to have recorded (p, q) in its own history before the host let it create
+// its instance of this consensus (internal/rsm's awareness record). The
+// state then starts with sent_p[q] = true and seen_p[q] = 0 — "acknowledged
+// before round 1" — and Fig. 4 runs unchanged: line 30 still tests
+// seen_p[Q_p] < k_p, and a quorum that was not seeded still takes lines
+// 31–42.
+type AwarenessSeeded interface {
+	SeedAcknowledged(q model.ProcessSet)
+}
+
 // ownedHistories is the default HistoryStore: a private quorum.Histories,
 // cloned on CloneStore and on every Outgoing snapshot — exactly the
 // pre-HistoryStore semantics and bytes.

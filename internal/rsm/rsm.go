@@ -39,6 +39,12 @@
 // what the destination was last sent instead of inline copies (shared.go).
 // That is the only history plumbing the log has; A_nuc's own per-state
 // histories and inline Hist are for the standalone automaton.
+//
+// What Fig. 4's SAW/ACK handshake establishes — every member of a quorum Q
+// holds (p, Q) in its history — is likewise a fact about the per-process
+// store, not about one instance, so it is recorded once per process too:
+// a slot instance opened after every member of Q acknowledged starts with Q
+// already seen and can decide in round 1 (aware.go).
 package rsm
 
 import (
@@ -222,6 +228,11 @@ type logState struct {
 	store      *sharedStore
 	sentVer    []uint64 // per destination: store version last shipped there
 	appliedVer []uint64 // per sender: that sender's version applied through
+
+	// The awareness record beside the store (see aware.go): for every quorum
+	// Q this process has announced with SAW, per member the smallest stamp
+	// among its ACKs (unacked if none). Nil until the first ACK arrives.
+	aware map[model.ProcessSet][]int
 }
 
 // windowSlot is the log's bookkeeping for one in-flight slot. It sits
@@ -282,6 +293,12 @@ func (s *logState) CloneState() model.State {
 		c.heard = make(map[int][]int, len(s.heard))
 		for k, v := range s.heard {
 			c.heard[k] = append([]int(nil), v...)
+		}
+	}
+	if s.aware != nil {
+		c.aware = make(map[model.ProcessSet][]int, len(s.aware))
+		for k, v := range s.aware {
+			c.aware[k] = append([]int(nil), v...)
 		}
 	}
 	c.instances = make(map[int]model.State, len(s.instances))
@@ -346,9 +363,11 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 				st.sleepPassed(a)
 			}
 		case SlotPayload:
-			// Apply any piggybacked history delta to the shared store even
-			// when the slot has retired: the delta chain from this sender
-			// must stay unbroken for later slots.
+			// Apply any piggybacked history delta to the shared store, and
+			// record an ACK's stamp, even when the slot has retired: the
+			// delta chain from this sender must stay unbroken for later
+			// slots, and an acknowledgement is a fact about the sender's
+			// store, not about the instance that asked for it.
 			payload := st.applyIncoming(m.From, pl.Inner, a.metrics)
 			_, live := st.instances[pl.Slot]
 			switch {
@@ -537,8 +556,9 @@ func (s *logState) openWindow(a *Log, d model.FDValue) []model.Send {
 		}
 		v := s.nextFreeProposal()
 		s.win[i] = windowSlot{state: slotOpen, v: v}
-		s.instances[slot] = a.inner.InitStateProposing(s.p, v, s.store)
-		a.metrics.opened()
+		inst := a.inner.InitStateProposing(s.p, v, s.store)
+		s.instances[slot] = inst
+		a.metrics.opened(s.p, s.seedAwareness(slot, inst))
 		n, sends := s.replayParked(a, slot, d)
 		a.metrics.replayed(n)
 		out = append(out, sends...)
@@ -753,17 +773,23 @@ func (s *logState) learnCommand(c int) {
 	s.known = append(s.known, c)
 }
 
-// forgetCommand drops an appended command from the pending and known pools.
+// forgetCommand drops a decided command from the pending and known pools,
+// wherever it sits: with a window above 1 slots decide out of order, so the
+// value is not always at the head of pending.
 func (s *logState) forgetCommand(v int) {
-	if len(s.pending) > 0 && s.pending[0] == v {
-		s.pending = s.pending[1:]
-	}
-	for i, c := range s.known {
+	s.pending = without(s.pending, v)
+	s.known = without(s.known, v)
+}
+
+// without returns cmds less its first occurrence of v, never writing to
+// cmds' backing array.
+func without(cmds []int, v int) []int {
+	for i, c := range cmds {
 		if c == v {
-			s.known = append(s.known[:i:i], s.known[i+1:]...)
-			break
+			return append(cmds[:i:i], cmds[i+1:]...)
 		}
 	}
+	return cmds
 }
 
 // retire discards instances below everyone's known progress: every process

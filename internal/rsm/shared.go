@@ -23,6 +23,7 @@ package rsm
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
@@ -50,8 +51,26 @@ func (a *Log) WithMetrics(reg *obs.Registry) *Log {
 		quietRetires:  reg.Counter("rsm.quiet_retired"),
 		instOpened:    reg.Counter("rsm.instances_opened"),
 		instRetired:   reg.Counter("rsm.instances_retired"),
+		awareSeeded:   reg.Counter("rsm.aware.seeded"),
+		awareUnseeded: reg.Counter("rsm.aware.unseeded"),
+		awareRecords:  reg.Counter("rsm.aware.records"),
+		awareLast:     make([]atomic.Pointer[awareOpen], a.n),
 	}
 	return a
+}
+
+// AwareStatus describes the last slot instance process p opened and why it
+// was or was not seeded with an acknowledged quorum (aware.go) — the answer
+// to "why is this slot taking three rounds". It is empty on an unmetered
+// log or before p's first open, and safe to call while the log runs.
+func (a *Log) AwareStatus(p model.ProcessID) string {
+	if a.metrics == nil {
+		return ""
+	}
+	if open := a.metrics.awareLast[p].Load(); open != nil {
+		return open.String()
+	}
+	return ""
 }
 
 // WithSampler attaches the shared failure-detector sampler whose samples
@@ -96,6 +115,16 @@ type logMetrics struct {
 	// difference is the live-instance population a stalled floor grows.
 	instOpened  *obs.Counter
 	instRetired *obs.Counter
+	// Quorum awareness (aware.go): instances opened with / without a seeded
+	// quorum — the latter pay their own SAW → ACK round trip before line 30
+	// can pass — and awareness records created (distinct quorums some
+	// process has had acknowledged).
+	awareSeeded   *obs.Counter
+	awareUnseeded *obs.Counter
+	awareRecords  *obs.Counter
+	// awareLast[p] is the last instance process p opened, for AwareStatus;
+	// atomics because a telemetry handler reads while p's goroutine steps.
+	awareLast []atomic.Pointer[awareOpen]
 }
 
 func (m *logMetrics) hit() {
@@ -148,9 +177,22 @@ func (m *logMetrics) quietWake(n int) {
 	}
 }
 
-func (m *logMetrics) opened() {
+// opened counts one instance created by p, as the awareness gate saw it.
+func (m *logMetrics) opened(p model.ProcessID, open awareOpen) {
 	if m != nil {
 		m.instOpened.Add(1)
+		if open.seeded > 0 {
+			m.awareSeeded.Add(1)
+		} else {
+			m.awareUnseeded.Add(1)
+		}
+		m.awareLast[p].Store(&open)
+	}
+}
+
+func (m *logMetrics) awareRecord() {
+	if m != nil {
+		m.awareRecords.Add(1)
 	}
 }
 
@@ -229,7 +271,9 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // delta-encoded payloads, in place: LEAD/PROP (whose Hist is nil — see
 // Outgoing) become LeadDeltaPayload/ProposalDeltaPayload carrying
 // everything this process's store gained since the version last shipped to
-// that destination; REP/SAW/ACK are only slot-tagged. Per-link FIFO
+// that destination; ACK gains its awareness stamp (aware.go) — this runs
+// straight after the inner step that handled the SAW, so the window is the
+// one the handler ran under; REP/SAW are only slot-tagged. Per-link FIFO
 // delivery makes the per-destination chain airtight; sends within one step
 // to the same destination chain through sentVer just like sends in
 // different steps. Overwriting is legal because A_nuc builds a fresh send
@@ -242,6 +286,8 @@ func (s *logState) wrapShared(slot int, sends []model.Send) []model.Send {
 			pl = consensus.LeadDeltaPayload{K: p.K, V: p.V, Delta: s.deltaFor(snd.To)}
 		case consensus.ProposalPayload:
 			pl = consensus.ProposalDeltaPayload{K: p.K, V: p.V, HasV: p.HasV, Delta: s.deltaFor(snd.To)}
+		case consensus.AckPayload:
+			pl = AckStampPayload{Q: p.Q, K: p.K, Stamp: s.slot + len(s.win) - 1}
 		}
 		sends[i].Payload = SlotPayload{Slot: slot, Inner: pl}
 	}
@@ -255,9 +301,9 @@ func (s *logState) deltaFor(to model.ProcessID) quorum.Delta {
 }
 
 // applyIncoming runs on every slot-wrapped payload a process receives:
-// delta payloads are applied to the store and replaced by their
-// history-free plain forms before the inner instance sees them. The
-// payloads that carry no histories (REP, SAW, ACK) pass through untouched.
+// delta payloads are applied to the store, a stamped ACK is entered in the
+// awareness record, and both are replaced by their plain forms before the
+// inner instance sees them. REP and SAW pass through untouched.
 func (s *logState) applyIncoming(from model.ProcessID, inner model.Payload, m *logMetrics) model.Payload {
 	switch p := inner.(type) {
 	case consensus.LeadDeltaPayload:
@@ -265,6 +311,9 @@ func (s *logState) applyIncoming(from model.ProcessID, inner model.Payload, m *l
 		return p.Plain()
 	case consensus.ProposalDeltaPayload:
 		s.applyDelta(from, p.Delta, m)
+		return p.Plain()
+	case AckStampPayload:
+		s.recordAck(from, p, m)
 		return p.Plain()
 	}
 	return inner

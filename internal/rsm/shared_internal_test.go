@@ -162,3 +162,31 @@ func TestSharedCloneIsolation(t *testing.T) {
 		t.Fatalf("mutating the clone's quiet bookkeeping reached the original: awake=%v heard[0]=%v", orig.awake, orig.heard[0])
 	}
 }
+
+// TestCloneCopiesAwarenessRecord: fork, then diverge. The awareness record
+// is written in place by every stamped ACK, so a fork must own its rows: an
+// acknowledgement that reaches only one side must seed only that side.
+func TestCloneCopiesAwarenessRecord(t *testing.T) {
+	aut := NewLog([][]int{{}, {}, {}}, 16)
+	q := model.SetOf(0, 1)
+	orig := aut.InitState(0).(*logState)
+	orig.recordAck(0, AckStampPayload{Q: q, K: 1, Stamp: 2}, nil)
+
+	fork := orig.CloneState().(*logState)
+	fork.recordAck(1, AckStampPayload{Q: q, K: 1, Stamp: 2}, nil)
+	fork.recordAck(0, AckStampPayload{Q: model.SetOf(0, 2), K: 1, Stamp: 2}, nil)
+
+	if got := orig.aware[q]; got[1] != unacked || len(orig.aware) != 1 {
+		t.Fatalf("the fork's ACKs reached the original's record: %v", orig.aware)
+	}
+	if acknowledgedBefore(3, q, orig.aware[q]) || !acknowledgedBefore(3, q, fork.aware[q]) {
+		t.Fatalf("slot 3 must be seeded with %s at the fork only: orig %v, fork %v", q, orig.aware[q], fork.aware[q])
+	}
+	if open := fork.seedAwareness(3, aut.inner.InitStateProposing(0, NoOp, fork.store)); open.seeded != 1 {
+		t.Errorf("fork's slot 3: %s, want one seeded quorum", open)
+	}
+	open := orig.seedAwareness(3, aut.inner.InitStateProposing(0, NoOp, orig.store))
+	if want := "slot 3: unseeded, quorum {p0,p1} not yet acknowledged by {p1}"; open.String() != want {
+		t.Errorf("original's slot 3: %q, want %q", open, want)
+	}
+}

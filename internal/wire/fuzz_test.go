@@ -5,6 +5,7 @@ import (
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/serve"
 	"nuconsensus/internal/wire"
 )
@@ -21,6 +22,8 @@ func FuzzDecodePayload(f *testing.F) {
 		consensus.AckPayload{Q: model.SetOf(1), K: 8},
 		consensus.LeadDeltaPayload{K: 3, V: -7, Delta: sampleDelta()},
 		consensus.ProposalDeltaPayload{K: 5, HasV: true, V: 2, Delta: sampleDelta()},
+		rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: model.SetOf(0, 1, 3), K: 2, Stamp: 10}},
+		rsm.AckStampPayload{Q: model.SetOf(2), K: 1, Stamp: 0},
 		serve.BatchPayload{ID: serve.BatchID(1, 0), Cmds: []serve.Command{
 			{Client: 1, Seq: 1, Op: serve.OpPut, Key: 9, Val: -42},
 			{Client: 2, Seq: 7, Op: serve.OpQPush, Key: 3, Val: 5},

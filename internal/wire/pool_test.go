@@ -11,6 +11,7 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/wire"
 )
 
@@ -144,6 +145,7 @@ func TestEncodeSteadyStateAllocFree(t *testing.T) {
 	payloads := []model.Payload{
 		hb.HeartbeatPayload{},
 		consensus.ReportPayload{K: 3, V: 1},
+		rsm.SlotPayload{Slot: 40, Inner: rsm.AckStampPayload{Q: model.SetOf(0, 1, 2), K: 1, Stamp: 41}},
 		mustGraph(t),
 	}
 	for _, pl := range payloads {

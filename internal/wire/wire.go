@@ -51,6 +51,7 @@ const (
 	tagBatch
 	tagServeRequest
 	tagServeReply
+	tagAckStamp
 )
 
 // Failure-detector value tags.
@@ -214,6 +215,11 @@ func encodePayload(w *buf, pl model.Payload) error {
 			w.putByte(0)
 		}
 		encodeDelta(w, p.Delta)
+	case rsm.AckStampPayload:
+		w.putByte(tagAckStamp)
+		w.putUvarint(uint64(p.Q))
+		w.putInt(p.K)
+		w.putInt(p.Stamp)
 	case serve.BatchPayload:
 		w.putByte(tagBatch)
 		w.putInt(p.ID)
@@ -463,6 +469,20 @@ func decodePayload(r *buf) (model.Payload, error) {
 			return nil, err
 		}
 		return consensus.ProposalDeltaPayload{K: k, V: v, HasV: hasV == 1, Delta: d}, nil
+	case tagAckStamp:
+		q, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		k, err := r.int()
+		if err != nil {
+			return nil, err
+		}
+		stamp, err := r.int()
+		if err != nil {
+			return nil, err
+		}
+		return rsm.AckStampPayload{Q: model.ProcessSet(q), K: k, Stamp: stamp}, nil
 	case tagBatch:
 		id, err := r.int()
 		if err != nil {
@@ -883,6 +903,10 @@ var payloadPrototypes = map[byte]model.Payload{
 	tagBatch:        serve.BatchPayload{},
 	tagServeRequest: serve.RequestPayload{},
 	tagServeReply:   serve.ReplyPayload{},
+	// The log's slot-wrapped ACK (its awareness stamp rides behind K). Like
+	// the delta payloads it must never supersede: the receiver keeps the
+	// smallest stamp per member, so every one has to arrive.
+	tagAckStamp: rsm.AckStampPayload{},
 }
 
 // MessageHead is the envelope of an encoded message: everything a

@@ -202,6 +202,52 @@ func TestDeltaPayloadsNeverSupersede(t *testing.T) {
 	}
 }
 
+// TestStampedSlotAck: the log's slot-wrapped ACK carries its awareness
+// stamp behind K. A frame cut anywhere inside it — the stamp included — is
+// rejected, the plain ACK's bytes are what they always were (standalone
+// A_nuc never ships a stamp), and the envelope peek reports the kind
+// without superseding: the receiver keeps the smallest stamp per member,
+// so no stamped ACK may be collapsed away.
+func TestStampedSlotAck(t *testing.T) {
+	ack := rsm.AckStampPayload{Q: model.SetOf(0, 2), K: 3, Stamp: 300}
+	pl := rsm.SlotPayload{Slot: 299, Inner: ack}
+	b, err := wire.EncodePayload(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(b); cut++ {
+		if got, err := wire.DecodePayload(b[:cut]); err == nil {
+			t.Errorf("frame truncated to %d of %d bytes decoded as %#v", cut, len(b), got)
+		}
+	}
+	if _, err := wire.DecodePayload(append(append([]byte{}, b...), 0)); err == nil {
+		t.Error("trailing byte after the stamp must be rejected")
+	}
+
+	plain, err := wire.EncodePayload(consensus.AckPayload{Q: ack.Q, K: ack.K})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{5, 5, 6}; !bytes.Equal(plain, want) {
+		t.Errorf("plain ACK encodes as %v, want %v: the stamp must not leak into standalone A_nuc's frame", plain, want)
+	}
+
+	if _, ok := model.Payload(ack).(model.SupersededPayload); ok {
+		t.Fatal("AckStampPayload must not implement SupersededPayload")
+	}
+	frame, err := wire.EncodeMessage(&model.Message{From: 2, To: 0, Seq: 11, Payload: pl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := wire.PeekMessage(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (wire.MessageHead{From: 2, To: 0, Seq: 11, Kind: "SACK"}); h != want {
+		t.Errorf("peek = %+v, want %+v", h, want)
+	}
+}
+
 type alienPayload struct{}
 
 func (alienPayload) Kind() string   { return "ALIEN" }
@@ -221,6 +267,8 @@ func TestRoundTripRSMPayloads(t *testing.T) {
 		rsm.CommandPayload{Cmd: 42},
 		rsm.SlotPayload{Slot: 5, Inner: consensus.LeadDeltaPayload{K: 2, V: -1, Delta: sampleDelta()}},
 		rsm.SlotPayload{Slot: 6, Inner: consensus.ProposalDeltaPayload{K: 4, V: 0, HasV: true, Delta: sampleDelta()}},
+		rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: model.SetOf(0, 1, 3), K: 2, Stamp: 10}},
+		rsm.SlotPayload{Slot: 300, Inner: rsm.AckStampPayload{Q: model.SetOf(63), K: 1, Stamp: 1 << 20}},
 	}
 	for _, pl := range payloads {
 		b, err := wire.EncodePayload(pl)
