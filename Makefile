@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench-module race bench bench-hot bench-report bench-check experiments experiments-full substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-flow lint-static ci clean
+.PHONY: all build test test-short bench-module race bench bench-hot bench-report bench-check experiments experiments-full tables-check substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-flow lint-static ci clean
 
 # Smoke-test artifacts (metrics dumps, span streams, Chrome traces) land
 # here; CI uploads the directory, .gitignore keeps it out of the tree.
@@ -68,6 +68,17 @@ experiments:
 
 experiments-full:
 	$(GO) run ./cmd/experiments -full -parallel 0 -json EXPERIMENTS.tables.json -o EXPERIMENTS.tables.md
+
+# tables-check regenerates the quick-scale tables and diffs them against
+# the pinned copy: "every table byte-identical" is a gate, not a hand
+# check. The run itself fails on any claim failure. A PR that means to move
+# a table regenerates the pin with
+#   go run ./cmd/experiments -parallel 4 -o testdata/tables.quick.md
+tables-check:
+	mkdir -p $(ARTIFACTS)
+	$(GO) run ./cmd/experiments -parallel 4 -json $(ARTIFACTS)/experiments.json -o $(ARTIFACTS)/tables.quick.md > /dev/null
+	diff testdata/tables.quick.md $(ARTIFACTS)/tables.quick.md
+	@echo "tables: quick-scale output byte-identical to testdata/tables.quick.md"
 
 # substrate-smoke runs a small portable slice on the concurrent goroutine
 # substrate under the race detector — the CI cross-substrate check.
@@ -234,13 +245,14 @@ lint-static: vet lint
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # ci mirrors .github/workflows/ci.yml: static checks, build, tests, race
-# detector, and a parallel experiments run that fails on any claim failure.
+# detector, and a parallel experiments run that fails on any claim failure
+# or any byte of table drift.
 ci: lint-static
 	$(GO) build ./...
 	$(GO) test ./...
 	$(MAKE) bench-module
 	$(GO) test -race ./...
-	$(GO) run ./cmd/experiments -parallel 4 -json experiments.json
+	$(MAKE) tables-check
 	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2 -substrate async
 	$(MAKE) explore-smoke
 	$(MAKE) obs-smoke

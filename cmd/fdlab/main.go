@@ -19,7 +19,6 @@ import (
 	"nuconsensus"
 	"nuconsensus/internal/check"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/trace"
 )
 
 func main() {
@@ -53,21 +52,21 @@ func main() {
 	stab := nuconsensus.Time(*stabilize)
 	var (
 		history nuconsensus.History
-		verify  func([]trace.Sample) error
+		verify  func([]check.Sample) error
 	)
 	switch *det {
 	case "omega":
 		history = nuconsensus.Omega(pattern, stab, *seed)
-		verify = func(s []trace.Sample) error { return check.OmegaOutputs(s, pattern, stab) }
+		verify = func(s []check.Sample) error { return check.OmegaOutputs(s, pattern, stab) }
 	case "sigma":
 		history = nuconsensus.Sigma(pattern, stab, *seed)
-		verify = func(s []trace.Sample) error { return check.Sigma(s, pattern, stab) }
+		verify = func(s []check.Sample) error { return check.Sigma(s, pattern, stab) }
 	case "sigmanu":
 		history = nuconsensus.SigmaNu(pattern, stab, *seed)
-		verify = func(s []trace.Sample) error { return check.SigmaNu(s, pattern, stab) }
+		verify = func(s []check.Sample) error { return check.SigmaNu(s, pattern, stab) }
 	case "sigmanuplus":
 		history = nuconsensus.SigmaNuPlus(pattern, stab, *seed)
-		verify = func(s []trace.Sample) error { return check.SigmaNuPlus(s, pattern, stab) }
+		verify = func(s []check.Sample) error { return check.SigmaNuPlus(s, pattern, stab) }
 	default:
 		log.Fatalf("unknown detector %q", *det)
 	}
@@ -79,7 +78,7 @@ func main() {
 	}
 	fmt.Println()
 
-	var samples []trace.Sample
+	var samples []check.Sample
 	for t := nuconsensus.Time(0); t <= nuconsensus.Time(*until); t++ {
 		row := t%nuconsensus.Time(*every) == 0 || t == stab
 		if row {
@@ -94,7 +93,7 @@ func main() {
 				continue
 			}
 			v := history.Output(pid, t)
-			samples = append(samples, trace.Sample{P: pid, T: t, Val: v})
+			samples = append(samples, check.Sample{P: pid, T: t, Val: v})
 			if row {
 				fmt.Printf("  %-16s", strip(v))
 			}

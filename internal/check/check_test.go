@@ -1,13 +1,14 @@
 package check_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"nuconsensus/internal/check"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/trace"
+	"nuconsensus/internal/obs"
 )
 
 func qs(entries ...check.QuorumSample) []check.QuorumSample { return entries }
@@ -126,7 +127,7 @@ func TestOmegaChecker(t *testing.T) {
 }
 
 func TestProjectionErrors(t *testing.T) {
-	samples := []trace.Sample{{P: 0, T: 1, Val: fd.NullValue{}}}
+	samples := []check.Sample{{P: 0, T: 1, Val: fd.NullValue{}}}
 	if _, err := check.QuorumSamples(samples); err == nil {
 		t.Error("non-quorum sample must error")
 	}
@@ -137,7 +138,7 @@ func TestProjectionErrors(t *testing.T) {
 
 func TestLastCompletenessViolation(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, map[model.ProcessID]model.Time{2: 5})
-	samples := []trace.Sample{
+	samples := []check.Sample{
 		{P: 0, T: 3, Val: fd.QuorumValue{Quorum: model.SetOf(0, 2)}}, // violation at 3
 		{P: 0, T: 9, Val: fd.QuorumValue{Quorum: model.SetOf(0, 1)}}, // clean
 		{P: 1, T: 7, Val: fd.QuorumValue{Quorum: model.SetOf(1, 2)}}, // violation at 7
@@ -206,7 +207,7 @@ func TestConsensusOutcomeCheckers(t *testing.T) {
 func TestAggregateSpecCheckers(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, map[model.ProcessID]model.Time{2: 5})
 	correctOnly := model.SetOf(0, 1)
-	good := []trace.Sample{
+	good := []check.Sample{
 		{P: 0, T: 20, Val: fd.QuorumValue{Quorum: correctOnly}},
 		{P: 1, T: 21, Val: fd.QuorumValue{Quorum: correctOnly}},
 	}
@@ -220,7 +221,7 @@ func TestAggregateSpecCheckers(t *testing.T) {
 		t.Errorf("SigmaNuPlus rejected: %v", err)
 	}
 	// Add a junk quorum at the faulty process: Σ breaks, Σν/Σν+ survive.
-	junk := append(good, trace.Sample{P: 2, T: 2, Val: fd.QuorumValue{Quorum: model.SetOf(2)}})
+	junk := append(good, check.Sample{P: 2, T: 2, Val: fd.QuorumValue{Quorum: model.SetOf(2)}})
 	if err := check.Sigma(junk, pattern, 10); err == nil {
 		t.Error("Sigma must reject disjoint faulty quorums")
 	}
@@ -231,7 +232,7 @@ func TestAggregateSpecCheckers(t *testing.T) {
 		t.Errorf("SigmaNuPlus rejected all-faulty junk: %v", err)
 	}
 	// A quorum missing its owner breaks only Σν+.
-	noSelf := append(good, trace.Sample{P: 0, T: 22, Val: fd.QuorumValue{Quorum: model.SetOf(1)}})
+	noSelf := append(good, check.Sample{P: 0, T: 22, Val: fd.QuorumValue{Quorum: model.SetOf(1)}})
 	if err := check.SigmaNu(noSelf, pattern, 10); err != nil {
 		t.Errorf("SigmaNu rejected owner-free quorum: %v", err)
 	}
@@ -239,8 +240,8 @@ func TestAggregateSpecCheckers(t *testing.T) {
 		t.Error("SigmaNuPlus must require self-inclusion")
 	}
 	// Non-quorum samples are an error in every aggregate.
-	bad := []trace.Sample{{P: 0, T: 1, Val: fd.NullValue{}}}
-	for name, f := range map[string]func([]trace.Sample, *model.FailurePattern, model.Time) error{
+	bad := []check.Sample{{P: 0, T: 1, Val: fd.NullValue{}}}
+	for name, f := range map[string]func([]check.Sample, *model.FailurePattern, model.Time) error{
 		"Sigma": check.Sigma, "SigmaNu": check.SigmaNu, "SigmaNuPlus": check.SigmaNuPlus,
 	} {
 		if err := f(bad, pattern, 0); err == nil {
@@ -251,21 +252,21 @@ func TestAggregateSpecCheckers(t *testing.T) {
 
 func TestOmegaOutputs(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, map[model.ProcessID]model.Time{2: 5})
-	good := []trace.Sample{
+	good := []check.Sample{
 		{P: 0, T: 20, Val: fd.LeaderValue{Leader: 0}},
 		{P: 1, T: 21, Val: fd.LeaderValue{Leader: 0}},
 	}
 	if err := check.OmegaOutputs(good, pattern, 10); err != nil {
 		t.Errorf("rejected: %v", err)
 	}
-	if err := check.OmegaOutputs([]trace.Sample{{P: 0, T: 1, Val: fd.NullValue{}}}, pattern, 0); err == nil {
+	if err := check.OmegaOutputs([]check.Sample{{P: 0, T: 1, Val: fd.NullValue{}}}, pattern, 0); err == nil {
 		t.Error("non-leader samples must error")
 	}
 }
 
 func TestStabilizationTime(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, map[model.ProcessID]model.Time{2: 5})
-	samples := []trace.Sample{
+	samples := []check.Sample{
 		{P: 0, T: 1, Val: fd.LeaderValue{Leader: 1}},
 		{P: 0, T: 5, Val: fd.LeaderValue{Leader: 0}},  // change at 5
 		{P: 0, T: 9, Val: fd.LeaderValue{Leader: 0}},  // no change
@@ -283,7 +284,7 @@ func TestStabilizationTime(t *testing.T) {
 func TestEventuallyPerfect(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, map[model.ProcessID]model.Time{2: 5})
 	faulty := model.SetOf(2)
-	good := []trace.Sample{
+	good := []check.Sample{
 		{P: 0, T: 2, Val: fd.SuspectsValue{Suspects: model.SetOf(1)}}, // noise before horizon
 		{P: 0, T: 20, Val: fd.SuspectsValue{Suspects: faulty}},
 		{P: 1, T: 21, Val: fd.SuspectsValue{Suspects: faulty}},
@@ -292,19 +293,19 @@ func TestEventuallyPerfect(t *testing.T) {
 		t.Errorf("rejected: %v", err)
 	}
 	t.Run("misses faulty", func(t *testing.T) {
-		bad := append(good, trace.Sample{P: 0, T: 30, Val: fd.SuspectsValue{Suspects: 0}})
+		bad := append(good, check.Sample{P: 0, T: 30, Val: fd.SuspectsValue{Suspects: 0}})
 		if err := check.EventuallyPerfect(bad, pattern, 10); err == nil {
 			t.Error("accepted")
 		}
 	})
 	t.Run("suspects correct", func(t *testing.T) {
-		bad := append(good, trace.Sample{P: 0, T: 30, Val: fd.SuspectsValue{Suspects: model.SetOf(1, 2)}})
+		bad := append(good, check.Sample{P: 0, T: 30, Val: fd.SuspectsValue{Suspects: model.SetOf(1, 2)}})
 		if err := check.EventuallyPerfect(bad, pattern, 10); err == nil {
 			t.Error("accepted")
 		}
 	})
 	t.Run("wrong value type", func(t *testing.T) {
-		bad := []trace.Sample{{P: 0, T: 20, Val: fd.NullValue{}}}
+		bad := []check.Sample{{P: 0, T: 20, Val: fd.NullValue{}}}
 		if err := check.EventuallyPerfect(bad, pattern, 10); err == nil {
 			t.Error("accepted")
 		}
@@ -349,4 +350,79 @@ func (testConsensusAut) InitState(p model.ProcessID) model.State {
 }
 func (testConsensusAut) Step(_ model.ProcessID, s model.State, _ *model.Message, _ model.FDValue) (model.State, []model.Send) {
 	return s, nil
+}
+
+// TestHistoryFillForward: History rebuilds the dense H′(p, t) of §2.9 from
+// output events — the value at t is the one p's latest event at or before
+// t carries.
+func TestHistoryFillForward(t *testing.T) {
+	out := func(p model.ProcessID, at model.Time, leader model.ProcessID) obs.Event {
+		return obs.Event{Kind: obs.KindFDOutput, P: p, T: at, FD: fd.LeaderValue{Leader: leader}}
+	}
+	smp := func(p model.ProcessID, at model.Time, leader model.ProcessID) check.Sample {
+		return check.Sample{P: p, T: at, Val: fd.LeaderValue{Leader: leader}}
+	}
+	for _, tc := range []struct {
+		name   string
+		events []obs.Event
+		end    model.Time
+		want   []check.Sample
+	}{
+		{
+			name:   "initial outputs hold from t=0 until a step changes them",
+			events: []obs.Event{out(0, 0, 0), out(1, 0, 1), out(1, 2, 0)},
+			end:    3,
+			want: []check.Sample{
+				smp(0, 0, 0), smp(1, 0, 1),
+				smp(0, 1, 0), smp(1, 1, 1),
+				smp(0, 2, 0), smp(1, 2, 0),
+				smp(0, 3, 0), smp(1, 3, 0),
+			},
+		},
+		{
+			name:   "a process whose output is nil until its first step has no sample before it",
+			events: []obs.Event{out(0, 0, 0), out(1, 2, 1)},
+			end:    2,
+			want:   []check.Sample{smp(0, 0, 0), smp(0, 1, 0), smp(0, 2, 0), smp(1, 2, 1)},
+		},
+		{
+			name:   "a crashed process holds its last value to the final tick",
+			events: []obs.Event{out(0, 0, 0), out(1, 0, 0), out(1, 1, 1), out(0, 2, 1), out(0, 4, 0)},
+			end:    4,
+			want: []check.Sample{
+				smp(0, 0, 0), smp(1, 0, 0),
+				smp(0, 1, 0), smp(1, 1, 1),
+				smp(0, 2, 1), smp(1, 2, 1),
+				smp(0, 3, 1), smp(1, 3, 1),
+				smp(0, 4, 0), smp(1, 4, 1),
+			},
+		},
+		{
+			// p0 took tick 2 and p1 tick 3, but p1 reached the bus first.
+			name:   "events of different processes may arrive out of tick order",
+			events: []obs.Event{out(0, 0, 0), out(1, 0, 0), out(1, 3, 1), out(0, 2, 1)},
+			end:    3,
+			want: []check.Sample{
+				smp(0, 0, 0), smp(1, 0, 0),
+				smp(0, 1, 0), smp(1, 1, 0),
+				smp(0, 2, 1), smp(1, 2, 0),
+				smp(0, 3, 1), smp(1, 3, 1),
+			},
+		},
+		{
+			name: "other kinds are ignored",
+			events: []obs.Event{
+				{Kind: obs.KindFDQuery, P: 0, T: 1, FD: fd.LeaderValue{Leader: 1}},
+				out(0, 1, 0),
+				{Kind: obs.KindStep, P: 0, T: 1},
+			},
+			end:  1,
+			want: []check.Sample{smp(0, 1, 0)},
+		},
+		{name: "no output events, no history", end: 5, want: []check.Sample{}},
+	} {
+		if got := check.History(tc.events, tc.end); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got %v\nwant %v", tc.name, got, tc.want)
+		}
+	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/trace"
 )
 
 // QuorumSample is a failure-detector sample projected to its quorum
@@ -28,7 +27,7 @@ type QuorumSample struct {
 // QuorumSamples projects samples to their quorum components. Samples with
 // no quorum component are reported as an error, since silently dropping
 // them would weaken the checks.
-func QuorumSamples(samples []trace.Sample) ([]QuorumSample, error) {
+func QuorumSamples(samples []Sample) ([]QuorumSample, error) {
 	out := make([]QuorumSample, 0, len(samples))
 	for _, s := range samples {
 		q, ok := fd.QuorumOf(s.Val)
@@ -48,7 +47,7 @@ type LeaderSample struct {
 }
 
 // LeaderSamples projects samples to their leader components.
-func LeaderSamples(samples []trace.Sample) ([]LeaderSample, error) {
+func LeaderSamples(samples []Sample) ([]LeaderSample, error) {
 	out := make([]LeaderSample, 0, len(samples))
 	for _, s := range samples {
 		l, ok := fd.LeaderOf(s.Val)
@@ -178,7 +177,7 @@ func ConditionalNonintersection(samples []QuorumSample, f *model.FailurePattern)
 }
 
 // Sigma checks the full Σ specification on a finite record.
-func Sigma(samples []trace.Sample, f *model.FailurePattern, horizon model.Time) error {
+func Sigma(samples []Sample, f *model.FailurePattern, horizon model.Time) error {
 	qs, err := QuorumSamples(samples)
 	if err != nil {
 		return err
@@ -190,7 +189,7 @@ func Sigma(samples []trace.Sample, f *model.FailurePattern, horizon model.Time) 
 }
 
 // SigmaNu checks the full Σν specification on a finite record.
-func SigmaNu(samples []trace.Sample, f *model.FailurePattern, horizon model.Time) error {
+func SigmaNu(samples []Sample, f *model.FailurePattern, horizon model.Time) error {
 	qs, err := QuorumSamples(samples)
 	if err != nil {
 		return err
@@ -202,7 +201,7 @@ func SigmaNu(samples []trace.Sample, f *model.FailurePattern, horizon model.Time
 }
 
 // SigmaNuPlus checks the full Σν+ specification on a finite record.
-func SigmaNuPlus(samples []trace.Sample, f *model.FailurePattern, horizon model.Time) error {
+func SigmaNuPlus(samples []Sample, f *model.FailurePattern, horizon model.Time) error {
 	qs, err := QuorumSamples(samples)
 	if err != nil {
 		return err
@@ -222,7 +221,7 @@ func SigmaNuPlus(samples []trace.Sample, f *model.FailurePattern, horizon model.
 // OmegaOutputs checks the Ω specification over recorded output samples,
 // projecting each value to its leader component (bare LeaderValues or the
 // first component of pairs).
-func OmegaOutputs(samples []trace.Sample, f *model.FailurePattern, horizon model.Time) error {
+func OmegaOutputs(samples []Sample, f *model.FailurePattern, horizon model.Time) error {
 	ls, err := LeaderSamples(samples)
 	if err != nil {
 		return err
@@ -239,7 +238,7 @@ func OmegaOutputs(samples []trace.Sample, f *model.FailurePattern, horizon model
 // statement is "violations cease, with a margin before the end of the
 // record". Callers must separately require the returned horizon to fall
 // well before the last sample.
-func LastCompletenessViolation(samples []trace.Sample, f *model.FailurePattern) (model.Time, error) {
+func LastCompletenessViolation(samples []Sample, f *model.FailurePattern) (model.Time, error) {
 	qs, err := QuorumSamples(samples)
 	if err != nil {
 		return 0, err
@@ -259,7 +258,7 @@ func LastCompletenessViolation(samples []trace.Sample, f *model.FailurePattern) 
 // place the horizon for eventual-property checks on emulated detectors,
 // whose stabilization time is not known a priori; pairing it with an upper
 // bound on how late stabilization may happen keeps the suffix nonempty.
-func StabilizationTime(samples []trace.Sample, f *model.FailurePattern) model.Time {
+func StabilizationTime(samples []Sample, f *model.FailurePattern) model.Time {
 	correct := f.Correct()
 	last := make(map[model.ProcessID]string)
 	var stab model.Time
@@ -284,7 +283,7 @@ func StabilizationTime(samples []trace.Sample, f *model.FailurePattern) model.Ti
 // exactly the faulty processes — strong completeness (every faulty process
 // is permanently suspected) plus eventual strong accuracy (no correct
 // process is suspected).
-func EventuallyPerfect(samples []trace.Sample, f *model.FailurePattern, horizon model.Time) error {
+func EventuallyPerfect(samples []Sample, f *model.FailurePattern, horizon model.Time) error {
 	correct := f.Correct()
 	faulty := f.Faulty()
 	sawSuffix := false

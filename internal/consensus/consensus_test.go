@@ -10,13 +10,11 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
 )
 
-// drive runs one consensus execution and returns the result plus recorder.
-func drive(t *testing.T, aut model.Automaton, pattern *model.FailurePattern, hist model.History, seed int64, maxSteps int) (*substrate.Result, *trace.Recorder) {
+// drive runs one consensus execution and returns the result.
+func drive(t *testing.T, aut model.Automaton, pattern *model.FailurePattern, hist model.History, seed int64, maxSteps int) *substrate.Result {
 	t.Helper()
-	rec := &trace.Recorder{}
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,
@@ -24,12 +22,11 @@ func drive(t *testing.T, aut model.Automaton, pattern *model.FailurePattern, his
 		Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 		MaxSteps:  maxSteps,
 		StopWhen:  substrate.AllCorrectDecided(pattern),
-		Recorder:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, rec
+	return res
 }
 
 func pairNuPlus(pattern *model.FailurePattern, stab model.Time, seed int64) model.History {
@@ -54,7 +51,7 @@ func TestANucAllFailureCounts(t *testing.T) {
 				for i := range props {
 					props[i] = i % 2
 				}
-				res, _ := drive(t, consensus.NewANuc(props), pattern, pairNuPlus(pattern, 90, seed), seed, 30000)
+				res := drive(t, consensus.NewANuc(props), pattern, pairNuPlus(pattern, 90, seed), seed, 30000)
 				if !res.Stopped {
 					t.Fatalf("n=%d f=%d seed=%d: no decision", n, f, seed)
 				}
@@ -70,7 +67,7 @@ func TestANucAllFailureCounts(t *testing.T) {
 // decidable value is v (a corollary of validity).
 func TestANucUnanimousProposal(t *testing.T) {
 	pattern := model.PatternFromCrashes(4, map[model.ProcessID]model.Time{0: 20})
-	res, _ := drive(t, consensus.NewANuc([]int{6, 6, 6, 6}), pattern, pairNuPlus(pattern, 60, 2), 2, 30000)
+	res := drive(t, consensus.NewANuc([]int{6, 6, 6, 6}), pattern, pairNuPlus(pattern, 60, 2), 2, 30000)
 	for p, v := range substrate.Decisions(res.Config) {
 		if v != 6 {
 			t.Errorf("%v decided %d, want 6", p, v)
@@ -83,7 +80,7 @@ func TestANucUnanimousProposal(t *testing.T) {
 func TestANucDeterministic(t *testing.T) {
 	run := func() (map[model.ProcessID]int, int) {
 		pattern := model.PatternFromCrashes(4, map[model.ProcessID]model.Time{3: 40})
-		res, _ := drive(t, consensus.NewANuc([]int{0, 1, 0, 1}), pattern, pairNuPlus(pattern, 60, 5), 5, 30000)
+		res := drive(t, consensus.NewANuc([]int{0, 1, 0, 1}), pattern, pairNuPlus(pattern, 60, 5), 5, 30000)
 		return substrate.Decisions(res.Config), res.Steps
 	}
 	d1, s1 := run()
@@ -101,14 +98,12 @@ func TestANucDecisionIrrevocable(t *testing.T) {
 	hist := pairNuPlus(pattern, 50, 3)
 
 	first := make(map[model.ProcessID]int)
-	rec := &trace.Recorder{}
 	_, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,
 		History:   hist,
 		Scheduler: sim.NewFairScheduler(3, 0.8, 3),
 		MaxSteps:  1500, // keep running long after everyone decided
-		Recorder:  rec,
 		StopWhen: func(c *model.Configuration, _ model.Time) bool {
 			for i, s := range c.States {
 				if v, ok := model.DecisionOf(s); ok {
@@ -162,7 +157,7 @@ func TestNewANucValidation(t *testing.T) {
 func TestMRMajorityUniform(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		pattern := model.PatternFromCrashes(5, map[model.ProcessID]model.Time{1: 15, 3: 25})
-		res, _ := drive(t, consensus.NewMRMajority([]int{2, 2, 8, 8, 8}), pattern, fd.NewOmega(pattern, 60, seed), seed, 30000)
+		res := drive(t, consensus.NewMRMajority([]int{2, 2, 8, 8, 8}), pattern, fd.NewOmega(pattern, 60, seed), seed, 30000)
 		if !res.Stopped {
 			t.Fatalf("seed=%d: no decision", seed)
 		}
@@ -176,7 +171,7 @@ func TestMRMajorityUniform(t *testing.T) {
 // cannot terminate — the separation that motivates quorum detectors.
 func TestMRMajorityBlocksWithoutMajority(t *testing.T) {
 	pattern := model.PatternFromCrashes(4, map[model.ProcessID]model.Time{2: 10, 3: 12})
-	res, _ := drive(t, consensus.NewMRMajority([]int{0, 1, 0, 1}), pattern, fd.NewOmega(pattern, 30, 1), 1, 4000)
+	res := drive(t, consensus.NewMRMajority([]int{0, 1, 0, 1}), pattern, fd.NewOmega(pattern, 30, 1), 1, 4000)
 	if res.Stopped {
 		t.Fatal("majority MR decided with half the processes crashed")
 	}
@@ -193,7 +188,7 @@ func TestMRSigmaAnyEnvironment(t *testing.T) {
 		for i := 0; i < f; i++ {
 			pattern.SetCrash(model.ProcessID(i+1), model.Time(8*(i+1)))
 		}
-		res, _ := drive(t, consensus.NewMRSigma([]int{4, 9, 9, 4}), pattern, pairSigma(pattern, 60, 7), 7, 30000)
+		res := drive(t, consensus.NewMRSigma([]int{4, 9, 9, 4}), pattern, pairSigma(pattern, 60, 7), 7, 30000)
 		if !res.Stopped {
 			t.Fatalf("f=%d: no decision", f)
 		}
@@ -268,17 +263,17 @@ func TestPayloadMetadata(t *testing.T) {
 // messages in a real run.
 func TestANucSawAckBookkeeping(t *testing.T) {
 	pattern := model.NewFailurePattern(3)
-	res, rec := drive(t, consensus.NewANuc([]int{1, 1, 1}), pattern, pairNuPlus(pattern, 0, 4), 4, 30000)
+	res := drive(t, consensus.NewANuc([]int{1, 1, 1}), pattern, pairNuPlus(pattern, 0, 4), 4, 30000)
 	if !res.Stopped {
 		t.Fatal("no decision")
 	}
-	if rec.SentKinds["SAW"] == 0 || rec.SentKinds["ACK"] == 0 {
-		t.Errorf("expected SAW/ACK traffic, got %v", rec.SentKinds)
+	if res.SentKinds["SAW"] == 0 || res.SentKinds["ACK"] == 0 {
+		t.Errorf("expected SAW/ACK traffic, got %v", res.SentKinds)
 	}
 	// One ACK per SAW recipient: with a single stable quorum of size 3,
 	// ACKs ≥ SAWs.
-	if rec.SentKinds["ACK"] < rec.SentKinds["SAW"] {
-		t.Errorf("fewer ACKs (%d) than SAWs (%d)", rec.SentKinds["ACK"], rec.SentKinds["SAW"])
+	if res.SentKinds["ACK"] < res.SentKinds["SAW"] {
+		t.Errorf("fewer ACKs (%d) than SAWs (%d)", res.SentKinds["ACK"], res.SentKinds["SAW"])
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
 )
 
 // TestANucSmoke runs A_nuc on a small crashy system under a fair scheduler
@@ -22,7 +21,6 @@ func TestANucSmoke(t *testing.T) {
 		Second: fd.NewSigmaNuPlus(pattern, 60, 7),
 	}
 	aut := consensus.NewANuc([]int{0, 1, 1, 0})
-	rec := &trace.Recorder{}
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,
@@ -30,17 +28,16 @@ func TestANucSmoke(t *testing.T) {
 		Scheduler: sim.NewFairScheduler(1, 0.8, 3),
 		MaxSteps:  20000,
 		StopWhen:  substrate.AllCorrectDecided(pattern),
-		Recorder:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stopped {
-		t.Fatalf("not all correct processes decided within %d steps (%s)", res.Steps, rec.Summary())
+		t.Fatalf("not all correct processes decided within %d steps (sent=%d)", res.Steps, res.MessagesSent)
 	}
 	out := check.OutcomeFromConfig(res.Config)
 	if err := out.NonuniformConsensus(pattern); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("decided %v after %d steps, %s", out.Decisions, res.Steps, rec.Summary())
+	t.Logf("decided %v after %d steps, sent=%d", out.Decisions, res.Steps, res.MessagesSent)
 }

@@ -8,8 +8,8 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
-	"nuconsensus/internal/trace"
 	"nuconsensus/internal/transform"
 )
 
@@ -43,7 +43,7 @@ var e13Spec = &Spec{
 		for i := 0; i < f; i++ {
 			pattern.SetCrash(model.ProcessID(n-1-i), model.Time(40+30*i))
 		}
-		rec := &trace.Recorder{RecordSamples: true}
+		col := obs.NewCollector(obs.KindFDOutput)
 		res, err := sim.Run(sim.Exec{
 			Automaton: hb.NewSuspector(n, 0, 0),
 			Pattern:   pattern,
@@ -54,18 +54,19 @@ var e13Spec = &Spec{
 				After:  sim.NewFairScheduler(seed+99, 0.9, 2),
 			},
 			MaxSteps: 2500,
-			Recorder: rec,
+			Bus:      obs.NewBus(nil, nil, col),
 		})
 		if err != nil {
 			u.Fail = true
 			return u
 		}
-		stab := suspicionHorizon(rec.Outputs, pattern)
+		outs := check.History(col.Events(), res.Ticks)
+		stab := suspicionHorizon(outs, pattern)
 		if stab > res.Ticks*4/5 {
 			u.failf("n=%d f=%d seed=%d: suspicion unstable until %d of %d", n, f, seed, stab, res.Ticks)
 			return u
 		}
-		if err := check.EventuallyPerfect(rec.Outputs, pattern, stab); err != nil {
+		if err := check.EventuallyPerfect(outs, pattern, stab); err != nil {
 			u.failf("n=%d f=%d seed=%d: %v", n, f, seed, err)
 			return u
 		}
@@ -83,7 +84,7 @@ var e13Spec = &Spec{
 
 // suspicionHorizon returns the last time a correct process's suspect set
 // differed from faulty(F), or -1.
-func suspicionHorizon(outs []trace.Sample, pattern *model.FailurePattern) model.Time {
+func suspicionHorizon(outs []check.Sample, pattern *model.FailurePattern) model.Time {
 	correct := pattern.Correct()
 	faulty := pattern.Faulty()
 	last := model.Time(-1)

@@ -9,8 +9,8 @@ import (
 	"nuconsensus/internal/dag"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
-	"nuconsensus/internal/trace"
 )
 
 // restrictedScheduler confines a fair scheduler to a subset of processes,
@@ -139,14 +139,14 @@ var e10Spec = &Spec{
 		seed := cfg.Seed
 		n := 4
 		pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{1: 40})
-		rec := &trace.Recorder{RecordSamples: true}
+		samples := obs.NewCollector(obs.KindFDQuery)
 		res, err := sim.Run(sim.Exec{
 			Automaton: dag.NewADag(n),
 			Pattern:   pattern,
 			History:   fd.NewOmega(pattern, 60, seed),
 			Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 			MaxSteps:  300,
-			Recorder:  rec,
+			Bus:       obs.NewBus(nil, nil, samples),
 		})
 		if err != nil {
 			u.failf("seed=%d: %v", seed, err)
@@ -159,7 +159,7 @@ var e10Spec = &Spec{
 		// k-th recorded step.
 		tau := make(map[dag.Key]model.Time)
 		count := make(map[model.ProcessID]int)
-		for _, s := range rec.Samples {
+		for _, s := range samples.Events() {
 			count[s.P]++
 			tau[dag.Key{P: s.P, K: count[s.P]}] = s.T
 		}

@@ -8,9 +8,9 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
 	"nuconsensus/internal/transform"
 )
 
@@ -44,7 +44,7 @@ var e11Spec = &Spec{
 		for i := 0; i < f; i++ {
 			pattern.SetCrash(model.ProcessID(i), model.Time(30+20*i))
 		}
-		rec := &trace.Recorder{RecordSamples: true}
+		col := obs.NewCollector(obs.KindFDOutput)
 		res, err := sim.Run(sim.Exec{
 			Automaton: hb.NewOmega(n, 0, 0),
 			Pattern:   pattern,
@@ -55,18 +55,19 @@ var e11Spec = &Spec{
 				After:  sim.NewFairScheduler(seed+99, 0.9, 2),
 			},
 			MaxSteps: 2500,
-			Recorder: rec,
+			Bus:      obs.NewBus(nil, nil, col),
 		})
 		if err != nil {
 			u.Fail = true
 			return u
 		}
-		stab := leaderHorizon(rec.Outputs, pattern)
+		outs := check.History(col.Events(), res.Ticks)
+		stab := leaderHorizon(outs, pattern)
 		if stab > res.Ticks*4/5 {
 			u.failf("n=%d f=%d seed=%d: leader unstable until %d of %d", n, f, seed, stab, res.Ticks)
 			return u
 		}
-		if err := check.OmegaOutputs(rec.Outputs, pattern, stab); err != nil {
+		if err := check.OmegaOutputs(outs, pattern, stab); err != nil {
 			u.failf("n=%d f=%d seed=%d: %v", n, f, seed, err)
 			return u
 		}
@@ -84,7 +85,7 @@ var e11Spec = &Spec{
 
 // leaderHorizon returns the last time a correct process's emitted leader
 // differed from the eventual leader (min correct), or -1.
-func leaderHorizon(outs []trace.Sample, pattern *model.FailurePattern) model.Time {
+func leaderHorizon(outs []check.Sample, pattern *model.FailurePattern) model.Time {
 	correct := pattern.Correct()
 	leader := correct.Min()
 	last := model.Time(-1)

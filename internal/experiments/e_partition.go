@@ -7,8 +7,8 @@ import (
 	"nuconsensus/internal/check"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
-	"nuconsensus/internal/trace"
 	"nuconsensus/internal/transform"
 )
 
@@ -203,24 +203,25 @@ var e8Spec = &Spec{
 		n, f := cfg.N, cfg.F
 		tf := (n - 1) / 2
 		pattern := randomPattern(n, f, 50, rng)
-		rec := &trace.Recorder{RecordSamples: true}
+		col := obs.NewCollector(obs.KindFDOutput)
 		res, err := sim.Run(sim.Exec{
 			Automaton: transform.NewScratchSigma(n, tf),
 			Pattern:   pattern,
 			History:   fd.Null,
 			Scheduler: sim.NewFairScheduler(cfg.Seed, 0.8, 3),
 			MaxSteps:  800,
-			Recorder:  rec,
+			Bus:       obs.NewBus(nil, nil, col),
 		})
 		if err != nil {
 			u.Fail = true
 			return u
 		}
-		stab, herr := check.LastCompletenessViolation(rec.Outputs, pattern)
-		if herr == nil && stab <= res.Ticks*4/5 && check.Sigma(rec.Outputs, pattern, stab) == nil {
+		outs := check.History(col.Events(), res.Ticks)
+		stab, herr := check.LastCompletenessViolation(outs, pattern)
+		if herr == nil && stab <= res.Ticks*4/5 && check.Sigma(outs, pattern, stab) == nil {
 			u.OK = true
 		} else {
-			u.failf("n=%d f=%d seed=%d: horizon=%d %v %v", n, f, cfg.Seed, stab, herr, check.Sigma(rec.Outputs, pattern, stab))
+			u.failf("n=%d f=%d seed=%d: horizon=%d %v %v", n, f, cfg.Seed, stab, herr, check.Sigma(outs, pattern, stab))
 		}
 		return u
 	},

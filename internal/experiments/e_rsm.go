@@ -7,7 +7,6 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/sim"
-	"nuconsensus/internal/trace"
 )
 
 // q7Slots is the log length Q7 fills per run.
@@ -51,7 +50,6 @@ var q7Spec = &Spec{
 		for p := range cmds {
 			cmds[p] = []int{100*p + 1}
 		}
-		rec := &trace.Recorder{}
 		res, err := sim.Run(sim.Exec{
 			Automaton: rsm.NewLog(cmds, q7Slots),
 			Pattern:   pattern,
@@ -59,7 +57,6 @@ var q7Spec = &Spec{
 			Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 			MaxSteps:  min(sc.MaxSteps*4, 200000),
 			StopWhen:  rsm.AllAppended(pattern, q7Slots),
-			Recorder:  rec,
 		})
 		if err != nil || !res.Stopped {
 			u.failf("n=%d f=%d seed=%d: err=%v filled=%v", n, f, seed, err, res != nil && res.Stopped)
@@ -90,7 +87,7 @@ var q7Spec = &Spec{
 		}
 		u.OK = true
 		u.Add("steps", res.Steps)
-		u.Add("msgs", rec.MessagesSent)
+		u.Add("msgs", res.MessagesSent)
 		return u
 	},
 	Row: func(_ Scale, g Group) []string {

@@ -8,31 +8,32 @@ import (
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
-	"nuconsensus/internal/trace"
 	"nuconsensus/internal/transform"
 )
 
 // runTransformer drives a transformation automaton and returns the recorded
 // output samples plus their stabilization time.
-func runTransformer(aut model.Automaton, pattern *model.FailurePattern, hist model.History, seed int64, maxSteps int) ([]trace.Sample, model.Time, model.Time, error) {
-	rec := &trace.Recorder{RecordSamples: true}
+func runTransformer(aut model.Automaton, pattern *model.FailurePattern, hist model.History, seed int64, maxSteps int) ([]check.Sample, model.Time, model.Time, error) {
+	col := obs.NewCollector(obs.KindFDOutput)
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,
 		History:   hist,
 		Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 		MaxSteps:  maxSteps,
-		Recorder:  rec,
+		Bus:       obs.NewBus(nil, nil, col),
 	})
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	horizon, herr := check.LastCompletenessViolation(rec.Outputs, pattern)
+	outs := check.History(col.Events(), res.Ticks)
+	horizon, herr := check.LastCompletenessViolation(outs, pattern)
 	if herr != nil {
 		return nil, 0, 0, herr
 	}
-	return rec.Outputs, horizon, res.Ticks, nil
+	return outs, horizon, res.Ticks, nil
 }
 
 // extractionBudget scales the step budget of DAG-extraction runs with n:

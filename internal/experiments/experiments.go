@@ -21,7 +21,6 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
 
 	// The substrate backends register themselves on import (async comes
 	// with package substrate), so every consumer of this package can
@@ -222,12 +221,10 @@ func runConsensus(sc Scale, aut model.Automaton, pattern *model.FailurePattern, 
 			maxSteps = floor
 		}
 	}
-	rec := &trace.Recorder{}
 	res, err := sub.Run(context.Background(), aut, hist, pattern, substrate.Options{
 		Seed:            seed,
 		MaxSteps:        maxSteps,
 		StopWhenDecided: true,
-		Recorder:        rec,
 		Bus:             sc.Bus,
 		Metrics:         sc.Metrics,
 	})
@@ -235,15 +232,15 @@ func runConsensus(sc Scale, aut model.Automaton, pattern *model.FailurePattern, 
 		return consensusRun{}, err
 	}
 	if sc.Metrics != nil {
-		sc.Metrics.Histogram("consensus.msgs_per_run", obs.DefaultBuckets).Observe(int64(rec.MessagesSent))
+		sc.Metrics.Histogram("consensus.msgs_per_run", obs.DefaultBuckets).Observe(int64(res.MessagesSent))
 		sc.Metrics.Histogram("consensus.steps_per_run", obs.DefaultBuckets).Observe(int64(res.Steps))
 	}
 	return consensusRun{
 		Decided:  res.Decided,
 		Steps:    res.Steps,
 		MaxRound: res.MaxRound,
-		Sent:     rec.MessagesSent,
-		Kinds:    rec.SentKinds,
+		Sent:     res.MessagesSent,
+		Kinds:    res.SentKinds,
 		Outcome:  check.OutcomeFromConfig(res.Config),
 	}, nil
 }

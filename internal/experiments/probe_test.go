@@ -6,9 +6,9 @@ import (
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
 )
 
 // TestProbeContamination is a diagnostic: it traces the naive algorithm
@@ -20,7 +20,7 @@ func TestProbeContamination(t *testing.T) {
 		props := []int{0, 0, 1}
 		hist := adv.sigmaNuHistory(pattern, seed)
 		aut := consensus.NewMRNaiveNu(props)
-		rec := &trace.Recorder{}
+		decisions := obs.NewCollector(obs.KindDecide)
 		res, err := sim.Run(sim.Exec{
 			Automaton: aut,
 			Pattern:   pattern,
@@ -28,14 +28,14 @@ func TestProbeContamination(t *testing.T) {
 			Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 			MaxSteps:  20000,
 			StopWhen:  substrate.AllCorrectDecided(pattern),
-			Recorder:  rec,
+			Bus:       obs.NewBus(nil, nil, decisions),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		line := fmt.Sprintf("seed=%d stopped=%v t=%d:", seed, res.Stopped, res.Ticks)
-		for _, d := range rec.Decisions {
-			line += fmt.Sprintf(" %s→%d@t=%d", d.P, d.Val, d.T)
+		for _, d := range decisions.Events() {
+			line += fmt.Sprintf(" %s→%d@t=%d", d.P, d.Value, d.T)
 		}
 		for i, s := range res.Config.States {
 			r, _ := model.RoundOf(s)

@@ -7,7 +7,6 @@ import (
 	"nuconsensus/internal/check"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/trace"
 )
 
 // samplePatterns returns a few representative failure patterns over n
@@ -32,15 +31,15 @@ func samplePatterns(n int) []*model.FailurePattern {
 
 // sampleAll queries the history at every process (while alive) over [0, end]
 // and returns the records.
-func sampleAll(h model.History, f *model.FailurePattern, end model.Time) []trace.Sample {
-	var out []trace.Sample
+func sampleAll(h model.History, f *model.FailurePattern, end model.Time) []check.Sample {
+	var out []check.Sample
 	for t := model.Time(0); t <= end; t++ {
 		for p := 0; p < f.N(); p++ {
 			pid := model.ProcessID(p)
 			if f.Crashed(pid, t) {
 				continue // crashed modules are never queried
 			}
-			out = append(out, trace.Sample{P: pid, T: t, Val: h.Output(pid, t)})
+			out = append(out, check.Sample{P: pid, T: t, Val: h.Output(pid, t)})
 		}
 	}
 	return out

@@ -7,32 +7,32 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
-	"nuconsensus/internal/trace"
 )
 
 // runHB drives the heartbeat Ω and returns recorded emulated outputs.
-func runHB(t *testing.T, pattern *model.FailurePattern, sched sim.Scheduler, steps int) ([]trace.Sample, model.Time) {
+func runHB(t *testing.T, pattern *model.FailurePattern, sched sim.Scheduler, steps int) ([]check.Sample, model.Time) {
 	t.Helper()
-	rec := &trace.Recorder{RecordSamples: true}
+	col := obs.NewCollector(obs.KindFDOutput)
 	res, err := sim.Run(sim.Exec{
 		Automaton: hb.NewOmega(pattern.N(), 0, 0),
 		Pattern:   pattern,
 		History:   fd.Null,
 		Scheduler: sched,
 		MaxSteps:  steps,
-		Recorder:  rec,
+		Bus:       obs.NewBus(nil, nil, col),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec.Outputs, res.Ticks
+	return check.History(col.Events(), res.Ticks), res.Ticks
 }
 
 // omegaHorizon finds the last time a correct process's emitted leader was
 // not the eventual common correct leader, analogous to
 // check.LastCompletenessViolation for quorums.
-func omegaHorizon(t *testing.T, outs []trace.Sample, pattern *model.FailurePattern) model.Time {
+func omegaHorizon(t *testing.T, outs []check.Sample, pattern *model.FailurePattern) model.Time {
 	t.Helper()
 	ls, err := check.LeaderSamples(outs)
 	if err != nil {

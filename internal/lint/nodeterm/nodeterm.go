@@ -60,7 +60,6 @@ var ExemptPackages = map[string]string{
 	// The sim backend's determinism is not at risk: its step engine lives
 	// in internal/sim, which stays on the critical list.
 	"internal/substrate": "shared driver of the intentionally nondeterministic concurrent substrates; sanctioned timing sites",
-	"internal/trace":     "passive recorder of whatever the runner produced",
 	"internal/wire":      "pure encode/decode; fuzzed separately",
 	"internal/lint":      "the analyzers themselves (and their fixtures) are not simulation code",
 	// internal/obs is the observability layer: its Wall clock shim

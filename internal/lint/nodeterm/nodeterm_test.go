@@ -11,7 +11,7 @@ import (
 
 func TestNodeterm(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), nodeterm.Analyzer,
-		"internal/model", "internal/trace")
+		"internal/model", "internal/check")
 }
 
 // TestClassificationMatchesLayout is the meta-test: every package under

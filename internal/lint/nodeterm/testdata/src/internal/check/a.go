@@ -1,6 +1,6 @@
-// Fixture: internal/trace is exempt from nodeterm, so nothing here may
+// Fixture: internal/check is exempt from nodeterm, so nothing here may
 // be flagged even though it uses every banned construct.
-package trace
+package check
 
 import (
 	"math/rand"

@@ -9,5 +9,5 @@ import (
 
 func TestObsclock(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), obsclock.Analyzer,
-		"internal/sim", "internal/trace")
+		"internal/sim", "internal/check")
 }

@@ -1,7 +1,7 @@
-// Fixture for obsclock's scope: this package path ends in internal/trace,
+// Fixture for obsclock's scope: this package path ends in internal/check,
 // which is nodeterm-exempt, so referencing obs.Wall here is not a
 // diagnostic — the analyzer only polices the critical list.
-package trace
+package check
 
 import "nuconsensus/internal/obs"
 

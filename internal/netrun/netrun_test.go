@@ -10,6 +10,7 @@ import (
 	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/netrun"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/transform"
 )
@@ -43,7 +44,7 @@ func TestANucOverTCP(t *testing.T) {
 		t.Fatal("no bytes crossed the sockets?!")
 	}
 	t.Logf("decided after %d ticks; %d wire bytes; kinds %v",
-		res.Ticks, res.BytesSent, res.Rec.SentKinds)
+		res.Ticks, res.BytesSent, res.SentKinds)
 }
 
 func TestOracleFreeOverTCP(t *testing.T) {
@@ -85,11 +86,14 @@ func TestTransformerOverTCP(t *testing.T) {
 	// can block on full socket buffers); retry with a larger tick budget
 	// before declaring failure.
 	var res *substrate.Result
+	var outputs *obs.Collector
 	var err error
 	for attempt, ticks := range []int{900, 1500} {
+		outputs = obs.NewCollector(obs.KindFDOutput)
 		res, err = netrun.New().Run(context.Background(), transform.NewSigmaNuPlusTransformer(n), hist, pattern, substrate.Options{
 			Seed:     5 + int64(attempt),
 			MaxSteps: ticks,
+			Bus:      obs.NewBus(nil, nil, outputs),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +105,7 @@ func TestTransformerOverTCP(t *testing.T) {
 	// The concurrent substrate has no fairness bound, so a process's first
 	// output update can land arbitrarily late; assert safety on the whole
 	// record and completeness on each correct process's FINAL output.
-	qs, err := check.QuorumSamples(res.Rec.Outputs)
+	qs, err := check.QuorumSamples(check.History(outputs.Events(), res.Ticks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,15 +131,10 @@ func TestTransformerOverTCP(t *testing.T) {
 // tcpConverged reports whether some correct process's final emitted quorum
 // contains only correct processes.
 func tcpConverged(res *substrate.Result, pattern *model.FailurePattern) bool {
-	final := map[model.ProcessID]model.ProcessSet{}
-	for _, smp := range res.Rec.Outputs {
-		if q, ok := fd.QuorumOf(smp.Val); ok {
-			final[smp.P] = q
-		}
-	}
 	ok := false
 	pattern.Correct().ForEach(func(q model.ProcessID) {
-		if got, has := final[q]; has && got.SubsetOf(pattern.Correct()) {
+		out := res.Config.States[q].(model.FDOutput).EmulatedOutput()
+		if got, has := fd.QuorumOf(out); has && got.SubsetOf(pattern.Correct()) {
 			ok = true
 		}
 	})
@@ -180,15 +179,17 @@ func TestCrashMidBroadcastDoesNotWedgeMesh(t *testing.T) {
 			First:  fd.NewOmega(pattern, 300, seed),
 			Second: fd.NewSigmaNuPlus(pattern, 300, seed),
 		}
+		steps := obs.NewCollector(obs.KindStep)
 		res, err := netrun.New().Run(context.Background(), consensus.NewANuc([]int{1, 0, 1, 0, 1}), hist, pattern, substrate.Options{
 			Seed:            seed,
 			MaxSteps:        300000,
 			StopWhenDecided: true,
+			Bus:             obs.NewBus(nil, nil, steps),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range res.Rec.Samples {
+		for _, s := range steps.Events() {
 			if pattern.Crashed(s.P, s.T) {
 				t.Fatalf("seed=%d: crashed %v took a step at t=%d", seed, s.P, s.T)
 			}

@@ -24,15 +24,16 @@ type msgKey struct {
 }
 
 // Bus is the causal event bus of one run. Drivers feed it one call per
-// atomic step (OnStep) plus crash notifications (OnCrash); the bus
-// computes the Lamport annotation, derives the higher-level events
-// (decisions, round changes, quorum formations) from state introspection,
-// updates the attached metrics registry and fans the events out to its
-// sinks.
+// atomic step (OnStep) plus the initial configuration (OnInit) and crash
+// notifications (OnCrash); the bus computes the Lamport annotation, derives
+// the higher-level events (decisions, round changes, quorum formations,
+// emulated detector outputs) from state introspection, updates the attached
+// metrics registry and fans the events out to its sinks. It is the run's
+// only per-step observer: what a caller wants kept, it attaches a sink for.
 //
-// A nil *Bus is valid and does nothing, mirroring *trace.Recorder. All
-// methods are safe for concurrent use: the concurrent substrates emit from
-// one goroutine per process.
+// A nil *Bus is valid and does nothing. All methods are safe for
+// concurrent use: the concurrent substrates emit from one goroutine per
+// process.
 type Bus struct {
 	mu      sync.Mutex
 	clock   Clock
@@ -102,12 +103,36 @@ func (b *Bus) emit(ev Event) {
 	}
 }
 
+// OnInit records the run's initial configuration: the t = 0 values of the
+// emulated detector outputs (§2.9), which no step produces. Drivers call it
+// once, before the first step.
+func (b *Bus) OnInit(states []model.State) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, st := range states {
+		b.emitOutput(0, model.ProcessID(i), 0, st, 0)
+	}
+}
+
+// emitOutput emits st's emulated detector output, if it has one. Callers
+// hold b.mu.
+func (b *Bus) emitOutput(t model.Time, p model.ProcessID, l uint64, st model.State, wall int64) {
+	if out, ok := st.(model.FDOutput); ok {
+		if v := out.EmulatedOutput(); v != nil {
+			b.emit(Event{Kind: KindFDOutput, T: t, P: p, L: l, FD: v, Wall: wall})
+		}
+	}
+}
+
 // OnStep records one atomic step of §2.4: process p, at logical time t,
 // received m (nil for λ), sampled d (nil when the automaton queries no
 // detector), sent the messages in sent, and ended the step in state st.
 // The emission order within the step is fixed — Deliver, FDQuery, Step,
-// Sends, then the derived EpochChange/QuorumFormed/Decide — so sim event
-// logs are byte-identical across runs and worker counts.
+// Sends, then the derived EpochChange/QuorumFormed/Decide/FDOutput — so sim
+// event logs are byte-identical across runs and worker counts.
 func (b *Bus) OnStep(t model.Time, p model.ProcessID, m *model.Message, d model.FDValue, sent []*model.Message, st model.State) {
 	if b == nil {
 		return
@@ -145,7 +170,7 @@ func (b *Bus) OnStep(t model.Time, p model.ProcessID, m *model.Message, d model.
 	}
 
 	// Derived events from state introspection: round transitions, quorum
-	// completions, decisions.
+	// completions, decisions, emulated detector outputs.
 	if r, ok := model.RoundOf(st); ok && r > b.round[p] {
 		b.emit(Event{Kind: KindEpochChange, T: t, P: p, L: l, Value: r, Wall: wall})
 		if q, hasQ := fd.QuorumOf(d); hasQ {
@@ -163,6 +188,7 @@ func (b *Bus) OnStep(t model.Time, p model.ProcessID, m *model.Message, d model.
 		b.observe("consensus.rounds_to_decide", int64(b.round[p]))
 		b.observe("consensus.ticks_to_decide", int64(t))
 	}
+	b.emitOutput(t, p, l, st, wall)
 }
 
 // OnCrash records that process p crashed at logical time t (per the run's

@@ -18,8 +18,8 @@ import (
 //     binding point "e") keyed by the model's unique message identity
 //     (From, Seq), so the §2.4 send-before-receive precedence renders as
 //     causal arrows between the step slices;
-//   - Decide, Crash, QuorumFormed and EpochChange become instant events
-//     ("ph":"i") on the process's row.
+//   - FDQuery, FDOutput, Decide, Crash, QuorumFormed and EpochChange become
+//     instant events ("ph":"i") on the process's row.
 //
 // Timestamps are the run's logical time interpreted as microseconds: the
 // export is a pure function of the event sequence, byte-identical whenever
@@ -84,13 +84,16 @@ func (s *ChromeTrace) Emit(ev Event) {
 	case KindDeliver:
 		s.record(fmt.Sprintf(`{"name":%s,"cat":"msg","ph":"f","bp":"e","id":%d,"ts":%d,"pid":0,"tid":%d,"args":{"from":%d,"seq":%d,"lamport":%d}}`,
 			strconv.Quote(ev.Payload), flowID(int(ev.From), ev.Seq), ts, p, int(ev.From), ev.Seq, ev.L))
-	case KindFDQuery:
-		fd := ""
+	case KindFDQuery, KindFDOutput:
+		name, fd := "fd", ""
+		if ev.Kind == KindFDOutput {
+			name = "output"
+		}
 		if ev.FD != nil {
 			fd = ev.FD.String()
 		}
-		s.record(fmt.Sprintf(`{"name":"fd","cat":"fd","ph":"i","s":"t","ts":%d,"pid":0,"tid":%d,"args":{"value":%s}}`,
-			ts, p, strconv.Quote(fd)))
+		s.record(fmt.Sprintf(`{"name":%q,"cat":"fd","ph":"i","s":"t","ts":%d,"pid":0,"tid":%d,"args":{"value":%s}}`,
+			name, ts, p, strconv.Quote(fd)))
 	case KindDecide:
 		s.record(fmt.Sprintf(`{"name":"decide=%d","cat":"consensus","ph":"i","s":"p","ts":%d,"pid":0,"tid":%d,"args":{"lamport":%d}}`,
 			ev.Value, ts, p, ev.L))

@@ -60,7 +60,7 @@ func JSONLine(ev Event) string {
 		fmt.Fprintf(&b, `,"from":%d,"to":%d,"seq":%d,"pl":%s`, int(ev.From), int(ev.To), ev.Seq, strconv.Quote(ev.Payload))
 	case KindDeliver:
 		fmt.Fprintf(&b, `,"from":%d,"seq":%d,"pl":%s`, int(ev.From), ev.Seq, strconv.Quote(ev.Payload))
-	case KindFDQuery:
+	case KindFDQuery, KindFDOutput:
 		if ev.FD != nil {
 			fmt.Fprintf(&b, `,"fd":%s`, strconv.Quote(ev.FD.String()))
 		}

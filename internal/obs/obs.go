@@ -66,13 +66,18 @@ const (
 	KindCrash
 	// KindEpochChange is a round/epoch transition: P entered round Value.
 	KindEpochChange
+	// KindFDOutput is the emulated failure-detector output of §2.9: after
+	// the step at time T (or in its initial state, T = 0), P's output_p
+	// variable holds FD. Emitted only for states that emulate a detector
+	// (model.FDOutput); check.History rebuilds H′(p, t) from these.
+	KindFDOutput
 
 	numKinds
 )
 
 // kindNames are the stable wire names of the kinds (JSONL "k" field).
 var kindNames = [numKinds]string{
-	"step", "send", "deliver", "fdquery", "quorum", "decide", "crash", "epoch",
+	"step", "send", "deliver", "fdquery", "quorum", "decide", "crash", "epoch", "output",
 }
 
 // String returns the kind's stable wire name.
@@ -104,8 +109,9 @@ type Event struct {
 	Seq  uint64
 	// Payload is the message payload kind (Send, Deliver).
 	Payload string
-	// FD is the sampled failure-detector value (FDQuery); sinks render it
-	// with String(). FD values are immutable, so retaining them is safe.
+	// FD is the sampled (FDQuery) or emulated (FDOutput) failure-detector
+	// value; sinks render it with String(). FD values are immutable, so
+	// retaining them is safe.
 	FD model.FDValue
 	// Detail is a free-form annotation (the quorum of a QuorumFormed).
 	Detail string

@@ -208,11 +208,103 @@ func TestBusDerivedEvents(t *testing.T) {
 
 	// A nil bus is a safe no-op on every method.
 	var nb *obs.Bus
+	nb.OnInit(nil)
 	nb.OnStep(1, 0, nil, nil, nil, nil)
 	nb.OnCrash(1, 0)
 	nb.SetClock(obs.Wall{})
 	if err := nb.Close(); err != nil {
 		t.Errorf("nil bus Close = %v", err)
+	}
+}
+
+// outState emulates a detector (§2.9): its output variable is a leader
+// once set, nil before.
+type outState struct{ out model.FDValue }
+
+func (s outState) CloneState() model.State       { return s }
+func (s outState) EmulatedOutput() model.FDValue { return s.out }
+
+// TestBusEmulatedOutputs: states that emulate a detector get one output
+// event per step, after the step's other events, plus one at t = 0 from
+// OnInit; nil outputs and states that emulate nothing get none; the event
+// has a JSONL and a Chrome rendering.
+func TestBusEmulatedOutputs(t *testing.T) {
+	var jsonl, chrome bytes.Buffer
+	col := obs.NewCollector(obs.KindFDOutput)
+	ring := obs.NewRing(0)
+	bus := obs.NewBus(nil, nil, col, ring, obs.NewJSONL(&jsonl), obs.NewChromeTrace(&chrome))
+
+	l0, l1 := fd.LeaderValue{Leader: 0}, fd.LeaderValue{Leader: 1}
+	bus.OnInit([]model.State{outState{out: l0}, outState{}, roundState{}})
+	bus.OnStep(1, 1, nil, nil, nil, outState{})        // still nil: no event
+	bus.OnStep(2, 1, nil, nil, nil, outState{out: l1}) // first value of p1
+	bus.OnStep(3, 0, nil, nil, nil, outState{out: l0}) // unchanged values are still emitted
+	bus.OnStep(4, 2, nil, nil, nil, roundState{})
+	if err := bus.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	type pt struct {
+		p model.ProcessID
+		t model.Time
+		v model.FDValue
+	}
+	var got []pt
+	for _, ev := range col.Events() {
+		got = append(got, pt{ev.P, ev.T, ev.FD})
+	}
+	want := []pt{{0, 0, l0}, {1, 2, l1}, {0, 3, l0}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("output events = %v, want %v", got, want)
+	}
+	var kinds []string
+	for _, ev := range ring.Events() {
+		kinds = append(kinds, ev.Kind.String())
+	}
+	if want := []string{"output", "step", "step", "output", "step", "output", "step"}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("event kinds = %v, want %v", kinds, want)
+	}
+	if line := `{"k":"output","t":2,"p":1,"l":2,"fd":"` + l1.String() + `"}` + "\n"; !bytes.Contains(jsonl.Bytes(), []byte(line)) {
+		t.Errorf("JSONL log lacks %q:\n%s", line, jsonl.Bytes())
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v", err)
+	}
+	outputs := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "output" {
+			outputs++
+		}
+	}
+	if outputs != 3 {
+		t.Errorf("chrome trace has %d output instants, want 3", outputs)
+	}
+}
+
+// TestCollectorKeepsOnlyItsKinds: a collector retains exactly the events of
+// its kinds, in emission order, and nothing of a run's other events — so
+// "keep the samples" is a sink choice, and no sink keeps nothing.
+func TestCollectorKeepsOnlyItsKinds(t *testing.T) {
+	ring := obs.NewRing(0)
+	col := obs.NewCollector(obs.KindSend, obs.KindDeliver)
+	none := obs.NewCollector()
+	runScript(t, script(), nil, ring, col, none)
+	var want []obs.Event
+	for _, ev := range ring.Events() {
+		if ev.Kind == obs.KindSend || ev.Kind == obs.KindDeliver {
+			want = append(want, ev)
+		}
+	}
+	if len(want) != 6 || !reflect.DeepEqual(col.Events(), want) {
+		t.Errorf("collector kept %v, want the ring's 3 sends and 3 delivers %v", col.Events(), want)
+	}
+	if len(none.Events()) != 0 {
+		t.Errorf("a collector of no kinds kept %d events", len(none.Events()))
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
 )
 
 func init() { substrate.Register(S{}) }
@@ -41,11 +40,10 @@ type Exec struct {
 	// StopWhen, if non-nil, ends the execution early when it returns true
 	// (checked after each step).
 	StopWhen func(c *model.Configuration, t model.Time) bool
-	// Recorder, if non-nil, receives step/sample/decision events.
-	Recorder *trace.Recorder
-	// Bus, if non-nil, receives the causal event stream (package obs). On
-	// this substrate the emission order is a pure function of the inputs,
-	// so exported event logs are byte-identical across runs.
+	// Bus, if non-nil, receives the causal event stream (package obs) and
+	// is the run's only per-step observer. On this substrate the emission
+	// order is a pure function of the inputs, so exported event logs are
+	// byte-identical across runs.
 	Bus *obs.Bus
 	// KeepSchedule retains the executed schedule and times in the Result so
 	// it can be validated or merged (costs memory).
@@ -63,12 +61,8 @@ func Run(x Exec) (*substrate.Result, error) {
 	}
 
 	c := model.InitialConfiguration(x.Automaton)
-	res := &substrate.Result{Config: c, Rec: x.Recorder}
-	decided := make(map[model.ProcessID]bool)
-
-	// Record any processes that decide in their initial state (possible for
-	// trivial automata) and initial emulated outputs.
-	snapshotOutputs(x, c, 0, decided)
+	res := &substrate.Result{Config: c}
+	x.Bus.OnInit(c.States)
 
 	// prevAlive tracks the alive set so crash events are emitted exactly
 	// once, at the first time the pattern reports a process down.
@@ -101,34 +95,18 @@ func Run(x Exec) (*substrate.Result, error) {
 		sent := c.Apply(x.Automaton, e)
 		res.Steps++
 		res.Ticks = t
-		x.Recorder.OnStep(t, p, m, d, len(sent))
-		if x.Recorder != nil {
-			for _, sm := range sent {
-				x.Recorder.OnSend(sm.Payload)
-			}
-		}
+		res.CountSends(sent)
 		x.Bus.OnStep(t, p, m, d, sent, c.States[p])
 		if x.KeepSchedule {
 			res.Schedule = append(res.Schedule, e)
 			res.Times = append(res.Times, t)
 		}
-		snapshotOutputs(x, c, t, decided)
 		if x.StopWhen != nil && x.StopWhen(c, t) {
 			res.Stopped = true
 			break
 		}
 	}
 	return substrate.Finish(res, x.Pattern), nil
-}
-
-// snapshotOutputs records new decisions and emulated-FD outputs.
-func snapshotOutputs(x Exec, c *model.Configuration, t model.Time, decided map[model.ProcessID]bool) {
-	if x.Recorder == nil {
-		return
-	}
-	for i, s := range c.States {
-		substrate.ObserveState(x.Recorder, t, model.ProcessID(i), s, decided)
-	}
 }
 
 // S is the deterministic step-simulator backend: substrate name "sim".
@@ -169,7 +147,6 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 		Scheduler: SchedulerFor(opts),
 		MaxSteps:  opts.MaxSteps,
 		StopWhen:  stopOrCancel,
-		Recorder:  opts.Recorder,
 		Bus:       opts.Bus,
 	})
 	if cancelled {

@@ -7,9 +7,10 @@ import (
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
+	"nuconsensus/internal/transform"
 )
 
 func checkOutcome(c *model.Configuration) check.ConsensusOutcome {
@@ -82,20 +83,20 @@ func TestSimulatedExecutionIsARun(t *testing.T) {
 // first with forced delivery).
 func TestFairSchedulerAdmissibility(t *testing.T) {
 	aut, pattern, hist := anucSetup(4, map[model.ProcessID]model.Time{1: 25}, 3)
-	rec := &trace.Recorder{RecordSamples: true}
+	col := obs.NewCollector(obs.KindStep)
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,
 		History:   hist,
 		Scheduler: sim.NewFairScheduler(3, 0.5, 4),
 		MaxSteps:  400,
-		Recorder:  rec,
+		Bus:       obs.NewBus(nil, nil, col),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	steps := map[model.ProcessID]int{}
-	for _, s := range rec.Samples {
+	for _, s := range col.Events() {
 		steps[s.P]++
 	}
 	pattern.Correct().ForEach(func(p model.ProcessID) {
@@ -232,24 +233,27 @@ func TestPartialSyncScheduler(t *testing.T) {
 		Before: sim.NewFairScheduler(8, 0.1, 50), // starved prefix
 		After:  &sim.RoundRobinScheduler{},
 	}
-	rec := &trace.Recorder{RecordSamples: true}
+	col := obs.NewCollector(obs.KindStep, obs.KindDeliver)
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,
 		History:   hist,
 		Scheduler: inner,
 		MaxSteps:  300,
-		Recorder:  rec,
+		Bus:       obs.NewBus(nil, nil, col),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Steps happen on both sides of GST, and the run completes its budget.
-	pre, post := 0, 0
-	for _, s := range rec.Samples {
-		if s.T < 50 {
+	pre, post, delivered := 0, 0, 0
+	for _, ev := range col.Events() {
+		switch {
+		case ev.Kind == obs.KindDeliver:
+			delivered++
+		case ev.T < 50:
 			pre++
-		} else {
+		default:
 			post++
 		}
 	}
@@ -261,7 +265,7 @@ func TestPartialSyncScheduler(t *testing.T) {
 	}
 	// The starved prefix delivers far fewer messages per step than the
 	// timely suffix.
-	if rec.MessagesRecvd == 0 {
+	if delivered == 0 {
 		t.Fatal("no deliveries at all")
 	}
 }
@@ -287,5 +291,61 @@ func TestAllProcessesCrash(t *testing.T) {
 	out := checkOutcome(res.Config)
 	if err := out.NonuniformConsensus(pattern); err != nil {
 		t.Errorf("vacuous consensus must pass: %v", err)
+	}
+}
+
+// TestHistoryMatchesPerTickSnapshot is the reference test of the one rule
+// that turns the bus's per-step output events into the emulated history
+// H′ of §2.9: on a kept schedule of T_{Σν→Σν+}, check.History must equal,
+// element for element, an independent snapshot of every state's
+// EmulatedOutput() after every tick — crashed processes included.
+func TestHistoryMatchesPerTickSnapshot(t *testing.T) {
+	n := 4
+	pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{1: 30})
+	aut := transform.NewSigmaNuPlusTransformer(n)
+	col := obs.NewCollector(obs.KindFDOutput)
+	res, err := sim.Run(sim.Exec{
+		Automaton:    aut,
+		Pattern:      pattern,
+		History:      fd.NewSigmaNu(pattern, 80, 3),
+		Scheduler:    sim.NewFairScheduler(2, 0.8, 3),
+		MaxSteps:     400,
+		KeepSchedule: true,
+		Bus:          obs.NewBus(nil, nil, col),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want []check.Sample
+	snapshot := func(c *model.Configuration, at model.Time) {
+		for i, s := range c.States {
+			if v := s.(model.FDOutput).EmulatedOutput(); v != nil {
+				want = append(want, check.Sample{P: model.ProcessID(i), T: at, Val: v})
+			}
+		}
+	}
+	c := model.InitialConfiguration(aut)
+	snapshot(c, 0)
+	for i, e := range res.Schedule {
+		c.Apply(aut, e)
+		snapshot(c, res.Times[i])
+	}
+
+	got := check.History(col.Events(), res.Ticks)
+	if len(got) != len(want) || len(want) != n*(int(res.Ticks)+1) {
+		t.Fatalf("rebuilt history has %d samples, the snapshots %d, want n·(ticks+1) = %d", len(got), len(want), n*(int(res.Ticks)+1))
+	}
+	changes := 0
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: rebuilt %v, snapshot %v", i, got[i], want[i])
+		}
+		if i >= n && want[i].Val != want[i-n].Val {
+			changes++
+		}
+	}
+	if changes == 0 {
+		t.Error("no output ever changed: the run does not exercise the fill-forward")
 	}
 }

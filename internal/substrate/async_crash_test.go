@@ -8,6 +8,7 @@ import (
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/transform"
 )
@@ -18,7 +19,7 @@ import (
 // on which each process discovers the budget is spent: they may not push
 // Ticks past the budget or make an exhausted run look stopped. (The clock
 // used to be reported as both: with one crash, Steps=3001 Ticks=3001 against
-// a recorder StepCount of 2999.)
+// 2999 observed steps.)
 func TestCrashedProcessesStopStepping(t *testing.T) {
 	crashes := map[model.ProcessID]model.Time{1: 60, 2: 120}
 	pattern := model.PatternFromCrashes(4, crashes)
@@ -27,21 +28,23 @@ func TestCrashedProcessesStopStepping(t *testing.T) {
 		Second: fd.NewSigmaNuPlus(pattern, 200, 5),
 	}
 	const budget = 3000
+	steps, reg := obs.NewCollector(obs.KindStep), obs.NewRegistry()
 	res, err := async.Run(context.Background(), consensus.NewANuc([]int{0, 1, 0, 1}), hist, pattern, substrate.Options{
 		Seed:     5,
 		MaxSteps: budget,
+		Bus:      obs.NewBus(nil, reg, steps),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Rec.Samples {
+	for _, s := range steps.Events() {
 		if pattern.Crashed(s.P, s.T) {
 			t.Fatalf("crashed %v took a step at t=%d", s.P, s.T)
 		}
 	}
 	// Every tick of the budget went to a step or to one crash discovery.
-	if want := budget - len(crashes); res.Steps != want || res.Rec.StepCount != want {
-		t.Errorf("Steps=%d, recorder StepCount=%d, want both %d", res.Steps, res.Rec.StepCount, want)
+	if want, bus := budget-len(crashes), int(reg.Counter("bus.steps").Value()); res.Steps != want || bus != want {
+		t.Errorf("Steps=%d, bus.steps=%d, want both %d", res.Steps, bus, want)
 	}
 	if res.Ticks != budget {
 		t.Errorf("Ticks=%d, want the budget %d", res.Ticks, budget)
@@ -80,21 +83,24 @@ func TestRuntimeValidation(t *testing.T) {
 func TestRuntimeTransformerEmulation(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, map[model.ProcessID]model.Time{1: 60})
 	hist := fd.NewSigmaNu(pattern, 150, 3)
+	outputs := obs.NewCollector(obs.KindFDOutput)
 	res, err := async.Run(context.Background(), transform.NewSigmaNuPlusTransformer(3), hist, pattern, substrate.Options{
 		Seed:     3,
 		MaxSteps: 900,
+		Bus:      obs.NewBus(nil, nil, outputs),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon, herr := check.LastCompletenessViolation(res.Rec.Outputs, pattern)
+	outs := check.History(outputs.Events(), res.Ticks)
+	horizon, herr := check.LastCompletenessViolation(outs, pattern)
 	if herr != nil {
 		t.Fatal(herr)
 	}
 	if horizon > res.Ticks*4/5 {
 		t.Fatalf("emulation did not stabilize (horizon %d of %d)", horizon, res.Ticks)
 	}
-	if err := check.SigmaNuPlus(res.Rec.Outputs, pattern, horizon); err != nil {
+	if err := check.SigmaNuPlus(outs, pattern, horizon); err != nil {
 		t.Fatalf("emulated Σν+ invalid on the runtime: %v", err)
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
-	"nuconsensus/internal/trace"
 )
 
 // ClusterHooks adapts the shared concurrent driver to one transport.
@@ -98,14 +97,9 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 
 		mu      sync.Mutex
 		states  = make([]model.State, n)
-		decided = make(map[model.ProcessID]bool)
-		rec     = opts.Recorder
-		steps   int  // executed steps; the clock also counts crash and budget discoveries
-		stopped bool // the StopWhenDecided condition fired
+		decided model.ProcessSet
+		res     = &Result{} // Steps counts executed steps; the clock also counts crash and budget discoveries
 	)
-	if rec == nil {
-		rec = &trace.Recorder{RecordSamples: true}
-	}
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
 	for p := 0; p < n; p++ {
 		states[p] = aut.InitState(model.ProcessID(p))
@@ -117,6 +111,7 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 	// nondeterminism: stamp the bus's events with real time here (the
 	// deterministic simulator keeps the zero-stamping Logical clock).
 	opts.Bus.SetClock(obs.Wall{})
+	opts.Bus.OnInit(states)
 
 	// Propagate ctx cancellation into the cluster's stop channel.
 	watcherDone := make(chan struct{})
@@ -179,23 +174,17 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 				}
 
 				mu.Lock()
-				steps++
+				res.Steps++
+				res.CountSends(msgs)
 				states[p] = st
-				rec.OnStep(t, p, m, d, len(sends))
-				for _, s := range sends {
-					rec.OnSend(s.Payload)
-				}
 				opts.Bus.OnStep(t, p, m, d, msgs, st)
-				ObserveState(rec, t, p, st, decided)
 				allDecided := false
 				if opts.StopWhenDecided {
-					allDecided = true
-					correct.ForEach(func(q model.ProcessID) {
-						if !decided[q] {
-							allDecided = false
-						}
-					})
-					stopped = stopped || allDecided
+					if _, ok := model.DecisionOf(st); ok {
+						decided = decided.Add(p)
+					}
+					allDecided = correct.SubsetOf(decided)
+					res.Stopped = res.Stopped || allDecided
 				}
 				mu.Unlock()
 				// Dispatch after the bus has the Send events: a receiver
@@ -236,13 +225,8 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 
 	mu.Lock()
 	defer mu.Unlock()
-	res := &Result{
-		Config:  &model.Configuration{States: states, Buffer: model.NewMessageBuffer()},
-		Steps:   steps,
-		Ticks:   min(model.Time(clock.Load()), maxTicks), // each process that finds the budget spent ticks past it
-		Stopped: stopped,
-		Rec:     rec,
-	}
+	res.Config = &model.Configuration{States: states, Buffer: model.NewMessageBuffer()}
+	res.Ticks = min(model.Time(clock.Load()), maxTicks) // each process that finds the budget spent ticks past it
 	return Finish(res, pattern), nil
 }
 

@@ -58,8 +58,12 @@ func TestRunClusterNumbersMessages(t *testing.T) {
 	if !res.Decided || !res.Stopped {
 		t.Fatalf("Decided=%v Stopped=%v after %d ticks", res.Decided, res.Stopped, res.Ticks)
 	}
-	if total == 0 || total != res.Rec.MessagesSent {
-		t.Fatalf("dispatched %d messages, recorder counted %d sent", total, res.Rec.MessagesSent)
+	byKind := 0
+	for _, k := range res.SentKinds {
+		byKind += k
+	}
+	if total == 0 || total != res.MessagesSent || total != byKind {
+		t.Fatalf("dispatched %d messages, Result counts %d sent, %d by kind", total, res.MessagesSent, byKind)
 	}
 }
 

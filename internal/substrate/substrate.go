@@ -34,7 +34,6 @@ import (
 
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
-	"nuconsensus/internal/trace"
 )
 
 // Options is the one execution configuration shared by every substrate:
@@ -63,16 +62,13 @@ type Options struct {
 	// partially synchronous. (Used by the from-scratch detector stacks.)
 	GST model.Time
 
-	// Recorder, if non-nil, receives step/sample/decision events. The
-	// concurrent substrates allocate one when nil so Result.Rec is always
-	// populated; the simulator's low-level engine treats nil as "don't
-	// trace" (cheaper long runs).
-	Recorder *trace.Recorder
-
 	// Bus, if non-nil, receives the run's causal event stream (package
 	// obs): steps, sends, deliveries, detector queries, crashes and the
-	// derived round/quorum/decision events. On the deterministic simulator
-	// the emission order is a pure function of the run; the concurrent
+	// derived round/quorum/decision/emulated-output events. It is the
+	// run's only per-step observer: a run keeps what the bus's sinks keep
+	// (an obs.Collector for detector samples or emulated outputs) and,
+	// with no bus, nothing per step. On the deterministic simulator the
+	// emission order is a pure function of the run; the concurrent
 	// substrates inject the wall-clock shim and emit in real-time order.
 	Bus *obs.Bus
 
@@ -88,13 +84,20 @@ type Result struct {
 	// (on the simulator) the in-flight message buffer.
 	Config *model.Configuration
 
-	// Steps is the number of atomic steps executed (what Rec.StepCount
-	// counts); Ticks is the logical time when the run stopped, never past
-	// MaxSteps. On the simulator both advance together; on the concurrent
-	// substrates Ticks is the shared clock, which also ticks when a process
-	// discovers it has crashed, so Steps <= Ticks there.
+	// Steps is the number of atomic steps executed (what the bus counts as
+	// bus.steps); Ticks is the logical time when the run stopped, never
+	// past MaxSteps. On the simulator both advance together; on the
+	// concurrent substrates Ticks is the shared clock, which also ticks
+	// when a process discovers it has crashed, so Steps <= Ticks there.
 	Steps int
 	Ticks model.Time
+
+	// MessagesSent counts the messages those steps sent, SentKinds the
+	// same by payload kind. These are the run's only totals; its streams
+	// (detector samples, emulated outputs, decision times) are events on
+	// Options.Bus.
+	MessagesSent int
+	SentKinds    map[string]int
 
 	// Stopped reports that the run ended through its stop predicate
 	// rather than by exhausting MaxSteps.
@@ -106,11 +109,6 @@ type Result struct {
 	Decided   bool
 	Decisions map[model.ProcessID]int
 	MaxRound  int
-
-	// Rec is the run's trace (message counts by kind, FD samples, decision
-	// times). Nil only when the simulator's low-level engine ran without a
-	// recorder.
-	Rec *trace.Recorder
 
 	// BytesSent counts wire bytes written to sockets (tcp substrate only).
 	BytesSent int64
@@ -223,17 +221,13 @@ func Decisions(c *model.Configuration) map[model.ProcessID]int {
 	return out
 }
 
-// ObserveState records p's decision (first time only) and emulated-FD
-// output after a step, updating decided. Shared by the simulator's
-// per-step snapshots and the cluster driver's step bookkeeping.
-func ObserveState(rec *trace.Recorder, t model.Time, p model.ProcessID, st model.State, decided map[model.ProcessID]bool) {
-	if !decided[p] {
-		if v, ok := model.DecisionOf(st); ok {
-			decided[p] = true
-			rec.OnDecision(t, p, v)
-		}
+// CountSends adds one step's sends to the result's message totals.
+func (r *Result) CountSends(sent []*model.Message) {
+	if r.SentKinds == nil && len(sent) > 0 {
+		r.SentKinds = make(map[string]int)
 	}
-	if out, ok := st.(model.FDOutput); ok {
-		rec.OnOutput(t, p, out.EmulatedOutput())
+	r.MessagesSent += len(sent)
+	for _, m := range sent {
+		r.SentKinds[m.Payload.Kind()]++
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
 	"nuconsensus/internal/transform"
 )
 
@@ -36,7 +36,7 @@ func TestOracleFreeConsensus(t *testing.T) {
 			Before: sim.NewFairScheduler(seed, 0.3, 10),
 			After:  sim.NewFairScheduler(seed+100, 0.9, 2),
 		}
-		rec := &trace.Recorder{RecordSamples: true}
+		col := obs.NewCollector(obs.KindFDOutput)
 		res, err := sim.Run(sim.Exec{
 			Automaton: oracleFreeANuc([]int{0, 1, 0, 1, 0}, tf),
 			Pattern:   pattern,
@@ -44,7 +44,7 @@ func TestOracleFreeConsensus(t *testing.T) {
 			Scheduler: sched,
 			MaxSteps:  60000,
 			StopWhen:  substrate.AllCorrectDecided(pattern),
-			Recorder:  rec,
+			Bus:       obs.NewBus(nil, nil, col),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -56,11 +56,12 @@ func TestOracleFreeConsensus(t *testing.T) {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
 		// The assembled detector pair the consumer saw satisfies both specs.
-		horizon, herr := check.LastCompletenessViolation(rec.Outputs, pattern)
+		outs := check.History(col.Events(), res.Ticks)
+		horizon, herr := check.LastCompletenessViolation(outs, pattern)
 		if herr != nil {
 			t.Fatal(herr)
 		}
-		if err := check.SigmaNuPlus(rec.Outputs, pattern, horizon); err != nil {
+		if err := check.SigmaNuPlus(outs, pattern, horizon); err != nil {
 			t.Fatalf("seed=%d: assembled Σν+ invalid: %v", seed, err)
 		}
 	}
@@ -70,23 +71,24 @@ func TestOracleFreeConsensus(t *testing.T) {
 func TestScratchSigmaNuPlusSpec(t *testing.T) {
 	n, tf := 5, 2
 	pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{0: 20, 4: 40})
-	rec := &trace.Recorder{RecordSamples: true}
+	col := obs.NewCollector(obs.KindFDOutput)
 	res, err := sim.Run(sim.Exec{
 		Automaton: transform.NewScratchSigmaNuPlus(n, tf),
 		Pattern:   pattern,
 		History:   fd.Null,
 		Scheduler: sim.NewFairScheduler(2, 0.8, 3),
 		MaxSteps:  800,
-		Recorder:  rec,
+		Bus:       obs.NewBus(nil, nil, col),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon, herr := check.LastCompletenessViolation(rec.Outputs, pattern)
+	outs := check.History(col.Events(), res.Ticks)
+	horizon, herr := check.LastCompletenessViolation(outs, pattern)
 	if herr != nil || horizon > res.Ticks*4/5 {
 		t.Fatalf("no stabilization: %d of %d (%v)", horizon, res.Ticks, herr)
 	}
-	if err := check.SigmaNuPlus(rec.Outputs, pattern, horizon); err != nil {
+	if err := check.SigmaNuPlus(outs, pattern, horizon); err != nil {
 		t.Fatalf("from-scratch Σν+ violates spec: %v", err)
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
 	"nuconsensus/internal/transform"
 )
 
@@ -17,26 +17,27 @@ func TestSigmaNuPlusTransformerSmoke(t *testing.T) {
 	n := 4
 	pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{1: 30})
 	hist := fd.NewSigmaNu(pattern, 80, 3)
-	rec := &trace.Recorder{RecordSamples: true}
+	col := obs.NewCollector(obs.KindFDOutput)
 	res, err := sim.Run(sim.Exec{
 		Automaton: transform.NewSigmaNuPlusTransformer(n),
 		Pattern:   pattern,
 		History:   hist,
 		Scheduler: sim.NewFairScheduler(2, 0.8, 3),
 		MaxSteps:  400,
-		Recorder:  rec,
+		Bus:       obs.NewBus(nil, nil, col),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon, herr := check.LastCompletenessViolation(rec.Outputs, pattern)
+	outs := check.History(col.Events(), res.Ticks)
+	horizon, herr := check.LastCompletenessViolation(outs, pattern)
 	if herr != nil || horizon > res.Ticks*4/5 {
 		t.Fatalf("emulated Σν+ never stabilized (last completeness violation at %d of %d, %v)", horizon, res.Ticks, herr)
 	}
-	if err := check.SigmaNuPlus(rec.Outputs, pattern, horizon); err != nil {
+	if err := check.SigmaNuPlus(outs, pattern, horizon); err != nil {
 		t.Fatalf("emulated Σν+ violates spec: %v", err)
 	}
-	t.Logf("ok after %d steps, stabilized at %d, %d output samples", res.Steps, horizon, len(rec.Outputs))
+	t.Logf("ok after %d steps, stabilized at %d, %d output samples", res.Steps, horizon, len(outs))
 }
 
 func TestSigmaNuExtractorSmoke(t *testing.T) {
@@ -47,28 +48,29 @@ func TestSigmaNuExtractorSmoke(t *testing.T) {
 		Second: fd.NewSigmaNuPlus(pattern, 60, 5),
 	}
 	target := func(proposals []int) model.Automaton { return consensus.NewANuc(proposals) }
-	rec := &trace.Recorder{RecordSamples: true}
+	col := obs.NewCollector(obs.KindFDOutput)
 	res, err := sim.Run(sim.Exec{
 		Automaton: transform.NewSigmaNuExtractor(n, target, 1),
 		Pattern:   pattern,
 		History:   hist,
 		Scheduler: sim.NewFairScheduler(4, 0.8, 3),
 		MaxSteps:  500,
-		Recorder:  rec,
+		Bus:       obs.NewBus(nil, nil, col),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon, herr := check.LastCompletenessViolation(rec.Outputs, pattern)
+	outs := check.History(col.Events(), res.Ticks)
+	horizon, herr := check.LastCompletenessViolation(outs, pattern)
 	if herr != nil || horizon > res.Ticks*4/5 {
 		t.Fatalf("emulated Σν never stabilized (last completeness violation at %d of %d, %v)", horizon, res.Ticks, herr)
 	}
-	if err := check.SigmaNu(rec.Outputs, pattern, horizon); err != nil {
+	if err := check.SigmaNu(outs, pattern, horizon); err != nil {
 		t.Fatalf("emulated Σν violates spec: %v", err)
 	}
 	// The emulation is only meaningful if quorums actually tightened from Π.
 	tightened := false
-	for _, s := range rec.Outputs {
+	for _, s := range outs {
 		if q, _ := fd.QuorumOf(s.Val); q != pattern.All() {
 			tightened = true
 			break
@@ -77,7 +79,7 @@ func TestSigmaNuExtractorSmoke(t *testing.T) {
 	if !tightened {
 		t.Fatal("extractor never updated its output from Π — the schedule search found no decisions")
 	}
-	t.Logf("ok after %d steps, %d output samples", res.Steps, len(rec.Outputs))
+	t.Logf("ok after %d steps, %d output samples", res.Steps, len(outs))
 }
 
 func TestComposedANucOverSigmaNuSmoke(t *testing.T) {
@@ -91,7 +93,6 @@ func TestComposedANucOverSigmaNuSmoke(t *testing.T) {
 		transform.NewSigmaNuPlusTransformer(n),
 		consensus.NewANuc([]int{3, 7, 7, 3}),
 	)
-	rec := &trace.Recorder{RecordSamples: true}
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
 		Pattern:   pattern,
@@ -99,13 +100,12 @@ func TestComposedANucOverSigmaNuSmoke(t *testing.T) {
 		Scheduler: sim.NewFairScheduler(6, 0.8, 3),
 		MaxSteps:  3000,
 		StopWhen:  substrate.AllCorrectDecided(pattern),
-		Recorder:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stopped {
-		t.Fatalf("not all correct processes decided within %d steps (%s)", res.Steps, rec.Summary())
+		t.Fatalf("not all correct processes decided within %d steps (sent=%d)", res.Steps, res.MessagesSent)
 	}
 	out := check.OutcomeFromConfig(res.Config)
 	if err := out.NonuniformConsensus(pattern); err != nil {
@@ -117,19 +117,20 @@ func TestComposedANucOverSigmaNuSmoke(t *testing.T) {
 func TestScratchSigmaSmoke(t *testing.T) {
 	n, tFaults := 5, 2
 	pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{1: 20, 4: 35})
-	rec := &trace.Recorder{RecordSamples: true}
+	col := obs.NewCollector(obs.KindFDOutput)
 	res, err := sim.Run(sim.Exec{
 		Automaton: transform.NewScratchSigma(n, tFaults),
 		Pattern:   pattern,
 		History:   fd.Null,
 		Scheduler: sim.NewFairScheduler(8, 0.8, 3),
 		MaxSteps:  600,
-		Recorder:  rec,
+		Bus:       obs.NewBus(nil, nil, col),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := check.Sigma(rec.Outputs, pattern, res.Ticks*3/4); err != nil {
+	outs := check.History(col.Events(), res.Ticks)
+	if err := check.Sigma(outs, pattern, res.Ticks*3/4); err != nil {
 		t.Fatalf("from-scratch Σ violates spec: %v", err)
 	}
 	t.Logf("ok after %d steps", res.Steps)

@@ -7,7 +7,6 @@ import (
 	"nuconsensus/internal/dag"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/trace"
 )
 
 func node(p model.ProcessID, k int, quorum ...model.ProcessID) dag.Node {
@@ -225,7 +224,7 @@ func TestOmegaFromSuspects(t *testing.T) {
 
 	// Drive each correct process directly through time and check the
 	// emitted leader history against the Ω specification.
-	var outs []trace.Sample
+	var outs []check.Sample
 	states := map[model.ProcessID]model.State{}
 	for p := 0; p < n; p++ {
 		states[model.ProcessID(p)] = aut.InitState(model.ProcessID(p))
@@ -241,7 +240,7 @@ func TestOmegaFromSuspects(t *testing.T) {
 				t.Fatal("the ◇P→Ω reduction must be purely local")
 			}
 			states[pid] = st
-			outs = append(outs, trace.Sample{P: pid, T: tt, Val: st.(model.FDOutput).EmulatedOutput()})
+			outs = append(outs, check.Sample{P: pid, T: tt, Val: st.(model.FDOutput).EmulatedOutput()})
 		}
 	}
 	if err := check.OmegaOutputs(outs, pattern, 60); err != nil {

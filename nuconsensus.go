@@ -43,7 +43,9 @@ import (
 )
 
 // Re-exported core types. ProcessID identifies a process in Π = {0..n−1};
-// ProcessSet is a bitset of processes; Time is the discrete global clock.
+// ProcessSet is a bitset of processes; Time is the discrete global clock;
+// Sample is one point {P, T, Val} of a failure-detector history (the
+// element of SimResult.EmulatedOutputs).
 type (
 	ProcessID      = model.ProcessID
 	ProcessSet     = model.ProcessSet
@@ -52,6 +54,7 @@ type (
 	Automaton      = model.Automaton
 	History        = model.History
 	FDValue        = model.FDValue
+	Sample         = check.Sample
 )
 
 // NeverCrashes is the crash time of correct processes.

@@ -9,7 +9,6 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
 )
 
 // SchedulingChoice is one recorded scheduler decision: which process
@@ -52,7 +51,6 @@ func SimulateRecorded(opts SimOptions) (*SimResult, *RecordedRun, error) {
 	if opts.StopWhenDecided {
 		stop = substrate.AllCorrectDecided(opts.Pattern)
 	}
-	tr := &trace.Recorder{}
 	res, err := sim.Run(sim.Exec{
 		Automaton:    opts.Automaton,
 		Pattern:      opts.Pattern,
@@ -61,7 +59,6 @@ func SimulateRecorded(opts SimOptions) (*SimResult, *RecordedRun, error) {
 		MaxSteps:     maxSteps,
 		StopWhen:     stop,
 		KeepSchedule: true,
-		Recorder:     tr,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -93,7 +90,6 @@ func Replay(opts SimOptions, rec *RecordedRun) (*SimResult, error) {
 	if opts.StopWhenDecided {
 		stop = substrate.AllCorrectDecided(opts.Pattern)
 	}
-	tr := &trace.Recorder{}
 	res, err := sim.Run(sim.Exec{
 		Automaton: opts.Automaton,
 		Pattern:   opts.Pattern,
@@ -101,7 +97,6 @@ func Replay(opts SimOptions, rec *RecordedRun) (*SimResult, error) {
 		Scheduler: &sim.ScriptedScheduler{Script: script, Fallback: sim.NewFairScheduler(rec.Seed, 0.8, 3)},
 		MaxSteps:  maxSteps,
 		StopWhen:  stop,
-		Recorder:  tr,
 	})
 	if err != nil {
 		return nil, err

@@ -8,9 +8,9 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/netrun"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/trace"
 )
 
 // SimOptions configures a deterministic simulated execution of an
@@ -51,22 +51,32 @@ type SimResult struct {
 	// MessagesSent counts all messages sent, by payload kind.
 	MessagesSent int
 	SentKinds    map[string]int
-	// EmulatedOutputs holds the emulated failure-detector output samples of
-	// transformation algorithms (empty for plain consensus runs).
-	EmulatedOutputs []trace.Sample
+	// EmulatedOutputs is the emulated failure-detector history H′ of
+	// transformation algorithms (§2.9): the value of every process's output
+	// variable at every time of the run, on every substrate (empty for
+	// plain consensus runs, and for SimulateRecorded and Replay, which keep
+	// the schedule instead).
+	EmulatedOutputs []Sample
 }
 
 func fromSubstrate(res *substrate.Result) *SimResult {
 	return &SimResult{
-		States:          res.Config.States,
-		Config:          res.Config,
-		Steps:           res.Steps,
-		Decided:         res.Decided,
-		Decisions:       res.Decisions,
-		MessagesSent:    res.Rec.MessagesSent,
-		SentKinds:       res.Rec.SentKinds,
-		EmulatedOutputs: res.Rec.Outputs,
+		States:       res.Config.States,
+		Config:       res.Config,
+		Steps:        res.Steps,
+		Decided:      res.Decided,
+		Decisions:    res.Decisions,
+		MessagesSent: res.MessagesSent,
+		SentKinds:    res.SentKinds,
 	}
+}
+
+// withOutputs lifts a substrate result whose bus fed outputs, a collector
+// of obs.KindFDOutput events, and rebuilds the emulated history from them.
+func withOutputs(res *substrate.Result, outputs *obs.Collector) *SimResult {
+	r := fromSubstrate(res)
+	r.EmulatedOutputs = check.History(outputs.Events(), res.Ticks)
+	return r
 }
 
 // Simulate runs one execution on the deterministic step simulator: at each
@@ -78,17 +88,18 @@ func Simulate(opts SimOptions) (*SimResult, error) {
 	if maxSteps <= 0 {
 		maxSteps = 50000
 	}
+	outputs := obs.NewCollector(obs.KindFDOutput)
 	res, err := sim.New().Run(context.Background(), opts.Automaton, historyOrNull(opts.History), opts.Pattern, substrate.Options{
 		Seed:            opts.Seed,
 		MaxSteps:        maxSteps,
 		StopWhenDecided: opts.StopWhenDecided,
 		GST:             opts.GST,
-		Recorder:        &trace.Recorder{RecordSamples: true},
+		Bus:             obs.NewBus(nil, nil, outputs),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return fromSubstrate(res), nil
+	return withOutputs(res, outputs), nil
 }
 
 // ClusterOptions configures a concurrent execution (async goroutine runtime
@@ -108,15 +119,17 @@ func runConcurrent(s substrate.Substrate, opts ClusterOptions) (*SimResult, erro
 	if maxTicks <= 0 {
 		maxTicks = 200000
 	}
+	outputs := obs.NewCollector(obs.KindFDOutput)
 	res, err := s.Run(context.Background(), opts.Automaton, historyOrNull(opts.History), opts.Pattern, substrate.Options{
 		Seed:            opts.Seed,
 		MaxSteps:        int(maxTicks),
 		StopWhenDecided: true,
+		Bus:             obs.NewBus(nil, nil, outputs),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return fromSubstrate(res), nil
+	return withOutputs(res, outputs), nil
 }
 
 // RunCluster executes the automaton on the concurrent goroutine runtime
@@ -159,7 +172,7 @@ func CheckEmulatedSigma(r *SimResult, f *FailurePattern) error {
 	return checkEmulated(r, f, check.Sigma)
 }
 
-func checkEmulated(r *SimResult, f *FailurePattern, spec func([]trace.Sample, *model.FailurePattern, model.Time) error) error {
+func checkEmulated(r *SimResult, f *FailurePattern, spec func([]Sample, *model.FailurePattern, model.Time) error) error {
 	horizon, err := check.LastCompletenessViolation(r.EmulatedOutputs, f)
 	if err != nil {
 		return err
