@@ -36,10 +36,12 @@ const (
 
 	// e18MsgsPerSlotCap bounds fault-free msgs/slot at pipeline 2: slots
 	// past the first window start with their quorum already acknowledged
-	// (internal/rsm aware.go) and decide in round 1 — 129 measured, against
-	// 225.6 when every slot paid its own SAW/ACK round trip (the first
-	// `pipeline` slots of the 24-slot log still do).
-	e18MsgsPerSlotCap = 150
+	// (internal/rsm aware.go), decide in round 1 and say nothing of round 2
+	// unless asked (rsm stepInstance holds that LEAD) — 103 measured,
+	// against 129 with the post-decision round sent and 225.6 when every
+	// slot also paid its own SAW/ACK round trip (the first `pipeline` slots
+	// of the 24-slot log still do).
+	e18MsgsPerSlotCap = 115
 )
 
 var (

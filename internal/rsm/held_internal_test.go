@@ -1,0 +1,312 @@
+package rsm
+
+import (
+	"reflect"
+	"testing"
+
+	"nuconsensus/internal/consensus"
+	"nuconsensus/internal/fd"
+	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
+)
+
+// fifoNet steps log states by hand over one FIFO inbox per process (so
+// every link is FIFO), for tests that must look at one particular step.
+type fifoNet struct {
+	aut   *Log
+	hist  model.History
+	st    []model.State
+	inbox [][]*model.Message
+	t     model.Time
+	seq   uint64
+}
+
+func newFifoNet(aut *Log, hist model.History) *fifoNet {
+	net := &fifoNet{aut: aut, hist: hist, inbox: make([][]*model.Message, aut.N())}
+	for p := 0; p < aut.N(); p++ {
+		net.st = append(net.st, aut.InitState(model.ProcessID(p)))
+	}
+	return net
+}
+
+// step gives p one step — receiving the head of its inbox, if any — routes
+// what it sends, and returns those sends.
+func (net *fifoNet) step(p model.ProcessID) []model.Send {
+	var m *model.Message
+	if q := net.inbox[p]; len(q) > 0 {
+		m, net.inbox[p] = q[0], q[1:]
+	}
+	net.t++
+	ns, out := net.aut.Step(p, net.st[p], m, net.hist.Output(p, net.t))
+	net.st[p] = ns
+	for _, snd := range out {
+		net.seq++
+		net.inbox[snd.To] = append(net.inbox[snd.To], &model.Message{From: p, To: snd.To, Seq: net.seq, Payload: snd.Payload})
+	}
+	return out
+}
+
+func (net *fifoNet) log(p model.ProcessID) *logState { return net.st[p].(*logState) }
+
+// heldRound is the round of the LEAD p's slot instance is holding, 0 if it
+// holds none.
+func heldRound(st *logState, slot int) int {
+	if h := st.held[slot]; len(h) > 0 {
+		return h[0].Payload.(consensus.LeadPayload).K
+	}
+	return 0
+}
+
+// TestHeldLeadReleasedOnWake: the fast three of four fill the log while p3
+// takes no step, and fall silent — every instance quiet, each holding the
+// LEAD of the round after its decision. Then p3 runs. Its SAW is
+// acknowledged from under the hold; the step that hands the stable leader
+// p0 p3's LEAD of the held round sends p0's own LEAD of that round first,
+// delta-encoded against what each link has been shipped by then (not by the
+// time A_nuc emitted it), and the laggard catches up over an unbroken delta
+// chain.
+func TestHeldLeadReleasedOnWake(t *testing.T) {
+	const n, slots, lag = 4, 6, model.ProcessID(3)
+	hist := fd.HistoryFunc(func(p model.ProcessID, _ model.Time) model.FDValue {
+		q := model.SetOf(0, 1, 2)
+		if p == lag {
+			q = model.FullSet(n) // self-inclusion; meets every other quorum
+		}
+		return fd.PairValue{First: fd.LeaderValue{Leader: 0}, Second: fd.QuorumValue{Quorum: q}}
+	})
+	reg := obs.NewRegistry()
+	net := newFifoNet(NewLog([][]int{{10, 11}, {20}, {30}, {40}}, slots).WithPipeline(2).WithMetrics(reg), hist)
+
+	silent := func() bool {
+		for p := 0; p < n-1; p++ {
+			if len(net.inbox[p]) > 0 || net.log(model.ProcessID(p)).slot < slots {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; !silent(); i++ {
+		if i > 20000 {
+			t.Fatalf("the fast three never filled the log and fell silent: %s", DebugState(net.st[0]))
+		}
+		net.step(model.ProcessID(i % (n - 1)))
+	}
+	p0 := net.log(0)
+	if len(p0.awake) != 0 || len(p0.held) != slots {
+		t.Fatalf("p0 silent with awake = %v and %d held LEADs, want every one of %d instances quiet and holding", p0.awake, len(p0.held), slots)
+	}
+	if reg.Counter("rsm.quiet_released").Value() != 0 {
+		t.Fatal("a held LEAD was released with nobody behind heard from")
+	}
+
+	// p3 runs alone on what was sent to it until p0 is about to be handed
+	// its LEAD of a round p0 holds the LEAD of.
+	var slot, round int
+	for i := 0; ; i++ {
+		if i > 20000 {
+			t.Fatalf("p3 never reached a round p0 holds: %s", DebugState(net.st[lag]))
+		}
+		if q := net.inbox[0]; len(q) > 0 {
+			sp, _ := q[0].Payload.(SlotPayload) // CMD and PRGR fall through to a plain step
+			if lead, ok := sp.Inner.(consensus.LeadDeltaPayload); ok && lead.K == heldRound(p0, sp.Slot) {
+				slot, round = sp.Slot, lead.K
+				break
+			}
+			if _, saw := sp.Inner.(consensus.SawPayload); saw {
+				out := net.step(0)
+				if len(out) != 1 || out[0].To != lag || heldRound(p0, sp.Slot) == 0 {
+					t.Fatalf("p0 answered p3's SAW with %v and holds round %d: want the one ACK and the LEAD still held", out, heldRound(p0, sp.Slot))
+				}
+				continue
+			}
+			net.step(0)
+			continue
+		}
+		net.step(lag)
+	}
+
+	sentVer := append([]uint64(nil), p0.sentVer...)
+	out := net.step(0)
+	if len(out) < n {
+		t.Fatalf("waking step sent %d messages, want at least the %d of the held LEAD", len(out), n)
+	}
+	for i := 0; i < n; i++ {
+		sp, _ := out[i].Payload.(SlotPayload)
+		lead, ok := sp.Inner.(consensus.LeadDeltaPayload)
+		if !ok || sp.Slot != slot || lead.K != round || out[i].To != model.ProcessID(i) {
+			t.Fatalf("send %d of the waking step is %v to %v, want slot %d's LEAD(%d) to p%d first", i, out[i].Payload, out[i].To, slot, round, i)
+		}
+		if lead.Delta.Base != sentVer[i] || lead.Delta.To != p0.store.v.Version() {
+			t.Errorf("released LEAD to p%d carries delta %d→%d, want %d→%d (the link's version at release)",
+				i, lead.Delta.Base, lead.Delta.To, sentVer[i], p0.store.v.Version())
+		}
+	}
+	if heldRound(p0, slot) != 0 || p0.isQuiet(slot) {
+		t.Errorf("after the wake p0's slot %d holds round %d, quiet = %v: want released and awake", slot, heldRound(p0, slot), p0.isQuiet(slot))
+	}
+	if got := reg.Counter("rsm.quiet_released").Value(); got != n {
+		t.Errorf("quiet_released = %d after one release, want %d", got, n)
+	}
+
+	for i := 0; net.log(lag).slot < slots; i++ {
+		if i > 200000 {
+			t.Fatalf("laggard never caught up: %s", DebugState(net.st[lag]))
+		}
+		net.step(model.ProcessID(i % n))
+	}
+	if got, want := net.log(lag).entries, p0.entries; !reflect.DeepEqual(got, want) {
+		t.Fatalf("p3's log %v differs from p0's %v", got, want)
+	}
+	if gaps := reg.Counter("rsm.hist.delta_gaps").Value(); gaps != 0 {
+		t.Errorf("delta_gaps = %d, want 0: a released LEAD broke its link's chain", gaps)
+	}
+	if h, r := reg.Counter("rsm.quiet_held").Value(), reg.Counter("rsm.quiet_released").Value(); r > h {
+		t.Errorf("released %d held sends but only held %d", r, h)
+	}
+}
+
+// seededSlotTwo is the hand-built fixture of the two tests below: p0 of
+// three, window [0, 1], stepping with leader p1 and quorum {p1, p2} — a
+// quorum without p0 itself, which Σν+ never outputs, so that p0's instance
+// can complete a round on what others sent alone — and that quorum already
+// acknowledged below slot 2, so slot 2 opens seeded and decides in round 1.
+func seededSlotTwo(reg *obs.Registry) (*Log, *logState, model.ProcessSet, model.FDValue) {
+	q := model.SetOf(1, 2)
+	d := fd.PairValue{First: fd.LeaderValue{Leader: 1}, Second: fd.QuorumValue{Quorum: q}}
+	aut := NewLog([][]int{{}, {}, {}}, 8).WithPipeline(2).WithMetrics(reg)
+	st := aut.InitState(0).(*logState)
+	for _, r := range []model.ProcessID{1, 2} {
+		st.recordAck(r, AckStampPayload{Q: q, K: 1, Stamp: 1}, nil)
+	}
+	return aut, st, q, d
+}
+
+// TestHeldLeadReleasedInsideReplay: an instance that decides inside
+// replayParked — harvest has not seen the decision, so the window still
+// says open and settle will not look at it — holds its next LEAD like any
+// other, and a later message of that same replay, from a peer already at
+// the held round, must release it there and then: nothing else would. The
+// next harvest then appends the slot and lists its instance awake.
+func TestHeldLeadReleasedInsideReplay(t *testing.T) {
+	const n, slot = 3, 2
+	reg := obs.NewRegistry()
+	aut, st, _, d := seededSlotTwo(reg)
+	parked := []struct {
+		from model.ProcessID
+		pl   model.Payload
+	}{
+		{1, consensus.LeadDeltaPayload{K: 1, V: 42}},
+		{1, consensus.ReportPayload{K: 1, V: 42}},
+		{2, consensus.ReportPayload{K: 1, V: 42}},
+		{1, consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true}},
+		{2, consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true}}, // decides; LEAD(2) held
+		{2, consensus.LeadDeltaPayload{K: 2, V: 42}},                 // p2 is at round 2 already
+	}
+	var ns model.State = st
+	for i, pm := range parked {
+		ns, _ = aut.Step(0, ns, &model.Message{From: pm.from, To: 0, Seq: uint64(i + 1), Payload: SlotPayload{Slot: slot, Inner: pm.pl}}, d)
+	}
+	if len(st.parked[slot]) != len(parked) {
+		t.Fatalf("parked[%d] has %d messages, want %d", slot, len(st.parked[slot]), len(parked))
+	}
+
+	// Slots 0 and 1 decide; harvest opens slot 2 and replays the lot.
+	for i := range st.win {
+		st.win[i] = windowSlot{state: slotDecided, v: NoOp}
+	}
+	sends := st.harvest(aut, d)
+	if v, ok := model.DecisionOf(st.instances[slot]); !ok || v != 42 {
+		t.Fatalf("slot %d did not decide 42 inside the replay: %v, %v", slot, v, ok)
+	}
+	if st.win[0].state != slotOpen {
+		t.Fatalf("window state of slot %d = %v: the decision was harvested, the test lost its premise", slot, st.win[0].state)
+	}
+	leads := 0
+	for _, snd := range sends {
+		if sp, ok := snd.Payload.(SlotPayload); ok && sp.Slot == slot {
+			if lead, ok := sp.Inner.(consensus.LeadDeltaPayload); ok && lead.K == 2 {
+				leads++
+			}
+		}
+	}
+	if leads != n || st.held[slot] != nil {
+		t.Fatalf("replay sent %d LEAD(2) and left %d held: want the held broadcast of %d released when p2 was heard at round 2", leads, len(st.held[slot]), n)
+	}
+	if h, r := reg.Counter("rsm.quiet_held").Value(), reg.Counter("rsm.quiet_released").Value(); h != n || r != n {
+		t.Errorf("quiet_held = %d, quiet_released = %d, want %d and %d", h, r, n, n)
+	}
+	st.harvest(aut, d)
+	if st.slot != slot+1 || !reflect.DeepEqual(st.awake, []int{slot}) {
+		t.Errorf("after the next harvest the frontier is %d and awake = %v: want slot %d appended and awake", st.slot, st.awake, slot)
+	}
+}
+
+// TestHeldLeadReleasedWhenRoundMovesOn: the hold is for a LEAD of the round
+// the instance is waiting in. If the instance completes that wait while
+// still quiet — its leader, since passed, had sent the round's LEAD before
+// the decision — the held LEAD goes out ahead of the REP, so a quiet
+// instance never holds anything but the LEAD of its current round.
+func TestHeldLeadReleasedWhenRoundMovesOn(t *testing.T) {
+	const slot = 2
+	aut, st, q, d := seededSlotTwo(obs.NewRegistry())
+	for i := range st.win {
+		st.win[i] = windowSlot{state: slotDecided, v: NoOp}
+	}
+	st.harvest(aut, d) // slot 2 opens, seeded with q
+	var seq uint64
+	step := func(from model.ProcessID, pl model.Payload) []model.Send {
+		seq++
+		_, out := aut.Step(0, st, &model.Message{From: from, To: 0, Seq: seq, Payload: pl}, d)
+		return out
+	}
+	in := func(pl model.Payload) SlotPayload { return SlotPayload{Slot: slot, Inner: pl} }
+	step(1, in(consensus.LeadDeltaPayload{K: 1, V: 42}))
+	step(1, in(consensus.ReportPayload{K: 1, V: 42}))
+	step(2, in(consensus.ReportPayload{K: 1, V: 42}))
+	step(1, in(consensus.LeadDeltaPayload{K: 2, V: 42})) // the leader runs ahead …
+	step(1, ProgressPayload{Slot: slot + 1})             // … and passes the slot
+	step(1, in(consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true}))
+	step(2, in(consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true}))
+	if heldRound(st, slot) != 2 || !st.isQuiet(slot) {
+		t.Fatalf("slot %d holds round %d, quiet = %v: want decided in round 1, quiet, LEAD(2) held", slot, heldRound(st, slot), st.isQuiet(slot))
+	}
+
+	// p2, still in round 1, announces its quorum: the step acknowledges, and
+	// its advance finds the leader's LEAD(2) waiting.
+	out := step(2, in(consensus.SawPayload{Q: q}))
+	var kinds []string
+	for _, snd := range out {
+		if sp, ok := snd.Payload.(SlotPayload); ok && sp.Slot == slot {
+			kinds = append(kinds, sp.Kind())
+		}
+	}
+	if want := []string{"LEADD", "LEADD", "LEADD", "SACK", "REP", "REP", "REP"}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("slot-%d sends of the step = %v, want %v", slot, kinds, want)
+	}
+	if heldRound(st, slot) != 0 || !st.isQuiet(slot) {
+		t.Errorf("slot %d holds round %d, quiet = %v: want nothing held and still quiet (p2 was only heard at round 1)", slot, heldRound(st, slot), st.isQuiet(slot))
+	}
+}
+
+// TestCloneCopiesHeldLead: fork, then diverge. A release wraps the held
+// sends in place, so a fork must own its copy: waking one side must leave
+// the other still holding the LEAD as A_nuc emitted it.
+func TestCloneCopiesHeldLead(t *testing.T) {
+	aut := NewLog([][]int{{}, {}, {}}, 8)
+	orig := aut.InitState(0).(*logState)
+	lead := model.Broadcast(model.FullSet(3), consensus.LeadPayload{K: 2, V: 7})
+	orig.held = map[int][]model.Send{0: lead}
+
+	fork := orig.CloneState().(*logState)
+	out := fork.wrapShared(0, fork.held[0])
+	delete(fork.held, 0)
+	if _, wrapped := out[0].Payload.(SlotPayload); !wrapped {
+		t.Fatalf("the fork released %v, want it slot-wrapped", out[0].Payload)
+	}
+	if got := orig.held[0]; len(got) != 3 || heldRound(orig, 0) != 2 {
+		t.Fatalf("the fork's release reached the original's held sends: %v", got)
+	}
+	if orig.sentVer[1] != 0 || len(fork.held) != 0 {
+		t.Fatalf("fork and original share state: orig.sentVer = %v, fork.held = %v", orig.sentVer, fork.held)
+	}
+}

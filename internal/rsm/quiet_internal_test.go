@@ -7,8 +7,8 @@ import (
 )
 
 // TestQuietPredicate pins the gate itself: a decided instance sleeps iff
-// it is quietMargin rounds ahead of everything heard, in its slot, from
-// each other process not known to have passed the slot.
+// its round is strictly above everything heard, in its slot, from each
+// other process not known to have passed the slot.
 func TestQuietPredicate(t *testing.T) {
 	const self, slot = model.ProcessID(1), 5
 	cases := []struct {
@@ -21,18 +21,20 @@ func TestQuietPredicate(t *testing.T) {
 	}{
 		{"undecided never sleeps", false, 9, []int{6, 6, 6, 6}, nil, false},
 		{"everyone else passed", true, 2, []int{6, 5, 6, 9}, []int{7, 7, 7, 7}, true},
-		{"never heard counts as round 0: nil row", true, 2, []int{0, 6, 6, 6}, nil, true},
-		{"never heard counts as round 0: zero entry", true, 2, []int{0, 6, 6, 6}, []int{0, 4, 4, 4}, true},
-		{"round 1 is not yet ahead of silence", true, 1, []int{0, 6, 6, 6}, nil, false},
-		{"exactly the margin ahead", true, 5, []int{5, 6, 6, 6}, []int{3, 0, 0, 0}, true},
-		{"one short of the margin", true, 4, []int{5, 6, 6, 6}, []int{3, 0, 0, 0}, false},
+		{"everyone else passed, not yet started", true, 0, []int{6, 5, 6, 9}, nil, true},
+		{"never heard counts as round 0: nil row", true, 1, []int{0, 6, 6, 6}, nil, true},
+		{"never heard counts as round 0: zero entry", true, 1, []int{0, 6, 6, 6}, []int{0, 4, 4, 4}, true},
+		{"round 0 is not ahead of silence", true, 0, []int{0, 6, 6, 6}, nil, false},
+		{"one round ahead", true, 4, []int{5, 6, 6, 6}, []int{3, 0, 0, 0}, true},
+		{"two rounds ahead", true, 5, []int{5, 6, 6, 6}, []int{3, 0, 0, 0}, true},
 		{"level with the laggard", true, 3, []int{5, 6, 6, 6}, []int{3, 0, 0, 0}, false},
-		{"progress equal to the slot has not passed it", true, 4, []int{6, 6, 5, 6}, []int{0, 0, 3, 0}, false},
-		{"progress one beyond the slot has", true, 4, []int{6, 6, 6, 6}, []int{0, 0, 3, 0}, true},
-		{"ahead of one laggard, not of the other", true, 6, []int{2, 6, 6, 5}, []int{1, 0, 0, 5}, false},
-		{"ahead of both", true, 7, []int{2, 6, 6, 5}, []int{1, 0, 0, 5}, true},
-		{"own entry ignored: not passed, heard high", true, 2, []int{6, 3, 6, 6}, []int{0, 9, 0, 0}, true},
-		{"a passed process's heard round is ignored", true, 2, []int{6, 6, 6, 6}, []int{9, 9, 9, 9}, true},
+		{"behind the laggard", true, 2, []int{5, 6, 6, 6}, []int{3, 0, 0, 0}, false},
+		{"progress equal to the slot has not passed it", true, 3, []int{6, 6, 5, 6}, []int{0, 0, 3, 0}, false},
+		{"progress one beyond the slot has", true, 3, []int{6, 6, 6, 6}, []int{0, 0, 3, 0}, true},
+		{"ahead of one laggard, level with the other", true, 5, []int{2, 6, 6, 5}, []int{1, 0, 0, 5}, false},
+		{"ahead of both", true, 6, []int{2, 6, 6, 5}, []int{1, 0, 0, 5}, true},
+		{"own entry ignored: not passed, heard high", true, 1, []int{6, 3, 6, 6}, []int{0, 9, 0, 0}, true},
+		{"a passed process's heard round is ignored", true, 1, []int{6, 6, 6, 6}, []int{9, 9, 9, 9}, true},
 	}
 	for _, c := range cases {
 		if got := quiet(c.decided, c.own, self, slot, c.progress, c.heard); got != c.want {

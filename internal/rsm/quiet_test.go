@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
@@ -75,8 +76,10 @@ func starveFor(n int, victim model.ProcessID, inner sim.Scheduler) *starveUntil 
 }
 
 // assertQuietLaggardRun checks the outcome both substrates must produce:
-// four identical full logs, and counters showing the fast three slept,
-// kept what they were sent meanwhile, and woke for the laggard.
+// four identical full logs, and counters showing the fast three slept
+// holding the LEAD of a round nobody had reached, and woke — LEAD out — for
+// the laggard when it got there. Nothing superfluous is sent to a sleeper
+// any more, so nothing need be parked at one.
 func assertQuietLaggardRun(t *testing.T, states []model.State, reg *obs.Registry) {
 	t.Helper()
 	ref := states[0].(rsm.LogHolder).Entries()
@@ -88,20 +91,27 @@ func assertQuietLaggardRun(t *testing.T, states []model.State, reg *obs.Registry
 			t.Fatalf("p%d's log %v differs from p0's %v", p, got, ref)
 		}
 	}
-	for _, name := range []string{"rsm.quiet_enter", "rsm.quiet_wake", "rsm.quiet_replayed"} {
+	for _, name := range []string{"rsm.quiet_enter", "rsm.quiet_wake", "rsm.quiet_released"} {
 		if reg.Counter(name).Value() == 0 {
 			t.Errorf("%s = 0: the fast processes never slept, or never woke for the laggard", name)
 		}
 	}
+	if h, r := reg.Counter("rsm.quiet_held").Value(), reg.Counter("rsm.quiet_released").Value(); r > h {
+		t.Errorf("released %d held sends but only held %d", r, h)
+	}
 	if p, r := reg.Counter("rsm.quiet_parked").Value(), reg.Counter("rsm.quiet_replayed").Value(); r > p {
 		t.Errorf("replayed %d quiet-parked messages but only parked %d", r, p)
+	}
+	if gaps := reg.Counter("rsm.hist.delta_gaps").Value(); gaps != 0 {
+		t.Errorf("delta_gaps = %d: a held LEAD left out of FIFO order with its link's delta chain", gaps)
 	}
 }
 
 // TestQuietLaggardCatchesUp: p3 takes no step until the other three have
 // appended 8 slots; their decided instances go quiet meanwhile (nothing
-// was ever heard from p3). Once released, p3 fills its log from what was
-// already sent to it plus what its LEAD broadcasts wake the others for.
+// was ever heard from p3), each holding the LEAD of the round after its
+// decision. Once released, p3 fills its log from what was already sent to
+// it plus what its own LEAD broadcasts wake the others to send.
 func TestQuietLaggardCatchesUp(t *testing.T) {
 	pattern := model.PatternFromCrashes(quietN, nil)
 	reg := obs.NewRegistry()
@@ -237,10 +247,10 @@ func (a *sendTap) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 // for slot 0 — and crashes. It will never announce progress past slot 0
 // and the survivors did hear it there, so a rule that keeps a decided
 // instance up for every not-passed process that ever spoke would cycle
-// slot 0 forever. The round margin does not: round 1 is all the zombie
-// will ever be heard at, and a decided instance is past round 3 soon
-// enough. Long after the log fills, slot 0 — and every other slot — is
-// silent.
+// slot 0 forever. The round rule does not: round 1 is all the zombie will
+// ever be heard at, and a decided instance is at round 2 or beyond the
+// step it decides. Long after the log fills, slot 0 — and every other
+// slot — is silent.
 func TestQuietZombieSlot(t *testing.T) {
 	const steps, tail = 40000, 10000
 	// The fair scheduler steps every alive process once per pass of four:
@@ -288,5 +298,82 @@ func TestQuietZombieSlot(t *testing.T) {
 	// The zombie opened its two window slots before crashing.
 	if want := opened - 2; quiet != want {
 		t.Errorf("quiet instances = %d, want all %d the survivors hold", quiet, want)
+	}
+}
+
+// roundTap notes, per slot, the highest round on any phase message (LEAD,
+// REP, PROP) the log sent, and — as the log's RoundSink — the highest round
+// a process was in when it appended the slot: the step that decides in
+// round k enters round k+1 before harvest looks.
+type roundTap struct {
+	model.Automaton
+	sent, entered map[int]int
+}
+
+func (a *roundTap) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	ns, out := a.Automaton.Step(p, s, m, d)
+	for _, snd := range out {
+		if sp, ok := snd.Payload.(rsm.SlotPayload); ok {
+			// Slot-wrapped ACKs travel as AckStampPayload, which has no round
+			// here: only the three phase messages count.
+			if k, ok := consensus.PayloadRound(sp.Inner); ok && k > a.sent[sp.Slot] {
+				a.sent[sp.Slot] = k
+			}
+		}
+	}
+	return ns, out
+}
+
+func (a *roundTap) OnEntry(model.ProcessID, int, int) {}
+
+func (a *roundTap) OnEntryRound(_ model.ProcessID, slot, _, round int) {
+	if round > a.entered[slot] {
+		a.entered[slot] = round
+	}
+}
+
+// TestDecidedRoundIsNotAnnounced: with nobody slow and the detectors
+// settled, no process sends a phase message of a round above the one the
+// slot was decided in — the LEAD Fig. 4 emits on the way out of line 30 is
+// held, and with nobody to ask for it, dropped at retirement. Past the
+// first windows (which pay the SAW → ACK round trip) that is one round of
+// traffic per slot.
+func TestDecidedRoundIsNotAnnounced(t *testing.T) {
+	const slots, window = 24, 2
+	pattern := model.PatternFromCrashes(quietN, nil)
+	reg := obs.NewRegistry()
+	tap := &roundTap{sent: map[int]int{}, entered: map[int]int{}}
+	cmds := [][]int{{10, 11, 12}, {20, 21, 22}, {30, 31, 32}, {40, 41, 42}}
+	tap.Automaton = rsm.NewLog(cmds, slots).WithPipeline(window).WithMetrics(reg).WithEntrySink(tap)
+	res, err := sim.Run(sim.Exec{
+		Automaton: tap,
+		Pattern:   pattern,
+		History:   rsm.PairForLog(pattern, 0, 7),
+		Scheduler: sim.NewFairScheduler(7, 0.8, 3),
+		MaxSteps:  200000,
+		StopWhen:  rsm.AllAppended(pattern, slots),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped {
+		t.Fatal("log never filled")
+	}
+	firstRound := 0
+	for slot := 0; slot < slots; slot++ {
+		decided := tap.entered[slot] - 1
+		if tap.sent[slot] > decided {
+			t.Errorf("slot %d: decided by round %d everywhere, yet a round-%d phase message was sent", slot, decided, tap.sent[slot])
+		}
+		if decided == 1 {
+			firstRound++
+		}
+	}
+	if firstRound < slots-2*window {
+		t.Errorf("only %d of %d slots decided in round 1 everywhere: the run is not the steady state this test is about", firstRound, slots)
+	}
+	held, released := reg.Counter("rsm.quiet_held").Value(), reg.Counter("rsm.quiet_released").Value()
+	if want := int64(quietN * quietN * firstRound); held-released < want {
+		t.Errorf("quiet_held − quiet_released = %d − %d, want at least %d (a LEAD broadcast per process per round-1 slot never sent)", held, released, want)
 	}
 }

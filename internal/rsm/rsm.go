@@ -23,12 +23,15 @@
 //     the stable leader's next-round message. A decided instance therefore
 //     keeps stepping — pumped round-robin with the other awake ones — for
 //     as long as some process that has not passed the slot could be
-//     waiting on it, and goes quiet once it is quietMargin rounds ahead of
-//     everything heard from every such process: by then all it could be
-//     asked for is already sent. A quiet instance takes no steps, wakes
-//     when such a process is heard catching up, and costs nothing in
-//     between — in particular a crashed process, whose progress never
-//     moves, does not keep every later slot cycling for ever (see quiet).
+//     waiting on it, and goes quiet once it is a round ahead of everything
+//     heard from every such process: everything it could be asked for is
+//     sent, except the LEAD of the round it has just entered, which nobody
+//     has asked for and which the log holds back (see quiet, stepInstance).
+//     A quiet instance takes no steps, wakes — held LEAD out first — when
+//     such a process is heard reaching its round, and costs nothing in
+//     between: a slot decided in round 1 costs one round of traffic, and a
+//     crashed process, whose progress never moves, does not keep every
+//     later slot cycling for ever.
 //
 // Retirement is still possible — safely — through progress gossip: once
 // every process is known to have passed a slot, its instance is discarded.
@@ -59,15 +62,6 @@ import (
 // NoOp is proposed by processes with empty command queues; it never enters
 // the replicated log's visible command stream.
 const NoOp = -1
-
-// pumpPeriod throttles old-instance pumping to one inner step per this many
-// outer steps (see Log.Step).
-const pumpPeriod = 4
-
-// quietMargin is how many rounds a decided instance must be ahead of every
-// process that may still need the slot before it stops stepping (see
-// quiet; DESIGN.md "Quiet decided instances" derives the 2).
-const quietMargin = 2
 
 // SlotPayload wraps a consensus payload with its slot number.
 type SlotPayload struct {
@@ -208,7 +202,6 @@ type logState struct {
 	parked    map[int][]parkedMsg // messages for slots not yet opened here
 	progress  []int               // known progress of every process
 	pump      int                 // round-robin cursor over awake older instances
-	steps     int                 // own step counter (pump throttling)
 	appended  int                 // entries appended (== len(entries) unless sinking)
 
 	win []windowSlot // in-flight slots: win[i] is slot+i, len == Log.window
@@ -218,9 +211,13 @@ type logState struct {
 	// the highest A_nuc round of any slot message delivered from q; a row is
 	// allocated on the slot's first such message and dropped with the
 	// instance. awake lists, ascending, the decided live slots that still
-	// step: every other decided live slot is quiet.
+	// step: every other decided live slot is quiet. held[slot] is the LEAD
+	// broadcast of the round a quiet instance sits in, as A_nuc emitted it
+	// (not yet slot-tagged or delta-encoded): withheld until the instance
+	// wakes (see stepInstance), dropped with the instance.
 	heard map[int][]int
 	awake []int
+	held  map[int][]model.Send
 	floor int // min(progress) as of the last retire: every slot below it is gone
 
 	// The process's quorum histories H_p and their delta transport (see
@@ -293,6 +290,12 @@ func (s *logState) CloneState() model.State {
 		c.heard = make(map[int][]int, len(s.heard))
 		for k, v := range s.heard {
 			c.heard[k] = append([]int(nil), v...)
+		}
+	}
+	if s.held != nil {
+		c.held = make(map[int][]model.Send, len(s.held))
+		for k, v := range s.held {
+			c.held[k] = append([]model.Send(nil), v...)
 		}
 	}
 	if s.aware != nil {
@@ -421,24 +424,17 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 		}
 	}
 
-	// Pump one awake older instance so laggards are never stranded — but
-	// only every few steps. A decided A_nuc instance cycles rounds for as
-	// long as it is awake (the algorithm never halts; only the quiet rule
-	// stops it, once it is quietMargin rounds ahead of whoever still needs
-	// the slot), so pumping at full speed floods laggards faster than the
-	// one-receive-per-step model lets them drain, and their round-trip
-	// latency grows without bound. Throttling keeps aggregate production
-	// below consumption while still advancing every awake instance
-	// infinitely often. The awake older slots are the prefix of st.awake
-	// below the frontier: per-step work is O(awake), not O(live).
-	st.steps++
-	if st.steps%pumpPeriod == 0 {
-		if k := sort.SearchInts(st.awake, st.slot); k > 0 {
-			slot := st.awake[st.pump%k]
-			st.pump++
-			out = append(out, st.stepInstance(a, slot, nil, d)...)
-			out = append(out, st.settle(a, slot, d)...)
-		}
+	// Pump one awake older instance so laggards are never stranded: an
+	// awake decided instance is an ordinary A_nuc process and must keep
+	// taking steps. It cannot run ahead of the laggard it is up for — the
+	// quiet rule puts it to sleep one round past whatever it has heard — so
+	// the pump needs no throttle. The awake older slots are the prefix of
+	// st.awake below the frontier: per-step work is O(awake), not O(live).
+	if k := sort.SearchInts(st.awake, st.slot); k > 0 {
+		slot := st.awake[st.pump%k]
+		st.pump++
+		out = append(out, st.stepInstance(a, slot, nil, d)...)
+		out = append(out, st.settle(a, slot, d)...)
 	}
 
 	st.compactStore(a.metrics)
@@ -450,10 +446,69 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 // m, or a λ step when m is nil — and returns its sends slot-tagged, with
 // history payloads delta-encoded (wrapShared, shared.go). Every inner step
 // of the log goes through here.
+//
+// Fig. 4 falls from line 30 straight through lines 13–15: the step that
+// completes a round broadcasts the next round's LEAD. When that step leaves
+// the instance quiet nobody has been heard at the new round, so nobody has
+// asked for that LEAD, and it is kept — as A_nuc emitted it — in s.held
+// instead of returned: sending a message later is asynchrony the model
+// grants. It goes through wrapShared only at release, so the
+// per-destination delta chain and sentVer advance in the order messages
+// really leave, and it leaves ahead of the releasing step's own sends: the
+// first step after which the instance is not quiet (someone was heard at
+// its round), or in which it moves on in that round regardless (the LEAD it
+// waits for was in its inbox already). Heard rounds only move in deliver,
+// which steps the instance straight after, so a held LEAD never outlives
+// the quiet it was held under.
 func (s *logState) stepInstance(a *Log, slot int, m *model.Message, d model.FDValue) []model.Send {
 	ns, sends := a.inner.Step(s.p, s.instances[slot], m, d)
 	s.instances[slot] = ns
-	return s.wrapShared(slot, sends)
+	quiet := s.quietNow(slot)
+	var released []model.Send
+	if held := s.held[slot]; held != nil && (!quiet || movedOn(sends)) {
+		delete(s.held, slot)
+		a.metrics.quietRelease(len(held))
+		released = s.wrapShared(slot, held)
+	}
+	if i := newRoundLead(sends); quiet && i < len(sends) {
+		if s.held == nil {
+			s.held = make(map[int][]model.Send)
+		}
+		s.held[slot] = sends[i:]
+		a.metrics.quietHold(len(sends) - i)
+		sends = sends[:i:i]
+	}
+	sends = s.wrapShared(slot, sends)
+	if released == nil {
+		return sends
+	}
+	return append(released, sends...)
+}
+
+// newRoundLead returns where, in one inner step's sends, the LEAD broadcast
+// of a round entered in that step begins — len(sends) if it entered none.
+// startRound is the last thing an A_nuc step does and the only place a LEAD
+// is sent, so the broadcast is the tail of the slice.
+func newRoundLead(sends []model.Send) int {
+	i := len(sends)
+	for i > 0 {
+		if _, lead := sends[i-1].Payload.(consensus.LeadPayload); !lead {
+			break
+		}
+		i--
+	}
+	return i
+}
+
+// movedOn reports whether one inner step's sends hold anything besides
+// acknowledgements of a SAW: a wait of Fig. 4's main loop completed in it.
+func movedOn(sends []model.Send) bool {
+	for _, snd := range sends {
+		if _, ack := snd.Payload.(consensus.AckPayload); !ack {
+			return true
+		}
+	}
+	return false
 }
 
 // deliver hands one slot message to the slot's live instance, first noting
@@ -590,13 +645,13 @@ func (s *logState) replayParked(a *Log, slot int, d model.FDValue) (int, []model
 }
 
 // quiet is the gate on decided instances: a process's decided instance of
-// slot, currently in round own, takes no steps while it is at least
-// quietMargin rounds ahead of the highest round heard, in this slot, from
-// every other process not known to have passed the slot (a nil heard row,
-// or a zero in it, is a process never heard from). An undecided instance
-// is never quiet, and the process itself is not one it stays up for.
-// Withholding a step is ordinary asynchrony, so safety does not depend on
-// this rule; DESIGN.md "Quiet decided instances" has the liveness lemma.
+// slot, currently in round own, takes no steps while it is strictly ahead
+// of the highest round heard, in this slot, from every other process not
+// known to have passed the slot (a nil heard row, or a zero in it, is a
+// process never heard from). An undecided instance is never quiet, and the
+// process itself is not one it stays up for. Withholding a step is ordinary
+// asynchrony, so safety does not depend on this rule; DESIGN.md "Quiet
+// decided instances" has the liveness lemma.
 func quiet(decided bool, own int, self model.ProcessID, slot int, progress, heard []int) bool {
 	if !decided {
 		return false
@@ -609,7 +664,7 @@ func quiet(decided bool, own int, self model.ProcessID, slot int, progress, hear
 		if heard != nil {
 			h = heard[q]
 		}
-		if own < h+quietMargin {
+		if own <= h {
 			return false
 		}
 	}
@@ -630,9 +685,13 @@ func (s *logState) decided(slot int) bool {
 }
 
 // quietNow evaluates the quiet rule for a live slot on the current state.
+// It reads the decision off the instance, not the window: stepInstance asks
+// in the very step that decides, before harvest has seen it.
 func (s *logState) quietNow(slot int) bool {
-	own, _ := model.RoundOf(s.instances[slot])
-	return quiet(s.decided(slot), own, s.p, slot, s.progress, s.heard[slot])
+	inst := s.instances[slot]
+	_, decided := model.DecisionOf(inst)
+	own, _ := model.RoundOf(inst)
+	return quiet(decided, own, s.p, slot, s.progress, s.heard[slot])
 }
 
 // isQuiet reports the recorded status of a live slot: decided and not in
@@ -794,10 +853,10 @@ func without(cmds []int, v int) []int {
 
 // retire discards instances below everyone's known progress: every process
 // has decided those slots, so nobody can still need their messages. The
-// slot's heard row, anything parked for it while quiet and its awake entry
-// go with it. Instances only ever open at or above the frontier, so the
-// slots to drop are exactly [floor, min): the work is O(retired), not
-// O(live), however long a crash has stalled the floor.
+// slot's heard row, anything parked for it while quiet, the LEAD it held
+// and its awake entry go with it. Instances only ever open at or above the
+// frontier, so the slots to drop are exactly [floor, min): the work is
+// O(retired), not O(live), however long a crash has stalled the floor.
 func (s *logState) retire(a *Log) {
 	min := s.progress[0]
 	for _, pr := range s.progress[1:] {
@@ -811,6 +870,7 @@ func (s *logState) retire(a *Log) {
 			delete(s.instances, s.floor)
 			delete(s.heard, s.floor)
 			delete(s.parked, s.floor)
+			delete(s.held, s.floor)
 			retired++
 		}
 	}

@@ -49,6 +49,8 @@ func (a *Log) WithMetrics(reg *obs.Registry) *Log {
 		quietEnters:   reg.Counter("rsm.quiet_enter"),
 		quietWakes:    reg.Counter("rsm.quiet_wake"),
 		quietRetires:  reg.Counter("rsm.quiet_retired"),
+		quietHeld:     reg.Counter("rsm.quiet_held"),
+		quietReleased: reg.Counter("rsm.quiet_released"),
 		instOpened:    reg.Counter("rsm.instances_opened"),
 		instRetired:   reg.Counter("rsm.instances_retired"),
 		awareSeeded:   reg.Counter("rsm.aware.seeded"),
@@ -105,12 +107,16 @@ type logMetrics struct {
 	// two above so those keep meaning "late opener": messages parked at /
 	// replayed into a quiet instance, transitions into and out of quiet,
 	// and quiet instances discarded by retirement — the quiet population is
-	// enter − wake − retired.
-	quietParks   *obs.Counter
-	quietReplays *obs.Counter
-	quietEnters  *obs.Counter
-	quietWakes   *obs.Counter
-	quietRetires *obs.Counter
+	// enter − wake − retired. held / released count the sends a quiet
+	// instance's new-round LEAD was withheld from and those that went out
+	// after all (see stepInstance); their difference was never needed.
+	quietParks    *obs.Counter
+	quietReplays  *obs.Counter
+	quietEnters   *obs.Counter
+	quietWakes    *obs.Counter
+	quietRetires  *obs.Counter
+	quietHeld     *obs.Counter
+	quietReleased *obs.Counter
 	// instOpened / instRetired count slot instances created and discarded; their
 	// difference is the live-instance population a stalled floor grows.
 	instOpened  *obs.Counter
@@ -174,6 +180,18 @@ func (m *logMetrics) quietWake(n int) {
 	if m != nil {
 		m.quietWakes.Add(1)
 		m.quietReplays.Add(int64(n))
+	}
+}
+
+func (m *logMetrics) quietHold(n int) {
+	if m != nil {
+		m.quietHeld.Add(int64(n))
+	}
+}
+
+func (m *logMetrics) quietRelease(n int) {
+	if m != nil {
+		m.quietReleased.Add(int64(n))
 	}
 }
 

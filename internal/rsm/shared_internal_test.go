@@ -77,9 +77,11 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 		st.win[0] = windowSlot{state: slotDecided, v: NoOp}
 		st.harvest(aut, nil)
 	}
-	st.awake = []int{0, 1, 2} // none heard from: fresh instances are not yet quietMargin ahead
+	// Both peers were heard at round 9 in every slot, far ahead of these
+	// fresh instances: all three are awake and stay so while pumped.
+	st.heard = map[int][]int{0: {0, 9, 9}, 1: {0, 9, 9}, 2: {0, 9, 9}}
+	st.awake = []int{0, 1, 2}
 	st.pump = 2
-	st.steps = pumpPeriod - 1 // the very next step pumps
 
 	ns, _ := aut.Step(0, st, nil, hist.Output(0, 1))
 	cur := ns.(*logState)
@@ -97,10 +99,9 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 		t.Fatalf("awake older slots after retirement = %v, want [2]", got)
 	}
 
-	// Keep stepping through several pump cycles: the cursor must keep
-	// selecting the one surviving slot, and a final retirement emptying the
-	// set must also be safe.
-	for i := 0; i < 3*pumpPeriod; i++ {
+	// Keep pumping: the cursor must keep selecting the one surviving slot,
+	// and a final retirement emptying the set must also be safe.
+	for i := 0; i < 12; i++ {
 		n, _ := aut.Step(0, cur, nil, hist.Output(0, model.Time(3+i)))
 		cur = n.(*logState)
 	}
@@ -111,7 +112,7 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 	if len(cur.instances) != 0 {
 		t.Fatalf("instances after full retirement = %d, want 0", len(cur.instances))
 	}
-	for i := 0; i < 2*pumpPeriod; i++ {
+	for i := 0; i < 8; i++ {
 		n, _ := aut.Step(0, cur, nil, hist.Output(0, model.Time(22+i)))
 		cur = n.(*logState)
 	}
