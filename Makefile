@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench-module race bench bench-hot bench-report bench-check experiments experiments-full tables-check substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-flow lint-static ci clean
+.PHONY: all build test test-short bench-module race bench bench-hot bench-report bench-check experiments experiments-full tables-check substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-flow lint-static loc ci clean
 
 # Smoke-test artifacts (metrics dumps, span streams, Chrome traces) land
 # here; CI uploads the directory, .gitignore keeps it out of the tree.
@@ -246,6 +246,16 @@ lint-flow:
 # subset included — lint-flow exists for focused runs, lint covers it).
 lint-static: vet lint
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# loc prints non-test, non-blank, non-comment Go lines per package (root,
+# cmd/*, internal/* with sub-packages folded in) — the "LOC per package
+# before/after" figure ROADMAP item 9 asks every deletion PR to record.
+# The tree has no block comments, so a leading // is the whole test.
+loc:
+	@for d in . cmd/* internal/*; do \
+	    depth=; [ $$d = . ] && depth='-maxdepth 1'; \
+	    printf '%-24s %6d\n' $$d $$(find $$d $$depth -name '*.go' ! -name '*_test.go' | xargs cat | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l); \
+	done
 
 # ci mirrors .github/workflows/ci.yml: static checks, build, tests, race
 # detector, and a parallel experiments run that fails on any claim failure

@@ -17,7 +17,7 @@ import (
 )
 
 // AckStampPayload is consensus.AckPayload as the log ships it: Stamp is the
-// highest slot of the acker's window (slot + len(win) − 1) at the moment it
+// highest slot of the acker's window (slot + window − 1) at the moment it
 // ran the SAW handler, so the acker's store held (p, Q) before the acker
 // created any instance above Stamp — hence before any PROP it sends there.
 // wrapShared stamps every outgoing ACK; applyIncoming records the stamp and

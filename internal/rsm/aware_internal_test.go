@@ -164,11 +164,11 @@ func (a *awarenessAuditor) Step(p model.ProcessID, s model.State, m *model.Messa
 			}
 		}
 	}
-	for slot, inst := range st.instances {
+	for _, slot := range st.liveSlots() {
 		if a.audited[p][slot] {
 			continue
 		}
-		q, k, decided := inst.(interface {
+		q, k, decided := liveAt(st, slot).(interface {
 			DecidedWith() (model.ProcessSet, int, bool)
 		}).DecidedWith()
 		if !decided {

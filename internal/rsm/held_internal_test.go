@@ -48,15 +48,6 @@ func (net *fifoNet) step(p model.ProcessID) []model.Send {
 
 func (net *fifoNet) log(p model.ProcessID) *logState { return net.st[p].(*logState) }
 
-// heldRound is the round of the LEAD p's slot instance is holding, 0 if it
-// holds none.
-func heldRound(st *logState, slot int) int {
-	if h := st.held[slot]; len(h) > 0 {
-		return h[0].Payload.(consensus.LeadPayload).K
-	}
-	return 0
-}
-
 // TestHeldLeadReleasedOnWake: the fast three of four fill the log while p3
 // takes no step, and fall silent — every instance quiet, each holding the
 // LEAD of the round after its decision. Then p3 runs. Its SAW is
@@ -92,8 +83,8 @@ func TestHeldLeadReleasedOnWake(t *testing.T) {
 		net.step(model.ProcessID(i % (n - 1)))
 	}
 	p0 := net.log(0)
-	if len(p0.awake) != 0 || len(p0.held) != slots {
-		t.Fatalf("p0 silent with awake = %v and %d held LEADs, want every one of %d instances quiet and holding", p0.awake, len(p0.held), slots)
+	if len(p0.awake) != 0 || holding(p0) != slots {
+		t.Fatalf("p0 silent with awake = %v and %d held LEADs, want every one of %d instances quiet and holding", p0.awake, holding(p0), slots)
 	}
 	if reg.Counter("rsm.quiet_released").Value() != 0 {
 		t.Fatal("a held LEAD was released with nobody behind heard from")
@@ -206,20 +197,18 @@ func TestHeldLeadReleasedInsideReplay(t *testing.T) {
 	for i, pm := range parked {
 		ns, _ = aut.Step(0, ns, &model.Message{From: pm.from, To: 0, Seq: uint64(i + 1), Payload: SlotPayload{Slot: slot, Inner: pm.pl}}, d)
 	}
-	if len(st.parked[slot]) != len(parked) {
-		t.Fatalf("parked[%d] has %d messages, want %d", slot, len(st.parked[slot]), len(parked))
+	if got := len(deferredAt(st, slot)); got != len(parked) {
+		t.Fatalf("slot %d has %d messages deferred, want %d", slot, got, len(parked))
 	}
 
 	// Slots 0 and 1 decide; harvest opens slot 2 and replays the lot.
-	for i := range st.win {
-		st.win[i] = windowSlot{state: slotDecided, v: NoOp}
-	}
+	forceWindowDecided(st)
 	sends := st.harvest(aut, d)
-	if v, ok := model.DecisionOf(st.instances[slot]); !ok || v != 42 {
+	if v, ok := model.DecisionOf(liveAt(st, slot)); !ok || v != 42 {
 		t.Fatalf("slot %d did not decide 42 inside the replay: %v, %v", slot, v, ok)
 	}
-	if st.win[0].state != slotOpen {
-		t.Fatalf("window state of slot %d = %v: the decision was harvested, the test lost its premise", slot, st.win[0].state)
+	if st.slot != slot || st.recs[slot].state != slotOpen {
+		t.Fatalf("frontier %d, state of slot %d = %v: the decision was harvested, the test lost its premise", st.slot, slot, st.recs[slot].state)
 	}
 	leads := 0
 	for _, snd := range sends {
@@ -229,8 +218,8 @@ func TestHeldLeadReleasedInsideReplay(t *testing.T) {
 			}
 		}
 	}
-	if leads != n || st.held[slot] != nil {
-		t.Fatalf("replay sent %d LEAD(2) and left %d held: want the held broadcast of %d released when p2 was heard at round 2", leads, len(st.held[slot]), n)
+	if leads != n || holding(st) != 0 {
+		t.Fatalf("replay sent %d LEAD(2) and left round %d held: want the held broadcast of %d released when p2 was heard at round 2", leads, heldRound(st, slot), n)
 	}
 	if h, r := reg.Counter("rsm.quiet_held").Value(), reg.Counter("rsm.quiet_released").Value(); h != n || r != n {
 		t.Errorf("quiet_held = %d, quiet_released = %d, want %d and %d", h, r, n, n)
@@ -249,9 +238,7 @@ func TestHeldLeadReleasedInsideReplay(t *testing.T) {
 func TestHeldLeadReleasedWhenRoundMovesOn(t *testing.T) {
 	const slot = 2
 	aut, st, q, d := seededSlotTwo(obs.NewRegistry())
-	for i := range st.win {
-		st.win[i] = windowSlot{state: slotDecided, v: NoOp}
-	}
+	forceWindowDecided(st)
 	st.harvest(aut, d) // slot 2 opens, seeded with q
 	var seq uint64
 	step := func(from model.ProcessID, pl model.Payload) []model.Send {
@@ -285,28 +272,5 @@ func TestHeldLeadReleasedWhenRoundMovesOn(t *testing.T) {
 	}
 	if heldRound(st, slot) != 0 || !st.isQuiet(slot) {
 		t.Errorf("slot %d holds round %d, quiet = %v: want nothing held and still quiet (p2 was only heard at round 1)", slot, heldRound(st, slot), st.isQuiet(slot))
-	}
-}
-
-// TestCloneCopiesHeldLead: fork, then diverge. A release wraps the held
-// sends in place, so a fork must own its copy: waking one side must leave
-// the other still holding the LEAD as A_nuc emitted it.
-func TestCloneCopiesHeldLead(t *testing.T) {
-	aut := NewLog([][]int{{}, {}, {}}, 8)
-	orig := aut.InitState(0).(*logState)
-	lead := model.Broadcast(model.FullSet(3), consensus.LeadPayload{K: 2, V: 7})
-	orig.held = map[int][]model.Send{0: lead}
-
-	fork := orig.CloneState().(*logState)
-	out := fork.wrapShared(0, fork.held[0])
-	delete(fork.held, 0)
-	if _, wrapped := out[0].Payload.(SlotPayload); !wrapped {
-		t.Fatalf("the fork released %v, want it slot-wrapped", out[0].Payload)
-	}
-	if got := orig.held[0]; len(got) != 3 || heldRound(orig, 0) != 2 {
-		t.Fatalf("the fork's release reached the original's held sends: %v", got)
-	}
-	if orig.sentVer[1] != 0 || len(fork.held) != 0 {
-		t.Fatalf("fork and original share state: orig.sentVer = %v, fork.held = %v", orig.sentVer, fork.held)
 	}
 }

@@ -59,24 +59,22 @@ func TestParkedMessageReplaysOnWindowOpen(t *testing.T) {
 			next := window
 			ns, _ := aut.Step(0, aut.InitState(0), leadFrom1(next), d)
 			st := ns.(*logState)
-			if len(st.parked[next]) != 1 {
-				t.Fatalf("parked[%d] has %d messages, want 1", next, len(st.parked[next]))
+			if got := len(deferredAt(st, next)); got != 1 {
+				t.Fatalf("slot %d has %d messages deferred, want 1", next, got)
 			}
 
 			// Every window slot decides; harvest advances the frontier past
 			// them, refills the window, and must replay the parked LEAD into
 			// the fresh instance.
-			for i := range st.win {
-				st.win[i] = windowSlot{state: slotDecided, v: NoOp}
-			}
+			forceWindowDecided(st)
 			sends := st.harvest(aut, d)
 			if st.slot != next {
 				t.Fatalf("frontier = %d, want %d", st.slot, next)
 			}
-			if len(st.parked) != 0 {
-				t.Fatalf("parked map not drained after openWindow: %v", st.parked)
+			if n := deferredSlots(st); n != 0 {
+				t.Fatalf("%d slots still hold deferred messages after openWindow", n)
 			}
-			if _, live := st.instances[next]; !live {
+			if liveAt(st, next) == nil {
 				t.Fatalf("slot %d did not open", next)
 			}
 			gotLead := false
@@ -108,18 +106,22 @@ func TestParkedSlotBounds(t *testing.T) {
 	d := parkedFD()
 
 	ns, _ := aut.Step(0, aut.InitState(0), leadFrom1(7), d)
-	if p := ns.(*logState).parked; len(p) != 0 {
-		t.Errorf("beyond-capacity slot parked: %v", p)
+	if n := deferredSlots(ns.(*logState)); n != 0 {
+		t.Errorf("beyond-capacity slot deferred: %s", DebugState(ns))
 	}
 
+	// Slots 0 and 1 decide everywhere and retire: the frontier and the floor
+	// are both 2, the window is slots 2 and 3.
 	st := aut.InitState(0).(*logState)
-	st.slot = 2
+	forceWindowDecided(st)
+	st.harvest(aut, d)
 	st.progress = []int{2, 2, 2}
-	delete(st.instances, 0)
-	delete(st.instances, 1)
-	st.win = make([]windowSlot, 2) // slots 2 and 3: not opened yet
+	st.retire(aut)
+	if st.slot != 2 || st.floor != 2 || liveAt(st, 1) != nil {
+		t.Fatalf("fabricated state is not retired through slot 1: %s", DebugState(st))
+	}
 	ns, _ = aut.Step(0, st, leadFrom1(1), d)
-	if p := ns.(*logState).parked; len(p) != 0 {
-		t.Errorf("retired slot parked: %v", p)
+	if n := deferredSlots(ns.(*logState)); n != 0 || liveAt(st, 1) != nil {
+		t.Errorf("retired slot deferred or resurrected: %s", DebugState(ns))
 	}
 }

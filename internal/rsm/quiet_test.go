@@ -140,6 +140,20 @@ func TestQuietLaggardCatchesUp(t *testing.T) {
 		t.Errorf("quiet_enter = %d, want at least %d (three processes × %d starved slots)", enter, 3*quietStarve, quietStarve)
 	}
 	assertQuietLaggardRun(t, res.Config.States, reg)
+	// The run is deterministic, so its deferral books are pinned to the
+	// digit: a change that moves any of them changed what the log delivers,
+	// defers or holds — not merely where it keeps it.
+	for name, want := range map[string]int64{
+		"rsm.parked_msgs": 90, "rsm.parked_replayed": 90,
+		"rsm.quiet_parked": 0, "rsm.quiet_replayed": 0,
+		"rsm.quiet_enter": 118, "rsm.quiet_wake": 72, "rsm.quiet_retired": 45,
+		"rsm.quiet_held": 472, "rsm.quiet_released": 288,
+		"rsm.instances_opened": 48, "rsm.instances_retired": 45,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
 }
 
 // slowStart makes one process slow on any substrate: until released its

@@ -36,6 +36,16 @@
 // Retirement is still possible — safely — through progress gossip: once
 // every process is known to have passed a slot, its instance is discarded.
 //
+// Everything a process knows about one slot — the instance, its place in
+// the window, the rounds heard in it — sits in one record (slot.go), and so
+// does everything the log withholds on the slot's account: a queue of
+// inbound messages the instance is not handed yet (it has not opened here,
+// or it is quiet and the sender has passed the slot) and the held LEAD
+// outbound. Inbound traffic passes one gate in Step (accepts); each queue
+// is filled in one place and emptied in one place, and both only ever delay
+// what the asynchronous model lets be delayed (§2.4). window.go opens,
+// harvests, appends and retires the records.
+//
 // The quorum histories H_p (Fig. 5) are kept once per process, not once
 // per slot instance: every instance of a process reads and writes the one
 // versioned store in its log state, and LEAD/PROP carry deltas against
@@ -197,27 +207,26 @@ type logState struct {
 	slots   int   // total slots in the log
 	entries []int // the log: decided values per slot
 
-	announced bool                // own commands forwarded to the others
-	instances map[int]model.State // live slot instances (current and older)
-	parked    map[int][]parkedMsg // messages for slots not yet opened here
-	progress  []int               // known progress of every process
-	pump      int                 // round-robin cursor over awake older instances
-	appended  int                 // entries appended (== len(entries) unless sinking)
+	announced bool  // own commands forwarded to the others
+	progress  []int // known progress of every process
+	pump      int   // round-robin cursor over awake older instances
+	appended  int   // entries appended (== len(entries) unless sinking)
 
-	win []windowSlot // in-flight slots: win[i] is slot+i, len == Log.window
-	rr  int          // round-robin cursor over in-flight instances
+	// recs is the one per-slot container (slot.go): a slot's instance, its
+	// window bookkeeping, the rounds heard in it and both deferral queues.
+	// It holds a record for every slot in [floor, windowEnd()) — each with a
+	// live instance — plus any slot above the window a faster process has
+	// already sent for.
+	recs   map[int]*slotRec
+	window int // in-flight slots: [slot, slot+window), == Log.window
+	rr     int // round-robin cursor over in-flight instances
 
-	// Quiet gating of decided instances (see quiet). heard[slot][q] is
-	// the highest A_nuc round of any slot message delivered from q; a row is
-	// allocated on the slot's first such message and dropped with the
-	// instance. awake lists, ascending, the decided live slots that still
-	// step: every other decided live slot is quiet. held[slot] is the LEAD
-	// broadcast of the round a quiet instance sits in, as A_nuc emitted it
-	// (not yet slot-tagged or delta-encoded): withheld until the instance
-	// wakes (see stepInstance), dropped with the instance.
-	heard map[int][]int
+	// awake lists, ascending, the decided live slots that still step: every
+	// other decided live slot is quiet (see quiet). It is an index derived
+	// from the records, kept so that the pump's per-step work is O(awake),
+	// not O(live), under a stalled floor: harvest lists a slot when it
+	// decides, settle keeps it current, retire trims it with the records.
 	awake []int
-	held  map[int][]model.Send
 	floor int // min(progress) as of the last retire: every slot below it is gone
 
 	// The process's quorum histories H_p and their delta transport (see
@@ -232,39 +241,6 @@ type logState struct {
 	aware map[model.ProcessSet][]int
 }
 
-// windowSlot is the log's bookkeeping for one in-flight slot. It sits
-// beside the slot's entry in instances: a slot's instance is opened with
-// proposal v (slotOpen), harvest later swaps v for the decided value
-// (slotDecided), and the entry leaves the window when the frontier passes.
-type windowSlot struct {
-	state slotState
-	v     int // slotOpen: own proposal; slotDecided: the decision
-	round int // slotDecided: A_nuc round observed at harvest
-}
-
-type slotState uint8
-
-const (
-	slotUnopened slotState = iota // no instance yet (or beyond the log's end)
-	slotOpen                      // running, no decision harvested
-	slotDecided                   // decided out of order, awaiting the frontier
-)
-
-// parkedMsg is a message that arrived for a slot whose instance this
-// process has not opened yet. A_nuc's liveness assumes reliable links: a
-// process that misses, say, the stable leader's round-k LEAD message waits
-// for it forever — the sender transmits each phase message exactly once.
-// Lazily opened slot instances would violate that assumption if arrivals
-// before the open were dropped, so they are parked instead and replayed,
-// in arrival order, the moment the instance opens (see replayParked). The
-// payload is stored post-delta-resolution (applyIncoming runs at arrival),
-// so replay never re-applies a history delta.
-type parkedMsg struct {
-	from model.ProcessID
-	seq  uint64
-	pl   model.Payload
-}
-
 // CloneState implements model.State: the fork of a log state. Step and
 // Inject never call it — they mutate the state they are handed.
 func (s *logState) CloneState() model.State {
@@ -273,42 +249,29 @@ func (s *logState) CloneState() model.State {
 	c.known = append([]int(nil), s.known...)
 	c.entries = append([]int(nil), s.entries...)
 	c.progress = append([]int(nil), s.progress...)
-	if s.parked != nil {
-		c.parked = make(map[int][]parkedMsg, len(s.parked))
-		for k, v := range s.parked {
-			c.parked[k] = append([]parkedMsg(nil), v...)
-		}
-	}
 	// Clone the shared store ONCE, then rebind every cloned instance: the
 	// instances' own CloneStore is identity for shared stores.
 	c.store = s.store.clone()
 	c.sentVer = append([]uint64(nil), s.sentVer...)
 	c.appliedVer = append([]uint64(nil), s.appliedVer...)
-	c.win = append([]windowSlot(nil), s.win...)
 	c.awake = append([]int(nil), s.awake...)
-	if s.heard != nil {
-		c.heard = make(map[int][]int, len(s.heard))
-		for k, v := range s.heard {
-			c.heard[k] = append([]int(nil), v...)
-		}
-	}
-	if s.held != nil {
-		c.held = make(map[int][]model.Send, len(s.held))
-		for k, v := range s.held {
-			c.held[k] = append([]model.Send(nil), v...)
-		}
-	}
 	if s.aware != nil {
 		c.aware = make(map[model.ProcessSet][]int, len(s.aware))
 		for k, v := range s.aware {
 			c.aware[k] = append([]int(nil), v...)
 		}
 	}
-	c.instances = make(map[int]model.State, len(s.instances))
-	for k, v := range s.instances {
-		inst := v.CloneState()
-		inst.(consensus.StoreBound).BindStore(c.store)
-		c.instances[k] = inst
+	c.recs = make(map[int]*slotRec, len(s.recs))
+	for slot, r := range s.recs {
+		cr := *r
+		if r.inst != nil {
+			cr.inst = r.inst.CloneState()
+			cr.inst.(consensus.StoreBound).BindStore(c.store)
+		}
+		cr.heard = append([]int(nil), r.heard...)
+		cr.in = append([]parkedMsg(nil), r.in...)
+		cr.out = append([]model.Send(nil), r.out...)
+		c.recs[slot] = &cr
 	}
 	return &c
 }
@@ -337,14 +300,14 @@ func (a *Log) InitState(p model.ProcessID) model.State {
 		pending:    append([]int(nil), a.cmds[p]...),
 		slots:      a.slots,
 		entries:    make([]int, 0, a.slots),
-		instances:  make(map[int]model.State, 2),
 		progress:   make([]int, a.n),
-		win:        make([]windowSlot, a.window),
+		recs:       make(map[int]*slotRec, a.window+1),
+		window:     a.window,
 		store:      newSharedStore(a.n),
 		sentVer:    make([]uint64, a.n),
 		appliedVer: make([]uint64, a.n),
 	}
-	st.openWindow(a, nil) // nothing parked at init: no sends, no FD use
+	st.openWindow(a, nil) // nothing deferred at init: no sends, no FD use
 	return st
 }
 
@@ -353,7 +316,8 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	st := s.(*logState)
 	var out []model.Send
 
-	// Deliver the received message to its slot's instance (if live).
+	// Deliver the received message to its slot's instance, if the gate lets
+	// it through.
 	var currentGotMsg bool
 	if m != nil {
 		switch pl := m.Payload.(type) {
@@ -363,7 +327,12 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 			if pl.Slot > st.progress[m.From] {
 				st.progress[m.From] = pl.Slot
 				st.retire(a)
-				st.sleepPassed(a)
+				// A process passing a slot can only remove a reason to stay
+				// up, so every transition here is into quiet — backwards,
+				// because settle removes the entry it puts to sleep.
+				for i := len(st.awake) - 1; i >= 0; i-- {
+					st.settle(a, st.awake[i], d)
+				}
 			}
 		case SlotPayload:
 			// Apply any piggybacked history delta to the shared store, and
@@ -372,33 +341,31 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 			// slots, and an acknowledgement is a fact about the sender's
 			// store, not about the instance that asked for it.
 			payload := st.applyIncoming(m.From, pl.Inner, a.metrics)
-			_, live := st.instances[pl.Slot]
-			switch {
-			case live && st.isQuiet(pl.Slot) && !st.mayNeed(m.From, pl.Slot):
-				// A quiet instance hears only the processes it sleeps for.
-				// The sender is done with this slot, so nobody is waiting
-				// on our reaction; the message is kept, not dropped, because
-				// a later wake-up resumes A_nuc where it stopped and A_nuc
-				// sends each phase message exactly once.
-				st.park(pl.Slot, m, payload)
-				a.metrics.quietParked()
-			case live:
-				out = append(out, st.deliver(a, pl.Slot, m.From, m.Seq, payload, d)...)
-				if pl.Slot >= st.slot {
-					currentGotMsg = true
-					out = append(out, st.harvest(a, d)...)
-				}
-				out = append(out, st.settle(a, pl.Slot, d)...)
-			case pl.Slot >= st.slot && pl.Slot < st.slots:
-				// The sender is ahead: it opened this slot before we did.
-				// Park the message for replay when our instance opens —
-				// dropping it would break the reliable-link assumption
-				// A_nuc's termination proof rests on (see parkedMsg). Slots
-				// below st.slot really are droppable: we decided them, and
-				// retirement means every process has.
-				st.park(pl.Slot, m, payload)
-				a.metrics.parked()
+			if pl.Slot < st.floor || pl.Slot >= st.slots {
+				// Below the floor the slot has retired — every process has
+				// decided it — and at or past slots it never exists: these
+				// are the only slot messages dropped. Every slot in between
+				// has a record, or gets one now.
+				break
 			}
+			if r := st.rec(pl.Slot); !st.accepts(r, pl.Slot, m.From) {
+				// Deferred, not dropped: that would break the reliable-link
+				// assumption A_nuc's termination proof rests on (see
+				// parkedMsg). This is the one place a message joins r.in.
+				r.in = append(r.in, parkedMsg{from: m.From, seq: m.Seq, pl: payload})
+				if r.inst == nil {
+					a.metrics.parked() // the sender is ahead: no instance here yet
+				} else {
+					a.metrics.quietParked() // the sender has passed; we sleep
+				}
+				break
+			}
+			out = append(out, st.deliver(a, pl.Slot, m.From, m.Seq, payload, d)...)
+			if pl.Slot >= st.slot {
+				currentGotMsg = true
+				out = append(out, st.harvest(a, d)...)
+			}
+			out = append(out, st.settle(a, pl.Slot, d)...)
 		default:
 			panic(fmt.Sprintf("rsm: unknown payload %T", m.Payload))
 		}
@@ -440,453 +407,6 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	st.compactStore(a.metrics)
 
 	return st, out
-}
-
-// stepInstance advances slot's live instance by one inner step — delivering
-// m, or a λ step when m is nil — and returns its sends slot-tagged, with
-// history payloads delta-encoded (wrapShared, shared.go). Every inner step
-// of the log goes through here.
-//
-// Fig. 4 falls from line 30 straight through lines 13–15: the step that
-// completes a round broadcasts the next round's LEAD. When that step leaves
-// the instance quiet nobody has been heard at the new round, so nobody has
-// asked for that LEAD, and it is kept — as A_nuc emitted it — in s.held
-// instead of returned: sending a message later is asynchrony the model
-// grants. It goes through wrapShared only at release, so the
-// per-destination delta chain and sentVer advance in the order messages
-// really leave, and it leaves ahead of the releasing step's own sends: the
-// first step after which the instance is not quiet (someone was heard at
-// its round), or in which it moves on in that round regardless (the LEAD it
-// waits for was in its inbox already). Heard rounds only move in deliver,
-// which steps the instance straight after, so a held LEAD never outlives
-// the quiet it was held under.
-func (s *logState) stepInstance(a *Log, slot int, m *model.Message, d model.FDValue) []model.Send {
-	ns, sends := a.inner.Step(s.p, s.instances[slot], m, d)
-	s.instances[slot] = ns
-	quiet := s.quietNow(slot)
-	var released []model.Send
-	if held := s.held[slot]; held != nil && (!quiet || movedOn(sends)) {
-		delete(s.held, slot)
-		a.metrics.quietRelease(len(held))
-		released = s.wrapShared(slot, held)
-	}
-	if i := newRoundLead(sends); quiet && i < len(sends) {
-		if s.held == nil {
-			s.held = make(map[int][]model.Send)
-		}
-		s.held[slot] = sends[i:]
-		a.metrics.quietHold(len(sends) - i)
-		sends = sends[:i:i]
-	}
-	sends = s.wrapShared(slot, sends)
-	if released == nil {
-		return sends
-	}
-	return append(released, sends...)
-}
-
-// newRoundLead returns where, in one inner step's sends, the LEAD broadcast
-// of a round entered in that step begins — len(sends) if it entered none.
-// startRound is the last thing an A_nuc step does and the only place a LEAD
-// is sent, so the broadcast is the tail of the slice.
-func newRoundLead(sends []model.Send) int {
-	i := len(sends)
-	for i > 0 {
-		if _, lead := sends[i-1].Payload.(consensus.LeadPayload); !lead {
-			break
-		}
-		i--
-	}
-	return i
-}
-
-// movedOn reports whether one inner step's sends hold anything besides
-// acknowledgements of a SAW: a wait of Fig. 4's main loop completed in it.
-func movedOn(sends []model.Send) bool {
-	for _, snd := range sends {
-		if _, ack := snd.Payload.(consensus.AckPayload); !ack {
-			return true
-		}
-	}
-	return false
-}
-
-// deliver hands one slot message to the slot's live instance, first noting
-// the sender's round in the heard table the quiet rule reads. Every message
-// an instance ever receives — on arrival or replayed from the park buffer —
-// comes through here.
-func (s *logState) deliver(a *Log, slot int, from model.ProcessID, seq uint64, pl model.Payload, d model.FDValue) []model.Send {
-	if k, ok := consensus.PayloadRound(pl); ok {
-		row := s.heard[slot]
-		if row == nil {
-			if s.heard == nil {
-				s.heard = make(map[int][]int)
-			}
-			row = make([]int, len(s.progress))
-			s.heard[slot] = row
-		}
-		if k > row[from] {
-			row[from] = k
-		}
-	}
-	return s.stepInstance(a, slot, &model.Message{From: from, To: s.p, Seq: seq, Payload: pl}, d)
-}
-
-// park keeps a slot message for later replay (see parkedMsg); payload is
-// m's inner payload after delta resolution.
-func (s *logState) park(slot int, m *model.Message, payload model.Payload) {
-	if s.parked == nil {
-		s.parked = make(map[int][]parkedMsg)
-	}
-	s.parked[slot] = append(s.parked[slot], parkedMsg{from: m.From, seq: m.Seq, pl: payload})
-}
-
-// appendEntry commits the decided value of the frontier slot: into the
-// retained entries slice, or out through the sink in sink mode. round is
-// the A_nuc round this process observed the decision at, forwarded to
-// RoundSink implementors.
-func (s *logState) appendEntry(a *Log, v, round int) {
-	if a.sink != nil {
-		// RoundSink first: a tracing sink emits the slot's decide span
-		// before OnEntry triggers the applies that causally follow it.
-		if rs, ok := a.sink.(RoundSink); ok {
-			rs.OnEntryRound(s.p, s.slot, v, round)
-		}
-		a.sink.OnEntry(s.p, s.slot, v)
-	} else {
-		s.entries = append(s.entries, v)
-	}
-	s.appended++
-}
-
-// harvest collects decisions from every in-flight slot (they can land out
-// of order), appends the contiguous prefix at the frontier, gossips
-// progress, and refills the window with fresh instances. A decided value
-// leaves the proposal pools immediately — before it is appended — so the
-// window never proposes it a second time.
-func (s *logState) harvest(a *Log, d model.FDValue) []model.Send {
-	for i := range s.win {
-		if s.win[i].state != slotOpen {
-			continue
-		}
-		inst := s.instances[s.slot+i]
-		if v, ok := model.DecisionOf(inst); ok {
-			round, _ := model.RoundOf(inst)
-			s.win[i] = windowSlot{state: slotDecided, v: v, round: round}
-			s.forgetCommand(v)
-			if s.quietNow(s.slot + i) {
-				a.metrics.quietEnter()
-			} else {
-				s.setAwake(s.slot+i, true)
-			}
-		}
-	}
-	var out []model.Send
-	for s.win[0].state == slotDecided {
-		w := s.win[0]
-		copy(s.win, s.win[1:])
-		s.win[len(s.win)-1] = windowSlot{}
-		s.appendEntry(a, w.v, w.round)
-		s.slot++
-		s.progress[s.p] = s.slot
-		out = append(out, model.Broadcast(model.FullSet(len(s.progress)).Remove(s.p), ProgressPayload{Slot: s.slot})...)
-		s.retire(a)
-	}
-	out = append(out, s.openWindow(a, d)...)
-	return out
-}
-
-// openWindow opens an instance for every in-flight slot that lacks one,
-// assigning each a proposal no other open slot is already carrying, and
-// replays any messages that arrived for those slots before they opened.
-func (s *logState) openWindow(a *Log, d model.FDValue) []model.Send {
-	var out []model.Send
-	for i := range s.win {
-		slot := s.slot + i
-		if slot >= s.slots {
-			break
-		}
-		if s.win[i].state != slotUnopened {
-			continue
-		}
-		v := s.nextFreeProposal()
-		s.win[i] = windowSlot{state: slotOpen, v: v}
-		inst := a.inner.InitStateProposing(s.p, v, s.store)
-		s.instances[slot] = inst
-		a.metrics.opened(s.p, s.seedAwareness(slot, inst))
-		n, sends := s.replayParked(a, slot, d)
-		a.metrics.replayed(n)
-		out = append(out, sends...)
-	}
-	return out
-}
-
-// replayParked delivers the messages parked for slot, in arrival order
-// (which preserves per-sender FIFO), and reports how many there were. It
-// serves both park reasons: arrivals before the instance opened (replayed
-// by openWindow) and arrivals while it was quiet (replayed by settle). The
-// burst of inner steps runs under one outer step: each parked message
-// already paid for an outer step when it arrived, so the per-step send
-// budget holds amortized. The list is short either way — what faster
-// processes sent between opening the slot themselves and our window
-// reaching it, or what its last awake peers sent before they too went
-// quiet: a few rounds of phase messages per peer.
-func (s *logState) replayParked(a *Log, slot int, d model.FDValue) (int, []model.Send) {
-	msgs := s.parked[slot]
-	if len(msgs) == 0 {
-		return 0, nil
-	}
-	delete(s.parked, slot)
-	var out []model.Send
-	for _, pm := range msgs {
-		out = append(out, s.deliver(a, slot, pm.from, pm.seq, pm.pl, d)...)
-	}
-	return len(msgs), out
-}
-
-// quiet is the gate on decided instances: a process's decided instance of
-// slot, currently in round own, takes no steps while it is strictly ahead
-// of the highest round heard, in this slot, from every other process not
-// known to have passed the slot (a nil heard row, or a zero in it, is a
-// process never heard from). An undecided instance is never quiet, and the
-// process itself is not one it stays up for. Withholding a step is ordinary
-// asynchrony, so safety does not depend on this rule; DESIGN.md "Quiet
-// decided instances" has the liveness lemma.
-func quiet(decided bool, own int, self model.ProcessID, slot int, progress, heard []int) bool {
-	if !decided {
-		return false
-	}
-	for q, passed := range progress {
-		if model.ProcessID(q) == self || passed > slot {
-			continue
-		}
-		h := 0
-		if heard != nil {
-			h = heard[q]
-		}
-		if own <= h {
-			return false
-		}
-	}
-	return true
-}
-
-// mayNeed reports whether q may still need this process's slot messages:
-// it is another process and has not announced progress past slot. These
-// are exactly the processes quiet compares rounds with, and a message from
-// one of them is always delivered.
-func (s *logState) mayNeed(q model.ProcessID, slot int) bool {
-	return q != s.p && s.progress[q] <= slot
-}
-
-// decided reports whether the decision of a live slot has been harvested.
-func (s *logState) decided(slot int) bool {
-	return slot < s.slot || s.win[slot-s.slot].state == slotDecided
-}
-
-// quietNow evaluates the quiet rule for a live slot on the current state.
-// It reads the decision off the instance, not the window: stepInstance asks
-// in the very step that decides, before harvest has seen it.
-func (s *logState) quietNow(slot int) bool {
-	inst := s.instances[slot]
-	_, decided := model.DecisionOf(inst)
-	own, _ := model.RoundOf(inst)
-	return quiet(decided, own, s.p, slot, s.progress, s.heard[slot])
-}
-
-// isQuiet reports the recorded status of a live slot: decided and not in
-// the awake list.
-func (s *logState) isQuiet(slot int) bool {
-	if !s.decided(slot) {
-		return false
-	}
-	i := sort.SearchInts(s.awake, slot)
-	return i == len(s.awake) || s.awake[i] != slot
-}
-
-// setAwake inserts slot into, or removes it from, the ordered awake list.
-func (s *logState) setAwake(slot int, awake bool) {
-	i := sort.SearchInts(s.awake, slot)
-	if awake {
-		s.awake = append(s.awake, 0)
-		copy(s.awake[i+1:], s.awake[i:])
-		s.awake[i] = slot
-	} else {
-		s.awake = append(s.awake[:i], s.awake[i+1:]...)
-	}
-}
-
-// settle brings a slot's recorded status in line with the quiet rule after
-// something the rule reads moved: the instance stepped (own round) or a
-// delivery raised a heard round. Falling asleep is bookkeeping; waking
-// replays what was parked while quiet, after which A_nuc steps as ever.
-func (s *logState) settle(a *Log, slot int, d model.FDValue) []model.Send {
-	if _, live := s.instances[slot]; !live || !s.decided(slot) {
-		return nil
-	}
-	now := s.quietNow(slot)
-	if now == s.isQuiet(slot) {
-		return nil
-	}
-	s.setAwake(slot, !now)
-	if now {
-		a.metrics.quietEnter()
-		return nil
-	}
-	n, out := s.replayParked(a, slot, d)
-	a.metrics.quietWake(n)
-	if n > 0 && s.quietNow(slot) {
-		// The replay itself carried the instance past the margin again.
-		s.setAwake(slot, false)
-		a.metrics.quietEnter()
-	}
-	return out
-}
-
-// sleepPassed re-evaluates every awake slot after a progress announcement:
-// a process passing a slot can only remove a reason to stay up, so the
-// only transitions are into quiet.
-func (s *logState) sleepPassed(a *Log) {
-	keep := s.awake[:0]
-	for _, slot := range s.awake {
-		if s.quietNow(slot) {
-			a.metrics.quietEnter()
-		} else {
-			keep = append(keep, slot)
-		}
-	}
-	s.awake = keep
-}
-
-// nextFreeProposal returns the first pending-then-known command not
-// already proposed in an open in-flight slot, or NoOp.
-func (s *logState) nextFreeProposal() int {
-	for _, c := range s.pending {
-		if !s.inWindow(slotOpen, c) {
-			return c
-		}
-	}
-	for _, c := range s.known {
-		if !s.inWindow(slotOpen, c) {
-			return c
-		}
-	}
-	return NoOp
-}
-
-// inWindow reports whether some in-flight slot in the given state carries
-// c: as my live proposal (slotOpen) or as a decision not yet appended
-// (slotDecided).
-func (s *logState) inWindow(state slotState, c int) bool {
-	for _, w := range s.win {
-		if w.state == state && w.v == c {
-			return true
-		}
-	}
-	return false
-}
-
-// nextInflight picks the in-flight slot whose instance advances this step,
-// rotating round-robin so every open slot that is not quiet — decided ones
-// included, while a laggard can still use their messages — advances
-// infinitely often.
-func (s *logState) nextInflight() (int, bool) {
-	end := s.slot + len(s.win)
-	if end > s.slots {
-		end = s.slots
-	}
-	k := end - s.slot
-	for i := 0; i < k; i++ {
-		slot := s.slot + (s.rr+i)%k
-		if _, live := s.instances[slot]; live && !s.isQuiet(slot) {
-			s.rr = (s.rr + i + 1) % k
-			return slot, true
-		}
-	}
-	return 0, false
-}
-
-// learnCommand records a forwarded command unless it is already appended,
-// pending, known, or decided-in-flight. (In sink mode the entries scan is
-// vacuous: a late re-learn of an appended command costs one duplicate
-// slot, which the serving layer's session dedup absorbs.)
-func (s *logState) learnCommand(c int) {
-	if c == NoOp || s.inWindow(slotDecided, c) {
-		return
-	}
-	for _, v := range s.entries {
-		if v == c {
-			return
-		}
-	}
-	for _, v := range s.pending {
-		if v == c {
-			return
-		}
-	}
-	for _, v := range s.known {
-		if v == c {
-			return
-		}
-	}
-	s.known = append(s.known, c)
-}
-
-// forgetCommand drops a decided command from the pending and known pools,
-// wherever it sits: with a window above 1 slots decide out of order, so the
-// value is not always at the head of pending.
-func (s *logState) forgetCommand(v int) {
-	s.pending = without(s.pending, v)
-	s.known = without(s.known, v)
-}
-
-// without returns cmds less its first occurrence of v, never writing to
-// cmds' backing array.
-func without(cmds []int, v int) []int {
-	for i, c := range cmds {
-		if c == v {
-			return append(cmds[:i:i], cmds[i+1:]...)
-		}
-	}
-	return cmds
-}
-
-// retire discards instances below everyone's known progress: every process
-// has decided those slots, so nobody can still need their messages. The
-// slot's heard row, anything parked for it while quiet, the LEAD it held
-// and its awake entry go with it. Instances only ever open at or above the
-// frontier, so the slots to drop are exactly [floor, min): the work is
-// O(retired), not O(live), however long a crash has stalled the floor.
-func (s *logState) retire(a *Log) {
-	min := s.progress[0]
-	for _, pr := range s.progress[1:] {
-		if pr < min {
-			min = pr
-		}
-	}
-	retired := 0
-	for ; s.floor < min; s.floor++ {
-		if _, live := s.instances[s.floor]; live {
-			delete(s.instances, s.floor)
-			delete(s.heard, s.floor)
-			delete(s.parked, s.floor)
-			delete(s.held, s.floor)
-			retired++
-		}
-	}
-	k := sort.SearchInts(s.awake, min)
-	s.awake = append(s.awake[:0], s.awake[k:]...)
-	a.metrics.retired(retired, retired-k)
-}
-
-// liveSlots lists every live instance in increasing order, for DebugState.
-func (s *logState) liveSlots() []int {
-	out := make([]int, 0, len(s.instances))
-	for slot := range s.instances {
-		out = append(out, slot)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Inject appends freshly arrived commands to a process's pending queue
@@ -952,13 +472,17 @@ func DebugState(s model.State) string {
 	if !ok {
 		return fmt.Sprintf("%T", s)
 	}
-	live := st.liveSlots()
 	cur := "nil"
-	if inst, ok := st.instances[st.slot]; ok {
-		if r, has := model.RoundOf(inst); has {
-			cur = fmt.Sprintf("round=%d", r)
+	if r := st.recs[st.slot]; r != nil && r.inst != nil {
+		if k, has := model.RoundOf(r.inst); has {
+			cur = fmt.Sprintf("round=%d", k)
 		}
 	}
-	return fmt.Sprintf("slot=%d entries=%v progress=%v live=%v awake=%v current{%s} pending=%v known=%v",
-		st.slot, st.entries, st.progress, live, st.awake, cur, st.pending, st.known)
+	in, out := 0, 0
+	for _, r := range st.recs {
+		in += len(r.in)
+		out += len(r.out)
+	}
+	return fmt.Sprintf("slot=%d entries=%v progress=%v live=%v awake=%v deferred=%d/%d current{%s} pending=%v known=%v",
+		st.slot, st.entries, st.progress, st.liveSlots(), st.awake, in, out, cur, st.pending, st.known)
 }

@@ -2,8 +2,10 @@ package rsm_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/netrun"
 	"nuconsensus/internal/obs"
@@ -167,8 +169,16 @@ func TestReplicatedLogOverTCP(t *testing.T) {
 func TestDebugStateRenders(t *testing.T) {
 	aut := rsm.NewLog([][]int{{1}, {2}}, 2)
 	s := aut.InitState(0)
-	if got := rsm.DebugState(s); got == "" || got[:5] != "slot=" {
-		t.Errorf("DebugState = %q", got)
+	if got := rsm.DebugState(s); got[:5] != "slot=" || !strings.Contains(got, " deferred=0/0 ") {
+		t.Errorf("DebugState = %q, want slot=… with nothing deferred", got)
+	}
+	// A message for a slot this process has not opened is withheld from the
+	// instance-to-be, and the rendering says so.
+	hist := rsm.PairForLog(model.PatternFromCrashes(2, nil), 0, 1)
+	s, _ = aut.Step(0, s, &model.Message{From: 1, To: 0, Seq: 1,
+		Payload: rsm.SlotPayload{Slot: 1, Inner: consensus.ReportPayload{K: 1, V: 2}}}, hist.Output(0, 1))
+	if got := rsm.DebugState(s); !strings.Contains(got, " live=[0] ") || !strings.Contains(got, " deferred=1/0 ") {
+		t.Errorf("DebugState = %q, want slot 0 live and one message deferred inbound", got)
 	}
 	if got := rsm.DebugState(nonLogState{}); got == "" {
 		t.Error("DebugState must render foreign states too")

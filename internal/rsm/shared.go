@@ -23,204 +23,12 @@ package rsm
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/obs"
 	"nuconsensus/internal/quorum"
 )
-
-// WithMetrics attaches an obs metrics registry, pre-resolving the counters
-// on the hot path (PR-6 discipline).
-func (a *Log) WithMetrics(reg *obs.Registry) *Log {
-	a.metrics = &logMetrics{
-		deltaHits:     reg.Counter("rsm.hist.delta_hits"),
-		fullFallbacks: reg.Counter("rsm.hist.full_fallbacks"),
-		deltaGaps:     reg.Counter("rsm.hist.delta_gaps"),
-		storeBytes:    reg.Gauge("rsm.hist.store_bytes"),
-		storeEntries:  reg.Gauge("rsm.hist.store_entries"),
-		fdEpochs:      reg.Counter("rsm.fd.epochs"),
-		parkedMsgs:    reg.Counter("rsm.parked_msgs"),
-		parkedReplay:  reg.Counter("rsm.parked_replayed"),
-		quietParks:    reg.Counter("rsm.quiet_parked"),
-		quietReplays:  reg.Counter("rsm.quiet_replayed"),
-		quietEnters:   reg.Counter("rsm.quiet_enter"),
-		quietWakes:    reg.Counter("rsm.quiet_wake"),
-		quietRetires:  reg.Counter("rsm.quiet_retired"),
-		quietHeld:     reg.Counter("rsm.quiet_held"),
-		quietReleased: reg.Counter("rsm.quiet_released"),
-		instOpened:    reg.Counter("rsm.instances_opened"),
-		instRetired:   reg.Counter("rsm.instances_retired"),
-		awareSeeded:   reg.Counter("rsm.aware.seeded"),
-		awareUnseeded: reg.Counter("rsm.aware.unseeded"),
-		awareRecords:  reg.Counter("rsm.aware.records"),
-		awareLast:     make([]atomic.Pointer[awareOpen], a.n),
-	}
-	return a
-}
-
-// AwareStatus describes the last slot instance process p opened and why it
-// was or was not seeded with an acknowledged quorum (aware.go) — the answer
-// to "why is this slot taking three rounds". It is empty on an unmetered
-// log or before p's first open, and safe to call while the log runs.
-func (a *Log) AwareStatus(p model.ProcessID) string {
-	if a.metrics == nil {
-		return ""
-	}
-	if open := a.metrics.awareLast[p].Load(); open != nil {
-		return open.String()
-	}
-	return ""
-}
-
-// WithSampler attaches the shared failure-detector sampler whose samples
-// drive this log, subscribing the epoch-fanout counter: every epoch
-// change any process's module announces is one rsm.fd.epochs increment.
-func (a *Log) WithSampler(s *fd.Sampler) *Log {
-	s.Subscribe(func(model.ProcessID, fd.Sample) {
-		if a.metrics != nil {
-			a.metrics.fdEpochs.Add(1)
-		}
-	})
-	return a
-}
-
-// logMetrics holds the pre-resolved obs instruments. All methods are
-// nil-receiver-safe so unmetered runs pay only a nil check.
-type logMetrics struct {
-	deltaHits     *obs.Counter
-	fullFallbacks *obs.Counter
-	deltaGaps     *obs.Counter
-	storeBytes    *obs.Gauge // high-water wire size of one process's store
-	storeEntries  *obs.Gauge // high-water entry count of one process's store
-	fdEpochs      *obs.Counter
-	// parkedMsgs / parkedReplay count messages that arrived before their
-	// slot opened here entering and leaving the park buffers (see
-	// parkedMsg). Both are monotone counters — the live parked population
-	// is their difference — because only commutative instruments keep
-	// metric dumps deterministic under concurrency.
-	parkedMsgs   *obs.Counter
-	parkedReplay *obs.Counter
-	// The quiet gate's own books (see quiet in rsm.go), kept apart from the
-	// two above so those keep meaning "late opener": messages parked at /
-	// replayed into a quiet instance, transitions into and out of quiet,
-	// and quiet instances discarded by retirement — the quiet population is
-	// enter − wake − retired. held / released count the sends a quiet
-	// instance's new-round LEAD was withheld from and those that went out
-	// after all (see stepInstance); their difference was never needed.
-	quietParks    *obs.Counter
-	quietReplays  *obs.Counter
-	quietEnters   *obs.Counter
-	quietWakes    *obs.Counter
-	quietRetires  *obs.Counter
-	quietHeld     *obs.Counter
-	quietReleased *obs.Counter
-	// instOpened / instRetired count slot instances created and discarded; their
-	// difference is the live-instance population a stalled floor grows.
-	instOpened  *obs.Counter
-	instRetired *obs.Counter
-	// Quorum awareness (aware.go): instances opened with / without a seeded
-	// quorum — the latter pay their own SAW → ACK round trip before line 30
-	// can pass — and awareness records created (distinct quorums some
-	// process has had acknowledged).
-	awareSeeded   *obs.Counter
-	awareUnseeded *obs.Counter
-	awareRecords  *obs.Counter
-	// awareLast[p] is the last instance process p opened, for AwareStatus;
-	// atomics because a telemetry handler reads while p's goroutine steps.
-	awareLast []atomic.Pointer[awareOpen]
-}
-
-func (m *logMetrics) hit() {
-	if m != nil {
-		m.deltaHits.Add(1)
-	}
-}
-
-func (m *logMetrics) fallback() {
-	if m != nil {
-		m.fullFallbacks.Add(1)
-	}
-}
-
-func (m *logMetrics) gap() {
-	if m != nil {
-		m.deltaGaps.Add(1)
-	}
-}
-
-func (m *logMetrics) parked() {
-	if m != nil {
-		m.parkedMsgs.Add(1)
-	}
-}
-
-func (m *logMetrics) replayed(n int) {
-	if m != nil {
-		m.parkedReplay.Add(int64(n))
-	}
-}
-
-func (m *logMetrics) quietParked() {
-	if m != nil {
-		m.quietParks.Add(1)
-	}
-}
-
-func (m *logMetrics) quietEnter() {
-	if m != nil {
-		m.quietEnters.Add(1)
-	}
-}
-
-// quietWake counts one wake-up and the n parked messages it replayed.
-func (m *logMetrics) quietWake(n int) {
-	if m != nil {
-		m.quietWakes.Add(1)
-		m.quietReplays.Add(int64(n))
-	}
-}
-
-func (m *logMetrics) quietHold(n int) {
-	if m != nil {
-		m.quietHeld.Add(int64(n))
-	}
-}
-
-func (m *logMetrics) quietRelease(n int) {
-	if m != nil {
-		m.quietReleased.Add(int64(n))
-	}
-}
-
-// opened counts one instance created by p, as the awareness gate saw it.
-func (m *logMetrics) opened(p model.ProcessID, open awareOpen) {
-	if m != nil {
-		m.instOpened.Add(1)
-		if open.seeded > 0 {
-			m.awareSeeded.Add(1)
-		} else {
-			m.awareUnseeded.Add(1)
-		}
-		m.awareLast[p].Store(&open)
-	}
-}
-
-func (m *logMetrics) awareRecord() {
-	if m != nil {
-		m.awareRecords.Add(1)
-	}
-}
-
-// retired counts n discarded instances, quiet of which were quiet.
-func (m *logMetrics) retired(n, quiet int) {
-	if m != nil {
-		m.instRetired.Add(int64(n))
-		m.quietRetires.Add(int64(quiet))
-	}
-}
 
 // sharedStore adapts one process's quorum.Versioned to the
 // consensus.HistoryStore interface. CloneStore returns the receiver: when
@@ -305,7 +113,7 @@ func (s *logState) wrapShared(slot int, sends []model.Send) []model.Send {
 		case consensus.ProposalPayload:
 			pl = consensus.ProposalDeltaPayload{K: p.K, V: p.V, HasV: p.HasV, Delta: s.deltaFor(snd.To)}
 		case consensus.AckPayload:
-			pl = AckStampPayload{Q: p.Q, K: p.K, Stamp: s.slot + len(s.win) - 1}
+			pl = AckStampPayload{Q: p.Q, K: p.K, Stamp: s.slot + s.window - 1}
 		}
 		sends[i].Payload = SlotPayload{Slot: slot, Inner: pl}
 	}
@@ -393,7 +201,7 @@ func StatsOf(st model.State) StateStats {
 		return StateStats{}
 	}
 	return StateStats{
-		LiveInstances: len(s.instances),
+		LiveInstances: s.windowEnd() - s.floor, // see windowEnd: exactly these slots are live
 		HistEntries:   s.store.v.Len(),
 		StoreVersion:  s.store.v.Version(),
 		StoreBytes:    s.store.sizeBytes(),

@@ -21,11 +21,11 @@ func TestDeliveryToRetiredSlotKeepsDeltaChain(t *testing.T) {
 	st := aut.InitState(0).(*logState)
 	// Fabricate a just-retired slot 0: this process decided it, opened slot
 	// 1, and then learned every peer passed it too.
-	st.win[0] = windowSlot{state: slotDecided, v: NoOp}
+	forceWindowDecided(st)
 	st.harvest(aut, nil)
 	st.progress = []int{1, 1, 1}
 	st.retire(aut)
-	if _, live := st.instances[0]; live {
+	if liveAt(st, 0) != nil {
 		t.Fatal("slot 0 should have retired")
 	}
 
@@ -43,8 +43,8 @@ func TestDeliveryToRetiredSlotKeepsDeltaChain(t *testing.T) {
 	if got.store.v.Len() != 2 {
 		t.Errorf("store has %d entries, want 2: retired-slot delta's adds never reached the shared store", got.store.v.Len())
 	}
-	if _, live := got.instances[0]; live {
-		t.Error("delivery must not resurrect a retired instance")
+	if liveAt(got, 0) != nil || len(deferredAt(got, 0)) != 0 {
+		t.Error("delivery must not resurrect a retired instance, nor defer anything for it")
 	}
 }
 
@@ -57,7 +57,7 @@ func TestDeliveryToUnknownSlotIgnored(t *testing.T) {
 	m := &model.Message{From: 2, To: 0, Seq: 1,
 		Payload: SlotPayload{Slot: 7, Inner: consensus.ReportPayload{K: 1, V: 5}}}
 	ns, _ := aut.Step(0, aut.InitState(0), m, hist.Output(0, 1))
-	if _, live := ns.(*logState).instances[7]; live {
+	if liveAt(ns.(*logState), 7) != nil {
 		t.Error("unknown slot must not open an instance")
 	}
 }
@@ -74,19 +74,21 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 	// Fabricate a filled log whose three instances all linger as "older"
 	// (peers have not confirmed progress yet), with the cursor mid-cycle.
 	for st.slot < 3 {
-		st.win[0] = windowSlot{state: slotDecided, v: NoOp}
+		forceWindowDecided(st)
 		st.harvest(aut, nil)
 	}
 	// Both peers were heard at round 9 in every slot, far ahead of these
 	// fresh instances: all three are awake and stay so while pumped.
-	st.heard = map[int][]int{0: {0, 9, 9}, 1: {0, 9, 9}, 2: {0, 9, 9}}
+	for slot := 0; slot < 3; slot++ {
+		st.recs[slot].heard = []int{0, 9, 9}
+	}
 	st.awake = []int{0, 1, 2}
 	st.pump = 2
 
 	ns, _ := aut.Step(0, st, nil, hist.Output(0, 1))
 	cur := ns.(*logState)
-	if len(cur.instances) != 3 {
-		t.Fatalf("live instances = %d, want 3", len(cur.instances))
+	if live := cur.liveSlots(); len(live) != 3 {
+		t.Fatalf("live instances = %v, want 3", live)
 	}
 
 	// Peers announce progress 2 mid-cycle: slots 0 and 1 retire while the
@@ -109,8 +111,8 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 	cur = n.(*logState)
 	n, _ = aut.Step(0, cur, &model.Message{From: 2, To: 0, Seq: 2, Payload: ProgressPayload{Slot: 3}}, hist.Output(0, 21))
 	cur = n.(*logState)
-	if len(cur.instances) != 0 {
-		t.Fatalf("instances after full retirement = %d, want 0", len(cur.instances))
+	if live := cur.liveSlots(); len(live) != 0 || len(cur.recs) != 0 {
+		t.Fatalf("after full retirement instances %v and %d records remain, want none", live, len(cur.recs))
 	}
 	for i := 0; i < 8; i++ {
 		n, _ := aut.Step(0, cur, nil, hist.Output(0, model.Time(22+i)))
@@ -118,12 +120,14 @@ func TestPumpCursorSurvivesMidCycleRetirement(t *testing.T) {
 	}
 }
 
-// TestSharedCloneIsolation: a fork of a log state hinges on CloneState deep-copying the one shared store and rebinding every cloned
-// instance to the copy, and on the fork owning its in-flight window slice,
-// its awake list and its heard rows — the pieces Step writes in place. Incoming history deltas land in the
-// store, so a state that has absorbed some is the sharpest one to fork.
-// (That neither side of a fork can reach the other is checked for every
-// automaton by explore's TestOwnershipContract; this pins the mechanism.)
+// TestSharedCloneIsolation: a fork of a log state hinges on CloneState
+// deep-copying the one shared store and rebinding every cloned instance to
+// the copy, and on the fork owning its awake list — Step writes both in
+// place. Incoming history deltas land in the store, so a state that has
+// absorbed some is the sharpest one to fork. (The per-slot record's own
+// pieces are TestCloneIsolatesSlotRecord's; that neither side of a fork can
+// reach the other is checked for every automaton by explore's
+// TestOwnershipContract; this pins the mechanism.)
 func TestSharedCloneIsolation(t *testing.T) {
 	pattern := model.PatternFromCrashes(3, nil)
 	hist := PairForLog(pattern, 40, 7)
@@ -142,25 +146,23 @@ func TestSharedCloneIsolation(t *testing.T) {
 	}
 
 	orig := ns.(*logState)
-	if orig.heard[0][1] != 6 {
-		t.Fatalf("heard[0] = %v, want round 6 from p1", orig.heard[0])
+	if orig.recs[0].heard[1] != 6 {
+		t.Fatalf("slot 0 heard %v, want round 6 from p1", orig.recs[0].heard)
 	}
 	orig.awake = []int{0, 1} // as if both window slots were decided and awake
 	clone := orig.CloneState().(*logState)
 	if clone.store == orig.store || clone.store.v == orig.store.v {
 		t.Fatal("the clone shares the original's history store")
 	}
-	before := append([]windowSlot(nil), orig.win...)
-	for i := range clone.win {
-		clone.win[i] = windowSlot{state: slotDecided, v: 99, round: 7}
-	}
-	if !reflect.DeepEqual(orig.win, before) {
-		t.Fatalf("mutating the clone's window reached the original: %+v → %+v", before, orig.win)
+	version := orig.store.v.Version()
+	clone.store.Add(2, model.SetOf(0, 2))
+	if orig.store.v.Version() != version {
+		t.Fatal("an entry added to the clone's store reached the original's")
 	}
 	clone.setAwake(0, false)
-	clone.heard[0][1] = 99
-	if !reflect.DeepEqual(orig.awake, []int{0, 1}) || orig.heard[0][1] != 6 {
-		t.Fatalf("mutating the clone's quiet bookkeeping reached the original: awake=%v heard[0]=%v", orig.awake, orig.heard[0])
+	clone.recs[0].heard[1] = 99
+	if !reflect.DeepEqual(orig.awake, []int{0, 1}) || orig.recs[0].heard[1] != 6 {
+		t.Fatalf("mutating the clone's quiet bookkeeping reached the original: awake=%v heard=%v", orig.awake, orig.recs[0].heard)
 	}
 }
 

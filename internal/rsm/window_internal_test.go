@@ -22,25 +22,25 @@ func TestOutOfOrderDecideIsNotProposedAgain(t *testing.T) {
 	aut := NewLog([][]int{{10, 11, 12}, {}, {}}, 8).WithPipeline(2)
 	d := parkedFD()
 	st := aut.InitState(0).(*logState)
-	if st.win[0].v != 10 || st.win[1].v != 11 {
-		t.Fatalf("window proposes %d, %d; want 10, 11", st.win[0].v, st.win[1].v)
+	if st.recs[0].v != 10 || st.recs[1].v != 11 {
+		t.Fatalf("window proposes %d, %d; want 10, 11", st.recs[0].v, st.recs[1].v)
 	}
 
-	st.instances[1] = decidedInstance{11}
+	st.recs[1].inst = decidedInstance{11}
 	st.harvest(aut, d)
-	if st.slot != 0 || st.win[1].state != slotDecided {
-		t.Fatalf("slot 1 should be decided out of order behind frontier 0: slot=%d win=%+v", st.slot, st.win)
+	if st.slot != 0 || st.recs[1].state != slotDecided {
+		t.Fatalf("slot 1 should be decided out of order behind frontier 0: slot=%d state=%v", st.slot, st.recs[1].state)
 	}
 	if want := []int{10, 12}; len(st.pending) != 2 || st.pending[0] != want[0] || st.pending[1] != want[1] {
 		t.Fatalf("pending after slot 1 decided 11 = %v, want %v", st.pending, want)
 	}
 
-	st.instances[0] = decidedInstance{10}
+	st.recs[0].inst = decidedInstance{10}
 	st.harvest(aut, d)
 	if st.slot != 2 {
 		t.Fatalf("frontier = %d, want 2", st.slot)
 	}
-	if st.win[0].v != 12 || st.win[1].v != NoOp {
-		t.Fatalf("slots 2, 3 propose %d, %d; want 12 and a no-op (11 is decided, not pending)", st.win[0].v, st.win[1].v)
+	if st.recs[2].v != 12 || st.recs[3].v != NoOp {
+		t.Fatalf("slots 2, 3 propose %d, %d; want 12 and a no-op (11 is decided, not pending)", st.recs[2].v, st.recs[3].v)
 	}
 }
