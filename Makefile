@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench-module race bench bench-hot bench-report bench-check experiments experiments-full tables-check substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-flow lint-static loc ci clean
+.PHONY: all build test test-short bench-module race bench bench-hot bench-report bench-check experiments experiments-full tables-check substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
 
 # Smoke-test artifacts (metrics dumps, span streams, Chrome traces) land
 # here; CI uploads the directory, .gitignore keeps it out of the tree.
@@ -229,21 +229,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's own go/analysis suite (all nine analyzers; see
-# `go run ./cmd/nuclint -list`). Also usable as `go vet -vettool`:
-#   go build -o nuclint ./cmd/nuclint && go vet -vettool=./nuclint ./...
+# lint runs the repo's own go/analysis suite (all four analyzers; see
+# `go run ./cmd/nuclint -list`, and `-only a,b` to run a subset).
 lint:
 	$(GO) run ./cmd/nuclint ./...
 
-# lint-flow runs only the dataflow analyzers (CFG + worklist solver on
-# top of internal/lint/flow) — the slow, path-sensitive subset, split out
-# so it can be iterated on in isolation.
-lint-flow:
-	$(GO) run ./cmd/nuclint -only bufownership,locksafe,atomicmix ./...
-
 # lint-static is the one static-check entry point every CI job shares:
-# gofmt cleanliness, go vet, and the repo's nuclint suite (the dataflow
-# subset included — lint-flow exists for focused runs, lint covers it).
+# gofmt cleanliness, go vet, and the repo's nuclint suite.
 lint-static: vet lint
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 

@@ -1,33 +1,19 @@
 // Command nuclint is the multichecker for the repo's determinism and
-// model-faithfulness invariants. It bundles nine analyzers:
+// model-faithfulness invariants. It bundles four analyzers:
 //
-//	atomicmix    fields accessed through sync/atomic are atomic
-//	             everywhere outside init/constructors
-//	bufownership pooled buffers are not used, re-put or escaped after
-//	             PutBuf on any path
-//	locksafe     mutexes in concurrent packages released on all paths,
-//	             never re-acquired while held, one global order
+//	bufownership pooled buffers are pointer-free *[]T and are not used,
+//	             re-put or escaped after PutBuf on any path
+//	locksafe     mutexes released on all paths, never re-acquired while
+//	             held, one acquisition order per package
 //	maporder     no map iteration order escaping into output
 //	nodeterm     no wall-clock / ambient randomness / env vars / ad-hoc
-//	             goroutines in determinism-critical packages
-//	obsclock     no obs.Wall (the wall-clock event-stamp shim) in
-//	             determinism-critical packages
-//	poolbuf      sync.Pool in determinism-critical and pooling-host
-//	             packages confined to pointer-free buffer reuse (*[]T)
-//	seedhash     per-unit RNGs seeded via the engine's DeriveSeed helper
-//	specregistry experiments registry ⇔ Spec literals ⇔ EXPERIMENTS.md
+//	             goroutines / obs.Wall in determinism-critical packages
 //
-// Standalone usage (package patterns, default ./...):
+// Usage (package patterns, default ./...):
 //
 //	go run ./cmd/nuclint ./...
-//	go run ./cmd/nuclint -only bufownership,locksafe,atomicmix ./...
+//	go run ./cmd/nuclint -only bufownership,locksafe ./...
 //	go run ./cmd/nuclint -json report.json ./...
-//
-// As a vet tool (runs the same analyzers through cmd/go's unit-at-a-time
-// protocol, replacing the standard vet passes for that invocation):
-//
-//	go build -o nuclint ./cmd/nuclint
-//	go vet -vettool=$(pwd)/nuclint ./...
 //
 // Findings can be suppressed case by case with a trailing
 // `//lint:allow <analyzer> <why>` comment on the offending line or the
@@ -45,45 +31,21 @@ import (
 	"strings"
 
 	"nuconsensus/internal/lint/analysis"
-	"nuconsensus/internal/lint/atomicmix"
 	"nuconsensus/internal/lint/bufownership"
 	"nuconsensus/internal/lint/locksafe"
 	"nuconsensus/internal/lint/maporder"
 	"nuconsensus/internal/lint/nodeterm"
-	"nuconsensus/internal/lint/obsclock"
-	"nuconsensus/internal/lint/poolbuf"
-	"nuconsensus/internal/lint/seedhash"
-	"nuconsensus/internal/lint/specregistry"
 )
 
 // analyzers is the nuclint suite, in reporting order.
 var analyzers = []*analysis.Analyzer{
-	atomicmix.Analyzer,
 	bufownership.Analyzer,
 	locksafe.Analyzer,
 	maporder.Analyzer,
 	nodeterm.Analyzer,
-	obsclock.Analyzer,
-	poolbuf.Analyzer,
-	seedhash.Analyzer,
-	specregistry.Analyzer,
 }
 
 func main() {
-	// cmd/go probes vet tools before use: -V=full must print a stable
-	// version fingerprint, -flags the tool's extra flag set (none are
-	// announced — the standalone-only flags below never reach vet mode).
-	for _, arg := range os.Args[1:] {
-		switch {
-		case strings.HasPrefix(arg, "-V"):
-			fmt.Println("nuclint version 2")
-			return
-		case arg == "-flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	fs := flag.NewFlagSet("nuclint", flag.ExitOnError)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
@@ -108,13 +70,10 @@ func main() {
 	}
 
 	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	os.Exit(standalone(args, selected, *jsonOut))
+	os.Exit(lint(args, selected, *jsonOut))
 }
 
 // selectAnalyzers resolves the -only list against the suite; an empty
@@ -155,9 +114,9 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// standalone loads the patterns through the go toolchain and runs the
-// selected suite in-process, facts flowing between packages directly.
-func standalone(patterns []string, selected []*analysis.Analyzer, jsonOut string) int {
+// lint loads the patterns through the go toolchain and runs the selected
+// suite in-process.
+func lint(patterns []string, selected []*analysis.Analyzer, jsonOut string) int {
 	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

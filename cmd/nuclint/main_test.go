@@ -20,23 +20,6 @@ var allowCases = []struct {
 	files      map[string]string
 }{
 	{
-		analyzer:   "atomicmix",
-		importPath: "internal/obs",
-		files: map[string]string{"a.go": `package obs
-
-import "sync/atomic"
-
-type counter struct{ n int64 }
-
-func bump(c *counter) { atomic.AddInt64(&c.n, 1) }
-
-func peek(c *counter) int64 {
-	@ALLOW@
-	return c.n
-}
-`},
-	},
-	{
 		analyzer:   "bufownership",
 		importPath: "internal/netrun",
 		files: map[string]string{"a.go": `package netrun
@@ -97,66 +80,6 @@ func f() int64 {
 	return time.Now().UnixNano()
 }
 `},
-	},
-	{
-		analyzer:   "obsclock",
-		importPath: "internal/sim",
-		files: map[string]string{"a.go": `package sim
-
-import "nuconsensus/internal/obs"
-
-func f(b *obs.Bus) {
-	@ALLOW@
-	b.SetClock(obs.Wall{})
-}
-`},
-	},
-	{
-		analyzer:   "poolbuf",
-		importPath: "internal/wire",
-		files: map[string]string{"a.go": `package wire
-
-import "sync"
-
-@ALLOW@
-var p = sync.Pool{New: func() interface{} { return new([]string) }}
-`},
-	},
-	{
-		analyzer:   "seedhash",
-		importPath: "internal/explore",
-		files: map[string]string{"a.go": `package explore
-
-type key [2]uint64
-
-func shardOf(k key, salt int64, w int) int { return int((k[0] ^ uint64(salt)) % uint64(w)) }
-
-func f(ks []key, w int) int {
-	@ALLOW@
-	return shardOf(ks[0], 42, w)
-}
-`},
-	},
-	{
-		analyzer:   "specregistry",
-		importPath: "experiments",
-		files: map[string]string{
-			"a.go": `package experiments
-
-type Spec struct {
-	ID   string
-	Unit func() int
-}
-
-var e1 = &Spec{ID: "E1", Unit: func() int { return 1 }}
-
-@ALLOW@
-var Registry = map[string]*Spec{
-	"E1": e1,
-}
-`,
-			"EXPERIMENTS.md": "# Tables\n\n## E1 — documented\n\n## E9 — documented but never registered\n",
-		},
 	},
 }
 
@@ -223,7 +146,7 @@ func TestAllowSuppressesEachAnalyzer(t *testing.T) {
 }
 
 // TestTreeCleanUnderFullSuite pins satellite hygiene: the module itself
-// must carry zero findings under all nine analyzers, so any rule the
+// must carry zero findings under all four analyzers, so any rule the
 // suite enforces on contributors holds for the tree as committed.
 func TestTreeCleanUnderFullSuite(t *testing.T) {
 	if testing.Short() {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
-	"regexp"
 	"testing"
 	"time"
 )
@@ -87,34 +85,6 @@ func TestDeriveSeed(t *testing.T) {
 	}
 	if DeriveSeed("E2", base) == DeriveSeed("E1", base) {
 		t.Error("DeriveSeed ignores the experiment ID")
-	}
-}
-
-// TestExperimentsMDCoverage cross-checks the documentation: every table ID
-// referenced in EXPERIMENTS.md's summary exists in the registry, and every
-// registered experiment is documented.
-func TestExperimentsMDCoverage(t *testing.T) {
-	raw, err := os.ReadFile("../../EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := regexp.MustCompile(`(?m)^\| ([EQ]\d+) \|`)
-	documented := map[string]bool{}
-	for _, m := range re.FindAllStringSubmatch(string(raw), -1) {
-		documented[m[1]] = true
-	}
-	if len(documented) == 0 {
-		t.Fatal("found no experiment IDs in EXPERIMENTS.md — summary table format changed?")
-	}
-	for id := range documented {
-		if _, ok := Registry[id]; !ok {
-			t.Errorf("EXPERIMENTS.md references %s but the registry does not implement it", id)
-		}
-	}
-	for id := range Registry {
-		if !documented[id] {
-			t.Errorf("registry implements %s but EXPERIMENTS.md's summary does not document it", id)
-		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -8,7 +10,9 @@ import (
 // tiny is the smallest scale that still exercises each experiment's logic.
 var tiny = Scale{Seeds: 1, MaxSteps: 30000}
 
-// TestRegistryComplete ensures the registry matches EXPERIMENTS.md's index.
+// TestRegistryComplete pins the registry itself: IDs() lists the
+// canonical order and every Registry entry carries its own key as ID.
+// TestExperimentsMDCoverage holds the registry against the document.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
 		"E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"}
@@ -24,6 +28,42 @@ func TestRegistryComplete(t *testing.T) {
 	for id, sp := range Registry {
 		if sp.ID != id {
 			t.Errorf("Registry[%q].ID = %q", id, sp.ID)
+		}
+	}
+}
+
+// TestExperimentsMDCoverage is the one registry ⇔ EXPERIMENTS.md check:
+// the document's summary rows and its "## <ID> —" section headings each
+// name exactly the registered experiments. A Spec that is documented but
+// not registered fails here; one that is neither cannot change a table.
+func TestExperimentsMDCoverage(t *testing.T) {
+	raw, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []struct {
+		what string
+		rx   *regexp.Regexp
+	}{
+		{"summary", regexp.MustCompile(`(?m)^\| ([EQ]\d+) \|`)},
+		{"section headings", regexp.MustCompile(`(?m)^## ([EQ]\d+) —`)},
+	} {
+		documented := map[string]bool{}
+		for _, m := range doc.rx.FindAllStringSubmatch(string(raw), -1) {
+			documented[m[1]] = true
+		}
+		if len(documented) == 0 {
+			t.Fatalf("found no experiment IDs in EXPERIMENTS.md's %s — format changed?", doc.what)
+		}
+		for id := range documented {
+			if _, ok := Registry[id]; !ok {
+				t.Errorf("EXPERIMENTS.md's %s names %s but the registry does not implement it", doc.what, id)
+			}
+		}
+		for id := range Registry {
+			if !documented[id] {
+				t.Errorf("registry implements %s but EXPERIMENTS.md's %s does not name it", id, doc.what)
+			}
 		}
 	}
 }

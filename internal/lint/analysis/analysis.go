@@ -1,13 +1,17 @@
 // Package analysis is a self-contained, offline subset of
-// golang.org/x/tools/go/analysis: the Analyzer/Pass/Diagnostic contract,
-// package facts, and a module-aware loader/runner built only on the
-// standard library and the go toolchain (`go list -export`).
+// golang.org/x/tools/go/analysis: the Analyzer/Pass/Diagnostic contract
+// and a module-aware loader/runner built only on the standard library and
+// the go toolchain (`go list -export`).
 //
 // The repo's growth environment has no network access and no module cache,
-// so the real x/tools dependency cannot be fetched (see tools.go at the
-// module root). This package mirrors the upstream API closely enough that
-// the analyzers in internal/lint/* can be moved onto upstream
-// golang.org/x/tools/go/analysis by changing their import path only.
+// so the real x/tools dependency cannot be fetched (see internal/lint/tools).
+// What is mirrored is what the repo's analyzers use: Analyzer's Name, Doc
+// and Run, and Pass's Fset, Files, Pkg, TypesInfo, Report and Reportf, so
+// each analyzer in internal/lint/* moves onto upstream
+// golang.org/x/tools/go/analysis by changing its import path only. Package
+// facts and prerequisite analyzers are not mirrored: no analyzer exchanges
+// facts, and the one shared prerequisite (control-flow graphs) is a plain
+// function call, internal/lint/ctrlflow.Funcs.
 package analysis
 
 import (
@@ -15,49 +19,21 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"reflect"
 )
 
 // An Analyzer describes one static-analysis pass: its name (used in
-// diagnostics and in //lint:allow annotations), documentation, the fact
-// types it exchanges across packages, the prerequisite analyzers whose
-// results it consumes, and its Run function.
+// diagnostics and in //lint:allow annotations), documentation, and its
+// Run function.
 type Analyzer struct {
 	Name string
 	Doc  string
-
-	// FactTypes lists prototypes of the package facts this analyzer
-	// exports and imports. Each must be a pointer to a struct
-	// implementing Fact.
-	FactTypes []Fact
-
-	// Requires lists analyzers that must run on the same package first;
-	// their Run results are available through Pass.ResultOf (mirrors
-	// x/tools' Analyzer.Requires / ctrlflow-style prerequisites). A
-	// required analyzer runs at most once per package even when several
-	// analyzers require it, and its own diagnostics are reported only
-	// when it is also requested directly.
-	Requires []*Analyzer
-
-	// ResultType is the dynamic type of the value Run returns, declared
-	// so the runner can check the contract at the boundary between an
-	// analyzer and its dependents. Analyzers returning no result leave
-	// it nil.
-	ResultType reflect.Type
-
-	Run func(*Pass) (interface{}, error)
+	Run  func(*Pass) (interface{}, error)
 }
 
 func (a *Analyzer) String() string { return a.Name }
 
-// A Fact is a typed datum one package's analysis exports for the
-// analyses of packages that import it (mirrors analysis.Fact).
-type Fact interface {
-	AFact()
-}
-
 // A Pass provides one analyzer with one type-checked package and the
-// operations to report diagnostics and exchange facts.
+// operation to report diagnostics.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
@@ -66,23 +42,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Dir is the package's directory on disk and ModuleDir the enclosing
-	// module root ("" when unknown). These are extensions over x/tools,
-	// used by analyzers that consult repo-level files (EXPERIMENTS.md).
-	Dir       string
-	ModuleDir string
-
-	// ResultOf holds the results of the analyzers named in
-	// Analyzer.Requires, keyed by analyzer, for this package.
-	ResultOf map[*Analyzer]interface{}
-
 	Report func(Diagnostic)
-
-	// ImportPackageFact copies the fact of the given type previously
-	// exported by pkg into the pointer fact, reporting whether one was
-	// found. ExportPackageFact records fact for the current package.
-	ImportPackageFact func(pkg *types.Package, fact Fact) bool
-	ExportPackageFact func(fact Fact)
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
@@ -94,41 +54,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-}
-
-// factKey identifies a stored package fact.
-type factKey struct {
-	pkg      string
-	analyzer string
-	typ      reflect.Type
-}
-
-// factStore holds package facts across an analysis session. It backs both
-// the in-process runner (facts flow between packages of one Run call) and
-// the unitchecker mode of cmd/nuclint (facts are serialized per
-// compilation unit).
-type factStore struct {
-	m map[factKey]Fact
-}
-
-func newFactStore() *factStore { return &factStore{m: make(map[factKey]Fact)} }
-
-func (s *factStore) export(pkgPath, analyzer string, fact Fact) {
-	t := reflect.TypeOf(fact)
-	if t.Kind() != reflect.Ptr {
-		panic(fmt.Sprintf("analysis: fact %T is not a pointer", fact))
-	}
-	s.m[factKey{pkgPath, analyzer, t}] = fact
-}
-
-func (s *factStore) imp(pkgPath, analyzer string, fact Fact) bool {
-	t := reflect.TypeOf(fact)
-	got, ok := s.m[factKey{pkgPath, analyzer, t}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(got).Elem())
-	return true
 }
 
 // typesInfo returns a fully-populated types.Info for type-checking one

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -41,25 +40,5 @@ func CheckDir(dir, importPath, resolveDir string) (*Package, error) {
 		Dir:        dir,
 		GoFiles:    goFiles,
 	}
-	pkg, err := typeCheck(fset, imp, t)
-	if err != nil {
-		return nil, err
-	}
-	pkg.ModuleDir = "" // fixtures resolve repo-level files from their own dir
-	return pkg, nil
-}
-
-// ModuleRootOf walks up from dir looking for go.mod, returning "" when
-// none is found.
-func ModuleRootOf(dir string) string {
-	for d := dir; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return ""
-		}
-		d = parent
-	}
+	return typeCheck(fset, imp, t)
 }

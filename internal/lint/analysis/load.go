@@ -22,15 +22,11 @@ import (
 // analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
-	ModuleDir  string
-	Imports    []string // resolved import paths of in-module dependencies
-
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Filenames []string
-	Types     *types.Package
-	TypesInfo *types.Info
+	Fset       *token.FileSet
+	Files      []*ast.File
+	Filenames  []string
+	Types      *types.Package
+	TypesInfo  *types.Info
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -42,16 +38,14 @@ type listPkg struct {
 	DepOnly    bool
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	ImportMap  map[string]string
-	Module     *struct{ Path, Dir string }
 	Error      *struct{ Err string }
 }
 
 // Load lists the packages matching the patterns with the go toolchain,
 // compiles their dependencies for export data, and parses + type-checks
-// every matched (non-dependency) package from source. It is the package
-// loader behind cmd/nuclint's standalone mode.
+// every matched (non-dependency) package from source, sorted by import
+// path. It is cmd/nuclint's package loader.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-json", "-deps", "-export", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -129,15 +123,8 @@ func typeCheck(fset *token.FileSet, imp types.Importer, t *listPkg) (*Package, e
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", t.ImportPath, err)
 	}
-	moduleDir := ""
-	if t.Module != nil {
-		moduleDir = t.Module.Dir
-	}
 	return &Package{
 		ImportPath: t.ImportPath,
-		Dir:        t.Dir,
-		ModuleDir:  moduleDir,
-		Imports:    t.Imports,
 		Fset:       fset,
 		Files:      files,
 		Filenames:  names,

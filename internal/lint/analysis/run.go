@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -23,20 +21,33 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Posn, f.Analyzer, f.Message)
 }
 
-// Run executes every analyzer on every package, in dependency order so
-// package facts exported by a dependency are visible to its importers.
-// Diagnostics carrying a `//lint:allow <analyzer>` annotation on their
-// line or the line above are suppressed. The returned findings are sorted
-// by position.
+// Run executes every analyzer on every package. Diagnostics carrying a
+// `//lint:allow <analyzer>` annotation on their line or the line above are
+// suppressed. The returned findings are sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	store := newFactStore()
 	var out []Finding
-	for _, pkg := range topoSort(pkgs) {
-		fs, err := runPackage(pkg, analyzers, store)
-		if err != nil {
-			return nil, err
+	for _, pkg := range pkgs {
+		allow := allowLines(pkg.Fset, pkg.Files)
+		for _, a := range analyzers {
+			name := a.Name
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Filenames: pkg.Filenames,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
+				Report: func(d Diagnostic) {
+					posn := pkg.Fset.Position(d.Pos)
+					if !allow.allows(name, posn) {
+						out = append(out, Finding{Analyzer: name, Posn: posn, Message: d.Message})
+					}
+				},
+			}
+			if _, err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("analysis: %s on %s: %v", name, pkg.ImportPath, err)
+			}
 		}
-		out = append(out, fs...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -52,141 +63,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return out, nil
-}
-
-// runPackage runs all analyzers over one package against a shared fact
-// store. Required analyzers (Analyzer.Requires, transitively) run first
-// and at most once each; their results are threaded into dependents via
-// Pass.ResultOf, and their diagnostics are reported only when they are
-// also requested directly.
-func runPackage(pkg *Package, analyzers []*Analyzer, store *factStore) ([]Finding, error) {
-	allow := allowLines(pkg.Fset, pkg.Files)
-	requested := make(map[*Analyzer]bool, len(analyzers))
-	for _, a := range analyzers {
-		requested[a] = true
-	}
-	plan, err := expandRequires(analyzers)
-	if err != nil {
-		return nil, err
-	}
-	results := make(map[*Analyzer]interface{}, len(plan))
-	var out []Finding
-	for _, a := range plan {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Filenames: pkg.Filenames,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			Dir:       pkg.Dir,
-			ModuleDir: pkg.ModuleDir,
-		}
-		if len(a.Requires) > 0 {
-			pass.ResultOf = make(map[*Analyzer]interface{}, len(a.Requires))
-			for _, req := range a.Requires {
-				pass.ResultOf[req] = results[req]
-			}
-		}
-		name := a.Name
-		report := requested[a]
-		pass.Report = func(d Diagnostic) {
-			if !report {
-				return // prerequisite-only run: results, not diagnostics
-			}
-			posn := pkg.Fset.Position(d.Pos)
-			if allow.allows(name, posn) {
-				return
-			}
-			out = append(out, Finding{Analyzer: name, Posn: posn, Message: d.Message})
-		}
-		pass.ExportPackageFact = func(f Fact) {
-			store.export(pkg.Types.Path(), name, f)
-		}
-		pass.ImportPackageFact = func(p *types.Package, f Fact) bool {
-			return store.imp(p.Path(), name, f)
-		}
-		res, err := a.Run(pass)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %s on %s: %v", a.Name, pkg.ImportPath, err)
-		}
-		if a.ResultType != nil && res != nil && reflect.TypeOf(res) != a.ResultType {
-			return nil, fmt.Errorf("analysis: %s on %s returned %T, declared ResultType %v",
-				a.Name, pkg.ImportPath, res, a.ResultType)
-		}
-		results[a] = res
-	}
-	return out, nil
-}
-
-// expandRequires returns the requested analyzers plus every transitive
-// prerequisite, deduplicated, ordered so prerequisites precede their
-// dependents (and otherwise deterministically, by request order then
-// requirement order). A Requires cycle is an error.
-func expandRequires(analyzers []*Analyzer) ([]*Analyzer, error) {
-	var plan []*Analyzer
-	state := make(map[*Analyzer]int) // 0 unvisited, 1 visiting, 2 done
-	var visit func(a *Analyzer) error
-	visit = func(a *Analyzer) error {
-		switch state[a] {
-		case 1:
-			return fmt.Errorf("analysis: Requires cycle through %s", a.Name)
-		case 2:
-			return nil
-		}
-		state[a] = 1
-		for _, req := range a.Requires {
-			if err := visit(req); err != nil {
-				return err
-			}
-		}
-		state[a] = 2
-		plan = append(plan, a)
-		return nil
-	}
-	for _, a := range analyzers {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
-	}
-	return plan, nil
-}
-
-// topoSort orders packages so dependencies precede importers; ties are
-// broken by import path so the order (and therefore fact availability and
-// output) is deterministic.
-func topoSort(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-	}
-	sorted := make([]*Package, 0, len(pkgs))
-	state := make(map[string]int) // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if state[p.ImportPath] != 0 {
-			return
-		}
-		state[p.ImportPath] = 1
-		deps := append([]string(nil), p.Imports...)
-		sort.Strings(deps)
-		for _, d := range deps {
-			if dp, ok := byPath[d]; ok {
-				visit(dp)
-			}
-		}
-		state[p.ImportPath] = 2
-		sorted = append(sorted, p)
-	}
-	paths := make([]string, 0, len(pkgs))
-	for _, p := range pkgs {
-		paths = append(paths, p.ImportPath)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		visit(byPath[path])
-	}
-	return sorted
 }
 
 // allowRx matches the escape-hatch annotation: //lint:allow name1,name2

@@ -1,28 +1,35 @@
 // Package bufownership implements the `bufownership` analyzer: pooled
-// buffers obey a strict ownership protocol — wire.GetBuf (or any pool
-// getter) leases a buffer to exactly one owner, and PutBuf (or any pool
-// putter, or a direct sync.Pool Put) ends the lease. After the put, on
+// buffers obey a strict ownership protocol — wire.GetBuf (or a direct
+// sync.Pool Get) leases a buffer to exactly one owner, and PutBuf (or a
+// direct sync.Pool Put) ends the lease. After the put, on
 // any path, the buffer must not be read, written through, re-put or
 // escape: the pool may already have handed the same backing array to
 // another goroutine, and on the deterministic substrates the resulting
 // aliasing shows up as runs whose bytes depend on GC and scheduling
-// rather than on the seed. PR 6's -race aliasing test probes this class
-// dynamically on one transport; this analyzer proves its absence
-// per-path, offline, for every covered package.
+// rather than on the seed. The wire package's -race aliasing test probes
+// this class dynamically on one transport; this analyzer proves its
+// absence per-path, offline, for every package of the module.
 //
 // The analysis is an intraprocedural forward dataflow over the ctrlflow
-// CFGs: a put kills the argument's whole alias class (b, b[:n], any
+// graphs: a put kills the argument's whole alias class (b, b[:n], any
 // variable assigned from them), a reassignment re-leases just that
 // variable, and every classified use of a dead variable is reported —
 // reads, writes (v[i] = x, append targets), re-puts (double-put), and
 // escapes through call arguments, returns, stores or closure captures.
 //
-// Put and get functions are discovered three ways: direct
-// (*sync.Pool).Put calls; the wire package's canonical GetBuf/PutBuf
-// names in doctrine-covered packages; and the PoolAPIFact the poolbuf
-// analyzer exports for every pooling package, so a new pool host's
-// wrappers are recognized without touching this analyzer. A site that
-// intentionally breaks the protocol can annotate with
+// A lease ends at a direct (*sync.Pool).Put call or at a call of any
+// function named PutBuf (the wire package's canonical putter); together
+// they are every putter in the tree.
+//
+// The same analyzer pins what a pool may hold (DESIGN.md §8): every
+// sync.Pool composite literal's New hook must be a function literal
+// returning *[]T with recursively pointer-free T, and every Pool.Put
+// argument must have that shape, so a well-typed pool cannot be laundered
+// through Put either (see pool.go). Pooling anything that carries pointers
+// — messages, payloads, nodes — is how a recycled object the old owner
+// still references resurfaces under a new writer.
+//
+// A site that intentionally breaks either rule can annotate with
 // //lint:allow bufownership <why>.
 package bufownership
 
@@ -34,58 +41,26 @@ import (
 	"nuconsensus/internal/lint/analysis"
 	"nuconsensus/internal/lint/ctrlflow"
 	"nuconsensus/internal/lint/flow"
-	"nuconsensus/internal/lint/poolbuf"
 )
 
 // Analyzer is the bufownership pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "bufownership",
-	Doc:       "pooled buffers must not be used, re-put or escape after PutBuf on any path",
-	Requires:  []*analysis.Analyzer{ctrlflow.Analyzer},
-	FactTypes: []analysis.Fact{(*poolbuf.PoolAPIFact)(nil)},
-	Run:       run,
+	Name: "bufownership",
+	Doc:  "pooled buffers are pointer-free *[]T and are not used, re-put or escaped after PutBuf on any path",
+	Run:  run,
 }
 
-// Covered reports whether the ownership protocol is enforced for the
-// package path — the same set the pooling doctrine covers.
-func Covered(path string) bool { return poolbuf.Covered(path) }
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !Covered(pass.Pkg.Path()) {
-		return nil, nil
-	}
-	putters := putterSet(pass)
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-	for _, fi := range cfgs.All() {
-		checkFunc(pass, fi, putters)
+	checkPools(pass)
+	for _, fi := range ctrlflow.Funcs(pass) {
+		checkFunc(pass, fi)
 	}
 	return nil, nil
 }
 
-// putterSet collects the functions whose call ends a buffer lease, keyed
-// by "pkgpath.Name": the current package's own pool API (classified the
-// same way poolbuf classifies it for the fact), the PoolAPIFact of every
-// import, and the canonical PutBuf name in any doctrine-covered package.
-func putterSet(pass *analysis.Pass) map[string]bool {
-	putters := make(map[string]bool)
-	_, local := poolbuf.PoolAPI(pass)
-	for _, name := range local {
-		putters[pass.Pkg.Path()+"."+name] = true
-	}
-	for _, imp := range pass.Pkg.Imports() {
-		var fact poolbuf.PoolAPIFact
-		if pass.ImportPackageFact(imp, &fact) {
-			for _, name := range fact.Putters {
-				putters[imp.Path()+"."+name] = true
-			}
-		}
-	}
-	return putters
-}
-
 // putArg returns the buffer argument of a lease-ending call: a direct
-// (*sync.Pool).Put, a classified putter, or PutBuf in a covered package.
-func putArg(pass *analysis.Pass, putters map[string]bool, call *ast.CallExpr) (ast.Expr, bool) {
+// (*sync.Pool).Put or a call of a function named PutBuf.
+func putArg(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, bool) {
 	if len(call.Args) != 1 {
 		return nil, false
 	}
@@ -95,30 +70,11 @@ func putArg(pass *analysis.Pass, putters map[string]bool, call *ast.CallExpr) (a
 		fn, _ = pass.TypesInfo.Uses[f].(*types.Func)
 	case *ast.SelectorExpr:
 		fn, _ = pass.TypesInfo.Uses[f.Sel].(*types.Func)
-		if fn != nil && fn.Name() == "Put" {
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-				rt := recv.Type()
-				if p, ok := rt.(*types.Pointer); ok {
-					rt = p.Elem()
-				}
-				if named, ok := rt.(*types.Named); ok &&
-					named.Obj().Name() == "Pool" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync" {
-					return call.Args[0], true
-				}
-			}
-		}
 	}
-	if fn == nil || fn.Pkg() == nil {
+	if fn == nil || (fn.Name() != "PutBuf" && !isPoolPut(fn)) {
 		return nil, false
 	}
-	key := fn.Pkg().Path() + "." + fn.Name()
-	if putters[key] {
-		return call.Args[0], true
-	}
-	if fn.Name() == "PutBuf" && Covered(fn.Pkg().Path()) {
-		return call.Args[0], true
-	}
-	return nil, false
+	return call.Args[0], true
 }
 
 // deadMap is the dataflow fact: the variables whose backing buffer has
@@ -128,9 +84,8 @@ type deadMap map[types.Object]token.Pos
 
 // ownership is the flow.Facts instance for one function.
 type ownership struct {
-	pass    *analysis.Pass
-	vals    *flow.Values
-	putters map[string]bool
+	pass *analysis.Pass
+	vals *flow.Values
 }
 
 func (ownership) Bottom() deadMap { return deadMap{} }
@@ -178,7 +133,7 @@ func (x ownership) transferNode(n ast.Node, dead deadMap) {
 		case *ast.DeferStmt, *ast.GoStmt:
 			return false
 		case *ast.CallExpr:
-			if arg, ok := putArg(x.pass, x.putters, m); ok {
+			if arg, ok := putArg(x.pass, m); ok {
 				if obj := x.vals.DerivedFrom(arg); obj != nil {
 					for _, o := range x.vals.ClassMembers(obj) {
 						if _, already := dead[o]; !already {
@@ -226,8 +181,8 @@ func (x ownership) objOf(id *ast.Ident) types.Object {
 
 // checkFunc solves the ownership dataflow for one function and reports
 // every use of a dead buffer.
-func checkFunc(pass *analysis.Pass, fi *ctrlflow.FuncInfo, putters map[string]bool) {
-	x := ownership{pass: pass, vals: fi.Vals, putters: putters}
+func checkFunc(pass *analysis.Pass, fi *ctrlflow.FuncInfo) {
+	x := ownership{pass: pass, vals: fi.Vals}
 	sol := flow.Solve[deadMap](fi.Graph, flow.Forward, x)
 	seen := make(map[token.Pos]bool)
 	for _, b := range fi.Graph.Blocks {
@@ -252,7 +207,7 @@ func reportNode(pass *analysis.Pass, x ownership, n ast.Node, dead deadMap, seen
 		if !ok {
 			return true
 		}
-		arg, isPut := putArg(pass, x.putters, call)
+		arg, isPut := putArg(pass, call)
 		if !isPut {
 			return true
 		}

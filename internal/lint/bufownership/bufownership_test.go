@@ -12,23 +12,9 @@ func TestBufownership(t *testing.T) {
 		"internal/netrun")
 }
 
-// TestScopeTracksPoolingDoctrine is the meta-test: the ownership
-// protocol is enforced exactly where the pooling doctrine applies, so a
-// package cannot host a pool (poolbuf) without also getting its put
-// sites checked (bufownership).
-func TestScopeTracksPoolingDoctrine(t *testing.T) {
-	for path, want := range map[string]bool{
-		"nuconsensus/internal/wire":      true,  // pooling host
-		"nuconsensus/internal/netrun":    true,  // pooling host
-		"nuconsensus/internal/substrate": true,  // pooling host
-		"nuconsensus/internal/obs":       true,  // pooling host
-		"nuconsensus/internal/model":     true,  // determinism-critical
-		"nuconsensus/internal/explore":   true,  // determinism-critical
-		"nuconsensus/internal/lint":      false, // offline tooling, no pools
-		"nuconsensus/cmd/nuclint":        false,
-	} {
-		if got := bufownership.Covered(path); got != want {
-			t.Errorf("Covered(%q) = %v, want %v", path, got, want)
-		}
-	}
+// TestPoolShape runs the pool-shape rule's fixture: a sync.Pool's New
+// hook and every Put must carry a pointer-free *[]T.
+func TestPoolShape(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(t), bufownership.Analyzer,
+		"internal/wire")
 }

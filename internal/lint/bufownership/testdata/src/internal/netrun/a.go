@@ -234,3 +234,9 @@ func stashBatchBody(id int) {
 	wire.PutBuf(frame)
 	bodyTable[id] = frame // want `pooled buffer frame stored after PutBuf \(line 234\)`
 }
+
+// putAnything launders a pointer-carrying value through a well-shaped
+// pool: the Put shape check catches what the New hook check cannot see.
+func putAnything(vals []interface{}) {
+	rawPool.Put(&vals) // want `sync.Pool.Put of \*\[\]interface\{\}`
+}

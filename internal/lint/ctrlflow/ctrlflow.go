@@ -1,18 +1,13 @@
-// Package ctrlflow is the prerequisite analyzer that builds control-flow
-// graphs and value-tracking tables for every function in a package, so
-// the dataflow analyzers (bufownership, locksafe, atomicmix) request
-// them through Analyzer.Requires instead of each rebuilding the graphs —
-// mirroring golang.org/x/tools/go/analysis/passes/ctrlflow on the repo's
-// offline analysis core.
-//
-// The analyzer reports no diagnostics; its result is a *CFGs indexing
-// every function declaration and function literal (test files excluded,
-// matching the other analyzers' scope) to its flow.CFG and flow.Values.
+// Package ctrlflow builds the control-flow graphs and value-tracking
+// tables the dataflow analyzers (bufownership, locksafe) solve over: one
+// entry per function declaration and function literal of a package, test
+// files excluded, matching the other analyzers' scope. It is the offline
+// analogue of golang.org/x/tools/go/analysis/passes/ctrlflow, called as a
+// plain function instead of through a prerequisite analyzer.
 package ctrlflow
 
 import (
 	"go/ast"
-	"reflect"
 	"strconv"
 	"strings"
 
@@ -20,19 +15,8 @@ import (
 	"nuconsensus/internal/lint/flow"
 )
 
-// Analyzer builds CFGs for downstream analyzers.
-var Analyzer = &analysis.Analyzer{
-	Name:       "ctrlflow",
-	Doc:        "build per-function control-flow graphs and value tables (prerequisite, no diagnostics)",
-	ResultType: reflect.TypeOf(new(CFGs)),
-	Run:        run,
-}
-
-// A FuncInfo is one analyzed function: the declaration node (an
-// *ast.FuncDecl or *ast.FuncLit), its graph and its value tables.
+// A FuncInfo is one analyzed function: its name, graph and value tables.
 type FuncInfo struct {
-	// Decl is the *ast.FuncDecl or *ast.FuncLit node.
-	Decl ast.Node
 	// Name is the declared name, with the receiver type prefixed for
 	// methods ("(*Inbox).Take"); function literals get the enclosing
 	// declaration's name plus a positional suffix.
@@ -43,35 +27,19 @@ type FuncInfo struct {
 	Vals *flow.Values
 }
 
-// CFGs is the ctrlflow result: every function of the package, in file
-// and position order.
-type CFGs struct {
-	funcs []*FuncInfo
-	byPos map[ast.Node]*FuncInfo
-}
-
-// All returns every analyzed function in deterministic (file, position)
-// order.
-func (c *CFGs) All() []*FuncInfo { return c.funcs }
-
-// FuncOf returns the info of a function node (*ast.FuncDecl or
-// *ast.FuncLit), or nil when the node is unknown (e.g. from a test file).
-func (c *CFGs) FuncOf(n ast.Node) *FuncInfo { return c.byPos[n] }
-
-func run(pass *analysis.Pass) (interface{}, error) {
-	c := &CFGs{byPos: make(map[ast.Node]*FuncInfo)}
-	addFunc := func(n ast.Node, name string, body *ast.BlockStmt) {
+// Funcs returns every function of the pass's package in deterministic
+// (file, position) order.
+func Funcs(pass *analysis.Pass) []*FuncInfo {
+	var funcs []*FuncInfo
+	addFunc := func(name string, body *ast.BlockStmt) {
 		if body == nil {
 			return
 		}
-		fi := &FuncInfo{
-			Decl:  n,
+		funcs = append(funcs, &FuncInfo{
 			Name:  name,
 			Graph: flow.New(body, nil),
 			Vals:  flow.NewValues(pass.TypesInfo, body),
-		}
-		c.funcs = append(c.funcs, fi)
-		c.byPos[n] = fi
+		})
 	}
 	for i, file := range pass.Files {
 		if strings.HasSuffix(pass.Filenames[i], "_test.go") {
@@ -83,7 +51,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				continue
 			}
 			name := declName(fd)
-			addFunc(fd, name, fd.Body)
+			addFunc(name, fd.Body)
 			// Function literals anywhere inside (including in the bodies
 			// of other literals) get their own entries: a closure is a
 			// separate function with separate paths.
@@ -91,7 +59,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			ast.Inspect(fd, func(n ast.Node) bool {
 				if fl, isLit := n.(*ast.FuncLit); isLit {
 					lit++
-					addFunc(fl, name+"·func"+strconv.Itoa(lit), fl.Body)
+					addFunc(name+"·func"+strconv.Itoa(lit), fl.Body)
 				}
 				return true
 			})
@@ -106,13 +74,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			ast.Inspect(gd, func(n ast.Node) bool {
 				if fl, isLit := n.(*ast.FuncLit); isLit {
 					lit++
-					addFunc(fl, "init·func"+strconv.Itoa(lit), fl.Body)
+					addFunc("init·func"+strconv.Itoa(lit), fl.Body)
 				}
 				return true
 			})
 		}
 	}
-	return c, nil
+	return funcs
 }
 
 // declName renders a function declaration's name, receiver-qualified for

@@ -9,11 +9,10 @@ import (
 	"nuconsensus/internal/lint/ctrlflow"
 )
 
-// TestPrerequisiteResult checks the Requires plumbing end to end: a
-// downstream analyzer declares Requires: ctrlflow and receives a *CFGs
-// with one entry per function (declarations, methods, closures), while
-// ctrlflow itself reports nothing.
-func TestPrerequisiteResult(t *testing.T) {
+// TestFuncsCoverEveryFunction checks that Funcs yields one entry per
+// function — declarations, methods and closures — each with its graph and
+// value tables.
+func TestFuncsCoverEveryFunction(t *testing.T) {
 	dir := t.TempDir()
 	src := `package fix
 
@@ -41,60 +40,17 @@ func top(xs []int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var got *ctrlflow.CFGs
-	downstream := &analysis.Analyzer{
-		Name:     "needscfg",
-		Doc:      "test consumer",
-		Requires: []*analysis.Analyzer{ctrlflow.Analyzer},
-		Run: func(pass *analysis.Pass) (interface{}, error) {
-			got = pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-			return nil, nil
-		},
-	}
-	findings, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{downstream})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("unexpected findings: %v", findings)
-	}
-	if got == nil {
-		t.Fatal("downstream analyzer did not receive the ctrlflow result")
-	}
+	pass := &analysis.Pass{Fset: pkg.Fset, Files: pkg.Files, Filenames: pkg.Filenames, Pkg: pkg.Types, TypesInfo: pkg.TypesInfo}
 	names := map[string]bool{}
-	for _, fi := range got.All() {
+	for _, fi := range ctrlflow.Funcs(pass) {
 		names[fi.Name] = true
 		if fi.Graph == nil || fi.Vals == nil {
 			t.Errorf("func %s missing graph or values", fi.Name)
-		}
-		if got.FuncOf(fi.Decl) != fi {
-			t.Errorf("FuncOf(%s) does not round-trip", fi.Name)
 		}
 	}
 	for _, want := range []string{"(*T).Bump", "top", "top·func1"} {
 		if !names[want] {
 			t.Errorf("missing function %q in ctrlflow result (have %v)", want, names)
 		}
-	}
-}
-
-// TestRequiresCycleRejected pins the runner's cycle check.
-func TestRequiresCycleRejected(t *testing.T) {
-	a := &analysis.Analyzer{Name: "a", Doc: "x", Run: func(*analysis.Pass) (interface{}, error) { return nil, nil }}
-	b := &analysis.Analyzer{Name: "b", Doc: "x", Requires: []*analysis.Analyzer{a}, Run: a.Run}
-	a.Requires = []*analysis.Analyzer{b}
-
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte("package fix\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	wd, _ := os.Getwd()
-	pkg, err := analysis.CheckDir(dir, "fix", wd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{a}); err == nil {
-		t.Fatal("Requires cycle not rejected")
 	}
 }

@@ -18,16 +18,12 @@ import (
 type Values struct {
 	info  *types.Info
 	class map[types.Object]*aliasClass
-	// addrOf records locals bound exactly to &x.f (or &pkgvar): the
-	// address-alias layer the atomicmix analyzer resolves through.
-	addrOf map[types.Object]*FieldRef
 }
 
 // aliasClass is one union-find node over variables sharing a backing
 // store.
 type aliasClass struct {
 	parent *aliasClass
-	id     int
 }
 
 func (c *aliasClass) find() *aliasClass {
@@ -38,13 +34,6 @@ func (c *aliasClass) find() *aliasClass {
 		c = c.parent
 	}
 	return c
-}
-
-// FieldRef identifies a struct field (or package-level variable, with
-// Field nil) whose address a local holds.
-type FieldRef struct {
-	Base  types.Object // the struct variable or package-level var
-	Field *types.Var   // nil when Base itself is the target
 }
 
 // UseKind classifies one occurrence of a tracked variable.
@@ -88,16 +77,13 @@ type Use struct {
 // returns its value-tracking tables.
 func NewValues(info *types.Info, body ast.Node) *Values {
 	v := &Values{
-		info:   info,
-		class:  make(map[types.Object]*aliasClass),
-		addrOf: make(map[types.Object]*FieldRef),
+		info:  info,
+		class: make(map[types.Object]*aliasClass),
 	}
-	nextID := 0
 	classFor := func(obj types.Object) *aliasClass {
 		c, ok := v.class[obj]
 		if !ok {
-			c = &aliasClass{id: nextID}
-			nextID++
+			c = &aliasClass{}
 			v.class[obj] = c
 		}
 		return c.find()
@@ -119,10 +105,6 @@ func NewValues(info *types.Info, body ast.Node) *Values {
 		}
 		if robj := v.DerivedFrom(rhs); robj != nil {
 			union(lobj, robj)
-			return
-		}
-		if ref := v.fieldAddr(rhs); ref != nil {
-			v.addrOf[lobj] = ref
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -177,53 +159,6 @@ func (v *Values) DerivedFrom(e ast.Expr) types.Object {
 	}
 }
 
-// fieldAddr recognizes &x.f and &pkgvar.
-func (v *Values) fieldAddr(e ast.Expr) *FieldRef {
-	u, ok := ast.Unparen(e).(*ast.UnaryExpr)
-	if !ok || u.Op != token.AND {
-		return nil
-	}
-	switch t := ast.Unparen(u.X).(type) {
-	case *ast.SelectorExpr:
-		if f, ok := v.info.Uses[t.Sel].(*types.Var); ok && f.IsField() {
-			if base, ok := ast.Unparen(t.X).(*ast.Ident); ok {
-				if bobj := v.objOfIdent(base); bobj != nil {
-					return &FieldRef{Base: bobj, Field: f}
-				}
-			}
-		}
-	case *ast.Ident:
-		if obj := v.objOfIdent(t); obj != nil {
-			return &FieldRef{Base: obj}
-		}
-	}
-	return nil
-}
-
-// SameClass reports whether two variables were observed to share a
-// backing store.
-func (v *Values) SameClass(a, b types.Object) bool {
-	ca, ok := v.class[a]
-	if !ok {
-		return a == b
-	}
-	cb, ok := v.class[b]
-	if !ok {
-		return a == b
-	}
-	return ca.find() == cb.find()
-}
-
-// ClassID returns a stable identifier for the alias class of obj,
-// creating a singleton class on first sight.
-func (v *Values) ClassID(obj types.Object) int {
-	c, ok := v.class[obj]
-	if !ok {
-		return -1 - len(v.class) // untracked: unique pseudo-class
-	}
-	return c.find().id
-}
-
 // ClassMembers returns every variable sharing obj's alias class,
 // including obj itself, ordered by declaration position so dependents
 // iterate deterministically.
@@ -241,12 +176,6 @@ func (v *Values) ClassMembers(obj types.Object) []types.Object {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
 	return out
-}
-
-// AddrTarget returns the field (or variable) whose address obj holds,
-// when obj was bound with p := &x.f / p := &v, and nil otherwise.
-func (v *Values) AddrTarget(obj types.Object) *FieldRef {
-	return v.addrOf[obj]
 }
 
 // Uses classifies every occurrence of a variable for which track returns

@@ -1,18 +1,17 @@
-// Package locksafe implements the `locksafe` analyzer: mutexes in the
-// concurrent packages (substrate, netrun, obs) follow three
-// rules that a data race or deadlock would otherwise smuggle past
-// review. First, every sync.Mutex/RWMutex acquired in a function is
-// released on every path out of it — early returns and panic paths
-// included, where only a registered `defer mu.Unlock()` counts. Second,
+// Package locksafe implements the `locksafe` analyzer: mutexes in every
+// package of the module follow three rules that a data race or deadlock
+// would otherwise smuggle past review. First, every sync.Mutex/RWMutex
+// acquired in a function is released on every path out of it — early
+// returns and panic paths included, where only a registered
+// `defer mu.Unlock()` counts. Second,
 // no path re-acquires a lock it already holds (Go mutexes are not
 // reentrant: a double Lock deadlocks the goroutine, silently freezing
 // one process of the cluster rather than crashing it). Third, when two
-// named locks are ever held together, every function agrees on the
-// acquisition order — an inversion between two call sites is a
-// textbook ABBA deadlock, and the pairs are exported as a package fact
-// so the check spans package boundaries.
+// named locks are ever held together, every function of the package
+// agrees on the acquisition order — an inversion between two call sites
+// is a textbook ABBA deadlock.
 //
-// The analysis is a forward dataflow over the ctrlflow CFGs. The fact
+// The analysis is a forward dataflow over the ctrlflow graphs. The fact
 // is the set of held locks — keyed by the receiver expression's
 // variable and selector path, with read (RLock) and write (Lock) modes
 // distinct — plus, per lock, whether a releasing defer has been
@@ -26,7 +25,6 @@
 package locksafe
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -40,43 +38,10 @@ import (
 
 // Analyzer is the locksafe pass.
 var Analyzer = &analysis.Analyzer{
-	Name:      "locksafe",
-	Doc:       "mutexes in concurrent packages are released on all paths, never re-acquired while held, and acquired in one global order",
-	Requires:  []*analysis.Analyzer{ctrlflow.Analyzer},
-	FactTypes: []analysis.Fact{(*LockOrderFact)(nil)},
-	Run:       run,
+	Name: "locksafe",
+	Doc:  "mutexes are released on all paths, never re-acquired while held, and acquired in one order per package",
+	Run:  run,
 }
-
-// LockedPackages lists import-path suffixes of the packages whose
-// goroutines share mutex-guarded state; the lock discipline applies to
-// them.
-var LockedPackages = []string{
-	"internal/substrate",
-	"internal/netrun",
-	"internal/obs",
-}
-
-// Covered reports whether the lock discipline applies to the package
-// path.
-func Covered(path string) bool {
-	for _, suffix := range LockedPackages {
-		if path == suffix || strings.HasSuffix(path, "/"+suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-// A LockOrderFact records, for one package, every ordered pair of named
-// locks observed held together: Pairs[i] = [A, B] means B was acquired
-// somewhere while A was held. Importers merge these into their own
-// order check, so an inversion between two packages is still caught.
-type LockOrderFact struct {
-	Pairs [][2]string `json:"pairs"`
-}
-
-// AFact implements analysis.Fact.
-func (*LockOrderFact) AFact() {}
 
 // lockKey identifies one lock within a function: the variable at the
 // base of the receiver expression, the selector path written at the
@@ -106,8 +71,7 @@ type lockInfo struct {
 type heldMap map[lockKey]lockInfo
 
 // orderTable accumulates acquisition-order pairs across the package:
-// order[A][B] holds the position where B was first acquired under A
-// (token.NoPos for pairs imported from dependency facts).
+// order[A][B] holds the position where B was first acquired under A.
 type orderTable map[string]map[string]token.Pos
 
 func (o orderTable) add(before, after string, pos token.Pos) {
@@ -122,47 +86,11 @@ func (o orderTable) add(before, after string, pos token.Pos) {
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !Covered(pass.Pkg.Path()) {
-		return nil, nil
-	}
 	order := orderTable{}
-	for _, imp := range pass.Pkg.Imports() {
-		var fact LockOrderFact
-		if pass.ImportPackageFact(imp, &fact) {
-			for _, p := range fact.Pairs {
-				order.add(p[0], p[1], token.NoPos)
-			}
-		}
-	}
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-	for _, fi := range cfgs.All() {
+	for _, fi := range ctrlflow.Funcs(pass) {
 		checkFunc(pass, fi, order)
 	}
-	exportOrder(pass, order)
 	return nil, nil
-}
-
-// exportOrder publishes the package's own observed pairs (positions
-// inside this package, not re-exported imports) as a LockOrderFact.
-func exportOrder(pass *analysis.Pass, order orderTable) {
-	var pairs [][2]string
-	for a, m := range order {
-		for b, pos := range m {
-			if pos != token.NoPos {
-				pairs = append(pairs, [2]string{a, b})
-			}
-		}
-	}
-	if len(pairs) == 0 {
-		return
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	pass.ExportPackageFact(&LockOrderFact{Pairs: pairs})
 }
 
 // locks is the flow.Facts instance for one function.
@@ -291,13 +219,9 @@ func (x locks) reportAcquire(call *ast.CallExpr, key lockKey, held heldMap) {
 		}
 		if firstPos, inverted := x.order[name][heldName]; inverted && !x.seen[call.Pos()] {
 			x.seen[call.Pos()] = true
-			where := "in an importing package"
-			if firstPos != token.NoPos {
-				where = fmt.Sprintf("at line %d", x.pass.Fset.Position(firstPos).Line)
-			}
 			x.pass.Reportf(call.Pos(),
-				"lock order inversion: %s acquired while holding %s, but %s the opposite order is used — inconsistent order deadlocks under contention",
-				name, heldName, where)
+				"lock order inversion: %s acquired while holding %s, but at line %d the opposite order is used — inconsistent order deadlocks under contention",
+				name, heldName, x.pass.Fset.Position(firstPos).Line)
 		}
 		x.order.add(heldName, name, call.Pos())
 	}
@@ -380,7 +304,7 @@ func receiverPath(pass *analysis.Pass, e ast.Expr) (types.Object, string, bool) 
 }
 
 // stableName maps a lock key to a package-level identity usable in the
-// cross-function (and cross-package) order table: Type.field.path for a
+// cross-function order table: Type.field.path for a
 // field of a named struct, pkg.var for a package-level mutex. Locals
 // have no stable identity — each call owns its own — so they never
 // participate in ordering.

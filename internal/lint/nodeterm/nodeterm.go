@@ -7,10 +7,16 @@
 //   - wall-clock reads and timers (time.Now, time.Since, time.After, …)
 //   - the global math/rand and math/rand/v2 sources (rand.Intn, rand.Seed,
 //     …) and crypto/rand — per-unit RNGs must be constructed from explicit
-//     seeds (see the seedhash analyzer for how experiment Specs get them)
+//     seeds (experiment Specs derive theirs with experiments.DeriveSeed)
 //   - environment-dependent logic (os.Getenv and friends)
 //   - goroutine spawns: concurrency lives in the sanctioned engine worker
 //     pool (internal/experiments.RunIDs), not in model/simulation code
+//   - any reference to obs.Wall, the observability layer's time.Now shim:
+//     internal/obs is exempt (the shim is its sanctioned surface), so
+//     without this rule a critical package could smuggle wall time into
+//     its event stream by constructing obs.Wall and handing it to a bus.
+//     Buses there run on the injected obs.Clock (obs.Logical by default);
+//     only the exempt concurrent substrate driver installs the wall clock
 //
 // The engine itself legitimately measures wall time and spawns its pool;
 // such sites carry a `//lint:allow nodeterm <why>` annotation.
@@ -65,16 +71,15 @@ var ExemptPackages = map[string]string{
 	// internal/obs is the observability layer: its Wall clock shim
 	// (time.Now) and debug HTTP server are its sanctioned nondeterministic
 	// surface. Determinism-critical packages are barred from reaching that
-	// surface by the obsclock analyzer, which forbids any reference to
-	// obs.Wall outside the exempt concurrent substrates.
-	"internal/obs": "observability layer; Wall clock and pprof server are its sanctioned surface (critical packages are kept off it by obsclock)",
+	// surface by this analyzer's obs.Wall rule.
+	"internal/obs": "observability layer; Wall clock and pprof server are its sanctioned surface (critical packages are kept off it by the obs.Wall rule)",
 }
 
 // Analyzer is the nodeterm pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "nodeterm",
-	Doc: "forbid wall-clock, ambient randomness, env vars and ad-hoc goroutines " +
-		"in determinism-critical packages",
+	Doc: "forbid wall-clock, ambient randomness, env vars, ad-hoc goroutines " +
+		"and obs.Wall in determinism-critical packages",
 	Run: run,
 }
 
@@ -146,6 +151,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					pass.Pkg.Path())
 			case *ast.CallExpr:
 				checkCall(pass, n)
+			case *ast.SelectorExpr:
+				if obj := pass.TypesInfo.Uses[n.Sel]; obj != nil && isObsWall(obj) {
+					pass.Reportf(n.Pos(),
+						"obs.Wall in determinism-critical package %s: stamp events via the injected obs.Clock (obs.Logical by default); only the exempt concurrent substrate driver installs the wall clock",
+						pass.Pkg.Path())
+				}
 			}
 			return true
 		})
@@ -184,4 +195,15 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 	pass.Reportf(call.Pos(), "%s in determinism-critical package %s: %s.%s (derive all inputs from explicit seeds)",
 		reason, pass.Pkg.Path(), pkgPath, name)
+}
+
+// isObsWall reports whether obj is the Wall type of the repo's
+// observability package (matched by import-path suffix so the rule also
+// works on analysistest fixtures and forks of the module path).
+func isObsWall(obj types.Object) bool {
+	if obj.Name() != "Wall" || obj.Pkg() == nil {
+		return false
+	}
+	path := obj.Pkg().Path()
+	return path == "internal/obs" || strings.HasSuffix(path, "/internal/obs")
 }

@@ -14,6 +14,14 @@ func TestNodeterm(t *testing.T) {
 		"internal/model", "internal/check")
 }
 
+// TestObsWall runs the obs.Wall rule's fixture: every form of reference
+// to the wall-clock shim is flagged in a critical package (internal/sim)
+// and none in an exempt one (internal/check).
+func TestObsWall(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(t), nodeterm.Analyzer,
+		"internal/sim", "internal/check")
+}
+
 // TestClassificationMatchesLayout is the meta-test: every package under
 // internal/ must be classified as determinism-critical or explicitly
 // exempt (with a reason), and both lists must only name packages that
@@ -98,8 +106,8 @@ func TestServeStaysCritical(t *testing.T) {
 // TestObsStaysExempt pins the classification of the observability layer:
 // internal/obs deliberately owns the repo's wall-clock shim (obs.Wall) and
 // the pprof/expvar debug server, so it cannot live on the critical list —
-// but the deterministic event pipeline stays safe because the obsclock
-// analyzer bars every critical package from referencing obs.Wall.
+// but the deterministic event pipeline stays safe because nodeterm's
+// obs.Wall rule bars every critical package from referencing obs.Wall.
 func TestObsStaysExempt(t *testing.T) {
 	if reason := nodeterm.ExemptPackages["internal/obs"]; reason == "" {
 		t.Error("internal/obs must be exempt (it hosts the sanctioned Wall clock shim and debug server)")

@@ -6,11 +6,16 @@ import (
 	"math/rand"
 	"os"
 	"time"
+
+	"nuconsensus/internal/obs"
 )
 
-func unflagged() {
+func unflagged(sinks ...obs.Sink) *obs.Bus {
 	_ = time.Now()
 	_ = rand.Intn(3)
 	_ = os.Getenv("X")
 	go func() {}()
+	b := obs.NewBus(obs.Wall{}, nil, sinks...)
+	b.SetClock(obs.Wall{})
+	return b
 }
