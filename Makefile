@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench-module race bench bench-hot bench-report bench-check experiments experiments-full tables-check substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
+.PHONY: all build test test-short bench-module race bench bench-hot bench-report bench-check experiments experiments-full tables-check substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
 
 # Smoke-test artifacts (metrics dumps, span streams, Chrome traces) land
 # here; CI uploads the directory, .gitignore keeps it out of the tree.
@@ -219,6 +219,28 @@ aware-smoke:
 	$(GO) test -short -count=1 -run 'TestAwarenessAudit|TestAcknowledgedBefore|TestRecordAckKeepsEarliestStamp' ./internal/rsm
 	@echo "aware: every audited decision consumed PROPs sent after the quorum was known; zeroed stamps are caught"
 
+# examples-smoke builds every examples/* program into $(ARTIFACTS) and runs
+# it; each exits non-zero when its property check fails. The sim-only
+# examples are functions of their seeds, so every run must print the same
+# bytes; quickstart's concurrent sections are not, so only its simulator
+# section (everything before "== goroutine runtime ==") is compared. A small
+# map iterates in the same order most of the time (≈ 3 runs in 4 for the
+# examples' decision maps), so one rerun rarely catches output that leaks
+# map order: each example runs 16 times and every run is compared with the
+# first, which misses such a leak about 1 time in 100.
+examples-smoke:
+	mkdir -p $(ARTIFACTS)/examples
+	@for d in examples/*; do \
+	    e=$$(basename $$d); bin=$(ARTIFACTS)/examples/$$e; \
+	    $(GO) build -o $$bin ./$$d || exit 1; \
+	    for i in $$(seq 1 16); do \
+	        $$bin > $$bin.out || { echo "examples: $$e exited non-zero"; exit 1; }; \
+	        sed '/^== goroutine runtime ==$$/q' $$bin.out > $$bin.$$i.det; \
+	        cmp -s $$bin.1.det $$bin.$$i.det || { echo "examples: $$e printed different output on run $$i"; diff $$bin.1.det $$bin.$$i.det; exit 1; }; \
+	    done; \
+	    echo "examples: $$e ok (16 identical runs)"; \
+	done
+
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzDecodePayload -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzDecodeValue -fuzztime 30s
@@ -241,7 +263,7 @@ lint-static: vet lint
 
 # loc prints non-test, non-blank, non-comment Go lines per package (root,
 # cmd/*, internal/* with sub-packages folded in) — the "LOC per package
-# before/after" figure ROADMAP item 9 asks every deletion PR to record.
+# before/after" figure ROADMAP item 11 asks every deletion PR to record.
 # The tree has no block comments, so a leading // is the whole test.
 loc:
 	@for d in . cmd/* internal/*; do \
@@ -256,6 +278,7 @@ ci: lint-static
 	$(GO) build ./...
 	$(GO) test ./...
 	$(MAKE) bench-module
+	$(MAKE) examples-smoke
 	$(GO) test -race ./...
 	$(MAKE) tables-check
 	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2 -substrate async

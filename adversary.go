@@ -23,20 +23,6 @@ func AlternatingOmega(misleader, leader ProcessID, period, stabilize Time) Histo
 	}
 }
 
-// ConstHistory returns the history in which process p's module outputs
-// leader[p] paired with quorum[p] forever — the shape of the hand-crafted
-// histories in the Theorem 7.1 partition runs.
-func ConstHistory(leaders []ProcessID, quorums []ProcessSet) History {
-	vals := make([]FDValue, len(leaders))
-	for p := range vals {
-		vals[p] = fd.PairValue{
-			First:  fd.LeaderValue{Leader: leaders[p]},
-			Second: fd.QuorumValue{Quorum: quorums[p]},
-		}
-	}
-	return fd.ConstPerProcess{Values: vals}
-}
-
 // ThresholdQuorum returns the (n−t)-threshold quorum algorithm without the
 // t < n/2 restriction — the natural but doomed candidate for emulating Σ
 // in environments where half or more processes may crash (Theorem 7.1,

@@ -10,8 +10,9 @@
 // safety violation (there must be none). The naive-mr target explores the
 // naive MR+Σν adaptation under E6's legal Σν history until it finds the
 // contamination violation, shrinks the counterexample to a minimal
-// schedule, and (with -o) writes it as a RecordedRun replayable by the
-// nucsim replay path and loadable with nuconsensus.LoadRecordedRun.
+// schedule, and (with -o) writes it as a RecordedRun that
+// nuconsensus.LoadRecordedRun reads back and nuconsensus.Replay re-executes
+// (explore_cex_test.go pins that round trip).
 //
 // Everything on stdout is a deterministic function of the flags — byte
 // identical at every -parallel value; progress and timing go to stderr.

@@ -19,6 +19,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"nuconsensus"
 )
@@ -60,8 +61,13 @@ func main() {
 			if exampleSeed < 0 {
 				exampleSeed = seed
 				fmt.Printf("seed %d, naive MR with Σν quorums:\n", seed)
-				for p, v := range res.Decisions {
-					fmt.Printf("  %v decided %d\n", p, v)
+				var ps []nuconsensus.ProcessID
+				for p := range res.Decisions {
+					ps = append(ps, p)
+				}
+				sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+				for _, p := range ps {
+					fmt.Printf("  %v decided %d\n", p, res.Decisions[p])
 				}
 				fmt.Printf("  -> %v\n\n", err)
 			}

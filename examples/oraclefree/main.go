@@ -19,6 +19,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"nuconsensus"
 )
@@ -52,8 +53,13 @@ func main() {
 	fmt.Printf("crashes: p1@60, p3@120 (t=%d < n/2)\n\n", t)
 	fmt.Printf("all correct decided: %v after %d steps, %d messages\n",
 		res.Decided, res.Steps, res.MessagesSent)
-	for p, v := range res.Decisions {
-		fmt.Printf("  %v decided %d\n", p, v)
+	var ps []nuconsensus.ProcessID
+	for p := range res.Decisions {
+		ps = append(ps, p)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	for _, p := range ps {
+		fmt.Printf("  %v decided %d\n", p, res.Decisions[p])
 	}
 	if !res.Decided {
 		log.Fatal("expected decisions under partial synchrony")

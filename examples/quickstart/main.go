@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"nuconsensus"
 )
@@ -68,8 +69,13 @@ func main() {
 func report(res *nuconsensus.SimResult, pattern *nuconsensus.FailurePattern) {
 	fmt.Printf("steps: %d, messages: %d, all correct decided: %v\n",
 		res.Steps, res.MessagesSent, res.Decided)
-	for p, v := range res.Decisions {
-		fmt.Printf("  %v decided %d\n", p, v)
+	var ps []nuconsensus.ProcessID
+	for p := range res.Decisions {
+		ps = append(ps, p)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	for _, p := range ps {
+		fmt.Printf("  %v decided %d\n", p, res.Decisions[p])
 	}
 	if err := nuconsensus.CheckNonuniformConsensus(res.Config, pattern); err != nil {
 		log.Fatalf("consensus violated: %v", err)

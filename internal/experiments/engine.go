@@ -266,17 +266,11 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// RunAll runs every registered experiment at the given scale on a worker
-// pool and returns the tables in canonical order. The output is bitwise
-// identical for every worker count.
-func RunAll(ctx context.Context, sc Scale, opts Options) ([]Table, error) {
-	return RunIDs(ctx, IDs(), sc, opts)
-}
-
-// RunIDs runs the selected experiments on a worker pool. Units from all
-// experiments share one queue, so a long tail in one experiment overlaps
-// with the others. Cancelling ctx stops feeding the pool and returns
-// ctx.Err() once in-flight units finish.
+// RunIDs runs the selected experiments on a worker pool and returns the
+// tables in the order of ids; the output is bitwise identical for every
+// worker count. Units from all experiments share one queue, so a long tail
+// in one experiment overlaps with the others. Cancelling ctx stops feeding
+// the pool and returns ctx.Err() once in-flight units finish.
 func RunIDs(ctx context.Context, ids []string, sc Scale, opts Options) ([]Table, error) {
 	workers := opts.Workers
 	if workers <= 0 {

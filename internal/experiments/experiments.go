@@ -3,9 +3,10 @@
 // figure (Q1–Q7), 25 in all, each producing a Table that cmd/experiments renders and
 // bench_test.go regenerates. Every theorem, algorithm and proof scenario of
 // the paper maps to one of these. The specs run on the parallel
-// deterministic engine in engine.go: RunAll fans the per-seed units of
-// every experiment out across a worker pool and reduces them in canonical
-// order, so the tables are bitwise identical for any worker count.
+// deterministic engine in engine.go: RunIDs fans the per-seed units of
+// the selected experiments out across a worker pool and reduces them in
+// canonical order, so the tables are bitwise identical for any worker
+// count.
 package experiments
 
 import (

@@ -63,13 +63,3 @@ func PortableIDs() []string {
 	}
 	return ids
 }
-
-// All runs every experiment sequentially at the given scale; RunAll is the
-// parallel equivalent and produces identical tables.
-func All(sc Scale) []Table {
-	out := make([]Table, 0, len(Registry))
-	for _, id := range IDs() {
-		out = append(out, Registry[id].Run(sc))
-	}
-	return out
-}

@@ -130,8 +130,8 @@ type Result struct {
 // that shards states across workers (FNV-1a, the same construction as
 // experiments.DeriveSeed). Work splitting is thus a pure function of the
 // state fingerprints — never of goroutine timing — which is what keeps
-// results byte-identical at any Parallel value. The seedhash analyzer
-// checks this package stays on that discipline.
+// results byte-identical at any Parallel value. TestDeterminismAcrossWorkers
+// and `make explore-smoke` hold this package to that discipline.
 func DeriveSeed(label string, level int) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "nuconsensus/explore/%s/%d", label, level)

@@ -137,7 +137,7 @@ func (s *Sampler) StabilizeTime() model.Time {
 // parent seed and a label, so two detector modules built from one
 // configuration seed (e.g. the Ω and Σν+ halves of a pair) do not consume
 // correlated noise. Same FNV-1a construction as experiments.DeriveSeed;
-// the name is load-bearing for the seedhash analyzer.
+// `make tables-check` and TestRunAllDeterministic pin the derived seeds.
 func DeriveSeed(label string, seed int64) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(label))

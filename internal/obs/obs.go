@@ -23,7 +23,7 @@
 //   - Wall-clock stamping lives behind the Clock interface. The wall shim
 //     (Wall) is injected only by the intentionally nondeterministic
 //     concurrent substrates; determinism-critical packages are barred from
-//     it by the obsclock analyzer (internal/lint/obsclock).
+//     it by the nodeterm analyzer's obs.Wall ban (internal/lint/nodeterm).
 //   - Metric snapshots are rendered in sorted name order and accumulate
 //     only commutative quantities (counter sums, histogram bucket counts),
 //     so metric dumps are byte-identical at any -parallel value.
@@ -141,7 +141,7 @@ func (Logical) Now() int64 { return 0 }
 
 // Wall is the wall-clock shim for the intentionally nondeterministic
 // substrates. Determinism-critical packages must not reference it — the
-// obsclock analyzer (internal/lint/obsclock) enforces that; the concurrent
+// nodeterm analyzer (internal/lint/nodeterm) enforces that; the concurrent
 // cluster driver injects it via Bus.SetClock.
 type Wall struct{}
 

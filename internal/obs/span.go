@@ -136,8 +136,8 @@ func ReadSpans(r io.Reader) ([]SpanEvent, error) {
 // is valid and does nothing, which is how the deterministic core stays
 // zero-cost when tracing is off; and like the Bus it stamps wall time
 // only through the injected Clock, so determinism-critical packages can
-// emit spans without ever referencing obs.Wall themselves (the obsclock
-// analyzer keeps them honest). All methods are safe for concurrent use.
+// emit spans without ever referencing obs.Wall themselves (nodeterm's
+// obs.Wall ban keeps them honest). All methods are safe for concurrent use.
 type Tracer struct {
 	mu     sync.Mutex
 	clock  Clock

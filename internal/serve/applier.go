@@ -42,7 +42,7 @@ type Applier struct {
 
 	// tracer emits decide/apply span events (nil: tracing off). The obs
 	// Tracer stamps wall time only through its injected clock, so the
-	// applier itself stays clock-free (obsclock contract).
+	// applier itself stays clock-free (nodeterm's obs.Wall ban).
 	tracer *obs.Tracer
 
 	cCommands, cDups, cBatches, cDupBatches *obs.Counter

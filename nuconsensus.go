@@ -22,9 +22,9 @@
 //     implementable from scratch when a majority is correct, and provably
 //     not emulatable from (Ω, Σν) otherwise.
 //
-// Two substrates run the same algorithms: a deterministic, model-faithful
-// step simulator (Simulate) and a goroutine/channel asynchronous runtime
-// (RunCluster). Failure detectors are histories over a failure pattern
+// Three substrates run the same algorithms: a deterministic, model-faithful
+// step simulator (Simulate), a goroutine/channel asynchronous runtime
+// (RunCluster) and a TCP mesh on loopback (RunTCP). Failure detectors are histories over a failure pattern
 // (Omega, Sigma, SigmaNu, SigmaNuPlus, Pair, and adversarial variants), and
 // spec checkers (Check*) verify both native and emulated detectors.
 //
@@ -56,9 +56,6 @@ type (
 	FDValue        = model.FDValue
 	Sample         = check.Sample
 )
-
-// NeverCrashes is the crash time of correct processes.
-const NeverCrashes = model.NeverCrashes
 
 // NewFailurePattern returns the failure-free pattern over n processes;
 // mark crashes with SetCrash.
@@ -183,11 +180,6 @@ func ANucAblated(proposals []int, noDistrust, noSeenGate bool) Automaton {
 func HeartbeatOmega(n, every, timeout int) Automaton {
 	return hb.NewOmega(n, every, timeout)
 }
-
-// ScratchSigmaNuPlus returns the from-scratch Σν+ implementation for
-// environments with t < n/2 crashes: the Theorem 7.1 threshold algorithm
-// with owner-inclusion.
-func ScratchSigmaNuPlus(n, t int) Automaton { return transform.NewScratchSigmaNuPlus(n, t) }
 
 // OracleFreeANuc composes the heartbeat Ω, the from-scratch Σν+ and A_nuc
 // into a fully failure-detector-free nonuniform consensus algorithm for
