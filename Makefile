@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench-module race bench bench-hot bench-report bench-check experiments experiments-full tables-check substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
+.PHONY: all build test test-short bench-module race bench experiments experiments-full tables-check substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
 
 # Smoke-test artifacts (metrics dumps, span streams, Chrome traces) land
 # here; CI uploads the directory, .gitignore keeps it out of the tree.
@@ -28,40 +28,11 @@ bench-module:
 race:
 	$(GO) test -race ./...
 
+# bench runs the root benchmarks for profiling; no numbers are committed.
+# `go test` pins hot-path allocations (alloc_test.go), and bench/ with
+# BENCHMARK.json is the performance trajectory.
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# BENCH_HOT selects the hot-path benchmarks the perf contract covers: the
-# sim step loop, the wire codec, the substrate inbox, the explorer
-# frontier, the long replicated-log run, the history-delta inner loops,
-# and the serving layer's batch codec and session dedup.
-# BENCH_COUNT=3 runs each three times; cmd/benchreport takes the
-# per-metric median so a single noisy run cannot move the baseline.
-BENCH_HOT ?= BenchmarkSimStep|BenchmarkWire|BenchmarkInbox|BenchmarkExploreFrontier|BenchmarkLogLongRun|BenchmarkHistoryDelta|BenchmarkServeBatch|BenchmarkSessionDedup
-BENCH_COUNT ?= 3
-BENCH_JSON ?= BENCH_15.json
-
-# bench-hot prints the raw hot-path benchmark runs.
-bench-hot:
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -count=$(BENCH_COUNT) .
-
-# bench-report regenerates the committed perf baseline from a fresh run
-# (median of $(BENCH_COUNT); see README "Benchmarks and the perf contract").
-bench-report:
-	mkdir -p $(ARTIFACTS)
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -count=$(BENCH_COUNT) . > $(ARTIFACTS)/bench-hot.txt
-	$(GO) run ./cmd/benchreport -in $(ARTIFACTS)/bench-hot.txt -out $(BENCH_JSON)
-	@echo "bench: wrote $(BENCH_JSON)"
-
-# bench-check is the CI perf gate: re-run the hot-path slice and fail if
-# allocs/op on a gated benchmark (cmd/benchreport -gate: the 0-alloc hot
-# paths, plus the long log run and the explorer frontier) regresses against
-# the committed baseline (0-alloc baselines fail on ANY allocation). The raw
-# runs stay in $(ARTIFACTS)/bench-hot.txt for CI's perf job to upload.
-bench-check:
-	mkdir -p $(ARTIFACTS)
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -count=$(BENCH_COUNT) . > $(ARTIFACTS)/bench-hot.txt
-	$(GO) run ./cmd/benchreport -in $(ARTIFACTS)/bench-hot.txt -check $(BENCH_JSON)
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -1,11 +1,11 @@
-// Hot-path benchmarks: the four inner loops every layer multiplies (the
-// sim step loop, the wire codec, substrate.Inbox, the explore frontier —
-// the last one lives in bench_test.go as BenchmarkExploreFrontier). These
-// are the benchmarks cmd/benchreport normalizes into BENCH_15.json and the
-// CI perf job gates on: allocs/op on the sim step loop and the wire
-// decode/encode paths must stay at their committed baseline (zero in
-// steady state), per DESIGN.md §8, and the explorer frontier within 10% of
-// its own.
+// Hot-path benchmarks: the inner loops every layer multiplies (the sim
+// step loop, the wire codec, substrate.Inbox, the explore frontier — the
+// last one lives in bench_test.go as BenchmarkExploreFrontier). They are
+// for profiling; no numbers are committed. Every benchmark here and in
+// bench_log_test.go / bench_serve_test.go except BenchmarkSimStep times a
+// hotOp, and TestHotPathAllocs (alloc_test.go) pins the allocs/op of the
+// same hotOp, so the code `go test -bench` times is the code the
+// allocation gate checks (DESIGN.md §8).
 package nuconsensus_test
 
 import (
@@ -24,6 +24,20 @@ import (
 	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/wire"
 )
+
+// hotOp sets up one hot-path operation, failing tb if the setup fails, and
+// returns its body: one call is one benchmark iteration.
+type hotOp func(tb testing.TB) func()
+
+// benchOp times b.N calls of op's body, setup excluded.
+func benchOp(b *testing.B, op hotOp) {
+	run := op(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
 
 // idleState is the zero-size state of the idle benchmark automaton; its
 // boxing is allocation-free, so the benchmark isolates engine overhead.
@@ -44,9 +58,8 @@ func (a idleAutomaton) Step(p model.ProcessID, s model.State, m *model.Message, 
 }
 
 // pingAutomaton sends one heartbeat to the next process on every step —
-// the messaging steady state: each step allocates exactly the messages the
-// model semantics require (payloads are immutable once sent) and nothing
-// else.
+// the messaging steady state (DESIGN.md §8 lists what such a step
+// allocates).
 type pingAutomaton struct{ n int }
 
 func (a pingAutomaton) Name() string                          { return "bench-ping" }
@@ -62,192 +75,191 @@ type nullHistory struct{}
 
 func (nullHistory) Output(model.ProcessID, model.Time) model.FDValue { return nil }
 
-// benchSimSteps runs b.N steps through one engine instance so ns/op and
-// allocs/op are per-step figures; the constant per-run setup vanishes as
-// b.N grows.
-func benchSimSteps(b *testing.B, aut model.Automaton, bus *obs.Bus) {
-	b.Helper()
-	pattern := model.NewFailurePattern(aut.N())
-	b.ReportAllocs()
-	b.ResetTimer()
+// runSteps runs exactly steps steps of aut through one sim engine.
+func runSteps(tb testing.TB, aut model.Automaton, bus *obs.Bus, steps int) {
+	tb.Helper()
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
-		Pattern:   pattern,
+		Pattern:   model.NewFailurePattern(aut.N()),
 		History:   nullHistory{},
 		Scheduler: sim.NewFairScheduler(1, 0.8, 3),
-		MaxSteps:  b.N,
+		MaxSteps:  steps,
 		Bus:       bus,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if res.Steps != b.N {
-		b.Fatalf("ran %d steps, want %d", res.Steps, b.N)
+	if res.Steps != steps {
+		tb.Fatalf("ran %d steps, want %d", res.Steps, steps)
 	}
 }
 
 // BenchmarkSimStep measures the deterministic step loop's steady state:
-// "idle" is pure engine overhead (must be 0 allocs/op), "idle-bus" adds
-// the obs event bus with a metrics registry and no sinks (must also be 0
-// allocs/op), and "messaging" adds one heartbeat send per step (allocs are
-// the model's own message objects).
+// "idle" is pure engine overhead, "idle-bus" adds the obs event bus with a
+// metrics registry and no sinks, and "messaging" adds one heartbeat send
+// per step. b.N steps run through one engine, so ns/op is a per-step
+// figure; allocs/op is truncated to an integer, which is why
+// TestSimStepSteadyStateAllocFree pins allocations instead.
 func BenchmarkSimStep(b *testing.B) {
-	b.Run("idle", func(b *testing.B) {
-		benchSimSteps(b, idleAutomaton{n: 4}, nil)
-	})
-	b.Run("idle-bus", func(b *testing.B) {
-		benchSimSteps(b, idleAutomaton{n: 4}, obs.NewBus(nil, obs.NewRegistry()))
-	})
-	b.Run("messaging", func(b *testing.B) {
-		benchSimSteps(b, pingAutomaton{n: 4}, nil)
-	})
-	b.Run("messaging-bus", func(b *testing.B) {
-		benchSimSteps(b, pingAutomaton{n: 4}, obs.NewBus(nil, obs.NewRegistry()))
-	})
+	for _, tc := range simStepCases {
+		b.Run(tc.name, func(b *testing.B) {
+			bus := tc.bus()
+			b.ReportAllocs()
+			b.ResetTimer()
+			runSteps(b, tc.aut, bus, b.N)
+		})
+	}
 }
 
-// benchFrames returns framed wire messages representative of the hot
-// paths: the minimal heartbeat (the highest-frequency small frame), a
-// REPORT (small consensus payload), and a DAG snapshot (the CHT-style
-// gossip heavyweight whose construction/decode cost dominates E2).
-func benchFrame(b *testing.B, payload model.Payload) []byte {
-	b.Helper()
+// benchPayload returns the codec benchmarks' payload of the given name:
+// the minimal heartbeat (the highest-frequency small frame), a REPORT (a
+// small consensus payload), a LEAD with full quorum histories, a
+// slot-wrapped LEAD carrying an incremental history delta (the
+// steady-state frame of the shared-store replicated log), and a 64-node
+// DAG snapshot (the CHT-style gossip heavyweight whose cost dominates E2).
+func benchPayload(name string) model.Payload {
+	switch name {
+	case "heartbeat":
+		return hb.HeartbeatPayload{}
+	case "report":
+		return consensus.ReportPayload{K: 3, V: 1}
+	case "lead-hist":
+		h := quorum.NewHistories(5)
+		for i := 0; i < 5; i++ {
+			h.Add(model.ProcessID(i), model.SetOf(model.ProcessID(i), 0))
+		}
+		return consensus.LeadPayload{K: 3, V: 1, Hist: h}
+	case "lead-delta":
+		return rsm.SlotPayload{Slot: 2, Inner: consensus.LeadDeltaPayload{K: 3, V: 1, Delta: quorum.Delta{
+			Base: 40, To: 44, Adds: []quorum.DeltaEntry{
+				{R: 0, Q: model.SetOf(0, 1)},
+				{R: 1, Q: model.SetOf(1, 2)},
+				{R: 2, Q: model.SetOf(0, 2)},
+				{R: 3, Q: model.SetOf(1, 3)},
+			},
+		}}}
+	case "dag64":
+		return benchGraphPayload(64)
+	}
+	panic("unknown bench payload " + name)
+}
+
+// benchFrame returns the framed wire message carrying payload.
+func benchFrame(tb testing.TB, payload model.Payload) []byte {
+	tb.Helper()
 	frame, err := wire.EncodeMessage(&model.Message{From: 1, To: 2, Seq: 7, Payload: payload})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return frame
 }
 
-// BenchmarkWireEncode measures payload → frame encoding into a reused
-// buffer. Steady state must be 0 allocs/op for every payload kind: the
-// scratch buffer comes from the caller (netrun recycles frames through the
-// package pool).
-func BenchmarkWireEncode(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		pl   model.Payload
-	}{
-		{"heartbeat", hb.HeartbeatPayload{}},
-		{"lead-hist", consensusLead(3, 1, quorumHistories(5))},
-		{"lead-delta", benchDeltaPayload()},
-		{"dag64", benchGraphPayload(64)},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			msg := &model.Message{From: 1, To: 2, Seq: 7, Payload: tc.pl}
-			var frame []byte
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if frame, err = wire.AppendMessage(frame[:0], msg); err != nil {
-					b.Fatal(err)
-				}
+// wireEncodeOp encodes the named payload's message into a reused buffer
+// (netrun recycles frames through the package pool, so the buffer comes
+// from the caller).
+func wireEncodeOp(name string) hotOp {
+	return func(tb testing.TB) func() {
+		msg := &model.Message{From: 1, To: 2, Seq: 7, Payload: benchPayload(name)}
+		var frame []byte
+		return func() {
+			var err error
+			if frame, err = wire.AppendMessage(frame[:0], msg); err != nil {
+				tb.Fatal(err)
 			}
-		})
+		}
 	}
 }
 
-// BenchmarkWireDecode measures frame → message decoding. The heartbeat
-// path must be 0 allocs/op in steady state (zero-size payload, caller-
-// provided message); larger payloads allocate only their semantic
-// structures.
-func BenchmarkWireDecode(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		pl   model.Payload
-	}{
-		{"heartbeat", hb.HeartbeatPayload{}},
-		{"report", benchReportPayload()},
-		{"lead-delta", benchDeltaPayload()},
-		{"dag64", benchGraphPayload(64)},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			frame := benchFrame(b, tc.pl)
-			var msg model.Message
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := wire.DecodeMessageInto(&msg, frame); err != nil {
-					b.Fatal(err)
-				}
+// wireDecodeOp decodes the named payload's frame into a caller-provided
+// message; what it allocates is the payload's semantic structures.
+func wireDecodeOp(name string) hotOp {
+	return func(tb testing.TB) func() {
+		frame := benchFrame(tb, benchPayload(name))
+		var msg model.Message
+		return func() {
+			if err := wire.DecodeMessageInto(&msg, frame); err != nil {
+				tb.Fatal(err)
 			}
-		})
+		}
 	}
 }
 
-// BenchmarkWirePeek measures the envelope-only parse the tcp readers run
-// on every received frame (supersession collapsing works on undecoded
-// frames). Must be 0 allocs/op.
-func BenchmarkWirePeek(b *testing.B) {
-	frame := benchFrame(b, benchGraphPayload(64))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// wirePeekOp is the envelope-only parse the tcp readers run on every
+// received frame (supersession collapsing works on undecoded frames).
+func wirePeekOp(tb testing.TB) func() {
+	frame := benchFrame(tb, benchPayload("dag64"))
+	return func() {
 		if _, err := wire.PeekMessage(frame); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkInbox measures the concurrent substrates' mailbox under its two
-// regimes: plain FIFO put/take, and a superseding flood (DAG snapshots)
-// where puts collapse older pending frames.
-func BenchmarkInbox(b *testing.B) {
-	b.Run("put-take", func(b *testing.B) {
-		inbox := &substrate.Inbox{}
-		msg := &model.Message{From: 0, To: 1, Seq: 1, Payload: hb.HeartbeatPayload{}}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			inbox.Put(msg)
-			if inbox.Take() == nil {
-				b.Fatal("empty inbox")
-			}
-		}
-	})
-	b.Run("superseding-flood", func(b *testing.B) {
-		inbox := &substrate.Inbox{}
-		msg := &model.Message{From: 0, To: 1, Seq: 1, Payload: benchGraphPayload(4)}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			inbox.Put(msg)
-			if i%8 == 7 { // drain occasionally: a flooded receiver taking 1-in-8
-				inbox.Take()
-			}
-		}
-	})
-	b.Run("put-batch", func(b *testing.B) {
-		inbox := &substrate.Inbox{}
-		batch := make([]*model.Message, 16)
-		for i := range batch {
-			batch[i] = &model.Message{From: 0, To: 1, Seq: uint64(i), Payload: hb.HeartbeatPayload{}}
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			inbox.PutBatch(batch)
-			for range batch {
-				inbox.Take()
-			}
-		}
-	})
+// BenchmarkWireEncode measures payload → frame encoding per payload kind.
+func BenchmarkWireEncode(b *testing.B) {
+	for _, name := range []string{"heartbeat", "lead-hist", "lead-delta", "dag64"} {
+		b.Run(name, func(b *testing.B) { benchOp(b, wireEncodeOp(name)) })
+	}
 }
 
-// benchReportPayload is the small consensus payload of the decode bench.
-func benchReportPayload() model.Payload { return consensus.ReportPayload{K: 3, V: 1} }
+// BenchmarkWireDecode measures frame → message decoding per payload kind.
+func BenchmarkWireDecode(b *testing.B) {
+	for _, name := range []string{"heartbeat", "report", "lead-delta", "dag64"} {
+		b.Run(name, func(b *testing.B) { benchOp(b, wireDecodeOp(name)) })
+	}
+}
 
-// benchDeltaPayload is a slot-wrapped LEAD carrying an incremental history
-// delta — the steady-state frame of the shared-store replicated log. Its
-// encode path shares the zero-allocation contract with the other payload
-// kinds.
-func benchDeltaPayload() model.Payload {
-	return rsm.SlotPayload{Slot: 2, Inner: consensus.LeadDeltaPayload{K: 3, V: 1, Delta: quorum.Delta{
-		Base: 40, To: 44, Adds: []quorum.DeltaEntry{
-			{R: 0, Q: model.SetOf(0, 1)},
-			{R: 1, Q: model.SetOf(1, 2)},
-			{R: 2, Q: model.SetOf(0, 2)},
-			{R: 3, Q: model.SetOf(1, 3)},
-		},
-	}}}
+// BenchmarkWirePeek measures the envelope-only parse of a DAG frame.
+func BenchmarkWirePeek(b *testing.B) { benchOp(b, wirePeekOp) }
+
+// inboxPutTakeOp is the concurrent substrates' mailbox as a plain FIFO.
+func inboxPutTakeOp(tb testing.TB) func() {
+	inbox := &substrate.Inbox{}
+	msg := &model.Message{From: 0, To: 1, Seq: 1, Payload: hb.HeartbeatPayload{}}
+	return func() {
+		inbox.Put(msg)
+		if inbox.Take() == nil {
+			tb.Fatal("empty inbox")
+		}
+	}
+}
+
+// inboxFloodOp is a superseding flood (DAG snapshots): puts collapse older
+// pending frames, and a flooded receiver takes one in eight.
+func inboxFloodOp(tb testing.TB) func() {
+	inbox := &substrate.Inbox{}
+	msg := &model.Message{From: 0, To: 1, Seq: 1, Payload: benchGraphPayload(4)}
+	i := 0
+	return func() {
+		inbox.Put(msg)
+		if i%8 == 7 {
+			inbox.Take()
+		}
+		i++
+	}
+}
+
+// inboxPutBatchOp puts a 16-message batch and drains it.
+func inboxPutBatchOp(tb testing.TB) func() {
+	inbox := &substrate.Inbox{}
+	batch := make([]*model.Message, 16)
+	for i := range batch {
+		batch[i] = &model.Message{From: 0, To: 1, Seq: uint64(i), Payload: hb.HeartbeatPayload{}}
+	}
+	return func() {
+		inbox.PutBatch(batch)
+		for range batch {
+			inbox.Take()
+		}
+	}
+}
+
+// BenchmarkInbox measures the concurrent substrates' mailbox under its
+// regimes: plain FIFO put/take, a superseding flood, and batched puts.
+func BenchmarkInbox(b *testing.B) {
+	b.Run("put-take", func(b *testing.B) { benchOp(b, inboxPutTakeOp) })
+	b.Run("superseding-flood", func(b *testing.B) { benchOp(b, inboxFloodOp) })
+	b.Run("put-batch", func(b *testing.B) { benchOp(b, inboxPutBatchOp) })
 }
 
 // benchGraphPayload builds an n-node DAG snapshot, the heavyweight gossip

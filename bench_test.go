@@ -1,4 +1,5 @@
-// Benchmarks: one per experiment table/figure of EXPERIMENTS.md. Each
+// Benchmarks: one per experiment table/figure of EXPERIMENTS.md (Q4's
+// hunt pair is E6's workload, so BenchmarkE6 covers both). Each
 // benchmark runs the experiment's core workload once per iteration at a
 // representative configuration and reports domain metrics (steps, messages,
 // rounds, convergence times) alongside ns/op. Regenerate the full tables
@@ -11,27 +12,10 @@ import (
 	"testing"
 
 	"nuconsensus"
-	"nuconsensus/internal/consensus"
-	dagpkg "nuconsensus/internal/dag"
 	"nuconsensus/internal/experiments"
 	"nuconsensus/internal/explore"
 	"nuconsensus/internal/fd"
-	"nuconsensus/internal/quorum"
-	"nuconsensus/internal/wire"
 )
-
-// quorumHistories builds a small history map for codec benchmarks.
-func quorumHistories(n int) quorum.Histories {
-	h := quorum.NewHistories(n)
-	for i := 0; i < n; i++ {
-		h.Add(nuconsensus.ProcessID(i), nuconsensus.SetOf(nuconsensus.ProcessID(i), 0))
-	}
-	return h
-}
-
-func consensusLead(k, v int, h quorum.Histories) consensus.LeadPayload {
-	return consensus.LeadPayload{K: k, V: v, Hist: h}
-}
 
 // quorumOf projects an emulated output to its quorum component.
 func quorumOf(v nuconsensus.FDValue) (nuconsensus.ProcessSet, bool) { return fd.QuorumOf(v) }
@@ -395,12 +379,6 @@ func BenchmarkQ3(b *testing.B) {
 	b.ReportMetric(first/float64(b.N), "first-correct-t/op")
 }
 
-// BenchmarkQ4 — Figure Q4: one adversarial hunt pair (naive vs A_nuc) per
-// iteration; the table itself is regenerated by cmd/experiments.
-func BenchmarkQ4(b *testing.B) {
-	BenchmarkE6(b)
-}
-
 // BenchmarkQ5 — Figure Q5: the fully ablated A_nuc under the adversary.
 func BenchmarkQ5(b *testing.B) {
 	pattern := nuconsensus.Crashes(3, map[nuconsensus.ProcessID]nuconsensus.Time{2: 320})
@@ -499,48 +477,6 @@ func BenchmarkQ6(b *testing.B) {
 	}
 }
 
-// BenchmarkWireCodec measures the binary codec on the heaviest payloads:
-// a LEAD message with quorum histories and a 200-node DAG snapshot.
-func BenchmarkWireCodec(b *testing.B) {
-	b.Run("lead-with-histories", func(b *testing.B) {
-		pattern := nuconsensus.Crashes(5, nil)
-		_ = pattern
-		hist := quorumHistories(5)
-		pl := consensusLead(3, 1, hist)
-		for i := 0; i < b.N; i++ {
-			raw, err := wire.EncodePayload(pl)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := wire.DecodePayload(raw); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dag-200-nodes", func(b *testing.B) {
-		g := dagpkg.NewGraph()
-		for i := 0; i < 200; i++ {
-			g.AddSample(nuconsensus.ProcessID(i%4), fd.QuorumValue{Quorum: nuconsensus.SetOf(0, 1)}, i/4+1)
-		}
-		pl := dagpkg.GraphPayload{G: g}
-		raw, err := wire.EncodePayload(pl)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(raw)), "bytes")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			raw, err := wire.EncodePayload(pl)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := wire.DecodePayload(raw); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkQ7 — Table Q7: the replicated-log application, time to fill a
 // 4-slot log across four replicas with one crash.
 func BenchmarkQ7(b *testing.B) {
@@ -577,17 +513,24 @@ func BenchmarkE15(b *testing.B) {
 // synchronized frontier is the workload: expand, fingerprint, merge,
 // materialize). Reports unique states and executed edges per op.
 func BenchmarkExploreFrontier(b *testing.B) {
-	sc := explore.VerifyANuc(3, 0)[0]
-	o := sc.Opts
-	o.Bound = 5
-	var states, edges int64
-	for i := 0; i < b.N; i++ {
-		res, err := explore.Explore(o)
-		if err != nil {
-			b.Fatal(err)
+	var last explore.Result
+	benchOp(b, exploreFrontierOp(&last))
+	b.ReportMetric(float64(last.States), "states/op")
+	b.ReportMetric(float64(last.Edges), "edges/op")
+}
+
+// exploreFrontierOp runs one bound-5 exploration per call and keeps its
+// result in *last.
+func exploreFrontierOp(last *explore.Result) hotOp {
+	return func(tb testing.TB) func() {
+		o := explore.VerifyANuc(3, 0)[0].Opts
+		o.Bound = 5
+		return func() {
+			res, err := explore.Explore(o)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			*last = *res
 		}
-		states, edges = res.States, res.Edges
 	}
-	b.ReportMetric(float64(states), "states/op")
-	b.ReportMetric(float64(edges), "edges/op")
 }

@@ -1,7 +1,8 @@
 // Package experiments implements the reproduction experiments of
 // EXPERIMENTS.md: one Spec per experiment (E1–E18) and per quantitative
-// figure (Q1–Q7), 25 in all, each producing a Table that cmd/experiments renders and
-// bench_test.go regenerates. Every theorem, algorithm and proof scenario of
+// figure (Q1–Q7), 25 in all, each producing a Table that cmd/experiments
+// renders (the root bench_test.go only times each experiment's core
+// workload). Every theorem, algorithm and proof scenario of
 // the paper maps to one of these. The specs run on the parallel
 // deterministic engine in engine.go: RunIDs fans the per-seed units of
 // the selected experiments out across a worker pool and reduces them in

@@ -137,10 +137,10 @@ func TestPooledBufferReuse(t *testing.T) {
 	}
 }
 
-// TestEncodeSteadyStateAllocFree pins the zero-allocation contract the CI
-// perf gate enforces through BENCH_15.json, directly in `go test`: encoding
-// any payload kind into a reused buffer and decoding a heartbeat into a
-// reused message must not allocate in steady state.
+// TestEncodeSteadyStateAllocFree pins the codec's zero-allocation contract
+// (DESIGN.md §8) at the package level, beside the root TestHotPathAllocs:
+// encoding any payload kind into a reused buffer and decoding a heartbeat
+// into a reused message must not allocate in steady state.
 func TestEncodeSteadyStateAllocFree(t *testing.T) {
 	payloads := []model.Payload{
 		hb.HeartbeatPayload{},
