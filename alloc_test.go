@@ -93,8 +93,8 @@ func TestHotPathAllocs(t *testing.T) {
 		{"ServeBatch/apply8x8", 100, 90, apply8x8Op},
 		{"SessionDedup/hit", 100, 0, dedupHitOp},
 		{"SessionDedup/record320", 100, 18, record320Op},
-		{"LogLongRun/shared", 20, 6979, logShared.op(new(int))},
-		{"LogLongRun/shared-crash", 20, 23626, logSharedCrash.op(new(int))},
+		{"LogLongRun/shared", 20, 5929, logShared.op(new(int))},
+		{"LogLongRun/shared-crash", 20, 21461, logSharedCrash.op(new(int))},
 		// Concurrent workers make this count vary by ±60.
 		{"ExploreFrontier", 1, 1275044, exploreFrontierOp(new(explore.Result))},
 	} {

@@ -15,10 +15,11 @@ const q7Slots = 5
 // q7MsgsPerSlotCap bounds fault-free msgs/slot per system size: with quorum
 // awareness carried across slots (internal/rsm aware.go) four of the five
 // slots decide in round 1, and the round after a decision is not announced
-// unasked (rsm stepInstance). Measured 48 / 88 / 139; 64 / 117 / 185 with
-// the post-decision round sent, 122 / 220 / 345 with each slot also paying
-// its own SAW/ACK round trip.
-var q7MsgsPerSlotCap = map[int]int{3: 60, 4: 105, 5: 165}
+// unasked (rsm stepInstance), and a process's own messages never leave its
+// step (rsm loopback). Measured 36.0 / 69.3 / 116.0; 48 / 88 / 139 with the
+// self-sends counted, 64 / 117 / 185 with the post-decision round sent too,
+// 122 / 220 / 345 with each slot also paying its own SAW/ACK round trip.
+var q7MsgsPerSlotCap = map[int]int{3: 40, 4: 78, 5: 130}
 
 // q7Spec measures the replicated-log application built on per-slot A_nuc
 // instances: steps and messages per appended slot, and the agreement of

@@ -94,10 +94,11 @@ func TestAckStampedWithWindowTop(t *testing.T) {
 	}
 }
 
-// eventTime places something a process did: the outer step, then the index
-// among that step's sends it preceded (replayParked runs many inner steps
-// under one outer step, so a SAW handler and a later slot's PROP can share
-// a step — the sends are in causal order).
+// eventTime places something a process did: the inner step — A_nuc's own
+// Step, of which one outer step of the log runs many (drain replays deferred
+// messages, and loopback delivers the process's own SAW, ACK, LEAD, REP and
+// PROP, so a poll of Q, the PROPs and a decision with Q can all share an
+// outer step) — then the index among that inner step's sends it preceded.
 type eventTime struct{ step, idx int }
 
 func (a eventTime) before(b eventTime) bool {
@@ -112,11 +113,14 @@ type histKey struct {
 // awarenessAuditor wraps the log automaton and checks Lemma 6.24's
 // statement on every decision of every slot instance: each member of the
 // deciding quorum Q held (p, Q) in its store strictly before it sent the
-// PROP the decision consumed. It records, per process, when each (r, Q)
-// first entered the store and when each PROP(slot, k) was sent.
+// PROP the decision consumed. It records, per process and at inner-step
+// granularity (innerAudit), when each (r, Q) first entered the store and
+// when each PROP(slot, k) was sent, and checks decisions after every outer
+// step.
 type awarenessAuditor struct {
 	model.Automaton
-	step    int
+	cur     *logState // the state the outer step in progress is stepping
+	step    int       // inner steps so far, over all processes
 	known   []map[histKey]eventTime
 	prop    []map[[2]int]eventTime
 	version []uint64       // store version at the last scan
@@ -126,7 +130,9 @@ type awarenessAuditor struct {
 	violations            []string
 }
 
-func newAwarenessAuditor(aut model.Automaton) *awarenessAuditor {
+// newAwarenessAuditor audits log, driven as aut (log itself, or a wrapper
+// around it): it wraps log's inner automaton to see every inner step.
+func newAwarenessAuditor(log *Log, aut model.Automaton) *awarenessAuditor {
 	n := aut.N()
 	a := &awarenessAuditor{Automaton: aut, known: make([]map[histKey]eventTime, n),
 		prop: make([]map[[2]int]eventTime, n), version: make([]uint64, n), audited: make([]map[int]bool, n)}
@@ -135,14 +141,32 @@ func newAwarenessAuditor(aut model.Automaton) *awarenessAuditor {
 		a.prop[p] = map[[2]int]eventTime{}
 		a.audited[p] = map[int]bool{}
 	}
+	log.inner = innerAudit{slotAutomaton: log.inner, a: a}
 	return a
 }
 
-func (a *awarenessAuditor) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	a.step++
-	ns, sends := a.Automaton.Step(p, s, m, d)
-	st := ns.(*logState)
+// innerAudit is the log's A_nuc as the auditor sees it: every inner step
+// is recorded, with its sends as A_nuc emitted them, before the log
+// slot-tags and delta-encodes them in place.
+type innerAudit struct {
+	slotAutomaton
+	a *awarenessAuditor
+}
 
+func (w innerAudit) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	ns, sends := w.slotAutomaton.Step(p, s, m, d)
+	w.a.innerStep(p, s, sends)
+	return ns, sends
+}
+
+// innerStep records one inner step of p's instance inst: the store entries
+// first visible after it, and the PROPs it sent.
+func (a *awarenessAuditor) innerStep(p model.ProcessID, inst model.State, sends []model.Send) {
+	a.step++
+	st := a.cur
+	if st.p != p {
+		panic(fmt.Sprintf("inner step of p%d inside an outer step of p%d", p, st.p))
+	}
 	if ver := st.store.v.Version(); ver != a.version[p] {
 		a.version[p] = ver
 		for r, set := range st.store.v.Histories() {
@@ -155,15 +179,29 @@ func (a *awarenessAuditor) Step(p model.ProcessID, s model.State, m *model.Messa
 		}
 	}
 	for i, snd := range sends {
-		if sp, ok := snd.Payload.(SlotPayload); ok {
-			if pr, ok := sp.Inner.(consensus.ProposalDeltaPayload); ok {
-				key := [2]int{sp.Slot, pr.K}
-				if _, had := a.prop[p][key]; !had {
-					a.prop[p][key] = eventTime{a.step, i}
-				}
+		if pr, ok := snd.Payload.(consensus.ProposalPayload); ok {
+			key := [2]int{slotOf(st, inst), pr.K}
+			if _, had := a.prop[p][key]; !had {
+				a.prop[p][key] = eventTime{a.step, i}
 			}
 		}
 	}
+}
+
+// slotOf finds the slot whose instance inst is.
+func slotOf(st *logState, inst model.State) int {
+	for slot, r := range st.recs {
+		if r.inst == inst {
+			return slot
+		}
+	}
+	panic("an inner step of an instance no record holds")
+}
+
+func (a *awarenessAuditor) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	a.cur = s.(*logState)
+	ns, sends := a.Automaton.Step(p, s, m, d)
+	st := ns.(*logState)
 	for _, slot := range st.liveSlots() {
 		if a.audited[p][slot] {
 			continue
@@ -192,22 +230,21 @@ func (a *awarenessAuditor) Step(p model.ProcessID, s model.State, m *model.Messa
 	return ns, sends
 }
 
-// entryIndex places, within the step that added it, a store entry (r, Q) of
-// process p. An entry of another process comes from the SAW handler — the
-// ACK it emits marks the spot — or else from the delta on the step's one
-// incoming message, applied before any send. p's own entries come from
-// get_quorum at an unknown point of the step: placed after all its sends,
-// the conservative end (p cannot decide with Q in the step it first polled
-// it: the ACKs, at least its own, cross the network first).
+// entryIndex places, within the first inner step after which it is visible,
+// a store entry (r, Q) of process p. An entry of another process comes from
+// the SAW handler — the ACK it emits marks the spot — or else from a delta
+// applied before the inner step ran, on its message or on one deferred or
+// dropped earlier. p's own entries come from get_quorum at an unknown point
+// of the inner step: placed after all its sends, the conservative end (p
+// cannot decide with Q in the inner step it first polled it: its SAW for Q
+// has to be acknowledged first, by itself included, in later inner steps).
 func entryIndex(p model.ProcessID, e histKey, sends []model.Send) int {
 	if e.r == p {
 		return math.MaxInt
 	}
 	for i, snd := range sends {
-		if sp, ok := snd.Payload.(SlotPayload); ok && snd.To == e.r {
-			if ack, ok := sp.Inner.(AckStampPayload); ok && ack.Q == e.q {
-				return i
-			}
+		if ack, ok := snd.Payload.(consensus.AckPayload); ok && snd.To == e.r && ack.Q == e.q {
+			return i
 		}
 	}
 	return -1
@@ -328,11 +365,12 @@ func auditRun(t *testing.T, c auditCase, wrap func(model.Automaton) model.Automa
 		}
 	}
 	sampler := fd.NewSampler(hist)
-	var aut model.Automaton = NewLog(cmds, auditSlots).WithSampler(sampler).WithPipeline(c.window)
+	log := NewLog(cmds, auditSlots).WithSampler(sampler).WithPipeline(c.window)
+	var aut model.Automaton = log
 	if wrap != nil {
 		aut = wrap(aut)
 	}
-	audit := newAwarenessAuditor(aut)
+	audit := newAwarenessAuditor(log, aut)
 	res, err := sim.Run(sim.Exec{
 		Automaton: audit,
 		Pattern:   pattern,

@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"nuconsensus/internal/consensus"
@@ -116,20 +117,23 @@ func TestHeldLeadReleasedOnWake(t *testing.T) {
 		net.step(lag)
 	}
 
+	// p0's own copy of the held LEAD is delivered inside the step (loopback),
+	// so the n − 1 copies to its peers lead the step's sends.
 	sentVer := append([]uint64(nil), p0.sentVer...)
 	out := net.step(0)
-	if len(out) < n {
-		t.Fatalf("waking step sent %d messages, want at least the %d of the held LEAD", len(out), n)
+	if len(out) < n-1 {
+		t.Fatalf("waking step sent %d messages, want at least the %d of the held LEAD to p0's peers", len(out), n-1)
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n-1; i++ {
+		to := model.ProcessID(i + 1)
 		sp, _ := out[i].Payload.(SlotPayload)
 		lead, ok := sp.Inner.(consensus.LeadDeltaPayload)
-		if !ok || sp.Slot != slot || lead.K != round || out[i].To != model.ProcessID(i) {
-			t.Fatalf("send %d of the waking step is %v to %v, want slot %d's LEAD(%d) to p%d first", i, out[i].Payload, out[i].To, slot, round, i)
+		if !ok || sp.Slot != slot || lead.K != round || out[i].To != to {
+			t.Fatalf("send %d of the waking step is %v to %v, want slot %d's LEAD(%d) to p%d first", i, out[i].Payload, out[i].To, slot, round, to)
 		}
-		if lead.Delta.Base != sentVer[i] || lead.Delta.To != p0.store.v.Version() {
+		if lead.Delta.Base != sentVer[to] || lead.Delta.To != p0.store.v.Version() {
 			t.Errorf("released LEAD to p%d carries delta %d→%d, want %d→%d (the link's version at release)",
-				i, lead.Delta.Base, lead.Delta.To, sentVer[i], p0.store.v.Version())
+				to, lead.Delta.Base, lead.Delta.To, sentVer[to], p0.store.v.Version())
 		}
 	}
 	if heldRound(p0, slot) != 0 || p0.isQuiet(slot) {
@@ -212,9 +216,9 @@ func TestHeldLeadReleasedInsideReplay(t *testing.T) {
 	}
 	leads := 0
 	for _, snd := range sends {
-		if sp, ok := snd.Payload.(SlotPayload); ok && sp.Slot == slot {
-			if lead, ok := sp.Inner.(consensus.LeadDeltaPayload); ok && lead.K == 2 {
-				leads++
+		if sp, ok := snd.Payload.(SlotPayload); ok && sp.Slot == slot && strings.HasPrefix(sp.Kind(), "LEAD") {
+			if k, _ := consensus.PayloadRound(sp.Inner); k == 2 {
+				leads++ // delta-encoded to the peers, plain to p0 itself
 			}
 		}
 	}
@@ -230,6 +234,40 @@ func TestHeldLeadReleasedInsideReplay(t *testing.T) {
 	}
 }
 
+// quietWithLeadWaiting is the fixture of the test below and of
+// TestLoopbackDefersLikeAPeer: p0's instance of slot 2 (seededSlotTwo) has
+// decided in round 1 and sits quiet in round 2 holding its LEAD(2), and its
+// leader p1 — which has since passed the slot — sent LEAD(2) before the
+// decision. step hands p0 one slot-2 message from a peer and returns what
+// p0 sends.
+func quietWithLeadWaiting(t *testing.T) (st *logState, q model.ProcessSet, step func(from model.ProcessID, pl model.Payload) []model.Send) {
+	t.Helper()
+	const slot = 2
+	aut, st, q, d := seededSlotTwo(obs.NewRegistry())
+	forceWindowDecided(st)
+	st.harvest(aut, d) // slot 2 opens, seeded with q
+	var seq uint64
+	send := func(from model.ProcessID, pl model.Payload) []model.Send {
+		seq++
+		_, out := aut.Step(0, st, &model.Message{From: from, To: 0, Seq: seq, Payload: pl}, d)
+		return out
+	}
+	step = func(from model.ProcessID, pl model.Payload) []model.Send {
+		return send(from, SlotPayload{Slot: slot, Inner: pl})
+	}
+	step(1, consensus.LeadDeltaPayload{K: 1, V: 42})
+	step(1, consensus.ReportPayload{K: 1, V: 42})
+	step(2, consensus.ReportPayload{K: 1, V: 42})
+	step(1, consensus.LeadDeltaPayload{K: 2, V: 42}) // the leader runs ahead …
+	send(1, ProgressPayload{Slot: slot + 1})         // … and passes the slot
+	step(1, consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true})
+	step(2, consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true})
+	if heldRound(st, slot) != 2 || !st.isQuiet(slot) {
+		t.Fatalf("slot %d holds round %d, quiet = %v: want decided in round 1, quiet, LEAD(2) held", slot, heldRound(st, slot), st.isQuiet(slot))
+	}
+	return st, q, step
+}
+
 // TestHeldLeadReleasedWhenRoundMovesOn: the hold is for a LEAD of the round
 // the instance is waiting in. If the instance completes that wait while
 // still quiet — its leader, since passed, had sent the round's LEAD before
@@ -237,37 +275,20 @@ func TestHeldLeadReleasedInsideReplay(t *testing.T) {
 // instance never holds anything but the LEAD of its current round.
 func TestHeldLeadReleasedWhenRoundMovesOn(t *testing.T) {
 	const slot = 2
-	aut, st, q, d := seededSlotTwo(obs.NewRegistry())
-	forceWindowDecided(st)
-	st.harvest(aut, d) // slot 2 opens, seeded with q
-	var seq uint64
-	step := func(from model.ProcessID, pl model.Payload) []model.Send {
-		seq++
-		_, out := aut.Step(0, st, &model.Message{From: from, To: 0, Seq: seq, Payload: pl}, d)
-		return out
-	}
-	in := func(pl model.Payload) SlotPayload { return SlotPayload{Slot: slot, Inner: pl} }
-	step(1, in(consensus.LeadDeltaPayload{K: 1, V: 42}))
-	step(1, in(consensus.ReportPayload{K: 1, V: 42}))
-	step(2, in(consensus.ReportPayload{K: 1, V: 42}))
-	step(1, in(consensus.LeadDeltaPayload{K: 2, V: 42})) // the leader runs ahead …
-	step(1, ProgressPayload{Slot: slot + 1})             // … and passes the slot
-	step(1, in(consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true}))
-	step(2, in(consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true}))
-	if heldRound(st, slot) != 2 || !st.isQuiet(slot) {
-		t.Fatalf("slot %d holds round %d, quiet = %v: want decided in round 1, quiet, LEAD(2) held", slot, heldRound(st, slot), st.isQuiet(slot))
-	}
+	st, q, step := quietWithLeadWaiting(t)
 
 	// p2, still in round 1, announces its quorum: the step acknowledges, and
-	// its advance finds the leader's LEAD(2) waiting.
-	out := step(2, in(consensus.SawPayload{Q: q}))
+	// its advance finds the leader's LEAD(2) waiting. p0's own copies of the
+	// LEAD and the REP loop back inside the step (loopback), where the quiet
+	// gate defers them: only p0's peers are sent anything.
+	out := step(2, consensus.SawPayload{Q: q})
 	var kinds []string
 	for _, snd := range out {
 		if sp, ok := snd.Payload.(SlotPayload); ok && sp.Slot == slot {
 			kinds = append(kinds, sp.Kind())
 		}
 	}
-	if want := []string{"LEADD", "LEADD", "LEADD", "SACK", "REP", "REP", "REP"}; !reflect.DeepEqual(kinds, want) {
+	if want := []string{"LEADD", "LEADD", "SACK", "REP", "REP"}; !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("slot-%d sends of the step = %v, want %v", slot, kinds, want)
 	}
 	if heldRound(st, slot) != 0 || !st.isQuiet(slot) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/sim"
@@ -227,8 +228,11 @@ func TestInject(t *testing.T) {
 	if len(sends) != 0 {
 		t.Fatalf("pre-announce Inject broadcast %d sends, want 0", len(sends))
 	}
-	// First step performs the announce, forwarding the injected command.
-	st, out := aut.Step(0, st, nil, nil)
+	// First step performs the announce, forwarding the injected command. It
+	// also steps slot 0's instance, whose own LEAD is delivered inside the
+	// step, so A_nuc reads Ω and Σν+ from a real pair value.
+	d := fd.PairValue{First: fd.LeaderValue{Leader: 1}, Second: fd.QuorumValue{Quorum: model.FullSet(3)}}
+	st, out := aut.Step(0, st, nil, d)
 	var cmdSends int
 	for _, s := range out {
 		if c, ok := s.Payload.(rsm.CommandPayload); ok {

@@ -142,13 +142,17 @@ func TestQuietLaggardCatchesUp(t *testing.T) {
 	assertQuietLaggardRun(t, res.Config.States, reg)
 	// The run is deterministic, so its deferral books are pinned to the
 	// digit: a change that moves any of them changed what the log delivers,
-	// defers or holds — not merely where it keeps it.
+	// defers or holds — not merely where it keeps it. (Delivering each
+	// process's own messages inside its step ends the run at step 2510, not
+	// 3267, with the fast three one slot short of retiring p3's last
+	// progress: the retired, entered and held counts are lower for it, and
+	// the parked, woken and released ones did not move.)
 	for name, want := range map[string]int64{
 		"rsm.parked_msgs": 90, "rsm.parked_replayed": 90,
 		"rsm.quiet_parked": 0, "rsm.quiet_replayed": 0,
-		"rsm.quiet_enter": 118, "rsm.quiet_wake": 72, "rsm.quiet_retired": 45,
-		"rsm.quiet_held": 472, "rsm.quiet_released": 288,
-		"rsm.instances_opened": 48, "rsm.instances_retired": 45,
+		"rsm.quiet_enter": 115, "rsm.quiet_wake": 72, "rsm.quiet_retired": 38,
+		"rsm.quiet_held": 460, "rsm.quiet_released": 288,
+		"rsm.instances_opened": 48, "rsm.instances_retired": 42,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -268,11 +272,15 @@ func (a *sendTap) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 func TestQuietZombieSlot(t *testing.T) {
 	const steps, tail = 40000, 10000
 	// The fair scheduler steps every alive process once per pass of four:
-	// crashing at time 5 gives p3 exactly its first step.
+	// crashing at time 5 gives p3 exactly its first step. A faulty process's
+	// Σν+ module outputs just itself, so in a step where its Ω also names
+	// itself its own LEAD, REP and PROP loop back and it decides slot 0 alone
+	// (rsm loopback) — passing the slot after all. Sampler seed 2 never shows
+	// p3 itself as leader before the crash.
 	crashes := map[model.ProcessID]model.Time{quietLag: 5}
 	pattern := model.PatternFromCrashes(quietN, crashes)
 	reg := obs.NewRegistry()
-	sampler := rsm.SamplerForLog(pattern, 80, 3)
+	sampler := rsm.SamplerForLog(pattern, 80, 2)
 	tap := &sendTap{
 		Automaton: rsm.NewLog(quietCmds(), quietSlots).WithPipeline(2).WithMetrics(reg).WithSampler(sampler),
 		zombie:    quietLag, lastZombie: -1, lastAny: -1,

@@ -41,7 +41,8 @@
 // does everything the log withholds on the slot's account: a queue of
 // inbound messages the instance is not handed yet (it has not opened here,
 // or it is quiet and the sender has passed the slot) and the held LEAD
-// outbound. Inbound traffic passes one gate in Step (accepts); each queue
+// outbound. Inbound traffic passes one gate in Step (accepts) — a peer's,
+// and the process's own, which never leaves the step (loopback); each queue
 // is filled in one place and emptied in one place, and both only ever delay
 // what the asynchronous model lets be delayed (§2.4). window.go opens,
 // harvests, appends and retires the records.
@@ -120,11 +121,19 @@ type Log struct {
 	n     int
 	cmds  [][]int // cmds[p]: commands process p wants appended
 	slots int     // stop appending after this many slots
-	inner *consensus.ANuc
+	inner slotAutomaton
 
 	metrics *logMetrics // pre-resolved obs instruments; nil if unmetered
 	window  int         // in-flight slot instances, >= 1 (see WithPipeline)
 	sink    EntrySink   // decided entries leave the state; nil keeps them
+}
+
+// slotAutomaton is what the log asks of A_nuc (consensus.ANuc): an instance
+// per slot, proposing at runtime over the process's one store, and its inner
+// steps.
+type slotAutomaton interface {
+	InitStateProposing(p model.ProcessID, v int, store consensus.HistoryStore) model.State
+	Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send)
 }
 
 // EntrySink receives decided entries the moment a process appends them,
@@ -335,37 +344,7 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 				}
 			}
 		case SlotPayload:
-			// Apply any piggybacked history delta to the shared store, and
-			// record an ACK's stamp, even when the slot has retired: the
-			// delta chain from this sender must stay unbroken for later
-			// slots, and an acknowledgement is a fact about the sender's
-			// store, not about the instance that asked for it.
-			payload := st.applyIncoming(m.From, pl.Inner, a.metrics)
-			if pl.Slot < st.floor || pl.Slot >= st.slots {
-				// Below the floor the slot has retired — every process has
-				// decided it — and at or past slots it never exists: these
-				// are the only slot messages dropped. Every slot in between
-				// has a record, or gets one now.
-				break
-			}
-			if r := st.rec(pl.Slot); !st.accepts(r, pl.Slot, m.From) {
-				// Deferred, not dropped: that would break the reliable-link
-				// assumption A_nuc's termination proof rests on (see
-				// parkedMsg). This is the one place a message joins r.in.
-				r.in = append(r.in, parkedMsg{from: m.From, seq: m.Seq, pl: payload})
-				if r.inst == nil {
-					a.metrics.parked() // the sender is ahead: no instance here yet
-				} else {
-					a.metrics.quietParked() // the sender has passed; we sleep
-				}
-				break
-			}
-			out = append(out, st.deliver(a, pl.Slot, m.From, m.Seq, payload, d)...)
-			if pl.Slot >= st.slot {
-				currentGotMsg = true
-				out = append(out, st.harvest(a, d)...)
-			}
-			out = append(out, st.settle(a, pl.Slot, d)...)
+			out, currentGotMsg = st.receive(a, m.From, m.Seq, pl, d)
 		default:
 			panic(fmt.Sprintf("rsm: unknown payload %T", m.Payload))
 		}
@@ -404,9 +383,79 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 		out = append(out, st.settle(a, slot, d)...)
 	}
 
+	out = st.loopback(a, out, d)
 	st.compactStore(a.metrics)
 
 	return st, out
+}
+
+// receive is the one receive path of a slot message, whoever sent it: a
+// peer's arrives as Step's message, this process's own through loopback.
+// It returns what the delivery sends and whether the message reached an
+// instance at or above the frontier.
+func (s *logState) receive(a *Log, from model.ProcessID, seq uint64, pl SlotPayload, d model.FDValue) ([]model.Send, bool) {
+	// Apply any piggybacked history delta to the shared store, and record an
+	// ACK's stamp, even when the slot has retired: the delta chain from this
+	// sender must stay unbroken for later slots, and an acknowledgement is a
+	// fact about the sender's store, not about the instance that asked for
+	// it.
+	payload := s.applyIncoming(from, pl.Inner, a.metrics)
+	if pl.Slot < s.floor || pl.Slot >= s.slots {
+		// Below the floor the slot has retired — every process has decided
+		// it — and at or past slots it never exists: these are the only slot
+		// messages dropped. Every slot in between has a record, or gets one
+		// now.
+		return nil, false
+	}
+	if r := s.rec(pl.Slot); !s.accepts(r, pl.Slot, from) {
+		// Deferred, not dropped: that would break the reliable-link
+		// assumption A_nuc's termination proof rests on (see parkedMsg).
+		// This is the one place a message joins r.in.
+		r.in = append(r.in, parkedMsg{from: from, seq: seq, pl: payload})
+		if r.inst == nil {
+			a.metrics.parked() // the sender is ahead: no instance here yet
+		} else {
+			a.metrics.quietParked() // the sender has passed; we sleep
+		}
+		return nil, false
+	}
+	out := s.deliver(a, pl.Slot, from, seq, payload, d)
+	current := pl.Slot >= s.slot
+	if current {
+		out = append(out, s.harvest(a, d)...)
+	}
+	return append(out, s.settle(a, pl.Slot, d)...), current
+}
+
+// loopback delivers the sends of this step addressed to this process itself
+// — Fig. 4 broadcasts LEAD, REP and PROP to Π and SAW to Q_p, and both
+// include the sender — as further inner steps of the same outer step, in
+// emission order, and returns the sends that leave. A zero-delay FIFO
+// self-link is one of the schedules the model admits (§2.4), and an outer
+// step is already a finite run of inner steps under one FD value (drain):
+// a message to oneself carries nothing its sender did not know when it sent
+// it, so its round trip through the inbox buys no safety. The chain ends:
+// each iteration consumes one queued self-send, no peer message arrives
+// meanwhile, and A_nuc completes a round on self-messages alone only when
+// Q_p = {p} and Ω = p — where the instance decides within a few rounds, is
+// soon a round past everything heard from its peers, and the quiet rule
+// holds its next LEAD (DESIGN.md §10 "Loopback").
+func (s *logState) loopback(a *Log, out []model.Send, d model.FDValue) []model.Send {
+	// out is the self-link's queue too: what a delivery sends is appended
+	// behind everything sent before it.
+	for i := 0; i < len(out); i++ {
+		if out[i].To == s.p {
+			more, _ := s.receive(a, s.p, 0, out[i].Payload.(SlotPayload), d)
+			out = append(out, more...)
+		}
+	}
+	sent := out[:0]
+	for _, snd := range out {
+		if snd.To != s.p {
+			sent = append(sent, snd)
+		}
+	}
+	return sent
 }
 
 // Inject appends freshly arrived commands to a process's pending queue

@@ -22,6 +22,7 @@
 package rsm
 
 import (
+	"math"
 	"math/bits"
 
 	"nuconsensus/internal/consensus"
@@ -95,23 +96,30 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // wrapShared turns an inner instance's sends into slot-tagged,
 // delta-encoded payloads, in place: LEAD/PROP (whose Hist is nil — see
-// Outgoing) become LeadDeltaPayload/ProposalDeltaPayload carrying
+// Outgoing) to a peer become LeadDeltaPayload/ProposalDeltaPayload carrying
 // everything this process's store gained since the version last shipped to
-// that destination; ACK gains its awareness stamp (aware.go) — this runs
-// straight after the inner step that handled the SAW, so the window is the
-// one the handler ran under; REP/SAW are only slot-tagged. Per-link FIFO
-// delivery makes the per-destination chain airtight; sends within one step
-// to the same destination chain through sentVer just like sends in
-// different steps. Overwriting is legal because A_nuc builds a fresh send
-// slice every step and Step owns what it is handed.
+// that destination, while to this process itself — loopback, rsm.go — they
+// stay plain: the store a delta would patch is the sender's own. ACK gains
+// its awareness stamp (aware.go), to itself too, since recordAck reads it —
+// this runs straight after the inner step that handled the SAW, so the
+// window is the one the handler ran under; REP/SAW are only slot-tagged.
+// Per-link FIFO delivery makes the per-destination chain airtight; sends
+// within one step to the same destination chain through sentVer just like
+// sends in different steps. Overwriting is legal because A_nuc builds a
+// fresh send slice every step and Step owns what it is handed.
 func (s *logState) wrapShared(slot int, sends []model.Send) []model.Send {
 	for i, snd := range sends {
 		pl := snd.Payload
+		peer := snd.To != s.p
 		switch p := pl.(type) {
 		case consensus.LeadPayload:
-			pl = consensus.LeadDeltaPayload{K: p.K, V: p.V, Delta: s.deltaFor(snd.To)}
+			if peer {
+				pl = consensus.LeadDeltaPayload{K: p.K, V: p.V, Delta: s.deltaFor(snd.To)}
+			}
 		case consensus.ProposalPayload:
-			pl = consensus.ProposalDeltaPayload{K: p.K, V: p.V, HasV: p.HasV, Delta: s.deltaFor(snd.To)}
+			if peer {
+				pl = consensus.ProposalDeltaPayload{K: p.K, V: p.V, HasV: p.HasV, Delta: s.deltaFor(snd.To)}
+			}
 		case consensus.AckPayload:
 			pl = AckStampPayload{Q: p.Q, K: p.K, Stamp: s.slot + s.window - 1}
 		}
@@ -165,13 +173,14 @@ func (s *logState) applyDelta(from model.ProcessID, d quorum.Delta, m *logMetric
 }
 
 // compactStore advances the shared store's compaction floor to the lowest
-// version shipped to any destination: every future outgoing delta bases
-// at or above it, so the discarded log prefix can never be asked for
-// again. Called once per step.
+// version shipped to any peer — nothing is shipped to the process itself,
+// so its own sentVer entry stays 0 and must not pin the floor: every future
+// outgoing delta bases at or above it, so the discarded log prefix can never
+// be asked for again. Called once per step.
 func (s *logState) compactStore(m *logMetrics) {
-	min := s.sentVer[0]
-	for _, v := range s.sentVer[1:] {
-		if v < min {
+	min := uint64(math.MaxUint64)
+	for q, v := range s.sentVer {
+		if model.ProcessID(q) != s.p && v < min {
 			min = v
 		}
 	}

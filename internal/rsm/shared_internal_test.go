@@ -40,8 +40,13 @@ func TestDeliveryToRetiredSlotKeepsDeltaChain(t *testing.T) {
 	if got.appliedVer[1] != 2 {
 		t.Errorf("appliedVer[1] = %d, want 2: retired-slot delta must still advance the chain", got.appliedVer[1])
 	}
-	if got.store.v.Len() != 2 {
-		t.Errorf("store has %d entries, want 2: retired-slot delta's adds never reached the shared store", got.store.v.Len())
+	// Only the delta's adds are asserted, not the store's size: the same step
+	// runs slot 1's instance, and its own LEAD and REP loop back and poll a
+	// quorum of p0's into the store too.
+	for _, e := range d.Adds {
+		if !got.store.v.Histories()[e.R].Has(e.Q) {
+			t.Errorf("store lacks (p%d, %s): retired-slot delta's adds never reached the shared store", e.R, e.Q)
+		}
 	}
 	if liveAt(got, 0) != nil || len(deferredAt(got, 0)) != 0 {
 		t.Error("delivery must not resurrect a retired instance, nor defer anything for it")
