@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench-module race bench experiments experiments-full tables-check substrate-smoke explore-smoke obs-smoke e17-smoke aware-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
+.PHONY: all build test test-short bench-module race bench experiments experiments-full tables-check substrate-smoke explore-smoke aware-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
 
 # Smoke-test artifacts (metrics dumps, span streams, Chrome traces) land
 # here; CI uploads the directory, .gitignore keeps it out of the tree.
@@ -67,35 +67,16 @@ explore-smoke:
 	diff $(ARTIFACTS)/explore-smoke.p1.txt $(ARTIFACTS)/explore-smoke.p8.txt
 	@echo "explore: verified, byte-identical at -parallel 1 and 8"
 
-# obs-smoke exports E1's causal event stream on the sim substrate and
-# checks the observability determinism contract (DESIGN.md §7): the JSONL
-# event log and the metrics dump must be byte-identical at -parallel 1 and
-# -parallel 8, and the Chrome trace must be well-formed JSON.
-obs-smoke:
-	mkdir -p $(ARTIFACTS)
-	$(GO) run ./cmd/experiments -e E1 -parallel 1 -events $(ARTIFACTS)/obs-smoke.p1.jsonl \
-		-trace $(ARTIFACTS)/obs-smoke.trace.json -metrics $(ARTIFACTS)/obs-smoke.p1.metrics > /dev/null
-	$(GO) run ./cmd/experiments -e E1 -parallel 8 -events $(ARTIFACTS)/obs-smoke.p8.jsonl \
-		-metrics $(ARTIFACTS)/obs-smoke.p8.metrics > /dev/null
-	diff $(ARTIFACTS)/obs-smoke.p1.jsonl $(ARTIFACTS)/obs-smoke.p8.jsonl
-	diff $(ARTIFACTS)/obs-smoke.p1.metrics $(ARTIFACTS)/obs-smoke.p8.metrics
-	python3 -m json.tool $(ARTIFACTS)/obs-smoke.trace.json > /dev/null
-	@echo "obs: event log and metrics byte-identical at -parallel 1 and 8; trace is valid JSON"
-
-# serve-smoke checks the serving layer both ways it runs. First E18 on
-# the sim substrate: the metrics dump (the serve.* counters fold
-# commutatively) must be byte-identical at -parallel 1 and 8. Then the
-# real thing: a 3-node cmd/nucd cluster over loopback TCP serves a short
-# cmd/nucload run (writes + plain and read-index reads), both sides dump
-# their metrics registries as JSONL (the CI artifact), and the dumps must
-# actually carry the serving-path instruments. nucd itself fails the
-# target if the replicas' machines diverge or the step budget runs out;
-# nucload fails it if any write goes unacked.
+# serve-smoke runs the serving layer for real: a 3-node cmd/nucd cluster
+# over loopback TCP serves a short cmd/nucload run (writes + plain and
+# read-index reads), both sides dump their metrics registries as JSONL
+# (the CI artifact), and the dumps must actually carry the serving-path
+# instruments. nucd itself fails the target if the replicas' machines
+# diverge or the step budget runs out; nucload fails it if any write goes
+# unacked. (E18's sim-substrate metrics determinism is
+# TestEventsByteIdenticalAcrossParallel in cmd/experiments.)
 serve-smoke:
 	mkdir -p $(ARTIFACTS)
-	$(GO) run ./cmd/experiments -e E18 -parallel 1 -metrics $(ARTIFACTS)/serve-smoke.p1.metrics > /dev/null
-	$(GO) run ./cmd/experiments -e E18 -parallel 8 -metrics $(ARTIFACTS)/serve-smoke.p8.metrics > /dev/null
-	diff $(ARTIFACTS)/serve-smoke.p1.metrics $(ARTIFACTS)/serve-smoke.p8.metrics
 	$(GO) build -o nucd.smoke ./cmd/nucd
 	$(GO) build -o nucload.smoke ./cmd/nucload
 	rm -f $(ARTIFACTS)/serve-smoke.addrs
@@ -109,7 +90,7 @@ serve-smoke:
 	grep -q '"name":"serve.apply.commands"' $(ARTIFACTS)/nucd.metrics.jsonl
 	grep -q '"name":"load.write_us"' $(ARTIFACTS)/nucload.metrics.jsonl
 	@rm -f nucd.smoke nucload.smoke
-	@echo "serve: E18 metrics byte-identical at -parallel 1 and 8; nucd+nucload TCP run clean"
+	@echo "serve: nucd+nucload TCP run clean"
 
 # trace-smoke is the end-to-end tracing gate: a 3-node cmd/nucd cluster
 # with -trace and the telemetry listener serves a traced cmd/nucload run;
@@ -149,37 +130,6 @@ trace-smoke:
 	python3 -m json.tool $(ARTIFACTS)/trace-smoke.chrome.json > /dev/null
 	@rm -f nucd.smoke nucload.smoke nuctrace.smoke
 	@echo "trace: every acked request reconstructs a complete, telescoping span chain"
-
-# e17-smoke runs the long-log scale experiment (E17) end to end and checks
-# the shared-store transport contract on its obs metrics dump: byte-
-# identical at -parallel 1 and 8 (the rsm.hist.* counters fold
-# commutatively), zero delta gaps on FIFO substrates, and incremental
-# delta hits dominating snapshot fallbacks — and, from the rendered table,
-# that per-slot cost is flat in log length: msgs/slot at the longest grid
-# point at most 1.1x the shortest (decided instances go quiet; before
-# that rule the ratio was 3.04) and at most 75 in absolute terms (slots
-# start with their quorum already acknowledged, decide in round 1, hold
-# the next round's LEAD until asked and send nothing to themselves: 67.0
-# measured, 78.7 with the self-sends counted, 117 with that round sent too,
-# 267 when every slot also paid its own SAW/ACK round trip). The
-# experiment run itself
-# fails the target if E17's claim stops holding. The rendered table and
-# both dumps stay under $(ARTIFACTS) for CI's e17-scale job to upload.
-e17-smoke:
-	mkdir -p $(ARTIFACTS)
-	$(GO) run ./cmd/experiments -e E17 -parallel 1 -metrics $(ARTIFACTS)/e17-smoke.p1.metrics > $(ARTIFACTS)/e17-smoke.tables.md
-	$(GO) run ./cmd/experiments -e E17 -parallel 8 -metrics $(ARTIFACTS)/e17-smoke.p8.metrics > /dev/null
-	diff $(ARTIFACTS)/e17-smoke.p1.metrics $(ARTIFACTS)/e17-smoke.p8.metrics
-	grep -q '^rsm.hist.delta_gaps counter 0$$' $(ARTIFACTS)/e17-smoke.p1.metrics
-	awk '$$1 == "rsm.hist.delta_hits" { hits = $$3 } \
-	     $$1 == "rsm.hist.full_fallbacks" { falls = $$3 } \
-	     END { exit !(hits > 10 * falls) }' $(ARTIFACTS)/e17-smoke.p1.metrics
-	awk -F'|' '$$2 ~ /shared/ { if (!rows++) first = $$6; last = $$6 } \
-	     END { if (rows < 4) exit 1; \
-	           if (last > 1.1 * first) { print "e17: msgs/slot grows with the log:", first, "->", last; exit 1 } \
-	           if (last > 75) { print "e17: msgs/slot at the longest log above 75 (slots no longer decide in round 1, announce the next round unasked, or mail themselves):", last; exit 1 } }' \
-	     $(ARTIFACTS)/e17-smoke.tables.md
-	@echo "e17: metrics byte-identical at -parallel 1 and 8; delta transport healthy; msgs/slot flat in log length and under 75"
 
 # aware-smoke runs the quorum-awareness auditor (internal/rsm
 # aware_internal_test.go, DESIGN.md §10) at reduced seeds: on every decision
@@ -255,8 +205,6 @@ ci: lint-static
 	$(MAKE) tables-check
 	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2 -substrate async
 	$(MAKE) explore-smoke
-	$(MAKE) obs-smoke
-	$(MAKE) e17-smoke
 	$(MAKE) aware-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke

@@ -1,5 +1,5 @@
 // Command experiments regenerates the reproduction tables of EXPERIMENTS.md:
-// one table per theorem/algorithm/scenario of the paper (E1–E15) and per
+// one table per theorem/algorithm/scenario of the paper (E1–E18) and per
 // quantitative figure (Q1–Q7), run on the parallel deterministic engine of
 // internal/experiments.
 //
@@ -20,7 +20,8 @@
 //
 // Observability (internal/obs): -events exports every unit's causal event
 // stream as JSONL in canonical order (on the sim substrate the file is
-// byte-identical at any -parallel value — CI asserts this); -trace exports
+// byte-identical at any -parallel value, as is the -metrics dump —
+// TestEventsByteIdenticalAcrossParallel asserts both); -trace exports
 // the same stream in Chrome trace_event format, which opens directly in
 // Perfetto or chrome://tracing with Send→Deliver flow arrows; -metrics
 // writes the run's counter/histogram registry as a sorted text dump;

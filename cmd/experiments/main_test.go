@@ -31,8 +31,9 @@ func TestRunFailingClaimExitsOne(t *testing.T) {
 		ID: "X1", Title: "always fails", Claim: "test-only", Columns: []string{"verdict"},
 		Configs: func(experiments.Scale) []experiments.Config { return []experiments.Config{{}} },
 		Unit: func(_ experiments.Scale, _ experiments.Config, _ *rand.Rand) experiments.UnitResult {
-			return experiments.UnitResult{Counted: true, Fail: true, Cells: []string{"no"}}
+			return experiments.UnitResult{Fail: true}
 		},
+		Row: func(experiments.Scale, experiments.Group) []string { return []string{"no"} },
 	}
 	defer delete(experiments.Registry, "X1")
 
@@ -49,41 +50,60 @@ func TestRunFailingClaimExitsOne(t *testing.T) {
 }
 
 // TestEventsByteIdenticalAcrossParallel is the observability acceptance
-// test: on the sim substrate, the -events JSONL export and the -metrics
-// dump of E1 are byte-identical at -parallel 1 and -parallel 8 (the engine
-// replays per-unit event logs into the sinks in canonical task order), and
-// the -trace export is valid Chrome trace_event JSON with one flow finish
-// per flow start.
+// test: on the sim substrate, the -metrics dumps of E1, E17 (the rsm.hist.*
+// delta-transport counters) and E18 (the serve.* counters and obs.spans,
+// with request tracing on) and E1's -events JSONL export are byte-identical
+// at -parallel 1 and -parallel 8 — per-unit registries fold commutatively,
+// and the engine replays per-unit event logs into the sinks in canonical
+// task order. E1's -trace export must be valid Chrome trace_event JSON
+// with one flow finish per flow start.
 func TestEventsByteIdenticalAcrossParallel(t *testing.T) {
 	dir := t.TempDir()
-	runOnce := func(par string) (events, metrics []byte) {
-		t.Helper()
-		ev := filepath.Join(dir, "events-"+par+".jsonl")
-		me := filepath.Join(dir, "metrics-"+par+".txt")
-		var out, errb bytes.Buffer
-		if code := run([]string{"-e", "E1", "-parallel", par, "-events", ev, "-metrics", me}, &out, &errb); code != 0 {
-			t.Fatalf("run(-e E1 -parallel %s) = %d (stderr: %s)", par, code, errb.String())
+	for _, tc := range []struct {
+		id     string
+		events bool
+		metric string // a line the dump must carry
+	}{
+		{"E1", true, "bus.steps counter"},
+		{"E17", false, "rsm.hist.delta_hits counter"},
+		{"E18", false, "obs.spans counter"},
+	} {
+		dump := func(par string) (events, metrics []byte) {
+			t.Helper()
+			base := filepath.Join(dir, tc.id+"-"+par)
+			args := []string{"-e", tc.id, "-parallel", par, "-metrics", base + ".metrics"}
+			if tc.events {
+				args = append(args, "-events", base+".jsonl")
+			}
+			var out, errb bytes.Buffer
+			if code := run(args, &out, &errb); code != 0 {
+				t.Fatalf("run(%v) = %d (stderr: %s)", args, code, errb.String())
+			}
+			metrics, err := os.ReadFile(base + ".metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.events {
+				if events, err = os.ReadFile(base + ".jsonl"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return events, metrics
 		}
-		evb, err := os.ReadFile(ev)
-		if err != nil {
-			t.Fatal(err)
+		ev1, me1 := dump("1")
+		ev8, me8 := dump("8")
+		if !bytes.Contains(me1, []byte(tc.metric)) {
+			t.Errorf("%s: -metrics dump lacks %q:\n%s", tc.id, tc.metric, me1)
 		}
-		meb, err := os.ReadFile(me)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(me1, me8) {
+			t.Errorf("%s: -metrics dump differs between -parallel 1 and -parallel 8:\n%s\nvs\n%s", tc.id, me1, me8)
 		}
-		return evb, meb
-	}
-	ev1, me1 := runOnce("1")
-	ev8, me8 := runOnce("8")
-	if len(ev1) == 0 {
-		t.Fatal("-events export is empty")
-	}
-	if !bytes.Equal(ev1, ev8) {
-		t.Errorf("-events JSONL differs between -parallel 1 (%d bytes) and -parallel 8 (%d bytes)", len(ev1), len(ev8))
-	}
-	if !bytes.Equal(me1, me8) {
-		t.Errorf("-metrics dump differs between -parallel 1 and -parallel 8:\n%s\nvs\n%s", me1, me8)
+		if tc.events && len(ev1) == 0 {
+			t.Errorf("%s: -events export is empty", tc.id)
+		}
+		if !bytes.Equal(ev1, ev8) {
+			t.Errorf("%s: -events JSONL differs between -parallel 1 (%d bytes) and -parallel 8 (%d bytes)", tc.id, len(ev1), len(ev8))
+		}
 	}
 
 	tr := filepath.Join(dir, "e1.trace.json")

@@ -3,11 +3,6 @@ package experiments
 import (
 	"math/rand"
 	"strconv"
-
-	"nuconsensus/internal/consensus"
-	"nuconsensus/internal/fd"
-	"nuconsensus/internal/model"
-	"nuconsensus/internal/transform"
 )
 
 // itoa is the cell formatter for integer columns.
@@ -27,36 +22,19 @@ var e1Spec = &Spec{
 		"using (Ω, Σν+) satisfies termination, validity and nonuniform agreement.",
 	Columns: []string{"n", "f", "runs", "ok", "avg steps", "avg rounds", "avg msgs"},
 	Configs: func(sc Scale) []Config {
-		var cfgs []Config
-		for _, n := range []int{3, 4, 5, 6, 7} {
-			for f := 0; f < n; f++ {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, sc.Seeds)...)
+		return grid(Config{}, sc.Seeds, []int{3, 4, 5, 6, 7}, func(n int) []int {
+			fs := make([]int, n) // every f < n
+			for f := range fs {
+				fs[f] = f
 			}
-		}
-		return cfgs
+			return fs
+		})
 	},
 	Unit: func(sc Scale, cfg Config, rng *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		pattern := randomPattern(cfg.N, cfg.F, 80, rng)
-		hist := fd.PairHistory{
-			First:  fd.NewOmega(pattern, 120, cfg.Seed),
-			Second: fd.NewSigmaNuPlus(pattern, 120, cfg.Seed),
-		}
-		r, err := runConsensus(sc, consensus.NewANuc(mixedProposals(cfg.N, rng)), pattern, hist, cfg.Seed, sc.MaxSteps)
-		if err == nil && r.Decided && r.Outcome.NonuniformConsensus(pattern) == nil {
-			u.OK = true
-		} else {
-			u.failf("n=%d f=%d seed=%d: decided=%v err=%v consensus=%v",
-				cfg.N, cfg.F, cfg.Seed, r.Decided, err, r.Outcome.NonuniformConsensus(pattern))
-		}
-		u.Add("steps", r.Steps)
-		u.Add("rounds", r.MaxRound)
-		u.Add("msgs", r.Sent)
-		return u
+		return outcomeUnit(sc, cfg, rng, aNuc, 80, 120, sc.MaxSteps)
 	},
 	Row: func(_ Scale, g Group) []string {
-		return []string{itoa(g.Key.N), itoa(g.Key.F), itoa(g.Runs()), itoa(g.OKs()),
-			g.Avg("steps"), g.Avg("rounds"), g.Avg("msgs")}
+		return nfRow(g, g.Avg("steps"), g.Avg("rounds"), g.Avg("msgs"))
 	},
 }
 
@@ -73,40 +51,15 @@ var e2Spec = &Spec{
 		"nonuniform consensus with (Ω, Σν) in any environment.",
 	Columns: []string{"n", "f", "runs", "ok", "avg steps", "avg rounds"},
 	Configs: func(sc Scale) []Config {
-		seeds := min(sc.Seeds, 3) // DAG-based runs are quadratic in steps
-		var cfgs []Config
-		for _, n := range []int{3, 4, 5} {
-			for _, f := range []int{0, 1, n - 1} {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, seeds)...)
-			}
-		}
-		return cfgs
+		// DAG-based runs are quadratic in steps.
+		return grid(Config{}, min(sc.Seeds, 3), []int{3, 4, 5}, func(n int) []int { return []int{0, 1, n - 1} })
 	},
 	Unit: func(sc Scale, cfg Config, rng *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		pattern := randomPattern(cfg.N, cfg.F, 60, rng)
-		hist := fd.PairHistory{
-			First:  fd.NewOmega(pattern, 100, cfg.Seed),
-			Second: fd.NewSigmaNu(pattern, 100, cfg.Seed),
-		}
-		aut := transform.NewComposed(
-			transform.NewSigmaNuPlusTransformer(cfg.N),
-			consensus.NewANuc(mixedProposals(cfg.N, rng)),
-		)
-		r, err := runConsensus(sc, aut, pattern, hist, cfg.Seed, min(sc.MaxSteps, 6000))
-		if err == nil && r.Decided && r.Outcome.NonuniformConsensus(pattern) == nil {
-			u.OK = true
-		} else {
-			u.failf("n=%d f=%d seed=%d: decided=%v err=%v consensus=%v",
-				cfg.N, cfg.F, cfg.Seed, r.Decided, err, r.Outcome.NonuniformConsensus(pattern))
-		}
-		u.Add("steps", r.Steps)
-		u.Add("rounds", r.MaxRound)
-		return u
+		boosted := paired{build: boostedANuc, quorum: sigmaNu}
+		return outcomeUnit(sc, cfg, rng, boosted, 60, 100, min(sc.MaxSteps, 6000))
 	},
 	Row: func(_ Scale, g Group) []string {
-		return []string{itoa(g.Key.N), itoa(g.Key.F), itoa(g.Runs()), itoa(g.OKs()),
-			g.Avg("steps"), g.Avg("rounds")}
+		return nfRow(g, g.Avg("steps"), g.Avg("rounds"))
 	},
 }
 
@@ -125,43 +78,28 @@ var q1Spec = &Spec{
 		"defenses; MR-majority cannot terminate once f ≥ n/2 while A_nuc and MR-Σ can.",
 	Columns: []string{"n", "f", "A_nuc steps", "A_nuc rounds", "MR-maj steps", "MR-Σ steps"},
 	Configs: func(sc Scale) []Config {
-		var cfgs []Config
-		for _, n := range []int{3, 5, 7, 9, 11} {
-			for _, f := range []int{(n - 1) / 2, n - 1} {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, sc.Seeds)...)
-			}
-		}
-		return cfgs
+		return grid(Config{}, sc.Seeds, []int{3, 5, 7, 9, 11}, func(n int) []int { return []int{(n - 1) / 2, n - 1} })
 	},
 	Unit: func(sc Scale, cfg Config, rng *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		n, f := cfg.N, cfg.F
-		majorityWorks := 2*f < n
-		pattern := randomPattern(n, f, 60, rng)
-		props := mixedProposals(n, rng)
-		pairNuPlus := fd.PairHistory{First: fd.NewOmega(pattern, 100, cfg.Seed), Second: fd.NewSigmaNuPlus(pattern, 100, cfg.Seed)}
-		pairSigma := fd.PairHistory{First: fd.NewOmega(pattern, 100, cfg.Seed), Second: fd.NewSigma(pattern, 100, cfg.Seed)}
-
-		if r, err := runConsensus(sc, consensus.NewANuc(props), pattern, pairNuPlus, cfg.Seed, sc.MaxSteps); err == nil && r.Decided {
-			u.Add("aSteps", r.Steps)
-			u.Add("aRounds", r.MaxRound)
-			u.Add("aN", 1)
-		} else {
-			u.Fail = true
-		}
-		if majorityWorks {
-			if r, err := runConsensus(sc, consensus.NewMRMajority(props), pattern, pairSigma, cfg.Seed, sc.MaxSteps); err == nil && r.Decided {
-				u.Add("mSteps", r.Steps)
-				u.Add("mN", 1)
-			} else {
-				u.Fail = true
+		var u UnitResult
+		pattern := randomPattern(cfg.N, cfg.F, 60, rng)
+		props := mixedProposals(cfg.N, rng)
+		for _, c := range []struct {
+			key  string
+			a    paired
+			runs bool
+		}{{"a", aNuc, true}, {"m", mrMajority, 2*cfg.F < cfg.N}, {"s", mrSigma, true}} {
+			if !c.runs {
+				continue
 			}
-		}
-		if r, err := runConsensus(sc, consensus.NewMRSigma(props), pattern, pairSigma, cfg.Seed, sc.MaxSteps); err == nil && r.Decided {
-			u.Add("sSteps", r.Steps)
-			u.Add("sN", 1)
-		} else {
-			u.Fail = true
+			r, err := runConsensus(sc, c.a.build(props), pattern, c.a.hist(pattern, 100, cfg.Seed), cfg.Seed, sc.MaxSteps)
+			if err != nil || !r.Decided {
+				u.failf("%v: %s did not decide: err=%v", cfg, c.a.alg, err)
+				continue
+			}
+			u.Add(c.key+"Steps", r.Steps)
+			u.Add(c.key+"Rounds", r.MaxRound)
+			u.Add(c.key+"N", 1)
 		}
 		return u
 	},
@@ -190,32 +128,25 @@ var q2Spec = &Spec{
 	Configs: func(sc Scale) []Config {
 		var cfgs []Config
 		for _, n := range []int{3, 5, 7, 9} {
-			for _, alg := range []string{"A_nuc", "MR-Σ"} {
-				cfgs = append(cfgs, seedRange(Config{Label: alg, N: n}, sc.Seeds)...)
+			for _, a := range bothSides {
+				cfgs = append(cfgs, seedRange(Config{Label: a.alg, N: n}, sc.Seeds)...)
 			}
 		}
 		return cfgs
 	},
 	Unit: func(sc Scale, cfg Config, rng *rand.Rand) UnitResult {
 		var u UnitResult
-		n := cfg.N
-		pattern := randomPattern(n, (n-1)/2, 60, rng)
-		props := mixedProposals(n, rng)
-		var aut model.Automaton
-		var hist model.History
-		if cfg.Label == "A_nuc" {
-			aut = consensus.NewANuc(props)
-			hist = fd.PairHistory{First: fd.NewOmega(pattern, 100, cfg.Seed), Second: fd.NewSigmaNuPlus(pattern, 100, cfg.Seed)}
-		} else {
-			aut = consensus.NewMRSigma(props)
-			hist = fd.PairHistory{First: fd.NewOmega(pattern, 100, cfg.Seed), Second: fd.NewSigma(pattern, 100, cfg.Seed)}
+		a := aNuc
+		if cfg.Label == mrSigma.alg {
+			a = mrSigma
 		}
-		r, err := runConsensus(sc, aut, pattern, hist, cfg.Seed, sc.MaxSteps)
+		pattern := randomPattern(cfg.N, (cfg.N-1)/2, 60, rng)
+		r, err := runConsensus(sc, a.build(mixedProposals(cfg.N, rng)), pattern, a.hist(pattern, 100, cfg.Seed), cfg.Seed, sc.MaxSteps)
 		if err != nil || !r.Decided {
-			u.Fail = true
+			u.failf("%v: decided=%v err=%v", cfg, r.Decided, err)
 			return u
 		}
-		u.Counted, u.OK = true, true
+		u.OK = true
 		for k, v := range r.Kinds {
 			u.Add(k, v)
 		}

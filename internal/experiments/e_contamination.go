@@ -7,11 +7,10 @@ import (
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/transform"
 )
 
 // contaminationAdversary builds the §6.3 contamination setup: a faulty
-// process whose Σν module emits junk quorums (so it races ahead deciding
+// process whose quorum module emits junk quorums (so it races ahead deciding
 // alone on its own estimate) and an Ω that swings between the real leader
 // and the faulty process before stabilizing, so stragglers adopt the
 // faulty process's stale estimate.
@@ -20,14 +19,15 @@ type contaminationAdversary struct {
 	misleader model.ProcessID
 	period    model.Time
 	stabilize model.Time
+	quorum    quorumFD
 }
 
 func (a contaminationAdversary) pattern() *model.FailurePattern {
 	return model.PatternFromCrashes(a.n, map[model.ProcessID]model.Time{a.misleader: a.stabilize + 40})
 }
 
-// sigmaNuHistory returns the (Ω, Σν) pair history of the adversary.
-func (a contaminationAdversary) sigmaNuHistory(pattern *model.FailurePattern, seed int64) model.History {
+// history is the adversary's (swinging Ω, quorum) pair history.
+func (a contaminationAdversary) history(pattern *model.FailurePattern, seed int64) model.History {
 	return fd.PairHistory{
 		First: &fd.AlternatingOmega{
 			Misleader: a.misleader,
@@ -36,56 +36,30 @@ func (a contaminationAdversary) sigmaNuHistory(pattern *model.FailurePattern, se
 			Stabilize: a.stabilize,
 			SelfLoyal: true,
 		},
-		Second: fd.NewSigmaNu(pattern, a.stabilize, seed),
+		Second: a.quorum(pattern, a.stabilize, seed),
 	}
 }
 
-// sigmaNuPlusHistory is the same adversary with a Σν+ quorum component,
-// for algorithms that consume Σν+ directly.
-func (a contaminationAdversary) sigmaNuPlusHistory(pattern *model.FailurePattern, seed int64) model.History {
-	return fd.PairHistory{
-		First: &fd.AlternatingOmega{
-			Misleader: a.misleader,
-			Leader:    pattern.Correct().Min(),
-			Period:    a.period,
-			Stabilize: a.stabilize,
-			SelfLoyal: true,
-		},
-		Second: fd.NewSigmaNuPlus(pattern, a.stabilize, seed),
-	}
-}
-
-// huntSeed runs the adversary against an algorithm for one seed and records
-// the outcome on u as the counters "runs", "viol" and "undec". Runs that
-// error out are not counted — exactly the accounting of the old sequential
-// hunt loop, just one seed at a time so the engine can fan seeds out.
-func huntSeed(u *UnitResult, sc Scale, adv contaminationAdversary, build func(props []int) model.Automaton, history func(*model.FailurePattern, int64) model.History, seed int64, maxSteps int) {
-	pattern := adv.pattern()
-	props := make([]int, adv.n)
-	props[adv.misleader] = 1 // the faulty process's divergent estimate
-	r, err := runConsensus(sc, build(props), pattern, history(pattern, seed), seed, maxSteps)
-	if err != nil {
-		return
-	}
-	u.Add("runs", 1)
-	if r.Outcome.NonuniformAgreement(pattern) != nil {
-		u.Add("viol", 1)
-	}
-	if !r.Decided {
-		u.Add("undec", 1)
-	}
+// hunt runs build against the adversary for one seed, the faulty process
+// proposing the divergent estimate, and tallies the outcome on u under key.
+func (a contaminationAdversary) hunt(u *UnitResult, key string, sc Scale, build func(props []int) model.Automaton, seed int64, maxSteps int) {
+	pattern := a.pattern()
+	props := make([]int, a.n)
+	props[a.misleader] = 1
+	tally(u, key, sc, build(props), pattern, a.history(pattern, seed), seed, maxSteps)
 }
 
 // e6Adversary is the fixed adversary of E6 (and the Q5 ablations).
-var e6Adversary = contaminationAdversary{n: 3, misleader: 2, period: 40, stabilize: 280}
+var e6Adversary = contaminationAdversary{n: 3, misleader: 2, period: 40, stabilize: 280, quorum: sigmaNu}
 
-// buildNaive and buildBoostedANuc are the two contestants of E6/Q4.
-func buildNaive(props []int) model.Automaton { return consensus.NewMRNaiveNu(props) }
-
-func buildBoostedANuc(n int) func(props []int) model.Automaton {
-	return func(props []int) model.Automaton {
-		return transform.NewComposed(transform.NewSigmaNuPlusTransformer(n), consensus.NewANuc(props))
-	}
+// e6Contestants are the two sides of E6 and Q4, each with its budget.
+var e6Contestants = []struct {
+	label  string
+	build  func(props []int) model.Automaton
+	budget int
+}{
+	{"MR-naiveΣν", func(props []int) model.Automaton { return consensus.NewMRNaiveNu(props) }, 20000},
+	{"T_{Σν→Σν+}∘A_nuc", boostedANuc, 8000},
 }
 
 // e6Spec stages the contamination scenario of §6.3: the naive Mostéfaoui–
@@ -101,25 +75,19 @@ var e6Spec = &Spec{
 		"machinery prevents it.",
 	Columns: []string{"algorithm", "runs", "agreement violations", "undecided"},
 	Configs: func(sc Scale) []Config {
-		seeds := sc.Seeds * 10
 		var cfgs []Config
-		cfgs = append(cfgs, seedRange(Config{Label: "MR-naiveΣν"}, seeds)...)
-		cfgs = append(cfgs, seedRange(Config{Label: "T_{Σν→Σν+}∘A_nuc"}, seeds)...)
+		for i, c := range e6Contestants {
+			cfgs = append(cfgs, seedRange(Config{Label: c.label, Arg: i}, sc.Seeds*10)...)
+		}
 		return cfgs
 	},
 	Unit: func(sc Scale, cfg Config, _ *rand.Rand) UnitResult {
 		var u UnitResult
-		adv := e6Adversary
-		if cfg.Label == "MR-naiveΣν" {
-			huntSeed(&u, sc, adv, buildNaive, adv.sigmaNuHistory, cfg.Seed, 20000)
-		} else {
-			huntSeed(&u, sc, adv, buildBoostedANuc(adv.n), adv.sigmaNuHistory, cfg.Seed, 8000)
-		}
+		c := e6Contestants[cfg.Arg]
+		e6Adversary.hunt(&u, "", sc, c.build, cfg.Seed, c.budget)
 		return u
 	},
-	Row: func(_ Scale, g Group) []string {
-		return []string{g.Key.Label, itoa(g.Sum("runs")), itoa(g.Sum("viol")), itoa(g.Sum("undec"))}
-	},
+	Row: huntRow,
 	Finalize: func(_ Scale, t *Table, gs []Group) {
 		naive, anuc := gs[0], gs[1]
 		t.Pass = naive.Sum("viol") > 0 && anuc.Sum("viol") == 0 && anuc.Sum("undec") == 0
@@ -129,8 +97,14 @@ var e6Spec = &Spec{
 	},
 }
 
+// huntRow renders a hunt group: label, runs, violations, undecided.
+func huntRow(_ Scale, g Group) []string {
+	return []string{g.Key.Label, itoa(g.Sum("runs")), itoa(g.Sum("viol")), itoa(g.Sum("undec"))}
+}
+
 // q4Spec sweeps the adversary's Ω swing period and reports contamination
-// frequency for the naive algorithm vs A_nuc.
+// frequency for the naive algorithm vs A_nuc. Each unit hunts both
+// contestants on the same seed, so a period is one group and one row.
 var q4Spec = &Spec{
 	ID:    "Q4",
 	Title: "Contamination frequency vs adversary swing period",
@@ -139,37 +113,30 @@ var q4Spec = &Spec{
 		"stays at zero violations for every adversary.",
 	Columns: []string{"Ω swing period", "naive violations/runs", "A_nuc violations/runs"},
 	Configs: func(sc Scale) []Config {
-		seeds := sc.Seeds * 7
 		var cfgs []Config
 		for _, period := range []int{15, 40, 80, 140} {
-			for _, alg := range []string{"naive", "anuc"} {
-				cfgs = append(cfgs, seedRange(Config{Label: alg, Arg: period}, seeds)...)
-			}
+			cfgs = append(cfgs, seedRange(Config{Arg: period}, sc.Seeds*7)...)
 		}
 		return cfgs
 	},
 	Unit: func(sc Scale, cfg Config, _ *rand.Rand) UnitResult {
 		var u UnitResult
-		adv := contaminationAdversary{n: 3, misleader: 2, period: model.Time(cfg.Arg), stabilize: 280}
-		if cfg.Label == "naive" {
-			huntSeed(&u, sc, adv, buildNaive, adv.sigmaNuHistory, cfg.Seed, 20000)
-		} else {
-			huntSeed(&u, sc, adv, buildBoostedANuc(adv.n), adv.sigmaNuHistory, cfg.Seed, 8000)
-			if u.Metrics["viol"] > 0 {
-				u.Fail = true
-			}
+		adv := e6Adversary
+		adv.period = model.Time(cfg.Arg)
+		for _, c := range e6Contestants {
+			adv.hunt(&u, c.label, sc, c.build, cfg.Seed, c.budget)
+		}
+		if u.Metrics[e6Contestants[1].label+"viol"] > 0 {
+			u.failf("%v: A_nuc violated nonuniform agreement", cfg)
 		}
 		return u
 	},
-	Row: nil, // rows assembled in Finalize: one per period, spanning both groups
-	Finalize: func(_ Scale, t *Table, gs []Group) {
-		// Groups alternate naive/anuc per period, in config order.
-		for i := 0; i+1 < len(gs); i += 2 {
-			naive, anuc := gs[i], gs[i+1]
-			t.AddRow(itoa(naive.Key.Arg),
-				fmt.Sprintf("%d/%d", naive.Sum("viol"), naive.Sum("runs")),
-				fmt.Sprintf("%d/%d", anuc.Sum("viol"), anuc.Sum("runs")))
+	Row: func(_ Scale, g Group) []string {
+		row := []string{itoa(g.Key.Arg)}
+		for _, c := range e6Contestants {
+			row = append(row, fmt.Sprintf("%d/%d", g.Sum(c.label+"viol"), g.Sum(c.label+"runs")))
 		}
+		return row
 	},
 }
 
@@ -195,25 +162,23 @@ var q5Spec = &Spec{
 		"decisions on quorum visibility. Removing defenses must not be safe.",
 	Columns: []string{"variant", "runs", "agreement violations", "undecided"},
 	Configs: func(sc Scale) []Config {
-		seeds := sc.Seeds * 10
 		var cfgs []Config
 		for i, v := range q5Variants {
-			cfgs = append(cfgs, seedRange(Config{Label: v.name, Arg: i}, seeds)...)
+			cfgs = append(cfgs, seedRange(Config{Label: v.name, Arg: i}, sc.Seeds*10)...)
 		}
 		return cfgs
 	},
 	Unit: func(sc Scale, cfg Config, _ *rand.Rand) UnitResult {
 		var u UnitResult
 		adv := e6Adversary
+		adv.quorum = sigmaNuPlus
 		ab := q5Variants[cfg.Arg].ab
-		huntSeed(&u, sc, adv, func(props []int) model.Automaton {
+		adv.hunt(&u, "", sc, func(props []int) model.Automaton {
 			return consensus.NewANucAblated(props, ab)
-		}, adv.sigmaNuPlusHistory, cfg.Seed, 20000)
+		}, cfg.Seed, 20000)
 		return u
 	},
-	Row: func(_ Scale, g Group) []string {
-		return []string{g.Key.Label, itoa(g.Sum("runs")), itoa(g.Sum("viol")), itoa(g.Sum("undec"))}
-	},
+	Row: huntRow,
 	Finalize: func(_ Scale, t *Table, gs []Group) {
 		for _, g := range gs {
 			if g.Key.Label == "A_nuc (full)" && (g.Sum("viol") > 0 || g.Sum("undec") > 0) {

@@ -5,7 +5,6 @@ import (
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
-	"nuconsensus/internal/model"
 )
 
 // e15Spec exercises the Chandra–Toueg baseline (the paper's reference [2]):
@@ -23,69 +22,47 @@ var e15Spec = &Spec{
 		"with ◇S when a majority is correct — and cannot terminate otherwise.",
 	Columns: []string{"n", "f", "runs", "ok", "avg steps", "avg rounds"},
 	Configs: func(sc Scale) []Config {
-		var cfgs []Config
-		for _, n := range []int{3, 5, 7} {
-			for _, f := range []int{0, (n - 1) / 2, (n + 1) / 2} {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, sc.Seeds)...)
-			}
-		}
-		return cfgs
+		return grid(Config{}, sc.Seeds, []int{3, 5, 7}, func(n int) []int { return []int{0, (n - 1) / 2, (n + 1) / 2} })
 	},
 	Unit: func(sc Scale, cfg Config, _ *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
+		var u UnitResult
 		n, f, seed := cfg.N, cfg.F, cfg.Seed
 		majorityOK := 2*f < n
-		pattern := model.NewFailurePattern(n)
-		for i := 0; i < f; i++ {
-			crashAt := model.Time(10 + 11*i)
-			if !majorityOK {
-				// The blocking claim needs the majority to be gone from the
-				// start: with late crashes a round can legitimately finish
-				// before they happen.
-				crashAt = 1
-			}
-			pattern.SetCrash(model.ProcessID(i), crashAt)
+		pattern, budget := staggered(n, f, true, 10, 11), sc.MaxSteps
+		if !majorityOK {
+			// The blocking claim needs the majority to be gone from the
+			// start: with late crashes a round can legitimately finish
+			// before they happen. Expecting a block, keep it cheap.
+			pattern, budget = staggered(n, f, true, 1, 0), blockBudget(4000)
 		}
 		props := make([]int, n)
 		for i := range props {
 			props[i] = i % 2
 		}
-		budget := sc.MaxSteps
-		if !majorityOK {
-			budget = blockBudget(4000) // expecting a block, keep it cheap
-		}
 		r, err := runConsensus(sc, consensus.NewCT(props), pattern,
 			fd.NewSuspicion(pattern, 90, seed), seed, budget)
-		if err != nil {
-			u.Fail = true
-			return u
-		}
-		if majorityOK {
-			if r.Decided && r.Outcome.UniformConsensus(pattern) == nil {
-				u.OK = true
-				u.Add("steps", r.Steps)
-				u.Add("rounds", r.MaxRound)
-			} else {
-				u.failf("n=%d f=%d seed=%d: decided=%v %v",
-					n, f, seed, r.Decided, r.Outcome.UniformConsensus(pattern))
-			}
-		} else {
+		switch {
+		case err != nil:
+			u.failf("%v: %v", cfg, err)
+		case majorityOK && (!r.Decided || r.Outcome.UniformConsensus(pattern) != nil):
+			u.failf("%v: decided=%v %v", cfg, r.Decided, r.Outcome.UniformConsensus(pattern))
+		case majorityOK:
+			u.OK = true
+			u.Add("steps", r.Steps)
+			u.Add("rounds", r.MaxRound)
+		case r.Decided || r.Outcome.UniformAgreement() != nil:
 			// Correct behavior is to block, never to decide wrongly.
-			if !r.Decided && r.Outcome.UniformAgreement() == nil {
-				u.OK = true
-			} else {
-				u.failf("n=%d f=%d seed=%d: decided without a majority", n, f, seed)
-			}
+			u.failf("%v: decided without a majority", cfg)
+		default:
+			u.OK = true
 		}
 		return u
 	},
 	Row: func(_ Scale, g Group) []string {
-		cell := g.AvgOverOK("steps")
-		roundCell := g.AvgOverOK("rounds")
+		cell, roundCell := g.AvgOverOK("steps"), g.AvgOverOK("rounds")
 		if 2*g.Key.F >= g.Key.N {
 			cell, roundCell = "blocks (f ≥ n/2)", "—"
 		}
-		return []string{itoa(g.Key.N), itoa(g.Key.F), itoa(g.Runs()),
-			itoa(g.OKs()), cell, roundCell}
+		return nfRow(g, cell, roundCell)
 	},
 }

@@ -54,7 +54,6 @@ var e16Spec = &Spec{
 	},
 	Unit: func(sc Scale, cfg Config, _ *rand.Rand) UnitResult {
 		var u UnitResult
-		u.Counted = true
 		s := e16Scenarios()[cfg.Arg]
 		o := s.Opts
 		o.Bound = e16Bound(sc, s)
@@ -90,7 +89,8 @@ var e16Spec = &Spec{
 		}
 		return u
 	},
-	Finalize: func(_ Scale, t *Table, gs []Group) {
+	Row: unitRow,
+	Finalize: func(_ Scale, t *Table, _ []Group) {
 		t.Notes = append(t.Notes,
 			"exhaustive up to the depth bound: every interleaving of process steps, every per-link message delivery and every finite-menu FD value; reduction = naive schedule prefixes / unique states (state merging + sleep-set POR + stutter elimination)")
 	},

@@ -4,12 +4,9 @@ import (
 	"math/rand"
 
 	"nuconsensus/internal/check"
-	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/obs"
-	"nuconsensus/internal/sim"
 	"nuconsensus/internal/transform"
 )
 
@@ -24,101 +21,26 @@ var e13Spec = &Spec{
 		"the crashed processes, permanently — the ◇P specification.",
 	Columns: []string{"n", "f", "runs", "ok", "avg accurate-from t"},
 	Configs: func(sc Scale) []Config {
-		var cfgs []Config
-		for _, n := range []int{3, 5, 8} {
-			fs := []int{1}
+		return grid(Config{}, sc.Seeds, []int{3, 5, 8}, func(n int) []int {
 			if n/2 > 1 {
-				fs = append(fs, n/2)
+				return []int{1, n / 2}
 			}
-			for _, f := range fs {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, sc.Seeds)...)
-			}
-		}
-		return cfgs
+			return []int{1}
+		})
 	},
 	Unit: func(_ Scale, cfg Config, _ *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		n, f, seed := cfg.N, cfg.F, cfg.Seed
-		pattern := model.NewFailurePattern(n)
-		for i := 0; i < f; i++ {
-			pattern.SetCrash(model.ProcessID(n-1-i), model.Time(40+30*i))
-		}
-		col := obs.NewCollector(obs.KindFDOutput)
-		res, err := sim.Run(sim.Exec{
-			Automaton: hb.NewSuspector(n, 0, 0),
-			Pattern:   pattern,
-			History:   fd.Null,
-			Scheduler: &sim.PartialSyncScheduler{
-				GST:    300,
-				Before: sim.NewFairScheduler(seed, 0.2, 20),
-				After:  sim.NewFairScheduler(seed+99, 0.9, 2),
-			},
-			MaxSteps: 2500,
-			Bus:      obs.NewBus(nil, nil, col),
-		})
-		if err != nil {
-			u.Fail = true
-			return u
-		}
-		outs := check.History(col.Events(), res.Ticks)
-		stab := suspicionHorizon(outs, pattern)
-		if stab > res.Ticks*4/5 {
-			u.failf("n=%d f=%d seed=%d: suspicion unstable until %d of %d", n, f, seed, stab, res.Ticks)
-			return u
-		}
-		if err := check.EventuallyPerfect(outs, pattern, stab); err != nil {
-			u.failf("n=%d f=%d seed=%d: %v", n, f, seed, err)
-			return u
-		}
-		u.OK = true
-		if stab > 0 {
-			u.Add("stab", int(stab))
-		}
-		return u
+		pattern := staggered(cfg.N, cfg.F, false, 40, 30)
+		faulty := pattern.Faulty()
+		return fdRun{aut: hb.NewSuspector(cfg.N, 0, 0), pattern: pattern, hist: fd.Null,
+			sched: partialSync(300, cfg.Seed, 0.2, 20), steps: 2500,
+			horizon: lastDeviation(func(v model.FDValue) bool {
+				sus, ok := fd.SuspectsOf(v)
+				return ok && sus != faulty
+			}),
+			spec: check.EventuallyPerfect,
+		}.unit(cfg)
 	},
-	Row: func(_ Scale, g Group) []string {
-		return []string{itoa(g.Key.N), itoa(g.Key.F),
-			itoa(g.Runs()), itoa(g.OKs()), g.AvgOverOK("stab")}
-	},
-}
-
-// suspicionHorizon returns the last time a correct process's suspect set
-// differed from faulty(F), or -1.
-func suspicionHorizon(outs []check.Sample, pattern *model.FailurePattern) model.Time {
-	correct := pattern.Correct()
-	faulty := pattern.Faulty()
-	last := model.Time(-1)
-	for _, s := range outs {
-		if !correct.Has(s.P) {
-			continue
-		}
-		if sus, ok := fd.SuspectsOf(s.Val); ok && sus != faulty && s.T > last {
-			last = s.T
-		}
-	}
-	return last
-}
-
-// e14Contestants are the two sides of the nonuniform/uniform gap.
-var e14Contestants = []struct {
-	label string
-	build func(props []int) model.Automaton
-	hist  func(*model.FailurePattern, int64) model.History
-}{
-	{
-		label: "A_nuc + (Ω,Σν+)",
-		build: func(props []int) model.Automaton { return consensus.NewANuc(props) },
-		hist: func(p *model.FailurePattern, seed int64) model.History {
-			return fd.PairHistory{First: fd.NewOmega(p, 200, seed), Second: fd.NewSigmaNuPlus(p, 200, seed)}
-		},
-	},
-	{
-		label: "MR-Σ + (Ω,Σ)",
-		build: func(props []int) model.Automaton { return consensus.NewMRSigma(props) },
-		hist: func(p *model.FailurePattern, seed int64) model.History {
-			return fd.PairHistory{First: fd.NewOmega(p, 200, seed), Second: fd.NewSigma(p, 200, seed)}
-		},
-	},
+	Row: stabRow,
 }
 
 // e14Spec demonstrates the nonuniform/uniform gap the paper's title is
@@ -135,44 +57,31 @@ var e14Spec = &Spec{
 		"uniform algorithm (MR-Σ) never can.",
 	Columns: []string{"algorithm", "runs", "faulty-divergent runs", "correct-divergent runs"},
 	Configs: func(sc Scale) []Config {
-		seeds := sc.Seeds * 10
 		var cfgs []Config
-		for i, c := range e14Contestants {
-			cfgs = append(cfgs, seedRange(Config{Label: c.label, Arg: i}, seeds)...)
+		for i, c := range bothSides {
+			cfgs = append(cfgs, seedRange(Config{Label: c.alg + " + " + c.det, Arg: i}, sc.Seeds*10)...)
 		}
 		return cfgs
 	},
 	Unit: func(sc Scale, cfg Config, _ *rand.Rand) UnitResult {
 		var u UnitResult
-		c := e14Contestants[cfg.Arg]
+		c := bothSides[cfg.Arg]
 		// The faulty process proposes the odd value out and crashes late
 		// enough to decide on its own junk quorum.
-		n := 3
-		pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{2: 150})
-		r, err := runConsensus(sc, c.build([]int{0, 0, 1}), pattern, c.hist(pattern, cfg.Seed), cfg.Seed, 30000)
-		if err != nil || !r.Decided {
-			return u
-		}
-		u.Counted = true
-		u.Add("runs", 1)
-		if r.Outcome.NonuniformAgreement(pattern) != nil {
-			u.Add("correctDiv", 1)
-		} else if r.Outcome.UniformAgreement() != nil {
-			u.Add("faultyDiv", 1)
-		}
+		pattern := model.PatternFromCrashes(3, map[model.ProcessID]model.Time{2: 150})
+		tally(&u, "", sc, c.build([]int{0, 0, 1}), pattern, c.hist(pattern, 200, cfg.Seed), cfg.Seed, 30000)
 		return u
 	},
 	Row: func(_ Scale, g Group) []string {
-		return []string{g.Key.Label, itoa(g.Sum("runs")),
-			itoa(g.Sum("faultyDiv")), itoa(g.Sum("correctDiv"))}
+		return []string{g.Key.Label, itoa(g.Sum("runs")), itoa(g.Sum("fdiv")), itoa(g.Sum("viol"))}
 	},
 	Finalize: func(_ Scale, t *Table, gs []Group) {
 		anuc, mr := gs[0], gs[1]
 		// The gap is real iff A_nuc exhibits faulty divergence (but never
 		// correct divergence) and the uniform algorithm exhibits neither.
-		t.Pass = anuc.Sum("faultyDiv") > 0 && anuc.Sum("correctDiv") == 0 &&
-			mr.Sum("faultyDiv") == 0 && mr.Sum("correctDiv") == 0
-		if anuc.Sum("faultyDiv") == 0 {
+		t.Pass = anuc.Sum("fdiv") > 0 && anuc.Sum("viol") == 0 &&
+			mr.Sum("fdiv") == 0 && mr.Sum("viol") == 0
+		if anuc.Sum("fdiv") == 0 {
 			t.Notes = append(t.Notes, "A_nuc never showed faulty divergence — adversary too weak to exhibit the gap")
 		}
 	},
@@ -199,27 +108,23 @@ var q6Spec = &Spec{
 		"processes; the path choice is load-bearing, not an implementation detail.",
 	Columns: []string{"strategy", "runs", "emulation valid", "stuck at Π"},
 	Configs: func(sc Scale) []Config {
-		seeds := min(sc.Seeds, 3)
 		var cfgs []Config
 		for i, st := range q6Strategies {
-			cfgs = append(cfgs, seedRange(Config{Label: st.name, Arg: i}, seeds)...)
+			cfgs = append(cfgs, seedRange(Config{Label: st.name, Arg: i}, min(sc.Seeds, 3))...)
 		}
 		return cfgs
 	},
 	Unit: func(_ Scale, cfg Config, _ *rand.Rand) UnitResult {
 		var u UnitResult
-		strat := q6Strategies[cfg.Arg]
-		n := 3
-		pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{2: 30})
-		hist := fd.PairHistory{First: fd.NewOmega(pattern, 40, cfg.Seed), Second: fd.NewSigmaNuPlus(pattern, 40, cfg.Seed)}
-		aut := transform.NewSigmaNuExtractorWithStrategy(n,
-			func(props []int) model.Automaton { return consensus.NewANuc(props) }, 1, strat.s)
-		outs, stab, end, err := runTransformer(aut, pattern, hist, cfg.Seed, extractionBudget(n))
+		pattern := model.PatternFromCrashes(3, map[model.ProcessID]model.Time{2: 30})
+		outs, stab, end, err := fdRun{
+			aut:     transform.NewSigmaNuExtractorWithStrategy(3, aNuc.build, 1, q6Strategies[cfg.Arg].s),
+			pattern: pattern, hist: aNuc.hist(pattern, 40, cfg.Seed), steps: extractionBudget(3),
+		}.run(cfg.Seed)
 		if err != nil {
-			u.Fail = true
+			u.failf("%v: %v", cfg, err)
 			return u
 		}
-		u.Counted = true
 		u.Add("runs", 1)
 		if stab <= end*4/5 && check.SigmaNu(outs, pattern, stab) == nil && stab >= 0 {
 			// Valid requires genuinely tightening beyond Π at correct

@@ -33,21 +33,15 @@ var e9Spec = &Spec{
 	Claim: "Lemma 2.2: merging runs with disjoint participants yields a run of " +
 		"the algorithm in which each participant's state is unchanged.",
 	Columns: []string{"seed", "|S₀|", "|S₁|", "merged validates", "states preserved"},
-	Configs: func(sc Scale) []Config {
-		var cfgs []Config
-		for s := 1; s <= sc.Seeds; s++ {
-			cfgs = append(cfgs, Config{Arg: s, Seed: int64(s)})
-		}
-		return cfgs
-	},
+	Configs: seedRows,
 	Unit: func(_ Scale, cfg Config, _ *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
+		var u UnitResult
 		seed := cfg.Seed
 		n := 4
 		sideA := model.SetOf(0, 1)
 		sideB := model.SetOf(2, 3)
 		pattern := model.NewFailurePattern(n)
-		hist := fd.PairHistory{First: fd.NewOmega(pattern, 0, seed), Second: fd.NewSigma(pattern, 0, seed)}
+		hist := withOmega(sigma, pattern, 0, seed)
 		run := func(aut model.Automaton, side model.ProcessSet, s int64) (*model.Run, error) {
 			res, err := sim.Run(sim.Exec{
 				Automaton:    aut,
@@ -70,7 +64,7 @@ var e9Spec = &Spec{
 		r0, err0 := run(a0, sideA, seed)
 		r1, err1 := run(a1, sideB, seed+100)
 		if err0 != nil || err1 != nil {
-			u.failf("seed=%d: %v %v", seed, err0, err1)
+			u.failf("%v: %v %v", cfg, err0, err1)
 			return u
 		}
 		m, err := model.MergeRuns(r0, r1, merged)
@@ -105,7 +99,7 @@ var e9Spec = &Spec{
 			u.Notef("seed=%d: merge: %v", seed, err)
 		}
 		if validates != "yes" || preserved != "yes" {
-			u.Fail = true
+			u.failf("%v: merged run validates=%s, states preserved=%s", cfg, validates, preserved)
 		} else {
 			u.OK = true
 		}
@@ -113,6 +107,18 @@ var e9Spec = &Spec{
 			itoa(len(r1.Schedule)), validates, preserved}
 		return u
 	},
+	Row: unitRow,
+}
+
+// seedRows is the grid of E9 and E10: one config per seed, each its own
+// row (Arg keeps the seeds apart, since a row groups everything but the
+// seed).
+func seedRows(sc Scale) []Config {
+	var cfgs []Config
+	for s := 1; s <= sc.Seeds; s++ {
+		cfgs = append(cfgs, Config{Arg: s, Seed: int64(s)})
+	}
+	return cfgs
 }
 
 // e10Spec exercises the §4 DAG lemmas on real A_DAG executions: sample
@@ -127,15 +133,9 @@ var e10Spec = &Spec{
 		"own samples chain, fresh subgraphs are correct-only, canonical paths " +
 		"revisit all correct processes.",
 	Columns: []string{"seed", "nodes", "edge-times ok", "own-chain ok", "fresh-correct ok", "path visits/correct"},
-	Configs: func(sc Scale) []Config {
-		var cfgs []Config
-		for s := 1; s <= sc.Seeds; s++ {
-			cfgs = append(cfgs, Config{Arg: s, Seed: int64(s)})
-		}
-		return cfgs
-	},
+	Configs: seedRows,
 	Unit: func(_ Scale, cfg Config, _ *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
+		var u UnitResult
 		seed := cfg.Seed
 		n := 4
 		pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{1: 40})
@@ -149,7 +149,7 @@ var e10Spec = &Spec{
 			Bus:       obs.NewBus(nil, nil, samples),
 		})
 		if err != nil {
-			u.failf("seed=%d: %v", seed, err)
+			u.failf("%v: %v", cfg, err)
 			return u
 		}
 		p0 := model.ProcessID(0)
@@ -217,7 +217,7 @@ var e10Spec = &Spec{
 			}
 		})
 		if !edgeOK || !chainOK || !freshOK || minVisits < 3 {
-			u.Fail = true
+			u.failf("%v: edge times %v, own chain %v, fresh correct %v, path visits %d", cfg, edgeOK, chainOK, freshOK, minVisits)
 		} else {
 			u.OK = true
 		}
@@ -226,4 +226,5 @@ var e10Spec = &Spec{
 			fmt.Sprintf("%v", freshOK), itoa(minVisits)}
 		return u
 	},
+	Row: unitRow,
 }

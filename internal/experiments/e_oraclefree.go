@@ -8,7 +8,6 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/transform"
@@ -25,79 +24,29 @@ var e11Spec = &Spec{
 		"at all correct processes.",
 	Columns: []string{"n", "f", "GST", "runs", "ok", "avg leader-stable t"},
 	Configs: func(sc Scale) []Config {
-		var cfgs []Config
-		for _, n := range []int{3, 5, 8} {
-			fs := []int{1}
+		return grid(Config{}, sc.Seeds, []int{3, 5, 8}, func(n int) []int {
 			if mid := (n - 1) / 2; mid != 1 {
-				fs = append(fs, mid)
+				return []int{1, mid}
 			}
-			for _, f := range fs {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, sc.Seeds)...)
-			}
-		}
-		return cfgs
+			return []int{1}
+		})
 	},
 	Unit: func(_ Scale, cfg Config, _ *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		n, f, seed := cfg.N, cfg.F, cfg.Seed
-		pattern := model.NewFailurePattern(n)
-		for i := 0; i < f; i++ {
-			pattern.SetCrash(model.ProcessID(i), model.Time(30+20*i))
-		}
-		col := obs.NewCollector(obs.KindFDOutput)
-		res, err := sim.Run(sim.Exec{
-			Automaton: hb.NewOmega(n, 0, 0),
-			Pattern:   pattern,
-			History:   fd.Null,
-			Scheduler: &sim.PartialSyncScheduler{
-				GST:    300,
-				Before: sim.NewFairScheduler(seed, 0.2, 20),
-				After:  sim.NewFairScheduler(seed+99, 0.9, 2),
-			},
-			MaxSteps: 2500,
-			Bus:      obs.NewBus(nil, nil, col),
-		})
-		if err != nil {
-			u.Fail = true
-			return u
-		}
-		outs := check.History(col.Events(), res.Ticks)
-		stab := leaderHorizon(outs, pattern)
-		if stab > res.Ticks*4/5 {
-			u.failf("n=%d f=%d seed=%d: leader unstable until %d of %d", n, f, seed, stab, res.Ticks)
-			return u
-		}
-		if err := check.OmegaOutputs(outs, pattern, stab); err != nil {
-			u.failf("n=%d f=%d seed=%d: %v", n, f, seed, err)
-			return u
-		}
-		u.OK = true
-		if stab > 0 {
-			u.Add("stab", int(stab))
-		}
-		return u
+		pattern := staggered(cfg.N, cfg.F, true, 30, 20)
+		leader := pattern.Correct().Min()
+		return fdRun{aut: hb.NewOmega(cfg.N, 0, 0), pattern: pattern, hist: fd.Null,
+			sched: partialSync(300, cfg.Seed, 0.2, 20), steps: 2500,
+			horizon: lastDeviation(func(v model.FDValue) bool {
+				l, ok := fd.LeaderOf(v)
+				return ok && l != leader
+			}),
+			spec: check.OmegaOutputs,
+		}.unit(cfg)
 	},
 	Row: func(_ Scale, g Group) []string {
 		return []string{itoa(g.Key.N), itoa(g.Key.F), "300",
 			itoa(g.Runs()), itoa(g.OKs()), g.AvgOverOK("stab")}
 	},
-}
-
-// leaderHorizon returns the last time a correct process's emitted leader
-// differed from the eventual leader (min correct), or -1.
-func leaderHorizon(outs []check.Sample, pattern *model.FailurePattern) model.Time {
-	correct := pattern.Correct()
-	leader := correct.Min()
-	last := model.Time(-1)
-	for _, s := range outs {
-		if !correct.Has(s.P) {
-			continue
-		}
-		if l, ok := fd.LeaderOf(s.Val); ok && l != leader && s.T > last {
-			last = s.T
-		}
-	}
-	return last
 }
 
 // e12Spec exercises the oracle-free stack: heartbeat Ω + from-scratch Σν+
@@ -111,50 +60,35 @@ var e12Spec = &Spec{
 		"oracles (heartbeats + Theorem 7.1 IF threshold quorums).",
 	Columns: []string{"n", "f", "runs", "ok", "avg steps"},
 	Configs: func(sc Scale) []Config {
-		var cfgs []Config
-		for _, n := range []int{3, 5, 7} {
-			tf := (n - 1) / 2
-			for _, f := range []int{0, tf} {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, sc.Seeds)...)
-			}
-		}
-		return cfgs
+		return grid(Config{}, sc.Seeds, []int{3, 5, 7}, func(n int) []int { return []int{0, (n - 1) / 2} })
 	},
 	Unit: func(sc Scale, cfg Config, _ *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		n, f, seed := cfg.N, cfg.F, cfg.Seed
-		tf := (n - 1) / 2
-		pattern := model.NewFailurePattern(n)
-		for i := 0; i < f; i++ {
-			pattern.SetCrash(model.ProcessID(i), model.Time(40+25*i))
-		}
+		var u UnitResult
+		n := cfg.N
+		pattern := staggered(n, cfg.F, true, 40, 25)
 		props := make([]int, n)
 		for i := range props {
 			props[i] = i % 2
 		}
 		aut := transform.NewOracleFree(
 			hb.NewOmega(n, 0, 0),
-			transform.NewScratchSigmaNuPlus(n, tf),
+			transform.NewScratchSigmaNuPlus(n, (n-1)/2),
 			consensus.NewANuc(props),
 		)
 		res, err := sim.Run(sim.Exec{
 			Automaton: aut,
 			Pattern:   pattern,
 			History:   fd.Null,
-			Scheduler: &sim.PartialSyncScheduler{
-				GST:    250,
-				Before: sim.NewFairScheduler(seed, 0.3, 10),
-				After:  sim.NewFairScheduler(seed+99, 0.9, 2),
-			},
-			MaxSteps: sc.MaxSteps,
-			StopWhen: substrate.AllCorrectDecided(pattern),
+			Scheduler: partialSync(250, cfg.Seed, 0.3, 10),
+			MaxSteps:  sc.MaxSteps,
+			StopWhen:  substrate.AllCorrectDecided(pattern),
 		})
 		if err != nil || !res.Stopped {
-			u.failf("n=%d f=%d seed=%d: err=%v stopped=%v", n, f, seed, err, res != nil && res.Stopped)
+			u.failf("%v: err=%v stopped=%v", cfg, err, res != nil && res.Stopped)
 			return u
 		}
 		if err := check.OutcomeFromConfig(res.Config).NonuniformConsensus(pattern); err != nil {
-			u.failf("n=%d f=%d seed=%d: %v", n, f, seed, err)
+			u.failf("%v: %v", cfg, err)
 			return u
 		}
 		u.OK = true
@@ -162,7 +96,6 @@ var e12Spec = &Spec{
 		return u
 	},
 	Row: func(_ Scale, g Group) []string {
-		return []string{itoa(g.Key.N), itoa(g.Key.F), itoa(g.Runs()),
-			itoa(g.OKs()), g.AvgOverOK("steps")}
+		return nfRow(g, g.AvgOverOK("steps"))
 	},
 }

@@ -7,7 +7,6 @@ import (
 	"nuconsensus/internal/check"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
 	"nuconsensus/internal/transform"
 )
@@ -156,24 +155,25 @@ var e7Spec = &Spec{
 		return cfgs
 	},
 	Unit: func(_ Scale, cfg Config, _ *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
+		var u UnitResult
 		n, tf := cfg.N, cfg.F
 		c := e7Candidates[cfg.Arg]
 		o := RunPartition(c.name, c.aut(n, tf), n, tf)
 		if o.Err != nil {
-			u.failf("%s n=%d: %v", c.name, n, o.Err)
+			u.failf("%v: %v", cfg, o.Err)
 			return u
 		}
-		if !o.Disjoint {
-			u.Fail = true
-		} else {
+		if o.Disjoint {
 			u.OK = true
+		} else {
+			u.failf("%v: A' = %s and B' = %s intersect", cfg, o.AQuorum, o.BQuorum)
 		}
 		u.Cells = []string{c.name, itoa(n), itoa(tf),
 			fmt.Sprintf("%s @t=%d", o.AQuorum, o.Tau), o.BQuorum.String(),
 			fmt.Sprintf("%v", o.Disjoint)}
 		return u
 	},
+	Row: unitRow,
 	Finalize: func(_ Scale, t *Table, _ []Group) {
 		t.Notes = append(t.Notes,
 			"every candidate that satisfies completeness in both runs is forced into the intersection violation; a candidate that avoided it would have to fail completeness instead")
@@ -189,41 +189,11 @@ var e8Spec = &Spec{
 		"implements Σ without any failure detector.",
 	Columns: []string{"n", "t", "f", "runs", "ok"},
 	Configs: func(sc Scale) []Config {
-		var cfgs []Config
-		for _, n := range []int{3, 5, 7, 9} {
-			tf := (n - 1) / 2
-			for _, f := range []int{0, tf} {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, sc.Seeds)...)
-			}
-		}
-		return cfgs
+		return grid(Config{}, sc.Seeds, []int{3, 5, 7, 9}, func(n int) []int { return []int{0, (n - 1) / 2} })
 	},
 	Unit: func(_ Scale, cfg Config, rng *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		n, f := cfg.N, cfg.F
-		tf := (n - 1) / 2
-		pattern := randomPattern(n, f, 50, rng)
-		col := obs.NewCollector(obs.KindFDOutput)
-		res, err := sim.Run(sim.Exec{
-			Automaton: transform.NewScratchSigma(n, tf),
-			Pattern:   pattern,
-			History:   fd.Null,
-			Scheduler: sim.NewFairScheduler(cfg.Seed, 0.8, 3),
-			MaxSteps:  800,
-			Bus:       obs.NewBus(nil, nil, col),
-		})
-		if err != nil {
-			u.Fail = true
-			return u
-		}
-		outs := check.History(col.Events(), res.Ticks)
-		stab, herr := check.LastCompletenessViolation(outs, pattern)
-		if herr == nil && stab <= res.Ticks*4/5 && check.Sigma(outs, pattern, stab) == nil {
-			u.OK = true
-		} else {
-			u.failf("n=%d f=%d seed=%d: horizon=%d %v %v", n, f, cfg.Seed, stab, herr, check.Sigma(outs, pattern, stab))
-		}
-		return u
+		return fdRun{aut: transform.NewScratchSigma(cfg.N, (cfg.N-1)/2), pattern: randomPattern(cfg.N, cfg.F, 50, rng),
+			hist: fd.Null, steps: 800, spec: check.Sigma}.unit(cfg)
 	},
 	Row: func(_ Scale, g Group) []string {
 		return []string{itoa(g.Key.N), itoa((g.Key.N - 1) / 2), itoa(g.Key.F),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"nuconsensus/internal/model"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/sim"
 )
@@ -34,63 +33,29 @@ var q7Spec = &Spec{
 		"acknowledged in an earlier slot decides in round 1.",
 	Columns: []string{"n", "f", "slots", "runs", "ok", "avg steps/slot", "avg msgs/slot"},
 	Configs: func(sc Scale) []Config {
-		var cfgs []Config
-		for _, n := range []int{3, 4, 5} {
-			for _, f := range []int{0, 1} {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, sc.Seeds)...)
-			}
-		}
-		return cfgs
+		return grid(Config{}, sc.Seeds, []int{3, 4, 5}, func(int) []int { return []int{0, 1} })
 	},
 	Unit: func(sc Scale, cfg Config, _ *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		n, f, seed := cfg.N, cfg.F, cfg.Seed
-		pattern := model.NewFailurePattern(n)
-		for i := 0; i < f; i++ {
-			pattern.SetCrash(model.ProcessID(n-1-i), model.Time(40+20*i))
-		}
-		cmds := make([][]int, n)
-		for p := range cmds {
-			cmds[p] = []int{100*p + 1}
-		}
+		var u UnitResult
+		pattern := staggered(cfg.N, cfg.F, false, 40, 20)
 		res, err := sim.Run(sim.Exec{
-			Automaton: rsm.NewLog(cmds, q7Slots),
+			Automaton: rsm.NewLog(oneCommandEach(cfg.N), q7Slots),
 			Pattern:   pattern,
-			History:   rsm.PairForLog(pattern, 80, seed),
-			Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
+			History:   rsm.PairForLog(pattern, 80, cfg.Seed),
+			Scheduler: sim.NewFairScheduler(cfg.Seed, 0.8, 3),
 			MaxSteps:  min(sc.MaxSteps*4, 200000),
 			StopWhen:  rsm.AllAppended(pattern, q7Slots),
 		})
-		if err != nil || !res.Stopped {
-			u.failf("n=%d f=%d seed=%d: err=%v filled=%v", n, f, seed, err, res != nil && res.Stopped)
-			return u
+		switch {
+		case err != nil || !res.Stopped:
+			u.failf("%v: err=%v filled=%v", cfg, err, res != nil && res.Stopped)
+		case !logsAgree(res.Config, pattern):
+			u.failf("%v: correct logs diverged", cfg)
+		default:
+			u.OK = true
+			u.Add("steps", res.Steps)
+			u.Add("msgs", res.MessagesSent)
 		}
-		// All correct replicas must hold identical logs.
-		agree := true
-		var ref []int
-		pattern.Correct().ForEach(func(p model.ProcessID) {
-			entries := res.Config.States[p].(rsm.LogHolder).Entries()
-			if ref == nil {
-				ref = entries
-				return
-			}
-			if len(entries) != len(ref) {
-				agree = false
-				return
-			}
-			for i := range ref {
-				if entries[i] != ref[i] {
-					agree = false
-				}
-			}
-		})
-		if !agree {
-			u.failf("n=%d f=%d seed=%d: correct logs diverged", n, f, seed)
-			return u
-		}
-		u.OK = true
-		u.Add("steps", res.Steps)
-		u.Add("msgs", res.MessagesSent)
 		return u
 	},
 	Row: func(_ Scale, g Group) []string {

@@ -1,17 +1,12 @@
 package experiments
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
-	"nuconsensus/internal/consensus"
-	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
 	"nuconsensus/internal/rsm"
-	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/wire"
 )
 
 // E17 measures how the replicated log's costs scale with log length. The
@@ -23,11 +18,10 @@ import (
 // recorded numbers the gates below are set against (EXPERIMENTS.md keeps
 // its rows).
 //
-// Three quantities per run, all through the real wire codec: total
-// bytes-on-wire, the history share of each message (encoded size minus the
-// size of the same payload with its delta frame stripped), and the
-// high-water live-state history footprint of any single process
-// (rsm.StatsOf, sampled at every step).
+// Per run, logMeter taps the history share of each message through the
+// real wire codec (encoded size minus the size of the same payload with
+// its delta frame stripped) and the high-water live-state history
+// footprint of any single process (rsm.StatsOf, sampled at every step).
 
 const e17N = 5
 
@@ -42,67 +36,6 @@ const e17N = 5
 const e17MsgsPerSlotCap = 75
 
 var e17SlotsGrid = []int{4, 8, 16, 64}
-
-// e17Meter wraps the log automaton with measurement taps. The substrate
-// steps processes from independent goroutines on the concurrent backends,
-// so both taps are atomics; they are per-unit, so the recorded numbers
-// stay deterministic on sim at any engine worker count.
-type e17Meter struct {
-	model.Automaton
-	msgs      atomic.Int64 // sends observed
-	wireBytes atomic.Int64 // Σ encoded payload size over all sends
-	histBytes atomic.Int64 // Σ history share: encoded minus history-free encoded
-	peakHist  atomic.Int64 // high-water StatsOf().HistEntries of any process
-}
-
-func (a *e17Meter) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	ns, sends := a.Automaton.Step(p, s, m, d)
-	var total, hist int64
-	for _, snd := range sends {
-		b, err := wire.EncodePayload(snd.Payload)
-		if err != nil {
-			continue
-		}
-		total += int64(len(b))
-		if stripped := historyFree(snd.Payload); stripped != nil {
-			if sb, err := wire.EncodePayload(stripped); err == nil {
-				hist += int64(len(b) - len(sb))
-			}
-		}
-	}
-	a.msgs.Add(int64(len(sends)))
-	a.wireBytes.Add(total)
-	a.histBytes.Add(hist)
-	atomicMax(&a.peakHist, int64(rsm.StatsOf(ns).HistEntries))
-	return ns, sends
-}
-
-// historyFree strips the history freight — the whole (base, delta) frame —
-// from a slot-wrapped payload, returning nil for payloads that carry none.
-func historyFree(pl model.Payload) model.Payload {
-	sp, ok := pl.(rsm.SlotPayload)
-	if !ok {
-		return nil
-	}
-	switch inner := sp.Inner.(type) {
-	case consensus.LeadDeltaPayload:
-		sp.Inner = inner.Plain()
-	case consensus.ProposalDeltaPayload:
-		sp.Inner = inner.Plain()
-	default:
-		return nil
-	}
-	return sp
-}
-
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
 
 var e17Spec = &Spec{
 	ID:    "E17",
@@ -129,87 +62,33 @@ var e17Spec = &Spec{
 		return cfgs
 	},
 	Unit: func(sc Scale, cfg Config, _ *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		slots, seed := cfg.Arg, cfg.Seed
-		sub, err := sc.substrate()
-		if err != nil {
-			u.failf("%v", err)
-			return u
-		}
-		pattern := model.NewFailurePattern(e17N)
+		var u UnitResult
 		// One early crash stalls progress gossip at the crashed process's
 		// last slot: instances above it never retire, so the live-instance
 		// count — and anything kept per instance — grows with log length.
-		pattern.SetCrash(model.ProcessID(e17N-1), 30)
-		cmds := make([][]int, e17N)
-		for p := range cmds {
-			cmds[p] = []int{100*p + 1}
-		}
+		pattern := staggered(e17N, 1, false, 30, 0)
 		reg := obs.NewRegistry()
-		sampler := rsm.SamplerForLog(pattern, 80, seed)
-		meter := &e17Meter{Automaton: rsm.NewLog(cmds, slots).WithMetrics(reg).WithSampler(sampler)}
-		budget := min(sc.MaxSteps*8, 400000)
-		if !sub.Deterministic() && budget < 3_000_000 {
-			// The concurrent substrates' shared clock ticks on idle spins
-			// too (see runConsensus); StopWhenDecided keeps real cost low.
-			budget = 3_000_000
+		sampler := rsm.SamplerForLog(pattern, 80, cfg.Seed)
+		meter := &logMeter{Automaton: rsm.NewLog(oneCommandEach(e17N), cfg.Arg).WithMetrics(reg).WithSampler(sampler)}
+		res, err := runLog(sc, meter, pattern, sampler, cfg.Seed)
+		if err == nil && !logsAgree(res.Config, pattern) {
+			err = errors.New("correct logs diverged")
 		}
-		res, err := sub.Run(context.Background(), meter, sampler, pattern, substrate.Options{
-			Seed:            seed,
-			MaxSteps:        budget,
-			StopWhenDecided: true,
-			Bus:             sc.Bus,
-			Metrics:         sc.Metrics,
-		})
-		if err != nil || !res.Decided {
-			u.failf("slots=%d seed=%d: err=%v filled=%v", slots, seed, err, res != nil && res.Decided)
-			return u
+		if gaps := reg.Counter("rsm.hist.delta_gaps").Value(); err == nil && gaps != 0 {
+			err = fmt.Errorf("%d delta gaps on a FIFO substrate", gaps)
 		}
-		var ref []int
-		agree := true
-		pattern.Correct().ForEach(func(p model.ProcessID) {
-			entries := res.Config.States[p].(rsm.LogHolder).Entries()
-			if ref == nil {
-				ref = entries
-				return
-			}
-			if len(entries) != len(ref) {
-				agree = false
-				return
-			}
-			for i := range ref {
-				if entries[i] != ref[i] {
-					agree = false
-				}
-			}
-		})
-		if !agree {
-			u.failf("slots=%d seed=%d: correct logs diverged", slots, seed)
-			return u
-		}
-		hits := int(reg.Counter("rsm.hist.delta_hits").Value())
-		falls := int(reg.Counter("rsm.hist.full_fallbacks").Value())
-		gaps := int(reg.Counter("rsm.hist.delta_gaps").Value())
-		if gaps != 0 {
-			u.failf("slots=%d seed=%d: %d delta gaps on a FIFO substrate", slots, seed, gaps)
+		if err != nil {
+			u.failf("%v: %v", cfg, err)
 			return u
 		}
 		u.OK = true
 		u.Add("msgs", int(meter.msgs.Load()))
-		u.Add("wire", int(meter.wireBytes.Load()))
 		u.Add("histwire", int(meter.histBytes.Load()))
 		u.Add("hist", int(meter.peakHist.Load()))
-		u.Add("hits", hits)
-		u.Add("falls", falls)
-		// Fold the per-unit registry into the run-wide metrics registry
-		// (commutative adds/maxes only, so dumps stay worker-count-free).
-		if sc.Metrics != nil {
-			sc.Metrics.Counter("rsm.hist.delta_hits").Add(int64(hits))
-			sc.Metrics.Counter("rsm.hist.full_fallbacks").Add(int64(falls))
-			sc.Metrics.Counter("rsm.hist.delta_gaps").Add(int64(gaps))
-			sc.Metrics.Gauge("rsm.hist.store_bytes").Max(reg.Gauge("rsm.hist.store_bytes").Value())
-			sc.Metrics.Gauge("rsm.hist.store_entries").Max(reg.Gauge("rsm.hist.store_entries").Value())
-		}
+		u.Add("hits", int(reg.Counter("rsm.hist.delta_hits").Value()))
+		u.Add("falls", int(reg.Counter("rsm.hist.full_fallbacks").Value()))
+		fold(sc.Metrics, reg, []string{"rsm.hist.delta_hits", "rsm.hist.full_fallbacks", "rsm.hist.delta_gaps"},
+			[]string{"rsm.hist.store_bytes", "rsm.hist.store_entries"})
 		return u
 	},
 	Row: func(_ Scale, g Group) []string {

@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
-	"sync/atomic"
 
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/serve"
-	"nuconsensus/internal/substrate"
-	"nuconsensus/internal/wire"
 )
 
 // E18 measures the serving layer (internal/serve) end to end: a generated
@@ -50,29 +46,6 @@ var (
 	e18PipeGrid  = []int{1, 2, 4}      // slot instances in flight (batch fixed at 4)
 )
 
-// e18Meter counts sends and bytes-on-wire through the real codec. The
-// concurrent substrates step processes from independent goroutines, so the
-// taps are atomics; they are per-unit, so the recorded numbers stay
-// deterministic on sim at any engine worker count.
-type e18Meter struct {
-	model.Automaton
-	msgs      atomic.Int64
-	wireBytes atomic.Int64
-}
-
-func (a *e18Meter) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	ns, sends := a.Automaton.Step(p, s, m, d)
-	var total int64
-	for _, snd := range sends {
-		if b, err := wire.EncodePayload(snd.Payload); err == nil {
-			total += int64(len(b))
-		}
-	}
-	a.msgs.Add(int64(len(sends)))
-	a.wireBytes.Add(total)
-	return ns, sends
-}
-
 var e18Spec = &Spec{
 	ID:    "E18",
 	Title: "Serving layer: batched throughput and pipelined slot cost",
@@ -100,13 +73,8 @@ var e18Spec = &Spec{
 		return cfgs
 	},
 	Unit: func(sc Scale, cfg Config, rng *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
+		var u UnitResult
 		seed := cfg.Seed
-		sub, err := sc.substrate()
-		if err != nil {
-			u.failf("%v", err)
-			return u
-		}
 		batch, pipe := cfg.Arg, 2
 		if cfg.Label == "pipe" {
 			batch, pipe = 4, cfg.Arg
@@ -134,20 +102,10 @@ var e18Spec = &Spec{
 		})
 		sampler := rsm.SamplerForLog(pattern, 60, seed)
 		cl.Log().WithSampler(sampler)
-		meter := &e18Meter{Automaton: cl.Automaton()}
-		budget := min(sc.MaxSteps*8, 400000)
-		if !sub.Deterministic() && budget < 3_000_000 {
-			budget = 3_000_000
-		}
-		res, err := sub.Run(context.Background(), meter, sampler, pattern, substrate.Options{
-			Seed:            seed,
-			MaxSteps:        budget,
-			StopWhenDecided: true,
-			Bus:             sc.Bus,
-			Metrics:         sc.Metrics,
-		})
-		if err != nil || !res.Decided {
-			u.failf("%s=%d seed=%d: err=%v decided=%v", cfg.Label, cfg.Arg, seed, err, res != nil && res.Decided)
+		meter := &logMeter{Automaton: cl.Automaton()}
+		res, err := runLog(sc, meter, pattern, sampler, seed)
+		if err != nil {
+			u.failf("%v: %v", cfg, err)
 			return u
 		}
 		// Exactly-once and agreement, on every unit: each replica applied
@@ -157,15 +115,14 @@ var e18Spec = &Spec{
 		for p := 0; p < e18N; p++ {
 			st := cl.Applier(model.ProcessID(p)).StatsOf()
 			if st.Commands != int64(total) {
-				u.failf("%s=%d seed=%d: p%d applied %d distinct commands, want %d",
-					cfg.Label, cfg.Arg, seed, p, st.Commands, total)
+				u.failf("%v: p%d applied %d distinct commands, want %d", cfg, p, st.Commands, total)
 				return u
 			}
 			sum := cl.Applier(model.ProcessID(p)).Checksum()
 			if p == 0 {
 				refSum = sum
 			} else if sum != refSum {
-				u.failf("%s=%d seed=%d: p%d machine checksum %x != %x", cfg.Label, cfg.Arg, seed, p, sum, refSum)
+				u.failf("%v: p%d machine checksum %x != %x", cfg, p, sum, refSum)
 				return u
 			}
 			if st.Frontier > slots {
@@ -177,23 +134,15 @@ var e18Spec = &Spec{
 		u.Add("cmds", total)
 		u.Add("steps", res.Steps)
 		u.Add("msgs", int(meter.msgs.Load()))
-		u.Add("wire", int(meter.wireBytes.Load()))
 		u.Add("slots", slots)
 		u.Add("dups", dups)
-		// Fold the per-unit registry into the run-wide metrics registry
-		// (commutative adds/maxes only, so dumps stay worker-count-free).
-		if sc.Metrics != nil {
-			for _, name := range []string{
-				"serve.apply.commands", "serve.apply.dup_commands",
-				"serve.apply.batches", "serve.apply.dup_batches",
-				"serve.apply.noops", "serve.apply.stalls",
-				"serve.sessions.compactions",
-				"obs.spans",
-			} {
-				sc.Metrics.Counter(name).Add(reg.Counter(name).Value())
-			}
-			sc.Metrics.Gauge("serve.sessions.live").Max(reg.Gauge("serve.sessions.live").Value())
-		}
+		fold(sc.Metrics, reg, []string{
+			"serve.apply.commands", "serve.apply.dup_commands",
+			"serve.apply.batches", "serve.apply.dup_batches",
+			"serve.apply.noops", "serve.apply.stalls",
+			"serve.sessions.compactions",
+			"obs.spans",
+		}, []string{"serve.sessions.live"})
 		return u
 	},
 	Row: func(_ Scale, g Group) []string {

@@ -5,42 +5,20 @@ import (
 	"math/rand"
 
 	"nuconsensus/internal/check"
-	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/obs"
-	"nuconsensus/internal/sim"
 	"nuconsensus/internal/transform"
 )
-
-// runTransformer drives a transformation automaton and returns the recorded
-// output samples plus their stabilization time.
-func runTransformer(aut model.Automaton, pattern *model.FailurePattern, hist model.History, seed int64, maxSteps int) ([]check.Sample, model.Time, model.Time, error) {
-	col := obs.NewCollector(obs.KindFDOutput)
-	res, err := sim.Run(sim.Exec{
-		Automaton: aut,
-		Pattern:   pattern,
-		History:   hist,
-		Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
-		MaxSteps:  maxSteps,
-		Bus:       obs.NewBus(nil, nil, col),
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	outs := check.History(col.Events(), res.Ticks)
-	horizon, herr := check.LastCompletenessViolation(outs, pattern)
-	if herr != nil {
-		return nil, 0, 0, herr
-	}
-	return outs, horizon, res.Ticks, nil
-}
 
 // extractionBudget scales the step budget of DAG-extraction runs with n:
 // the canonical path must be long enough for the simulated target algorithm
 // to decide several times over, and decisions take more simulated steps at
 // larger n.
 func extractionBudget(n int) int { return 300 + 200*n }
+
+// stabRow is the row of the detector-history specs without a label: n, f,
+// runs, ok and the mean settling time of the passing runs.
+func stabRow(_ Scale, g Group) []string { return nfRow(g, g.AvgOverOK("stab")) }
 
 // e3Spec exercises Theorem 6.7: T_{Σν→Σν+} emits a valid Σν+ history — all
 // four properties — when fed adversarial Σν histories (faulty modules
@@ -53,65 +31,14 @@ var e3Spec = &Spec{
 		"conditional nonintersection.",
 	Columns: []string{"n", "f", "runs", "ok", "avg stabilization t"},
 	Configs: func(sc Scale) []Config {
-		seeds := min(sc.Seeds, 3)
-		var cfgs []Config
-		for _, n := range []int{3, 4, 5, 6} {
-			for _, f := range []int{0, 1, n - 1} {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, seeds)...)
-			}
-		}
-		return cfgs
+		return grid(Config{}, min(sc.Seeds, 3), []int{3, 4, 5, 6}, func(n int) []int { return []int{0, 1, n - 1} })
 	},
 	Unit: func(_ Scale, cfg Config, rng *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		n, f := cfg.N, cfg.F
-		pattern := randomPattern(n, f, 50, rng)
-		hist := fd.NewSigmaNu(pattern, 90, cfg.Seed)
-		aut := transform.NewSigmaNuPlusTransformer(n)
-		outs, stab, end, err := runTransformer(aut, pattern, hist, cfg.Seed, 500)
-		switch {
-		case err != nil:
-			u.failf("n=%d f=%d seed=%d: %v", n, f, cfg.Seed, err)
-		case stab > end*4/5:
-			u.failf("n=%d f=%d seed=%d: never stabilized", n, f, cfg.Seed)
-		case check.SigmaNuPlus(outs, pattern, stab) != nil:
-			u.failf("n=%d f=%d seed=%d: %v", n, f, cfg.Seed, check.SigmaNuPlus(outs, pattern, stab))
-		default:
-			u.OK = true
-			if stab > 0 {
-				u.Add("stab", int(stab))
-			}
-		}
-		return u
+		pattern := randomPattern(cfg.N, cfg.F, 50, rng)
+		return fdRun{aut: transform.NewSigmaNuPlusTransformer(cfg.N), pattern: pattern,
+			hist: fd.NewSigmaNu(pattern, 90, cfg.Seed), steps: 500, spec: check.SigmaNuPlus}.unit(cfg)
 	},
-	Row: func(_ Scale, g Group) []string {
-		return []string{itoa(g.Key.N), itoa(g.Key.F), itoa(g.Runs()), itoa(g.OKs()),
-			g.AvgOverOK("stab")}
-	},
-}
-
-// e4Combo is one (D, A) pair exercised by E4.
-type e4Combo struct {
-	dName, aName string
-	hist         func(*model.FailurePattern, int64) model.History
-	target       func([]int) model.Automaton
-}
-
-var e4Combos = []e4Combo{
-	{
-		dName: "(Ω,Σν+)", aName: "A_nuc",
-		hist: func(p *model.FailurePattern, seed int64) model.History {
-			return fd.PairHistory{First: fd.NewOmega(p, 40, seed), Second: fd.NewSigmaNuPlus(p, 40, seed)}
-		},
-		target: func(props []int) model.Automaton { return consensus.NewANuc(props) },
-	},
-	{
-		dName: "(Ω,Σ)", aName: "MR-Σ",
-		hist: func(p *model.FailurePattern, seed int64) model.History {
-			return fd.PairHistory{First: fd.NewOmega(p, 40, seed), Second: fd.NewSigma(p, 40, seed)}
-		},
-		target: func(props []int) model.Automaton { return consensus.NewMRSigma(props) },
-	},
+	Row: stabRow,
 }
 
 // e4Spec exercises Theorem 5.4: T_{D→Σν} emits a valid Σν history for two
@@ -124,41 +51,22 @@ var e4Spec = &Spec{
 		"nonuniform intersection and completeness, for any (D, A) pair.",
 	Columns: []string{"D", "A", "n", "f", "runs", "ok", "avg stabilization t"},
 	Configs: func(sc Scale) []Config {
-		seeds := min(sc.Seeds, 2)
 		var cfgs []Config
-		for i, cb := range e4Combos {
-			for _, n := range []int{3, 4} {
-				for _, f := range []int{1, n - 1} {
-					cfgs = append(cfgs, seedRange(Config{Label: cb.dName, Arg: i, N: n, F: f}, seeds)...)
-				}
-			}
+		for i, a := range bothSides {
+			fs := func(n int) []int { return []int{1, n - 1} }
+			cfgs = append(cfgs, grid(Config{Label: a.det, Arg: i}, min(sc.Seeds, 2), []int{3, 4}, fs)...)
 		}
 		return cfgs
 	},
 	Unit: func(_ Scale, cfg Config, rng *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		cb := e4Combos[cfg.Arg]
-		n, f := cfg.N, cfg.F
-		pattern := randomPattern(n, f, 40, rng)
-		aut := transform.NewSigmaNuExtractor(n, cb.target, 1)
-		outs, stab, end, err := runTransformer(aut, pattern, cb.hist(pattern, cfg.Seed), cfg.Seed, extractionBudget(n))
-		switch {
-		case err != nil:
-			u.failf("%s n=%d f=%d seed=%d: %v", cb.dName, n, f, cfg.Seed, err)
-		case stab > end*4/5:
-			u.failf("%s n=%d f=%d seed=%d: never stabilized", cb.dName, n, f, cfg.Seed)
-		case check.SigmaNu(outs, pattern, stab) != nil:
-			u.failf("%s n=%d f=%d seed=%d: %v", cb.dName, n, f, cfg.Seed, check.SigmaNu(outs, pattern, stab))
-		default:
-			u.OK = true
-			u.Add("stab", int(stab))
-		}
-		return u
+		a := bothSides[cfg.Arg]
+		pattern := randomPattern(cfg.N, cfg.F, 40, rng)
+		return fdRun{aut: transform.NewSigmaNuExtractor(cfg.N, a.build, 1), pattern: pattern,
+			hist: a.hist(pattern, 40, cfg.Seed), steps: extractionBudget(cfg.N), spec: check.SigmaNu}.unit(cfg)
 	},
 	Row: func(_ Scale, g Group) []string {
-		cb := e4Combos[g.Key.Arg]
-		return []string{cb.dName, cb.aName, itoa(g.Key.N), itoa(g.Key.F),
-			itoa(g.Runs()), itoa(g.OKs()), g.AvgOverOK("stab")}
+		a := bothSides[g.Key.Arg]
+		return append([]string{a.det, a.alg}, nfRow(g, g.AvgOverOK("stab"))...)
 	},
 }
 
@@ -172,41 +80,14 @@ var e5Spec = &Spec{
 		"extractor's outputs satisfy Σ's uniform intersection and completeness.",
 	Columns: []string{"n", "f", "runs", "ok", "avg stabilization t"},
 	Configs: func(sc Scale) []Config {
-		seeds := min(sc.Seeds, 2)
-		var cfgs []Config
-		for _, n := range []int{3, 4} {
-			for _, f := range []int{1, n - 1} {
-				cfgs = append(cfgs, seedRange(Config{N: n, F: f}, seeds)...)
-			}
-		}
-		return cfgs
+		return grid(Config{}, min(sc.Seeds, 2), []int{3, 4}, func(n int) []int { return []int{1, n - 1} })
 	},
 	Unit: func(_ Scale, cfg Config, rng *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		n, f := cfg.N, cfg.F
-		pattern := randomPattern(n, f, 40, rng)
-		hist := fd.PairHistory{First: fd.NewOmega(pattern, 40, cfg.Seed), Second: fd.NewSigma(pattern, 40, cfg.Seed)}
-		aut := transform.NewSigmaNuExtractor(n, func(props []int) model.Automaton { return consensus.NewMRSigma(props) }, 1)
-		outs, stab, end, err := runTransformer(aut, pattern, hist, cfg.Seed, extractionBudget(n))
-		switch {
-		case err != nil:
-			u.failf("n=%d f=%d seed=%d: %v", n, f, cfg.Seed, err)
-		case stab > end*4/5:
-			u.failf("n=%d f=%d seed=%d: never stabilized", n, f, cfg.Seed)
-		case check.Sigma(outs, pattern, stab) != nil:
-			u.failf("n=%d f=%d seed=%d: %v", n, f, cfg.Seed, check.Sigma(outs, pattern, stab))
-		default:
-			u.OK = true
-			if stab > 0 {
-				u.Add("stab", int(stab))
-			}
-		}
-		return u
+		pattern := randomPattern(cfg.N, cfg.F, 40, rng)
+		return fdRun{aut: transform.NewSigmaNuExtractor(cfg.N, mrSigma.build, 1), pattern: pattern,
+			hist: mrSigma.hist(pattern, 40, cfg.Seed), steps: extractionBudget(cfg.N), spec: check.Sigma}.unit(cfg)
 	},
-	Row: func(_ Scale, g Group) []string {
-		return []string{itoa(g.Key.N), itoa(g.Key.F), itoa(g.Runs()), itoa(g.OKs()),
-			g.AvgOverOK("stab")}
-	},
+	Row: stabRow,
 }
 
 // q3Spec measures extraction convergence: how long until T_{D→Σν}'s emitted
@@ -220,23 +101,17 @@ var q3Spec = &Spec{
 		"quadratically with the sample DAG.",
 	Columns: []string{"n", "f", "first correct-only output t", "stabilization t", "steps run"},
 	Configs: func(_ Scale) []Config {
-		var cfgs []Config
-		for _, n := range []int{3, 4, 5} {
-			cfgs = append(cfgs, Config{N: n, F: 1, Seed: 1})
-		}
-		return cfgs
+		return grid(Config{}, 1, []int{3, 4, 5}, func(int) []int { return []int{1} })
 	},
 	Unit: func(_ Scale, cfg Config, rng *rand.Rand) UnitResult {
-		u := UnitResult{Counted: true}
-		n, f := cfg.N, cfg.F
-		pattern := randomPattern(n, f, 40, rng)
-		hist := fd.PairHistory{First: fd.NewOmega(pattern, 40, cfg.Seed), Second: fd.NewSigmaNuPlus(pattern, 40, cfg.Seed)}
-		aut := transform.NewSigmaNuExtractor(n, func(props []int) model.Automaton { return consensus.NewANuc(props) }, 1)
+		var u UnitResult
+		pattern := randomPattern(cfg.N, cfg.F, 40, rng)
 		// Q3 charts convergence itself, so it gets a longer budget than the
 		// pass/fail extraction checks.
-		outs, stab, end, err := runTransformer(aut, pattern, hist, cfg.Seed, 400+300*n)
+		outs, stab, end, err := fdRun{aut: transform.NewSigmaNuExtractor(cfg.N, aNuc.build, 1), pattern: pattern,
+			hist: aNuc.hist(pattern, 40, cfg.Seed), steps: 400 + 300*cfg.N}.run(cfg.Seed)
 		if err != nil {
-			u.failf("n=%d: %v", n, err)
+			u.failf("%v: %v", cfg, err)
 			return u
 		}
 		firstCorrect := model.Time(-1)
@@ -249,12 +124,13 @@ var q3Spec = &Spec{
 			}
 		}
 		if firstCorrect < 0 || stab > end*4/5 {
-			u.Fail = true
+			u.failf("%v: first correct-only output at %d, unsettled until %d of %d", cfg, firstCorrect, stab, end)
 		} else {
 			u.OK = true
 		}
-		u.Cells = []string{itoa(n), itoa(f),
+		u.Cells = []string{itoa(cfg.N), itoa(cfg.F),
 			fmt.Sprintf("%d", firstCorrect), fmt.Sprintf("%d", stab), fmt.Sprintf("%d", end)}
 		return u
 	},
+	Row: unitRow,
 }

@@ -36,6 +36,18 @@ type Config struct {
 // Units whose configs share a key are reduced into the same table row.
 func (c Config) key() Config { c.Seed = 0; return c }
 
+// String names the unit in failure notes.
+func (c Config) String() string {
+	s := fmt.Sprintf("n=%d f=%d seed=%d", c.N, c.F, c.Seed)
+	if c.Arg != 0 {
+		s += fmt.Sprintf(" arg=%d", c.Arg)
+	}
+	if c.Label != "" {
+		s = c.Label + " " + s
+	}
+	return s
+}
+
 // DeriveSeed maps one (experiment, config, seed) unit to the seed of its
 // private RNG stream: FNV-1a over the full tuple. The derivation is pure,
 // so any worker can run any unit and draw exactly the random values the
@@ -50,12 +62,11 @@ func DeriveSeed(id string, cfg Config) int64 {
 // UnitResult is what one unit reports back to the engine.
 type UnitResult struct {
 	Cfg     Config
-	Counted bool           // the unit contributes to its row's "runs" count
 	OK      bool           // the unit supported the claim
 	Fail    bool           // the unit refuted the claim (fails the table)
 	Notes   []string       // appended to the table's notes, in config order
 	Metrics map[string]int // summed across the row's units
-	Cells   []string       // verbatim row cells (per-unit-row experiments)
+	Cells   []string       // verbatim row cells, rendered by unitRow
 
 	elapsed time.Duration // filled by the engine
 	events  []obs.Event   // the unit's causal event stream (Options.EventSinks)
@@ -86,16 +97,8 @@ type Group struct {
 	Units []UnitResult
 }
 
-// Runs counts the units that were marked Counted.
-func (g Group) Runs() int {
-	n := 0
-	for _, u := range g.Units {
-		if u.Counted {
-			n++
-		}
-	}
-	return n
-}
+// Runs counts the group's units.
+func (g Group) Runs() int { return len(g.Units) }
 
 // OKs counts the units that supported the claim.
 func (g Group) OKs() int {
@@ -149,12 +152,13 @@ type Spec struct {
 	// one experiment at a time.
 	Unit func(sc Scale, cfg Config, rng *rand.Rand) UnitResult
 
-	// Row renders one group as table cells. When nil, each unit's Cells
-	// field becomes its own row (units with nil Cells emit no row).
+	// Row renders one group as table cells; it is the only source of
+	// rows. A nil row is skipped (unitRow of a unit that failed before it
+	// had anything to show).
 	Row func(sc Scale, g Group) []string
 
-	// Finalize optionally post-processes the assembled table: cross-row
-	// pass predicates, trailing notes.
+	// Finalize optionally judges the assembled table: cross-row pass
+	// predicates and trailing notes. It adds no rows.
 	Finalize func(sc Scale, t *Table, gs []Group)
 }
 
@@ -231,16 +235,9 @@ func (sp *Spec) reduce(sc Scale, configs []Config, units []UnitResult) Table {
 		for _, u := range g.Units {
 			rowTime += u.elapsed
 		}
-		if sp.Row != nil {
-			t.AddRow(sp.Row(sc, g)...)
+		if row := sp.Row(sc, g); row != nil {
+			t.AddRow(row...)
 			t.RowTimes = append(t.RowTimes, rowTime)
-			continue
-		}
-		for _, u := range g.Units {
-			if u.Cells != nil {
-				t.AddRow(u.Cells...)
-				t.RowTimes = append(t.RowTimes, u.elapsed)
-			}
 		}
 	}
 	if sp.Finalize != nil {
@@ -348,6 +345,10 @@ feed:
 	return tables, nil
 }
 
+// unitRow is the Row of the specs whose every group is one unit (E7, E9,
+// E10, E16, Q3): that unit's own Cells.
+func unitRow(_ Scale, g Group) []string { return g.Units[0].Cells }
+
 // seedRange enumerates configs seed-by-seed for one parameter point: the
 // common helper the per-experiment Configs functions build their grids on.
 func seedRange(base Config, seeds int) []Config {
@@ -358,4 +359,22 @@ func seedRange(base Config, seeds int) []Config {
 		out = append(out, c)
 	}
 	return out
+}
+
+// grid enumerates seeds configs per (n, f) point, n over ns and f over
+// fs(n), in row order; base carries any label and arg.
+func grid(base Config, seeds int, ns []int, fs func(n int) []int) []Config {
+	var cfgs []Config
+	for _, n := range ns {
+		for _, f := range fs(n) {
+			base.N, base.F = n, f
+			cfgs = append(cfgs, seedRange(base, seeds)...)
+		}
+	}
+	return cfgs
+}
+
+// nfRow opens a grid row with the n, f, runs and ok columns.
+func nfRow(g Group, cells ...string) []string {
+	return append([]string{itoa(g.Key.N), itoa(g.Key.F), itoa(g.Runs()), itoa(g.OKs())}, cells...)
 }

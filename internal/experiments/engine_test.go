@@ -12,9 +12,12 @@ import (
 // tables are byte-identical whether units run sequentially, on 1 worker, or
 // on 8 workers with arbitrary interleavings. A sample of cheap experiments
 // keeps the test fast while covering RNG-drawing grids (E1, E8), per-unit
-// rows (E7, E9, E10), and cross-row finalizers (E14).
+// rows (E7, E9, E10), cross-row finalizers (E14), each shared run shape —
+// consensus outcome (E1), heartbeat history (E13), replicated log with a
+// folded per-unit registry (E17, E18) — and a row that spans both
+// contestants of a hunt (Q4).
 func TestRunAllDeterministic(t *testing.T) {
-	ids := []string{"E1", "E7", "E8", "E9", "E10", "E14", "E15", "Q7"}
+	ids := []string{"E1", "E7", "E8", "E9", "E10", "E13", "E14", "E15", "E17", "E18", "Q4", "Q7"}
 	render := func(tables []Table) string {
 		var b bytes.Buffer
 		for _, tb := range tables {

@@ -200,36 +200,35 @@ const (
 // declaring "it blocked", so raising it would just burn time.
 func blockBudget(ticks int) int { return -ticks }
 
-// runConsensus drives a consensus automaton on the scale's substrate until
-// every correct process decides (or maxSteps). On "sim" (the default) it
-// reproduces the historical fair-scheduled execution exactly, so the sim
-// tables stay byte-identical. A negative maxSteps (see blockBudget) means
-// "exactly that many ticks, even on a concurrent substrate".
-func runConsensus(sc Scale, aut model.Automaton, pattern *model.FailurePattern, hist model.History, seed int64, maxSteps int) (consensusRun, error) {
+// run drives aut on the scale's substrate until every correct process
+// decides or maxSteps ticks pass. On a concurrent substrate a budget below
+// floor is raised to floor (see concurrentBudgetFloor); a negative maxSteps
+// (see blockBudget) means "exactly that many ticks" on every substrate.
+func (sc Scale) run(aut model.Automaton, pattern *model.FailurePattern, hist model.History, seed int64, maxSteps, floor int) (*substrate.Result, error) {
 	sub, err := sc.substrate()
 	if err != nil {
-		return consensusRun{}, err
+		return nil, err
 	}
-	exact := maxSteps < 0
-	if exact {
+	if maxSteps < 0 {
 		maxSteps = -maxSteps
+	} else if !sub.Deterministic() {
+		maxSteps = max(maxSteps, floor)
 	}
-	if !sub.Deterministic() && !exact {
-		floor := concurrentBudgetFloor
-		if perN := aut.N() * concurrentBudgetPerProc; perN > floor {
-			floor = perN
-		}
-		if maxSteps < floor {
-			maxSteps = floor
-		}
-	}
-	res, err := sub.Run(context.Background(), aut, hist, pattern, substrate.Options{
+	return sub.Run(context.Background(), aut, hist, pattern, substrate.Options{
 		Seed:            seed,
 		MaxSteps:        maxSteps,
 		StopWhenDecided: true,
 		Bus:             sc.Bus,
 		Metrics:         sc.Metrics,
 	})
+}
+
+// runConsensus drives a consensus automaton on the scale's substrate until
+// every correct process decides (or maxSteps). On "sim" (the default) it
+// reproduces the historical fair-scheduled execution exactly, so the sim
+// tables stay byte-identical.
+func runConsensus(sc Scale, aut model.Automaton, pattern *model.FailurePattern, hist model.History, seed int64, maxSteps int) (consensusRun, error) {
+	res, err := sc.run(aut, pattern, hist, seed, maxSteps, max(concurrentBudgetFloor, aut.N()*concurrentBudgetPerProc))
 	if err != nil {
 		return consensusRun{}, err
 	}

@@ -68,36 +68,48 @@ func TestExperimentsMDCoverage(t *testing.T) {
 	}
 }
 
-// TestFastExperimentsPass runs the cheap experiments end to end; the
-// expensive DAG-extraction ones run in short form only when -short is not
-// set.
-func TestFastExperimentsPass(t *testing.T) {
-	fast := []string{"E1", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E18", "Q1", "Q2", "Q5", "Q7"}
-	for _, id := range fast {
-		id := id
+// speed classifies every registered experiment for the two pass tests:
+// the slow ones (DAG extraction, long hunts, exhaustive search) are
+// skipped under -short.
+var speed = map[string]string{
+	"E1": "fast", "E2": "slow", "E3": "slow", "E4": "slow", "E5": "slow", "E6": "slow",
+	"E7": "fast", "E8": "fast", "E9": "fast", "E10": "fast", "E11": "fast", "E12": "fast",
+	"E13": "fast", "E14": "fast", "E15": "fast", "E16": "slow", "E17": "fast", "E18": "fast",
+	"Q1": "fast", "Q2": "fast", "Q3": "slow", "Q4": "slow", "Q5": "fast", "Q6": "slow", "Q7": "fast",
+}
+
+// runClaims runs every registered experiment of one speed at the tiny
+// scale and requires its claim to hold; an unclassified ID fails.
+func runClaims(t *testing.T, want string) {
+	for _, id := range IDs() {
+		s, ok := speed[id]
+		if !ok {
+			t.Errorf("%s is classified neither fast nor slow in speed", id)
+		}
+		if s != want {
+			continue
+		}
 		t.Run(id, func(t *testing.T) {
-			table := Registry[id].Run(tiny)
-			if !table.Pass {
+			if want == "slow" {
+				t.Parallel()
+			}
+			if table := Registry[id].Run(tiny); !table.Pass {
 				t.Fatalf("%s failed:\n%s", id, table.Render())
 			}
 		})
 	}
 }
 
+// TestFastExperimentsPass runs the cheap experiments end to end.
+func TestFastExperimentsPass(t *testing.T) { runClaims(t, "fast") }
+
+// TestSlowExperimentsPass runs the expensive ones, in parallel, unless
+// -short is set.
 func TestSlowExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping DAG-extraction experiments in -short mode")
 	}
-	slow := []string{"E2", "E3", "E6", "Q6", "E16"}
-	for _, id := range slow {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			table := Registry[id].Run(tiny)
-			if !table.Pass {
-				t.Fatalf("%s failed:\n%s", id, table.Render())
-			}
-		})
-	}
+	runClaims(t, "slow")
 }
 
 func TestTableRender(t *testing.T) {

@@ -14,11 +14,11 @@ import (
 // TestProbeContamination is a diagnostic: it traces the naive algorithm
 // under the contamination adversary for a few seeds.
 func TestProbeContamination(t *testing.T) {
-	adv := contaminationAdversary{n: 3, misleader: 2, period: 40, stabilize: 280}
+	adv := e6Adversary
 	for seed := int64(1); seed <= 6; seed++ {
 		pattern := adv.pattern()
 		props := []int{0, 0, 1}
-		hist := adv.sigmaNuHistory(pattern, seed)
+		hist := adv.history(pattern, seed)
 		aut := consensus.NewMRNaiveNu(props)
 		decisions := obs.NewCollector(obs.KindDecide)
 		res, err := sim.Run(sim.Exec{
