@@ -75,10 +75,12 @@ func TestHotPathAllocs(t *testing.T) {
 		{"WireEncode/heartbeat", 100, 0, wireEncodeOp("heartbeat")},
 		{"WireEncode/lead-hist", 100, 0, wireEncodeOp("lead-hist")},
 		{"WireEncode/lead-delta", 100, 0, wireEncodeOp("lead-delta")},
+		{"WireEncode/bundle", 100, 0, wireEncodeOp("bundle")},
 		{"WireEncode/dag64", 100, 0, wireEncodeOp("dag64")},
 		{"WireDecode/heartbeat", 100, 0, wireDecodeOp("heartbeat")},
 		{"WireDecode/report", 100, 1, wireDecodeOp("report")},
 		{"WireDecode/lead-delta", 100, 3, wireDecodeOp("lead-delta")},
+		{"WireDecode/bundle", 100, 7, wireDecodeOp("bundle")},
 		{"WireDecode/dag64", 100, 92, wireDecodeOp("dag64")},
 		{"WirePeek", 100, 0, wirePeekOp},
 		{"Inbox/put-take", 100, 0, inboxPutTakeOp},
@@ -93,8 +95,8 @@ func TestHotPathAllocs(t *testing.T) {
 		{"ServeBatch/apply8x8", 100, 90, apply8x8Op},
 		{"SessionDedup/hit", 100, 0, dedupHitOp},
 		{"SessionDedup/record320", 100, 18, record320Op},
-		{"LogLongRun/shared", 20, 5929, logShared.op(new(int))},
-		{"LogLongRun/shared-crash", 20, 21461, logSharedCrash.op(new(int))},
+		{"LogLongRun/shared", 20, 5839, logShared.op(new(int))},
+		{"LogLongRun/shared-crash", 20, 20566, logSharedCrash.op(new(int))},
 		// Concurrent workers make this count vary by ±60.
 		{"ExploreFrontier", 1, 1275044, exploreFrontierOp(new(explore.Result))},
 	} {

@@ -115,7 +115,9 @@ func BenchmarkSimStep(b *testing.B) {
 // the minimal heartbeat (the highest-frequency small frame), a REPORT (a
 // small consensus payload), a LEAD with full quorum histories, a
 // slot-wrapped LEAD carrying an incremental history delta (the
-// steady-state frame of the shared-store replicated log), and a 64-node
+// steady-state frame of the shared-store replicated log), that LEAD bundled
+// with a progress announcement and the slot's REP (what one step of the log
+// sends one peer), and a 64-node
 // DAG snapshot (the CHT-style gossip heavyweight whose cost dominates E2).
 func benchPayload(name string) model.Payload {
 	switch name {
@@ -138,6 +140,13 @@ func benchPayload(name string) model.Payload {
 				{R: 3, Q: model.SetOf(1, 3)},
 			},
 		}}}
+	case "bundle":
+		lead := benchPayload("lead-delta").(rsm.SlotPayload)
+		return rsm.Bundle{
+			rsm.ProgressPayload{Slot: lead.Slot},
+			lead,
+			rsm.SlotPayload{Slot: lead.Slot, Inner: consensus.ReportPayload{K: 3, V: 1}},
+		}
 	case "dag64":
 		return benchGraphPayload(64)
 	}
@@ -197,14 +206,14 @@ func wirePeekOp(tb testing.TB) func() {
 
 // BenchmarkWireEncode measures payload → frame encoding per payload kind.
 func BenchmarkWireEncode(b *testing.B) {
-	for _, name := range []string{"heartbeat", "lead-hist", "lead-delta", "dag64"} {
+	for _, name := range []string{"heartbeat", "lead-hist", "lead-delta", "bundle", "dag64"} {
 		b.Run(name, func(b *testing.B) { benchOp(b, wireEncodeOp(name)) })
 	}
 }
 
 // BenchmarkWireDecode measures frame → message decoding per payload kind.
 func BenchmarkWireDecode(b *testing.B) {
-	for _, name := range []string{"heartbeat", "report", "lead-delta", "dag64"} {
+	for _, name := range []string{"heartbeat", "report", "lead-delta", "bundle", "dag64"} {
 		b.Run(name, func(b *testing.B) { benchOp(b, wireDecodeOp(name)) })
 	}
 }

@@ -30,10 +30,11 @@ const e17N = 5
 // few slots decide in round 1, and a decided instance holds the next
 // round's LEAD until somebody is heard there (rsm stepInstance), so such a
 // slot costs one round of traffic, none of it to the sender itself (rsm
-// loopback) — 67.0 measured at 64 slots; 78.7 with the self-sends counted,
-// 117 when the round after the decision was still sent, 267 when every slot
-// also paid its own SAW/ACK round trip.
-const e17MsgsPerSlotCap = 75
+// loopback), and what one step sends one peer is one bundle (rsm Pack) —
+// 61.0 measured at 64 slots; 67.0 with one message per payload, 78.7 with
+// the self-sends counted too, 117 when the round after the decision was
+// still sent, 267 when every slot also paid its own SAW/ACK round trip.
+const e17MsgsPerSlotCap = 68
 
 var e17SlotsGrid = []int{4, 8, 16, 64}
 

@@ -254,10 +254,11 @@ func runLog(sc Scale, aut model.Automaton, pattern *model.FailurePattern, hist m
 	return res, err
 }
 
-// logMeter wraps a replicated-log automaton with measurement taps: sends,
-// the history share of their encoded size (encoded minus the same payload
-// with its delta frame stripped, through the real wire codec), and the
-// high-water history-store entries of any process. The substrate steps
+// logMeter wraps a replicated-log automaton with measurement taps: sends
+// (a bundle is one), the history share of their encoded size (per item,
+// encoded minus the same payload with its delta frame stripped, through the
+// real wire codec), and the high-water history-store entries of any
+// process. The substrate steps
 // processes from independent goroutines on the concurrent backends, so the
 // taps are atomics; they are per-unit, so the recorded numbers stay
 // deterministic on sim at any engine worker count.
@@ -272,14 +273,20 @@ func (a *logMeter) Step(p model.ProcessID, s model.State, m *model.Message, d mo
 	ns, sends := a.Automaton.Step(p, s, m, d)
 	var hist int64
 	for _, snd := range sends {
-		stripped := historyFree(snd.Payload)
-		if stripped == nil {
-			continue
+		items, bundled := snd.Payload.(rsm.Bundle)
+		if !bundled {
+			items = rsm.Bundle{snd.Payload}
 		}
-		b, err := wire.EncodePayload(snd.Payload)
-		sb, serr := wire.EncodePayload(stripped)
-		if err == nil && serr == nil {
-			hist += int64(len(b) - len(sb))
+		for _, pl := range items {
+			stripped := historyFree(pl)
+			if stripped == nil {
+				continue
+			}
+			b, err := wire.EncodePayload(pl)
+			sb, serr := wire.EncodePayload(stripped)
+			if err == nil && serr == nil {
+				hist += int64(len(b) - len(sb))
+			}
 		}
 	}
 	a.msgs.Add(int64(len(sends)))

@@ -37,24 +37,50 @@ type link struct {
 	conn net.Conn
 }
 
-// writeFrame sends one length-prefixed message; errors after the peer
-// crashed are expected and swallowed by the caller.
+// frameHole is the room a frame's buffer keeps in front of the encoded
+// message for its varint length prefix, so that the prefix and the message
+// leave in one Write.
+const frameHole = binary.MaxVarintLen64
+
+// appendFrame encodes m into buf behind a frameHole-byte hole for the
+// length prefix and returns the extended buffer, ready for writeFrame.
+func appendFrame(buf []byte, m *model.Message) ([]byte, error) {
+	return wire.AppendMessage(append(buf[:0], make([]byte, frameHole)...), m)
+}
+
+// writeFrame sends one length-prefixed message with one Write: b is an
+// encoded message behind a frameHole-byte hole (appendFrame), and the
+// length goes into the hole right-aligned against the message. Errors
+// after the peer crashed are expected and swallowed by the caller.
 func (l *link) writeFrame(b []byte, sent *atomic.Int64) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(b)))
+	var hdr [frameHole]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(b)-frameHole))
+	frame := b[frameHole-n:]
+	copy(frame, hdr[:n])
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.conn == nil {
 		return errors.New("netrun: link closed")
 	}
-	if _, err := l.conn.Write(hdr[:n]); err != nil {
+	if _, err := l.conn.Write(frame); err != nil {
 		return err
 	}
-	if _, err := l.conn.Write(b); err != nil {
-		return err
-	}
-	sent.Add(int64(n + len(b)))
+	sent.Add(int64(len(frame)))
 	return nil
+}
+
+// readFrame reads one length-prefixed frame into a buffer leased from the
+// wire pool: the reader's half of writeFrame.
+func readFrame(r *bufio.Reader) ([]byte, error) {
+	size, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	frame := wire.GetBuf(int(size))[:size]
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return nil, err
+	}
+	return frame, nil
 }
 
 func (l *link) close() {
@@ -259,13 +285,9 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 					}
 					defer flush()
 					for {
-						size, err := binary.ReadUvarint(r)
+						frame, err := readFrame(r)
 						if err != nil {
 							return // closed or crashed peer
-						}
-						frame := wire.GetBuf(int(size))[:size]
-						if _, err := io.ReadFull(r, frame); err != nil {
-							return
 						}
 						head, err := wire.PeekMessage(frame)
 						if err != nil {
@@ -330,7 +352,7 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 			}
 			// Encode into a pooled buffer; the frame is dead once written
 			// to the socket, so it goes straight back to the pool.
-			frame, err := wire.AppendMessage(wire.GetBuf(64), out)
+			frame, err := appendFrame(wire.GetBuf(64+frameHole), out)
 			if err != nil {
 				panic(fmt.Sprintf("netrun: unencodable payload: %v", err))
 			}

@@ -75,7 +75,7 @@ func TestAckStampedWithWindowTop(t *testing.T) {
 	saw := &model.Message{From: 1, To: 0, Seq: 1, Payload: SlotPayload{Slot: 1, Inner: consensus.SawPayload{Q: q}}}
 	ns, sends := aut.Step(0, st, saw, d)
 	var acks []AckStampPayload
-	for _, snd := range sends {
+	for _, snd := range Flatten(sends) {
 		if sp, ok := snd.Payload.(SlotPayload); ok {
 			if ack, ok := sp.Inner.(AckStampPayload); ok && snd.To == 1 && sp.Slot == 1 {
 				acks = append(acks, ack)
@@ -259,14 +259,23 @@ type zeroStamps struct{ model.Automaton }
 
 func (z zeroStamps) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
 	if m != nil {
-		if sp, ok := m.Payload.(SlotPayload); ok {
-			if ack, ok := sp.Inner.(AckStampPayload); ok {
-				ack.Stamp = 0
-				cp := *m
-				cp.Payload = SlotPayload{Slot: sp.Slot, Inner: ack}
-				m = &cp
+		var items Bundle
+		for _, snd := range Flatten([]model.Send{{To: p, Payload: m.Payload}}) {
+			pl := snd.Payload
+			if sp, ok := pl.(SlotPayload); ok {
+				if ack, ok := sp.Inner.(AckStampPayload); ok {
+					ack.Stamp = 0
+					pl = SlotPayload{Slot: sp.Slot, Inner: ack}
+				}
 			}
+			items = append(items, pl)
 		}
+		cp := *m
+		cp.Payload = items
+		if len(items) == 1 {
+			cp.Payload = items[0]
+		}
+		m = &cp
 	}
 	return z.Automaton.Step(p, s, m, d)
 }

@@ -1,0 +1,86 @@
+// Bundles: the payloads one outer step sends to one peer travel as one
+// message. The substrates charge a receiver one step per message, and an
+// outer step is already a finite run of inner steps under one FD value
+// (drain, loopback), so a peer may take k payloads that left one step
+// together as k inner steps of one receive. Per-link FIFO order is kept
+// inside the bundle — its items are in emission order, and Step takes them
+// in that order — so the per-destination delta chain (wrapShared) and every
+// other ordering the log relies on is what it was with k messages.
+// DESIGN.md §10 "Bundles" has the argument.
+package rsm
+
+import (
+	"strings"
+
+	"nuconsensus/internal/model"
+)
+
+// Bundle is the payloads one outer step sends to one peer, in emission
+// order, carried as one model.Send (Pack). It never nests, and it never
+// supersedes: a PRGR inside one is taken, not collapsed.
+type Bundle []model.Payload
+
+// Kind implements model.Payload.
+func (Bundle) Kind() string { return "BNDL" }
+
+// String implements model.Payload.
+func (b Bundle) String() string {
+	parts := make([]string, len(b))
+	for i, pl := range b {
+		parts[i] = pl.String()
+	}
+	return "BNDL[" + strings.Join(parts, " ") + "]"
+}
+
+// Pack folds a step's sends into one per destination: a destination sent
+// one payload keeps it bare, and one sent several gets a Bundle of them in
+// emission order, at the place of its first send. Bundles among the sends
+// are flattened into their destination's, so a layer above the log can pack
+// its own sends together with the log's packed ones. When no destination
+// repeats, sends is returned untouched; otherwise the result reuses its
+// backing array, and each Bundle is one allocation of exactly its size.
+func Pack(sends []model.Send) []model.Send {
+	var seen, repeated model.ProcessSet
+	for _, snd := range sends {
+		if seen.Has(snd.To) {
+			repeated = repeated.Add(snd.To)
+		}
+		seen = seen.Add(snd.To)
+	}
+	if repeated.IsEmpty() {
+		return sends
+	}
+	var size [model.MaxProcesses]int
+	for _, snd := range sends {
+		if b, ok := snd.Payload.(Bundle); ok {
+			size[snd.To] += len(b)
+		} else {
+			size[snd.To]++
+		}
+	}
+	var bundles [model.MaxProcesses]Bundle
+	packed := sends[:0] // never ahead of the range below: one send out per send in at most
+	for _, snd := range sends {
+		if !repeated.Has(snd.To) {
+			packed = append(packed, snd)
+			continue
+		}
+		b := bundles[snd.To]
+		if b == nil {
+			b = make(Bundle, 0, size[snd.To])
+			packed = append(packed, model.Send{To: snd.To}) // filled in below
+		}
+		if inner, ok := snd.Payload.(Bundle); ok {
+			b = append(b, inner...)
+		} else {
+			b = append(b, snd.Payload)
+		}
+		bundles[snd.To] = b
+	}
+	for i := range packed {
+		if packed[i].Payload == nil {
+			packed[i].Payload = bundles[packed[i].To]
+		}
+	}
+	return packed
+}

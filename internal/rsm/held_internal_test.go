@@ -99,15 +99,27 @@ func TestHeldLeadReleasedOnWake(t *testing.T) {
 			t.Fatalf("p3 never reached a round p0 holds: %s", DebugState(net.st[lag]))
 		}
 		if q := net.inbox[0]; len(q) > 0 {
-			sp, _ := q[0].Payload.(SlotPayload) // CMD and PRGR fall through to a plain step
-			if lead, ok := sp.Inner.(consensus.LeadDeltaPayload); ok && lead.K == heldRound(p0, sp.Slot) {
-				slot, round = sp.Slot, lead.K
+			var lead consensus.LeadDeltaPayload
+			leadSlot, sawSlot := -1, -1
+			for _, item := range Flatten([]model.Send{{To: 0, Payload: q[0].Payload}}) {
+				sp, _ := item.Payload.(SlotPayload) // CMD and PRGR fall through to a plain step
+				switch inner := sp.Inner.(type) {
+				case consensus.LeadDeltaPayload:
+					if inner.K == heldRound(p0, sp.Slot) {
+						lead, leadSlot = inner, sp.Slot
+					}
+				case consensus.SawPayload:
+					sawSlot = sp.Slot
+				}
+			}
+			if leadSlot >= 0 {
+				slot, round = leadSlot, lead.K
 				break
 			}
-			if _, saw := sp.Inner.(consensus.SawPayload); saw {
+			if sawSlot >= 0 {
 				out := net.step(0)
-				if len(out) != 1 || out[0].To != lag || heldRound(p0, sp.Slot) == 0 {
-					t.Fatalf("p0 answered p3's SAW with %v and holds round %d: want the one ACK and the LEAD still held", out, heldRound(p0, sp.Slot))
+				if len(out) != 1 || out[0].To != lag || heldRound(p0, sawSlot) == 0 {
+					t.Fatalf("p0 answered p3's SAW with %v and holds round %d: want the one ACK and the LEAD still held", out, heldRound(p0, sawSlot))
 				}
 				continue
 			}
@@ -118,18 +130,23 @@ func TestHeldLeadReleasedOnWake(t *testing.T) {
 	}
 
 	// p0's own copy of the held LEAD is delivered inside the step (loopback),
-	// so the n − 1 copies to its peers lead the step's sends.
+	// so the copy to each of its peers leads what the step sends that peer.
 	sentVer := append([]uint64(nil), p0.sentVer...)
 	out := net.step(0)
-	if len(out) < n-1 {
-		t.Fatalf("waking step sent %d messages, want at least the %d of the held LEAD to p0's peers", len(out), n-1)
+	first := map[model.ProcessID]model.Payload{}
+	for _, snd := range Flatten(out) {
+		if _, ok := first[snd.To]; !ok {
+			first[snd.To] = snd.Payload
+		}
 	}
-	for i := 0; i < n-1; i++ {
-		to := model.ProcessID(i + 1)
-		sp, _ := out[i].Payload.(SlotPayload)
+	if len(first) != n-1 {
+		t.Fatalf("waking step sent to %d peers, want the held LEAD to all %d of p0's", len(first), n-1)
+	}
+	for to := model.ProcessID(1); to < n; to++ {
+		sp, _ := first[to].(SlotPayload)
 		lead, ok := sp.Inner.(consensus.LeadDeltaPayload)
-		if !ok || sp.Slot != slot || lead.K != round || out[i].To != to {
-			t.Fatalf("send %d of the waking step is %v to %v, want slot %d's LEAD(%d) to p%d first", i, out[i].Payload, out[i].To, slot, round, to)
+		if !ok || sp.Slot != slot || lead.K != round {
+			t.Fatalf("the waking step's first send to p%d is %v, want slot %d's LEAD(%d)", to, first[to], slot, round)
 		}
 		if lead.Delta.Base != sentVer[to] || lead.Delta.To != p0.store.v.Version() {
 			t.Errorf("released LEAD to p%d carries delta %d→%d, want %d→%d (the link's version at release)",
@@ -280,16 +297,17 @@ func TestHeldLeadReleasedWhenRoundMovesOn(t *testing.T) {
 	// p2, still in round 1, announces its quorum: the step acknowledges, and
 	// its advance finds the leader's LEAD(2) waiting. p0's own copies of the
 	// LEAD and the REP loop back inside the step (loopback), where the quiet
-	// gate defers them: only p0's peers are sent anything.
+	// gate defers them: only p0's peers are sent anything, each in the order
+	// the step emitted it.
 	out := step(2, consensus.SawPayload{Q: q})
-	var kinds []string
-	for _, snd := range out {
+	kinds := map[model.ProcessID][]string{}
+	for _, snd := range Flatten(out) {
 		if sp, ok := snd.Payload.(SlotPayload); ok && sp.Slot == slot {
-			kinds = append(kinds, sp.Kind())
+			kinds[snd.To] = append(kinds[snd.To], sp.Kind())
 		}
 	}
-	if want := []string{"LEADD", "LEADD", "SACK", "REP", "REP"}; !reflect.DeepEqual(kinds, want) {
-		t.Fatalf("slot-%d sends of the step = %v, want %v", slot, kinds, want)
+	if want := map[model.ProcessID][]string{1: {"LEADD", "REP"}, 2: {"LEADD", "SACK", "REP"}}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("slot-%d sends of the step per peer = %v, want %v", slot, kinds, want)
 	}
 	if heldRound(st, slot) != 0 || !st.isQuiet(slot) {
 		t.Errorf("slot %d holds round %d, quiet = %v: want nothing held and still quiet (p2 was only heard at round 1)", slot, heldRound(st, slot), st.isQuiet(slot))

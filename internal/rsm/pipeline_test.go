@@ -230,11 +230,12 @@ func TestInject(t *testing.T) {
 	}
 	// First step performs the announce, forwarding the injected command. It
 	// also steps slot 0's instance, whose own LEAD is delivered inside the
-	// step, so A_nuc reads Ω and Σν+ from a real pair value.
+	// step, so A_nuc reads Ω and Σν+ from a real pair value; the CMD travels
+	// to each peer bundled with that LEAD.
 	d := fd.PairValue{First: fd.LeaderValue{Leader: 1}, Second: fd.QuorumValue{Quorum: model.FullSet(3)}}
 	st, out := aut.Step(0, st, nil, d)
 	var cmdSends int
-	for _, s := range out {
+	for _, s := range rsm.Flatten(out) {
 		if c, ok := s.Payload.(rsm.CommandPayload); ok {
 			if c.Cmd != 7 {
 				t.Fatalf("announced command %d, want 7", c.Cmd)

@@ -143,16 +143,18 @@ func TestQuietLaggardCatchesUp(t *testing.T) {
 	// The run is deterministic, so its deferral books are pinned to the
 	// digit: a change that moves any of them changed what the log delivers,
 	// defers or holds — not merely where it keeps it. (Delivering each
-	// process's own messages inside its step ends the run at step 2510, not
+	// process's own messages inside its step ended the run at step 2510, not
 	// 3267, with the fast three one slot short of retiring p3's last
-	// progress: the retired, entered and held counts are lower for it, and
-	// the parked, woken and released ones did not move.)
+	// progress. Sending each peer one bundle per step ends it at step 2052,
+	// a schedule in which p0 and p2 have taken p3's PRGR(11) by then and
+	// retired slot 10: the retired, entered and held counts are higher for
+	// it, and the parked, woken and released ones did not move.)
 	for name, want := range map[string]int64{
 		"rsm.parked_msgs": 90, "rsm.parked_replayed": 90,
 		"rsm.quiet_parked": 0, "rsm.quiet_replayed": 0,
-		"rsm.quiet_enter": 115, "rsm.quiet_wake": 72, "rsm.quiet_retired": 38,
-		"rsm.quiet_held": 460, "rsm.quiet_released": 288,
-		"rsm.instances_opened": 48, "rsm.instances_retired": 42,
+		"rsm.quiet_enter": 118, "rsm.quiet_wake": 72, "rsm.quiet_retired": 44,
+		"rsm.quiet_held": 472, "rsm.quiet_released": 288,
+		"rsm.instances_opened": 48, "rsm.instances_retired": 44,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -244,12 +246,14 @@ type sendTap struct {
 
 func (a *sendTap) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
 	if m != nil && m.From == a.zombie {
-		if sp, ok := m.Payload.(rsm.SlotPayload); ok && sp.Slot == 0 && sp.Kind() == "LEADD" {
-			a.heardLead = true
+		for _, item := range rsm.Flatten([]model.Send{{To: p, Payload: m.Payload}}) {
+			if sp, ok := item.Payload.(rsm.SlotPayload); ok && sp.Slot == 0 && sp.Kind() == "LEADD" {
+				a.heardLead = true
+			}
 		}
 	}
 	ns, out := a.Automaton.Step(p, s, m, d)
-	for _, snd := range out {
+	for _, snd := range rsm.Flatten(out) {
 		if sp, ok := snd.Payload.(rsm.SlotPayload); ok {
 			a.lastAny = a.step
 			if sp.Slot == 0 {
@@ -334,7 +338,7 @@ type roundTap struct {
 
 func (a *roundTap) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
 	ns, out := a.Automaton.Step(p, s, m, d)
-	for _, snd := range out {
+	for _, snd := range rsm.Flatten(out) {
 		if sp, ok := snd.Payload.(rsm.SlotPayload); ok {
 			// Slot-wrapped ACKs travel as AckStampPayload, which has no round
 			// here: only the three phase messages count.

@@ -45,7 +45,9 @@
 // and the process's own, which never leaves the step (loopback); each queue
 // is filled in one place and emptied in one place, and both only ever delay
 // what the asynchronous model lets be delayed (§2.4). window.go opens,
-// harvests, appends and retires the records.
+// harvests, appends and retires the records. What one step sends one peer
+// leaves as one message (bundle.go), and Step takes a bundle's items in the
+// order they were sent.
 //
 // The quorum histories H_p (Fig. 5) are kept once per process, not once
 // per slot instance: every instance of a process reads and writes the one
@@ -325,28 +327,23 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	st := s.(*logState)
 	var out []model.Send
 
-	// Deliver the received message to its slot's instance, if the gate lets
-	// it through.
+	// Take the received message — each item of a bundle in turn, in the
+	// order they were sent — delivering slot messages to their instances if
+	// the gate lets them through.
 	var currentGotMsg bool
 	if m != nil {
-		switch pl := m.Payload.(type) {
-		case CommandPayload:
-			st.learnCommand(pl.Cmd)
-		case ProgressPayload:
-			if pl.Slot > st.progress[m.From] {
-				st.progress[m.From] = pl.Slot
-				st.retire(a)
-				// A process passing a slot can only remove a reason to stay
-				// up, so every transition here is into quiet — backwards,
-				// because settle removes the entry it puts to sleep.
-				for i := len(st.awake) - 1; i >= 0; i-- {
-					st.settle(a, st.awake[i], d)
-				}
+		items, bundled := m.Payload.(Bundle)
+		if !bundled {
+			items = Bundle{m.Payload}
+		}
+		for _, pl := range items {
+			sends, current := st.take(a, m.From, m.Seq, pl, d)
+			if out == nil { // a bare message's sends, uncopied
+				out = sends
+			} else {
+				out = append(out, sends...)
 			}
-		case SlotPayload:
-			out, currentGotMsg = st.receive(a, m.From, m.Seq, pl, d)
-		default:
-			panic(fmt.Sprintf("rsm: unknown payload %T", m.Payload))
+			currentGotMsg = currentGotMsg || current
 		}
 	}
 
@@ -386,7 +383,33 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	out = st.loopback(a, out, d)
 	st.compactStore(a.metrics)
 
-	return st, out
+	return st, Pack(out)
+}
+
+// take is Step's receive switch for one payload: a bare message's, or one
+// item of a bundle. It returns what taking it sends and whether it was a
+// slot message that reached an instance at or above the frontier.
+func (s *logState) take(a *Log, from model.ProcessID, seq uint64, pl model.Payload, d model.FDValue) ([]model.Send, bool) {
+	switch pl := pl.(type) {
+	case CommandPayload:
+		s.learnCommand(pl.Cmd)
+	case ProgressPayload:
+		if pl.Slot > s.progress[from] {
+			s.progress[from] = pl.Slot
+			s.retire(a)
+			// A process passing a slot can only remove a reason to stay up,
+			// so every transition here is into quiet — backwards, because
+			// settle removes the entry it puts to sleep.
+			for i := len(s.awake) - 1; i >= 0; i-- {
+				s.settle(a, s.awake[i], d)
+			}
+		}
+	case SlotPayload:
+		return s.receive(a, from, seq, pl, d)
+	default:
+		panic(fmt.Sprintf("rsm: unknown payload %T", pl))
+	}
+	return nil, false
 }
 
 // receive is the one receive path of a slot message, whoever sent it: a

@@ -198,9 +198,12 @@ func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 	// the log (which panics on kinds it does not know — keep it that way).
 	fwd := m
 	if m != nil {
-		if bp, ok := m.Payload.(BatchPayload); ok {
-			r.appliers[int(p)].PutBody(bp.ID, bp.Cmds)
+		switch pl := m.Payload.(type) {
+		case BatchPayload:
+			r.appliers[int(p)].PutBody(pl.ID, pl.Cmds)
 			fwd = nil
+		case rsm.Bundle:
+			fwd = r.takeBodies(p, m, pl)
 		}
 	}
 
@@ -238,7 +241,39 @@ func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 		st.lastFloor = floor
 		r.appliers[int(p)].Compact(floor)
 	}
-	return st, out
+	// One message per peer: the bodies and commands join the log's bundles.
+	return st, rsm.Pack(out)
+}
+
+// takeBodies stores the batch bodies a bundle carries and returns what is
+// left of the message for the log: m itself if it carries none, nil if it
+// carries nothing else (a λ step, as for a bare BATCH).
+func (r *Replica) takeBodies(p model.ProcessID, m *model.Message, b rsm.Bundle) *model.Message {
+	var rest rsm.Bundle
+	split := false
+	for i, pl := range b {
+		bp, ok := pl.(BatchPayload)
+		if !ok {
+			if split {
+				rest = append(rest, pl)
+			}
+			continue
+		}
+		if !split {
+			split = true
+			rest = append(make(rsm.Bundle, 0, len(b)-1), b[:i]...)
+		}
+		r.appliers[int(p)].PutBody(bp.ID, bp.Cmds)
+	}
+	switch {
+	case !split:
+		return m
+	case len(rest) == 0:
+		return nil
+	}
+	fwd := *m
+	fwd.Payload = rest
+	return &fwd
 }
 
 // injectSpans emits one inject span per member command the moment its

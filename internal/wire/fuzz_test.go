@@ -38,6 +38,14 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	b, err := wire.EncodePayload(sampleBundle())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	for _, b := range bundleRejects(f) {
+		f.Add(b)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x01, 0x02})
 

@@ -4,6 +4,8 @@
 // deterministic and self-describing at the payload level:
 //
 //	payload  := kindTag … (per-kind body)
+//	outer    := payload | bundleTag item item item*   (items run to the end)
+//	item     := payload, or a slot's inner payload when the slot item before it has its slot
 //	fdvalue  := valueTag … (leader | quorum | suspects | pair | null)
 //	varint   := unsigned LEB128 (encoding/binary Uvarint)
 //
@@ -52,6 +54,7 @@ const (
 	tagServeRequest
 	tagServeReply
 	tagAckStamp
+	tagBundle
 )
 
 // Failure-detector value tags.
@@ -128,7 +131,7 @@ func EncodePayload(pl model.Payload) ([]byte, error) {
 // convenience wrapper that starts from nil.
 func AppendPayload(dst []byte, pl model.Payload) ([]byte, error) {
 	w := buf{b: dst}
-	if err := encodePayload(&w, pl); err != nil {
+	if err := encodeOuter(&w, pl); err != nil {
 		return dst, err
 	}
 	return w.b, nil
@@ -287,7 +290,7 @@ func decodeCommand(r *buf) (serve.Command, error) {
 // DecodePayload parses a payload produced by EncodePayload.
 func DecodePayload(b []byte) (model.Payload, error) {
 	r := &buf{b: b}
-	pl, err := decodePayload(r)
+	pl, err := decodeOuter(r)
 	if err != nil {
 		return nil, err
 	}
@@ -549,6 +552,95 @@ func decodePayload(r *buf) (model.Payload, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown payload tag %d", tag)
 	}
+}
+
+// encodeOuter writes a payload in the one position a bundle may take: the
+// whole payload of a frame. Everywhere below it encodePayload rejects one.
+func encodeOuter(w *buf, pl model.Payload) error {
+	if b, ok := pl.(rsm.Bundle); ok {
+		return encodeBundle(w, b)
+	}
+	return encodePayload(w, pl)
+}
+
+func decodeOuter(r *buf) (model.Payload, error) {
+	if r.pos < len(r.b) && r.b[r.pos] == tagBundle {
+		r.pos++
+		return decodeBundle(r)
+	}
+	return decodePayload(r)
+}
+
+// elidable reports whether a bundled slot item may drop its SlotPayload
+// wrapper when it is for the same slot as the slot item before it: its inner
+// payload is one of the five kinds the log sends its peers inside a slot.
+// The decoder reads a bare item of these tags as that slot's.
+func elidable(inner model.Payload) bool {
+	switch inner.(type) {
+	case consensus.LeadDeltaPayload, consensus.ProposalDeltaPayload, consensus.ReportPayload,
+		consensus.SawPayload, rsm.AckStampPayload:
+		return true
+	}
+	return false
+}
+
+// encodeBundle writes tagBundle and then the items back to back, up to the
+// end of the payload: a bundle is always outermost, so it needs no count. A
+// slot item for the slot of the slot item before it travels without its
+// wrapper (elidable). A bundle holds at least two items and never a bundle,
+// and a bare item of an elidable kind has no encoding inside one.
+func encodeBundle(w *buf, b rsm.Bundle) error {
+	if len(b) < 2 {
+		return fmt.Errorf("wire: bundle of %d items", len(b))
+	}
+	w.putByte(tagBundle)
+	slot, inSlot := 0, false
+	for _, pl := range b {
+		switch p := pl.(type) {
+		case rsm.SlotPayload:
+			if inSlot && p.Slot == slot && elidable(p.Inner) {
+				pl = p.Inner
+			}
+			slot, inSlot = p.Slot, true
+		default:
+			if elidable(pl) {
+				return fmt.Errorf("wire: bundled %s outside a slot", pl.Kind())
+			}
+		}
+		if err := encodePayload(w, pl); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeBundle reads a bundle's items (tagBundle already consumed) to the
+// end of the input, putting back the slot wrapper encodeBundle left off.
+func decodeBundle(r *buf) (rsm.Bundle, error) {
+	b := make(rsm.Bundle, 0, 4)
+	slot, inSlot := 0, false
+	for r.pos < len(r.b) {
+		pl, err := decodePayload(r) // rejects tagBundle: bundles do not nest
+		if err != nil {
+			return nil, err
+		}
+		switch p := pl.(type) {
+		case rsm.SlotPayload:
+			slot, inSlot = p.Slot, true
+		default:
+			if elidable(pl) {
+				if !inSlot {
+					return nil, fmt.Errorf("wire: bundled %s before any slot item", pl.Kind())
+				}
+				pl = rsm.SlotPayload{Slot: slot, Inner: pl}
+			}
+		}
+		b = append(b, pl)
+	}
+	if len(b) < 2 {
+		return nil, fmt.Errorf("wire: bundle of %d items", len(b))
+	}
+	return b, nil
 }
 
 // qsetScratch recycles the sort scratch encodeHistories needs to emit each
@@ -867,7 +959,7 @@ func AppendMessage(dst []byte, m *model.Message) ([]byte, error) {
 	w.putInt(int(m.From))
 	w.putInt(int(m.To))
 	w.putUvarint(m.Seq)
-	if err := encodePayload(&w, m.Payload); err != nil {
+	if err := encodeOuter(&w, m.Payload); err != nil {
 		return dst, err
 	}
 	return w.b, nil
@@ -907,6 +999,9 @@ var payloadPrototypes = map[byte]model.Payload{
 	// the delta payloads it must never supersede: the receiver keeps the
 	// smallest stamp per member, so every one has to arrive.
 	tagAckStamp: rsm.AckStampPayload{},
+	// A bundle reports its own kind and never supersedes, whatever it holds:
+	// a PRGR inside one is taken, not collapsed.
+	tagBundle: rsm.Bundle{},
 }
 
 // MessageHead is the envelope of an encoded message: everything a
@@ -997,7 +1092,7 @@ func DecodeMessageInto(m *model.Message, b []byte) error {
 	if err != nil {
 		return err
 	}
-	pl, err := decodePayload(&r)
+	pl, err := decodeOuter(&r)
 	if err != nil {
 		return err
 	}

@@ -269,6 +269,8 @@ func TestRoundTripRSMPayloads(t *testing.T) {
 		rsm.SlotPayload{Slot: 6, Inner: consensus.ProposalDeltaPayload{K: 4, V: 0, HasV: true, Delta: sampleDelta()}},
 		rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: model.SetOf(0, 1, 3), K: 2, Stamp: 10}},
 		rsm.SlotPayload{Slot: 300, Inner: rsm.AckStampPayload{Q: model.SetOf(63), K: 1, Stamp: 1 << 20}},
+		sampleBundle(),
+		rsm.Bundle{rsm.ProgressPayload{Slot: 64}, rsm.SlotPayload{Slot: 64, Inner: consensus.LeadDeltaPayload{K: 1, V: 3, Delta: sampleDelta()}}},
 	}
 	for _, pl := range payloads {
 		b, err := wire.EncodePayload(pl)
@@ -381,5 +383,119 @@ func TestPayloadFrameRoundTrip(t *testing.T) {
 	huge := binary.AppendUvarint(nil, wire.MaxFrameSize+1)
 	if _, err := wire.ReadPayloadFrame(bufio.NewReader(bytes.NewReader(huge))); err == nil {
 		t.Fatal("oversized frame length must be rejected")
+	}
+}
+
+// sampleBundle is what one outer step of a serving replica might send one
+// peer: a batch body and the command naming it, a progress announcement,
+// and slot traffic for slots 70 and 71 (two-byte slot varints) that changes
+// slot, returns to one, and is interrupted by a slot-less item. Three of its
+// slot items follow a slot item of their own slot and travel unwrapped.
+func sampleBundle() rsm.Bundle {
+	return rsm.Bundle{
+		serve.BatchPayload{ID: serve.BatchID(2, 5), Cmds: []serve.Command{{Client: 4, Seq: 9, Op: serve.OpPut, Key: 1, Val: -3}}},
+		rsm.CommandPayload{Cmd: serve.BatchID(2, 5)},
+		rsm.ProgressPayload{Slot: 70},
+		rsm.SlotPayload{Slot: 70, Inner: consensus.LeadDeltaPayload{K: 1, V: 7, Delta: sampleDelta()}},
+		rsm.SlotPayload{Slot: 70, Inner: consensus.ReportPayload{K: 1, V: 7}},
+		rsm.SlotPayload{Slot: 71, Inner: consensus.ProposalDeltaPayload{K: 2, V: 7, HasV: true, Delta: sampleDelta()}},
+		rsm.SlotPayload{Slot: 71, Inner: consensus.SawPayload{Q: model.SetOf(0, 2)}},
+		rsm.CommandPayload{Cmd: 12},
+		rsm.SlotPayload{Slot: 71, Inner: rsm.AckStampPayload{Q: model.SetOf(1, 2), K: 2, Stamp: 72}},
+		rsm.SlotPayload{Slot: 70, Inner: consensus.ReportPayload{K: 2, V: 7}},
+	}
+}
+
+// TestRoundTripBundle: a bundle round-trips as a payload and as a whole
+// frame, whose envelope peeks as BNDL and never supersedes, and its
+// encoding is one tag byte plus its items', less the slot tag and two-byte
+// slot varint of each item that follows a slot item of its own slot.
+func TestRoundTripBundle(t *testing.T) {
+	b := sampleBundle()
+	enc, err := wire.EncodePayload(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := wire.DecodePayload(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, b) {
+		t.Errorf("bundle round trip: got %v, want %v", got, b)
+	}
+	size := 1
+	for _, pl := range b {
+		item, err := wire.EncodePayload(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += len(item)
+	}
+	const elided = 3
+	if len(enc) != size-elided*3 {
+		t.Errorf("bundle encodes in %d bytes, want %d: one tag, the items, %d wrappers of 3 bytes elided", len(enc), size-elided*3, elided)
+	}
+
+	frame, err := wire.AppendMessage(nil, &model.Message{From: 3, To: 1, Seq: 40, Payload: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := wire.PeekMessage(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (wire.MessageHead{From: 3, To: 1, Seq: 40, Kind: "BNDL"}); h != want {
+		t.Errorf("peek = %+v, want %+v", h, want)
+	}
+	var m model.Message
+	if err := wire.DecodeMessageInto(&m, frame); err != nil {
+		t.Fatal(err)
+	}
+	if m.From != 3 || m.To != 1 || m.Seq != 40 || !reflect.DeepEqual(m.Payload, model.Payload(b)) {
+		t.Errorf("frame round trip: got %v", &m)
+	}
+}
+
+// bundleRejects are encodings no bundle has: each must fail to decode. The
+// fuzz target starts from them too.
+func bundleRejects(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	enc := func(pl model.Payload) []byte {
+		b, err := wire.EncodePayload(pl)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	tag := enc(rsm.Bundle{rsm.CommandPayload{Cmd: 1}, rsm.CommandPayload{Cmd: 2}})[0]
+	cmd, rep := enc(rsm.CommandPayload{Cmd: 1}), enc(consensus.ReportPayload{K: 1, V: 2})
+	join := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{{tag}}, parts...), nil) }
+	return map[string][]byte{
+		"empty bundle":                 join(),
+		"one-item bundle":              join(cmd),
+		"slot item before any slot":    join(cmd, rep),
+		"bundle inside a bundle":       join(cmd, join(cmd, cmd)),
+		"unknown tag inside a bundle":  join(cmd, []byte{0xEE}),
+		"truncated item inside bundle": join(cmd, rep[:len(rep)-1]),
+	}
+}
+
+func TestBundleRejects(t *testing.T) {
+	for name, b := range bundleRejects(t) {
+		if got, err := wire.DecodePayload(b); err == nil {
+			t.Errorf("%s: %v decoded as %v", name, b, got)
+		}
+	}
+	for name, b := range map[string]rsm.Bundle{
+		"one-item bundle":        {rsm.CommandPayload{Cmd: 1}},
+		"bundle inside a bundle": {rsm.CommandPayload{Cmd: 1}, rsm.Bundle{rsm.CommandPayload{Cmd: 2}, rsm.CommandPayload{Cmd: 3}}},
+		"slot kind outside slot": {rsm.CommandPayload{Cmd: 1}, consensus.ReportPayload{K: 1, V: 2}},
+	} {
+		if _, err := wire.EncodePayload(b); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+	if _, err := wire.EncodePayload(rsm.SlotPayload{Slot: 1, Inner: sampleBundle()}); err == nil {
+		t.Error("a bundle inside a slot payload encoded")
 	}
 }
