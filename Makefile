@@ -100,7 +100,8 @@ serve-smoke:
 # frontiers); then cmd/nuctrace joins the two
 # span streams and -check demands a complete ingress→batch→decide→apply→
 # reply chain, telescoping exactly to the end-to-end latency, for 100% of
-# acked requests. The Chrome export must parse as JSON.
+# acked requests. The per-stage report is kept as
+# $(ARTIFACTS)/trace-smoke.report.txt; the Chrome export must parse as JSON.
 trace-smoke:
 	mkdir -p $(ARTIFACTS)
 	$(GO) build -o nucd.smoke ./cmd/nucd
@@ -126,7 +127,9 @@ trace-smoke:
 	    || { kill $$pid 2>/dev/null; exit 1; }; \
 	wait $$pid
 	./nuctrace.smoke -check -chrome $(ARTIFACTS)/trace-smoke.chrome.json \
-	    $(ARTIFACTS)/nucd.trace.jsonl $(ARTIFACTS)/nucload.trace.jsonl
+	    $(ARTIFACTS)/nucd.trace.jsonl $(ARTIFACTS)/nucload.trace.jsonl \
+	    > $(ARTIFACTS)/trace-smoke.report.txt; \
+	st=$$?; cat $(ARTIFACTS)/trace-smoke.report.txt; exit $$st
 	python3 -m json.tool $(ARTIFACTS)/trace-smoke.chrome.json > /dev/null
 	@rm -f nucd.smoke nucload.smoke nuctrace.smoke
 	@echo "trace: every acked request reconstructs a complete, telescoping span chain"
@@ -173,7 +176,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's own go/analysis suite (all four analyzers; see
+# lint runs the repo's own go/analysis suite (all three analyzers; see
 # `go run ./cmd/nuclint -list`, and `-only a,b` to run a subset).
 lint:
 	$(GO) run ./cmd/nuclint ./...
@@ -184,13 +187,14 @@ lint-static: vet lint
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # loc prints non-test, non-blank, non-comment Go lines per package (root,
-# cmd/*, internal/* with sub-packages folded in) — the "LOC per package
-# before/after" figure ROADMAP item 11 asks every deletion PR to record.
+# cmd/*, internal/* with sub-packages folded in; testdata fixtures are not
+# code and are left out) — the "LOC per package before/after" figure every
+# deletion PR records.
 # The tree has no block comments, so a leading // is the whole test.
 loc:
 	@for d in . cmd/* internal/*; do \
 	    depth=; [ $$d = . ] && depth='-maxdepth 1'; \
-	    printf '%-24s %6d\n' $$d $$(find $$d $$depth -name '*.go' ! -name '*_test.go' | xargs cat | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l); \
+	    printf '%-24s %6d\n' $$d $$(find $$d $$depth -name '*.go' ! -name '*_test.go' -not -path '*/testdata/*' | xargs cat | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l); \
 	done
 
 # ci mirrors .github/workflows/ci.yml: static checks, build, tests, race

@@ -10,8 +10,7 @@
 // each analyzer in internal/lint/* moves onto upstream
 // golang.org/x/tools/go/analysis by changing its import path only. Package
 // facts and prerequisite analyzers are not mirrored: no analyzer exchanges
-// facts, and the one shared prerequisite (control-flow graphs) is a plain
-// function call, internal/lint/ctrlflow.Funcs.
+// facts or needs another's result.
 package analysis
 
 import (

@@ -1,7 +1,6 @@
 // Fixture for locksafe: this package path ends in internal/substrate, a
-// concurrent package, so every mutex acquired here must be released on
-// all paths, never re-acquired while held, and named locks must be
-// acquired in one global order.
+// concurrent package. Every Lock here is followed by defer Unlock, or
+// unlocked later in its block with no early exit between.
 package substrate
 
 import (
@@ -31,8 +30,8 @@ func (c *Cluster) leakOnEarlyReturn(fail bool) error {
 	return nil
 }
 
-// leakOnPanic: the panic path reaches the exit with the lock held; only
-// a deferred unlock would cover it.
+// leakOnPanic: the panic path leaves with the lock held; only a deferred
+// unlock would cover it.
 func (c *Cluster) leakOnPanic(v int) {
 	c.mu.Lock() // want `Lock of c\.mu is not released on every path`
 	if v < 0 {
@@ -40,55 +39,6 @@ func (c *Cluster) leakOnPanic(v int) {
 	}
 	c.state = v
 	c.mu.Unlock()
-}
-
-// doubleLock deadlocks the goroutine on the second acquisition.
-func (c *Cluster) doubleLock() {
-	c.mu.Lock()
-	c.mu.Lock() // want `Lock of c\.mu while c\.mu is still held \(since line \d+\)`
-	c.state++
-	c.mu.Unlock()
-	c.mu.Unlock()
-}
-
-// readUnderWrite: RLock of a mutex this goroutine holds in write mode.
-func (r *Registry) readUnderWrite(k string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.mu.RLock() // want `RLock of r\.mu while r\.mu is still held \(since line \d+\)`
-	v := r.m[k]
-	r.mu.RUnlock()
-	return v
-}
-
-// writeUnderRead is the classic RWMutex self-deadlock: upgrading a read
-// lock in place.
-func (r *Registry) writeUnderRead(k string) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	r.mu.Lock() // want `Lock of r\.mu while r\.mu \(read\) is still held \(since line \d+\)`
-	r.m[k] = 1
-	r.mu.Unlock()
-}
-
-// Package-level locks held together must always nest the same way.
-var giant sync.Mutex
-var audit sync.Mutex
-
-// lockInOrder establishes the order giant < audit.
-func lockInOrder() {
-	giant.Lock()
-	audit.Lock()
-	audit.Unlock()
-	giant.Unlock()
-}
-
-// lockInverted takes them the other way around: ABBA deadlock.
-func lockInverted() {
-	audit.Lock()
-	giant.Lock() // want `lock order inversion: substrate\.giant acquired while holding substrate\.audit, but at line \d+ the opposite order is used`
-	giant.Unlock()
-	audit.Unlock()
 }
 
 // --- clean patterns the analyzer must not flag ---
@@ -105,8 +55,8 @@ func (c *Cluster) lockWithDefer(v int) error {
 	return nil
 }
 
-// straightLine releases before the function continues: the unlock
-// balances the lock on the only path.
+// straightLine releases before the function continues: nothing between
+// the lock and the unlock can leave the block.
 func (r *Registry) straightLine() []string {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.m))
@@ -117,8 +67,7 @@ func (r *Registry) straightLine() []string {
 	return names
 }
 
-// relockPerIteration holds the lock only inside the loop body; the back
-// edge carries an empty held set.
+// relockPerIteration holds the lock only inside the loop body.
 func (c *Cluster) relockPerIteration(n int) {
 	for i := 0; i < n; i++ {
 		c.mu.Lock()
@@ -127,20 +76,8 @@ func (c *Cluster) relockPerIteration(n int) {
 	}
 }
 
-// nestedRead: a second RLock while a read hold is live is legal
-// (concurrent readers), so it is tolerated.
-func (r *Registry) nestedRead(k string) int {
-	r.mu.RLock()
-	v := r.m[k]
-	r.mu.RLock()
-	w := r.m[k]
-	r.mu.RUnlock()
-	r.mu.RUnlock()
-	return v + w
-}
-
-// closureLocks: the goroutine body is its own function with its own
-// balanced lock discipline.
+// closureLocks: the goroutine body is its own block with its own
+// balanced pair.
 func (c *Cluster) closureLocks() {
 	go func() {
 		c.mu.Lock()
@@ -149,12 +86,11 @@ func (c *Cluster) closureLocks() {
 	}()
 }
 
-// condLock documents the tracker's limit: a lock/unlock pair split
-// across two conditionals is path-correlated, which the path-insensitive
-// join cannot see — the site says so and moves on.
+// condLock documents the rule's limit: a lock/unlock pair split across
+// two conditionals is in two blocks, so the site says why and moves on.
 func (c *Cluster) condLock(use bool) {
 	if use {
-		//lint:allow locksafe pair is split across correlated conditionals, beyond the path-insensitive tracker
+		//lint:allow locksafe pair is split across correlated conditionals, beyond the one-block rule
 		c.mu.Lock()
 	}
 	c.state++

@@ -11,15 +11,15 @@
 //
 //  1. go get golang.org/x/tools@latest (pins the version in go.mod; this
 //     file then anchors it against `go mod tidy`).
-//  2. In the analyzer packages (bufownership, locksafe, maporder,
-//     nodeterm) and internal/lint/ctrlflow, change the import of
-//     nuconsensus/internal/lint/analysis to golang.org/x/tools/go/analysis
-//     — the Analyzer literals and Report calls are field-for-field
-//     compatible. Pass.Filenames, which the analyzers use to skip test
-//     files, becomes pass.Fset.File(f.Pos()).Name().
+//  2. In the analyzer packages (locksafe, maporder, nodeterm), change the
+//     import of nuconsensus/internal/lint/analysis to
+//     golang.org/x/tools/go/analysis — the Analyzer literals and Report
+//     calls are field-for-field compatible. Pass.Filenames, which the
+//     analyzers use to skip test files, becomes
+//     pass.Fset.File(f.Pos()).Name().
 //  3. Replace cmd/nuclint's hand-rolled driver with
-//     multichecker.Main(bufownership.Analyzer, locksafe.Analyzer,
-//     maporder.Analyzer, nodeterm.Analyzer).
+//     multichecker.Main(locksafe.Analyzer, maporder.Analyzer,
+//     nodeterm.Analyzer).
 //  4. Port the test suites to go/analysis/analysistest (same testdata/src
 //     layout and `// want` syntax) and delete internal/lint/analysis,
 //     internal/lint/analysistest and this file.

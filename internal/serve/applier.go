@@ -258,6 +258,7 @@ func (a *Applier) Compact(floor int) {
 // (client, seq) once it applies; if it already has, fn runs immediately
 // with the cached result (StatusRetired when the cache aged out).
 func (a *Applier) RegisterWaiter(client uint32, seq uint64, fn func(status byte, val int64)) {
+	//lint:allow locksafe unlocked on both arms: fn must run outside the lock
 	a.mu.Lock()
 	if a.sessions.Applied(client, seq) {
 		r, hit := a.sessions.Reply(client, seq)

@@ -3,6 +3,10 @@ package wire_test
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,8 +30,9 @@ import (
 // Each consumer therefore recycles the frame FIRST and verifies the
 // decoded message afterwards, by re-encoding it and comparing against the
 // pristine canonical frame, while the other links churn the shared pool.
-// An alias into the recycled buffer surfaces as a byte mismatch here and
-// as a read/write race under -race.
+// PutBuf poisons the frame as it takes it back, so an alias into the
+// recycled buffer surfaces as a byte mismatch on every run, and as a
+// read/write race under -race.
 func TestPooledFrameAliasing(t *testing.T) {
 	const (
 		links = 8
@@ -130,10 +135,72 @@ func TestPooledBufferReuse(t *testing.T) {
 		t.Fatalf("GetBuf(64K) = len %d cap %d, want len 0 cap >= 64K", len(big), cap(big))
 	}
 	wire.PutBuf(big)
-	// Zero-capacity puts are dropped, not stored as useless entries.
+	// Zero-capacity puts are dropped, not stored as useless entries, and
+	// are not poisoned: there is no byte to write.
 	wire.PutBuf(nil)
+	wire.PutBuf([]byte{})
 	if b := wire.GetBuf(8); cap(b) < 8 {
-		t.Fatalf("GetBuf(8) after PutBuf(nil) = cap %d, want >= 8", cap(b))
+		t.Fatalf("GetBuf(8) after zero-capacity puts = cap %d, want >= 8", cap(b))
+	}
+}
+
+// TestPutBufPoisons pins the use-after-put check: PutBuf overwrites the
+// whole capacity of a returned buffer with the poison byte 0xEE, so a
+// caller that still reads its stale slice sees the pattern, not its data.
+func TestPutBufPoisons(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 16, 255, 1 << 16} {
+		b := wire.GetBuf(n)[:n]
+		for i := range b {
+			b[i] = byte(i)
+		}
+		stale := b[:cap(b)]
+		wire.PutBuf(b[:n/2]) // the put covers cap(b), not len(b)
+		for i, c := range stale {
+			if c != 0xEE {
+				t.Fatalf("n=%d: stale byte %d = %#x after PutBuf, want the poison 0xee", n, i, c)
+			}
+		}
+	}
+}
+
+// TestOnePool keeps the module to one sync.Pool, wire's byte-buffer pool
+// behind GetBuf/PutBuf, so what a pool may hold is fixed by that API's
+// type. It scans every non-test Go file outside bench/ (the benchmark's
+// own module) and testdata/.
+func TestOnePool(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not at %s: %v", root, err)
+	}
+	allowed := filepath.Join(root, "internal", "wire", "pool.go")
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "bench" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || path == allowed {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if bytes.Contains(src, []byte("sync.Pool")) {
+			rel, _ := filepath.Rel(root, path)
+			t.Errorf("%s uses sync.Pool: the module's one pool is wire's byte-buffer pool (GetBuf/PutBuf)", rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/dag"
@@ -643,24 +642,14 @@ func decodeBundle(r *buf) (rsm.Bundle, error) {
 	return b, nil
 }
 
-// qsetScratch recycles the sort scratch encodeHistories needs to emit each
-// quorum set in deterministic order. Elements are plain uint64-backed
-// process sets (pointer-free) and the scratch is truncated before every
-// use, so pooling cannot leak state between frames.
-var qsetScratch = sync.Pool{
-	New: func() interface{} { return new([]model.ProcessSet) },
-}
-
 // encodeHistories writes a quorum.Histories (nil allowed). Each set's
-// quorums travel in ascending order; the sort scratch comes from a pool so
-// steady-state encoding of history-bearing payloads allocates nothing.
+// quorums travel in ascending order; the sort scratch lives on the stack,
+// so steady-state encoding of history-bearing payloads allocates nothing
+// unless one set holds more than 64 quorums.
 func encodeHistories(w *buf, h quorum.Histories) {
 	w.putUvarint(uint64(len(h)))
-	if len(h) == 0 {
-		return
-	}
-	sp := qsetScratch.Get().(*[]model.ProcessSet)
-	qs := (*sp)[:0]
+	var stack [64]model.ProcessSet
+	qs := stack[:0]
 	for _, set := range h {
 		qs = set.AppendSorted(qs[:0])
 		w.putUvarint(uint64(len(qs)))
@@ -668,8 +657,6 @@ func encodeHistories(w *buf, h quorum.Histories) {
 			w.putUvarint(uint64(q))
 		}
 	}
-	*sp = qs[:0]
-	qsetScratch.Put(sp)
 }
 
 func decodeHistories(r *buf) (quorum.Histories, error) {
