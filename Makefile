@@ -54,7 +54,7 @@ tables-check:
 # substrate-smoke runs a small portable slice on the concurrent goroutine
 # substrate under the race detector — the CI cross-substrate check.
 substrate-smoke:
-	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2 -substrate async
+	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2,E18 -substrate async
 
 # explore-smoke exhaustively verifies A_nuc safety at a small bound and
 # checks the model checker's worker-count determinism by diffing stdout
@@ -207,7 +207,7 @@ ci: lint-static
 	$(MAKE) examples-smoke
 	$(GO) test -race ./...
 	$(MAKE) tables-check
-	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2 -substrate async
+	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2,E18 -substrate async
 	$(MAKE) explore-smoke
 	$(MAKE) aware-smoke
 	$(MAKE) serve-smoke

@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -53,10 +54,11 @@ func (net *fifoNet) log(p model.ProcessID) *logState { return net.st[p].(*logSta
 // takes no step, and fall silent — every instance quiet, each holding the
 // LEAD of the round after its decision. Then p3 runs. Its SAW is
 // acknowledged from under the hold; the step that hands the stable leader
-// p0 p3's LEAD of the held round sends p0's own LEAD of that round first,
-// delta-encoded against what each link has been shipped by then (not by the
-// time A_nuc emitted it), and the laggard catches up over an unbroken delta
-// chain.
+// p0 p3's LEADs of held rounds — one bundle, for every slot p3's λ-step
+// advanced — sends p0's own held LEADs of those slots first, in ascending
+// slot order, the first delta-encoded against what each link has been
+// shipped by then (not by the time A_nuc emitted it), and the laggard
+// catches up over an unbroken delta chain.
 func TestHeldLeadReleasedOnWake(t *testing.T) {
 	const n, slots, lag = 4, 6, model.ProcessID(3)
 	hist := fd.HistoryFunc(func(p model.ProcessID, _ model.Time) model.FDValue {
@@ -92,28 +94,28 @@ func TestHeldLeadReleasedOnWake(t *testing.T) {
 	}
 
 	// p3 runs alone on what was sent to it until p0 is about to be handed
-	// its LEAD of a round p0 holds the LEAD of.
-	var slot, round int
+	// its LEAD of a round p0 holds the LEAD of — in one slot, or in several:
+	// p3 steps each of its in-flight slots on a λ-step, and their LEADs
+	// travel in one bundle.
+	held := map[int]int{} // slot → round of the LEAD p0 holds and is about to be handed
 	for i := 0; ; i++ {
 		if i > 20000 {
 			t.Fatalf("p3 never reached a round p0 holds: %s", DebugState(net.st[lag]))
 		}
 		if q := net.inbox[0]; len(q) > 0 {
-			var lead consensus.LeadDeltaPayload
-			leadSlot, sawSlot := -1, -1
+			sawSlot := -1
 			for _, item := range Flatten([]model.Send{{To: 0, Payload: q[0].Payload}}) {
 				sp, _ := item.Payload.(SlotPayload) // CMD and PRGR fall through to a plain step
 				switch inner := sp.Inner.(type) {
 				case consensus.LeadDeltaPayload:
-					if inner.K == heldRound(p0, sp.Slot) {
-						lead, leadSlot = inner, sp.Slot
+					if k := heldRound(p0, sp.Slot); k != 0 && inner.K == k {
+						held[sp.Slot] = k
 					}
 				case consensus.SawPayload:
 					sawSlot = sp.Slot
 				}
 			}
-			if leadSlot >= 0 {
-				slot, round = leadSlot, lead.K
+			if len(held) > 0 {
 				break
 			}
 			if sawSlot >= 0 {
@@ -129,35 +131,47 @@ func TestHeldLeadReleasedOnWake(t *testing.T) {
 		net.step(lag)
 	}
 
-	// p0's own copy of the held LEAD is delivered inside the step (loopback),
-	// so the copy to each of its peers leads what the step sends that peer.
+	// p0's own copy of each held LEAD is delivered inside the step
+	// (loopback), so the copy to each of its peers of the first one released
+	// leads what the step sends that peer, and the released LEADs follow each
+	// other in ascending slot order — the order p3's bundle woke them in.
 	sentVer := append([]uint64(nil), p0.sentVer...)
 	out := net.step(0)
-	first := map[model.ProcessID]model.Payload{}
+	sent := map[model.ProcessID][]SlotPayload{}
 	for _, snd := range Flatten(out) {
-		if _, ok := first[snd.To]; !ok {
-			first[snd.To] = snd.Payload
-		}
+		sp, _ := snd.Payload.(SlotPayload)
+		sent[snd.To] = append(sent[snd.To], sp)
 	}
-	if len(first) != n-1 {
-		t.Fatalf("waking step sent to %d peers, want the held LEAD to all %d of p0's", len(first), n-1)
+	if len(sent) != n-1 {
+		t.Fatalf("waking step sent to %d peers, want the held LEADs to all %d of p0's", len(sent), n-1)
 	}
 	for to := model.ProcessID(1); to < n; to++ {
-		sp, _ := first[to].(SlotPayload)
-		lead, ok := sp.Inner.(consensus.LeadDeltaPayload)
-		if !ok || sp.Slot != slot || lead.K != round {
-			t.Fatalf("the waking step's first send to p%d is %v, want slot %d's LEAD(%d)", to, first[to], slot, round)
+		var released []int
+		for _, sp := range sent[to] {
+			if lead, ok := sp.Inner.(consensus.LeadDeltaPayload); ok && held[sp.Slot] == lead.K {
+				released = append(released, sp.Slot)
+			}
+		}
+		if len(released) != len(held) || !sort.IntsAreSorted(released) {
+			t.Errorf("the waking step released slots %v to p%d, want each of the %d woken once, ascending", released, to, len(held))
+		}
+		first := sent[to][0]
+		lead, ok := first.Inner.(consensus.LeadDeltaPayload)
+		if !ok || held[first.Slot] != lead.K {
+			t.Fatalf("the waking step's first send to p%d is %v, want the held LEAD of a slot that woke (%v)", to, first, held)
 		}
 		if lead.Delta.Base != sentVer[to] || lead.Delta.To != p0.store.v.Version() {
 			t.Errorf("released LEAD to p%d carries delta %d→%d, want %d→%d (the link's version at release)",
 				to, lead.Delta.Base, lead.Delta.To, sentVer[to], p0.store.v.Version())
 		}
 	}
-	if heldRound(p0, slot) != 0 || p0.isQuiet(slot) {
-		t.Errorf("after the wake p0's slot %d holds round %d, quiet = %v: want released and awake", slot, heldRound(p0, slot), p0.isQuiet(slot))
+	for slot := range held {
+		if heldRound(p0, slot) != 0 || p0.isQuiet(slot) {
+			t.Errorf("after the wake p0's slot %d holds round %d, quiet = %v: want released and awake", slot, heldRound(p0, slot), p0.isQuiet(slot))
+		}
 	}
-	if got := reg.Counter("rsm.quiet_released").Value(); got != n {
-		t.Errorf("quiet_released = %d after one release, want %d", got, n)
+	if got, want := reg.Counter("rsm.quiet_released").Value(), int64(n*len(held)); got != want {
+		t.Errorf("quiet_released = %d after %d releases, want %d", got, len(held), want)
 	}
 
 	for i := 0; net.log(lag).slot < slots; i++ {

@@ -148,13 +148,17 @@ func TestQuietLaggardCatchesUp(t *testing.T) {
 	// progress. Sending each peer one bundle per step ends it at step 2052,
 	// a schedule in which p0 and p2 have taken p3's PRGR(11) by then and
 	// retired slot 10: the retired, entered and held counts are higher for
-	// it, and the parked, woken and released ones did not move.)
+	// it, and the parked, woken and released ones did not move. Stepping
+	// both in-flight slots on every λ-step ends it at step 1120, before any
+	// fast process has taken PRGR(11): slot 10 retires nowhere, two fewer
+	// records than before, and slots 10 and 11 are quiet at all three, two
+	// more instances asleep than before, each holding a LEAD to all four.)
 	for name, want := range map[string]int64{
 		"rsm.parked_msgs": 90, "rsm.parked_replayed": 90,
 		"rsm.quiet_parked": 0, "rsm.quiet_replayed": 0,
-		"rsm.quiet_enter": 118, "rsm.quiet_wake": 72, "rsm.quiet_retired": 44,
-		"rsm.quiet_held": 472, "rsm.quiet_released": 288,
-		"rsm.instances_opened": 48, "rsm.instances_retired": 44,
+		"rsm.quiet_enter": 120, "rsm.quiet_wake": 72, "rsm.quiet_retired": 42,
+		"rsm.quiet_held": 480, "rsm.quiet_released": 288,
+		"rsm.instances_opened": 48, "rsm.instances_retired": 42,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

@@ -21,12 +21,14 @@
 //     argument assumes correct processes keep taking steps; a process that
 //     halted its instance upon deciding could strand a laggard waiting for
 //     the stable leader's next-round message. A decided instance therefore
-//     keeps stepping — pumped round-robin with the other awake ones — for
-//     as long as some process that has not passed the slot could be
-//     waiting on it, and goes quiet once it is a round ahead of everything
-//     heard from every such process: everything it could be asked for is
-//     sent, except the LEAD of the round it has just entered, which nobody
-//     has asked for and which the log holds back (see quiet, stepInstance).
+//     keeps stepping — on every λ-step while it is in flight, pumped
+//     round-robin with the other awake ones once the frontier has passed
+//     it — for as long as some process that has not passed the slot could
+//     be waiting on it, and goes quiet once it is a round ahead of
+//     everything heard from every such process: everything it could be
+//     asked for is sent, except the LEAD of the round it has just entered,
+//     which nobody has asked for and which the log holds back (see quiet,
+//     stepInstance).
 //     A quiet instance takes no steps, wakes — held LEAD out first — when
 //     such a process is heard reaching its round, and costs nothing in
 //     between: a slot decided in round 1 costs one round of traffic, and a
@@ -161,12 +163,13 @@ type RoundSink interface {
 }
 
 // WithPipeline widens the window of in-flight slot instances to k: slots
-// [frontier, frontier+k) all run A_nuc concurrently, and each outer step
-// advances one of them round-robin, so the per-step send budget — and
-// therefore msgs/slot — stays flat as k grows. Decisions can land out of
-// order; entries are still appended in slot order, and a command decided
-// in two slots (possible when a re-proposal races its own decision) is the
-// serving layer's dedup problem. A new log has window 1 — slot k+1 opens
+// [frontier, frontier+k) all run A_nuc concurrently, and a λ-step advances
+// every awake one of them, ascending. What they send one peer leaves as one
+// bundle, so the per-step send budget stays one message per peer and
+// msgs/slot falls as k grows. Decisions can land out of order; entries are
+// still appended in slot order, and a command decided in two slots
+// (possible when a re-proposal races its own decision) is the serving
+// layer's dedup problem. A new log has window 1 — slot k+1 opens
 // when slot k is appended — and a k at or below the current window leaves
 // it alone.
 func (a *Log) WithPipeline(k int) *Log {
@@ -230,7 +233,6 @@ type logState struct {
 	// already sent for.
 	recs   map[int]*slotRec
 	window int // in-flight slots: [slot, slot+window), == Log.window
-	rr     int // round-robin cursor over in-flight instances
 
 	// awake lists, ascending, the decided live slots that still step: every
 	// other decided live slot is quiet (see quiet). It is an index derived
@@ -355,12 +357,16 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 		}
 	}
 
-	// Advance one in-flight instance (λ step if none just received the
-	// message): the round-robin next of the window's awake slots — one inner
-	// step however wide the window, so pipelining does not inflate the
-	// per-step send budget.
+	// Advance the window (λ step if no message reached an in-flight slot):
+	// every awake in-flight slot takes one inner λ-step, in ascending order.
+	// What they send one peer leaves as one bundle, so the per-step send
+	// budget is the same however wide the window (DESIGN.md §10 "Window
+	// advance").
 	if st.slot < a.slots && !currentGotMsg {
-		if slot, ok := st.nextInflight(); ok {
+		for slot, end := st.slot, st.windowEnd(); slot < end; slot++ {
+			if r := st.recs[slot]; slot < st.slot || r == nil || r.inst == nil || st.isQuiet(slot) {
+				continue // passed by harvest or retired, unopened, or asleep
+			}
 			out = append(out, st.stepInstance(a, slot, nil, d)...)
 			out = append(out, st.harvest(a, d)...)
 			out = append(out, st.settle(a, slot, d)...)

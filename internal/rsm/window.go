@@ -114,22 +114,6 @@ func (s *logState) inWindow(state slotState, c int) bool {
 	return false
 }
 
-// nextInflight picks the in-flight slot whose instance advances this step,
-// rotating round-robin so every open slot that is not quiet — decided ones
-// included, while a laggard can still use their messages — advances
-// infinitely often.
-func (s *logState) nextInflight() (int, bool) {
-	k := s.windowEnd() - s.slot
-	for i := 0; i < k; i++ {
-		slot := s.slot + (s.rr+i)%k
-		if !s.isQuiet(slot) {
-			s.rr = (s.rr + i + 1) % k
-			return slot, true
-		}
-	}
-	return 0, false
-}
-
 // learnCommand records a forwarded command unless it is already appended,
 // pending, known, or decided-in-flight. (In sink mode the entries scan is
 // vacuous: a late re-learn of an appended command costs one duplicate

@@ -1,8 +1,11 @@
 package rsm
 
 import (
+	"reflect"
 	"testing"
 
+	"nuconsensus/internal/consensus"
+	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
 )
 
@@ -42,5 +45,82 @@ func TestOutOfOrderDecideIsNotProposedAgain(t *testing.T) {
 	}
 	if st.recs[2].v != 12 || st.recs[3].v != NoOp {
 		t.Fatalf("slots 2, 3 propose %d, %d; want 12 and a no-op (11 is decided, not pending)", st.recs[2].v, st.recs[3].v)
+	}
+}
+
+// lambdaLog is the log's A_nuc recording the slot of every λ-step (an inner
+// step that delivers nothing) of st's instances, in order.
+type lambdaLog struct {
+	slotAutomaton
+	st    *logState
+	slots *[]int
+}
+
+func (w lambdaLog) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	if m == nil {
+		*w.slots = append(*w.slots, slotOf(w.st, s))
+	}
+	return w.slotAutomaton.Step(p, s, m, d)
+}
+
+// TestLambdaStepAdvancesEveryAwakeSlot: with a window of four at frontier
+// 4, slot 5 decided and quiet, slot 6 decided and awake (a peer was heard
+// at its round) and slots 4 and 7 open and never stepped, one λ-step of the
+// log steps slots 4, 6 and 7 exactly once each, in ascending order, and
+// slot 5 not at all. What they send a peer leaves as one send: both fresh
+// slots' LEAD(1), ascending, in the one bundle for each peer.
+func TestLambdaStepAdvancesEveryAwakeSlot(t *testing.T) {
+	q := model.SetOf(1, 2)
+	d := fd.PairValue{First: fd.LeaderValue{Leader: 1}, Second: fd.QuorumValue{Quorum: q}}
+	aut := NewLog([][]int{{}, {}, {}}, 16).WithPipeline(4)
+	st := aut.InitState(0).(*logState)
+	for _, r := range []model.ProcessID{1, 2} {
+		st.recordAck(r, AckStampPayload{Q: q, K: 1, Stamp: 1}, nil)
+	}
+	forceWindowDecided(st)
+	st.harvest(aut, d) // frontier 4: slots 4..7 open, seeded with q
+	var seq uint64
+	send := func(slot int, from model.ProcessID, pl model.Payload) {
+		seq++
+		aut.Step(0, st, &model.Message{From: from, To: 0, Seq: seq, Payload: SlotPayload{Slot: slot, Inner: pl}}, d)
+	}
+	for _, slot := range []int{5, 6} { // decide in round 1, ending in round 2
+		send(slot, 1, consensus.LeadDeltaPayload{K: 1, V: 42})
+		send(slot, 1, consensus.ReportPayload{K: 1, V: 42})
+		send(slot, 2, consensus.ReportPayload{K: 1, V: 42})
+		send(slot, 1, consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true})
+		send(slot, 2, consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true})
+	}
+	send(6, 2, consensus.LeadDeltaPayload{K: 2, V: 42}) // p2 reaches slot 6's round: awake
+	if st.slot != 4 || !st.isQuiet(5) || st.recs[6].state != slotDecided || st.isQuiet(6) {
+		t.Fatalf("frontier %d, slot 5 quiet = %v, slot 6 state %v quiet = %v: want frontier 4, slot 5 asleep, slot 6 decided and awake",
+			st.slot, st.isQuiet(5), st.recs[6].state, st.isQuiet(6))
+	}
+
+	var stepped []int
+	aut.inner = lambdaLog{slotAutomaton: aut.inner, st: st, slots: &stepped}
+	_, out := aut.Step(0, st, nil, d)
+	if want := []int{4, 6, 7}; !reflect.DeepEqual(stepped, want) {
+		t.Errorf("λ-steps in slots %v, want %v: every awake in-flight slot once, ascending, the quiet one never", stepped, want)
+	}
+	var to model.ProcessSet
+	for _, snd := range out {
+		if snd.To == st.p || to.Has(snd.To) {
+			t.Fatalf("the step sent %v: want at most one send per peer and none to itself", out)
+		}
+		to = to.Add(snd.To)
+	}
+	for _, r := range []model.ProcessID{1, 2} {
+		var leads []int
+		for _, snd := range Flatten(out) {
+			if sp, ok := snd.Payload.(SlotPayload); ok && snd.To == r {
+				if lead, ok := sp.Inner.(consensus.LeadDeltaPayload); ok && lead.K == 1 {
+					leads = append(leads, sp.Slot)
+				}
+			}
+		}
+		if want := []int{4, 7}; !reflect.DeepEqual(leads, want) {
+			t.Errorf("LEAD(1)s to p%d in slots %v, want %v", r, leads, want)
+		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // runCluster drives a serving cluster to its target on the sim substrate
-// and returns it alongside whether every correct replica got there.
-func runCluster(t *testing.T, cfg serve.Config, crashes map[model.ProcessID]model.Time, stabilize model.Time, seed int64) (*serve.Cluster, bool) {
+// and returns it alongside the run: Stopped says whether every correct
+// replica got there.
+func runCluster(t *testing.T, cfg serve.Config, crashes map[model.ProcessID]model.Time, stabilize model.Time, seed int64) (*serve.Cluster, *substrate.Result) {
 	t.Helper()
 	pattern := model.PatternFromCrashes(cfg.N, crashes)
 	cfg.Correct = pattern.Correct()
@@ -32,7 +33,7 @@ func runCluster(t *testing.T, cfg serve.Config, crashes map[model.ProcessID]mode
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cl, res.Stopped
+	return cl, res
 }
 
 // countWorkload sums the commands in a generated workload.
@@ -59,8 +60,8 @@ func TestServeExactlyOnce(t *testing.T) {
 			Workload: wl, Target: total, Retain: true,
 		}
 		crashes := map[model.ProcessID]model.Time{3: 70}
-		cl, done := runCluster(t, cfg, crashes, 80, seed)
-		if !done {
+		cl, res := runCluster(t, cfg, crashes, 80, seed)
+		if !res.Stopped {
 			t.Fatalf("seed=%d: cluster never reached target", seed)
 		}
 		pattern := model.PatternFromCrashes(4, crashes)
@@ -95,8 +96,8 @@ func TestDuplicateSuppression(t *testing.T) {
 	// No target: run to log-full so the retry batch is guaranteed to have
 	// been decided (a command-count target could be met before it lands).
 	cfg := serve.Config{N: 3, Slots: 8, Workload: wl, Retain: true}
-	cl, done := runCluster(t, cfg, nil, 60, 7)
-	if !done {
+	cl, res := runCluster(t, cfg, nil, 60, 7)
+	if !res.Stopped {
 		t.Fatal("cluster never filled its log")
 	}
 	for p := model.ProcessID(0); p < 3; p++ {
@@ -124,8 +125,8 @@ func TestReadIndexUnderCrash(t *testing.T) {
 	// crashed early, so decisions must come from the survivors.
 	crashes := map[model.ProcessID]model.Time{0: 20}
 	cfg := serve.Config{N: 3, Slots: 8, Workload: wl, Target: 3, Retain: true}
-	cl, done := runCluster(t, cfg, crashes, 80, 11)
-	if !done {
+	cl, res := runCluster(t, cfg, crashes, 80, 11)
+	if !res.Stopped {
 		t.Fatal("cluster never reached target")
 	}
 	for p := model.ProcessID(1); p < 3; p++ {
@@ -142,6 +143,46 @@ func TestReadIndexUnderCrash(t *testing.T) {
 		}
 		if st.Applied > st.Frontier {
 			t.Fatalf("p%d applied %d beyond frontier %d", p, st.Applied, st.Frontier)
+		}
+	}
+}
+
+// TestPipelinedCrashMidWindow: the benchmark's crash shape — four
+// replicas, a window of two, 128 commands in batches of 8 from the three
+// survivors — with p0 crashed while slots are in flight: it has appended
+// some of the log, and the run goes on well past the crash. Every survivor
+// applies every command exactly once and the machines agree.
+func TestPipelinedCrashMidWindow(t *testing.T) {
+	const n, crashAt = 4, 150
+	shape := serve.Workload{Commands: 128, Batch: 8, Clients: 8, Keys: 1024, Zipf: 1.3, QueueFrac: .25}
+	for seed := int64(1); seed <= 3; seed++ {
+		wl := shape.Gen(rand.New(rand.NewSource(seed)), n-1)
+		total := countWorkload(wl)
+		cfg := serve.Config{
+			N: n, Slots: 4*shape.Batches() + 64, Pipeline: 2,
+			Workload: append([][]serve.Batch{nil}, wl...), Target: total, Retain: true,
+		}
+		crashes := map[model.ProcessID]model.Time{0: crashAt}
+		cl, res := runCluster(t, cfg, crashes, 60, seed)
+		if !res.Stopped {
+			t.Fatalf("seed=%d: survivors never reached target after p0 crashed at step %d", seed, crashAt)
+		}
+		crashed, survived := cl.Applier(0).StatsOf().Frontier, cl.Applier(1).StatsOf().Frontier
+		if res.Steps <= crashAt || crashed == 0 || crashed >= survived {
+			t.Fatalf("seed=%d: run of %d steps, p0 appended %d slots before its crash at step %d and p1 %d: want the crash mid-run, with slots in flight",
+				seed, res.Steps, crashed, crashAt, survived)
+		}
+		var refSum uint64
+		for p := model.ProcessID(1); p < n; p++ {
+			st := cl.Applier(p).StatsOf()
+			if st.Commands != int64(total) {
+				t.Fatalf("seed=%d: p%d applied %d distinct commands, want %d", seed, p, st.Commands, total)
+			}
+			if sum := cl.Applier(p).Checksum(); p == 1 {
+				refSum = sum
+			} else if sum != refSum {
+				t.Fatalf("seed=%d: p%d machine checksum %x != %x", seed, p, sum, refSum)
+			}
 		}
 	}
 }
@@ -167,8 +208,8 @@ func TestPipelinedOrderingAdversarial(t *testing.T) {
 				wl := serve.Workload{Commands: 30, Batch: 3, Clients: 5, Keys: 16, Zipf: 1.2}.Gen(rng, 5)
 				total := countWorkload(wl)
 				cfg := serve.Config{N: 5, Slots: 24, Pipeline: tc.depth, Workload: wl, Target: total, Retain: true}
-				cl, done := runCluster(t, cfg, tc.crashes, tc.stabilize, seed)
-				if !done {
+				cl, res := runCluster(t, cfg, tc.crashes, tc.stabilize, seed)
+				if !res.Stopped {
 					t.Fatalf("seed=%d: cluster never reached target", seed)
 				}
 				pattern := model.PatternFromCrashes(5, tc.crashes)

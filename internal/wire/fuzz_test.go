@@ -38,11 +38,21 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	b, err := wire.EncodePayload(sampleBundle())
-	if err != nil {
-		f.Fatal(err)
+	for _, bundle := range []rsm.Bundle{
+		sampleBundle(),
+		// One λ-step of a window of three: each slot's LEAD behind a slot switch.
+		{
+			rsm.SlotPayload{Slot: 4, Inner: consensus.LeadDeltaPayload{K: 1, V: 3, Delta: sampleDelta()}},
+			rsm.SlotPayload{Slot: 5, Inner: consensus.LeadDeltaPayload{K: 1, V: 4}},
+			rsm.SlotPayload{Slot: 6, Inner: consensus.LeadDeltaPayload{K: 1, V: 5}},
+		},
+	} {
+		b, err := wire.EncodePayload(bundle)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
-	f.Add(b)
 	for _, b := range bundleRejects(f) {
 		f.Add(b)
 	}

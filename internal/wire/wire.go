@@ -54,6 +54,7 @@ const (
 	tagServeReply
 	tagAckStamp
 	tagBundle
+	tagSlotNext // inside a bundle only: the wrapper of the next slot's item
 )
 
 // Failure-detector value tags.
@@ -586,8 +587,11 @@ func elidable(inner model.Payload) bool {
 // encodeBundle writes tagBundle and then the items back to back, up to the
 // end of the payload: a bundle is always outermost, so it needs no count. A
 // slot item for the slot of the slot item before it travels without its
-// wrapper (elidable). A bundle holds at least two items and never a bundle,
-// and a bare item of an elidable kind has no encoding inside one.
+// wrapper (elidable), and one for the next slot up has its wrapper shrunk to
+// the one byte tagSlotNext, whatever its inner kind — a step that advances
+// a window sends its slots in ascending order. A bundle holds at least two
+// items and never a bundle, and a bare item of an elidable kind has no
+// encoding inside one.
 func encodeBundle(w *buf, b rsm.Bundle) error {
 	if len(b) < 2 {
 		return fmt.Errorf("wire: bundle of %d items", len(b))
@@ -597,7 +601,11 @@ func encodeBundle(w *buf, b rsm.Bundle) error {
 	for _, pl := range b {
 		switch p := pl.(type) {
 		case rsm.SlotPayload:
-			if inSlot && p.Slot == slot && elidable(p.Inner) {
+			switch {
+			case inSlot && p.Slot == slot && elidable(p.Inner):
+				pl = p.Inner
+			case inSlot && p.Slot == slot+1:
+				w.putByte(tagSlotNext)
 				pl = p.Inner
 			}
 			slot, inSlot = p.Slot, true
@@ -614,11 +622,25 @@ func encodeBundle(w *buf, b rsm.Bundle) error {
 }
 
 // decodeBundle reads a bundle's items (tagBundle already consumed) to the
-// end of the input, putting back the slot wrapper encodeBundle left off.
+// end of the input, putting back the slot wrapper encodeBundle left off or
+// shrunk.
 func decodeBundle(r *buf) (rsm.Bundle, error) {
 	b := make(rsm.Bundle, 0, 4)
 	slot, inSlot := 0, false
 	for r.pos < len(r.b) {
+		if r.b[r.pos] == tagSlotNext {
+			if !inSlot {
+				return nil, fmt.Errorf("wire: slot switch before any slot item")
+			}
+			r.pos++
+			inner, err := decodePayload(r) // rejects tagSlotNext and tagBundle
+			if err != nil {
+				return nil, err
+			}
+			slot++
+			b = append(b, rsm.SlotPayload{Slot: slot, Inner: inner})
+			continue
+		}
 		pl, err := decodePayload(r) // rejects tagBundle: bundles do not nest
 		if err != nil {
 			return nil, err

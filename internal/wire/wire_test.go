@@ -390,7 +390,9 @@ func TestPayloadFrameRoundTrip(t *testing.T) {
 // peer: a batch body and the command naming it, a progress announcement,
 // and slot traffic for slots 70 and 71 (two-byte slot varints) that changes
 // slot, returns to one, and is interrupted by a slot-less item. Three of its
-// slot items follow a slot item of their own slot and travel unwrapped.
+// slot items follow a slot item of their own slot and travel unwrapped, and
+// two — one of a kind that is never elided — follow one of the slot below
+// and travel behind the one-byte slot switch.
 func sampleBundle() rsm.Bundle {
 	return rsm.Bundle{
 		serve.BatchPayload{ID: serve.BatchID(2, 5), Cmds: []serve.Command{{Client: 4, Seq: 9, Op: serve.OpPut, Key: 1, Val: -3}}},
@@ -403,13 +405,15 @@ func sampleBundle() rsm.Bundle {
 		rsm.CommandPayload{Cmd: 12},
 		rsm.SlotPayload{Slot: 71, Inner: rsm.AckStampPayload{Q: model.SetOf(1, 2), K: 2, Stamp: 72}},
 		rsm.SlotPayload{Slot: 70, Inner: consensus.ReportPayload{K: 2, V: 7}},
+		rsm.SlotPayload{Slot: 71, Inner: consensus.AckPayload{Q: model.SetOf(1), K: 2}},
 	}
 }
 
 // TestRoundTripBundle: a bundle round-trips as a payload and as a whole
 // frame, whose envelope peeks as BNDL and never supersedes, and its
 // encoding is one tag byte plus its items', less the slot tag and two-byte
-// slot varint of each item that follows a slot item of its own slot.
+// slot varint of each item that follows a slot item of its own slot, and
+// less the two-byte slot varint of each that follows one of the slot below.
 func TestRoundTripBundle(t *testing.T) {
 	b := sampleBundle()
 	enc, err := wire.EncodePayload(b)
@@ -431,9 +435,12 @@ func TestRoundTripBundle(t *testing.T) {
 		}
 		size += len(item)
 	}
-	const elided = 3
-	if len(enc) != size-elided*3 {
-		t.Errorf("bundle encodes in %d bytes, want %d: one tag, the items, %d wrappers of 3 bytes elided", len(enc), size-elided*3, elided)
+	// 63 = 1 tag + 75 bytes of items − 3 elided wrappers × 3 − 2 slot
+	// switches × 2 (a 3-byte wrapper for a 1-byte tagSlotNext).
+	const elided, switched, want = 3, 2, 63
+	if size-elided*3-switched*2 != want || len(enc) != want {
+		t.Errorf("bundle encodes in %d bytes from %d of tag and items, want %d: %d wrappers of 3 bytes elided, %d shrunk to 1",
+			len(enc), size, want, elided, switched)
 	}
 
 	frame, err := wire.AppendMessage(nil, &model.Message{From: 3, To: 1, Seq: 40, Payload: b})
@@ -469,6 +476,11 @@ func bundleRejects(tb testing.TB) map[string][]byte {
 	}
 	tag := enc(rsm.Bundle{rsm.CommandPayload{Cmd: 1}, rsm.CommandPayload{Cmd: 2}})[0]
 	cmd, rep := enc(rsm.CommandPayload{Cmd: 1}), enc(consensus.ReportPayload{K: 1, V: 2})
+	slotted := enc(rsm.SlotPayload{Slot: 1, Inner: consensus.ReportPayload{K: 1, V: 2}})
+	next := enc(rsm.Bundle{
+		rsm.SlotPayload{Slot: 1, Inner: consensus.ReportPayload{K: 1, V: 2}},
+		rsm.SlotPayload{Slot: 2, Inner: consensus.ReportPayload{K: 1, V: 2}},
+	})[len(slotted)+1]
 	join := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{{tag}}, parts...), nil) }
 	return map[string][]byte{
 		"empty bundle":                 join(),
@@ -477,6 +489,11 @@ func bundleRejects(tb testing.TB) map[string][]byte {
 		"bundle inside a bundle":       join(cmd, join(cmd, cmd)),
 		"unknown tag inside a bundle":  join(cmd, []byte{0xEE}),
 		"truncated item inside bundle": join(cmd, rep[:len(rep)-1]),
+		"slot switch before any slot":  join(cmd, []byte{next}, rep),
+		"slot switch ending a bundle":  join(slotted, []byte{next}),
+		"slot switch after a switch":   join(slotted, []byte{next, next}, rep),
+		"slot switch inside a slot":    join(cmd, slotted[:len(slotted)-len(rep)], []byte{next}, rep),
+		"slot switch outside a bundle": append([]byte{next}, rep...),
 	}
 }
 
