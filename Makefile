@@ -56,16 +56,15 @@ tables-check:
 substrate-smoke:
 	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2,E18 -substrate async
 
-# explore-smoke exhaustively verifies A_nuc safety at a small bound and
-# checks the model checker's worker-count determinism by diffing stdout
-# between -parallel 1 and -parallel 8 (it must be byte-identical). The
-# full E6 counterexample hunt runs in CI's explore job and in the tests.
+# explore-smoke exhaustively verifies A_nuc safety at a small bound: the
+# command exits 1 on a violation, and every scenario must print its
+# verified verdict. The full E6 counterexample hunt runs in CI's explore
+# job and in the tests.
 explore-smoke:
 	mkdir -p $(ARTIFACTS)
-	$(GO) run ./cmd/explore -target anuc -n 3 -f 1 -bound 6 -parallel 1 > $(ARTIFACTS)/explore-smoke.p1.txt
-	$(GO) run ./cmd/explore -target anuc -n 3 -f 1 -bound 6 -parallel 8 > $(ARTIFACTS)/explore-smoke.p8.txt
-	diff $(ARTIFACTS)/explore-smoke.p1.txt $(ARTIFACTS)/explore-smoke.p8.txt
-	@echo "explore: verified, byte-identical at -parallel 1 and 8"
+	$(GO) run ./cmd/explore -target anuc -n 3 -f 1 -bound 6 > $(ARTIFACTS)/explore-smoke.txt
+	test "$$(grep -c 'verified: no safety violation' $(ARTIFACTS)/explore-smoke.txt)" -eq 4
+	@echo "explore: A_nuc verified at bound 6 (failure-free and three crash patterns)"
 
 # serve-smoke runs the serving layer for real: a 3-node cmd/nucd cluster
 # over loopback TCP serves a short cmd/nucload run (writes + plain and

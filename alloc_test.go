@@ -97,8 +97,12 @@ func TestHotPathAllocs(t *testing.T) {
 		{"SessionDedup/record320", 100, 18, record320Op},
 		{"LogLongRun/shared", 20, 5839, logShared.op(new(int))},
 		{"LogLongRun/shared-crash", 20, 20566, logSharedCrash.op(new(int))},
-		// Concurrent workers make this count vary by ±60.
-		{"ExploreFrontier", 1, 1275044, exploreFrontierOp(new(explore.Result))},
+		// Measured 1246015–1246031. The spread is GC timing: each of the
+		// run's ≈ 25 GC cycles empties sync.Pools, fmt's printer cache
+		// among them (stateKey and messageEncoding print through fmt), and
+		// how many refills follow depends on when the cycles land. Under
+		// GOGC=off the count is 1245956 on every run.
+		{"ExploreFrontier", 1, 1246031, exploreFrontierOp(new(explore.Result))},
 	} {
 		t.Run(r.name, func(t *testing.T) {
 			if raceEnabled && r.pinned != 0 {

@@ -14,8 +14,8 @@
 // nuconsensus.LoadRecordedRun reads back and nuconsensus.Replay re-executes
 // (explore_cex_test.go pins that round trip).
 //
-// Everything on stdout is a deterministic function of the flags — byte
-// identical at every -parallel value; progress and timing go to stderr.
+// Everything on stdout is a deterministic function of the flags; progress
+// and timing go to stderr.
 // The process exits 1 when the outcome contradicts the target's
 // expectation (a violation for anuc, no violation for naive-mr), 2 on
 // usage errors.
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"nuconsensus"
@@ -65,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		n        = fs.Int("n", 3, "number of processes (anuc target)")
 		f        = fs.Int("f", 1, "max crash failures to enumerate patterns for (anuc target)")
 		bound    = fs.Int("bound", 0, "exploration depth bound (0 = the target's default)")
-		parallel = fs.Int("parallel", runtime.NumCPU(), "frontier worker count (output is byte-identical for every value)")
 		out      = fs.String("o", "", "write the shrunk counterexample as a replayable RecordedRun JSON file")
 		jsonOut  = fs.String("json", "", "write a machine-readable JSON report to this file")
 		progress = fs.Bool("progress", false, "print per-level progress to stderr")
@@ -110,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *bound > 0 {
 			o.Bound = *bound
 		}
-		o.Parallel = *parallel
 		if *progress {
 			o.Progress = func(depth, frontier int, states int64) {
 				fmt.Fprintf(stderr, "%s: level %d/%d frontier=%d states=%d\n", sc.Label, depth, o.Bound, frontier, states)

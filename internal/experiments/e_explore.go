@@ -57,7 +57,6 @@ var e16Spec = &Spec{
 		s := e16Scenarios()[cfg.Arg]
 		o := s.Opts
 		o.Bound = e16Bound(sc, s)
-		o.Parallel = 1 // the engine's pool is the parallelism; output is identical anyway
 		res, err := explore.Explore(o)
 		if err != nil {
 			u.failf("%s: %v", s.Label, err)

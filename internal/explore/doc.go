@@ -11,9 +11,8 @@
 // merged by a canonical 128-bit fingerprint, and a sleep-set partial-order
 // reduction skips commuting permutations of independent steps (see
 // DESIGN.md §"Exhaustive checking" for the independence relation). The
-// frontier is expanded level-synchronously by a worker pool whose work
-// split derives from the state fingerprints via DeriveSeed, so results are
-// byte-identical at any worker count.
+// frontier is expanded one level at a time, in frontier order, on the
+// calling goroutine, so every result is a pure function of the Options.
 //
 // On a property violation the lexicographically least schedule reaching
 // the shallowest violating state is reported, and Shrink reduces it to a

@@ -2,9 +2,7 @@ package explore
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
-	"sync"
 
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
@@ -16,7 +14,7 @@ import (
 // its failure-detector module outputs entry FD of the adversary menu for
 // (P, t). Choices are ordered lexicographically by (P, From, FD); the
 // enumerator generates them in that order, which makes "the first
-// counterexample" well defined and worker-count independent.
+// counterexample" well defined.
 type Choice struct {
 	P    model.ProcessID `json:"p"`
 	From model.ProcessID `json:"from"` // model.NoProcess encodes λ
@@ -52,9 +50,6 @@ type Options struct {
 	// Bound is the exploration depth: states at depth Bound are visited
 	// (and checked) but not expanded.
 	Bound int
-	// Parallel is the frontier worker count; any value yields byte-identical
-	// results. Values < 1 mean 1.
-	Parallel int
 	// Property, when non-nil, is checked on every visited configuration; a
 	// non-nil error marks the state as violating. It must be a pure
 	// function of the configuration.
@@ -62,7 +57,7 @@ type Options struct {
 	// StopAtViolation stops the exploration at the end of the first level
 	// containing a violating state (the level is still completed, so the
 	// reported counterexample is the lexicographically least schedule to a
-	// shallowest violation regardless of worker count).
+	// shallowest violation).
 	StopAtViolation bool
 	// Progress, when non-nil, is called after each completed level with the
 	// level depth, the size of the next frontier and the cumulative unique
@@ -126,26 +121,6 @@ type Result struct {
 	Reduction float64
 }
 
-// DeriveSeed hashes an explorer label and frontier level into the salt
-// that shards states across workers (FNV-1a, the same construction as
-// experiments.DeriveSeed). Work splitting is thus a pure function of the
-// state fingerprints — never of goroutine timing — which is what keeps
-// results byte-identical at any Parallel value. TestDeterminismAcrossWorkers
-// and `make explore-smoke` hold this package to that discipline.
-func DeriveSeed(label string, level int) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "nuconsensus/explore/%s/%d", label, level)
-	return int64(h.Sum64())
-}
-
-// shardOf assigns a state to a worker from its fingerprint and the
-// level's DeriveSeed salt.
-func shardOf(k Key, salt int64, workers int) int {
-	x := (k[0] ^ uint64(salt)) * 0x9e3779b97f4a7c15
-	x ^= x >> 32
-	return int(x % uint64(workers))
-}
-
 // node is one unique state of the level DAG. cfg, procH and sleep are
 // dropped once the level has been expanded; key, parent and via stay for
 // counterexample path reconstruction.
@@ -169,10 +144,9 @@ type edgeRec struct {
 }
 
 type engine struct {
-	o       Options
-	n       int
-	workers int
-	enc     *encCache
+	o   Options
+	n   int
+	enc encCache
 	// invariantFrom[t] reports that the failure pattern and the adversary
 	// menu are constant on [t, Bound] — the precondition for stutter
 	// elimination at time t.
@@ -192,10 +166,7 @@ func Explore(o Options) (*Result, error) {
 	if o.Pattern.N() != o.Automaton.N() {
 		return nil, fmt.Errorf("explore: pattern is for n=%d but automaton has n=%d", o.Pattern.N(), o.Automaton.N())
 	}
-	e := &engine{o: o, n: o.Automaton.N(), workers: o.Parallel, enc: &encCache{}}
-	if e.workers < 1 {
-		e.workers = 1
-	}
+	e := &engine{o: o, n: o.Automaton.N(), enc: encCache{}}
 	e.invariantFrom = e.computeInvariantSuffix(o.Bound)
 
 	cfg0 := model.InitialConfiguration(o.Automaton)
@@ -233,10 +204,10 @@ func Explore(o Options) (*Result, error) {
 			break
 		}
 		stable := e.menuStability(t)
-		e.enc = &encCache{} // scope message-encoding memoization to this level
+		e.enc = encCache{} // scope message-encoding memoization to this level
 		edges := e.expandLevel(cur, depth, t, alive, stable)
-		next, pairs := e.merge(edges, depth)
-		e.materialize(cur, next, depth, t)
+		next, pairs := e.merge(edges)
+		e.materialize(cur, next, t)
 		for i := range cur { // frontier configs are no longer needed
 			cur[i].cfg, cur[i].procH, cur[i].sleep = nil, nil, nil
 		}
@@ -473,54 +444,16 @@ func (e *engine) expandNode(nd *node, idx int32, t model.Time, alive model.Proce
 	return out, slept, stutters
 }
 
-// expandLevel runs pass 1 over a frontier: every state is expanded, child
-// configurations are fingerprinted and dropped. With workers > 1 the
-// frontier is sharded by fingerprint; the edge set is a pure function of
-// the frontier, so the concatenated-and-sorted result is identical for
-// any worker count.
+// expandLevel runs pass 1 over a frontier: every state is expanded in
+// frontier order, child configurations are fingerprinted and dropped. The
+// edges come out sorted by (parent, choice).
 func (e *engine) expandLevel(cur []node, depth int, t model.Time, alive model.ProcessSet, stable []bool) []edgeRec {
 	var all []edgeRec
-	if e.workers == 1 {
-		for i := range cur {
-			edges, slept, stutters := e.expandNode(&cur[i], int32(i), t, alive, stable, depth)
-			all = append(all, edges...)
-			e.slept += slept
-			e.stutters += stutters
-		}
-	} else {
-		salt := DeriveSeed("frontier", depth)
-		perWorker := make([][]edgeRec, e.workers)
-		sleptPer := make([]int64, e.workers)
-		stutterPer := make([]int64, e.workers)
-		var wg sync.WaitGroup
-		for w := 0; w < e.workers; w++ {
-			wg.Add(1)
-			//lint:allow nodeterm frontier worker pool; the merged edge set is canonicalized below
-			go func(w int) {
-				defer wg.Done()
-				for i := range cur {
-					if shardOf(cur[i].key, salt, e.workers) != w {
-						continue
-					}
-					edges, slept, stutters := e.expandNode(&cur[i], int32(i), t, alive, stable, depth)
-					perWorker[w] = append(perWorker[w], edges...)
-					sleptPer[w] += slept
-					stutterPer[w] += stutters
-				}
-			}(w)
-		}
-		wg.Wait()
-		for w := 0; w < e.workers; w++ {
-			all = append(all, perWorker[w]...)
-			e.slept += sleptPer[w]
-			e.stutters += stutterPer[w]
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].parent != all[j].parent {
-				return all[i].parent < all[j].parent
-			}
-			return choiceLess(all[i].via, all[j].via)
-		})
+	for i := range cur {
+		edges, slept, stutters := e.expandNode(&cur[i], int32(i), t, alive, stable, depth)
+		all = append(all, edges...)
+		e.slept += slept
+		e.stutters += stutters
 	}
 	return all
 }
@@ -531,19 +464,7 @@ func (e *engine) expandLevel(cur []node, depth int, t model.Time, alive model.Pr
 // path to that state, and it becomes the state's parent pointer. Later
 // edges to the same key only intersect sleep sets (a state reached twice
 // may only sleep what every arrival agrees to sleep).
-//
-// Levels big enough to amortize the fan-out run the sharded merge; tiny
-// levels use the sequential one. The two produce byte-identical frontiers,
-// pairs and counters (TestMergeShardedMatchesSequential).
-func (e *engine) merge(edges []edgeRec, depth int) ([]node, [][2]int32) {
-	if e.workers > 1 && len(edges) >= 4*e.workers {
-		return e.mergeSharded(edges, depth)
-	}
-	return e.mergeSeq(edges)
-}
-
-// mergeSeq is the single-threaded merge.
-func (e *engine) mergeSeq(edges []edgeRec) ([]node, [][2]int32) {
+func (e *engine) merge(edges []edgeRec) ([]node, [][2]int32) {
 	var next []node
 	idx := make(map[Key]int32)
 	pairs := make([][2]int32, 0, len(edges))
@@ -565,125 +486,17 @@ func (e *engine) mergeSeq(edges []edgeRec) ([]node, [][2]int32) {
 		}
 		pairs = append(pairs, [2]int32{ed.parent, ci})
 	}
-	if e.o.Metrics != nil {
-		// Same totals the sharded merge flushes from its per-worker stores,
-		// so metric dumps are identical at any Parallel value.
-		e.o.Metrics.Counter("explore.merge.unique").Add(int64(len(next)))
-		e.o.Metrics.Counter("explore.merge.dup_hits").Add(int64(len(edges) - len(next)))
-	}
-	return next, pairs
-}
-
-// mergeSharded shards the seen-state set by fingerprint, the ddtxn
-// local-store idiom: every edge of a given key hashes to exactly one
-// worker's private map (no shared map, no locks), each worker scans the
-// canonically ordered edge list recording its keys' first-arrival indices
-// and folding later arrivals into the sleep-set intersection, and the
-// global frontier order is recovered by sorting unique states by first
-// arrival — precisely the order the sequential merge assigns, so the
-// result is byte-identical at any worker count. Per-worker tallies stage
-// in obs.LocalStores and merge into the registry after the barrier.
-func (e *engine) mergeSharded(edges []edgeRec, depth int) ([]node, [][2]int32) {
-	salt := DeriveSeed("merge", depth)
-	type keyRec struct {
-		first int32 // index of the key's first edge in canonical order
-		nd    node
-	}
-	shards := make([]map[Key]*keyRec, e.workers)
-	stats := make([]*obs.LocalStore, e.workers)
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		shards[w] = make(map[Key]*keyRec)
-		stats[w] = obs.NewLocalStore()
-		wg.Add(1)
-		//lint:allow nodeterm sharded merge workers; canonical order is restored by the first-arrival sort below
-		go func(w int) {
-			defer wg.Done()
-			seen, st := shards[w], stats[w]
-			for i := range edges {
-				ed := &edges[i]
-				if shardOf(ed.key, salt, e.workers) != w {
-					continue
-				}
-				if kr, ok := seen[ed.key]; ok {
-					kr.nd.sleep = intersectChoices(kr.nd.sleep, ed.sleep)
-					st.Add("explore.merge.dup_hits", 1)
-					continue
-				}
-				seen[ed.key] = &keyRec{
-					first: int32(i),
-					nd:    node{key: ed.key, parent: ed.parent, via: ed.via, sleep: ed.sleep, viol: ed.viol},
-				}
-				st.Add("explore.merge.unique", 1)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Canonical frontier order: unique states by first-arrival edge index.
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	recs := make([]*keyRec, 0, total)
-	for _, s := range shards {
-		for _, kr := range s {
-			recs = append(recs, kr)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].first < recs[j].first })
-
-	next := make([]node, len(recs))
-	idx := make(map[Key]int32, len(recs))
-	for ci := range recs {
-		next[ci] = recs[ci].nd
-		idx[recs[ci].nd.key] = int32(ci)
-		e.states++
-		if recs[ci].nd.viol != "" {
-			e.violations++
-		}
-	}
-	pairs := make([][2]int32, len(edges))
-	for i := range edges {
-		pairs[i] = [2]int32{edges[i].parent, idx[edges[i].key]}
-	}
-	e.edges += int64(len(edges))
-	e.dups += int64(len(edges) - len(next))
-	for _, st := range stats {
-		st.FlushTo(e.o.Metrics)
-	}
 	return next, pairs
 }
 
 // materialize is pass 2: rebuild the configuration of every unique child
 // from its lex-least parent. Re-executing one step per unique state costs
 // less than holding a configuration per edge through merge.
-func (e *engine) materialize(cur, next []node, depth int, t model.Time) {
-	build := func(i int) {
+func (e *engine) materialize(cur, next []node, t model.Time) {
+	for i := range next {
 		p := &cur[next[i].parent]
 		next[i].cfg, next[i].procH, _ = e.apply(p.cfg, p.procH, next[i].via, t)
 	}
-	if e.workers == 1 {
-		for i := range next {
-			build(i)
-		}
-		return
-	}
-	salt := DeriveSeed("materialize", depth)
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		//lint:allow nodeterm worker pool over disjoint slice elements; output independent of scheduling
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				if shardOf(next[i].key, salt, e.workers) == w {
-					build(i)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // reconstructPath walks parent pointers from levels[depth][i] back to the
@@ -702,7 +515,7 @@ func reconstructPath(levels [][]node, depth int, i int32) []Choice {
 // schedule prefixes a naive enumerator (a tree walk with no state
 // merging) would visit to cover the explored edges: prefixes(s) = 1 +
 // Σ_{s→c} prefixes(c). Summation follows the canonical edge order, so the
-// float result is bit-identical across runs and worker counts.
+// float result is bit-identical across runs.
 func schedulePrefixes(levels [][]node, edgePairs [][][2]int32) float64 {
 	if len(levels) == 0 {
 		return 0

@@ -5,13 +5,10 @@ import (
 	"reflect"
 	"testing"
 
-	"strings"
-
 	"nuconsensus/internal/check"
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
-	"nuconsensus/internal/obs"
 )
 
 // disagreeScenario is a deliberately broken target that violates agreement
@@ -116,26 +113,14 @@ func TestStateKeyCommutesOnDistinctLinks(t *testing.T) {
 		}
 		return hs
 	}
-	ka := stateKey(a, 2, hashes(a), &encCache{})
-	kb := stateKey(b, 2, hashes(b), &encCache{})
+	ka := stateKey(a, 2, hashes(a), encCache{})
+	kb := stateKey(b, 2, hashes(b), encCache{})
 	if ka != kb {
 		t.Errorf("commuted independent steps got keys %s vs %s", ka, kb)
 	}
 	// The same configuration at a different depth is a different state.
-	if kc := stateKey(a, 3, hashes(a), &encCache{}); kc == ka {
+	if kc := stateKey(a, 3, hashes(a), encCache{}); kc == ka {
 		t.Error("depth must be part of the fingerprint")
-	}
-}
-
-func TestDeriveSeedIsStable(t *testing.T) {
-	if DeriveSeed("frontier", 3) != DeriveSeed("frontier", 3) {
-		t.Error("DeriveSeed must be deterministic")
-	}
-	if DeriveSeed("frontier", 3) == DeriveSeed("frontier", 4) {
-		t.Error("levels must get distinct salts")
-	}
-	if DeriveSeed("frontier", 3) == DeriveSeed("materialize", 3) {
-		t.Error("labels must get distinct salts")
 	}
 }
 
@@ -184,43 +169,6 @@ func TestShrinkPanicsOnNonViolating(t *testing.T) {
 	}()
 	o := disagreeScenario()
 	Shrink(o, []Choice{{P: 0, From: model.NoProcess}})
-}
-
-func TestDeterminismAcrossWorkers(t *testing.T) {
-	scenarios := []struct {
-		label string
-		o     Options
-	}{
-		{"disagree", disagreeScenario()},
-	}
-	for _, sc := range VerifyANuc(3, 1) {
-		o := sc.Opts
-		o.Bound = 6
-		scenarios = append(scenarios, struct {
-			label string
-			o     Options
-		}{sc.Label, o})
-	}
-	for _, sc := range scenarios {
-		o1 := sc.o
-		o1.Parallel = 1
-		r1, err := Explore(o1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 8} {
-			ow := sc.o
-			ow.Parallel = workers
-			rw, err := Explore(ow)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(r1, rw) {
-				t.Errorf("%s: results differ between -parallel 1 and -parallel %d:\n%+v\nvs\n%+v",
-					sc.label, workers, r1, rw)
-			}
-		}
-	}
 }
 
 // TestPORPreservesStates cross-checks the sleep-set reduction: it may only
@@ -401,40 +349,5 @@ func TestProgressCallback(t *testing.T) {
 	}
 	if res.Depth != 3 {
 		t.Errorf("depth %d, want 3", res.Depth)
-	}
-}
-
-// TestMergeShardedMatchesSequential pins the sharded frontier merge: the
-// Result and the full metrics dump — including the explore.merge.* totals
-// the workers stage in per-worker obs.LocalStores — must be byte-identical
-// between -parallel 1 (sequential merge) and -parallel 8 (sharded merge on
-// every level wide enough to fan out).
-func TestMergeShardedMatchesSequential(t *testing.T) {
-	run := func(workers int) (*Result, string) {
-		o := VerifyANuc(3, 1)[0].Opts
-		o.Bound = 6
-		o.Parallel = workers
-		reg := obs.NewRegistry()
-		o.Metrics = reg
-		r, err := Explore(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var dump strings.Builder
-		if _, err := reg.WriteTo(&dump); err != nil {
-			t.Fatal(err)
-		}
-		return r, dump.String()
-	}
-	r1, m1 := run(1)
-	r8, m8 := run(8)
-	if !reflect.DeepEqual(r1, r8) {
-		t.Errorf("results differ between -parallel 1 and 8:\n%+v\nvs\n%+v", r1, r8)
-	}
-	if m1 != m8 {
-		t.Errorf("metric dumps differ between -parallel 1 and 8:\n%s\nvs\n%s", m1, m8)
-	}
-	if !strings.Contains(m1, "explore.merge.unique") || !strings.Contains(m1, "explore.merge.dup_hits") {
-		t.Errorf("merge counters missing from dump:\n%s", m1)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
-	"sync"
 
 	"nuconsensus/internal/model"
 )
@@ -143,25 +142,24 @@ func hash64(s string) uint64 {
 // engine drops the cache after every level — messages are created per
 // executed edge, so an unbounded cache would grow with the whole explored
 // edge set rather than with the frontier's working set. The key is the
-// message pointer; the value is a pure function of the message, so
-// concurrent duplicate computation is harmless.
-type encCache struct{ m sync.Map } // *model.Message -> string
+// message pointer.
+type encCache map[*model.Message]string
 
 // messageEncoding canonically encodes a buffered message's content. The
 // sender and position are contributed by the link walk in stateKey; the
 // per-sender sequence number and global arrival order are deliberately
 // excluded — they do not affect future behavior, and arrival order differs
 // between commuted interleavings of independent steps.
-func (c *encCache) messageEncoding(m *model.Message) string {
-	if s, ok := c.m.Load(m); ok {
-		return s.(string)
+func (c encCache) messageEncoding(m *model.Message) string {
+	if s, ok := c[m]; ok {
+		return s
 	}
 	var b bytes.Buffer
 	b.WriteString(fmt.Sprintf("%T", m.Payload))
 	b.WriteByte('|')
 	encodeCanonical(&b, reflect.ValueOf(m.Payload), 0)
 	s := b.String()
-	c.m.Store(m, s)
+	c[m] = s
 	return s
 }
 
@@ -173,7 +171,7 @@ func (c *encCache) messageEncoding(m *model.Message) string {
 // same key. Depth is part of the key because failure patterns and
 // adversary menus are time-indexed: merging across depths would conflate
 // states with different futures.
-func stateKey(c *model.Configuration, depth int, procHashes []uint64, enc *encCache) Key {
+func stateKey(c *model.Configuration, depth int, procHashes []uint64, enc encCache) Key {
 	h := fnv.New128a()
 	var scratch [8]byte
 	binary.BigEndian.PutUint64(scratch[:], uint64(depth))

@@ -561,60 +561,3 @@ func TestWallClockStamps(t *testing.T) {
 		t.Errorf("wall stamp missing from %q", line)
 	}
 }
-
-// TestLocalStoreFlush pins the per-worker staging contract: local adds are
-// invisible to the registry until FlushTo, flushing merges and resets, and
-// concurrent workers flushing after a barrier produce the same totals as
-// direct registry updates would (adds commute).
-func TestLocalStoreFlush(t *testing.T) {
-	reg := obs.NewRegistry()
-	ls := obs.NewLocalStore()
-	ls.Add("x", 2)
-	ls.Add("x", 3)
-	ls.Add("y", 1)
-	if got := ls.Value("x"); got != 5 {
-		t.Errorf("local x = %d, want 5", got)
-	}
-	if got := reg.Counter("x").Value(); got != 0 {
-		t.Errorf("registry saw x=%d before flush", got)
-	}
-	ls.FlushTo(reg)
-	if got := reg.Counter("x").Value(); got != 5 {
-		t.Errorf("x = %d after flush, want 5", got)
-	}
-	if got := reg.Counter("y").Value(); got != 1 {
-		t.Errorf("y = %d after flush, want 1", got)
-	}
-	if got := ls.Value("x"); got != 0 {
-		t.Errorf("flush did not reset local x (= %d)", got)
-	}
-	ls.FlushTo(reg) // flushing an empty store is a no-op
-	if got := reg.Counter("x").Value(); got != 5 {
-		t.Errorf("empty flush changed x to %d", got)
-	}
-	ls.Add("z", 7)
-	ls.FlushTo(nil) // nil registry discards
-	if got := ls.Value("z"); got != 0 {
-		t.Errorf("nil flush did not reset local z (= %d)", got)
-	}
-
-	// Worker-count independence: N workers staging locally and flushing
-	// after the barrier equals one worker counting everything.
-	const workers, per = 8, 100
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := obs.NewLocalStore()
-			for i := 0; i < per; i++ {
-				st.Add("work", 1)
-			}
-			st.FlushTo(reg)
-		}()
-	}
-	wg.Wait()
-	if got := reg.Counter("work").Value(); got != workers*per {
-		t.Errorf("work = %d, want %d", got, workers*per)
-	}
-}

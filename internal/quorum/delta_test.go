@@ -181,7 +181,7 @@ func TestVersionedAppendSinceReusesScratch(t *testing.T) {
 // interleaved adds and delta exchange (including compaction-forced
 // snapshots) and checks they always converge to the same histories.
 func TestVersionedConvergesUnderRandomExchange(t *testing.T) {
-	rng := rand.New(rand.NewSource(8)) //lint:allow nodeterm test-local rng
+	rng := rand.New(rand.NewSource(8))
 	const n = 4
 	a, b := NewVersioned(n), NewVersioned(n)
 	var aSent, bSent uint64
