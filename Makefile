@@ -93,8 +93,8 @@ serve-smoke:
 
 # trace-smoke is the end-to-end tracing gate: a 3-node cmd/nucd cluster
 # with -trace and the telemetry listener serves a traced cmd/nucload run;
-# /metrics, /healthz and /statusz are scraped over HTTP from the live
-# daemon (the Prometheus rendering must carry the span counter and the
+# /metrics, /healthz, /statusz and /debug/pprof/ are scraped over HTTP
+# from the live daemon (the Prometheus rendering must carry the span counter and the
 # quiet gate's held / released books, the status report the applier
 # frontiers); then cmd/nuctrace joins the two
 # span streams and -check demands a complete ingress→batch→decide→apply→
@@ -119,7 +119,8 @@ trace-smoke:
 	assert urllib.request.urlopen('http://%s/healthz' % addr).read().decode().strip() == 'ok'; \
 	status = urllib.request.urlopen('http://%s/statusz' % addr).read(); \
 	assert b'frontier' in status and b'live_instances' in status and b'quiet_instances' in status and b'"aware"' in status, status[:400]; \
-	print('live scrape ok: /metrics /healthz /statusz')" \
+	assert urllib.request.urlopen('http://%s/debug/pprof/' % addr).status == 200; \
+	print('live scrape ok: /metrics /healthz /statusz /debug/pprof/')" \
 	    || { kill $$pid 2>/dev/null; exit 1; }; \
 	./nucload.smoke -addr-file $(ARTIFACTS)/trace-smoke.addrs -ops 200 -clients 4 -window 4 \
 	    -timeout 60s -trace $(ARTIFACTS)/nucload.trace.jsonl \

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	experiments [-e E1,Q4] [-substrate sim|async|tcp] [-full] [-seeds N] [-parallel N] [-json out.json] [-timeout 5m]
-//	            [-events out.jsonl] [-trace out.trace.json] [-metrics out.metrics] [-debug-addr :6060] [-memprofile heap.pb.gz]
+//	            [-events out.jsonl] [-trace out.trace.json] [-metrics out.metrics.jsonl] [-debug-addr :6060] [-memprofile heap.pb.gz]
 //
 // With no -e flag, every experiment runs in canonical order. -substrate
 // selects the execution backend of internal/substrate (default sim, the
@@ -24,9 +24,9 @@
 // TestEventsByteIdenticalAcrossParallel asserts both); -trace exports
 // the same stream in Chrome trace_event format, which opens directly in
 // Perfetto or chrome://tracing with Send→Deliver flow arrows; -metrics
-// writes the run's counter/histogram registry as a sorted text dump;
-// -debug-addr serves net/http/pprof and expvar while the run executes;
-// -memprofile writes a heap profile at exit. The process exits 1 if any
+// writes the run's counter/histogram registry as JSONL, one instrument per
+// line in name order; -debug-addr serves obs.ServeDebug's pprof, /metrics
+// (Prometheus text) and /healthz while the run executes; -memprofile writes a heap profile at exit. The process exits 1 if any
 // selected experiment fails its claim, 2 on usage or runtime errors.
 package main
 
@@ -66,8 +66,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		subName  = fs.String("substrate", "sim", "execution backend: "+strings.Join(substrate.Names(), "|"))
 		events   = fs.String("events", "", "export the causal event stream as JSONL to this file")
 		traceOut = fs.String("trace", "", "export the causal event stream as a Chrome trace_event file (Perfetto)")
-		metrics  = fs.String("metrics", "", "write the metrics registry as a sorted text dump to this file ('-' for stderr)")
-		debug    = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address while running")
+		metrics  = fs.String("metrics", "", "write the metrics registry as JSONL to this file ('-' for stderr)")
+		debug    = fs.String("debug-addr", "", "serve /debug/pprof/, /metrics (Prometheus text) and /healthz on this address while running")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -152,13 +152,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	engOpts.EventSinks = sinks
 	if *debug != "" {
-		ds, err := obs.ServeDebug(*debug, reg)
+		ds, err := obs.ServeDebug(*debug, reg, nil)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		defer ds.Close()
-		obs.PublishExpvar("nuconsensus", reg)
 		fmt.Fprintf(stderr, "(debug server on http://%s/debug/pprof/)\n", ds.Addr)
 	}
 
@@ -180,26 +179,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *metrics != "" {
-		w := io.Writer(stderr)
-		var mf *os.File
-		if *metrics != "-" {
-			f, err := os.Create(*metrics)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			mf = f
-			w = f
+		var err error
+		if *metrics == "-" {
+			err = reg.WriteJSONL(stderr)
+		} else {
+			err = reg.WriteJSONLFile(*metrics)
 		}
-		if _, err := reg.WriteTo(w); err != nil {
+		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
-		}
-		if mf != nil {
-			if err := mf.Close(); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
 		}
 	}
 

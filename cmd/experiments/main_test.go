@@ -62,11 +62,11 @@ func TestEventsByteIdenticalAcrossParallel(t *testing.T) {
 	for _, tc := range []struct {
 		id     string
 		events bool
-		metric string // a line the dump must carry
+		metric string // a JSONL fragment the dump must carry
 	}{
-		{"E1", true, "bus.steps counter"},
-		{"E17", false, "rsm.hist.delta_hits counter"},
-		{"E18", false, "obs.spans counter"},
+		{"E1", true, `"name":"bus.steps","kind":"counter"`},
+		{"E17", false, `"name":"rsm.hist.delta_hits","kind":"counter"`},
+		{"E18", false, `"name":"obs.spans","kind":"counter"`},
 	} {
 		dump := func(par string) (events, metrics []byte) {
 			t.Helper()

@@ -15,7 +15,9 @@
 // (explore_cex_test.go pins that round trip).
 //
 // Everything on stdout is a deterministic function of the flags; progress
-// and timing go to stderr.
+// and timing go to stderr. -metrics writes the exploration registry as
+// JSONL ('-' for stderr); -debug-addr serves obs.ServeDebug's pprof,
+// /metrics (Prometheus text) and /healthz while exploring.
 // The process exits 1 when the outcome contradicts the target's
 // expectation (a violation for anuc, no violation for naive-mr), 2 on
 // usage errors.
@@ -67,8 +69,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out      = fs.String("o", "", "write the shrunk counterexample as a replayable RecordedRun JSON file")
 		jsonOut  = fs.String("json", "", "write a machine-readable JSON report to this file")
 		progress = fs.Bool("progress", false, "print per-level progress to stderr")
-		metrics  = fs.String("metrics", "", "write the exploration metrics registry as a sorted text dump to this file ('-' for stderr)")
-		debug    = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address while exploring")
+		metrics  = fs.String("metrics", "", "write the exploration metrics registry as JSONL to this file ('-' for stderr)")
+		debug    = fs.String("debug-addr", "", "serve /debug/pprof/, /metrics (Prometheus text) and /healthz on this address while exploring")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -79,13 +81,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg = obs.NewRegistry()
 	}
 	if *debug != "" {
-		ds, err := obs.ServeDebug(*debug, reg)
+		ds, err := obs.ServeDebug(*debug, reg, nil)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		defer ds.Close()
-		obs.PublishExpvar("nuconsensus", reg)
 		fmt.Fprintf(stderr, "(debug server on http://%s/debug/pprof/)\n", ds.Addr)
 	}
 
@@ -176,26 +177,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *metrics != "" {
-		w := io.Writer(stderr)
-		var mf *os.File
-		if *metrics != "-" {
-			f, err := os.Create(*metrics)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			mf = f
-			w = f
+		var err error
+		if *metrics == "-" {
+			err = reg.WriteJSONL(stderr)
+		} else {
+			err = reg.WriteJSONLFile(*metrics)
 		}
-		if _, err := reg.WriteTo(w); err != nil {
+		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
-		}
-		if mf != nil {
-			if err := mf.Close(); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
 		}
 	}
 

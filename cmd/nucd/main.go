@@ -18,10 +18,10 @@
 //
 // Observability: -trace writes the request span stream (ingress, seal,
 // decide, apply, reply — see internal/obs and cmd/nuctrace) as JSONL;
-// -debug-addr starts an HTTP listener with /metrics (Prometheus text
-// exposition of the live registry), /healthz and /statusz (per-node
-// applier progress, parked-message count, ingress depths); -slow logs any
-// write whose end-to-end latency exceeds the threshold.
+// -debug-addr starts obs.ServeDebug: pprof, /metrics (Prometheus text
+// exposition of the live registry), /healthz, and this daemon's /statusz
+// (per-node applier progress, parked-message count, ingress depths); -slow
+// logs any write whose end-to-end latency exceeds the threshold.
 //
 // Usage:
 //
@@ -66,7 +66,7 @@ func main() {
 		addrFile  = flag.String("addr-file", "", "write the client listener addresses to this file (one per line)")
 		metrics   = flag.String("metrics", "", "write the metrics registry as JSONL to this file at exit")
 		trace     = flag.String("trace", "", "write the request span stream as JSONL to this file")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz, /statusz on this address (e.g. 127.0.0.1:0)")
+		debugAddr = flag.String("debug-addr", "", "serve pprof, /metrics, /healthz, /statusz on this address (e.g. 127.0.0.1:0)")
 		slow      = flag.Duration("slow", 0, "log writes whose end-to-end latency exceeds this (0: off)")
 	)
 	flag.Parse()
@@ -130,17 +130,18 @@ func main() {
 	// dump snapshots, /statusz the structured liveness view that diagnosed
 	// the pipelined-window wedge (every node frozen at frontier=2, cmds=0).
 	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
+		ds, err := obs.ServeDebug(*debugAddr, reg, map[string]http.HandlerFunc{
+			"/statusz": statusz(cl, reg, *n, *pipeline, batchers),
+		})
 		if err != nil {
-			log.Fatalf("nucd: debug listener: %v", err)
+			log.Fatalf("nucd: %v", err)
 		}
-		fmt.Printf("debug addr=%s\n", ln.Addr().String())
+		fmt.Printf("debug addr=%s\n", ds.Addr)
 		if *addrFile != "" {
-			if err := writeAddrFile(*addrFile+".debug", []string{ln.Addr().String()}); err != nil {
+			if err := writeAddrFile(*addrFile+".debug", []string{ds.Addr}); err != nil {
 				log.Fatalf("nucd: %v", err)
 			}
 		}
-		go serveDebug(ln, cl, reg, *n, *pipeline, batchers)
 	}
 
 	sub, err := substrate.Get("tcp")
@@ -261,18 +262,9 @@ type statusReport struct {
 	Nodes          []nodeStatus `json:"nodes"`
 }
 
-// serveDebug runs the telemetry HTTP listener.
-func serveDebug(ln net.Listener, cl *serve.Cluster, reg *obs.Registry, n, pipeline int, batchers []*batcher) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.WritePrometheus(w, reg)
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
+// statusz serves the /statusz report.
+func statusz(cl *serve.Cluster, reg *obs.Registry, n, pipeline int, batchers []*batcher) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
 		rep := statusReport{
 			Pipeline:      pipeline,
 			Parked:        reg.Counter("rsm.parked_msgs").Value() - reg.Counter("rsm.parked_replayed").Value(),
@@ -296,9 +288,7 @@ func serveDebug(ln net.Listener, cl *serve.Cluster, reg *obs.Registry, n, pipeli
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(rep)
-	})
-	srv := &http.Server{Handler: mux}
-	srv.Serve(ln)
+	}
 }
 
 // batcher groups a node's incoming write commands into consensus batches:

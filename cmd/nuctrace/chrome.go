@@ -1,40 +1,18 @@
 // Chrome trace_event export: one lane (tid) per complete request, five
 // "X" slices per lane (the telescoping stages), and s/f flow arrows
 // stitching consecutive stages so Perfetto draws each request as one
-// connected chain. Same JSON shape as internal/obs's ChromeTrace sink;
-// load the file at https://ui.perfetto.dev.
+// connected chain. The document goes through obs.ChromeDoc, the writer
+// internal/obs's ChromeTrace sink uses too; load the file at
+// https://ui.perfetto.dev.
 package main
 
 import (
 	"fmt"
 	"io"
 	"sort"
+
+	"nuconsensus/internal/obs"
 )
-
-// chromeWriter emits trace_event JSON with the comma bookkeeping the
-// format needs; the first write error latches and turns the rest into
-// no-ops (checked once at the end).
-type chromeWriter struct {
-	w     io.Writer
-	first bool
-	err   error
-}
-
-func (cw *chromeWriter) writeString(s string) {
-	if cw.err != nil {
-		return
-	}
-	_, cw.err = io.WriteString(cw.w, s)
-}
-
-func (cw *chromeWriter) record(ev string) {
-	if cw.first {
-		cw.first = false
-		cw.writeString("\n" + ev)
-		return
-	}
-	cw.writeString(",\n" + ev)
-}
 
 // flowID gives each stage-to-stage arrow of each request lane a distinct
 // id: lane index in the high bits, stage index below.
@@ -43,7 +21,8 @@ func flowID(lane, stage int) uint64 {
 }
 
 // writeChrome exports the complete requests, lanes ordered by send time
-// and timestamps rebased so the earliest send is t=0.
+// and timestamps rebased so the earliest send is t=0. If w is a file,
+// writeChrome closes it.
 func writeChrome(w io.Writer, reqs []*request) error {
 	var complete []*request
 	for _, r := range reqs {
@@ -58,30 +37,28 @@ func writeChrome(w io.Writer, reqs []*request) error {
 	}
 	ts := func(wall int64) float64 { return float64(wall-base) / 1e3 }
 
-	cw := &chromeWriter{w: w, first: true}
-	cw.writeString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	doc := obs.NewChromeDoc(w)
 	for lane, r := range complete {
 		tid := lane + 1
 		// Stage boundaries in causal order; stage i spans bounds[i]..bounds[i+1].
 		bounds := []int64{r.send.Wall, r.ingress.Wall, r.seal.Wall, r.decide.Wall, r.apply.Wall, r.recv.Wall}
 		for i, name := range stageNames {
 			t0, t1 := bounds[i], bounds[i+1]
-			cw.record(fmt.Sprintf(
+			doc.Record(fmt.Sprintf(
 				`{"name":%q,"ph":"X","ts":%.3f,"dur":%.3f,"pid":0,"tid":%d,"args":{"node":%d,"slot":%d,"round":%d,"batch_n":%d}}`,
 				name, ts(t0), ts(t1)-ts(t0), tid, r.origin, r.decide.Slot, r.decide.N, r.seal.N))
 			if i > 0 {
 				// Arrow from the previous stage's end to this stage's start.
 				id := flowID(lane, i)
-				cw.record(fmt.Sprintf(`{"name":"req","ph":"s","ts":%.3f,"pid":0,"tid":%d,"id":%d}`, ts(t0), tid, id))
-				cw.record(fmt.Sprintf(`{"name":"req","ph":"f","bp":"e","ts":%.3f,"pid":0,"tid":%d,"id":%d}`, ts(t0), tid, id))
+				doc.Record(fmt.Sprintf(`{"name":"req","ph":"s","ts":%.3f,"pid":0,"tid":%d,"id":%d}`, ts(t0), tid, id))
+				doc.Record(fmt.Sprintf(`{"name":"req","ph":"f","bp":"e","ts":%.3f,"pid":0,"tid":%d,"id":%d}`, ts(t0), tid, id))
 			}
 		}
 	}
-	cw.record(`{"name":"process_name","ph":"M","pid":0,"args":{"name":"requests"}}`)
+	doc.Record(`{"name":"process_name","ph":"M","pid":0,"args":{"name":"requests"}}`)
 	for lane, r := range complete {
-		cw.record(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"c%d#%d"}}`,
+		doc.Record(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"c%d#%d"}}`,
 			lane+1, r.client, r.seq))
 	}
-	cw.writeString("\n]}\n")
-	return cw.err
+	return doc.Close()
 }

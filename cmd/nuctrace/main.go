@@ -77,9 +77,6 @@ func main() {
 		if err := writeChrome(f, reqs); err != nil {
 			log.Fatalf("nuctrace: chrome export: %v", err)
 		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("nuctrace: chrome export: %v", err)
-		}
 		fmt.Printf("chrome trace written to %s\n", *chrome)
 	}
 	if *check {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -168,5 +169,45 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 	// Earliest send rebases to ts 0.
 	if !strings.Contains(buf.String(), `"ts":0.000`) {
 		t.Fatalf("expected rebased ts 0.000 in:\n%s", buf.String())
+	}
+}
+
+var errFirst, errLater = errors.New("first write error"), errors.New("later write error")
+
+// failAfter accepts n bytes, then fails: the write that crosses n returns
+// errFirst, every later one errLater (and is counted).
+type failAfter struct {
+	n, got, late int
+	failed       bool
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.late++
+		return 0, errLater
+	}
+	if w.got+len(p) > w.n {
+		k := w.n - w.got
+		w.got, w.failed = w.n, true
+		return k, errFirst
+	}
+	w.got += len(p)
+	return len(p), nil
+}
+
+// TestWriteChromeLatchesFirstError: the export stops writing at the first
+// failed write and returns that error, not a later one.
+func TestWriteChromeLatchesFirstError(t *testing.T) {
+	var evs []obs.SpanEvent
+	for i := 0; i < 40; i++ { // tens of KiB of lanes: the failure lands mid-document
+		evs = append(evs, chain(i%3, uint32(i+1), 1, 65+i, 3+i, 1, int64(i+1)*10000)...)
+	}
+	const limit = 5000
+	w := &failAfter{n: limit}
+	if err := writeChrome(w, reconstruct(evs)); !errors.Is(err, errFirst) {
+		t.Errorf("writeChrome = %v, want %v", err, errFirst)
+	}
+	if w.got != limit || w.late != 0 {
+		t.Errorf("writer got %d bytes and %d writes after the failure, want %d and 0", w.got, w.late, limit)
 	}
 }

@@ -187,19 +187,19 @@ func (sp *Spec) Run(sc Scale) Table {
 // config order byte-identically at any worker count. metrics may be
 // shared across units — it accumulates only commutative quantities.
 func (sp *Spec) runUnit(sc Scale, cfg Config, metrics *obs.Registry, collectEvents bool) UnitResult {
-	var ring *obs.Ring
+	var all *obs.Collector
 	sc.Metrics = metrics
 	if collectEvents {
-		ring = obs.NewRing(0)
-		sc.Bus = obs.NewBus(nil, metrics, ring)
+		all = obs.NewCollector(obs.AllKinds()...)
+		sc.Bus = obs.NewBus(nil, metrics, all)
 	}
 	rng := rand.New(rand.NewSource(DeriveSeed(sp.ID, cfg)))
 	start := time.Now() //lint:allow nodeterm timing is diagnostic-only, never rendered
 	u := sp.Unit(sc, cfg, rng)
 	u.Cfg = cfg
 	u.elapsed = time.Since(start) //lint:allow nodeterm timing is diagnostic-only, never rendered
-	if ring != nil {
-		u.events = ring.Events()
+	if all != nil {
+		u.events = all.Events()
 	}
 	return u
 }

@@ -105,7 +105,7 @@ func TestServeStaysCritical(t *testing.T) {
 // the critical list so the regenerated tables remain byte-identical.
 // TestObsStaysExempt pins the classification of the observability layer:
 // internal/obs deliberately owns the repo's wall-clock shim (obs.Wall) and
-// the pprof/expvar debug server, so it cannot live on the critical list —
+// the debug server (ServeDebug), so it cannot live on the critical list —
 // but the deterministic event pipeline stays safe because nodeterm's
 // obs.Wall rule bars every critical package from referencing obs.Wall.
 func TestObsStaysExempt(t *testing.T) {

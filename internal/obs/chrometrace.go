@@ -25,10 +25,7 @@ import (
 // export is a pure function of the event sequence, byte-identical whenever
 // the event log is.
 type ChromeTrace struct {
-	w     *bufio.Writer
-	c     io.Closer
-	first bool
-	err   error
+	doc   *ChromeDoc
 	seenP map[int]bool
 	order []int
 }
@@ -36,30 +33,7 @@ type ChromeTrace struct {
 // NewChromeTrace returns a trace sink writing to w. If w is an io.Closer
 // (a file), Close closes it after finishing the JSON document.
 func NewChromeTrace(w io.Writer) *ChromeTrace {
-	s := &ChromeTrace{w: bufio.NewWriter(w), first: true, seenP: make(map[int]bool)}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	s.writeString(`{"displayTimeUnit":"ms","traceEvents":[`)
-	return s
-}
-
-// writeString appends raw JSON, latching the first write error.
-func (s *ChromeTrace) writeString(str string) {
-	if s.err != nil {
-		return
-	}
-	_, s.err = s.w.WriteString(str)
-}
-
-// record appends one trace event object.
-func (s *ChromeTrace) record(obj string) {
-	if s.first {
-		s.first = false
-	} else {
-		s.writeString(",")
-	}
-	s.writeString(obj)
+	return &ChromeTrace{doc: NewChromeDoc(w), seenP: make(map[int]bool)}
 }
 
 // flowID packs the model's unique message identity (From, Seq) into one
@@ -76,13 +50,13 @@ func (s *ChromeTrace) Emit(ev Event) {
 	ts := int64(ev.T)
 	switch ev.Kind {
 	case KindStep:
-		s.record(fmt.Sprintf(`{"name":"step","cat":"step","ph":"X","ts":%d,"dur":1,"pid":0,"tid":%d,"args":{"lamport":%d,"sent":%d}}`,
+		s.doc.Record(fmt.Sprintf(`{"name":"step","cat":"step","ph":"X","ts":%d,"dur":1,"pid":0,"tid":%d,"args":{"lamport":%d,"sent":%d}}`,
 			ts, p, ev.L, ev.Value))
 	case KindSend:
-		s.record(fmt.Sprintf(`{"name":%s,"cat":"msg","ph":"s","id":%d,"ts":%d,"pid":0,"tid":%d,"args":{"to":%d,"seq":%d,"lamport":%d}}`,
+		s.doc.Record(fmt.Sprintf(`{"name":%s,"cat":"msg","ph":"s","id":%d,"ts":%d,"pid":0,"tid":%d,"args":{"to":%d,"seq":%d,"lamport":%d}}`,
 			strconv.Quote(ev.Payload), flowID(int(ev.From), ev.Seq), ts, p, int(ev.To), ev.Seq, ev.L))
 	case KindDeliver:
-		s.record(fmt.Sprintf(`{"name":%s,"cat":"msg","ph":"f","bp":"e","id":%d,"ts":%d,"pid":0,"tid":%d,"args":{"from":%d,"seq":%d,"lamport":%d}}`,
+		s.doc.Record(fmt.Sprintf(`{"name":%s,"cat":"msg","ph":"f","bp":"e","id":%d,"ts":%d,"pid":0,"tid":%d,"args":{"from":%d,"seq":%d,"lamport":%d}}`,
 			strconv.Quote(ev.Payload), flowID(int(ev.From), ev.Seq), ts, p, int(ev.From), ev.Seq, ev.L))
 	case KindFDQuery, KindFDOutput:
 		name, fd := "fd", ""
@@ -92,18 +66,18 @@ func (s *ChromeTrace) Emit(ev Event) {
 		if ev.FD != nil {
 			fd = ev.FD.String()
 		}
-		s.record(fmt.Sprintf(`{"name":%q,"cat":"fd","ph":"i","s":"t","ts":%d,"pid":0,"tid":%d,"args":{"value":%s}}`,
+		s.doc.Record(fmt.Sprintf(`{"name":%q,"cat":"fd","ph":"i","s":"t","ts":%d,"pid":0,"tid":%d,"args":{"value":%s}}`,
 			name, ts, p, strconv.Quote(fd)))
 	case KindDecide:
-		s.record(fmt.Sprintf(`{"name":"decide=%d","cat":"consensus","ph":"i","s":"p","ts":%d,"pid":0,"tid":%d,"args":{"lamport":%d}}`,
+		s.doc.Record(fmt.Sprintf(`{"name":"decide=%d","cat":"consensus","ph":"i","s":"p","ts":%d,"pid":0,"tid":%d,"args":{"lamport":%d}}`,
 			ev.Value, ts, p, ev.L))
 	case KindCrash:
-		s.record(fmt.Sprintf(`{"name":"crash","cat":"fault","ph":"i","s":"p","ts":%d,"pid":0,"tid":%d}`, ts, p))
+		s.doc.Record(fmt.Sprintf(`{"name":"crash","cat":"fault","ph":"i","s":"p","ts":%d,"pid":0,"tid":%d}`, ts, p))
 	case KindQuorumFormed:
-		s.record(fmt.Sprintf(`{"name":"quorum","cat":"consensus","ph":"i","s":"t","ts":%d,"pid":0,"tid":%d,"args":{"round":%d,"quorum":%s}}`,
+		s.doc.Record(fmt.Sprintf(`{"name":"quorum","cat":"consensus","ph":"i","s":"t","ts":%d,"pid":0,"tid":%d,"args":{"round":%d,"quorum":%s}}`,
 			ts, p, ev.Value, strconv.Quote(ev.Detail)))
 	case KindEpochChange:
-		s.record(fmt.Sprintf(`{"name":"round=%d","cat":"consensus","ph":"i","s":"t","ts":%d,"pid":0,"tid":%d}`,
+		s.doc.Record(fmt.Sprintf(`{"name":"round=%d","cat":"consensus","ph":"i","s":"t","ts":%d,"pid":0,"tid":%d}`,
 			ev.Value, ts, p))
 	}
 }
@@ -112,18 +86,53 @@ func (s *ChromeTrace) Emit(ev Event) {
 // last; tooling accepts metadata anywhere in the array), flushes, and
 // closes the underlying file if any.
 func (s *ChromeTrace) Close() error {
-	s.record(`{"name":"process_name","ph":"M","pid":0,"args":{"name":"nuconsensus run"}}`)
+	s.doc.Record(`{"name":"process_name","ph":"M","pid":0,"args":{"name":"nuconsensus run"}}`)
 	for _, p := range s.order {
-		s.record(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"p%d"}}`, p, p))
+		s.doc.Record(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"p%d"}}`, p, p))
 	}
-	s.writeString("]}\n")
-	if ferr := s.w.Flush(); s.err == nil {
-		s.err = ferr
+	return s.doc.Close()
+}
+
+// ChromeDoc is the one Chrome trace_event document writer: it owns the
+// header, the commas between event objects, the footer and the error
+// latch — its bufio.Writer keeps the first write error, turns every later
+// write into a no-op, and Close returns it. ChromeTrace renders the event
+// bus through it, cmd/nuctrace the request lanes.
+type ChromeDoc struct {
+	w     *bufio.Writer
+	c     io.Closer
+	first bool
+}
+
+// NewChromeDoc starts a document on w. If w is an io.Closer (a file),
+// Close closes it after the footer.
+func NewChromeDoc(w io.Writer) *ChromeDoc {
+	d := &ChromeDoc{w: bufio.NewWriter(w), first: true}
+	if c, ok := w.(io.Closer); ok {
+		d.c = c
 	}
-	if s.c != nil {
-		if cerr := s.c.Close(); s.err == nil {
-			s.err = cerr
+	d.w.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	return d
+}
+
+// Record appends one trace event object.
+func (d *ChromeDoc) Record(obj string) {
+	if !d.first {
+		d.w.WriteByte(',')
+	}
+	d.first = false
+	d.w.WriteString(obj)
+}
+
+// Close writes the footer, flushes, closes the underlying file if any,
+// and returns the first error met along the way.
+func (d *ChromeDoc) Close() error {
+	d.w.WriteString("]}\n")
+	err := d.w.Flush()
+	if d.c != nil {
+		if cerr := d.c.Close(); err == nil {
+			err = cerr
 		}
 	}
-	return s.err
+	return err
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -9,24 +8,24 @@ import (
 	"time"
 )
 
-// DebugServer is the runtime profiling endpoint started by -debug-addr:
-// net/http/pprof and expvar on a private mux (nothing leaks onto
-// http.DefaultServeMux), plus the registry's deterministic text dump.
+// DebugServer is the runtime telemetry endpoint every host's -debug-addr
+// starts (cmd/experiments, cmd/explore, cmd/nucd): one private mux,
+// nothing leaks onto http.DefaultServeMux.
 type DebugServer struct {
 	Addr string // the bound address, useful when the flag asked for :0
 	srv  *http.Server
-	ln   net.Listener
 }
 
 // ServeDebug binds addr and serves, in the background:
 //
 //	/debug/pprof/...   the standard pprof index, profiles and traces
-//	/debug/vars        expvar (including the registry, see PublishExpvar)
-//	/metrics           reg.WriteTo's sorted text dump (may be nil)
+//	/metrics           WritePrometheus of reg (an empty body when reg is nil)
+//	/healthz           "ok"
 //
+// plus the host's own routes, pattern to handler (cmd/nucd's /statusz).
 // The caller owns the returned server and should Close it on shutdown;
 // commands typically let process exit tear it down.
-func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
+func ServeDebug(addr string, reg *Registry, routes map[string]http.HandlerFunc) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listen %s: %w", addr, err)
@@ -37,17 +36,20 @@ func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if reg != nil {
-			reg.WriteTo(w)
-		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		WritePrometheus(w, reg)
 	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "ok")
+	})
+	for pattern, h := range routes {
+		mux.HandleFunc(pattern, h)
+	}
 	ds := &DebugServer{
 		Addr: ln.Addr().String(),
 		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-		ln:   ln,
 	}
 	go ds.srv.Serve(ln)
 	return ds, nil
@@ -59,21 +61,4 @@ func (d *DebugServer) Close() error {
 		return nil
 	}
 	return d.srv.Close()
-}
-
-// PublishExpvar exposes the registry under the given expvar name as a map
-// of metric name to value (histograms report their sample count). expvar
-// panics on duplicate names, so re-publishing the same name is a no-op —
-// tests and long-lived commands can call this freely.
-func PublishExpvar(name string, reg *Registry) {
-	if reg == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		out := make(map[string]int64)
-		for _, s := range reg.Snapshot() {
-			out[s.Name] = s.Value
-		}
-		return out
-	}))
 }

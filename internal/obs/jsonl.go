@@ -16,7 +16,6 @@ import (
 type JSONL struct {
 	w *bufio.Writer
 	c io.Closer
-	n int64
 }
 
 // NewJSONL returns a JSONL sink writing to w. If w is an io.Closer (a
@@ -32,7 +31,6 @@ func NewJSONL(w io.Writer) *JSONL {
 // Emit implements Sink.
 func (s *JSONL) Emit(ev Event) {
 	s.w.WriteString(JSONLine(ev))
-	s.n++
 }
 
 // Close implements Sink: flush, then close the underlying file if any.
@@ -45,9 +43,6 @@ func (s *JSONL) Close() error {
 	}
 	return err
 }
-
-// Lines reports how many events were written.
-func (s *JSONL) Lines() int64 { return s.n }
 
 // JSONLine renders one event as its canonical JSONL line (with the
 // trailing newline). The field order is fixed: k, t, p, l, then the
@@ -74,16 +69,4 @@ func JSONLine(ev Event) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// WriteJSONL writes a collected event slice through the JSONL sink format
-// — the engine path: events gathered per unit, written in canonical order.
-func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, ev := range events {
-		if _, err := bw.WriteString(JSONLine(ev)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -242,52 +241,26 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	return out
 }
 
-// WriteTo renders the snapshot as a deterministic text dump: one line per
-// instrument in name order.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	var n int64
+// WriteJSONL renders the snapshot as JSONL, one JSON object per
+// instrument in name order — the -metrics format of every host.
+func (r *Registry) WriteJSONL(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
 	for _, s := range r.Snapshot() {
-		var line string
-		switch s.Kind {
-		case "histogram":
-			parts := make([]string, 0, len(s.Buckets))
-			for i, c := range s.Buckets {
-				if i < len(s.Bounds) {
-					parts = append(parts, fmt.Sprintf("le%d=%d", s.Bounds[i], c))
-				} else {
-					parts = append(parts, fmt.Sprintf("inf=%d", c))
-				}
-			}
-			line = fmt.Sprintf("%s histogram count=%d sum=%d %s\n", s.Name, s.Value, s.Sum, strings.Join(parts, " "))
-		default:
-			line = fmt.Sprintf("%s %s %d\n", s.Name, s.Kind, s.Value)
-		}
-		m, err := io.WriteString(w, line)
-		n += int64(m)
-		if err != nil {
-			return n, err
+		if err := enc.Encode(s); err != nil {
+			return err
 		}
 	}
-	return n, nil
+	return bw.Flush()
 }
 
-// WriteJSONLFile dumps the snapshot to path, one JSON object per
-// instrument in name order — the -metrics format of cmd/nucd and
-// cmd/nucload.
+// WriteJSONLFile is WriteJSONL into a file created at path.
 func (r *Registry) WriteJSONLFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, s := range r.Snapshot() {
-		if err := enc.Encode(s); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if err := r.WriteJSONL(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -6,6 +6,13 @@
 // the experiment engine (internal/experiments) and the bounded model
 // checker (internal/explore).
 //
+// Each observable has one rendering: events as JSONL (JSONL) or as a
+// Chrome trace (ChromeTrace, written through ChromeDoc, which cmd/nuctrace
+// shares) or kept in memory (Collector); the registry as JSONL
+// (Registry.WriteJSONL, every host's -metrics) or as Prometheus text
+// (WritePrometheus, the live /metrics); and one debug server (ServeDebug)
+// for every host's -debug-addr.
+//
 // The paper's arguments are statements about what happened in a run —
 // which steps were taken, which failure-detector samples were read, which
 // quorums formed, which messages causally preceded a decision (§2.1–2.6,

@@ -122,13 +122,13 @@ func happensBefore(steps []step) [][]bool {
 // carry a strictly larger stamp than its matching Send.
 func TestLamportRespectsHappensBefore(t *testing.T) {
 	steps := script()
-	ring := obs.NewRing(0)
-	runScript(t, steps, nil, ring)
+	all := obs.NewCollector(obs.AllKinds()...)
+	runScript(t, steps, nil, all)
 
 	// The Step events appear in script order on the deterministic path.
 	var stepL []uint64
 	sends := make(map[[2]uint64]uint64) // (from, seq) -> send Lamport
-	for _, ev := range ring.Events() {
+	for _, ev := range all.Events() {
 		switch ev.Kind {
 		case obs.KindStep:
 			stepL = append(stepL, ev.L)
@@ -170,8 +170,8 @@ func TestLamportRespectsHappensBefore(t *testing.T) {
 // the commutative counters.
 func TestBusDerivedEvents(t *testing.T) {
 	reg := obs.NewRegistry()
-	ring := obs.NewRing(0)
-	bus := obs.NewBus(nil, reg, ring)
+	all := obs.NewCollector(obs.AllKinds()...)
+	bus := obs.NewBus(nil, reg, all)
 
 	q := fd.QuorumValue{Quorum: model.FullSet(3)}
 	bus.OnStep(1, 0, nil, q, nil, roundState{round: 1})
@@ -180,14 +180,14 @@ func TestBusDerivedEvents(t *testing.T) {
 	bus.OnCrash(4, 1)
 
 	var kinds []string
-	for _, ev := range ring.Events() {
+	for _, ev := range all.Events() {
 		kinds = append(kinds, ev.Kind.String())
 	}
 	want := []string{"fdquery", "step", "epoch", "quorum", "step", "decide", "step", "crash"}
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("event kinds = %v, want %v", kinds, want)
 	}
-	for _, ev := range ring.Events() {
+	for _, ev := range all.Events() {
 		switch ev.Kind {
 		case obs.KindEpochChange, obs.KindQuorumFormed:
 			if ev.Value != 1 {
@@ -231,8 +231,8 @@ func (s outState) EmulatedOutput() model.FDValue { return s.out }
 func TestBusEmulatedOutputs(t *testing.T) {
 	var jsonl, chrome bytes.Buffer
 	col := obs.NewCollector(obs.KindFDOutput)
-	ring := obs.NewRing(0)
-	bus := obs.NewBus(nil, nil, col, ring, obs.NewJSONL(&jsonl), obs.NewChromeTrace(&chrome))
+	all := obs.NewCollector(obs.AllKinds()...)
+	bus := obs.NewBus(nil, nil, col, all, obs.NewJSONL(&jsonl), obs.NewChromeTrace(&chrome))
 
 	l0, l1 := fd.LeaderValue{Leader: 0}, fd.LeaderValue{Leader: 1}
 	bus.OnInit([]model.State{outState{out: l0}, outState{}, roundState{}})
@@ -258,7 +258,7 @@ func TestBusEmulatedOutputs(t *testing.T) {
 		t.Fatalf("output events = %v, want %v", got, want)
 	}
 	var kinds []string
-	for _, ev := range ring.Events() {
+	for _, ev := range all.Events() {
 		kinds = append(kinds, ev.Kind.String())
 	}
 	if want := []string{"output", "step", "step", "output", "step", "output", "step"}; !reflect.DeepEqual(kinds, want) {
@@ -290,7 +290,7 @@ func TestBusEmulatedOutputs(t *testing.T) {
 // its kinds, in emission order, and nothing of a run's other events — so
 // "keep the samples" is a sink choice, and no sink keeps nothing.
 func TestCollectorKeepsOnlyItsKinds(t *testing.T) {
-	ring := obs.NewRing(0)
+	ring := obs.NewCollector(obs.AllKinds()...)
 	col := obs.NewCollector(obs.KindSend, obs.KindDeliver)
 	none := obs.NewCollector()
 	runScript(t, script(), nil, ring, col, none)
@@ -309,22 +309,27 @@ func TestCollectorKeepsOnlyItsKinds(t *testing.T) {
 }
 
 // TestJSONLByteIdentical: the same scripted run serializes to the same
-// bytes, whether through the JSONL sink directly or by replaying a ring's
-// events with WriteJSONL — the property CI's -parallel diff relies on.
+// bytes, whether through the JSONL sink directly or by replaying the
+// collected events through a JSONL sink's Emit — the engine's path, and
+// the property CI's -parallel diff relies on.
 func TestJSONLByteIdentical(t *testing.T) {
 	var direct1, direct2, replayed bytes.Buffer
-	ring := obs.NewRing(0)
-	runScript(t, script(), nil, obs.NewJSONL(&direct1), ring)
+	all := obs.NewCollector(obs.AllKinds()...)
+	runScript(t, script(), nil, obs.NewJSONL(&direct1), all)
 	runScript(t, script(), nil, obs.NewJSONL(&direct2))
-	if err := obs.WriteJSONL(&replayed, ring.Events()); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
+	replay := obs.NewJSONL(&replayed)
+	for _, ev := range all.Events() {
+		replay.Emit(ev)
+	}
+	if err := replay.Close(); err != nil {
+		t.Fatalf("replay Close: %v", err)
 	}
 
 	if !bytes.Equal(direct1.Bytes(), direct2.Bytes()) {
 		t.Error("two identical runs produced different JSONL bytes")
 	}
 	if !bytes.Equal(direct1.Bytes(), replayed.Bytes()) {
-		t.Error("ring replay produced different JSONL bytes than the direct sink")
+		t.Error("collector replay produced different JSONL bytes than the direct sink")
 	}
 	// Every line must be valid JSON with the wall field absent under the
 	// Logical clock.
@@ -394,29 +399,8 @@ func TestChromeTraceFlows(t *testing.T) {
 	}
 }
 
-// TestRingWraparound: a bounded ring keeps the newest events, oldest
-// first, and accounts for every overwrite.
-func TestRingWraparound(t *testing.T) {
-	r := obs.NewRing(4)
-	for i := 1; i <= 10; i++ {
-		r.Emit(obs.Event{Kind: obs.KindStep, T: model.Time(i)})
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := model.Time(7 + i); ev.T != want {
-			t.Errorf("event %d has T=%d, want %d (newest four, oldest first)", i, ev.T, want)
-		}
-	}
-	if got := r.Dropped(); got != 6 {
-		t.Errorf("Dropped = %d, want 6", got)
-	}
-}
-
 // TestRegistrySnapshotDeterministic: snapshots are sorted by name and the
-// text dump depends only on the final metric values, not on creation or
+// JSONL dump depends only on the final metric values, not on creation or
 // update order — the property that makes -metrics dumps comparable across
 // -parallel values.
 func TestRegistrySnapshotDeterministic(t *testing.T) {
@@ -441,10 +425,10 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 		return reg
 	}
 	var fwd, rev bytes.Buffer
-	if _, err := build(false).WriteTo(&fwd); err != nil {
+	if err := build(false).WriteJSONL(&fwd); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := build(true).WriteTo(&rev); err != nil {
+	if err := build(true).WriteJSONL(&rev); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fwd.Bytes(), rev.Bytes()) {
@@ -461,7 +445,7 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 		t.Errorf("snapshot order %v, want sorted %v", names, want)
 	}
 
-	// The JSONL file dump (nucd/nucload -metrics) is the same snapshot, one
+	// The JSONL file dump (every host's -metrics) is the same snapshot, one
 	// object per line; the counter line pins the byte format its readers
 	// parse.
 	path := filepath.Join(t.TempDir(), "m.jsonl")
@@ -506,8 +490,10 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 func TestSinkFanoutConcurrent(t *testing.T) {
 	const procs, per = 8, 200
 	reg := obs.NewRegistry()
-	rings := []*obs.Ring{obs.NewRing(0), obs.NewRing(0), obs.NewRing(0)}
-	bus := obs.NewBus(nil, reg, rings[0], rings[1], rings[2])
+	cols := []*obs.Collector{
+		obs.NewCollector(obs.AllKinds()...), obs.NewCollector(obs.AllKinds()...), obs.NewCollector(obs.AllKinds()...),
+	}
+	bus := obs.NewBus(nil, reg, cols[0], cols[1], cols[2])
 
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
@@ -523,13 +509,13 @@ func TestSinkFanoutConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	base := rings[0].Events()
+	base := cols[0].Events()
 	if len(base) != procs*per*2 { // one step + one send event per OnStep
-		t.Fatalf("ring 0 holds %d events, want %d", len(base), procs*per*2)
+		t.Fatalf("collector 0 holds %d events, want %d", len(base), procs*per*2)
 	}
-	for i, r := range rings[1:] {
-		if !reflect.DeepEqual(base, r.Events()) {
-			t.Errorf("ring %d saw a different event sequence than ring 0", i+1)
+	for i, c := range cols[1:] {
+		if !reflect.DeepEqual(base, c.Events()) {
+			t.Errorf("collector %d saw a different event sequence than collector 0", i+1)
 		}
 	}
 	if got := reg.Counter("bus.steps").Value(); got != procs*per {
@@ -544,11 +530,11 @@ func TestSinkFanoutConcurrent(t *testing.T) {
 // substrates do), events carry nonzero wall stamps and JSONL includes the
 // wall field — the diagnostic-only path.
 func TestWallClockStamps(t *testing.T) {
-	ring := obs.NewRing(0)
-	bus := obs.NewBus(nil, nil, ring)
+	all := obs.NewCollector(obs.AllKinds()...)
+	bus := obs.NewBus(nil, nil, all)
 	bus.SetClock(obs.Wall{})
 	bus.OnStep(1, 0, nil, nil, nil, nil)
-	evs := ring.Events()
+	evs := all.Events()
 	if len(evs) != 1 || evs[0].Wall == 0 {
 		t.Fatalf("expected one wall-stamped event, got %+v", evs)
 	}
