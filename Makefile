@@ -70,9 +70,10 @@ explore-smoke:
 # over loopback TCP serves a short cmd/nucload run (writes + plain and
 # read-index reads), both sides dump their metrics registries as JSONL
 # (the CI artifact), and the dumps must actually carry the serving-path
-# instruments. nucd itself fails the target if the replicas' machines
-# diverge or the step budget runs out; nucload fails it if any write goes
-# unacked. (E18's sim-substrate metrics determinism is
+# instruments — among them the frontier announcements, of which no more may
+# leave bare than ride other traffic. nucd itself fails the target if the
+# replicas' machines diverge or the step budget runs out; nucload fails it
+# if any write goes unacked. (E18's sim-substrate metrics determinism is
 # TestEventsByteIdenticalAcrossParallel in cmd/experiments.)
 serve-smoke:
 	mkdir -p $(ARTIFACTS)
@@ -88,6 +89,11 @@ serve-smoke:
 	wait $$pid
 	grep -q '"name":"serve.apply.commands"' $(ARTIFACTS)/nucd.metrics.jsonl
 	grep -q '"name":"load.write_us"' $(ARTIFACTS)/nucload.metrics.jsonl
+	python3 -c "import json; \
+	m = {r['name']: r['value'] for r in map(json.loads, open('$(ARTIFACTS)/nucd.metrics.jsonl'))}; \
+	carried, bare = m['rsm.progress_carried'], m['rsm.progress_bare']; \
+	assert bare <= carried, (carried, bare); \
+	print('progress: %d announcements carried, %d bare' % (carried, bare))"
 	@rm -f nucd.smoke nucload.smoke
 	@echo "serve: nucd+nucload TCP run clean"
 

@@ -35,13 +35,15 @@ const (
 	// (internal/rsm aware.go), decide in round 1, say nothing of round 2
 	// unless asked (rsm stepInstance holds that LEAD), send nothing to
 	// themselves (rsm loopback), send each peer one bundle per step (rsm
-	// Pack) and both in-flight slots step on every λ-step (rsm Log.Step) —
-	// 32.2 measured, against 62.5 with one slot advanced per λ-step, 81.0
-	// with one message per payload, 103 with the self-sends counted too, 129
-	// with the post-decision round sent too and 225.6 when every slot also
-	// paid its own SAW/ACK round trip (the first `pipeline` slots of the
-	// 24-slot log still do).
-	e18MsgsPerSlotCap = 36
+	// Pack), both in-flight slots step on every λ-step (rsm Log.Step) and
+	// progress rides that traffic instead of leaving bare (rsm announce) —
+	// 25.8 measured, against 32.2 with a PRGR broadcast per appended slot,
+	// 62.5 with one slot advanced per λ-step, 81.0 with one message per
+	// payload, 103 with the self-sends counted too, 129 with the
+	// post-decision round sent too and 225.6 when every slot also paid its
+	// own SAW/ACK round trip (the first `pipeline` slots of the 24-slot log
+	// still do).
+	e18MsgsPerSlotCap = 29
 )
 
 var (

@@ -29,6 +29,8 @@ func (a *Log) WithMetrics(reg *obs.Registry) *Log {
 		quietRetires:  reg.Counter("rsm.quiet_retired"),
 		quietHeld:     reg.Counter("rsm.quiet_held"),
 		quietReleased: reg.Counter("rsm.quiet_released"),
+		progCarried:   reg.Counter("rsm.progress_carried"),
+		progBare:      reg.Counter("rsm.progress_bare"),
 		instOpened:    reg.Counter("rsm.instances_opened"),
 		instRetired:   reg.Counter("rsm.instances_retired"),
 		awareSeeded:   reg.Counter("rsm.aware.seeded"),
@@ -95,6 +97,10 @@ type logMetrics struct {
 	quietRetires  *obs.Counter
 	quietHeld     *obs.Counter
 	quietReleased *obs.Counter
+	// progCarried / progBare count frontier announcements (announce) that
+	// rode in a bundle with other traffic and those that left alone.
+	progCarried *obs.Counter
+	progBare    *obs.Counter
 	// instOpened / instRetired count slot instances created and discarded; their
 	// difference is the live-instance population a stalled floor grows.
 	instOpened  *obs.Counter
@@ -170,6 +176,18 @@ func (m *logMetrics) quietHold(n int) {
 func (m *logMetrics) quietRelease(n int) {
 	if m != nil {
 		m.quietReleased.Add(int64(n))
+	}
+}
+
+// progress counts one frontier announcement, carried or bare.
+func (m *logMetrics) progress(carried bool) {
+	if m == nil {
+		return
+	}
+	if carried {
+		m.progCarried.Add(1)
+	} else {
+		m.progBare.Add(1)
 	}
 }
 

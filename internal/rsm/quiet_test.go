@@ -152,12 +152,16 @@ func TestQuietLaggardCatchesUp(t *testing.T) {
 	// both in-flight slots on every λ-step ends it at step 1120, before any
 	// fast process has taken PRGR(11): slot 10 retires nowhere, two fewer
 	// records than before, and slots 10 and 11 are quiet at all three, two
-	// more instances asleep than before, each holding a LEAD to all four.)
+	// more instances asleep than before, each holding a LEAD to all four.
+	// Announcing progress only on traffic already going to a peer, or bare
+	// once no undecided slot is in flight, ends it at step 1065, with slots
+	// 10 and 11 still awake at p0 and p2: four instances fewer asleep than
+	// before, each holding a LEAD to all four.)
 	for name, want := range map[string]int64{
 		"rsm.parked_msgs": 90, "rsm.parked_replayed": 90,
 		"rsm.quiet_parked": 0, "rsm.quiet_replayed": 0,
-		"rsm.quiet_enter": 120, "rsm.quiet_wake": 72, "rsm.quiet_retired": 42,
-		"rsm.quiet_held": 480, "rsm.quiet_released": 288,
+		"rsm.quiet_enter": 116, "rsm.quiet_wake": 72, "rsm.quiet_retired": 42,
+		"rsm.quiet_held": 464, "rsm.quiet_released": 288,
 		"rsm.instances_opened": 48, "rsm.instances_retired": 42,
 	} {
 		if got := reg.Counter(name).Value(); got != want {

@@ -37,6 +37,11 @@
 //
 // Retirement is still possible — safely — through progress gossip: once
 // every process is known to have passed a slot, its instance is discarded.
+// A process tells each peer its frontier as one more item of traffic
+// already going there, and sends a PRGR of its own only once no slot it
+// has not decided is in flight (announce): a late PRGR delays what a peer
+// knows but never falsifies it, so a peer's progress row stays a lower
+// bound on the real frontier, which is all the quiet rule needs.
 //
 // Everything a process knows about one slot — the instance, its place in
 // the window, the rounds heard in it — sits in one record (slot.go), and so
@@ -223,6 +228,7 @@ type logState struct {
 
 	announced bool  // own commands forwarded to the others
 	progress  []int // known progress of every process
+	told      []int // per peer: frontier last announced there (announce)
 	pump      int   // round-robin cursor over awake older instances
 	appended  int   // entries appended (== len(entries) unless sinking)
 
@@ -262,6 +268,7 @@ func (s *logState) CloneState() model.State {
 	c.known = append([]int(nil), s.known...)
 	c.entries = append([]int(nil), s.entries...)
 	c.progress = append([]int(nil), s.progress...)
+	c.told = append([]int(nil), s.told...)
 	// Clone the shared store ONCE, then rebind every cloned instance: the
 	// instances' own CloneStore is identity for shared stores.
 	c.store = s.store.clone()
@@ -314,6 +321,7 @@ func (a *Log) InitState(p model.ProcessID) model.State {
 		slots:      a.slots,
 		entries:    make([]int, 0, a.slots),
 		progress:   make([]int, a.n),
+		told:       make([]int, a.n),
 		recs:       make(map[int]*slotRec, a.window+1),
 		window:     a.window,
 		store:      newSharedStore(a.n),
@@ -387,6 +395,7 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	}
 
 	out = st.loopback(a, out, d)
+	out = st.announce(a, out)
 	st.compactStore(a.metrics)
 
 	return st, Pack(out)

@@ -33,10 +33,10 @@ func (s *logState) appendEntry(a *Log, v, round int) {
 }
 
 // harvest collects decisions from every in-flight slot (they can land out
-// of order), appends the contiguous prefix at the frontier, gossips
-// progress, and refills the window with fresh instances. A decided value
-// leaves the proposal pools immediately — before it is appended — so the
-// window never proposes it a second time.
+// of order), appends the contiguous prefix at the frontier, and refills the
+// window with fresh instances; announce tells the peers at the end of the
+// step. A decided value leaves the proposal pools immediately — before it
+// is appended — so the window never proposes it a second time.
 func (s *logState) harvest(a *Log, d model.FDValue) []model.Send {
 	var out []model.Send
 	for slot := s.slot; slot < s.windowEnd(); slot++ {
@@ -58,7 +58,6 @@ func (s *logState) harvest(a *Log, d model.FDValue) []model.Send {
 		s.appendEntry(a, r.v, r.round)
 		s.slot++
 		s.progress[s.p] = s.slot
-		out = append(out, model.Broadcast(model.FullSet(len(s.progress)).Remove(s.p), ProgressPayload{Slot: s.slot})...)
 		s.retire(a)
 	}
 	out = append(out, s.openWindow(a, d)...)
@@ -82,6 +81,34 @@ func (s *logState) openWindow(a *Log, d model.FDValue) []model.Send {
 		n, sends := s.drain(a, slot, d)
 		a.metrics.replayed(n)
 		out = append(out, sends...)
+	}
+	return out
+}
+
+// announce tells each peer the frontier once it has moved past what that
+// peer was last told: as one more item of what this step already sends it,
+// which Pack bundles, or bare once no undecided in-flight slot is left to
+// broadcast a carrier later (DESIGN.md §10 "Progress rides"). A peer's
+// progress row stays a lower bound on this process's frontier either way.
+func (s *logState) announce(a *Log, out []model.Send) []model.Send {
+	var busy model.ProcessSet
+	for _, snd := range out {
+		busy = busy.Add(snd.To)
+	}
+	bare := true // no undecided in-flight slot
+	for slot := s.slot; slot < s.windowEnd(); slot++ {
+		if r := s.recs[slot]; r != nil && r.state == slotOpen {
+			bare = false
+		}
+	}
+	for q, told := range s.told {
+		to := model.ProcessID(q)
+		if to == s.p || told >= s.slot || !(bare || busy.Has(to)) {
+			continue
+		}
+		s.told[q] = s.slot
+		out = append(out, model.Send{To: to, Payload: ProgressPayload{Slot: s.slot}})
+		a.metrics.progress(busy.Has(to))
 	}
 	return out
 }
