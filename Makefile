@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench-module race bench experiments experiments-full tables-check substrate-smoke explore-smoke aware-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
+.PHONY: all build test test-short bench-module race bench experiments experiments-full tables-check counts counts-check substrate-smoke explore-smoke aware-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
 
 # Smoke-test artifacts (metrics dumps, span streams, Chrome traces) land
 # here; CI uploads the directory, .gitignore keeps it out of the tree.
@@ -50,6 +50,44 @@ tables-check:
 	$(GO) run ./cmd/experiments -parallel 4 -json $(ARTIFACTS)/experiments.json -o $(ARTIFACTS)/tables.quick.md > /dev/null
 	diff testdata/tables.quick.md $(ARTIFACTS)/tables.quick.md
 	@echo "tables: quick-scale output byte-identical to testdata/tables.quick.md"
+
+# counts pins the sim workloads' exact counts the way tables-check pins the
+# tables: bench/run.sh runs sim_steady (seeds 7 and 23) and sim_crash (seed
+# 7) at --seconds 0, which is exactly three executions, in both passes
+# (--trace 0 prints the end-to-end rows, --trace 1 the per-layer ones), and
+# the rows named in COUNT_ROWS go to testdata/counts.sim.txt. The list is
+# explicit because several of bench's sim rows are wall time. A PR that
+# moves a count regenerates the file with `make counts` and the diff is its
+# claim; counts-check fails on any byte of drift.
+COUNT_ROWS = steps_per_slot bytes_per_slot sim_cmds_per_kstep crash_stall_steps fail_frac \
+	serve.noop_slot_frac serve.cmds_per_slot serve.dup_batch_frac rsm.steps_per_slot \
+	rsm.parked_per_kslot rsm.delta_hit_frac consensus.msgs_per_slot \
+	consensus.single_shot_steps consensus.single_shot_msgs fd.epochs_per_kslot wire.bytes_per_slot
+COUNTS_OUT ?= testdata/counts.sim.txt
+
+counts:
+	mkdir -p $(ARTIFACTS)
+	rm -f $(ARTIFACTS)/counts.jsonl
+	@for run in sim_steady:7 sim_steady:23 sim_crash:7; do \
+	    for trace in 0 1; do \
+	        bash bench/run.sh --workload $${run%%:*} --seed $${run##*:} --seconds 0 --trace $$trace \
+	            > $(ARTIFACTS)/counts.run.txt || { cat $(ARTIFACTS)/counts.run.txt; exit 1; }; \
+	        printf '%s %s ' $${run%%:*} $${run##*:} >> $(ARTIFACTS)/counts.jsonl; \
+	        tail -n 1 $(ARTIFACTS)/counts.run.txt >> $(ARTIFACTS)/counts.jsonl; \
+	    done; \
+	done
+	python3 -c "import json, sys; \
+	rows, names, out = {}, sys.argv[1].split(), open(sys.argv[2], 'w'); \
+	lines = [l.split(' ', 2) for l in open('$(ARTIFACTS)/counts.jsonl')]; \
+	[rows.setdefault((w, int(s)), {}).update(json.loads(j)['metrics']) for w, s, j in lines]; \
+	[out.write('%-10s %3d  %-28s %.9g\\n' % (w, s, k, rows[w, s][k]['value'])) for w, s in rows for k in names]" \
+	    "$(COUNT_ROWS)" $(COUNTS_OUT)
+	@echo "counts: wrote $(COUNTS_OUT)"
+
+counts-check:
+	$(MAKE) counts COUNTS_OUT=$(ARTIFACTS)/counts.sim.txt
+	diff testdata/counts.sim.txt $(ARTIFACTS)/counts.sim.txt
+	@echo "counts: sim counts byte-identical to testdata/counts.sim.txt"
 
 # substrate-smoke runs a small portable slice on the concurrent goroutine
 # substrate under the race detector — the CI cross-substrate check.
@@ -102,7 +140,7 @@ serve-smoke:
 # /metrics, /healthz, /statusz and /debug/pprof/ are scraped over HTTP
 # from the live daemon (the Prometheus rendering must carry the span counter and the
 # quiet gate's held / released books, the status report the applier
-# frontiers); then cmd/nuctrace joins the two
+# frontiers and the ingress queue depths); then cmd/nuctrace joins the two
 # span streams and -check demands a complete ingress→batch→decide→apply→
 # reply chain, telescoping exactly to the end-to-end latency, for 100% of
 # acked requests. The per-stage report is kept as
@@ -124,7 +162,7 @@ trace-smoke:
 	assert '# TYPE rsm_quiet_held counter' in body and '# TYPE rsm_quiet_released counter' in body, body[:400]; \
 	assert urllib.request.urlopen('http://%s/healthz' % addr).read().decode().strip() == 'ok'; \
 	status = urllib.request.urlopen('http://%s/statusz' % addr).read(); \
-	assert b'frontier' in status and b'live_instances' in status and b'quiet_instances' in status and b'"aware"' in status, status[:400]; \
+	assert b'frontier' in status and b'live_instances' in status and b'quiet_instances' in status and b'"aware"' in status and b'"ingress_len"' in status, status[:400]; \
 	assert urllib.request.urlopen('http://%s/debug/pprof/' % addr).status == 200; \
 	print('live scrape ok: /metrics /healthz /statusz /debug/pprof/')" \
 	    || { kill $$pid 2>/dev/null; exit 1; }; \
@@ -213,6 +251,7 @@ ci: lint-static
 	$(MAKE) examples-smoke
 	$(GO) test -race ./...
 	$(MAKE) tables-check
+	$(MAKE) counts-check
 	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2,E18 -substrate async
 	$(MAKE) explore-smoke
 	$(MAKE) aware-smoke

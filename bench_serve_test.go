@@ -16,8 +16,8 @@ import (
 )
 
 // benchBatch builds the canonical bench batch: n commands from a handful
-// of clients with contiguous per-client seqs, the shape nucd's batcher
-// produces under concurrent sessions.
+// of clients with contiguous per-client seqs, the shape a replica seals
+// from its ingress queue under concurrent sessions.
 func benchBatch(n int) []serve.Command {
 	cmds := make([]serve.Command, n)
 	for i := range cmds {

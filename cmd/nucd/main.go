@@ -3,13 +3,14 @@
 // substrate inside one OS process, with one client listener per node
 // speaking the varint-framed SREQ/SREP payload protocol of internal/wire.
 //
-// Writes are batched per node (-batch commands per consensus value, or a
-// -flush timeout for stragglers), gossiped as BATCH bodies, decided as
-// batch IDs on the pipelined shared-store log, and applied exactly once
-// through per-client sessions; the reply to a write is sent when it
-// applies at the node that accepted it. Reads are served locally: plain
-// reads from the node's machine, linearizable reads via read-index (snap
-// the decided frontier, wait until applied, then read).
+// Each write joins its node's ingress queue; the node's replica seals what
+// is queued (up to -batch commands) into one batch whenever its log has no
+// batch of its own still waiting for a slot. Batches are gossiped as BATCH
+// bodies, decided as batch IDs on the pipelined shared-store log, and
+// applied exactly once through per-client sessions; the reply to a write
+// is sent when it applies at the node that accepted it. Reads are served
+// locally: plain reads from the node's machine, linearizable reads via
+// read-index (snap the decided frontier, wait until applied, then read).
 //
 // With -ops N the daemon exits once every node has applied N distinct
 // commands (pair it with cmd/nucload -ops N); with -ops 0 it runs until
@@ -58,7 +59,6 @@ func main() {
 		slots     = flag.Int("slots", 1<<16, "log capacity (consensus instances)")
 		pipeline  = flag.Int("pipeline", 2, "slot instances in flight")
 		batch     = flag.Int("batch", 16, "max commands per consensus batch")
-		flush     = flag.Duration("flush", 2*time.Millisecond, "partial-batch flush interval")
 		ops       = flag.Int("ops", 0, "exit after this many distinct commands applied everywhere (0: run to log-full)")
 		seed      = flag.Int64("seed", 1, "substrate seed")
 		stabilize = flag.Int64("stabilize", 60, "failure-detector stabilization time (logical ticks)")
@@ -88,7 +88,7 @@ func main() {
 	}
 	pattern := model.NewFailurePattern(*n)
 	cl := serve.NewCluster(serve.Config{
-		N: *n, Slots: *slots, Pipeline: *pipeline,
+		N: *n, Slots: *slots, Pipeline: *pipeline, Batch: *batch,
 		Target: *ops, Registry: reg, Tracer: tracer,
 	})
 	cl.Log().WithMetrics(reg)
@@ -116,11 +116,9 @@ func main() {
 	}
 
 	var conns sync.WaitGroup
-	batchers := make([]*batcher, *n)
 	for p := 0; p < *n; p++ {
-		batchers[p] = newBatcher(p, cl.Ingress(model.ProcessID(p)), *batch, *flush, tracer)
 		go serveClients(listeners[p], &node{
-			p: p, ap: cl.Applier(model.ProcessID(p)), bt: batchers[p],
+			p: p, ap: cl.Applier(model.ProcessID(p)), in: cl.Ingress(model.ProcessID(p)),
 			tracer: tracer, slow: *slow, reg: reg,
 		}, &conns)
 	}
@@ -131,7 +129,7 @@ func main() {
 	// the pipelined-window wedge (every node frozen at frontier=2, cmds=0).
 	if *debugAddr != "" {
 		ds, err := obs.ServeDebug(*debugAddr, reg, map[string]http.HandlerFunc{
-			"/statusz": statusz(cl, reg, *n, *pipeline, batchers),
+			"/statusz": statusz(cl, reg, *n, *pipeline),
 		})
 		if err != nil {
 			log.Fatalf("nucd: %v", err)
@@ -238,8 +236,7 @@ type nodeStatus struct {
 	Stalled    int   `json:"stalled"`
 	Sessions   int   `json:"sessions"`
 	ReplyCache int   `json:"reply_cache"`
-	IngressLen int   `json:"ingress_len"`
-	BatchOpen  int   `json:"batch_open"`
+	IngressLen int   `json:"ingress_len"` // commands queued, not yet sealed into a batch
 	// Aware is the last slot instance this node opened and why it was or
 	// was not seeded with an already-acknowledged quorum (internal/rsm
 	// aware.go): "unseeded, quorum {…} not yet acknowledged by {p2}" is a
@@ -263,7 +260,7 @@ type statusReport struct {
 }
 
 // statusz serves the /statusz report.
-func statusz(cl *serve.Cluster, reg *obs.Registry, n, pipeline int, batchers []*batcher) http.HandlerFunc {
+func statusz(cl *serve.Cluster, reg *obs.Registry, n, pipeline int) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
 		rep := statusReport{
 			Pipeline:      pipeline,
@@ -280,7 +277,6 @@ func statusz(cl *serve.Cluster, reg *obs.Registry, n, pipeline int, batchers []*
 				Commands: st.Commands, Dups: st.Dups, Batches: st.Batches,
 				Stalled: st.Stalled, Sessions: st.Sessions, ReplyCache: st.ReplyCache,
 				IngressLen: cl.Ingress(model.ProcessID(p)).Len(),
-				BatchOpen:  batchers[p].open(),
 				Aware:      cl.Log().AwareStatus(model.ProcessID(p)),
 			})
 		}
@@ -291,68 +287,11 @@ func statusz(cl *serve.Cluster, reg *obs.Registry, n, pipeline int, batchers []*
 	}
 }
 
-// batcher groups a node's incoming write commands into consensus batches:
-// a group is pushed to the node's ingress when it reaches the size cap or
-// when the flush ticker finds it aged. Sealing a group emits one seal span
-// per member command — the stage boundary between "waiting for the batch
-// to fill" and "waiting for consensus".
-type batcher struct {
-	mu      sync.Mutex
-	cur     []serve.Command
-	ingress *serve.Ingress
-	size    int
-	p       int
-	tracer  *obs.Tracer
-}
-
-func newBatcher(p int, in *serve.Ingress, size int, flush time.Duration, tracer *obs.Tracer) *batcher {
-	b := &batcher{ingress: in, size: size, p: p, tracer: tracer}
-	go func() {
-		t := time.NewTicker(flush)
-		defer t.Stop()
-		for range t.C {
-			b.mu.Lock()
-			b.flushLocked()
-			b.mu.Unlock()
-		}
-	}()
-	return b
-}
-
-func (b *batcher) add(c serve.Command) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.cur = append(b.cur, c)
-	if len(b.cur) >= b.size {
-		b.flushLocked()
-	}
-}
-
-func (b *batcher) open() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.cur)
-}
-
-func (b *batcher) flushLocked() {
-	if len(b.cur) == 0 {
-		return
-	}
-	for _, c := range b.cur {
-		b.tracer.Span(obs.SpanEvent{
-			Stage: obs.StageSeal, P: b.p, Client: c.Client, Seq: c.Seq,
-			Slot: -1, N: len(b.cur),
-		})
-	}
-	b.ingress.Push(b.cur)
-	b.cur = nil
-}
-
 // node bundles the per-node resources a client connection serves against.
 type node struct {
 	p      int
 	ap     *serve.Applier
-	bt     *batcher
+	in     *serve.Ingress
 	tracer *obs.Tracer
 	slow   time.Duration
 	reg    *obs.Registry
@@ -418,8 +357,8 @@ func handleConn(conn net.Conn, nd *node) {
 			reply(req.Client, req.Seq, status, v, req.T0)
 		default:
 			// A write: trace its ingress, ack when it applies (emitting the
-			// reply span and the slow-request log), then batch it toward
-			// the log.
+			// reply span and the slow-request log), then queue it for the
+			// replica to seal into a batch.
 			nd.tracer.Span(obs.SpanEvent{
 				Stage: obs.StageIngress, P: nd.p, Client: req.Client, Seq: req.Seq,
 				Slot: -1, T0: req.T0,
@@ -438,7 +377,7 @@ func handleConn(conn net.Conn, nd *node) {
 				}
 				reply(client, seq, status, val, t0)
 			})
-			nd.bt.add(serve.Command{Client: req.Client, Seq: req.Seq, Op: req.Op, Key: req.Key, Val: req.Val})
+			nd.in.Push([]serve.Command{{Client: req.Client, Seq: req.Seq, Op: req.Op, Key: req.Key, Val: req.Val}})
 		}
 	}
 }

@@ -8,13 +8,13 @@
 // The five reported stages telescope exactly to the end-to-end latency:
 //
 //	queue     send → ingress     client runtime + network + server read
-//	batch     ingress → seal     waiting for the node's batch to fill/flush
+//	batch     ingress → seal     waiting for the node's log to free a slot
 //	consensus seal → decide      the A_nuc slot deciding the batch
 //	apply     decide → apply     waiting for the body / session apply
 //	reply     apply → recv       ack write-back + network + client read
 //
 // Output: per-stage p50/p99/max over all complete requests, the slowest
-// exemplars with their slot and round counts, and optionally a Chrome
+// exemplars with their slot and deciding round, and optionally a Chrome
 // trace_event export (-chrome) with one lane per request and flow arrows
 // between stages — open it in Perfetto. With -check, nuctrace exits
 // non-zero unless every acked request has a complete span chain whose

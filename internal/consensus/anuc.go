@@ -176,6 +176,11 @@ func (s *anucState) DecidedWith() (model.ProcessSet, int, bool) {
 	return s.decidedQ, s.decidedK, s.decided
 }
 
+// DecidedRound implements model.DecidedRounder: k_p of the deciding
+// line-30 test. Round has already moved on to k_p + 1 by then, since the
+// step that decides also runs line 13 (startRound).
+func (s *anucState) DecidedRound() (int, bool) { return s.decidedK, s.decided }
+
 // InitState implements model.Automaton: p proposes its entry of the
 // constructor's vector and owns its histories (Fig. 4's shape).
 func (a *ANuc) InitState(p model.ProcessID) model.State {

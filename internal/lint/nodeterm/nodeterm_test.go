@@ -90,8 +90,8 @@ func TestExploreStaysCritical(t *testing.T) {
 // internal/serve is shared verbatim between E18's deterministic sim runs
 // (whose tables must be byte-identical at any worker count) and cmd/nucd's
 // real TCP path, so wall time, ambient randomness and goroutines must stay
-// out of it — the nondeterministic half (batch flush timers, connection
-// goroutines) lives in cmd/nucd, which nodeterm does not cover.
+// out of it — the nondeterministic half (connection goroutines, wall
+// time) lives in cmd/nucd, which nodeterm does not cover.
 func TestServeStaysCritical(t *testing.T) {
 	if !nodeterm.Critical("nuconsensus/internal/serve") {
 		t.Error("internal/serve must stay determinism-critical: it is shared by E18's sim runs and cmd/nucd")

@@ -98,6 +98,23 @@ func RoundOf(s State) (int, bool) {
 	return r.Round(), true
 }
 
+// DecidedRounder is implemented by states of round-based consensus
+// algorithms that record the round whose test decided. Round cannot stand
+// in for it: a process may start the next round in the step that decides.
+type DecidedRounder interface {
+	DecidedRound() (int, bool)
+}
+
+// DecidedRoundOf extracts the deciding round from a decided state that
+// records one.
+func DecidedRoundOf(s State) (int, bool) {
+	r, ok := s.(DecidedRounder)
+	if !ok {
+		return 0, false
+	}
+	return r.DecidedRound()
+}
+
 // FDOutput is implemented by states of failure-detector transformation
 // algorithms (T_{D→Σν}, T_{Σν→Σν+}, the from-scratch Σ) to expose the
 // emulated failure-detector output variable of §2.9.

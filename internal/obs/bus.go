@@ -185,7 +185,11 @@ func (b *Bus) OnStep(t model.Time, p model.ProcessID, m *model.Message, d model.
 	if v, ok := model.DecisionOf(st); ok && !b.decided[p] {
 		b.decided[p] = true
 		b.emit(Event{Kind: KindDecide, T: t, P: p, L: l, Value: v, Wall: wall})
-		b.observe("consensus.rounds_to_decide", int64(b.round[p]))
+		k, ok := model.DecidedRoundOf(st)
+		if !ok {
+			k = b.round[p]
+		}
+		b.observe("consensus.rounds_to_decide", int64(k))
 		b.observe("consensus.ticks_to_decide", int64(t))
 	}
 	b.emitOutput(t, p, l, st, wall)

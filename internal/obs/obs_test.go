@@ -217,6 +217,38 @@ func TestBusDerivedEvents(t *testing.T) {
 	}
 }
 
+// decidedState is a roundState that also records the round whose test
+// decided, as A_nuc does.
+type decidedState struct {
+	roundState
+	k int
+}
+
+func (s decidedState) CloneState() model.State   { return s }
+func (s decidedState) DecidedRound() (int, bool) { return s.k, s.decided }
+
+// TestBusRoundsToDecide: a process that decides in round 1 and starts
+// round 2 in the same step is observed as deciding in round 1; a state that
+// records no deciding round falls back to the round it is in.
+func TestBusRoundsToDecide(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		st   model.State
+		want int64
+	}{
+		{"deciding round recorded", decidedState{roundState{round: 2, decided: true, val: 7}, 1}, 1},
+		{"current round only", roundState{round: 2, decided: true, val: 7}, 2},
+	} {
+		reg := obs.NewRegistry()
+		bus := obs.NewBus(nil, reg)
+		bus.OnStep(1, 0, nil, nil, nil, roundState{round: 1})
+		bus.OnStep(2, 0, nil, nil, nil, tc.st)
+		if h := reg.Histogram("consensus.rounds_to_decide", obs.DefaultBuckets); h.Count() != 1 || h.Sum() != tc.want {
+			t.Errorf("%s: rounds_to_decide saw %d decisions summing to %d, want one in round %d", tc.name, h.Count(), h.Sum(), tc.want)
+		}
+	}
+}
+
 // outState emulates a detector (§2.9): its output variable is a leader
 // once set, nil before.
 type outState struct{ out model.FDValue }

@@ -12,8 +12,8 @@ import (
 
 // Span stages: the life of one client command through the serving stack,
 // keyed end to end by the trace context (Client, Seq). The client host
-// emits StageSend/StageRecv, the serving host StageIngress, StageSeal and
-// StageReply, and the deterministic core (internal/serve) StageInject,
+// emits StageSend/StageRecv, the serving host StageIngress and StageReply,
+// and the deterministic core (internal/serve) StageSeal, StageInject,
 // StageDecide and StageApply. StageDecide is batch-level — one event per
 // decided slot, joined to its member commands through the batch ID the
 // StageInject events carry — so a slot span fans out to every command that
@@ -21,7 +21,7 @@ import (
 const (
 	StageSend    = "send"    // client wrote the request to the wire
 	StageIngress = "ingress" // serving node read the request
-	StageSeal    = "seal"    // batcher sealed the command into a group
+	StageSeal    = "seal"    // replica took the command from ingress into a batch, once its log was free
 	StageInject  = "inject"  // replica minted the batch ID and injected it into the log
 	StageDecide  = "decide"  // the slot carrying the batch decided (batch-level)
 	StageApply   = "apply"   // the command applied through sessions into the machine

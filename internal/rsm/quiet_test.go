@@ -337,11 +337,10 @@ func TestQuietZombieSlot(t *testing.T) {
 
 // roundTap notes, per slot, the highest round on any phase message (LEAD,
 // REP, PROP) the log sent, and — as the log's RoundSink — the highest round
-// a process was in when it appended the slot: the step that decides in
-// round k enters round k+1 before harvest looks.
+// any process decided the slot in.
 type roundTap struct {
 	model.Automaton
-	sent, entered map[int]int
+	sent, decided map[int]int
 }
 
 func (a *roundTap) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
@@ -361,8 +360,8 @@ func (a *roundTap) Step(p model.ProcessID, s model.State, m *model.Message, d mo
 func (a *roundTap) OnEntry(model.ProcessID, int, int) {}
 
 func (a *roundTap) OnEntryRound(_ model.ProcessID, slot, _, round int) {
-	if round > a.entered[slot] {
-		a.entered[slot] = round
+	if round > a.decided[slot] {
+		a.decided[slot] = round
 	}
 }
 
@@ -376,7 +375,7 @@ func TestDecidedRoundIsNotAnnounced(t *testing.T) {
 	const slots, window = 24, 2
 	pattern := model.PatternFromCrashes(quietN, nil)
 	reg := obs.NewRegistry()
-	tap := &roundTap{sent: map[int]int{}, entered: map[int]int{}}
+	tap := &roundTap{sent: map[int]int{}, decided: map[int]int{}}
 	cmds := [][]int{{10, 11, 12}, {20, 21, 22}, {30, 31, 32}, {40, 41, 42}}
 	tap.Automaton = rsm.NewLog(cmds, slots).WithPipeline(window).WithMetrics(reg).WithEntrySink(tap)
 	res, err := sim.Run(sim.Exec{
@@ -395,7 +394,7 @@ func TestDecidedRoundIsNotAnnounced(t *testing.T) {
 	}
 	firstRound := 0
 	for slot := 0; slot < slots; slot++ {
-		decided := tap.entered[slot] - 1
+		decided := tap.decided[slot]
 		if tap.sent[slot] > decided {
 			t.Errorf("slot %d: decided by round %d everywhere, yet a round-%d phase message was sent", slot, decided, tap.sent[slot])
 		}

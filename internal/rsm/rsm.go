@@ -157,12 +157,12 @@ type EntrySink interface {
 }
 
 // RoundSink is an optional EntrySink extension: sinks that also implement
-// it additionally learn how many A_nuc rounds the slot's instance had
-// reached when this process observed the decision — the per-slot consensus
-// cost a tracing pipeline attributes to every command in the slot. Round
-// counts are per-process observations (a laggard sees a later round than
-// the process that drove the decision), which is exactly what a span
-// emitted by that process should carry.
+// it additionally learn the A_nuc round in which this process's instance
+// decided the slot (model.DecidedRoundOf) — the per-slot consensus cost a
+// tracing pipeline attributes to every command in the slot. Rounds are
+// per-process (a laggard may decide a round later than the process that
+// drove the decision), which is exactly what a span emitted by that
+// process should carry.
 type RoundSink interface {
 	OnEntryRound(p model.ProcessID, slot int, v int, round int)
 }
@@ -523,6 +523,19 @@ func FloorOf(s model.State) int {
 		return st.floor // retire runs on every progress change
 	}
 	return 0
+}
+
+// OwnWaiting reports whether a log state holds an own pending command that
+// no in-flight slot carries yet as this process's proposal: it waits for
+// a slot to open. The serving layer seals its next batch only while this
+// is false, so under load commands queue in ingress and join one batch,
+// and an idle replica's first command is proposed with the next slot.
+func OwnWaiting(s model.State) bool {
+	if st, ok := s.(*logState); ok {
+		_, waiting := st.firstFree(st.pending)
+		return waiting
+	}
+	return false
 }
 
 // AllAppended returns a stop predicate: every correct process has filled

@@ -30,7 +30,7 @@ type slotRec struct {
 	inst  model.State // the slot's A_nuc instance; nil until opened here
 	state slotState
 	v     int   // slotOpen: own proposal; slotDecided: the decision
-	round int   // slotDecided: A_nuc round observed at harvest
+	round int   // slotDecided: the A_nuc round this process decided in
 	heard []int // heard[q]: highest round of any slot message delivered from q; nil until the first
 	in    []parkedMsg
 	out   []model.Send

@@ -16,8 +16,8 @@ func (s *logState) windowEnd() int { return min(s.slot+s.window, s.slots) }
 
 // appendEntry commits the decided value of the frontier slot: into the
 // retained entries slice, or out through the sink in sink mode. round is
-// the A_nuc round this process observed the decision at, forwarded to
-// RoundSink implementors.
+// the A_nuc round this process decided the slot in, forwarded to RoundSink
+// implementors.
 func (s *logState) appendEntry(a *Log, v, round int) {
 	if a.sink != nil {
 		// RoundSink first: a tracing sink emits the slot's decide span
@@ -45,7 +45,7 @@ func (s *logState) harvest(a *Log, d model.FDValue) []model.Send {
 			continue
 		}
 		if v, ok := model.DecisionOf(r.inst); ok {
-			round, _ := model.RoundOf(r.inst)
+			round, _ := model.DecidedRoundOf(r.inst)
 			r.state, r.v, r.round = slotDecided, v, round
 			s.forgetCommand(v)
 			// Up to here the instance was undecided, hence awake: list it so,
@@ -116,17 +116,23 @@ func (s *logState) announce(a *Log, out []model.Send) []model.Send {
 // nextFreeProposal returns the first pending-then-known command not
 // already proposed in an open in-flight slot, or NoOp.
 func (s *logState) nextFreeProposal() int {
-	for _, c := range s.pending {
-		if !s.inWindow(slotOpen, c) {
-			return c
-		}
+	if c, ok := s.firstFree(s.pending); ok {
+		return c
 	}
-	for _, c := range s.known {
-		if !s.inWindow(slotOpen, c) {
-			return c
-		}
+	if c, ok := s.firstFree(s.known); ok {
+		return c
 	}
 	return NoOp
+}
+
+// firstFree returns the first of cmds no open in-flight slot proposes.
+func (s *logState) firstFree(cmds []int) (int, bool) {
+	for _, c := range cmds {
+		if !s.inWindow(slotOpen, c) {
+			return c, true
+		}
+	}
+	return 0, false
 }
 
 // inWindow reports whether some in-flight slot in the given state carries

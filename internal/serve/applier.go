@@ -107,7 +107,7 @@ func (a *Applier) WithTracer(t *obs.Tracer) *Applier {
 }
 
 // OnEntryRound implements rsm.RoundSink: the slot's decide event, with the
-// round count this process observed the decision at. Batch-level — the
+// round this process decided the slot in. Batch-level — the
 // decided value IS the batch ID — so one decide span fans out to every
 // member command through the batch ID the inject/apply spans carry.
 func (a *Applier) OnEntryRound(_ model.ProcessID, slot, v, round int) {

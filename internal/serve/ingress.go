@@ -1,18 +1,22 @@
 package serve
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Ingress is the hand-off between a node's client front end (cmd/nucd's
 // connection goroutines) and its stepping replica: the front end pushes
-// groups of commands, the replica drains one group per step into the log.
-// On the sim substrate the queue is pre-loaded before the run, so draining
-// stays deterministic.
+// groups of commands, and the replica seals the oldest of them into its
+// next batch when the log is free (Replica.Step). On the sim substrate the
+// queue is filled between steps, so sealing stays deterministic.
 type Ingress struct {
 	mu sync.Mutex
 	q  [][]Command
 }
 
-// Push enqueues one group of commands destined for a single batch.
+// Push enqueues one group of commands. A group is never split: it rides
+// one batch, possibly together with the groups pushed next to it.
 func (in *Ingress) Push(cmds []Command) {
 	if len(cmds) == 0 {
 		return
@@ -22,21 +26,31 @@ func (in *Ingress) Push(cmds []Command) {
 	in.q = append(in.q, cmds)
 }
 
-// Poll removes and returns the oldest pushed group.
-func (in *Ingress) Poll() ([]Command, bool) {
+// seal removes and returns the oldest group plus every whole group after
+// it while the total stays within limit commands (limit 0: the oldest group
+// alone), or nil when nothing is queued.
+func (in *Ingress) seal(limit int) []Command {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if len(in.q) == 0 {
-		return nil, false
+		return nil
 	}
-	cmds := in.q[0]
-	in.q = in.q[1:]
-	return cmds, true
+	k, total := 1, len(in.q[0])
+	for ; k < len(in.q) && total+len(in.q[k]) <= limit; k++ {
+		total += len(in.q[k])
+	}
+	cmds := slices.Concat(in.q[:k]...)
+	in.q = in.q[k:]
+	return cmds
 }
 
-// Len returns how many groups are waiting.
+// Len returns how many commands are waiting.
 func (in *Ingress) Len() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.q)
+	n := 0
+	for _, g := range in.q {
+		n += len(g)
+	}
+	return n
 }

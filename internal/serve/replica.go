@@ -15,6 +15,10 @@ type Config struct {
 	Pipeline int       // slot instances in flight (rsm.Log.WithPipeline; 0 keeps the window of 1)
 	Workload [][]Batch // initial batches per process (IDs assigned here)
 	Target   int       // total distinct commands; reaching it is the stop signal (0: log-full)
+	// Batch caps the commands one sealed ingress batch takes: the oldest
+	// pushed group plus whole following groups up to Batch in total. 0
+	// seals one pushed group per batch, whatever its size.
+	Batch int
 	// Correct is the set of processes that never crash (pattern.Correct()).
 	// The target decision fires only when every correct replica has applied
 	// Target commands: a replica deciding on its own progress would be
@@ -86,6 +90,7 @@ func NewCluster(cfg Config) *Cluster {
 		log:      c.log,
 		appliers: c.appliers,
 		ingress:  c.ingress,
+		batch:    cfg.Batch,
 		initial:  initial,
 		tracer:   cfg.Tracer,
 	}
@@ -128,6 +133,7 @@ type Replica struct {
 	log      *rsm.Log
 	appliers []*Applier
 	ingress  []*Ingress
+	batch    int // Config.Batch
 	initial  [][]Batch
 	tracer   *obs.Tracer
 }
@@ -213,22 +219,26 @@ func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 		st.announced = true
 		for _, b := range r.initial[int(p)] {
 			out = append(out, model.Broadcast(model.FullSet(r.n).Remove(p), BatchPayload{ID: b.ID, Cmds: b.Cmds})...)
-			r.injectSpans(p, b.ID, b.Cmds)
+			r.spans(obs.StageInject, p, b.ID, b.Cmds)
 		}
 	}
 
-	// Drain at most one ingress batch per step: mint its ID, register and
-	// gossip the body, and inject the ID into the log's pending queue.
-	if in := r.ingress[int(p)]; in != nil {
-		if cmds, ok := in.Poll(); ok {
+	// Seal a batch when the log is free: once no own batch waits for a
+	// slot, take the oldest ingress groups, mint the batch's ID, register
+	// and gossip its body, and inject the ID into the log's pending queue.
+	// This is the only place an ingress batch is sealed, and the log's
+	// progress, not a clock, decides when.
+	if !rsm.OwnWaiting(st.inner) {
+		if cmds := r.ingress[int(p)].seal(r.batch); cmds != nil {
 			id := BatchID(p, st.nextBatch)
 			st.nextBatch++
+			r.spans(obs.StageSeal, p, id, cmds)
 			r.appliers[int(p)].PutBody(id, cmds)
 			out = append(out, model.Broadcast(model.FullSet(r.n).Remove(p), BatchPayload{ID: id, Cmds: cmds})...)
 			var sends []model.Send
 			st.inner, sends = r.log.Inject(st.inner, id)
 			out = append(out, sends...)
-			r.injectSpans(p, id, cmds)
+			r.spans(obs.StageInject, p, id, cmds)
 		}
 	}
 
@@ -276,16 +286,17 @@ func (r *Replica) takeBodies(p model.ProcessID, m *model.Message, b rsm.Bundle) 
 	return &fwd
 }
 
-// injectSpans emits one inject span per member command the moment its
-// batch ID is minted into the log — the join point that later lets the
-// batch-level decide span fan out to its members.
-func (r *Replica) injectSpans(p model.ProcessID, id int, cmds []Command) {
+// spans emits one span of the given stage per member command of batch
+// id: seal when the batch is taken from ingress, inject when its ID enters
+// the log — the join point that later lets the batch-level decide span fan
+// out to its members.
+func (r *Replica) spans(stage string, p model.ProcessID, id int, cmds []Command) {
 	if r.tracer == nil {
 		return
 	}
 	for _, c := range cmds {
 		r.tracer.Span(obs.SpanEvent{
-			Stage: obs.StageInject, P: int(p), Client: c.Client, Seq: c.Seq,
+			Stage: stage, P: int(p), Client: c.Client, Seq: c.Seq,
 			Batch: id, Slot: -1, N: len(cmds),
 		})
 	}

@@ -12,13 +12,16 @@
 //   - Replica: an automaton wrapping rsm.Log that batches client commands
 //     into one consensus value per slot (a Batch, identified in the log by
 //     a packed positive int), gossips batch bodies, and feeds decided
-//     entries to an Applier.
+//     entries to an Applier. It seals a batch from ingress only when its
+//     log has no own batch waiting for a slot (rsm.OwnWaiting), so the
+//     log's progress, not a clock, paces batching.
 //   - Applier: a per-process external resource (like fd.Sampler) holding
 //     the KV/queue Machine, the session dedup table, and the decided-entry
 //     cursor. Commands apply in slot order exactly once per (client, seq),
 //     no matter how many slots a retried batch was decided into.
-//   - Ingress: the mutex-guarded queue cmd/nucd pushes live client batches
-//     through; Replica drains it into the log via rsm.Inject.
+//   - Ingress: the mutex-guarded queue cmd/nucd pushes live client writes
+//     through; Replica seals what is queued, up to Config.Batch commands,
+//     into one batch and injects it into the log via rsm.Inject.
 //
 // Consistency: writes are linearizable at commit (slot order is agreed by
 // every correct process). Reads come in two modes — read-index reads,

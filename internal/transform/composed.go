@@ -77,6 +77,9 @@ func (s *composedState) Round() int {
 	return r
 }
 
+// DecidedRound implements model.DecidedRounder by delegating to the consumer.
+func (s *composedState) DecidedRound() (int, bool) { return model.DecidedRoundOf(s.cs) }
+
 // ConsumerState exposes the consumer component's state.
 func (s *composedState) ConsumerState() model.State { return s.cs }
 

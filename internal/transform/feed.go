@@ -64,6 +64,9 @@ func (s *feedState) Round() int {
 	return r
 }
 
+// DecidedRound implements model.DecidedRounder by delegating to the consumer.
+func (s *feedState) DecidedRound() (int, bool) { return model.DecidedRoundOf(s.cs) }
+
 // EmulatedOutput implements model.FDOutput: the value the consumer sees.
 func (s *feedState) EmulatedOutput() model.FDValue {
 	if out, ok := s.es.(model.FDOutput); ok {

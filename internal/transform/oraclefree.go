@@ -77,6 +77,9 @@ func (s *oracleFreeState) Round() int {
 	return r
 }
 
+// DecidedRound implements model.DecidedRounder by delegating to the consumer.
+func (s *oracleFreeState) DecidedRound() (int, bool) { return model.DecidedRoundOf(s.cs) }
+
 // EmulatedOutput implements model.FDOutput: the assembled (Ω, Σν+) pair the
 // consumer sees, so recorded outputs can be validated against both specs.
 func (s *oracleFreeState) EmulatedOutput() model.FDValue {
