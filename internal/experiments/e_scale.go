@@ -11,17 +11,18 @@ import (
 
 // E17 measures how the replicated log's costs scale with log length. The
 // log keeps one versioned history store per process, shared by all live
-// slot instances, with LEAD/PROP carrying (base, delta) against what this
-// process last shipped to that destination (see internal/rsm/shared.go).
+// slot instances, with LEAD/PROP carrying a history frame — the adds since
+// what this process last shipped to that destination, and the version they
+// reach (see internal/rsm/shared.go and the internal/wire grammar).
 // The plumbing it replaced — owned mode, removed in PR 17: a full history
 // copy per live instance, cloned inline into every LEAD/PROP — survives as
 // recorded numbers the gates below are set against (EXPERIMENTS.md keeps
 // its rows).
 //
-// Per run, logMeter taps the history share of each message through the
-// real wire codec (encoded size minus the size of the same payload with
-// its delta frame stripped) and the high-water live-state history
-// footprint of any single process (rsm.StatsOf, sampled at every step).
+// Per run, logMeter taps the history freight of each message — the bytes
+// of its history frames, through the real wire codec
+// (wire.HistoryFrameLen) — and the high-water live-state history footprint
+// of any single process (rsm.StatsOf, sampled at every step).
 
 const e17N = 5
 
@@ -41,10 +42,11 @@ const e17MsgsPerSlotCap = 51
 // e17HistBytesPerSlotCap bounds history freight per decided slot at the
 // longest grid point. The denominator is slots, not messages: PRGR and CMD
 // carry no history, so a change that only sends fewer of them must not read
-// as heavier freight. 71.7 measured, flat across that change; 654.5 when
-// every LEAD/PROP ships a full snapshot instead of the delta since the
+// as heavier freight. Freight is the bytes of the history frames
+// themselves: 38.7 measured, where a frame without adds is one byte; 654.2
+// when every LEAD/PROP ships a full snapshot instead of the delta since the
 // destination's last frame.
-const e17HistBytesPerSlotCap = 81
+const e17HistBytesPerSlotCap = 44
 
 var e17SlotsGrid = []int{4, 8, 16, 64}
 
@@ -128,7 +130,7 @@ var e17Spec = &Spec{
 		perSlot := func(g Group) float64 { return float64(g.Sum("msgs")) / float64(g.Key.Arg*g.OKs()) }
 		freight := float64(long.Sum("histwire")) / float64(long.Key.Arg*long.OKs())
 		t.Notes = append(t.Notes,
-			fmt.Sprintf("history freight at %d slots: %.1f bytes/slot in delta frames (recorded owned-mode baseline: ≈ 1120, 4.2 bytes in each of 267.1 msgs/slot, a full history clone in every LEAD/PROP)",
+			fmt.Sprintf("history freight at %d slots: %.1f bytes/slot in history frames (recorded owned-mode baseline: ≈ 1120, 4.2 bytes in each of 267.1 msgs/slot, a full history clone in every LEAD/PROP)",
 				long.Key.Arg, freight),
 			fmt.Sprintf("peak live-state entries, %d→%d slots: %.0f→%.0f, one store per process (recorded owned-mode baseline: 20→260, one history copy per unretired instance)",
 				short.Key.Arg, long.Key.Arg, peak(short), peak(long)),

@@ -255,13 +255,12 @@ func runLog(sc Scale, aut model.Automaton, pattern *model.FailurePattern, hist m
 }
 
 // logMeter wraps a replicated-log automaton with measurement taps: sends
-// (a bundle is one), the history share of their encoded size (per item,
-// encoded minus the same payload with its delta frame stripped, through the
-// real wire codec), and the high-water history-store entries of any
-// process. The substrate steps
-// processes from independent goroutines on the concurrent backends, so the
-// taps are atomics; they are per-unit, so the recorded numbers stay
-// deterministic on sim at any engine worker count.
+// (a bundle is one), the history freight in them (per item, the bytes of
+// the history frame a slot's LEADD or PROPD carries, through the real wire
+// codec), and the high-water history-store entries of any process. The
+// substrate steps processes from independent goroutines on the concurrent
+// backends, so the taps are atomics; they are per-unit, so the recorded
+// numbers stay deterministic on sim at any engine worker count.
 type logMeter struct {
 	model.Automaton
 	msgs      atomic.Int64
@@ -278,14 +277,10 @@ func (a *logMeter) Step(p model.ProcessID, s model.State, m *model.Message, d mo
 			items = rsm.Bundle{snd.Payload}
 		}
 		for _, pl := range items {
-			stripped := historyFree(pl)
-			if stripped == nil {
-				continue
-			}
-			b, err := wire.EncodePayload(pl)
-			sb, serr := wire.EncodePayload(stripped)
-			if err == nil && serr == nil {
-				hist += int64(len(b) - len(sb))
+			if sp, ok := pl.(rsm.SlotPayload); ok {
+				if n, err := wire.HistoryFrameLen(sp.Inner); err == nil {
+					hist += int64(n)
+				}
 			}
 		}
 	}
@@ -298,24 +293,6 @@ func (a *logMeter) Step(p model.ProcessID, s model.State, m *model.Message, d mo
 		}
 	}
 	return ns, sends
-}
-
-// historyFree strips the history freight — the whole (base, delta) frame —
-// from a slot-wrapped payload, returning nil for payloads that carry none.
-func historyFree(pl model.Payload) model.Payload {
-	sp, ok := pl.(rsm.SlotPayload)
-	if !ok {
-		return nil
-	}
-	switch inner := sp.Inner.(type) {
-	case consensus.LeadDeltaPayload:
-		sp.Inner = inner.Plain()
-	case consensus.ProposalDeltaPayload:
-		sp.Inner = inner.Plain()
-	default:
-		return nil
-	}
-	return sp
 }
 
 // fold adds a unit registry's named counters into the run-wide registry

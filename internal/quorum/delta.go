@@ -45,6 +45,11 @@ func compareEntries(a, b DeltaEntry) int {
 // (the fallback when the sender has compacted past the receiver's base).
 // To is the sender-side version reached after applying. Adds is sorted by
 // (R, Q) and free of duplicates.
+//
+// Every delta a Versioned store issues spans exactly its adds: To − Base ==
+// len(Adds), snapshots included (a snapshot holds all To entries). Base is
+// therefore derived, not news: the wire frame leaves it out and the
+// decoder rebuilds it from To and the add count (internal/wire).
 type Delta struct {
 	Base uint64
 	To   uint64

@@ -216,3 +216,42 @@ func TestVersionedConvergesUnderRandomExchange(t *testing.T) {
 		t.Fatalf("stores diverged:\n a=%s\n b=%s", a.Histories(), b.Histories())
 	}
 }
+
+// TestDeltaSpansExactlyItsAdds: every delta DeltaSince returns has
+// To − Base == len(Adds) — incremental, empty at the head, the snapshot
+// after Compact, and the snapshot for a base beyond the version — which is
+// what lets the wire frame leave Base out and rebuild it from To and the
+// add count.
+func TestDeltaSpansExactlyItsAdds(t *testing.T) {
+	v := NewVersioned(4)
+	check := func(what string, base uint64) {
+		t.Helper()
+		d := v.DeltaSince(base)
+		if d.Base > d.To || d.To-d.Base != uint64(len(d.Adds)) {
+			t.Errorf("%s (base %d): %v spans %d versions with %d adds", what, base, d, d.To-d.Base, len(d.Adds))
+		}
+	}
+	check("empty store", 0)
+	check("empty store, future base", 3)
+	for i, q := range []model.ProcessSet{model.SetOf(0, 1), model.SetOf(1, 2), model.SetOf(0, 2), model.SetOf(2, 3), model.SetOf(0, 3)} {
+		v.Add(model.ProcessID(i%4), q)
+		v.Add(model.ProcessID(i%4), q) // a repeat adds no version
+		for base := uint64(0); base <= v.Version(); base++ {
+			check("incremental", base)
+		}
+	}
+	v.Compact(3)
+	for base := uint64(0); base <= v.Version()+2; base++ {
+		check("after Compact(3)", base) // snapshots below the floor and beyond the version
+	}
+	if d := v.DeltaSince(1); !d.IsSnapshot() {
+		t.Errorf("DeltaSince(1) below the floor is %v, want a snapshot", d)
+	}
+	if d := v.DeltaSince(v.Version() + 1); !d.IsSnapshot() {
+		t.Errorf("DeltaSince beyond the version is %v, want a snapshot", d)
+	}
+	check("snapshot", 0)
+	if d := v.Snapshot(); d.To-d.Base != uint64(len(d.Adds)) {
+		t.Errorf("Snapshot() = %v does not span exactly its adds", d)
+	}
+}

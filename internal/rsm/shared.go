@@ -4,10 +4,13 @@
 //
 // Each process holds ONE versioned history store (quorum.Versioned) that
 // all its live slot instances read and write through the
-// consensus.HistoryStore interface, and outgoing LEAD/PROP messages carry
-// (baseVersion, delta) against the version this process last shipped to
-// that destination. Receivers apply the delta to their own store before
-// handing the inner instance a history-free payload. Neither live state
+// consensus.HistoryStore interface, and outgoing LEAD/PROP messages carry a
+// delta: the adds since the version this process last shipped to that
+// destination, and the version they reach. Its base is that last-shipped
+// version, and To − len(Adds) always equals it, so the wire frame carries
+// only To and the adds (one byte when there are none). Receivers apply the
+// delta to their own store before handing the inner instance a
+// history-free payload. Neither live state
 // nor bytes-on-wire scale with how many instances are live or how much
 // history has accumulated (E17).
 //

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"nuconsensus/internal/fd"
@@ -103,44 +104,54 @@ func TestOneSendPerPeerPerStep(t *testing.T) {
 }
 
 // TestBundledBodiesReachTheApplier: the replica takes the batch bodies out
-// of a bundle before the log sees it. A bundle of bodies only stores them
-// and gives the log a λ step, as a bare BATCH does; a bundle that also
-// carries a CMD hands the log the CMD, as if it had come alone. A twin
-// replica, stepped the way the log should have been, must send the same
-// and end in the same state.
+// of a message before the log sees it, and hands the log the CMD each body
+// stands for at the body's place, bare or bundled: a sender's body travels
+// in place of its CMD (forward). A twin replica, stepped with those CMDs,
+// must send the same and end in the same state; the order of the log's
+// known commands shows each CMD landed at its body's place.
 func TestBundledBodiesReachTheApplier(t *testing.T) {
 	const n = 3
 	d := fd.PairValue{First: fd.LeaderValue{Leader: 1}, Second: fd.QuorumValue{Quorum: model.FullSet(n)}}
 	id0, id1 := serve.BatchID(1, 0), serve.BatchID(1, 1)
-	body0 := []serve.Command{{Client: 5, Seq: 1, Op: serve.OpPut, Key: 3, Val: 30}}
-	body1 := []serve.Command{{Client: 5, Seq: 2, Op: serve.OpPut, Key: 4, Val: 40}}
-	bodies := []model.Payload{serve.BatchPayload{ID: id0, Cmds: body0}, serve.BatchPayload{ID: id1, Cmds: body1}}
+	body0 := serve.BatchPayload{ID: id0, Cmds: []serve.Command{{Client: 5, Seq: 1, Op: serve.OpPut, Key: 3, Val: 30}}}
+	body1 := serve.BatchPayload{ID: id1, Cmds: []serve.Command{{Client: 5, Seq: 2, Op: serve.OpPut, Key: 4, Val: 40}}}
+	cmd0, cmd1, other := rsm.CommandPayload{Cmd: id0}, rsm.CommandPayload{Cmd: id1}, rsm.CommandPayload{Cmd: 7}
 	for _, tc := range []struct {
-		name string
-		got  rsm.Bundle
-		want model.Payload // what the twin's log takes; nil: a λ step
+		name      string
+		got, want []model.Payload // the messages the replica and its twin take, in turn
+		known     string
 	}{
-		{"bodies only", rsm.Bundle(bodies), nil},
-		{"bodies and a command", append(rsm.Bundle{rsm.CommandPayload{Cmd: id0}}, bodies...), rsm.CommandPayload{Cmd: id0}},
+		{"bare bodies", []model.Payload{body0, body1}, []model.Payload{cmd0, cmd1}, "known=[65 129]"},
+		{"bodies only", []model.Payload{rsm.Bundle{body0, body1}}, []model.Payload{rsm.Bundle{cmd0, cmd1}}, "known=[65 129]"},
+		{"bodies and a command", []model.Payload{rsm.Bundle{body1, other, body0}}, []model.Payload{rsm.Bundle{cmd1, other, cmd0}}, "known=[129 7 65]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cluster := func() (*serve.Cluster, model.State) {
 				cl := serve.NewCluster(serve.Config{N: n, Slots: 4, Retain: true})
 				return cl, cl.Automaton().InitState(0)
 			}
+			run := func(cl *serve.Cluster, st model.State, msgs []model.Payload) (model.State, []model.Send) {
+				var out []model.Send
+				for i, pl := range msgs {
+					var sends []model.Send
+					st, sends = cl.Automaton().Step(0, st, &model.Message{From: 1, To: 0, Seq: uint64(i + 1), Payload: pl}, d)
+					out = append(out, sends...)
+				}
+				return st, out
+			}
 			cl, st := cluster()
 			twin, twinSt := cluster()
-			_, got := cl.Automaton().Step(0, st, &model.Message{From: 1, To: 0, Seq: 1, Payload: tc.got}, d)
-			var m *model.Message
-			if tc.want != nil {
-				m = &model.Message{From: 1, To: 0, Seq: 1, Payload: tc.want}
-			}
-			_, want := twin.Automaton().Step(0, twinSt, m, d)
+			st, got := run(cl, st, tc.got)
+			twinSt, want := run(twin, twinSt, tc.want)
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("the bundle's step sent %v, the twin's %v", got, want)
+				t.Errorf("the replica sent %v, the twin %v", got, want)
 			}
-			if g, w := serve.DebugState(st), serve.DebugState(twinSt); g != w {
-				t.Errorf("after the bundle the replica is %s, the twin %s", g, w)
+			g, w := serve.DebugState(st), serve.DebugState(twinSt)
+			if g != w {
+				t.Errorf("after the bodies the replica is %s, the twin %s", g, w)
+			}
+			if !strings.Contains(g, tc.known) {
+				t.Errorf("after the bodies the replica is %s, want %s", g, tc.known)
 			}
 			// Slots 0 and 1 decide the two batches: both apply at once, so
 			// both bodies were stored.
@@ -151,5 +162,73 @@ func TestBundledBodiesReachTheApplier(t *testing.T) {
 				t.Errorf("applier after the bodies' slots decided: %+v, want both applied and nothing stalled", s)
 			}
 		})
+	}
+}
+
+// cmdTap fails its test on any step that sends a peer a CMD item, and
+// counts the steps that sent a batch body.
+type cmdTap struct {
+	model.Automaton
+	t      *testing.T
+	sealed int
+}
+
+func (a *cmdTap) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	ns, sends := a.Automaton.Step(p, s, m, d)
+	bodies := false
+	for _, snd := range sends {
+		items, bundled := snd.Payload.(rsm.Bundle)
+		if !bundled {
+			items = rsm.Bundle{snd.Payload}
+		}
+		for _, pl := range items {
+			switch pl.(type) {
+			case rsm.CommandPayload:
+				a.t.Fatalf("p%d's step sent %v a CMD item: %v", p, snd.To, snd.Payload)
+			case serve.BatchPayload:
+				bodies = true
+			}
+		}
+	}
+	if bodies {
+		a.sealed++
+	}
+	return ns, sends
+}
+
+// TestBatchIsTheForward: a step that mints a batch — from the initial
+// workload or sealed from ingress — sends each peer the body in place of
+// the CMD forwarding its ID, so no step of a serving run sends a CMD item.
+func TestBatchIsTheForward(t *testing.T) {
+	const n = 4
+	pattern := model.PatternFromCrashes(n, nil)
+	wl := make([][]serve.Batch, n)
+	for p := range wl {
+		wl[p] = []serve.Batch{{Cmds: []serve.Command{{Client: 50 + uint32(p), Seq: 1, Op: serve.OpPut, Key: 1, Val: 1}}}}
+	}
+	cl := serve.NewCluster(serve.Config{N: n, Slots: 64, Pipeline: 2, Workload: wl, Target: n + n*6, Retain: true})
+	for p := model.ProcessID(0); p < n; p++ {
+		for i := 0; i < 6; i++ {
+			cl.Ingress(p).Push([]serve.Command{{Client: uint32(p) + 1, Seq: uint64(i + 1), Op: serve.OpPut, Key: uint64(i), Val: int64(i)}})
+		}
+	}
+	sampler := rsm.SamplerForLog(pattern, 60, 7)
+	cl.Log().WithSampler(sampler)
+	tap := &cmdTap{Automaton: cl.Automaton(), t: t}
+	res, err := sim.Run(sim.Exec{
+		Automaton: tap,
+		Pattern:   pattern,
+		History:   sampler,
+		Scheduler: sim.NewFairScheduler(7, 0.8, 3),
+		MaxSteps:  400000,
+		StopWhen:  substrate.AllCorrectDecided(pattern),
+	})
+	if err != nil || !res.Stopped {
+		t.Fatalf("err = %v, done = %v", err, res != nil && res.Stopped)
+	}
+	// One step per process carries its initial body, and one per sealed
+	// ingress batch carries that one.
+	if tap.sealed < 2*n {
+		t.Fatalf("%d steps sent a batch body, want at least %d: the test lost its premise", tap.sealed, 2*n)
 	}
 }

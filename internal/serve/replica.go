@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
@@ -206,8 +207,7 @@ func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 	if m != nil {
 		switch pl := m.Payload.(type) {
 		case BatchPayload:
-			r.appliers[int(p)].PutBody(pl.ID, pl.Cmds)
-			fwd = nil
+			fwd = r.takeBodies(p, m, rsm.Bundle{pl})
 		case rsm.Bundle:
 			fwd = r.takeBodies(p, m, pl)
 		}
@@ -251,38 +251,74 @@ func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 		st.lastFloor = floor
 		r.appliers[int(p)].Compact(floor)
 	}
-	// One message per peer: the bodies and commands join the log's bundles.
-	return st, rsm.Pack(out)
+	// One message per peer: the bodies and commands join the log's bundles,
+	// and each body is the forward of its batch's ID.
+	return st, forward(rsm.Pack(out))
 }
 
-// takeBodies stores the batch bodies a bundle carries and returns what is
-// left of the message for the log: m itself if it carries none, nil if it
-// carries nothing else (a λ step, as for a bare BATCH).
+// forward puts each batch body a step sends a peer at the place of the CMD
+// that forwards the batch's ID to that peer, and drops that CMD: the body
+// names its batch, so the ID crosses the link once, and the receiver hands
+// its log the CMD back where the body arrives (takeBodies). The log takes
+// the same payloads in the same order as when both travelled, so this
+// moves no step. Pack's bundles are the step's own, so they are rewritten
+// in place; a bundle left with one item goes bare.
+func forward(sends []model.Send) []model.Send {
+	for i, snd := range sends {
+		b, ok := snd.Payload.(rsm.Bundle)
+		if !ok {
+			continue
+		}
+		moved := false
+		for j, pl := range b {
+			c, ok := pl.(rsm.CommandPayload)
+			if !ok {
+				continue
+			}
+			for k, body := range b {
+				if bp, ok := body.(BatchPayload); ok && bp.ID == c.Cmd {
+					b[j], b[k], moved = bp, nil, true
+					break
+				}
+			}
+		}
+		if !moved {
+			continue
+		}
+		if b = slices.DeleteFunc(b, func(pl model.Payload) bool { return pl == nil }); len(b) == 1 {
+			sends[i].Payload = b[0]
+		} else {
+			sends[i].Payload = b
+		}
+	}
+	return sends
+}
+
+// takeBodies stores the batch bodies a message carries and returns what is
+// left of it for the log: each body becomes the CMD forwarding its batch's
+// ID, at the body's place (forward put it at the CMD's), so the log takes
+// what the sender's log sent. m itself is returned if it carries no body.
 func (r *Replica) takeBodies(p model.ProcessID, m *model.Message, b rsm.Bundle) *model.Message {
 	var rest rsm.Bundle
-	split := false
 	for i, pl := range b {
 		bp, ok := pl.(BatchPayload)
 		if !ok {
-			if split {
-				rest = append(rest, pl)
-			}
 			continue
 		}
-		if !split {
-			split = true
-			rest = append(make(rsm.Bundle, 0, len(b)-1), b[:i]...)
+		if rest == nil {
+			rest = append(make(rsm.Bundle, 0, len(b)), b...)
 		}
 		r.appliers[int(p)].PutBody(bp.ID, bp.Cmds)
+		rest[i] = rsm.CommandPayload{Cmd: bp.ID}
 	}
-	switch {
-	case !split:
+	if rest == nil {
 		return m
-	case len(rest) == 0:
-		return nil
 	}
 	fwd := *m
 	fwd.Payload = rest
+	if len(rest) == 1 {
+		fwd.Payload = rest[0]
+	}
 	return &fwd
 }
 

@@ -14,7 +14,10 @@
 //     a packed positive int), gossips batch bodies, and feeds decided
 //     entries to an Applier. It seals a batch from ingress only when its
 //     log has no own batch waiting for a slot (rsm.OwnWaiting), so the
-//     log's progress, not a clock, paces batching.
+//     log's progress, not a clock, paces batching. The BATCH is the
+//     forward: a body travels in place of the log's CMD naming its ID,
+//     and the receiving replica hands its log that CMD where the body
+//     arrived, so the log sees what it would have without the recoding.
 //   - Applier: a per-process external resource (like fd.Sampler) holding
 //     the KV/queue Machine, the session dedup table, and the decided-entry
 //     cursor. Commands apply in slot order exactly once per (client, seq),

@@ -5,6 +5,7 @@ import (
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/quorum"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/serve"
 	"nuconsensus/internal/wire"
@@ -22,11 +23,17 @@ func FuzzDecodePayload(f *testing.F) {
 		consensus.AckPayload{Q: model.SetOf(1), K: 8},
 		consensus.LeadDeltaPayload{K: 3, V: -7, Delta: sampleDelta()},
 		consensus.ProposalDeltaPayload{K: 5, HasV: true, V: 2, Delta: sampleDelta()},
+		consensus.LeadDeltaPayload{K: 1, V: 4, Delta: quorum.Delta{Base: 9, To: 9}},
+		consensus.ProposalDeltaPayload{K: 2, Delta: sampleDelta()},
+		consensus.ProposalDeltaPayload{K: 2, Delta: quorum.Delta{Base: 40, To: 40}},
+		rsm.SlotPayload{Slot: 200, Inner: consensus.ReportPayload{K: 1, V: 2}},
+		rsm.ProgressPayload{Slot: 1 << 20},
 		rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: model.SetOf(0, 1, 3), K: 2, Stamp: 10}},
 		rsm.AckStampPayload{Q: model.SetOf(2), K: 1, Stamp: 0},
 		serve.BatchPayload{ID: serve.BatchID(1, 0), Cmds: []serve.Command{
 			{Client: 1, Seq: 1, Op: serve.OpPut, Key: 9, Val: -42},
 			{Client: 2, Seq: 7, Op: serve.OpQPush, Key: 3, Val: 5},
+			{Client: 3, Seq: 8, Op: 9, Key: 4, Val: 6},
 		}},
 		serve.RequestPayload{Client: 3, Seq: 11, Op: serve.OpGet, Key: 12, Lin: true, T0: 1722000000123456789},
 		serve.ReplyPayload{Client: 3, Seq: 11, Status: serve.StatusOK, Val: 77, T0: 1722000000123456789},
@@ -54,6 +61,9 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(b)
 	}
 	for _, b := range bundleRejects(f) {
+		f.Add(b)
+	}
+	for _, b := range frameRejects(f) {
 		f.Add(b)
 	}
 	f.Add([]byte{})

@@ -6,17 +6,28 @@
 //	payload  := kindTag … (per-kind body)
 //	outer    := payload | bundleTag item item item*   (items run to the end)
 //	item     := payload, or a slot's inner payload when the slot item before it has its slot
+//	slot     := varint                         (SLOT and PRGR: slots are never negative)
+//	LEADD    := leadDeltaTag K V varint(To<<1 | hasAdds) adds
+//	PROPD    := propDeltaTag K V varint(To<<2 | HasV<<1 | hasAdds) adds
+//	adds     := count (R Q)^count when hasAdds, else nothing (1 ≤ count ≤ To)
+//	BATCH    := batchTag ID count command^count
+//	command  := varint(Client<<3 | min(Op, 7)) [Op when Op ≥ 7] Seq Key Val
 //	fdvalue  := valueTag … (leader | quorum | suspects | pair | null)
-//	varint   := unsigned LEB128 (encoding/binary Uvarint)
+//	varint   := unsigned LEB128 (encoding/binary Uvarint); signed fields zigzag
 //
-// Quorum histories travel as, per process, a count followed by that many
-// 64-bit process sets; DAG snapshots as a node list plus per-node
-// predecessor bitsets. Everything round-trips exactly (TestRoundTrip*).
+// A history frame (the To varint and its adds) carries no Base: every
+// delta spans exactly its adds (quorum.Delta), so the decoder rebuilds
+// Base as To − count, and a frame without adds is one varint. BATCH bodies
+// and the client request frame share the command encoding. Full quorum
+// histories travel as, per process, a count followed by that many 64-bit
+// process sets; DAG snapshots as a node list plus per-node predecessor
+// bitsets. Everything round-trips exactly (TestRoundTrip*).
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"nuconsensus/internal/consensus"
@@ -86,6 +97,24 @@ func (w *buf) putInt64(x int64) {
 	w.putUvarint(uint64((x << 1) ^ (x >> 63)))
 }
 
+// putSlot writes a slot number as a plain varint: slots are never
+// negative, so they need no zigzag.
+func (w *buf) putSlot(slot int) error {
+	if slot < 0 {
+		return fmt.Errorf("wire: negative slot %d", slot)
+	}
+	w.putUvarint(uint64(slot))
+	return nil
+}
+
+// flag is a boolean as one bit.
+func flag(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func (r *buf) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.pos:])
 	if n <= 0 {
@@ -102,6 +131,17 @@ func (r *buf) byte() (byte, error) {
 	v := r.b[r.pos]
 	r.pos++
 	return v, nil
+}
+
+func (r *buf) slot() (int, error) {
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > math.MaxInt {
+		return 0, fmt.Errorf("wire: slot %d out of range", v)
+	}
+	return int(v), nil
 }
 
 func (r *buf) int() (int, error) {
@@ -152,11 +192,7 @@ func encodePayload(w *buf, pl model.Payload) error {
 		w.putByte(tagProposal)
 		w.putInt(p.K)
 		w.putInt(p.V)
-		if p.HasV {
-			w.putByte(1)
-		} else {
-			w.putByte(0)
-		}
+		w.putByte(byte(flag(p.HasV)))
 		encodeHistories(w, p.Hist)
 	case consensus.SawPayload:
 		w.putByte(tagSaw)
@@ -175,11 +211,13 @@ func encodePayload(w *buf, pl model.Payload) error {
 		return encodeGraph(w, p.G)
 	case rsm.SlotPayload:
 		w.putByte(tagSlot)
-		w.putInt(p.Slot)
+		if err := w.putSlot(p.Slot); err != nil {
+			return err
+		}
 		return encodePayload(w, p.Inner)
 	case rsm.ProgressPayload:
 		w.putByte(tagProgress)
-		w.putInt(p.Slot)
+		return w.putSlot(p.Slot)
 	case rsm.CommandPayload:
 		w.putByte(tagCommand)
 		w.putInt(p.Cmd)
@@ -195,11 +233,7 @@ func encodePayload(w *buf, pl model.Payload) error {
 	case consensus.ReplyPayload:
 		w.putByte(tagReply)
 		w.putInt(p.R)
-		if p.Ok {
-			w.putByte(1)
-		} else {
-			w.putByte(0)
-		}
+		w.putByte(byte(flag(p.Ok)))
 	case consensus.DecidePayload:
 		w.putByte(tagDecide)
 		w.putInt(p.V)
@@ -207,17 +241,12 @@ func encodePayload(w *buf, pl model.Payload) error {
 		w.putByte(tagLeadDelta)
 		w.putInt(p.K)
 		w.putInt(p.V)
-		encodeDelta(w, p.Delta)
+		return encodeFrame(w, p.Delta, 0, 0)
 	case consensus.ProposalDeltaPayload:
 		w.putByte(tagProposalDelta)
 		w.putInt(p.K)
 		w.putInt(p.V)
-		if p.HasV {
-			w.putByte(1)
-		} else {
-			w.putByte(0)
-		}
-		encodeDelta(w, p.Delta)
+		return encodeFrame(w, p.Delta, 1, flag(p.HasV))
 	case rsm.AckStampPayload:
 		w.putByte(tagAckStamp)
 		w.putUvarint(uint64(p.Q))
@@ -233,11 +262,7 @@ func encodePayload(w *buf, pl model.Payload) error {
 	case serve.RequestPayload:
 		w.putByte(tagServeRequest)
 		encodeCommand(w, serve.Command{Client: p.Client, Seq: p.Seq, Op: p.Op, Key: p.Key, Val: p.Val})
-		if p.Lin {
-			w.putByte(1)
-		} else {
-			w.putByte(0)
-		}
+		w.putByte(byte(flag(p.Lin)))
 		w.putInt64(p.T0)
 	case serve.ReplyPayload:
 		w.putByte(tagServeReply)
@@ -253,29 +278,41 @@ func encodePayload(w *buf, pl model.Payload) error {
 }
 
 // encodeCommand writes one serve command — the unit both the BATCH gossip
-// and the client request frame share.
+// and the client request frame share. Op rides in the low three bits of
+// the client varint; opEscape there means the op byte follows.
 func encodeCommand(w *buf, c serve.Command) {
-	w.putUvarint(uint64(c.Client))
+	op := min(c.Op, opEscape)
+	w.putUvarint(uint64(c.Client)<<3 | uint64(op))
+	if op == opEscape {
+		w.putByte(c.Op)
+	}
 	w.putUvarint(c.Seq)
-	w.putByte(c.Op)
 	w.putUvarint(c.Key)
 	w.putInt64(c.Val)
 }
 
+// opEscape in a command's low three bits: the op is ≥ 7 and follows.
+const opEscape = 7
+
 func decodeCommand(r *buf) (serve.Command, error) {
 	var c serve.Command
-	client, err := r.uvarint()
+	head, err := r.uvarint()
 	if err != nil {
 		return c, err
 	}
-	if client > 0xffffffff {
-		return c, fmt.Errorf("wire: client id %d exceeds 32 bits", client)
+	if head>>3 > 0xffffffff {
+		return c, fmt.Errorf("wire: client id %d exceeds 32 bits", head>>3)
 	}
-	c.Client = uint32(client)
+	c.Client, c.Op = uint32(head>>3), byte(head&7)
+	if c.Op == opEscape {
+		if c.Op, err = r.byte(); err != nil {
+			return c, err
+		}
+		if c.Op < opEscape {
+			return c, fmt.Errorf("wire: escaped op %d fits the client varint", c.Op)
+		}
+	}
 	if c.Seq, err = r.uvarint(); err != nil {
-		return c, err
-	}
-	if c.Op, err = r.byte(); err != nil {
 		return c, err
 	}
 	if c.Key, err = r.uvarint(); err != nil {
@@ -379,7 +416,7 @@ func decodePayload(r *buf) (model.Payload, error) {
 		}
 		return dag.GraphPayload{G: g}, nil
 	case tagSlot:
-		slot, err := r.int()
+		slot, err := r.slot()
 		if err != nil {
 			return nil, err
 		}
@@ -389,7 +426,7 @@ func decodePayload(r *buf) (model.Payload, error) {
 		}
 		return rsm.SlotPayload{Slot: slot, Inner: inner}, nil
 	case tagProgress:
-		slot, err := r.int()
+		slot, err := r.slot()
 		if err != nil {
 			return nil, err
 		}
@@ -449,7 +486,7 @@ func decodePayload(r *buf) (model.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err := decodeDelta(r)
+		d, _, err := decodeFrame(r, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -463,11 +500,7 @@ func decodePayload(r *buf) (model.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		hasV, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		d, err := decodeDelta(r)
+		d, hasV, err := decodeFrame(r, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -495,9 +528,9 @@ func decodePayload(r *buf) (model.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Every command costs at least five bytes; a count exceeding the
+		// Every command costs at least four bytes; a count exceeding the
 		// remaining input is forged — reject before allocating.
-		if n > uint64(len(r.b)-r.pos)/5 {
+		if n > uint64(len(r.b)-r.pos)/4 {
 			return nil, fmt.Errorf("wire: batch claims %d commands but only %d bytes remain", n, len(r.b)-r.pos)
 		}
 		b := serve.BatchPayload{ID: id}
@@ -601,6 +634,9 @@ func encodeBundle(w *buf, b rsm.Bundle) error {
 	for _, pl := range b {
 		switch p := pl.(type) {
 		case rsm.SlotPayload:
+			if p.Slot < 0 {
+				return fmt.Errorf("wire: negative slot %d", p.Slot)
+			}
 			switch {
 			case inSlot && p.Slot == slot && elidable(p.Inner):
 				pl = p.Inner
@@ -631,6 +667,9 @@ func decodeBundle(r *buf) (rsm.Bundle, error) {
 		if r.b[r.pos] == tagSlotNext {
 			if !inSlot {
 				return nil, fmt.Errorf("wire: slot switch before any slot item")
+			}
+			if slot == math.MaxInt {
+				return nil, fmt.Errorf("wire: slot switch past slot %d", slot)
 			}
 			r.pos++
 			inner, err := decodePayload(r) // rejects tagSlotNext and tagBundle
@@ -709,57 +748,98 @@ func decodeHistories(r *buf) (quorum.Histories, error) {
 	return h, nil
 }
 
-// encodeDelta writes a versioned history delta: the version interval, then
-// the add list. The producer (quorum.Versioned) emits Adds in canonical
-// (R, Q) order with no duplicates, so the bytes are map-order-free by
-// construction; the encoder writes the slice as-is and allocates nothing.
-func encodeDelta(w *buf, d quorum.Delta) {
-	w.putUvarint(d.Base)
-	w.putUvarint(d.To)
+// encodeFrame writes a history delta as its frame: one varint
+// (To<<nflag | flags)<<1 | hasAdds, then the add count and the adds only
+// when hasAdds is set. Base does not travel: every delta spans exactly its
+// adds (quorum.Versioned, snapshots included), so the decoder rebuilds it
+// as To − len(Adds), and the encoder rejects a delta that does not. flags
+// are nflag bits of the payload's own folded into the same varint (PROPD's
+// HasV). The producer emits Adds in canonical (R, Q) order with no
+// duplicates, so the bytes are map-order-free by construction; the encoder
+// writes the slice as-is and allocates nothing.
+func encodeFrame(w *buf, d quorum.Delta, nflag uint, flags uint64) error {
+	if d.Base > d.To || d.To-d.Base != uint64(len(d.Adds)) {
+		return fmt.Errorf("wire: delta %v does not span exactly its adds", d)
+	}
+	if d.To > math.MaxUint64>>(nflag+1) {
+		return fmt.Errorf("wire: delta version %d too large for its frame", d.To)
+	}
+	head := (d.To<<nflag | flags) << 1
+	if len(d.Adds) == 0 {
+		w.putUvarint(head)
+		return nil
+	}
+	w.putUvarint(head | 1)
 	w.putUvarint(uint64(len(d.Adds)))
 	for _, e := range d.Adds {
 		w.putUvarint(uint64(e.R))
 		w.putUvarint(uint64(e.Q))
 	}
+	return nil
 }
 
-func decodeDelta(r *buf) (quorum.Delta, error) {
+// decodeFrame reads a frame written by encodeFrame with nflag folded bits,
+// returning the delta and those bits.
+func decodeFrame(r *buf, nflag uint) (quorum.Delta, uint64, error) {
 	var d quorum.Delta
-	var err error
-	if d.Base, err = r.uvarint(); err != nil {
-		return d, err
+	head, err := r.uvarint()
+	if err != nil {
+		return d, 0, err
 	}
-	if d.To, err = r.uvarint(); err != nil {
-		return d, err
+	flags := head >> 1 & (1<<nflag - 1)
+	d.To = head >> (nflag + 1)
+	if head&1 == 0 {
+		d.Base = d.To
+		return d, flags, nil
 	}
 	n, err := r.uvarint()
 	if err != nil {
-		return d, err
+		return d, 0, err
 	}
-	// Every add costs at least two bytes; a count exceeding the remaining
-	// input is forged — reject before allocating (same defense as graphs).
-	if n > uint64(len(r.b)-r.pos)/2 {
-		return d, fmt.Errorf("wire: delta claims %d adds but only %d bytes remain", n, len(r.b)-r.pos)
+	// A frame with adds has at least one and no more than its To version;
+	// every add costs at least two bytes, so a count exceeding the
+	// remaining input is forged — reject before allocating (same defense
+	// as graphs).
+	switch {
+	case n == 0:
+		return d, 0, fmt.Errorf("wire: delta frame flags adds but counts none")
+	case n > d.To:
+		return d, 0, fmt.Errorf("wire: delta frame claims %d adds up to version %d", n, d.To)
+	case n > uint64(len(r.b)-r.pos)/2:
+		return d, 0, fmt.Errorf("wire: delta claims %d adds but only %d bytes remain", n, len(r.b)-r.pos)
 	}
-	if n == 0 {
-		return d, nil
-	}
+	d.Base = d.To - n
 	d.Adds = make([]quorum.DeltaEntry, n)
 	for i := range d.Adds {
 		pr, err := r.uvarint()
 		if err != nil {
-			return d, err
+			return d, 0, err
 		}
 		if pr >= model.MaxProcesses {
-			return d, fmt.Errorf("wire: delta add for process %d", pr)
+			return d, 0, fmt.Errorf("wire: delta add for process %d", pr)
 		}
 		q, err := r.uvarint()
 		if err != nil {
-			return d, err
+			return d, 0, err
 		}
 		d.Adds[i] = quorum.DeltaEntry{R: model.ProcessID(pr), Q: model.ProcessSet(q)}
 	}
-	return d, nil
+	return d, flags, nil
+}
+
+// HistoryFrameLen returns the bytes of the history frame a LEADD or PROPD
+// payload carries — the frame encodePayload writes for it, HasV folded in
+// — and 0 for any other payload.
+func HistoryFrameLen(pl model.Payload) (int, error) {
+	var w buf
+	var err error
+	switch p := pl.(type) {
+	case consensus.LeadDeltaPayload:
+		err = encodeFrame(&w, p.Delta, 0, 0)
+	case consensus.ProposalDeltaPayload:
+		err = encodeFrame(&w, p.Delta, 1, flag(p.HasV))
+	}
+	return len(w.b), err
 }
 
 // EncodeValue serializes a failure-detector value.
@@ -1050,7 +1130,7 @@ func PeekMessage(b []byte) (MessageHead, error) {
 	if tag == tagSlot {
 		// SlotPayload reports its wrapped payload's kind and never
 		// supersedes; skip the slot number and peek the inner tag.
-		if _, err := r.int(); err != nil {
+		if _, err := r.slot(); err != nil {
 			return h, err
 		}
 		if tag, err = r.byte(); err != nil {

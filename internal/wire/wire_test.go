@@ -58,6 +58,8 @@ func TestRoundTripPayloads(t *testing.T) {
 		consensus.LeadDeltaPayload{K: 1, V: 0, Delta: quorum.Delta{Base: 2, To: 2}},
 		consensus.ProposalDeltaPayload{K: 5, V: 9, HasV: true, Delta: sampleDelta()},
 		consensus.ProposalDeltaPayload{K: 5, Delta: quorum.Delta{To: 1, Adds: []quorum.DeltaEntry{{R: 1, Q: model.SetOf(1)}}}},
+		consensus.ProposalDeltaPayload{K: 5, V: 2, HasV: true, Delta: quorum.Delta{Base: 300, To: 300}},
+		consensus.LeadDeltaPayload{K: 2, V: 1, Delta: quorum.Delta{Base: 0, To: 0}},
 	}
 	for _, pl := range payloads {
 		b, err := wire.EncodePayload(pl)
@@ -163,17 +165,89 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestDeltaPayloadDecodeRejectsForgedCount(t *testing.T) {
-	// tagLeadDelta, K=0, V=0, Base=0, To=0, count=200 with no bytes behind
-	// it must be rejected before allocating the adds slice.
-	b := []byte{16, 0, 0, 0, 0, 200, 1}
-	if _, err := wire.DecodePayload(b); err == nil {
-		t.Error("forged delta add count must error")
+// TestHistoryFrameSize: a frame without adds is one varint, To<<1 (PROPD:
+// To<<2 | HasV<<1), one byte while To is small; a frame with adds adds a
+// count and the adds, and no frame carries Base.
+func TestHistoryFrameSize(t *testing.T) {
+	for _, tc := range []struct {
+		pl   model.Payload
+		want int
+	}{
+		{consensus.LeadDeltaPayload{Delta: quorum.Delta{Base: 63, To: 63}}, 1},
+		{consensus.LeadDeltaPayload{Delta: quorum.Delta{Base: 64, To: 64}}, 2},
+		{consensus.ProposalDeltaPayload{HasV: true, Delta: quorum.Delta{Base: 31, To: 31}}, 1},
+		{consensus.ProposalDeltaPayload{Delta: quorum.Delta{Base: 32, To: 32}}, 2},
+		{consensus.LeadDeltaPayload{Delta: sampleDelta()}, 1 + 1 + 2*2},
+		{consensus.ProposalDeltaPayload{HasV: true, Delta: sampleDelta()}, 1 + 1 + 2*2},
+		{consensus.ReportPayload{K: 1, V: 2}, 0},
+	} {
+		got, err := wire.HistoryFrameLen(tc.pl)
+		if err != nil || got != tc.want {
+			t.Errorf("%v: frame of %d bytes (err %v), want %d", tc.pl, got, err, tc.want)
+		}
+		if tc.want == 0 {
+			continue
+		}
+		// The frame is the tail of the payload's encoding, behind tag, K, V.
+		b, err := wire.EncodePayload(tc.pl)
+		if err != nil || len(b) != 3+tc.want {
+			t.Errorf("%v encodes in %d bytes (err %v), want 3 + its %d-byte frame", tc.pl, len(b), err, tc.want)
+		}
 	}
-	// An add naming a process ≥ MaxProcesses is invalid.
-	b = []byte{16, 0, 0, 0, 2, 1, 64, 1}
-	if _, err := wire.DecodePayload(b); err == nil {
-		t.Error("delta add for out-of-range process must error")
+}
+
+// frameRejects are history frames no delta has, each behind LEADD's tag
+// and K = V = 0: each must fail to decode. The fuzz target starts from
+// them too.
+func frameRejects(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	b, err := wire.EncodePayload(consensus.LeadDeltaPayload{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lead := b[:len(b)-1] // tag, K, V
+	frame := func(parts ...byte) []byte { return append(append([]byte{}, lead...), parts...) }
+	return map[string][]byte{
+		// To = 5 with the has-adds bit, but a count of 0.
+		"has-adds with count 0": frame(5<<1|1, 0),
+		// To = 1 and two adds: Base would be negative.
+		"count above To": frame(1<<1|1, 2, 0, 1, 1, 1),
+		// To = 200 and 200 adds claimed with one byte behind them: rejected
+		// before allocating the adds.
+		"count above remaining bytes": frame(0x91, 0x03, 200, 1),
+		"add for process 64":          frame(1<<1|1, 1, 64, 1),
+		"truncated count":             frame(1<<1 | 1),
+	}
+}
+
+// TestDeltaPayloadDecodeRejectsForgedCount: a frame's add count must be
+// at least 1 when the has-adds bit is set, at most To and at most what the
+// remaining bytes can hold — checked before the adds are allocated — and
+// every add must name a process below MaxProcesses.
+func TestDeltaPayloadDecodeRejectsForgedCount(t *testing.T) {
+	for name, b := range frameRejects(t) {
+		if got, err := wire.DecodePayload(b); err == nil {
+			t.Errorf("%s: %v decoded as %v", name, b, got)
+		}
+	}
+}
+
+// TestDeltaEncodeRejectsBrokenSpan: the encoder takes only deltas that
+// span exactly their adds, as every quorum.Versioned delta does, since the
+// decoder rebuilds Base from To and the count.
+func TestDeltaEncodeRejectsBrokenSpan(t *testing.T) {
+	for name, d := range map[string]quorum.Delta{
+		"adds short of the span":  {Base: 2, To: 5, Adds: sampleDelta().Adds},
+		"adds beyond the span":    {Base: 5, To: 6, Adds: sampleDelta().Adds},
+		"no adds across the span": {Base: 0, To: 3},
+		"base above To":           {Base: 7, To: 6},
+		"To too large":            {Base: 1 << 63, To: 1 << 63},
+	} {
+		for _, pl := range []model.Payload{consensus.LeadDeltaPayload{Delta: d}, consensus.ProposalDeltaPayload{Delta: d}} {
+			if _, err := wire.EncodePayload(pl); err == nil {
+				t.Errorf("%s: %v encoded", name, pl)
+			}
+		}
 	}
 }
 
@@ -269,6 +343,8 @@ func TestRoundTripRSMPayloads(t *testing.T) {
 		rsm.SlotPayload{Slot: 6, Inner: consensus.ProposalDeltaPayload{K: 4, V: 0, HasV: true, Delta: sampleDelta()}},
 		rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: model.SetOf(0, 1, 3), K: 2, Stamp: 10}},
 		rsm.SlotPayload{Slot: 300, Inner: rsm.AckStampPayload{Q: model.SetOf(63), K: 1, Stamp: 1 << 20}},
+		rsm.SlotPayload{Slot: 127, Inner: consensus.ReportPayload{K: 1, V: 2}},
+		rsm.ProgressPayload{Slot: 128},
 		sampleBundle(),
 		rsm.Bundle{rsm.ProgressPayload{Slot: 64}, rsm.SlotPayload{Slot: 64, Inner: consensus.LeadDeltaPayload{K: 1, V: 3, Delta: sampleDelta()}}},
 	}
@@ -284,6 +360,56 @@ func TestRoundTripRSMPayloads(t *testing.T) {
 		if !reflect.DeepEqual(got, pl) {
 			t.Errorf("%T round trip: got %#v, want %#v", pl, got, pl)
 		}
+	}
+}
+
+// TestSlotVarint: a slot number is a plain varint — one byte below 128 —
+// and the encoder rejects a negative one, bare, wrapped or bundled.
+func TestSlotVarint(t *testing.T) {
+	for slot, want := range map[int]int{0: 2, 127: 2, 128: 3, 1 << 14: 4} {
+		b, err := wire.EncodePayload(rsm.ProgressPayload{Slot: slot})
+		if err != nil || len(b) != want {
+			t.Errorf("PRGR(%d) encodes in %d bytes (err %v), want %d", slot, len(b), err, want)
+		}
+	}
+	rep := consensus.ReportPayload{K: 1, V: 2}
+	for _, pl := range []model.Payload{
+		rsm.ProgressPayload{Slot: -1},
+		rsm.SlotPayload{Slot: -1, Inner: rep},
+		rsm.Bundle{rsm.SlotPayload{Slot: -2, Inner: rep}, rsm.SlotPayload{Slot: -1, Inner: rep}},
+	} {
+		if _, err := wire.EncodePayload(pl); err == nil {
+			t.Errorf("%v encoded", pl)
+		}
+	}
+}
+
+// TestCommandOpInClientVarint: a command's op rides in the low three bits
+// of its client varint, so a small command costs four bytes; an op ≥ 7 is
+// escaped into a byte of its own, and the decoder rejects an escape for
+// an op that fits.
+func TestCommandOpInClientVarint(t *testing.T) {
+	small := serve.Command{Client: 15, Seq: 1, Op: serve.OpQPop, Key: 1, Val: 1}
+	b, err := wire.EncodePayload(serve.BatchPayload{ID: 1, Cmds: []serve.Command{small}})
+	if err != nil || len(b) != 3+4 {
+		t.Errorf("one small command's batch encodes in %d bytes (err %v), want 3 + 4", len(b), err)
+	}
+	for _, op := range []byte{7, 8, 255} {
+		c := small
+		c.Op = op
+		pl := serve.BatchPayload{ID: 1, Cmds: []serve.Command{c}}
+		b, err := wire.EncodePayload(pl)
+		if err != nil || len(b) != 3+5 {
+			t.Fatalf("op %d: batch encodes in %d bytes (err %v), want 3 + 5", op, len(b), err)
+		}
+		if got, err := wire.DecodePayload(b); err != nil || !reflect.DeepEqual(got, model.Payload(pl)) {
+			t.Errorf("op %d: round trip gave %v (err %v)", op, got, err)
+		}
+	}
+	// tag, ID, count, then the client varint: op 4 escaped.
+	escaped := append([]byte{b[0], b[1], b[2], 15<<3 | 7, serve.OpQPop}, b[4:]...)
+	if got, err := wire.DecodePayload(escaped); err == nil {
+		t.Errorf("escaped op 4 decoded as %v", got)
 	}
 }
 
@@ -324,6 +450,16 @@ func TestBatchDecodeRejectsForgedCount(t *testing.T) {
 	forged := append(append([]byte{}, good[:len(good)-1]...), 0xFF, 0xFF, 0xFF, 0x7F)
 	if _, err := wire.DecodePayload(forged); err == nil {
 		t.Fatal("forged batch command count must be rejected")
+	}
+	// Four bytes is a command's minimum, so a batch of minimal commands
+	// passes the guard.
+	minimal := serve.BatchPayload{ID: 1, Cmds: make([]serve.Command, 5)}
+	b, err := wire.EncodePayload(minimal)
+	if err != nil || len(b) != 3+5*4 {
+		t.Fatalf("five minimal commands encode in %d bytes (err %v), want 3 + 5 × 4", len(b), err)
+	}
+	if got, err := wire.DecodePayload(b); err != nil || !reflect.DeepEqual(got, model.Payload(minimal)) {
+		t.Errorf("five minimal commands decode as %v (err %v)", got, err)
 	}
 }
 
@@ -388,7 +524,7 @@ func TestPayloadFrameRoundTrip(t *testing.T) {
 
 // sampleBundle is what one outer step of a serving replica might send one
 // peer: a batch body and the command naming it, a progress announcement,
-// and slot traffic for slots 70 and 71 (two-byte slot varints) that changes
+// and slot traffic for slots 70 and 71 (one-byte slot varints) that changes
 // slot, returns to one, and is interrupted by a slot-less item. Three of its
 // slot items follow a slot item of their own slot and travel unwrapped, and
 // two — one of a kind that is never elided — follow one of the slot below
@@ -411,9 +547,9 @@ func sampleBundle() rsm.Bundle {
 
 // TestRoundTripBundle: a bundle round-trips as a payload and as a whole
 // frame, whose envelope peeks as BNDL and never supersedes, and its
-// encoding is one tag byte plus its items', less the slot tag and two-byte
+// encoding is one tag byte plus its items', less the slot tag and one-byte
 // slot varint of each item that follows a slot item of its own slot, and
-// less the two-byte slot varint of each that follows one of the slot below.
+// less the one-byte slot varint of each that follows one of the slot below.
 func TestRoundTripBundle(t *testing.T) {
 	b := sampleBundle()
 	enc, err := wire.EncodePayload(b)
@@ -435,11 +571,11 @@ func TestRoundTripBundle(t *testing.T) {
 		}
 		size += len(item)
 	}
-	// 63 = 1 tag + 75 bytes of items − 3 elided wrappers × 3 − 2 slot
-	// switches × 2 (a 3-byte wrapper for a 1-byte tagSlotNext).
-	const elided, switched, want = 3, 2, 63
-	if size-elided*3-switched*2 != want || len(enc) != want {
-		t.Errorf("bundle encodes in %d bytes from %d of tag and items, want %d: %d wrappers of 3 bytes elided, %d shrunk to 1",
+	// 56 = 1 tag + 63 bytes of items − 3 elided wrappers × 2 − 2 slot
+	// switches × 1 (a 2-byte wrapper for a 1-byte tagSlotNext).
+	const elided, switched, want = 3, 2, 56
+	if size-elided*2-switched*1 != want || len(enc) != want {
+		t.Errorf("bundle encodes in %d bytes from %d of tag and items, want %d: %d wrappers of 2 bytes elided, %d shrunk to 1",
 			len(enc), size, want, elided, switched)
 	}
 
