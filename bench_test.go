@@ -283,7 +283,7 @@ func BenchmarkE10(b *testing.B) {
 // host; the rendered output is identical at every size, so this measures
 // scheduling only.
 func BenchmarkAllParallel(b *testing.B) {
-	ids := []string{"E1", "E7", "E8", "E9", "E10", "E13", "E15", "Q1", "Q2", "Q7"}
+	ids := []string{"E1", "E7", "E8", "E9", "E10", "E13", "E15", "Q1", "Q2"}
 	sc := experiments.Scale{Seeds: 2, MaxSteps: 20000}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -473,28 +473,6 @@ func BenchmarkQ6(b *testing.B) {
 			MaxSteps: 700,
 		}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQ7 — Table Q7: the replicated-log application, time to fill a
-// 4-slot log across four replicas with one crash.
-func BenchmarkQ7(b *testing.B) {
-	pattern := nuconsensus.Crashes(4, map[nuconsensus.ProcessID]nuconsensus.Time{3: 60})
-	for i := 0; i < b.N; i++ {
-		res, err := nuconsensus.Simulate(nuconsensus.SimOptions{
-			Automaton:       nuconsensus.ReplicatedLog([][]int{{1, 2}, {3}, {4}, {5}}, 4),
-			Pattern:         pattern,
-			History:         nuconsensus.PairForANuc(pattern, 80, int64(i+1)),
-			Seed:            int64(i + 1),
-			MaxSteps:        150000,
-			StopWhenDecided: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Decided {
-			b.Fatal("log never filled")
 		}
 	}
 }

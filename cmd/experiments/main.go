@@ -1,6 +1,6 @@
 // Command experiments regenerates the reproduction tables of EXPERIMENTS.md:
 // one table per theorem/algorithm/scenario of the paper (E1–E18) and per
-// quantitative figure (Q1–Q7), run on the parallel deterministic engine of
+// quantitative figure (Q1–Q6), run on the parallel deterministic engine of
 // internal/experiments.
 //
 // Usage:

@@ -26,17 +26,15 @@ import (
 
 const e17N = 5
 
-// e17MsgsPerSlotCap bounds msgs/slot at the longest grid point: with quorum
-// awareness carried across slots (internal/rsm aware.go) all but the first
-// few slots decide in round 1, and a decided instance holds the next
-// round's LEAD until somebody is heard there (rsm stepInstance), so such a
-// slot costs one round of traffic, none of it to the sender itself (rsm
-// loopback), what one step sends one peer is one bundle (rsm Pack), and
-// progress rides that traffic instead of leaving bare (rsm announce) —
-// 44.7 measured at 64 slots; 61.0 with a PRGR broadcast per appended slot,
-// 67.0 with one message per payload, 78.7 with the self-sends counted too,
-// 117 when the round after the decision was still sent, 267 when every slot
-// also paid its own SAW/ACK round trip.
+// e17MsgsPerSlotCap bounds msgs/slot at the longest grid point. It guards
+// the log's per-slot cost as the log ages: with quorum awareness carried
+// across slots (internal/rsm aware.go) all but the first few slots decide
+// in round 1, and a decided instance holds the next round's LEAD until
+// somebody is heard there (rsm stepInstance), so such a slot costs one
+// round of traffic, none of it to the sender itself (rsm loopback), what
+// one step sends one peer is one bundle (rsm Pack), and progress rides
+// that traffic instead of leaving bare (rsm announce). Set from 44.7
+// measured at 64 slots.
 const e17MsgsPerSlotCap = 51
 
 // e17HistBytesPerSlotCap bounds history freight per decided slot at the

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 
-	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/serve"
@@ -16,39 +16,40 @@ import (
 // session seqs — batched into consensus values and served off the
 // replicated log, with exactly-once application checked on every run.
 //
-// Two grids, one claim each:
+// Three grids, one claim each:
 //
 //   - batch: the per-slot consensus cost is independent of how many
 //     commands ride in the slot's batch, so throughput (commands applied
 //     per step) scales with batch size;
 //   - pipe: the pipelined window advances every awake in-flight instance
 //     per λ-step, and what those instances send one peer leaves as one
-//     bundle, so msgs per decided slot falls as the window deepens.
+//     bundle, so msgs per decided slot falls as the window deepens;
+//   - n: at the centre point (batch 4, pipeline 2) the slot cost stays
+//     under a per-n cap at n = 3, 4, 5, and a crashed replica makes a slot
+//     cost no more.
 
 const (
-	e18N       = 4
-	e18Batches = 8  // batches per run, both grids
+	e18N       = 4  // system size of the batch and pipe grids
+	e18Batches = 8  // batches per run, every grid
 	e18Slots   = 24 // fixed log capacity: 8 value slots + generous noop slack
-
-	// e18MsgsPerSlotCap bounds fault-free msgs/slot at pipeline 2: slots
-	// past the first window start with their quorum already acknowledged
-	// (internal/rsm aware.go), decide in round 1, say nothing of round 2
-	// unless asked (rsm stepInstance holds that LEAD), send nothing to
-	// themselves (rsm loopback), send each peer one bundle per step (rsm
-	// Pack), both in-flight slots step on every λ-step (rsm Log.Step) and
-	// progress rides that traffic instead of leaving bare (rsm announce) —
-	// 25.8 measured, against 32.2 with a PRGR broadcast per appended slot,
-	// 62.5 with one slot advanced per λ-step, 81.0 with one message per
-	// payload, 103 with the self-sends counted too, 129 with the
-	// post-decision round sent too and 225.6 when every slot also paid its
-	// own SAW/ACK round trip (the first `pipeline` slots of the 24-slot log
-	// still do).
-	e18MsgsPerSlotCap = 29
 )
+
+// e18MsgsPerSlotCap bounds fault-free msgs/slot at the centre point per
+// system size. It guards the log's per-slot cost: slots past the first
+// window start with their quorum already acknowledged (internal/rsm
+// aware.go) and decide in round 1, a decided instance says nothing of the
+// next round unless asked (rsm stepInstance), a process sends nothing to
+// itself (rsm loopback), one step sends a peer one bundle (rsm Pack), both
+// in-flight slots step on every λ-step (rsm Log.Step), and progress rides
+// that traffic (rsm announce). Set at the quick-scale readings 14.2 / 25.8
+// / 45.5 + 12 %, rounded up; with no quorum carried across slots the grid
+// reads 28.0 / 53.2 / 92.4.
+var e18MsgsPerSlotCap = map[int]int{3: 16, 4: 29, 5: 51}
 
 var (
 	e18BatchGrid = []int{1, 4, 16, 64} // commands per batch (pipeline fixed at 2)
 	e18PipeGrid  = []int{1, 2, 4}      // slot instances in flight (batch fixed at 4)
+	e18NGrid     = []int{3, 4, 5}      // system sizes, each with f = 0 and 1 (batch 4, pipeline 2)
 )
 
 var e18Spec = &Spec{
@@ -60,8 +61,11 @@ var e18Spec = &Spec{
 		"awake in-flight instance per λ-step, so msgs per decided slot falls " +
 		"as the window deepens — and is low: a quorum acknowledged in one " +
 		"slot is already seen in the next, so slots past the first window " +
-		"decide in round 1. Exactly-once application and machine agreement " +
-		"hold on every run.",
+		"decide in round 1. The per-slot pipeline (live old instances, " +
+		"command forwarding, no DECIDED-gossip — unsound under " +
+		"nonuniformity, see E14) holds that cost at n = 3, 4 and 5, and a " +
+		"crashed replica makes a slot cost no more. Exactly-once application " +
+		"and machine agreement hold on every run.",
 	Columns: []string{"grid", "arg", "runs", "ok", "cmds/run", "steps/run", "cmds/kstep", "msgs/slot", "dups/run"},
 	// Portable: the unit drives the substrate interface with
 	// StopWhenDecided (replicaState implements model.Decider), so it runs
@@ -75,26 +79,35 @@ var e18Spec = &Spec{
 		for _, k := range e18PipeGrid {
 			cfgs = append(cfgs, seedRange(Config{Label: "pipe", N: e18N, Arg: k}, sc.Seeds)...)
 		}
-		return cfgs
+		return append(cfgs, grid(Config{Label: "n"}, sc.Seeds, e18NGrid, func(int) []int { return []int{0, 1} })...)
 	},
 	Unit: func(sc Scale, cfg Config, rng *rand.Rand) UnitResult {
 		var u UnitResult
 		seed := cfg.Seed
 		batch, pipe := cfg.Arg, 2
-		if cfg.Label == "pipe" {
+		switch cfg.Label {
+		case "pipe":
 			batch, pipe = 4, cfg.Arg
+		case "n":
+			batch = 4
 		}
-		wl := serve.Workload{
+		// The highest f ids crash from t = 40 on. Commands are generated for
+		// the correct replicas only: a batch still queued at a replica when
+		// it dies would be lost, and with it the target.
+		pattern := staggered(cfg.N, cfg.F, false, 40, 20)
+		correct := pattern.Correct().Slice()
+		gen := serve.Workload{
 			Commands: batch * e18Batches, Batch: batch,
 			Clients: 8, Keys: 64, Zipf: 1.3, QueueFrac: 0.25,
-		}.Gen(rng, e18N)
+		}.Gen(rng, len(correct))
+		wl := make([][]serve.Batch, cfg.N)
 		total := 0
-		for _, bs := range wl {
-			for _, b := range bs {
+		for i, p := range correct {
+			wl[p] = gen[i]
+			for _, b := range gen[i] {
 				total += len(b.Cmds)
 			}
 		}
-		pattern := model.NewFailurePattern(e18N)
 		reg := obs.NewRegistry()
 		// The tracer runs with the logical clock (nil) and a discarded
 		// stream: E18 exercises the span-emission path on every unit and
@@ -102,8 +115,9 @@ var e18Spec = &Spec{
 		// nondeterministic to the experiment bytes.
 		tracer := obs.NewTracer(io.Discard, nil, reg)
 		cl := serve.NewCluster(serve.Config{
-			N: e18N, Slots: e18Slots, Pipeline: pipe,
-			Workload: wl, Target: total, Registry: reg, Tracer: tracer,
+			N: cfg.N, Slots: e18Slots, Pipeline: pipe,
+			Workload: wl, Target: total, Correct: pattern.Correct(),
+			Registry: reg, Tracer: tracer,
 		})
 		sampler := rsm.SamplerForLog(pattern, 60, seed)
 		cl.Log().WithSampler(sampler)
@@ -113,18 +127,19 @@ var e18Spec = &Spec{
 			u.failf("%v: %v", cfg, err)
 			return u
 		}
-		// Exactly-once and agreement, on every unit: each replica applied
-		// every distinct command exactly once, and the machines agree.
+		// Exactly-once and agreement, on every unit: each correct replica
+		// applied every distinct command exactly once, and their machines
+		// agree.
 		var refSum uint64
 		slots, dups := 0, 0
-		for p := 0; p < e18N; p++ {
-			st := cl.Applier(model.ProcessID(p)).StatsOf()
+		for i, p := range correct {
+			st := cl.Applier(p).StatsOf()
 			if st.Commands != int64(total) {
 				u.failf("%v: p%d applied %d distinct commands, want %d", cfg, p, st.Commands, total)
 				return u
 			}
-			sum := cl.Applier(model.ProcessID(p)).Checksum()
-			if p == 0 {
+			sum := cl.Applier(p).Checksum()
+			if i == 0 {
 				refSum = sum
 			} else if sum != refSum {
 				u.failf("%v: p%d machine checksum %x != %x", cfg, p, sum, refSum)
@@ -151,50 +166,85 @@ var e18Spec = &Spec{
 		return u
 	},
 	Row: func(_ Scale, g Group) []string {
-		return []string{g.Key.Label, itoa(g.Key.Arg), itoa(g.Runs()), itoa(g.OKs()),
+		arg := itoa(g.Key.Arg)
+		if g.Key.Label == "n" {
+			arg = fmt.Sprintf("%d f=%d", g.Key.N, g.Key.F)
+		}
+		return []string{g.Key.Label, arg, itoa(g.Runs()), itoa(g.OKs()),
 			g.AvgOverOK("cmds"), g.AvgOverOK("steps"),
 			avg(g.Sum("cmds")*1000, g.Sum("steps")),
 			avg(g.Sum("msgs"), g.Sum("slots")),
 			g.AvgOverOK("dups")}
 	},
-	Finalize: func(sc Scale, t *Table, gs []Group) {
-		// Throughput per grid point (commands per kilo-step) and message
-		// cost per decided slot.
-		thru := map[string]map[int]float64{"batch": {}, "pipe": {}}
-		msgsPerSlot := map[string]map[int]float64{"batch": {}, "pipe": {}}
+	Finalize: func(_ Scale, t *Table, gs []Group) {
+		groups := map[Config]Group{}
 		for _, g := range gs {
 			if g.OKs() == 0 {
 				t.Pass = false
 				return
 			}
-			thru[g.Key.Label][g.Key.Arg] = 1000 * float64(g.Sum("cmds")) / float64(g.Sum("steps"))
-			msgsPerSlot[g.Key.Label][g.Key.Arg] = float64(g.Sum("msgs")) / float64(g.Sum("slots"))
+			groups[g.Key] = g
 		}
-		bLo, bHi := e18BatchGrid[0], e18BatchGrid[len(e18BatchGrid)-1]
-		pLo, pHi := e18PipeGrid[0], e18PipeGrid[len(e18PipeGrid)-1]
+		// Throughput (commands per kilo-step) and message cost per decided
+		// slot of one grid point.
+		thru := func(c Config) float64 {
+			g := groups[c]
+			return 1000 * float64(g.Sum("cmds")) / float64(g.Sum("steps"))
+		}
+		perSlot := func(c Config) float64 {
+			g := groups[c]
+			return float64(g.Sum("msgs")) / float64(g.Sum("slots"))
+		}
+		batchAt := func(b int) Config { return Config{Label: "batch", N: e18N, Arg: b} }
+		pipeAt := func(k int) Config { return Config{Label: "pipe", N: e18N, Arg: k} }
+		nAt := func(n, f int) Config { return Config{Label: "n", N: n, F: f} }
+		bLo, bHi := batchAt(e18BatchGrid[0]), batchAt(e18BatchGrid[len(e18BatchGrid)-1])
+		pLo, pHi := pipeAt(e18PipeGrid[0]), pipeAt(e18PipeGrid[len(e18PipeGrid)-1])
+		var sizes, faultFree, crashed []string
+		for _, n := range e18NGrid {
+			sizes = append(sizes, itoa(n))
+			faultFree = append(faultFree, fmt.Sprintf("%.1f", perSlot(nAt(n, 0))))
+			crashed = append(crashed, fmt.Sprintf("%.1f", perSlot(nAt(n, 1))))
+		}
 		t.Notes = append(t.Notes,
 			fmt.Sprintf("throughput, batch %d→%d: %.1f → %.1f cmds/kstep (%.1fx)",
-				bLo, bHi, thru["batch"][bLo], thru["batch"][bHi], thru["batch"][bHi]/thru["batch"][bLo]),
+				bLo.Arg, bHi.Arg, thru(bLo), thru(bHi), thru(bHi)/thru(bLo)),
 			fmt.Sprintf("msgs per decided slot, pipeline %d→%d: %.1f → %.1f",
-				pLo, pHi, msgsPerSlot["pipe"][pLo], msgsPerSlot["pipe"][pHi]))
-		if thru["batch"][bHi] < 5*thru["batch"][bLo] {
+				pLo.Arg, pHi.Arg, perSlot(pLo), perSlot(pHi)),
+			fmt.Sprintf("msgs per decided slot, n = %s: %s fault-free, %s with the highest id crashed at t = 40",
+				strings.Join(sizes, " / "), strings.Join(faultFree, " / "), strings.Join(crashed, " / ")))
+		if thru(bHi) < 5*thru(bLo) {
 			t.Pass = false
 			t.Notes = append(t.Notes, fmt.Sprintf(
-				"FAIL: batching %d→%d should multiply throughput at least 5x", bLo, bHi))
-		}
-		if got := msgsPerSlot["pipe"][2]; got > e18MsgsPerSlotCap {
-			t.Pass = false
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"FAIL: msgs per decided slot at pipeline 2 is %.1f, above %d: slots no longer decide in round 1 on an already-acknowledged quorum",
-				got, e18MsgsPerSlotCap))
+				"FAIL: batching %d→%d should multiply throughput at least 5x", bLo.Arg, bHi.Arg))
 		}
 		for i := 1; i < len(e18PipeGrid); i++ {
-			lo, hi := e18PipeGrid[i-1], e18PipeGrid[i]
-			if msgsPerSlot["pipe"][hi] > msgsPerSlot["pipe"][lo] {
+			lo, hi := pipeAt(e18PipeGrid[i-1]), pipeAt(e18PipeGrid[i])
+			if perSlot(hi) > perSlot(lo) {
 				t.Pass = false
 				t.Notes = append(t.Notes, fmt.Sprintf(
 					"FAIL: message cost per slot should fall as the window deepens (%d→%d grew %.1f→%.1f)",
-					lo, hi, msgsPerSlot["pipe"][lo], msgsPerSlot["pipe"][hi]))
+					lo.Arg, hi.Arg, perSlot(lo), perSlot(hi)))
+			}
+		}
+		for _, n := range e18NGrid {
+			if got := perSlot(nAt(n, 0)); got > float64(e18MsgsPerSlotCap[n]) {
+				t.Pass = false
+				t.Notes = append(t.Notes, fmt.Sprintf(
+					"FAIL: msgs per decided slot at n=%d f=0 is %.1f, above %d: slots no longer decide in round 1 on an already-acknowledged quorum",
+					n, got, e18MsgsPerSlotCap[n]))
+			}
+			// A crashed replica must cost less per slot, not more: its
+			// decided slots go quiet at the survivors, and n−1 senders
+			// remain.
+			base, hit := groups[nAt(n, 0)], groups[nAt(n, 1)]
+			if hit.Sum("steps")*base.OKs() > base.Sum("steps")*hit.OKs() {
+				t.Pass = false
+				t.Notes = append(t.Notes, fmt.Sprintf("FAIL: n=%d f=1 pays more steps per run than f=0", n))
+			}
+			if perSlot(nAt(n, 1)) > perSlot(nAt(n, 0)) {
+				t.Pass = false
+				t.Notes = append(t.Notes, fmt.Sprintf("FAIL: n=%d f=1 pays more msgs per slot than f=0", n))
 			}
 		}
 	},

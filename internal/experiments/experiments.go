@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction experiments of
 // EXPERIMENTS.md: one Spec per experiment (E1–E18) and per quantitative
-// figure (Q1–Q7), 25 in all, each producing a Table that cmd/experiments
+// figure (Q1–Q6), 24 in all, each producing a Table that cmd/experiments
 // renders (the root bench_test.go only times each experiment's core
 // workload). Every theorem, algorithm and proof scenario of
 // the paper maps to one of these. The specs run on the parallel

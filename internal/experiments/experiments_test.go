@@ -15,7 +15,7 @@ var tiny = Scale{Seeds: 1, MaxSteps: 30000}
 // TestExperimentsMDCoverage holds the registry against the document.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
-		"E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"}
+		"E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "Q1", "Q2", "Q3", "Q4", "Q5", "Q6"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs() = %v", got)
@@ -75,7 +75,7 @@ var speed = map[string]string{
 	"E1": "fast", "E2": "slow", "E3": "slow", "E4": "slow", "E5": "slow", "E6": "slow",
 	"E7": "fast", "E8": "fast", "E9": "fast", "E10": "fast", "E11": "fast", "E12": "fast",
 	"E13": "fast", "E14": "fast", "E15": "fast", "E16": "slow", "E17": "fast", "E18": "fast",
-	"Q1": "fast", "Q2": "fast", "Q3": "slow", "Q4": "slow", "Q5": "fast", "Q6": "slow", "Q7": "fast",
+	"Q1": "fast", "Q2": "fast", "Q3": "slow", "Q4": "slow", "Q5": "fast", "Q6": "slow",
 }
 
 // runClaims runs every registered experiment of one speed at the tiny

@@ -29,7 +29,6 @@ var Registry = map[string]*Spec{
 	"Q4":  q4Spec,
 	"Q5":  q5Spec,
 	"Q6":  q6Spec,
-	"Q7":  q7Spec,
 }
 
 // IDs returns the experiment identifiers in canonical order.

@@ -217,8 +217,8 @@ func staggered(n, f int, low bool, t0, dt model.Time) *model.FailurePattern {
 	return pat
 }
 
-// oneCommandEach is the replicated-log workload of Q7 and E17: replica p
-// submits the one command 100p+1.
+// oneCommandEach is E17's replicated-log workload: replica p submits the
+// one command 100p+1.
 func oneCommandEach(n int) [][]int {
 	cmds := make([][]int, n)
 	for p := range cmds {

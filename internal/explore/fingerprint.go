@@ -19,14 +19,6 @@ import (
 // the quorum histories the payload carries).
 type Key [2]uint64
 
-// Less orders keys lexicographically (used only for deterministic output).
-func (k Key) Less(o Key) bool {
-	if k[0] != o[0] {
-		return k[0] < o[0]
-	}
-	return k[1] < o[1]
-}
-
 // String renders the key as 32 hex digits.
 func (k Key) String() string { return fmt.Sprintf("%016x%016x", k[0], k[1]) }
 

@@ -28,8 +28,8 @@ func (c *writeCounter) Write(b []byte) (int, error) {
 
 // TestFrameOneWrite: dispatch's frames — the length prefix written into the
 // hole appendFrame keeps in front of the encoded message — reach the socket
-// in one Write each and read back through the reader's readFrame
-// (ReadUvarint + ReadFull) as the messages sent, with bytes_sent counting
+// in one Write each and read back through the reader's wire.ReadFrame as
+// the messages sent, with bytes_sent counting
 // prefix and message. A body of 128 bytes or more takes a two-byte prefix.
 func TestFrameOneWrite(t *testing.T) {
 	big := make([]serve.Command, 40)
@@ -70,7 +70,7 @@ func TestFrameOneWrite(t *testing.T) {
 	r := bufio.NewReader(remote)
 	read := 0
 	for i, want := range msgs {
-		frame, err := readFrame(r)
+		frame, err := wire.ReadFrame(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -94,5 +94,19 @@ func TestFrameOneWrite(t *testing.T) {
 	}
 	if got := sent.Load(); got != int64(read) {
 		t.Errorf("bytes sent = %d, bytes read = %d", got, read)
+	}
+}
+
+// TestAppendFrameRefusesOversized: a message whose frame would exceed
+// wire.MaxFrameSize is an encoding error at the sender, which dispatch
+// turns into a panic, instead of a frame the peer's reader refuses.
+func TestAppendFrameRefusesOversized(t *testing.T) {
+	cmds := make([]serve.Command, wire.MaxFrameSize/4)
+	for i := range cmds {
+		cmds[i] = serve.Command{Client: 1, Seq: uint64(i + 1), Op: serve.OpPut, Key: uint64(i), Val: int64(i)}
+	}
+	m := &model.Message{From: 0, To: 1, Seq: 1, Payload: serve.BatchPayload{ID: serve.BatchID(0, 1), Cmds: cmds}}
+	if frame, err := appendFrame(nil, m); err == nil {
+		t.Fatalf("a %d-byte frame was accepted above the %d limit", len(frame)-frameHole, wire.MaxFrameSize)
 	}
 }

@@ -43,9 +43,15 @@ type link struct {
 const frameHole = binary.MaxVarintLen64
 
 // appendFrame encodes m into buf behind a frameHole-byte hole for the
-// length prefix and returns the extended buffer, ready for writeFrame.
+// length prefix and returns the extended buffer, ready for writeFrame. A
+// message above wire.MaxFrameSize is an error: the peer's wire.ReadFrame
+// would refuse it and drop the link.
 func appendFrame(buf []byte, m *model.Message) ([]byte, error) {
-	return wire.AppendMessage(append(buf[:0], make([]byte, frameHole)...), m)
+	buf, err := wire.AppendMessage(append(buf[:0], make([]byte, frameHole)...), m)
+	if err == nil && len(buf)-frameHole > wire.MaxFrameSize {
+		err = fmt.Errorf("netrun: %d-byte frame exceeds the %d limit", len(buf)-frameHole, wire.MaxFrameSize)
+	}
+	return buf, err
 }
 
 // writeFrame sends one length-prefixed message with one Write: b is an
@@ -67,20 +73,6 @@ func (l *link) writeFrame(b []byte, sent *atomic.Int64) error {
 	}
 	sent.Add(int64(len(frame)))
 	return nil
-}
-
-// readFrame reads one length-prefixed frame into a buffer leased from the
-// wire pool: the reader's half of writeFrame.
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	size, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	frame := wire.GetBuf(int(size))[:size]
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, err
-	}
-	return frame, nil
 }
 
 func (l *link) close() {
@@ -285,7 +277,7 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 					}
 					defer flush()
 					for {
-						frame, err := readFrame(r)
+						frame, err := wire.ReadFrame(r)
 						if err != nil {
 							return // closed or crashed peer
 						}

@@ -10,7 +10,6 @@ import (
 type Machine struct {
 	kv     map[uint64]int64
 	queues map[uint64][]int64
-	ops    uint64 // mutations applied (monotone version)
 }
 
 // NewMachine returns an empty state machine.
@@ -19,20 +18,17 @@ func NewMachine() *Machine {
 }
 
 // Apply executes one command and returns its reply value and status. Get
-// is tolerated (a logged read costs a slot but stays correct); it does not
-// bump the mutation counter.
+// is tolerated: a logged read costs a slot but stays correct.
 func (m *Machine) Apply(c Command) (int64, byte) {
 	switch c.Op {
 	case OpNop:
 		return 0, StatusOK
 	case OpPut:
 		m.kv[c.Key] = c.Val
-		m.ops++
 		return c.Val, StatusOK
 	case OpDel:
 		old, ok := m.kv[c.Key]
 		delete(m.kv, c.Key)
-		m.ops++
 		if !ok {
 			return 0, StatusMissing
 		}
@@ -40,7 +36,6 @@ func (m *Machine) Apply(c Command) (int64, byte) {
 	case OpQPush:
 		q := append(m.queues[c.Key], c.Val)
 		m.queues[c.Key] = q
-		m.ops++
 		return int64(len(q)), StatusOK
 	case OpQPop:
 		q := m.queues[c.Key]
@@ -53,7 +48,6 @@ func (m *Machine) Apply(c Command) (int64, byte) {
 		} else {
 			m.queues[c.Key] = q[1:]
 		}
-		m.ops++
 		return v, StatusOK
 	case OpGet:
 		v, ok := m.kv[c.Key]
@@ -71,12 +65,6 @@ func (m *Machine) Get(key uint64) (int64, bool) {
 	v, ok := m.kv[key]
 	return v, ok
 }
-
-// QLen returns the length of a queue.
-func (m *Machine) QLen(key uint64) int { return len(m.queues[key]) }
-
-// Ops returns the number of mutations applied.
-func (m *Machine) Ops() uint64 { return m.ops }
 
 // Checksum digests the full machine state, order-free: keys are collected
 // and sorted before hashing, so two machines that applied the same entries

@@ -9,8 +9,9 @@ import (
 	"nuconsensus/internal/model"
 )
 
-// MaxFrameSize bounds a client-protocol payload frame. A length prefix
-// beyond it is treated as a corrupted stream, not an allocation request.
+// MaxFrameSize bounds a frame on either protocol: a peer frame of netrun
+// or a client payload frame of cmd/nucd. A length prefix beyond it is
+// treated as a corrupted stream, not an allocation request.
 const MaxFrameSize = 1 << 20
 
 // WritePayloadFrame writes one varint-length-prefixed payload frame — the
@@ -35,9 +36,10 @@ func WritePayloadFrame(w io.Writer, pl model.Payload) error {
 	return err
 }
 
-// ReadPayloadFrame reads one varint-length-prefixed payload frame and
-// decodes it. The returned payload never aliases the read buffer.
-func ReadPayloadFrame(r *bufio.Reader) (model.Payload, error) {
+// ReadFrame reads one varint-length-prefixed frame into a buffer leased
+// from the pool; the caller returns it with PutBuf. A prefix above
+// MaxFrameSize is an error, so a corrupted stream never reaches GetBuf.
+func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
@@ -45,10 +47,21 @@ func ReadPayloadFrame(r *bufio.Reader) (model.Payload, error) {
 	if size > MaxFrameSize {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds the %d limit", size, MaxFrameSize)
 	}
-	buf := GetBuf(int(size))[:size]
-	defer PutBuf(buf)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	frame := GetBuf(int(size))[:size]
+	if _, err := io.ReadFull(r, frame); err != nil {
+		PutBuf(frame)
 		return nil, err
 	}
+	return frame, nil
+}
+
+// ReadPayloadFrame reads one varint-length-prefixed payload frame and
+// decodes it. The returned payload never aliases the read buffer.
+func ReadPayloadFrame(r *bufio.Reader) (model.Payload, error) {
+	buf, err := ReadFrame(r)
+	if err != nil {
+		return nil, err
+	}
+	defer PutBuf(buf)
 	return DecodePayload(buf)
 }

@@ -490,7 +490,8 @@ func TestServePayloadsNeverSupersede(t *testing.T) {
 
 // TestPayloadFrameRoundTrip: the client-protocol framing (cmd/nucd ↔
 // cmd/nucload) round-trips payloads through a byte stream, and a frame
-// claiming an absurd length is rejected without allocation.
+// claiming an absurd length — on either protocol's reader — is rejected
+// without allocation or panic.
 func TestPayloadFrameRoundTrip(t *testing.T) {
 	var stream bytes.Buffer
 	payloads := []model.Payload{
@@ -516,9 +517,14 @@ func TestPayloadFrameRoundTrip(t *testing.T) {
 	if _, err := wire.ReadPayloadFrame(r); err == nil {
 		t.Fatal("empty stream must error")
 	}
-	huge := binary.AppendUvarint(nil, wire.MaxFrameSize+1)
-	if _, err := wire.ReadPayloadFrame(bufio.NewReader(bytes.NewReader(huge))); err == nil {
-		t.Fatal("oversized frame length must be rejected")
+	for _, size := range []uint64{wire.MaxFrameSize + 1, 1 << 63} {
+		huge := binary.AppendUvarint(nil, size)
+		if _, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(huge))); err == nil {
+			t.Fatalf("frame length %d must be rejected", size)
+		}
+		if _, err := wire.ReadPayloadFrame(bufio.NewReader(bytes.NewReader(huge))); err == nil {
+			t.Fatalf("payload frame length %d must be rejected", size)
+		}
 	}
 }
 
