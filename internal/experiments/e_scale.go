@@ -20,7 +20,7 @@ import (
 // its rows).
 //
 // Per run, logMeter taps the history freight of each message — the bytes
-// of its history frames, through the real wire codec
+// of its history frames as the real wire codec encodes them
 // (wire.HistoryFrameLen) — and the high-water live-state history footprint
 // of any single process (rsm.StatsOf, sampled at every step).
 
@@ -40,9 +40,10 @@ const e17MsgsPerSlotCap = 51
 // e17HistBytesPerSlotCap bounds history freight per decided slot at the
 // longest grid point. The denominator is slots, not messages: PRGR and CMD
 // carry no history, so a change that only sends fewer of them must not read
-// as heavier freight. Freight is the bytes of the history frames
-// themselves: 38.7 measured, where a frame without adds is one byte; 654.2
-// when every LEAD/PROP ships a full snapshot instead of the delta since the
+// as heavier freight. Freight is the bytes of the history frames as
+// encoded: 38.5 measured, where a frame without adds is one byte and a
+// bundled one that repeats the frame before it none; 654.2 when every
+// LEAD/PROP ships a full snapshot instead of the delta since the
 // destination's last frame.
 const e17HistBytesPerSlotCap = 44
 

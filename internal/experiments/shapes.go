@@ -255,9 +255,10 @@ func runLog(sc Scale, aut model.Automaton, pattern *model.FailurePattern, hist m
 }
 
 // logMeter wraps a replicated-log automaton with measurement taps: sends
-// (a bundle is one), the history freight in them (per item, the bytes of
-// the history frame a slot's LEADD or PROPD carries, through the real wire
-// codec), and the high-water history-store entries of any process. The
+// (a bundle is one), the history freight in them (the bytes of the history
+// frames a send's LEADD and PROPD items carry, as the real wire codec
+// encodes them: a frame an item inherits costs nothing), and the
+// high-water history-store entries of any process. The
 // substrate steps processes from independent goroutines on the concurrent
 // backends, so the taps are atomics; they are per-unit, so the recorded
 // numbers stay deterministic on sim at any engine worker count.
@@ -272,16 +273,8 @@ func (a *logMeter) Step(p model.ProcessID, s model.State, m *model.Message, d mo
 	ns, sends := a.Automaton.Step(p, s, m, d)
 	var hist int64
 	for _, snd := range sends {
-		items, bundled := snd.Payload.(rsm.Bundle)
-		if !bundled {
-			items = rsm.Bundle{snd.Payload}
-		}
-		for _, pl := range items {
-			if sp, ok := pl.(rsm.SlotPayload); ok {
-				if n, err := wire.HistoryFrameLen(sp.Inner); err == nil {
-					hist += int64(n)
-				}
-			}
+		if n, err := wire.HistoryFrameLen(snd.Payload); err == nil {
+			hist += int64(n)
 		}
 	}
 	a.msgs.Add(int64(len(sends)))

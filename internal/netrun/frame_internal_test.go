@@ -2,9 +2,11 @@ package netrun
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"net"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/serve"
+	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/wire"
 )
 
@@ -108,5 +111,78 @@ func TestAppendFrameRefusesOversized(t *testing.T) {
 	m := &model.Message{From: 0, To: 1, Seq: 1, Payload: serve.BatchPayload{ID: serve.BatchID(0, 1), Cmds: cmds}}
 	if frame, err := appendFrame(nil, m); err == nil {
 		t.Fatalf("a %d-byte frame was accepted above the %d limit", len(frame)-frameHole, wire.MaxFrameSize)
+	}
+}
+
+// TestForgedEnvelopeDropsLink: a reader delivers a frame only when its
+// envelope names the link's two ends, p1 → p0 here (CMD frames: no inbox
+// collapses them). A forged From or To —
+// out of range either way, or another pair — drops the link without a
+// panic, and nothing from the forged frame on reaches any inbox.
+func TestForgedEnvelopeDropsLink(t *testing.T) {
+	const from, to = 1, 0
+	frame := func(from, to model.ProcessID, seq uint64) []byte {
+		b, err := wire.EncodeMessage(&model.Message{From: from, To: to, Seq: seq, Payload: rsm.CommandPayload{Cmd: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(binary.AppendUvarint(nil, uint64(len(b))), b...)
+	}
+	// The last two bytes of a CMD(3) frame are the CMD tag and the command.
+	corrupt := func(b []byte) []byte { b[len(b)-2] = 0x7F; return b }
+	for name, forged := range map[string][]byte{
+		"To 63":                  frame(from, 63, 2),
+		"To -1":                  frame(from, -1, 2),
+		"To of a third process":  frame(from, 2, 2),
+		"From of a third":        frame(2, to, 2),
+		"From of its receiver":   frame(to, to, 2),
+		"an unknown payload tag": corrupt(frame(from, to, 2)),
+	} {
+		inboxes := substrate.NewInboxes(3)
+		stream := bytes.Join([][]byte{frame(from, to, 1), forged, frame(from, to, 3)}, nil)
+		read(bytes.NewReader(stream), from, to, inboxes[to])
+		if got := inboxes[to].Len(); got != 1 {
+			t.Errorf("%s: p%d's inbox holds %d frames, want the one before the forged frame", name, to, got)
+		}
+		for p, in := range inboxes {
+			if p != to && in.Len() != 0 {
+				t.Errorf("%s: p%d's inbox holds %d frames from the p%d → p%d link", name, p, in.Len(), from, to)
+			}
+		}
+	}
+}
+
+// TestBadHelloRejected: a listener files a connection only under a lower
+// id that has not dialed it yet, so a hello byte of n or more, of the
+// listener's own id or of a higher one, or repeated, is an error and not a
+// panic or a misfiled link.
+func TestBadHelloRejected(t *testing.T) {
+	const n, q = 3, 1
+	m := &mesh{links: make([][]*link, n)}
+	for p := range m.links {
+		m.links[p] = make([]*link, n)
+	}
+	var mu sync.Mutex
+	hello := func(b byte) error {
+		local, remote := net.Pipe()
+		defer remote.Close()
+		go remote.Write([]byte{b})
+		return m.accept(q, local, &mu)
+	}
+	for _, b := range []byte{255, n, q, q + 1} {
+		if err := hello(b); err == nil {
+			t.Errorf("hello %d to p%d accepted", b, q)
+		}
+	}
+	if err := hello(0); err != nil {
+		t.Fatalf("hello 0 to p%d: %v", q, err)
+	}
+	if err := hello(0); err == nil {
+		t.Error("a second hello 0 accepted")
+	}
+	for p, l := range m.links[q] {
+		if (l != nil) != (p == 0) {
+			t.Errorf("link p%d → p%d filed: %v", q, p, l != nil)
+		}
 	}
 }

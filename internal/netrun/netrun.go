@@ -124,23 +124,15 @@ func dialMesh(n int) (*mesh, error) {
 			defer wg.Done()
 			for i := 0; i < expect; i++ {
 				conn, err := listeners[q].Accept()
+				if err == nil {
+					err = m.accept(q, conn, &mu)
+				}
 				if err != nil {
 					mu.Lock()
 					lastErr = err
 					mu.Unlock()
 					return
 				}
-				var hello [1]byte
-				if _, err := io.ReadFull(conn, hello[:]); err != nil {
-					mu.Lock()
-					lastErr = err
-					mu.Unlock()
-					return
-				}
-				p := int(hello[0])
-				mu.Lock()
-				m.links[q][p] = &link{conn: conn}
-				mu.Unlock()
 			}
 		}(q, expect)
 	}
@@ -164,6 +156,70 @@ func dialMesh(n int) (*mesh, error) {
 		return nil, lastErr
 	}
 	return m, nil
+}
+
+// accept reads the hello on conn, a connection q's listener accepted, and
+// files the link under the dialer it names. The byte comes from the
+// dialer, so it is checked before it indexes anything: only a lower id
+// dials q, and only once. mu guards the link matrix while the mesh is
+// being dialed.
+func (m *mesh) accept(q int, conn net.Conn, mu *sync.Mutex) error {
+	var hello [1]byte
+	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+		conn.Close()
+		return fmt.Errorf("netrun: hello to p%d: %w", q, err)
+	}
+	p := int(hello[0])
+	mu.Lock()
+	defer mu.Unlock()
+	if p >= q || m.links[q][p] != nil {
+		conn.Close()
+		return fmt.Errorf("netrun: p%d's listener got a hello from p%d, which does not dial it", q, p)
+	}
+	m.links[q][p] = &link{conn: conn}
+	return nil
+}
+
+// read feeds the frames arriving on c, the link on which from sends to to,
+// into to's inbox until the link closes. Only the envelope is parsed here;
+// the body decode is deferred to Resolve, so frames superseded while
+// pending are dropped undecoded. The envelope's From and To are the
+// sender's word, and only the link says who the sender is: a frame that
+// names any other pair drops the link, as a corrupted one does. Frames
+// already buffered on the link are delivered as one batch under a single
+// inbox lock, which flushes whenever the buffer runs dry. Frame buffers
+// come from the wire pool and return to it after the deferred decode in
+// resolve.
+func read(c io.Reader, from, to model.ProcessID, inbox *substrate.Inbox) {
+	r := bufio.NewReader(c)
+	var batch []*model.Message
+	flush := func() {
+		if len(batch) > 0 {
+			inbox.PutBatch(batch)
+			batch = batch[:0]
+		}
+	}
+	defer flush()
+	for {
+		frame, err := wire.ReadFrame(r)
+		if err != nil {
+			return // closed or crashed peer
+		}
+		head, err := wire.PeekMessage(frame)
+		if err != nil || head.From != from || head.To != to {
+			wire.PutBuf(frame)
+			return // corrupted stream or forged envelope: drop the link
+		}
+		raw := rawPayload{kind: head.Kind, frame: frame}
+		msg := &model.Message{From: head.From, To: head.To, Seq: head.Seq, Payload: raw}
+		if head.Supersedes {
+			msg.Payload = rawSupersedingPayload{raw}
+		}
+		batch = append(batch, msg)
+		if r.Buffered() == 0 {
+			flush()
+		}
+	}
 }
 
 // closeAll closes every link of process p (both directions of each pair,
@@ -239,68 +295,22 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 		readers   sync.WaitGroup
 	)
 
-	// Readers: one goroutine per distinct connection endpoint, feeding raw
-	// frames into the destination inbox until the link closes. Only the
-	// envelope is parsed here; the body decode is deferred to Resolve so
-	// frames superseded while pending are dropped undecoded.
-	for p := 0; p < n; p++ {
-		for q := p + 1; q < n; q++ {
-			for _, l := range []*link{m.links[p][q], m.links[q][p]} {
-				if l == nil {
-					continue
-				}
-				readers.Add(1)
-				go func(l *link) {
-					defer readers.Done()
-					l.mu.Lock()
-					conn := l.conn
-					l.mu.Unlock()
-					if conn == nil {
-						return
-					}
-					r := bufio.NewReader(conn)
-					// Frames already buffered on the link are drained into
-					// one batch and delivered under a single inbox lock;
-					// the batch flushes whenever the buffer runs dry (or the
-					// destination changes, which on a point-to-point link it
-					// never does). Frame buffers come from the wire pool and
-					// return to it after the deferred decode in resolve.
-					var (
-						batch   []*model.Message
-						batchTo model.ProcessID
-					)
-					flush := func() {
-						if len(batch) > 0 {
-							inboxes[batchTo].PutBatch(batch)
-							batch = batch[:0]
-						}
-					}
-					defer flush()
-					for {
-						frame, err := wire.ReadFrame(r)
-						if err != nil {
-							return // closed or crashed peer
-						}
-						head, err := wire.PeekMessage(frame)
-						if err != nil {
-							return // corrupted stream: drop the link
-						}
-						raw := rawPayload{kind: head.Kind, frame: frame}
-						msg := &model.Message{From: head.From, To: head.To, Seq: head.Seq, Payload: raw}
-						if head.Supersedes {
-							msg.Payload = rawSupersedingPayload{raw}
-						}
-						if len(batch) > 0 && head.To != batchTo {
-							flush()
-						}
-						batchTo = head.To
-						batch = append(batch, msg)
-						if r.Buffered() == 0 {
-							flush()
-						}
-					}
-				}(l)
+	// Readers: one goroutine per connection endpoint. links[to][from] is
+	// to's end of its connection with from, so it carries from's frames.
+	for to := 0; to < n; to++ {
+		for from := 0; from < n; from++ {
+			l := m.links[to][from]
+			if l == nil {
+				continue
 			}
+			l.mu.Lock()
+			conn := l.conn
+			l.mu.Unlock()
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				read(conn, model.ProcessID(from), model.ProcessID(to), inboxes[to])
+			}()
 		}
 	}
 

@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"reflect"
 	"testing"
 
 	"nuconsensus/internal/consensus"
@@ -11,9 +12,9 @@ import (
 	"nuconsensus/internal/wire"
 )
 
-// FuzzDecodePayload checks that the decoder never panics and never accepts
-// bytes it cannot re-encode to an equivalent payload: arbitrary input must
-// yield either an error or a well-formed payload.
+// FuzzDecodePayload checks the codec's promise on arbitrary input: the
+// decoder never panics, and whatever it accepts re-encodes to bytes that
+// decode reflect.DeepEqual to what it accepted.
 func FuzzDecodePayload(f *testing.F) {
 	seed := []model.Payload{
 		consensus.LeadPayload{K: 3, V: -7, Hist: sampleHistories()},
@@ -21,15 +22,15 @@ func FuzzDecodePayload(f *testing.F) {
 		consensus.ProposalPayload{K: 5},
 		consensus.SawPayload{Q: model.SetOf(0, 2)},
 		consensus.AckPayload{Q: model.SetOf(1), K: 8},
-		consensus.LeadDeltaPayload{K: 3, V: -7, Delta: sampleDelta()},
-		consensus.ProposalDeltaPayload{K: 5, HasV: true, V: 2, Delta: sampleDelta()},
-		consensus.LeadDeltaPayload{K: 1, V: 4, Delta: quorum.Delta{Base: 9, To: 9}},
-		consensus.ProposalDeltaPayload{K: 2, Delta: sampleDelta()},
-		consensus.ProposalDeltaPayload{K: 2, Delta: quorum.Delta{Base: 40, To: 40}},
+		slotted(consensus.LeadDeltaPayload{K: 3, V: -7, Delta: sampleDelta()}),
+		slotted(consensus.ProposalDeltaPayload{K: 5, HasV: true, V: 2, Delta: sampleDelta()}),
+		slotted(consensus.LeadDeltaPayload{K: 1, V: 4, Delta: quorum.Delta{Base: 9, To: 9}}),
+		slotted(consensus.ProposalDeltaPayload{K: 2, Delta: sampleDelta()}),
+		slotted(consensus.ProposalDeltaPayload{K: 2, Delta: quorum.Delta{Base: 40, To: 40}}),
 		rsm.SlotPayload{Slot: 200, Inner: consensus.ReportPayload{K: 1, V: 2}},
 		rsm.ProgressPayload{Slot: 1 << 20},
 		rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: model.SetOf(0, 1, 3), K: 2, Stamp: 10}},
-		rsm.AckStampPayload{Q: model.SetOf(2), K: 1, Stamp: 0},
+		slotted(rsm.AckStampPayload{Q: model.SetOf(2), K: 1, Stamp: 0}),
 		serve.BatchPayload{ID: serve.BatchID(1, 0), Cmds: []serve.Command{
 			{Client: 1, Seq: 1, Op: serve.OpPut, Key: 9, Val: -42},
 			{Client: 2, Seq: 7, Op: serve.OpQPush, Key: 3, Val: 5},
@@ -47,11 +48,12 @@ func FuzzDecodePayload(f *testing.F) {
 	}
 	for _, bundle := range []rsm.Bundle{
 		sampleBundle(),
-		// One λ-step of a window of three: each slot's LEAD behind a slot switch.
+		// One λ-step of a window of three: each slot's LEAD on the next slot,
+		// with the round and the frame of the one before.
 		{
 			rsm.SlotPayload{Slot: 4, Inner: consensus.LeadDeltaPayload{K: 1, V: 3, Delta: sampleDelta()}},
-			rsm.SlotPayload{Slot: 5, Inner: consensus.LeadDeltaPayload{K: 1, V: 4}},
-			rsm.SlotPayload{Slot: 6, Inner: consensus.LeadDeltaPayload{K: 1, V: 5}},
+			rsm.SlotPayload{Slot: 5, Inner: consensus.LeadDeltaPayload{K: 1, V: 4, Delta: quorum.Delta{Base: 6, To: 6}}},
+			rsm.SlotPayload{Slot: 6, Inner: consensus.LeadDeltaPayload{K: 1, V: 5, Delta: quorum.Delta{Base: 6, To: 6}}},
 		},
 	} {
 		b, err := wire.EncodePayload(bundle)
@@ -61,6 +63,9 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(b)
 	}
 	for _, b := range bundleRejects(f) {
+		f.Add(b)
+	}
+	for _, b := range headRejects(f) {
 		f.Add(b)
 	}
 	for _, b := range frameRejects(f) {
@@ -74,9 +79,14 @@ func FuzzDecodePayload(f *testing.F) {
 		if err != nil {
 			return // rejecting garbage is correct
 		}
-		// Anything accepted must re-encode.
-		if _, err := wire.EncodePayload(pl); err != nil {
+		// Anything accepted must re-encode, to bytes that decode to it again.
+		b, err := wire.EncodePayload(pl)
+		if err != nil {
 			t.Fatalf("decoded payload %#v cannot be re-encoded: %v", pl, err)
+		}
+		again, err := wire.DecodePayload(b)
+		if err != nil || !reflect.DeepEqual(again, pl) {
+			t.Fatalf("decoded payload %#v re-encodes as %x, which decodes as %#v (err %v)", pl, b, again, err)
 		}
 	})
 }

@@ -3,25 +3,34 @@
 // over real byte-stream transports (see internal/netrun). The format is
 // deterministic and self-describing at the payload level:
 //
-//	payload  := kindTag … (per-kind body)
-//	outer    := payload | bundleTag item item item*   (items run to the end)
-//	item     := payload, or a slot's inner payload when the slot item before it has its slot
-//	slot     := varint                         (SLOT and PRGR: slots are never negative)
-//	LEADD    := leadDeltaTag K V varint(To<<1 | hasAdds) adds
-//	PROPD    := propDeltaTag K V varint(To<<2 | HasV<<1 | hasAdds) adds
+//	outer    := item | bundleTag item item item*   (items run to the end)
+//	item     := kindTag … (per-kind body) | slot
+//	slot     := head [varint slot] [Q] [K] [V] [Stamp] [frame]   (an rsm.SlotPayload, bare or bundled)
+//	head     := one byte: bit 7 set (every kindTag is below 0x80), bit 6 frame, bit 5 round,
+//	            bits 3–4 slot code (0 varint follows, 1 same, 2 next), bits 0–2 kind
+//	kind     := 0 LEADD (K V frame) | 1 PROPD (K V frame) | 2 PROPD without V (K frame)
+//	          | 3 REP (K V) | 4 SAW (Q) | 5 SACK (Q K Stamp)
+//	frame    := varint(To<<1 | hasAdds) adds
 //	adds     := count (R Q)^count when hasAdds, else nothing (1 ≤ count ≤ To)
+//	PRGR     := progressTag varint
 //	BATCH    := batchTag ID count command^count
 //	command  := varint(Client<<3 | min(Op, 7)) [Op when Op ≥ 7] Seq Key Val
 //	fdvalue  := valueTag … (leader | quorum | suspects | pair | null)
 //	varint   := unsigned LEB128 (encoding/binary Uvarint); signed fields zigzag
 //
-// A history frame (the To varint and its adds) carries no Base: every
-// delta spans exactly its adds (quorum.Delta), so the decoder rebuilds
-// Base as To − count, and a frame without adds is one varint. BATCH bodies
-// and the client request frame share the command encoding. Full quorum
-// histories travel as, per process, a count followed by that many 64-bit
-// process sets; DAG snapshots as a node list plus per-node predecessor
-// bitsets. Everything round-trips exactly (TestRoundTrip*).
+// A slot item writes only what its receiver cannot rebuild from the slot
+// items before it in the same payload (bare, there are none). Its head's
+// slot code says whether the slot varint follows, or the slot is that of
+// the slot item before it, or one above; its round bit leaves out K when K
+// equals the last K written earlier in the payload (initially 1); its frame
+// bit leaves out a history frame that has no adds and the To of the last
+// frame. A frame carries no Base: every delta spans exactly its adds
+// (quorum.Delta), so the decoder rebuilds Base as To − count, and a frame
+// without adds is one varint. BATCH bodies and the client request frame
+// share the command encoding. Full quorum histories travel as, per process,
+// a count followed by that many 64-bit process sets; DAG snapshots as a
+// node list plus per-node predecessor bitsets. Everything round-trips
+// exactly (TestRoundTrip*).
 package wire
 
 import (
@@ -41,7 +50,7 @@ import (
 	"nuconsensus/internal/transform"
 )
 
-// Payload kind tags.
+// Payload kind tags, all below headMarker.
 const (
 	tagLead byte = iota + 1
 	tagReport
@@ -51,21 +60,73 @@ const (
 	tagRound
 	tagHeartbeat
 	tagGraph
-	tagSlot
 	tagProgress
 	tagCommand
 	tagEstimate
 	tagCoord
 	tagReply
 	tagDecide
-	tagLeadDelta
-	tagProposalDelta
 	tagBatch
 	tagServeRequest
 	tagServeReply
-	tagAckStamp
 	tagBundle
-	tagSlotNext // inside a bundle only: the wrapper of the next slot's item
+)
+
+// A slot item's head byte: the marker, then the kind, the slot code and
+// the round and frame bits.
+const (
+	headMarker = 0x80
+
+	kindMask  = 7 // bits 0–2
+	slotMask  = 3 << 3
+	headRound = 1 << 5
+	headFrame = 1 << 6
+
+	slotExplicit = 0 << 3
+	slotSame     = 1 << 3
+	slotNext     = 2 << 3
+)
+
+// The six slot item kinds: what the log sends a peer inside a slot
+// (rsm's wrapShared; loopback keeps its plain LEAD, PROP and ACK at home).
+const (
+	kindLead byte = iota
+	kindPropV
+	kindProp
+	kindReport
+	kindSaw
+	kindAck
+	kindCount
+)
+
+// The fields of a slot item, in the order they travel.
+const (
+	fieldQ = 1 << iota
+	fieldK
+	fieldV
+	fieldStamp
+	fieldFrame
+)
+
+// kindFields is each kind's fields; kindProtos is a zero value of each
+// kind's payload, whose Kind PeekMessage reports.
+var (
+	kindFields = [kindCount]uint8{
+		kindLead:   fieldK | fieldV | fieldFrame,
+		kindPropV:  fieldK | fieldV | fieldFrame,
+		kindProp:   fieldK | fieldFrame,
+		kindReport: fieldK | fieldV,
+		kindSaw:    fieldQ,
+		kindAck:    fieldQ | fieldK | fieldStamp,
+	}
+	kindProtos = [kindCount]model.Payload{
+		kindLead:   consensus.LeadDeltaPayload{},
+		kindPropV:  consensus.ProposalDeltaPayload{},
+		kindProp:   consensus.ProposalDeltaPayload{},
+		kindReport: consensus.ReportPayload{},
+		kindSaw:    consensus.SawPayload{},
+		kindAck:    rsm.AckStampPayload{},
+	}
 )
 
 // Failure-detector value tags.
@@ -107,8 +168,8 @@ func (w *buf) putSlot(slot int) error {
 	return nil
 }
 
-// flag is a boolean as one bit.
-func flag(b bool) uint64 {
+// flag is a boolean as one byte.
+func flag(b bool) byte {
 	if b {
 		return 1
 	}
@@ -170,8 +231,8 @@ func EncodePayload(pl model.Payload) ([]byte, error) {
 // GetBuf lease) is the allocation-free hot path; EncodePayload is the
 // convenience wrapper that starts from nil.
 func AppendPayload(dst []byte, pl model.Payload) ([]byte, error) {
-	w := buf{b: dst}
-	if err := encodeOuter(&w, pl); err != nil {
+	w, st := buf{b: dst}, newRun()
+	if err := encodeOuter(&w, &st, pl); err != nil {
 		return dst, err
 	}
 	return w.b, nil
@@ -192,7 +253,7 @@ func encodePayload(w *buf, pl model.Payload) error {
 		w.putByte(tagProposal)
 		w.putInt(p.K)
 		w.putInt(p.V)
-		w.putByte(byte(flag(p.HasV)))
+		w.putByte(flag(p.HasV))
 		encodeHistories(w, p.Hist)
 	case consensus.SawPayload:
 		w.putByte(tagSaw)
@@ -209,12 +270,6 @@ func encodePayload(w *buf, pl model.Payload) error {
 	case dag.GraphPayload:
 		w.putByte(tagGraph)
 		return encodeGraph(w, p.G)
-	case rsm.SlotPayload:
-		w.putByte(tagSlot)
-		if err := w.putSlot(p.Slot); err != nil {
-			return err
-		}
-		return encodePayload(w, p.Inner)
 	case rsm.ProgressPayload:
 		w.putByte(tagProgress)
 		return w.putSlot(p.Slot)
@@ -233,25 +288,10 @@ func encodePayload(w *buf, pl model.Payload) error {
 	case consensus.ReplyPayload:
 		w.putByte(tagReply)
 		w.putInt(p.R)
-		w.putByte(byte(flag(p.Ok)))
+		w.putByte(flag(p.Ok))
 	case consensus.DecidePayload:
 		w.putByte(tagDecide)
 		w.putInt(p.V)
-	case consensus.LeadDeltaPayload:
-		w.putByte(tagLeadDelta)
-		w.putInt(p.K)
-		w.putInt(p.V)
-		return encodeFrame(w, p.Delta, 0, 0)
-	case consensus.ProposalDeltaPayload:
-		w.putByte(tagProposalDelta)
-		w.putInt(p.K)
-		w.putInt(p.V)
-		return encodeFrame(w, p.Delta, 1, flag(p.HasV))
-	case rsm.AckStampPayload:
-		w.putByte(tagAckStamp)
-		w.putUvarint(uint64(p.Q))
-		w.putInt(p.K)
-		w.putInt(p.Stamp)
 	case serve.BatchPayload:
 		w.putByte(tagBatch)
 		w.putInt(p.ID)
@@ -262,7 +302,7 @@ func encodePayload(w *buf, pl model.Payload) error {
 	case serve.RequestPayload:
 		w.putByte(tagServeRequest)
 		encodeCommand(w, serve.Command{Client: p.Client, Seq: p.Seq, Op: p.Op, Key: p.Key, Val: p.Val})
-		w.putByte(byte(flag(p.Lin)))
+		w.putByte(flag(p.Lin))
 		w.putInt64(p.T0)
 	case serve.ReplyPayload:
 		w.putByte(tagServeReply)
@@ -415,16 +455,6 @@ func decodePayload(r *buf) (model.Payload, error) {
 			return nil, err
 		}
 		return dag.GraphPayload{G: g}, nil
-	case tagSlot:
-		slot, err := r.slot()
-		if err != nil {
-			return nil, err
-		}
-		inner, err := decodePayload(r)
-		if err != nil {
-			return nil, err
-		}
-		return rsm.SlotPayload{Slot: slot, Inner: inner}, nil
 	case tagProgress:
 		slot, err := r.slot()
 		if err != nil {
@@ -477,48 +507,6 @@ func decodePayload(r *buf) (model.Payload, error) {
 			return nil, err
 		}
 		return consensus.DecidePayload{V: v}, nil
-	case tagLeadDelta:
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		d, _, err := decodeFrame(r, 0)
-		if err != nil {
-			return nil, err
-		}
-		return consensus.LeadDeltaPayload{K: k, V: v, Delta: d}, nil
-	case tagProposalDelta:
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		d, hasV, err := decodeFrame(r, 1)
-		if err != nil {
-			return nil, err
-		}
-		return consensus.ProposalDeltaPayload{K: k, V: v, HasV: hasV == 1, Delta: d}, nil
-	case tagAckStamp:
-		q, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		stamp, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		return rsm.AckStampPayload{Q: model.ProcessSet(q), K: k, Stamp: stamp}, nil
 	case tagBatch:
 		id, err := r.int()
 		if err != nil {
@@ -587,113 +575,251 @@ func decodePayload(r *buf) (model.Payload, error) {
 	}
 }
 
+// run is what a payload's slot items inherit from the slot items before
+// them: the last slot, the last K written (1 before any) and the To of the
+// last history frame. The encoder and the decoder each keep one per
+// payload and update it alike, item by item.
+type run struct {
+	slot, k       int
+	to            uint64
+	inSlot, hasTo bool
+	frames        int // encoder only: the bytes of the history frames written
+}
+
+func newRun() run { return run{k: 1} }
+
+// slotItem is a slot item's fields, flat; kindFields says which of them
+// belong to its kind.
+type slotItem struct {
+	kind        byte
+	q           model.ProcessSet
+	k, v, stamp int
+	delta       quorum.Delta
+}
+
+// flatten reads a slot's inner payload into it; any kind but the six has
+// no encoding inside a slot.
+func (it *slotItem) flatten(pl model.Payload) error {
+	switch p := pl.(type) {
+	case consensus.LeadDeltaPayload:
+		it.kind, it.k, it.v, it.delta = kindLead, p.K, p.V, p.Delta
+	case consensus.ProposalDeltaPayload:
+		it.kind, it.k, it.v, it.delta = kindPropV, p.K, p.V, p.Delta
+		if !p.HasV {
+			if p.V != 0 {
+				return fmt.Errorf("wire: %v carries V without HasV", p)
+			}
+			it.kind = kindProp
+		}
+	case consensus.ReportPayload:
+		it.kind, it.k, it.v = kindReport, p.K, p.V
+	case consensus.SawPayload:
+		it.kind, it.q = kindSaw, p.Q
+	case rsm.AckStampPayload:
+		it.kind, it.q, it.k, it.stamp = kindAck, p.Q, p.K, p.Stamp
+	default:
+		return fmt.Errorf("wire: no slot item of kind %T", pl)
+	}
+	return nil
+}
+
+// payload is flatten's inverse.
+func (it *slotItem) payload() model.Payload {
+	switch it.kind {
+	case kindLead:
+		return consensus.LeadDeltaPayload{K: it.k, V: it.v, Delta: it.delta}
+	case kindPropV:
+		return consensus.ProposalDeltaPayload{K: it.k, V: it.v, HasV: true, Delta: it.delta}
+	case kindProp:
+		return consensus.ProposalDeltaPayload{K: it.k, Delta: it.delta}
+	case kindReport:
+		return consensus.ReportPayload{K: it.k, V: it.v}
+	case kindSaw:
+		return consensus.SawPayload{Q: it.q}
+	}
+	return rsm.AckStampPayload{Q: it.q, K: it.k, Stamp: it.stamp}
+}
+
+// putSlotItem writes p as its head byte and the fields it does not inherit
+// from st, then advances st past it.
+func (st *run) putSlotItem(w *buf, p rsm.SlotPayload) error {
+	var it slotItem
+	if err := it.flatten(p.Inner); err != nil {
+		return err
+	}
+	if p.Slot < 0 {
+		return fmt.Errorf("wire: negative slot %d", p.Slot)
+	}
+	fields, d := kindFields[it.kind], &it.delta
+	head := headMarker | it.kind
+	switch {
+	case st.inSlot && p.Slot == st.slot:
+		head |= slotSame
+	case st.inSlot && p.Slot-1 == st.slot:
+		head |= slotNext
+	}
+	if fields&fieldK != 0 && it.k == st.k {
+		head |= headRound
+	}
+	if fields&fieldFrame != 0 && st.hasTo && len(d.Adds) == 0 && d.Base == d.To && d.To == st.to {
+		head |= headFrame
+	}
+	w.putByte(head)
+	if head&slotMask == slotExplicit {
+		w.putUvarint(uint64(p.Slot))
+	}
+	if fields&fieldQ != 0 {
+		w.putUvarint(uint64(it.q))
+	}
+	if fields&fieldK != 0 && head&headRound == 0 {
+		w.putInt(it.k)
+	}
+	if fields&fieldV != 0 {
+		w.putInt(it.v)
+	}
+	if fields&fieldStamp != 0 {
+		w.putInt(it.stamp)
+	}
+	if fields&fieldFrame != 0 && head&headFrame == 0 {
+		start := len(w.b)
+		if err := encodeFrame(w, *d); err != nil {
+			return err
+		}
+		st.frames += len(w.b) - start
+	}
+	st.advance(p.Slot, &it)
+	return nil
+}
+
+// readSlotItem reads a slot item (its head byte not yet consumed),
+// rebuilding what it inherits from st, then advances st past it.
+func (st *run) readSlotItem(r *buf) (model.Payload, error) {
+	head, err := r.byte()
+	if err != nil {
+		return nil, err
+	}
+	it := slotItem{kind: head & kindMask}
+	if it.kind >= kindCount {
+		return nil, fmt.Errorf("wire: unknown slot item kind %d", it.kind)
+	}
+	fields := kindFields[it.kind]
+	var slot int
+	switch head & slotMask {
+	case slotExplicit:
+		if slot, err = r.slot(); err != nil {
+			return nil, err
+		}
+	case slotSame, slotNext:
+		if !st.inSlot {
+			return nil, fmt.Errorf("wire: inherited slot before any slot item")
+		}
+		slot = st.slot
+		if head&slotMask == slotNext {
+			if slot == math.MaxInt {
+				return nil, fmt.Errorf("wire: next slot past slot %d", slot)
+			}
+			slot++
+		}
+	default:
+		return nil, fmt.Errorf("wire: unknown slot code %d", head&slotMask>>3)
+	}
+	switch {
+	case head&headRound != 0 && fields&fieldK == 0:
+		return nil, fmt.Errorf("wire: round bit on slot item kind %d, which has no round", it.kind)
+	case head&headFrame != 0 && fields&fieldFrame == 0:
+		return nil, fmt.Errorf("wire: frame bit on slot item kind %d, which has no frame", it.kind)
+	case head&headFrame != 0 && !st.hasTo:
+		return nil, fmt.Errorf("wire: inherited frame before any frame")
+	}
+	if fields&fieldQ != 0 {
+		q, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		it.q = model.ProcessSet(q)
+	}
+	if fields&fieldK != 0 {
+		it.k = st.k
+		if head&headRound == 0 {
+			if it.k, err = r.int(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if fields&fieldV != 0 {
+		if it.v, err = r.int(); err != nil {
+			return nil, err
+		}
+	}
+	if fields&fieldStamp != 0 {
+		if it.stamp, err = r.int(); err != nil {
+			return nil, err
+		}
+	}
+	if fields&fieldFrame != 0 {
+		it.delta = quorum.Delta{Base: st.to, To: st.to}
+		if head&headFrame == 0 {
+			if it.delta, err = decodeFrame(r); err != nil {
+				return nil, err
+			}
+		}
+	}
+	st.advance(slot, &it)
+	return rsm.SlotPayload{Slot: slot, Inner: it.payload()}, nil
+}
+
+// advance makes the slot item it, of slot, the one the next slot item
+// inherits from.
+func (st *run) advance(slot int, it *slotItem) {
+	st.slot, st.inSlot = slot, true
+	fields := kindFields[it.kind]
+	if fields&fieldK != 0 {
+		st.k = it.k
+	}
+	if fields&fieldFrame != 0 {
+		st.to, st.hasTo = it.delta.To, true
+	}
+}
+
 // encodeOuter writes a payload in the one position a bundle may take: the
-// whole payload of a frame. Everywhere below it encodePayload rejects one.
-func encodeOuter(w *buf, pl model.Payload) error {
-	if b, ok := pl.(rsm.Bundle); ok {
-		return encodeBundle(w, b)
+// whole payload of a frame. encodePayload rejects one anywhere else.
+func encodeOuter(w *buf, st *run, pl model.Payload) error {
+	b, ok := pl.(rsm.Bundle)
+	if !ok {
+		return encodeItem(w, st, pl)
 	}
-	return encodePayload(w, pl)
-}
-
-func decodeOuter(r *buf) (model.Payload, error) {
-	if r.pos < len(r.b) && r.b[r.pos] == tagBundle {
-		r.pos++
-		return decodeBundle(r)
-	}
-	return decodePayload(r)
-}
-
-// elidable reports whether a bundled slot item may drop its SlotPayload
-// wrapper when it is for the same slot as the slot item before it: its inner
-// payload is one of the five kinds the log sends its peers inside a slot.
-// The decoder reads a bare item of these tags as that slot's.
-func elidable(inner model.Payload) bool {
-	switch inner.(type) {
-	case consensus.LeadDeltaPayload, consensus.ProposalDeltaPayload, consensus.ReportPayload,
-		consensus.SawPayload, rsm.AckStampPayload:
-		return true
-	}
-	return false
-}
-
-// encodeBundle writes tagBundle and then the items back to back, up to the
-// end of the payload: a bundle is always outermost, so it needs no count. A
-// slot item for the slot of the slot item before it travels without its
-// wrapper (elidable), and one for the next slot up has its wrapper shrunk to
-// the one byte tagSlotNext, whatever its inner kind — a step that advances
-// a window sends its slots in ascending order. A bundle holds at least two
-// items and never a bundle, and a bare item of an elidable kind has no
-// encoding inside one.
-func encodeBundle(w *buf, b rsm.Bundle) error {
+	// A bundle is always outermost, so it needs no count: its items run to
+	// the end of the payload.
 	if len(b) < 2 {
 		return fmt.Errorf("wire: bundle of %d items", len(b))
 	}
 	w.putByte(tagBundle)
-	slot, inSlot := 0, false
 	for _, pl := range b {
-		switch p := pl.(type) {
-		case rsm.SlotPayload:
-			if p.Slot < 0 {
-				return fmt.Errorf("wire: negative slot %d", p.Slot)
-			}
-			switch {
-			case inSlot && p.Slot == slot && elidable(p.Inner):
-				pl = p.Inner
-			case inSlot && p.Slot == slot+1:
-				w.putByte(tagSlotNext)
-				pl = p.Inner
-			}
-			slot, inSlot = p.Slot, true
-		default:
-			if elidable(pl) {
-				return fmt.Errorf("wire: bundled %s outside a slot", pl.Kind())
-			}
-		}
-		if err := encodePayload(w, pl); err != nil {
+		if err := encodeItem(w, st, pl); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// decodeBundle reads a bundle's items (tagBundle already consumed) to the
-// end of the input, putting back the slot wrapper encodeBundle left off or
-// shrunk.
-func decodeBundle(r *buf) (rsm.Bundle, error) {
+func encodeItem(w *buf, st *run, pl model.Payload) error {
+	if p, ok := pl.(rsm.SlotPayload); ok {
+		return st.putSlotItem(w, p)
+	}
+	return encodePayload(w, pl)
+}
+
+func decodeOuter(r *buf) (model.Payload, error) {
+	st := newRun()
+	if r.pos >= len(r.b) || r.b[r.pos] != tagBundle {
+		return decodeItem(r, &st)
+	}
+	r.pos++
 	b := make(rsm.Bundle, 0, 4)
-	slot, inSlot := 0, false
 	for r.pos < len(r.b) {
-		if r.b[r.pos] == tagSlotNext {
-			if !inSlot {
-				return nil, fmt.Errorf("wire: slot switch before any slot item")
-			}
-			if slot == math.MaxInt {
-				return nil, fmt.Errorf("wire: slot switch past slot %d", slot)
-			}
-			r.pos++
-			inner, err := decodePayload(r) // rejects tagSlotNext and tagBundle
-			if err != nil {
-				return nil, err
-			}
-			slot++
-			b = append(b, rsm.SlotPayload{Slot: slot, Inner: inner})
-			continue
-		}
-		pl, err := decodePayload(r) // rejects tagBundle: bundles do not nest
+		pl, err := decodeItem(r, &st) // rejects tagBundle: bundles do not nest
 		if err != nil {
 			return nil, err
-		}
-		switch p := pl.(type) {
-		case rsm.SlotPayload:
-			slot, inSlot = p.Slot, true
-		default:
-			if elidable(pl) {
-				if !inSlot {
-					return nil, fmt.Errorf("wire: bundled %s before any slot item", pl.Kind())
-				}
-				pl = rsm.SlotPayload{Slot: slot, Inner: pl}
-			}
 		}
 		b = append(b, pl)
 	}
@@ -701,6 +827,13 @@ func decodeBundle(r *buf) (rsm.Bundle, error) {
 		return nil, fmt.Errorf("wire: bundle of %d items", len(b))
 	}
 	return b, nil
+}
+
+func decodeItem(r *buf, st *run) (model.Payload, error) {
+	if r.pos < len(r.b) && r.b[r.pos] >= headMarker {
+		return st.readSlotItem(r)
+	}
+	return decodePayload(r)
 }
 
 // encodeHistories writes a quorum.Histories (nil allowed). Each set's
@@ -749,27 +882,25 @@ func decodeHistories(r *buf) (quorum.Histories, error) {
 }
 
 // encodeFrame writes a history delta as its frame: one varint
-// (To<<nflag | flags)<<1 | hasAdds, then the add count and the adds only
-// when hasAdds is set. Base does not travel: every delta spans exactly its
-// adds (quorum.Versioned, snapshots included), so the decoder rebuilds it
-// as To − len(Adds), and the encoder rejects a delta that does not. flags
-// are nflag bits of the payload's own folded into the same varint (PROPD's
-// HasV). The producer emits Adds in canonical (R, Q) order with no
-// duplicates, so the bytes are map-order-free by construction; the encoder
-// writes the slice as-is and allocates nothing.
-func encodeFrame(w *buf, d quorum.Delta, nflag uint, flags uint64) error {
+// To<<1 | hasAdds, then the add count and the adds only when hasAdds is
+// set. Base does not travel: every delta spans exactly its adds
+// (quorum.Versioned, snapshots included), so the decoder rebuilds it as
+// To − len(Adds), and the encoder rejects a delta that does not. The
+// producer emits Adds in canonical (R, Q) order with no duplicates, so the
+// bytes are map-order-free by construction; the encoder writes the slice
+// as-is and allocates nothing.
+func encodeFrame(w *buf, d quorum.Delta) error {
 	if d.Base > d.To || d.To-d.Base != uint64(len(d.Adds)) {
 		return fmt.Errorf("wire: delta %v does not span exactly its adds", d)
 	}
-	if d.To > math.MaxUint64>>(nflag+1) {
+	if d.To > math.MaxUint64>>1 {
 		return fmt.Errorf("wire: delta version %d too large for its frame", d.To)
 	}
-	head := (d.To<<nflag | flags) << 1
 	if len(d.Adds) == 0 {
-		w.putUvarint(head)
+		w.putUvarint(d.To << 1)
 		return nil
 	}
-	w.putUvarint(head | 1)
+	w.putUvarint(d.To<<1 | 1)
 	w.putUvarint(uint64(len(d.Adds)))
 	for _, e := range d.Adds {
 		w.putUvarint(uint64(e.R))
@@ -778,23 +909,21 @@ func encodeFrame(w *buf, d quorum.Delta, nflag uint, flags uint64) error {
 	return nil
 }
 
-// decodeFrame reads a frame written by encodeFrame with nflag folded bits,
-// returning the delta and those bits.
-func decodeFrame(r *buf, nflag uint) (quorum.Delta, uint64, error) {
+// decodeFrame reads a frame written by encodeFrame.
+func decodeFrame(r *buf) (quorum.Delta, error) {
 	var d quorum.Delta
 	head, err := r.uvarint()
 	if err != nil {
-		return d, 0, err
+		return d, err
 	}
-	flags := head >> 1 & (1<<nflag - 1)
-	d.To = head >> (nflag + 1)
+	d.To = head >> 1
 	if head&1 == 0 {
 		d.Base = d.To
-		return d, flags, nil
+		return d, nil
 	}
 	n, err := r.uvarint()
 	if err != nil {
-		return d, 0, err
+		return d, err
 	}
 	// A frame with adds has at least one and no more than its To version;
 	// every add costs at least two bytes, so a count exceeding the
@@ -802,44 +931,39 @@ func decodeFrame(r *buf, nflag uint) (quorum.Delta, uint64, error) {
 	// as graphs).
 	switch {
 	case n == 0:
-		return d, 0, fmt.Errorf("wire: delta frame flags adds but counts none")
+		return d, fmt.Errorf("wire: delta frame flags adds but counts none")
 	case n > d.To:
-		return d, 0, fmt.Errorf("wire: delta frame claims %d adds up to version %d", n, d.To)
+		return d, fmt.Errorf("wire: delta frame claims %d adds up to version %d", n, d.To)
 	case n > uint64(len(r.b)-r.pos)/2:
-		return d, 0, fmt.Errorf("wire: delta claims %d adds but only %d bytes remain", n, len(r.b)-r.pos)
+		return d, fmt.Errorf("wire: delta claims %d adds but only %d bytes remain", n, len(r.b)-r.pos)
 	}
 	d.Base = d.To - n
 	d.Adds = make([]quorum.DeltaEntry, n)
 	for i := range d.Adds {
 		pr, err := r.uvarint()
 		if err != nil {
-			return d, 0, err
+			return d, err
 		}
 		if pr >= model.MaxProcesses {
-			return d, 0, fmt.Errorf("wire: delta add for process %d", pr)
+			return d, fmt.Errorf("wire: delta add for process %d", pr)
 		}
 		q, err := r.uvarint()
 		if err != nil {
-			return d, 0, err
+			return d, err
 		}
 		d.Adds[i] = quorum.DeltaEntry{R: model.ProcessID(pr), Q: model.ProcessSet(q)}
 	}
-	return d, flags, nil
+	return d, nil
 }
 
-// HistoryFrameLen returns the bytes of the history frame a LEADD or PROPD
-// payload carries — the frame encodePayload writes for it, HasV folded in
-// — and 0 for any other payload.
+// HistoryFrameLen returns the bytes of the history frames in pl, the
+// payload of one send, bare or a bundle, as they are encoded: a frame a
+// slot item inherits counts 0.
 func HistoryFrameLen(pl model.Payload) (int, error) {
-	var w buf
-	var err error
-	switch p := pl.(type) {
-	case consensus.LeadDeltaPayload:
-		err = encodeFrame(&w, p.Delta, 0, 0)
-	case consensus.ProposalDeltaPayload:
-		err = encodeFrame(&w, p.Delta, 1, flag(p.HasV))
-	}
-	return len(w.b), err
+	w, st := buf{b: GetBuf(256)}, newRun()
+	err := encodeOuter(&w, &st, pl)
+	PutBuf(w.b)
+	return st.frames, err
 }
 
 // EncodeValue serializes a failure-detector value.
@@ -1044,11 +1168,11 @@ func EncodeMessage(m *model.Message) ([]byte, error) {
 // into a pooled buffer (GetBuf) that returns to the pool after the socket
 // write, so steady-state sends allocate nothing.
 func AppendMessage(dst []byte, m *model.Message) ([]byte, error) {
-	w := buf{b: dst}
+	w, st := buf{b: dst}, newRun()
 	w.putInt(int(m.From))
 	w.putInt(int(m.To))
 	w.putUvarint(m.Seq)
-	if err := encodeOuter(&w, m.Payload); err != nil {
+	if err := encodeOuter(&w, &st, m.Payload); err != nil {
 		return dst, err
 	}
 	return w.b, nil
@@ -1057,8 +1181,8 @@ func AppendMessage(dst []byte, m *model.Message) ([]byte, error) {
 // payloadPrototypes maps each kind tag to a zero value of its payload
 // type, letting PeekMessage report a frame's kind and supersession
 // behavior without decoding the body. Every Kind method is a value-receiver
-// constant, so calling it on the zero value is safe (SlotPayload, whose
-// Kind delegates to the wrapped payload, is handled structurally).
+// constant, so calling it on the zero value is safe. A slot item's head
+// byte has kindProtos instead.
 var payloadPrototypes = map[byte]model.Payload{
 	tagLead:      consensus.LeadPayload{},
 	tagReport:    consensus.ReportPayload{},
@@ -1074,20 +1198,12 @@ var payloadPrototypes = map[byte]model.Payload{
 	tagCoord:     consensus.CoordPayload{},
 	tagReply:     consensus.ReplyPayload{},
 	tagDecide:    consensus.DecidePayload{},
-	// Delta payloads intentionally do not implement SupersededPayload:
-	// collapsing one in an inbox would break the receiver's version chain.
-	tagLeadDelta:     consensus.LeadDeltaPayload{},
-	tagProposalDelta: consensus.ProposalDeltaPayload{},
 	// Serving-layer payloads: batch bodies must never be collapsed (each
 	// carries distinct commands), and the client-protocol frames are
 	// point-to-point request/response — nothing supersedes.
 	tagBatch:        serve.BatchPayload{},
 	tagServeRequest: serve.RequestPayload{},
 	tagServeReply:   serve.ReplyPayload{},
-	// The log's slot-wrapped ACK (its awareness stamp rides behind K). Like
-	// the delta payloads it must never supersede: the receiver keeps the
-	// smallest stamp per member, so every one has to arrive.
-	tagAckStamp: rsm.AckStampPayload{},
 	// A bundle reports its own kind and never supersedes, whatever it holds:
 	// a PRGR inside one is taken, not collapsed.
 	tagBundle: rsm.Bundle{},
@@ -1127,20 +1243,15 @@ func PeekMessage(b []byte) (MessageHead, error) {
 	if err != nil {
 		return h, err
 	}
-	if tag == tagSlot {
-		// SlotPayload reports its wrapped payload's kind and never
-		// supersedes; skip the slot number and peek the inner tag.
-		if _, err := r.slot(); err != nil {
-			return h, err
+	if tag >= headMarker {
+		// A slot item reports its inner payload's kind and never
+		// supersedes: a delta dropped from an inbox would break the
+		// receiver's version chain, and a stamped ACK its smallest stamp
+		// per member.
+		if tag&kindMask >= kindCount {
+			return h, fmt.Errorf("wire: unknown slot item kind %d", tag&kindMask)
 		}
-		if tag, err = r.byte(); err != nil {
-			return h, err
-		}
-		proto, ok := payloadPrototypes[tag]
-		if !ok {
-			return h, fmt.Errorf("wire: unknown payload tag %d inside slot", tag)
-		}
-		h.Kind = proto.Kind()
+		h.Kind = kindProtos[tag&kindMask].Kind()
 		return h, nil
 	}
 	proto, ok := payloadPrototypes[tag]

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -38,6 +40,9 @@ func sampleDelta() quorum.Delta {
 	}
 }
 
+// slotted wraps pl in slot 1, as the log sends a peer its slot traffic.
+func slotted(pl model.Payload) rsm.SlotPayload { return rsm.SlotPayload{Slot: 1, Inner: pl} }
+
 func TestRoundTripPayloads(t *testing.T) {
 	payloads := []model.Payload{
 		consensus.LeadPayload{K: 3, V: -7, Hist: sampleHistories()},
@@ -54,12 +59,13 @@ func TestRoundTripPayloads(t *testing.T) {
 		consensus.ReplyPayload{R: 7, Ok: true},
 		consensus.ReplyPayload{R: 8},
 		consensus.DecidePayload{V: -1},
-		consensus.LeadDeltaPayload{K: 3, V: -7, Delta: sampleDelta()},
-		consensus.LeadDeltaPayload{K: 1, V: 0, Delta: quorum.Delta{Base: 2, To: 2}},
-		consensus.ProposalDeltaPayload{K: 5, V: 9, HasV: true, Delta: sampleDelta()},
-		consensus.ProposalDeltaPayload{K: 5, Delta: quorum.Delta{To: 1, Adds: []quorum.DeltaEntry{{R: 1, Q: model.SetOf(1)}}}},
-		consensus.ProposalDeltaPayload{K: 5, V: 2, HasV: true, Delta: quorum.Delta{Base: 300, To: 300}},
-		consensus.LeadDeltaPayload{K: 2, V: 1, Delta: quorum.Delta{Base: 0, To: 0}},
+		// The log's delta payloads travel as slot items only.
+		slotted(consensus.LeadDeltaPayload{K: 3, V: -7, Delta: sampleDelta()}),
+		slotted(consensus.LeadDeltaPayload{K: 1, V: 0, Delta: quorum.Delta{Base: 2, To: 2}}),
+		slotted(consensus.ProposalDeltaPayload{K: 5, V: 9, HasV: true, Delta: sampleDelta()}),
+		slotted(consensus.ProposalDeltaPayload{K: 5, Delta: quorum.Delta{To: 1, Adds: []quorum.DeltaEntry{{R: 1, Q: model.SetOf(1)}}}}),
+		slotted(consensus.ProposalDeltaPayload{K: 5, V: 2, HasV: true, Delta: quorum.Delta{Base: 300, To: 300}}),
+		slotted(consensus.LeadDeltaPayload{K: 2, V: 1, Delta: quorum.Delta{Base: 0, To: 0}}),
 	}
 	for _, pl := range payloads {
 		b, err := wire.EncodePayload(pl)
@@ -165,47 +171,68 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestHistoryFrameSize: a frame without adds is one varint, To<<1 (PROPD:
-// To<<2 | HasV<<1), one byte while To is small; a frame with adds adds a
-// count and the adds, and no frame carries Base.
+// TestHistoryFrameSize: a frame without adds is one varint, To<<1, one
+// byte while To is below 64; a frame with adds adds a count and the adds,
+// and no frame carries Base. HistoryFrameLen counts the frames of a whole
+// send as encoded, so a frame a bundled slot item inherits counts 0.
 func TestHistoryFrameSize(t *testing.T) {
+	lead := func(to uint64) rsm.SlotPayload {
+		return slotted(consensus.LeadDeltaPayload{K: 1, V: 2, Delta: quorum.Delta{Base: to, To: to}})
+	}
+	prop := func(slot int, d quorum.Delta) rsm.SlotPayload {
+		return rsm.SlotPayload{Slot: slot, Inner: consensus.ProposalDeltaPayload{K: 1, V: 2, HasV: true, Delta: d}}
+	}
 	for _, tc := range []struct {
 		pl   model.Payload
 		want int
 	}{
-		{consensus.LeadDeltaPayload{Delta: quorum.Delta{Base: 63, To: 63}}, 1},
-		{consensus.LeadDeltaPayload{Delta: quorum.Delta{Base: 64, To: 64}}, 2},
-		{consensus.ProposalDeltaPayload{HasV: true, Delta: quorum.Delta{Base: 31, To: 31}}, 1},
-		{consensus.ProposalDeltaPayload{Delta: quorum.Delta{Base: 32, To: 32}}, 2},
-		{consensus.LeadDeltaPayload{Delta: sampleDelta()}, 1 + 1 + 2*2},
-		{consensus.ProposalDeltaPayload{HasV: true, Delta: sampleDelta()}, 1 + 1 + 2*2},
-		{consensus.ReportPayload{K: 1, V: 2}, 0},
+		{lead(63), 1},
+		{lead(64), 2},
+		{prop(1, quorum.Delta{Base: 63, To: 63}), 1},
+		{prop(1, quorum.Delta{Base: 64, To: 64}), 2},
+		{slotted(consensus.LeadDeltaPayload{K: 1, V: 2, Delta: sampleDelta()}), 1 + 1 + 2*2},
+		{prop(1, sampleDelta()), 1 + 1 + 2*2},
+		{slotted(consensus.ReportPayload{K: 1, V: 2}), 0},
+		{rsm.ProgressPayload{Slot: 3}, 0},
+		// The PROPD's frame has no adds and the LEADD's To: it is inherited.
+		{rsm.Bundle{lead(6), prop(2, quorum.Delta{Base: 6, To: 6})}, 1},
+		// A frame with adds is never inherited, nor one with another To.
+		{rsm.Bundle{lead(6), prop(2, sampleDelta()), prop(3, quorum.Delta{Base: 7, To: 7})}, 1 + 6 + 1},
 	} {
 		got, err := wire.HistoryFrameLen(tc.pl)
 		if err != nil || got != tc.want {
-			t.Errorf("%v: frame of %d bytes (err %v), want %d", tc.pl, got, err, tc.want)
+			t.Errorf("%v: frames of %d bytes (err %v), want %d", tc.pl, got, err, tc.want)
 		}
-		if tc.want == 0 {
-			continue
-		}
-		// The frame is the tail of the payload's encoding, behind tag, K, V.
+	}
+	// A bare slot item inherits only the initial round 1, so its frame is
+	// the tail of its encoding behind the head byte, the one-byte slot and
+	// V — and PROPD without a value has no V.
+	for _, tc := range []struct {
+		pl    rsm.SlotPayload
+		ahead int
+	}{
+		{lead(64), 3},
+		{prop(1, sampleDelta()), 3},
+		{slotted(consensus.ProposalDeltaPayload{K: 1, Delta: sampleDelta()}), 2},
+	} {
+		frame, _ := wire.HistoryFrameLen(tc.pl)
 		b, err := wire.EncodePayload(tc.pl)
-		if err != nil || len(b) != 3+tc.want {
-			t.Errorf("%v encodes in %d bytes (err %v), want 3 + its %d-byte frame", tc.pl, len(b), err, tc.want)
+		if err != nil || len(b) != tc.ahead+frame {
+			t.Errorf("%v encodes in %d bytes (err %v), want %d + its %d-byte frame", tc.pl, len(b), err, tc.ahead, frame)
 		}
 	}
 }
 
-// frameRejects are history frames no delta has, each behind LEADD's tag
-// and K = V = 0: each must fail to decode. The fuzz target starts from
-// them too.
+// frameRejects are history frames no delta has, each behind a bare slot
+// LEADD's head byte, slot and V: each must fail to decode. The fuzz target
+// starts from them too.
 func frameRejects(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	b, err := wire.EncodePayload(consensus.LeadDeltaPayload{})
+	b, err := wire.EncodePayload(slotted(consensus.LeadDeltaPayload{K: 1}))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	lead := b[:len(b)-1] // tag, K, V
+	lead := b[:len(b)-1] // head, slot, V
 	frame := func(parts ...byte) []byte { return append(append([]byte{}, lead...), parts...) }
 	return map[string][]byte{
 		// To = 5 with the has-adds bit, but a count of 0.
@@ -234,7 +261,7 @@ func TestDeltaPayloadDecodeRejectsForgedCount(t *testing.T) {
 
 // TestDeltaEncodeRejectsBrokenSpan: the encoder takes only deltas that
 // span exactly their adds, as every quorum.Versioned delta does, since the
-// decoder rebuilds Base from To and the count.
+// decoder rebuilds Base from To and the count — an inherited frame's too.
 func TestDeltaEncodeRejectsBrokenSpan(t *testing.T) {
 	for name, d := range map[string]quorum.Delta{
 		"adds short of the span":  {Base: 2, To: 5, Adds: sampleDelta().Adds},
@@ -243,7 +270,12 @@ func TestDeltaEncodeRejectsBrokenSpan(t *testing.T) {
 		"base above To":           {Base: 7, To: 6},
 		"To too large":            {Base: 1 << 63, To: 1 << 63},
 	} {
-		for _, pl := range []model.Payload{consensus.LeadDeltaPayload{Delta: d}, consensus.ProposalDeltaPayload{Delta: d}} {
+		for _, pl := range []model.Payload{
+			slotted(consensus.LeadDeltaPayload{Delta: d}),
+			slotted(consensus.ProposalDeltaPayload{Delta: d}),
+			// Behind a frame of d's To, d would be inherited if it spanned.
+			rsm.Bundle{slotted(consensus.LeadDeltaPayload{Delta: quorum.Delta{Base: d.To, To: d.To}}), slotted(consensus.ProposalDeltaPayload{Delta: d})},
+		} {
 			if _, err := wire.EncodePayload(pl); err == nil {
 				t.Errorf("%s: %v encoded", name, pl)
 			}
@@ -251,17 +283,23 @@ func TestDeltaEncodeRejectsBrokenSpan(t *testing.T) {
 	}
 }
 
+// TestDeltaPayloadsNeverSupersede: collapsing a delta frame in an inbox
+// would break the receiver's version chain, and a stamped ACK the
+// smallest stamp per member, so the envelope of every slot item reports
+// its kind and no supersession without decoding the body.
 func TestDeltaPayloadsNeverSupersede(t *testing.T) {
-	// Collapsing a delta frame in an inbox would break the receiver's
-	// version chain; the envelope must say so without decoding the body.
 	for _, pl := range []model.Payload{
 		consensus.LeadDeltaPayload{K: 1, Delta: sampleDelta()},
-		consensus.ProposalDeltaPayload{K: 1, Delta: sampleDelta()},
+		consensus.ProposalDeltaPayload{K: 1, V: 3, HasV: true, Delta: sampleDelta()},
+		consensus.ProposalDeltaPayload{K: 2},
+		consensus.ReportPayload{K: 1, V: 3},
+		consensus.SawPayload{Q: model.SetOf(0, 1)},
+		rsm.AckStampPayload{Q: model.SetOf(0, 1), K: 2, Stamp: 5},
 	} {
 		if _, ok := pl.(model.SupersededPayload); ok {
 			t.Fatalf("%T must not implement SupersededPayload", pl)
 		}
-		m := &model.Message{From: 1, To: 2, Seq: 3, Payload: pl}
+		m := &model.Message{From: 1, To: 2, Seq: 3, Payload: slotted(pl)}
 		b, err := wire.EncodeMessage(m)
 		if err != nil {
 			t.Fatal(err)
@@ -336,7 +374,7 @@ func TestEncodeUnknownPayload(t *testing.T) {
 func TestRoundTripRSMPayloads(t *testing.T) {
 	payloads := []model.Payload{
 		rsm.SlotPayload{Slot: 3, Inner: consensus.ReportPayload{K: 1, V: 9}},
-		rsm.SlotPayload{Slot: 0, Inner: consensus.LeadPayload{K: 2, V: -1, Hist: sampleHistories()}},
+		rsm.SlotPayload{Slot: 0, Inner: consensus.ProposalDeltaPayload{K: 2}},
 		rsm.ProgressPayload{Slot: 7},
 		rsm.CommandPayload{Cmd: 42},
 		rsm.SlotPayload{Slot: 5, Inner: consensus.LeadDeltaPayload{K: 2, V: -1, Delta: sampleDelta()}},
@@ -530,11 +568,11 @@ func TestPayloadFrameRoundTrip(t *testing.T) {
 
 // sampleBundle is what one outer step of a serving replica might send one
 // peer: a batch body and the command naming it, a progress announcement,
-// and slot traffic for slots 70 and 71 (one-byte slot varints) that changes
-// slot, returns to one, and is interrupted by a slot-less item. Three of its
-// slot items follow a slot item of their own slot and travel unwrapped, and
-// two — one of a kind that is never elided — follow one of the slot below
-// and travel behind the one-byte slot switch.
+// and slot traffic for slots 70 and 71 that changes slot, returns to one
+// and is interrupted by a slot-less item. Its slot items inherit what they
+// can from the slot item before them: five their slot (the same or the next
+// one up), three a round of 2 that their bare encoding would have to spell
+// out, and the last one its empty history frame too.
 func sampleBundle() rsm.Bundle {
 	return rsm.Bundle{
 		serve.BatchPayload{ID: serve.BatchID(2, 5), Cmds: []serve.Command{{Client: 4, Seq: 9, Op: serve.OpPut, Key: 1, Val: -3}}},
@@ -547,15 +585,15 @@ func sampleBundle() rsm.Bundle {
 		rsm.CommandPayload{Cmd: 12},
 		rsm.SlotPayload{Slot: 71, Inner: rsm.AckStampPayload{Q: model.SetOf(1, 2), K: 2, Stamp: 72}},
 		rsm.SlotPayload{Slot: 70, Inner: consensus.ReportPayload{K: 2, V: 7}},
-		rsm.SlotPayload{Slot: 71, Inner: consensus.AckPayload{Q: model.SetOf(1), K: 2}},
+		rsm.SlotPayload{Slot: 71, Inner: consensus.ProposalDeltaPayload{K: 2, Delta: quorum.Delta{Base: 6, To: 6}}},
 	}
 }
 
 // TestRoundTripBundle: a bundle round-trips as a payload and as a whole
 // frame, whose envelope peeks as BNDL and never supersedes, and its
-// encoding is one tag byte plus its items', less the slot tag and one-byte
-// slot varint of each item that follows a slot item of its own slot, and
-// less the one-byte slot varint of each that follows one of the slot below.
+// encoding is one tag byte plus its items' bare encodings, less each
+// one-byte field an item inherits in the bundle but not bare. A bare slot
+// item inherits only the initial round 1.
 func TestRoundTripBundle(t *testing.T) {
 	b := sampleBundle()
 	enc, err := wire.EncodePayload(b)
@@ -577,12 +615,14 @@ func TestRoundTripBundle(t *testing.T) {
 		}
 		size += len(item)
 	}
-	// 56 = 1 tag + 63 bytes of items − 3 elided wrappers × 2 − 2 slot
-	// switches × 1 (a 2-byte wrapper for a 1-byte tagSlotNext).
-	const elided, switched, want = 3, 2, 56
-	if size-elided*2-switched*1 != want || len(enc) != want {
-		t.Errorf("bundle encodes in %d bytes from %d of tag and items, want %d: %d wrappers of 2 bytes elided, %d shrunk to 1",
-			len(enc), size, want, elided, switched)
+	// 46 = 1 tag + 54 bytes of bare items − 5 slot varints (REP, PROPD, SAW
+	// and SACK on the slot before them, the last PROPD on the next) − 3 K of
+	// 2 (SACK, the second REP, the last PROPD) − 1 frame (the last PROPD's,
+	// empty at the To of the PROPD before it).
+	const slots, rounds, frames, want = 5, 3, 1, 46
+	if size-slots-rounds-frames != want || len(enc) != want {
+		t.Errorf("bundle encodes in %d bytes from %d of tag and bare items, want %d: %d slots, %d rounds and %d frames of 1 byte inherited",
+			len(enc), size, want, slots, rounds, frames)
 	}
 
 	frame, err := wire.AppendMessage(nil, &model.Message{From: 3, To: 1, Seq: 40, Payload: b})
@@ -605,8 +645,198 @@ func TestRoundTripBundle(t *testing.T) {
 	}
 }
 
-// bundleRejects are encodings no bundle has: each must fail to decode. The
-// fuzz target starts from them too.
+// The head byte of a slot item, spelled out as the package grammar has it:
+// bit 7 the marker, bits 0–2 the kind, bits 3–4 the slot code, bit 5 the
+// round and bit 6 the frame.
+const (
+	hLead, hPropV, hProp, hRep, hSaw, hSack byte = 0, 1, 2, 3, 4, 5
+	hExplicit, hSame, hNext                 byte = 0, 1, 2
+)
+
+func head(kind, slot byte, round, frame bool) byte {
+	h := 0x80 | kind | slot<<3
+	if round {
+		h |= 1 << 5
+	}
+	if frame {
+		h |= 1 << 6
+	}
+	return h
+}
+
+// TestHeadByte: the head byte the encoder writes is the grammar's, for
+// each kind, slot code and inheritance.
+func TestHeadByte(t *testing.T) {
+	lead := consensus.LeadDeltaPayload{K: 1, V: 2, Delta: quorum.Delta{Base: 1, To: 1}}
+	for _, tc := range []struct {
+		b    rsm.Bundle
+		want []byte
+	}{
+		// Slot 1, round 1 inherited from the start, V 2, frame To 1; then
+		// the same slot, K 3 and V 2, no frame.
+		{rsm.Bundle{slotted(lead), slotted(consensus.ReportPayload{K: 3, V: 2})},
+			[]byte{head(hLead, hExplicit, true, false), 1, 4, 2, head(hRep, hSame, false, false), 6, 4}},
+		// PROPD with and without V, the second on the next slot with the
+		// first's round and frame.
+		{rsm.Bundle{
+			slotted(consensus.ProposalDeltaPayload{K: 2, V: 5, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}),
+			rsm.SlotPayload{Slot: 2, Inner: consensus.ProposalDeltaPayload{K: 2, Delta: quorum.Delta{Base: 3, To: 3}}},
+		}, []byte{head(hPropV, hExplicit, false, false), 1, 4, 10, 6, head(hProp, hNext, true, true)}},
+		// SAW (no K), then SACK on slot 9: explicit slot, round 1 inherited.
+		{rsm.Bundle{slotted(consensus.SawPayload{Q: 3}), rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: 3, K: 1, Stamp: 4}}},
+			[]byte{head(hSaw, hExplicit, false, false), 1, 3, head(hSack, hExplicit, true, false), 9, 3, 8}},
+	} {
+		enc, err := wire.EncodePayload(tc.b)
+		if err != nil || !bytes.Equal(enc[1:], tc.want) {
+			t.Errorf("%v encodes as %x (err %v), want a bundle tag and %x", tc.b, enc, err, tc.want)
+		}
+	}
+}
+
+// genBundle draws a bundle of the shapes a step of the log sends a peer:
+// slot items of the six kinds for slots s and s + 1 interleaved, now and
+// then one for a slot far off, with BATCH, CMD and PRGR between them;
+// rounds that mostly repeat, from 1 on; history frames mostly empty, and
+// then mostly at the last frame's To. seen counts the inheritance cases
+// the bundle exercises, read off the grammar by the generator itself.
+func genBundle(rng *rand.Rand, seen map[string]int) rsm.Bundle {
+	base, ver := rng.Intn(300), uint64(rng.Intn(100))
+	var (
+		b                   rsm.Bundle
+		slot, k             = 0, 1
+		to                  uint64
+		inSlot, hasK, hasTo bool
+	)
+	for n := 2 + rng.Intn(12); len(b) < n; {
+		switch rng.Intn(12) {
+		case 0:
+			b = append(b, serve.BatchPayload{ID: serve.BatchID(model.ProcessID(rng.Intn(4)), rng.Intn(100)), Cmds: []serve.Command{
+				{Client: uint32(rng.Intn(9)), Seq: uint64(rng.Intn(1000)), Op: byte(rng.Intn(9)), Key: uint64(rng.Intn(64)), Val: rng.Int63n(200) - 100},
+			}})
+			seen["BATCH"]++
+			continue
+		case 1:
+			b = append(b, rsm.CommandPayload{Cmd: rng.Intn(1 << 20)})
+			seen["CMD"]++
+			continue
+		case 2:
+			b = append(b, rsm.ProgressPayload{Slot: base + rng.Intn(2)})
+			seen["PRGR"]++
+			continue
+		}
+		s := base + rng.Intn(2)
+		if rng.Intn(10) == 0 {
+			s = rng.Intn(1 << 20)
+		}
+		switch {
+		case !inSlot || (s != slot && s != slot+1):
+			seen["slot explicit"]++
+		case s == slot:
+			seen["slot same"]++
+		default:
+			seen["slot next"]++
+		}
+		slot, inSlot = s, true
+		kk := k
+		if rng.Intn(4) == 0 {
+			kk = 1 + rng.Intn(4)
+		}
+		var d quorum.Delta
+		switch rng.Intn(4) {
+		case 0, 1:
+			if hasTo && rng.Intn(4) > 0 {
+				ver = to
+			}
+			d = quorum.Delta{Base: ver, To: ver}
+		case 2:
+			ver += uint64(1 + rng.Intn(3))
+			d = quorum.Delta{Base: ver, To: ver}
+		default:
+			adds := 1 + rng.Intn(3)
+			d = quorum.Delta{Base: ver, To: ver + uint64(adds)}
+			for i := 0; i < adds; i++ {
+				d.Adds = append(d.Adds, quorum.DeltaEntry{R: model.ProcessID(rng.Intn(5)), Q: model.ProcessSet(1 + rng.Intn(31))})
+			}
+			ver = d.To
+		}
+		var inner model.Payload
+		switch kind := rng.Intn(6); kind {
+		case 0:
+			inner = consensus.LeadDeltaPayload{K: kk, V: rng.Intn(9) - 4, Delta: d}
+		case 1:
+			inner = consensus.ProposalDeltaPayload{K: kk, V: rng.Intn(9) - 4, HasV: true, Delta: d}
+			seen["PROPD with V"]++
+		case 2:
+			inner = consensus.ProposalDeltaPayload{K: kk, Delta: d}
+			seen["PROPD without V"]++
+		case 3:
+			inner = consensus.ReportPayload{K: kk, V: rng.Intn(9) - 4}
+		case 4:
+			inner = consensus.SawPayload{Q: model.ProcessSet(1 + rng.Intn(31))}
+		default:
+			inner = rsm.AckStampPayload{Q: model.ProcessSet(1 + rng.Intn(31)), K: kk, Stamp: base + rng.Intn(4)}
+		}
+		seen[inner.Kind()]++
+		if _, saw := inner.(consensus.SawPayload); !saw {
+			switch {
+			case kk == k && !hasK:
+				seen["round 1 inherited from the start"]++
+			case kk == k:
+				seen["round inherited"]++
+			default:
+				seen["round explicit"]++
+			}
+			k, hasK = kk, true
+		}
+		switch inner.(type) {
+		case consensus.LeadDeltaPayload, consensus.ProposalDeltaPayload:
+			switch {
+			case hasTo && len(d.Adds) == 0 && d.To == to:
+				seen["frame inherited"]++
+			case len(d.Adds) > 0:
+				seen["frame with adds"]++
+			default:
+				seen["frame without adds"]++
+			}
+			to, hasTo = d.To, true
+		}
+		b = append(b, rsm.SlotPayload{Slot: s, Inner: inner})
+	}
+	return b
+}
+
+// TestRoundTripGeneratedBundles: every generated bundle decodes
+// reflect.DeepEqual to itself, and together they exercise every bit of
+// the head byte: each slot code, the round inherited from the start, from
+// an item before and not at all (across SAW, which has none, and SACK,
+// which sets it), frames inherited, empty and with adds, and PROPD with
+// and without a value.
+func TestRoundTripGeneratedBundles(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	seen := map[string]int{}
+	for i := 0; i < 3000; i++ {
+		b := genBundle(rng, seen)
+		enc, err := wire.EncodePayload(b)
+		if err != nil {
+			t.Fatalf("%v: %v", b, err)
+		}
+		got, err := wire.DecodePayload(enc)
+		if err != nil || !reflect.DeepEqual(got, model.Payload(b)) {
+			t.Fatalf("bundle %v decodes as %v (err %v)", b, got, err)
+		}
+	}
+	for _, c := range []string{"BATCH", "CMD", "PRGR", "LEADD", "PROPD", "REP", "SAW", "SACK",
+		"PROPD with V", "PROPD without V", "slot explicit", "slot same", "slot next",
+		"round 1 inherited from the start", "round inherited", "round explicit",
+		"frame inherited", "frame without adds", "frame with adds"} {
+		if seen[c] < 50 {
+			t.Errorf("%q occurred %d times in the generated bundles, want ≥ 50", c, seen[c])
+		}
+	}
+}
+
+// bundleRejects are bundle framings no bundle has: each must fail to
+// decode. The fuzz target starts from them too.
 func bundleRejects(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	enc := func(pl model.Payload) []byte {
@@ -617,25 +847,54 @@ func bundleRejects(tb testing.TB) map[string][]byte {
 		return b
 	}
 	tag := enc(rsm.Bundle{rsm.CommandPayload{Cmd: 1}, rsm.CommandPayload{Cmd: 2}})[0]
-	cmd, rep := enc(rsm.CommandPayload{Cmd: 1}), enc(consensus.ReportPayload{K: 1, V: 2})
-	slotted := enc(rsm.SlotPayload{Slot: 1, Inner: consensus.ReportPayload{K: 1, V: 2}})
-	next := enc(rsm.Bundle{
-		rsm.SlotPayload{Slot: 1, Inner: consensus.ReportPayload{K: 1, V: 2}},
-		rsm.SlotPayload{Slot: 2, Inner: consensus.ReportPayload{K: 1, V: 2}},
-	})[len(slotted)+1]
+	cmd, rep := enc(rsm.CommandPayload{Cmd: 1}), enc(slotted(consensus.ReportPayload{K: 1, V: 2}))
 	join := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{{tag}}, parts...), nil) }
 	return map[string][]byte{
 		"empty bundle":                 join(),
 		"one-item bundle":              join(cmd),
-		"slot item before any slot":    join(cmd, rep),
 		"bundle inside a bundle":       join(cmd, join(cmd, cmd)),
-		"unknown tag inside a bundle":  join(cmd, []byte{0xEE}),
+		"unknown tag inside a bundle":  join(cmd, []byte{0x7F}),
 		"truncated item inside bundle": join(cmd, rep[:len(rep)-1]),
-		"slot switch before any slot":  join(cmd, []byte{next}, rep),
-		"slot switch ending a bundle":  join(slotted, []byte{next}),
-		"slot switch after a switch":   join(slotted, []byte{next, next}, rep),
-		"slot switch inside a slot":    join(cmd, slotted[:len(slotted)-len(rep)], []byte{next}, rep),
-		"slot switch outside a bundle": append([]byte{next}, rep...),
+	}
+}
+
+// headRejects are slot items no slot payload encodes to, bare and
+// bundled: each must fail to decode. The fuzz target starts from them too.
+func headRejects(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	enc := func(pl model.Payload) []byte {
+		b, err := wire.EncodePayload(pl)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	tag := enc(rsm.Bundle{rsm.CommandPayload{Cmd: 1}, rsm.CommandPayload{Cmd: 2}})[0]
+	join := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{{tag}}, parts...), nil) }
+	cmd := enc(rsm.CommandPayload{Cmd: 1})
+	// REP(K 1, V 2) on slot 1, and LEADD(K 1, V 2, no adds at To 1) on it.
+	rep := []byte{head(hRep, hExplicit, true, false), 1, 4}
+	lead := []byte{head(hLead, hExplicit, true, false), 1, 4, 2}
+	same := []byte{head(hRep, hSame, true, false), 4}
+	next := []byte{head(hRep, hNext, true, false), 4}
+	last := append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true, false)}, math.MaxInt), 4)
+	return map[string][]byte{
+		"same slot bare":                   same,
+		"next slot bare":                   next,
+		"same slot before any slot item":   join(cmd, same),
+		"next slot before any slot item":   join(cmd, next),
+		"next slot past MaxInt":            join(last, next),
+		"slot above MaxInt":                append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true, false)}, math.MaxInt+1), 4),
+		"inherited frame bare":             {head(hLead, hExplicit, true, true), 1, 4},
+		"inherited frame before any frame": join(rep, []byte{head(hLead, hSame, true, true), 4}),
+		"inherited frame on REP":           join(lead, []byte{head(hRep, hSame, true, true), 4}),
+		"inherited frame on SAW":           join(lead, []byte{head(hSaw, hSame, false, true), 3}),
+		"inherited frame on SACK":          join(lead, []byte{head(hSack, hSame, true, true), 3, 2}),
+		"inherited round on SAW":           join(lead, []byte{head(hSaw, hSame, true, false), 3}),
+		"unused kind 6":                    {head(6, hExplicit, false, false), 1, 2},
+		"unused kind 7":                    {head(7, hExplicit, false, false), 1, 2},
+		"unused slot code 3":               {head(hRep, 3, true, false), 1, 4},
+		"truncated slot":                   {head(hRep, hExplicit, true, false), 0x80},
 	}
 }
 
@@ -648,13 +907,43 @@ func TestBundleRejects(t *testing.T) {
 	for name, b := range map[string]rsm.Bundle{
 		"one-item bundle":        {rsm.CommandPayload{Cmd: 1}},
 		"bundle inside a bundle": {rsm.CommandPayload{Cmd: 1}, rsm.Bundle{rsm.CommandPayload{Cmd: 2}, rsm.CommandPayload{Cmd: 3}}},
-		"slot kind outside slot": {rsm.CommandPayload{Cmd: 1}, consensus.ReportPayload{K: 1, V: 2}},
 	} {
 		if _, err := wire.EncodePayload(b); err == nil {
 			t.Errorf("%s: encoded", name)
 		}
 	}
-	if _, err := wire.EncodePayload(rsm.SlotPayload{Slot: 1, Inner: sampleBundle()}); err == nil {
-		t.Error("a bundle inside a slot payload encoded")
+}
+
+// TestHeadByteRejects: a slot item inherits a slot only from a slot item
+// before it in the payload, and never past math.MaxInt; a frame only from a
+// frame before it, and only on LEADD or PROPD; a round only on a kind that
+// has one; and the two kinds and the slot code the grammar leaves unused
+// are errors.
+func TestHeadByteRejects(t *testing.T) {
+	for name, b := range headRejects(t) {
+		if got, err := wire.DecodePayload(b); err == nil {
+			t.Errorf("%s: %x decoded as %v", name, b, got)
+		}
+	}
+}
+
+// TestSlotItemEncodeRejects: a slot holds one of the six kinds the log
+// sends a peer, and a PROPD without a value carries no V. The plain LEAD,
+// PROP and ACK stay inside the step that sends them to their own sender.
+func TestSlotItemEncodeRejects(t *testing.T) {
+	for _, inner := range []model.Payload{
+		consensus.LeadPayload{K: 2, V: -1, Hist: sampleHistories()},
+		consensus.ProposalPayload{K: 1, V: 3, HasV: true},
+		consensus.AckPayload{Q: model.SetOf(1), K: 2},
+		rsm.CommandPayload{Cmd: 1},
+		slotted(consensus.ReportPayload{K: 1, V: 2}),
+		sampleBundle(),
+		consensus.ProposalDeltaPayload{K: 1, V: 4},
+	} {
+		for _, pl := range []model.Payload{slotted(inner), rsm.Bundle{rsm.CommandPayload{Cmd: 1}, slotted(inner)}} {
+			if _, err := wire.EncodePayload(pl); err == nil {
+				t.Errorf("%v encoded", pl)
+			}
+		}
 	}
 }
