@@ -32,20 +32,23 @@ const e17N = 5
 // in round 1, and a decided instance holds the next round's LEAD until
 // somebody is heard there (rsm stepInstance), so such a slot costs one
 // round of traffic, none of it to the sender itself (rsm loopback), what
-// one step sends one peer is one bundle (rsm Pack), and progress rides
-// that traffic instead of leaving bare (rsm announce). Set from 44.7
-// measured at 64 slots.
-const e17MsgsPerSlotCap = 51
+// one step sends one peer is one bundle (rsm Pack), progress rides that
+// traffic instead of leaving bare (rsm announce), and a round-1 LEAD goes
+// only to the processes that follow its sender (rsm follow.go). Set at
+// max(⌈35.0 × 1.12⌉, ⌈35.7⌉ + 1): the quick reading + 12 % against the
+// async maximum over ten runs + 1.
+const e17MsgsPerSlotCap = 40
 
 // e17HistBytesPerSlotCap bounds history freight per decided slot at the
 // longest grid point. The denominator is slots, not messages: PRGR and CMD
 // carry no history, so a change that only sends fewer of them must not read
 // as heavier freight. Freight is the bytes of the history frames as
-// encoded: 38.5 measured, where a frame without adds is one byte and a
+// encoded: 27.6 measured, where a frame without adds is one byte and a
 // bundled one that repeats the frame before it none; 654.2 when every
 // LEAD/PROP ships a full snapshot instead of the delta since the
-// destination's last frame.
-const e17HistBytesPerSlotCap = 44
+// destination's last frame. Set at max(⌈27.6 × 1.12⌉, ⌈28.1⌉ + 1), as
+// e17MsgsPerSlotCap.
+const e17HistBytesPerSlotCap = 31
 
 var e17SlotsGrid = []int{4, 8, 16, 64}
 

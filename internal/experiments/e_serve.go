@@ -40,11 +40,13 @@ const (
 // aware.go) and decide in round 1, a decided instance says nothing of the
 // next round unless asked (rsm stepInstance), a process sends nothing to
 // itself (rsm loopback), one step sends a peer one bundle (rsm Pack), both
-// in-flight slots step on every λ-step (rsm Log.Step), and progress rides
-// that traffic (rsm announce). Set at the quick-scale readings 14.2 / 25.8
-// / 45.5 + 12 %, rounded up; with no quorum carried across slots the grid
-// reads 28.0 / 53.2 / 92.4.
-var e18MsgsPerSlotCap = map[int]int{3: 16, 4: 29, 5: 51}
+// in-flight slots step on every λ-step (rsm Log.Step), progress rides that
+// traffic (rsm announce), and a round-1 LEAD goes only to the processes
+// that follow its sender (rsm follow.go). Each cap is max(⌈quick × 1.12⌉,
+// ⌈async max⌉ + 1): 12.1 / 24.0 / 41.8 quick, and 12.8 / 26.5 / 43.8 the
+// maximum over thirteen async runs (ten plain, three substrate-smoke).
+// With no quorum carried across slots the grid reads 28.0 / 53.2 / 92.4.
+var e18MsgsPerSlotCap = map[int]int{3: 14, 4: 28, 5: 47}
 
 var (
 	e18BatchGrid = []int{1, 4, 16, 64} // commands per batch (pipeline fixed at 2)

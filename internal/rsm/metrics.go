@@ -31,6 +31,10 @@ func (a *Log) WithMetrics(reg *obs.Registry) *Log {
 		quietReleased: reg.Counter("rsm.quiet_released"),
 		progCarried:   reg.Counter("rsm.progress_carried"),
 		progBare:      reg.Counter("rsm.progress_bare"),
+		leadLent:      reg.Counter("rsm.lead_lent"),
+		leadReleased:  reg.Counter("rsm.lead_released"),
+		followCarried: reg.Counter("rsm.follow_carried"),
+		followBare:    reg.Counter("rsm.follow_bare"),
 		instOpened:    reg.Counter("rsm.instances_opened"),
 		instRetired:   reg.Counter("rsm.instances_retired"),
 		awareSeeded:   reg.Counter("rsm.aware.seeded"),
@@ -101,6 +105,14 @@ type logMetrics struct {
 	// rode in a bundle with other traffic and those that left alone.
 	progCarried *obs.Counter
 	progBare    *obs.Counter
+	// leadLent / leadReleased count round-1 LEADs held for a peer that
+	// follows another process and those sent after all (follow.go);
+	// followCarried / followBare count leader announcements as progCarried /
+	// progBare count frontier ones.
+	leadLent      *obs.Counter
+	leadReleased  *obs.Counter
+	followCarried *obs.Counter
+	followBare    *obs.Counter
 	// instOpened / instRetired count slot instances created and discarded; their
 	// difference is the live-instance population a stalled floor grows.
 	instOpened  *obs.Counter
@@ -188,6 +200,30 @@ func (m *logMetrics) progress(carried bool) {
 		m.progCarried.Add(1)
 	} else {
 		m.progBare.Add(1)
+	}
+}
+
+func (m *logMetrics) leadLend() {
+	if m != nil {
+		m.leadLent.Add(1)
+	}
+}
+
+func (m *logMetrics) leadRelease() {
+	if m != nil {
+		m.leadReleased.Add(1)
+	}
+}
+
+// follow counts one leader announcement, carried or bare.
+func (m *logMetrics) follow(carried bool) {
+	if m == nil {
+		return
+	}
+	if carried {
+		m.followCarried.Add(1)
+	} else {
+		m.followBare.Add(1)
 	}
 }
 

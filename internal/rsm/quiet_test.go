@@ -156,12 +156,16 @@ func TestQuietLaggardCatchesUp(t *testing.T) {
 	// Announcing progress only on traffic already going to a peer, or bare
 	// once no undecided slot is in flight, ends it at step 1065, with slots
 	// 10 and 11 still awake at p0 and p2: four instances fewer asleep than
-	// before, each holding a LEAD to all four.)
+	// before, each holding a LEAD to all four. Holding each round-1 LEAD for
+	// a peer that follows another process — here all follow p0 — ends it at
+	// step 1013, with slots 10 and 11 awake at p1 too, holding their round-1
+	// LEADs for the three followers of p0: two instances fewer asleep, and
+	// four fewer messages parked ahead of their slot.)
 	for name, want := range map[string]int64{
-		"rsm.parked_msgs": 90, "rsm.parked_replayed": 90,
+		"rsm.parked_msgs": 86, "rsm.parked_replayed": 86,
 		"rsm.quiet_parked": 0, "rsm.quiet_replayed": 0,
-		"rsm.quiet_enter": 116, "rsm.quiet_wake": 72, "rsm.quiet_retired": 42,
-		"rsm.quiet_held": 464, "rsm.quiet_released": 288,
+		"rsm.quiet_enter": 114, "rsm.quiet_wake": 72, "rsm.quiet_retired": 42,
+		"rsm.quiet_held": 456, "rsm.quiet_released": 288,
 		"rsm.instances_opened": 48, "rsm.instances_retired": 42,
 	} {
 		if got := reg.Counter(name).Value(); got != want {

@@ -43,11 +43,17 @@
 // knows but never falsifies it, so a peer's progress row stays a lower
 // bound on the real frontier, which is all the quiet rule needs.
 //
+// A round-1 LEAD goes only to the peers that follow its sender (follow.go).
+// Fig. 4 has a process wait for its own Ω output's LEAD and nobody else's,
+// so each process tells each peer its Ω output (FLW) on traffic already
+// going there, and a round-1 LEAD for a peer that has named another leader
+// is held in the slot's record until that peer names this process.
+//
 // Everything a process knows about one slot — the instance, its place in
 // the window, the rounds heard in it — sits in one record (slot.go), and so
 // does everything the log withholds on the slot's account: a queue of
 // inbound messages the instance is not handed yet (it has not opened here,
-// or it is quiet and the sender has passed the slot) and the held LEAD
+// or it is quiet and the sender has passed the slot) and the held LEADs
 // outbound. Inbound traffic passes one gate in Step (accepts) — a peer's,
 // and the process's own, which never leaves the step (loopback); each queue
 // is filled in one place and emptied in one place, and both only ever delay
@@ -123,6 +129,20 @@ func (p ProgressPayload) String() string { return fmt.Sprintf("PRGR(%d)", p.Slot
 
 // SupersedesOlder implements model.SupersededPayload: progress is monotone.
 func (ProgressPayload) SupersedesOlder() {}
+
+// FollowPayload announces the sender's current Ω output: the process whose
+// LEAD its round-1 instances wait for. A peer holds its round-1 LEADs for
+// the sender until the sender names it (follow.go). It never supersedes:
+// the receiver takes every announcement, in order.
+type FollowPayload struct {
+	Leader model.ProcessID
+}
+
+// Kind implements model.Payload.
+func (FollowPayload) Kind() string { return "FLW" }
+
+// String implements model.Payload.
+func (f FollowPayload) String() string { return fmt.Sprintf("FLW(%s)", f.Leader) }
 
 // Log is the replicated-log automaton. Drive it with (Ω, Σν+) pair
 // histories, like A_nuc itself.
@@ -232,6 +252,11 @@ type logState struct {
 	pump      int   // round-robin cursor over awake older instances
 	appended  int   // entries appended (== len(entries) unless sinking)
 
+	// The leader rows (follow.go): per peer, the Ω output it last announced
+	// here and the one last announced there; model.NoProcess until then.
+	follows    []model.ProcessID
+	toldLeader []model.ProcessID
+
 	// recs is the one per-slot container (slot.go): a slot's instance, its
 	// window bookkeeping, the rounds heard in it and both deferral queues.
 	// It holds a record for every slot in [floor, windowEnd()) — each with a
@@ -269,6 +294,8 @@ func (s *logState) CloneState() model.State {
 	c.entries = append([]int(nil), s.entries...)
 	c.progress = append([]int(nil), s.progress...)
 	c.told = append([]int(nil), s.told...)
+	c.follows = append([]model.ProcessID(nil), s.follows...)
+	c.toldLeader = append([]model.ProcessID(nil), s.toldLeader...)
 	// Clone the shared store ONCE, then rebind every cloned instance: the
 	// instances' own CloneStore is identity for shared stores.
 	c.store = s.store.clone()
@@ -322,6 +349,8 @@ func (a *Log) InitState(p model.ProcessID) model.State {
 		entries:    make([]int, 0, a.slots),
 		progress:   make([]int, a.n),
 		told:       make([]int, a.n),
+		follows:    noLeaders(a.n),
+		toldLeader: noLeaders(a.n),
 		recs:       make(map[int]*slotRec, a.window+1),
 		window:     a.window,
 		store:      newSharedStore(a.n),
@@ -395,7 +424,7 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	}
 
 	out = st.loopback(a, out, d)
-	out = st.announce(a, out)
+	out = st.announce(a, out, d)
 	st.compactStore(a.metrics)
 
 	return st, Pack(out)
@@ -418,6 +447,11 @@ func (s *logState) take(a *Log, from model.ProcessID, seq uint64, pl model.Paylo
 			for i := len(s.awake) - 1; i >= 0; i-- {
 				s.settle(a, s.awake[i], d)
 			}
+		}
+	case FollowPayload:
+		s.follows[from] = pl.Leader
+		if pl.Leader == s.p {
+			return s.release(a, from), false
 		}
 	case SlotPayload:
 		return s.receive(a, from, seq, pl, d)
@@ -581,7 +615,7 @@ func DebugState(s model.State) string {
 	in, out := 0, 0
 	for _, r := range st.recs {
 		in += len(r.in)
-		out += len(r.out)
+		out += len(r.out) + r.lent.Len()
 	}
 	return fmt.Sprintf("slot=%d entries=%v progress=%v live=%v awake=%v deferred=%d/%d current{%s} pending=%v known=%v",
 		st.slot, st.entries, st.progress, st.liveSlots(), st.awake, in, out, cur, st.pending, st.known)

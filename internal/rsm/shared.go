@@ -106,16 +106,26 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // its awareness stamp (aware.go), to itself too, since recordAck reads it —
 // this runs straight after the inner step that handled the SAW, so the
 // window is the one the handler ran under; REP/SAW are only slot-tagged.
-// Per-link FIFO delivery makes the per-destination chain airtight; sends
-// within one step to the same destination chain through sentVer just like
-// sends in different steps. Overwriting is legal because A_nuc builds a
-// fresh send slice every step and Step owns what it is handed.
-func (s *logState) wrapShared(slot int, sends []model.Send) []model.Send {
-	for i, snd := range sends {
+// A round-1 LEAD to a peer that follows another process is held instead
+// (lends, follow.go): it leaves the slice raw, into the slot's record, and
+// takes its delta only at release. Per-link FIFO delivery makes the
+// per-destination chain airtight; sends within one step to the same
+// destination chain through sentVer just like sends in different steps.
+// Overwriting is legal because A_nuc builds a fresh send slice every step
+// and Step owns what it is handed.
+func (s *logState) wrapShared(a *Log, slot int, sends []model.Send) []model.Send {
+	kept := sends[:0]
+	for _, snd := range sends {
 		pl := snd.Payload
 		peer := snd.To != s.p
 		switch p := pl.(type) {
 		case consensus.LeadPayload:
+			if peer && p.K == 1 && s.lends(snd.To) {
+				r := s.recs[slot]
+				r.lent, r.lead = r.lent.Add(snd.To), p
+				a.metrics.leadLend()
+				continue
+			}
 			if peer {
 				pl = consensus.LeadDeltaPayload{K: p.K, V: p.V, Delta: s.deltaFor(snd.To)}
 			}
@@ -126,9 +136,10 @@ func (s *logState) wrapShared(slot int, sends []model.Send) []model.Send {
 		case consensus.AckPayload:
 			pl = AckStampPayload{Q: p.Q, K: p.K, Stamp: s.slot + s.window - 1}
 		}
-		sends[i].Payload = SlotPayload{Slot: slot, Inner: pl}
+		snd.Payload = SlotPayload{Slot: slot, Inner: pl}
+		kept = append(kept, snd)
 	}
-	return sends
+	return kept
 }
 
 func (s *logState) deltaFor(to model.ProcessID) quorum.Delta {

@@ -16,7 +16,8 @@ import (
 // from the first message that names the slot — or from the window reaching
 // it — until retire; inst == nil means the slot has not opened here yet.
 //
-// The record's two queues are the log's whole deferral machinery:
+// The record's two queues and its lent LEAD are the log's whole deferral
+// machinery:
 //
 //   - in: messages the gate (accepts) did not hand to the instance, in
 //     arrival order — which preserves per-sender FIFO — with payloads stored
@@ -26,6 +27,9 @@ import (
 //   - out: the LEAD broadcast of the round a quiet instance sits in, as
 //     A_nuc emitted it — slot-tagged and delta-encoded only at release (see
 //     stepInstance). It never holds anything else.
+//   - lent, lead: the round-1 LEAD, as A_nuc emitted it, held for the peers
+//     in lent — they follow another process — until each names this one
+//     (wrapShared holds, release sends; follow.go).
 type slotRec struct {
 	inst  model.State // the slot's A_nuc instance; nil until opened here
 	state slotState
@@ -34,6 +38,8 @@ type slotRec struct {
 	heard []int // heard[q]: highest round of any slot message delivered from q; nil until the first
 	in    []parkedMsg
 	out   []model.Send
+	lent  model.ProcessSet      // peers the round-1 LEAD is held for
+	lead  consensus.LeadPayload // that LEAD, as A_nuc emitted it
 }
 
 type slotState uint8
@@ -139,14 +145,14 @@ func (s *logState) stepInstance(a *Log, slot int, m *model.Message, d model.FDVa
 	var released []model.Send
 	if r.out != nil && (!quiet || movedOn(sends)) {
 		a.metrics.quietRelease(len(r.out))
-		released, r.out = s.wrapShared(slot, r.out), nil
+		released, r.out = s.wrapShared(a, slot, r.out), nil
 	}
 	if i := newRoundLead(sends); quiet && i < len(sends) {
 		r.out = sends[i:]
 		a.metrics.quietHold(len(sends) - i)
 		sends = sends[:i:i]
 	}
-	sends = s.wrapShared(slot, sends)
+	sends = s.wrapShared(a, slot, sends)
 	if released == nil {
 		return sends
 	}

@@ -5,6 +5,7 @@ package rsm
 import (
 	"sort"
 
+	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
 )
 
@@ -86,29 +87,53 @@ func (s *logState) openWindow(a *Log, d model.FDValue) []model.Send {
 }
 
 // announce tells each peer the frontier once it has moved past what that
-// peer was last told: as one more item of what this step already sends it,
-// which Pack bundles, or bare once no undecided in-flight slot is left to
-// broadcast a carrier later (DESIGN.md §10 "Progress rides"). A peer's
-// progress row stays a lower bound on this process's frontier either way.
-func (s *logState) announce(a *Log, out []model.Send) []model.Send {
+// peer was last told, and the process's Ω output once it differs from what
+// that peer was last told: as more items of what this step already sends
+// it, which Pack bundles. A frontier leaves bare once no undecided
+// in-flight slot is left to broadcast a carrier later (DESIGN.md §10
+// "Progress rides"); a leader goes bare only to the new leader itself,
+// when it was last told another one — so it may hold round-1 LEADs for
+// this process — and a slot here still waits in round 1 (§10 "Held
+// LEADs"). Whatever goes to a peer carries the other announcement with it.
+// A peer's progress row stays a lower bound on this process's frontier
+// either way.
+func (s *logState) announce(a *Log, out []model.Send, d model.FDValue) []model.Send {
 	var busy model.ProcessSet
 	for _, snd := range out {
 		busy = busy.Add(snd.To)
 	}
-	bare := true // no undecided in-flight slot
+	bare, waiting := true, false // no undecided in-flight slot; one in round 1
 	for slot := s.slot; slot < s.windowEnd(); slot++ {
 		if r := s.recs[slot]; r != nil && r.state == slotOpen {
 			bare = false
+			if k, _ := model.RoundOf(r.inst); k <= 1 {
+				waiting = true
+			}
 		}
 	}
-	for q, told := range s.told {
+	leader, _ := fd.LeaderOf(d) // model.NoProcess when d has no Ω
+	for q := range s.told {
 		to := model.ProcessID(q)
-		if to == s.p || told >= s.slot || !(bare || busy.Has(to)) {
+		if to == s.p {
 			continue
 		}
-		s.told[q] = s.slot
-		out = append(out, model.Send{To: to, Payload: ProgressPayload{Slot: s.slot}})
-		a.metrics.progress(busy.Has(to))
+		prgr := s.told[q] < s.slot
+		last := s.toldLeader[q]
+		flw := leader != model.NoProcess && last != leader
+		carried := busy.Has(to)
+		if !carried && !(prgr && bare) && !(flw && to == leader && last != model.NoProcess && waiting) {
+			continue
+		}
+		if prgr {
+			s.told[q] = s.slot
+			out = append(out, model.Send{To: to, Payload: ProgressPayload{Slot: s.slot}})
+			a.metrics.progress(carried || flw)
+		}
+		if flw {
+			s.toldLeader[q] = leader
+			out = append(out, model.Send{To: to, Payload: FollowPayload{Leader: leader}})
+			a.metrics.follow(carried || prgr)
+		}
 	}
 	return out
 }

@@ -16,11 +16,12 @@ import (
 
 // wireTap fails its test on any send of the wrapped automaton that does not
 // encode, or that decodes to anything but the payload sent; it counts the
-// sends, the history frames with adds and the batch bodies it checked.
+// sends, the history frames with adds, the batch bodies and the leader
+// announcements it checked.
 type wireTap struct {
 	model.Automaton
-	t                   *testing.T
-	sends, adds, bodies int
+	t                         *testing.T
+	sends, adds, bodies, flws int
 }
 
 func (a *wireTap) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
@@ -43,6 +44,8 @@ func (a *wireTap) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 			switch pl := pl.(type) {
 			case serve.BatchPayload:
 				a.bodies++
+			case rsm.FollowPayload:
+				a.flws++
 			case rsm.SlotPayload:
 				switch in := pl.Inner.(type) {
 				case consensus.LeadDeltaPayload:
@@ -61,8 +64,8 @@ func (a *wireTap) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 // the workload plus one-command ingress batches — encodes through the wire
 // codec and decodes to exactly what was sent, once fault-free and once with
 // p0 crashed mid-run (the shape of TestPipelinedCrashMidWindow: p0 brings no
-// commands). A send the codec rejected would otherwise only read as fewer
-// bytes in a byte count.
+// commands). The run must carry leader announcements (FLW) too. A send the
+// codec rejected would otherwise only read as fewer bytes in a byte count.
 func TestRealTrafficRoundTrips(t *testing.T) {
 	const n, pushes = 4, 8
 	shape := serve.Workload{Commands: 128, Batch: 8, Clients: 8, Keys: 1024, Zipf: 1.3, QueueFrac: .25}
@@ -106,10 +109,10 @@ func TestRealTrafficRoundTrips(t *testing.T) {
 			if tc.crashes != nil && res.Steps <= int(tc.crashes[0]) {
 				t.Fatalf("the run ended at step %d, before p0's crash at step %d", res.Steps, tc.crashes[0])
 			}
-			if tap.adds == 0 || tap.bodies == 0 {
-				t.Fatalf("%d sends, %d history frames with adds, %d batch bodies: the test lost its premise", tap.sends, tap.adds, tap.bodies)
+			if tap.adds == 0 || tap.bodies == 0 || tap.flws == 0 {
+				t.Fatalf("%d sends, %d history frames with adds, %d batch bodies, %d FLWs: the test lost its premise", tap.sends, tap.adds, tap.bodies, tap.flws)
 			}
-			t.Logf("%d sends round-tripped (%d history frames with adds, %d batch bodies) in %d steps", tap.sends, tap.adds, tap.bodies, res.Steps)
+			t.Logf("%d sends round-tripped (%d history frames with adds, %d batch bodies, %d FLWs) in %d steps", tap.sends, tap.adds, tap.bodies, tap.flws, res.Steps)
 		})
 	}
 }

@@ -29,6 +29,7 @@ func FuzzDecodePayload(f *testing.F) {
 		slotted(consensus.ProposalDeltaPayload{K: 2, Delta: quorum.Delta{Base: 40, To: 40}}),
 		rsm.SlotPayload{Slot: 200, Inner: consensus.ReportPayload{K: 1, V: 2}},
 		rsm.ProgressPayload{Slot: 1 << 20},
+		rsm.FollowPayload{Leader: 3},
 		rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: model.SetOf(0, 1, 3), K: 2, Stamp: 10}},
 		slotted(rsm.AckStampPayload{Q: model.SetOf(2), K: 1, Stamp: 0}),
 		serve.BatchPayload{ID: serve.BatchID(1, 0), Cmds: []serve.Command{

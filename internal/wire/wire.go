@@ -13,6 +13,7 @@
 //	frame    := varint(To<<1 | hasAdds) adds
 //	adds     := count (R Q)^count when hasAdds, else nothing (1 ≤ count ≤ To)
 //	PRGR     := progressTag varint
+//	FLW      := followTag varint(leader)   (leader < MaxProcesses)
 //	BATCH    := batchTag ID count command^count
 //	command  := varint(Client<<3 | min(Op, 7)) [Op when Op ≥ 7] Seq Key Val
 //	fdvalue  := valueTag … (leader | quorum | suspects | pair | null)
@@ -70,6 +71,7 @@ const (
 	tagServeRequest
 	tagServeReply
 	tagBundle
+	tagFollow
 )
 
 // A slot item's head byte: the marker, then the kind, the slot code and
@@ -273,6 +275,12 @@ func encodePayload(w *buf, pl model.Payload) error {
 	case rsm.ProgressPayload:
 		w.putByte(tagProgress)
 		return w.putSlot(p.Slot)
+	case rsm.FollowPayload:
+		if p.Leader < 0 || int(p.Leader) >= model.MaxProcesses {
+			return fmt.Errorf("wire: leader %d outside [0, %d)", p.Leader, model.MaxProcesses)
+		}
+		w.putByte(tagFollow)
+		w.putUvarint(uint64(p.Leader))
 	case rsm.CommandPayload:
 		w.putByte(tagCommand)
 		w.putInt(p.Cmd)
@@ -461,6 +469,15 @@ func decodePayload(r *buf) (model.Payload, error) {
 			return nil, err
 		}
 		return rsm.ProgressPayload{Slot: slot}, nil
+	case tagFollow:
+		leader, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if leader >= model.MaxProcesses {
+			return nil, fmt.Errorf("wire: leader %d outside [0, %d)", leader, model.MaxProcesses)
+		}
+		return rsm.FollowPayload{Leader: model.ProcessID(leader)}, nil
 	case tagCommand:
 		cmd, err := r.int()
 		if err != nil {
@@ -1193,6 +1210,7 @@ var payloadPrototypes = map[byte]model.Payload{
 	tagHeartbeat: hb.HeartbeatPayload{},
 	tagGraph:     dag.GraphPayload{},
 	tagProgress:  rsm.ProgressPayload{},
+	tagFollow:    rsm.FollowPayload{},
 	tagCommand:   rsm.CommandPayload{},
 	tagEstimate:  consensus.EstimatePayload{},
 	tagCoord:     consensus.CoordPayload{},

@@ -66,6 +66,8 @@ func TestRoundTripPayloads(t *testing.T) {
 		slotted(consensus.ProposalDeltaPayload{K: 5, Delta: quorum.Delta{To: 1, Adds: []quorum.DeltaEntry{{R: 1, Q: model.SetOf(1)}}}}),
 		slotted(consensus.ProposalDeltaPayload{K: 5, V: 2, HasV: true, Delta: quorum.Delta{Base: 300, To: 300}}),
 		slotted(consensus.LeadDeltaPayload{K: 2, V: 1, Delta: quorum.Delta{Base: 0, To: 0}}),
+		// A leader announcement rides the traffic going to its peer.
+		rsm.Bundle{slotted(consensus.ReportPayload{K: 1, V: 3}), rsm.FollowPayload{Leader: 2}, rsm.ProgressPayload{Slot: 1}},
 	}
 	for _, pl := range payloads {
 		b, err := wire.EncodePayload(pl)
@@ -422,6 +424,49 @@ func TestSlotVarint(t *testing.T) {
 	}
 }
 
+// TestFollowPayload: a leader announcement is its tag and the leader's
+// varint; the codec refuses a leader outside [0, MaxProcesses) either way,
+// and the envelope peek reports FLW without superseding: the receiver takes
+// every announcement, in order.
+func TestFollowPayload(t *testing.T) {
+	for leader, want := range map[model.ProcessID]int{0: 2, 5: 2, model.MaxProcesses - 1: 2} {
+		b, err := wire.EncodePayload(rsm.FollowPayload{Leader: leader})
+		if err != nil || len(b) != want {
+			t.Errorf("FLW(%d) encodes in %d bytes (err %v), want %d", leader, len(b), err, want)
+		}
+	}
+	for _, leader := range []model.ProcessID{model.NoProcess, model.MaxProcesses} {
+		if _, err := wire.EncodePayload(rsm.FollowPayload{Leader: leader}); err == nil {
+			t.Errorf("FLW(%d) encoded", leader)
+		}
+	}
+	flw, err := wire.EncodePayload(rsm.FollowPayload{Leader: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := flw[0]
+	for name, b := range map[string][]byte{
+		"leader MaxProcesses": {tag, model.MaxProcesses},
+		"leader 2^32":         {tag, 0x80, 0x80, 0x80, 0x80, 0x10},
+		"truncated leader":    {tag, 0x80},
+		"no leader":           {tag},
+	} {
+		if got, err := wire.DecodePayload(b); err == nil {
+			t.Errorf("%s: %x decoded as %v", name, b, got)
+		}
+	}
+	if _, ok := model.Payload(rsm.FollowPayload{}).(model.SupersededPayload); ok {
+		t.Fatal("FollowPayload must not implement SupersededPayload")
+	}
+	m, err := wire.EncodeMessage(&model.Message{From: 2, To: 0, Seq: 9, Payload: rsm.FollowPayload{Leader: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := wire.PeekMessage(m); err != nil || h.Kind != "FLW" || h.Supersedes {
+		t.Errorf("peek of FLW = %+v (err %v)", h, err)
+	}
+}
+
 // TestCommandOpInClientVarint: a command's op rides in the low three bits
 // of its client varint, so a small command costs four bytes; an op ≥ 7 is
 // escaped into a byte of its own, and the decoder rejects an escape for
@@ -695,7 +740,7 @@ func TestHeadByte(t *testing.T) {
 
 // genBundle draws a bundle of the shapes a step of the log sends a peer:
 // slot items of the six kinds for slots s and s + 1 interleaved, now and
-// then one for a slot far off, with BATCH, CMD and PRGR between them;
+// then one for a slot far off, with BATCH, CMD, PRGR and FLW between them;
 // rounds that mostly repeat, from 1 on; history frames mostly empty, and
 // then mostly at the last frame's To. seen counts the inheritance cases
 // the bundle exercises, read off the grammar by the generator itself.
@@ -720,6 +765,11 @@ func genBundle(rng *rand.Rand, seen map[string]int) rsm.Bundle {
 			seen["CMD"]++
 			continue
 		case 2:
+			if rng.Intn(2) == 0 {
+				b = append(b, rsm.FollowPayload{Leader: model.ProcessID(rng.Intn(model.MaxProcesses))})
+				seen["FLW"]++
+				continue
+			}
 			b = append(b, rsm.ProgressPayload{Slot: base + rng.Intn(2)})
 			seen["PRGR"]++
 			continue
@@ -825,7 +875,7 @@ func TestRoundTripGeneratedBundles(t *testing.T) {
 			t.Fatalf("bundle %v decodes as %v (err %v)", b, got, err)
 		}
 	}
-	for _, c := range []string{"BATCH", "CMD", "PRGR", "LEADD", "PROPD", "REP", "SAW", "SACK",
+	for _, c := range []string{"BATCH", "CMD", "PRGR", "FLW", "LEADD", "PROPD", "REP", "SAW", "SACK",
 		"PROPD with V", "PROPD without V", "slot explicit", "slot same", "slot next",
 		"round 1 inherited from the start", "round inherited", "round explicit",
 		"frame inherited", "frame without adds", "frame with adds"} {
