@@ -108,10 +108,10 @@ explore-smoke:
 # over loopback TCP serves a short cmd/nucload run (writes + plain and
 # read-index reads), both sides dump their metrics registries as JSONL
 # (the CI artifact), and the dumps must actually carry the serving-path
-# instruments — among them the frontier announcements, of which no more may
-# leave bare than ride other traffic. nucd itself fails the target if the
-# replicas' machines diverge or the step budget runs out; nucload fails it
-# if any write goes unacked. (E18's sim-substrate metrics determinism is
+# instruments — among them the frontier announcements and the batch bodies,
+# of which no more may leave bare than ride other traffic. nucd itself
+# fails the target if the replicas' machines diverge or the step budget
+# runs out; nucload fails it if any write goes unacked. (E18's sim-substrate metrics determinism is
 # TestEventsByteIdenticalAcrossParallel in cmd/experiments.)
 serve-smoke:
 	mkdir -p $(ARTIFACTS)
@@ -131,7 +131,10 @@ serve-smoke:
 	m = {r['name']: r['value'] for r in map(json.loads, open('$(ARTIFACTS)/nucd.metrics.jsonl'))}; \
 	carried, bare = m['rsm.progress_carried'], m['rsm.progress_bare']; \
 	assert bare <= carried, (carried, bare); \
-	print('progress: %d announcements carried, %d bare' % (carried, bare))"
+	print('progress: %d announcements carried, %d bare' % (carried, bare)); \
+	carried, bare = m['serve.body_carried'], m['serve.body_bare']; \
+	assert bare <= carried, (carried, bare); \
+	print('bodies: %d carried, %d bare' % (carried, bare))"
 	@rm -f nucd.smoke nucload.smoke
 	@echo "serve: nucd+nucload TCP run clean"
 

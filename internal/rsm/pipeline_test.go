@@ -2,6 +2,7 @@ package rsm_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"nuconsensus/internal/fd"
@@ -217,45 +218,31 @@ func TestEntrySinkOrder(t *testing.T) {
 	}
 }
 
-// TestInject: commands injected mid-run are forwarded and eventually
-// appended, and injecting before the announce step produces no duplicate
-// CommandPayload broadcast.
+// TestInject: Inject only queues. It returns no sends, and the log's
+// first-step announce forwards the commands the log was built with and no
+// injected one — before or after the state is built — since forwarding an
+// injected command is the caller's job. Injected commands wait in pending
+// behind the built ones.
 func TestInject(t *testing.T) {
-	aut := rsm.NewLog([][]int{{}, {}, {}}, 4)
-	st := aut.InitState(0)
-	// Before the first step: announce has not run, so Inject stays silent.
-	st, sends := aut.Inject(st, 7)
-	if len(sends) != 0 {
-		t.Fatalf("pre-announce Inject broadcast %d sends, want 0", len(sends))
-	}
-	// First step performs the announce, forwarding the injected command. It
-	// also steps slot 0's instance, whose own LEAD is delivered inside the
-	// step, so A_nuc reads Ω and Σν+ from a real pair value; the CMD travels
-	// to each peer bundled with that LEAD.
+	aut := rsm.NewLog([][]int{{5}, {}, {}}, 4)
+	st := aut.Inject(aut.InitStateWith(0, 6), 7)
+	// The first step also steps slot 0's instance, whose own LEAD is
+	// delivered inside the step, so A_nuc reads Ω and Σν+ from a real pair
+	// value; the CMD travels to each peer bundled with that LEAD.
 	d := fd.PairValue{First: fd.LeaderValue{Leader: 1}, Second: fd.QuorumValue{Quorum: model.FullSet(3)}}
 	st, out := aut.Step(0, st, nil, d)
-	var cmdSends int
+	forwarded := map[int]int{}
 	for _, s := range rsm.Flatten(out) {
 		if c, ok := s.Payload.(rsm.CommandPayload); ok {
-			if c.Cmd != 7 {
-				t.Fatalf("announced command %d, want 7", c.Cmd)
-			}
-			cmdSends++
+			forwarded[c.Cmd]++
 		}
 	}
-	if cmdSends != 2 {
-		t.Fatalf("announce forwarded to %d peers, want 2", cmdSends)
+	if len(forwarded) != 1 || forwarded[5] != 2 {
+		t.Fatalf("first step forwarded %v, want command 5 to each of 2 peers and nothing else", forwarded)
 	}
-	// After the announce, Inject broadcasts immediately.
-	_, sends = aut.Inject(st, 8)
-	cmdSends = 0
-	for _, s := range sends {
-		if c, ok := s.Payload.(rsm.CommandPayload); ok && c.Cmd == 8 {
-			cmdSends++
-		}
-	}
-	if cmdSends != 2 {
-		t.Fatalf("post-announce Inject forwarded to %d peers, want 2", cmdSends)
+	st = aut.Inject(st, 8)
+	if got := rsm.DebugState(st); !strings.Contains(got, "pending=[5 6 7 8]") {
+		t.Fatalf("after the injects the log is %s, want pending=[5 6 7 8]", got)
 	}
 }
 

@@ -341,10 +341,15 @@ type LogHolder interface {
 }
 
 // InitState implements model.Automaton.
-func (a *Log) InitState(p model.ProcessID) model.State {
+func (a *Log) InitState(p model.ProcessID) model.State { return a.InitStateWith(p) }
+
+// InitStateWith is InitState with cmds injected (Inject) before the
+// window opens, so the first in-flight slots propose them. Like injected
+// commands, they are the caller's to forward.
+func (a *Log) InitStateWith(p model.ProcessID, cmds ...int) model.State {
 	st := &logState{
 		p:          p,
-		pending:    append([]int(nil), a.cmds[p]...),
+		pending:    append(append([]int(nil), a.cmds[p]...), cmds...),
 		slots:      a.slots,
 		entries:    make([]int, 0, a.slots),
 		progress:   make([]int, a.n),
@@ -386,10 +391,12 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 		}
 	}
 
-	// Forward own commands once, so the eventual leader can propose them.
+	// Forward the commands the log was built with once, so the eventual
+	// leader can propose them. Injected commands are the caller's to
+	// forward.
 	if !st.announced {
 		st.announced = true
-		for _, c := range st.pending {
+		for _, c := range a.cmds[p] {
 			out = append(out, model.Broadcast(model.FullSet(a.n).Remove(p), CommandPayload{Cmd: c})...)
 		}
 	}
@@ -533,19 +540,14 @@ func (s *logState) loopback(a *Log, out []model.Send, d model.FDValue) []model.S
 // Inject appends freshly arrived commands to a process's pending queue
 // outside the message-driven step cycle — the serving layer's ingress
 // path. Like Step it consumes s: it returns the updated state (s itself,
-// mutated) plus the CommandPayload broadcasts forwarding the commands; if
-// the state has not announced yet, the initial announce will forward them
-// instead and no sends are produced here.
-func (a *Log) Inject(s model.State, cmds ...int) (model.State, []model.Send) {
+// mutated). It sends nothing: forwarding an injected command to the peers
+// is the caller's job (the serving layer's batch body is its forward), and
+// the log's own first-step announce covers only the commands it was built
+// with.
+func (a *Log) Inject(s model.State, cmds ...int) model.State {
 	st := s.(*logState)
-	var out []model.Send
-	for _, c := range cmds {
-		st.pending = append(st.pending, c)
-		if st.announced {
-			out = append(out, model.Broadcast(model.FullSet(a.n).Remove(st.p), CommandPayload{Cmd: c})...)
-		}
-	}
-	return st, out
+	st.pending = append(st.pending, cmds...)
+	return st
 }
 
 // FloorOf returns the retirement floor a log state knows: the minimum

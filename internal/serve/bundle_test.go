@@ -46,7 +46,7 @@ func (a *peerTap) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 // 60 — neither the log's step nor the serving replica's returns two sends
 // to one destination: everything a step sends a peer leaves as one bundle.
 // The replica's run drains a batch from ingress on each of its first steps,
-// so its BATCH gossip and the log's CMD forwards join the log's bundles.
+// so its owed batch bodies join the log's bundles.
 func TestOneSendPerPeerPerStep(t *testing.T) {
 	const n = 4
 	pattern := model.PatternFromCrashes(n, nil)
@@ -105,8 +105,8 @@ func TestOneSendPerPeerPerStep(t *testing.T) {
 
 // TestBundledBodiesReachTheApplier: the replica takes the batch bodies out
 // of a message before the log sees it, and hands the log the CMD each body
-// stands for at the body's place, bare or bundled: a sender's body travels
-// in place of its CMD (forward). A twin replica, stepped with those CMDs,
+// stands for at the body's place, bare or bundled: a sender's body is the
+// forward of its batch's ID. A twin replica, stepped with those CMDs,
 // must send the same and end in the same state; the order of the log's
 // known commands shows each CMD landed at its body's place.
 func TestBundledBodiesReachTheApplier(t *testing.T) {
@@ -165,40 +165,51 @@ func TestBundledBodiesReachTheApplier(t *testing.T) {
 	}
 }
 
-// cmdTap fails its test on any step that sends a peer a CMD item, and
-// counts the steps that sent a batch body.
+// cmdTap fails its test on any step that sends a peer a CMD item, or that
+// sends batch bodies to some peers and not the same ones to every peer; it
+// counts the body items that rode other traffic and those that went alone.
 type cmdTap struct {
 	model.Automaton
-	t      *testing.T
-	sealed int
+	t             *testing.T
+	n             int
+	carried, bare int
 }
 
 func (a *cmdTap) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
 	ns, sends := a.Automaton.Step(p, s, m, d)
-	bodies := false
+	bodies := map[model.ProcessID][]int{}
 	for _, snd := range sends {
 		items, bundled := snd.Payload.(rsm.Bundle)
 		if !bundled {
 			items = rsm.Bundle{snd.Payload}
 		}
 		for _, pl := range items {
-			switch pl.(type) {
+			switch pl := pl.(type) {
 			case rsm.CommandPayload:
 				a.t.Fatalf("p%d's step sent %v a CMD item: %v", p, snd.To, snd.Payload)
 			case serve.BatchPayload:
-				bodies = true
+				bodies[snd.To] = append(bodies[snd.To], pl.ID)
 			}
 		}
+		if k := len(bodies[snd.To]); k < len(items) {
+			a.carried += k
+		} else {
+			a.bare += k
+		}
 	}
-	if bodies {
-		a.sealed++
+	for q := model.ProcessID(0); int(q) < a.n && len(bodies) > 0; q++ {
+		if q != p && !reflect.DeepEqual(bodies[q], bodies[(p+1)%model.ProcessID(a.n)]) {
+			a.t.Fatalf("p%d's step sent bodies %v: not the same to every peer", p, bodies)
+		}
 	}
 	return ns, sends
 }
 
-// TestBatchIsTheForward: a step that mints a batch — from the initial
-// workload or sealed from ingress — sends each peer the body in place of
-// the CMD forwarding its ID, so no step of a serving run sends a CMD item.
+// TestBatchIsTheForward: a batch's body is the only forward of its ID, so
+// no step of a serving run sends a CMD item, whether the batch came from
+// the initial workload or was sealed from ingress; and a step that sends a
+// body sends it to every peer, riding what the step already sends a peer
+// where it can (pay).
 func TestBatchIsTheForward(t *testing.T) {
 	const n = 4
 	pattern := model.PatternFromCrashes(n, nil)
@@ -214,7 +225,7 @@ func TestBatchIsTheForward(t *testing.T) {
 	}
 	sampler := rsm.SamplerForLog(pattern, 60, 7)
 	cl.Log().WithSampler(sampler)
-	tap := &cmdTap{Automaton: cl.Automaton(), t: t}
+	tap := &cmdTap{Automaton: cl.Automaton(), t: t, n: n}
 	res, err := sim.Run(sim.Exec{
 		Automaton: tap,
 		Pattern:   pattern,
@@ -226,9 +237,11 @@ func TestBatchIsTheForward(t *testing.T) {
 	if err != nil || !res.Stopped {
 		t.Fatalf("err = %v, done = %v", err, res != nil && res.Stopped)
 	}
-	// One step per process carries its initial body, and one per sealed
-	// ingress batch carries that one.
-	if tap.sealed < 2*n {
-		t.Fatalf("%d steps sent a batch body, want at least %d: the test lost its premise", tap.sealed, 2*n)
+	// The run stops once every replica applied every command, so each of
+	// the 7 bodies each process minted reached each of its peers: once,
+	// since an owed row empties as it is sent.
+	if want := n * 7 * (n - 1); tap.carried+tap.bare != want {
+		t.Fatalf("%d body items sent, want %d", tap.carried+tap.bare, want)
 	}
+	t.Logf("%d body items rode other traffic, %d went alone", tap.carried, tap.bare)
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"slices"
 
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
@@ -47,7 +46,9 @@ type Cluster struct {
 // NewCluster builds the cluster. The workload's batch IDs are minted here
 // — one authority — and each body is pre-registered with its origin's
 // applier only; the other replicas learn it from BATCH gossip, so body
-// dissemination is measured traffic, not construction-time cheating.
+// dissemination is measured traffic, not construction-time cheating. The
+// log is built without the batches: each replica injects its own in
+// InitState, so their bodies are their only forward.
 func NewCluster(cfg Config) *Cluster {
 	if cfg.N < 2 {
 		panic("serve: cluster needs at least 2 processes")
@@ -57,14 +58,10 @@ func NewCluster(cfg Config) *Cluster {
 		reg = obs.NewRegistry()
 	}
 	initial := make([][]Batch, cfg.N)
-	cmds := make([][]int, cfg.N)
-	for p := 0; p < cfg.N; p++ {
-		if p < len(cfg.Workload) {
-			for i, b := range cfg.Workload[p] {
-				b.ID = BatchID(model.ProcessID(p), i)
-				initial[p] = append(initial[p], b)
-				cmds[p] = append(cmds[p], b.ID)
-			}
+	for p := 0; p < cfg.N && p < len(cfg.Workload); p++ {
+		for i, b := range cfg.Workload[p] {
+			b.ID = BatchID(model.ProcessID(p), i)
+			initial[p] = append(initial[p], b)
 		}
 	}
 	c := &Cluster{
@@ -78,7 +75,7 @@ func NewCluster(cfg Config) *Cluster {
 			c.appliers[p].PutBody(b.ID, b.Cmds)
 		}
 	}
-	c.log = rsm.NewLog(cmds, cfg.Slots).
+	c.log = rsm.NewLog(make([][]int, cfg.N), cfg.Slots).
 		WithEntrySink(sinkDispatch{appliers: c.appliers}).WithPipeline(cfg.Pipeline)
 	correct := cfg.Correct
 	if correct.IsEmpty() {
@@ -94,6 +91,8 @@ func NewCluster(cfg Config) *Cluster {
 		batch:    cfg.Batch,
 		initial:  initial,
 		tracer:   cfg.Tracer,
+		carried:  reg.Counter("serve.body_carried"),
+		bare:     reg.Counter("serve.body_bare"),
 	}
 	return c
 }
@@ -137,6 +136,8 @@ type Replica struct {
 	batch    int // Config.Batch
 	initial  [][]Batch
 	tracer   *obs.Tracer
+
+	carried, bare *obs.Counter // body items sent with the log's traffic to a peer, and alone
 }
 
 // Name implements model.Automaton.
@@ -150,15 +151,16 @@ type replicaState struct {
 	r         *Replica
 	p         model.ProcessID
 	inner     model.State
-	announced bool // initial batch bodies gossiped
-	nextBatch int  // per-origin mint counter for ingress batches
-	lastFloor int  // retirement floor already compacted to
+	owed      []BatchPayload // own batch bodies not yet sent, in mint order (pay)
+	nextBatch int            // per-origin mint counter for ingress batches
+	lastFloor int            // retirement floor already compacted to
 }
 
 // CloneState implements model.State.
 func (s *replicaState) CloneState() model.State {
 	c := *s
 	c.inner = s.inner.CloneState()
+	c.owed = append([]BatchPayload(nil), s.owed...)
 	return &c
 }
 
@@ -186,20 +188,73 @@ func (s *replicaState) Decision() (int, bool) {
 	return model.DecisionOf(s.inner)
 }
 
-// InitState implements model.Automaton.
+// InitState implements model.Automaton: the process's initial batches are
+// injected as its log state is built, so the first slots propose them, and
+// their bodies are owed to every peer like a sealed batch's.
 func (r *Replica) InitState(p model.ProcessID) model.State {
-	return &replicaState{
+	initial := r.initial[int(p)]
+	ids := make([]int, len(initial))
+	for i, b := range initial {
+		ids[i] = b.ID
+	}
+	st := &replicaState{
 		r:         r,
 		p:         p,
-		inner:     r.log.InitState(p),
-		nextBatch: len(r.initial[int(p)]),
+		inner:     r.log.InitStateWith(p, ids...),
+		nextBatch: len(initial),
 	}
+	for _, b := range initial {
+		st.owe(b.ID, b.Cmds)
+	}
+	return st
+}
+
+// owe queues the body of a batch this process injected into its log: the
+// body is the batch's only forward (pay).
+func (st *replicaState) owe(id int, cmds []Command) {
+	st.owed = append(st.owed, BatchPayload{ID: id, Cmds: cmds})
+	st.r.spans(obs.StageInject, st.p, id, cmds)
+}
+
+// pay sends the owed bodies to every peer in the first step that sends
+// anything: as more items of the step's message to a peer it reaches,
+// which Pack bundles, and alone to one it does not. A step that sends
+// nothing keeps them owed. All or none, because a peer learns a batch's ID
+// only from its body or from a value this process sent after minting it:
+// the step that first lets the ID out sends the body to every peer, so a
+// slot that decides the ID finds its body on its way to every correct
+// replica even if this one crashes right after. Until that step nobody
+// else knows the ID, so no slot can decide it and no peer waits for the
+// body (DESIGN.md §10 "Bodies ride").
+func (st *replicaState) pay(sends []model.Send) []model.Send {
+	if len(st.owed) == 0 || len(sends) == 0 {
+		return sends
+	}
+	var busy model.ProcessSet
+	for _, snd := range sends {
+		busy = busy.Add(snd.To)
+	}
+	for q := 0; q < st.r.n; q++ {
+		to := model.ProcessID(q)
+		if to == st.p {
+			continue
+		}
+		for _, b := range st.owed {
+			sends = append(sends, model.Send{To: to, Payload: b})
+		}
+		if busy.Has(to) {
+			st.r.carried.Add(int64(len(st.owed)))
+		} else {
+			st.r.bare.Add(int64(len(st.owed)))
+		}
+	}
+	st.owed = nil
+	return sends
 }
 
 // Step implements model.Automaton.
 func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
 	st := s.(*replicaState)
-	var out []model.Send
 
 	// Serving-layer payloads are consumed here; everything else belongs to
 	// the log (which panics on kinds it does not know — keep it that way).
@@ -213,91 +268,38 @@ func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 		}
 	}
 
-	// Gossip the initial batch bodies once, alongside the log's own
-	// command announce.
-	if !st.announced {
-		st.announced = true
-		for _, b := range r.initial[int(p)] {
-			out = append(out, model.Broadcast(model.FullSet(r.n).Remove(p), BatchPayload{ID: b.ID, Cmds: b.Cmds})...)
-			r.spans(obs.StageInject, p, b.ID, b.Cmds)
-		}
-	}
-
 	// Seal a batch when the log is free: once no own batch waits for a
 	// slot, take the oldest ingress groups, mint the batch's ID, register
-	// and gossip its body, and inject the ID into the log's pending queue.
-	// This is the only place an ingress batch is sealed, and the log's
-	// progress, not a clock, decides when.
+	// its body, inject the ID into the log's pending queue and owe the body
+	// to the peers. This is the only place an ingress batch is sealed, and
+	// the log's progress, not a clock, decides when.
 	if !rsm.OwnWaiting(st.inner) {
 		if cmds := r.ingress[int(p)].seal(r.batch); cmds != nil {
 			id := BatchID(p, st.nextBatch)
 			st.nextBatch++
 			r.spans(obs.StageSeal, p, id, cmds)
 			r.appliers[int(p)].PutBody(id, cmds)
-			out = append(out, model.Broadcast(model.FullSet(r.n).Remove(p), BatchPayload{ID: id, Cmds: cmds})...)
-			var sends []model.Send
-			st.inner, sends = r.log.Inject(st.inner, id)
-			out = append(out, sends...)
-			r.spans(obs.StageInject, p, id, cmds)
+			st.inner = r.log.Inject(st.inner, id)
+			st.owe(id, cmds)
 		}
 	}
 
 	ns, sends := r.log.Step(p, st.inner, fwd, d)
 	st.inner = ns
-	out = append(out, sends...)
 
 	// Compact the applier when the retirement floor advances.
 	if floor := rsm.FloorOf(ns); floor > st.lastFloor {
 		st.lastFloor = floor
 		r.appliers[int(p)].Compact(floor)
 	}
-	// One message per peer: the bodies and commands join the log's bundles,
-	// and each body is the forward of its batch's ID.
-	return st, forward(rsm.Pack(out))
-}
-
-// forward puts each batch body a step sends a peer at the place of the CMD
-// that forwards the batch's ID to that peer, and drops that CMD: the body
-// names its batch, so the ID crosses the link once, and the receiver hands
-// its log the CMD back where the body arrives (takeBodies). The log takes
-// the same payloads in the same order as when both travelled, so this
-// moves no step. Pack's bundles are the step's own, so they are rewritten
-// in place; a bundle left with one item goes bare.
-func forward(sends []model.Send) []model.Send {
-	for i, snd := range sends {
-		b, ok := snd.Payload.(rsm.Bundle)
-		if !ok {
-			continue
-		}
-		moved := false
-		for j, pl := range b {
-			c, ok := pl.(rsm.CommandPayload)
-			if !ok {
-				continue
-			}
-			for k, body := range b {
-				if bp, ok := body.(BatchPayload); ok && bp.ID == c.Cmd {
-					b[j], b[k], moved = bp, nil, true
-					break
-				}
-			}
-		}
-		if !moved {
-			continue
-		}
-		if b = slices.DeleteFunc(b, func(pl model.Payload) bool { return pl == nil }); len(b) == 1 {
-			sends[i].Payload = b[0]
-		} else {
-			sends[i].Payload = b
-		}
-	}
-	return sends
+	// One message per peer: the owed bodies join the log's bundles.
+	return st, rsm.Pack(st.pay(sends))
 }
 
 // takeBodies stores the batch bodies a message carries and returns what is
 // left of it for the log: each body becomes the CMD forwarding its batch's
-// ID, at the body's place (forward put it at the CMD's), so the log takes
-// what the sender's log sent. m itself is returned if it carries no body.
+// ID, at the body's place, as if the sender's log had forwarded the ID
+// there. m itself is returned if it carries no body.
 func (r *Replica) takeBodies(p model.ProcessID, m *model.Message, b rsm.Bundle) *model.Message {
 	var rest rsm.Bundle
 	for i, pl := range b {
@@ -345,6 +347,6 @@ func DebugState(s model.State) string {
 		return fmt.Sprintf("%T", s)
 	}
 	stats := st.r.appliers[int(st.p)].StatsOf()
-	return fmt.Sprintf("serve{applied=%d/%d cmds=%d dups=%d stalled=%d} %s",
-		stats.Applied, stats.Frontier, stats.Commands, stats.Dups, stats.Stalled, rsm.DebugState(st.inner))
+	return fmt.Sprintf("serve{applied=%d/%d cmds=%d dups=%d stalled=%d owed=%d} %s",
+		stats.Applied, stats.Frontier, stats.Commands, stats.Dups, stats.Stalled, len(st.owed), rsm.DebugState(st.inner))
 }

@@ -15,16 +15,19 @@
 //     entries to an Applier. It seals a batch from ingress only when its
 //     log has no own batch waiting for a slot (rsm.OwnWaiting), so the
 //     log's progress, not a clock, paces batching. The BATCH is the
-//     forward: a body travels in place of the log's CMD naming its ID,
-//     and the receiving replica hands its log that CMD where the body
-//     arrived, so the log sees what it would have without the recoding.
+//     forward: no CMD item leaves a replica, a body names its batch's ID,
+//     and the receiving replica hands its log the CMD for that ID where
+//     the body arrived. A body waits in its replica until a step sends
+//     anything, and then goes to every peer at once, riding that step's
+//     message to each peer it reaches.
 //   - Applier: a per-process external resource (like fd.Sampler) holding
 //     the KV/queue Machine, the session dedup table, and the decided-entry
 //     cursor. Commands apply in slot order exactly once per (client, seq),
 //     no matter how many slots a retried batch was decided into.
 //   - Ingress: the mutex-guarded queue cmd/nucd pushes live client writes
 //     through; Replica seals what is queued, up to Config.Batch commands,
-//     into one batch and injects it into the log via rsm.Inject.
+//     into one batch, queues its ID in the log via rsm.Inject and owes
+//     its body to the peers.
 //
 // Consistency: writes are linearizable at commit (slot order is agreed by
 // every correct process). Reads come in two modes — read-index reads,
