@@ -215,7 +215,7 @@ examples-smoke:
 
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzDecodePayload -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzDecodeValue -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzDecodeMessage -fuzztime 30s
 
 fmt:
 	gofmt -w .

@@ -334,7 +334,7 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 		err := wire.DecodeMessageInto(m, frame)
 		wire.PutBuf(frame)
 		if err != nil {
-			return nil // corrupted frame: skip, as the eager reader dropped it
+			return nil // corrupted body behind a valid envelope: the message is dropped, the link stays up
 		}
 		return m
 	}

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"nuconsensus/internal/consensus"
+	"nuconsensus/internal/dag"
+	"nuconsensus/internal/fd"
+	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/quorum"
 	"nuconsensus/internal/rsm"
@@ -12,11 +15,11 @@ import (
 	"nuconsensus/internal/wire"
 )
 
-// FuzzDecodePayload checks the codec's promise on arbitrary input: the
-// decoder never panics, and whatever it accepts re-encodes to bytes that
-// decode reflect.DeepEqual to what it accepted.
-func FuzzDecodePayload(f *testing.F) {
-	seed := []model.Payload{
+// seedPayloads are the payloads the fuzz targets start from: the kinds a
+// link carries, bare and bundled, and a DAG snapshot whose nodes carry every
+// failure-detector value kind.
+func seedPayloads() []model.Payload {
+	return []model.Payload{
 		consensus.LeadPayload{K: 3, V: -7, Hist: sampleHistories()},
 		consensus.ReportPayload{K: 2, V: 42},
 		consensus.ProposalPayload{K: 5},
@@ -39,41 +42,72 @@ func FuzzDecodePayload(f *testing.F) {
 		}},
 		serve.RequestPayload{Client: 3, Seq: 11, Op: serve.OpGet, Key: 12, Lin: true, T0: 1722000000123456789},
 		serve.ReplyPayload{Client: 3, Seq: 11, Status: serve.StatusOK, Val: 77, T0: 1722000000123456789},
+		sampleBundle(),
+		// One λ-step of a window of three: each slot's LEAD on the next slot,
+		// with the round and the frame of the one before.
+		rsm.Bundle{
+			rsm.SlotPayload{Slot: 4, Inner: consensus.LeadDeltaPayload{K: 1, V: 3, Delta: sampleDelta()}},
+			rsm.SlotPayload{Slot: 5, Inner: consensus.LeadDeltaPayload{K: 1, V: 4, Delta: quorum.Delta{Base: 6, To: 6}}},
+			rsm.SlotPayload{Slot: 6, Inner: consensus.LeadDeltaPayload{K: 1, V: 5, Delta: quorum.Delta{Base: 6, To: 6}}},
+		},
+		dag.GraphPayload{G: sampleGraph()},
 	}
-	for _, pl := range seed {
+}
+
+// sampleGraph is a DAG snapshot whose nodes carry every failure-detector
+// value kind, a nested pair included, with A_DAG's complete edges into all
+// but the last node.
+func sampleGraph() *dag.Graph {
+	g := dag.NewGraph()
+	g.AddSample(0, fd.NullValue{}, 1)
+	g.AddSample(1, fd.LeaderValue{Leader: 0}, 1)
+	g.AddSample(2, fd.QuorumValue{Quorum: model.SetOf(0, 2)}, 1)
+	g.AddSample(0, fd.SuspectsValue{Suspects: model.SetOf(1)}, 2)
+	g.AddSampleWithPreds(1, fd.PairValue{
+		First:  fd.PairValue{First: fd.LeaderValue{Leader: 2}, Second: fd.NullValue{}},
+		Second: fd.QuorumValue{Quorum: model.SetOf(1, 2)},
+	}, 2, []int{0, 3})
+	return g
+}
+
+// seedRejects are inputs no payload encodes to, each of which every
+// decode must reject.
+func seedRejects(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, rejects := range []map[string][]byte{bundleRejects(tb), headRejects(tb), frameRejects(tb)} {
+		for _, b := range rejects {
+			out = append(out, b)
+		}
+	}
+	return append(out, []byte{}, []byte{0xFF, 0x01, 0x02}, repeatedSample)
+}
+
+// envelope is the From 1, To 2, Seq 7 envelope of a frame: a heartbeat's
+// frame less its payload, the one-byte heartbeat tag.
+func envelope(tb testing.TB) []byte {
+	tb.Helper()
+	b, err := wire.EncodeMessage(&model.Message{From: 1, To: 2, Seq: 7, Payload: hb.HeartbeatPayload{}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b[: len(b)-1 : len(b)-1]
+}
+
+// FuzzDecodePayload checks the codec's promise on arbitrary input: the
+// decoder never panics, and whatever it accepts re-encodes to bytes that
+// decode reflect.DeepEqual to what it accepted.
+func FuzzDecodePayload(f *testing.F) {
+	for _, pl := range seedPayloads() {
 		b, err := wire.EncodePayload(pl)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
 	}
-	for _, bundle := range []rsm.Bundle{
-		sampleBundle(),
-		// One λ-step of a window of three: each slot's LEAD on the next slot,
-		// with the round and the frame of the one before.
-		{
-			rsm.SlotPayload{Slot: 4, Inner: consensus.LeadDeltaPayload{K: 1, V: 3, Delta: sampleDelta()}},
-			rsm.SlotPayload{Slot: 5, Inner: consensus.LeadDeltaPayload{K: 1, V: 4, Delta: quorum.Delta{Base: 6, To: 6}}},
-			rsm.SlotPayload{Slot: 6, Inner: consensus.LeadDeltaPayload{K: 1, V: 5, Delta: quorum.Delta{Base: 6, To: 6}}},
-		},
-	} {
-		b, err := wire.EncodePayload(bundle)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, b := range seedRejects(f) {
 		f.Add(b)
 	}
-	for _, b := range bundleRejects(f) {
-		f.Add(b)
-	}
-	for _, b := range headRejects(f) {
-		f.Add(b)
-	}
-	for _, b := range frameRejects(f) {
-		f.Add(b)
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0x01, 0x02})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pl, err := wire.DecodePayload(data)
@@ -92,18 +126,37 @@ func FuzzDecodePayload(f *testing.F) {
 	})
 }
 
-// FuzzDecodeValue does the same for failure-detector values.
-func FuzzDecodeValue(f *testing.F) {
-	f.Add([]byte{1})
-	f.Add([]byte{2, 4})
-	f.Add([]byte{5, 1, 3, 6})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := wire.DecodeValue(data)
+// FuzzDecodeMessage checks what a tcp link runs on every frame it reads:
+// neither the envelope peek nor the decode panics, and a frame the decode
+// accepts peeks as its own envelope, with the kind and the supersession of
+// the payload it decodes to. A netrun reader files a frame by its peek and
+// decodes it only when the frame is taken, so the two must agree.
+func FuzzDecodeMessage(f *testing.F) {
+	env := envelope(f)
+	for _, pl := range seedPayloads() {
+		b, err := wire.AppendPayload(append([]byte{}, env...), pl)
 		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, b := range seedRejects(f) {
+		f.Add(append(append([]byte{}, env...), b...))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, peekErr := wire.PeekMessage(data)
+		var m model.Message
+		if err := wire.DecodeMessageInto(&m, data); err != nil {
 			return
 		}
-		if _, err := wire.EncodeValue(v); err != nil {
-			t.Fatalf("decoded value %#v cannot be re-encoded: %v", v, err)
+		if peekErr != nil {
+			t.Fatalf("frame %x decodes as %v but fails to peek: %v", data, &m, peekErr)
+		}
+		_, supersedes := m.Payload.(model.SupersededPayload)
+		want := wire.MessageHead{From: m.From, To: m.To, Seq: m.Seq, Kind: m.Payload.Kind(), Supersedes: supersedes}
+		if h != want {
+			t.Fatalf("frame %x decodes as %v, whose envelope is %+v, but peeks as %+v", data, &m, want, h)
 		}
 	})
 }

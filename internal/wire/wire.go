@@ -1,7 +1,7 @@
 // Package wire defines a compact binary encoding for every message payload
-// and failure-detector value in the repository, so the algorithms can run
-// over real byte-stream transports (see internal/netrun). The format is
-// deterministic and self-describing at the payload level:
+// in the repository, so the algorithms can run over real byte-stream
+// transports (see internal/netrun). The format is deterministic and
+// self-describing at the payload level:
 //
 //	outer    := item | bundleTag item item item*   (items run to the end)
 //	item     := kindTag … (per-kind body) | slot
@@ -30,8 +30,12 @@
 // without adds is one varint. BATCH bodies and the client request frame
 // share the command encoding. Full quorum histories travel as, per process,
 // a count followed by that many 64-bit process sets; DAG snapshots as a
-// node list plus per-node predecessor bitsets. Everything round-trips
-// exactly (TestRoundTrip*).
+// node list plus per-node predecessor bitsets, each node's failure-detector
+// value inline. Everything round-trips exactly (TestRoundTrip*). A decode
+// stops at its first error (truncated input, a forged count, a field out of
+// range, a trailing byte) and rejects the whole input: it never panics, and
+// a count the remaining input cannot hold fails before anything is
+// allocated from it.
 package wire
 
 import (
@@ -140,10 +144,14 @@ const (
 	tagValPair
 )
 
-// buf is a cursor over an encode/decode buffer.
+// buf is a cursor over an encode/decode buffer. A decode latches its first
+// error in err: from then on every read returns zero and consumes nothing,
+// so a decoder reads its fields and checks err once, at its end or before
+// it acts on a decoded value.
 type buf struct {
 	b   []byte
 	pos int
+	err error
 }
 
 func (w *buf) putUvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
@@ -178,49 +186,91 @@ func flag(b bool) byte {
 	return 0
 }
 
-func (r *buf) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: truncated varint at offset %d", r.pos)
+// fail latches an error unless one is latched already: the first error is
+// the one the decode reports.
+func (r *buf) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
 	}
-	r.pos += n
-	return v, nil
 }
 
-func (r *buf) byte() (byte, error) {
-	if r.pos >= len(r.b) {
-		return 0, fmt.Errorf("wire: truncated byte at offset %d", r.pos)
+// done returns the latched error, or an error when bytes remain after what.
+func (r *buf) done(what string) error {
+	if r.pos != len(r.b) {
+		r.fail("wire: %d trailing bytes after %s", len(r.b)-r.pos, what)
+	}
+	return r.err
+}
+
+func (r *buf) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.pos:])
+	if n <= 0 {
+		r.fail("wire: truncated varint at offset %d", r.pos)
+		return 0
+	}
+	r.pos += n
+	return v
+}
+
+func (r *buf) byte() byte {
+	if r.err != nil || r.pos >= len(r.b) {
+		r.fail("wire: truncated byte at offset %d", r.pos)
+		return 0
 	}
 	v := r.b[r.pos]
 	r.pos++
-	return v, nil
+	return v
 }
 
-func (r *buf) slot() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
+// peek returns the next byte without consuming it: 0 at the end of the
+// input or once an error is latched.
+func (r *buf) peek() byte {
+	if r.err != nil || r.pos >= len(r.b) {
+		return 0
 	}
+	return r.b[r.pos]
+}
+
+// word reads a little-endian 64-bit word (a graph's predecessor bitsets).
+func (r *buf) word() uint64 {
+	if r.err != nil || r.pos+8 > len(r.b) {
+		r.fail("wire: truncated bitset word at offset %d", r.pos)
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b[r.pos:])
+	r.pos += 8
+	return v
+}
+
+func (r *buf) slot() int {
+	v := r.uvarint()
 	if v > math.MaxInt {
-		return 0, fmt.Errorf("wire: slot %d out of range", v)
+		r.fail("wire: slot %d out of range", v)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (r *buf) int() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int(int64(v>>1) ^ -int64(v&1)), nil
+func (r *buf) int() int { return int(r.int64()) }
+
+func (r *buf) int64() int64 {
+	v := r.uvarint()
+	return int64(v>>1) ^ -int64(v&1)
 }
 
-func (r *buf) int64() (int64, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
+// count reads the count of a list whose items take at least minBytes each,
+// and rejects a count the remaining input cannot hold: a forged count
+// fails here, before anything is allocated from it.
+func (r *buf) count(what string, minBytes int) int {
+	n := r.uvarint()
+	if rem := len(r.b) - r.pos; n > uint64(rem/minBytes) {
+		r.fail("wire: %s claims %d items but only %d bytes remain", what, n, rem)
+		return 0
 	}
-	return int64(v>>1) ^ -int64(v&1), nil
+	return int(n)
 }
 
 // EncodePayload serializes any payload defined by this repository.
@@ -342,253 +392,93 @@ func encodeCommand(w *buf, c serve.Command) {
 // opEscape in a command's low three bits: the op is ≥ 7 and follows.
 const opEscape = 7
 
-func decodeCommand(r *buf) (serve.Command, error) {
-	var c serve.Command
-	head, err := r.uvarint()
-	if err != nil {
-		return c, err
-	}
+func decodeCommand(r *buf) serve.Command {
+	head := r.uvarint()
 	if head>>3 > 0xffffffff {
-		return c, fmt.Errorf("wire: client id %d exceeds 32 bits", head>>3)
+		r.fail("wire: client id %d exceeds 32 bits", head>>3)
 	}
-	c.Client, c.Op = uint32(head>>3), byte(head&7)
+	c := serve.Command{Client: uint32(head >> 3), Op: byte(head & 7)}
 	if c.Op == opEscape {
-		if c.Op, err = r.byte(); err != nil {
-			return c, err
-		}
-		if c.Op < opEscape {
-			return c, fmt.Errorf("wire: escaped op %d fits the client varint", c.Op)
+		if c.Op = r.byte(); c.Op < opEscape {
+			r.fail("wire: escaped op %d fits the client varint", c.Op)
 		}
 	}
-	if c.Seq, err = r.uvarint(); err != nil {
-		return c, err
-	}
-	if c.Key, err = r.uvarint(); err != nil {
-		return c, err
-	}
-	if c.Val, err = r.int64(); err != nil {
-		return c, err
-	}
-	return c, nil
+	c.Seq, c.Key, c.Val = r.uvarint(), r.uvarint(), r.int64()
+	return c
 }
 
 // DecodePayload parses a payload produced by EncodePayload.
 func DecodePayload(b []byte) (model.Payload, error) {
 	r := &buf{b: b}
-	pl, err := decodeOuter(r)
-	if err != nil {
+	pl := decodeOuter(r)
+	if err := r.done("payload"); err != nil {
 		return nil, err
-	}
-	if r.pos != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after payload", len(b)-r.pos)
 	}
 	return pl, nil
 }
 
-func decodePayload(r *buf) (model.Payload, error) {
-	tag, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+// decodePayload reads one payload of a kind tag. Fields are read in the
+// order they travel: Go evaluates the calls of a composite literal left to
+// right.
+func decodePayload(r *buf) model.Payload {
+	switch tag := r.byte(); tag {
 	case tagLead:
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		h, err := decodeHistories(r)
-		if err != nil {
-			return nil, err
-		}
-		return consensus.LeadPayload{K: k, V: v, Hist: h}, nil
+		return consensus.LeadPayload{K: r.int(), V: r.int(), Hist: decodeHistories(r)}
 	case tagReport:
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		return consensus.ReportPayload{K: k, V: v}, nil
+		return consensus.ReportPayload{K: r.int(), V: r.int()}
 	case tagProposal:
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		hasV, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		h, err := decodeHistories(r)
-		if err != nil {
-			return nil, err
-		}
-		return consensus.ProposalPayload{K: k, V: v, HasV: hasV == 1, Hist: h}, nil
+		return consensus.ProposalPayload{K: r.int(), V: r.int(), HasV: r.byte() == 1, Hist: decodeHistories(r)}
 	case tagSaw:
-		q, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		return consensus.SawPayload{Q: model.ProcessSet(q)}, nil
+		return consensus.SawPayload{Q: model.ProcessSet(r.uvarint())}
 	case tagAck:
-		q, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		return consensus.AckPayload{Q: model.ProcessSet(q), K: k}, nil
+		return consensus.AckPayload{Q: model.ProcessSet(r.uvarint()), K: r.int()}
 	case tagRound:
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		return transform.RoundPayload{K: k}, nil
+		return transform.RoundPayload{K: r.int()}
 	case tagHeartbeat:
-		return hb.HeartbeatPayload{}, nil
+		return hb.HeartbeatPayload{}
 	case tagGraph:
-		g, err := decodeGraph(r)
-		if err != nil {
-			return nil, err
-		}
-		return dag.GraphPayload{G: g}, nil
+		return dag.GraphPayload{G: decodeGraph(r)}
 	case tagProgress:
-		slot, err := r.slot()
-		if err != nil {
-			return nil, err
-		}
-		return rsm.ProgressPayload{Slot: slot}, nil
+		return rsm.ProgressPayload{Slot: r.slot()}
 	case tagFollow:
-		leader, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		leader := r.uvarint()
 		if leader >= model.MaxProcesses {
-			return nil, fmt.Errorf("wire: leader %d outside [0, %d)", leader, model.MaxProcesses)
+			r.fail("wire: leader %d outside [0, %d)", leader, model.MaxProcesses)
 		}
-		return rsm.FollowPayload{Leader: model.ProcessID(leader)}, nil
+		return rsm.FollowPayload{Leader: model.ProcessID(leader)}
 	case tagCommand:
-		cmd, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		return rsm.CommandPayload{Cmd: cmd}, nil
+		return rsm.CommandPayload{Cmd: r.int()}
 	case tagEstimate:
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		ts, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		return consensus.EstimatePayload{R: k, V: v, TS: ts}, nil
+		return consensus.EstimatePayload{R: r.int(), V: r.int(), TS: r.int()}
 	case tagCoord:
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		return consensus.CoordPayload{R: k, V: v}, nil
+		return consensus.CoordPayload{R: r.int(), V: r.int()}
 	case tagReply:
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		ok, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		return consensus.ReplyPayload{R: k, Ok: ok == 1}, nil
+		return consensus.ReplyPayload{R: r.int(), Ok: r.byte() == 1}
 	case tagDecide:
-		v, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		return consensus.DecidePayload{V: v}, nil
+		return consensus.DecidePayload{V: r.int()}
 	case tagBatch:
-		id, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		b := serve.BatchPayload{ID: r.int()}
 		// Every command costs at least four bytes; a count exceeding the
 		// remaining input is forged — reject before allocating.
-		if n > uint64(len(r.b)-r.pos)/4 {
-			return nil, fmt.Errorf("wire: batch claims %d commands but only %d bytes remain", n, len(r.b)-r.pos)
-		}
-		b := serve.BatchPayload{ID: id}
-		if n > 0 {
+		if n := r.count("batch", 4); n > 0 {
 			b.Cmds = make([]serve.Command, n)
-			for i := range b.Cmds {
-				if b.Cmds[i], err = decodeCommand(r); err != nil {
-					return nil, err
-				}
+			for i := 0; i < n && r.err == nil; i++ {
+				b.Cmds[i] = decodeCommand(r)
 			}
 		}
-		return b, nil
+		return b
 	case tagServeRequest:
-		c, err := decodeCommand(r)
-		if err != nil {
-			return nil, err
-		}
-		lin, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		t0, err := r.int64()
-		if err != nil {
-			return nil, err
-		}
-		return serve.RequestPayload{Client: c.Client, Seq: c.Seq, Op: c.Op, Key: c.Key, Val: c.Val, Lin: lin == 1, T0: t0}, nil
+		c := decodeCommand(r)
+		return serve.RequestPayload{Client: c.Client, Seq: c.Seq, Op: c.Op, Key: c.Key, Val: c.Val, Lin: r.byte() == 1, T0: r.int64()}
 	case tagServeReply:
-		client, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		client := r.uvarint()
 		if client > 0xffffffff {
-			return nil, fmt.Errorf("wire: client id %d exceeds 32 bits", client)
+			r.fail("wire: client id %d exceeds 32 bits", client)
 		}
-		seq, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		status, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		val, err := r.int64()
-		if err != nil {
-			return nil, err
-		}
-		t0, err := r.int64()
-		if err != nil {
-			return nil, err
-		}
-		return serve.ReplyPayload{Client: uint32(client), Seq: seq, Status: status, Val: val, T0: t0}, nil
+		return serve.ReplyPayload{Client: uint32(client), Seq: r.uvarint(), Status: r.byte(), Val: r.int64(), T0: r.int64()}
 	default:
-		return nil, fmt.Errorf("wire: unknown payload tag %d", tag)
+		r.fail("wire: unknown payload tag %d", tag)
+		return nil
 	}
 }
 
@@ -710,79 +600,63 @@ func (st *run) putSlotItem(w *buf, p rsm.SlotPayload) error {
 
 // readSlotItem reads a slot item (its head byte not yet consumed),
 // rebuilding what it inherits from st, then advances st past it.
-func (st *run) readSlotItem(r *buf) (model.Payload, error) {
-	head, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
+func (st *run) readSlotItem(r *buf) model.Payload {
+	head := r.byte()
 	it := slotItem{kind: head & kindMask}
 	if it.kind >= kindCount {
-		return nil, fmt.Errorf("wire: unknown slot item kind %d", it.kind)
+		r.fail("wire: unknown slot item kind %d", it.kind)
+		return nil
 	}
 	fields := kindFields[it.kind]
 	var slot int
 	switch head & slotMask {
 	case slotExplicit:
-		if slot, err = r.slot(); err != nil {
-			return nil, err
-		}
+		slot = r.slot()
 	case slotSame, slotNext:
 		if !st.inSlot {
-			return nil, fmt.Errorf("wire: inherited slot before any slot item")
+			r.fail("wire: inherited slot before any slot item")
 		}
 		slot = st.slot
 		if head&slotMask == slotNext {
 			if slot == math.MaxInt {
-				return nil, fmt.Errorf("wire: next slot past slot %d", slot)
+				r.fail("wire: next slot past slot %d", slot)
 			}
 			slot++
 		}
 	default:
-		return nil, fmt.Errorf("wire: unknown slot code %d", head&slotMask>>3)
+		r.fail("wire: unknown slot code %d", head&slotMask>>3)
 	}
 	switch {
 	case head&headRound != 0 && fields&fieldK == 0:
-		return nil, fmt.Errorf("wire: round bit on slot item kind %d, which has no round", it.kind)
+		r.fail("wire: round bit on slot item kind %d, which has no round", it.kind)
 	case head&headFrame != 0 && fields&fieldFrame == 0:
-		return nil, fmt.Errorf("wire: frame bit on slot item kind %d, which has no frame", it.kind)
+		r.fail("wire: frame bit on slot item kind %d, which has no frame", it.kind)
 	case head&headFrame != 0 && !st.hasTo:
-		return nil, fmt.Errorf("wire: inherited frame before any frame")
+		r.fail("wire: inherited frame before any frame")
 	}
 	if fields&fieldQ != 0 {
-		q, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		it.q = model.ProcessSet(q)
+		it.q = model.ProcessSet(r.uvarint())
 	}
 	if fields&fieldK != 0 {
 		it.k = st.k
 		if head&headRound == 0 {
-			if it.k, err = r.int(); err != nil {
-				return nil, err
-			}
+			it.k = r.int()
 		}
 	}
 	if fields&fieldV != 0 {
-		if it.v, err = r.int(); err != nil {
-			return nil, err
-		}
+		it.v = r.int()
 	}
 	if fields&fieldStamp != 0 {
-		if it.stamp, err = r.int(); err != nil {
-			return nil, err
-		}
+		it.stamp = r.int()
 	}
 	if fields&fieldFrame != 0 {
 		it.delta = quorum.Delta{Base: st.to, To: st.to}
 		if head&headFrame == 0 {
-			if it.delta, err = decodeFrame(r); err != nil {
-				return nil, err
-			}
+			it.delta = decodeFrame(r)
 		}
 	}
 	st.advance(slot, &it)
-	return rsm.SlotPayload{Slot: slot, Inner: it.payload()}, nil
+	return rsm.SlotPayload{Slot: slot, Inner: it.payload()}
 }
 
 // advance makes the slot item it, of slot, the one the next slot item
@@ -826,28 +700,24 @@ func encodeItem(w *buf, st *run, pl model.Payload) error {
 	return encodePayload(w, pl)
 }
 
-func decodeOuter(r *buf) (model.Payload, error) {
+func decodeOuter(r *buf) model.Payload {
 	st := newRun()
-	if r.pos >= len(r.b) || r.b[r.pos] != tagBundle {
+	if r.peek() != tagBundle {
 		return decodeItem(r, &st)
 	}
 	r.pos++
 	b := make(rsm.Bundle, 0, 4)
-	for r.pos < len(r.b) {
-		pl, err := decodeItem(r, &st) // rejects tagBundle: bundles do not nest
-		if err != nil {
-			return nil, err
-		}
-		b = append(b, pl)
+	for r.pos < len(r.b) && r.err == nil {
+		b = append(b, decodeItem(r, &st)) // rejects tagBundle: bundles do not nest
 	}
 	if len(b) < 2 {
-		return nil, fmt.Errorf("wire: bundle of %d items", len(b))
+		r.fail("wire: bundle of %d items", len(b))
 	}
-	return b, nil
+	return b
 }
 
-func decodeItem(r *buf, st *run) (model.Payload, error) {
-	if r.pos < len(r.b) && r.b[r.pos] >= headMarker {
+func decodeItem(r *buf, st *run) model.Payload {
+	if r.peek() >= headMarker {
 		return st.readSlotItem(r)
 	}
 	return decodePayload(r)
@@ -870,32 +740,24 @@ func encodeHistories(w *buf, h quorum.Histories) {
 	}
 }
 
-func decodeHistories(r *buf) (quorum.Histories, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+func decodeHistories(r *buf) quorum.Histories {
+	n := r.uvarint()
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	if n > model.MaxProcesses {
-		return nil, fmt.Errorf("wire: histories for %d processes", n)
+		r.fail("wire: histories for %d processes", n)
+		return nil
 	}
 	h := quorum.NewHistories(int(n))
-	for i := 0; i < int(n); i++ {
-		cnt, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < cnt; j++ {
-			q, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			h.Add(model.ProcessID(i), model.ProcessSet(q))
+	for i := 0; i < int(n) && r.err == nil; i++ {
+		// Every quorum costs at least one byte.
+		cnt := r.count("quorum history", 1)
+		for j := 0; j < cnt && r.err == nil; j++ {
+			h.Add(model.ProcessID(i), model.ProcessSet(r.uvarint()))
 		}
 	}
-	return h, nil
+	return h
 }
 
 // encodeFrame writes a history delta as its frame: one varint
@@ -927,50 +789,33 @@ func encodeFrame(w *buf, d quorum.Delta) error {
 }
 
 // decodeFrame reads a frame written by encodeFrame.
-func decodeFrame(r *buf) (quorum.Delta, error) {
-	var d quorum.Delta
-	head, err := r.uvarint()
-	if err != nil {
-		return d, err
-	}
-	d.To = head >> 1
+func decodeFrame(r *buf) quorum.Delta {
+	head := r.uvarint()
+	d := quorum.Delta{Base: head >> 1, To: head >> 1}
 	if head&1 == 0 {
-		d.Base = d.To
-		return d, nil
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return d, err
+		return d
 	}
 	// A frame with adds has at least one and no more than its To version;
 	// every add costs at least two bytes, so a count exceeding the
 	// remaining input is forged — reject before allocating (same defense
 	// as graphs).
+	n := r.count("delta frame", 2)
 	switch {
 	case n == 0:
-		return d, fmt.Errorf("wire: delta frame flags adds but counts none")
-	case n > d.To:
-		return d, fmt.Errorf("wire: delta frame claims %d adds up to version %d", n, d.To)
-	case n > uint64(len(r.b)-r.pos)/2:
-		return d, fmt.Errorf("wire: delta claims %d adds but only %d bytes remain", n, len(r.b)-r.pos)
+		r.fail("wire: delta frame flags adds but counts none")
+	case uint64(n) > d.To:
+		r.fail("wire: delta frame claims %d adds up to version %d", n, d.To)
 	}
-	d.Base = d.To - n
+	d.Base = d.To - uint64(n)
 	d.Adds = make([]quorum.DeltaEntry, n)
-	for i := range d.Adds {
-		pr, err := r.uvarint()
-		if err != nil {
-			return d, err
-		}
+	for i := 0; i < n && r.err == nil; i++ {
+		pr := r.uvarint()
 		if pr >= model.MaxProcesses {
-			return d, fmt.Errorf("wire: delta add for process %d", pr)
+			r.fail("wire: delta add for process %d", pr)
 		}
-		q, err := r.uvarint()
-		if err != nil {
-			return d, err
-		}
-		d.Adds[i] = quorum.DeltaEntry{R: model.ProcessID(pr), Q: model.ProcessSet(q)}
+		d.Adds[i] = quorum.DeltaEntry{R: model.ProcessID(pr), Q: model.ProcessSet(r.uvarint())}
 	}
-	return d, nil
+	return d
 }
 
 // HistoryFrameLen returns the bytes of the history frames in pl, the
@@ -983,20 +828,8 @@ func HistoryFrameLen(pl model.Payload) (int, error) {
 	return st.frames, err
 }
 
-// EncodeValue serializes a failure-detector value.
-func EncodeValue(v model.FDValue) ([]byte, error) {
-	return AppendValue(nil, v)
-}
-
-// AppendValue appends v's encoding to dst and returns the extended slice.
-func AppendValue(dst []byte, v model.FDValue) ([]byte, error) {
-	w := buf{b: dst}
-	if err := encodeValue(&w, v); err != nil {
-		return dst, err
-	}
-	return w.b, nil
-}
-
+// encodeValue writes a failure-detector value. Values travel only inside
+// the nodes of a DAG snapshot (encodeGraph).
 func encodeValue(w *buf, v model.FDValue) error {
 	switch x := v.(type) {
 	case fd.NullValue:
@@ -1022,57 +855,21 @@ func encodeValue(w *buf, v model.FDValue) error {
 	return nil
 }
 
-// DecodeValue parses a failure-detector value.
-func DecodeValue(b []byte) (model.FDValue, error) {
-	r := &buf{b: b}
-	v, err := decodeValue(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.pos != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after value", len(b)-r.pos)
-	}
-	return v, nil
-}
-
-func decodeValue(r *buf) (model.FDValue, error) {
-	tag, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+func decodeValue(r *buf) model.FDValue {
+	switch tag := r.byte(); tag {
 	case tagValNull:
-		return fd.NullValue{}, nil
+		return fd.NullValue{}
 	case tagValLeader:
-		p, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		return fd.LeaderValue{Leader: model.ProcessID(p)}, nil
+		return fd.LeaderValue{Leader: model.ProcessID(r.int())}
 	case tagValQuorum:
-		q, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		return fd.QuorumValue{Quorum: model.ProcessSet(q)}, nil
+		return fd.QuorumValue{Quorum: model.ProcessSet(r.uvarint())}
 	case tagValSuspects:
-		q, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		return fd.SuspectsValue{Suspects: model.ProcessSet(q)}, nil
+		return fd.SuspectsValue{Suspects: model.ProcessSet(r.uvarint())}
 	case tagValPair:
-		first, err := decodeValue(r)
-		if err != nil {
-			return nil, err
-		}
-		second, err := decodeValue(r)
-		if err != nil {
-			return nil, err
-		}
-		return fd.PairValue{First: first, Second: second}, nil
+		return fd.PairValue{First: decodeValue(r), Second: decodeValue(r)}
 	default:
-		return nil, fmt.Errorf("wire: unknown value tag %d", tag)
+		r.fail("wire: unknown value tag %d", tag)
+		return nil
 	}
 }
 
@@ -1115,37 +912,14 @@ func encodeGraph(w *buf, g *dag.Graph) error {
 	return nil
 }
 
-func decodeGraph(r *buf) (*dag.Graph, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+func decodeGraph(r *buf) *dag.Graph {
 	// Every node costs at least three bytes on the wire (p, k, value tag),
 	// so a count exceeding the remaining input is forged — reject it before
 	// allocating (found by FuzzDecodePayload).
-	if n > uint64(len(r.b)-r.pos)/3 {
-		return nil, fmt.Errorf("wire: graph claims %d nodes but only %d bytes remain", n, len(r.b)-r.pos)
-	}
-	type nodeRec struct {
-		p model.ProcessID
-		k int
-		d model.FDValue
-	}
-	nodes := make([]nodeRec, n)
-	for i := range nodes {
-		p, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		k, err := r.int()
-		if err != nil {
-			return nil, err
-		}
-		d, err := decodeValue(r)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = nodeRec{p: model.ProcessID(p), k: k, d: d}
+	n := r.count("graph", 3)
+	nodes := make([]dag.Node, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		nodes[i] = dag.Node{P: model.ProcessID(r.int()), K: r.int(), D: decodeValue(r)}
 	}
 	// One predecessor scratch serves every node: AddSampleWithPreds copies
 	// the indices into the graph's own bitset, so reusing the slice is safe
@@ -1153,26 +927,28 @@ func decodeGraph(r *buf) (*dag.Graph, error) {
 	// allocation) with a single presized buffer.
 	g := dag.NewGraph()
 	preds := make([]int, 0, n)
-	for v := 0; v < int(n); v++ {
+	for v := 0; v < n && r.err == nil; v++ {
 		preds = preds[:0]
-		words := (v + 63) / 64
-		for wi := 0; wi < words; wi++ {
-			if r.pos+8 > len(r.b) {
-				return nil, fmt.Errorf("wire: truncated graph bitset at node %d", v)
-			}
-			word := binary.LittleEndian.Uint64(r.b[r.pos:])
-			r.pos += 8
-			for ; word != 0; word &= word - 1 {
+		for wi := 0; wi < (v+63)/64; wi++ {
+			for word := r.word(); word != 0; word &= word - 1 {
 				u := wi*64 + bits.TrailingZeros64(word)
 				if u >= v {
-					return nil, fmt.Errorf("wire: graph edge %d→%d violates insertion order", u, v)
+					r.fail("wire: graph edge %d→%d violates insertion order", u, v)
 				}
 				preds = append(preds, u)
 			}
 		}
-		g.AddSampleWithPreds(nodes[v].p, nodes[v].d, nodes[v].k, preds)
+		// A repeated sample, like an edge out of order, is a forged graph:
+		// AddSampleWithPreds panics on either, so both are checked first.
+		if key := nodes[v].Key(); g.IndexOf(key) >= 0 {
+			r.fail("wire: graph repeats sample %v", key)
+		}
+		if r.err != nil {
+			return g
+		}
+		g.AddSampleWithPreds(nodes[v].P, nodes[v].D, nodes[v].K, preds)
 	}
-	return g, nil
+	return g
 }
 
 // EncodeMessage frames a whole model message (from, to, seq, payload).
@@ -1242,24 +1018,11 @@ type MessageHead struct {
 // PeekMessage parses only the envelope of a frame produced by
 // EncodeMessage, leaving the payload body untouched.
 func PeekMessage(b []byte) (MessageHead, error) {
-	r := &buf{b: b}
-	var h MessageHead
-	from, err := r.int()
-	if err != nil {
-		return h, err
-	}
-	to, err := r.int()
-	if err != nil {
-		return h, err
-	}
-	seq, err := r.uvarint()
-	if err != nil {
-		return h, err
-	}
-	h = MessageHead{From: model.ProcessID(from), To: model.ProcessID(to), Seq: seq}
-	tag, err := r.byte()
-	if err != nil {
-		return h, err
+	r := buf{b: b}
+	h := MessageHead{From: model.ProcessID(r.int()), To: model.ProcessID(r.int()), Seq: r.uvarint()}
+	tag := r.byte()
+	if r.err != nil {
+		return h, r.err
 	}
 	if tag >= headMarker {
 		// A slot item reports its inner payload's kind and never
@@ -1281,42 +1044,19 @@ func PeekMessage(b []byte) (MessageHead, error) {
 	return h, nil
 }
 
-// DecodeMessage parses a framed message.
-func DecodeMessage(b []byte) (*model.Message, error) {
-	m := &model.Message{}
-	if err := DecodeMessageInto(m, b); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // DecodeMessageInto parses a framed message into a caller-provided Message,
-// avoiding DecodeMessage's per-frame allocation. No decoded field aliases
-// the input: payloads with indirection (histories, graphs) build their own
-// structures and fixed-size payloads are boxed by value, so the caller may
-// recycle b (PutBuf) as soon as this returns. On error m is left partially
-// written and must not be used.
+// so the transport's hot path allocates no Message per frame. No decoded
+// field aliases the input: payloads with indirection (histories, graphs)
+// build their own structures and fixed-size payloads are boxed by value, so
+// the caller may recycle b (PutBuf) as soon as this returns. On error m is
+// left as it was.
 func DecodeMessageInto(m *model.Message, b []byte) error {
 	r := buf{b: b}
-	from, err := r.int()
-	if err != nil {
+	from, to, seq := model.ProcessID(r.int()), model.ProcessID(r.int()), r.uvarint()
+	pl := decodeOuter(&r)
+	if err := r.done("message"); err != nil {
 		return err
 	}
-	to, err := r.int()
-	if err != nil {
-		return err
-	}
-	seq, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	pl, err := decodeOuter(&r)
-	if err != nil {
-		return err
-	}
-	if r.pos != len(b) {
-		return fmt.Errorf("wire: %d trailing bytes after message", len(b)-r.pos)
-	}
-	m.From, m.To, m.Seq, m.Payload = model.ProcessID(from), model.ProcessID(to), seq, pl
+	m.From, m.To, m.Seq, m.Payload = from, to, seq, pl
 	return nil
 }

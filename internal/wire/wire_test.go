@@ -84,6 +84,8 @@ func TestRoundTripPayloads(t *testing.T) {
 	}
 }
 
+// TestRoundTripValues: every failure-detector value kind round-trips as the
+// value of a DAG node, the one place a value travels.
 func TestRoundTripValues(t *testing.T) {
 	values := []model.FDValue{
 		fd.NullValue{},
@@ -97,16 +99,18 @@ func TestRoundTripValues(t *testing.T) {
 		},
 	}
 	for _, v := range values {
-		b, err := wire.EncodeValue(v)
+		g := dag.NewGraph()
+		g.AddSample(1, v, 1)
+		b, err := wire.EncodePayload(dag.GraphPayload{G: g})
 		if err != nil {
 			t.Fatalf("%T: %v", v, err)
 		}
-		got, err := wire.DecodeValue(b)
+		got, err := wire.DecodePayload(b)
 		if err != nil {
 			t.Fatalf("%T: %v", v, err)
 		}
-		if !reflect.DeepEqual(got, v) {
-			t.Errorf("%T round trip: got %#v, want %#v", v, got, v)
+		if gp, ok := got.(dag.GraphPayload); !ok || gp.G.Len() != 1 || !reflect.DeepEqual(gp.G.Node(0).D, v) {
+			t.Errorf("%T round trip: got %#v, want a node of value %#v", v, got, v)
 		}
 	}
 }
@@ -147,12 +151,12 @@ func TestRoundTripMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := wire.DecodeMessage(b)
-	if err != nil {
+	var got model.Message
+	if err := wire.DecodeMessageInto(&got, b); err != nil {
 		t.Fatal(err)
 	}
 	if got.From != m.From || got.To != m.To || got.Seq != m.Seq || !reflect.DeepEqual(got.Payload, m.Payload) {
-		t.Errorf("message round trip: %#v vs %#v", got, m)
+		t.Errorf("message round trip: %#v vs %#v", &got, m)
 	}
 }
 
@@ -168,8 +172,105 @@ func TestDecodeErrors(t *testing.T) {
 			t.Errorf("case %d: expected decode error", i)
 		}
 	}
-	if _, err := wire.DecodeValue([]byte{0xFE}); err == nil {
+	// A one-node graph ends in its node's value tag: node 0 has no bitset.
+	g := dag.NewGraph()
+	g.AddSample(0, fd.NullValue{}, 1)
+	b, err := wire.EncodePayload(dag.GraphPayload{G: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] = 0xFE
+	if _, err := wire.DecodePayload(b); err == nil {
 		t.Error("unknown value tag must error")
+	}
+}
+
+// repeatedSample is a DAG snapshot of two null-valued nodes, both the
+// sample (p0, k0), and node 1's empty bitset word.
+var repeatedSample = []byte{8, 2, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
+
+// TestGraphRejectsRepeatedSample: a snapshot that names one sample twice is
+// forged and fails to decode, bare or framed. dag.Graph panics on a repeated
+// sample, and netrun decodes on a process's step goroutine, so a decoder
+// that built the graph first would let one frame kill the whole process.
+func TestGraphRejectsRepeatedSample(t *testing.T) {
+	if pl, err := wire.DecodePayload(repeatedSample); err == nil {
+		t.Errorf("%x decoded as %v", repeatedSample, pl)
+	}
+	var m model.Message
+	if err := wire.DecodeMessageInto(&m, append(envelope(t), repeatedSample...)); err == nil {
+		t.Errorf("a frame of %x decoded as %v", repeatedSample, &m)
+	}
+}
+
+// TestTruncatedSeedsAreRejected: no proper prefix of a fuzz seed decodes,
+// bare or behind an envelope. A decode that runs out of input returns its
+// first error, never the zeros its reads return after it. The one prefix
+// that does decode is a bundle cut between two items from its second on:
+// that is the bundle of the items before the cut.
+func TestTruncatedSeedsAreRejected(t *testing.T) {
+	type seed struct {
+		b    []byte
+		kept map[int]model.Payload // prefix length → what it decodes to
+	}
+	var seeds []seed
+	for _, pl := range seedPayloads() {
+		b, err := wire.EncodePayload(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := seed{b: b, kept: map[int]model.Payload{}}
+		if bundle, ok := pl.(rsm.Bundle); ok {
+			for k := 2; k < len(bundle); k++ {
+				head, err := wire.EncodePayload(bundle[:k])
+				if err != nil || !bytes.HasPrefix(b, head) {
+					t.Fatalf("%v: its first %d items encode as %x (err %v), not a prefix of %x", bundle, k, head, err, b)
+				}
+				s.kept[len(head)] = bundle[:k]
+			}
+		}
+		seeds = append(seeds, s)
+	}
+	for _, b := range seedRejects(t) {
+		seeds = append(seeds, seed{b: b})
+	}
+	env := envelope(t)
+	for _, s := range seeds {
+		frame := append(env, s.b...)
+		for cut := 0; cut < len(frame); cut++ {
+			var m model.Message
+			err := wire.DecodeMessageInto(&m, frame[:cut])
+			n := cut - len(env) // the payload's bytes in the cut frame
+			want, kept := s.kept[n]
+			if n >= 0 {
+				pl, perr := wire.DecodePayload(s.b[:n])
+				if kept != (perr == nil) || kept && !reflect.DeepEqual(pl, want) {
+					t.Errorf("%x cut to %d bytes decodes as %v (err %v), want %v", s.b, n, pl, perr, want)
+				}
+			}
+			if kept != (err == nil) || kept && !reflect.DeepEqual(m.Payload, want) {
+				t.Errorf("frame %x cut to %d bytes decodes as %v (err %v), want %v", frame, cut, &m, err, want)
+			}
+		}
+	}
+}
+
+// TestForgedQuorumCountStopsAtOnce: a plain LEAD whose one process claims
+// 2^62 quorums, with two bytes behind the count, is rejected at once. The
+// count is bounded by the input left, and every loop over a decoded count
+// stops at the first error, so a forged count cannot keep the decoder
+// reading zeros.
+func TestForgedQuorumCountStopsAtOnce(t *testing.T) {
+	lead, err := wire.EncodePayload(consensus.LeadPayload{K: 1, V: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := append([]byte{}, lead[:len(lead)-1]...) // tag, K, V: the histories follow
+	b = append(b, 1)                             // for one process,
+	b = binary.AppendUvarint(b, 1<<62)           // which claims 2^62 quorums
+	b = append(b, 1, 2)                          // and has two bytes of them
+	if pl, err := wire.DecodePayload(b); err == nil {
+		t.Errorf("%x decoded as %v", b, pl)
 	}
 }
 
