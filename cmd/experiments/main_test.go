@@ -50,12 +50,13 @@ func TestRunFailingClaimExitsOne(t *testing.T) {
 }
 
 // TestEventsByteIdenticalAcrossParallel is the observability acceptance
-// test: on the sim substrate, the -metrics dumps of E1, E17 (the rsm.hist.*
-// delta-transport counters) and E18 (the serve.* counters and obs.spans,
-// with request tracing on) and E1's -events JSONL export are byte-identical
-// at -parallel 1 and -parallel 8 — per-unit registries fold commutatively,
-// and the engine replays per-unit event logs into the sinks in canonical
-// task order. E1's -trace export must be valid Chrome trace_event JSON
+// test: on the sim substrate, the -metrics dumps of E1, E2, E17 (the
+// rsm.hist.* delta-transport counters) and E18 (the serve.* counters and
+// obs.spans, with request tracing on) and the -events JSONL exports of E1
+// and E2 (T_{Σν→Σν+}∘A_nuc, whose output events are the composition's) are
+// byte-identical at -parallel 1 and -parallel 8 — per-unit registries fold
+// commutatively, and the engine replays per-unit event logs into the sinks
+// in canonical task order. E1's -trace export must be valid Chrome trace_event JSON
 // with one flow finish per flow start.
 func TestEventsByteIdenticalAcrossParallel(t *testing.T) {
 	dir := t.TempDir()
@@ -65,6 +66,7 @@ func TestEventsByteIdenticalAcrossParallel(t *testing.T) {
 		metric string // a JSONL fragment the dump must carry
 	}{
 		{"E1", true, `"name":"bus.steps","kind":"counter"`},
+		{"E2", true, `"name":"msgs.sent.DAG","kind":"counter"`},
 		{"E17", false, `"name":"rsm.hist.delta_hits","kind":"counter"`},
 		{"E18", false, `"name":"obs.spans","kind":"counter"`},
 	} {

@@ -52,7 +52,7 @@ func TestCTUniformConsensus(t *testing.T) {
 }
 
 // TestCTWithHeartbeatSuspector composes CT with the heartbeat ◇P via the
-// generic Feed product — a fully oracle-free *uniform* consensus stack
+// generic transform.NewFeed stack — a fully oracle-free *uniform* consensus stack
 // under partial synchrony (complementing the nonuniform oracle-free stack
 // of E12).
 func TestCTWithHeartbeatSuspector(t *testing.T) {

@@ -22,41 +22,29 @@ type Sample struct {
 }
 
 // String implements model.FDValue. The epoch is part of the rendered
-// value: a Sample is reproducible under replay because the memoized query
-// sequence is.
+// value: a Sample is reproducible under replay because the query sequence
+// is.
 func (s Sample) String() string { return fmt.Sprintf("ε%d:%s", s.Epoch, s.Value) }
 
-// SamplerStats counts the work a Sampler did and saved. The counters are
-// plain values (not obs metrics) because obs depends on fd; callers fold
-// them into a metrics registry at their layer.
-type SamplerStats struct {
-	Queries      uint64 // Output calls observed
-	InnerQueries uint64 // queries forwarded to the wrapped history
-	MemoHits     uint64 // queries answered from the per-process memo
-	Epochs       uint64 // total epoch advances across all processes
-}
-
 // Sampler wraps one per-process failure-detector history (typically the
-// (Ω, Σν+) pair) and hands out epoch-stamped Samples. The wrapped history
-// is queried at most once per (process, tick); repeat queries at the same
-// tick — every live slot instance of the same process in the same step —
-// are served from the memo, so a thousand-slot log still runs exactly one
-// Ω/Σν+ module per process.
+// (Ω, Σν+) pair) and hands out epoch-stamped Samples. One module per
+// process suffices because every outer step queries it once: rsm.Log.Step
+// hands the one value to all of its live slot instances, and sim.Run and
+// substrate.RunCluster query once per step with a fresh time. So a
+// thousand-slot log still runs exactly one Ω/Σν+ module per process.
 //
 // Sampler itself implements model.History, so it drops into sim.Exec or a
 // substrate cluster in place of the raw pair history.
 type Sampler struct {
 	inner model.History
 
-	mu    sync.Mutex
-	memo  [model.MaxProcesses]samplerSlot
-	subs  []func(model.ProcessID, Sample)
-	stats SamplerStats
+	mu   sync.Mutex
+	last [model.MaxProcesses]samplerSlot
+	subs []func(model.ProcessID, Sample)
 }
 
 type samplerSlot struct {
 	valid  bool
-	at     model.Time
 	str    string // String of the last inner value, for change detection
 	sample model.FDValue
 	epoch  uint64
@@ -68,17 +56,11 @@ func NewSampler(h model.History) *Sampler { return &Sampler{inner: h} }
 // Subscribe registers fn to be called whenever some process's module
 // output changes epoch (including each process's first sample). fn runs
 // synchronously under the sampler's lock and must not call back into the
-// sampler. It returns an unsubscribe function.
-func (s *Sampler) Subscribe(fn func(model.ProcessID, Sample)) func() {
+// sampler.
+func (s *Sampler) Subscribe(fn func(model.ProcessID, Sample)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.subs = append(s.subs, fn)
-	i := len(s.subs) - 1
-	return func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.subs[i] = nil
-	}
 }
 
 // Output implements model.History. It is safe for concurrent use (the
@@ -86,43 +68,25 @@ func (s *Sampler) Subscribe(fn func(model.ProcessID, Sample)) func() {
 func (s *Sampler) Output(p model.ProcessID, t model.Time) model.FDValue {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Queries++
-	slot := &s.memo[p]
-	if slot.valid && slot.at == t {
-		s.stats.MemoHits++
-		return slot.sample
-	}
-	s.stats.InnerQueries++
+	slot := &s.last[p]
 	v := s.inner.Output(p, t)
 	str := v.String()
 	if slot.valid && slot.str == str {
-		// Same output at a later tick: keep the epoch and the boxed
-		// sample (no allocation on the steady-state path).
-		slot.at = t
+		// Same output as last time: keep the epoch and the boxed sample
+		// (no allocation on the steady-state path).
 		return slot.sample
 	}
 	if slot.valid {
 		slot.epoch++
 	}
-	s.stats.Epochs++
 	sample := Sample{Epoch: slot.epoch, Value: v}
 	slot.valid = true
-	slot.at = t
 	slot.str = str
 	slot.sample = sample
 	for _, fn := range s.subs {
-		if fn != nil {
-			fn(p, sample)
-		}
+		fn(p, sample)
 	}
 	return sample
-}
-
-// Stats returns a snapshot of the sampler's counters.
-func (s *Sampler) Stats() SamplerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
 }
 
 // StabilizeTime implements Stabilizer by delegation.

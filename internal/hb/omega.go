@@ -9,7 +9,8 @@
 // (transform.NewScratchSigmaNuPlus) and A_nuc, this closes the loop from
 // the paper back to a deployable system: in environments with a correct
 // majority and eventual timeliness, nonuniform consensus needs no oracle at
-// all (see transform.NewOracleFreeANuc and examples/oraclefree).
+// all (see transform.NewOracleFree, nuconsensus.OracleFreeANuc and
+// examples/oraclefree).
 package hb
 
 import (

@@ -9,9 +9,11 @@
 //     any environment (Theorem 6.7).
 //   - ScratchSigma — the from-scratch Σ implementation for environments
 //     with a correct majority (Theorem 7.1, IF direction).
-//   - Composed — the construction of Theorem 6.28: T_{Σν→Σν+} running
-//     concurrently with a consumer algorithm (A_nuc) that reads the
-//     emulated Σν+ through the transformer's output variable.
+//   - Stack — detector emitters stepping beside a consumer that reads
+//     their output variables: NewComposed is the construction of Theorem
+//     6.28 (T_{Σν→Σν+} beside A_nuc), NewOracleFree stacks the heartbeat Ω
+//     and the from-scratch Σν+ under A_nuc, and NewFeed puts any emitter
+//     under any consumer.
 //
 // All transformers expose their output_p variable (§2.9) via
 // model.FDOutput, so drivers record the emulated history and internal/check

@@ -92,16 +92,3 @@ func TestScratchSigmaNuPlusSpec(t *testing.T) {
 		t.Fatalf("from-scratch Σν+ violates spec: %v", err)
 	}
 }
-
-func TestOracleFreeSizeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on component size mismatch")
-		}
-	}()
-	transform.NewOracleFree(
-		hb.NewOmega(3, 0, 0),
-		transform.NewScratchSigmaNuPlus(5, 2),
-		consensus.NewANuc([]int{0, 1, 0, 1, 0}),
-	)
-}

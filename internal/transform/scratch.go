@@ -142,7 +142,7 @@ func (a *ScratchSigma) Step(p model.ProcessID, s model.State, m *model.Message, 
 // intersection and conditional nonintersection immediate), the owner is
 // always included, and eventually only correct processes answer rounds.
 // Combined with the heartbeat Ω of internal/hb this gives a fully
-// oracle-free (Ω, Σν+) — see NewOracleFreeANuc.
+// oracle-free (Ω, Σν+) — see NewOracleFree and nuconsensus.OracleFreeANuc.
 func NewScratchSigmaNuPlus(n, t int) *ScratchSigma {
 	s := NewScratchSigma(n, t)
 	s.includeSelf = true

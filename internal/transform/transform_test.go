@@ -166,15 +166,6 @@ func TestComposedDelegation(t *testing.T) {
 	}
 }
 
-func TestComposedSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on size mismatch")
-		}
-	}()
-	NewComposed(NewSigmaNuPlusTransformer(2), &fakeConsumer{n: 3})
-}
-
 // fakeConsumer is a minimal consumer automaton that decides 42 on its
 // first step and reports round 9.
 type fakeConsumer struct{ n int }
