@@ -216,6 +216,7 @@ examples-smoke:
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzDecodePayload -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzDecodeMessage -fuzztime 30s
+	$(GO) test ./internal/netrun -fuzz FuzzReadLink -fuzztime 30s
 
 fmt:
 	gofmt -w .

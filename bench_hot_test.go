@@ -153,7 +153,8 @@ func benchPayload(name string) model.Payload {
 	panic("unknown bench payload " + name)
 }
 
-// benchFrame returns the framed wire message carrying payload.
+// benchFrame returns the peer frame of a message carrying payload: the
+// payload's encoding alone.
 func benchFrame(tb testing.TB, payload model.Payload) []byte {
 	tb.Helper()
 	frame, err := wire.EncodeMessage(&model.Message{From: 1, To: 2, Seq: 7, Payload: payload})
@@ -193,8 +194,8 @@ func wireDecodeOp(name string) hotOp {
 	}
 }
 
-// wirePeekOp is the envelope-only parse the tcp readers run on every
-// received frame (supersession collapsing works on undecoded frames).
+// wirePeekOp is the kind-only parse the tcp readers run on every received
+// frame (supersession collapsing works on undecoded frames).
 func wirePeekOp(tb testing.TB) func() {
 	frame := benchFrame(tb, benchPayload("dag64"))
 	return func() {
@@ -218,7 +219,7 @@ func BenchmarkWireDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkWirePeek measures the envelope-only parse of a DAG frame.
+// BenchmarkWirePeek measures the kind-only parse of a DAG frame.
 func BenchmarkWirePeek(b *testing.B) { benchOp(b, wirePeekOp) }
 
 // inboxPutTakeOp is the concurrent substrates' mailbox as a plain FIFO.

@@ -19,14 +19,17 @@ type Payload interface {
 // to q and q has not yet received it (§2.1). The pair (From, Seq) makes
 // every message unique, as the model requires ("each message sent by a
 // process ... is unique; this can be guaranteed by having the sender include
-// a counter with each message"). Seq is a per-sender counter so that a
-// process's k-th send has the same identity in any run in which the process
-// behaves the same way — this is what lets merged runs (Lemma 2.2) resolve
-// messages deterministically.
+// a counter with each message"). Seq is a counter the sender keeps, so
+// that a process's k-th send has the same identity in any run in which the
+// process behaves the same way — this is what lets merged runs (Lemma 2.2)
+// resolve messages deterministically. The message buffer counts per
+// sender; the concurrent substrates count per link
+// (substrate.LinkSeq), where a FIFO link lets the receiver count too, so
+// no frame carries Seq.
 type Message struct {
 	From    ProcessID
 	To      ProcessID
-	Seq     uint64 // per-sender counter
+	Seq     uint64 // the sender's counter: per sender, or per link (substrate.LinkSeq)
 	Payload Payload
 
 	order uint64 // buffer insertion order, for "oldest message" queries

@@ -1,9 +1,9 @@
 package netrun
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -29,24 +29,45 @@ func (c *writeCounter) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	io.Reader
+	n int
+}
+
+func (r *countingReader) Read(b []byte) (int, error) {
+	n, err := r.Reader.Read(b)
+	r.n += n
+	return n, err
+}
+
 // TestFrameOneWrite: dispatch's frames — the length prefix written into the
 // hole appendFrame keeps in front of the encoded message — reach the socket
-// in one Write each and read back through the reader's wire.ReadFrame as
-// the messages sent, with bytes_sent counting
-// prefix and message. A body of 128 bytes or more takes a two-byte prefix.
+// in one Write each, and the link's reader reads them back as the messages
+// sent: From and To from the link, Seq from the count of frames, the
+// payload from the frame. bytes_sent counts prefix and payload. A payload
+// of 128 bytes or more takes a two-byte prefix.
 func TestFrameOneWrite(t *testing.T) {
+	const from, to = 0, 1
 	big := make([]serve.Command, 40)
 	for i := range big {
 		big[i] = serve.Command{Client: 1, Seq: uint64(i + 1), Op: serve.OpPut, Key: uint64(i), Val: int64(i)}
 	}
-	msgs := []*model.Message{
-		{From: 0, To: 1, Seq: 1, Payload: rsm.ProgressPayload{Slot: 3}},
-		{From: 0, To: 1, Seq: 2, Payload: rsm.Bundle{
+	payloads := []model.Payload{
+		rsm.ProgressPayload{Slot: 3},
+		rsm.Bundle{
 			rsm.CommandPayload{Cmd: 9},
 			rsm.SlotPayload{Slot: 3, Inner: consensus.ReportPayload{K: 1, V: 9}},
 			rsm.SlotPayload{Slot: 3, Inner: consensus.SawPayload{Q: model.SetOf(0, 1)}},
-		}},
-		{From: 0, To: 1, Seq: 3, Payload: serve.BatchPayload{ID: serve.BatchID(0, 1), Cmds: big}},
+		},
+		serve.BatchPayload{ID: serve.BatchID(0, 1), Cmds: big},
+	}
+	var msgs []*model.Message
+	for i, pl := range payloads {
+		msgs = append(msgs, &model.Message{From: from, To: to, Seq: substrate.LinkSeq(from, to, uint64(i+1)), Payload: pl})
+	}
+	if b, err := wire.EncodePayload(payloads[len(payloads)-1]); err != nil || len(b) < 128 {
+		t.Fatalf("the last payload encodes in %d bytes (err %v): the two-byte prefix would go untested", len(b), err)
 	}
 	local, remote := net.Pipe()
 	defer remote.Close()
@@ -70,33 +91,27 @@ func TestFrameOneWrite(t *testing.T) {
 		errs <- nil
 	}()
 
-	r := bufio.NewReader(remote)
-	read := 0
-	for i, want := range msgs {
-		frame, err := wire.ReadFrame(r)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		read += len(binary.AppendUvarint(nil, uint64(len(frame)))) + len(frame)
-		var got model.Message
-		if err := wire.DecodeMessageInto(&got, frame); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.From != want.From || got.To != want.To || got.Seq != want.Seq || !reflect.DeepEqual(got.Payload, want.Payload) {
-			t.Errorf("frame %d read back as %v, want %v", i, &got, want)
-		}
-		if i == len(msgs)-1 && len(frame) < 128 {
-			t.Fatalf("the last frame's body is %d bytes: the two-byte prefix went untested", len(frame))
-		}
-	}
+	inbox := substrate.NewInboxes(2)[to]
+	counted := &countingReader{Reader: remote}
+	read(counted, from, to, inbox)
 	if err := <-errs; err != nil {
 		t.Fatal(err)
+	}
+	for i, want := range msgs {
+		m := inbox.Take()
+		if m == nil {
+			t.Fatalf("frame %d never reached the inbox", i)
+		}
+		got := resolve(m)
+		if got == nil || got.From != want.From || got.To != want.To || got.Seq != want.Seq || !reflect.DeepEqual(got.Payload, want.Payload) {
+			t.Errorf("frame %d read back as %v, want %v", i, got, want)
+		}
 	}
 	if conn.writes != len(msgs) {
 		t.Errorf("%d frames took %d writes, want one each", len(msgs), conn.writes)
 	}
-	if got := sent.Load(); got != int64(read) {
-		t.Errorf("bytes sent = %d, bytes read = %d", got, read)
+	if got := sent.Load(); got != int64(counted.n) {
+		t.Errorf("bytes sent = %d, bytes read = %d", got, counted.n)
 	}
 }
 
@@ -114,40 +129,43 @@ func TestAppendFrameRefusesOversized(t *testing.T) {
 	}
 }
 
-// TestForgedEnvelopeDropsLink: a reader delivers a frame only when its
-// envelope names the link's two ends, p1 → p0 here (CMD frames: no inbox
-// collapses them). A forged From or To —
-// out of range either way, or another pair — drops the link without a
-// panic, and nothing from the forged frame on reaches any inbox.
-func TestForgedEnvelopeDropsLink(t *testing.T) {
+// TestCorruptFrameDropsLink: a reader delivers a frame only when its
+// payload has a kind it knows, p1 → p0 here (CMD frames: no inbox
+// collapses them). A frame of an unknown payload tag or slot item kind, or
+// an empty one, drops the link without a panic, and nothing from it on
+// reaches any inbox. The frame before it arrives as p1's first message to
+// p0.
+func TestCorruptFrameDropsLink(t *testing.T) {
 	const from, to = 1, 0
-	frame := func(from, to model.ProcessID, seq uint64) []byte {
-		b, err := wire.EncodeMessage(&model.Message{From: from, To: to, Seq: seq, Payload: rsm.CommandPayload{Cmd: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(binary.AppendUvarint(nil, uint64(len(b))), b...)
+	cmd, err := wire.EncodePayload(rsm.CommandPayload{Cmd: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The last two bytes of a CMD(3) frame are the CMD tag and the command.
-	corrupt := func(b []byte) []byte { b[len(b)-2] = 0x7F; return b }
-	for name, forged := range map[string][]byte{
-		"To 63":                  frame(from, 63, 2),
-		"To -1":                  frame(from, -1, 2),
-		"To of a third process":  frame(from, 2, 2),
-		"From of a third":        frame(2, to, 2),
-		"From of its receiver":   frame(to, to, 2),
-		"an unknown payload tag": corrupt(frame(from, to, 2)),
+	// A CMD(3) payload is the CMD tag and the command; a slot item's head
+	// byte has the top bit set and its kind in the low three.
+	frame := func(b ...byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))), b...) }
+	for name, corrupt := range map[string][]byte{
+		"an unknown payload tag":    frame(0x7F, cmd[1]),
+		"an unknown slot item kind": frame(0x80|7, 1),
+		"an empty frame":            frame(),
 	} {
 		inboxes := substrate.NewInboxes(3)
-		stream := bytes.Join([][]byte{frame(from, to, 1), forged, frame(from, to, 3)}, nil)
+		stream := bytes.Join([][]byte{frame(cmd...), corrupt, frame(cmd...)}, nil)
 		read(bytes.NewReader(stream), from, to, inboxes[to])
 		if got := inboxes[to].Len(); got != 1 {
-			t.Errorf("%s: p%d's inbox holds %d frames, want the one before the forged frame", name, to, got)
+			t.Errorf("%s: p%d's inbox holds %d frames, want the one before the corrupt frame", name, to, got)
 		}
 		for p, in := range inboxes {
 			if p != to && in.Len() != 0 {
 				t.Errorf("%s: p%d's inbox holds %d frames from the p%d → p%d link", name, p, in.Len(), from, to)
 			}
+		}
+		m := inboxes[to].Take()
+		if m != nil {
+			m = resolve(m)
+		}
+		if m == nil || m.From != from || m.To != to || m.Seq != substrate.LinkSeq(from, to, 1) {
+			t.Errorf("%s: the frame before it arrived as %v, want p%d's first message to p%d", name, m, from, to)
 		}
 	}
 }

@@ -11,6 +11,18 @@
 // The goroutine loop, crash injection and decision collection live in the
 // shared cluster driver (substrate.RunCluster); this package contributes
 // only the socket transport.
+//
+// A connection starts with a one-byte hello naming the dialer. After it,
+// each direction carries peer frames, and nothing else:
+//
+//	frame := varint(len(payload)) payload   (payload: wire.AppendMessage)
+//
+// No frame names its sender, receiver or sequence number: the receiving
+// end knows all three. The link names From and To, and the frame's
+// position on the link names Seq. Only p's goroutine writes p's end of
+// its connection with q, in send order, so the k-th frame read there is
+// p's k-th message to q, which substrate.RunCluster numbered
+// substrate.LinkSeq(p, q, k). The reader counts and numbers it so (read).
 package netrun
 
 import (
@@ -181,15 +193,15 @@ func (m *mesh) accept(q int, conn net.Conn, mu *sync.Mutex) error {
 }
 
 // read feeds the frames arriving on c, the link on which from sends to to,
-// into to's inbox until the link closes. Only the envelope is parsed here;
-// the body decode is deferred to Resolve, so frames superseded while
-// pending are dropped undecoded. The envelope's From and To are the
-// sender's word, and only the link says who the sender is: a frame that
-// names any other pair drops the link, as a corrupted one does. Frames
-// already buffered on the link are delivered as one batch under a single
-// inbox lock, which flushes whenever the buffer runs dry. Frame buffers
-// come from the wire pool and return to it after the deferred decode in
-// resolve.
+// into to's inbox until the link closes. The link names each message's
+// From and To, and the count of frames read its Seq: the k-th is
+// substrate.LinkSeq(from, to, k). Only the payload's kind is peeked here;
+// the body decode is deferred to resolve, so frames superseded while
+// pending are dropped undecoded. A frame of no known kind drops the link.
+// Frames already buffered on the link are delivered as one batch under a
+// single inbox lock, which flushes whenever the buffer runs dry. Frame
+// buffers come from the wire pool and return to it after the deferred
+// decode in resolve.
 func read(c io.Reader, from, to model.ProcessID, inbox *substrate.Inbox) {
 	r := bufio.NewReader(c)
 	var batch []*model.Message
@@ -200,18 +212,18 @@ func read(c io.Reader, from, to model.ProcessID, inbox *substrate.Inbox) {
 		}
 	}
 	defer flush()
-	for {
+	for k := uint64(1); ; k++ {
 		frame, err := wire.ReadFrame(r)
 		if err != nil {
 			return // closed or crashed peer
 		}
 		head, err := wire.PeekMessage(frame)
-		if err != nil || head.From != from || head.To != to {
+		if err != nil {
 			wire.PutBuf(frame)
-			return // corrupted stream or forged envelope: drop the link
+			return // corrupted stream: drop the link
 		}
 		raw := rawPayload{kind: head.Kind, frame: frame}
-		msg := &model.Message{From: head.From, To: head.To, Seq: head.Seq, Payload: raw}
+		msg := &model.Message{From: from, To: to, Seq: substrate.LinkSeq(from, to, k), Payload: raw}
 		if head.Supersedes {
 			msg.Payload = rawSupersedingPayload{raw}
 		}
@@ -220,6 +232,32 @@ func read(c io.Reader, from, to model.ProcessID, inbox *substrate.Inbox) {
 			flush()
 		}
 	}
+}
+
+// resolve decodes a raw frame at take time (ClusterHooks.Resolve); loopback
+// messages (put directly, never encoded) pass through untouched. The
+// decode fills in the inbox message the reader built and recycles the
+// frame buffer: decoded payloads never alias the frame
+// (wire.DecodeMessageInto), so the pool may hand it to another link
+// immediately. Frames collapsed while pending are simply garbage collected
+// — the inbox drops them without a decode, so there is no hook to return
+// them to the pool.
+func resolve(m *model.Message) *model.Message {
+	var frame []byte
+	switch p := m.Payload.(type) {
+	case rawPayload:
+		frame = p.frame
+	case rawSupersedingPayload:
+		frame = p.frame
+	default:
+		return m
+	}
+	err := wire.DecodeMessageInto(m, frame)
+	wire.PutBuf(frame)
+	if err != nil {
+		return nil // a corrupt body behind a known kind: the message is dropped, the link stays up
+	}
+	return m
 }
 
 // closeAll closes every link of process p (both directions of each pair,
@@ -236,7 +274,7 @@ func (m *mesh) closeAll(p int) {
 }
 
 // rawPayload is a received frame whose payload body has not been decoded
-// yet: the reader peeks only the envelope (wire.PeekMessage) and defers the
+// yet: the reader peeks only its kind (wire.PeekMessage) and defers the
 // body decode to the moment the message is actually taken by the automaton
 // (ClusterHooks.Resolve). Kind reports the encoded payload's kind so inbox
 // supersession collapsing works on raw frames — superseded DAG-snapshot
@@ -314,31 +352,6 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 		}
 	}
 
-	// resolve decodes a raw frame at take time; loopback messages (put
-	// directly, never encoded) pass through untouched. The decode reuses
-	// the inbox message object and recycles the frame buffer: decoded
-	// payloads never alias the frame (wire.DecodeMessageInto), so the pool
-	// may hand it to another link immediately. Frames collapsed while
-	// pending are simply garbage collected — the inbox drops them without
-	// a decode, so there is no hook to return them to the pool.
-	resolve := func(m *model.Message) *model.Message {
-		var frame []byte
-		switch p := m.Payload.(type) {
-		case rawPayload:
-			frame = p.frame
-		case rawSupersedingPayload:
-			frame = p.frame
-		default:
-			return m
-		}
-		err := wire.DecodeMessageInto(m, frame)
-		wire.PutBuf(frame)
-		if err != nil {
-			return nil // corrupted body behind a valid envelope: the message is dropped, the link stays up
-		}
-		return m
-	}
-
 	// count is nil-registry-safe counter bumping for the transport metrics.
 	count := func(name string, v int64) {
 		if opts.Metrics != nil {
@@ -358,12 +371,10 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 			if err != nil {
 				panic(fmt.Sprintf("netrun: unencodable payload: %v", err))
 			}
-			if l := m.links[out.From][out.To]; l != nil {
-				if werr := l.writeFrame(frame, &bytesSent); werr != nil {
-					count("netrun.frame_write_errors", 1) // peer may have crashed
-				} else {
-					count("netrun.frames_sent", 1)
-				}
+			if err := m.links[out.From][out.To].writeFrame(frame, &bytesSent); err != nil {
+				count("netrun.frame_write_errors", 1) // peer may have crashed
+			} else {
+				count("netrun.frames_sent", 1)
 			}
 			wire.PutBuf(frame)
 		}

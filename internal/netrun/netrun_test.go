@@ -47,6 +47,60 @@ func TestANucOverTCP(t *testing.T) {
 		res.Ticks, res.BytesSent, res.SentKinds)
 }
 
+// TestDeliveriesMatchSendsOverTCP: no frame names its message, so the
+// reader's count of frames is what names it, and the event bus would let
+// a miscount pass: it skips a Deliver whose (From, Seq) no Send stamped.
+// Every Deliver of an A_nuc run with a crash must name a Send from that
+// sender to that receiver, of the same payload kind, and none twice.
+func TestDeliveriesMatchSendsOverTCP(t *testing.T) {
+	n := 4
+	pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{1: 60})
+	hist := fd.PairHistory{
+		First:  fd.NewOmega(pattern, 400, 3),
+		Second: fd.NewSigmaNuPlus(pattern, 400, 3),
+	}
+	events := obs.NewCollector(obs.KindSend, obs.KindDeliver)
+	res, err := netrun.New().Run(context.Background(), consensus.NewANuc([]int{1, 0, 1, 0}), hist, pattern, substrate.Options{
+		Seed:            4,
+		MaxSteps:        200000,
+		StopWhenDecided: true,
+		Bus:             obs.NewBus(nil, nil, events),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type id struct {
+		from model.ProcessID
+		seq  uint64
+	}
+	sends := map[id]obs.Event{}
+	for _, ev := range events.Events() {
+		if ev.Kind == obs.KindSend {
+			sends[id{ev.From, ev.Seq}] = ev
+		}
+	}
+	delivered := map[id]bool{}
+	for _, ev := range events.Events() {
+		if ev.Kind != obs.KindDeliver {
+			continue
+		}
+		key := id{ev.From, ev.Seq}
+		switch s, ok := sends[key]; {
+		case !ok:
+			t.Fatalf("%v delivered %v#%d, which no Send stamped", ev.P, ev.From, ev.Seq)
+		case s.To != ev.P || s.Payload != ev.Payload:
+			t.Fatalf("%v delivered %v#%d as %s, sent to %v as %s", ev.P, ev.From, ev.Seq, ev.Payload, s.To, s.Payload)
+		case delivered[key]:
+			t.Fatalf("%v delivered %v#%d twice", ev.P, ev.From, ev.Seq)
+		}
+		delivered[key] = true
+	}
+	if len(delivered) == 0 || !res.Decided {
+		t.Fatalf("%d messages delivered; decided %v", len(delivered), res.Decided)
+	}
+	t.Logf("%d of %d sends delivered in %d ticks", len(delivered), len(sends), res.Ticks)
+}
+
 func TestOracleFreeOverTCP(t *testing.T) {
 	n, tf := 3, 1
 	pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{1: 500})

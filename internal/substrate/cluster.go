@@ -1,11 +1,12 @@
 package substrate
 
 // This file is the shared concurrent driver: the goroutine-per-process
-// loop, crash injection, logical clock, message sequence numbering and
-// decision collection of the async and TCP substrates. A backend provides
-// only its transport (how a built message reaches its destination inbox)
-// via ClusterHooks; the in-memory transport is the default, so the "async"
-// backend at the bottom of this file is a name and a take probability.
+// loop, crash injection, logical clock, message sequence numbering
+// (LinkSeq) and decision collection of the async and TCP substrates. A
+// backend provides only its transport (how a built message reaches its
+// destination inbox) via ClusterHooks; the in-memory transport is the
+// default, so the "async" backend at the bottom of this file is a name and
+// a take probability.
 //
 // The wall-clock and goroutine use in here is sanctioned: this package is
 // the home of the intentionally nondeterministic substrates, exempt from
@@ -36,12 +37,15 @@ type ClusterHooks struct {
 	TakeProb float64
 
 	// Dispatch transmits one step's messages — puts them into inboxes,
-	// writes them to sockets. The driver has already built them (assigning
-	// sequence numbers) and stamped the event bus's Send events, so a
-	// receiver cannot take a message whose send is unstamped — that
-	// ordering is what keeps the bus's Lamport annotation consistent with
-	// send-before-receive even under real concurrency. Nil is the in-memory
-	// transport: each message goes straight into its destination inbox.
+	// writes them to sockets. The driver has already built them, the k-th
+	// message p sends q numbered LinkSeq(p, q, k), and stamped the event
+	// bus's Send events, so a receiver cannot take a message whose send is
+	// unstamped — that ordering is what keeps the bus's Lamport annotation
+	// consistent with send-before-receive even under real concurrency. A
+	// transport that delivers every message of a link, in order, can name
+	// each by counting instead of carrying its Seq (internal/netrun). Nil
+	// is the in-memory transport: each message goes straight into its
+	// destination inbox.
 	Dispatch func(msgs []*model.Message)
 
 	// OnHalt, if non-nil, runs exactly once when process p stops — by
@@ -71,10 +75,20 @@ const (
 	idleBackoffSleep = 50 * time.Microsecond
 )
 
+// LinkSeq is the Seq of the k-th message (k from 1) that from sends to:
+// unique in a run, and known to both ends of a FIFO link, so a transport
+// can name a message by its position on the link instead of carrying the
+// number.
+func LinkSeq(from, to model.ProcessID, k uint64) uint64 {
+	return (k*model.MaxProcesses+uint64(from))*model.MaxProcesses + uint64(to)
+}
+
 // RunCluster executes the shared concurrent loop: one goroutine per
 // process, a shared logical clock (one tick per step taken by any
 // process), crash injection from the pattern, failure-detector queries at
-// the shared clock, and decision collection under one lock. It blocks
+// the shared clock, and decision collection under one lock. Each process
+// numbers its own sends per destination (LinkSeq), so the Seq a message
+// carries is what the receiving end of its link can count. It blocks
 // until the cluster stops and returns the finished Result.
 func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pattern *model.FailurePattern, opts Options, h ClusterHooks) (*Result, error) {
 	n := aut.N()
@@ -90,7 +104,6 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 	}
 	var (
 		clock    atomic.Int64
-		seq      atomic.Uint64 // message sequence numbers, unique per run
 		stop     = make(chan struct{})
 		stopOnce sync.Once
 		wg       sync.WaitGroup
@@ -138,6 +151,7 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 			rng := rand.New(rand.NewSource(opts.Seed + int64(p)*seedStride))
 			st := states[p] // this goroutine owns it until it halts; Step mutates it in place
 			idle := 0
+			var sent [model.MaxProcesses]uint64 // messages sent to each process so far
 			for {
 				select {
 				case <-stop:
@@ -170,7 +184,8 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 				st = ns
 				msgs := make([]*model.Message, len(sends))
 				for i, s := range sends {
-					msgs[i] = &model.Message{From: p, To: s.To, Seq: seq.Add(1), Payload: s.Payload}
+					sent[s.To]++
+					msgs[i] = &model.Message{From: p, To: s.To, Seq: LinkSeq(p, s.To, sent[s.To]), Payload: s.Payload}
 				}
 
 				mu.Lock()

@@ -13,8 +13,10 @@ import (
 
 // TestRunClusterNumbersMessages: the driver, not the transport, assigns
 // sequence numbers — every message handed to Dispatch carries a non-zero
-// Seq, unique within the run and increasing per sender (a sender's steps
-// are sequential, so its sends are numbered in send order).
+// Seq, unique within the run, and the k-th message p sends q carries
+// LinkSeq(p, q, k), the number the receiving end of a FIFO link can count
+// (a sender's steps are sequential, so its sends are numbered in send
+// order).
 func TestRunClusterNumbersMessages(t *testing.T) {
 	const n = 4
 	pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{3: 80})
@@ -24,24 +26,24 @@ func TestRunClusterNumbersMessages(t *testing.T) {
 	}
 	inboxes := substrate.NewInboxes(n)
 	var (
-		mu      sync.Mutex
-		seen    = map[uint64]bool{}
-		lastSeq [n]uint64
-		total   int
+		mu     sync.Mutex
+		seen   = map[uint64]bool{}
+		onLink [n][n]uint64 // messages dispatched on each link so far
+		total  int
 	)
 	dispatch := func(msgs []*model.Message) {
 		mu.Lock()
 		for _, m := range msgs {
-			switch {
+			onLink[m.From][m.To]++
+			switch k := onLink[m.From][m.To]; {
 			case m.Seq == 0:
 				t.Errorf("message %v dispatched without a Seq", m)
 			case seen[m.Seq]:
 				t.Errorf("Seq %d dispatched twice", m.Seq)
-			case m.Seq <= lastSeq[m.From]:
-				t.Errorf("%v sent Seq %d after Seq %d", m.From, m.Seq, lastSeq[m.From])
+			case m.Seq != substrate.LinkSeq(m.From, m.To, k):
+				t.Errorf("message %d from %v to %v carries Seq %d, want %d", k, m.From, m.To, m.Seq, substrate.LinkSeq(m.From, m.To, k))
 			}
 			seen[m.Seq] = true
-			lastSeq[m.From] = m.Seq
 			total++
 		}
 		mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/dag"
 	"nuconsensus/internal/fd"
-	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/quorum"
 	"nuconsensus/internal/rsm"
@@ -80,18 +79,7 @@ func seedRejects(tb testing.TB) [][]byte {
 			out = append(out, b)
 		}
 	}
-	return append(out, []byte{}, []byte{0xFF, 0x01, 0x02}, repeatedSample)
-}
-
-// envelope is the From 1, To 2, Seq 7 envelope of a frame: a heartbeat's
-// frame less its payload, the one-byte heartbeat tag.
-func envelope(tb testing.TB) []byte {
-	tb.Helper()
-	b, err := wire.EncodeMessage(&model.Message{From: 1, To: 2, Seq: 7, Payload: hb.HeartbeatPayload{}})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return b[: len(b)-1 : len(b)-1]
+	return append(out, []byte{}, []byte{0xFF, 0x01, 0x02}, repeatedSample, pairsDeep(tb, 9))
 }
 
 // FuzzDecodePayload checks the codec's promise on arbitrary input: the
@@ -108,6 +96,7 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, b := range seedRejects(f) {
 		f.Add(b)
 	}
+	f.Add(pairFlood(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pl, err := wire.DecodePayload(data)
@@ -127,21 +116,21 @@ func FuzzDecodePayload(f *testing.F) {
 }
 
 // FuzzDecodeMessage checks what a tcp link runs on every frame it reads:
-// neither the envelope peek nor the decode panics, and a frame the decode
-// accepts peeks as its own envelope, with the kind and the supersession of
-// the payload it decodes to. A netrun reader files a frame by its peek and
-// decodes it only when the frame is taken, so the two must agree.
+// neither the peek nor the decode panics, and a frame the decode accepts
+// peeks with the kind and the supersession of the payload it decodes to. A
+// netrun reader files a frame by its peek and decodes it only when the
+// frame is taken, so the two must agree. A frame is a payload alone, so
+// the seeds are the payload seeds.
 func FuzzDecodeMessage(f *testing.F) {
-	env := envelope(f)
 	for _, pl := range seedPayloads() {
-		b, err := wire.AppendPayload(append([]byte{}, env...), pl)
+		b, err := wire.AppendMessage(nil, &model.Message{Payload: pl})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
 	}
 	for _, b := range seedRejects(f) {
-		f.Add(append(append([]byte{}, env...), b...))
+		f.Add(b)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -151,12 +140,11 @@ func FuzzDecodeMessage(f *testing.F) {
 			return
 		}
 		if peekErr != nil {
-			t.Fatalf("frame %x decodes as %v but fails to peek: %v", data, &m, peekErr)
+			t.Fatalf("frame %x decodes as %v but fails to peek: %v", data, m.Payload, peekErr)
 		}
 		_, supersedes := m.Payload.(model.SupersededPayload)
-		want := wire.MessageHead{From: m.From, To: m.To, Seq: m.Seq, Kind: m.Payload.Kind(), Supersedes: supersedes}
-		if h != want {
-			t.Fatalf("frame %x decodes as %v, whose envelope is %+v, but peeks as %+v", data, &m, want, h)
+		if want := (wire.MessageHead{Kind: m.Payload.Kind(), Supersedes: supersedes}); h != want {
+			t.Fatalf("frame %x decodes as %v, which heads as %+v, but peeks as %+v", data, m.Payload, want, h)
 		}
 	})
 }

@@ -30,6 +30,8 @@ import (
 // Each consumer therefore recycles the frame FIRST and verifies the
 // decoded message afterwards, by re-encoding it and comparing against the
 // pristine canonical frame, while the other links churn the shared pool.
+// A frame names no message, so, like a netrun reader, the consumer tells
+// which fixture a frame encodes by its position on the link.
 // PutBuf poisons the frame as it takes it back, so an alias into the
 // recycled buffer surfaces as a byte mismatch on every run, and as a
 // read/write race under -race.
@@ -95,23 +97,24 @@ func TestPooledFrameAliasing(t *testing.T) {
 		}(l)
 		go func(l int) { // consumer: decode, recycle, then verify
 			defer wg.Done()
+			i := 0
 			for frame := range ch {
-				var m model.Message
+				fx := fixtures[l][i%kinds]
+				i++
+				m := model.Message{From: fx.msg.From, To: fx.msg.To, Seq: fx.msg.Seq}
 				if err := wire.DecodeMessageInto(&m, frame); err != nil {
 					t.Errorf("link %d: decode: %v", l, err)
-					return
+					continue
 				}
 				wire.PutBuf(frame) // recycle before verification, on purpose
 				got, err := wire.AppendMessage(nil, &m)
 				if err != nil {
 					t.Errorf("link %d: re-encode: %v", l, err)
-					return
+					continue
 				}
-				fx := fixtures[l][int(m.Seq)%kinds]
 				if !bytes.Equal(got, fx.want) {
-					t.Errorf("link %d seq %d: decoded message changed after its frame was recycled (payload %T)",
-						l, m.Seq, m.Payload)
-					return
+					t.Errorf("link %d frame %d: decoded message changed after its frame was recycled (payload %T)",
+						l, i, m.Payload)
 				}
 			}
 		}(l)

@@ -1,8 +1,10 @@
 // Package wire defines a compact binary encoding for every message payload
 // in the repository, so the algorithms can run over real byte-stream
 // transports (see internal/netrun). The format is deterministic and
-// self-describing at the payload level:
+// self-describing at the payload level, and a peer frame is one payload and
+// nothing else: the link it travels on names its From, To and Seq.
 //
+//	message  := outer                              (a peer frame's body: AppendMessage)
 //	outer    := item | bundleTag item item item*   (items run to the end)
 //	item     := kindTag … (per-kind body) | slot
 //	slot     := head [varint slot] [Q] [K] [V] [Stamp] [frame]   (an rsm.SlotPayload, bare or bundled)
@@ -16,7 +18,7 @@
 //	FLW      := followTag varint(leader)   (leader < MaxProcesses)
 //	BATCH    := batchTag ID count command^count
 //	command  := varint(Client<<3 | min(Op, 7)) [Op when Op ≥ 7] Seq Key Val
-//	fdvalue  := valueTag … (leader | quorum | suspects | pair | null)
+//	fdvalue  := valueTag … (leader | quorum | suspects | pair | null)   (at most 8 pairs deep)
 //	varint   := unsigned LEB128 (encoding/binary Uvarint); signed fields zigzag
 //
 // A slot item writes only what its receiver cannot rebuild from the slot
@@ -828,9 +830,15 @@ func HistoryFrameLen(pl model.Payload) (int, error) {
 	return st.frames, err
 }
 
-// encodeValue writes a failure-detector value. Values travel only inside
-// the nodes of a DAG snapshot (encodeGraph).
-func encodeValue(w *buf, v model.FDValue) error {
+// maxPairDepth bounds how deep failure-detector values nest in pairs: the
+// tree's deepest is a pair of pairs. decodeValue recurses once per pair, so
+// without the bound a frame of pair tags grows the decoding goroutine's
+// stack by a frame per byte.
+const maxPairDepth = 8
+
+// encodeValue writes a failure-detector value inside depth pairs. Values
+// travel only inside the nodes of a DAG snapshot (encodeGraph).
+func encodeValue(w *buf, v model.FDValue, depth int) error {
 	switch x := v.(type) {
 	case fd.NullValue:
 		w.putByte(tagValNull)
@@ -844,18 +852,22 @@ func encodeValue(w *buf, v model.FDValue) error {
 		w.putByte(tagValSuspects)
 		w.putUvarint(uint64(x.Suspects))
 	case fd.PairValue:
+		if depth == maxPairDepth {
+			return fmt.Errorf("wire: failure-detector value nests deeper than %d pairs", maxPairDepth)
+		}
 		w.putByte(tagValPair)
-		if err := encodeValue(w, x.First); err != nil {
+		if err := encodeValue(w, x.First, depth+1); err != nil {
 			return err
 		}
-		return encodeValue(w, x.Second)
+		return encodeValue(w, x.Second, depth+1)
 	default:
 		return fmt.Errorf("wire: unknown failure-detector value type %T", v)
 	}
 	return nil
 }
 
-func decodeValue(r *buf) model.FDValue {
+// decodeValue reads a failure-detector value inside depth pairs.
+func decodeValue(r *buf, depth int) model.FDValue {
 	switch tag := r.byte(); tag {
 	case tagValNull:
 		return fd.NullValue{}
@@ -866,7 +878,11 @@ func decodeValue(r *buf) model.FDValue {
 	case tagValSuspects:
 		return fd.SuspectsValue{Suspects: model.ProcessSet(r.uvarint())}
 	case tagValPair:
-		return fd.PairValue{First: decodeValue(r), Second: decodeValue(r)}
+		if depth == maxPairDepth {
+			r.fail("wire: failure-detector value nests deeper than %d pairs", maxPairDepth)
+			return nil
+		}
+		return fd.PairValue{First: decodeValue(r, depth+1), Second: decodeValue(r, depth+1)}
 	default:
 		r.fail("wire: unknown value tag %d", tag)
 		return nil
@@ -884,7 +900,7 @@ func encodeGraph(w *buf, g *dag.Graph) error {
 		n := g.Node(i)
 		w.putInt(int(n.P))
 		w.putInt(n.K)
-		if err := encodeValue(w, n.D); err != nil {
+		if err := encodeValue(w, n.D, 0); err != nil {
 			return err
 		}
 	}
@@ -919,7 +935,7 @@ func decodeGraph(r *buf) *dag.Graph {
 	n := r.count("graph", 3)
 	nodes := make([]dag.Node, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		nodes[i] = dag.Node{P: model.ProcessID(r.int()), K: r.int(), D: decodeValue(r)}
+		nodes[i] = dag.Node{P: model.ProcessID(r.int()), K: r.int(), D: decodeValue(r, 0)}
 	}
 	// One predecessor scratch serves every node: AddSampleWithPreds copies
 	// the indices into the graph's own bitset, so reusing the slice is safe
@@ -951,24 +967,19 @@ func decodeGraph(r *buf) *dag.Graph {
 	return g
 }
 
-// EncodeMessage frames a whole model message (from, to, seq, payload).
+// EncodeMessage encodes m's peer frame (AppendMessage).
 func EncodeMessage(m *model.Message) ([]byte, error) {
 	return AppendMessage(nil, m)
 }
 
-// AppendMessage appends m's frame to dst and returns the extended slice.
-// This is the transport hot path: netrun encodes every outgoing message
-// into a pooled buffer (GetBuf) that returns to the pool after the socket
-// write, so steady-state sends allocate nothing.
+// AppendMessage appends m's peer frame to dst and returns the extended
+// slice. The frame is m.Payload's encoding and nothing else: the link it
+// travels on names From, To and Seq (internal/netrun), so none of them is
+// sent. This is the transport hot path: netrun encodes every outgoing
+// message into a pooled buffer (GetBuf) that returns to the pool after the
+// socket write, so steady-state sends allocate nothing.
 func AppendMessage(dst []byte, m *model.Message) ([]byte, error) {
-	w, st := buf{b: dst}, newRun()
-	w.putInt(int(m.From))
-	w.putInt(int(m.To))
-	w.putUvarint(m.Seq)
-	if err := encodeOuter(&w, &st, m.Payload); err != nil {
-		return dst, err
-	}
-	return w.b, nil
+	return AppendPayload(dst, m.Payload)
 }
 
 // payloadPrototypes maps each kind tag to a zero value of its payload
@@ -1003,27 +1014,22 @@ var payloadPrototypes = map[byte]model.Payload{
 	tagBundle: rsm.Bundle{},
 }
 
-// MessageHead is the envelope of an encoded message: everything a
-// transport needs for inbox bookkeeping (routing, per-sender supersession
-// collapsing) without paying for a payload decode. Deferring the decode is
-// what keeps receivers ahead of DAG-snapshot floods: superseded frames are
-// collapsed undecoded.
+// MessageHead is what a transport needs of a peer frame for inbox
+// bookkeeping (per-sender supersession collapsing) without paying for a
+// payload decode. Deferring the decode is what keeps receivers ahead of
+// DAG-snapshot floods: superseded frames are collapsed undecoded.
 type MessageHead struct {
-	From, To   model.ProcessID
-	Seq        uint64
 	Kind       string
 	Supersedes bool
 }
 
-// PeekMessage parses only the envelope of a frame produced by
-// EncodeMessage, leaving the payload body untouched.
-func PeekMessage(b []byte) (MessageHead, error) {
-	r := buf{b: b}
-	h := MessageHead{From: model.ProcessID(r.int()), To: model.ProcessID(r.int()), Seq: r.uvarint()}
-	tag := r.byte()
-	if r.err != nil {
-		return h, r.err
+// PeekMessage reads the kind of a peer frame produced by AppendMessage from
+// its first byte, leaving the payload body untouched.
+func PeekMessage(b []byte) (h MessageHead, err error) {
+	if len(b) == 0 {
+		return h, fmt.Errorf("wire: empty frame")
 	}
+	tag := b[0]
 	if tag >= headMarker {
 		// A slot item reports its inner payload's kind and never
 		// supersedes: a delta dropped from an inbox would break the
@@ -1044,19 +1050,17 @@ func PeekMessage(b []byte) (MessageHead, error) {
 	return h, nil
 }
 
-// DecodeMessageInto parses a framed message into a caller-provided Message,
-// so the transport's hot path allocates no Message per frame. No decoded
-// field aliases the input: payloads with indirection (histories, graphs)
-// build their own structures and fixed-size payloads are boxed by value, so
-// the caller may recycle b (PutBuf) as soon as this returns. On error m is
-// left as it was.
+// DecodeMessageInto decodes a peer frame into m's Payload and leaves From,
+// To and Seq as the caller set them: the link names those, not the frame.
+// It lets the transport's hot path reuse the Message it filed the frame
+// under. No decoded field aliases the input: payloads with indirection
+// (histories, graphs) build their own structures and fixed-size payloads
+// are boxed by value, so the caller may recycle b (PutBuf) as soon as this
+// returns. On error m is left as it was.
 func DecodeMessageInto(m *model.Message, b []byte) error {
-	r := buf{b: b}
-	from, to, seq := model.ProcessID(r.int()), model.ProcessID(r.int()), r.uvarint()
-	pl := decodeOuter(&r)
-	if err := r.done("message"); err != nil {
-		return err
+	pl, err := DecodePayload(b)
+	if err == nil {
+		m.Payload = pl
 	}
-	m.From, m.To, m.Seq, m.Payload = from, to, seq, pl
-	return nil
+	return err
 }

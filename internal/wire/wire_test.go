@@ -145,18 +145,24 @@ func TestRoundTripGraph(t *testing.T) {
 	}
 }
 
+// TestRoundTripMessage: a peer frame is its payload's encoding and nothing
+// else, and its decode fills in only the Payload of the message it is
+// given: From, To and Seq are the link's to name, not the frame's.
 func TestRoundTripMessage(t *testing.T) {
 	m := &model.Message{From: 2, To: 0, Seq: 99, Payload: consensus.ReportPayload{K: 4, V: 1}}
 	b, err := wire.EncodeMessage(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got model.Message
+	if pl, err := wire.EncodePayload(m.Payload); err != nil || !bytes.Equal(b, pl) {
+		t.Errorf("frame %x, payload %x (err %v): a frame is its payload alone", b, pl, err)
+	}
+	got := model.Message{From: 1, To: 3, Seq: 7}
 	if err := wire.DecodeMessageInto(&got, b); err != nil {
 		t.Fatal(err)
 	}
-	if got.From != m.From || got.To != m.To || got.Seq != m.Seq || !reflect.DeepEqual(got.Payload, m.Payload) {
-		t.Errorf("message round trip: %#v vs %#v", &got, m)
+	if got.From != 1 || got.To != 3 || got.Seq != 7 || !reflect.DeepEqual(got.Payload, m.Payload) {
+		t.Errorf("frame of %v decoded into p1#7→p3 as %v", m, &got)
 	}
 }
 
@@ -185,12 +191,76 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// pairsDeep is a one-node DAG snapshot whose node's value is depth pairs,
+// each the first element of the next, around nulls: the pair tags, then
+// depth+1 null tags. A decoder recurses once per pair tag.
+func pairsDeep(tb testing.TB, depth int) []byte {
+	tb.Helper()
+	g := dag.NewGraph()
+	g.AddSample(0, fd.PairValue{First: fd.NullValue{}, Second: fd.NullValue{}}, 1)
+	b, err := wire.EncodePayload(dag.GraphPayload{G: g})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// A one-node graph ends in its node's value: here pair, null, null.
+	node, pair, null := b[:len(b)-3], b[len(b)-3], b[len(b)-1]
+	out := append([]byte{}, node...)
+	out = append(out, bytes.Repeat([]byte{pair}, depth)...)
+	return append(out, bytes.Repeat([]byte{null}, depth+1)...)
+}
+
+// pairFlood is a peer frame of the largest size a link reads whose one DAG
+// node's value is pair tags to the end.
+func pairFlood(tb testing.TB) []byte {
+	tb.Helper()
+	b := pairsDeep(tb, 1)
+	return append(b, bytes.Repeat(b[len(b)-3:len(b)-2], wire.MaxFrameSize-len(b))...)
+}
+
+// TestPairNestingBound: a failure-detector value nests at most 8 pairs
+// deep, both ways. A value 8 pairs deep round-trips; one 9 deep neither
+// encodes nor decodes, and a 1 MiB frame of pair tags fails after 9 of
+// them instead of recursing once per byte.
+func TestPairNestingBound(t *testing.T) {
+	nested := func(depth int) model.FDValue {
+		var v model.FDValue = fd.NullValue{}
+		for i := 0; i < depth; i++ {
+			v = fd.PairValue{First: v, Second: fd.NullValue{}}
+		}
+		return v
+	}
+	graph := func(depth int) dag.GraphPayload {
+		g := dag.NewGraph()
+		g.AddSample(0, nested(depth), 1)
+		return dag.GraphPayload{G: g}
+	}
+	b, err := wire.EncodePayload(graph(8))
+	if err != nil || !bytes.Equal(b, pairsDeep(t, 8)) {
+		t.Fatalf("8 pairs deep encode as %x (err %v), want %x", b, err, pairsDeep(t, 8))
+	}
+	if got, err := wire.DecodePayload(b); err != nil || !reflect.DeepEqual(got, model.Payload(graph(8))) {
+		t.Errorf("8 pairs deep decode as %v (err %v)", got, err)
+	}
+	if b, err := wire.EncodePayload(graph(9)); err == nil {
+		t.Errorf("9 pairs deep encoded as %x", b)
+	}
+	for name, b := range map[string][]byte{"9 pairs deep": pairsDeep(t, 9), "1 MiB of pair tags": pairFlood(t)} {
+		if got, err := wire.DecodePayload(b); err == nil {
+			t.Errorf("%s decoded as %v", name, got)
+		}
+		var m model.Message
+		if err := wire.DecodeMessageInto(&m, b); err == nil {
+			t.Errorf("a frame %s decoded as %v", name, &m)
+		}
+	}
+}
+
 // repeatedSample is a DAG snapshot of two null-valued nodes, both the
 // sample (p0, k0), and node 1's empty bitset word.
 var repeatedSample = []byte{8, 2, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
 
 // TestGraphRejectsRepeatedSample: a snapshot that names one sample twice is
-// forged and fails to decode, bare or framed. dag.Graph panics on a repeated
+// forged and fails to decode, as a payload or as a peer frame. dag.Graph panics on a repeated
 // sample, and netrun decodes on a process's step goroutine, so a decoder
 // that built the graph first would let one frame kill the whole process.
 func TestGraphRejectsRepeatedSample(t *testing.T) {
@@ -198,13 +268,13 @@ func TestGraphRejectsRepeatedSample(t *testing.T) {
 		t.Errorf("%x decoded as %v", repeatedSample, pl)
 	}
 	var m model.Message
-	if err := wire.DecodeMessageInto(&m, append(envelope(t), repeatedSample...)); err == nil {
+	if err := wire.DecodeMessageInto(&m, repeatedSample); err == nil {
 		t.Errorf("a frame of %x decoded as %v", repeatedSample, &m)
 	}
 }
 
 // TestTruncatedSeedsAreRejected: no proper prefix of a fuzz seed decodes,
-// bare or behind an envelope. A decode that runs out of input returns its
+// as a payload or as a peer frame. A decode that runs out of input returns its
 // first error, never the zeros its reads return after it. The one prefix
 // that does decode is a bundle cut between two items from its second on:
 // that is the bundle of the items before the cut.
@@ -234,22 +304,17 @@ func TestTruncatedSeedsAreRejected(t *testing.T) {
 	for _, b := range seedRejects(t) {
 		seeds = append(seeds, seed{b: b})
 	}
-	env := envelope(t)
 	for _, s := range seeds {
-		frame := append(env, s.b...)
-		for cut := 0; cut < len(frame); cut++ {
-			var m model.Message
-			err := wire.DecodeMessageInto(&m, frame[:cut])
-			n := cut - len(env) // the payload's bytes in the cut frame
-			want, kept := s.kept[n]
-			if n >= 0 {
-				pl, perr := wire.DecodePayload(s.b[:n])
-				if kept != (perr == nil) || kept && !reflect.DeepEqual(pl, want) {
-					t.Errorf("%x cut to %d bytes decodes as %v (err %v), want %v", s.b, n, pl, perr, want)
-				}
+		for cut := 0; cut < len(s.b); cut++ {
+			want, kept := s.kept[cut]
+			pl, perr := wire.DecodePayload(s.b[:cut])
+			if kept != (perr == nil) || kept && !reflect.DeepEqual(pl, want) {
+				t.Errorf("%x cut to %d bytes decodes as %v (err %v), want %v", s.b, cut, pl, perr, want)
 			}
+			var m model.Message
+			err := wire.DecodeMessageInto(&m, s.b[:cut])
 			if kept != (err == nil) || kept && !reflect.DeepEqual(m.Payload, want) {
-				t.Errorf("frame %x cut to %d bytes decodes as %v (err %v), want %v", frame, cut, &m, err, want)
+				t.Errorf("frame %x cut to %d bytes decodes as %v (err %v), want %v", s.b, cut, &m, err, want)
 			}
 		}
 	}
@@ -388,8 +453,8 @@ func TestDeltaEncodeRejectsBrokenSpan(t *testing.T) {
 
 // TestDeltaPayloadsNeverSupersede: collapsing a delta frame in an inbox
 // would break the receiver's version chain, and a stamped ACK the
-// smallest stamp per member, so the envelope of every slot item reports
-// its kind and no supersession without decoding the body.
+// smallest stamp per member, so the peek of every slot item reports its
+// kind and no supersession without decoding the body.
 func TestDeltaPayloadsNeverSupersede(t *testing.T) {
 	for _, pl := range []model.Payload{
 		consensus.LeadDeltaPayload{K: 1, Delta: sampleDelta()},
@@ -420,7 +485,7 @@ func TestDeltaPayloadsNeverSupersede(t *testing.T) {
 // TestStampedSlotAck: the log's slot-wrapped ACK carries its awareness
 // stamp behind K. A frame cut anywhere inside it — the stamp included — is
 // rejected, the plain ACK's bytes are what they always were (standalone
-// A_nuc never ships a stamp), and the envelope peek reports the kind
+// A_nuc never ships a stamp), and the peek reports the kind
 // without superseding: the receiver keeps the smallest stamp per member,
 // so no stamped ACK may be collapsed away.
 func TestStampedSlotAck(t *testing.T) {
@@ -458,7 +523,7 @@ func TestStampedSlotAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (wire.MessageHead{From: 2, To: 0, Seq: 11, Kind: "SACK"}); h != want {
+	if want := (wire.MessageHead{Kind: "SACK"}); h != want {
 		t.Errorf("peek = %+v, want %+v", h, want)
 	}
 }
@@ -527,7 +592,7 @@ func TestSlotVarint(t *testing.T) {
 
 // TestFollowPayload: a leader announcement is its tag and the leader's
 // varint; the codec refuses a leader outside [0, MaxProcesses) either way,
-// and the envelope peek reports FLW without superseding: the receiver takes
+// and the peek reports FLW without superseding: the receiver takes
 // every announcement, in order.
 func TestFollowPayload(t *testing.T) {
 	for leader, want := range map[model.ProcessID]int{0: 2, 5: 2, model.MaxProcesses - 1: 2} {
@@ -735,8 +800,8 @@ func sampleBundle() rsm.Bundle {
 	}
 }
 
-// TestRoundTripBundle: a bundle round-trips as a payload and as a whole
-// frame, whose envelope peeks as BNDL and never supersedes, and its
+// TestRoundTripBundle: a bundle round-trips as a payload and as a peer
+// frame, which peeks as BNDL and never supersedes, and its
 // encoding is one tag byte plus its items' bare encodings, less each
 // one-byte field an item inherits in the bundle but not bare. A bare slot
 // item inherits only the initial round 1.
@@ -779,10 +844,10 @@ func TestRoundTripBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (wire.MessageHead{From: 3, To: 1, Seq: 40, Kind: "BNDL"}); h != want {
+	if want := (wire.MessageHead{Kind: "BNDL"}); h != want {
 		t.Errorf("peek = %+v, want %+v", h, want)
 	}
-	var m model.Message
+	m := model.Message{From: 3, To: 1, Seq: 40}
 	if err := wire.DecodeMessageInto(&m, frame); err != nil {
 		t.Fatal(err)
 	}
