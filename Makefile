@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench-module race bench experiments experiments-full tables-check counts counts-check substrate-smoke explore-smoke aware-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
+.PHONY: all build test test-short bench-module race bench experiments experiments-full tables-check counts counts-check trajectory substrate-smoke explore-smoke aware-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
 
 # Smoke-test artifacts (metrics dumps, span streams, Chrome traces) land
 # here; CI uploads the directory, .gitignore keeps it out of the tree.
@@ -89,6 +89,24 @@ counts-check:
 	diff testdata/counts.sim.txt $(ARTIFACTS)/counts.sim.txt
 	@echo "counts: sim counts byte-identical to testdata/counts.sim.txt"
 
+# trajectory is the served benchmark's record (cmd/trajectory): it builds
+# BASE from `git archive` into a temp dir, runs bench/run.sh in PAIRS
+# alternating pairs on BASE and on the work tree plus one traced pass each,
+# and appends a row per metric to testdata/trajectory.tsv — both sides'
+# median and quartiles, the change's wins and bench's host line. A perf
+# change's claim is its rows. Nothing here gates a wall-clock number:
+# `go test ./cmd/trajectory` checks the file's format only.
+BASE ?= HEAD~1
+WORKLOAD ?= steady_mix
+SEED ?= 1
+PAIRS ?= 10
+SECONDS ?= 24
+TRAJECTORY_OUT ?= testdata/trajectory.tsv
+
+trajectory:
+	$(GO) run ./cmd/trajectory -base $(BASE) -workload $(WORKLOAD) -seed $(SEED) -pairs $(PAIRS) \
+	    -seconds $(SECONDS) -out $(TRAJECTORY_OUT)
+
 # substrate-smoke runs a small portable slice on the concurrent goroutine
 # substrate under the race detector — the CI cross-substrate check.
 substrate-smoke:
@@ -109,22 +127,28 @@ explore-smoke:
 # read-index reads), both sides dump their metrics registries as JSONL
 # (the CI artifact), and the dumps must actually carry the serving-path
 # instruments — among them the frontier announcements and the batch bodies,
-# of which no more may leave bare than ride other traffic. nucd itself
+# of which no more may leave bare than ride other traffic. A process steps
+# because something arrived, not at CPU speed: nucd's steps per log entry
+# applied (its done line's steps= over node 0's applied=) must stay within
+# SMOKE_STEPS_PER_SLOT_CAP — about 14 here with the driver's wait on the
+# inbox, 74–79 with the spin it replaced. nucd itself
 # fails the target if the replicas' machines diverge or the step budget
 # runs out; nucload fails it if any write goes unacked. (E18's sim-substrate metrics determinism is
 # TestEventsByteIdenticalAcrossParallel in cmd/experiments.)
+SMOKE_STEPS_PER_SLOT_CAP = 30
+
 serve-smoke:
 	mkdir -p $(ARTIFACTS)
 	$(GO) build -o nucd.smoke ./cmd/nucd
 	$(GO) build -o nucload.smoke ./cmd/nucload
 	rm -f $(ARTIFACTS)/serve-smoke.addrs
 	./nucd.smoke -n 3 -ops 300 -batch 8 -addr-file $(ARTIFACTS)/serve-smoke.addrs \
-	    -metrics $(ARTIFACTS)/nucd.metrics.jsonl & \
+	    -metrics $(ARTIFACTS)/nucd.metrics.jsonl > $(ARTIFACTS)/nucd.out & \
 	pid=$$!; \
 	./nucload.smoke -addr-file $(ARTIFACTS)/serve-smoke.addrs -ops 300 -clients 4 -window 4 \
 	    -read-frac 0.3 -timeout 60s -metrics $(ARTIFACTS)/nucload.metrics.jsonl \
-	    || { kill $$pid 2>/dev/null; exit 1; }; \
-	wait $$pid
+	    || { kill $$pid 2>/dev/null; cat $(ARTIFACTS)/nucd.out; exit 1; }; \
+	wait $$pid; st=$$?; cat $(ARTIFACTS)/nucd.out; exit $$st
 	grep -q '"name":"serve.apply.commands"' $(ARTIFACTS)/nucd.metrics.jsonl
 	grep -q '"name":"load.write_us"' $(ARTIFACTS)/nucload.metrics.jsonl
 	python3 -c "import json; \
@@ -135,6 +159,12 @@ serve-smoke:
 	carried, bare = m['serve.body_carried'], m['serve.body_bare']; \
 	assert bare <= carried, (carried, bare); \
 	print('bodies: %d carried, %d bare' % (carried, bare))"
+	python3 -c "import re; \
+	out = open('$(ARTIFACTS)/nucd.out').read(); \
+	steps = int(re.search(r'^done decided=\S+ steps=(\d+)', out, re.M).group(1)); \
+	applied = int(re.search(r'^node=0 applied=(\d+)', out, re.M).group(1)); \
+	print('steps: %d over %d log entries, %.1f per entry (cap $(SMOKE_STEPS_PER_SLOT_CAP))' % (steps, applied, steps / applied)); \
+	assert steps <= $(SMOKE_STEPS_PER_SLOT_CAP) * applied, 'idle processes are spinning'"
 	@rm -f nucd.smoke nucload.smoke
 	@echo "serve: nucd+nucload TCP run clean"
 

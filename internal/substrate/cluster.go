@@ -65,15 +65,14 @@ type ClusterHooks struct {
 // Options.Seed.
 const seedStride = 7919
 
-// idleBackoffAfter and idleBackoffSleep throttle a process whose inbox has
-// been empty for that many consecutive attempted takes: it keeps stepping
-// (so the shared clock, crash injection and detector histories progress)
-// but no longer at CPU speed, which keeps tick budgets meaningful when the
-// transport has real latency.
-const (
-	idleBackoffAfter = 32
-	idleBackoffSleep = 50 * time.Microsecond
-)
+// idleWaitBound bounds how long a process waits on its inbox after a step
+// that found nothing to take and sent nothing. A step is a reaction to an
+// arrival, so an arrival ends the wait; the bound exists only so that the
+// logical clock — which counts steps — and with it crash injection and the
+// detector histories keep moving while every process waits. Wall-clock
+// ticks on the concurrent substrates (ROADMAP "Time is not steps") remove
+// it.
+const idleWaitBound = 50 * time.Microsecond
 
 // LinkSeq is the Seq of the k-th message (k from 1) that from sends to:
 // unique in a run, and known to both ends of a FIFO link, so a transport
@@ -113,6 +112,7 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 		decided model.ProcessSet
 		res     = &Result{} // Steps counts executed steps; the clock also counts crash and budget discoveries
 	)
+	waits := make([][2]int64, n) // per process: waits ended by an arrival, waits that ran out
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
 	for p := 0; p < n; p++ {
 		states[p] = aut.InitState(model.ProcessID(p))
@@ -149,9 +149,12 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 				defer h.OnHalt(p)
 			}
 			rng := rand.New(rand.NewSource(opts.Seed + int64(p)*seedStride))
-			st := states[p] // this goroutine owns it until it halts; Step mutates it in place
-			idle := 0
+			st := states[p]                     // this goroutine owns it until it halts; Step mutates it in place
 			var sent [model.MaxProcesses]uint64 // messages sent to each process so far
+
+			// Counted locally, published once at halt: no per-step atomic.
+			var woken, timedOut int64
+			defer func() { waits[p] = [2]int64{woken, timedOut} }()
 			for {
 				select {
 				case <-stop:
@@ -168,15 +171,12 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 					return // crash: silently halt (OnHalt closes resources)
 				}
 				var m *model.Message
+				empty := false // a take was attempted and found nothing
 				if h.TakeProb <= 0 || h.TakeProb >= 1 || rng.Float64() < h.TakeProb {
 					m = h.Inboxes[p].Take()
-					if m == nil {
-						idle++
-					} else {
-						idle = 0
-						if h.Resolve != nil {
-							m = h.Resolve(m)
-						}
+					empty = m == nil
+					if m != nil && h.Resolve != nil {
+						m = h.Resolve(m)
 					}
 				}
 				d := hist.Output(p, t)
@@ -209,16 +209,16 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 					halt()
 					return
 				}
-				// Yield so other goroutines interleave even on few cores; once
-				// the inbox has stayed empty for a while, back off harder so a
-				// process waiting on in-flight messages (a real possibility on
-				// the TCP transport) burns wall-clock instead of shared-clock
-				// budget. The logical clock still advances on every step, so
-				// crash times and detector histories are unaffected.
-				if idle >= idleBackoffAfter {
-					time.Sleep(idleBackoffSleep)
-				} else if rng.Intn(8) == 0 {
-					time.Sleep(time.Microsecond)
+				// Nothing arrived and nothing left: the next step worth taking
+				// is a reaction to the next arrival, so wait for one, at most
+				// idleWaitBound. A step that skipped its take (TakeProb) never
+				// waits, since messages may still be pending.
+				if empty && len(msgs) == 0 {
+					if h.Inboxes[p].Wait(idleWaitBound) {
+						woken++
+					} else {
+						timedOut++
+					}
 				}
 			}
 		}()
@@ -231,8 +231,15 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 			drops += b.SupersededDrops()
 			pending += int64(b.Len())
 		}
+		var woken, timedOut int64
+		for _, w := range waits {
+			woken += w[0]
+			timedOut += w[1]
+		}
 		opts.Metrics.Counter("inbox.superseded_drops").Add(drops)
 		opts.Metrics.Counter("inbox.pending_at_halt").Add(pending)
+		opts.Metrics.Counter("substrate.waits_woken").Add(woken)
+		opts.Metrics.Counter("substrate.waits_timed_out").Add(timedOut)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

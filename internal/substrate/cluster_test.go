@@ -117,3 +117,58 @@ func TestRunClusterOwnsOneStatePerProcess(t *testing.T) {
 		t.Errorf("reported states took %d steps between them, the run %d", total, res.Steps)
 	}
 }
+
+// pingPong bounces one message between p0 and p1 until each has received
+// pingRounds of them; a process decides once it has.
+type pingPong struct{}
+
+type pongState struct {
+	started bool
+	got     int
+}
+
+func (s *pongState) CloneState() model.State { c := *s; return &c }
+
+func (s *pongState) Decision() (int, bool) { return 0, s.got >= pingRounds }
+
+const pingRounds = 1000
+
+func (pingPong) Name() string                          { return "ping-pong" }
+func (pingPong) N() int                                { return 2 }
+func (pingPong) InitState(model.ProcessID) model.State { return &pongState{} }
+func (pingPong) Step(p model.ProcessID, s model.State, m *model.Message, _ model.FDValue) (model.State, []model.Send) {
+	st := s.(*pongState)
+	switch {
+	case m != nil:
+		st.got++
+		if p == 0 && st.got == pingRounds {
+			return s, nil
+		}
+	case p == 0 && !st.started:
+		st.started = true
+	default:
+		return s, nil
+	}
+	return s, []model.Send{{To: 1 - p, Payload: ping{}}}
+}
+
+// TestRunClusterStepsOnArrival: a process steps because something arrived,
+// not at CPU speed. Between two receipts a ping-pong process takes one
+// step that finds its inbox empty and then waits on it, so a run costs two
+// steps per message; a driver that spins on an empty inbox takes several.
+func TestRunClusterStepsOnArrival(t *testing.T) {
+	res, err := substrate.RunCluster(context.Background(), pingPong{}, fd.Null, model.NewFailurePattern(2),
+		substrate.Options{Seed: 1, MaxSteps: 1_000_000, StopWhenDecided: true},
+		substrate.ClusterHooks{TakeProb: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Decided || res.MessagesSent != 2*pingRounds {
+		t.Fatalf("Decided=%v after %d messages, want a decision after %d", res.Decided, res.MessagesSent, 2*pingRounds)
+	}
+	perMsg := float64(res.Steps) / float64(res.MessagesSent)
+	t.Logf("%d steps for %d messages: %.2f per message", res.Steps, res.MessagesSent, perMsg)
+	if perMsg > 3 {
+		t.Errorf("%.2f steps per message sent, want at most 3: idle processes are spinning", perMsg)
+	}
+}

@@ -2,6 +2,7 @@ package substrate
 
 import (
 	"sync"
+	"time"
 
 	"nuconsensus/internal/model"
 )
@@ -17,11 +18,18 @@ import (
 // ring: Take nils the consumed slot and advances head, and the backing
 // array is reused once the queue drains (or compacted when the dead prefix
 // dominates), so the put/take steady state allocates nothing.
+//
+// Its owner waits on it (Wait) when a step found nothing to take: every put
+// leaves a wake-up in a one-slot channel after releasing the lock, so a
+// waiting owner steps as soon as something arrives. The zero value is an
+// empty inbox.
 type Inbox struct {
 	mu    sync.Mutex
 	msgs  []*model.Message
 	head  int
 	drops int64
+	wake  chan struct{} // one slot; made by the first Wait, so the zero value works
+	timer *time.Timer   // Wait's bound, reused across waits
 }
 
 // NewInboxes allocates one empty inbox per process.
@@ -37,8 +45,10 @@ func NewInboxes(n int) []*Inbox {
 // same sender.
 func (b *Inbox) Put(m *model.Message) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.put(m)
+	c := b.wake
+	b.mu.Unlock()
+	signal(c)
 }
 
 // PutBatch enqueues a run of messages under one lock acquisition — the
@@ -50,9 +60,66 @@ func (b *Inbox) PutBatch(msgs []*model.Message) {
 		return
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	for _, m := range msgs {
 		b.put(m)
+	}
+	c := b.wake
+	b.mu.Unlock()
+	signal(c)
+}
+
+// Wait blocks until a message is pending or d has passed, and reports
+// whether an arrival ended it. A message pending when Wait is called ends
+// it at once; a put after that check leaves its wake-up in the channel, so
+// no arrival is missed. Only the inbox's owner waits, one wait at a time.
+func (b *Inbox) Wait(d time.Duration) bool {
+	c, t := b.arm(d)
+	if c == nil {
+		return true
+	}
+	select {
+	case <-c:
+		if !t.Stop() {
+			select {
+			case <-t.C: // fired as the wake-up came: drain it for the next Reset
+			default:
+			}
+		}
+		return true
+	case <-t.C:
+		return false
+	}
+}
+
+// arm readies a wait of d: it returns the wake-up channel and the started
+// timer, or a nil channel when a message is already pending.
+func (b *Inbox) arm(d time.Duration) (chan struct{}, *time.Timer) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.head < len(b.msgs) {
+		return nil, nil
+	}
+	if b.wake == nil {
+		b.wake = make(chan struct{}, 1)
+	}
+	select {
+	case <-b.wake: // left by a put whose message has been taken already
+	default:
+	}
+	if b.timer == nil {
+		b.timer = time.NewTimer(d)
+	} else {
+		b.timer.Reset(d)
+	}
+	return b.wake, b.timer
+}
+
+// signal leaves a wake-up unless one is already pending; it never blocks,
+// and a nil channel (nobody has waited on the inbox yet) takes none.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/substrate"
@@ -144,5 +145,90 @@ func TestInboxConcurrentPutTake(t *testing.T) {
 	}
 	if box.Len() != 0 {
 		t.Fatalf("inbox not drained: %d left", box.Len())
+	}
+}
+
+// waitBound is far longer than any wake-up takes, so a Wait that runs into
+// it was not woken.
+const waitBound = 10 * time.Second
+
+// TestInboxWaitEndsOnArrival: a Put or a PutBatch from another goroutine
+// ends a Wait well before its bound, and Wait reports the arrival.
+func TestInboxWaitEndsOnArrival(t *testing.T) {
+	puts := map[string]func(*substrate.Inbox, *model.Message){
+		"Put":      (*substrate.Inbox).Put,
+		"PutBatch": func(b *substrate.Inbox, m *model.Message) { b.PutBatch([]*model.Message{m}) },
+	}
+	for name, put := range puts {
+		t.Run(name, func(t *testing.T) {
+			box := &substrate.Inbox{}
+			go func() {
+				time.Sleep(5 * time.Millisecond)
+				put(box, msg(1, 0, 1, plainPayload{"EST", 1}))
+			}()
+			start := time.Now()
+			woken := box.Wait(waitBound)
+			if took := time.Since(start); !woken || took > waitBound/2 {
+				t.Fatalf("Wait = %v after %v, want an arrival well before %v", woken, took, waitBound)
+			}
+			if box.Take() == nil {
+				t.Fatal("Wait reported an arrival, but nothing is pending")
+			}
+		})
+	}
+}
+
+// TestInboxWaitAfterPut: a put made before the wait is not lost — Wait
+// returns at once — while a wake-up whose message was already taken does
+// not cut the next wait short.
+func TestInboxWaitAfterPut(t *testing.T) {
+	box := &substrate.Inbox{}
+	box.Wait(time.Millisecond) // once waited on, every put leaves a wake-up
+	box.Put(msg(1, 0, 1, plainPayload{"EST", 1}))
+	start := time.Now()
+	if woken := box.Wait(waitBound); !woken || time.Since(start) > waitBound/2 {
+		t.Fatalf("Wait = %v after %v with a message pending, want true at once", woken, time.Since(start))
+	}
+	box.Take()
+	if box.Wait(5 * time.Millisecond) {
+		t.Fatal("Wait reported an arrival for a message already taken")
+	}
+}
+
+// TestInboxWaitTimesOut: with no put, Wait returns after its bound and
+// reports no arrival.
+func TestInboxWaitTimesOut(t *testing.T) {
+	box := &substrate.Inbox{}
+	const d = 5 * time.Millisecond
+	for i := 0; i < 2; i++ { // the second wait reuses the first one's timer
+		start := time.Now()
+		if box.Wait(d) {
+			t.Fatal("Wait reported an arrival on an inbox nobody put to")
+		}
+		if took := time.Since(start); took < d {
+			t.Fatalf("Wait returned after %v, before its bound %v", took, d)
+		}
+	}
+}
+
+// TestInboxWaitLosesNoWakeUp: a consumer that waits whenever its take finds
+// nothing, against concurrent senders, is woken for every message — a lost
+// wake-up would run into the bound and fail the test.
+func TestInboxWaitLosesNoWakeUp(t *testing.T) {
+	box := &substrate.Inbox{}
+	const senders, per = 4, 250
+	for s := 0; s < senders; s++ {
+		go func(s int) {
+			for i := 0; i < per; i++ {
+				box.Put(msg(model.ProcessID(s), 0, uint64(s*per+i+1), plainPayload{"EST", i}))
+			}
+		}(s)
+	}
+	for taken := 0; taken < senders*per; {
+		if box.Take() != nil {
+			taken++
+		} else if !box.Wait(waitBound) {
+			t.Fatalf("a wait ran into its bound with %d of %d messages still to come", senders*per-taken, senders*per)
+		}
 	}
 }

@@ -73,8 +73,8 @@ type Options struct {
 	Bus *obs.Bus
 
 	// Metrics, if non-nil, receives substrate-level counters (inbox
-	// supersede drops, transport frame counts). Usually the same registry
-	// the Bus was built with.
+	// supersede drops, idle waits by how they ended, transport frame
+	// counts). Usually the same registry the Bus was built with.
 	Metrics *obs.Registry
 }
 
