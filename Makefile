@@ -91,9 +91,10 @@ counts-check:
 
 # trajectory is the served benchmark's record (cmd/trajectory): it builds
 # BASE from `git archive` into a temp dir, runs bench/run.sh in PAIRS
-# alternating pairs on BASE and on the work tree plus one traced pass each,
-# and appends a row per metric to testdata/trajectory.tsv — both sides'
-# median and quartiles, the change's wins and bench's host line. A perf
+# alternating pairs on BASE and on the work tree plus two traced passes
+# each (base, change, change, base), and appends a row per metric to
+# testdata/trajectory.tsv — both sides' median and quartiles, the change's
+# wins and bench's host line. A perf
 # change's claim is its rows. Nothing here gates a wall-clock number:
 # `go test ./cmd/trajectory` checks the file's format only.
 BASE ?= HEAD~1
@@ -246,6 +247,7 @@ examples-smoke:
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzDecodePayload -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzDecodeMessage -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzDecodeLink -fuzztime 30s
 	$(GO) test ./internal/netrun -fuzz FuzzReadLink -fuzztime 30s
 
 fmt:

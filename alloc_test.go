@@ -77,11 +77,13 @@ func TestHotPathAllocs(t *testing.T) {
 		{"WireEncode/lead-delta", 100, 0, wireEncodeOp("lead-delta")},
 		{"WireEncode/bundle", 100, 0, wireEncodeOp("bundle")},
 		{"WireEncode/dag64", 100, 0, wireEncodeOp("dag64")},
+		{"WireEncode/link-bundle", 100, 0, wireLinkEncodeOp},
 		{"WireDecode/heartbeat", 100, 0, wireDecodeOp("heartbeat")},
 		{"WireDecode/report", 100, 1, wireDecodeOp("report")},
 		{"WireDecode/lead-delta", 100, 3, wireDecodeOp("lead-delta")},
 		{"WireDecode/bundle", 100, 7, wireDecodeOp("bundle")},
 		{"WireDecode/dag64", 100, 92, wireDecodeOp("dag64")},
+		{"WireDecode/link-bundle", 100, 7, wireLinkDecodeOp},
 		{"WirePeek", 100, 0, wirePeekOp},
 		{"Inbox/put-take", 100, 0, inboxPutTakeOp},
 		{"Inbox/superseding-flood", 100, 0, inboxFloodOp},

@@ -194,6 +194,52 @@ func wireDecodeOp(name string) hotOp {
 	}
 }
 
+// wireLinkEncodeOp encodes the bundle as netrun does, on a link's codec
+// (wire.Link), committing each frame. Every frame after the first inherits
+// from one that is the same, so each op writes the same bytes.
+func wireLinkEncodeOp(tb testing.TB) func() {
+	pl := benchPayload("bundle")
+	var (
+		l     wire.Link
+		frame []byte
+	)
+	return func() {
+		var err error
+		if frame, err = l.Append(frame[:0], pl); err != nil {
+			tb.Fatal(err)
+		}
+		l.Commit()
+	}
+}
+
+// wireLinkDecodeOp decodes the bundle's steady frame on a warmed link's
+// receiving codec: the frame leaves the codec's run where it found it, so
+// every op decodes the same frame from the same run.
+func wireLinkDecodeOp(tb testing.TB) func() {
+	pl := benchPayload("bundle")
+	var tx, rx wire.Link
+	var msg model.Message
+	for i := 0; i < 2; i++ {
+		frame, err := tx.Append(nil, pl)
+		if err == nil {
+			err = rx.Decode(&msg, frame)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tx.Commit()
+	}
+	frame, err := tx.Append(nil, pl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		if err := rx.Decode(&msg, frame); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // wirePeekOp is the kind-only parse the tcp readers run on every received
 // frame (supersession collapsing works on undecoded frames).
 func wirePeekOp(tb testing.TB) func() {
@@ -210,6 +256,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	for _, name := range []string{"heartbeat", "lead-hist", "lead-delta", "bundle", "dag64"} {
 		b.Run(name, func(b *testing.B) { benchOp(b, wireEncodeOp(name)) })
 	}
+	b.Run("link-bundle", func(b *testing.B) { benchOp(b, wireLinkEncodeOp) })
 }
 
 // BenchmarkWireDecode measures frame → message decoding per payload kind.
@@ -217,6 +264,7 @@ func BenchmarkWireDecode(b *testing.B) {
 	for _, name := range []string{"heartbeat", "report", "lead-delta", "bundle", "dag64"} {
 		b.Run(name, func(b *testing.B) { benchOp(b, wireDecodeOp(name)) })
 	}
+	b.Run("link-bundle", func(b *testing.B) { benchOp(b, wireLinkDecodeOp) })
 }
 
 // BenchmarkWirePeek measures the kind-only parse of a DAG frame.

@@ -6,10 +6,12 @@
 // number of pairs the change won, and bench's host line.
 //
 // Each pair is an end-to-end pass (--trace 0), the first tree of a pair
-// alternating so drift over the session cancels; one traced pass
-// (--trace 1) of each tree follows. The rows kept are BENCHMARK.json's
-// end-to-end metrics from the pairs, and from the traced passes (one pair)
-// every per-layer metric with a word ns, us or ms in its name. A row's tag
+// alternating so drift over the session cancels; two traced passes
+// (--trace 1) of each tree follow in the order base, change, change, base,
+// so neither tree always runs first (schedule). The rows kept are
+// BENCHMARK.json's end-to-end metrics from the pairs, and from the traced
+// passes (two pairs) every per-layer metric with a word ns, us or ms in
+// its name. A row's tag
 // is the work tree's short commit, with a + when it has uncommitted
 // changes. A run that fails verification appends nothing. bench is only
 // called, never changed.
@@ -135,6 +137,25 @@ func timed(name string) bool {
 	return false
 }
 
+// pass is one bench run of a trajectory: which tree it runs on, and
+// whether it is traced.
+type pass struct {
+	change, traced bool
+}
+
+// schedule is the order of a trajectory's bench runs: pairs end-to-end
+// pairs, the base first in the even ones and the change first in the odd
+// ones, then the traced passes base, change, change, base. Each side's
+// k-th pass of a kind pairs with the other side's k-th.
+func schedule(pairs int) []pass {
+	var out []pass
+	for i := 0; i < pairs; i++ {
+		first := i%2 == 1
+		out = append(out, pass{change: first}, pass{change: !first})
+	}
+	return append(out, pass{traced: true}, pass{change: true, traced: true}, pass{change: true, traced: true}, pass{traced: true})
+}
+
 // result is one bench run: its metric values and host line.
 type result struct {
 	metrics map[string]float64
@@ -233,27 +254,26 @@ func main() {
 		log.Fatalf("git archive %s: %v", *base, err)
 	}
 
-	run := func(tree string, trace int) *result {
+	// runs[p] are the results of the passes like p, in order.
+	runs := map[pass][]*result{}
+	plan := schedule(*pairs)
+	for i, p := range plan {
+		tree, trace, side := dir, 0, "base"
+		if p.change {
+			tree, side = ".", "change"
+		}
+		if p.traced {
+			trace = 1
+		}
+		log.Printf("pass %d/%d: %s, --trace %d", i+1, len(plan), side, trace)
 		r, err := runBench(tree, *workload, *seed, *seconds, trace)
 		if err != nil {
 			os.RemoveAll(dir)
 			log.Fatal(err)
 		}
-		return r
+		runs[p] = append(runs[p], r)
 	}
-	var bs, cs []*result
-	for i := 0; i < *pairs; i++ {
-		log.Printf("pair %d/%d", i+1, *pairs)
-		if i%2 == 0 {
-			bs = append(bs, run(dir, 0))
-			cs = append(cs, run(".", 0))
-		} else {
-			cs = append(cs, run(".", 0))
-			bs = append(bs, run(dir, 0))
-		}
-	}
-	log.Print("traced passes")
-	bt, ct := run(dir, 1), run(".", 1)
+	bs, cs := runs[pass{}], runs[pass{change: true}]
 
 	var layered []metricDef
 	for _, d := range spec.PerLayer {
@@ -261,7 +281,7 @@ func main() {
 			layered = append(layered, d)
 		}
 	}
-	all := append(rows(spec.EndToEnd, bs, cs), rows(layered, []*result{bt}, []*result{ct})...)
+	all := append(rows(spec.EndToEnd, bs, cs), rows(layered, runs[pass{traced: true}], runs[pass{change: true, traced: true}])...)
 
 	f, err := os.OpenFile(*out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {

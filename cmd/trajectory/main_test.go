@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -100,6 +101,27 @@ func TestTimed(t *testing.T) {
 	} {
 		if got := timed(name); got != want {
 			t.Errorf("timed(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestSchedule: the end-to-end pairs alternate which tree runs first, and
+// the traced passes run base, change, change, base, so each tree runs
+// first in one traced pair and second in the other.
+func TestSchedule(t *testing.T) {
+	b, c := pass{}, pass{change: true}
+	bt, ct := pass{traced: true}, pass{change: true, traced: true}
+	want := []pass{b, c, c, b, b, c, bt, ct, ct, bt}
+	if got := schedule(3); !reflect.DeepEqual(got, want) {
+		t.Errorf("schedule(3) = %v, want %v", got, want)
+	}
+	for pairs := 1; pairs <= 10; pairs++ {
+		n := map[pass]int{}
+		for _, p := range schedule(pairs) {
+			n[p]++
+		}
+		if n[b] != pairs || n[c] != pairs || n[bt] != 2 || n[ct] != 2 {
+			t.Errorf("schedule(%d) runs %v", pairs, n)
 		}
 	}
 }

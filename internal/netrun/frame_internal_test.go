@@ -41,12 +41,15 @@ func (r *countingReader) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// TestFrameOneWrite: dispatch's frames — the length prefix written into the
-// hole appendFrame keeps in front of the encoded message — reach the socket
-// in one Write each, and the link's reader reads them back as the messages
-// sent: From and To from the link, Seq from the count of frames, the
-// payload from the frame. bytes_sent counts prefix and payload. A payload
-// of 128 bytes or more takes a two-byte prefix.
+// TestFrameOneWrite: dispatch's frames (link.send) — the length prefix
+// written into the hole appendFrame keeps in front of the encoded message —
+// reach the socket in one Write each, and the link's reader reads them back
+// as the messages sent: From and To from the link, Seq from the count of
+// frames, the payload from the frame, decoded on the receiver's codec for
+// the link. bytes_sent counts prefix and payload. A payload of 128 bytes or
+// more takes a two-byte prefix. The second bundle's REP is round 1 behind
+// the first bundle's round 2: a sender that coded it on a fresh run would
+// let it inherit the round, and the receiver would read round 2.
 func TestFrameOneWrite(t *testing.T) {
 	const from, to = 0, 1
 	big := make([]serve.Command, 40)
@@ -57,8 +60,12 @@ func TestFrameOneWrite(t *testing.T) {
 		rsm.ProgressPayload{Slot: 3},
 		rsm.Bundle{
 			rsm.CommandPayload{Cmd: 9},
-			rsm.SlotPayload{Slot: 3, Inner: consensus.ReportPayload{K: 1, V: 9}},
+			rsm.SlotPayload{Slot: 3, Inner: consensus.ReportPayload{K: 2, V: 9}},
 			rsm.SlotPayload{Slot: 3, Inner: consensus.SawPayload{Q: model.SetOf(0, 1)}},
+		},
+		rsm.Bundle{
+			rsm.SlotPayload{Slot: 4, Inner: consensus.ReportPayload{K: 1, V: 9}},
+			rsm.ProgressPayload{Slot: 3},
 		},
 		serve.BatchPayload{ID: serve.BatchID(0, 1), Cmds: big},
 	}
@@ -78,12 +85,7 @@ func TestFrameOneWrite(t *testing.T) {
 	go func() {
 		defer l.close()
 		for _, m := range msgs {
-			frame, err := appendFrame(wire.GetBuf(64+frameHole), m)
-			if err == nil {
-				err = l.writeFrame(frame, &sent)
-			}
-			wire.PutBuf(frame)
-			if err != nil {
+			if err := l.send(m.Payload, &sent); err != nil {
 				errs <- err
 				return
 			}
@@ -97,12 +99,13 @@ func TestFrameOneWrite(t *testing.T) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
+	var dec wire.Link
 	for i, want := range msgs {
 		m := inbox.Take()
 		if m == nil {
 			t.Fatalf("frame %d never reached the inbox", i)
 		}
-		got := resolve(m)
+		got := resolve(m, &dec)
 		if got == nil || got.From != want.From || got.To != want.To || got.Seq != want.Seq || !reflect.DeepEqual(got.Payload, want.Payload) {
 			t.Errorf("frame %d read back as %v, want %v", i, got, want)
 		}
@@ -123,8 +126,8 @@ func TestAppendFrameRefusesOversized(t *testing.T) {
 	for i := range cmds {
 		cmds[i] = serve.Command{Client: 1, Seq: uint64(i + 1), Op: serve.OpPut, Key: uint64(i), Val: int64(i)}
 	}
-	m := &model.Message{From: 0, To: 1, Seq: 1, Payload: serve.BatchPayload{ID: serve.BatchID(0, 1), Cmds: cmds}}
-	if frame, err := appendFrame(nil, m); err == nil {
+	var enc wire.Link
+	if frame, err := appendFrame(nil, &enc, serve.BatchPayload{ID: serve.BatchID(0, 1), Cmds: cmds}); err == nil {
 		t.Fatalf("a %d-byte frame was accepted above the %d limit", len(frame)-frameHole, wire.MaxFrameSize)
 	}
 }
@@ -162,11 +165,38 @@ func TestCorruptFrameDropsLink(t *testing.T) {
 		}
 		m := inboxes[to].Take()
 		if m != nil {
-			m = resolve(m)
+			m = resolve(m, new(wire.Link))
 		}
 		if m == nil || m.From != from || m.To != to || m.Seq != substrate.LinkSeq(from, to, 1) {
 			t.Errorf("%s: the frame before it arrived as %v, want p%d's first message to p%d", name, m, from, to)
 		}
+	}
+}
+
+// TestUndecodableFrameDropsLaterFrames: a frame of a known kind whose body
+// does not decode reaches the inbox, since the reader only peeks, but it
+// resolves to nothing, and so does every later frame from that peer, valid
+// or not: its codec cannot re-sync the link's run. A frame from another
+// peer, on its own codec, still resolves.
+func TestUndecodableFrameDropsLaterFrames(t *testing.T) {
+	const from, to = 1, 0
+	cmd, err := wire.EncodePayload(rsm.CommandPayload{Cmd: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(b ...byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))), b...) }
+	truncated := frame(cmd[0], 0x80) // the CMD tag and a varint cut short
+	stream := bytes.Join([][]byte{frame(cmd...), truncated, frame(cmd...), frame(cmd...)}, nil)
+	inbox := substrate.NewInboxes(3)[to]
+	read(bytes.NewReader(stream), from, to, inbox)
+	read(bytes.NewReader(frame(cmd...)), 2, to, inbox)
+	ms := &mesh{links: [][]*link{{nil, {}, {}}, {{}, nil, {}}, {{}, {}, nil}}}
+	var got []bool
+	for m := inbox.Take(); m != nil; m = inbox.Take() {
+		got = append(got, ms.resolve(m) != nil)
+	}
+	if want := []bool{true, false, false, false, true}; !reflect.DeepEqual(got, want) {
+		t.Errorf("frames resolved %v, want %v", got, want)
 	}
 }
 

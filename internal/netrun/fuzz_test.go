@@ -18,10 +18,14 @@ import (
 // p2's k-th message to p1, numbered substrate.LinkSeq(2, 1, k): the inbox
 // holds exactly the frames up to the first bad one, less those a later
 // superseding frame of the same kind collapsed, in order. Resolving what
-// it holds never panics or renames a message either.
+// it holds through one receiving codec never panics or renames a message
+// either, and once a frame fails to resolve, every later one fails.
 func FuzzReadLink(f *testing.F) {
 	const from, to = 2, 1
-	var stream []byte
+	var (
+		stream []byte
+		enc    wire.Link
+	)
 	for _, pl := range []model.Payload{
 		rsm.ProgressPayload{Slot: 3},
 		rsm.CommandPayload{Cmd: 9},
@@ -32,10 +36,11 @@ func FuzzReadLink(f *testing.F) {
 		rsm.ProgressPayload{Slot: 4},
 		rsm.SlotPayload{Slot: 5, Inner: consensus.ReportPayload{K: 2, V: 1}},
 	} {
-		b, err := wire.EncodePayload(pl)
+		b, err := enc.Append(nil, pl)
 		if err != nil {
 			f.Fatal(err)
 		}
+		enc.Commit()
 		stream = append(binary.AppendUvarint(stream, uint64(len(b))), b...)
 		f.Add(bytes.Clone(stream))
 	}
@@ -81,6 +86,8 @@ func FuzzReadLink(f *testing.F) {
 
 		inbox := substrate.NewInboxes(3)[to]
 		read(bytes.NewReader(data), from, to, inbox)
+		var dec wire.Link
+		failed := false
 		for i := 0; ; i++ {
 			m := inbox.Take()
 			if m == nil {
@@ -93,7 +100,12 @@ func FuzzReadLink(f *testing.F) {
 				t.Fatalf("message %d is %v#%d→%v, want Seqs %v on p%d → p%d", i, m.From, m.Seq, m.To, want, from, to)
 			}
 			seq := m.Seq
-			if m = resolve(m); m != nil && (m.From != from || m.To != to || m.Seq != seq) {
+			switch m = resolve(m, &dec); {
+			case m == nil:
+				failed = true
+			case failed:
+				t.Fatalf("message %d resolved as %v after a message failed to", i, m)
+			case m.From != from || m.To != to || m.Seq != seq:
 				t.Fatalf("resolve renamed message %d to %v#%d→%v", i, m.From, m.Seq, m.To)
 			}
 		}

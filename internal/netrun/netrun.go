@@ -15,7 +15,7 @@
 // A connection starts with a one-byte hello naming the dialer. After it,
 // each direction carries peer frames, and nothing else:
 //
-//	frame := varint(len(payload)) payload   (payload: wire.AppendMessage)
+//	frame := varint(len(payload)) payload   (payload: wire.Link.Append)
 //
 // No frame names its sender, receiver or sequence number: the receiving
 // end knows all three. The link names From and To, and the frame's
@@ -23,6 +23,18 @@
 // its connection with q, in send order, so the k-th frame read there is
 // p's k-th message to q, which substrate.RunCluster numbered
 // substrate.LinkSeq(p, q, k). The reader counts and numbers it so (read).
+//
+// Each direction of a link is also one wire.Link codec, so a frame's slot
+// items inherit slot, round and history frame from the frames before it on
+// its link. p's end of its connection with q holds both of p's codecs:
+// the one for what p sends q, advanced only once a frame is written
+// (link.send), and the one for what p takes from q, which decodes in link
+// order because the inbox keeps each sender's frames in order and decodes
+// them when p takes them (resolve). Only p's goroutine touches either. A
+// superseding frame the inbox drops undecoded inherits nothing and
+// advances nothing. A frame that fails to decode breaks the run of its
+// link: it and every later frame from that peer are dropped, as if the
+// link had closed.
 package netrun
 
 import (
@@ -43,10 +55,13 @@ import (
 
 func init() { substrate.Register(S{}) }
 
-// link is one direction of a TCP connection with a write lock.
+// link is one process's end of a TCP connection with a peer: the socket
+// with its write lock, and the process's codecs for the frames it sends
+// the peer (enc) and takes from it (dec), which only its goroutine uses.
 type link struct {
-	mu   sync.Mutex
-	conn net.Conn
+	mu       sync.Mutex
+	conn     net.Conn
+	enc, dec wire.Link
 }
 
 // frameHole is the room a frame's buffer keeps in front of the encoded
@@ -54,12 +69,12 @@ type link struct {
 // leave in one Write.
 const frameHole = binary.MaxVarintLen64
 
-// appendFrame encodes m into buf behind a frameHole-byte hole for the
-// length prefix and returns the extended buffer, ready for writeFrame. A
-// message above wire.MaxFrameSize is an error: the peer's wire.ReadFrame
-// would refuse it and drop the link.
-func appendFrame(buf []byte, m *model.Message) ([]byte, error) {
-	buf, err := wire.AppendMessage(append(buf[:0], make([]byte, frameHole)...), m)
+// appendFrame encodes pl on enc into buf behind a frameHole-byte hole for
+// the length prefix and returns the extended buffer, ready for writeFrame;
+// enc.Commit once it is written. A message above wire.MaxFrameSize is an
+// error: the peer's wire.ReadFrame would refuse it and drop the link.
+func appendFrame(buf []byte, enc *wire.Link, pl model.Payload) ([]byte, error) {
+	buf, err := enc.Append(append(buf[:0], make([]byte, frameHole)...), pl)
 	if err == nil && len(buf)-frameHole > wire.MaxFrameSize {
 		err = fmt.Errorf("netrun: %d-byte frame exceeds the %d limit", len(buf)-frameHole, wire.MaxFrameSize)
 	}
@@ -84,6 +99,23 @@ func (l *link) writeFrame(b []byte, sent *atomic.Int64) error {
 		return err
 	}
 	sent.Add(int64(len(frame)))
+	return nil
+}
+
+// send encodes pl on l's codec and writes it as one frame. Only a written
+// frame advances the codec: the peer never reads one that failed. The
+// frame is dead once written, so its pooled buffer goes straight back. A
+// payload the codec cannot encode is a bug in the automaton that sent it.
+func (l *link) send(pl model.Payload, sent *atomic.Int64) error {
+	frame, err := appendFrame(wire.GetBuf(64+frameHole), &l.enc, pl)
+	if err != nil {
+		panic(fmt.Sprintf("netrun: unencodable payload: %v", err))
+	}
+	defer wire.PutBuf(frame)
+	if err := l.writeFrame(frame, sent); err != nil {
+		return err
+	}
+	l.enc.Commit()
 	return nil
 }
 
@@ -234,15 +266,25 @@ func read(c io.Reader, from, to model.ProcessID, inbox *substrate.Inbox) {
 	}
 }
 
-// resolve decodes a raw frame at take time (ClusterHooks.Resolve); loopback
-// messages (put directly, never encoded) pass through untouched. The
-// decode fills in the inbox message the reader built and recycles the
-// frame buffer: decoded payloads never alias the frame
-// (wire.DecodeMessageInto), so the pool may hand it to another link
-// immediately. Frames collapsed while pending are simply garbage collected
-// — the inbox drops them without a decode, so there is no hook to return
-// them to the pool.
-func resolve(m *model.Message) *model.Message {
+// resolve decodes a raw frame at take time (ClusterHooks.Resolve) on m.To's
+// codec for m.From; loopback messages (put directly, never encoded) pass
+// through untouched.
+func (ms *mesh) resolve(m *model.Message) *model.Message {
+	if l := ms.links[m.To][m.From]; l != nil {
+		return resolve(m, &l.dec)
+	}
+	return m
+}
+
+// resolve decodes m's raw frame on dec, the receiver's codec for the link
+// it arrived on. The decode fills in the inbox message the reader built
+// and recycles the frame buffer: decoded payloads never alias the frame
+// (wire.Link.Decode), so the pool may hand it to another link immediately.
+// Frames collapsed while pending are simply garbage collected — the inbox
+// drops them without a decode, so there is no hook to return them to the
+// pool. A frame that fails to decode is dropped, and so is every later one
+// on its link: dec has latched the failure.
+func resolve(m *model.Message, dec *wire.Link) *model.Message {
 	var frame []byte
 	switch p := m.Payload.(type) {
 	case rawPayload:
@@ -252,10 +294,10 @@ func resolve(m *model.Message) *model.Message {
 	default:
 		return m
 	}
-	err := wire.DecodeMessageInto(m, frame)
+	err := dec.Decode(m, frame)
 	wire.PutBuf(frame)
 	if err != nil {
-		return nil // a corrupt body behind a known kind: the message is dropped, the link stays up
+		return nil
 	}
 	return m
 }
@@ -365,25 +407,18 @@ func (S) Run(ctx context.Context, aut model.Automaton, hist model.History, patte
 				inboxes[out.From].Put(out) // loopback without the socket
 				continue
 			}
-			// Encode into a pooled buffer; the frame is dead once written
-			// to the socket, so it goes straight back to the pool.
-			frame, err := appendFrame(wire.GetBuf(64+frameHole), out)
-			if err != nil {
-				panic(fmt.Sprintf("netrun: unencodable payload: %v", err))
-			}
-			if err := m.links[out.From][out.To].writeFrame(frame, &bytesSent); err != nil {
+			if err := m.links[out.From][out.To].send(out.Payload, &bytesSent); err != nil {
 				count("netrun.frame_write_errors", 1) // peer may have crashed
 			} else {
 				count("netrun.frames_sent", 1)
 			}
-			wire.PutBuf(frame)
 		}
 	}
 
 	res, err := substrate.RunCluster(ctx, aut, hist, pattern, opts, substrate.ClusterHooks{
 		Inboxes:  inboxes,
 		Dispatch: dispatch,
-		Resolve:  resolve,
+		Resolve:  m.resolve,
 		// A halting process — crashed or merely done — closes its links so
 		// peers' readers see EOF rather than a silent, wedged socket.
 		OnHalt: func(p model.ProcessID) { m.closeAll(int(p)) },

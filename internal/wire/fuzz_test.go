@@ -1,6 +1,9 @@
 package wire_test
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -145,6 +148,76 @@ func FuzzDecodeMessage(f *testing.F) {
 		_, supersedes := m.Payload.(model.SupersededPayload)
 		if want := (wire.MessageHead{Kind: m.Payload.Kind(), Supersedes: supersedes}); h != want {
 			t.Fatalf("frame %x decodes as %v, which heads as %+v, but peeks as %+v", data, m.Payload, want, h)
+		}
+	})
+}
+
+// linkStream is the frames of pls on one fresh link, each behind its
+// varint length as a netrun link carries them.
+func linkStream(tb testing.TB, pls []model.Payload) []byte {
+	tb.Helper()
+	var l wire.Link
+	var stream []byte
+	for _, pl := range pls {
+		frame, err := l.Append(nil, pl)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		l.Commit()
+		stream = append(binary.AppendUvarint(stream, uint64(len(frame))), frame...)
+	}
+	return stream
+}
+
+// FuzzDecodeLink checks a frame sequence through one Link: the input is
+// read as length-prefixed frames (ReadFrame), each decoded by the same
+// receiving Link. Nothing panics; after the first frame that fails, every
+// later frame fails; and the payloads the receiver accepted, sent again
+// through a fresh sending Link, make frames a fresh receiving Link decodes
+// reflect.DeepEqual to them — the two ends advance their runs alike.
+func FuzzDecodeLink(f *testing.F) {
+	seeds := seedPayloads()
+	f.Add(linkStream(f, seeds))
+	for i := range seeds {
+		f.Add(linkStream(f, seeds[i:min(i+4, len(seeds))]))
+	}
+	for _, b := range seedRejects(f) {
+		f.Add(append(linkStream(f, seeds[:2]), append(binary.AppendUvarint(nil, uint64(len(b))), b...)...))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rx wire.Link
+		var accepted []model.Payload
+		failed := false
+		r := bufio.NewReader(bytes.NewReader(data))
+		for {
+			frame, err := wire.ReadFrame(r)
+			if err != nil {
+				break
+			}
+			var m model.Message
+			err = rx.Decode(&m, frame)
+			wire.PutBuf(frame)
+			switch {
+			case err != nil:
+				failed = true
+			case failed:
+				t.Fatalf("frame %d decoded as %v after a frame failed", len(accepted), m.Payload)
+			default:
+				accepted = append(accepted, m.Payload)
+			}
+		}
+		var tx, again wire.Link
+		for i, pl := range accepted {
+			frame, err := tx.Append(nil, pl)
+			if err != nil {
+				t.Fatalf("accepted payload %d, %#v, cannot be re-encoded: %v", i, pl, err)
+			}
+			tx.Commit()
+			var m model.Message
+			if err := again.Decode(&m, frame); err != nil || !reflect.DeepEqual(m.Payload, pl) {
+				t.Fatalf("accepted payload %d, %#v, re-encodes as %x, which decodes as %#v (err %v)", i, pl, frame, m.Payload, err)
+			}
 		}
 	})
 }

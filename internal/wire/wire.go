@@ -4,17 +4,16 @@
 // self-describing at the payload level, and a peer frame is one payload and
 // nothing else: the link it travels on names its From, To and Seq.
 //
-//	message  := outer                              (a peer frame's body: AppendMessage)
+//	message  := outer                              (a peer frame's body: AppendMessage, Link.Append)
 //	outer    := item | bundleTag item item item*   (items run to the end)
 //	item     := kindTag … (per-kind body) | slot
-//	slot     := head [varint slot] [Q] [K] [V] [Stamp] [frame]   (an rsm.SlotPayload, bare or bundled)
+//	slot     := head [slotnum] [Q] [K] [V] [Stamp] [frame]   (an rsm.SlotPayload or rsm.ProgressPayload, bare or bundled)
 //	head     := one byte: bit 7 set (every kindTag is below 0x80), bit 6 frame, bit 5 round,
-//	            bits 3–4 slot code (0 varint follows, 1 same, 2 next), bits 0–2 kind
+//	            bits 3–4 slot code (0 varint follows, 1 same, 2 next, 3 zigzag delta follows), bits 0–2 kind
 //	kind     := 0 LEADD (K V frame) | 1 PROPD (K V frame) | 2 PROPD without V (K frame)
-//	          | 3 REP (K V) | 4 SAW (Q) | 5 SACK (Q K Stamp)
+//	          | 3 REP (K V) | 4 SAW (Q) | 5 SACK (Q K Stamp−slot) | 6 PRGR (no fields: the slot is its floor)
 //	frame    := varint(To<<1 | hasAdds) adds
 //	adds     := count (R Q)^count when hasAdds, else nothing (1 ≤ count ≤ To)
-//	PRGR     := progressTag varint
 //	FLW      := followTag varint(leader)   (leader < MaxProcesses)
 //	BATCH    := batchTag ID count command^count
 //	command  := varint(Client<<3 | min(Op, 7)) [Op when Op ≥ 7] Seq Key Val
@@ -22,22 +21,32 @@
 //	varint   := unsigned LEB128 (encoding/binary Uvarint); signed fields zigzag
 //
 // A slot item writes only what its receiver cannot rebuild from the slot
-// items before it in the same payload (bare, there are none). Its head's
-// slot code says whether the slot varint follows, or the slot is that of
-// the slot item before it, or one above; its round bit leaves out K when K
-// equals the last K written earlier in the payload (initially 1); its frame
-// bit leaves out a history frame that has no adds and the To of the last
-// frame. A frame carries no Base: every delta spans exactly its adds
-// (quorum.Delta), so the decoder rebuilds Base as To − count, and a frame
-// without adds is one varint. BATCH bodies and the client request frame
-// share the command encoding. Full quorum histories travel as, per process,
-// a count followed by that many 64-bit process sets; DAG snapshots as a
-// node list plus per-node predecessor bitsets, each node's failure-detector
-// value inline. Everything round-trips exactly (TestRoundTrip*). A decode
-// stops at its first error (truncated input, a forged count, a field out of
-// range, a trailing byte) and rejects the whole input: it never panics, and
-// a count the remaining input cannot hold fails before anything is
-// allocated from it.
+// items before it: those earlier in its payload and, on a Link, those in
+// the frames before it on its link. Its head's slot code says whether the
+// slot varint follows, or the slot is that of the slot item before it, or
+// one above, or a zigzag delta from it follows (written only where it is
+// shorter than the varint); its round bit leaves out K when K equals the
+// last K written (initially 1); its frame bit leaves out a history frame
+// that has no adds and the To of the last frame. A SACK's stamp travels as
+// a zigzag delta from its slot (the log stamps slot + window − 1), so no
+// field of a slot item grows with the age of the log. A superseding frame (a
+// bare PRGR, a heartbeat, a DAG snapshot) inherits nothing and advances
+// nothing, on either end, because an inbox may drop it undecoded; every
+// other frame advances its link's run in send order. AppendPayload,
+// DecodePayload, DecodeMessageInto and HistoryFrameLen code a payload as
+// the first frame of a fresh link, so a bare slot item inherits only the
+// initial round 1. A frame carries no Base: every delta spans exactly its
+// adds (quorum.Delta), so the decoder rebuilds Base as To − count, and a
+// frame without adds is one varint. BATCH bodies and the client request
+// frame share the command encoding. Full quorum histories travel as, per
+// process, a count followed by that many 64-bit process sets; DAG
+// snapshots as a node list plus per-node predecessor bitsets, each node's
+// failure-detector value inline. Everything round-trips exactly
+// (TestRoundTrip*, TestLinkRoundTrip). A decode stops at its first error
+// (truncated input, a forged count, a field out of range, a trailing byte)
+// and rejects the whole input: it never panics, and a count the remaining
+// input cannot hold fails before anything is allocated from it. A Link
+// that fails a frame fails every later one: it cannot re-sync its run.
 package wire
 
 import (
@@ -67,7 +76,7 @@ const (
 	tagRound
 	tagHeartbeat
 	tagGraph
-	tagProgress
+	_ // unused: PRGR is slot item kind 6
 	tagCommand
 	tagEstimate
 	tagCoord
@@ -78,6 +87,7 @@ const (
 	tagServeReply
 	tagBundle
 	tagFollow
+	tagCount
 )
 
 // A slot item's head byte: the marker, then the kind, the slot code and
@@ -93,10 +103,12 @@ const (
 	slotExplicit = 0 << 3
 	slotSame     = 1 << 3
 	slotNext     = 2 << 3
+	slotDelta    = 3 << 3
 )
 
-// The six slot item kinds: what the log sends a peer inside a slot
-// (rsm's wrapShared; loopback keeps its plain LEAD, PROP and ACK at home).
+// The seven slot item kinds: what the log sends a peer inside a slot
+// (rsm's wrapShared; loopback keeps its plain LEAD, PROP and ACK at home),
+// and its progress floor, which is a slot number and nothing else.
 const (
 	kindLead byte = iota
 	kindPropV
@@ -104,6 +116,7 @@ const (
 	kindReport
 	kindSaw
 	kindAck
+	kindProgress
 	kindCount
 )
 
@@ -117,7 +130,7 @@ const (
 )
 
 // kindFields is each kind's fields; kindProtos is a zero value of each
-// kind's payload, whose Kind PeekMessage reports.
+// kind's payload, whose kind and supersession PeekMessage reports.
 var (
 	kindFields = [kindCount]uint8{
 		kindLead:   fieldK | fieldV | fieldFrame,
@@ -128,12 +141,13 @@ var (
 		kindAck:    fieldQ | fieldK | fieldStamp,
 	}
 	kindProtos = [kindCount]model.Payload{
-		kindLead:   consensus.LeadDeltaPayload{},
-		kindPropV:  consensus.ProposalDeltaPayload{},
-		kindProp:   consensus.ProposalDeltaPayload{},
-		kindReport: consensus.ReportPayload{},
-		kindSaw:    consensus.SawPayload{},
-		kindAck:    rsm.AckStampPayload{},
+		kindLead:     consensus.LeadDeltaPayload{},
+		kindPropV:    consensus.ProposalDeltaPayload{},
+		kindProp:     consensus.ProposalDeltaPayload{},
+		kindReport:   consensus.ReportPayload{},
+		kindSaw:      consensus.SawPayload{},
+		kindAck:      rsm.AckStampPayload{},
+		kindProgress: rsm.ProgressPayload{},
 	}
 )
 
@@ -160,25 +174,13 @@ func (w *buf) putUvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
 func (w *buf) putByte(v byte)      { w.b = append(w.b, v) }
 
 // putInt zigzag-encodes a signed integer (proposal values may be negative).
-func (w *buf) putInt(v int) {
-	x := int64(v)
-	w.putUvarint(uint64((x << 1) ^ (x >> 63)))
-}
+func (w *buf) putInt(v int) { w.putUvarint(zigzag(int64(v))) }
 
 // putInt64 zigzag-encodes a signed 64-bit value (serve command values).
-func (w *buf) putInt64(x int64) {
-	w.putUvarint(uint64((x << 1) ^ (x >> 63)))
-}
+func (w *buf) putInt64(x int64) { w.putUvarint(zigzag(x)) }
 
-// putSlot writes a slot number as a plain varint: slots are never
-// negative, so they need no zigzag.
-func (w *buf) putSlot(slot int) error {
-	if slot < 0 {
-		return fmt.Errorf("wire: negative slot %d", slot)
-	}
-	w.putUvarint(uint64(slot))
-	return nil
-}
+// zigzag maps a signed value onto the unsigned one its varint carries.
+func zigzag(x int64) uint64 { return uint64((x << 1) ^ (x >> 63)) }
 
 // flag is a boolean as one byte.
 func flag(b bool) byte {
@@ -285,11 +287,8 @@ func EncodePayload(pl model.Payload) ([]byte, error) {
 // GetBuf lease) is the allocation-free hot path; EncodePayload is the
 // convenience wrapper that starts from nil.
 func AppendPayload(dst []byte, pl model.Payload) ([]byte, error) {
-	w, st := buf{b: dst}, newRun()
-	if err := encodeOuter(&w, &st, pl); err != nil {
-		return dst, err
-	}
-	return w.b, nil
+	var st run
+	return st.append(dst, pl)
 }
 
 func encodePayload(w *buf, pl model.Payload) error {
@@ -324,9 +323,6 @@ func encodePayload(w *buf, pl model.Payload) error {
 	case dag.GraphPayload:
 		w.putByte(tagGraph)
 		return encodeGraph(w, p.G)
-	case rsm.ProgressPayload:
-		w.putByte(tagProgress)
-		return w.putSlot(p.Slot)
 	case rsm.FollowPayload:
 		if p.Leader < 0 || int(p.Leader) >= model.MaxProcesses {
 			return fmt.Errorf("wire: leader %d outside [0, %d)", p.Leader, model.MaxProcesses)
@@ -411,12 +407,8 @@ func decodeCommand(r *buf) serve.Command {
 
 // DecodePayload parses a payload produced by EncodePayload.
 func DecodePayload(b []byte) (model.Payload, error) {
-	r := &buf{b: b}
-	pl := decodeOuter(r)
-	if err := r.done("payload"); err != nil {
-		return nil, err
-	}
-	return pl, nil
+	var st run
+	return st.decode(b)
 }
 
 // decodePayload reads one payload of a kind tag. Fields are read in the
@@ -440,8 +432,6 @@ func decodePayload(r *buf) model.Payload {
 		return hb.HeartbeatPayload{}
 	case tagGraph:
 		return dag.GraphPayload{G: decodeGraph(r)}
-	case tagProgress:
-		return rsm.ProgressPayload{Slot: r.slot()}
 	case tagFollow:
 		leader := r.uvarint()
 		if leader >= model.MaxProcesses {
@@ -484,18 +474,47 @@ func decodePayload(r *buf) model.Payload {
 	}
 }
 
-// run is what a payload's slot items inherit from the slot items before
-// them: the last slot, the last K written (1 before any) and the To of the
-// last history frame. The encoder and the decoder each keep one per
-// payload and update it alike, item by item.
+// run is what a slot item inherits from the slot items before it: the
+// last slot, the last K written (1 before any) and the To of the last
+// history frame. The encoder and the decoder each keep one and update it
+// alike, item by item: per payload, or per link (Link). The zero run is a
+// fresh one.
 type run struct {
-	slot, k       int
-	to            uint64
-	inSlot, hasTo bool
-	frames        int // encoder only: the bytes of the history frames written
+	slot, k             int
+	to                  uint64
+	inSlot, hasK, hasTo bool
+	frames              int // encoder only: the bytes of the history frames written
 }
 
-func newRun() run { return run{k: 1} }
+// round is the K a slot item's round bit inherits.
+func (st *run) round() int {
+	if st.hasK {
+		return st.k
+	}
+	return 1
+}
+
+// append appends pl's encoding to dst, its slot items inheriting from st,
+// and advances st past them. On error it returns dst, and st may be
+// advanced part of the way.
+func (st *run) append(dst []byte, pl model.Payload) ([]byte, error) {
+	w := buf{b: dst}
+	if err := encodeOuter(&w, st, pl); err != nil {
+		return dst, err
+	}
+	return w.b, nil
+}
+
+// decode parses b, its slot items inheriting from st, and advances st past
+// them.
+func (st *run) decode(b []byte) (model.Payload, error) {
+	r := buf{b: b}
+	pl := decodeOuter(&r, st)
+	if err := r.done("payload"); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
 
 // slotItem is a slot item's fields, flat; kindFields says which of them
 // belong to its kind.
@@ -532,50 +551,61 @@ func (it *slotItem) flatten(pl model.Payload) error {
 	return nil
 }
 
-// payload is flatten's inverse.
-func (it *slotItem) payload() model.Payload {
+// payload is flatten's inverse, on slot; a PRGR is its floor alone.
+func (it *slotItem) payload(slot int) model.Payload {
+	var inner model.Payload
 	switch it.kind {
+	case kindProgress:
+		return rsm.ProgressPayload{Slot: slot}
 	case kindLead:
-		return consensus.LeadDeltaPayload{K: it.k, V: it.v, Delta: it.delta}
+		inner = consensus.LeadDeltaPayload{K: it.k, V: it.v, Delta: it.delta}
 	case kindPropV:
-		return consensus.ProposalDeltaPayload{K: it.k, V: it.v, HasV: true, Delta: it.delta}
+		inner = consensus.ProposalDeltaPayload{K: it.k, V: it.v, HasV: true, Delta: it.delta}
 	case kindProp:
-		return consensus.ProposalDeltaPayload{K: it.k, Delta: it.delta}
+		inner = consensus.ProposalDeltaPayload{K: it.k, Delta: it.delta}
 	case kindReport:
-		return consensus.ReportPayload{K: it.k, V: it.v}
+		inner = consensus.ReportPayload{K: it.k, V: it.v}
 	case kindSaw:
-		return consensus.SawPayload{Q: it.q}
+		inner = consensus.SawPayload{Q: it.q}
+	default:
+		inner = rsm.AckStampPayload{Q: it.q, K: it.k, Stamp: it.stamp}
 	}
-	return rsm.AckStampPayload{Q: it.q, K: it.k, Stamp: it.stamp}
+	return rsm.SlotPayload{Slot: slot, Inner: inner}
 }
 
-// putSlotItem writes p as its head byte and the fields it does not inherit
-// from st, then advances st past it.
-func (st *run) putSlotItem(w *buf, p rsm.SlotPayload) error {
-	var it slotItem
-	if err := it.flatten(p.Inner); err != nil {
-		return err
-	}
-	if p.Slot < 0 {
-		return fmt.Errorf("wire: negative slot %d", p.Slot)
+// uvarintLen is the length of v's varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// putSlotItem writes it, of slot, as its head byte and the fields it does
+// not inherit from st, then advances st past it.
+func (st *run) putSlotItem(w *buf, slot int, it *slotItem) error {
+	if slot < 0 {
+		return fmt.Errorf("wire: negative slot %d", slot)
 	}
 	fields, d := kindFields[it.kind], &it.delta
 	head := headMarker | it.kind
+	step := int64(slot) - int64(st.slot)
 	switch {
-	case st.inSlot && p.Slot == st.slot:
+	case !st.inSlot:
+	case step == 0:
 		head |= slotSame
-	case st.inSlot && p.Slot-1 == st.slot:
+	case step == 1:
 		head |= slotNext
+	case uvarintLen(zigzag(step)) < uvarintLen(uint64(slot)):
+		head |= slotDelta
 	}
-	if fields&fieldK != 0 && it.k == st.k {
+	if fields&fieldK != 0 && it.k == st.round() {
 		head |= headRound
 	}
 	if fields&fieldFrame != 0 && st.hasTo && len(d.Adds) == 0 && d.Base == d.To && d.To == st.to {
 		head |= headFrame
 	}
 	w.putByte(head)
-	if head&slotMask == slotExplicit {
-		w.putUvarint(uint64(p.Slot))
+	switch head & slotMask {
+	case slotExplicit:
+		w.putUvarint(uint64(slot))
+	case slotDelta:
+		w.putInt64(step)
 	}
 	if fields&fieldQ != 0 {
 		w.putUvarint(uint64(it.q))
@@ -587,7 +617,7 @@ func (st *run) putSlotItem(w *buf, p rsm.SlotPayload) error {
 		w.putInt(it.v)
 	}
 	if fields&fieldStamp != 0 {
-		w.putInt(it.stamp)
+		w.putInt64(int64(it.stamp) - int64(slot)) // wraps, and so does the decoder's sum
 	}
 	if fields&fieldFrame != 0 && head&headFrame == 0 {
 		start := len(w.b)
@@ -596,7 +626,7 @@ func (st *run) putSlotItem(w *buf, p rsm.SlotPayload) error {
 		}
 		st.frames += len(w.b) - start
 	}
-	st.advance(p.Slot, &it)
+	st.advance(slot, it)
 	return nil
 }
 
@@ -610,23 +640,24 @@ func (st *run) readSlotItem(r *buf) model.Payload {
 		return nil
 	}
 	fields := kindFields[it.kind]
-	var slot int
+	slot := st.slot
+	if head&slotMask != slotExplicit && !st.inSlot {
+		r.fail("wire: inherited slot before any slot item")
+	}
 	switch head & slotMask {
 	case slotExplicit:
 		slot = r.slot()
-	case slotSame, slotNext:
-		if !st.inSlot {
-			r.fail("wire: inherited slot before any slot item")
+	case slotNext:
+		if slot == math.MaxInt {
+			r.fail("wire: next slot past slot %d", slot)
 		}
-		slot = st.slot
-		if head&slotMask == slotNext {
-			if slot == math.MaxInt {
-				r.fail("wire: next slot past slot %d", slot)
-			}
-			slot++
+		slot++
+	case slotDelta:
+		step := r.int64()
+		if to := int64(slot) + step; (step > 0 && to < int64(slot)) || to < 0 || to > math.MaxInt {
+			r.fail("wire: slot %d%+d out of range", slot, step)
 		}
-	default:
-		r.fail("wire: unknown slot code %d", head&slotMask>>3)
+		slot += int(step)
 	}
 	switch {
 	case head&headRound != 0 && fields&fieldK == 0:
@@ -640,7 +671,7 @@ func (st *run) readSlotItem(r *buf) model.Payload {
 		it.q = model.ProcessSet(r.uvarint())
 	}
 	if fields&fieldK != 0 {
-		it.k = st.k
+		it.k = st.round()
 		if head&headRound == 0 {
 			it.k = r.int()
 		}
@@ -649,7 +680,7 @@ func (st *run) readSlotItem(r *buf) model.Payload {
 		it.v = r.int()
 	}
 	if fields&fieldStamp != 0 {
-		it.stamp = r.int()
+		it.stamp = int(int64(slot) + r.int64())
 	}
 	if fields&fieldFrame != 0 {
 		it.delta = quorum.Delta{Base: st.to, To: st.to}
@@ -658,7 +689,7 @@ func (st *run) readSlotItem(r *buf) model.Payload {
 		}
 	}
 	st.advance(slot, &it)
-	return rsm.SlotPayload{Slot: slot, Inner: it.payload()}
+	return it.payload(slot)
 }
 
 // advance makes the slot item it, of slot, the one the next slot item
@@ -667,7 +698,7 @@ func (st *run) advance(slot int, it *slotItem) {
 	st.slot, st.inSlot = slot, true
 	fields := kindFields[it.kind]
 	if fields&fieldK != 0 {
-		st.k = it.k
+		st.k, st.hasK = it.k, true
 	}
 	if fields&fieldFrame != 0 {
 		st.to, st.hasTo = it.delta.To, true
@@ -696,21 +727,28 @@ func encodeOuter(w *buf, st *run, pl model.Payload) error {
 }
 
 func encodeItem(w *buf, st *run, pl model.Payload) error {
-	if p, ok := pl.(rsm.SlotPayload); ok {
-		return st.putSlotItem(w, p)
+	var it slotItem
+	switch p := pl.(type) {
+	case rsm.SlotPayload:
+		if err := it.flatten(p.Inner); err != nil {
+			return err
+		}
+		return st.putSlotItem(w, p.Slot, &it)
+	case rsm.ProgressPayload:
+		it.kind = kindProgress
+		return st.putSlotItem(w, p.Slot, &it)
 	}
 	return encodePayload(w, pl)
 }
 
-func decodeOuter(r *buf) model.Payload {
-	st := newRun()
+func decodeOuter(r *buf, st *run) model.Payload {
 	if r.peek() != tagBundle {
-		return decodeItem(r, &st)
+		return decodeItem(r, st)
 	}
 	r.pos++
 	b := make(rsm.Bundle, 0, 4)
 	for r.pos < len(r.b) && r.err == nil {
-		b = append(b, decodeItem(r, &st)) // rejects tagBundle: bundles do not nest
+		b = append(b, decodeItem(r, st)) // rejects tagBundle: bundles do not nest
 	}
 	if len(b) < 2 {
 		r.fail("wire: bundle of %d items", len(b))
@@ -824,7 +862,8 @@ func decodeFrame(r *buf) quorum.Delta {
 // payload of one send, bare or a bundle, as they are encoded: a frame a
 // slot item inherits counts 0.
 func HistoryFrameLen(pl model.Payload) (int, error) {
-	w, st := buf{b: GetBuf(256)}, newRun()
+	var st run
+	w := buf{b: GetBuf(256)}
 	err := encodeOuter(&w, &st, pl)
 	PutBuf(w.b)
 	return st.frames, err
@@ -975,19 +1014,19 @@ func EncodeMessage(m *model.Message) ([]byte, error) {
 // AppendMessage appends m's peer frame to dst and returns the extended
 // slice. The frame is m.Payload's encoding and nothing else: the link it
 // travels on names From, To and Seq (internal/netrun), so none of them is
-// sent. This is the transport hot path: netrun encodes every outgoing
-// message into a pooled buffer (GetBuf) that returns to the pool after the
-// socket write, so steady-state sends allocate nothing.
+// sent. It codes the frame as the first on a fresh link; netrun codes each
+// frame on its link's Link, into a pooled buffer (GetBuf) that returns to
+// the pool after the socket write, so steady-state sends allocate nothing.
 func AppendMessage(dst []byte, m *model.Message) ([]byte, error) {
 	return AppendPayload(dst, m.Payload)
 }
 
-// payloadPrototypes maps each kind tag to a zero value of its payload
+// payloadPrototypes holds, per kind tag, a zero value of its payload
 // type, letting PeekMessage report a frame's kind and supersession
 // behavior without decoding the body. Every Kind method is a value-receiver
 // constant, so calling it on the zero value is safe. A slot item's head
 // byte has kindProtos instead.
-var payloadPrototypes = map[byte]model.Payload{
+var payloadPrototypes = [tagCount]model.Payload{
 	tagLead:      consensus.LeadPayload{},
 	tagReport:    consensus.ReportPayload{},
 	tagProposal:  consensus.ProposalPayload{},
@@ -996,7 +1035,6 @@ var payloadPrototypes = map[byte]model.Payload{
 	tagRound:     transform.RoundPayload{},
 	tagHeartbeat: hb.HeartbeatPayload{},
 	tagGraph:     dag.GraphPayload{},
-	tagProgress:  rsm.ProgressPayload{},
 	tagFollow:    rsm.FollowPayload{},
 	tagCommand:   rsm.CommandPayload{},
 	tagEstimate:  consensus.EstimatePayload{},
@@ -1014,6 +1052,27 @@ var payloadPrototypes = map[byte]model.Payload{
 	tagBundle: rsm.Bundle{},
 }
 
+// prototype returns a zero value of the payload a frame starting with b
+// holds, or nil for a byte no frame starts with.
+func prototype(b byte) model.Payload {
+	switch {
+	case b >= headMarker:
+		if b&kindMask < kindCount {
+			return kindProtos[b&kindMask]
+		}
+	case b < tagCount:
+		return payloadPrototypes[b]
+	}
+	return nil
+}
+
+// supersedes reports whether pl collapses older pending payloads of its
+// kind in an inbox (model.SupersededPayload).
+func supersedes(pl model.Payload) bool {
+	_, ok := pl.(model.SupersededPayload)
+	return ok
+}
+
 // MessageHead is what a transport needs of a peer frame for inbox
 // bookkeeping (per-sender supersession collapsing) without paying for a
 // payload decode. Deferring the decode is what keeps receivers ahead of
@@ -1023,31 +1082,20 @@ type MessageHead struct {
 	Supersedes bool
 }
 
-// PeekMessage reads the kind of a peer frame produced by AppendMessage from
-// its first byte, leaving the payload body untouched.
+// PeekMessage reads the kind of a peer frame produced by AppendMessage or
+// Link.Append from its first byte, leaving the payload body untouched. A
+// slot item reports its kind's prototype: only a bare PRGR supersedes. A
+// delta dropped from an inbox would break the receiver's version chain,
+// and a stamped ACK its smallest stamp per member.
 func PeekMessage(b []byte) (h MessageHead, err error) {
 	if len(b) == 0 {
 		return h, fmt.Errorf("wire: empty frame")
 	}
-	tag := b[0]
-	if tag >= headMarker {
-		// A slot item reports its inner payload's kind and never
-		// supersedes: a delta dropped from an inbox would break the
-		// receiver's version chain, and a stamped ACK its smallest stamp
-		// per member.
-		if tag&kindMask >= kindCount {
-			return h, fmt.Errorf("wire: unknown slot item kind %d", tag&kindMask)
-		}
-		h.Kind = kindProtos[tag&kindMask].Kind()
-		return h, nil
+	proto := prototype(b[0])
+	if proto == nil {
+		return h, fmt.Errorf("wire: unknown payload tag or slot item kind 0x%02x", b[0])
 	}
-	proto, ok := payloadPrototypes[tag]
-	if !ok {
-		return h, fmt.Errorf("wire: unknown payload tag %d", tag)
-	}
-	h.Kind = proto.Kind()
-	_, h.Supersedes = proto.(model.SupersededPayload)
-	return h, nil
+	return MessageHead{Kind: proto.Kind(), Supersedes: supersedes(proto)}, nil
 }
 
 // DecodeMessageInto decodes a peer frame into m's Payload and leaves From,
@@ -1056,11 +1104,61 @@ func PeekMessage(b []byte) (h MessageHead, err error) {
 // under. No decoded field aliases the input: payloads with indirection
 // (histories, graphs) build their own structures and fixed-size payloads
 // are boxed by value, so the caller may recycle b (PutBuf) as soon as this
-// returns. On error m is left as it was.
+// returns. On error m is left as it was. The frame is decoded as the first
+// on a fresh link; Link.Decode decodes one that follows others.
 func DecodeMessageInto(m *model.Message, b []byte) error {
-	pl, err := DecodePayload(b)
-	if err == nil {
-		m.Payload = pl
+	var l Link
+	return l.Decode(m, b)
+}
+
+// Link is the codec of one direction of a link, one end of which holds
+// it: the sender's appends frames and the receiver's decodes them, in the
+// order the link carries them, so each frame's slot items inherit slot,
+// round and history frame from the frames before it. A superseding frame
+// inherits nothing and advances nothing, because the receiver's inbox may
+// drop it undecoded. The zero Link is a fresh link. A Link is not safe for
+// concurrent use.
+type Link struct {
+	run  run   // what the next frame inherits
+	next run   // sender: run after the frame Append returned last, until Commit
+	err  error // receiver: the first frame that failed to decode
+}
+
+// Append appends pl's frame on l to dst and returns the extended slice;
+// on error it returns dst. The frame is not on the link until Commit: a
+// frame that is never committed (it failed to encode or to send) leaves l
+// as it was. Like AppendPayload, it allocates nothing when dst has room.
+func (l *Link) Append(dst []byte, pl model.Payload) ([]byte, error) {
+	l.next = l.run
+	if supersedes(pl) {
+		var fresh run
+		return fresh.append(dst, pl)
 	}
-	return err
+	return l.next.append(dst, pl)
+}
+
+// Commit advances l past the frame Append returned last without error,
+// once it is sent.
+func (l *Link) Commit() { l.run = l.next }
+
+// Decode decodes frame, the next frame the link carries to its receiver
+// (superseded frames the inbox dropped aside), into m's Payload, as
+// DecodeMessageInto does. A frame that fails to decode breaks the link's
+// run for good: its error is latched, and Decode returns it for this and
+// every later frame.
+func (l *Link) Decode(m *model.Message, frame []byte) error {
+	if l.err != nil {
+		return l.err
+	}
+	st := &l.run
+	if len(frame) > 0 && supersedes(prototype(frame[0])) {
+		st = new(run)
+	}
+	pl, err := st.decode(frame)
+	if err != nil {
+		l.err = err
+		return err
+	}
+	m.Payload = pl
+	return nil
 }

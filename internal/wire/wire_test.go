@@ -453,8 +453,9 @@ func TestDeltaEncodeRejectsBrokenSpan(t *testing.T) {
 
 // TestDeltaPayloadsNeverSupersede: collapsing a delta frame in an inbox
 // would break the receiver's version chain, and a stamped ACK the
-// smallest stamp per member, so the peek of every slot item reports its
-// kind and no supersession without decoding the body.
+// smallest stamp per member, so the peek of every slot item of these six
+// kinds reports its kind and no supersession without decoding the body.
+// The seventh kind, a PRGR, supersedes bare: progress is monotone.
 func TestDeltaPayloadsNeverSupersede(t *testing.T) {
 	for _, pl := range []model.Payload{
 		consensus.LeadDeltaPayload{K: 1, Delta: sampleDelta()},
@@ -480,10 +481,17 @@ func TestDeltaPayloadsNeverSupersede(t *testing.T) {
 			t.Errorf("peek of %T = %+v", pl, h)
 		}
 	}
+	b, err := wire.EncodePayload(rsm.ProgressPayload{Slot: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := wire.PeekMessage(b); err != nil || h != (wire.MessageHead{Kind: "PRGR", Supersedes: true}) {
+		t.Errorf("peek of a bare PRGR %x = %+v (err %v), want a superseding PRGR", b, h, err)
+	}
 }
 
 // TestStampedSlotAck: the log's slot-wrapped ACK carries its awareness
-// stamp behind K. A frame cut anywhere inside it — the stamp included — is
+// stamp behind K, as its distance from the slot (here one byte, not two). A frame cut anywhere inside it — the stamp included — is
 // rejected, the plain ACK's bytes are what they always were (standalone
 // A_nuc never ships a stamp), and the peek reports the kind
 // without superseding: the receiver keeps the smallest stamp per member,
@@ -492,8 +500,8 @@ func TestStampedSlotAck(t *testing.T) {
 	ack := rsm.AckStampPayload{Q: model.SetOf(0, 2), K: 3, Stamp: 300}
 	pl := rsm.SlotPayload{Slot: 299, Inner: ack}
 	b, err := wire.EncodePayload(pl)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(b) != 6 {
+		t.Fatalf("%v encodes as %x (err %v), want head, two-byte slot, Q, K and a one-byte stamp", pl, b, err)
 	}
 	for cut := 0; cut < len(b); cut++ {
 		if got, err := wire.DecodePayload(b[:cut]); err == nil {
@@ -549,6 +557,9 @@ func TestRoundTripRSMPayloads(t *testing.T) {
 		rsm.SlotPayload{Slot: 6, Inner: consensus.ProposalDeltaPayload{K: 4, V: 0, HasV: true, Delta: sampleDelta()}},
 		rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: model.SetOf(0, 1, 3), K: 2, Stamp: 10}},
 		rsm.SlotPayload{Slot: 300, Inner: rsm.AckStampPayload{Q: model.SetOf(63), K: 1, Stamp: 1 << 20}},
+		// A stamp travels as its distance from the slot, which wraps.
+		rsm.SlotPayload{Slot: math.MaxInt, Inner: rsm.AckStampPayload{Q: model.SetOf(1), K: 1, Stamp: math.MinInt}},
+		rsm.SlotPayload{Slot: 0, Inner: rsm.AckStampPayload{Q: model.SetOf(1), K: 1, Stamp: math.MaxInt}},
 		rsm.SlotPayload{Slot: 127, Inner: consensus.ReportPayload{K: 1, V: 2}},
 		rsm.ProgressPayload{Slot: 128},
 		sampleBundle(),
@@ -781,9 +792,10 @@ func TestPayloadFrameRoundTrip(t *testing.T) {
 // peer: a batch body and the command naming it, a progress announcement,
 // and slot traffic for slots 70 and 71 that changes slot, returns to one
 // and is interrupted by a slot-less item. Its slot items inherit what they
-// can from the slot item before them: five their slot (the same or the next
-// one up), three a round of 2 that their bare encoding would have to spell
-// out, and the last one its empty history frame too.
+// can from the slot item before them: six their slot (the same or the next
+// one up; the LEADD the PRGR's floor), three a round of 2 that their bare
+// encoding would have to spell out, and the last one its empty history
+// frame too.
 func sampleBundle() rsm.Bundle {
 	return rsm.Bundle{
 		serve.BatchPayload{ID: serve.BatchID(2, 5), Cmds: []serve.Command{{Client: 4, Seq: 9, Op: serve.OpPut, Key: 1, Val: -3}}},
@@ -826,11 +838,12 @@ func TestRoundTripBundle(t *testing.T) {
 		}
 		size += len(item)
 	}
-	// 46 = 1 tag + 54 bytes of bare items − 5 slot varints (REP, PROPD, SAW
-	// and SACK on the slot before them, the last PROPD on the next) − 3 K of
-	// 2 (SACK, the second REP, the last PROPD) − 1 frame (the last PROPD's,
-	// empty at the To of the PROPD before it).
-	const slots, rounds, frames, want = 5, 3, 1, 46
+	// 44 = 1 tag + 53 bytes of bare items − 6 slot varints (LEADD on the
+	// PRGR's floor, REP, PROPD, SAW and SACK on the slot before them, the
+	// last PROPD on the next) − 3 K of 2 (SACK, the second REP, the last
+	// PROPD) − 1 frame (the last PROPD's, empty at the To of the PROPD
+	// before it).
+	const slots, rounds, frames, want = 6, 3, 1, 44
 	if size-slots-rounds-frames != want || len(enc) != want {
 		t.Errorf("bundle encodes in %d bytes from %d of tag and bare items, want %d: %d slots, %d rounds and %d frames of 1 byte inherited",
 			len(enc), size, want, slots, rounds, frames)
@@ -860,8 +873,8 @@ func TestRoundTripBundle(t *testing.T) {
 // bit 7 the marker, bits 0–2 the kind, bits 3–4 the slot code, bit 5 the
 // round and bit 6 the frame.
 const (
-	hLead, hPropV, hProp, hRep, hSaw, hSack byte = 0, 1, 2, 3, 4, 5
-	hExplicit, hSame, hNext                 byte = 0, 1, 2
+	hLead, hPropV, hProp, hRep, hSaw, hSack, hPrgr byte = 0, 1, 2, 3, 4, 5, 6
+	hExplicit, hSame, hNext, hDelta                byte = 0, 1, 2, 3
 )
 
 func head(kind, slot byte, round, frame bool) byte {
@@ -876,7 +889,9 @@ func head(kind, slot byte, round, frame bool) byte {
 }
 
 // TestHeadByte: the head byte the encoder writes is the grammar's, for
-// each kind, slot code and inheritance.
+// each kind, slot code and inheritance. A PRGR is a slot item whose slot is
+// its floor, and a slot delta is written only where it is shorter than the
+// slot's varint.
 func TestHeadByte(t *testing.T) {
 	lead := consensus.LeadDeltaPayload{K: 1, V: 2, Delta: quorum.Delta{Base: 1, To: 1}}
 	for _, tc := range []struct {
@@ -893,9 +908,20 @@ func TestHeadByte(t *testing.T) {
 			slotted(consensus.ProposalDeltaPayload{K: 2, V: 5, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}),
 			rsm.SlotPayload{Slot: 2, Inner: consensus.ProposalDeltaPayload{K: 2, Delta: quorum.Delta{Base: 3, To: 3}}},
 		}, []byte{head(hPropV, hExplicit, false, false), 1, 4, 10, 6, head(hProp, hNext, true, true)}},
-		// SAW (no K), then SACK on slot 9: explicit slot, round 1 inherited.
+		// SAW (no K), then SACK on slot 9: explicit slot, round 1 inherited,
+		// stamp 4 five below its slot (zigzag 9).
 		{rsm.Bundle{slotted(consensus.SawPayload{Q: 3}), rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: 3, K: 1, Stamp: 4}}},
-			[]byte{head(hSaw, hExplicit, false, false), 1, 3, head(hSack, hExplicit, true, false), 9, 3, 8}},
+			[]byte{head(hSaw, hExplicit, false, false), 1, 3, head(hSack, hExplicit, true, false), 9, 3, 9}},
+		// REP on slot 300 (a two-byte varint), the floor 298 two below it
+		// (zigzag 3: one byte) and SAW on 301 three above the floor (zigzag
+		// 6), then a PRGR on slot 5: a delta of −296 is no shorter than 5.
+		{rsm.Bundle{
+			rsm.SlotPayload{Slot: 300, Inner: consensus.ReportPayload{K: 1, V: 2}},
+			rsm.ProgressPayload{Slot: 298},
+			rsm.SlotPayload{Slot: 301, Inner: consensus.SawPayload{Q: 3}},
+			rsm.ProgressPayload{Slot: 5},
+		}, []byte{head(hRep, hExplicit, true, false), 0xAC, 0x02, 4, head(hPrgr, hDelta, false, false), 3,
+			head(hSaw, hDelta, false, false), 6, 3, head(hPrgr, hExplicit, false, false), 5}},
 	} {
 		enc, err := wire.EncodePayload(tc.b)
 		if err != nil || !bytes.Equal(enc[1:], tc.want) {
@@ -905,13 +931,14 @@ func TestHeadByte(t *testing.T) {
 }
 
 // genBundle draws a bundle of the shapes a step of the log sends a peer:
-// slot items of the six kinds for slots s and s + 1 interleaved, now and
-// then one for a slot far off, with BATCH, CMD, PRGR and FLW between them;
-// rounds that mostly repeat, from 1 on; history frames mostly empty, and
-// then mostly at the last frame's To. seen counts the inheritance cases
-// the bundle exercises, read off the grammar by the generator itself.
-func genBundle(rng *rand.Rand, seen map[string]int) rsm.Bundle {
-	base, ver := rng.Intn(300), uint64(rng.Intn(100))
+// slot items of the six kinds for slots base and base + 1 interleaved, now
+// and then one for a slot far off, PRGR on base or base + 1, with BATCH,
+// CMD and FLW between them; rounds that mostly repeat, from 1 on; history
+// frames mostly empty, and then mostly at the last frame's To. seen counts
+// the inheritance cases the bundle exercises inside itself, read off the
+// grammar by the generator itself.
+func genBundle(rng *rand.Rand, base int, seen map[string]int) rsm.Bundle {
+	ver := uint64(rng.Intn(100))
 	var (
 		b                   rsm.Bundle
 		slot, k             = 0, 1
@@ -936,7 +963,10 @@ func genBundle(rng *rand.Rand, seen map[string]int) rsm.Bundle {
 				seen["FLW"]++
 				continue
 			}
-			b = append(b, rsm.ProgressPayload{Slot: base + rng.Intn(2)})
+			s := base + rng.Intn(2)
+			seen["slot "+slotCode(inSlot, slot, s)]++
+			slot, inSlot = s, true
+			b = append(b, rsm.ProgressPayload{Slot: s})
 			seen["PRGR"]++
 			continue
 		}
@@ -944,14 +974,7 @@ func genBundle(rng *rand.Rand, seen map[string]int) rsm.Bundle {
 		if rng.Intn(10) == 0 {
 			s = rng.Intn(1 << 20)
 		}
-		switch {
-		case !inSlot || (s != slot && s != slot+1):
-			seen["slot explicit"]++
-		case s == slot:
-			seen["slot same"]++
-		default:
-			seen["slot next"]++
-		}
+		seen["slot "+slotCode(inSlot, slot, s)]++
 		slot, inSlot = s, true
 		kk := k
 		if rng.Intn(4) == 0 {
@@ -1021,6 +1044,24 @@ func genBundle(rng *rand.Rand, seen map[string]int) rsm.Bundle {
 	return b
 }
 
+// slotCode names the slot code of a slot item of slot s behind one of
+// last (none when !inSlot): a delta where its zigzag varint is shorter than
+// s's varint.
+func slotCode(inSlot bool, last, s int) string {
+	step := int64(s - last)
+	switch {
+	case !inSlot:
+		return "explicit"
+	case step == 0:
+		return "same"
+	case step == 1:
+		return "next"
+	case len(binary.AppendVarint(nil, step)) < len(binary.AppendUvarint(nil, uint64(s))):
+		return "delta"
+	}
+	return "explicit"
+}
+
 // TestRoundTripGeneratedBundles: every generated bundle decodes
 // reflect.DeepEqual to itself, and together they exercise every bit of
 // the head byte: each slot code, the round inherited from the start, from
@@ -1031,7 +1072,7 @@ func TestRoundTripGeneratedBundles(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	seen := map[string]int{}
 	for i := 0; i < 3000; i++ {
-		b := genBundle(rng, seen)
+		b := genBundle(rng, rng.Intn(300), seen)
 		enc, err := wire.EncodePayload(b)
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
@@ -1042,7 +1083,7 @@ func TestRoundTripGeneratedBundles(t *testing.T) {
 		}
 	}
 	for _, c := range []string{"BATCH", "CMD", "PRGR", "FLW", "LEADD", "PROPD", "REP", "SAW", "SACK",
-		"PROPD with V", "PROPD without V", "slot explicit", "slot same", "slot next",
+		"PROPD with V", "PROPD without V", "slot explicit", "slot same", "slot next", "slot delta",
 		"round 1 inherited from the start", "round inherited", "round explicit",
 		"frame inherited", "frame without adds", "frame with adds"} {
 		if seen[c] < 50 {
@@ -1094,6 +1135,9 @@ func headRejects(tb testing.TB) map[string][]byte {
 	same := []byte{head(hRep, hSame, true, false), 4}
 	next := []byte{head(hRep, hNext, true, false), 4}
 	last := append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true, false)}, math.MaxInt), 4)
+	delta := func(step int64) []byte {
+		return append(binary.AppendVarint([]byte{head(hRep, hDelta, true, false)}, step), 4)
+	}
 	return map[string][]byte{
 		"same slot bare":                   same,
 		"next slot bare":                   next,
@@ -1107,9 +1151,13 @@ func headRejects(tb testing.TB) map[string][]byte {
 		"inherited frame on SAW":           join(lead, []byte{head(hSaw, hSame, false, true), 3}),
 		"inherited frame on SACK":          join(lead, []byte{head(hSack, hSame, true, true), 3, 2}),
 		"inherited round on SAW":           join(lead, []byte{head(hSaw, hSame, true, false), 3}),
-		"unused kind 6":                    {head(6, hExplicit, false, false), 1, 2},
+		"round bit on PRGR":                {head(hPrgr, hExplicit, true, false), 1},
+		"frame bit on PRGR":                join(lead, []byte{head(hPrgr, hSame, false, true)}),
 		"unused kind 7":                    {head(7, hExplicit, false, false), 1, 2},
-		"unused slot code 3":               {head(hRep, 3, true, false), 1, 4},
+		"slot delta bare":                  delta(2),
+		"slot delta before any slot item":  join(cmd, delta(2)),
+		"slot delta below slot 0":          join(rep, delta(-2)),
+		"slot delta past MaxInt":           join(last, delta(2)),
 		"truncated slot":                   {head(hRep, hExplicit, true, false), 0x80},
 	}
 }
@@ -1131,10 +1179,10 @@ func TestBundleRejects(t *testing.T) {
 }
 
 // TestHeadByteRejects: a slot item inherits a slot only from a slot item
-// before it in the payload, and never past math.MaxInt; a frame only from a
-// frame before it, and only on LEADD or PROPD; a round only on a kind that
-// has one; and the two kinds and the slot code the grammar leaves unused
-// are errors.
+// before it in the payload, and never below 0 or past math.MaxInt; a frame
+// only from a frame before it, and only on LEADD or PROPD; a round only on
+// a kind that has one, which PRGR does not; and the kind the grammar leaves
+// unused is an error.
 func TestHeadByteRejects(t *testing.T) {
 	for name, b := range headRejects(t) {
 		if got, err := wire.DecodePayload(b); err == nil {
