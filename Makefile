@@ -128,7 +128,9 @@ explore-smoke:
 # read-index reads), both sides dump their metrics registries as JSONL
 # (the CI artifact), and the dumps must actually carry the serving-path
 # instruments — among them the frontier announcements and the batch bodies,
-# of which no more may leave bare than ride other traffic. A process steps
+# of which no more may leave bare than ride other traffic, and the held
+# round-1 LEADs, of which no more may be released than were held (the
+# leader announcements are printed). A process steps
 # because something arrived, not at CPU speed: nucd's steps per log entry
 # applied (its done line's steps= over node 0's applied=) must stay within
 # SMOKE_STEPS_PER_SLOT_CAP — about 14 here with the driver's wait on the
@@ -157,9 +159,13 @@ serve-smoke:
 	carried, bare = m['rsm.progress_carried'], m['rsm.progress_bare']; \
 	assert bare <= carried, (carried, bare); \
 	print('progress: %d announcements carried, %d bare' % (carried, bare)); \
-	carried, bare = m['serve.body_carried'], m['serve.body_bare']; \
+	carried, bare = m['rsm.owed_carried'], m['rsm.owed_bare']; \
 	assert bare <= carried, (carried, bare); \
-	print('bodies: %d carried, %d bare' % (carried, bare))"
+	print('bodies: %d carried, %d bare' % (carried, bare)); \
+	lent, released = m['rsm.lead_lent'], m['rsm.lead_released']; \
+	assert released <= lent, (lent, released); \
+	print('round-1 LEADs: %d held, %d released' % (lent, released)); \
+	print('leaders: %d announcements carried, %d bare' % (m['rsm.follow_carried'], m['rsm.follow_bare']))"
 	python3 -c "import re; \
 	out = open('$(ARTIFACTS)/nucd.out').read(); \
 	steps = int(re.search(r'^done decided=\S+ steps=(\d+)', out, re.M).group(1)); \
@@ -244,11 +250,15 @@ examples-smoke:
 	    echo "examples: $$e ok (16 identical runs)"; \
 	done
 
+# fuzz runs each wire and link fuzzer for FUZZTIME (CI's fuzz-smoke job
+# and `make ci` pass 15s).
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test ./internal/wire -fuzz FuzzDecodePayload -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzDecodeMessage -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzDecodeLink -fuzztime 30s
-	$(GO) test ./internal/netrun -fuzz FuzzReadLink -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzDecodePayload -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -fuzz FuzzDecodeLink -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netrun -fuzz FuzzReadLink -fuzztime $(FUZZTIME)
 
 fmt:
 	gofmt -w .
@@ -278,8 +288,8 @@ loc:
 	done
 
 # ci mirrors .github/workflows/ci.yml: static checks, build, tests, race
-# detector, and a parallel experiments run that fails on any claim failure
-# or any byte of table drift.
+# detector, a parallel experiments run that fails on any claim failure
+# or any byte of table drift, the smokes and the fuzz smoke.
 ci: lint-static
 	$(GO) build ./...
 	$(GO) test ./...
@@ -293,6 +303,7 @@ ci: lint-static
 	$(MAKE) aware-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke
+	$(MAKE) fuzz FUZZTIME=15s
 
 clean:
 	$(GO) clean ./...

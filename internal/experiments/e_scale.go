@@ -32,9 +32,9 @@ const e17N = 5
 // in round 1, and a decided instance holds the next round's LEAD until
 // somebody is heard there (rsm stepInstance), so such a slot costs one
 // round of traffic, none of it to the sender itself (rsm loopback), what
-// one step sends one peer is one bundle (rsm Pack), progress rides that
-// traffic instead of leaving bare (rsm announce), and a round-1 LEAD goes
-// only to the processes that follow its sender (rsm follow.go). Set at
+// one step sends one peer is one bundle (rsm pack), progress rides that
+// traffic instead of leaving bare, and a round-1 LEAD goes only to the
+// processes that follow its sender (both rows of rsm outbox.go). Set at
 // max(⌈35.0 × 1.12⌉, ⌈35.7⌉ + 1): the quick reading + 12 % against the
 // async maximum over ten runs + 1.
 const e17MsgsPerSlotCap = 40

@@ -39,10 +39,10 @@ const (
 // window start with their quorum already acknowledged (internal/rsm
 // aware.go) and decide in round 1, a decided instance says nothing of the
 // next round unless asked (rsm stepInstance), a process sends nothing to
-// itself (rsm loopback), one step sends a peer one bundle (rsm Pack), both
+// itself (rsm loopback), one step sends a peer one bundle (rsm pack), both
 // in-flight slots step on every λ-step (rsm Log.Step), progress rides that
-// traffic (rsm announce), and a round-1 LEAD goes only to the processes
-// that follow its sender (rsm follow.go). Each cap is max(⌈quick × 1.12⌉,
+// traffic, and a round-1 LEAD goes only to the processes that follow its
+// sender (both rows of rsm outbox.go). Each cap is max(⌈quick × 1.12⌉,
 // ⌈async max⌉ + 1): 12.1 / 24.0 / 41.8 quick, and 12.8 / 26.5 / 43.8 the
 // maximum over thirteen async runs (ten plain, three substrate-smoke).
 // With no quorum carried across slots the grid reads 28.0 / 53.2 / 92.4.

@@ -16,7 +16,7 @@ import (
 )
 
 // Bundle is the payloads one outer step sends to one peer, in emission
-// order, carried as one model.Send (Pack). It never nests, and it never
+// order, carried as one model.Send (pack). It never nests, and it never
 // supersedes: a PRGR inside one is taken, not collapsed.
 type Bundle []model.Payload
 
@@ -32,14 +32,14 @@ func (b Bundle) String() string {
 	return "BNDL[" + strings.Join(parts, " ") + "]"
 }
 
-// Pack folds a step's sends into one per destination: a destination sent
+// pack folds a step's sends into one per destination: a destination sent
 // one payload keeps it bare, and one sent several gets a Bundle of them in
-// emission order, at the place of its first send. Bundles among the sends
-// are flattened into their destination's, so a layer above the log can pack
-// its own sends together with the log's packed ones. When no destination
-// repeats, sends is returned untouched; otherwise the result reuses its
-// backing array, and each Bundle is one allocation of exactly its size.
-func Pack(sends []model.Send) []model.Send {
+// emission order, at the place of its first send. It runs once per step,
+// on everything the step sends (flush), so no send it is handed is a
+// Bundle. When no destination repeats, sends is returned untouched;
+// otherwise the result reuses its backing array, and each Bundle is one
+// allocation of exactly its size.
+func pack(sends []model.Send) []model.Send {
 	var seen, repeated model.ProcessSet
 	for _, snd := range sends {
 		if seen.Has(snd.To) {
@@ -52,11 +52,7 @@ func Pack(sends []model.Send) []model.Send {
 	}
 	var size [model.MaxProcesses]int
 	for _, snd := range sends {
-		if b, ok := snd.Payload.(Bundle); ok {
-			size[snd.To] += len(b)
-		} else {
-			size[snd.To]++
-		}
+		size[snd.To]++
 	}
 	var bundles [model.MaxProcesses]Bundle
 	packed := sends[:0] // never ahead of the range below: one send out per send in at most
@@ -70,12 +66,7 @@ func Pack(sends []model.Send) []model.Send {
 			b = make(Bundle, 0, size[snd.To])
 			packed = append(packed, model.Send{To: snd.To}) // filled in below
 		}
-		if inner, ok := snd.Payload.(Bundle); ok {
-			b = append(b, inner...)
-		} else {
-			b = append(b, snd.Payload)
-		}
-		bundles[snd.To] = b
+		bundles[snd.To] = append(b, snd.Payload)
 	}
 	for i := range packed {
 		if packed[i].Payload == nil {

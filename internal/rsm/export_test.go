@@ -2,9 +2,9 @@ package rsm
 
 import "nuconsensus/internal/model"
 
-// Flatten undoes Pack for tests that look at what a step sent: every bundle
+// Flatten undoes pack for tests that look at what a step sent: every bundle
 // becomes one send per item, to the same destination, in bundle order.
-// Order across destinations is Pack's (each destination at its first send),
+// Order across destinations is pack's (each destination at its first send),
 // so a test may rely on the order of sends to one peer, never across peers.
 func Flatten(sends []model.Send) []model.Send {
 	var flat []model.Send

@@ -29,18 +29,17 @@ func (a *Log) WithMetrics(reg *obs.Registry) *Log {
 		quietRetires:  reg.Counter("rsm.quiet_retired"),
 		quietHeld:     reg.Counter("rsm.quiet_held"),
 		quietReleased: reg.Counter("rsm.quiet_released"),
-		progCarried:   reg.Counter("rsm.progress_carried"),
-		progBare:      reg.Counter("rsm.progress_bare"),
 		leadLent:      reg.Counter("rsm.lead_lent"),
 		leadReleased:  reg.Counter("rsm.lead_released"),
-		followCarried: reg.Counter("rsm.follow_carried"),
-		followBare:    reg.Counter("rsm.follow_bare"),
 		instOpened:    reg.Counter("rsm.instances_opened"),
 		instRetired:   reg.Counter("rsm.instances_retired"),
 		awareSeeded:   reg.Counter("rsm.aware.seeded"),
 		awareUnseeded: reg.Counter("rsm.aware.unseeded"),
 		awareRecords:  reg.Counter("rsm.aware.records"),
 		awareLast:     make([]atomic.Pointer[awareOpen], a.n),
+	}
+	for row, name := range [...]string{rowPRGR: "progress", rowFLW: "follow", rowOwed: "owed"} {
+		a.metrics.rides[row] = [2]*obs.Counter{reg.Counter("rsm." + name + "_bare"), reg.Counter("rsm." + name + "_carried")}
 	}
 	return a
 }
@@ -101,18 +100,14 @@ type logMetrics struct {
 	quietRetires  *obs.Counter
 	quietHeld     *obs.Counter
 	quietReleased *obs.Counter
-	// progCarried / progBare count frontier announcements (announce) that
-	// rode in a bundle with other traffic and those that left alone.
-	progCarried *obs.Counter
-	progBare    *obs.Counter
-	// leadLent / leadReleased count round-1 LEADs held for a peer that
-	// follows another process and those sent after all (follow.go);
-	// followCarried / followBare count leader announcements as progCarried /
-	// progBare count frontier ones.
-	leadLent      *obs.Counter
-	leadReleased  *obs.Counter
-	followCarried *obs.Counter
-	followBare    *obs.Counter
+	// The outbox's books (outbox.go): rides[row] counts the PRGR, FLW or
+	// owed items that left alone ([0], rsm.<row>_bare) and those that rode
+	// in a bundle with other traffic ([1], rsm.<row>_carried); leadLent /
+	// leadReleased count round-1 LEADs held for a peer that follows another
+	// process and those sent after all.
+	rides        [3][2]*obs.Counter
+	leadLent     *obs.Counter
+	leadReleased *obs.Counter
 	// instOpened / instRetired count slot instances created and discarded; their
 	// difference is the live-instance population a stalled floor grows.
 	instOpened  *obs.Counter
@@ -191,18 +186,6 @@ func (m *logMetrics) quietRelease(n int) {
 	}
 }
 
-// progress counts one frontier announcement, carried or bare.
-func (m *logMetrics) progress(carried bool) {
-	if m == nil {
-		return
-	}
-	if carried {
-		m.progCarried.Add(1)
-	} else {
-		m.progBare.Add(1)
-	}
-}
-
 func (m *logMetrics) leadLend() {
 	if m != nil {
 		m.leadLent.Add(1)
@@ -215,15 +198,22 @@ func (m *logMetrics) leadRelease() {
 	}
 }
 
-// follow counts one leader announcement, carried or bare.
-func (m *logMetrics) follow(carried bool) {
-	if m == nil {
-		return
-	}
-	if carried {
-		m.followCarried.Add(1)
-	} else {
-		m.followBare.Add(1)
+// The outbox rows with a bare/carried pair in logMetrics.rides.
+const (
+	rowPRGR = iota
+	rowFLW
+	rowOwed
+)
+
+// sent counts n items of an outbox row that left for one peer, carried or
+// bare.
+func (m *logMetrics) sent(row, n int, carried bool) {
+	if m != nil {
+		i := 0
+		if carried {
+			i = 1
+		}
+		m.rides[row][i].Add(int64(n))
 	}
 }
 

@@ -60,6 +60,15 @@ func heldRound(st *logState, slot int) int {
 	return 0
 }
 
+// heldLeadAt returns the round-1 LEAD slot holds and the peers it is held
+// for; an empty set if it holds none.
+func heldLeadAt(st *logState, slot int) (consensus.LeadPayload, model.ProcessSet) {
+	if r := st.recs[slot]; r != nil {
+		return r.lead, r.lent
+	}
+	return consensus.LeadPayload{}, 0
+}
+
 // forceWindowDecided marks every in-flight slot as decided on a no-op — as
 // if harvest had seen each instance decide — so the next harvest appends
 // them all and opens the window above.
@@ -72,10 +81,11 @@ func forceWindowDecided(st *logState) {
 
 // TestCloneIsolatesSlotRecord: fork, then diverge. Step writes a record's
 // instance, heard row and both queues in place — a release even wraps the
-// held sends where they lie — so a fork must own its copy of each: the
-// deltas that reach one side's store, the round it hears, the messages it
-// drains and the LEAD it releases must leave the other side exactly as it
-// was. (That neither side of a fork can reach the other is checked for
+// held sends where they lie — and the outbox's rows likewise, so a fork
+// must own its copy of each: the deltas that reach one side's store, the
+// round it hears, the messages it drains, the LEAD it releases and the
+// owed body, PRGR and held round-1 LEAD it sends must leave the other side
+// exactly as it was. (That neither side of a fork can reach the other is checked for
 // every automaton by explore's TestOwnershipContract; this pins the
 // mechanism.)
 func TestCloneIsolatesSlotRecord(t *testing.T) {
@@ -95,6 +105,7 @@ func TestCloneIsolatesSlotRecord(t *testing.T) {
 	step(orig, 2, in(consensus.ReportPayload{K: 1, V: 42}))
 	step(orig, 1, in(consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true}))
 	step(orig, 2, in(consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true})) // decides; LEAD(2) held
+	orig.box.peer[2].follows = 1                                               // p2 follows p1: slot 3's LEAD(1) to p2 is held
 	step(orig, 1, ProgressPayload{Slot: slot + 1})
 	step(orig, 1, in(consensus.ReportPayload{K: 2, V: 42})) // p1 has passed: deferred
 	r := orig.recs[slot]
@@ -102,9 +113,17 @@ func TestCloneIsolatesSlotRecord(t *testing.T) {
 		t.Fatalf("slot %d: held round %d, %d deferred, heard %v, quiet = %v: want quiet with LEAD(2) held, one message deferred and p2 heard at round 1",
 			slot, heldRound(orig, slot), len(r.in), r.heard, orig.isQuiet(slot))
 	}
-	if got := DebugState(orig); !strings.Contains(got, " deferred=1/3 ") {
-		t.Fatalf("DebugState = %q, want the one message deferred inbound and the three held sends shown", got)
+	for _, s := range []int{slot + 1, slot + 2} { // the slots opened above slot 2
+		if _, to := heldLeadAt(orig, s); to != model.SetOf(2) {
+			t.Fatalf("slot %d holds its round-1 LEAD for %v, want {p2}", s, to)
+		}
 	}
+	aut.Owe(orig, testBody{})
+	orig.box.peer[1].told, orig.box.peer[2].told = 0, 0 // a PRGR due to both peers again
+	if got := DebugState(orig); !strings.Contains(got, " deferred=1/3 ") || !strings.Contains(got, "outbox{cmds=0 held=2 owed=1}") {
+		t.Fatalf("DebugState = %q, want the one message deferred inbound, the three held sends and the outbox's rows shown", got)
+	}
+	wantBox := orig.box.clone()
 	want := *r
 	want.inst = r.inst.CloneState()
 	want.heard = append([]int(nil), r.heard...)
@@ -125,11 +144,25 @@ func TestCloneIsolatesSlotRecord(t *testing.T) {
 	// The fork alone hears p2 reach round 2: it wakes, releases its LEAD(2)
 	// slot-wrapped and delta-encoded, and drains the deferred REP.
 	out := step(fork, 2, in(consensus.LeadDeltaPayload{K: 2, V: 42}))
-	if sp, ok := out[0].Payload.(SlotPayload); !ok || sp.Kind() != "LEADD" {
-		t.Fatalf("the fork's waking step sent %v first, want its held LEAD slot-wrapped", out[0].Payload)
+	if sp, ok := Flatten(out)[0].Payload.(SlotPayload); !ok || sp.Kind() != "LEADD" {
+		t.Fatalf("the fork's waking step sent %v first, want its held LEAD slot-wrapped", Flatten(out)[0].Payload)
 	}
 	if heldRound(fork, slot) != 0 || len(fr.in) != 0 || fr.heard[2] != 2 || fork.isQuiet(slot) {
 		t.Fatalf("the fork did not wake: held round %d, %d deferred, heard %v", heldRound(fork, slot), len(fr.in), fr.heard)
+	}
+	// The same step lets the owed body and the PRGR out of the fork, and p2
+	// naming p0 there releases the held LEAD(1)s.
+	step(fork, 2, FollowPayload{Leader: 0})
+	if len(fork.box.owed) != 0 || fork.box.peer[1].told != fork.slot || fork.box.peer[2].told != fork.slot || !fork.recs[slot+1].lent.IsEmpty() || !fork.recs[slot+2].lent.IsEmpty() {
+		t.Fatalf("the fork kept rows it sent: %s", DebugState(fork))
+	}
+	if !reflect.DeepEqual(orig.box, wantBox) {
+		t.Fatalf("the fork's sends reached the original's outbox:\n got %+v\nwant %+v", orig.box, wantBox)
+	}
+	for _, s := range []int{slot + 1, slot + 2} {
+		if _, to := heldLeadAt(orig, s); to != model.SetOf(2) {
+			t.Fatalf("the fork's release reached the original: slot %d holds its LEAD for %v, want {p2}", s, to)
+		}
 	}
 	if got := *orig.recs[slot]; !reflect.DeepEqual(got, want) {
 		t.Fatalf("the fork's wake reached the original's record:\n got %+v\nwant %+v", got, want)
@@ -139,7 +172,16 @@ func TestCloneIsolatesSlotRecord(t *testing.T) {
 	}
 	// And the other way: the original's own wake finds its queues intact.
 	out = step(orig, 2, in(consensus.LeadDeltaPayload{K: 2, V: 42}))
-	if sp, ok := out[0].Payload.(SlotPayload); !ok || sp.Kind() != "LEADD" || len(orig.recs[slot].in) != 0 {
-		t.Fatalf("the original's waking step sent %v first with %d still deferred", out[0].Payload, len(orig.recs[slot].in))
+	if sp, ok := Flatten(out)[0].Payload.(SlotPayload); !ok || sp.Kind() != "LEADD" || len(orig.recs[slot].in) != 0 {
+		t.Fatalf("the original's waking step sent %v first with %d still deferred", Flatten(out)[0].Payload, len(orig.recs[slot].in))
+	}
+	var bodies model.ProcessSet
+	for _, snd := range Flatten(out) {
+		if _, ok := snd.Payload.(testBody); ok {
+			bodies = bodies.Add(snd.To)
+		}
+	}
+	if bodies != model.SetOf(1, 2) || len(orig.box.owed) != 0 {
+		t.Fatalf("the original's waking step sent its owed body to %v, want {p1, p2}", bodies)
 	}
 }

@@ -37,30 +37,28 @@
 //
 // Retirement is still possible — safely — through progress gossip: once
 // every process is known to have passed a slot, its instance is discarded.
-// A process tells each peer its frontier as one more item of traffic
-// already going there, and sends a PRGR of its own only once no slot it
-// has not decided is in flight (announce): a late PRGR delays what a peer
-// knows but never falsifies it, so a peer's progress row stays a lower
-// bound on the real frontier, which is all the quiet rule needs.
+// A late PRGR delays what a peer knows but never falsifies it, so a peer's
+// progress row stays a lower bound on the real frontier, which is all the
+// quiet rule needs.
 //
-// A round-1 LEAD goes only to the peers that follow its sender (follow.go).
-// Fig. 4 has a process wait for its own Ω output's LEAD and nobody else's,
-// so each process tells each peer its Ω output (FLW) on traffic already
-// going there, and a round-1 LEAD for a peer that has named another leader
-// is held in the slot's record until that peer names this process.
+// Everything a process sends a peer besides what its instances emit in the
+// step — the commands NewLog was given (CMD), its frontier (PRGR), its Ω
+// output (FLW), the round-1 LEADs it holds for peers that follow another
+// process, and what its caller owes (Owe) — is a row of one outbox
+// (outbox.go), each with its release rule, and the outbox's flush turns a
+// step's sends into what leaves: one message per peer (bundle.go). Step
+// takes a bundle's items in the order they were sent.
 //
 // Everything a process knows about one slot — the instance, its place in
 // the window, the rounds heard in it — sits in one record (slot.go), and so
-// does everything the log withholds on the slot's account: a queue of
-// inbound messages the instance is not handed yet (it has not opened here,
-// or it is quiet and the sender has passed the slot) and the held LEADs
-// outbound. Inbound traffic passes one gate in Step (accepts) — a peer's,
+// does what the log withholds on the slot's account: a queue of inbound
+// messages the instance is not handed yet (it has not opened here, or it
+// is quiet and the sender has passed the slot) and the quiet instance's
+// held LEAD. Inbound traffic passes one gate in Step (accepts) — a peer's,
 // and the process's own, which never leaves the step (loopback); each queue
 // is filled in one place and emptied in one place, and both only ever delay
 // what the asynchronous model lets be delayed (§2.4). window.go opens,
-// harvests, appends and retires the records. What one step sends one peer
-// leaves as one message (bundle.go), and Step takes a bundle's items in the
-// order they were sent.
+// harvests, appends and retires the records.
 //
 // The quorum histories H_p (Fig. 5) are kept once per process, not once
 // per slot instance: every instance of a process reads and writes the one
@@ -132,7 +130,7 @@ func (ProgressPayload) SupersedesOlder() {}
 
 // FollowPayload announces the sender's current Ω output: the process whose
 // LEAD its round-1 instances wait for. A peer holds its round-1 LEADs for
-// the sender until the sender names it (follow.go). It never supersedes:
+// the sender until the sender names it (outbox.go). It never supersedes:
 // the receiver takes every announcement, in order.
 type FollowPayload struct {
 	Leader model.ProcessID
@@ -244,18 +242,15 @@ type logState struct {
 	known   []int // forwarded commands from others, not yet appended
 	slot    int   // frontier: lowest slot not yet appended
 	slots   int   // total slots in the log
-	entries []int // the log: decided values per slot
+	entries []int // the log: decided values per slot; nil in sink mode
 
-	announced bool  // own commands forwarded to the others
-	progress  []int // known progress of every process
-	told      []int // per peer: frontier last announced there (announce)
-	pump      int   // round-robin cursor over awake older instances
-	appended  int   // entries appended (== len(entries) unless sinking)
+	progress []int // known progress of every process
+	pump     int   // round-robin cursor over awake older instances
+	appended int   // entries appended (== len(entries) unless sinking)
 
-	// The leader rows (follow.go): per peer, the Ω output it last announced
-	// here and the one last announced there; model.NoProcess until then.
-	follows    []model.ProcessID
-	toldLeader []model.ProcessID
+	// box is what leaves for a peer besides the step's instance sends, and
+	// when (outbox.go).
+	box outbox
 
 	// recs is the one per-slot container (slot.go): a slot's instance, its
 	// window bookkeeping, the rounds heard in it and both deferral queues.
@@ -293,9 +288,7 @@ func (s *logState) CloneState() model.State {
 	c.known = append([]int(nil), s.known...)
 	c.entries = append([]int(nil), s.entries...)
 	c.progress = append([]int(nil), s.progress...)
-	c.told = append([]int(nil), s.told...)
-	c.follows = append([]model.ProcessID(nil), s.follows...)
-	c.toldLeader = append([]model.ProcessID(nil), s.toldLeader...)
+	c.box = s.box.clone()
 	// Clone the shared store ONCE, then rebind every cloned instance: the
 	// instances' own CloneStore is identity for shared stores.
 	c.store = s.store.clone()
@@ -344,23 +337,25 @@ type LogHolder interface {
 func (a *Log) InitState(p model.ProcessID) model.State { return a.InitStateWith(p) }
 
 // InitStateWith is InitState with cmds injected (Inject) before the
-// window opens, so the first in-flight slots propose them. Like injected
-// commands, they are the caller's to forward.
+// window opens, so the first in-flight slots propose them. The commands
+// NewLog was given enter the outbox as CMD rows, one to every peer on the
+// first step; cmds do not: like injected commands, a caller that wants
+// them forwarded owes their forward (Owe).
 func (a *Log) InitStateWith(p model.ProcessID, cmds ...int) model.State {
 	st := &logState{
 		p:          p,
 		pending:    append(append([]int(nil), a.cmds[p]...), cmds...),
 		slots:      a.slots,
-		entries:    make([]int, 0, a.slots),
 		progress:   make([]int, a.n),
-		told:       make([]int, a.n),
-		follows:    noLeaders(a.n),
-		toldLeader: noLeaders(a.n),
+		box:        newOutbox(a.n, a.cmds[p]),
 		recs:       make(map[int]*slotRec, a.window+1),
 		window:     a.window,
 		store:      newSharedStore(a.n),
 		sentVer:    make([]uint64, a.n),
 		appliedVer: make([]uint64, a.n),
+	}
+	if a.sink == nil {
+		st.entries = make([]int, 0, a.slots)
 	}
 	st.openWindow(a, nil) // nothing deferred at init: no sends, no FD use
 	return st
@@ -388,16 +383,6 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 				out = append(out, sends...)
 			}
 			currentGotMsg = currentGotMsg || current
-		}
-	}
-
-	// Forward the commands the log was built with once, so the eventual
-	// leader can propose them. Injected commands are the caller's to
-	// forward.
-	if !st.announced {
-		st.announced = true
-		for _, c := range a.cmds[p] {
-			out = append(out, model.Broadcast(model.FullSet(a.n).Remove(p), CommandPayload{Cmd: c})...)
 		}
 	}
 
@@ -430,11 +415,9 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 		out = append(out, st.settle(a, slot, d)...)
 	}
 
-	out = st.loopback(a, out, d)
-	out = st.announce(a, out, d)
+	out = st.flush(a, st.loopback(a, out, d), d)
 	st.compactStore(a.metrics)
-
-	return st, Pack(out)
+	return st, out
 }
 
 // take is Step's receive switch for one payload: a bare message's, or one
@@ -456,7 +439,7 @@ func (s *logState) take(a *Log, from model.ProcessID, seq uint64, pl model.Paylo
 			}
 		}
 	case FollowPayload:
-		s.follows[from] = pl.Leader
+		s.box.peer[from].follows = pl.Leader
 		if pl.Leader == s.p {
 			return s.release(a, from), false
 		}
@@ -540,10 +523,10 @@ func (s *logState) loopback(a *Log, out []model.Send, d model.FDValue) []model.S
 // Inject appends freshly arrived commands to a process's pending queue
 // outside the message-driven step cycle — the serving layer's ingress
 // path. Like Step it consumes s: it returns the updated state (s itself,
-// mutated). It sends nothing: forwarding an injected command to the peers
-// is the caller's job (the serving layer's batch body is its forward), and
-// the log's own first-step announce covers only the commands it was built
-// with.
+// mutated). It sends nothing: a caller that wants an injected command
+// forwarded owes the peers its forward (Owe; the serving layer owes the
+// batch body), and the outbox's CMD rows cover only the commands the log
+// was built with.
 func (a *Log) Inject(s model.State, cmds ...int) model.State {
 	st := s.(*logState)
 	st.pending = append(st.pending, cmds...)
@@ -614,11 +597,13 @@ func DebugState(s model.State) string {
 			cur = fmt.Sprintf("round=%d", k)
 		}
 	}
-	in, out := 0, 0
+	in, out, held := 0, 0, 0
 	for _, r := range st.recs {
 		in += len(r.in)
-		out += len(r.out) + r.lent.Len()
+		out += len(r.out)
+		held += r.lent.Len()
 	}
-	return fmt.Sprintf("slot=%d entries=%v progress=%v live=%v awake=%v deferred=%d/%d current{%s} pending=%v known=%v",
-		st.slot, st.entries, st.progress, st.liveSlots(), st.awake, in, out, cur, st.pending, st.known)
+	return fmt.Sprintf("slot=%d entries=%v progress=%v live=%v awake=%v deferred=%d/%d current{%s} pending=%v known=%v outbox{cmds=%d held=%d owed=%d}",
+		st.slot, st.entries, st.progress, st.liveSlots(), st.awake, in, out, cur, st.pending, st.known,
+		len(st.box.cmds), held, len(st.box.owed))
 }

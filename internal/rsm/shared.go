@@ -107,7 +107,7 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // this runs straight after the inner step that handled the SAW, so the
 // window is the one the handler ran under; REP/SAW are only slot-tagged.
 // A round-1 LEAD to a peer that follows another process is held instead
-// (lends, follow.go): it leaves the slice raw, into the slot's record, and
+// (lends, outbox.go): it leaves the slice raw, into the slot's record, and
 // takes its delta only at release. Per-link FIFO delivery makes the
 // per-destination chain airtight; sends within one step to the same
 // destination chain through sentVer just like sends in different steps.

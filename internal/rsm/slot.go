@@ -29,7 +29,7 @@ import (
 //     stepInstance). It never holds anything else.
 //   - lent, lead: the round-1 LEAD, as A_nuc emitted it, held for the peers
 //     in lent — they follow another process — until each names this one
-//     (wrapShared holds, release sends; follow.go).
+//     (wrapShared holds, release sends; outbox.go).
 type slotRec struct {
 	inst  model.State // the slot's A_nuc instance; nil until opened here
 	state slotState

@@ -5,7 +5,6 @@ package rsm
 import (
 	"sort"
 
-	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
 )
 
@@ -35,9 +34,9 @@ func (s *logState) appendEntry(a *Log, v, round int) {
 
 // harvest collects decisions from every in-flight slot (they can land out
 // of order), appends the contiguous prefix at the frontier, and refills the
-// window with fresh instances; announce tells the peers at the end of the
-// step. A decided value leaves the proposal pools immediately — before it
-// is appended — so the window never proposes it a second time.
+// window with fresh instances; the outbox tells the peers at the end of
+// the step (flush). A decided value leaves the proposal pools immediately
+// — before it is appended — so the window never proposes it a second time.
 func (s *logState) harvest(a *Log, d model.FDValue) []model.Send {
 	var out []model.Send
 	for slot := s.slot; slot < s.windowEnd(); slot++ {
@@ -82,58 +81,6 @@ func (s *logState) openWindow(a *Log, d model.FDValue) []model.Send {
 		n, sends := s.drain(a, slot, d)
 		a.metrics.replayed(n)
 		out = append(out, sends...)
-	}
-	return out
-}
-
-// announce tells each peer the frontier once it has moved past what that
-// peer was last told, and the process's Ω output once it differs from what
-// that peer was last told: as more items of what this step already sends
-// it, which Pack bundles. A frontier leaves bare once no undecided
-// in-flight slot is left to broadcast a carrier later (DESIGN.md §10
-// "Progress rides"); a leader goes bare only to the new leader itself,
-// when it was last told another one — so it may hold round-1 LEADs for
-// this process — and a slot here still waits in round 1 (§10 "Held
-// LEADs"). Whatever goes to a peer carries the other announcement with it.
-// A peer's progress row stays a lower bound on this process's frontier
-// either way.
-func (s *logState) announce(a *Log, out []model.Send, d model.FDValue) []model.Send {
-	var busy model.ProcessSet
-	for _, snd := range out {
-		busy = busy.Add(snd.To)
-	}
-	bare, waiting := true, false // no undecided in-flight slot; one in round 1
-	for slot := s.slot; slot < s.windowEnd(); slot++ {
-		if r := s.recs[slot]; r != nil && r.state == slotOpen {
-			bare = false
-			if k, _ := model.RoundOf(r.inst); k <= 1 {
-				waiting = true
-			}
-		}
-	}
-	leader, _ := fd.LeaderOf(d) // model.NoProcess when d has no Ω
-	for q := range s.told {
-		to := model.ProcessID(q)
-		if to == s.p {
-			continue
-		}
-		prgr := s.told[q] < s.slot
-		last := s.toldLeader[q]
-		flw := leader != model.NoProcess && last != leader
-		carried := busy.Has(to)
-		if !carried && !(prgr && bare) && !(flw && to == leader && last != model.NoProcess && waiting) {
-			continue
-		}
-		if prgr {
-			s.told[q] = s.slot
-			out = append(out, model.Send{To: to, Payload: ProgressPayload{Slot: s.slot}})
-			a.metrics.progress(carried || flw)
-		}
-		if flw {
-			s.toldLeader[q] = leader
-			out = append(out, model.Send{To: to, Payload: FollowPayload{Leader: leader}})
-			a.metrics.follow(carried || prgr)
-		}
 	}
 	return out
 }

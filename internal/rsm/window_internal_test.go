@@ -124,3 +124,24 @@ func TestLambdaStepAdvancesEveryAwakeSlot(t *testing.T) {
 		}
 	}
 }
+
+// discardSink takes every entry and keeps none.
+type discardSink struct{}
+
+func (discardSink) OnEntry(model.ProcessID, int, int) {}
+
+// TestSinkModeAllocatesNoEntries: with an EntrySink every appended entry
+// leaves the state, so a sink-mode state allocates no entries slice at all
+// — not one sized for the whole log — while a state without a sink starts
+// with room for every slot.
+func TestSinkModeAllocatesNoEntries(t *testing.T) {
+	const slots = 1 << 16
+	sunk := NewLog([][]int{nil, nil}, slots).WithEntrySink(discardSink{}).InitState(0).(*logState)
+	if c := cap(sunk.entries); c != 0 {
+		t.Errorf("sink-mode state holds an entries slice of capacity %d, want 0", c)
+	}
+	kept := NewLog([][]int{nil, nil}, slots).InitState(0).(*logState)
+	if c := cap(kept.entries); c != slots {
+		t.Errorf("a state without a sink starts with entries capacity %d, want %d", c, slots)
+	}
+}

@@ -209,7 +209,7 @@ func (a *cmdTap) Step(p model.ProcessID, s model.State, m *model.Message, d mode
 // no step of a serving run sends a CMD item, whether the batch came from
 // the initial workload or was sealed from ingress; and a step that sends a
 // body sends it to every peer, riding what the step already sends a peer
-// where it can (pay).
+// where it can (the rsm outbox's owed row).
 func TestBatchIsTheForward(t *testing.T) {
 	const n = 4
 	pattern := model.PatternFromCrashes(n, nil)

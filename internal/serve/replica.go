@@ -91,8 +91,6 @@ func NewCluster(cfg Config) *Cluster {
 		batch:    cfg.Batch,
 		initial:  initial,
 		tracer:   cfg.Tracer,
-		carried:  reg.Counter("serve.body_carried"),
-		bare:     reg.Counter("serve.body_bare"),
 	}
 	return c
 }
@@ -136,8 +134,6 @@ type Replica struct {
 	batch    int // Config.Batch
 	initial  [][]Batch
 	tracer   *obs.Tracer
-
-	carried, bare *obs.Counter // body items sent with the log's traffic to a peer, and alone
 }
 
 // Name implements model.Automaton.
@@ -151,16 +147,14 @@ type replicaState struct {
 	r         *Replica
 	p         model.ProcessID
 	inner     model.State
-	owed      []BatchPayload // own batch bodies not yet sent, in mint order (pay)
-	nextBatch int            // per-origin mint counter for ingress batches
-	lastFloor int            // retirement floor already compacted to
+	nextBatch int // per-origin mint counter for ingress batches
+	lastFloor int // retirement floor already compacted to
 }
 
 // CloneState implements model.State.
 func (s *replicaState) CloneState() model.State {
 	c := *s
 	c.inner = s.inner.CloneState()
-	c.owed = append([]BatchPayload(nil), s.owed...)
 	return &c
 }
 
@@ -209,47 +203,12 @@ func (r *Replica) InitState(p model.ProcessID) model.State {
 	return st
 }
 
-// owe queues the body of a batch this process injected into its log: the
-// body is the batch's only forward (pay).
+// owe hands the log the body of a batch this process injected into it: the
+// body is the batch's only forward, and the log's outbox sends it to every
+// peer with the first step that sends anything (rsm.Log.Owe).
 func (st *replicaState) owe(id int, cmds []Command) {
-	st.owed = append(st.owed, BatchPayload{ID: id, Cmds: cmds})
+	st.inner = st.r.log.Owe(st.inner, BatchPayload{ID: id, Cmds: cmds})
 	st.r.spans(obs.StageInject, st.p, id, cmds)
-}
-
-// pay sends the owed bodies to every peer in the first step that sends
-// anything: as more items of the step's message to a peer it reaches,
-// which Pack bundles, and alone to one it does not. A step that sends
-// nothing keeps them owed. All or none, because a peer learns a batch's ID
-// only from its body or from a value this process sent after minting it:
-// the step that first lets the ID out sends the body to every peer, so a
-// slot that decides the ID finds its body on its way to every correct
-// replica even if this one crashes right after. Until that step nobody
-// else knows the ID, so no slot can decide it and no peer waits for the
-// body (DESIGN.md §10 "Bodies ride").
-func (st *replicaState) pay(sends []model.Send) []model.Send {
-	if len(st.owed) == 0 || len(sends) == 0 {
-		return sends
-	}
-	var busy model.ProcessSet
-	for _, snd := range sends {
-		busy = busy.Add(snd.To)
-	}
-	for q := 0; q < st.r.n; q++ {
-		to := model.ProcessID(q)
-		if to == st.p {
-			continue
-		}
-		for _, b := range st.owed {
-			sends = append(sends, model.Send{To: to, Payload: b})
-		}
-		if busy.Has(to) {
-			st.r.carried.Add(int64(len(st.owed)))
-		} else {
-			st.r.bare.Add(int64(len(st.owed)))
-		}
-	}
-	st.owed = nil
-	return sends
 }
 
 // Step implements model.Automaton.
@@ -271,7 +230,7 @@ func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 	// Seal a batch when the log is free: once no own batch waits for a
 	// slot, take the oldest ingress groups, mint the batch's ID, register
 	// its body, inject the ID into the log's pending queue and owe the body
-	// to the peers. This is the only place an ingress batch is sealed, and
+	// to the peers through the log. This is the only place an ingress batch is sealed, and
 	// the log's progress, not a clock, decides when.
 	if !rsm.OwnWaiting(st.inner) {
 		if cmds := r.ingress[int(p)].seal(r.batch); cmds != nil {
@@ -292,8 +251,7 @@ func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 		st.lastFloor = floor
 		r.appliers[int(p)].Compact(floor)
 	}
-	// One message per peer: the owed bodies join the log's bundles.
-	return st, rsm.Pack(st.pay(sends))
+	return st, sends
 }
 
 // takeBodies stores the batch bodies a message carries and returns what is
@@ -347,6 +305,6 @@ func DebugState(s model.State) string {
 		return fmt.Sprintf("%T", s)
 	}
 	stats := st.r.appliers[int(st.p)].StatsOf()
-	return fmt.Sprintf("serve{applied=%d/%d cmds=%d dups=%d stalled=%d owed=%d} %s",
-		stats.Applied, stats.Frontier, stats.Commands, stats.Dups, stats.Stalled, len(st.owed), rsm.DebugState(st.inner))
+	return fmt.Sprintf("serve{applied=%d/%d cmds=%d dups=%d stalled=%d} %s",
+		stats.Applied, stats.Frontier, stats.Commands, stats.Dups, stats.Stalled, rsm.DebugState(st.inner))
 }

@@ -17,9 +17,10 @@
 //     log's progress, not a clock, paces batching. The BATCH is the
 //     forward: no CMD item leaves a replica, a body names its batch's ID,
 //     and the receiving replica hands its log the CMD for that ID where
-//     the body arrived. A body waits in its replica until a step sends
-//     anything, and then goes to every peer at once, riding that step's
-//     message to each peer it reaches.
+//     the body arrived. The replica owes the body to its log (rsm.Log.Owe),
+//     whose outbox sends it with the first step that sends anything, to
+//     every peer at once, riding that step's message to each peer it
+//     reaches.
 //   - Applier: a per-process external resource (like fd.Sampler) holding
 //     the KV/queue Machine, the session dedup table, and the decided-entry
 //     cursor. Commands apply in slot order exactly once per (client, seq),
@@ -27,7 +28,7 @@
 //   - Ingress: the mutex-guarded queue cmd/nucd pushes live client writes
 //     through; Replica seals what is queued, up to Config.Batch commands,
 //     into one batch, queues its ID in the log via rsm.Inject and owes
-//     its body to the peers.
+//     its body to the peers via rsm.Log.Owe.
 //
 // Consistency: writes are linearizable at commit (slot order is agreed by
 // every correct process). Reads come in two modes — read-index reads,
