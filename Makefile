@@ -278,14 +278,15 @@ lint-static: vet lint
 
 # loc prints non-test, non-blank, non-comment Go lines per package (root,
 # cmd/*, internal/* with sub-packages folded in; testdata fixtures are not
-# code and are left out) — the "LOC per package before/after" figure every
-# deletion PR records.
+# code and are left out) and their total — the "LOC per package
+# before/after" figure every deletion PR records.
 # The tree has no block comments, so a leading // is the whole test.
 loc:
-	@for d in . cmd/* internal/*; do \
+	@total=0; for d in . cmd/* internal/*; do \
 	    depth=; [ $$d = . ] && depth='-maxdepth 1'; \
-	    printf '%-24s %6d\n' $$d $$(find $$d $$depth -name '*.go' ! -name '*_test.go' -not -path '*/testdata/*' | xargs cat | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l); \
-	done
+	    n=$$(find $$d $$depth -name '*.go' ! -name '*_test.go' -not -path '*/testdata/*' | xargs cat | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l); \
+	    printf '%-24s %6d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-24s %6d\n' total $$total
 
 # ci mirrors .github/workflows/ci.yml: static checks, build, tests, race
 # detector, a parallel experiments run that fails on any claim failure

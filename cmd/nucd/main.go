@@ -12,10 +12,17 @@
 // locally: plain reads from the node's machine, linearizable reads via
 // read-index (snap the decided frontier, wait until applied, then read).
 //
-// With -ops N the daemon exits once every node has applied N distinct
-// commands (pair it with cmd/nucload -ops N); with -ops 0 it runs until
-// the log is full. On exit it verifies cross-node machine agreement,
-// writes the metrics registry as JSONL (-metrics), and prints a summary.
+// The log has no capacity and the run no step budget: with -ops N the
+// daemon exits once every node has applied N distinct commands (pair it
+// with cmd/nucload -ops N); with -ops 0 it serves until killed. On exit it
+// verifies cross-node machine agreement, writes the metrics registry as
+// JSONL (-metrics), and prints a summary. The failure detector is the
+// oracle sampler (rsm.SamplerForLog), stable after 60 logical ticks, and
+// the substrate's seed is 1.
+//
+// Flags: -n replicas, -pipeline slot instances in flight, -batch commands
+// per batch, -ops the exit target, -addr-file, -metrics and -trace output
+// files, -debug-addr and -slow (below).
 //
 // Observability: -trace writes the request span stream (ingress, seal,
 // decide, apply, reply — see internal/obs and cmd/nuctrace) as JSONL;
@@ -37,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -53,16 +61,19 @@ import (
 	"nuconsensus/internal/wire"
 )
 
+// The oracle failure detector stabilises after stabilize logical ticks,
+// and seed seeds it and the substrate.
+const (
+	stabilize model.Time = 60
+	seed      int64      = 1
+)
+
 func main() {
 	var (
 		n         = flag.Int("n", 4, "number of replicas (2..64)")
-		slots     = flag.Int("slots", 1<<16, "log capacity (consensus instances)")
 		pipeline  = flag.Int("pipeline", 2, "slot instances in flight")
 		batch     = flag.Int("batch", 16, "max commands per consensus batch")
-		ops       = flag.Int("ops", 0, "exit after this many distinct commands applied everywhere (0: run to log-full)")
-		seed      = flag.Int64("seed", 1, "substrate seed")
-		stabilize = flag.Int64("stabilize", 60, "failure-detector stabilization time (logical ticks)")
-		maxSteps  = flag.Int("maxsteps", 50_000_000, "logical step budget")
+		ops       = flag.Int("ops", 0, "exit after this many distinct commands applied everywhere (0: serve until killed)")
 		addrFile  = flag.String("addr-file", "", "write the client listener addresses to this file (one per line)")
 		metrics   = flag.String("metrics", "", "write the metrics registry as JSONL to this file at exit")
 		trace     = flag.String("trace", "", "write the request span stream as JSONL to this file")
@@ -88,11 +99,11 @@ func main() {
 	}
 	pattern := model.NewFailurePattern(*n)
 	cl := serve.NewCluster(serve.Config{
-		N: *n, Slots: *slots, Pipeline: *pipeline, Batch: *batch,
+		N: *n, Slots: math.MaxInt, Pipeline: *pipeline, Batch: *batch,
 		Target: *ops, Registry: reg, Tracer: tracer,
 	})
 	cl.Log().WithMetrics(reg)
-	sampler := rsm.SamplerForLog(pattern, model.Time(*stabilize), *seed)
+	sampler := rsm.SamplerForLog(pattern, stabilize, seed)
 	cl.Log().WithSampler(sampler)
 
 	// Client listeners: one per node, ephemeral loopback ports.
@@ -148,8 +159,8 @@ func main() {
 	}
 	start := time.Now()
 	res, err := sub.Run(context.Background(), cl.Automaton(), sampler, pattern, substrate.Options{
-		Seed:            *seed,
-		MaxSteps:        *maxSteps,
+		Seed:            seed,
+		MaxSteps:        math.MaxInt,
 		StopWhenDecided: true,
 		Metrics:         reg,
 	})
@@ -211,7 +222,7 @@ func main() {
 		log.Fatal("nucd: replica machines diverged")
 	}
 	if !res.Decided {
-		log.Fatal("nucd: step budget exhausted before the target was reached")
+		log.Fatal("nucd: the cluster halted before the target was reached")
 	}
 }
 

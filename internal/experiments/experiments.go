@@ -232,10 +232,8 @@ func runConsensus(sc Scale, aut model.Automaton, pattern *model.FailurePattern, 
 	if err != nil {
 		return consensusRun{}, err
 	}
-	if sc.Metrics != nil {
-		sc.Metrics.Histogram("consensus.msgs_per_run", obs.DefaultBuckets).Observe(int64(res.MessagesSent))
-		sc.Metrics.Histogram("consensus.steps_per_run", obs.DefaultBuckets).Observe(int64(res.Steps))
-	}
+	sc.Metrics.Histogram("consensus.msgs_per_run", obs.DefaultBuckets).Observe(int64(res.MessagesSent))
+	sc.Metrics.Histogram("consensus.steps_per_run", obs.DefaultBuckets).Observe(int64(res.Steps))
 	return consensusRun{
 		Decided:  res.Decided,
 		Steps:    res.Steps,

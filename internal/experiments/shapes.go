@@ -292,9 +292,6 @@ func (a *logMeter) Step(p model.ProcessID, s model.State, m *model.Message, d mo
 // and raises its named gauges to the unit's: commutative adds and maxes
 // only, so the dump is the same at any worker count.
 func fold(dst, src *obs.Registry, counters, gauges []string) {
-	if dst == nil {
-		return
-	}
 	for _, name := range counters {
 		dst.Counter(name).Add(src.Counter(name).Value())
 	}

@@ -213,9 +213,7 @@ func Explore(o Options) (*Result, error) {
 		}
 		levels = append(levels, next)
 		edgePairs = append(edgePairs, pairs)
-		if o.Metrics != nil {
-			o.Metrics.Histogram("explore.frontier_width", obs.DefaultBuckets).Observe(int64(len(next)))
-		}
+		o.Metrics.Histogram("explore.frontier_width", obs.DefaultBuckets).Observe(int64(len(next)))
 		if o.Progress != nil {
 			o.Progress(depth+1, len(next), e.states)
 		}
@@ -250,15 +248,13 @@ func Explore(o Options) (*Result, error) {
 	if e.states > 0 {
 		res.Reduction = res.SchedulePrefixes / float64(e.states)
 	}
-	if o.Metrics != nil {
-		o.Metrics.Counter("explore.states").Add(res.States)
-		o.Metrics.Counter("explore.edges").Add(res.Edges)
-		o.Metrics.Counter("explore.sleep_skips").Add(res.Slept)
-		o.Metrics.Counter("explore.stutter_prunes").Add(res.Stutters)
-		o.Metrics.Counter("explore.merge_hits").Add(res.Dups)
-		o.Metrics.Counter("explore.violations").Add(res.Violations)
-		o.Metrics.Gauge("explore.depth").Max(int64(res.Depth))
-	}
+	o.Metrics.Counter("explore.states").Add(res.States)
+	o.Metrics.Counter("explore.edges").Add(res.Edges)
+	o.Metrics.Counter("explore.sleep_skips").Add(res.Slept)
+	o.Metrics.Counter("explore.stutter_prunes").Add(res.Stutters)
+	o.Metrics.Counter("explore.merge_hits").Add(res.Dups)
+	o.Metrics.Counter("explore.violations").Add(res.Violations)
+	o.Metrics.Gauge("explore.depth").Max(int64(res.Depth))
 	return res, nil
 }
 

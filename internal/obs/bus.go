@@ -48,8 +48,8 @@ type Bus struct {
 
 	// Hot-path instruments, resolved once at construction so OnStep pays
 	// neither the registry's mutexed get-or-create per event nor the
-	// "msgs.sent."+kind concatenation per send (all nil/empty when no
-	// registry is attached). sentC is only touched under b.mu.
+	// "msgs.sent."+kind concatenation per send (nil, and sentC empty, when
+	// no registry is attached). sentC is only touched under b.mu.
 	cDelivered, cSteps, cCrashes *Counter
 	sentC                        map[string]*Counter
 }
@@ -60,19 +60,16 @@ func NewBus(clock Clock, metrics *Registry, sinks ...Sink) *Bus {
 	if clock == nil {
 		clock = Logical{}
 	}
-	b := &Bus{
-		clock:   clock,
-		metrics: metrics,
-		sinks:   sinks,
-		sendL:   make(map[msgKey]uint64),
+	return &Bus{
+		clock:      clock,
+		metrics:    metrics,
+		sinks:      sinks,
+		sendL:      make(map[msgKey]uint64),
+		cDelivered: metrics.Counter("bus.delivered"),
+		cSteps:     metrics.Counter("bus.steps"),
+		cCrashes:   metrics.Counter("bus.crashes"),
+		sentC:      make(map[string]*Counter),
 	}
-	if metrics != nil {
-		b.cDelivered = metrics.Counter("bus.delivered")
-		b.cSteps = metrics.Counter("bus.steps")
-		b.cCrashes = metrics.Counter("bus.crashes")
-		b.sentC = make(map[string]*Counter)
-	}
-	return b
 }
 
 // SetClock replaces the bus's clock. The concurrent substrates call this
@@ -156,13 +153,13 @@ func (b *Bus) OnStep(t model.Time, p model.ProcessID, m *model.Message, d model.
 	if m != nil {
 		delete(b.sendL, msgKey{m.From, m.Seq})
 		b.emit(Event{Kind: KindDeliver, T: t, P: p, L: l, From: m.From, Seq: m.Seq, Payload: m.Payload.Kind(), Wall: wall})
-		b.add(b.cDelivered, 1)
+		b.cDelivered.Add(1)
 	}
 	if d != nil {
 		b.emit(Event{Kind: KindFDQuery, T: t, P: p, L: l, FD: d, Wall: wall})
 	}
 	b.emit(Event{Kind: KindStep, T: t, P: p, L: l, Value: len(sent), Wall: wall})
-	b.add(b.cSteps, 1)
+	b.cSteps.Add(1)
 	for _, sm := range sent {
 		b.sendL[msgKey{sm.From, sm.Seq}] = l
 		b.emit(Event{Kind: KindSend, T: t, P: p, L: l, From: sm.From, To: sm.To, Seq: sm.Seq, Payload: sm.Payload.Kind(), Wall: wall})
@@ -206,7 +203,7 @@ func (b *Bus) OnCrash(t model.Time, p model.ProcessID) {
 	b.grow(p)
 	b.lamport[p]++
 	b.emit(Event{Kind: KindCrash, T: t, P: p, L: b.lamport[p], Wall: b.clock.Now()})
-	b.add(b.cCrashes, 1)
+	b.cCrashes.Add(1)
 }
 
 // Close closes every sink, returning the first error.
@@ -225,17 +222,11 @@ func (b *Bus) Close() error {
 	return first
 }
 
-// add bumps a pre-resolved counter (nil when no registry is attached).
-func (b *Bus) add(c *Counter, v int64) {
-	if c != nil {
-		c.Add(v)
-	}
-}
-
 // countSent bumps the per-kind send counter, resolving "msgs.sent.<KIND>"
 // through the registry only on the kind's first appearance: a map hit on a
 // string key allocates nothing, while the concatenation it replaces
-// allocated on every send. Callers hold b.mu.
+// allocated on every send; without a registry it builds no name at all.
+// Callers hold b.mu.
 func (b *Bus) countSent(kind string) {
 	if b.metrics == nil {
 		return
@@ -248,9 +239,7 @@ func (b *Bus) countSent(kind string) {
 	c.Add(1)
 }
 
-// observe records a histogram sample, if a registry is attached.
+// observe records a histogram sample.
 func (b *Bus) observe(name string, v int64) {
-	if b.metrics != nil {
-		b.metrics.Histogram(name, DefaultBuckets).Observe(v)
-	}
+	b.metrics.Histogram(name, DefaultBuckets).Observe(v)
 }

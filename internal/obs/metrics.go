@@ -20,10 +20,15 @@ var DefaultBuckets = []int64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 500
 
 // Counter is a monotonically increasing sum. Adds from concurrent units
 // commute, so counter values are deterministic whenever the run's work is.
+// A nil *Counter, which a nil *Registry hands out, records nothing.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by v.
-func (c *Counter) Add(v int64) { c.v.Add(v) }
+func (c *Counter) Add(v int64) {
+	if c != nil {
+		c.v.Add(v)
+	}
+}
 
 // Value returns the current sum.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -31,14 +36,22 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is a last-write-wins level. Gauges are NOT deterministic under
 // concurrent writers; deterministic paths restrict themselves to counters
 // and histograms (DESIGN.md §7) and set gauges only from single-threaded
-// code (e.g. the explorer's per-level frontier depth).
+// code (e.g. the explorer's per-level frontier depth). A nil *Gauge
+// records nothing.
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+func (g *Gauge) Set(v int64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
 // Max raises the gauge to v if v is larger.
 func (g *Gauge) Max(v int64) {
+	if g == nil {
+		return
+	}
 	for {
 		cur := g.v.Load()
 		if v <= cur || g.v.CompareAndSwap(cur, v) {
@@ -52,7 +65,8 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket distribution: counts[i] tallies samples
 // v <= bounds[i], with one overflow bucket beyond the last bound. Bucket
-// increments commute, so histograms are as deterministic as counters.
+// increments commute, so histograms are as deterministic as counters. A
+// nil *Histogram records nothing.
 type Histogram struct {
 	bounds []int64
 	counts []atomic.Int64 // len(bounds)+1, last is +Inf
@@ -62,6 +76,9 @@ type Histogram struct {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
 	h.counts[i].Add(1)
 	h.count.Add(1)
@@ -135,7 +152,9 @@ type metric struct {
 
 // Registry holds named instruments. Get-or-create methods are safe for
 // concurrent use; snapshots render in sorted name order so dumps are
-// byte-identical whenever the underlying values are.
+// byte-identical whenever the underlying values are. A nil *Registry is
+// valid: it hands out nil instruments, which record nothing, so a run is
+// unmetered exactly when its registry is nil.
 type Registry struct {
 	mu sync.Mutex
 	m  map[string]*metric
@@ -163,6 +182,9 @@ func (r *Registry) get(name string, mk func() *metric) *metric {
 // the same name as two different instrument kinds panics: metric names are
 // a global namespace.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	inst := r.get(name, func() *metric { return &metric{counter: &Counter{}} })
 	if inst.counter == nil {
 		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
@@ -172,6 +194,9 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	inst := r.get(name, func() *metric { return &metric{gauge: &Gauge{}} })
 	if inst.gauge == nil {
 		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
@@ -182,6 +207,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram, creating it with the given bucket
 // bounds (sorted ascending) on first use. Later calls ignore bounds.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	inst := r.get(name, func() *metric {
 		h := &Histogram{bounds: bounds}
 		h.counts = make([]atomic.Int64, len(bounds)+1)

@@ -516,6 +516,31 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	reg.Gauge("x")
 }
 
+// TestNilRegistryRecordsNothing: a nil *Registry is how a run is left
+// unmetered. It hands out nil instruments, every writer on them is a
+// no-op, and a bus or tracer built on it works without counting.
+func TestNilRegistryRecordsNothing(t *testing.T) {
+	var reg *obs.Registry
+	c, g, h := reg.Counter("c"), reg.Gauge("g"), reg.Histogram("h", obs.DefaultBuckets)
+	if c != nil || g != nil || h != nil {
+		t.Fatalf("nil registry handed out %v, %v, %v; want nil instruments", c, g, h)
+	}
+	c.Add(1)
+	g.Set(2)
+	g.Max(3)
+	h.Observe(4)
+
+	bus := obs.NewBus(nil, reg)
+	bus.OnStep(1, 0, nil, nil, []*model.Message{{From: 0, To: 1, Seq: 1, Payload: payload{"P"}}}, nil)
+	bus.OnCrash(2, 0)
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf, nil, reg)
+	tr.Span(obs.SpanEvent{Stage: obs.StageIngress})
+	if err := tr.Flush(); err != nil || tr.Spans() != 1 || buf.Len() == 0 {
+		t.Errorf("tracer on a nil registry wrote %d spans, %d bytes (err %v), want 1 span", tr.Spans(), buf.Len(), err)
+	}
+}
+
 // TestSinkFanoutConcurrent drives one bus from many goroutines (as the
 // concurrent substrates do) under -race: every sink must observe the same
 // event sequence, and the commutative counters must balance exactly.

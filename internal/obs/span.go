@@ -155,12 +155,9 @@ func NewTracer(w io.Writer, clock Clock, reg *Registry) *Tracer {
 	if clock == nil {
 		clock = Logical{}
 	}
-	t := &Tracer{clock: clock, w: bufio.NewWriter(w)}
+	t := &Tracer{clock: clock, w: bufio.NewWriter(w), cSpans: reg.Counter("obs.spans")}
 	if c, ok := w.(io.Closer); ok {
 		t.c = c
-	}
-	if reg != nil {
-		t.cSpans = reg.Counter("obs.spans")
 	}
 	return t
 }
@@ -179,9 +176,7 @@ func (t *Tracer) Span(ev SpanEvent) {
 	}
 	t.w.WriteString(SpanLine(ev))
 	t.n++
-	if t.cSpans != nil {
-		t.cSpans.Add(1)
-	}
+	t.cSpans.Add(1)
 }
 
 // Spans reports how many span events were emitted.

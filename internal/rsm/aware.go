@@ -14,6 +14,7 @@ import (
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 )
 
 // AckStampPayload is consensus.AckPayload as the log ships it: Stamp is the
@@ -46,8 +47,8 @@ const unacked = math.MaxInt
 // quorum, per member, the smallest stamp among that member's ACKs — the
 // earliest point it is known to have held (p, Q). It runs where deltas are
 // applied, before the live-slot check, so an ACK for a slot that has retired
-// here still counts.
-func (s *logState) recordAck(q model.ProcessID, ack AckStampPayload, m *logMetrics) {
+// here still counts. A new quorum's record is one records increment.
+func (s *logState) recordAck(q model.ProcessID, ack AckStampPayload, records *obs.Counter) {
 	row := s.aware[ack.Q]
 	if row == nil {
 		if s.aware == nil {
@@ -58,7 +59,7 @@ func (s *logState) recordAck(q model.ProcessID, ack AckStampPayload, m *logMetri
 			row[i] = unacked
 		}
 		s.aware[ack.Q] = row
-		m.awareRecord()
+		records.Add(1)
 	}
 	if ack.Stamp < row[q] {
 		row[q] = ack.Stamp

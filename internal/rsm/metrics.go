@@ -1,5 +1,4 @@
-// The log's obs instruments: pre-resolved at attach time, nil-receiver-safe
-// on the hot path.
+// The log's obs instruments, resolved once per log.
 package rsm
 
 import (
@@ -10,10 +9,16 @@ import (
 	"nuconsensus/internal/obs"
 )
 
-// WithMetrics attaches an obs metrics registry, pre-resolving the counters
-// on the hot path (PR-6 discipline).
+// WithMetrics attaches an obs metrics registry, resolving the log's
+// instruments once so no step looks one up.
 func (a *Log) WithMetrics(reg *obs.Registry) *Log {
-	a.metrics = &logMetrics{
+	a.metrics = newLogMetrics(reg, a.n)
+	return a
+}
+
+// newLogMetrics resolves the log's instruments for n processes on reg.
+func newLogMetrics(reg *obs.Registry, n int) *logMetrics {
+	m := &logMetrics{
 		deltaHits:     reg.Counter("rsm.hist.delta_hits"),
 		fullFallbacks: reg.Counter("rsm.hist.full_fallbacks"),
 		deltaGaps:     reg.Counter("rsm.hist.delta_gaps"),
@@ -36,22 +41,19 @@ func (a *Log) WithMetrics(reg *obs.Registry) *Log {
 		awareSeeded:   reg.Counter("rsm.aware.seeded"),
 		awareUnseeded: reg.Counter("rsm.aware.unseeded"),
 		awareRecords:  reg.Counter("rsm.aware.records"),
-		awareLast:     make([]atomic.Pointer[awareOpen], a.n),
+		awareLast:     make([]atomic.Pointer[awareOpen], n),
 	}
 	for row, name := range [...]string{rowPRGR: "progress", rowFLW: "follow", rowOwed: "owed"} {
-		a.metrics.rides[row] = [2]*obs.Counter{reg.Counter("rsm." + name + "_bare"), reg.Counter("rsm." + name + "_carried")}
+		m.rides[row] = [2]*obs.Counter{reg.Counter("rsm." + name + "_bare"), reg.Counter("rsm." + name + "_carried")}
 	}
-	return a
+	return m
 }
 
 // AwareStatus describes the last slot instance process p opened and why it
 // was or was not seeded with an acknowledged quorum (aware.go) — the answer
-// to "why is this slot taking three rounds". It is empty on an unmetered
-// log or before p's first open, and safe to call while the log runs.
+// to "why is this slot taking three rounds". It is empty before p's first
+// open, and safe to call while the log runs.
 func (a *Log) AwareStatus(p model.ProcessID) string {
-	if a.metrics == nil {
-		return ""
-	}
 	if open := a.metrics.awareLast[p].Load(); open != nil {
 		return open.String()
 	}
@@ -62,16 +64,12 @@ func (a *Log) AwareStatus(p model.ProcessID) string {
 // drive this log, subscribing the epoch-fanout counter: every epoch
 // change any process's module announces is one rsm.fd.epochs increment.
 func (a *Log) WithSampler(s *fd.Sampler) *Log {
-	s.Subscribe(func(model.ProcessID, fd.Sample) {
-		if a.metrics != nil {
-			a.metrics.fdEpochs.Add(1)
-		}
-	})
+	s.Subscribe(func(model.ProcessID, fd.Sample) { a.metrics.fdEpochs.Add(1) })
 	return a
 }
 
-// logMetrics holds the pre-resolved obs instruments. All methods are
-// nil-receiver-safe so unmetered runs pay only a nil check.
+// logMetrics holds the log's obs instruments. A log built without a
+// registry holds nil ones, which record nothing (obs.Registry).
 type logMetrics struct {
 	deltaHits     *obs.Counter
 	fullFallbacks *obs.Counter
@@ -124,80 +122,6 @@ type logMetrics struct {
 	awareLast []atomic.Pointer[awareOpen]
 }
 
-func (m *logMetrics) hit() {
-	if m != nil {
-		m.deltaHits.Add(1)
-	}
-}
-
-func (m *logMetrics) fallback() {
-	if m != nil {
-		m.fullFallbacks.Add(1)
-	}
-}
-
-func (m *logMetrics) gap() {
-	if m != nil {
-		m.deltaGaps.Add(1)
-	}
-}
-
-func (m *logMetrics) parked() {
-	if m != nil {
-		m.parkedMsgs.Add(1)
-	}
-}
-
-func (m *logMetrics) replayed(n int) {
-	if m != nil {
-		m.parkedReplay.Add(int64(n))
-	}
-}
-
-func (m *logMetrics) quietParked() {
-	if m != nil {
-		m.quietParks.Add(1)
-	}
-}
-
-func (m *logMetrics) quietEnter() {
-	if m != nil {
-		m.quietEnters.Add(1)
-	}
-}
-
-// quietWake counts one wake-up and the n parked messages it replayed.
-func (m *logMetrics) quietWake(n int) {
-	if m != nil {
-		m.quietWakes.Add(1)
-		m.quietReplays.Add(int64(n))
-	}
-}
-
-func (m *logMetrics) quietHold(n int) {
-	if m != nil {
-		m.quietHeld.Add(int64(n))
-	}
-}
-
-func (m *logMetrics) quietRelease(n int) {
-	if m != nil {
-		m.quietReleased.Add(int64(n))
-	}
-}
-
-func (m *logMetrics) leadLend() {
-	if m != nil {
-		m.leadLent.Add(1)
-	}
-}
-
-func (m *logMetrics) leadRelease() {
-	if m != nil {
-		m.leadReleased.Add(1)
-	}
-}
-
 // The outbox rows with a bare/carried pair in logMetrics.rides.
 const (
 	rowPRGR = iota
@@ -208,38 +132,20 @@ const (
 // sent counts n items of an outbox row that left for one peer, carried or
 // bare.
 func (m *logMetrics) sent(row, n int, carried bool) {
-	if m != nil {
-		i := 0
-		if carried {
-			i = 1
-		}
-		m.rides[row][i].Add(int64(n))
+	i := 0
+	if carried {
+		i = 1
 	}
+	m.rides[row][i].Add(int64(n))
 }
 
 // opened counts one instance created by p, as the awareness gate saw it.
 func (m *logMetrics) opened(p model.ProcessID, open awareOpen) {
-	if m != nil {
-		m.instOpened.Add(1)
-		if open.seeded > 0 {
-			m.awareSeeded.Add(1)
-		} else {
-			m.awareUnseeded.Add(1)
-		}
-		m.awareLast[p].Store(&open)
+	m.instOpened.Add(1)
+	if open.seeded > 0 {
+		m.awareSeeded.Add(1)
+	} else {
+		m.awareUnseeded.Add(1)
 	}
-}
-
-func (m *logMetrics) awareRecord() {
-	if m != nil {
-		m.awareRecords.Add(1)
-	}
-}
-
-// retired counts n discarded instances, quiet of which were quiet.
-func (m *logMetrics) retired(n, quiet int) {
-	if m != nil {
-		m.instRetired.Add(int64(n))
-		m.quietRetires.Add(int64(quiet))
-	}
+	m.awareLast[p].Store(&open)
 }

@@ -155,7 +155,7 @@ func (s *logState) release(a *Log, q model.ProcessID) []model.Send {
 		if r := s.recs[slot]; r != nil && r.lent.Has(q) {
 			r.lent = r.lent.Remove(q)
 			out = append(out, s.wrapShared(a, slot, []model.Send{{To: q, Payload: r.lead}})...)
-			a.metrics.leadRelease()
+			a.metrics.leadReleased.Add(1)
 		}
 	}
 	return out

@@ -2,13 +2,16 @@ package rsm_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/sim"
+	"nuconsensus/internal/substrate"
 )
 
 // testSink collects sunk entries per process, in arrival order.
@@ -55,6 +58,53 @@ func runPipelined(t *testing.T, cmds [][]int, slots, depth int, crashes map[mode
 		}
 	}
 	return logs, res.Stopped, res.Steps
+}
+
+// TestMeteringDoesNotSteer: whether a log is metered is not an input of
+// its steps. One seeded run of the same pipelined log with one replica
+// crashed, with and without WithMetrics, appends the same entries at every
+// process in the same number of steps and sends the same messages, while
+// the metered run's registry did count.
+func TestMeteringDoesNotSteer(t *testing.T) {
+	const slots, seed = 12, 5
+	cmds := [][]int{{10, 11, 12}, {20, 21}, {30, 31}, {40}}
+	pattern := model.PatternFromCrashes(len(cmds), map[model.ProcessID]model.Time{3: 60})
+	reg := obs.NewRegistry()
+	run := func(metered bool) ([][]int, *substrate.Result) {
+		sampler := rsm.SamplerForLog(pattern, 80, seed)
+		aut := rsm.NewLog(cmds, slots).WithPipeline(2).WithSampler(sampler)
+		if metered {
+			aut = aut.WithMetrics(reg)
+		}
+		res, err := sim.Run(sim.Exec{
+			Automaton: aut,
+			Pattern:   pattern,
+			History:   sampler,
+			Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
+			MaxSteps:  200000,
+			StopWhen:  rsm.AllAppended(pattern, slots),
+		})
+		if err != nil || !res.Stopped {
+			t.Fatalf("err=%v filled=%v", err, res != nil && res.Stopped)
+		}
+		logs := make([][]int, len(cmds))
+		for i, s := range res.Config.States {
+			logs[i] = s.(rsm.LogHolder).Entries()
+		}
+		return logs, res
+	}
+	plainLogs, plain := run(false)
+	meteredLogs, metered := run(true)
+	if !reflect.DeepEqual(plainLogs, meteredLogs) {
+		t.Errorf("entries differ:\n unmetered %v\n metered   %v", plainLogs, meteredLogs)
+	}
+	if plain.Steps != metered.Steps || plain.MessagesSent != metered.MessagesSent || !reflect.DeepEqual(plain.SentKinds, metered.SentKinds) {
+		t.Errorf("unmetered run took %d steps and sent %v, metered %d and %v",
+			plain.Steps, plain.SentKinds, metered.Steps, metered.SentKinds)
+	}
+	if reg.Counter("rsm.instances_opened").Value() == 0 || reg.Counter("rsm.progress_carried").Value() == 0 {
+		t.Error("the metered run counted nothing")
+	}
 }
 
 // TestPipelinedAgreement: with k slots in flight, correct logs still agree

@@ -125,9 +125,6 @@ func (ProgressPayload) Kind() string { return "PRGR" }
 // String implements model.Payload.
 func (p ProgressPayload) String() string { return fmt.Sprintf("PRGR(%d)", p.Slot) }
 
-// SupersedesOlder implements model.SupersededPayload: progress is monotone.
-func (ProgressPayload) SupersedesOlder() {}
-
 // FollowPayload announces the sender's current Ω output: the process whose
 // LEAD its round-1 instances wait for. A peer holds its round-1 LEADs for
 // the sender until the sender names it (outbox.go). It never supersedes:
@@ -150,7 +147,7 @@ type Log struct {
 	slots int     // stop appending after this many slots
 	inner slotAutomaton
 
-	metrics *logMetrics // pre-resolved obs instruments; nil if unmetered
+	metrics *logMetrics // obs instruments, resolved once per log; never nil
 	window  int         // in-flight slot instances, >= 1 (see WithPipeline)
 	sink    EntrySink   // decided entries leave the state; nil keeps them
 }
@@ -226,7 +223,7 @@ func NewLog(cmds [][]int, slots int) *Log {
 	for i, c := range cmds {
 		cp[i] = append([]int(nil), c...)
 	}
-	return &Log{n: n, cmds: cp, slots: slots, window: 1, inner: consensus.NewANuc(make([]int, n))}
+	return &Log{n: n, cmds: cp, slots: slots, window: 1, inner: consensus.NewANuc(make([]int, n)), metrics: newLogMetrics(nil, n)}
 }
 
 // Name implements model.Automaton.
@@ -475,9 +472,9 @@ func (s *logState) receive(a *Log, from model.ProcessID, seq uint64, pl SlotPayl
 		// This is the one place a message joins r.in.
 		r.in = append(r.in, parkedMsg{from: from, seq: seq, pl: payload})
 		if r.inst == nil {
-			a.metrics.parked() // the sender is ahead: no instance here yet
+			a.metrics.parkedMsgs.Add(1) // the sender is ahead: no instance here yet
 		} else {
-			a.metrics.quietParked() // the sender has passed; we sleep
+			a.metrics.quietParks.Add(1) // the sender has passed; we sleep
 		}
 		return nil, false
 	}

@@ -123,7 +123,7 @@ func (s *logState) wrapShared(a *Log, slot int, sends []model.Send) []model.Send
 			if peer && p.K == 1 && s.lends(snd.To) {
 				r := s.recs[slot]
 				r.lent, r.lead = r.lent.Add(snd.To), p
-				a.metrics.leadLend()
+				a.metrics.leadLent.Add(1)
 				continue
 			}
 			if peer {
@@ -161,7 +161,7 @@ func (s *logState) applyIncoming(from model.ProcessID, inner model.Payload, m *l
 		s.applyDelta(from, p.Delta, m)
 		return p.Plain()
 	case AckStampPayload:
-		s.recordAck(from, p, m)
+		s.recordAck(from, p, m.awareRecords)
 		return p.Plain()
 	}
 	return inner
@@ -170,15 +170,15 @@ func (s *logState) applyIncoming(from model.ProcessID, inner model.Payload, m *l
 func (s *logState) applyDelta(from model.ProcessID, d quorum.Delta, m *logMetrics) {
 	switch {
 	case d.IsSnapshot():
-		m.fallback()
+		m.fullFallbacks.Add(1)
 	case d.Base <= s.appliedVer[from]:
-		m.hit()
+		m.deltaHits.Add(1)
 	default:
 		// A base beyond what we applied means the chain skipped — which
 		// per-link FIFO delivery makes impossible under every built-in
 		// scheduler and substrate. Count it loudly (the counter pins 0 in
 		// tests); the adds below are still true facts and still applied.
-		m.gap()
+		m.deltaGaps.Add(1)
 	}
 	s.store.v.Apply(d)
 	if d.To > s.appliedVer[from] {
@@ -199,10 +199,8 @@ func (s *logState) compactStore(m *logMetrics) {
 		}
 	}
 	s.store.v.Compact(min)
-	if m != nil {
-		m.storeBytes.Max(int64(s.store.sizeBytes()))
-		m.storeEntries.Max(int64(s.store.v.Len()))
-	}
+	m.storeBytes.Max(int64(s.store.sizeBytes()))
+	m.storeEntries.Max(int64(s.store.v.Len()))
 }
 
 // StateStats reports the live-state footprint of one process's log state,

@@ -144,12 +144,12 @@ func (s *logState) stepInstance(a *Log, slot int, m *model.Message, d model.FDVa
 	quiet := s.quietNow(slot)
 	var released []model.Send
 	if r.out != nil && (!quiet || movedOn(sends)) {
-		a.metrics.quietRelease(len(r.out))
+		a.metrics.quietReleased.Add(int64(len(r.out)))
 		released, r.out = s.wrapShared(a, slot, r.out), nil
 	}
 	if i := newRoundLead(sends); quiet && i < len(sends) {
 		r.out = sends[i:]
-		a.metrics.quietHold(len(sends) - i)
+		a.metrics.quietHeld.Add(int64(len(sends) - i))
 		sends = sends[:i:i]
 	}
 	sends = s.wrapShared(a, slot, sends)
@@ -269,10 +269,11 @@ func (s *logState) settle(a *Log, slot int, d model.FDValue) []model.Send {
 	}
 	s.setAwake(slot, !now)
 	if now {
-		a.metrics.quietEnter()
+		a.metrics.quietEnters.Add(1)
 		return nil
 	}
 	n, out := s.drain(a, slot, d)
-	a.metrics.quietWake(n)
+	a.metrics.quietWakes.Add(1)
+	a.metrics.quietReplays.Add(int64(n))
 	return append(out, s.settle(a, slot, d)...)
 }

@@ -79,7 +79,7 @@ func (s *logState) openWindow(a *Log, d model.FDValue) []model.Send {
 		r.inst = a.inner.InitStateProposing(s.p, v, s.store)
 		a.metrics.opened(s.p, s.seedAwareness(slot, r.inst))
 		n, sends := s.drain(a, slot, d)
-		a.metrics.replayed(n)
+		a.metrics.parkedReplay.Add(int64(n))
 		out = append(out, sends...)
 	}
 	return out
@@ -185,7 +185,8 @@ func (s *logState) retire(a *Log) {
 	}
 	k := sort.SearchInts(s.awake, min)
 	s.awake = append(s.awake[:0], s.awake[k:]...)
-	a.metrics.retired(retired, retired-k)
+	a.metrics.instRetired.Add(int64(retired))
+	a.metrics.quietRetires.Add(int64(retired - k))
 }
 
 // liveSlots lists every live instance in increasing order, for DebugState.

@@ -72,11 +72,9 @@ var batchSizeBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // NewApplier builds the applier for process p, registering its instruments
 // on reg (shared across a cluster's appliers; all instruments are
-// commutative, so experiment metrics stay worker-count-independent).
+// commutative, so experiment metrics stay worker-count-independent; nil
+// leaves the applier unmetered).
 func NewApplier(p model.ProcessID, reg *obs.Registry, retain bool) *Applier {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	a := &Applier{
 		p:           p,
 		machine:     NewMachine(),

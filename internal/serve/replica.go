@@ -25,8 +25,8 @@ type Config struct {
 	// halted by the cluster drivers while laggards still need its messages
 	// (and possibly its Ω leadership). Empty means all N are correct.
 	Correct  model.ProcessSet
-	Registry *obs.Registry
-	Retain   bool // appliers keep decided values (tests, agreement checks)
+	Registry *obs.Registry // the appliers' instruments; nil leaves the run unmetered
+	Retain   bool          // appliers keep decided values (tests, agreement checks)
 	// Tracer emits request span events from the deterministic core: inject
 	// on ingress drain, decide per slot, apply per command. nil: off. The
 	// clock lives inside the Tracer (hosts inject obs.Wall; sims keep the
@@ -53,10 +53,6 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.N < 2 {
 		panic("serve: cluster needs at least 2 processes")
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	initial := make([][]Batch, cfg.N)
 	for p := 0; p < cfg.N && p < len(cfg.Workload); p++ {
 		for i, b := range cfg.Workload[p] {
@@ -69,7 +65,7 @@ func NewCluster(cfg Config) *Cluster {
 		ingress:  make([]*Ingress, cfg.N),
 	}
 	for p := 0; p < cfg.N; p++ {
-		c.appliers[p] = NewApplier(model.ProcessID(p), reg, cfg.Retain).WithTracer(cfg.Tracer)
+		c.appliers[p] = NewApplier(model.ProcessID(p), cfg.Registry, cfg.Retain).WithTracer(cfg.Tracer)
 		c.ingress[p] = &Ingress{}
 		for _, b := range initial[p] {
 			c.appliers[p].PutBody(b.ID, b.Cmds)

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -107,6 +108,30 @@ func TestDuplicateSuppression(t *testing.T) {
 		}
 		if st.Dups < 1 {
 			t.Fatalf("p%d suppressed %d duplicates, want >= 1", p, st.Dups)
+		}
+	}
+}
+
+// TestUnboundedLogReachesTarget: the capacity cmd/nucd builds its
+// cluster with, math.MaxInt slots, allocates nothing by capacity (the log
+// is in sink mode) and stops on the command target alone: every replica
+// applies every command and the machines agree.
+func TestUnboundedLogReachesTarget(t *testing.T) {
+	const n = 3
+	shape := serve.Workload{Commands: 96, Batch: 8, Clients: 4, Keys: 64, QueueFrac: .25}
+	wl := shape.Gen(rand.New(rand.NewSource(3)), n)
+	total := countWorkload(wl)
+	cfg := serve.Config{N: n, Slots: math.MaxInt, Pipeline: 2, Workload: wl, Target: total}
+	cl, res := runCluster(t, cfg, nil, 60, 3)
+	if !res.Stopped {
+		t.Fatalf("cluster never reached its target of %d commands", total)
+	}
+	for p := model.ProcessID(0); p < n; p++ {
+		if got := cl.Applier(p).StatsOf().Commands; got != int64(total) {
+			t.Errorf("p%d applied %d distinct commands, want %d", p, got, total)
+		}
+		if cl.Applier(p).Checksum() != cl.Applier(0).Checksum() {
+			t.Errorf("p%d's machine differs from p0's", p)
 		}
 	}
 }

@@ -225,22 +225,20 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 	}
 	wg.Wait()
 	halt()
-	if opts.Metrics != nil {
-		var drops, pending int64
-		for _, b := range h.Inboxes {
-			drops += b.SupersededDrops()
-			pending += int64(b.Len())
-		}
-		var woken, timedOut int64
-		for _, w := range waits {
-			woken += w[0]
-			timedOut += w[1]
-		}
-		opts.Metrics.Counter("inbox.superseded_drops").Add(drops)
-		opts.Metrics.Counter("inbox.pending_at_halt").Add(pending)
-		opts.Metrics.Counter("substrate.waits_woken").Add(woken)
-		opts.Metrics.Counter("substrate.waits_timed_out").Add(timedOut)
+	var drops, pending int64
+	for _, b := range h.Inboxes {
+		drops += b.SupersededDrops()
+		pending += int64(b.Len())
 	}
+	var woken, timedOut int64
+	for _, w := range waits {
+		woken += w[0]
+		timedOut += w[1]
+	}
+	opts.Metrics.Counter("inbox.superseded_drops").Add(drops)
+	opts.Metrics.Counter("inbox.pending_at_halt").Add(pending)
+	opts.Metrics.Counter("substrate.waits_woken").Add(woken)
+	opts.Metrics.Counter("substrate.waits_timed_out").Add(timedOut)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

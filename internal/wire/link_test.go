@@ -88,13 +88,14 @@ func TestLinkRoundTrip(t *testing.T) {
 	t.Logf("%d bytes on the link, %d coded one by one", linkBytes, bareBytes)
 }
 
-// TestLinkSupersedingFrameInheritsNothing: a bare PRGR, a heartbeat and a
-// DAG snapshot are coded as on a fresh link and leave the link's run as it
-// was, so the frame after them is the same whether or not they were sent.
+// TestLinkSupersedingFrameInheritsNothing: a heartbeat and a DAG snapshot,
+// the frames an inbox may drop undecoded, hold no slot item: they are
+// coded as on a fresh link and leave the link's run as it was, so the
+// frame after them is the same whether or not they were sent.
 func TestLinkSupersedingFrameInheritsNothing(t *testing.T) {
 	rep := rsm.SlotPayload{Slot: 900, Inner: consensus.ReportPayload{K: 3, V: 1}}
 	next := rsm.SlotPayload{Slot: 901, Inner: consensus.ReportPayload{K: 3, V: 2}}
-	for _, sup := range []model.Payload{rsm.ProgressPayload{Slot: 900}, hb.HeartbeatPayload{}, dag.GraphPayload{G: sampleGraph()}} {
+	for _, sup := range []model.Payload{hb.HeartbeatPayload{}, dag.GraphPayload{G: sampleGraph()}} {
 		var with, without wire.Link
 		send := func(l *wire.Link, pl model.Payload) []byte {
 			frame, err := l.Append(nil, pl)
@@ -112,6 +113,46 @@ func TestLinkSupersedingFrameInheritsNothing(t *testing.T) {
 		}
 		if a, b := send(&with, next), send(&without, next); !bytes.Equal(a, b) {
 			t.Errorf("after %v the next frame is %x, without it %x", sup, a, b)
+		}
+	}
+}
+
+// TestLinkBarePRGRInheritsSlot: a bare PRGR that follows a slot item on
+// its link is a slot item like any other: its head byte carries the slot
+// code it inherits instead of an explicit varint, the receiver's link
+// decodes it back, and its peek does not supersede, so no inbox drops it
+// out of the run.
+func TestLinkBarePRGRInheritsSlot(t *testing.T) {
+	rep := rsm.SlotPayload{Slot: 900, Inner: consensus.ReportPayload{K: 3, V: 1}}
+	for _, tc := range []struct {
+		floor int
+		want  []byte
+	}{
+		{900, []byte{head(hPrgr, hSame, false, false)}},
+		{901, []byte{head(hPrgr, hNext, false, false)}},
+		{902, []byte{head(hPrgr, hDelta, false, false), 4}},
+		{5, []byte{head(hPrgr, hExplicit, false, false), 5}},
+	} {
+		var tx, rx wire.Link
+		var m model.Message
+		for _, pl := range []model.Payload{rep, rsm.ProgressPayload{Slot: tc.floor}} {
+			frame, err := tx.Append(nil, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx.Commit()
+			if err := rx.Decode(&m, frame); err != nil || !reflect.DeepEqual(m.Payload, pl) {
+				t.Fatalf("%v: frame %x decodes as %v (err %v)", pl, frame, m.Payload, err)
+			}
+			if _, ok := pl.(rsm.ProgressPayload); !ok {
+				continue
+			}
+			if !bytes.Equal(frame, tc.want) {
+				t.Errorf("%v after %v is %x, want %x", pl, rep, frame, tc.want)
+			}
+			if h, err := wire.PeekMessage(frame); err != nil || h.Supersedes {
+				t.Errorf("peek of %v = %+v (err %v), want no supersession", pl, h, err)
+			}
 		}
 	}
 }

@@ -29,13 +29,12 @@
 // last K written (initially 1); its frame bit leaves out a history frame
 // that has no adds and the To of the last frame. A SACK's stamp travels as
 // a zigzag delta from its slot (the log stamps slot + window − 1), so no
-// field of a slot item grows with the age of the log. A superseding frame (a
-// bare PRGR, a heartbeat, a DAG snapshot) inherits nothing and advances
-// nothing, on either end, because an inbox may drop it undecoded; every
-// other frame advances its link's run in send order. AppendPayload,
-// DecodePayload, DecodeMessageInto and HistoryFrameLen code a payload as
-// the first frame of a fresh link, so a bare slot item inherits only the
-// initial round 1. A frame carries no Base: every delta spans exactly its
+// field of a slot item grows with the age of the log. Every frame advances
+// its link's run in send order; the superseding ones an inbox may drop
+// undecoded (a heartbeat, a DAG snapshot) hold no slot item, so they leave
+// it as it was. AppendPayload, DecodePayload, DecodeMessageInto and
+// HistoryFrameLen code a payload as the first frame of a fresh link, so a
+// bare slot item inherits only the initial round 1. A frame carries no Base: every delta spans exactly its
 // adds (quorum.Delta), so the decoder rebuilds Base as To − count, and a
 // frame without adds is one varint. BATCH bodies and the client request
 // frame share the command encoding. Full quorum histories travel as, per
@@ -1066,13 +1065,6 @@ func prototype(b byte) model.Payload {
 	return nil
 }
 
-// supersedes reports whether pl collapses older pending payloads of its
-// kind in an inbox (model.SupersededPayload).
-func supersedes(pl model.Payload) bool {
-	_, ok := pl.(model.SupersededPayload)
-	return ok
-}
-
 // MessageHead is what a transport needs of a peer frame for inbox
 // bookkeeping (per-sender supersession collapsing) without paying for a
 // payload decode. Deferring the decode is what keeps receivers ahead of
@@ -1084,9 +1076,10 @@ type MessageHead struct {
 
 // PeekMessage reads the kind of a peer frame produced by AppendMessage or
 // Link.Append from its first byte, leaving the payload body untouched. A
-// slot item reports its kind's prototype: only a bare PRGR supersedes. A
-// delta dropped from an inbox would break the receiver's version chain,
-// and a stamped ACK its smallest stamp per member.
+// slot item reports its kind's prototype, and none supersedes: a slot item
+// dropped from an inbox would break its link's run, a delta the
+// receiver's version chain too, and a stamped ACK its smallest stamp per
+// member.
 func PeekMessage(b []byte) (h MessageHead, err error) {
 	if len(b) == 0 {
 		return h, fmt.Errorf("wire: empty frame")
@@ -1095,7 +1088,8 @@ func PeekMessage(b []byte) (h MessageHead, err error) {
 	if proto == nil {
 		return h, fmt.Errorf("wire: unknown payload tag or slot item kind 0x%02x", b[0])
 	}
-	return MessageHead{Kind: proto.Kind(), Supersedes: supersedes(proto)}, nil
+	_, sup := proto.(model.SupersededPayload)
+	return MessageHead{Kind: proto.Kind(), Supersedes: sup}, nil
 }
 
 // DecodeMessageInto decodes a peer frame into m's Payload and leaves From,
@@ -1115,8 +1109,9 @@ func DecodeMessageInto(m *model.Message, b []byte) error {
 // it: the sender's appends frames and the receiver's decodes them, in the
 // order the link carries them, so each frame's slot items inherit slot,
 // round and history frame from the frames before it. A superseding frame
-// inherits nothing and advances nothing, because the receiver's inbox may
-// drop it undecoded. The zero Link is a fresh link. A Link is not safe for
+// (a heartbeat, a DAG snapshot) holds no slot item, so the receiver's
+// inbox may drop it undecoded without breaking the run. The zero Link is a
+// fresh link. A Link is not safe for
 // concurrent use.
 type Link struct {
 	run  run   // what the next frame inherits
@@ -1130,10 +1125,6 @@ type Link struct {
 // as it was. Like AppendPayload, it allocates nothing when dst has room.
 func (l *Link) Append(dst []byte, pl model.Payload) ([]byte, error) {
 	l.next = l.run
-	if supersedes(pl) {
-		var fresh run
-		return fresh.append(dst, pl)
-	}
 	return l.next.append(dst, pl)
 }
 
@@ -1150,11 +1141,7 @@ func (l *Link) Decode(m *model.Message, frame []byte) error {
 	if l.err != nil {
 		return l.err
 	}
-	st := &l.run
-	if len(frame) > 0 && supersedes(prototype(frame[0])) {
-		st = new(run)
-	}
-	pl, err := st.decode(frame)
+	pl, err := l.run.decode(frame)
 	if err != nil {
 		l.err = err
 		return err

@@ -455,7 +455,8 @@ func TestDeltaEncodeRejectsBrokenSpan(t *testing.T) {
 // would break the receiver's version chain, and a stamped ACK the
 // smallest stamp per member, so the peek of every slot item of these six
 // kinds reports its kind and no supersession without decoding the body.
-// The seventh kind, a PRGR, supersedes bare: progress is monotone.
+// Nor does the seventh kind, a PRGR, supersede bare: it inherits its slot
+// from its link's run, so dropping it would break the run.
 func TestDeltaPayloadsNeverSupersede(t *testing.T) {
 	for _, pl := range []model.Payload{
 		consensus.LeadDeltaPayload{K: 1, Delta: sampleDelta()},
@@ -485,8 +486,8 @@ func TestDeltaPayloadsNeverSupersede(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, err := wire.PeekMessage(b); err != nil || h != (wire.MessageHead{Kind: "PRGR", Supersedes: true}) {
-		t.Errorf("peek of a bare PRGR %x = %+v (err %v), want a superseding PRGR", b, h, err)
+	if h, err := wire.PeekMessage(b); err != nil || h != (wire.MessageHead{Kind: "PRGR"}) {
+		t.Errorf("peek of a bare PRGR %x = %+v (err %v), want a PRGR that does not supersede", b, h, err)
 	}
 }
 
