@@ -133,12 +133,14 @@ explore-smoke:
 # leader announcements are printed). A process steps
 # because something arrived, not at CPU speed: nucd's steps per log entry
 # applied (its done line's steps= over node 0's applied=) must stay within
-# SMOKE_STEPS_PER_SLOT_CAP — about 14 here with the driver's wait on the
-# inbox, 74–79 with the spin it replaced. nucd itself
+# SMOKE_STEPS_PER_SLOT_CAP — about 8 here now that the driver skips the
+# λ-steps the replica says are stutters (substrate.idle_skips, printed with
+# the wait counters), about 14 with the wait on the inbox alone, 74–79 with
+# the spin it replaced. nucd itself
 # fails the target if the replicas' machines diverge or the step budget
 # runs out; nucload fails it if any write goes unacked. (E18's sim-substrate metrics determinism is
 # TestEventsByteIdenticalAcrossParallel in cmd/experiments.)
-SMOKE_STEPS_PER_SLOT_CAP = 30
+SMOKE_STEPS_PER_SLOT_CAP = 12
 
 serve-smoke:
 	mkdir -p $(ARTIFACTS)
@@ -165,7 +167,8 @@ serve-smoke:
 	lent, released = m['rsm.lead_lent'], m['rsm.lead_released']; \
 	assert released <= lent, (lent, released); \
 	print('round-1 LEADs: %d held, %d released' % (lent, released)); \
-	print('leaders: %d announcements carried, %d bare' % (m['rsm.follow_carried'], m['rsm.follow_bare']))"
+	print('leaders: %d announcements carried, %d bare' % (m['rsm.follow_carried'], m['rsm.follow_bare'])); \
+	print('waits: %d woken, %d timed out; %d idle λ-steps skipped' % (m['substrate.waits_woken'], m['substrate.waits_timed_out'], m['substrate.idle_skips']))"
 	python3 -c "import re; \
 	out = open('$(ARTIFACTS)/nucd.out').read(); \
 	steps = int(re.search(r'^done decided=\S+ steps=(\d+)', out, re.M).group(1)); \

@@ -97,8 +97,8 @@ func TestHotPathAllocs(t *testing.T) {
 		{"ServeBatch/apply8x8", 100, 90, apply8x8Op},
 		{"SessionDedup/hit", 100, 0, dedupHitOp},
 		{"SessionDedup/record320", 100, 18, record320Op},
-		{"LogLongRun/shared", 20, 5205, logShared.op(new(int))},
-		{"LogLongRun/shared-crash", 20, 18027, logSharedCrash.op(new(int))},
+		{"LogLongRun/shared", 20, 4956, logShared.op(new(int))},
+		{"LogLongRun/shared-crash", 20, 16491, logSharedCrash.op(new(int))},
 		// Measured 1246015–1246031. The spread is GC timing: each of the
 		// run's ≈ 25 GC cycles empties sync.Pools, fmt's printer cache
 		// among them (stateKey and messageEncoding print through fmt), and

@@ -272,21 +272,21 @@ func putInbox[P any](in map[int]map[model.ProcessID]P, k int, from model.Process
 func (s *anucState) advance(a *ANuc, d model.FDValue) []model.Send {
 	all := model.FullSet(a.N())
 	var out []model.Send
+	leader, q, done := s.wait(d)
+	if s.ph == phaseReport || s.ph == phaseProp {
+		// get_quorum records the quorum in H_p[p] (Fig. 5 line 49) on every
+		// call, whether or not the wait completes.
+		s.store.Add(s.p, q)
+	}
+	if !done {
+		return out
+	}
 	switch s.ph {
 	case phaseInit:
 		s.startRound(all, &out)
 
 	case phaseLead:
-		// Line 16: q ← Ω_p; completed if (LEAD, k_p, v, Hist_q) received
-		// from q.
-		leader, ok := fd.LeaderOf(d)
-		if !ok {
-			panic(fmt.Sprintf("consensus: A_nuc needs an Ω component, got %v", d))
-		}
-		lead, got := s.leads[s.k][leader]
-		if !got {
-			return out
-		}
+		lead := s.leads[s.k][leader]
 		// Line 17: import_history(Hist_q).
 		s.store.Import(lead.Hist)
 		// Line 18: adopt the leader's estimate unless distrusted.
@@ -298,13 +298,6 @@ func (s *anucState) advance(a *ANuc, d model.FDValue) []model.Send {
 		s.ph = phaseReport
 
 	case phaseReport:
-		// Line 20: Q_p ← get_quorum(); completed if (REP, k_p, −) received
-		// from all of Q_p. get_quorum records the quorum in H_p[p]
-		// (Fig. 5 line 49) on every call.
-		q := s.getQuorum(d)
-		if !receivedFromAll(s.reps[s.k], q) {
-			return out
-		}
 		// Lines 21–24: propose v if the reports from Q_p are unanimous,
 		// else "?". The proposal carries the current H_p.
 		pl := ProposalPayload{K: s.k, Hist: s.store.Outgoing()}
@@ -315,13 +308,8 @@ func (s *anucState) advance(a *ANuc, d model.FDValue) []model.Send {
 		s.ph = phaseProp
 
 	case phaseProp:
-		// Lines 25–28: one iteration of the nested repeat. Get a fresh
-		// quorum, require proposals from all of it, import their
-		// histories, and only proceed when no member is distrusted.
-		q := s.getQuorum(d)
-		if !receivedFromAll(s.props[s.k], q) {
-			return out
-		}
+		// Lines 27–28: import the proposers' histories, and only proceed
+		// when no member of Q_p is distrusted.
 		props := s.props[s.k]
 		q.ForEach(func(r model.ProcessID) {
 			s.store.Import(props[r].Hist)
@@ -366,13 +354,59 @@ func (s *anucState) advance(a *ANuc, d model.FDValue) []model.Send {
 	return out
 }
 
-// getQuorum implements function get_quorum() (Fig. 5 lines 47–50).
-func (s *anucState) getQuorum(d model.FDValue) model.ProcessSet {
+// wait evaluates the current phase's wait condition under d without
+// changing the state: the Ω output or the Σν+ quorum it reads, and whether
+// what it waits for has arrived. It is the one statement of each wait;
+// advance and Blocked both read it.
+//   - phaseInit waits for nothing.
+//   - phaseLead, line 16: q ← Ω_p; completed if (LEAD, k_p, v, Hist_q)
+//     was received from q.
+//   - phaseReport, line 20: Q_p ← get_quorum(); completed if (REP, k_p, −)
+//     was received from all of Q_p.
+//   - phaseProp, lines 25–26: one iteration of the nested repeat, with a
+//     fresh quorum; completed if (PROP, k_p, −, −) was received from all
+//     of Q_p.
+func (s *anucState) wait(d model.FDValue) (leader model.ProcessID, q model.ProcessSet, done bool) {
+	switch s.ph {
+	case phaseLead:
+		var ok bool
+		if leader, ok = fd.LeaderOf(d); !ok {
+			panic(fmt.Sprintf("consensus: A_nuc needs an Ω component, got %v", d))
+		}
+		_, got := s.leads[s.k][leader]
+		return leader, q, got
+	case phaseReport:
+		q = quorumOf(d)
+		return model.NoProcess, q, receivedFromAll(s.reps[s.k], q)
+	case phaseProp:
+		q = quorumOf(d)
+		return model.NoProcess, q, receivedFromAll(s.props[s.k], q)
+	}
+	return model.NoProcess, q, true
+}
+
+// Blocked reports whether a λ-step under d would leave the state unchanged
+// and send nothing: the current phase's wait does not complete, and — in
+// the two phases whose wait calls get_quorum — the quorum d names is
+// already in H_p[p], so get_quorum's record of it changes nothing. It is
+// false in phaseInit, whose first step starts round 1. False promises
+// nothing: a completed wait may still change nothing (a distrusted
+// proposer keeps phaseProp looping).
+func (s *anucState) Blocked(d model.FDValue) bool {
+	_, q, done := s.wait(d)
+	if done {
+		return false
+	}
+	return s.ph == phaseLead || s.store.Has(s.p, q)
+}
+
+// quorumOf reads the Σν+ component get_quorum() (Fig. 5 lines 47–50)
+// queries.
+func quorumOf(d model.FDValue) model.ProcessSet {
 	q, ok := fd.QuorumOf(d)
 	if !ok {
 		panic(fmt.Sprintf("consensus: A_nuc needs a Σν+ component, got %v", d))
 	}
-	s.store.Add(s.p, q)
 	return q
 }
 

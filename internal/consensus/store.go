@@ -15,6 +15,9 @@ type HistoryStore interface {
 	// Add records that process r saw quorum q (Fig. 5 line 49 for r == p,
 	// Fig. 4 line 36 for SAW senders).
 	Add(r model.ProcessID, q model.ProcessSet)
+	// Has reports whether the store already records that r saw q: an Add
+	// of it would change nothing.
+	Has(r model.ProcessID, q model.ProcessSet) bool
 	// Import merges a received history (procedure import_history, Fig. 5
 	// lines 44–46). A nil argument is a no-op: delta-mode payloads carry
 	// no inline histories because the transport applied them already.
@@ -65,6 +68,8 @@ func newOwnedHistories(n int) *ownedHistories {
 }
 
 func (o *ownedHistories) Add(r model.ProcessID, q model.ProcessSet) { o.h.Add(r, q) }
+
+func (o *ownedHistories) Has(r model.ProcessID, q model.ProcessSet) bool { return o.h[r].Has(q) }
 
 func (o *ownedHistories) Import(h quorum.Histories) {
 	if h != nil {

@@ -68,6 +68,18 @@ type Decider interface {
 	Decision() (int, bool)
 }
 
+// Idler is implemented by automata that can tell, without stepping, that a
+// λ-step would be a stutter. Idle(p, s, d) true means that Step(p, s, nil,
+// d) would return no sends and leave s unchanged, so a run without that
+// step has the same receipts, sends and decisions; a driver may skip it
+// and wait for an arrival instead. Idle must not change s. False promises
+// nothing: the step may still change nothing. A predicate that says idle
+// wrongly is a hang, not a delay, since a driver that skips a step asks
+// again under the same state.
+type Idler interface {
+	Idle(p ProcessID, s State, d FDValue) bool
+}
+
 // DecisionOf extracts the decision from a state if it exposes one.
 func DecisionOf(s State) (int, bool) {
 	d, ok := s.(Decider)

@@ -1,6 +1,7 @@
 package rsm_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"nuconsensus/internal/obs"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/sim"
+	"nuconsensus/internal/substrate"
 )
 
 // TestAwarenessCountersAndStatus: on a stable fault-free run the first
@@ -52,5 +54,49 @@ func TestAwarenessCountersAndStatus(t *testing.T) {
 	}
 	if got := rsm.NewLog([][]int{{1}, {2}}, 2).AwareStatus(0); got != "" {
 		t.Errorf("unmetered log's status = %q, want empty", got)
+	}
+}
+
+// TestAwareStatusWhileRunning: AwareStatus is safe to call while the log
+// runs, as nucd's /statusz does. A reader polls every process's status
+// while a log fills on the async substrate; run it under -race.
+func TestAwareStatusWhileRunning(t *testing.T) {
+	sub, err := substrate.Get("async")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, slots = 3, 24
+	pattern := model.PatternFromCrashes(n, nil)
+	sampler := rsm.SamplerForLog(pattern, 0, 3)
+	aut := rsm.NewLog([][]int{{10}, {20}, {30}}, slots).WithPipeline(2).WithSampler(sampler)
+	done, polled := make(chan struct{}), make(chan int)
+	go func() {
+		reads := 0
+		for {
+			select {
+			case <-done:
+				polled <- reads
+				return
+			default:
+			}
+			for p := range n {
+				aut.AwareStatus(model.ProcessID(p))
+				reads++
+			}
+		}
+	}()
+	res, err := sub.Run(context.Background(), aut, sampler, pattern, substrate.Options{Seed: 3, MaxSteps: 2_000_000, StopWhenDecided: true})
+	close(done)
+	reads := <-polled
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Decided || reads == 0 {
+		t.Fatalf("Decided=%v after %d status reads", res.Decided, reads)
+	}
+	for p := model.ProcessID(0); p < n; p++ {
+		if aut.AwareStatus(p) == "" {
+			t.Errorf("p%d opened instances, yet its status is empty", p)
+		}
 	}
 }

@@ -33,8 +33,8 @@ func (a *decideRoundTap) Step(p model.ProcessID, s model.State, m *model.Message
 // opened. It runs before every open (seedOnOpen) and after every step, so
 // it sees each open.
 func (a *decideRoundTap) noteOpen(p model.ProcessID) {
-	if open := a.log.metrics.awareLast[p].Load(); open != nil && open.seeded > 0 {
-		a.seeded[[2]int{int(p), open.slot}] = true
+	if last := &a.log.metrics.awareLast[p]; last.set && last.open.seeded > 0 {
+		a.seeded[[2]int{int(p), last.open.slot}] = true
 	}
 }
 

@@ -2,7 +2,7 @@
 package rsm
 
 import (
-	"sync/atomic"
+	"sync"
 
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
@@ -41,7 +41,7 @@ func newLogMetrics(reg *obs.Registry, n int) *logMetrics {
 		awareSeeded:   reg.Counter("rsm.aware.seeded"),
 		awareUnseeded: reg.Counter("rsm.aware.unseeded"),
 		awareRecords:  reg.Counter("rsm.aware.records"),
-		awareLast:     make([]atomic.Pointer[awareOpen], n),
+		awareLast:     make([]lastOpen, n),
 	}
 	for row, name := range [...]string{rowPRGR: "progress", rowFLW: "follow", rowOwed: "owed"} {
 		m.rides[row] = [2]*obs.Counter{reg.Counter("rsm." + name + "_bare"), reg.Counter("rsm." + name + "_carried")}
@@ -54,10 +54,14 @@ func newLogMetrics(reg *obs.Registry, n int) *logMetrics {
 // to "why is this slot taking three rounds". It is empty before p's first
 // open, and safe to call while the log runs.
 func (a *Log) AwareStatus(p model.ProcessID) string {
-	if open := a.metrics.awareLast[p].Load(); open != nil {
-		return open.String()
+	l := &a.metrics.awareLast[p]
+	l.mu.Lock()
+	open, set := l.open, l.set
+	l.mu.Unlock()
+	if !set {
+		return ""
 	}
-	return ""
+	return open.String()
 }
 
 // WithSampler attaches the shared failure-detector sampler whose samples
@@ -117,9 +121,17 @@ type logMetrics struct {
 	awareSeeded   *obs.Counter
 	awareUnseeded *obs.Counter
 	awareRecords  *obs.Counter
-	// awareLast[p] is the last instance process p opened, for AwareStatus;
-	// atomics because a telemetry handler reads while p's goroutine steps.
-	awareLast []atomic.Pointer[awareOpen]
+	// awareLast[p] is the last instance process p opened, for AwareStatus.
+	awareLast []lastOpen
+}
+
+// lastOpen holds one process's last awareOpen by value, so recording it
+// allocates nothing; the lock is there because a telemetry handler reads
+// it while the process's goroutine steps.
+type lastOpen struct {
+	mu   sync.Mutex
+	open awareOpen
+	set  bool // false before the process's first open
 }
 
 // The outbox rows with a bare/carried pair in logMetrics.rides.
@@ -147,5 +159,8 @@ func (m *logMetrics) opened(p model.ProcessID, open awareOpen) {
 	} else {
 		m.awareUnseeded.Add(1)
 	}
-	m.awareLast[p].Store(&open)
+	l := &m.awareLast[p]
+	l.mu.Lock()
+	l.open, l.set = open, true
+	l.mu.Unlock()
 }

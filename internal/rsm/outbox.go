@@ -86,26 +86,16 @@ func (s *logState) flush(a *Log, out []model.Send, d model.FDValue) []model.Send
 	for _, snd := range out {
 		busy = busy.Add(snd.To)
 	}
-	bare, waiting := true, false // no undecided in-flight slot; one in round 1
-	for slot := s.slot; slot < s.windowEnd(); slot++ {
-		if r := s.recs[slot]; r != nil && r.state == slotOpen {
-			bare = false
-			if k, _ := model.RoundOf(r.inst); k <= 1 {
-				waiting = true
-			}
-		}
-	}
+	bare, waiting := s.inFlight()
 	leader, _ := fd.LeaderOf(d) // model.NoProcess when d has no Ω
 	for q := range o.peer {
 		to, r := model.ProcessID(q), &o.peer[q]
 		if to == s.p {
 			continue
 		}
-		prgr := r.told < s.slot
-		last := r.toldLeader
-		flw := leader != model.NoProcess && last != leader
+		prgr, flw, alone := s.peerRule(to, leader, bare, waiting)
 		carried := busy.Has(to)
-		if !carried && !(prgr && bare) && !(flw && to == leader && last != model.NoProcess && waiting) {
+		if !carried && !alone {
 			continue
 		}
 		busy = busy.Add(to)
@@ -140,6 +130,34 @@ func (s *logState) flush(a *Log, out []model.Send, d model.FDValue) []model.Send
 		o.owed = nil
 	}
 	return pack(out)
+}
+
+// inFlight reads what the per-peer rule needs off the window: bare when no
+// undecided in-flight slot is left, waiting when one is in round 1.
+func (s *logState) inFlight() (bare, waiting bool) {
+	bare = true
+	for slot := s.slot; slot < s.windowEnd(); slot++ {
+		if r := s.recs[slot]; r != nil && r.state == slotOpen {
+			bare = false
+			if k, _ := model.RoundOf(r.inst); k <= 1 {
+				waiting = true
+			}
+		}
+	}
+	return bare, waiting
+}
+
+// peerRule is the outbox's per-peer rule for PRGR and FLW, under Ω output
+// leader and the window's bare and waiting (inFlight): which of the two are
+// due to q, and whether they leave even when nothing else goes to q this
+// step. flush sends by it, and Log.Idle asks it whether a step that sends
+// nothing else would send them.
+func (s *logState) peerRule(q, leader model.ProcessID, bare, waiting bool) (prgr, flw, alone bool) {
+	r := &s.box.peer[q]
+	prgr = r.told < s.slot
+	flw = leader != model.NoProcess && r.toldLeader != leader
+	alone = prgr && bare || flw && q == leader && r.toldLeader != model.NoProcess && waiting
+	return prgr, flw, alone
 }
 
 // release returns every round-1 LEAD held for q, in slot order, once q

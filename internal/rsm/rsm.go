@@ -160,6 +160,12 @@ type slotAutomaton interface {
 	Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send)
 }
 
+// blocker is what Idle asks of a slot's A_nuc instance: whether a λ-step of
+// it under d would change nothing and send nothing (consensus's Blocked).
+type blocker interface {
+	Blocked(d model.FDValue) bool
+}
+
 // EntrySink receives decided entries the moment a process appends them,
 // in slot order per process. Sink mode keeps the automaton state O(window)
 // instead of O(log length): entries are not retained in logState, so
@@ -415,6 +421,57 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 	out = st.flush(a, st.loopback(a, out, d), d)
 	st.compactStore(a.metrics)
 	return st, out
+}
+
+// Idle implements model.Idler: it reports that Step(p, s, nil, d) would
+// send nothing and change nothing, reading Step's λ half in order.
+//   - The window advance steps every in-flight slot that is open or awake.
+//     Each must be Blocked under d (blocker), with no held LEAD that
+//     stepping it would release; then harvest finds no open slot's
+//     decision, and settle flips no decided slot's quiet status. An
+//     in-flight slot without an instance is work for harvest's open.
+//   - The pump steps an awake slot below the frontier whenever there is one.
+//   - flush sends the CMD rows on the first step, and PRGR or FLW to any
+//     peer whose per-peer rule lets them leave alone (peerRule). The owed
+//     rows wait for a step that sends something.
+func (a *Log) Idle(p model.ProcessID, s model.State, d model.FDValue) bool {
+	st := s.(*logState)
+	if st.box.cmds != nil || sort.SearchInts(st.awake, st.slot) > 0 {
+		return false
+	}
+	for slot := st.slot; slot < st.windowEnd(); slot++ {
+		r := st.recs[slot]
+		if r == nil || r.inst == nil {
+			return false
+		}
+		switch r.state {
+		case slotOpen:
+			if _, decided := model.DecisionOf(r.inst); decided {
+				return false
+			}
+		case slotDecided:
+			quiet := st.isQuiet(slot)
+			if quiet != st.quietNow(slot) {
+				return false
+			}
+			if quiet {
+				continue
+			}
+		}
+		if b, ok := r.inst.(blocker); r.out != nil || !ok || !b.Blocked(d) {
+			return false
+		}
+	}
+	bare, waiting := st.inFlight()
+	leader, _ := fd.LeaderOf(d)
+	for q := range st.box.peer {
+		if to := model.ProcessID(q); to != p {
+			if _, _, alone := st.peerRule(to, leader, bare, waiting); alone {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // take is Step's receive switch for one payload: a bare message's, or one

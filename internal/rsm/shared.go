@@ -55,6 +55,10 @@ func newSharedStore(n int) *sharedStore {
 
 func (s *sharedStore) Add(r model.ProcessID, q model.ProcessSet) { s.v.Add(r, q) }
 
+func (s *sharedStore) Has(r model.ProcessID, q model.ProcessSet) bool {
+	return s.v.Histories()[r].Has(q)
+}
+
 func (s *sharedStore) Import(h quorum.Histories) {
 	if h != nil {
 		s.v.Import(h)

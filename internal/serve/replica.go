@@ -250,6 +250,17 @@ func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 	return st, sends
 }
 
+// Idle implements model.Idler: a λ-step would seal nothing — ingress is
+// empty, or an own batch still waits for a slot — and the log's own λ-step
+// would change nothing (rsm.Log.Idle).
+func (r *Replica) Idle(p model.ProcessID, s model.State, d model.FDValue) bool {
+	st := s.(*replicaState)
+	if !rsm.OwnWaiting(st.inner) && r.ingress[int(p)].Len() > 0 {
+		return false
+	}
+	return r.log.Idle(p, st.inner, d)
+}
+
 // takeBodies stores the batch bodies a message carries and returns what is
 // left of it for the log: each body becomes the CMD forwarding its batch's
 // ID, at the body's place, as if the sender's log had forwarded the ID

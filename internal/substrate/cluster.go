@@ -65,13 +65,15 @@ type ClusterHooks struct {
 // Options.Seed.
 const seedStride = 7919
 
-// idleWaitBound bounds how long a process waits on its inbox after a step
-// that found nothing to take and sent nothing. A step is a reaction to an
-// arrival, so an arrival ends the wait; the bound exists only so that the
-// logical clock — which counts steps — and with it crash injection and the
-// detector histories keep moving while every process waits. Wall-clock
-// ticks on the concurrent substrates (ROADMAP "Time is not steps") remove
-// it.
+// idleWaitBound bounds how long a process waits on its inbox after a pass
+// whose take found nothing and that either stepped and sent nothing or
+// skipped its λ-step because the automaton said it was idle (model.Idler).
+// A step is a reaction to an arrival, so an arrival ends the wait; the
+// bound exists only so that the logical clock — which ticks once per pass,
+// skipped or not — and with it crash injection and the detector histories
+// keep moving while every process waits, and so that an Idler is asked
+// again under the next tick's detector output. Wall-clock ticks on the
+// concurrent substrates (ROADMAP "Time is not steps") remove it.
 const idleWaitBound = 50 * time.Microsecond
 
 // LinkSeq is the Seq of the k-th message (k from 1) that from sends to:
@@ -83,12 +85,15 @@ func LinkSeq(from, to model.ProcessID, k uint64) uint64 {
 }
 
 // RunCluster executes the shared concurrent loop: one goroutine per
-// process, a shared logical clock (one tick per step taken by any
-// process), crash injection from the pattern, failure-detector queries at
-// the shared clock, and decision collection under one lock. Each process
-// numbers its own sends per destination (LinkSeq), so the Seq a message
-// carries is what the receiving end of its link can count. It blocks
-// until the cluster stops and returns the finished Result.
+// process, a shared logical clock (one tick per pass of any process's
+// loop), crash injection from the pattern, failure-detector queries at
+// the shared clock, and decision collection under one lock. A pass whose
+// take found nothing skips its λ-step when the automaton is a model.Idler
+// that says the step would change nothing; the skip emits no step event,
+// is not counted in Result.Steps, and is counted in substrate.idle_skips.
+// Each process numbers its own sends per destination (LinkSeq), so the Seq
+// a message carries is what the receiving end of its link can count. It
+// blocks until the cluster stops and returns the finished Result.
 func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pattern *model.FailurePattern, opts Options, h ClusterHooks) (*Result, error) {
 	n := aut.N()
 	if h.Inboxes == nil {
@@ -110,9 +115,10 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 		mu      sync.Mutex
 		states  = make([]model.State, n)
 		decided model.ProcessSet
-		res     = &Result{} // Steps counts executed steps; the clock also counts crash and budget discoveries
+		res     = &Result{} // Steps counts executed steps; the clock also counts skipped λ-steps and crash and budget discoveries
 	)
-	waits := make([][2]int64, n) // per process: waits ended by an arrival, waits that ran out
+	waits := make([][3]int64, n) // per process: waits ended by an arrival, waits that ran out, λ-steps skipped
+	idler, _ := aut.(model.Idler)
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
 	for p := 0; p < n; p++ {
 		states[p] = aut.InitState(model.ProcessID(p))
@@ -153,8 +159,28 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 			var sent [model.MaxProcesses]uint64 // messages sent to each process so far
 
 			// Counted locally, published once at halt: no per-step atomic.
-			var woken, timedOut int64
-			defer func() { waits[p] = [2]int64{woken, timedOut} }()
+			var woken, timedOut, skipped int64
+			defer func() { waits[p] = [3]int64{woken, timedOut, skipped} }()
+			wait := func() {
+				if h.Inboxes[p].Wait(idleWaitBound) {
+					woken++
+				} else {
+					timedOut++
+				}
+			}
+			// stopCheck records st's decision and reports whether every
+			// correct process has decided; the caller holds mu.
+			stopCheck := func() bool {
+				if !opts.StopWhenDecided {
+					return false
+				}
+				if _, ok := model.DecisionOf(st); ok {
+					decided = decided.Add(p)
+				}
+				all := correct.SubsetOf(decided)
+				res.Stopped = res.Stopped || all
+				return all
+			}
 			for {
 				select {
 				case <-stop:
@@ -180,6 +206,23 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 					}
 				}
 				d := hist.Output(p, t)
+				if empty && idler != nil && idler.Idle(p, st, d) {
+					// The λ-step would be a stutter: skip it. The tick is
+					// spent, and the stop check still runs, since a state's
+					// decision may read more than the state (serve's does).
+					skipped++
+					if opts.StopWhenDecided {
+						mu.Lock()
+						all := stopCheck()
+						mu.Unlock()
+						if all {
+							halt()
+							return
+						}
+					}
+					wait()
+					continue
+				}
 				ns, sends := aut.Step(p, st, m, d)
 				st = ns
 				msgs := make([]*model.Message, len(sends))
@@ -193,14 +236,7 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 				res.CountSends(msgs)
 				states[p] = st
 				opts.Bus.OnStep(t, p, m, d, msgs, st)
-				allDecided := false
-				if opts.StopWhenDecided {
-					if _, ok := model.DecisionOf(st); ok {
-						decided = decided.Add(p)
-					}
-					allDecided = correct.SubsetOf(decided)
-					res.Stopped = res.Stopped || allDecided
-				}
+				allDecided := stopCheck()
 				mu.Unlock()
 				// Dispatch after the bus has the Send events: a receiver
 				// cannot observe a message whose send is unstamped.
@@ -214,11 +250,7 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 				// idleWaitBound. A step that skipped its take (TakeProb) never
 				// waits, since messages may still be pending.
 				if empty && len(msgs) == 0 {
-					if h.Inboxes[p].Wait(idleWaitBound) {
-						woken++
-					} else {
-						timedOut++
-					}
+					wait()
 				}
 			}
 		}()
@@ -230,15 +262,17 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 		drops += b.SupersededDrops()
 		pending += int64(b.Len())
 	}
-	var woken, timedOut int64
+	var woken, timedOut, skipped int64
 	for _, w := range waits {
 		woken += w[0]
 		timedOut += w[1]
+		skipped += w[2]
 	}
 	opts.Metrics.Counter("inbox.superseded_drops").Add(drops)
 	opts.Metrics.Counter("inbox.pending_at_halt").Add(pending)
 	opts.Metrics.Counter("substrate.waits_woken").Add(woken)
 	opts.Metrics.Counter("substrate.waits_timed_out").Add(timedOut)
+	opts.Metrics.Counter("substrate.idle_skips").Add(skipped)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -88,7 +88,8 @@ type Result struct {
 	// bus.steps); Ticks is the logical time when the run stopped, never
 	// past MaxSteps. On the simulator both advance together; on the
 	// concurrent substrates Ticks is the shared clock, which also ticks
-	// when a process discovers it has crashed, so Steps <= Ticks there.
+	// when a process discovers it has crashed and when it skips an idle
+	// λ-step (model.Idler), so Steps <= Ticks there.
 	Steps int
 	Ticks model.Time
 
