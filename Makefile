@@ -133,14 +133,15 @@ explore-smoke:
 # leader announcements are printed). A process steps
 # because something arrived, not at CPU speed: nucd's steps per log entry
 # applied (its done line's steps= over node 0's applied=) must stay within
-# SMOKE_STEPS_PER_SLOT_CAP — about 8 here now that the driver skips the
-# λ-steps the replica says are stutters (substrate.idle_skips, printed with
+# SMOKE_STEPS_PER_SLOT_CAP — 6.5–6.9 here now that a slot starts round 1
+# in the step that opens it, 7.6–7.9 before that with RunCluster skipping
+# the λ-steps the replica says are stutters (substrate.idle_skips, printed with
 # the wait counters), about 14 with the wait on the inbox alone, 74–79 with
 # the spin it replaced. nucd itself
 # fails the target if the replicas' machines diverge or the step budget
 # runs out; nucload fails it if any write goes unacked. (E18's sim-substrate metrics determinism is
 # TestEventsByteIdenticalAcrossParallel in cmd/experiments.)
-SMOKE_STEPS_PER_SLOT_CAP = 12
+SMOKE_STEPS_PER_SLOT_CAP = 10
 
 serve-smoke:
 	mkdir -p $(ARTIFACTS)

@@ -45,8 +45,7 @@ type Sampler struct {
 
 type samplerSlot struct {
 	valid  bool
-	str    string // String of the last inner value, for change detection
-	sample model.FDValue
+	sample model.FDValue // the last Sample handed out, boxed once
 	epoch  uint64
 }
 
@@ -70,8 +69,7 @@ func (s *Sampler) Output(p model.ProcessID, t model.Time) model.FDValue {
 	defer s.mu.Unlock()
 	slot := &s.last[p]
 	v := s.inner.Output(p, t)
-	str := v.String()
-	if slot.valid && slot.str == str {
+	if slot.valid && sameValue(slot.sample.(Sample).Value, v) {
 		// Same output as last time: keep the epoch and the boxed sample
 		// (no allocation on the steady-state path).
 		return slot.sample
@@ -81,12 +79,34 @@ func (s *Sampler) Output(p model.ProcessID, t model.Time) model.FDValue {
 	}
 	sample := Sample{Epoch: slot.epoch, Value: v}
 	slot.valid = true
-	slot.str = str
 	slot.sample = sample
 	for _, fn := range s.subs {
 		fn(p, sample)
 	}
 	return sample
+}
+
+// sameValue reports whether two detector outputs are the same value: by ==
+// when both are comparable, else by their rendering, which is a value's
+// identity under replay. Only values of other packages' types take the
+// String path: == on them could panic, since they may hold a slice or map.
+func sameValue(a, b model.FDValue) bool {
+	if comparableValue(a) && comparableValue(b) {
+		return a == b
+	}
+	return a.String() == b.String()
+}
+
+// comparableValue reports whether == on v cannot panic: v is one of this
+// package's flat value types, or a pair of comparable values.
+func comparableValue(v model.FDValue) bool {
+	switch v := v.(type) {
+	case LeaderValue, QuorumValue, NullValue, SuspectsValue:
+		return true
+	case PairValue:
+		return comparableValue(v.First) && comparableValue(v.Second)
+	}
+	return false
 }
 
 // StabilizeTime implements Stabilizer by delegation.

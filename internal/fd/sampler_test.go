@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"fmt"
 	"testing"
 
 	"nuconsensus/internal/model"
@@ -116,5 +117,31 @@ func TestSamplerStabilizeTime(t *testing.T) {
 	}
 	if s2 := NewSampler(Null); s2.StabilizeTime() != 0 {
 		t.Error("non-stabilizer inner must report 0")
+	}
+}
+
+// listValue is a detector value == cannot compare: it holds a slice.
+type listValue struct{ ps []model.ProcessID }
+
+func (v listValue) String() string { return fmt.Sprint(v.ps) }
+
+func TestSamplerComparesUncomparableValuesByString(t *testing.T) {
+	// Alone and inside a pair, a value holding a slice must not panic the
+	// change test, and equal renderings keep the epoch.
+	for _, wrap := range []func(model.FDValue) model.FDValue{
+		func(v model.FDValue) model.FDValue { return v },
+		func(v model.FDValue) model.FDValue { return PairValue{First: LeaderValue{Leader: 0}, Second: v} },
+	} {
+		h := HistoryFunc(func(p model.ProcessID, t model.Time) model.FDValue {
+			return wrap(listValue{ps: []model.ProcessID{0, model.ProcessID(t / 2)}})
+		})
+		s := NewSampler(h)
+		var epochs []uint64
+		for tick := model.Time(0); tick < 4; tick++ {
+			epochs = append(epochs, s.Output(0, tick).(Sample).Epoch)
+		}
+		if fmt.Sprint(epochs) != "[0 0 1 1]" {
+			t.Fatalf("epochs = %v, want [0 0 1 1]", epochs)
+		}
 	}
 }

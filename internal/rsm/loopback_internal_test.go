@@ -52,6 +52,40 @@ func TestLoopbackDecidesAloneAndStops(t *testing.T) {
 	}
 }
 
+// TestLoopbackChainStopsAtTheWindow: under Q_p = {p} and Ω = p every slot
+// decides on its own messages inside one outer step, and each decision
+// opens a slot above the window. The slots opened inside loopback start
+// only on the next step — the start rule runs before loopback — so one
+// step decides at most a window of slots. A start at open instead (in
+// openWindow) feeds each opened slot's LEAD(1) back into the same loopback,
+// and one step decides the whole log.
+func TestLoopbackChainStopsAtTheWindow(t *testing.T) {
+	const p, window, slots = model.ProcessID(0), 2, 16
+	aut := NewLog([][]int{{}, {}, {}}, slots).WithPipeline(window)
+	d := fd.PairValue{First: fd.LeaderValue{Leader: p}, Second: fd.QuorumValue{Quorum: model.SetOf(p)}}
+	st := aut.InitState(p).(*logState)
+	decided := func() int {
+		n := st.slot
+		for slot := st.slot; slot < st.windowEnd(); slot++ {
+			if st.recs[slot].state == slotDecided {
+				n++
+			}
+		}
+		return n
+	}
+	for step := 1; st.slot < slots; step++ {
+		if step > slots {
+			t.Fatalf("%d steps decided %d of %d slots: the chain stalls", step-1, decided(), slots)
+		}
+		before := decided()
+		_, sends := aut.Step(p, st, nil, d)
+		noSendToSelf(t, p, sends)
+		if n := decided() - before; n > window {
+			t.Fatalf("step %d decided %d slots, more than the window of %d: the self-message chain ran on into slots it opened", step, n, window)
+		}
+	}
+}
+
 // TestLoopbackDefersLikeAPeer: a message a process sends itself passes the
 // same gate as a peer's. For a slot not open here it is parked on the
 // record's in queue and delivered when the window opens the slot; for a

@@ -100,12 +100,15 @@ func TestCloneIsolatesSlotRecord(t *testing.T) {
 		return out
 	}
 	in := func(pl model.Payload) SlotPayload { return SlotPayload{Slot: slot, Inner: pl} }
+	// p2 follows p1 before any slot starts: every round-1 LEAD to p2 is
+	// held, slot 2's and slot 3's (both start in the first step) and slot
+	// 4's (it opens and starts in slot 2's deciding step).
+	orig.box.peer[2].follows = 1
 	step(orig, 1, in(consensus.LeadDeltaPayload{K: 1, V: 42}))
 	step(orig, 1, in(consensus.ReportPayload{K: 1, V: 42}))
 	step(orig, 2, in(consensus.ReportPayload{K: 1, V: 42}))
 	step(orig, 1, in(consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true}))
 	step(orig, 2, in(consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true})) // decides; LEAD(2) held
-	orig.box.peer[2].follows = 1                                               // p2 follows p1: slot 3's LEAD(1) to p2 is held
 	step(orig, 1, ProgressPayload{Slot: slot + 1})
 	step(orig, 1, in(consensus.ReportPayload{K: 2, V: 42})) // p1 has passed: deferred
 	r := orig.recs[slot]
@@ -113,14 +116,14 @@ func TestCloneIsolatesSlotRecord(t *testing.T) {
 		t.Fatalf("slot %d: held round %d, %d deferred, heard %v, quiet = %v: want quiet with LEAD(2) held, one message deferred and p2 heard at round 1",
 			slot, heldRound(orig, slot), len(r.in), r.heard, orig.isQuiet(slot))
 	}
-	for _, s := range []int{slot + 1, slot + 2} { // the slots opened above slot 2
+	for _, s := range []int{slot, slot + 1, slot + 2} {
 		if _, to := heldLeadAt(orig, s); to != model.SetOf(2) {
 			t.Fatalf("slot %d holds its round-1 LEAD for %v, want {p2}", s, to)
 		}
 	}
 	aut.Owe(orig, testBody{})
 	orig.box.peer[1].told, orig.box.peer[2].told = 0, 0 // a PRGR due to both peers again
-	if got := DebugState(orig); !strings.Contains(got, " deferred=1/3 ") || !strings.Contains(got, "outbox{cmds=0 held=2 owed=1}") {
+	if got := DebugState(orig); !strings.Contains(got, " deferred=1/3 ") || !strings.Contains(got, "outbox{cmds=0 held=3 owed=1}") {
 		t.Fatalf("DebugState = %q, want the one message deferred inbound, the three held sends and the outbox's rows shown", got)
 	}
 	wantBox := orig.box.clone()
@@ -153,13 +156,13 @@ func TestCloneIsolatesSlotRecord(t *testing.T) {
 	// The same step lets the owed body and the PRGR out of the fork, and p2
 	// naming p0 there releases the held LEAD(1)s.
 	step(fork, 2, FollowPayload{Leader: 0})
-	if len(fork.box.owed) != 0 || fork.box.peer[1].told != fork.slot || fork.box.peer[2].told != fork.slot || !fork.recs[slot+1].lent.IsEmpty() || !fork.recs[slot+2].lent.IsEmpty() {
+	if len(fork.box.owed) != 0 || fork.box.peer[1].told != fork.slot || fork.box.peer[2].told != fork.slot || !fork.recs[slot].lent.IsEmpty() || !fork.recs[slot+1].lent.IsEmpty() || !fork.recs[slot+2].lent.IsEmpty() {
 		t.Fatalf("the fork kept rows it sent: %s", DebugState(fork))
 	}
 	if !reflect.DeepEqual(orig.box, wantBox) {
 		t.Fatalf("the fork's sends reached the original's outbox:\n got %+v\nwant %+v", orig.box, wantBox)
 	}
-	for _, s := range []int{slot + 1, slot + 2} {
+	for _, s := range []int{slot, slot + 1, slot + 2} {
 		if _, to := heldLeadAt(orig, s); to != model.SetOf(2) {
 			t.Fatalf("the fork's release reached the original: slot %d holds its LEAD for %v, want {p2}", s, to)
 		}

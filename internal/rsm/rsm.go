@@ -418,6 +418,16 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 		out = append(out, st.settle(a, slot, d)...)
 	}
 
+	// Start every in-flight slot still at Fig. 4's start: lines 13–15 wait
+	// for nothing, so a slot opened in this step starts round 1 in it. This
+	// runs before loopback: a slot opened there starts on the next step, so
+	// the self-message chain still ends (DESIGN.md §10 "Window advance").
+	for slot := st.slot; slot < st.windowEnd(); slot++ {
+		if k, ok := model.RoundOf(st.recs[slot].inst); ok && k == 0 {
+			out = append(out, st.stepInstance(a, slot, nil, d)...)
+		}
+	}
+
 	out = st.flush(a, st.loopback(a, out, d), d)
 	st.compactStore(a.metrics)
 	return st, out

@@ -7,6 +7,7 @@ import (
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/obs"
 )
 
 // decidedInstance stands in for a slot instance that has decided v.
@@ -67,8 +68,12 @@ func (w lambdaLog) Step(p model.ProcessID, s model.State, m *model.Message, d mo
 // 4, slot 5 decided and quiet, slot 6 decided and awake (a peer was heard
 // at its round) and slots 4 and 7 open and never stepped, one λ-step of the
 // log steps slots 4, 6 and 7 exactly once each, in ascending order, and
-// slot 5 not at all. What they send a peer leaves as one send: both fresh
-// slots' LEAD(1), ascending, in the one bundle for each peer.
+// slot 5 not at all: the window advance starts the fresh slots, and the
+// start rule after it must not step them again. What they send a peer
+// leaves as one send: both fresh slots' LEAD(1), ascending, in the one
+// bundle for each peer. Slots 5 and 6 are driven through receive, not
+// Step, because Step would start slots 4 and 7 on the way; a slot still
+// fresh at a λ-step is one that loopback opened in the step before.
 func TestLambdaStepAdvancesEveryAwakeSlot(t *testing.T) {
 	q := model.SetOf(1, 2)
 	d := fd.PairValue{First: fd.LeaderValue{Leader: 1}, Second: fd.QuorumValue{Quorum: q}}
@@ -82,7 +87,7 @@ func TestLambdaStepAdvancesEveryAwakeSlot(t *testing.T) {
 	var seq uint64
 	send := func(slot int, from model.ProcessID, pl model.Payload) {
 		seq++
-		aut.Step(0, st, &model.Message{From: from, To: 0, Seq: seq, Payload: SlotPayload{Slot: slot, Inner: pl}}, d)
+		st.receive(aut, from, seq, SlotPayload{Slot: slot, Inner: pl}, d)
 	}
 	for _, slot := range []int{5, 6} { // decide in round 1, ending in round 2
 		send(slot, 1, consensus.LeadDeltaPayload{K: 1, V: 42})
@@ -92,9 +97,9 @@ func TestLambdaStepAdvancesEveryAwakeSlot(t *testing.T) {
 		send(slot, 2, consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true})
 	}
 	send(6, 2, consensus.LeadDeltaPayload{K: 2, V: 42}) // p2 reaches slot 6's round: awake
-	if st.slot != 4 || !st.isQuiet(5) || st.recs[6].state != slotDecided || st.isQuiet(6) {
-		t.Fatalf("frontier %d, slot 5 quiet = %v, slot 6 state %v quiet = %v: want frontier 4, slot 5 asleep, slot 6 decided and awake",
-			st.slot, st.isQuiet(5), st.recs[6].state, st.isQuiet(6))
+	if st.slot != 4 || !st.isQuiet(5) || st.recs[6].state != slotDecided || st.isQuiet(6) || !atStart(st, 4) || !atStart(st, 7) {
+		t.Fatalf("frontier %d, slot 5 quiet = %v, slot 6 state %v quiet = %v, slots 4 and 7 at their start = %v, %v: want frontier 4, slot 5 asleep, slot 6 decided and awake, slots 4 and 7 fresh",
+			st.slot, st.isQuiet(5), st.recs[6].state, st.isQuiet(6), atStart(st, 4), atStart(st, 7))
 	}
 
 	var stepped []int
@@ -111,16 +116,64 @@ func TestLambdaStepAdvancesEveryAwakeSlot(t *testing.T) {
 		to = to.Add(snd.To)
 	}
 	for _, r := range []model.ProcessID{1, 2} {
-		var leads []int
-		for _, snd := range Flatten(out) {
-			if sp, ok := snd.Payload.(SlotPayload); ok && snd.To == r {
-				if lead, ok := sp.Inner.(consensus.LeadDeltaPayload); ok && lead.K == 1 {
-					leads = append(leads, sp.Slot)
-				}
+		if leads, want := leadOnes(out, r), []int{4, 7}; !reflect.DeepEqual(leads, want) {
+			t.Errorf("LEAD(1)s to p%d in slots %v, want %v", r, leads, want)
+		}
+	}
+}
+
+// atStart reports whether slot's instance has begun no round: it is at
+// Fig. 4's start.
+func atStart(st *logState, slot int) bool {
+	k, _ := model.RoundOf(liveAt(st, slot))
+	return k == 0
+}
+
+// leadOnes lists, in order, the slots whose LEAD(1) the sends carry to r.
+func leadOnes(out []model.Send, r model.ProcessID) []int {
+	var slots []int
+	for _, snd := range Flatten(out) {
+		if sp, ok := snd.Payload.(SlotPayload); ok && snd.To == r {
+			if lead, ok := sp.Inner.(consensus.LeadDeltaPayload); ok && lead.K == 1 {
+				slots = append(slots, sp.Slot)
 			}
 		}
-		if want := []int{4, 7}; !reflect.DeepEqual(leads, want) {
-			t.Errorf("LEAD(1)s to p%d in slots %v, want %v", r, leads, want)
+	}
+	return slots
+}
+
+// TestSlotStartsInTheStepThatOpensIt: Fig. 4's lines 13–15 wait for
+// nothing, so a slot starts round 1 in the step that opens it, whatever
+// that step took. At frontier 2 with a window of two, the receipt that
+// starts slot 2 starts the fresh slot 3 too, and the receipt that decides
+// slot 2 opens slot 4 and sends its LEAD(1) in the same step: no slot is
+// left at its start for a later λ-step.
+func TestSlotStartsInTheStepThatOpensIt(t *testing.T) {
+	aut, st, _, d := seededSlotTwo(obs.NewRegistry())
+	forceWindowDecided(st)
+	st.harvest(aut, d) // frontier 2: slots 2 and 3 open, unstarted
+	var seq uint64
+	step := func(from model.ProcessID, pl model.Payload) []model.Send {
+		seq++
+		_, out := aut.Step(0, st, &model.Message{From: from, To: 0, Seq: seq, Payload: SlotPayload{Slot: 2, Inner: pl}}, d)
+		return out
+	}
+	out := step(1, consensus.LeadDeltaPayload{K: 1, V: 42})
+	for _, r := range []model.ProcessID{1, 2} {
+		if got := leadOnes(out, r); !reflect.DeepEqual(got, []int{2, 3}) {
+			t.Errorf("the step that starts slot 2 sent p%d LEAD(1)s in slots %v, want [2 3]", r, got)
+		}
+	}
+	step(1, consensus.ReportPayload{K: 1, V: 42})
+	step(2, consensus.ReportPayload{K: 1, V: 42})
+	step(1, consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true})
+	out = step(2, consensus.ProposalDeltaPayload{K: 1, V: 42, HasV: true}) // decides slot 2, opens slot 4
+	if st.slot != 3 || atStart(st, 4) {
+		t.Fatalf("after slot 2's deciding step: frontier %d, slot 4 at its start = %v; want frontier 3 and slot 4 started", st.slot, atStart(st, 4))
+	}
+	for _, r := range []model.ProcessID{1, 2} {
+		if got := leadOnes(out, r); !reflect.DeepEqual(got, []int{4}) {
+			t.Errorf("the step that opens slot 4 sent p%d LEAD(1)s in slots %v, want [4]", r, got)
 		}
 	}
 }

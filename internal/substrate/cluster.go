@@ -72,8 +72,12 @@ const seedStride = 7919
 // bound exists only so that the logical clock — which ticks once per pass,
 // skipped or not — and with it crash injection and the detector histories
 // keep moving while every process waits, and so that an Idler is asked
-// again under the next tick's detector output. Wall-clock ticks on the
-// concurrent substrates (ROADMAP "Time is not steps") remove it.
+// again under the next tick's detector output. The bound is a floor, not
+// the wait's length: Go's timers fire at the host's timer granularity, so
+// a wait that no arrival ends lasts ≈ 1 ms on a 2-vCPU Linux VM, and an
+// all-idle cluster's clock runs at ≈ 1000 ticks/s per process. Wall-clock
+// ticks on the concurrent substrates (ROADMAP "Time is not steps") remove
+// it.
 const idleWaitBound = 50 * time.Microsecond
 
 // LinkSeq is the Seq of the k-th message (k from 1) that from sends to:
