@@ -42,10 +42,13 @@ const (
 // itself (rsm loopback), one step sends a peer one bundle (rsm pack), both
 // in-flight slots step on every λ-step (rsm Log.Step), progress rides that
 // traffic, and a round-1 LEAD goes only to the processes that follow its
-// sender (both rows of rsm outbox.go). Each cap is max(⌈quick × 1.12⌉,
-// ⌈async max⌉ + 1): 12.1 / 24.0 / 41.8 quick, and 12.8 / 26.5 / 43.8 the
-// maximum over thirteen async runs (ten plain, three substrate-smoke).
-// With no quorum carried across slots the grid reads 28.0 / 53.2 / 92.4.
+// sender (both rows of rsm outbox.go). The caps were set at
+// max(⌈quick × 1.12⌉, ⌈async max⌉ + 1) from 12.1 / 24.0 / 41.8 quick and
+// 12.8 / 26.5 / 43.8 async. Since a slot starts round 1 in the step that
+// opens it, n = 3 reads 12.5 quick and 12.5–13.6 over sixteen async runs,
+// so that formula would now give 15; the cap of 14 is held, not re-derived,
+// because a table gate is never raised. With no quorum carried across
+// slots the grid reads 28.0 / 53.2 / 92.4.
 var e18MsgsPerSlotCap = map[int]int{3: 14, 4: 28, 5: 47}
 
 var (

@@ -3,6 +3,7 @@ package netrun
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"reflect"
@@ -118,6 +119,77 @@ func TestFrameOneWrite(t *testing.T) {
 	}
 }
 
+// tornConn fails its second Write after passing the first half of it on,
+// as a socket can fail partway through a frame.
+type tornConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *tornConn) Write(b []byte) (int, error) {
+	if c.writes++; c.writes != 2 {
+		return c.Conn.Write(b)
+	}
+	n, _ := c.Conn.Write(b[:len(b)/2])
+	return n, errors.New("torn write")
+}
+
+// TestFailedWriteClosesLink: a write that fails partway through a frame
+// closes the link. Every later send returns an error (dispatch counts each
+// in netrun.frame_write_errors) and writes nothing, so the peer reads the
+// first frame, half of the second and then EOF, never a frame behind the
+// torn one. The codec does not commit the torn frame.
+func TestFailedWriteClosesLink(t *testing.T) {
+	local, remote := net.Pipe()
+	defer remote.Close()
+	conn := &tornConn{Conn: local}
+	l := &link{conn: conn}
+	peer := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(remote)
+		peer <- b
+	}()
+	pls := []model.Payload{
+		rsm.SlotPayload{Slot: 3, Inner: consensus.ReportPayload{K: 2, V: 9}},
+		rsm.SlotPayload{Slot: 3, Inner: consensus.ReportPayload{K: 2, V: 9}},
+		rsm.CommandPayload{Cmd: 4},
+		rsm.SlotPayload{Slot: 4, Inner: consensus.ReportPayload{K: 2, V: 9}},
+	}
+	var sent atomic.Int64
+	var frames [][]byte
+	var enc wire.Link
+	for i, pl := range pls {
+		frame, err := appendFrame(nil, &enc, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			enc.Commit()
+		}
+		frames = append(frames, frame[frameHole-1:]) // every frame here is shorter than 128 bytes
+		frames[i][0] = byte(len(frame) - frameHole)
+		if err := l.send(pl, &sent); (err == nil) != (i == 0) {
+			t.Errorf("send %d returned %v", i, err)
+		}
+	}
+	if l.conn != nil || conn.writes != 2 {
+		t.Errorf("after a torn write the link is open (%v) and took %d writes, want closed after 2", l.conn != nil, conn.writes)
+	}
+	l.close() // a link left open would keep the peer reading
+	want := append(append([]byte{}, frames[0]...), frames[1][:len(frames[1])/2]...)
+	if got := <-peer; !bytes.Equal(got, want) {
+		t.Errorf("the peer read %x, want %x: the first frame and half of the torn one", got, want)
+	}
+	if got := sent.Load(); got != int64(len(frames[0])) {
+		t.Errorf("bytes sent = %d, want the first frame's %d", got, len(frames[0]))
+	}
+	// The sender's codec stands after the first frame: a fresh sender that
+	// sent it alone codes the next frame the same.
+	if next, err := l.enc.Append(nil, pls[3]); err != nil || !bytes.Equal(next, frames[3][1:]) {
+		t.Errorf("after the torn write the codec codes %v as %x (err %v), want %x", pls[3], next, err, frames[3][1:])
+	}
+}
+
 // TestAppendFrameRefusesOversized: a message whose frame would exceed
 // wire.MaxFrameSize is an encoding error at the sender, which dispatch
 // turns into a panic, instead of a frame the peer's reader refuses.
@@ -134,7 +206,7 @@ func TestAppendFrameRefusesOversized(t *testing.T) {
 
 // TestCorruptFrameDropsLink: a reader delivers a frame only when its
 // payload has a kind it knows, p1 → p0 here (CMD frames: no inbox
-// collapses them). A frame of an unknown payload tag or slot item kind, or
+// collapses them). A frame of an unknown payload tag or slot item code, or
 // an empty one, drops the link without a panic, and nothing from it on
 // reaches any inbox. The frame before it arrives as p1's first message to
 // p0.
@@ -145,11 +217,12 @@ func TestCorruptFrameDropsLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A CMD(3) payload is the CMD tag and the command; a slot item's head
-	// byte has the top bit set and its kind in the low three.
+	// byte has the top bit set and its code in bits 0–2 and 6, of which
+	// PRGR's code with bit 6 is no slot item's.
 	frame := func(b ...byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))), b...) }
 	for name, corrupt := range map[string][]byte{
 		"an unknown payload tag":    frame(0x7F, cmd[1]),
-		"an unknown slot item kind": frame(0x80|7, 1),
+		"an unknown slot item code": frame(0x80|0x40|6, 1),
 		"an empty frame":            frame(),
 	} {
 		inboxes := substrate.NewInboxes(3)

@@ -25,12 +25,13 @@
 // substrate.LinkSeq(p, q, k). The reader counts and numbers it so (read).
 //
 // Each direction of a link is also one wire.Link codec, so a frame's slot
-// items inherit slot, round and history frame from the frames before it on
-// its link. p's end of its connection with q holds both of p's codecs:
+// items inherit slot, round, V and history frame from the frames before it
+// on its link. p's end of its connection with q holds both of p's codecs:
 // the one for what p sends q, advanced only once a frame is written
-// (link.send), and the one for what p takes from q, which decodes in link
-// order because the inbox keeps each sender's frames in order and decodes
-// them when p takes them (resolve). Only p's goroutine touches either. A
+// (link.send; a write that fails closes the connection, so the peer never
+// reads a frame behind a torn one), and the one for what p takes from q,
+// which decodes in link order because the inbox keeps each sender's frames
+// in order and decodes them when p takes them (resolve). Only p's goroutine touches either. A
 // superseding frame the inbox drops undecoded (a heartbeat, a DAG
 // snapshot) holds no slot item, so the run does not miss it. A frame that fails to decode breaks the run of its
 // link: it and every later frame from that peer are dropped, as if the
@@ -83,8 +84,12 @@ func appendFrame(buf []byte, enc *wire.Link, pl model.Payload) ([]byte, error) {
 
 // writeFrame sends one length-prefixed message with one Write: b is an
 // encoded message behind a frameHole-byte hole (appendFrame), and the
-// length goes into the hole right-aligned against the message. Errors
-// after the peer crashed are expected and swallowed by the caller.
+// length goes into the hole right-aligned against the message. A Write
+// that fails may have put part of the frame on the socket, and a frame
+// behind it would land in the middle of that one, so a failed write closes
+// the link: every later write returns "link closed", and nothing more
+// reaches the peer. Errors after the peer crashed are expected and counted
+// by the caller.
 func (l *link) writeFrame(b []byte, sent *atomic.Int64) error {
 	var hdr [frameHole]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(b)-frameHole))
@@ -96,6 +101,8 @@ func (l *link) writeFrame(b []byte, sent *atomic.Int64) error {
 		return errors.New("netrun: link closed")
 	}
 	if _, err := l.conn.Write(frame); err != nil {
+		l.conn.Close()
+		l.conn = nil
 		return err
 	}
 	sent.Add(int64(len(frame)))
@@ -103,9 +110,10 @@ func (l *link) writeFrame(b []byte, sent *atomic.Int64) error {
 }
 
 // send encodes pl on l's codec and writes it as one frame. Only a written
-// frame advances the codec: the peer never reads one that failed. The
-// frame is dead once written, so its pooled buffer goes straight back. A
-// payload the codec cannot encode is a bug in the automaton that sent it.
+// frame advances the codec: a frame that failed closed the link, so the
+// peer reads neither it nor any frame after it. The frame is dead once
+// written, so its pooled buffer goes straight back. A payload the codec
+// cannot encode is a bug in the automaton that sent it.
 func (l *link) send(pl model.Payload, sent *atomic.Int64) error {
 	frame, err := appendFrame(wire.GetBuf(64+frameHole), &l.enc, pl)
 	if err != nil {

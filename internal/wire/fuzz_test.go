@@ -52,7 +52,23 @@ func seedPayloads() []model.Payload {
 			rsm.SlotPayload{Slot: 5, Inner: consensus.LeadDeltaPayload{K: 1, V: 4, Delta: quorum.Delta{Base: 6, To: 6}}},
 			rsm.SlotPayload{Slot: 6, Inner: consensus.LeadDeltaPayload{K: 1, V: 5, Delta: quorum.Delta{Base: 6, To: 6}}},
 		},
+		stableValues(8),
 		dag.GraphPayload{G: sampleGraph()},
+	}
+}
+
+// stableValues is one λ-step of a stable run around slot s: every REP,
+// PROPD and LEADD carries the leader's proposal 0, so each V-bearing item
+// behind the first inherits its V, with and without the history frame,
+// and across a PROPD without V.
+func stableValues(s int) rsm.Bundle {
+	at := quorum.Delta{Base: 6, To: 6}
+	return rsm.Bundle{
+		rsm.SlotPayload{Slot: s, Inner: consensus.ReportPayload{K: 1, V: 0}},
+		rsm.SlotPayload{Slot: s, Inner: consensus.ProposalDeltaPayload{K: 1, V: 0, HasV: true, Delta: at}},
+		rsm.SlotPayload{Slot: s + 1, Inner: consensus.LeadDeltaPayload{K: 1, V: 0, Delta: at}},
+		rsm.SlotPayload{Slot: s + 1, Inner: consensus.ProposalDeltaPayload{K: 1, Delta: at}},
+		rsm.SlotPayload{Slot: s + 1, Inner: consensus.ReportPayload{K: 1, V: 0}},
 	}
 }
 
@@ -181,6 +197,9 @@ func FuzzDecodeLink(f *testing.F) {
 	for i := range seeds {
 		f.Add(linkStream(f, seeds[i:min(i+4, len(seeds))]))
 	}
+	// The items of two stable λ-steps, one frame each: every V behind the
+	// first is inherited from the frame before it.
+	f.Add(linkStream(f, append(stableValues(8), stableValues(10)...)))
 	for _, b := range seedRejects(f) {
 		f.Add(append(linkStream(f, seeds[:2]), append(binary.AppendUvarint(nil, uint64(len(b))), b...)...))
 	}

@@ -128,10 +128,10 @@ func TestLinkBarePRGRInheritsSlot(t *testing.T) {
 		floor int
 		want  []byte
 	}{
-		{900, []byte{head(hPrgr, hSame, false, false)}},
-		{901, []byte{head(hPrgr, hNext, false, false)}},
-		{902, []byte{head(hPrgr, hDelta, false, false), 4}},
-		{5, []byte{head(hPrgr, hExplicit, false, false), 5}},
+		{900, []byte{head(hPrgr, hSame, false)}},
+		{901, []byte{head(hPrgr, hNext, false)}},
+		{902, []byte{head(hPrgr, hDelta, false), 4}},
+		{5, []byte{head(hPrgr, hExplicit, false), 5}},
 	} {
 		var tx, rx wire.Link
 		var m model.Message
@@ -231,5 +231,66 @@ func TestLinkFrameLenFlatInSlot(t *testing.T) {
 	}
 	if young, old := size(10), size(1<<40); young != old {
 		t.Errorf("a window-2 bundle takes %d bytes at slot 10 and %d at slot 1<<40", young, old)
+	}
+}
+
+// TestLinkInheritsValue: on a link, a LEADD, PROPD or REP whose V is the
+// last V written writes none, from frame to frame; a fresh link and a
+// changed V write it. A PROPD without V leaves the run's V as it was, and
+// so does a superseding frame, whether the receiver's inbox drops it or
+// decodes it; a frame that is never sent leaves the run as it was.
+func TestLinkInheritsValue(t *testing.T) {
+	at := quorum.Delta{Base: 6, To: 6}
+	lead := func(s, v int) model.Payload {
+		return rsm.SlotPayload{Slot: s, Inner: consensus.LeadDeltaPayload{K: 1, V: v, Delta: at}}
+	}
+	prop := func(s, v int, hasV bool) model.Payload {
+		return rsm.SlotPayload{Slot: s, Inner: consensus.ProposalDeltaPayload{K: 1, V: v, HasV: hasV, Delta: at}}
+	}
+	rep := func(s, v int) model.Payload {
+		return rsm.SlotPayload{Slot: s, Inner: consensus.ReportPayload{K: 1, V: v}}
+	}
+	const sent, dropped, unsent = 0, 1, 2
+	var tx, rx wire.Link
+	for _, step := range []struct {
+		what string
+		pl   model.Payload
+		fate int
+		want []byte // nil: the payload's encoding on a fresh link
+	}{
+		{"a LEADD on a fresh link writes V 7", lead(10, 7), sent, []byte{head(hLead, hExplicit, true), 10, 14, 12}},
+		{"a REP of V 7 inherits it", rep(10, 7), sent, []byte{head(hRepSameV, hSame, true)}},
+		{"a PROPD of V 7 inherits it and the frame", prop(11, 7, true), sent, []byte{head(hPropVSameVF, hNext, true)}},
+		{"a PROPD without V", prop(11, 0, false), sent, []byte{head(hPropSameF, hSame, true)}},
+		{"leaves V 7 to the REP behind it", rep(11, 7), sent, []byte{head(hRepSameV, hSame, true)}},
+		{"a heartbeat the inbox drops", hb.HeartbeatPayload{}, dropped, nil},
+		{"a DAG snapshot the receiver decodes", dag.GraphPayload{G: sampleGraph()}, sent, nil},
+		{"leave V 7 to the LEADD behind them", lead(12, 7), sent, []byte{head(hLeadSameVF, hNext, true)}},
+		{"a REP of V 8 writes it", rep(12, 8), sent, []byte{head(hRep, hSame, true), 16}},
+		{"a LEADD of V 9 never sent", lead(13, 9), unsent, []byte{head(hLeadSameF, hNext, true), 18}},
+		{"leaves V 8: a REP of V 9 writes it", rep(12, 9), sent, []byte{head(hRep, hSame, true), 18}},
+	} {
+		frame, err := tx.Append(nil, step.pl)
+		if err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		want := step.want
+		if want == nil {
+			want, _ = wire.EncodePayload(step.pl)
+		}
+		if !bytes.Equal(frame, want) {
+			t.Errorf("%s: %v is %x, want %x", step.what, step.pl, frame, want)
+		}
+		if step.fate == unsent {
+			continue
+		}
+		tx.Commit()
+		if step.fate == dropped {
+			continue
+		}
+		var m model.Message
+		if err := rx.Decode(&m, frame); err != nil || !reflect.DeepEqual(m.Payload, step.pl) {
+			t.Fatalf("%s: %x decodes as %v (err %v), want %v", step.what, frame, m.Payload, err, step.pl)
+		}
 	}
 }

@@ -8,10 +8,14 @@
 //	outer    := item | bundleTag item item item*   (items run to the end)
 //	item     := kindTag … (per-kind body) | slot
 //	slot     := head [slotnum] [Q] [K] [V] [Stamp] [frame]   (an rsm.SlotPayload or rsm.ProgressPayload, bare or bundled)
-//	head     := one byte: bit 7 set (every kindTag is below 0x80), bit 6 frame, bit 5 round,
-//	            bits 3–4 slot code (0 varint follows, 1 same, 2 next, 3 zigzag delta follows), bits 0–2 kind
-//	kind     := 0 LEADD (K V frame) | 1 PROPD (K V frame) | 2 PROPD without V (K frame)
-//	          | 3 REP (K V) | 4 SAW (Q) | 5 SACK (Q K Stamp−slot) | 6 PRGR (no fields: the slot is its floor)
+//	head     := one byte: bit 7 set (every kindTag is below 0x80), bit 5 round,
+//	            bits 3–4 slot code (0 varint follows, 1 same, 2 next, 3 zigzag delta follows),
+//	            bits 0–2 and bit 6 the code (~V: V inherited, ~F: frame inherited)
+//	code     :=  bits 0–2:  0         1         2             3      4     5           6     7
+//	             bit 6 = 0: LEADD     PROPD     PROPD no V    REP    SAW   LEADD ~V    PRGR  PROPD ~V
+//	             bit 6 = 1: LEADD ~F  PROPD ~F  PROPD no V ~F REP ~V SACK  LEADD ~V~F  —     PROPD ~V~F
+//	fields   := LEADD, PROPD (K V frame) | PROPD no V (K frame) | REP (K V) | SAW (Q)
+//	          | SACK (Q K Stamp−slot) | PRGR (none: the slot is its floor)
 //	frame    := varint(To<<1 | hasAdds) adds
 //	adds     := count (R Q)^count when hasAdds, else nothing (1 ≤ count ≤ To)
 //	FLW      := followTag varint(leader)   (leader < MaxProcesses)
@@ -26,8 +30,12 @@
 // slot varint follows, or the slot is that of the slot item before it, or
 // one above, or a zigzag delta from it follows (written only where it is
 // shorter than the varint); its round bit leaves out K when K equals the
-// last K written (initially 1); its frame bit leaves out a history frame
-// that has no adds and the To of the last frame. A SACK's stamp travels as
+// last K written (initially 1); its code leaves out a V equal to the last V
+// written by a LEADD, PROPD or REP (none before the first: a PROPD without
+// V leaves it as it was), and a history frame that has no adds and the To
+// of the last frame. So a slot item inherits slot, round, V and history
+// frame, and in a stable run, where every LEADD, PROPD and REP carries the
+// leader's proposal, V is written once per link. A SACK's stamp travels as
 // a zigzag delta from its slot (the log stamps slot + window − 1), so no
 // field of a slot item grows with the age of the log. Every frame advances
 // its link's run in send order; the superseding ones an inbox may drop
@@ -89,15 +97,15 @@ const (
 	tagCount
 )
 
-// A slot item's head byte: the marker, then the kind, the slot code and
-// the round and frame bits.
+// A slot item's head byte: the marker, the code's low bits, the slot
+// code, the round bit and the code's high bit.
 const (
 	headMarker = 0x80
 
-	kindMask  = 7 // bits 0–2
+	codeMask  = 7 // bits 0–2
 	slotMask  = 3 << 3
 	headRound = 1 << 5
-	headFrame = 1 << 6
+	codeHigh  = 1 << 6
 
 	slotExplicit = 0 << 3
 	slotSame     = 1 << 3
@@ -149,6 +157,41 @@ var (
 		kindProgress: rsm.ProgressPayload{},
 	}
 )
+
+// headCode is what a head's code says: the slot item's kind, and whether
+// it inherits its V and its history frame.
+type headCode struct {
+	kind     byte
+	v, frame bool
+}
+
+// codes is the grammar's code table, indexed by codeIndex; the one code
+// no slot item has, PRGR's with bit 6, is kindCount. codeOf is its
+// inverse.
+var (
+	codes = [16]headCode{
+		0: {kindLead, false, false}, 8: {kindLead, false, true},
+		5: {kindLead, true, false}, 13: {kindLead, true, true},
+		1: {kindPropV, false, false}, 9: {kindPropV, false, true},
+		7: {kindPropV, true, false}, 15: {kindPropV, true, true},
+		2: {kindProp, false, false}, 10: {kindProp, false, true},
+		3: {kindReport, false, false}, 11: {kindReport, true, false},
+		4: {kindSaw, false, false}, 12: {kindAck, false, false},
+		6: {kindProgress, false, false}, 14: {kindCount, false, false},
+	}
+	codeOf = func() (c [kindCount][2][2]byte) {
+		for i, hc := range codes {
+			if hc.kind < kindCount {
+				c[hc.kind][flag(hc.v)][flag(hc.frame)] = byte(i&codeMask) | byte(i>>3)*codeHigh
+			}
+		}
+		return c
+	}()
+)
+
+// codeIndex is the index in codes of head's code: bits 0–2, and bit 6 as
+// bit 3.
+func codeIndex(head byte) byte { return head&codeMask | (head&codeHigh)>>3 }
 
 // Failure-detector value tags.
 const (
@@ -474,15 +517,15 @@ func decodePayload(r *buf) model.Payload {
 }
 
 // run is what a slot item inherits from the slot items before it: the
-// last slot, the last K written (1 before any) and the To of the last
-// history frame. The encoder and the decoder each keep one and update it
-// alike, item by item: per payload, or per link (Link). The zero run is a
-// fresh one.
+// last slot, the last K written (1 before any), the last V written and the
+// To of the last history frame. The encoder and the decoder each keep one
+// and update it alike, item by item: per payload, or per link (Link). The
+// zero run is a fresh one.
 type run struct {
-	slot, k             int
-	to                  uint64
-	inSlot, hasK, hasTo bool
-	frames              int // encoder only: the bytes of the history frames written
+	slot, k, v                int
+	to                        uint64
+	inSlot, hasK, hasV, hasTo bool
+	frames                    int // encoder only: the bytes of the history frames written
 }
 
 // round is the K a slot item's round bit inherits.
@@ -582,7 +625,9 @@ func (st *run) putSlotItem(w *buf, slot int, it *slotItem) error {
 		return fmt.Errorf("wire: negative slot %d", slot)
 	}
 	fields, d := kindFields[it.kind], &it.delta
-	head := headMarker | it.kind
+	inheritV := fields&fieldV != 0 && st.hasV && it.v == st.v
+	inheritFrame := fields&fieldFrame != 0 && st.hasTo && len(d.Adds) == 0 && d.Base == d.To && d.To == st.to
+	head := headMarker | codeOf[it.kind][flag(inheritV)][flag(inheritFrame)]
 	step := int64(slot) - int64(st.slot)
 	switch {
 	case !st.inSlot:
@@ -595,9 +640,6 @@ func (st *run) putSlotItem(w *buf, slot int, it *slotItem) error {
 	}
 	if fields&fieldK != 0 && it.k == st.round() {
 		head |= headRound
-	}
-	if fields&fieldFrame != 0 && st.hasTo && len(d.Adds) == 0 && d.Base == d.To && d.To == st.to {
-		head |= headFrame
 	}
 	w.putByte(head)
 	switch head & slotMask {
@@ -612,13 +654,13 @@ func (st *run) putSlotItem(w *buf, slot int, it *slotItem) error {
 	if fields&fieldK != 0 && head&headRound == 0 {
 		w.putInt(it.k)
 	}
-	if fields&fieldV != 0 {
+	if fields&fieldV != 0 && !inheritV {
 		w.putInt(it.v)
 	}
 	if fields&fieldStamp != 0 {
 		w.putInt64(int64(it.stamp) - int64(slot)) // wraps, and so does the decoder's sum
 	}
-	if fields&fieldFrame != 0 && head&headFrame == 0 {
+	if fields&fieldFrame != 0 && !inheritFrame {
 		start := len(w.b)
 		if err := encodeFrame(w, *d); err != nil {
 			return err
@@ -633,9 +675,10 @@ func (st *run) putSlotItem(w *buf, slot int, it *slotItem) error {
 // rebuilding what it inherits from st, then advances st past it.
 func (st *run) readSlotItem(r *buf) model.Payload {
 	head := r.byte()
-	it := slotItem{kind: head & kindMask}
+	code := codes[codeIndex(head)]
+	it := slotItem{kind: code.kind}
 	if it.kind >= kindCount {
-		r.fail("wire: unknown slot item kind %d", it.kind)
+		r.fail("wire: no slot item has head 0x%02x", head)
 		return nil
 	}
 	fields := kindFields[it.kind]
@@ -661,9 +704,9 @@ func (st *run) readSlotItem(r *buf) model.Payload {
 	switch {
 	case head&headRound != 0 && fields&fieldK == 0:
 		r.fail("wire: round bit on slot item kind %d, which has no round", it.kind)
-	case head&headFrame != 0 && fields&fieldFrame == 0:
-		r.fail("wire: frame bit on slot item kind %d, which has no frame", it.kind)
-	case head&headFrame != 0 && !st.hasTo:
+	case code.v && !st.hasV:
+		r.fail("wire: inherited value before any value")
+	case code.frame && !st.hasTo:
 		r.fail("wire: inherited frame before any frame")
 	}
 	if fields&fieldQ != 0 {
@@ -676,14 +719,17 @@ func (st *run) readSlotItem(r *buf) model.Payload {
 		}
 	}
 	if fields&fieldV != 0 {
-		it.v = r.int()
+		it.v = st.v
+		if !code.v {
+			it.v = r.int()
+		}
 	}
 	if fields&fieldStamp != 0 {
 		it.stamp = int(int64(slot) + r.int64())
 	}
 	if fields&fieldFrame != 0 {
 		it.delta = quorum.Delta{Base: st.to, To: st.to}
-		if head&headFrame == 0 {
+		if !code.frame {
 			it.delta = decodeFrame(r)
 		}
 	}
@@ -698,6 +744,9 @@ func (st *run) advance(slot int, it *slotItem) {
 	fields := kindFields[it.kind]
 	if fields&fieldK != 0 {
 		st.k, st.hasK = it.k, true
+	}
+	if fields&fieldV != 0 {
+		st.v, st.hasV = it.v, true
 	}
 	if fields&fieldFrame != 0 {
 		st.to, st.hasTo = it.delta.To, true
@@ -1056,8 +1105,8 @@ var payloadPrototypes = [tagCount]model.Payload{
 func prototype(b byte) model.Payload {
 	switch {
 	case b >= headMarker:
-		if b&kindMask < kindCount {
-			return kindProtos[b&kindMask]
+		if kind := codes[codeIndex(b)].kind; kind < kindCount {
+			return kindProtos[kind]
 		}
 	case b < tagCount:
 		return payloadPrototypes[b]
@@ -1108,7 +1157,7 @@ func DecodeMessageInto(m *model.Message, b []byte) error {
 // Link is the codec of one direction of a link, one end of which holds
 // it: the sender's appends frames and the receiver's decodes them, in the
 // order the link carries them, so each frame's slot items inherit slot,
-// round and history frame from the frames before it. A superseding frame
+// round, V and history frame from the frames before it. A superseding frame
 // (a heartbeat, a DAG snapshot) holds no slot item, so the receiver's
 // inbox may drop it undecoded without breaking the run. The zero Link is a
 // fresh link. A Link is not safe for

@@ -795,8 +795,8 @@ func TestPayloadFrameRoundTrip(t *testing.T) {
 // and is interrupted by a slot-less item. Its slot items inherit what they
 // can from the slot item before them: six their slot (the same or the next
 // one up; the LEADD the PRGR's floor), three a round of 2 that their bare
-// encoding would have to spell out, and the last one its empty history
-// frame too.
+// encoding would have to spell out, three the LEADD's V of 7, and the last
+// one its empty history frame too.
 func sampleBundle() rsm.Bundle {
 	return rsm.Bundle{
 		serve.BatchPayload{ID: serve.BatchID(2, 5), Cmds: []serve.Command{{Client: 4, Seq: 9, Op: serve.OpPut, Key: 1, Val: -3}}},
@@ -817,7 +817,7 @@ func sampleBundle() rsm.Bundle {
 // frame, which peeks as BNDL and never supersedes, and its
 // encoding is one tag byte plus its items' bare encodings, less each
 // one-byte field an item inherits in the bundle but not bare. A bare slot
-// item inherits only the initial round 1.
+// item inherits only the initial round 1, and no V.
 func TestRoundTripBundle(t *testing.T) {
 	b := sampleBundle()
 	enc, err := wire.EncodePayload(b)
@@ -839,15 +839,15 @@ func TestRoundTripBundle(t *testing.T) {
 		}
 		size += len(item)
 	}
-	// 44 = 1 tag + 53 bytes of bare items − 6 slot varints (LEADD on the
+	// 41 = 1 tag + 53 bytes of bare items − 6 slot varints (LEADD on the
 	// PRGR's floor, REP, PROPD, SAW and SACK on the slot before them, the
 	// last PROPD on the next) − 3 K of 2 (SACK, the second REP, the last
-	// PROPD) − 1 frame (the last PROPD's, empty at the To of the PROPD
-	// before it).
-	const slots, rounds, frames, want = 6, 3, 1, 44
-	if size-slots-rounds-frames != want || len(enc) != want {
-		t.Errorf("bundle encodes in %d bytes from %d of tag and bare items, want %d: %d slots, %d rounds and %d frames of 1 byte inherited",
-			len(enc), size, want, slots, rounds, frames)
+	// PROPD) − 3 V of 7 (both REPs and the PROPD with V, behind the LEADD's)
+	// − 1 frame (the last PROPD's, empty at the To of the PROPD before it).
+	const slots, rounds, values, frames, want = 6, 3, 3, 1, 41
+	if size-slots-rounds-values-frames != want || len(enc) != want {
+		t.Errorf("bundle encodes in %d bytes from %d of tag and bare items, want %d: %d slots, %d rounds, %d values and %d frames of 1 byte inherited",
+			len(enc), size, want, slots, rounds, values, frames)
 	}
 
 	frame, err := wire.AppendMessage(nil, &model.Message{From: 3, To: 1, Seq: 40, Payload: b})
@@ -871,28 +871,30 @@ func TestRoundTripBundle(t *testing.T) {
 }
 
 // The head byte of a slot item, spelled out as the package grammar has it:
-// bit 7 the marker, bits 0–2 the kind, bits 3–4 the slot code, bit 5 the
-// round and bit 6 the frame.
+// bit 7 the marker, bits 0–2 and bit 6 the code, bits 3–4 the slot code
+// and bit 5 the round. A code is written here as bits 0–2 plus 8 for bit 6;
+// SameV and SameF name a V and a history frame inherited. Code 14 is no
+// slot item's.
 const (
-	hLead, hPropV, hProp, hRep, hSaw, hSack, hPrgr byte = 0, 1, 2, 3, 4, 5, 6
-	hExplicit, hSame, hNext, hDelta                byte = 0, 1, 2, 3
+	hLead, hPropV, hProp, hRep, hSaw, hLeadSameV, hPrgr, hPropVSameV byte = 0, 1, 2, 3, 4, 5, 6, 7
+
+	hLeadSameF, hPropVSameF, hPropSameF, hRepSameV, hSack, hLeadSameVF, hPropVSameVF byte = 8, 9, 10, 11, 12, 13, 15
+
+	hExplicit, hSame, hNext, hDelta byte = 0, 1, 2, 3
 )
 
-func head(kind, slot byte, round, frame bool) byte {
-	h := 0x80 | kind | slot<<3
+func head(code, slot byte, round bool) byte {
+	h := 0x80 | code&7 | (code&8)<<3 | slot<<3
 	if round {
 		h |= 1 << 5
-	}
-	if frame {
-		h |= 1 << 6
 	}
 	return h
 }
 
 // TestHeadByte: the head byte the encoder writes is the grammar's, for
-// each kind, slot code and inheritance. A PRGR is a slot item whose slot is
-// its floor, and a slot delta is written only where it is shorter than the
-// slot's varint.
+// each kind, slot code and inheritance, and each of the fifteen codes. A
+// PRGR is a slot item whose slot is its floor, and a slot delta is written
+// only where it is shorter than the slot's varint.
 func TestHeadByte(t *testing.T) {
 	lead := consensus.LeadDeltaPayload{K: 1, V: 2, Delta: quorum.Delta{Base: 1, To: 1}}
 	for _, tc := range []struct {
@@ -900,19 +902,19 @@ func TestHeadByte(t *testing.T) {
 		want []byte
 	}{
 		// Slot 1, round 1 inherited from the start, V 2, frame To 1; then
-		// the same slot, K 3 and V 2, no frame.
+		// the same slot, K 3 and V 2 inherited, no frame.
 		{rsm.Bundle{slotted(lead), slotted(consensus.ReportPayload{K: 3, V: 2})},
-			[]byte{head(hLead, hExplicit, true, false), 1, 4, 2, head(hRep, hSame, false, false), 6, 4}},
+			[]byte{head(hLead, hExplicit, true), 1, 4, 2, head(hRepSameV, hSame, false), 6}},
 		// PROPD with and without V, the second on the next slot with the
 		// first's round and frame.
 		{rsm.Bundle{
 			slotted(consensus.ProposalDeltaPayload{K: 2, V: 5, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}),
 			rsm.SlotPayload{Slot: 2, Inner: consensus.ProposalDeltaPayload{K: 2, Delta: quorum.Delta{Base: 3, To: 3}}},
-		}, []byte{head(hPropV, hExplicit, false, false), 1, 4, 10, 6, head(hProp, hNext, true, true)}},
+		}, []byte{head(hPropV, hExplicit, false), 1, 4, 10, 6, head(hPropSameF, hNext, true)}},
 		// SAW (no K), then SACK on slot 9: explicit slot, round 1 inherited,
 		// stamp 4 five below its slot (zigzag 9).
 		{rsm.Bundle{slotted(consensus.SawPayload{Q: 3}), rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: 3, K: 1, Stamp: 4}}},
-			[]byte{head(hSaw, hExplicit, false, false), 1, 3, head(hSack, hExplicit, true, false), 9, 3, 9}},
+			[]byte{head(hSaw, hExplicit, false), 1, 3, head(hSack, hExplicit, true), 9, 3, 9}},
 		// REP on slot 300 (a two-byte varint), the floor 298 two below it
 		// (zigzag 3: one byte) and SAW on 301 three above the floor (zigzag
 		// 6), then a PRGR on slot 5: a delta of −296 is no shorter than 5.
@@ -921,8 +923,28 @@ func TestHeadByte(t *testing.T) {
 			rsm.ProgressPayload{Slot: 298},
 			rsm.SlotPayload{Slot: 301, Inner: consensus.SawPayload{Q: 3}},
 			rsm.ProgressPayload{Slot: 5},
-		}, []byte{head(hRep, hExplicit, true, false), 0xAC, 0x02, 4, head(hPrgr, hDelta, false, false), 3,
-			head(hSaw, hDelta, false, false), 6, 3, head(hPrgr, hExplicit, false, false), 5}},
+		}, []byte{head(hRep, hExplicit, true), 0xAC, 0x02, 4, head(hPrgr, hDelta, false), 3,
+			head(hSaw, hDelta, false), 6, 3, head(hPrgr, hExplicit, false), 5}},
+		// V inherited by LEADD, PROPD and REP, across a PROPD without V,
+		// with and without the frame: V 3 (zigzag 6) from the LEADD on
+		// until the REP of −1 (zigzag 1); the PROPD of 0 behind it writes
+		// its V and inherits the frame; the last LEADD writes V 5 (zigzag
+		// 10). Frames at To 1, then 2 (varint 4), then 3 (6).
+		{rsm.Bundle{
+			slotted(consensus.LeadDeltaPayload{K: 1, V: 3, Delta: quorum.Delta{Base: 1, To: 1}}),
+			slotted(consensus.ProposalDeltaPayload{K: 1, V: 3, HasV: true, Delta: quorum.Delta{Base: 1, To: 1}}),
+			rsm.SlotPayload{Slot: 2, Inner: consensus.ProposalDeltaPayload{K: 1, Delta: quorum.Delta{Base: 1, To: 1}}},
+			rsm.SlotPayload{Slot: 2, Inner: consensus.ReportPayload{K: 1, V: 3}},
+			rsm.SlotPayload{Slot: 3, Inner: consensus.LeadDeltaPayload{K: 1, V: 3, Delta: quorum.Delta{Base: 2, To: 2}}},
+			rsm.SlotPayload{Slot: 4, Inner: consensus.LeadDeltaPayload{K: 1, V: 3, Delta: quorum.Delta{Base: 2, To: 2}}},
+			rsm.SlotPayload{Slot: 4, Inner: consensus.ProposalDeltaPayload{K: 1, V: 3, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}},
+			rsm.SlotPayload{Slot: 4, Inner: consensus.ReportPayload{K: 1, V: -1}},
+			rsm.SlotPayload{Slot: 4, Inner: consensus.ProposalDeltaPayload{K: 1, V: 0, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}},
+			rsm.SlotPayload{Slot: 5, Inner: consensus.LeadDeltaPayload{K: 1, V: 5, Delta: quorum.Delta{Base: 3, To: 3}}},
+		}, []byte{head(hLead, hExplicit, true), 1, 6, 2, head(hPropVSameVF, hSame, true), head(hPropSameF, hNext, true),
+			head(hRepSameV, hSame, true), head(hLeadSameV, hNext, true), 4, head(hLeadSameVF, hNext, true),
+			head(hPropVSameV, hSame, true), 6, head(hRep, hSame, true), 1, head(hPropVSameF, hSame, true), 0,
+			head(hLeadSameF, hNext, true), 10}},
 	} {
 		enc, err := wire.EncodePayload(tc.b)
 		if err != nil || !bytes.Equal(enc[1:], tc.want) {
@@ -935,16 +957,17 @@ func TestHeadByte(t *testing.T) {
 // slot items of the six kinds for slots base and base + 1 interleaved, now
 // and then one for a slot far off, PRGR on base or base + 1, with BATCH,
 // CMD and FLW between them; rounds that mostly repeat, from 1 on; history
-// frames mostly empty, and then mostly at the last frame's To. seen counts
+// frames mostly empty, and then mostly at the last frame's To; values that
+// mostly repeat the last one written. seen counts
 // the inheritance cases the bundle exercises inside itself, read off the
 // grammar by the generator itself.
 func genBundle(rng *rand.Rand, base int, seen map[string]int) rsm.Bundle {
 	ver := uint64(rng.Intn(100))
 	var (
-		b                   rsm.Bundle
-		slot, k             = 0, 1
-		to                  uint64
-		inSlot, hasK, hasTo bool
+		b                         rsm.Bundle
+		slot, k, v                = 0, 1, 0
+		to                        uint64
+		inSlot, hasK, hasV, hasTo bool
 	)
 	for n := 2 + rng.Intn(12); len(b) < n; {
 		switch rng.Intn(12) {
@@ -999,18 +1022,23 @@ func genBundle(rng *rand.Rand, base int, seen map[string]int) rsm.Bundle {
 			}
 			ver = d.To
 		}
+		vv := v
+		if !hasV || rng.Intn(3) == 0 {
+			vv = rng.Intn(9) - 4
+		}
 		var inner model.Payload
-		switch kind := rng.Intn(6); kind {
+		kind := rng.Intn(6)
+		switch kind {
 		case 0:
-			inner = consensus.LeadDeltaPayload{K: kk, V: rng.Intn(9) - 4, Delta: d}
+			inner = consensus.LeadDeltaPayload{K: kk, V: vv, Delta: d}
 		case 1:
-			inner = consensus.ProposalDeltaPayload{K: kk, V: rng.Intn(9) - 4, HasV: true, Delta: d}
+			inner = consensus.ProposalDeltaPayload{K: kk, V: vv, HasV: true, Delta: d}
 			seen["PROPD with V"]++
 		case 2:
 			inner = consensus.ProposalDeltaPayload{K: kk, Delta: d}
 			seen["PROPD without V"]++
 		case 3:
-			inner = consensus.ReportPayload{K: kk, V: rng.Intn(9) - 4}
+			inner = consensus.ReportPayload{K: kk, V: vv}
 		case 4:
 			inner = consensus.SawPayload{Q: model.ProcessSet(1 + rng.Intn(31))}
 		default:
@@ -1027,6 +1055,14 @@ func genBundle(rng *rand.Rand, base int, seen map[string]int) rsm.Bundle {
 				seen["round explicit"]++
 			}
 			k, hasK = kk, true
+		}
+		if kind == 0 || kind == 1 || kind == 3 { // LEADD, PROPD with V, REP
+			if hasV && vv == v {
+				seen["value inherited"]++
+			} else {
+				seen["value explicit"]++
+			}
+			v, hasV = vv, true
 		}
 		switch inner.(type) {
 		case consensus.LeadDeltaPayload, consensus.ProposalDeltaPayload:
@@ -1067,8 +1103,8 @@ func slotCode(inSlot bool, last, s int) string {
 // reflect.DeepEqual to itself, and together they exercise every bit of
 // the head byte: each slot code, the round inherited from the start, from
 // an item before and not at all (across SAW, which has none, and SACK,
-// which sets it), frames inherited, empty and with adds, and PROPD with
-// and without a value.
+// which sets it), values inherited and not, frames inherited, empty and
+// with adds, and PROPD with and without a value.
 func TestRoundTripGeneratedBundles(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	seen := map[string]int{}
@@ -1086,7 +1122,7 @@ func TestRoundTripGeneratedBundles(t *testing.T) {
 	for _, c := range []string{"BATCH", "CMD", "PRGR", "FLW", "LEADD", "PROPD", "REP", "SAW", "SACK",
 		"PROPD with V", "PROPD without V", "slot explicit", "slot same", "slot next", "slot delta",
 		"round 1 inherited from the start", "round inherited", "round explicit",
-		"frame inherited", "frame without adds", "frame with adds"} {
+		"value inherited", "value explicit", "frame inherited", "frame without adds", "frame with adds"} {
 		if seen[c] < 50 {
 			t.Errorf("%q occurred %d times in the generated bundles, want ≥ 50", c, seen[c])
 		}
@@ -1117,7 +1153,7 @@ func bundleRejects(tb testing.TB) map[string][]byte {
 }
 
 // headRejects are slot items no slot payload encodes to, bare and
-// bundled: each must fail to decode. The fuzz target starts from them too.
+// bundled: each must fail to decode. The fuzz targets start from them too.
 func headRejects(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	enc := func(pl model.Payload) []byte {
@@ -1130,36 +1166,39 @@ func headRejects(tb testing.TB) map[string][]byte {
 	tag := enc(rsm.Bundle{rsm.CommandPayload{Cmd: 1}, rsm.CommandPayload{Cmd: 2}})[0]
 	join := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{{tag}}, parts...), nil) }
 	cmd := enc(rsm.CommandPayload{Cmd: 1})
-	// REP(K 1, V 2) on slot 1, and LEADD(K 1, V 2, no adds at To 1) on it.
-	rep := []byte{head(hRep, hExplicit, true, false), 1, 4}
-	lead := []byte{head(hLead, hExplicit, true, false), 1, 4, 2}
-	same := []byte{head(hRep, hSame, true, false), 4}
-	next := []byte{head(hRep, hNext, true, false), 4}
-	last := append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true, false)}, math.MaxInt), 4)
+	// REP(K 1, V 2) on slot 1, LEADD(K 1, V 2, no adds at To 1) on it, and
+	// SAW({p0, p1}) and PROPD without V (K 1, no adds at To 1) on it.
+	rep := []byte{head(hRep, hExplicit, true), 1, 4}
+	lead := []byte{head(hLead, hExplicit, true), 1, 4, 2}
+	saw := []byte{head(hSaw, hExplicit, false), 1, 3}
+	prop := []byte{head(hProp, hExplicit, true), 1, 2}
+	same := []byte{head(hRep, hSame, true), 4}
+	next := []byte{head(hRep, hNext, true), 4}
+	last := append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true)}, math.MaxInt), 4)
 	delta := func(step int64) []byte {
-		return append(binary.AppendVarint([]byte{head(hRep, hDelta, true, false)}, step), 4)
+		return append(binary.AppendVarint([]byte{head(hRep, hDelta, true)}, step), 4)
 	}
 	return map[string][]byte{
-		"same slot bare":                   same,
-		"next slot bare":                   next,
-		"same slot before any slot item":   join(cmd, same),
-		"next slot before any slot item":   join(cmd, next),
-		"next slot past MaxInt":            join(last, next),
-		"slot above MaxInt":                append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true, false)}, math.MaxInt+1), 4),
-		"inherited frame bare":             {head(hLead, hExplicit, true, true), 1, 4},
-		"inherited frame before any frame": join(rep, []byte{head(hLead, hSame, true, true), 4}),
-		"inherited frame on REP":           join(lead, []byte{head(hRep, hSame, true, true), 4}),
-		"inherited frame on SAW":           join(lead, []byte{head(hSaw, hSame, false, true), 3}),
-		"inherited frame on SACK":          join(lead, []byte{head(hSack, hSame, true, true), 3, 2}),
-		"inherited round on SAW":           join(lead, []byte{head(hSaw, hSame, true, false), 3}),
-		"round bit on PRGR":                {head(hPrgr, hExplicit, true, false), 1},
-		"frame bit on PRGR":                join(lead, []byte{head(hPrgr, hSame, false, true)}),
-		"unused kind 7":                    {head(7, hExplicit, false, false), 1, 2},
-		"slot delta bare":                  delta(2),
-		"slot delta before any slot item":  join(cmd, delta(2)),
-		"slot delta below slot 0":          join(rep, delta(-2)),
-		"slot delta past MaxInt":           join(last, delta(2)),
-		"truncated slot":                   {head(hRep, hExplicit, true, false), 0x80},
+		"same slot bare":                    same,
+		"next slot bare":                    next,
+		"same slot before any slot item":    join(cmd, same),
+		"next slot before any slot item":    join(cmd, next),
+		"next slot past MaxInt":             join(last, next),
+		"slot above MaxInt":                 append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true)}, math.MaxInt+1), 4),
+		"inherited frame bare":              {head(hLeadSameF, hExplicit, true), 1, 4},
+		"inherited frame before any frame":  join(rep, []byte{head(hLeadSameF, hSame, true), 4}),
+		"inherited value bare":              {head(hRepSameV, hExplicit, true), 1},
+		"inherited value before any value":  join(saw, []byte{head(hLeadSameV, hSame, true), 2}),
+		"inherited value behind PROPD no V": join(prop, []byte{head(hRepSameV, hSame, true)}),
+		"inherited round on SAW":            join(lead, []byte{head(hSaw, hSame, true), 3}),
+		"round bit on PRGR":                 {head(hPrgr, hExplicit, true), 1},
+		"code 14 bare":                      {head(14, hExplicit, false), 1},
+		"code 14 behind a slot item":        join(lead, []byte{head(14, hSame, false)}),
+		"slot delta bare":                   delta(2),
+		"slot delta before any slot item":   join(cmd, delta(2)),
+		"slot delta below slot 0":           join(rep, delta(-2)),
+		"slot delta past MaxInt":            join(last, delta(2)),
+		"truncated slot":                    {head(hRep, hExplicit, true), 0x80},
 	}
 }
 
@@ -1181,9 +1220,9 @@ func TestBundleRejects(t *testing.T) {
 
 // TestHeadByteRejects: a slot item inherits a slot only from a slot item
 // before it in the payload, and never below 0 or past math.MaxInt; a frame
-// only from a frame before it, and only on LEADD or PROPD; a round only on
-// a kind that has one, which PRGR does not; and the kind the grammar leaves
-// unused is an error.
+// only from a frame before it; a V only from a V before it, which a PROPD
+// without V does not write; a round only on a kind that has one, which SAW
+// and PRGR do not; and the code the grammar leaves unused is an error.
 func TestHeadByteRejects(t *testing.T) {
 	for name, b := range headRejects(t) {
 		if got, err := wire.DecodePayload(b); err == nil {
