@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench-module race bench experiments experiments-full tables-check counts counts-check trajectory substrate-smoke explore-smoke aware-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
+.PHONY: all build test test-short bench-module race bench experiments experiments-full tables-check counts counts-check trajectory substrate-smoke examples-smoke serve-smoke trace-smoke fuzz fmt vet lint lint-static loc ci clean
 
 # Smoke-test artifacts (metrics dumps, span streams, Chrome traces) land
 # here; CI uploads the directory, .gitignore keeps it out of the tree.
@@ -93,8 +93,9 @@ counts-check:
 # BASE from `git archive` into a temp dir, runs bench/run.sh in PAIRS
 # alternating pairs on BASE and on the work tree plus two traced passes
 # each (base, change, change, base), and appends a row per metric to
-# testdata/trajectory.tsv — both sides' median and quartiles, the change's
-# wins and bench's host line. A perf
+# testdata/trajectory.tsv — every end-to-end metric from the pairs and every
+# per-layer one from the traced passes, with both sides' median and
+# quartiles, the change's wins and bench's host line. A perf
 # change's claim is its rows. Nothing here gates a wall-clock number:
 # `go test ./cmd/trajectory` checks the file's format only.
 BASE ?= HEAD~1
@@ -112,16 +113,6 @@ trajectory:
 # substrate under the race detector — the CI cross-substrate check.
 substrate-smoke:
 	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2,E18 -substrate async
-
-# explore-smoke exhaustively verifies A_nuc safety at a small bound: the
-# command exits 1 on a violation, and every scenario must print its
-# verified verdict. The full E6 counterexample hunt runs in CI's explore
-# job and in the tests.
-explore-smoke:
-	mkdir -p $(ARTIFACTS)
-	$(GO) run ./cmd/explore -target anuc -n 3 -f 1 -bound 6 > $(ARTIFACTS)/explore-smoke.txt
-	test "$$(grep -c 'verified: no safety violation' $(ARTIFACTS)/explore-smoke.txt)" -eq 4
-	@echo "explore: A_nuc verified at bound 6 (failure-free and three crash patterns)"
 
 # serve-smoke runs the serving layer for real: a 3-node cmd/nucd cluster
 # over loopback TCP serves a short cmd/nucload run (writes + plain and
@@ -222,16 +213,6 @@ trace-smoke:
 	@rm -f nucd.smoke nucload.smoke nuctrace.smoke
 	@echo "trace: every acked request reconstructs a complete, telescoping span chain"
 
-# aware-smoke runs the quorum-awareness auditor (internal/rsm
-# aware_internal_test.go, DESIGN.md §10) at reduced seeds: on every decision
-# of every slot instance, each member of the deciding quorum held (p, Q)
-# before it sent the PROP consumed — and the same sweep with the stamp
-# comparison defeated by a test wrapper must fail the audit. `go test ./...`
-# runs the full 200-seed sweep.
-aware-smoke:
-	$(GO) test -short -count=1 -run 'TestAwarenessAudit|TestAcknowledgedBefore|TestRecordAckKeepsEarliestStamp' ./internal/rsm
-	@echo "aware: every audited decision consumed PROPs sent after the quorum was known; zeroed stamps are caught"
-
 # examples-smoke builds every examples/* program into $(ARTIFACTS) and runs
 # it; each exits non-zero when its property check fails. The sim-only
 # examples are functions of their seeds, so every run must print the same
@@ -292,9 +273,11 @@ loc:
 	    printf '%-24s %6d\n' $$d $$n; total=$$((total + n)); \
 	done; printf '%-24s %6d\n' total $$total
 
-# ci mirrors .github/workflows/ci.yml: static checks, build, tests, race
-# detector, a parallel experiments run that fails on any claim failure
-# or any byte of table drift, the smokes and the fuzz smoke.
+# ci mirrors .github/workflows/ci.yml (its header maps each job to these
+# lines; only the obs job's exports are left out): static checks, build,
+# tests, race detector, a parallel experiments run that fails on any claim
+# failure or any byte of table drift, the full-scale E16 model check, the
+# smokes and the fuzz smoke.
 ci: lint-static
 	$(GO) build ./...
 	$(GO) test ./...
@@ -303,9 +286,8 @@ ci: lint-static
 	$(GO) test -race ./...
 	$(MAKE) tables-check
 	$(MAKE) counts-check
-	$(GO) run -race ./cmd/experiments -e E1,Q1,Q2,E18 -substrate async
-	$(MAKE) explore-smoke
-	$(MAKE) aware-smoke
+	$(MAKE) substrate-smoke
+	$(GO) run ./cmd/experiments -full -e E16 -parallel 2 -json $(ARTIFACTS)/explore.json -o $(ARTIFACTS)/explore.tables.md > /dev/null
 	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) fuzz FUZZTIME=15s

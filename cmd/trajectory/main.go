@@ -10,8 +10,8 @@
 // (--trace 1) of each tree follow in the order base, change, change, base,
 // so neither tree always runs first (schedule). The rows kept are
 // BENCHMARK.json's end-to-end metrics from the pairs, and from the traced
-// passes (two pairs) every per-layer metric with a word ns, us or ms in
-// its name. A row's tag
+// passes (two pairs) every per-layer metric they report — times, counts
+// and bytes alike, so a byte claim keeps its per-layer split. A row's tag
 // is the work tree's short commit, with a + when it has uncommitted
 // changes. A run that fails verification appends nothing. bench is only
 // called, never changed.
@@ -123,18 +123,6 @@ func readSpec(path string) (*benchmarkSpec, error) {
 	}
 	var s benchmarkSpec
 	return &s, json.Unmarshal(b, &s)
-}
-
-// timed reports whether a per-layer metric is a time — a word of its name
-// is ns, us or ms (so server_cpu_ms_per_op is one and single_shot_msgs is
-// not) — the kind of row whose slow drift nobody sees without a trend.
-func timed(name string) bool {
-	for _, w := range strings.FieldsFunc(name, func(r rune) bool { return r == '_' || r == '.' }) {
-		if w == "ns" || w == "us" || w == "ms" {
-			return true
-		}
-	}
-	return false
 }
 
 // pass is one bench run of a trajectory: which tree it runs on, and
@@ -275,13 +263,7 @@ func main() {
 	}
 	bs, cs := runs[pass{}], runs[pass{change: true}]
 
-	var layered []metricDef
-	for _, d := range spec.PerLayer {
-		if timed(d.Name) {
-			layered = append(layered, d)
-		}
-	}
-	all := append(rows(spec.EndToEnd, bs, cs), rows(layered, runs[pass{traced: true}], runs[pass{change: true, traced: true}])...)
+	all := append(rows(spec.EndToEnd, bs, cs), rows(spec.PerLayer, runs[pass{traced: true}], runs[pass{change: true, traced: true}])...)
 
 	f, err := os.OpenFile(*out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {

@@ -92,19 +92,6 @@ func TestQuartiles(t *testing.T) {
 	}
 }
 
-// TestTimed keeps the rows that are times and only those.
-func TestTimed(t *testing.T) {
-	for name, want := range map[string]bool{
-		"write_p50_ms": true, "server_cpu_ms_per_op": true, "wire.encode_msg_ns": true,
-		"loadgen.late_p99_us": true, "consensus.single_shot_msgs": false, "nucd.cpu_sys_s": false,
-		"rsm.steps_per_slot": false,
-	} {
-		if got := timed(name); got != want {
-			t.Errorf("timed(%q) = %v, want %v", name, got, want)
-		}
-	}
-}
-
 // TestSchedule: the end-to-end pairs alternate which tree runs first, and
 // the traced passes run base, change, change, base, so each tree runs
 // first in one traced pair and second in the other.

@@ -57,6 +57,7 @@ var e16Spec = &Spec{
 		s := e16Scenarios()[cfg.Arg]
 		o := s.Opts
 		o.Bound = e16Bound(sc, s)
+		o.Metrics = sc.Metrics
 		res, err := explore.Explore(o)
 		if err != nil {
 			u.failf("%s: %v", s.Label, err)

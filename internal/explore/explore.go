@@ -59,11 +59,6 @@ type Options struct {
 	// reported counterexample is the lexicographically least schedule to a
 	// shallowest violation).
 	StopAtViolation bool
-	// Progress, when non-nil, is called after each completed level with the
-	// level depth, the size of the next frontier and the cumulative unique
-	// state count. It runs on the calling goroutine; CLI drivers use it for
-	// stderr progress lines.
-	Progress func(depth, frontier int, states int64)
 	// DisablePOR turns the sleep-set reduction off. The set of visited
 	// states and all verdicts are identical either way (the reduction only
 	// skips redundant edges); tests cross-check that.
@@ -214,9 +209,6 @@ func Explore(o Options) (*Result, error) {
 		levels = append(levels, next)
 		edgePairs = append(edgePairs, pairs)
 		o.Metrics.Histogram("explore.frontier_width", obs.DefaultBuckets).Observe(int64(len(next)))
-		if o.Progress != nil {
-			o.Progress(depth+1, len(next), e.states)
-		}
 		if cex == nil {
 			for i := range next {
 				if next[i].viol != "" {

@@ -239,17 +239,55 @@ func TestStutterElimPreservesViolations(t *testing.T) {
 	}
 }
 
+// TestVerifyANucQuick verifies A_nuc at bound 6 on every E16 scenario, and
+// checks a second property on every state it reaches: Blocked is a stutter
+// (§2.4; Lynch–Sastry's rule that an action happens only when the state
+// enables it). For every process p and menu value d, a state that says
+// Blocked(d) must, on a λ-step under d, send nothing and keep its canonical
+// encoding — the equality stutter elimination prunes on, and what lets
+// rsm's Idle skip that step. A stutter Blocked does not claim is a missed
+// skip, not a bug; the sweep logs how many it met. Each process state is
+// checked once, however many configurations share it.
 func TestVerifyANucQuick(t *testing.T) {
+	type blocker interface{ Blocked(model.FDValue) bool }
+	type procState struct {
+		p model.ProcessID
+		s string
+	}
 	for _, sc := range VerifyANuc(3, 1) {
 		o := sc.Opts
 		o.Bound = 6
+		safety, missed, seen := o.Property, 0, map[procState]bool{}
+		o.Property = func(c *model.Configuration) error {
+			if err := safety(c); err != nil {
+				return err
+			}
+			for i, s := range c.States {
+				p, before := model.ProcessID(i), canonicalString(s)
+				if seen[procState{p, before}] {
+					continue
+				}
+				for _, d := range o.Menu.Values(p, 1) { // the menu is constant in t
+					next, sent := o.Automaton.Step(p, s.CloneState(), nil, d)
+					stutter := len(sent) == 0 && canonicalString(next) == before
+					if blocked := s.(blocker).Blocked(d); blocked && !stutter {
+						return fmt.Errorf("%s says Blocked(%v), but a λ-step under it is no stutter (sends %v)", p, d, sent)
+					} else if !blocked && stutter {
+						missed++
+					}
+				}
+				seen[procState{p, before}] = true
+			}
+			return nil
+		}
 		res, err := Explore(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Violations != 0 {
-			t.Errorf("%s: A_nuc violated safety: %+v", sc.Label, res.Counterexample)
+			t.Errorf("%s: A_nuc violated a property: %+v", sc.Label, res.Counterexample)
 		}
+		t.Logf("%s: %d process states, %d λ-stutters Blocked does not claim", sc.Label, len(seen), missed)
 		if res.Reduction < 2 {
 			t.Errorf("%s: reduction %f < 2x over naive enumeration", sc.Label, res.Reduction)
 		}
@@ -328,26 +366,4 @@ func TestPinnedHistory(t *testing.T) {
 		}()
 		PinnedHistory(menu, []Choice{{P: 0, From: model.NoProcess, FD: 9}}, fallback)
 	}()
-}
-
-// TestProgressCallback pins the Progress contract: called once per
-// completed level with cumulative unique states.
-func TestProgressCallback(t *testing.T) {
-	o := disagreeScenario()
-	o.StopAtViolation = false
-	o.Bound = 3
-	var lines []string
-	o.Progress = func(depth, frontier int, states int64) {
-		lines = append(lines, fmt.Sprintf("%d:%d:%d", depth, frontier, states))
-	}
-	res, err := Explore(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 3 {
-		t.Fatalf("expected 3 progress lines for bound 3, got %v", lines)
-	}
-	if res.Depth != 3 {
-		t.Errorf("depth %d, want 3", res.Depth)
-	}
 }

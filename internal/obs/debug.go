@@ -9,7 +9,7 @@ import (
 )
 
 // DebugServer is the runtime telemetry endpoint every host's -debug-addr
-// starts (cmd/experiments, cmd/explore, cmd/nucd): one private mux,
+// starts (cmd/experiments, cmd/nucd): one private mux,
 // nothing leaks onto http.DefaultServeMux.
 type DebugServer struct {
 	Addr string // the bound address, useful when the flag asked for :0

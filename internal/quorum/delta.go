@@ -108,8 +108,8 @@ func (v *Versioned) Add(r model.ProcessID, q model.ProcessSet) bool {
 	return true
 }
 
-// Import merges a plain history (e.g. from a legacy full-clone payload),
-// returning the number of novel entries.
+// Import merges a plain history — the inline Fig. 5 history a standalone
+// A_nuc's LEAD or PROP carries — returning the number of novel entries.
 func (v *Versioned) Import(other Histories) int {
 	novel := 0
 	for r := range other {

@@ -422,9 +422,9 @@ func auditSweep(t *testing.T, stockSeeds, laggardSeeds int, wrap func(model.Auto
 
 // TestAwarenessAudit is the sweep: on every decision, seeded or not, every
 // member of the deciding quorum knew (p, Q) strictly before sending the
-// PROP consumed. -short (make aware-smoke) runs it at reduced seeds, and so
-// does -race: the sim substrate is single-threaded, so the detector only
-// makes the same sweep eight times slower.
+// PROP consumed. -short runs it at reduced seeds, and so does -race: the
+// sim substrate is single-threaded, so the detector only makes the same
+// sweep eight times slower.
 func TestAwarenessAudit(t *testing.T) {
 	stock, laggard := 200, 60
 	if testing.Short() || raceDetector {

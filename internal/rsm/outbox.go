@@ -3,12 +3,12 @@
 // rule (DESIGN.md §10 "Outbox"):
 //
 //	row            enters                      rides traffic to q   leaves to q without other traffic
-//	CMD            InitStateWith, NewLog's     —                    first step, to every peer
 //	PRGR(f)        f > told[q]                 yes                  once no undecided in-flight slot is left
 //	FLW(Ω_p)       Ω_p ≠ toldLeader[q]         yes                  only to the new leader, last told another, while a slot waits in round 1
 //	round-1 LEAD   wrapShared, q follows       —                    when q names p, in slot order; dropped when its slot retires
 //	               another process
-//	owed (Owe)     the caller owes it          in the first step that sends anything: to every peer, all or none
+//	owed (Owe)     the caller owes it; a CMD   in the first step that sends anything: to every peer, all or none
+//	               per command NewLog was given
 //
 // Sending later is asynchrony the model grants (§2.4; Lynch–Sastry's send
 // actions may be delayed arbitrarily, PAPERS.md), so no row bears on
@@ -27,7 +27,6 @@ import (
 // the per-peer rules read. The held round-1 LEADs stay in their slot's
 // record (slotRec.lent, lead), so they retire with it.
 type outbox struct {
-	cmds []int           // CMD rows: NewLog's commands, until the first step
 	owed []model.Payload // owed items, in the order they were owed
 	peer []peerRows      // indexed by peer
 }
@@ -39,8 +38,8 @@ type peerRows struct {
 	follows    model.ProcessID // the Ω output q last named here; NoProcess before the first
 }
 
-func newOutbox(n int, cmds []int) outbox {
-	o := outbox{cmds: cmds, peer: make([]peerRows, n)}
+func newOutbox(n int) outbox {
+	o := outbox{peer: make([]peerRows, n)}
 	for q := range o.peer {
 		o.peer[q] = peerRows{toldLeader: model.NoProcess, follows: model.NoProcess}
 	}
@@ -50,7 +49,6 @@ func newOutbox(n int, cmds []int) outbox {
 // clone is the outbox of a fork: no row is shared.
 func (o *outbox) clone() outbox {
 	return outbox{
-		cmds: append([]int(nil), o.cmds...),
 		owed: append([]model.Payload(nil), o.owed...),
 		peer: append([]peerRows(nil), o.peer...),
 	}
@@ -68,20 +66,12 @@ func (s *logState) lends(q model.ProcessID) bool {
 // the step's instances sent — self-sends already delivered (loopback),
 // LEADs released to a peer that named this process in it (release) among
 // them — and flush adds the rows their rules release now and packs the
-// lot, one message per peer. Per peer NewLog's CMDs lead, and PRGR, FLW and
-// the owed items trail, in that order. A peer that is sent anything gets
+// lot, one message per peer. Per peer PRGR, FLW and the owed items trail
+// the instances' sends, in that order. A peer that is sent anything gets
 // its PRGR and FLW too; one reached by owed items alone gets neither
 // (DESIGN.md §10 "Outbox" has the counts behind that choice).
 func (s *logState) flush(a *Log, out []model.Send, d model.FDValue) []model.Send {
 	o := &s.box
-	if o.cmds != nil {
-		var cmds []model.Send
-		for _, c := range o.cmds {
-			cmds = append(cmds, model.Broadcast(model.FullSet(len(o.peer)).Remove(s.p), CommandPayload{Cmd: c})...)
-		}
-		out, o.cmds = append(cmds, out...), nil
-	}
-
 	var busy model.ProcessSet
 	for _, snd := range out {
 		busy = busy.Add(snd.To)

@@ -14,9 +14,9 @@ type testBody struct{}
 func (testBody) Kind() string   { return "BODY" }
 func (testBody) String() string { return "BODY" }
 
-// TestOutboxReleaseRules: one case per row of the outbox's table, each
-// naming the peers one Step of p0 (n = 3, Ω = p2, window 1) sends the row
-// to. The fixture's step in round 1 sends the slot's LEAD(1) to p2 and
+// TestOutboxReleaseRules: cases for every row of the outbox's table, the
+// owed CMDs of NewLog's commands among them, each naming the peers one
+// Step of p0 (n = 3, Ω = p2, window 1) sends the row to. The fixture's step in round 1 sends the slot's LEAD(1) to p2 and
 // holds p1's, since p1 follows p2: p2 is the busy peer and p1 the idle one.
 func TestOutboxReleaseRules(t *testing.T) {
 	const n = 3
@@ -66,11 +66,10 @@ func TestOutboxReleaseRules(t *testing.T) {
 		run  func() []model.Send // the setup, then the one Step under test
 		want model.ProcessSet
 	}{
-		{"CMD: the first step, to every peer", isCMD, func() []model.Send {
+		{"CMD: with the first step that sends, to every peer", isCMD, func() []model.Send {
 			aut := NewLog([][]int{{7}, nil, nil}, 8)
 			st := aut.InitState(0).(*logState)
-			st.box.peer[1].follows, st.box.peer[2].follows = 2, 2 // both LEAD(1)s held: only the CMDs leave
-			return step(aut, st, 0, nil)
+			return step(aut, st, 0, nil) // slot 0 starts round 1: its LEADs carry the CMD
 		}, model.SetOf(1, 2)},
 		{"CMD: never again", isCMD, func() []model.Send {
 			aut := NewLog([][]int{{7}, nil, nil}, 8)

@@ -123,7 +123,7 @@ func TestCloneIsolatesSlotRecord(t *testing.T) {
 	}
 	aut.Owe(orig, testBody{})
 	orig.box.peer[1].told, orig.box.peer[2].told = 0, 0 // a PRGR due to both peers again
-	if got := DebugState(orig); !strings.Contains(got, " deferred=1/3 ") || !strings.Contains(got, "outbox{cmds=0 held=3 owed=1}") {
+	if got := DebugState(orig); !strings.Contains(got, " deferred=1/3 ") || !strings.Contains(got, "outbox{held=3 owed=1}") {
 		t.Fatalf("DebugState = %q, want the one message deferred inbound, the three held sends and the outbox's rows shown", got)
 	}
 	wantBox := orig.box.clone()

@@ -42,9 +42,9 @@
 // quiet rule needs.
 //
 // Everything a process sends a peer besides what its instances emit in the
-// step — the commands NewLog was given (CMD), its frontier (PRGR), its Ω
-// output (FLW), the round-1 LEADs it holds for peers that follow another
-// process, and what its caller owes (Owe) — is a row of one outbox
+// step — its frontier (PRGR), its Ω output (FLW), the round-1 LEADs it
+// holds for peers that follow another process, and what is owed its peers
+// (Owe, and the commands NewLog was given) — is a row of one outbox
 // (outbox.go), each with its release rule, and the outbox's flush turns a
 // step's sends into what leaves: one message per peer (bundle.go). Step
 // takes a bundle's items in the order they were sent.
@@ -341,16 +341,17 @@ func (a *Log) InitState(p model.ProcessID) model.State { return a.InitStateWith(
 
 // InitStateWith is InitState with cmds injected (Inject) before the
 // window opens, so the first in-flight slots propose them. The commands
-// NewLog was given enter the outbox as CMD rows, one to every peer on the
-// first step; cmds do not: like injected commands, a caller that wants
-// them forwarded owes their forward (Owe).
+// NewLog was given are owed (Owe) as CMD items, so they leave with the
+// first step that sends anything, to every peer; cmds are not: like
+// injected commands, a caller that wants them forwarded owes their
+// forward.
 func (a *Log) InitStateWith(p model.ProcessID, cmds ...int) model.State {
 	st := &logState{
 		p:          p,
 		pending:    append(append([]int(nil), a.cmds[p]...), cmds...),
 		slots:      a.slots,
 		progress:   make([]int, a.n),
-		box:        newOutbox(a.n, a.cmds[p]),
+		box:        newOutbox(a.n),
 		recs:       make(map[int]*slotRec, a.window+1),
 		window:     a.window,
 		store:      newSharedStore(a.n),
@@ -359,6 +360,9 @@ func (a *Log) InitStateWith(p model.ProcessID, cmds ...int) model.State {
 	}
 	if a.sink == nil {
 		st.entries = make([]int, 0, a.slots)
+	}
+	for _, c := range a.cmds[p] {
+		st.box.owed = append(st.box.owed, CommandPayload{Cmd: c})
 	}
 	st.openWindow(a, nil) // nothing deferred at init: no sends, no FD use
 	return st
@@ -441,12 +445,12 @@ func (a *Log) Step(p model.ProcessID, s model.State, m *model.Message, d model.F
 //     decision, and settle flips no decided slot's quiet status. An
 //     in-flight slot without an instance is work for harvest's open.
 //   - The pump steps an awake slot below the frontier whenever there is one.
-//   - flush sends the CMD rows on the first step, and PRGR or FLW to any
-//     peer whose per-peer rule lets them leave alone (peerRule). The owed
-//     rows wait for a step that sends something.
+//   - flush sends PRGR or FLW to any peer whose per-peer rule lets them
+//     leave alone (peerRule). The owed rows wait for a step that sends
+//     something.
 func (a *Log) Idle(p model.ProcessID, s model.State, d model.FDValue) bool {
 	st := s.(*logState)
-	if st.box.cmds != nil || sort.SearchInts(st.awake, st.slot) > 0 {
+	if sort.SearchInts(st.awake, st.slot) > 0 {
 		return false
 	}
 	for slot := st.slot; slot < st.windowEnd(); slot++ {
@@ -589,8 +593,8 @@ func (s *logState) loopback(a *Log, out []model.Send, d model.FDValue) []model.S
 // path. Like Step it consumes s: it returns the updated state (s itself,
 // mutated). It sends nothing: a caller that wants an injected command
 // forwarded owes the peers its forward (Owe; the serving layer owes the
-// batch body), and the outbox's CMD rows cover only the commands the log
-// was built with.
+// batch body); the log owes the CMDs of only the commands it was built
+// with.
 func (a *Log) Inject(s model.State, cmds ...int) model.State {
 	st := s.(*logState)
 	st.pending = append(st.pending, cmds...)
@@ -667,7 +671,7 @@ func DebugState(s model.State) string {
 		out += len(r.out)
 		held += r.lent.Len()
 	}
-	return fmt.Sprintf("slot=%d entries=%v progress=%v live=%v awake=%v deferred=%d/%d current{%s} pending=%v known=%v outbox{cmds=%d held=%d owed=%d}",
+	return fmt.Sprintf("slot=%d entries=%v progress=%v live=%v awake=%v deferred=%d/%d current{%s} pending=%v known=%v outbox{held=%d owed=%d}",
 		st.slot, st.entries, st.progress, st.liveSlots(), st.awake, in, out, cur, st.pending, st.known,
-		len(st.box.cmds), held, len(st.box.owed))
+		held, len(st.box.owed))
 }

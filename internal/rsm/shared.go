@@ -18,10 +18,11 @@
 // delivers FIFO per link and delta payloads never implement
 // model.SupersededPayload (so inboxes cannot collapse one): the deltas a
 // process receives from one sender arrive in send order, each based
-// exactly on the previous one's To version. A receiver whose base has
-// been compacted away (or a fresh delta after the sender's floor passed
-// it) gets a full snapshot (Delta.Base == 0) instead — the
-// rsm.hist.full_fallbacks counter measures how rarely that happens.
+// exactly on the previous one's To version. The store compacts only to
+// the lowest version already sent to any peer, so no delta's base is ever
+// compacted away: the only full snapshot (Delta.Base == 0) is each link's
+// first transfer, which is what the rsm.hist.full_fallbacks counter counts
+// (DESIGN.md §10).
 package rsm
 
 import (
