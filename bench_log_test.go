@@ -17,6 +17,7 @@ import (
 	"nuconsensus/internal/quorum"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/sim"
+	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/wire"
 )
 
@@ -56,7 +57,7 @@ func (l logRun) op(steps *int) hotOp {
 				History:   sampler,
 				Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 				MaxSteps:  200000,
-				StopWhen:  rsm.AllAppended(pattern, l.slots),
+				StopWhen:  substrate.AllCorrectDecided(pattern),
 			})
 			if err != nil {
 				tb.Fatal(err)

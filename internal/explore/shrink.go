@@ -15,16 +15,25 @@ import (
 //     entries shifts later entries to times with different menus) makes
 //     the schedule invalid: ok is false and cfg is nil.
 func Execute(o Options, path []Choice) (cfg *model.Configuration, ok bool) {
-	cfg = model.InitialConfiguration(o.Automaton)
+	cfg, _ = execute(o, path, nil)
+	return cfg, cfg != nil
+}
+
+// execute is Execute's one loop. With stop set, it ends after the first
+// executed entry whose configuration stop holds for and returns that
+// entry's index; otherwise the index is len(path). An FD index outside the
+// menu returns a nil configuration.
+func execute(o Options, path []Choice, stop func(*model.Configuration) bool) (*model.Configuration, int) {
+	cfg := model.InitialConfiguration(o.Automaton)
 	executed := 0
-	for _, ch := range path {
+	for i, ch := range path {
 		t := model.Time(executed + 1)
 		if !o.Pattern.Alive(t).Has(ch.P) {
 			continue
 		}
 		vs := o.Menu.Values(ch.P, t)
 		if ch.FD < 0 || ch.FD >= len(vs) {
-			return nil, false
+			return nil, len(path)
 		}
 		var m *model.Message
 		if ch.From != model.NoProcess {
@@ -32,8 +41,11 @@ func Execute(o Options, path []Choice) (cfg *model.Configuration, ok bool) {
 		}
 		cfg.Apply(o.Automaton, model.Step{P: ch.P, M: m, D: vs[ch.FD]})
 		executed++
+		if stop != nil && stop(cfg) {
+			return cfg, i
+		}
 	}
-	return cfg, true
+	return cfg, len(path)
 }
 
 // violates reports whether executing path reaches a state where o.Property
@@ -102,26 +114,6 @@ func Shrink(o Options, path []Choice) []Choice {
 // truncateToViolation cuts path at the first prefix whose final state
 // violates. The caller guarantees the full path violates.
 func truncateToViolation(o Options, path []Choice) []Choice {
-	cfg := model.InitialConfiguration(o.Automaton)
-	executed := 0
-	for i, ch := range path {
-		t := model.Time(executed + 1)
-		if !o.Pattern.Alive(t).Has(ch.P) {
-			continue
-		}
-		vs := o.Menu.Values(ch.P, t)
-		if ch.FD < 0 || ch.FD >= len(vs) {
-			break
-		}
-		var m *model.Message
-		if ch.From != model.NoProcess {
-			m = cfg.Buffer.OldestFrom(ch.P, ch.From)
-		}
-		cfg.Apply(o.Automaton, model.Step{P: ch.P, M: m, D: vs[ch.FD]})
-		executed++
-		if o.Property(cfg) != nil {
-			return append([]Choice(nil), path[:i+1]...)
-		}
-	}
-	return append([]Choice(nil), path...)
+	_, at := execute(o, path, func(c *model.Configuration) bool { return o.Property(c) != nil })
+	return append([]Choice(nil), path[:min(at+1, len(path))]...)
 }

@@ -9,6 +9,7 @@ import (
 	"nuconsensus/internal/fd"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/sim"
+	"nuconsensus/internal/substrate"
 )
 
 // TestAcknowledgedBefore pins the seeding gate: a quorum is handed to a new
@@ -386,7 +387,7 @@ func auditRun(t *testing.T, c auditCase, wrap func(model.Automaton) model.Automa
 		History:   sampler,
 		Scheduler: sched,
 		MaxSteps:  400000,
-		StopWhen:  AllAppended(pattern, auditSlots),
+		StopWhen:  substrate.AllCorrectDecided(pattern),
 	})
 	if err != nil || !res.Stopped {
 		t.Fatalf("%s: err=%v filled=%v", c, err, res != nil && res.Stopped)

@@ -31,7 +31,7 @@ func TestAwarenessCountersAndStatus(t *testing.T) {
 		History:   sampler,
 		Scheduler: sim.NewFairScheduler(5, 0.8, 3),
 		MaxSteps:  200000,
-		StopWhen:  rsm.AllAppended(pattern, slots),
+		StopWhen:  substrate.AllCorrectDecided(pattern),
 	})
 	if err != nil || !res.Stopped {
 		t.Fatalf("err=%v filled=%v", err, res != nil && res.Stopped)

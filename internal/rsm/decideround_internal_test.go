@@ -7,25 +7,38 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
+	"nuconsensus/internal/substrate"
 )
 
-// decideRoundTap checks the round the log hands its RoundSink — the round
-// every decide span carries — against the deciding instance itself, at the
-// moment the slot is appended, and notes which instances the awareness
-// gate seeded.
+// decideRoundTap takes the entries each step appended and checks the round
+// each carries — the round every decide span carries — against the deciding
+// instance itself, still live after the step that appended it, and notes
+// which instances the awareness gate seeded.
 type decideRoundTap struct {
 	model.Automaton
 	log    *Log
 	t      *testing.T
-	cur    *logState // the state the outer step in progress is stepping
 	seeded map[[2]int]bool
-	rounds map[[2]int]int // (p, slot) → round handed to the sink
+	rounds map[[2]int]int // (p, slot) → round the entry carries
 }
 
 func (a *decideRoundTap) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
-	a.cur = s.(*logState)
 	ns, sends := a.Automaton.Step(p, s, m, d)
 	a.noteOpen(p)
+	for _, e := range TakeEntries(ns) {
+		a.rounds[[2]int{int(p), e.Slot}] = e.Round
+		inst := liveAt(ns.(*logState), e.Slot)
+		if inst == nil {
+			a.t.Errorf("p%d slot %d retired in the step that appended it: no instance to check its round against", p, e.Slot)
+			continue
+		}
+		_, k, decided := inst.(interface {
+			DecidedWith() (model.ProcessSet, int, bool)
+		}).DecidedWith()
+		if r, _ := model.DecidedRoundOf(inst); !decided || e.Round != k || e.Round != r {
+			a.t.Errorf("p%d slot %d: the entry says round %d, the instance decided in round %d (DecidedRoundOf %d, decided=%v)", p, e.Slot, e.Round, k, r, decided)
+		}
+	}
 	return ns, sends
 }
 
@@ -35,18 +48,6 @@ func (a *decideRoundTap) Step(p model.ProcessID, s model.State, m *model.Message
 func (a *decideRoundTap) noteOpen(p model.ProcessID) {
 	if last := &a.log.metrics.awareLast[p]; last.set && last.open.seeded > 0 {
 		a.seeded[[2]int{int(p), last.open.slot}] = true
-	}
-}
-
-func (a *decideRoundTap) OnEntry(model.ProcessID, int, int) {}
-
-func (a *decideRoundTap) OnEntryRound(p model.ProcessID, slot, _, round int) {
-	a.rounds[[2]int{int(p), slot}] = round
-	_, k, decided := liveAt(a.cur, slot).(interface {
-		DecidedWith() (model.ProcessSet, int, bool)
-	}).DecidedWith()
-	if !decided || round != k {
-		a.t.Errorf("p%d slot %d: the decide span says round %d, the instance decided in round %d (decided=%v)", p, slot, round, k, decided)
 	}
 }
 
@@ -74,7 +75,6 @@ func TestDecideRoundIsTheDecidingRound(t *testing.T) {
 	cmds := [][]int{{10, 11, 12}, {20, 21, 22}, {30, 31, 32}, {40, 41, 42}}
 	log := NewLog(cmds, slots).WithPipeline(window).WithMetrics(obs.NewRegistry())
 	tap := &decideRoundTap{Automaton: log, log: log, t: t, seeded: map[[2]int]bool{}, rounds: map[[2]int]int{}}
-	log.WithEntrySink(tap)
 	log.inner = seedOnOpen{slotAutomaton: log.inner, a: tap}
 	res, err := sim.Run(sim.Exec{
 		Automaton: tap,
@@ -82,7 +82,7 @@ func TestDecideRoundIsTheDecidingRound(t *testing.T) {
 		History:   PairForLog(pattern, 0, 7),
 		Scheduler: sim.NewFairScheduler(7, 0.8, 3),
 		MaxSteps:  200000,
-		StopWhen:  AllAppended(pattern, slots),
+		StopWhen:  substrate.AllCorrectDecided(pattern),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"nuconsensus/internal/obs"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/sim"
+	"nuconsensus/internal/substrate"
 )
 
 // TestLentLeadsUnderFlappingOmega is a liveness sweep over the held
@@ -43,7 +44,7 @@ func TestLentLeadsUnderFlappingOmega(t *testing.T) {
 						History:   fd.PairHistory{First: omega, Second: fd.NewSigmaNuPlus(pattern, 30*period, seed)},
 						Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 						MaxSteps:  20000,
-						StopWhen:  rsm.AllAppended(pattern, slots),
+						StopWhen:  substrate.AllCorrectDecided(pattern),
 					})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)

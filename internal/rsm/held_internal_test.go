@@ -180,7 +180,7 @@ func TestHeldLeadReleasedOnWake(t *testing.T) {
 		}
 		net.step(model.ProcessID(i % n))
 	}
-	if got, want := net.log(lag).entries, p0.entries; !reflect.DeepEqual(got, want) {
+	if got, want := net.log(lag).Entries(), p0.Entries(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("p3's log %v differs from p0's %v", got, want)
 	}
 	if gaps := reg.Counter("rsm.hist.delta_gaps").Value(); gaps != 0 {

@@ -7,6 +7,7 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/rsm"
 	"nuconsensus/internal/sim"
+	"nuconsensus/internal/substrate"
 )
 
 // idleTap checks model.Idler's promise before every step of a run: when
@@ -69,7 +70,7 @@ func TestIdleStepChangesNothing(t *testing.T) {
 				History:   hist,
 				Scheduler: sched,
 				MaxSteps:  200000,
-				StopWhen:  rsm.AllAppended(pattern, quietSlots),
+				StopWhen:  substrate.AllCorrectDecided(pattern),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/obs"
 	"nuconsensus/internal/sim"
+	"nuconsensus/internal/substrate"
 )
 
 // noSendToSelf fails the test on any send a step returns addressed to the
@@ -43,8 +44,8 @@ func TestLoopbackDecidesAloneAndStops(t *testing.T) {
 		if !decided || q != model.SetOf(p) || k != wantRound {
 			t.Fatalf("slot %d after one step: decided = %v with %s in round %d, want decided with {p0} in round %d", slot, decided, q, k, wantRound)
 		}
-		if st.slot != slot+1 || st.entries[slot] != 10+slot {
-			t.Fatalf("after slot %d's step the frontier is %d and the log %v: want slot %d appended with %d", slot, st.slot, st.entries, slot, 10+slot)
+		if st.slot != slot+1 || st.entries[slot].V != 10+slot {
+			t.Fatalf("after slot %d's step the frontier is %d and the log %v: want slot %d appended with %d", slot, st.slot, st.Entries(), slot, 10+slot)
 		}
 		if own, _ := model.RoundOf(inst); heldRound(st, slot) != own || own != k+1 || !st.isQuiet(slot) {
 			t.Fatalf("slot %d: in round %d, holding round %d, quiet = %v: want quiet in round %d with its LEAD held", slot, own, heldRound(st, slot), st.isQuiet(slot), k+1)
@@ -164,7 +165,7 @@ func TestNoSendToSelf(t *testing.T) {
 				History:   sampler,
 				Scheduler: sim.NewFairScheduler(7, 0.8, 3),
 				MaxSteps:  400000,
-				StopWhen:  AllAppended(pattern, slots),
+				StopWhen:  substrate.AllCorrectDecided(pattern),
 			})
 			if err != nil || !res.Stopped {
 				t.Fatalf("err = %v, filled = %v", err, res != nil && res.Stopped)

@@ -14,31 +14,33 @@ import (
 	"nuconsensus/internal/substrate"
 )
 
-// testSink collects sunk entries per process, in arrival order.
-type testSink struct {
-	entries map[model.ProcessID][]sunk
+// taker drives a log the way the serving layer does: after every step it
+// takes what the step appended (rsm.TakeEntries) and keeps it per process,
+// in the order taken.
+type taker struct {
+	model.Automaton
+	entries map[model.ProcessID][]rsm.Entry
 }
 
-type sunk struct {
-	slot int
-	v    int
+func newTaker() *taker { return &taker{entries: map[model.ProcessID][]rsm.Entry{}} }
+
+func (a *taker) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	ns, out := a.Automaton.Step(p, s, m, d)
+	a.entries[p] = append(a.entries[p], rsm.TakeEntries(ns)...)
+	return ns, out
 }
 
-func newTestSink() *testSink { return &testSink{entries: map[model.ProcessID][]sunk{}} }
-
-func (s *testSink) OnEntry(p model.ProcessID, slot, v int) {
-	s.entries[p] = append(s.entries[p], sunk{slot, v})
-}
-
-// runPipelined drives a pipelined (optionally sinking) log to completion.
-func runPipelined(t *testing.T, cmds [][]int, slots, depth int, crashes map[model.ProcessID]model.Time, seed int64, sink *testSink) ([][]int, bool, int) {
+// runPipelined drives a pipelined log to completion, through tk if it is
+// not nil.
+func runPipelined(t *testing.T, cmds [][]int, slots, depth int, crashes map[model.ProcessID]model.Time, seed int64, tk *taker) ([][]int, bool, int) {
 	t.Helper()
 	n := len(cmds)
 	pattern := model.PatternFromCrashes(n, crashes)
 	sampler := rsm.SamplerForLog(pattern, 80, seed)
-	aut := rsm.NewLog(cmds, slots).WithSampler(sampler).WithPipeline(depth)
-	if sink != nil {
-		aut = aut.WithEntrySink(sink)
+	var aut model.Automaton = rsm.NewLog(cmds, slots).WithSampler(sampler).WithPipeline(depth)
+	if tk != nil {
+		tk.Automaton = aut
+		aut = tk
 	}
 	res, err := sim.Run(sim.Exec{
 		Automaton: aut,
@@ -46,7 +48,7 @@ func runPipelined(t *testing.T, cmds [][]int, slots, depth int, crashes map[mode
 		History:   sampler,
 		Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 		MaxSteps:  200000,
-		StopWhen:  rsm.AllAppended(pattern, slots),
+		StopWhen:  substrate.AllCorrectDecided(pattern),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +84,7 @@ func TestMeteringDoesNotSteer(t *testing.T) {
 			History:   sampler,
 			Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 			MaxSteps:  200000,
-			StopWhen:  rsm.AllAppended(pattern, slots),
+			StopWhen:  substrate.AllCorrectDecided(pattern),
 		})
 		if err != nil || !res.Stopped {
 			t.Fatalf("err=%v filled=%v", err, res != nil && res.Stopped)
@@ -232,39 +234,90 @@ func TestPipelinedDrainsCommands(t *testing.T) {
 	}
 }
 
-// TestEntrySinkOrder: sink mode delivers exactly the appended entries, in
-// slot order per process, while the state itself retains none of them —
-// and the run still stops under AllAppended, which counts appended entries
-// rather than retained ones.
-func TestEntrySinkOrder(t *testing.T) {
-	sink := newTestSink()
+// TestTakeEntriesOrder: a log whose entries are taken after every step
+// hands over exactly the appended entries, in slot order per process, and
+// retains none of them — and the run still stops on every correct process
+// deciding, since a log's Decision reads its frontier, not its entries. A
+// kept log of the same run holds the same values, and takes the same
+// number of steps: taking changes nothing the log does.
+func TestTakeEntriesOrder(t *testing.T) {
+	tk := newTaker()
 	cmds := [][]int{{10, 11}, {20}, {30}}
 	const slots = 6
-	logs, done, _ := runPipelined(t, cmds, slots, 2, nil, 5, sink)
+	logs, done, steps := runPipelined(t, cmds, slots, 2, nil, 5, tk)
 	if !done {
-		t.Fatal("sink-mode log never stopped under AllAppended")
+		t.Fatal("a log whose entries are taken never stopped")
+	}
+	kept, _, keptSteps := runPipelined(t, cmds, slots, 2, nil, 5, nil)
+	if steps != keptSteps {
+		t.Errorf("the taken run took %d steps, the kept one %d", steps, keptSteps)
 	}
 	for p := model.ProcessID(0); p < 3; p++ {
-		got := sink.entries[p]
-		if len(got) < slots {
-			t.Fatalf("p%d sank %d entries, want >= %d", p, len(got), slots)
+		got := tk.entries[p]
+		if len(got) != slots {
+			t.Fatalf("p%d took %d entries, want %d", p, len(got), slots)
 		}
-		for i, e := range got[:slots] {
-			if e.slot != i {
-				t.Fatalf("p%d entry %d has slot %d (out of order): %v", p, i, e.slot, got)
+		vs := make([]int, slots)
+		for i, e := range got {
+			if e.Slot != i {
+				t.Fatalf("p%d entry %d has slot %d (out of order): %v", p, i, e.Slot, got)
 			}
+			if e.V != tk.entries[0][i].V {
+				t.Fatalf("taken logs diverge at slot %d: p%d=%d p0=%d", i, p, e.V, tk.entries[0][i].V)
+			}
+			vs[i] = e.V
 		}
 		if len(logs[p]) != 0 {
-			t.Fatalf("p%d retained %d entries in sink mode", p, len(logs[p]))
+			t.Fatalf("p%d retained %d entries after every take", p, len(logs[p]))
+		}
+		if !reflect.DeepEqual(vs, kept[p]) {
+			t.Errorf("p%d took %v, its kept log holds %v", p, vs, kept[p])
 		}
 	}
-	// All correct sinks agree on the decided prefix.
-	for p := model.ProcessID(1); p < 3; p++ {
-		for i := 0; i < slots; i++ {
-			if sink.entries[p][i].v != sink.entries[0][i].v {
-				t.Fatalf("sinks diverge at slot %d: p%d=%d p0=%d", i, p, sink.entries[p][i].v, sink.entries[0][i].v)
+}
+
+// TestEntryRounds: every taken entry carries a plausible round, and the
+// parked-message counters move consistently (every replay drains something
+// previously parked).
+func TestEntryRounds(t *testing.T) {
+	reg := obs.NewRegistry()
+	cmds := [][]int{{10, 11}, {20}, {30}}
+	const slots, depth = 6, 2
+	pattern := model.PatternFromCrashes(3, nil)
+	sampler := rsm.SamplerForLog(pattern, 80, 5)
+	tk := newTaker()
+	tk.Automaton = rsm.NewLog(cmds, slots).WithSampler(sampler).WithMetrics(reg).WithPipeline(depth)
+	res, err := sim.Run(sim.Exec{
+		Automaton: tk,
+		Pattern:   pattern,
+		History:   sampler,
+		Scheduler: sim.NewFairScheduler(5, 0.8, 3),
+		MaxSteps:  200000,
+		StopWhen:  substrate.AllCorrectDecided(pattern),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped {
+		t.Fatal("log never filled")
+	}
+	for p := model.ProcessID(0); p < 3; p++ {
+		if len(tk.entries[p]) != slots {
+			t.Fatalf("p%d: %d entries taken, want %d", p, len(tk.entries[p]), slots)
+		}
+		for i, e := range tk.entries[p] {
+			if e.Round < 1 {
+				t.Fatalf("p%d entry %d decided at round %d, want >= 1", p, i, e.Round)
 			}
 		}
+	}
+	parked := reg.Counter("rsm.parked_msgs").Value()
+	replayed := reg.Counter("rsm.parked_replayed").Value()
+	if replayed > parked {
+		t.Fatalf("replayed %d messages but only %d were ever parked", replayed, parked)
+	}
+	if parked == 0 {
+		t.Log("no message was parked this run (seed-dependent); counters untested beyond invariant")
 	}
 }
 

@@ -128,7 +128,7 @@ func TestQuietLaggardCatchesUp(t *testing.T) {
 			},
 		},
 		MaxSteps: 400000,
-		StopWhen: rsm.AllAppended(pattern, quietSlots),
+		StopWhen: substrate.AllCorrectDecided(pattern),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,8 +340,8 @@ func TestQuietZombieSlot(t *testing.T) {
 }
 
 // roundTap notes, per slot, the highest round on any phase message (LEAD,
-// REP, PROP) the log sent, and — as the log's RoundSink — the highest round
-// any process decided the slot in.
+// REP, PROP) the log sent, and — from the entries it takes after every
+// step — the highest round any process decided the slot in.
 type roundTap struct {
 	model.Automaton
 	sent, decided map[int]int
@@ -349,6 +349,11 @@ type roundTap struct {
 
 func (a *roundTap) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
 	ns, out := a.Automaton.Step(p, s, m, d)
+	for _, e := range rsm.TakeEntries(ns) {
+		if e.Round > a.decided[e.Slot] {
+			a.decided[e.Slot] = e.Round
+		}
+	}
 	for _, snd := range rsm.Flatten(out) {
 		if sp, ok := snd.Payload.(rsm.SlotPayload); ok {
 			// Slot-wrapped ACKs travel as AckStampPayload, which has no round
@@ -359,14 +364,6 @@ func (a *roundTap) Step(p model.ProcessID, s model.State, m *model.Message, d mo
 		}
 	}
 	return ns, out
-}
-
-func (a *roundTap) OnEntry(model.ProcessID, int, int) {}
-
-func (a *roundTap) OnEntryRound(_ model.ProcessID, slot, _, round int) {
-	if round > a.decided[slot] {
-		a.decided[slot] = round
-	}
 }
 
 // TestDecidedRoundIsNotAnnounced: with nobody slow and the detectors
@@ -381,14 +378,14 @@ func TestDecidedRoundIsNotAnnounced(t *testing.T) {
 	reg := obs.NewRegistry()
 	tap := &roundTap{sent: map[int]int{}, decided: map[int]int{}}
 	cmds := [][]int{{10, 11, 12}, {20, 21, 22}, {30, 31, 32}, {40, 41, 42}}
-	tap.Automaton = rsm.NewLog(cmds, slots).WithPipeline(window).WithMetrics(reg).WithEntrySink(tap)
+	tap.Automaton = rsm.NewLog(cmds, slots).WithPipeline(window).WithMetrics(reg)
 	res, err := sim.Run(sim.Exec{
 		Automaton: tap,
 		Pattern:   pattern,
 		History:   rsm.PairForLog(pattern, 0, 7),
 		Scheduler: sim.NewFairScheduler(7, 0.8, 3),
 		MaxSteps:  200000,
-		StopWhen:  rsm.AllAppended(pattern, slots),
+		StopWhen:  substrate.AllCorrectDecided(pattern),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -140,7 +140,9 @@ func (FollowPayload) Kind() string { return "FLW" }
 func (f FollowPayload) String() string { return fmt.Sprintf("FLW(%s)", f.Leader) }
 
 // Log is the replicated-log automaton. Drive it with (Ω, Σν+) pair
-// histories, like A_nuc itself.
+// histories, like A_nuc itself. Every entry it appends stays in the state
+// until a caller takes it (TakeEntries), so a step depends on the state,
+// the message and the detector value alone, whoever drives it.
 type Log struct {
 	n     int
 	cmds  [][]int // cmds[p]: commands process p wants appended
@@ -149,7 +151,6 @@ type Log struct {
 
 	metrics *logMetrics // obs instruments, resolved once per log; never nil
 	window  int         // in-flight slot instances, >= 1 (see WithPipeline)
-	sink    EntrySink   // decided entries leave the state; nil keeps them
 }
 
 // slotAutomaton is what the log asks of A_nuc (consensus.ANuc): an instance
@@ -166,26 +167,13 @@ type blocker interface {
 	Blocked(d model.FDValue) bool
 }
 
-// EntrySink receives decided entries the moment a process appends them,
-// in slot order per process. Sink mode keeps the automaton state O(window)
-// instead of O(log length): entries are not retained in logState, so
-// neither its memory nor a fork of it scales with how much has been
-// decided. The sink is a per-process external resource (like the shared
-// fd.Sampler): it is only sound on linear executions — sim.Run and the
-// concurrent substrates — never under explore, which branches states.
-type EntrySink interface {
-	OnEntry(p model.ProcessID, slot int, v int)
-}
-
-// RoundSink is an optional EntrySink extension: sinks that also implement
-// it additionally learn the A_nuc round in which this process's instance
-// decided the slot (model.DecidedRoundOf) — the per-slot consensus cost a
-// tracing pipeline attributes to every command in the slot. Rounds are
-// per-process (a laggard may decide a round later than the process that
-// drove the decision), which is exactly what a span emitted by that
-// process should carry.
-type RoundSink interface {
-	OnEntryRound(p model.ProcessID, slot int, v int, round int)
+// Entry is one appended slot: the value decided in it and the A_nuc round
+// this process's instance decided it in (model.DecidedRoundOf). Rounds are
+// per process — a laggard may decide a round later than the process that
+// drove the decision — which is what a span emitted by that process should
+// carry.
+type Entry struct {
+	Slot, V, Round int
 }
 
 // WithPipeline widens the window of in-flight slot instances to k: slots
@@ -202,16 +190,6 @@ func (a *Log) WithPipeline(k int) *Log {
 	if k > a.window {
 		a.window = k
 	}
-	return a
-}
-
-// WithEntrySink routes appended entries to sink instead of retaining them
-// in the state. See EntrySink for the linear-execution restriction.
-func (a *Log) WithEntrySink(sink EntrySink) *Log {
-	if sink == nil {
-		panic("rsm: nil entry sink")
-	}
-	a.sink = sink
 	return a
 }
 
@@ -241,15 +219,14 @@ func (a *Log) N() int { return a.n }
 // logState is one process's replicated-log state.
 type logState struct {
 	p       model.ProcessID
-	pending []int // own commands not yet appended
-	known   []int // forwarded commands from others, not yet appended
-	slot    int   // frontier: lowest slot not yet appended
-	slots   int   // total slots in the log
-	entries []int // the log: decided values per slot; nil in sink mode
+	pending []int   // own commands not yet appended
+	known   []int   // forwarded commands from others, not yet appended
+	slot    int     // frontier: lowest slot not yet appended
+	slots   int     // total slots in the log
+	entries []Entry // appended and not yet taken (TakeEntries), in slot order
 
 	progress []int // known progress of every process
 	pump     int   // round-robin cursor over awake older instances
-	appended int   // entries appended (== len(entries) unless sinking)
 
 	// box is what leaves for a peer besides the step's instance sends, and
 	// when (outbox.go).
@@ -289,7 +266,7 @@ func (s *logState) CloneState() model.State {
 	c := *s
 	c.pending = append([]int(nil), s.pending...)
 	c.known = append([]int(nil), s.known...)
-	c.entries = append([]int(nil), s.entries...)
+	c.entries = append([]Entry(nil), s.entries...)
 	c.progress = append([]int(nil), s.progress...)
 	c.box = s.box.clone()
 	// Clone the shared store ONCE, then rebind every cloned instance: the
@@ -319,14 +296,32 @@ func (s *logState) CloneState() model.State {
 	return &c
 }
 
-// Entries returns the decided log so far.
-func (s *logState) Entries() []int { return append([]int(nil), s.entries...) }
+// Entries returns the values of the entries appended and not yet taken:
+// the decided log so far, when nobody takes them.
+func (s *logState) Entries() []int {
+	var vs []int
+	for _, e := range s.entries {
+		vs = append(vs, e.V)
+	}
+	return vs
+}
+
+// TakeEntries returns the entries a log state has appended since the last
+// take, in slot order, and forgets them: a caller that takes after every
+// step keeps the state O(window), not O(log length). Like Inject and Owe it
+// consumes s. The slice stays valid until s steps again.
+func TakeEntries(s model.State) []Entry {
+	st := s.(*logState)
+	taken := st.entries
+	st.entries = st.entries[:0]
+	return taken
+}
 
 // Decision implements model.Decider: the log "decides" when it is full;
 // drivers use it as the stop condition.
 func (s *logState) Decision() (int, bool) {
 	if s.slot >= s.slots {
-		return s.appended, true
+		return s.slot, true
 	}
 	return 0, false
 }
@@ -357,9 +352,6 @@ func (a *Log) InitStateWith(p model.ProcessID, cmds ...int) model.State {
 		store:      newSharedStore(a.n),
 		sentVer:    make([]uint64, a.n),
 		appliedVer: make([]uint64, a.n),
-	}
-	if a.sink == nil {
-		st.entries = make([]int, 0, a.slots)
 	}
 	for _, c := range a.cmds[p] {
 		st.box.owed = append(st.box.owed, CommandPayload{Cmd: c})
@@ -625,23 +617,6 @@ func OwnWaiting(s model.State) bool {
 	return false
 }
 
-// AllAppended returns a stop predicate: every correct process has filled
-// its log. It reads the state's Decision — the appended count once the log
-// is full — so it costs no copy per step and holds in sink mode too, where
-// entries are not retained.
-func AllAppended(pattern *model.FailurePattern, slots int) func(*model.Configuration, model.Time) bool {
-	correct := pattern.Correct()
-	return func(c *model.Configuration, _ model.Time) bool {
-		done := true
-		correct.ForEach(func(p model.ProcessID) {
-			if n, full := model.DecisionOf(c.States[p]); !full || n < slots {
-				done = false
-			}
-		})
-		return done
-	}
-}
-
 // PairForLog builds the (Ω, Σν+) history the log needs, mirroring A_nuc's
 // requirements. The two modules draw from decorrelated sub-streams of the
 // configuration seed (fd.DeriveSeed): passing one seed to both used to
@@ -672,6 +647,6 @@ func DebugState(s model.State) string {
 		held += r.lent.Len()
 	}
 	return fmt.Sprintf("slot=%d entries=%v progress=%v live=%v awake=%v deferred=%d/%d current{%s} pending=%v known=%v outbox{held=%d owed=%d}",
-		st.slot, st.entries, st.progress, st.liveSlots(), st.awake, in, out, cur, st.pending, st.known,
+		st.slot, st.Entries(), st.progress, st.liveSlots(), st.awake, in, out, cur, st.pending, st.known,
 		held, len(st.box.owed))
 }

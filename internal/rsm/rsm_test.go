@@ -27,7 +27,7 @@ func runLog(t *testing.T, cmds [][]int, slots int, crashes map[model.ProcessID]m
 		History:   rsm.PairForLog(pattern, 80, seed),
 		Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 		MaxSteps:  120000,
-		StopWhen:  rsm.AllAppended(pattern, slots),
+		StopWhen:  substrate.AllCorrectDecided(pattern),
 	})
 	if err != nil {
 		t.Fatal(err)

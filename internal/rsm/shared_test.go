@@ -29,7 +29,7 @@ func runSharedLog(t *testing.T, cmds [][]int, slots int, crashes map[model.Proce
 		History:   sampler,
 		Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
 		MaxSteps:  120000,
-		StopWhen:  rsm.AllAppended(pattern, slots),
+		StopWhen:  substrate.AllCorrectDecided(pattern),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestHistoryFootprintFlatInLogLength(t *testing.T) {
 			History:   rsm.PairForLog(pattern, 80, 1),
 			Scheduler: sim.NewFairScheduler(1, 0.8, 3),
 			MaxSteps:  200000,
-			StopWhen:  rsm.AllAppended(pattern, slots),
+			StopWhen:  substrate.AllCorrectDecided(pattern),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -267,7 +267,7 @@ func TestSharedLogLaggardCatchesUp(t *testing.T) {
 		History:   sampler,
 		Scheduler: starveFor(4000, 2, sim.NewFairScheduler(6, 0.8, 3)),
 		MaxSteps:  200000,
-		StopWhen:  rsm.AllAppended(pattern, slots),
+		StopWhen:  substrate.AllCorrectDecided(pattern),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,24 +14,6 @@ import (
 // frontier, and retire only removes from the bottom.
 func (s *logState) windowEnd() int { return min(s.slot+s.window, s.slots) }
 
-// appendEntry commits the decided value of the frontier slot: into the
-// retained entries slice, or out through the sink in sink mode. round is
-// the A_nuc round this process decided the slot in, forwarded to RoundSink
-// implementors.
-func (s *logState) appendEntry(a *Log, v, round int) {
-	if a.sink != nil {
-		// RoundSink first: a tracing sink emits the slot's decide span
-		// before OnEntry triggers the applies that causally follow it.
-		if rs, ok := a.sink.(RoundSink); ok {
-			rs.OnEntryRound(s.p, s.slot, v, round)
-		}
-		a.sink.OnEntry(s.p, s.slot, v)
-	} else {
-		s.entries = append(s.entries, v)
-	}
-	s.appended++
-}
-
 // harvest collects decisions from every in-flight slot (they can land out
 // of order), appends the contiguous prefix at the frontier, and refills the
 // window with fresh instances; the outbox tells the peers at the end of
@@ -55,7 +37,7 @@ func (s *logState) harvest(a *Log, d model.FDValue) []model.Send {
 		}
 	}
 	for r := s.recs[s.slot]; r != nil && r.state == slotDecided; r = s.recs[s.slot] {
-		s.appendEntry(a, r.v, r.round)
+		s.entries = append(s.entries, Entry{Slot: s.slot, V: r.v, Round: r.round})
 		s.slot++
 		s.progress[s.p] = s.slot
 		s.retire(a)
@@ -119,18 +101,13 @@ func (s *logState) inWindow(state slotState, c int) bool {
 	return false
 }
 
-// learnCommand records a forwarded command unless it is already appended,
-// pending, known, or decided-in-flight. (In sink mode the entries scan is
-// vacuous: a late re-learn of an appended command costs one duplicate
-// slot, which the serving layer's session dedup absorbs.)
+// learnCommand records a forwarded command unless it is already pending,
+// known, or decided-in-flight. It does not look at what was appended — the
+// entries may have been taken — so a late CMD for an appended command
+// costs at most one duplicate slot, the serving layer's dedup problem.
 func (s *logState) learnCommand(c int) {
 	if c == NoOp || s.inWindow(slotDecided, c) {
 		return
-	}
-	for _, v := range s.entries {
-		if v == c {
-			return
-		}
 	}
 	for _, v := range s.pending {
 		if v == c {

@@ -1,7 +1,9 @@
 package rsm
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"nuconsensus/internal/consensus"
@@ -178,23 +180,25 @@ func TestSlotStartsInTheStepThatOpensIt(t *testing.T) {
 	}
 }
 
-// discardSink takes every entry and keeps none.
-type discardSink struct{}
-
-func (discardSink) OnEntry(model.ProcessID, int, int) {}
-
-// TestSinkModeAllocatesNoEntries: with an EntrySink every appended entry
-// leaves the state, so a sink-mode state allocates no entries slice at all
-// — not one sized for the whole log — while a state without a sink starts
-// with room for every slot.
-func TestSinkModeAllocatesNoEntries(t *testing.T) {
-	const slots = 1 << 16
-	sunk := NewLog([][]int{nil, nil}, slots).WithEntrySink(discardSink{}).InitState(0).(*logState)
-	if c := cap(sunk.entries); c != 0 {
-		t.Errorf("sink-mode state holds an entries slice of capacity %d, want 0", c)
+// TestInitStateAllocatesNoEntries: a log state holds no entries slice
+// sized for the whole log, so a log of math.MaxInt slots — the capacity
+// cmd/nucd builds with — allocates no more at InitState than one of 8.
+func TestInitStateAllocatesNoEntries(t *testing.T) {
+	bytesPerInit := func(slots int) uint64 {
+		aut := NewLog([][]int{{1}, {2}}, slots)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			if st := aut.InitState(0).(*logState); cap(st.entries) != 0 {
+				t.Fatalf("slots=%d: a fresh state holds an entries slice of capacity %d, want 0", slots, cap(st.entries))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 10
 	}
-	kept := NewLog([][]int{nil, nil}, slots).InitState(0).(*logState)
-	if c := cap(kept.entries); c != slots {
-		t.Errorf("a state without a sink starts with entries capacity %d, want %d", c, slots)
+	small, huge := bytesPerInit(8), bytesPerInit(math.MaxInt)
+	t.Logf("InitState allocates %d B at 8 slots, %d B at math.MaxInt", small, huge)
+	if huge > small+1024 {
+		t.Errorf("InitState allocates %d B at math.MaxInt slots, %d B at 8", huge, small)
 	}
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // Applier consumes one process's decided log entries, in slot order, and
-// runs them through the session layer into the state machine. It is the
-// process's rsm.EntrySink endpoint and — like the shared fd.Sampler — a
-// mutable resource living OUTSIDE the cloned automaton state: sound on
-// linear executions (sim.Run, the concurrent substrates), never under
-// explore.
+// runs them through the session layer into the state machine: the replica
+// hands it what each step of its log appended (rsm.TakeEntries). Like the
+// shared fd.Sampler it is a mutable resource living OUTSIDE the cloned
+// automaton state: sound on linear executions (sim.Run, the concurrent
+// substrates), never under explore.
 //
 // The lock covers every field; client-facing callers (cmd/nucd's
 // connection goroutines) and the stepping replica contend on it briefly.
@@ -27,7 +27,7 @@ type Applier struct {
 	bodies   map[int][]Command // batch id → commands, until compaction
 	batchAt  map[int]int       // batch id → first slot it was applied at
 	stalled  []logEntry        // decided entries waiting for their body
-	frontier int               // entries observed decided (sink calls)
+	frontier int               // entries observed decided (OnEntry calls)
 	applied  int               // entries fully applied
 
 	retain  bool  // keep decided values for tests/E18 agreement checks
@@ -104,8 +104,8 @@ func (a *Applier) WithTracer(t *obs.Tracer) *Applier {
 	return a
 }
 
-// OnEntryRound implements rsm.RoundSink: the slot's decide event, with the
-// round this process decided the slot in. Batch-level — the
+// OnEntryRound is the slot's decide event, with the round this process
+// decided the slot in (rsm.Entry.Round). Batch-level — the
 // decided value IS the batch ID — so one decide span fans out to every
 // member command through the batch ID the inject/apply spans carry.
 func (a *Applier) OnEntryRound(_ model.ProcessID, slot, v, round int) {
@@ -132,7 +132,7 @@ func (a *Applier) putBodyLocked(id int, cmds []Command) []notice {
 	return a.drainLocked()
 }
 
-// OnEntry implements rsm.EntrySink: one decided value, in slot order.
+// OnEntry takes one decided value, in slot order.
 func (a *Applier) OnEntry(_ model.ProcessID, slot, v int) {
 	for _, nt := range a.onEntryLocked(slot, v) {
 		nt.fn(nt.status, nt.val)

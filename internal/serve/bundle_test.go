@@ -75,7 +75,7 @@ func TestOneSendPerPeerPerStep(t *testing.T) {
 		}
 		sampler := rsm.SamplerForLog(pattern, 60, 7)
 		tap := &peerTap{Automaton: rsm.NewLog(cmds, slots).WithSampler(sampler).WithPipeline(2), t: t}
-		run(t, tap, sampler, rsm.AllAppended(pattern, slots))
+		run(t, tap, sampler, substrate.AllCorrectDecided(pattern))
 		if tap.bundles == 0 {
 			t.Fatal("no step sent a bundle: the test lost its premise")
 		}

@@ -71,8 +71,7 @@ func NewCluster(cfg Config) *Cluster {
 			c.appliers[p].PutBody(b.ID, b.Cmds)
 		}
 	}
-	c.log = rsm.NewLog(make([][]int, cfg.N), cfg.Slots).
-		WithEntrySink(sinkDispatch{appliers: c.appliers}).WithPipeline(cfg.Pipeline)
+	c.log = rsm.NewLog(make([][]int, cfg.N), cfg.Slots).WithPipeline(cfg.Pipeline)
 	correct := cfg.Correct
 	if correct.IsEmpty() {
 		correct = model.FullSet(cfg.N)
@@ -103,22 +102,9 @@ func (c *Cluster) Ingress(p model.ProcessID) *Ingress { return c.ingress[int(p)]
 // Log returns the underlying rsm automaton (to attach a shared sampler).
 func (c *Cluster) Log() *rsm.Log { return c.log }
 
-// sinkDispatch routes rsm's decided entries to the owning applier.
-type sinkDispatch struct{ appliers []*Applier }
-
-func (s sinkDispatch) OnEntry(p model.ProcessID, slot, v int) {
-	s.appliers[int(p)].OnEntry(p, slot, v)
-}
-
-// OnEntryRound implements rsm.RoundSink, forwarding the per-slot round
-// observation to the owning applier (which emits the decide span).
-func (s sinkDispatch) OnEntryRound(p model.ProcessID, slot, v, round int) {
-	s.appliers[int(p)].OnEntryRound(p, slot, v, round)
-}
-
 // Replica is the serving automaton: rsm.Log plus batch-body gossip,
-// ingress draining and applier advancement. Like the sink and sampler it
-// relies on per-process external resources, so it runs on linear
+// ingress draining and applier advancement. Like the sampler it relies
+// on per-process external resources (its appliers), so it runs on linear
 // executions only (sim.Run and the concurrent substrates; never explore).
 type Replica struct {
 	n        int
@@ -242,10 +228,19 @@ func (r *Replica) Step(p model.ProcessID, s model.State, m *model.Message, d mod
 	ns, sends := r.log.Step(p, st.inner, fwd, d)
 	st.inner = ns
 
+	// Hand the applier what the step appended, and keep none of it: the log
+	// state stays O(window). The decide span goes out before the applies
+	// that causally follow it.
+	ap := r.appliers[int(p)]
+	for _, e := range rsm.TakeEntries(ns) {
+		ap.OnEntryRound(p, e.Slot, e.V, e.Round)
+		ap.OnEntry(p, e.Slot, e.V)
+	}
+
 	// Compact the applier when the retirement floor advances.
 	if floor := rsm.FloorOf(ns); floor > st.lastFloor {
 		st.lastFloor = floor
-		r.appliers[int(p)].Compact(floor)
+		ap.Compact(floor)
 	}
 	return st, sends
 }

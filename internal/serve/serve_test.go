@@ -113,9 +113,9 @@ func TestDuplicateSuppression(t *testing.T) {
 }
 
 // TestUnboundedLogReachesTarget: the capacity cmd/nucd builds its
-// cluster with, math.MaxInt slots, allocates nothing by capacity (the log
-// is in sink mode) and stops on the command target alone: every replica
-// applies every command and the machines agree.
+// cluster with, math.MaxInt slots, allocates nothing by capacity and stops
+// on the command target alone: every replica applies every command and the
+// machines agree.
 func TestUnboundedLogReachesTarget(t *testing.T) {
 	const n = 3
 	shape := serve.Workload{Commands: 96, Batch: 8, Clients: 4, Keys: 64, QueueFrac: .25}
@@ -134,6 +134,55 @@ func TestUnboundedLogReachesTarget(t *testing.T) {
 			t.Errorf("p%d's machine differs from p0's", p)
 		}
 	}
+}
+
+// entryCheck wraps a replica automaton and fails the test when a step
+// leaves an entry in the replica's log state.
+type entryCheck struct {
+	model.Automaton
+	t *testing.T
+}
+
+func (a entryCheck) Step(p model.ProcessID, s model.State, m *model.Message, d model.FDValue) (model.State, []model.Send) {
+	ns, out := a.Automaton.Step(p, s, m, d)
+	if kept := serve.LogStateOf(ns).(rsm.LogHolder).Entries(); len(kept) != 0 {
+		a.t.Fatalf("p%d's log state holds %v after a step", p, kept)
+	}
+	return ns, out
+}
+
+// TestReplicaKeepsNoEntries: a replica hands its applier what each step of
+// its log appended and keeps none of it, so its log state holds no entry
+// after any step — with a pipeline and a crash in play, on a log of
+// unbounded capacity — while every correct applier still applies every
+// command.
+func TestReplicaKeepsNoEntries(t *testing.T) {
+	const n, seed = 4, 5
+	wl := serve.Workload{Commands: 48, Batch: 4, Clients: 6, Keys: 32, QueueFrac: .25}.Gen(rand.New(rand.NewSource(seed)), n)
+	total := countWorkload(wl)
+	pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{3: 150})
+	cl := serve.NewCluster(serve.Config{N: n, Slots: math.MaxInt, Pipeline: 2, Workload: wl, Target: total, Correct: pattern.Correct()})
+	sampler := rsm.SamplerForLog(pattern, 60, seed)
+	cl.Log().WithSampler(sampler)
+	res, err := sim.Run(sim.Exec{
+		Automaton: entryCheck{Automaton: cl.Automaton(), t: t},
+		Pattern:   pattern,
+		History:   sampler,
+		Scheduler: sim.NewFairScheduler(seed, 0.8, 3),
+		MaxSteps:  400000,
+		StopWhen:  substrate.AllCorrectDecided(pattern),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped {
+		t.Fatalf("cluster never reached its target of %d commands", total)
+	}
+	pattern.Correct().ForEach(func(p model.ProcessID) {
+		if got := cl.Applier(p).StatsOf().Commands; got != int64(total) {
+			t.Errorf("p%d applied %d distinct commands, want %d", p, got, total)
+		}
+	})
 }
 
 // TestReadIndexUnderCrash: with the initial leader candidate crashed, a

@@ -43,23 +43,9 @@ type RecordedRun struct {
 // choices, so the execution can be replayed (and, e.g., a contamination
 // counterexample attached to a bug report).
 func SimulateRecorded(opts SimOptions) (*SimResult, *RecordedRun, error) {
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 50000
-	}
-	var stop func(*model.Configuration, model.Time) bool
-	if opts.StopWhenDecided {
-		stop = substrate.AllCorrectDecided(opts.Pattern)
-	}
-	res, err := sim.Run(sim.Exec{
-		Automaton:    opts.Automaton,
-		Pattern:      opts.Pattern,
-		History:      historyOrNull(opts.History),
-		Scheduler:    sim.NewFairScheduler(opts.Seed, 0.8, 3),
-		MaxSteps:     maxSteps,
-		StopWhen:     stop,
-		KeepSchedule: true,
-	})
+	x := simExec(opts, 50000)
+	x.KeepSchedule = true
+	res, err := sim.Run(x)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -70,10 +56,10 @@ func SimulateRecorded(opts SimOptions) (*SimResult, *RecordedRun, error) {
 	return fromSubstrate(res), rec, nil
 }
 
-// Replay re-executes a recorded run: the same automaton, pattern and
-// history must be supplied (they are not part of the record); the recorded
-// choices drive the scheduler, with a fair fallback past the end of the
-// script.
+// Replay re-executes a recorded run: the same automaton, pattern, history
+// and GST must be supplied (they are not part of the record); the recorded
+// choices drive the scheduler, with Simulate's scheduler for the record's
+// seed as the fallback past the end of the script.
 func Replay(opts SimOptions, rec *RecordedRun) (*SimResult, error) {
 	if rec.N != opts.Automaton.N() {
 		return nil, fmt.Errorf("nuconsensus: record is for n=%d but automaton has n=%d", rec.N, opts.Automaton.N())
@@ -82,22 +68,10 @@ func Replay(opts SimOptions, rec *RecordedRun) (*SimResult, error) {
 	for i, c := range rec.Choices {
 		script[i] = sim.Choice{P: c.P, Deliver: c.Deliver, From: c.From}
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = len(script)
-	}
-	var stop func(*model.Configuration, model.Time) bool
-	if opts.StopWhenDecided {
-		stop = substrate.AllCorrectDecided(opts.Pattern)
-	}
-	res, err := sim.Run(sim.Exec{
-		Automaton: opts.Automaton,
-		Pattern:   opts.Pattern,
-		History:   historyOrNull(opts.History),
-		Scheduler: &sim.ScriptedScheduler{Script: script, Fallback: sim.NewFairScheduler(rec.Seed, 0.8, 3)},
-		MaxSteps:  maxSteps,
-		StopWhen:  stop,
-	})
+	opts.Seed = rec.Seed
+	x := simExec(opts, len(script))
+	x.Scheduler = &sim.ScriptedScheduler{Script: script, Fallback: x.Scheduler}
+	res, err := sim.Run(x)
 	if err != nil {
 		return nil, err
 	}
@@ -154,6 +128,28 @@ func LoadRecordedRun(path string) (*RecordedRun, error) {
 		return nil, fmt.Errorf("nuconsensus: %s: unknown payload kind %q (want %q)", path, rec.Kind, RecordedRunKind)
 	}
 	return &rec, nil
+}
+
+// simExec is the execution opts describes on the step simulator: the
+// scheduler its Seed and GST select (sim.SchedulerFor), its step budget —
+// maxSteps when MaxSteps is unset — and, if asked, the stop once every
+// correct process decided.
+func simExec(opts SimOptions, maxSteps int) sim.Exec {
+	if opts.MaxSteps > 0 {
+		maxSteps = opts.MaxSteps
+	}
+	var stop func(*model.Configuration, model.Time) bool
+	if opts.StopWhenDecided {
+		stop = substrate.AllCorrectDecided(opts.Pattern)
+	}
+	return sim.Exec{
+		Automaton: opts.Automaton,
+		Pattern:   opts.Pattern,
+		History:   historyOrNull(opts.History),
+		Scheduler: sim.SchedulerFor(substrate.Options{Seed: opts.Seed, GST: opts.GST}),
+		MaxSteps:  maxSteps,
+		StopWhen:  stop,
+	}
 }
 
 func historyOrNull(h History) History {

@@ -59,6 +59,41 @@ func TestRecordAndReplay(t *testing.T) {
 	}
 }
 
+// TestRecordHonoursGST: a recorded run is the run Simulate makes under the
+// same options, GST included — a partially synchronous run is not recorded
+// as the GST = 0 one — and Replay of its record, under those options,
+// reproduces it.
+func TestRecordHonoursGST(t *testing.T) {
+	opts := nuconsensus.SimOptions{
+		Automaton:       nuconsensus.OracleFreeANuc([]int{0, 1, 1}, 1),
+		Pattern:         nuconsensus.Crashes(3, map[nuconsensus.ProcessID]nuconsensus.Time{2: 100}),
+		Seed:            3,
+		StopWhenDecided: true,
+		GST:             400,
+	}
+	want, err := nuconsensus.Simulate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Decided {
+		t.Fatal("the simulated run did not decide")
+	}
+	got, rec, err := nuconsensus.SimulateRecorded(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Steps != want.Steps || !reflect.DeepEqual(got.Decisions, want.Decisions) {
+		t.Fatalf("recorded run: %d steps deciding %v; Simulate: %d steps deciding %v", got.Steps, got.Decisions, want.Steps, want.Decisions)
+	}
+	replayed, err := nuconsensus.Replay(opts, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed.Steps != want.Steps || !reflect.DeepEqual(replayed.Decisions, want.Decisions) {
+		t.Fatalf("replay: %d steps deciding %v; want %d steps deciding %v", replayed.Steps, replayed.Decisions, want.Steps, want.Decisions)
+	}
+}
+
 func TestReplayRejectsSizeMismatch(t *testing.T) {
 	pattern := nuconsensus.Crashes(3, nil)
 	rec := &nuconsensus.RecordedRun{N: 4}

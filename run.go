@@ -84,18 +84,10 @@ func withOutputs(res *substrate.Result, outputs *obs.Collector) *SimResult {
 // message (or none), the process's failure-detector module is read from the
 // history, and one atomic step of the paper's model (§2.4) is applied.
 func Simulate(opts SimOptions) (*SimResult, error) {
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 50000
-	}
 	outputs := obs.NewCollector(obs.KindFDOutput)
-	res, err := sim.New().Run(context.Background(), opts.Automaton, historyOrNull(opts.History), opts.Pattern, substrate.Options{
-		Seed:            opts.Seed,
-		MaxSteps:        maxSteps,
-		StopWhenDecided: opts.StopWhenDecided,
-		GST:             opts.GST,
-		Bus:             obs.NewBus(nil, nil, outputs),
-	})
+	x := simExec(opts, 50000)
+	x.Bus = obs.NewBus(nil, nil, outputs)
+	res, err := sim.Run(x)
 	if err != nil {
 		return nil, err
 	}
