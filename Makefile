@@ -172,10 +172,11 @@ serve-smoke:
 
 # trace-smoke is the end-to-end tracing gate: a 3-node cmd/nucd cluster
 # with -trace and the telemetry listener serves a traced cmd/nucload run;
-# /metrics, /healthz, /statusz and /debug/pprof/ are scraped over HTTP
-# from the live daemon (the Prometheus rendering must carry the span counter and the
-# quiet gate's held / released books, the status report the applier
-# frontiers and the ingress queue depths); then cmd/nuctrace joins the two
+# /metrics, /healthz, /statusz, /debug/pprof/, its heap profile and a 1 s
+# CPU profile are scraped over HTTP from the live daemon (the Prometheus
+# rendering must carry the span counter and the quiet gate's held /
+# released books, the status report the applier frontiers and the ingress
+# queue depths, both profiles the gzip magic); then cmd/nuctrace joins the two
 # span streams and -check demands a complete ingress→batch→decide→apply→
 # reply chain, telescoping exactly to the end-to-end latency, for 100% of
 # acked requests. The per-stage report is kept as
@@ -199,7 +200,11 @@ trace-smoke:
 	status = urllib.request.urlopen('http://%s/statusz' % addr).read(); \
 	assert b'frontier' in status and b'live_instances' in status and b'quiet_instances' in status and b'"aware"' in status and b'"ingress_len"' in status, status[:400]; \
 	assert urllib.request.urlopen('http://%s/debug/pprof/' % addr).status == 200; \
-	print('live scrape ok: /metrics /healthz /statusz /debug/pprof/')" \
+	heap = urllib.request.urlopen('http://%s/debug/pprof/heap' % addr).read(); \
+	assert heap[:2] == b'\x1f\x8b', heap[:40]; \
+	cpu = urllib.request.urlopen('http://%s/debug/pprof/profile?seconds=1' % addr).read(); \
+	assert cpu[:2] == b'\x1f\x8b', cpu[:40]; \
+	print('live scrape ok: /metrics /healthz /statusz /debug/pprof/ heap profile')" \
 	    || { kill $$pid 2>/dev/null; exit 1; }; \
 	./nucload.smoke -addr-file $(ARTIFACTS)/trace-smoke.addrs -ops 200 -clients 4 -window 4 \
 	    -timeout 60s -trace $(ARTIFACTS)/nucload.trace.jsonl \

@@ -26,10 +26,12 @@
 //
 // Observability: -trace writes the request span stream (ingress, seal,
 // decide, apply, reply — see internal/obs and cmd/nuctrace) as JSONL;
-// -debug-addr starts obs.ServeDebug: pprof, /metrics (Prometheus text
-// exposition of the live registry), /healthz, and this daemon's /statusz
-// (per-node applier progress, parked-message count, ingress depths); -slow
-// logs any write whose end-to-end latency exceeds the threshold.
+// -debug-addr starts obs.ServeDebug, a GET-only responder that answers one
+// request per connection without net/http: pprof, /metrics (Prometheus
+// text exposition of the live registry), /healthz, and this daemon's
+// /statusz (JSON: per-node applier progress, parked-message count, ingress
+// depths); -slow logs any write whose end-to-end latency exceeds the
+// threshold.
 //
 // Usage:
 //
@@ -43,10 +45,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -139,7 +141,7 @@ func main() {
 	// dump snapshots, /statusz the structured liveness view that diagnosed
 	// the pipelined-window wedge (every node frozen at frontier=2, cmds=0).
 	if *debugAddr != "" {
-		ds, err := obs.ServeDebug(*debugAddr, reg, map[string]http.HandlerFunc{
+		ds, err := obs.ServeDebug(*debugAddr, reg, map[string]obs.Route{
 			"/statusz": statusz(cl, reg, *n, *pipeline),
 		})
 		if err != nil {
@@ -271,8 +273,8 @@ type statusReport struct {
 }
 
 // statusz serves the /statusz report.
-func statusz(cl *serve.Cluster, reg *obs.Registry, n, pipeline int) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
+func statusz(cl *serve.Cluster, reg *obs.Registry, n, pipeline int) obs.Route {
+	return obs.Route{ContentType: "application/json", Write: func(w io.Writer) {
 		rep := statusReport{
 			Pipeline:      pipeline,
 			Parked:        reg.Counter("rsm.parked_msgs").Value() - reg.Counter("rsm.parked_replayed").Value(),
@@ -291,11 +293,10 @@ func statusz(cl *serve.Cluster, reg *obs.Registry, n, pipeline int) http.Handler
 				Aware:      cl.Log().AwareStatus(model.ProcessID(p)),
 			})
 		}
-		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(rep)
-	}
+	}}
 }
 
 // node bundles the per-node resources a client connection serves against.

@@ -43,12 +43,15 @@ const (
 // in-flight slots step on every λ-step (rsm Log.Step), progress rides that
 // traffic, and a round-1 LEAD goes only to the processes that follow its
 // sender (both rows of rsm outbox.go). The caps were set at
-// max(⌈quick × 1.12⌉, ⌈async max⌉ + 1) from 12.1 / 24.0 / 41.8 quick and
-// 12.8 / 26.5 / 43.8 async. Since a slot starts round 1 in the step that
-// opens it, n = 3 reads 12.5 quick and 12.5–13.6 over sixteen async runs,
-// so that formula would now give 15; the cap of 14 is held, not re-derived,
-// because a table gate is never raised. With no quorum carried across
-// slots the grid reads 28.0 / 53.2 / 92.4.
+// max(⌈quick × 1.12⌉, ⌈async max⌉ + 1) when the rows read 12.1 / 24.0 /
+// 41.8 quick and at most 12.8 / 26.5 / 43.8 async. Since a slot starts
+// round 1 in the step that opens it they read 12.5 / 24.0 / 41.2 quick,
+// and over eight async runs 12.5–13.3 / 25.4–26.2 / 39.9–41.7 (an earlier
+// sixteen put n = 3 at 12.5–13.6): n = 3 keeps 0.7 below its cap at worst
+// (0.4 at 13.6), n = 4 1.8 and n = 5 5.3. The formula would now give n = 3
+// a cap of 15; 14 is held, not re-derived, because a table gate is never
+// raised. With no quorum carried across slots the grid reads 28.0 / 53.2 /
+// 92.4.
 var e18MsgsPerSlotCap = map[int]int{3: 14, 4: 28, 5: 47}
 
 var (
