@@ -87,6 +87,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"WireDecode/dag64", 100, 92, wireDecodeOp("dag64")},
 		{"WireDecode/link-bundle", 100, 7, wireLinkDecodeOp},
 		{"WirePeek", 100, 0, wirePeekOp},
+		{"WirePeek/link-bundle", 100, 0, wireLinkPeekOp},
 		{"Inbox/put-take", 100, 0, inboxPutTakeOp},
 		{"Inbox/superseding-flood", 100, 0, inboxFloodOp},
 		{"Inbox/put-batch", 100, 0, inboxPutBatchOp},

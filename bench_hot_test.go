@@ -212,10 +212,11 @@ func wireLinkEncodeOp(tb testing.TB) func() {
 	}
 }
 
-// wireLinkDecodeOp decodes the bundle's steady frame on a warmed link's
-// receiving codec: the frame leaves the codec's run where it found it, so
-// every op decodes the same frame from the same run.
-func wireLinkDecodeOp(tb testing.TB) func() {
+// steadyLinkFrame returns the bundle's steady frame on a link and a
+// receiving codec warmed by the frames before it: the frame leaves the
+// codec's run where it found it, so it decodes the same way every time.
+// Its first item is the PRGR, which inherits its slot.
+func steadyLinkFrame(tb testing.TB) (*wire.Link, []byte) {
 	pl := benchPayload("bundle")
 	var tx, rx wire.Link
 	var msg model.Message
@@ -233,6 +234,14 @@ func wireLinkDecodeOp(tb testing.TB) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return &rx, frame
+}
+
+// wireLinkDecodeOp decodes the bundle's steady frame on a warmed link's
+// receiving codec, the same frame from the same run every op.
+func wireLinkDecodeOp(tb testing.TB) func() {
+	rx, frame := steadyLinkFrame(tb)
+	var msg model.Message
 	return func() {
 		if err := rx.Decode(&msg, frame); err != nil {
 			tb.Fatal(err)
@@ -241,12 +250,25 @@ func wireLinkDecodeOp(tb testing.TB) func() {
 }
 
 // wirePeekOp is the kind-only parse the tcp readers run on every received
-// frame (supersession collapsing works on undecoded frames).
+// frame (supersession collapsing works on undecoded frames): of a DAG
+// frame, its first byte.
 func wirePeekOp(tb testing.TB) func() {
 	frame := benchFrame(tb, benchPayload("dag64"))
 	return func() {
 		if _, err := wire.PeekMessage(frame); err != nil {
 			tb.Fatal(err)
+		}
+	}
+}
+
+// wireLinkPeekOp peeks the bundle's steady frame, a slot-led frame of
+// several items like nearly every frame a serving link carries: the peek
+// walks the first item to find that more follow.
+func wireLinkPeekOp(tb testing.TB) func() {
+	_, frame := steadyLinkFrame(tb)
+	return func() {
+		if h, err := wire.PeekMessage(frame); err != nil || h.Kind != "BNDL" {
+			tb.Fatalf("peek = %+v, %v", h, err)
 		}
 	}
 }
@@ -267,8 +289,12 @@ func BenchmarkWireDecode(b *testing.B) {
 	b.Run("link-bundle", func(b *testing.B) { benchOp(b, wireLinkDecodeOp) })
 }
 
-// BenchmarkWirePeek measures the kind-only parse of a DAG frame.
-func BenchmarkWirePeek(b *testing.B) { benchOp(b, wirePeekOp) }
+// BenchmarkWirePeek measures the kind-only parse of a DAG frame, and of a
+// link's slot-led bundle.
+func BenchmarkWirePeek(b *testing.B) {
+	b.Run("dag64", func(b *testing.B) { benchOp(b, wirePeekOp) })
+	b.Run("link-bundle", func(b *testing.B) { benchOp(b, wireLinkPeekOp) })
+}
 
 // inboxPutTakeOp is the concurrent substrates' mailbox as a plain FIFO.
 func inboxPutTakeOp(tb testing.TB) func() {

@@ -8,7 +8,9 @@ import (
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/model"
+	"nuconsensus/internal/quorum"
 	"nuconsensus/internal/rsm"
+	"nuconsensus/internal/serve"
 	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/wire"
 )
@@ -43,6 +45,34 @@ func FuzzReadLink(f *testing.F) {
 		enc.Commit()
 		stream = append(binary.AppendUvarint(stream, uint64(len(b))), b...)
 		f.Add(bytes.Clone(stream))
+	}
+	// Two frames of several items, each led by one item kind: the second
+	// frame's first item inherits what it can from the first frame.
+	tail := []model.Payload{rsm.CommandPayload{Cmd: 5}, rsm.SlotPayload{Slot: 12, Inner: consensus.ReportPayload{K: 2, V: 3}}}
+	at := quorum.Delta{Base: 6, To: 6}
+	for _, lead := range []model.Payload{
+		rsm.SlotPayload{Slot: 12, Inner: consensus.LeadDeltaPayload{K: 2, V: 3, Delta: at}},
+		rsm.SlotPayload{Slot: 12, Inner: consensus.ProposalDeltaPayload{K: 2, V: 3, HasV: true, Delta: at}},
+		rsm.SlotPayload{Slot: 12, Inner: consensus.ProposalDeltaPayload{K: 2, Delta: at}},
+		rsm.SlotPayload{Slot: 12, Inner: consensus.ReportPayload{K: 2, V: 3}},
+		rsm.SlotPayload{Slot: 12, Inner: consensus.SawPayload{Q: model.SetOf(0, 1)}},
+		rsm.SlotPayload{Slot: 12, Inner: rsm.AckStampPayload{Q: model.SetOf(1, 2), K: 2, Stamp: 13}},
+		rsm.ProgressPayload{Slot: 12},
+		serve.BatchPayload{ID: serve.BatchID(1, 3), Cmds: []serve.Command{{Client: 2, Seq: 4, Op: 9, Key: 1, Val: -1}}},
+		rsm.FollowPayload{Leader: 1},
+		rsm.CommandPayload{Cmd: 300},
+	} {
+		var two []byte
+		var enc wire.Link
+		for i := 0; i < 2; i++ {
+			b, err := enc.Append(nil, append(rsm.Bundle{lead}, tail...))
+			if err != nil {
+				f.Fatal(err)
+			}
+			enc.Commit()
+			two = append(binary.AppendUvarint(two, uint64(len(b))), b...)
+		}
+		f.Add(two)
 	}
 	f.Add(append(bytes.Clone(stream), 1, 0x7F)) // a frame of an unknown tag
 	f.Add(append(bytes.Clone(stream), 0))       // an empty frame

@@ -16,6 +16,7 @@
 // each direction carries peer frames, and nothing else:
 //
 //	frame := varint(len(payload)) payload   (payload: wire.Link.Append)
+//	payload := item item*                   (two or more items: an rsm.Bundle)
 //
 // No frame names its sender, receiver or sequence number: the receiving
 // end knows all three. The link names From and To, and the frame's
@@ -33,9 +34,11 @@
 // which decodes in link order because the inbox keeps each sender's frames
 // in order and decodes them when p takes them (resolve). Only p's goroutine touches either. A
 // superseding frame the inbox drops undecoded (a heartbeat, a DAG
-// snapshot) holds no slot item, so the run does not miss it. A frame that fails to decode breaks the run of its
-// link: it and every later frame from that peer are dropped, as if the
-// link had closed.
+// snapshot) is its frame's only item, so the run misses no slot item. The
+// reader files a frame by its peek (wire.PeekMessage), which walks its
+// first item to tell a lone payload from a bundle. A frame that fails to
+// decode breaks the run of its link: it and every later frame from that
+// peer are dropped, as if the link had closed.
 package netrun
 
 import (

@@ -16,8 +16,11 @@ import (
 )
 
 // Bundle is the payloads one outer step sends to one peer, in emission
-// order, carried as one model.Send (pack). It never nests, and it never
-// supersedes: a PRGR inside one is taken, not collapsed.
+// order, carried as one model.Send (pack). It never nests and never
+// supersedes, so an inbox takes every item of one. Nor does it hold a
+// superseding payload: no payload the log sends supersedes, and on the
+// wire a heartbeat or a DAG snapshot is its frame's only item, so an
+// inbox that drops one undecoded drops nothing else.
 type Bundle []model.Payload
 
 // Kind implements model.Payload.

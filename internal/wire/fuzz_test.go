@@ -18,10 +18,11 @@ import (
 )
 
 // seedPayloads are the payloads the fuzz targets start from: the kinds a
-// link carries, bare and bundled, and a DAG snapshot whose nodes carry every
-// failure-detector value kind.
+// link carries, alone and bundled, bundles led by each kind a bundle holds
+// and one that takes every slot item code, and a DAG snapshot whose nodes
+// carry every failure-detector value kind.
 func seedPayloads() []model.Payload {
-	return []model.Payload{
+	pls := []model.Payload{
 		consensus.LeadPayload{K: 3, V: -7, Hist: sampleHistories()},
 		consensus.ReportPayload{K: 2, V: 42},
 		consensus.ProposalPayload{K: 5},
@@ -53,7 +54,61 @@ func seedPayloads() []model.Payload {
 			rsm.SlotPayload{Slot: 6, Inner: consensus.LeadDeltaPayload{K: 1, V: 5, Delta: quorum.Delta{Base: 6, To: 6}}},
 		},
 		stableValues(8),
+		everyCode(20),
 		dag.GraphPayload{G: sampleGraph()},
+	}
+	for _, b := range ledBundles() {
+		pls = append(pls, b)
+	}
+	return pls
+}
+
+// ledBundles are frames of several items led by each item kind a link
+// carries in one: the six slot item kinds, PRGR, BATCH, FLW and CMD.
+func ledBundles() []rsm.Bundle {
+	tail := []model.Payload{rsm.CommandPayload{Cmd: 5}, rsm.SlotPayload{Slot: 12, Inner: consensus.ReportPayload{K: 2, V: 3}}}
+	var out []rsm.Bundle
+	for _, lead := range []model.Payload{
+		rsm.SlotPayload{Slot: 12, Inner: consensus.LeadDeltaPayload{K: 2, V: 3, Delta: sampleDelta()}},
+		rsm.SlotPayload{Slot: 12, Inner: consensus.ProposalDeltaPayload{K: 2, V: 3, HasV: true, Delta: sampleDelta()}},
+		rsm.SlotPayload{Slot: 12, Inner: consensus.ProposalDeltaPayload{K: 2, Delta: quorum.Delta{Base: 6, To: 6}}},
+		rsm.SlotPayload{Slot: 12, Inner: consensus.ReportPayload{K: 1, V: 3}},
+		rsm.SlotPayload{Slot: 12, Inner: consensus.SawPayload{Q: model.SetOf(0, 1)}},
+		rsm.SlotPayload{Slot: 12, Inner: rsm.AckStampPayload{Q: model.SetOf(1, 2), K: 2, Stamp: 13}},
+		rsm.ProgressPayload{Slot: 12},
+		serve.BatchPayload{ID: serve.BatchID(1, 3), Cmds: []serve.Command{{Client: 2, Seq: 4, Op: 9, Key: 1, Val: -1}}},
+		rsm.FollowPayload{Leader: 1},
+		rsm.CommandPayload{Cmd: 300},
+	} {
+		out = append(out, append(rsm.Bundle{lead}, tail...))
+	}
+	return out
+}
+
+// everyCode is a frame whose slot items, on slots s to s + 3, take each of
+// the fifteen codes of the grammar once, in the order of the comments.
+func everyCode(s int) rsm.Bundle {
+	add := func(to uint64) quorum.Delta {
+		return quorum.Delta{Base: to - 1, To: to, Adds: []quorum.DeltaEntry{{R: 1, Q: model.SetOf(0, 1)}}}
+	}
+	at := func(to uint64) quorum.Delta { return quorum.Delta{Base: to, To: to} }
+	slot := func(s int, inner model.Payload) model.Payload { return rsm.SlotPayload{Slot: s, Inner: inner} }
+	return rsm.Bundle{
+		slot(s, consensus.LeadDeltaPayload{K: 1, V: 7, Delta: add(6)}),                    // LEADD
+		slot(s, consensus.ProposalDeltaPayload{K: 1, V: 7, HasV: true, Delta: at(6)}),     // PROPD ~V~F
+		slot(s, consensus.ReportPayload{K: 1, V: 7}),                                      // REP ~V
+		slot(s+1, consensus.LeadDeltaPayload{K: 1, V: 7, Delta: at(6)}),                   // LEADD ~V~F
+		slot(s+1, consensus.ProposalDeltaPayload{K: 1, Delta: at(6)}),                     // PROPD no V ~F
+		slot(s+1, consensus.LeadDeltaPayload{K: 1, V: 8, Delta: at(6)}),                   // LEADD ~F
+		slot(s+1, consensus.ProposalDeltaPayload{K: 1, V: 8, HasV: true, Delta: add(7)}),  // PROPD ~V
+		slot(s+2, consensus.LeadDeltaPayload{K: 1, V: 8, Delta: add(8)}),                  // LEADD ~V
+		slot(s+2, consensus.ProposalDeltaPayload{K: 1, V: 9, HasV: true, Delta: at(8)}),   // PROPD ~F
+		slot(s+2, rsm.AckStampPayload{Q: model.SetOf(0, 1), K: 1, Stamp: s + 3}),          // SACK
+		rsm.ProgressPayload{Slot: s + 1},                                                  // PRGR
+		slot(s+1, consensus.ReportPayload{K: 2, V: 10}),                                   // REP
+		slot(s+1, consensus.SawPayload{Q: model.SetOf(1)}),                                // SAW
+		slot(s+3, consensus.ProposalDeltaPayload{K: 2, V: 11, HasV: true, Delta: add(9)}), // PROPD
+		slot(s+3, consensus.ProposalDeltaPayload{K: 2, Delta: add(10)}),                   // PROPD no V
 	}
 }
 
@@ -90,15 +145,15 @@ func sampleGraph() *dag.Graph {
 
 // seedRejects are inputs no payload encodes to, each of which every
 // decode must reject.
-func seedRejects(tb testing.TB) [][]byte {
+func seedRejects(tb testing.TB) []reject {
 	tb.Helper()
-	var out [][]byte
-	for _, rejects := range []map[string][]byte{bundleRejects(tb), headRejects(tb), frameRejects(tb)} {
-		for _, b := range rejects {
-			out = append(out, b)
+	var out []reject
+	for _, rejects := range []map[string]reject{bundleRejects(tb), headRejects(tb), frameRejects(tb)} {
+		for _, r := range rejects {
+			out = append(out, r)
 		}
 	}
-	return append(out, []byte{}, []byte{0xFF, 0x01, 0x02}, repeatedSample, pairsDeep(tb, 9))
+	return append(out, reject{{}}, reject{{0xFF, 0x01, 0x02}}, reject{repeatedSample}, reject{pairsDeep(tb, 9)})
 }
 
 // FuzzDecodePayload checks the codec's promise on arbitrary input: the
@@ -112,8 +167,8 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	for _, b := range seedRejects(f) {
-		f.Add(b)
+	for _, r := range seedRejects(f) {
+		f.Add(r.bytes())
 	}
 	f.Add(pairFlood(f))
 
@@ -148,8 +203,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	for _, b := range seedRejects(f) {
-		f.Add(b)
+	for _, r := range seedRejects(f) {
+		f.Add(r.bytes())
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -200,7 +255,8 @@ func FuzzDecodeLink(f *testing.F) {
 	// The items of two stable λ-steps, one frame each: every V behind the
 	// first is inherited from the frame before it.
 	f.Add(linkStream(f, append(stableValues(8), stableValues(10)...)))
-	for _, b := range seedRejects(f) {
+	for _, r := range seedRejects(f) {
+		b := r.bytes()
 		f.Add(append(linkStream(f, seeds[:2]), append(binary.AppendUvarint(nil, uint64(len(b))), b...)...))
 	}
 

@@ -178,7 +178,7 @@ func TestLinkLatchesError(t *testing.T) {
 	}
 	for name, forged := range headRejects(t) {
 		rx := rx // a copy of the receiver after the LEADD
-		if err := rx.Decode(&m, forged); err == nil {
+		if err := rx.Decode(&m, forged.bytes()); err == nil {
 			// Behind the LEADD a bare slot item may inherit: only the
 			// rejects no slot item before them can rescue are forged here.
 			continue

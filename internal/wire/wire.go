@@ -5,8 +5,8 @@
 // nothing else: the link it travels on names its From, To and Seq.
 //
 //	message  := outer                              (a peer frame's body: AppendMessage, Link.Append)
-//	outer    := item | bundleTag item item item*   (items run to the end)
-//	item     := kindTag … (per-kind body) | slot
+//	outer    := item item*                         (items run to the end; two or more are an rsm.Bundle)
+//	item     := kindTag … (per-kind body) | slot   (HB and DAG only as a frame's one item)
 //	slot     := head [slotnum] [Q] [K] [V] [Stamp] [frame]   (an rsm.SlotPayload or rsm.ProgressPayload, bare or bundled)
 //	head     := one byte: bit 7 set (every kindTag is below 0x80), bit 5 round,
 //	            bits 3–4 slot code (0 varint follows, 1 same, 2 next, 3 zigzag delta follows),
@@ -37,10 +37,13 @@
 // frame, and in a stable run, where every LEADD, PROPD and REP carries the
 // leader's proposal, V is written once per link. A SACK's stamp travels as
 // a zigzag delta from its slot (the log stamps slot + window − 1), so no
-// field of a slot item grows with the age of the log. Every frame advances
-// its link's run in send order; the superseding ones an inbox may drop
-// undecoded (a heartbeat, a DAG snapshot) hold no slot item, so they leave
-// it as it was. AppendPayload, DecodePayload, DecodeMessageInto and
+// field of a slot item grows with the age of the log. A frame has no
+// header: its items follow one another to its end, as k messages on one
+// FIFO link taken in one step, so one item decodes as that payload and two
+// or more as an rsm.Bundle. Every frame advances its link's run in send
+// order; the superseding ones an inbox may drop undecoded (a heartbeat, a
+// DAG snapshot) share their frame with no other item, so they leave it as
+// it was. AppendPayload, DecodePayload, DecodeMessageInto and
 // HistoryFrameLen code a payload as the first frame of a fresh link, so a
 // bare slot item inherits only the initial round 1. A frame carries no Base: every delta spans exactly its
 // adds (quorum.Delta), so the decoder rebuilds Base as To − count, and a
@@ -92,7 +95,7 @@ const (
 	tagBatch
 	tagServeRequest
 	tagServeReply
-	tagBundle
+	_ // retired: a frame of two or more items is a bundle
 	tagFollow
 	tagCount
 )
@@ -753,20 +756,23 @@ func (st *run) advance(slot int, it *slotItem) {
 	}
 }
 
-// encodeOuter writes a payload in the one position a bundle may take: the
-// whole payload of a frame. encodePayload rejects one anywhere else.
+// encodeOuter writes a payload as the whole of a frame: one item, or the
+// items of a bundle one after another, with no header, since they run to
+// the end of the frame. A bundle holds at least two items, none of which
+// supersedes: an inbox drops a superseding frame undecoded, so it must
+// carry nothing else. encodePayload rejects a bundle inside one.
 func encodeOuter(w *buf, st *run, pl model.Payload) error {
 	b, ok := pl.(rsm.Bundle)
 	if !ok {
 		return encodeItem(w, st, pl)
 	}
-	// A bundle is always outermost, so it needs no count: its items run to
-	// the end of the payload.
 	if len(b) < 2 {
 		return fmt.Errorf("wire: bundle of %d items", len(b))
 	}
-	w.putByte(tagBundle)
 	for _, pl := range b {
+		if _, sup := pl.(model.SupersededPayload); sup {
+			return fmt.Errorf("wire: %s shares a frame", pl.Kind())
+		}
 		if err := encodeItem(w, st, pl); err != nil {
 			return err
 		}
@@ -789,17 +795,22 @@ func encodeItem(w *buf, st *run, pl model.Payload) error {
 	return encodePayload(w, pl)
 }
 
+// decodeOuter reads a frame as encodeOuter writes it: its first item alone
+// when the frame ends there, else the bundle of its items, none of which
+// supersedes.
 func decodeOuter(r *buf, st *run) model.Payload {
-	if r.peek() != tagBundle {
-		return decodeItem(r, st)
+	first := decodeItem(r, st)
+	if r.pos == len(r.b) || r.err != nil {
+		return first
 	}
-	r.pos++
-	b := make(rsm.Bundle, 0, 4)
+	b := append(make(rsm.Bundle, 0, 4), first)
 	for r.pos < len(r.b) && r.err == nil {
-		b = append(b, decodeItem(r, st)) // rejects tagBundle: bundles do not nest
+		b = append(b, decodeItem(r, st))
 	}
-	if len(b) < 2 {
-		r.fail("wire: bundle of %d items", len(b))
+	for _, pl := range b {
+		if _, sup := pl.(model.SupersededPayload); sup {
+			r.fail("wire: %s shares a frame", pl.Kind())
+		}
 	}
 	return b
 }
@@ -1095,9 +1106,29 @@ var payloadPrototypes = [tagCount]model.Payload{
 	tagBatch:        serve.BatchPayload{},
 	tagServeRequest: serve.RequestPayload{},
 	tagServeReply:   serve.ReplyPayload{},
-	// A bundle reports its own kind and never supersedes, whatever it holds:
-	// a PRGR inside one is taken, not collapsed.
-	tagBundle: rsm.Bundle{},
+}
+
+// tagShapes is, per kind tag, the fields of its body in the order
+// decodePayload reads them, which is all skipItem needs to find where the
+// item ends: i a varint, b a byte, h quorum histories, c a command and n a
+// count of commands. A heartbeat has no body, and a DAG snapshot is never
+// skipped: it is a frame's only item.
+var tagShapes = [tagCount]string{
+	tagLead:         "iih",
+	tagReport:       "ii",
+	tagProposal:     "iibh",
+	tagSaw:          "i",
+	tagAck:          "ii",
+	tagRound:        "i",
+	tagFollow:       "i",
+	tagCommand:      "i",
+	tagEstimate:     "iii",
+	tagCoord:        "ii",
+	tagReply:        "ib",
+	tagDecide:       "i",
+	tagBatch:        "in",
+	tagServeRequest: "cbi",
+	tagServeReply:   "iibii",
 }
 
 // prototype returns a zero value of the payload a frame starting with b
@@ -1117,18 +1148,24 @@ func prototype(b byte) model.Payload {
 // MessageHead is what a transport needs of a peer frame for inbox
 // bookkeeping (per-sender supersession collapsing) without paying for a
 // payload decode. Deferring the decode is what keeps receivers ahead of
-// DAG-snapshot floods: superseded frames are collapsed undecoded.
+// DAG-snapshot floods: superseded frames are collapsed undecoded. Kind is
+// the kind of the payload the frame decodes to: its one item's, or BNDL.
 type MessageHead struct {
 	Kind       string
 	Supersedes bool
 }
 
 // PeekMessage reads the kind of a peer frame produced by AppendMessage or
-// Link.Append from its first byte, leaving the payload body untouched. A
-// slot item reports its kind's prototype, and none supersedes: a slot item
-// dropped from an inbox would break its link's run, a delta the
-// receiver's version chain too, and a stamped ACK its smallest stamp per
-// member.
+// Link.Append without decoding it, and allocates nothing. A frame whose
+// first byte is a heartbeat's or a DAG snapshot's is that payload, which
+// supersedes. Otherwise it walks the frame's first item (skipItem): the
+// frame is that item when it ends there, a bundle when more follows. A
+// first item the walk cannot finish reports its own kind: the frame fails
+// to decode whatever it peeks as. No slot item supersedes: a slot item
+// dropped from an inbox would break its link's run, a delta the receiver's
+// version chain too, and a stamped ACK its smallest stamp per member; nor
+// does a bundle, whatever it holds. The error names a first byte no item
+// starts with.
 func PeekMessage(b []byte) (h MessageHead, err error) {
 	if len(b) == 0 {
 		return h, fmt.Errorf("wire: empty frame")
@@ -1137,8 +1174,86 @@ func PeekMessage(b []byte) (h MessageHead, err error) {
 	if proto == nil {
 		return h, fmt.Errorf("wire: unknown payload tag or slot item kind 0x%02x", b[0])
 	}
-	_, sup := proto.(model.SupersededPayload)
-	return MessageHead{Kind: proto.Kind(), Supersedes: sup}, nil
+	if _, sup := proto.(model.SupersededPayload); sup {
+		return MessageHead{Kind: proto.Kind(), Supersedes: true}, nil
+	}
+	r := buf{b: b}
+	skipItem(&r)
+	if r.err == nil && r.pos < len(b) {
+		return MessageHead{Kind: rsm.Bundle{}.Kind()}, nil
+	}
+	return MessageHead{Kind: proto.Kind()}, nil
+}
+
+// skipItem moves r past the item at its cursor without building it: over
+// the bytes decodeItem reads there when the item decodes, and never past
+// the end of the input when it does not. A slot item's head names its
+// fields whatever it inherits, so no run is needed.
+func skipItem(r *buf) {
+	tag := r.byte()
+	if tag < headMarker {
+		if tag < tagCount {
+			skipFields(r, tagShapes[tag])
+		}
+		return
+	}
+	code := codes[codeIndex(tag)]
+	if code.kind >= kindCount {
+		return
+	}
+	fields := kindFields[code.kind]
+	if sc := tag & slotMask; sc == slotExplicit || sc == slotDelta {
+		r.uvarint()
+	}
+	if fields&fieldQ != 0 {
+		r.uvarint()
+	}
+	if fields&fieldK != 0 && tag&headRound == 0 {
+		r.uvarint()
+	}
+	if fields&fieldV != 0 && !code.v {
+		r.uvarint()
+	}
+	if fields&fieldStamp != 0 {
+		r.uvarint()
+	}
+	if fields&fieldFrame != 0 && !code.frame && r.uvarint()&1 != 0 {
+		for n := 2 * r.count("delta frame", 2); n > 0 && r.err == nil; n-- {
+			r.uvarint() // an add's process and quorum
+		}
+	}
+}
+
+// skipFields moves r past a tagged item's body of the given shape
+// (tagShapes).
+func skipFields(r *buf, shape string) {
+	for i := 0; i < len(shape) && r.err == nil; i++ {
+		switch shape[i] {
+		case 'i':
+			r.uvarint()
+		case 'b':
+			r.byte()
+		case 'h':
+			n := r.uvarint()
+			if n > model.MaxProcesses {
+				r.fail("wire: histories for %d processes", n)
+			}
+			for ; n > 0 && r.err == nil; n-- {
+				for q := r.count("quorum history", 1); q > 0 && r.err == nil; q-- {
+					r.uvarint()
+				}
+			}
+		case 'n':
+			for n := r.count("batch", 4); n > 0 && r.err == nil; n-- {
+				skipFields(r, "c")
+			}
+		case 'c':
+			if r.uvarint()&7 == opEscape {
+				r.byte()
+			}
+			skipFields(r, "iii")
+		}
+	}
 }
 
 // DecodeMessageInto decodes a peer frame into m's Payload and leaves From,
@@ -1158,8 +1273,8 @@ func DecodeMessageInto(m *model.Message, b []byte) error {
 // it: the sender's appends frames and the receiver's decodes them, in the
 // order the link carries them, so each frame's slot items inherit slot,
 // round, V and history frame from the frames before it. A superseding frame
-// (a heartbeat, a DAG snapshot) holds no slot item, so the receiver's
-// inbox may drop it undecoded without breaking the run. The zero Link is a
+// (a heartbeat, a DAG snapshot) is its one item and holds no slot item, so
+// the receiver's inbox may drop it undecoded without breaking the run. The zero Link is a
 // fresh link. A Link is not safe for
 // concurrent use.
 type Link struct {

@@ -171,7 +171,7 @@ func TestDecodeErrors(t *testing.T) {
 		nil,             // empty
 		{0xFF},          // unknown tag
 		{1, 0x80},       // truncated varint in LEAD
-		{4, 3, 0, 0, 0}, // trailing bytes after SAW
+		{4, 3, 0, 0, 0}, // a SAW, then a byte no item starts with
 	}
 	for i, b := range cases {
 		if _, err := wire.DecodePayload(b); err == nil {
@@ -274,10 +274,13 @@ func TestGraphRejectsRepeatedSample(t *testing.T) {
 }
 
 // TestTruncatedSeedsAreRejected: no proper prefix of a fuzz seed decodes,
-// as a payload or as a peer frame. A decode that runs out of input returns its
-// first error, never the zeros its reads return after it. The one prefix
-// that does decode is a bundle cut between two items from its second on:
-// that is the bundle of the items before the cut.
+// as a payload or as a peer frame, except where the seed is cut between
+// two whole items. A decode that runs out of input returns its first
+// error, never the zeros its reads return after it. A bundle cut after its
+// k-th item decodes as its first k items: their bundle, or from k = 1 the
+// first item alone, since a frame has no header to say how many items it
+// holds. A reject cut after one of its parts but the last decodes as those
+// parts.
 func TestTruncatedSeedsAreRejected(t *testing.T) {
 	type seed struct {
 		b    []byte
@@ -291,18 +294,31 @@ func TestTruncatedSeedsAreRejected(t *testing.T) {
 		}
 		s := seed{b: b, kept: map[int]model.Payload{}}
 		if bundle, ok := pl.(rsm.Bundle); ok {
-			for k := 2; k < len(bundle); k++ {
-				head, err := wire.EncodePayload(bundle[:k])
+			for k := 1; k < len(bundle); k++ {
+				var want model.Payload = bundle[:k]
+				if k == 1 {
+					want = bundle[0]
+				}
+				head, err := wire.EncodePayload(want)
 				if err != nil || !bytes.HasPrefix(b, head) {
 					t.Fatalf("%v: its first %d items encode as %x (err %v), not a prefix of %x", bundle, k, head, err, b)
 				}
-				s.kept[len(head)] = bundle[:k]
+				s.kept[len(head)] = want
 			}
 		}
 		seeds = append(seeds, s)
 	}
-	for _, b := range seedRejects(t) {
-		seeds = append(seeds, seed{b: b})
+	for _, r := range seedRejects(t) {
+		s := seed{b: r.bytes(), kept: map[int]model.Payload{}}
+		for i := 1; i < len(r); i++ {
+			head := r[:i].bytes()
+			pl, err := wire.DecodePayload(head)
+			if err != nil {
+				t.Fatalf("reject %x cut after part %d, %x, does not decode: %v", s.b, i, head, err)
+			}
+			s.kept[len(head)] = pl
+		}
+		seeds = append(seeds, s)
 	}
 	for _, s := range seeds {
 		for cut := 0; cut < len(s.b); cut++ {
@@ -391,18 +407,18 @@ func TestHistoryFrameSize(t *testing.T) {
 	}
 }
 
-// frameRejects are history frames no delta has, each behind a bare slot
+// frameRejects are history frames no delta has, each behind a lone slot
 // LEADD's head byte, slot and V: each must fail to decode. The fuzz target
 // starts from them too.
-func frameRejects(tb testing.TB) map[string][]byte {
+func frameRejects(tb testing.TB) map[string]reject {
 	tb.Helper()
 	b, err := wire.EncodePayload(slotted(consensus.LeadDeltaPayload{K: 1}))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	lead := b[:len(b)-1] // head, slot, V
-	frame := func(parts ...byte) []byte { return append(append([]byte{}, lead...), parts...) }
-	return map[string][]byte{
+	frame := func(parts ...byte) reject { return reject{append(append([]byte{}, lead...), parts...)} }
+	return map[string]reject{
 		// To = 5 with the has-adds bit, but a count of 0.
 		"has-adds with count 0": frame(5<<1|1, 0),
 		// To = 1 and two adds: Base would be negative.
@@ -420,9 +436,9 @@ func frameRejects(tb testing.TB) map[string][]byte {
 // remaining bytes can hold — checked before the adds are allocated — and
 // every add must name a process below MaxProcesses.
 func TestDeltaPayloadDecodeRejectsForgedCount(t *testing.T) {
-	for name, b := range frameRejects(t) {
-		if got, err := wire.DecodePayload(b); err == nil {
-			t.Errorf("%s: %v decoded as %v", name, b, got)
+	for name, r := range frameRejects(t) {
+		if got, err := wire.DecodePayload(r.bytes()); err == nil {
+			t.Errorf("%s: %x decoded as %v", name, r.bytes(), got)
 		}
 	}
 }
@@ -814,9 +830,9 @@ func sampleBundle() rsm.Bundle {
 }
 
 // TestRoundTripBundle: a bundle round-trips as a payload and as a peer
-// frame, which peeks as BNDL and never supersedes, and its
-// encoding is one tag byte plus its items' bare encodings, less each
-// one-byte field an item inherits in the bundle but not bare. A bare slot
+// frame, which peeks as BNDL and never supersedes, and its encoding is
+// its items' lone encodings one after another, with no header, less each
+// one-byte field an item inherits in the bundle but not alone. A lone slot
 // item inherits only the initial round 1, and no V.
 func TestRoundTripBundle(t *testing.T) {
 	b := sampleBundle()
@@ -831,7 +847,7 @@ func TestRoundTripBundle(t *testing.T) {
 	if !reflect.DeepEqual(got, b) {
 		t.Errorf("bundle round trip: got %v, want %v", got, b)
 	}
-	size := 1
+	size := 0
 	for _, pl := range b {
 		item, err := wire.EncodePayload(pl)
 		if err != nil {
@@ -839,14 +855,14 @@ func TestRoundTripBundle(t *testing.T) {
 		}
 		size += len(item)
 	}
-	// 41 = 1 tag + 53 bytes of bare items − 6 slot varints (LEADD on the
-	// PRGR's floor, REP, PROPD, SAW and SACK on the slot before them, the
-	// last PROPD on the next) − 3 K of 2 (SACK, the second REP, the last
-	// PROPD) − 3 V of 7 (both REPs and the PROPD with V, behind the LEADD's)
-	// − 1 frame (the last PROPD's, empty at the To of the PROPD before it).
-	const slots, rounds, values, frames, want = 6, 3, 3, 1, 41
+	// 40 = 53 bytes of lone items − 6 slot varints (LEADD on the PRGR's
+	// floor, REP, PROPD, SAW and SACK on the slot before them, the last
+	// PROPD on the next) − 3 K of 2 (SACK, the second REP, the last PROPD)
+	// − 3 V of 7 (both REPs and the PROPD with V, behind the LEADD's) − 1
+	// frame (the last PROPD's, empty at the To of the PROPD before it).
+	const slots, rounds, values, frames, want = 6, 3, 3, 1, 40
 	if size-slots-rounds-values-frames != want || len(enc) != want {
-		t.Errorf("bundle encodes in %d bytes from %d of tag and bare items, want %d: %d slots, %d rounds, %d values and %d frames of 1 byte inherited",
+		t.Errorf("bundle encodes in %d bytes from %d of lone items, want %d: %d slots, %d rounds, %d values and %d frames of 1 byte inherited",
 			len(enc), size, want, slots, rounds, values, frames)
 	}
 
@@ -867,6 +883,90 @@ func TestRoundTripBundle(t *testing.T) {
 	}
 	if m.From != 3 || m.To != 1 || m.Seq != 40 || !reflect.DeepEqual(m.Payload, model.Payload(b)) {
 		t.Errorf("frame round trip: got %v", &m)
+	}
+}
+
+// TestPeekReadsFirstItemExtent: a frame has no header, so PeekMessage
+// walks its first item to tell a lone item from a bundle. Every item kind
+// alone peeks as its own kind and never supersedes; followed by a second
+// item, a tagged one or a slot item, it peeks as BNDL. A heartbeat and a
+// DAG snapshot alone supersede, and share a frame with no item: such a
+// frame fails to decode. On a link, where a frame's first item inherits
+// from the frames before it, every frame peeks as what it decodes to.
+func TestPeekReadsFirstItemExtent(t *testing.T) {
+	peek := func(pl model.Payload) wire.MessageHead {
+		t.Helper()
+		b, err := wire.EncodePayload(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := wire.PeekMessage(b)
+		if err != nil {
+			t.Fatalf("%v: %v", pl, err)
+		}
+		return h
+	}
+	items := []model.Payload{
+		consensus.LeadPayload{K: 3, V: -7, Hist: sampleHistories()},
+		consensus.ReportPayload{K: 2, V: 42},
+		consensus.ProposalPayload{K: 5, V: 9, HasV: true, Hist: sampleHistories()},
+		consensus.SawPayload{Q: model.SetOf(0, 2)},
+		consensus.AckPayload{Q: model.SetOf(1), K: 8},
+		transform.RoundPayload{K: 12},
+		consensus.EstimatePayload{R: 4, V: -3, TS: 2},
+		consensus.CoordPayload{R: 6, V: 1},
+		consensus.ReplyPayload{R: 7, Ok: true},
+		consensus.DecidePayload{V: -1},
+		serve.RequestPayload{Client: 3, Seq: 11, Op: 9, Key: 12, Lin: true, T0: 1722000000123456789},
+		serve.ReplyPayload{Client: 3, Seq: 11, Status: serve.StatusOK, Val: 77, T0: 1722000000123456789},
+	}
+	for _, b := range ledBundles() {
+		items = append(items, b[0]) // the slot item kinds, PRGR, BATCH, FLW and CMD
+	}
+	for _, pl := range items {
+		if h, want := peek(pl), (wire.MessageHead{Kind: pl.Kind()}); h != want {
+			t.Errorf("%v alone peeks as %+v, want %+v", pl, h, want)
+		}
+		for _, second := range []model.Payload{rsm.CommandPayload{Cmd: 1}, rsm.ProgressPayload{Slot: 1 << 20}} {
+			if h, want := peek(rsm.Bundle{pl, second}), (wire.MessageHead{Kind: "BNDL"}); h != want {
+				t.Errorf("%v followed by %v peeks as %+v, want %+v", pl, second, h, want)
+			}
+		}
+	}
+	cmd, err := wire.EncodePayload(rsm.CommandPayload{Cmd: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sup := range []model.Payload{hb.HeartbeatPayload{}, dag.GraphPayload{G: sampleGraph()}} {
+		if h, want := peek(sup), (wire.MessageHead{Kind: sup.Kind(), Supersedes: true}); h != want {
+			t.Errorf("%v alone peeks as %+v, want %+v", sup, h, want)
+		}
+		b, err := wire.EncodePayload(sup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frame := range [][]byte{append(append([]byte{}, b...), cmd...), append(append([]byte{}, cmd...), b...)} {
+			if pl, err := wire.DecodePayload(frame); err == nil {
+				t.Errorf("%x, %v and a CMD in one frame, decoded as %v", frame, sup, pl)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	var tx, rx wire.Link
+	for i := 0; i < 2000; i++ {
+		frame, err := tx.Append(nil, genLinkPayload(rng, 1<<14+i/4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+		var m model.Message
+		if err := rx.Decode(&m, frame); err != nil {
+			t.Fatal(err)
+		}
+		_, sup := m.Payload.(model.SupersededPayload)
+		if h, err := wire.PeekMessage(frame); err != nil || h != (wire.MessageHead{Kind: m.Payload.Kind(), Supersedes: sup}) {
+			t.Fatalf("link frame %d %x decodes as %v but peeks as %+v (err %v)", i, frame, m.Payload, h, err)
+		}
 	}
 }
 
@@ -947,8 +1047,8 @@ func TestHeadByte(t *testing.T) {
 			head(hLeadSameF, hNext, true), 10}},
 	} {
 		enc, err := wire.EncodePayload(tc.b)
-		if err != nil || !bytes.Equal(enc[1:], tc.want) {
-			t.Errorf("%v encodes as %x (err %v), want a bundle tag and %x", tc.b, enc, err, tc.want)
+		if err != nil || !bytes.Equal(enc, tc.want) {
+			t.Errorf("%v encodes as %x (err %v), want %x", tc.b, enc, err, tc.want)
 		}
 	}
 }
@@ -1129,9 +1229,16 @@ func TestRoundTripGeneratedBundles(t *testing.T) {
 	}
 }
 
-// bundleRejects are bundle framings no bundle has: each must fail to
-// decode. The fuzz target starts from them too.
-func bundleRejects(tb testing.TB) map[string][]byte {
+// A reject is an input no payload encodes to, in parts: every part but
+// the last is one or more whole items, so the input cut after any part
+// but the last decodes, and the last part makes the whole fail.
+type reject [][]byte
+
+func (r reject) bytes() []byte { return bytes.Join(r, nil) }
+
+// bundleRejects are frames of several items no bundle encodes to: each
+// must fail to decode. The fuzz targets start from them too.
+func bundleRejects(tb testing.TB) map[string]reject {
 	tb.Helper()
 	enc := func(pl model.Payload) []byte {
 		b, err := wire.EncodePayload(pl)
@@ -1140,32 +1247,33 @@ func bundleRejects(tb testing.TB) map[string][]byte {
 		}
 		return b
 	}
-	tag := enc(rsm.Bundle{rsm.CommandPayload{Cmd: 1}, rsm.CommandPayload{Cmd: 2}})[0]
 	cmd, rep := enc(rsm.CommandPayload{Cmd: 1}), enc(slotted(consensus.ReportPayload{K: 1, V: 2}))
-	join := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{{tag}}, parts...), nil) }
-	return map[string][]byte{
-		"empty bundle":                 join(),
-		"one-item bundle":              join(cmd),
-		"bundle inside a bundle":       join(cmd, join(cmd, cmd)),
-		"unknown tag inside a bundle":  join(cmd, []byte{0x7F}),
-		"truncated item inside bundle": join(cmd, rep[:len(rep)-1]),
+	beat, snapshot := enc(hb.HeartbeatPayload{}), enc(dag.GraphPayload{G: sampleGraph()})
+	return map[string]reject{
+		"retired bundle tag":                {append([]byte{18}, append(cmd, cmd...)...)},
+		"heartbeat followed by an item":     {beat, cmd},
+		"DAG snapshot followed by an item":  {snapshot, rep},
+		"item followed by a heartbeat":      {cmd, beat},
+		"item followed by a DAG snapshot":   {rep, snapshot},
+		"unknown tag after an item":         {cmd, {0x7F}},
+		"truncated item after an item":      {cmd, rep[:len(rep)-1]},
+		"unknown tag after two items":       {cmd, rep, {0x7F}},
+		"heartbeat behind two items":        {rep, cmd, beat},
+		"retired bundle tag after an item":  {cmd, append([]byte{18}, rep...)},
+		"unused tag 9 after a slot item":    {rep, {9}},
+		"truncated slot item after an item": {cmd, {rep[0]}},
 	}
 }
 
-// headRejects are slot items no slot payload encodes to, bare and
-// bundled: each must fail to decode. The fuzz targets start from them too.
-func headRejects(tb testing.TB) map[string][]byte {
+// headRejects are slot items no slot payload encodes to, alone and behind
+// other items: each must fail to decode. The fuzz targets start from them
+// too.
+func headRejects(tb testing.TB) map[string]reject {
 	tb.Helper()
-	enc := func(pl model.Payload) []byte {
-		b, err := wire.EncodePayload(pl)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return b
+	cmd, err := wire.EncodePayload(rsm.CommandPayload{Cmd: 1})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	tag := enc(rsm.Bundle{rsm.CommandPayload{Cmd: 1}, rsm.CommandPayload{Cmd: 2}})[0]
-	join := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{{tag}}, parts...), nil) }
-	cmd := enc(rsm.CommandPayload{Cmd: 1})
 	// REP(K 1, V 2) on slot 1, LEADD(K 1, V 2, no adds at To 1) on it, and
 	// SAW({p0, p1}) and PROPD without V (K 1, no adds at To 1) on it.
 	rep := []byte{head(hRep, hExplicit, true), 1, 4}
@@ -1178,39 +1286,42 @@ func headRejects(tb testing.TB) map[string][]byte {
 	delta := func(step int64) []byte {
 		return append(binary.AppendVarint([]byte{head(hRep, hDelta, true)}, step), 4)
 	}
-	return map[string][]byte{
-		"same slot bare":                    same,
-		"next slot bare":                    next,
-		"same slot before any slot item":    join(cmd, same),
-		"next slot before any slot item":    join(cmd, next),
-		"next slot past MaxInt":             join(last, next),
-		"slot above MaxInt":                 append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true)}, math.MaxInt+1), 4),
-		"inherited frame bare":              {head(hLeadSameF, hExplicit, true), 1, 4},
-		"inherited frame before any frame":  join(rep, []byte{head(hLeadSameF, hSame, true), 4}),
-		"inherited value bare":              {head(hRepSameV, hExplicit, true), 1},
-		"inherited value before any value":  join(saw, []byte{head(hLeadSameV, hSame, true), 2}),
-		"inherited value behind PROPD no V": join(prop, []byte{head(hRepSameV, hSame, true)}),
-		"inherited round on SAW":            join(lead, []byte{head(hSaw, hSame, true), 3}),
-		"round bit on PRGR":                 {head(hPrgr, hExplicit, true), 1},
-		"code 14 bare":                      {head(14, hExplicit, false), 1},
-		"code 14 behind a slot item":        join(lead, []byte{head(14, hSame, false)}),
-		"slot delta bare":                   delta(2),
-		"slot delta before any slot item":   join(cmd, delta(2)),
-		"slot delta below slot 0":           join(rep, delta(-2)),
-		"slot delta past MaxInt":            join(last, delta(2)),
-		"truncated slot":                    {head(hRep, hExplicit, true), 0x80},
+	return map[string]reject{
+		"same slot alone":                   {same},
+		"next slot alone":                   {next},
+		"same slot before any slot item":    {cmd, same},
+		"next slot before any slot item":    {cmd, next},
+		"next slot past MaxInt":             {last, next},
+		"slot above MaxInt":                 {append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true)}, math.MaxInt+1), 4)},
+		"inherited frame alone":             {{head(hLeadSameF, hExplicit, true), 1, 4}},
+		"inherited frame before any frame":  {rep, {head(hLeadSameF, hSame, true), 4}},
+		"inherited value alone":             {{head(hRepSameV, hExplicit, true), 1}},
+		"inherited value before any value":  {saw, {head(hLeadSameV, hSame, true), 2}},
+		"inherited value behind PROPD no V": {prop, {head(hRepSameV, hSame, true)}},
+		"inherited round on SAW":            {lead, {head(hSaw, hSame, true), 3}},
+		"round bit on PRGR":                 {{head(hPrgr, hExplicit, true), 1}},
+		"code 14 alone":                     {{head(14, hExplicit, false), 1}},
+		"code 14 behind a slot item":        {lead, {head(14, hSame, false)}},
+		"slot delta alone":                  {delta(2)},
+		"slot delta before any slot item":   {cmd, delta(2)},
+		"slot delta below slot 0":           {rep, delta(-2)},
+		"slot delta past MaxInt":            {last, delta(2)},
+		"truncated slot":                    {{head(hRep, hExplicit, true), 0x80}},
 	}
 }
 
 func TestBundleRejects(t *testing.T) {
-	for name, b := range bundleRejects(t) {
-		if got, err := wire.DecodePayload(b); err == nil {
-			t.Errorf("%s: %v decoded as %v", name, b, got)
+	for name, r := range bundleRejects(t) {
+		if got, err := wire.DecodePayload(r.bytes()); err == nil {
+			t.Errorf("%s: %x decoded as %v", name, r.bytes(), got)
 		}
 	}
 	for name, b := range map[string]rsm.Bundle{
-		"one-item bundle":        {rsm.CommandPayload{Cmd: 1}},
-		"bundle inside a bundle": {rsm.CommandPayload{Cmd: 1}, rsm.Bundle{rsm.CommandPayload{Cmd: 2}, rsm.CommandPayload{Cmd: 3}}},
+		"one-item bundle":           {rsm.CommandPayload{Cmd: 1}},
+		"bundle inside a bundle":    {rsm.CommandPayload{Cmd: 1}, rsm.Bundle{rsm.CommandPayload{Cmd: 2}, rsm.CommandPayload{Cmd: 3}}},
+		"heartbeat in a bundle":     {rsm.CommandPayload{Cmd: 1}, hb.HeartbeatPayload{}},
+		"DAG snapshot in a bundle":  {dag.GraphPayload{G: sampleGraph()}, rsm.ProgressPayload{Slot: 2}},
+		"heartbeat behind one item": {rsm.ProgressPayload{Slot: 2}, rsm.CommandPayload{Cmd: 1}, hb.HeartbeatPayload{}},
 	} {
 		if _, err := wire.EncodePayload(b); err == nil {
 			t.Errorf("%s: encoded", name)
@@ -1224,9 +1335,9 @@ func TestBundleRejects(t *testing.T) {
 // without V does not write; a round only on a kind that has one, which SAW
 // and PRGR do not; and the code the grammar leaves unused is an error.
 func TestHeadByteRejects(t *testing.T) {
-	for name, b := range headRejects(t) {
-		if got, err := wire.DecodePayload(b); err == nil {
-			t.Errorf("%s: %x decoded as %v", name, b, got)
+	for name, r := range headRejects(t) {
+		if got, err := wire.DecodePayload(r.bytes()); err == nil {
+			t.Errorf("%s: %x decoded as %v", name, r.bytes(), got)
 		}
 	}
 }
