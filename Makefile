@@ -124,8 +124,11 @@ substrate-smoke:
 # leader announcements are printed). A process steps
 # because something arrived, not at CPU speed: nucd's steps per log entry
 # applied (its done line's steps= over node 0's applied=) must stay within
-# SMOKE_STEPS_PER_SLOT_CAP — 6.5–6.9 here now that a slot starts round 1
-# in the step that opens it, 7.6–7.9 before that with RunCluster skipping
+# SMOKE_STEPS_PER_SLOT_CAP — 5.6–6.1 here now that a take joins its
+# sender's pending run and a process holds its sends over the backlog it
+# found (substrate.takes_merged and sends_merged, printed), 6.5–6.9 before
+# that with a slot starting round 1 in the step that opens it, 7.6–7.9
+# before that with RunCluster skipping
 # the λ-steps the replica says are stutters (substrate.idle_skips, printed with
 # the wait counters), about 14 with the wait on the inbox alone, 74–79 with
 # the spin it replaced. nucd itself
@@ -160,7 +163,8 @@ serve-smoke:
 	assert released <= lent, (lent, released); \
 	print('round-1 LEADs: %d held, %d released' % (lent, released)); \
 	print('leaders: %d announcements carried, %d bare' % (m['rsm.follow_carried'], m['rsm.follow_bare'])); \
-	print('waits: %d woken, %d timed out; %d idle λ-steps skipped' % (m['substrate.waits_woken'], m['substrate.waits_timed_out'], m['substrate.idle_skips']))"
+	print('waits: %d woken, %d timed out; %d idle λ-steps skipped' % (m['substrate.waits_woken'], m['substrate.waits_timed_out'], m['substrate.idle_skips'])); \
+	print('link runs: %d messages joined into earlier takes, %d sends into held ones' % (m['substrate.takes_merged'], m['substrate.sends_merged']))"
 	python3 -c "import re; \
 	out = open('$(ARTIFACTS)/nucd.out').read(); \
 	steps = int(re.search(r'^done decided=\S+ steps=(\d+)', out, re.M).group(1)); \

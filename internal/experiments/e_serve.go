@@ -48,7 +48,12 @@ const (
 // round 1 in the step that opens it they read 12.5 / 24.0 / 41.2 quick,
 // and over eight async runs 12.5–13.3 / 25.4–26.2 / 39.9–41.7 (an earlier
 // sixteen put n = 3 at 12.5–13.6): n = 3 keeps 0.7 below its cap at worst
-// (0.4 at 13.6), n = 4 1.8 and n = 5 5.3. The formula would now give n = 3
+// (0.4 at 13.6), n = 4 1.8 and n = 5 5.3. Since the async driver joins a
+// link's pending messages into one take and holds a process's sends over
+// the backlog it found (substrate.RunCluster), eight async runs read
+// 13.0–13.5 / 25.5–25.9 / 40.0–43.5, against 13.0–13.3 / 25.5–25.8 /
+// 40.6–41.9 in eight runs without it: the margin at n = 3 is no wider
+// (0.5 at worst). The formula would now give n = 3
 // a cap of 15; 14 is held, not re-derived, because a table gate is never
 // raised. With no quorum carried across slots the grid reads 28.0 / 53.2 /
 // 92.4.

@@ -35,7 +35,8 @@ type State interface {
 // gives each process's initial state and Step is the transition function.
 //
 // One Step call is one atomic step of the model: the process receives a
-// single message m (nil encodes the empty message λ), queries its failure
+// single message m (nil encodes the empty message λ; a Merger may be handed
+// several of a link's messages joined into one), queries its failure
 // detector receiving d, changes state, and sends messages. The new state
 // and the messages sent are uniquely determined by (p, s, m, d).
 //
@@ -78,6 +79,20 @@ type Decider interface {
 // again under the same state.
 type Idler interface {
 	Idle(p ProcessID, s State, d FDValue) bool
+}
+
+// Merger is implemented by automata for which one receipt of Merge(a, b)
+// is the receipt of a and then of b under one FD value, with no step of
+// the receiver between them. A driver may then join the payloads one
+// sender sent one receiver, in link order, into one message: on the
+// receiving end several pending messages of a link become one step, and
+// on the sending end the sends of several steps to one destination become
+// one message. A link may delay messages (§2.1), so joining them only
+// withholds steps the model never promised. Neither a nor b supersedes
+// (SupersededPayload): a superseding payload is never merged. The result
+// must not alias mutable memory of a or b.
+type Merger interface {
+	Merge(a, b Payload) Payload
 }
 
 // DecisionOf extracts the decision from a state if it exposes one.

@@ -32,13 +32,17 @@
 // (link.send; a write that fails closes the connection, so the peer never
 // reads a frame behind a torn one), and the one for what p takes from q,
 // which decodes in link order because the inbox keeps each sender's frames
-// in order and decodes them when p takes them (resolve). Only p's goroutine touches either. A
-// superseding frame the inbox drops undecoded (a heartbeat, a DAG
-// snapshot) is its frame's only item, so the run misses no slot item. The
-// reader files a frame by its peek (wire.PeekMessage), which walks its
-// first item to tell a lone payload from a bundle. A frame that fails to
-// decode breaks the run of its link: it and every later frame from that
-// peer are dropped, as if the link had closed.
+// in order and decodes them when p takes them (resolve). Only p's
+// goroutine touches either. For a model.Merger a take may get several
+// frames of one peer (substrate.Inbox.TakeRun): they are resolved one by
+// one in link order before the driver joins them, and what p sends a peer
+// over a run of steps leaves as one frame. A superseding frame the inbox
+// drops undecoded (a heartbeat, a DAG snapshot) is its frame's only item,
+// so the run misses no slot item. The reader files a frame by its peek
+// (wire.PeekMessage), which walks its first item to tell a lone payload
+// from a bundle. A frame that fails to decode breaks the run of its link:
+// it and every later frame from that peer are dropped, as if the link had
+// closed.
 package netrun
 
 import (

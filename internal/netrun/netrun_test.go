@@ -11,6 +11,8 @@ import (
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/netrun"
 	"nuconsensus/internal/obs"
+	"nuconsensus/internal/rsm"
+	"nuconsensus/internal/serve"
 	"nuconsensus/internal/substrate"
 	"nuconsensus/internal/transform"
 )
@@ -50,55 +52,96 @@ func TestANucOverTCP(t *testing.T) {
 // TestDeliveriesMatchSendsOverTCP: no frame names its message, so the
 // reader's count of frames is what names it, and the event bus would let
 // a miscount pass: it skips a Deliver whose (From, Seq) no Send stamped.
-// Every Deliver of an A_nuc run with a crash must name a Send from that
-// sender to that receiver, of the same payload kind, and none twice.
+// Every Deliver must name a Send from that sender to that receiver, of the
+// same payload kind, none twice, and carry a later Lamport stamp; and no
+// payload here supersedes, so what each link delivered is a prefix of what
+// it carried, with no message skipped. A_nuc
+// with a crash takes one message per step; the serving stack (n = 3,
+// pipeline 2) is a model.Merger, so its takes join link runs and its
+// sends are held over runs, and each message of a joined take must still
+// get its own Deliver. That case must have joined some takes, or it
+// checks nothing the A_nuc case does not.
 func TestDeliveriesMatchSendsOverTCP(t *testing.T) {
-	n := 4
-	pattern := model.PatternFromCrashes(n, map[model.ProcessID]model.Time{1: 60})
-	hist := fd.PairHistory{
-		First:  fd.NewOmega(pattern, 400, 3),
-		Second: fd.NewSigmaNuPlus(pattern, 400, 3),
+	crash := model.PatternFromCrashes(4, map[model.ProcessID]model.Time{1: 60})
+	none := model.NewFailurePattern(3)
+	serving := serve.NewCluster(serve.Config{N: 3, Slots: 400, Pipeline: 2, Batch: 8})
+	sampler := rsm.SamplerForLog(none, 60, 1)
+	serving.Log().WithSampler(sampler)
+	for _, tc := range []struct {
+		name    string
+		aut     model.Automaton
+		hist    model.History
+		pattern *model.FailurePattern
+		merges  bool
+	}{
+		{"anuc", consensus.NewANuc([]int{1, 0, 1, 0}), fd.PairHistory{
+			First:  fd.NewOmega(crash, 400, 3),
+			Second: fd.NewSigmaNuPlus(crash, 400, 3),
+		}, crash, false},
+		{"serve", serving.Automaton(), sampler, none, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events := obs.NewCollector(obs.KindSend, obs.KindDeliver)
+			reg := obs.NewRegistry()
+			res, err := netrun.New().Run(context.Background(), tc.aut, tc.hist, tc.pattern, substrate.Options{
+				Seed:            4,
+				MaxSteps:        1_000_000,
+				StopWhenDecided: true,
+				Bus:             obs.NewBus(nil, nil, events),
+				Metrics:         reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type id struct {
+				from model.ProcessID
+				seq  uint64
+			}
+			sends := map[id]obs.Event{}
+			for _, ev := range events.Events() {
+				if ev.Kind == obs.KindSend {
+					sends[id{ev.From, ev.Seq}] = ev
+				}
+			}
+			delivered := map[id]bool{}
+			type link struct{ from, to model.ProcessID }
+			count, last := map[link]uint64{}, map[link]uint64{} // per link: Delivers, and the highest k delivered
+			for _, ev := range events.Events() {
+				if ev.Kind != obs.KindDeliver {
+					continue
+				}
+				key := id{ev.From, ev.Seq}
+				switch s, ok := sends[key]; {
+				case !ok:
+					t.Fatalf("%v delivered %v#%d, which no Send stamped", ev.P, ev.From, ev.Seq)
+				case s.To != ev.P || s.Payload != ev.Payload:
+					t.Fatalf("%v delivered %v#%d as %s, sent to %v as %s", ev.P, ev.From, ev.Seq, ev.Payload, s.To, s.Payload)
+				case delivered[key]:
+					t.Fatalf("%v delivered %v#%d twice", ev.P, ev.From, ev.Seq)
+				case ev.L <= s.L:
+					t.Fatalf("%v delivered %v#%d at Lamport %d, sent at %d", ev.P, ev.From, ev.Seq, ev.L, s.L)
+				}
+				delivered[key] = true
+				l := link{ev.From, ev.P}
+				count[l]++
+				last[l] = max(last[l], ev.Seq/(model.MaxProcesses*model.MaxProcesses)) // the k of LinkSeq(from, to, k)
+			}
+			for l, k := range last {
+				if count[l] != k {
+					t.Fatalf("%v→%v delivered %d messages, the last of them its %d-th: a taken message got no Deliver", l.from, l.to, count[l], k)
+				}
+			}
+			if len(delivered) == 0 || !res.Decided {
+				t.Fatalf("%d messages delivered; decided %v", len(delivered), res.Decided)
+			}
+			merged := reg.Counter("substrate.takes_merged").Value()
+			if tc.merges != (merged > 0) {
+				t.Errorf("substrate.takes_merged = %d: a Merger joins some takes, any other automaton none", merged)
+			}
+			t.Logf("%d of %d sends delivered in %d ticks; %d messages joined into earlier takes, %d sends into held ones",
+				len(delivered), len(sends), res.Ticks, merged, reg.Counter("substrate.sends_merged").Value())
+		})
 	}
-	events := obs.NewCollector(obs.KindSend, obs.KindDeliver)
-	res, err := netrun.New().Run(context.Background(), consensus.NewANuc([]int{1, 0, 1, 0}), hist, pattern, substrate.Options{
-		Seed:            4,
-		MaxSteps:        200000,
-		StopWhenDecided: true,
-		Bus:             obs.NewBus(nil, nil, events),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type id struct {
-		from model.ProcessID
-		seq  uint64
-	}
-	sends := map[id]obs.Event{}
-	for _, ev := range events.Events() {
-		if ev.Kind == obs.KindSend {
-			sends[id{ev.From, ev.Seq}] = ev
-		}
-	}
-	delivered := map[id]bool{}
-	for _, ev := range events.Events() {
-		if ev.Kind != obs.KindDeliver {
-			continue
-		}
-		key := id{ev.From, ev.Seq}
-		switch s, ok := sends[key]; {
-		case !ok:
-			t.Fatalf("%v delivered %v#%d, which no Send stamped", ev.P, ev.From, ev.Seq)
-		case s.To != ev.P || s.Payload != ev.Payload:
-			t.Fatalf("%v delivered %v#%d as %s, sent to %v as %s", ev.P, ev.From, ev.Seq, ev.Payload, s.To, s.Payload)
-		case delivered[key]:
-			t.Fatalf("%v delivered %v#%d twice", ev.P, ev.From, ev.Seq)
-		}
-		delivered[key] = true
-	}
-	if len(delivered) == 0 || !res.Decided {
-		t.Fatalf("%d messages delivered; decided %v", len(delivered), res.Decided)
-	}
-	t.Logf("%d of %d sends delivered in %d ticks", len(delivered), len(sends), res.Ticks)
 }
 
 func TestOracleFreeOverTCP(t *testing.T) {

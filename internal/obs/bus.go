@@ -125,12 +125,16 @@ func (b *Bus) emitOutput(t model.Time, p model.ProcessID, l uint64, st model.Sta
 }
 
 // OnStep records one atomic step of §2.4: process p, at logical time t,
-// received m (nil for λ), sampled d (nil when the automaton queries no
-// detector), sent the messages in sent, and ended the step in state st.
-// The emission order within the step is fixed — Deliver, FDQuery, Step,
-// Sends, then the derived EpochChange/QuorumFormed/Decide/FDOutput — so sim
-// event logs are byte-identical across runs and worker counts.
-func (b *Bus) OnStep(t model.Time, p model.ProcessID, m *model.Message, d model.FDValue, sent []*model.Message, st model.State) {
+// received the messages in taken (none for λ; several when the driver
+// joined a link's pending messages into one receipt, model.Merger),
+// sampled d (nil when the automaton queries no detector), sent the
+// messages in sent, and ended the step in state st. Each taken message
+// gets its own Deliver, and the step's Lamport stamp exceeds every one of
+// their sends. The emission order within the step is fixed — Deliver,
+// FDQuery, Step, Sends, then the derived
+// EpochChange/QuorumFormed/Decide/FDOutput — so sim event logs are
+// byte-identical across runs and worker counts.
+func (b *Bus) OnStep(t model.Time, p model.ProcessID, taken []*model.Message, d model.FDValue, sent []*model.Message, st model.State) {
 	if b == nil {
 		return
 	}
@@ -140,17 +144,17 @@ func (b *Bus) OnStep(t model.Time, p model.ProcessID, m *model.Message, d model.
 	wall := b.clock.Now()
 
 	// Lamport: the step is one atomic event; its stamp exceeds the
-	// process's previous step and, if the step received a message, the
-	// matching send (send-before-receive of §2.4).
+	// process's previous step and the send of every message the step
+	// received (send-before-receive of §2.4).
 	l := b.lamport[p] + 1
-	if m != nil {
+	for _, m := range taken {
 		if s, ok := b.sendL[msgKey{m.From, m.Seq}]; ok && s+1 > l {
 			l = s + 1
 		}
 	}
 	b.lamport[p] = l
 
-	if m != nil {
+	for _, m := range taken {
 		delete(b.sendL, msgKey{m.From, m.Seq})
 		b.emit(Event{Kind: KindDeliver, T: t, P: p, L: l, From: m.From, Seq: m.Seq, Payload: m.Payload.Kind(), Wall: wall})
 		b.cDelivered.Add(1)
@@ -160,11 +164,7 @@ func (b *Bus) OnStep(t model.Time, p model.ProcessID, m *model.Message, d model.
 	}
 	b.emit(Event{Kind: KindStep, T: t, P: p, L: l, Value: len(sent), Wall: wall})
 	b.cSteps.Add(1)
-	for _, sm := range sent {
-		b.sendL[msgKey{sm.From, sm.Seq}] = l
-		b.emit(Event{Kind: KindSend, T: t, P: p, L: l, From: sm.From, To: sm.To, Seq: sm.Seq, Payload: sm.Payload.Kind(), Wall: wall})
-		b.countSent(sm.Payload.Kind())
-	}
+	b.emitSends(t, p, l, sent, wall)
 
 	// Derived events from state introspection: round transitions, quorum
 	// completions, decisions, emulated detector outputs.
@@ -190,6 +190,31 @@ func (b *Bus) OnStep(t model.Time, p model.ProcessID, m *model.Message, d model.
 		b.observe("consensus.ticks_to_decide", int64(t))
 	}
 	b.emitOutput(t, p, l, st, wall)
+}
+
+// OnSend records messages process p sends outside a step, at logical time
+// t: sends its steps made and its driver held (model.Merger), let out when
+// the process stops or waits. They are stamped after p's last step, so
+// their receipts still follow them.
+func (b *Bus) OnSend(t model.Time, p model.ProcessID, sent []*model.Message) {
+	if b == nil || len(sent) == 0 {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.grow(p)
+	b.lamport[p]++
+	b.emitSends(t, p, b.lamport[p], sent, b.clock.Now())
+}
+
+// emitSends stamps each message of sent with Lamport time l and emits its
+// Send. Callers hold b.mu.
+func (b *Bus) emitSends(t model.Time, p model.ProcessID, l uint64, sent []*model.Message, wall int64) {
+	for _, sm := range sent {
+		b.sendL[msgKey{sm.From, sm.Seq}] = l
+		b.emit(Event{Kind: KindSend, T: t, P: p, L: l, From: sm.From, To: sm.To, Seq: sm.Seq, Payload: sm.Payload.Kind(), Wall: wall})
+		b.countSent(sm.Payload.Kind())
+	}
 }
 
 // OnCrash records that process p crashed at logical time t (per the run's

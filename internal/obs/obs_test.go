@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -68,7 +69,11 @@ func runScript(t *testing.T, steps []step, reg *obs.Registry, sinks ...obs.Sink)
 	t.Helper()
 	bus := obs.NewBus(nil, reg, sinks...)
 	for _, s := range steps {
-		bus.OnStep(s.t, s.p, s.recv, s.fd, s.sent, s.st)
+		var taken []*model.Message
+		if s.recv != nil {
+			taken = []*model.Message{s.recv}
+		}
+		bus.OnStep(s.t, s.p, taken, s.fd, s.sent, s.st)
 	}
 	if err := bus.Close(); err != nil {
 		t.Fatalf("bus.Close: %v", err)
@@ -538,6 +543,29 @@ func TestNilRegistryRecordsNothing(t *testing.T) {
 	tr.Span(obs.SpanEvent{Stage: obs.StageIngress})
 	if err := tr.Flush(); err != nil || tr.Spans() != 1 || buf.Len() == 0 {
 		t.Errorf("tracer on a nil registry wrote %d spans, %d bytes (err %v), want 1 span", tr.Spans(), buf.Len(), err)
+	}
+}
+
+// TestJoinedTakeAndHeldSends: a step that took several messages emits one
+// Deliver per message, all at one Lamport stamp above every one of their
+// sends; sends let out outside a step (OnSend) are stamped after the
+// sender's last step, so a step that takes them is stamped after them.
+func TestJoinedTakeAndHeldSends(t *testing.T) {
+	all := obs.NewCollector(obs.KindDeliver, obs.KindSend)
+	bus := obs.NewBus(nil, nil, all)
+	a, b := msg(0, 1, 1, "A"), msg(0, 1, 2, "B")
+	bus.OnStep(1, 0, nil, nil, []*model.Message{a}, nil) // p0 at L1
+	bus.OnStep(2, 0, nil, nil, nil, nil)                 // L2
+	bus.OnStep(3, 0, nil, nil, nil, nil)                 // L3
+	bus.OnSend(4, 0, []*model.Message{b})                // L4, outside a step
+	bus.OnStep(5, 1, []*model.Message{a, b}, nil, nil, nil)
+	var got []string
+	for _, ev := range all.Events() {
+		got = append(got, fmt.Sprintf("%v %s#%d L%d", ev.Kind, ev.Payload, ev.Seq, ev.L))
+	}
+	want := []string{"send A#1 L1", "send B#2 L4", "deliver A#1 L5", "deliver B#2 L5"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("events %q, want %q", got, want)
 	}
 }
 

@@ -1,12 +1,13 @@
 // Bundles: the payloads one outer step sends to one peer travel as one
-// message. The substrates charge a receiver one step per message, and an
-// outer step is already a finite run of inner steps under one FD value
-// (drain, loopback), so a peer may take k payloads that left one step
-// together as k inner steps of one receive. Per-link FIFO order is kept
-// inside the bundle — its items are in emission order, and Step takes them
-// in that order — so the per-destination delta chain (wrapShared) and every
-// other ordering the log relies on is what it was with k messages.
-// DESIGN.md §10 "Bundles" has the argument.
+// message, and so may the messages of several steps (Log.Merge). The
+// substrates charge a receiver one step per message, and an outer step is
+// already a finite run of inner steps under one FD value (drain,
+// loopback), so a peer may take k payloads that left together as k inner
+// steps of one receive. Per-link FIFO order is kept inside the bundle —
+// its items are in emission order, and Step takes them in that order — so
+// the per-destination delta chain (wrapShared) and every other ordering
+// the log relies on is what it was with k messages. DESIGN.md §10
+// "Bundles" has the argument.
 package rsm
 
 import (
@@ -16,8 +17,11 @@ import (
 )
 
 // Bundle is the payloads one outer step sends to one peer, in emission
-// order, carried as one model.Send (pack). It never nests and never
-// supersedes, so an inbox takes every item of one. Nor does it hold a
+// order, carried as one model.Send (pack), or the payloads of several of a
+// link's messages that the cluster driver joined (Log.Merge). Then two
+// items may be for one slot, and Step takes them one after the other as
+// it would take two messages, with no λ half between. It never nests and
+// never supersedes, so an inbox takes every item of one. Nor does it hold a
 // superseding payload: no payload the log sends supersedes, and on the
 // wire a heartbeat or a DAG snapshot is its frame's only item, so an
 // inbox that drops one undecoded drops nothing else.
@@ -33,6 +37,29 @@ func (b Bundle) String() string {
 		parts[i] = pl.String()
 	}
 	return "BNDL[" + strings.Join(parts, " ") + "]"
+}
+
+// Merge implements model.Merger: the items of a and then those of b, as
+// one Bundle of exactly their size, so neither operand's backing array is
+// shared.
+func (*Log) Merge(a, b model.Payload) model.Payload {
+	return appendItems(appendItems(make(Bundle, 0, width(a)+width(b)), a), b)
+}
+
+// width is the number of items pl carries.
+func width(pl model.Payload) int {
+	if b, ok := pl.(Bundle); ok {
+		return len(b)
+	}
+	return 1
+}
+
+// appendItems appends pl's items to b.
+func appendItems(b Bundle, pl model.Payload) Bundle {
+	if items, ok := pl.(Bundle); ok {
+		return append(b, items...)
+	}
+	return append(b, pl)
 }
 
 // pack folds a step's sends into one per destination: a destination sent

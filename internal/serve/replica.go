@@ -256,6 +256,10 @@ func (r *Replica) Idle(p model.ProcessID, s model.State, d model.FDValue) bool {
 	return r.log.Idle(p, st.inner, d)
 }
 
+// Merge implements model.Merger as the log does (rsm.Log.Merge): a BATCH
+// body is one more item, and Step takes a bundle's bodies at their places.
+func (r *Replica) Merge(a, b model.Payload) model.Payload { return r.log.Merge(a, b) }
+
 // takeBodies stores the batch bodies a message carries and returns what is
 // left of it for the log: each body becomes the CMD forwarding its batch's
 // ID, at the body's place, as if the sender's log had forwarded the ID

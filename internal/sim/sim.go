@@ -96,7 +96,11 @@ func Run(x Exec) (*substrate.Result, error) {
 		res.Steps++
 		res.Ticks = t
 		res.CountSends(sent)
-		x.Bus.OnStep(t, p, m, d, sent, c.States[p])
+		var taken []*model.Message
+		if m != nil {
+			taken = []*model.Message{m}
+		}
+		x.Bus.OnStep(t, p, taken, d, sent, c.States[p])
 		if x.KeepSchedule {
 			res.Schedule = append(res.Schedule, e)
 			res.Times = append(res.Times, t)

@@ -36,16 +36,18 @@ type ClusterHooks struct {
 	// >= 1 means every step receives the oldest pending message.
 	TakeProb float64
 
-	// Dispatch transmits one step's messages — puts them into inboxes,
-	// writes them to sockets. The driver has already built them, the k-th
-	// message p sends q numbered LinkSeq(p, q, k), and stamped the event
-	// bus's Send events, so a receiver cannot take a message whose send is
-	// unstamped — that ordering is what keeps the bus's Lamport annotation
-	// consistent with send-before-receive even under real concurrency. A
-	// transport that delivers every message of a link, in order, can name
-	// each by counting instead of carrying its Seq (internal/netrun). Nil
-	// is the in-memory transport: each message goes straight into its
-	// destination inbox.
+	// Dispatch transmits messages a process sends — puts them into
+	// inboxes, writes them to sockets. A process hands it what it held over
+	// a run of steps (RunCluster), at most one message per destination for
+	// a model.Merger. The driver has already built them, the k-th message
+	// p sends q numbered LinkSeq(p, q, k), and stamped the event bus's Send
+	// events, so a receiver cannot take a message whose send is unstamped —
+	// that ordering is what keeps the bus's Lamport annotation consistent
+	// with send-before-receive even under real concurrency. A transport
+	// that delivers every message of a link, in order, can name each by
+	// counting instead of carrying its Seq (internal/netrun). Nil is the
+	// in-memory transport: each message goes straight into its destination
+	// inbox.
 	Dispatch func(msgs []*model.Message)
 
 	// OnHalt, if non-nil, runs exactly once when process p stops — by
@@ -55,7 +57,8 @@ type ClusterHooks struct {
 
 	// Resolve, if non-nil, finalizes a taken message before it reaches the
 	// automaton — e.g. decoding a raw wire frame that the transport put in
-	// the inbox undecoded. Messages collapsed in the inbox are never
+	// the inbox undecoded. The messages of one take are resolved one by
+	// one in link order. Messages collapsed in the inbox are never
 	// resolved, which is the point: supersession makes their decode cost
 	// vanish. A nil result (resolution failure) skips the message.
 	Resolve func(m *model.Message) *model.Message
@@ -95,9 +98,26 @@ func LinkSeq(from, to model.ProcessID, k uint64) uint64 {
 // take found nothing skips its λ-step when the automaton is a model.Idler
 // that says the step would change nothing; the skip emits no step event,
 // is not counted in Result.Steps, and is counted in substrate.idle_skips.
-// Each process numbers its own sends per destination (LinkSeq), so the Seq
-// a message carries is what the receiving end of its link can count. It
-// blocks until the cluster stops and returns the finished Result.
+//
+// A model.Merger's process receives and sends by link runs. A take gets
+// the oldest pending message and every later one from its sender up to
+// the first that supersedes (Inbox.TakeRun), and the step receives them
+// joined into one message (substrate.takes_merged counts the messages
+// folded in). The first step of a run of steps counts the messages still
+// pending, and the process holds its sends, joined per destination
+// (substrate.sends_merged), until it has taken that many more: the last
+// step of the run sends them, so no message waits on one that arrived
+// after the run began. A take that finds nothing ends the run too. Any
+// other automaton runs the same loop with runs of length one. A process
+// never waits, and never leaves by crash, budget or stop, while it holds
+// sends: the held messages get their Send events (obs.Bus.OnSend) and go
+// out first, as the paper's channels deliver what a process sent before
+// it crashed.
+//
+// Each process numbers its own sends per destination (LinkSeq) as they
+// leave, so the Seq a message carries is what the receiving end of its
+// link can count. It blocks until the cluster stops and returns the
+// finished Result.
 func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pattern *model.FailurePattern, opts Options, h ClusterHooks) (*Result, error) {
 	n := aut.N()
 	if h.Inboxes == nil {
@@ -121,8 +141,13 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 		decided model.ProcessSet
 		res     = &Result{} // Steps counts executed steps; the clock also counts skipped λ-steps and crash and budget discoveries
 	)
-	waits := make([][3]int64, n) // per process: waits ended by an arrival, waits that ran out, λ-steps skipped
+	// Per process, counted locally and published once at halt (no per-step
+	// atomic): waits ended by an arrival, waits that ran out, λ-steps
+	// skipped, messages folded into an earlier take, sends folded into a
+	// held one.
+	counts := make([][5]int64, n)
 	idler, _ := aut.(model.Idler)
+	merger, _ := aut.(model.Merger)
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
 	for p := 0; p < n; p++ {
 		states[p] = aut.InitState(model.ProcessID(p))
@@ -159,18 +184,34 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 				defer h.OnHalt(p)
 			}
 			rng := rand.New(rand.NewSource(opts.Seed + int64(p)*seedStride))
-			st := states[p]                     // this goroutine owns it until it halts; Step mutates it in place
-			var sent [model.MaxProcesses]uint64 // messages sent to each process so far
-
-			// Counted locally, published once at halt: no per-step atomic.
-			var woken, timedOut, skipped int64
-			defer func() { waits[p] = [3]int64{woken, timedOut, skipped} }()
+			st := states[p] // this goroutine owns it until it halts; Step mutates it in place
+			var (
+				hold  held                       // sends held over the current run
+				left  int                        // messages to take before hold leaves
+				taken []*model.Message           // this pass's take, reused
+				c     = &counts[p]               // published at halt: the goroutine is its only writer
+				sent  [model.MaxProcesses]uint64 // messages sent to each process so far
+			)
+			defer func() { c[4] = hold.merged }()
 			wait := func() {
 				if h.Inboxes[p].Wait(idleWaitBound) {
-					woken++
+					c[0]++
 				} else {
-					timedOut++
+					c[1]++
 				}
+			}
+			// flush lets out what p holds outside a step: the Send events,
+			// then the dispatch. Every wait and every exit goes through it.
+			flush := func(t model.Time) {
+				msgs := hold.release(p, &sent)
+				if len(msgs) == 0 {
+					return
+				}
+				mu.Lock()
+				res.CountSends(msgs)
+				opts.Bus.OnSend(t, p, msgs)
+				mu.Unlock()
+				h.Dispatch(msgs)
 			}
 			// stopCheck records st's decision and reports whether every
 			// correct process has decided; the caller holds mu.
@@ -188,33 +229,42 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 			for {
 				select {
 				case <-stop:
+					flush(model.Time(clock.Load()))
 					return
 				default:
 				}
 				t := model.Time(clock.Add(1))
 				if t > maxTicks {
+					flush(t)
 					halt()
 					return
 				}
 				if pattern.Crashed(p, t) {
+					flush(t)
 					opts.Bus.OnCrash(t, p)
 					return // crash: silently halt (OnHalt closes resources)
 				}
 				var m *model.Message
 				empty := false // a take was attempted and found nothing
+				took, pending := 0, 0
+				taken = taken[:0]
 				if h.TakeProb <= 0 || h.TakeProb >= 1 || rng.Float64() < h.TakeProb {
-					m = h.Inboxes[p].Take()
-					empty = m == nil
-					if m != nil && h.Resolve != nil {
-						m = h.Resolve(m)
+					taken, pending = h.Inboxes[p].TakeRun(taken, merger != nil)
+					took, empty = len(taken), len(taken) == 0
+					if merger == nil {
+						pending = 0 // runs of length one
 					}
+					taken = resolve(h.Resolve, taken)
+					m = join(merger, taken)
+					c[3] += int64(max(len(taken)-1, 0))
 				}
 				d := hist.Output(p, t)
 				if empty && idler != nil && idler.Idle(p, st, d) {
 					// The λ-step would be a stutter: skip it. The tick is
 					// spent, and the stop check still runs, since a state's
 					// decision may read more than the state (serve's does).
-					skipped++
+					c[2]++
+					flush(t)
 					if opts.StopWhenDecided {
 						mu.Lock()
 						all := stopCheck()
@@ -229,30 +279,37 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 				}
 				ns, sends := aut.Step(p, st, m, d)
 				st = ns
-				msgs := make([]*model.Message, len(sends))
-				for i, s := range sends {
-					sent[s.To]++
-					msgs[i] = &model.Message{From: p, To: s.To, Seq: LinkSeq(p, s.To, sent[s.To]), Payload: s.Payload}
+				if hold.empty() {
+					left = pending // a run begins: hold over the backlog found
+				} else {
+					left -= took
+				}
+				hold.add(merger, sends)
+				var msgs []*model.Message
+				if left <= 0 || empty {
+					msgs = hold.release(p, &sent)
 				}
 
 				mu.Lock()
 				res.Steps++
 				res.CountSends(msgs)
 				states[p] = st
-				opts.Bus.OnStep(t, p, m, d, msgs, st)
+				opts.Bus.OnStep(t, p, taken, d, msgs, st)
 				allDecided := stopCheck()
 				mu.Unlock()
 				// Dispatch after the bus has the Send events: a receiver
 				// cannot observe a message whose send is unstamped.
 				h.Dispatch(msgs)
 				if allDecided {
+					flush(t)
 					halt()
 					return
 				}
 				// Nothing arrived and nothing left: the next step worth taking
 				// is a reaction to the next arrival, so wait for one, at most
 				// idleWaitBound. A step that skipped its take (TakeProb) never
-				// waits, since messages may still be pending.
+				// waits, since messages may still be pending. A take that found
+				// nothing released what was held, so no wait holds sends.
 				if empty && len(msgs) == 0 {
 					wait()
 				}
@@ -266,17 +323,17 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 		drops += b.SupersededDrops()
 		pending += int64(b.Len())
 	}
-	var woken, timedOut, skipped int64
-	for _, w := range waits {
-		woken += w[0]
-		timedOut += w[1]
-		skipped += w[2]
+	var sum [5]int64
+	for _, c := range counts {
+		for i, v := range c {
+			sum[i] += v
+		}
 	}
 	opts.Metrics.Counter("inbox.superseded_drops").Add(drops)
 	opts.Metrics.Counter("inbox.pending_at_halt").Add(pending)
-	opts.Metrics.Counter("substrate.waits_woken").Add(woken)
-	opts.Metrics.Counter("substrate.waits_timed_out").Add(timedOut)
-	opts.Metrics.Counter("substrate.idle_skips").Add(skipped)
+	for i, name := range [...]string{"substrate.waits_woken", "substrate.waits_timed_out", "substrate.idle_skips", "substrate.takes_merged", "substrate.sends_merged"} {
+		opts.Metrics.Counter(name).Add(sum[i])
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -286,6 +343,87 @@ func RunCluster(ctx context.Context, aut model.Automaton, hist model.History, pa
 	res.Config = &model.Configuration{States: states, Buffer: model.NewMessageBuffer()}
 	res.Ticks = min(model.Time(clock.Load()), maxTicks) // each process that finds the budget spent ticks past it
 	return Finish(res, pattern), nil
+}
+
+// resolve finalizes the messages of one take in link order (Resolve) and
+// keeps those that resolved.
+func resolve(r func(*model.Message) *model.Message, taken []*model.Message) []*model.Message {
+	if r == nil {
+		return taken
+	}
+	kept := taken[:0]
+	for _, x := range taken {
+		if x = r(x); x != nil {
+			kept = append(kept, x)
+		}
+	}
+	return kept
+}
+
+// join is the one message a step receives for a take: nil for none, the
+// message itself for one, and for a link run the Merger's join of its
+// payloads in link order, under the first message's identity.
+func join(mg model.Merger, taken []*model.Message) *model.Message {
+	switch len(taken) {
+	case 0:
+		return nil
+	case 1:
+		return taken[0]
+	}
+	pl := taken[0].Payload
+	for _, x := range taken[1:] {
+		pl = mg.Merge(pl, x.Payload)
+	}
+	first := *taken[0]
+	first.Payload = pl
+	return &first
+}
+
+// held is the sends a process holds over a run of steps: in order of each
+// destination's first send, a Merger's sends to one destination joined
+// into one unless one of them supersedes.
+type held struct {
+	sends  []model.Send
+	last   [model.MaxProcesses]int // 1 + index in sends of the destination's joinable send; 0 when none
+	merged int64                   // sends joined into a held one
+}
+
+func (h *held) empty() bool { return len(h.sends) == 0 }
+
+// add holds sends, joining each into the destination's held send when mg
+// allows it.
+func (h *held) add(mg model.Merger, sends []model.Send) {
+	for _, s := range sends {
+		_, sup := s.Payload.(model.SupersededPayload)
+		if i := h.last[s.To] - 1; mg != nil && i >= 0 && !sup {
+			h.sends[i].Payload = mg.Merge(h.sends[i].Payload, s.Payload)
+			h.merged++
+			continue
+		}
+		h.sends = append(h.sends, s)
+		h.last[s.To] = 0
+		if !sup {
+			h.last[s.To] = len(h.sends)
+		}
+	}
+}
+
+// release numbers what is held — the k-th message p sends q is
+// LinkSeq(p, q, k), sent counting per destination — and returns it as
+// messages, holding nothing after.
+func (h *held) release(p model.ProcessID, sent *[model.MaxProcesses]uint64) []*model.Message {
+	if len(h.sends) == 0 {
+		return nil
+	}
+	msgs := make([]*model.Message, len(h.sends))
+	for i, s := range h.sends {
+		sent[s.To]++
+		msgs[i] = &model.Message{From: p, To: s.To, Seq: LinkSeq(p, s.To, sent[s.To]), Payload: s.Payload}
+		h.last[s.To] = 0
+	}
+	clear(h.sends)
+	h.sends = h.sends[:0]
+	return msgs
 }
 
 func init() { Register(async{}) }

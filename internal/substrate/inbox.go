@@ -12,7 +12,10 @@ import (
 // order per link, so per-link FIFO follows), with SupersededPayload
 // collapsing so DAG snapshot floods cannot deadlock or exhaust memory:
 // putting a superseding payload removes the older pending payloads of the
-// same kind from the same sender.
+// same kind from the same sender. A take gets the oldest message (Take)
+// or, for a driver that joins a link's messages (model.Merger), its
+// sender's whole pending run (TakeRun); either way each link's messages
+// leave in link order.
 //
 // The queue is a slice with a head index rather than a reslice-on-take
 // ring: Take nils the consumed slot and advances head, and the backing
@@ -126,7 +129,7 @@ func signal(c chan struct{}) {
 // put appends one message, collapsing superseded predecessors. Callers
 // hold b.mu.
 func (b *Inbox) put(m *model.Message) {
-	if _, ok := m.Payload.(model.SupersededPayload); ok {
+	if supersedes(m) {
 		kept := b.msgs[b.head:b.head]
 		for _, x := range b.msgs[b.head:] {
 			if x.From == m.From && x.Payload.Kind() == m.Payload.Kind() {
@@ -147,14 +150,51 @@ func (b *Inbox) put(m *model.Message) {
 
 // Take removes and returns the oldest message, or nil.
 func (b *Inbox) Take() *model.Message {
+	var one [1]*model.Message
+	if taken, _ := b.TakeRun(one[:0], false); len(taken) > 0 {
+		return taken[0]
+	}
+	return nil
+}
+
+// TakeRun appends to dst the oldest message m and, when run is set, every
+// later pending message from m's sender up to the first one that
+// supersedes: a link run, in link order. A superseding m is a run of its
+// own. The other senders' messages stay where they were. It returns the
+// extended dst and how many messages are still pending. One lock
+// acquisition covers the take and the count.
+func (b *Inbox) TakeRun(dst []*model.Message, run bool) ([]*model.Message, int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.head == len(b.msgs) {
-		return nil
+		return dst, 0
 	}
 	m := b.msgs[b.head]
 	b.msgs[b.head] = nil
 	b.head++
+	dst = append(dst, m)
+	if run && !supersedes(m) {
+		// Move the messages of other senders down over the ones taken,
+		// up to the end of the run; what lies past it keeps its place.
+		kept, i := b.head, b.head
+		for ; i < len(b.msgs); i++ {
+			x := b.msgs[i]
+			if x.From != m.From {
+				b.msgs[kept] = x
+				kept++
+				continue
+			}
+			if supersedes(x) {
+				break
+			}
+			dst = append(dst, x)
+		}
+		if kept < i {
+			end := kept + copy(b.msgs[kept:], b.msgs[i:])
+			clear(b.msgs[end:])
+			b.msgs = b.msgs[:end]
+		}
+	}
 	switch {
 	case b.head == len(b.msgs):
 		// Drained: rewind onto the same backing array.
@@ -170,7 +210,13 @@ func (b *Inbox) Take() *model.Message {
 		b.msgs = b.msgs[:n]
 		b.head = 0
 	}
-	return m
+	return dst, len(b.msgs) - b.head
+}
+
+// supersedes reports whether m's payload collapses older ones (Put).
+func supersedes(m *model.Message) bool {
+	_, ok := m.Payload.(model.SupersededPayload)
+	return ok
 }
 
 // Len reports the number of pending messages.

@@ -73,8 +73,9 @@ type Options struct {
 	Bus *obs.Bus
 
 	// Metrics, if non-nil, receives substrate-level counters (inbox
-	// supersede drops, idle waits by how they ended, transport frame
-	// counts). Usually the same registry the Bus was built with.
+	// supersede drops, idle waits by how they ended, messages joined into
+	// link runs, transport frame counts). Usually the same registry the
+	// Bus was built with.
 	Metrics *obs.Registry
 }
 
