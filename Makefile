@@ -131,11 +131,21 @@ substrate-smoke:
 # before that with RunCluster skipping
 # the λ-steps the replica says are stutters (substrate.idle_skips, printed with
 # the wait counters), about 14 with the wait on the inbox alone, 74–79 with
-# the spin it replaced. nucd itself
+# the spin it replaced. Its peer bytes per log entry applied (the done
+# line's bytes_sent= over node 0's applied=) must stay within
+# SMOKE_BYTES_PER_ENTRY_CAP: the ratio carries the run's batch bodies, so
+# it swings with how many no-op slots a run decides — 41–82 over twelve
+# runs with every slot item announcing its sender's frontier, 51–92 before
+# (≈ 45 and ≈ 53 at ≈ 420 entries) — and the cap, 110, catches a gross
+# regression only: a link whose frames stopped inheriting from the frames
+# before them read 60–93 on a scratch copy. The sim counts code every
+# message as a fresh link, so this is the one gate on the link's run.
+# nucd itself
 # fails the target if the replicas' machines diverge or the step budget
 # runs out; nucload fails it if any write goes unacked. (E18's sim-substrate metrics determinism is
 # TestEventsByteIdenticalAcrossParallel in cmd/experiments.)
 SMOKE_STEPS_PER_SLOT_CAP = 10
+SMOKE_BYTES_PER_ENTRY_CAP = 110
 
 serve-smoke:
 	mkdir -p $(ARTIFACTS)
@@ -153,9 +163,9 @@ serve-smoke:
 	grep -q '"name":"load.write_us"' $(ARTIFACTS)/nucload.metrics.jsonl
 	python3 -c "import json; \
 	m = {r['name']: r['value'] for r in map(json.loads, open('$(ARTIFACTS)/nucd.metrics.jsonl'))}; \
-	carried, bare = m['rsm.progress_carried'], m['rsm.progress_bare']; \
-	assert bare <= carried, (carried, bare); \
-	print('progress: %d announcements carried, %d bare' % (carried, bare)); \
+	carried, implied, bare = m['rsm.progress_carried'], m['rsm.progress_implied'], m['rsm.progress_bare']; \
+	assert bare <= carried + implied, (carried, implied, bare); \
+	print('progress: %d announcements carried, %d implied by slot items, %d bare' % (carried, implied, bare)); \
 	carried, bare = m['rsm.owed_carried'], m['rsm.owed_bare']; \
 	assert bare <= carried, (carried, bare); \
 	print('bodies: %d carried, %d bare' % (carried, bare)); \
@@ -170,7 +180,10 @@ serve-smoke:
 	steps = int(re.search(r'^done decided=\S+ steps=(\d+)', out, re.M).group(1)); \
 	applied = int(re.search(r'^node=0 applied=(\d+)', out, re.M).group(1)); \
 	print('steps: %d over %d log entries, %.1f per entry (cap $(SMOKE_STEPS_PER_SLOT_CAP))' % (steps, applied, steps / applied)); \
-	assert steps <= $(SMOKE_STEPS_PER_SLOT_CAP) * applied, 'idle processes are spinning'"
+	assert steps <= $(SMOKE_STEPS_PER_SLOT_CAP) * applied, 'idle processes are spinning'; \
+	sent = int(re.search(r'^done decided=.* bytes_sent=(\d+)', out, re.M).group(1)); \
+	print('bytes: %d over %d log entries, %.1f per entry (cap $(SMOKE_BYTES_PER_ENTRY_CAP))' % (sent, applied, sent / applied)); \
+	assert sent <= $(SMOKE_BYTES_PER_ENTRY_CAP) * applied, 'peer frames grew'"
 	@rm -f nucd.smoke nucload.smoke
 	@echo "serve: nucd+nucload TCP run clean"
 

@@ -46,6 +46,7 @@ func newLogMetrics(reg *obs.Registry, n int) *logMetrics {
 	for row, name := range [...]string{rowPRGR: "progress", rowFLW: "follow", rowOwed: "owed"} {
 		m.rides[row] = [2]*obs.Counter{reg.Counter("rsm." + name + "_bare"), reg.Counter("rsm." + name + "_carried")}
 	}
+	m.progressImplied = reg.Counter("rsm.progress_implied")
 	return m
 }
 
@@ -104,12 +105,15 @@ type logMetrics struct {
 	quietReleased *obs.Counter
 	// The outbox's books (outbox.go): rides[row] counts the PRGR, FLW or
 	// owed items that left alone ([0], rsm.<row>_bare) and those that rode
-	// in a bundle with other traffic ([1], rsm.<row>_carried); leadLent /
+	// in a bundle with other traffic ([1], rsm.<row>_carried);
+	// progressImplied counts the peers whose due PRGR stayed home because
+	// the step's slot items implied it (rsm.progress_implied); leadLent /
 	// leadReleased count round-1 LEADs held for a peer that follows another
 	// process and those sent after all.
-	rides        [3][2]*obs.Counter
-	leadLent     *obs.Counter
-	leadReleased *obs.Counter
+	rides           [3][2]*obs.Counter
+	progressImplied *obs.Counter
+	leadLent        *obs.Counter
+	leadReleased    *obs.Counter
 	// instOpened / instRetired count slot instances created and discarded; their
 	// difference is the live-instance population a stalled floor grows.
 	instOpened  *obs.Counter

@@ -3,7 +3,9 @@
 // rule (DESIGN.md §10 "Outbox"):
 //
 //	row            enters                      rides traffic to q   leaves to q without other traffic
-//	PRGR(f)        f > told[q]                 yes                  once no undecided in-flight slot is left
+//	PRGR(f)        f > told[q], told[q] first  yes                  once no undecided in-flight slot is left
+//	               raised to what the step's
+//	               slot items to q imply
 //	FLW(Ω_p)       Ω_p ≠ toldLeader[q]         yes                  only to the new leader, last told another, while a slot waits in round 1
 //	round-1 LEAD   wrapShared, q follows       —                    when q names p, in slot order; dropped when its slot retires
 //	               another process
@@ -13,9 +15,13 @@
 // Sending later is asynchrony the model grants (§2.4; Lynch–Sastry's send
 // actions may be delayed arbitrarily, PAPERS.md), so no row bears on
 // safety: a late PRGR or FLW delays what a peer knows but never falsifies
-// it. A round-1 LEAD is held because Fig. 4, line 16, has a process wait
-// for the LEAD of its own Ω output and nobody else's: a peer whose Ω names
-// another process cannot use it until it names this one.
+// it. Nor does a PRGR left out because a slot item implied it: a slot item
+// for s leaves only while its sender's frontier is at least s − w + 1
+// (impliedFrontier), and its receiver raises the sender's progress to that
+// bound and no further. A round-1 LEAD is held because Fig. 4, line 16,
+// has a process wait for the LEAD of its own Ω output and nobody else's: a
+// peer whose Ω names another process cannot use it until it names this
+// one.
 package rsm
 
 import (
@@ -66,7 +72,9 @@ func (s *logState) lends(q model.ProcessID) bool {
 // the step's instances sent — self-sends already delivered (loopback),
 // LEADs released to a peer that named this process in it (release) among
 // them — and flush adds the rows their rules release now and packs the
-// lot, one message per peer. Per peer PRGR, FLW and the owed items trail
+// lot, one message per peer. The step's slot items to a peer first raise
+// what it was told to the frontier they imply, so PRGR goes only where the
+// frontier is beyond that. Per peer PRGR, FLW and the owed items trail
 // the instances' sends, in that order. A peer that is sent anything gets
 // its PRGR and FLW too; one reached by owed items alone gets neither
 // (DESIGN.md §10 "Outbox" has the counts behind that choice).
@@ -75,6 +83,15 @@ func (s *logState) flush(a *Log, out []model.Send, d model.FDValue) []model.Send
 	var busy model.ProcessSet
 	for _, snd := range out {
 		busy = busy.Add(snd.To)
+		sp, ok := snd.Payload.(SlotPayload)
+		if r, f := &o.peer[snd.To], impliedFrontier(sp.Slot, s.window); ok && f > r.told {
+			// The item tells snd.To this much of the frontier, and never
+			// more than all of it: it is below windowEnd.
+			r.told = f
+			if f == s.slot {
+				a.metrics.progressImplied.Add(1) // the PRGR due to snd.To stays home
+			}
+		}
 	}
 	bare, waiting := s.inFlight()
 	leader, _ := fd.LeaderOf(d) // model.NoProcess when d has no Ω

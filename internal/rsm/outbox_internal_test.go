@@ -16,8 +16,10 @@ func (testBody) String() string { return "BODY" }
 
 // TestOutboxReleaseRules: cases for every row of the outbox's table, the
 // owed CMDs of NewLog's commands among them, each naming the peers one
-// Step of p0 (n = 3, Ω = p2, window 1) sends the row to. The fixture's step in round 1 sends the slot's LEAD(1) to p2 and
-// holds p1's, since p1 follows p2: p2 is the busy peer and p1 the idle one.
+// Step of p0 (n = 3, Ω = p2, window 1 unless a case says otherwise) sends
+// the row to. The fixture's step in round 1 sends each in-flight slot's
+// LEAD(1) to p2 and holds p1's, since p1 follows p2: p2 is the busy peer
+// and p1 the idle one.
 func TestOutboxReleaseRules(t *testing.T) {
 	const n = 3
 	d := fd.PairValue{First: fd.LeaderValue{Leader: 2}, Second: fd.QuorumValue{Quorum: model.FullSet(n)}}
@@ -46,19 +48,21 @@ func TestOutboxReleaseRules(t *testing.T) {
 		_, out := aut.Step(0, st, m, d)
 		return out
 	}
-	// fixture is p0 with slot 0 appended and slot 1 open but not yet
-	// stepped: PRGR(1) is due to both peers, p1 follows p2, and both peers
-	// were last told leader p2.
+	// fixture is p0, in a log of slots slots and the given window, with
+	// slot 0 appended and the window above it open but not yet stepped:
+	// PRGR(1) is due to both peers, p1 follows p2, and both peers were last
+	// told leader p2. fixture() is window 1 of 8 slots.
 	noCmds := [][]int{nil, nil, nil}
-	fixture := func() (*Log, *logState) {
-		aut := NewLog(noCmds, 8)
+	fixtureOf := func(window, slots int) (*Log, *logState) {
+		aut := NewLog(noCmds, slots).WithPipeline(window)
 		st := aut.InitState(0).(*logState)
-		forceWindowDecided(st)
+		st.recs[0].state, st.recs[0].v = slotDecided, NoOp
 		st.harvest(aut, d)
 		st.box.peer[1].follows = 2
 		st.box.peer[1].toldLeader, st.box.peer[2].toldLeader = 2, 2
 		return aut, st
 	}
+	fixture := func() (*Log, *logState) { return fixtureOf(1, 8) }
 
 	for _, tc := range []struct {
 		name string
@@ -78,9 +82,15 @@ func TestOutboxReleaseRules(t *testing.T) {
 			return step(aut, st, 0, nil)
 		}, 0},
 		{"PRGR: rides to the busy peer while a slot is undecided", isPRGR, func() []model.Send {
-			aut, st := fixture()
+			// The log ends at slot 2, so only slot 1 is in flight, and its
+			// LEAD(1) implies no more than frontier 0.
+			aut, st := fixtureOf(2, 2)
 			return step(aut, st, 0, nil)
 		}, model.SetOf(2)},
+		{"PRGR: implied by a slot item for frontier + window − 1", isPRGR, func() []model.Send {
+			aut, st := fixtureOf(2, 8)
+			return step(aut, st, 0, nil) // LEAD(1) of slot 2 implies frontier 1
+		}, 0},
 		{"PRGR: bare to every peer once the window is idle", isPRGR, func() []model.Send {
 			aut := NewLog(noCmds, 1)
 			st := aut.InitState(0).(*logState)

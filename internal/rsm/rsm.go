@@ -37,9 +37,11 @@
 //
 // Retirement is still possible — safely — through progress gossip: once
 // every process is known to have passed a slot, its instance is discarded.
-// A late PRGR delays what a peer knows but never falsifies it, so a peer's
-// progress row stays a lower bound on the real frontier, which is all the
-// quiet rule needs.
+// A late PRGR delays what a peer knows but never falsifies it, and a slot
+// item for slot s implies its sender has passed s − window + 1 (every
+// process sends slot items only inside its window), so a peer's progress
+// row stays a lower bound on the real frontier, which is all the quiet
+// rule needs.
 //
 // Everything a process sends a peer besides what its instances emit in the
 // step — its frontier (PRGR), its Ω output (FLW), the round-1 LEADs it
@@ -488,27 +490,45 @@ func (s *logState) take(a *Log, from model.ProcessID, seq uint64, pl model.Paylo
 	case CommandPayload:
 		s.learnCommand(pl.Cmd)
 	case ProgressPayload:
-		if pl.Slot > s.progress[from] {
-			s.progress[from] = pl.Slot
-			s.retire(a)
-			// A process passing a slot can only remove a reason to stay up,
-			// so every transition here is into quiet — backwards, because
-			// settle removes the entry it puts to sleep.
-			for i := len(s.awake) - 1; i >= 0; i-- {
-				s.settle(a, s.awake[i], d)
-			}
-		}
+		s.learnProgress(a, from, pl.Slot, d)
 	case FollowPayload:
 		s.box.peer[from].follows = pl.Leader
 		if pl.Leader == s.p {
 			return s.release(a, from), false
 		}
 	case SlotPayload:
-		return s.receive(a, from, seq, pl, d)
+		out, current := s.receive(a, from, seq, pl, d)
+		s.learnProgress(a, from, impliedFrontier(pl.Slot, s.window), d)
+		return out, current
 	default:
 		panic(fmt.Sprintf("rsm: unknown payload %T", pl))
 	}
 	return nil, false
+}
+
+// impliedFrontier is the least frontier a process that sent a slot item
+// for slot can have: it sends slot items only below its windowEnd, and
+// every process runs one window (wrapShared, release). So every slot item
+// is also a progress announcement, and the outbox sends PRGR only for what
+// the step's slot items do not imply (flush).
+func impliedFrontier(slot, window int) int { return slot - window + 1 }
+
+// learnProgress raises from's known progress to slot, when that is news:
+// the records every process has passed retire, and awake slots that stayed
+// up for from may fall quiet. A PRGR announces slot; any slot item implies
+// one (impliedFrontier).
+func (s *logState) learnProgress(a *Log, from model.ProcessID, slot int, d model.FDValue) {
+	if slot <= s.progress[from] {
+		return
+	}
+	s.progress[from] = slot
+	s.retire(a)
+	// A process passing a slot can only remove a reason to stay up, so
+	// every transition here is into quiet — backwards, because settle
+	// removes the entry it puts to sleep.
+	for i := len(s.awake) - 1; i >= 0; i-- {
+		s.settle(a, s.awake[i], d)
+	}
 }
 
 // receive is the one receive path of a slot message, whoever sent it: a

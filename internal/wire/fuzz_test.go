@@ -55,6 +55,7 @@ func seedPayloads() []model.Payload {
 		},
 		stableValues(8),
 		everyCode(20),
+		everyCode(0),
 		dag.GraphPayload{G: sampleGraph()},
 	}
 	for _, b := range ledBundles() {
@@ -86,7 +87,9 @@ func ledBundles() []rsm.Bundle {
 }
 
 // everyCode is a frame whose slot items, on slots s to s + 3, take each of
-// the fifteen codes of the grammar once, in the order of the comments.
+// the fifteen codes of the grammar once, in the order of the comments, and
+// the slot codes: explicit first and on a repeat, one above, and one below
+// (the PRGR behind the SACK, and the SAW down to s).
 func everyCode(s int) rsm.Bundle {
 	add := func(to uint64) quorum.Delta {
 		return quorum.Delta{Base: to - 1, To: to, Adds: []quorum.DeltaEntry{{R: 1, Q: model.SetOf(0, 1)}}}
@@ -106,7 +109,7 @@ func everyCode(s int) rsm.Bundle {
 		slot(s+2, rsm.AckStampPayload{Q: model.SetOf(0, 1), K: 1, Stamp: s + 3}),          // SACK
 		rsm.ProgressPayload{Slot: s + 1},                                                  // PRGR
 		slot(s+1, consensus.ReportPayload{K: 2, V: 10}),                                   // REP
-		slot(s+1, consensus.SawPayload{Q: model.SetOf(1)}),                                // SAW
+		slot(s, consensus.SawPayload{Q: model.SetOf(1)}),                                  // SAW
 		slot(s+3, consensus.ProposalDeltaPayload{K: 2, V: 11, HasV: true, Delta: add(9)}), // PROPD
 		slot(s+3, consensus.ProposalDeltaPayload{K: 2, Delta: add(10)}),                   // PROPD no V
 	}

@@ -119,16 +119,18 @@ func TestLinkSupersedingFrameInheritsNothing(t *testing.T) {
 
 // TestLinkBarePRGRInheritsSlot: a bare PRGR that follows a slot item on
 // its link is a slot item like any other: its head byte carries the slot
-// code it inherits instead of an explicit varint, the receiver's link
-// decodes it back, and its peek does not supersede, so no inbox drops it
-// out of the run.
+// code it inherits instead of an explicit varint — one below, one above,
+// or a delta where that is shorter, as for its own slot (a delta of 0) —
+// the receiver's link decodes it back, and its peek does not supersede,
+// so no inbox drops it out of the run.
 func TestLinkBarePRGRInheritsSlot(t *testing.T) {
 	rep := rsm.SlotPayload{Slot: 900, Inner: consensus.ReportPayload{K: 3, V: 1}}
 	for _, tc := range []struct {
 		floor int
 		want  []byte
 	}{
-		{900, []byte{head(hPrgr, hSame, false)}},
+		{899, []byte{head(hPrgr, hPrev, false)}},
+		{900, []byte{head(hPrgr, hDelta, false), 0}},
 		{901, []byte{head(hPrgr, hNext, false)}},
 		{902, []byte{head(hPrgr, hDelta, false), 4}},
 		{5, []byte{head(hPrgr, hExplicit, false), 5}},
@@ -259,16 +261,17 @@ func TestLinkInheritsValue(t *testing.T) {
 		want []byte // nil: the payload's encoding on a fresh link
 	}{
 		{"a LEADD on a fresh link writes V 7", lead(10, 7), sent, []byte{head(hLead, hExplicit, true), 10, 14, 12}},
-		{"a REP of V 7 inherits it", rep(10, 7), sent, []byte{head(hRepSameV, hSame, true)}},
-		{"a PROPD of V 7 inherits it and the frame", prop(11, 7, true), sent, []byte{head(hPropVSameVF, hNext, true)}},
-		{"a PROPD without V", prop(11, 0, false), sent, []byte{head(hPropSameF, hSame, true)}},
-		{"leaves V 7 to the REP behind it", rep(11, 7), sent, []byte{head(hRepSameV, hSame, true)}},
+		{"a REP of V 7 inherits it", rep(11, 7), sent, []byte{head(hRepSameV, hNext, true)}},
+		{"a PROPD of V 7 inherits it and the frame", prop(10, 7, true), sent, []byte{head(hPropVSameVF, hPrev, true)}},
+		{"a PROPD without V", prop(11, 0, false), sent, []byte{head(hPropSameF, hNext, true)}},
+		{"leaves V 7 to the REP behind it", rep(10, 7), sent, []byte{head(hRepSameV, hPrev, true)}},
 		{"a heartbeat the inbox drops", hb.HeartbeatPayload{}, dropped, nil},
 		{"a DAG snapshot the receiver decodes", dag.GraphPayload{G: sampleGraph()}, sent, nil},
-		{"leave V 7 to the LEADD behind them", lead(12, 7), sent, []byte{head(hLeadSameVF, hNext, true)}},
-		{"a REP of V 8 writes it", rep(12, 8), sent, []byte{head(hRep, hSame, true), 16}},
+		{"leave V 7 to the LEADD behind them", lead(11, 7), sent, []byte{head(hLeadSameVF, hNext, true)}},
+		{"a REP of V 8 writes it", rep(12, 8), sent, []byte{head(hRep, hNext, true), 16}},
 		{"a LEADD of V 9 never sent", lead(13, 9), unsent, []byte{head(hLeadSameF, hNext, true), 18}},
-		{"leaves V 8: a REP of V 9 writes it", rep(12, 9), sent, []byte{head(hRep, hSame, true), 18}},
+		{"leaves V 8 and slot 12: a REP of V 9 writes it", rep(11, 9), sent, []byte{head(hRep, hPrev, true), 18}},
+		{"a REP on its slot again", rep(11, 9), sent, []byte{head(hRepSameV, hExplicit, true), 11}},
 	} {
 		frame, err := tx.Append(nil, step.pl)
 		if err != nil {
@@ -291,6 +294,43 @@ func TestLinkInheritsValue(t *testing.T) {
 		var m model.Message
 		if err := rx.Decode(&m, frame); err != nil || !reflect.DeepEqual(m.Payload, step.pl) {
 			t.Fatalf("%s: %x decodes as %v (err %v), want %v", step.what, frame, m.Payload, err, step.pl)
+		}
+	}
+}
+
+// TestSteadyCycleOneBytePerItem: a served window of two in its steady
+// state sends each peer LEAD(s) LEAD(s+1) REP(s) REP(s+1) in one frame and
+// PROP(s) PROP(s+1) in the next, every item in round 1 with the leader's
+// proposal and no history adds. Past the link's first frame each item
+// steps one slot up or one back and inherits round, V and frame, so it is
+// its head byte alone.
+func TestSteadyCycleOneBytePerItem(t *testing.T) {
+	const v = -1 // the no-op an idle leader proposes
+	at := quorum.Delta{Base: 3, To: 3}
+	lead := func(s int) model.Payload {
+		return rsm.SlotPayload{Slot: s, Inner: consensus.LeadDeltaPayload{K: 1, V: v, Delta: at}}
+	}
+	rep := func(s int) model.Payload {
+		return rsm.SlotPayload{Slot: s, Inner: consensus.ReportPayload{K: 1, V: v}}
+	}
+	prop := func(s int) model.Payload {
+		return rsm.SlotPayload{Slot: s, Inner: consensus.ProposalDeltaPayload{K: 1, V: v, HasV: true, Delta: at}}
+	}
+	var tx, rx wire.Link
+	for s := 1000; s < 1040; s += 2 {
+		for i, b := range []rsm.Bundle{{lead(s), lead(s + 1), rep(s), rep(s + 1)}, {prop(s), prop(s + 1)}} {
+			frame, err := tx.Append(nil, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx.Commit()
+			var m model.Message
+			if err := rx.Decode(&m, frame); err != nil || !reflect.DeepEqual(m.Payload, model.Payload(b)) {
+				t.Fatalf("%v: %x decodes as %v (err %v)", b, frame, m.Payload, err)
+			}
+			if first := s == 1000 && i == 0; !first && len(frame) != len(b) {
+				t.Errorf("%v is %d bytes (%x), want %d: one per item", b, len(frame), frame, len(b))
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@
 //	item     := kindTag … (per-kind body) | slot   (HB and DAG only as a frame's one item)
 //	slot     := head [slotnum] [Q] [K] [V] [Stamp] [frame]   (an rsm.SlotPayload or rsm.ProgressPayload, bare or bundled)
 //	head     := one byte: bit 7 set (every kindTag is below 0x80), bit 5 round,
-//	            bits 3–4 slot code (0 varint follows, 1 same, 2 next, 3 zigzag delta follows),
+//	            bits 3–4 slot code (0 varint follows, 1 previous, 2 next, 3 zigzag delta follows),
 //	            bits 0–2 and bit 6 the code (~V: V inherited, ~F: frame inherited)
 //	code     :=  bits 0–2:  0         1         2             3      4     5           6     7
 //	             bit 6 = 0: LEADD     PROPD     PROPD no V    REP    SAW   LEADD ~V    PRGR  PROPD ~V
@@ -27,10 +27,13 @@
 // A slot item writes only what its receiver cannot rebuild from the slot
 // items before it: those earlier in its payload and, on a Link, those in
 // the frames before it on its link. Its head's slot code says whether the
-// slot varint follows, or the slot is that of the slot item before it, or
-// one above, or a zigzag delta from it follows (written only where it is
-// shorter than the varint); its round bit leaves out K when K equals the
-// last K written (initially 1); its code leaves out a V equal to the last V
+// slot varint follows, or the slot is one below that of the slot item
+// before it, or one above, or a zigzag delta from it follows (written only
+// where it is shorter than the varint, so a repeated slot is a delta of 0
+// from slot 128 on, and "previous" at slot 0 is rejected). A window of two
+// slots walks its link s, s+1, s, s+1, so in steady state each slot is
+// one of the two codes. Its round bit leaves out K when K equals the last
+// K written (initially 1); its code leaves out a V equal to the last V
 // written by a LEADD, PROPD or REP (none before the first: a PROPD without
 // V leaves it as it was), and a history frame that has no adds and the To
 // of the last frame. So a slot item inherits slot, round, V and history
@@ -111,7 +114,7 @@ const (
 	codeHigh  = 1 << 6
 
 	slotExplicit = 0 << 3
-	slotSame     = 1 << 3
+	slotPrev     = 1 << 3
 	slotNext     = 2 << 3
 	slotDelta    = 3 << 3
 )
@@ -634,8 +637,8 @@ func (st *run) putSlotItem(w *buf, slot int, it *slotItem) error {
 	step := int64(slot) - int64(st.slot)
 	switch {
 	case !st.inSlot:
-	case step == 0:
-		head |= slotSame
+	case step == -1:
+		head |= slotPrev
 	case step == 1:
 		head |= slotNext
 	case uvarintLen(zigzag(step)) < uvarintLen(uint64(slot)):
@@ -692,6 +695,11 @@ func (st *run) readSlotItem(r *buf) model.Payload {
 	switch head & slotMask {
 	case slotExplicit:
 		slot = r.slot()
+	case slotPrev:
+		if slot == 0 {
+			r.fail("wire: previous slot before slot 0")
+		}
+		slot--
 	case slotNext:
 		if slot == math.MaxInt {
 			r.fail("wire: next slot past slot %d", slot)

@@ -807,10 +807,10 @@ func TestPayloadFrameRoundTrip(t *testing.T) {
 
 // sampleBundle is what one outer step of a serving replica might send one
 // peer: a batch body and the command naming it, a progress announcement,
-// and slot traffic for slots 70 and 71 that changes slot, returns to one
-// and is interrupted by a slot-less item. Its slot items inherit what they
-// can from the slot item before them: six their slot (the same or the next
-// one up; the LEADD the PRGR's floor), three a round of 2 that their bare
+// and slot traffic that walks a window of slots 70 and 71, interrupted by
+// a slot-less item. Its slot items inherit what they can from the slot
+// item before them: seven their slot (one above or one below it; the
+// LEADD one above the PRGR's floor), three a round of 2 that their bare
 // encoding would have to spell out, three the LEADD's V of 7, and the last
 // one its empty history frame too.
 func sampleBundle() rsm.Bundle {
@@ -818,10 +818,10 @@ func sampleBundle() rsm.Bundle {
 		serve.BatchPayload{ID: serve.BatchID(2, 5), Cmds: []serve.Command{{Client: 4, Seq: 9, Op: serve.OpPut, Key: 1, Val: -3}}},
 		rsm.CommandPayload{Cmd: serve.BatchID(2, 5)},
 		rsm.ProgressPayload{Slot: 70},
-		rsm.SlotPayload{Slot: 70, Inner: consensus.LeadDeltaPayload{K: 1, V: 7, Delta: sampleDelta()}},
+		rsm.SlotPayload{Slot: 71, Inner: consensus.LeadDeltaPayload{K: 1, V: 7, Delta: sampleDelta()}},
 		rsm.SlotPayload{Slot: 70, Inner: consensus.ReportPayload{K: 1, V: 7}},
 		rsm.SlotPayload{Slot: 71, Inner: consensus.ProposalDeltaPayload{K: 2, V: 7, HasV: true, Delta: sampleDelta()}},
-		rsm.SlotPayload{Slot: 71, Inner: consensus.SawPayload{Q: model.SetOf(0, 2)}},
+		rsm.SlotPayload{Slot: 70, Inner: consensus.SawPayload{Q: model.SetOf(0, 2)}},
 		rsm.CommandPayload{Cmd: 12},
 		rsm.SlotPayload{Slot: 71, Inner: rsm.AckStampPayload{Q: model.SetOf(1, 2), K: 2, Stamp: 72}},
 		rsm.SlotPayload{Slot: 70, Inner: consensus.ReportPayload{K: 2, V: 7}},
@@ -855,12 +855,12 @@ func TestRoundTripBundle(t *testing.T) {
 		}
 		size += len(item)
 	}
-	// 40 = 53 bytes of lone items − 6 slot varints (LEADD on the PRGR's
-	// floor, REP, PROPD, SAW and SACK on the slot before them, the last
-	// PROPD on the next) − 3 K of 2 (SACK, the second REP, the last PROPD)
-	// − 3 V of 7 (both REPs and the PROPD with V, behind the LEADD's) − 1
-	// frame (the last PROPD's, empty at the To of the PROPD before it).
-	const slots, rounds, values, frames, want = 6, 3, 3, 1, 40
+	// 39 = 53 bytes of lone items − 7 slot varints (every slot item but
+	// the PRGR, one above or below the slot item before it) − 3 K of 2
+	// (SACK, the second REP, the last PROPD) − 3 V of 7 (both REPs and the
+	// PROPD with V, behind the LEADD's) − 1 frame (the last PROPD's, empty
+	// at the To of the PROPD before it).
+	const slots, rounds, values, frames, want = 7, 3, 3, 1, 39
 	if size-slots-rounds-values-frames != want || len(enc) != want {
 		t.Errorf("bundle encodes in %d bytes from %d of lone items, want %d: %d slots, %d rounds, %d values and %d frames of 1 byte inherited",
 			len(enc), size, want, slots, rounds, values, frames)
@@ -980,7 +980,7 @@ const (
 
 	hLeadSameF, hPropVSameF, hPropSameF, hRepSameV, hSack, hLeadSameVF, hPropVSameVF byte = 8, 9, 10, 11, 12, 13, 15
 
-	hExplicit, hSame, hNext, hDelta byte = 0, 1, 2, 3
+	hExplicit, hPrev, hNext, hDelta byte = 0, 1, 2, 3
 )
 
 func head(code, slot byte, round bool) byte {
@@ -1002,9 +1002,10 @@ func TestHeadByte(t *testing.T) {
 		want []byte
 	}{
 		// Slot 1, round 1 inherited from the start, V 2, frame To 1; then
-		// the same slot, K 3 and V 2 inherited, no frame.
+		// the same slot written out (a delta of 0 is no shorter than slot
+		// 1's varint), K 3 and V 2 inherited, no frame.
 		{rsm.Bundle{slotted(lead), slotted(consensus.ReportPayload{K: 3, V: 2})},
-			[]byte{head(hLead, hExplicit, true), 1, 4, 2, head(hRepSameV, hSame, false), 6}},
+			[]byte{head(hLead, hExplicit, true), 1, 4, 2, head(hRepSameV, hExplicit, false), 1, 6}},
 		// PROPD with and without V, the second on the next slot with the
 		// first's round and frame.
 		{rsm.Bundle{
@@ -1025,25 +1026,34 @@ func TestHeadByte(t *testing.T) {
 			rsm.ProgressPayload{Slot: 5},
 		}, []byte{head(hRep, hExplicit, true), 0xAC, 0x02, 4, head(hPrgr, hDelta, false), 3,
 			head(hSaw, hDelta, false), 6, 3, head(hPrgr, hExplicit, false), 5}},
-		// V inherited by LEADD, PROPD and REP, across a PROPD without V,
-		// with and without the frame: V 3 (zigzag 6) from the LEADD on
-		// until the REP of −1 (zigzag 1); the PROPD of 0 behind it writes
-		// its V and inherits the frame; the last LEADD writes V 5 (zigzag
-		// 10). Frames at To 1, then 2 (varint 4), then 3 (6).
+		// REP on slot 300, SAW on it again (a delta of 0: shorter than the
+		// two-byte varint), and the floor 299 one below.
+		{rsm.Bundle{
+			rsm.SlotPayload{Slot: 300, Inner: consensus.ReportPayload{K: 1, V: 2}},
+			rsm.SlotPayload{Slot: 300, Inner: consensus.SawPayload{Q: 3}},
+			rsm.ProgressPayload{Slot: 299},
+		}, []byte{head(hRep, hExplicit, true), 0xAC, 0x02, 4, head(hSaw, hDelta, false), 0, 3, head(hPrgr, hPrev, false)}},
+		// A window of two walking up from slot 1, each item one slot above
+		// or below the one before. V inherited by LEADD, PROPD and REP,
+		// across a PROPD without V, with and without the frame: V 3 (zigzag
+		// 6) from the LEADD on until the REP of −1 (zigzag 1); the PROPD of
+		// 0 behind it writes its V and inherits the frame; the last LEADD
+		// writes V 5 (zigzag 10). Frames at To 1, then 2 (varint 4), then 3
+		// (6).
 		{rsm.Bundle{
 			slotted(consensus.LeadDeltaPayload{K: 1, V: 3, Delta: quorum.Delta{Base: 1, To: 1}}),
-			slotted(consensus.ProposalDeltaPayload{K: 1, V: 3, HasV: true, Delta: quorum.Delta{Base: 1, To: 1}}),
-			rsm.SlotPayload{Slot: 2, Inner: consensus.ProposalDeltaPayload{K: 1, Delta: quorum.Delta{Base: 1, To: 1}}},
+			rsm.SlotPayload{Slot: 2, Inner: consensus.ProposalDeltaPayload{K: 1, V: 3, HasV: true, Delta: quorum.Delta{Base: 1, To: 1}}},
+			slotted(consensus.ProposalDeltaPayload{K: 1, Delta: quorum.Delta{Base: 1, To: 1}}),
 			rsm.SlotPayload{Slot: 2, Inner: consensus.ReportPayload{K: 1, V: 3}},
 			rsm.SlotPayload{Slot: 3, Inner: consensus.LeadDeltaPayload{K: 1, V: 3, Delta: quorum.Delta{Base: 2, To: 2}}},
 			rsm.SlotPayload{Slot: 4, Inner: consensus.LeadDeltaPayload{K: 1, V: 3, Delta: quorum.Delta{Base: 2, To: 2}}},
-			rsm.SlotPayload{Slot: 4, Inner: consensus.ProposalDeltaPayload{K: 1, V: 3, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}},
+			rsm.SlotPayload{Slot: 3, Inner: consensus.ProposalDeltaPayload{K: 1, V: 3, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}},
 			rsm.SlotPayload{Slot: 4, Inner: consensus.ReportPayload{K: 1, V: -1}},
-			rsm.SlotPayload{Slot: 4, Inner: consensus.ProposalDeltaPayload{K: 1, V: 0, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}},
-			rsm.SlotPayload{Slot: 5, Inner: consensus.LeadDeltaPayload{K: 1, V: 5, Delta: quorum.Delta{Base: 3, To: 3}}},
-		}, []byte{head(hLead, hExplicit, true), 1, 6, 2, head(hPropVSameVF, hSame, true), head(hPropSameF, hNext, true),
-			head(hRepSameV, hSame, true), head(hLeadSameV, hNext, true), 4, head(hLeadSameVF, hNext, true),
-			head(hPropVSameV, hSame, true), 6, head(hRep, hSame, true), 1, head(hPropVSameF, hSame, true), 0,
+			rsm.SlotPayload{Slot: 3, Inner: consensus.ProposalDeltaPayload{K: 1, V: 0, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}},
+			rsm.SlotPayload{Slot: 4, Inner: consensus.LeadDeltaPayload{K: 1, V: 5, Delta: quorum.Delta{Base: 3, To: 3}}},
+		}, []byte{head(hLead, hExplicit, true), 1, 6, 2, head(hPropVSameVF, hNext, true), head(hPropSameF, hPrev, true),
+			head(hRepSameV, hNext, true), head(hLeadSameV, hNext, true), 4, head(hLeadSameVF, hNext, true),
+			head(hPropVSameV, hPrev, true), 6, head(hRep, hNext, true), 1, head(hPropVSameF, hPrev, true), 0,
 			head(hLeadSameF, hNext, true), 10}},
 	} {
 		enc, err := wire.EncodePayload(tc.b)
@@ -1189,8 +1199,8 @@ func slotCode(inSlot bool, last, s int) string {
 	switch {
 	case !inSlot:
 		return "explicit"
-	case step == 0:
-		return "same"
+	case step == -1:
+		return "previous"
 	case step == 1:
 		return "next"
 	case len(binary.AppendVarint(nil, step)) < len(binary.AppendUvarint(nil, uint64(s))):
@@ -1220,7 +1230,7 @@ func TestRoundTripGeneratedBundles(t *testing.T) {
 		}
 	}
 	for _, c := range []string{"BATCH", "CMD", "PRGR", "FLW", "LEADD", "PROPD", "REP", "SAW", "SACK",
-		"PROPD with V", "PROPD without V", "slot explicit", "slot same", "slot next", "slot delta",
+		"PROPD with V", "PROPD without V", "slot explicit", "slot previous", "slot next", "slot delta",
 		"round 1 inherited from the start", "round inherited", "round explicit",
 		"value inherited", "value explicit", "frame inherited", "frame without adds", "frame with adds"} {
 		if seen[c] < 50 {
@@ -1280,33 +1290,34 @@ func headRejects(tb testing.TB) map[string]reject {
 	lead := []byte{head(hLead, hExplicit, true), 1, 4, 2}
 	saw := []byte{head(hSaw, hExplicit, false), 1, 3}
 	prop := []byte{head(hProp, hExplicit, true), 1, 2}
-	same := []byte{head(hRep, hSame, true), 4}
+	prev := []byte{head(hRep, hPrev, true), 4}
 	next := []byte{head(hRep, hNext, true), 4}
 	last := append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true)}, math.MaxInt), 4)
 	delta := func(step int64) []byte {
 		return append(binary.AppendVarint([]byte{head(hRep, hDelta, true)}, step), 4)
 	}
 	return map[string]reject{
-		"same slot alone":                   {same},
-		"next slot alone":                   {next},
-		"same slot before any slot item":    {cmd, same},
-		"next slot before any slot item":    {cmd, next},
-		"next slot past MaxInt":             {last, next},
-		"slot above MaxInt":                 {append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true)}, math.MaxInt+1), 4)},
-		"inherited frame alone":             {{head(hLeadSameF, hExplicit, true), 1, 4}},
-		"inherited frame before any frame":  {rep, {head(hLeadSameF, hSame, true), 4}},
-		"inherited value alone":             {{head(hRepSameV, hExplicit, true), 1}},
-		"inherited value before any value":  {saw, {head(hLeadSameV, hSame, true), 2}},
-		"inherited value behind PROPD no V": {prop, {head(hRepSameV, hSame, true)}},
-		"inherited round on SAW":            {lead, {head(hSaw, hSame, true), 3}},
-		"round bit on PRGR":                 {{head(hPrgr, hExplicit, true), 1}},
-		"code 14 alone":                     {{head(14, hExplicit, false), 1}},
-		"code 14 behind a slot item":        {lead, {head(14, hSame, false)}},
-		"slot delta alone":                  {delta(2)},
-		"slot delta before any slot item":   {cmd, delta(2)},
-		"slot delta below slot 0":           {rep, delta(-2)},
-		"slot delta past MaxInt":            {last, delta(2)},
-		"truncated slot":                    {{head(hRep, hExplicit, true), 0x80}},
+		"previous slot alone":                {prev},
+		"next slot alone":                    {next},
+		"previous slot before any slot item": {cmd, prev},
+		"previous slot below slot 0":         {{head(hRep, hExplicit, true), 0, 4}, prev},
+		"next slot before any slot item":     {cmd, next},
+		"next slot past MaxInt":              {last, next},
+		"slot above MaxInt":                  {append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true)}, math.MaxInt+1), 4)},
+		"inherited frame alone":              {{head(hLeadSameF, hExplicit, true), 1, 4}},
+		"inherited frame before any frame":   {rep, {head(hLeadSameF, hNext, true), 4}},
+		"inherited value alone":              {{head(hRepSameV, hExplicit, true), 1}},
+		"inherited value before any value":   {saw, {head(hLeadSameV, hNext, true), 2}},
+		"inherited value behind PROPD no V":  {prop, {head(hRepSameV, hNext, true)}},
+		"inherited round on SAW":             {lead, {head(hSaw, hNext, true), 3}},
+		"round bit on PRGR":                  {{head(hPrgr, hExplicit, true), 1}},
+		"code 14 alone":                      {{head(14, hExplicit, false), 1}},
+		"code 14 behind a slot item":         {lead, {head(14, hNext, false)}},
+		"slot delta alone":                   {delta(2)},
+		"slot delta before any slot item":    {cmd, delta(2)},
+		"slot delta below slot 0":            {rep, delta(-2)},
+		"slot delta past MaxInt":             {last, delta(2)},
+		"truncated slot":                     {{head(hRep, hExplicit, true), 0x80}},
 	}
 }
 
