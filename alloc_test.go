@@ -88,6 +88,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"WireDecode/link-bundle", 100, 7, wireLinkDecodeOp},
 		{"WirePeek", 100, 0, wirePeekOp},
 		{"WirePeek/link-bundle", 100, 0, wireLinkPeekOp},
+		{"WireReadLinkFrame/link-bundle", 100, 0, wireReadLinkFrameOp},
 		{"Inbox/put-take", 100, 0, inboxPutTakeOp},
 		{"Inbox/superseding-flood", 100, 0, inboxFloodOp},
 		{"Inbox/put-batch", 100, 0, inboxPutBatchOp},

@@ -9,6 +9,8 @@
 package nuconsensus_test
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -262,14 +264,32 @@ func wirePeekOp(tb testing.TB) func() {
 }
 
 // wireLinkPeekOp peeks the bundle's steady frame, a slot-led frame of
-// several items like nearly every frame a serving link carries: the peek
-// walks the first item to find that more follow.
+// several items like nearly every frame a serving link carries: the first
+// item's first byte says that more follow.
 func wireLinkPeekOp(tb testing.TB) func() {
 	_, frame := steadyLinkFrame(tb)
 	return func() {
 		if h, err := wire.PeekMessage(frame); err != nil || h.Kind != "BNDL" {
 			tb.Fatalf("peek = %+v, %v", h, err)
 		}
+	}
+}
+
+// wireReadLinkFrameOp cuts the bundle's steady frame off a link's stream,
+// as the tcp readers cut every frame they read: it walks the frame's items
+// into a pooled buffer, which goes back to the pool.
+func wireReadLinkFrameOp(tb testing.TB) func() {
+	_, frame := steadyLinkFrame(tb)
+	src := bytes.NewReader(frame)
+	r := bufio.NewReader(src)
+	return func() {
+		src.Reset(frame)
+		r.Reset(src)
+		b, err := wire.ReadLinkFrame(r)
+		if err != nil || !bytes.Equal(b, frame) {
+			tb.Fatalf("read %x (err %v), want the frame %x", b, err, frame)
+		}
+		wire.PutBuf(b)
 	}
 }
 
@@ -294,6 +314,12 @@ func BenchmarkWireDecode(b *testing.B) {
 func BenchmarkWirePeek(b *testing.B) {
 	b.Run("dag64", func(b *testing.B) { benchOp(b, wirePeekOp) })
 	b.Run("link-bundle", func(b *testing.B) { benchOp(b, wireLinkPeekOp) })
+}
+
+// BenchmarkWireReadLinkFrame measures a tcp reader's cut of a link's
+// steady slot-led bundle off its stream.
+func BenchmarkWireReadLinkFrame(b *testing.B) {
+	b.Run("link-bundle", func(b *testing.B) { benchOp(b, wireReadLinkFrameOp) })
 }
 
 // inboxPutTakeOp is the concurrent substrates' mailbox as a plain FIFO.

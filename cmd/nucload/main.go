@@ -186,12 +186,54 @@ type session struct {
 	zipfS   float64
 	timeout time.Duration
 
-	conn    net.Conn
-	wseq    uint64  // write seqs: 1, 2, 3, … (contiguous, exactly-once)
-	rseq    uint64  // read seqs, tagged with readSeqBit
-	readAcc float64 // fractional reads owed per the read/write mix
-	sentAt  map[uint64]time.Time
-	class   map[uint64]string
+	conn   net.Conn
+	wseq   uint64 // write seqs: 1, 2, 3, … (contiguous, exactly-once)
+	rseq   uint64 // read seqs, tagged with readSeqBit
+	mix    mix
+	sentAt map[uint64]time.Time
+	class  map[uint64]string
+}
+
+// mix decides what a session sends next so that reads are rf of its
+// requests: each write sent owes rf/(1−rf) reads, and a read goes out
+// whenever a whole one is owed. A read fraction outside (0, 1) owes none.
+type mix struct {
+	perWrite, owed float64
+}
+
+func newMix(rf float64) mix {
+	if rf <= 0 || rf >= 1 {
+		return mix{}
+	}
+	return mix{perWrite: rf / (1 - rf)}
+}
+
+// read reports whether the next request is a read, and books it.
+func (m *mix) read() bool {
+	if m.owed >= 1 {
+		m.owed--
+		return true
+	}
+	m.owed += m.perWrite
+	return false
+}
+
+// fill tops a window of outstanding requests up to window while any of
+// writesLeft remain, sending each request m chooses through send, and
+// returns the writes it sent. A read goes only while a whole one is owed,
+// and each write adds its share, so a window of one alternates reads and
+// writes at read fraction 0.5 and never runs out of writes to send.
+func (m *mix) fill(outstanding, window, writesLeft int, send func(read bool) error) (writes int, err error) {
+	for ; outstanding < window && writes < writesLeft; outstanding++ {
+		read := m.read()
+		if err := send(read); err != nil {
+			return writes, err
+		}
+		if !read {
+			writes++
+		}
+	}
+	return writes, nil
 }
 
 func (s *session) run() error {
@@ -202,6 +244,7 @@ func (s *session) run() error {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(s.timeout))
 	s.conn = conn
+	s.mix = newMix(s.rf)
 	s.sentAt = make(map[uint64]time.Time, s.window)
 	s.class = make(map[uint64]string, s.window)
 
@@ -220,23 +263,14 @@ func (s *session) run() error {
 	sent := 0
 	for sent < s.writes || len(s.sentAt) > 0 {
 		// Fill the window; reads are interleaved at the requested fraction.
-		for len(s.sentAt) < s.window && sent < s.writes {
-			if s.rf > 0 && s.rf < 1 {
-				s.readAcc += s.rf / (1 - s.rf)
-				for s.readAcc >= 1 && len(s.sentAt) < s.window {
-					s.readAcc--
-					if err := s.send(s.readReq(key())); err != nil {
-						return err
-					}
-				}
-				if len(s.sentAt) >= s.window {
-					break
-				}
+		n, err := s.mix.fill(len(s.sentAt), s.window, s.writes-sent, func(read bool) error {
+			if read {
+				return s.send(s.readReq(key()))
 			}
-			if err := s.send(s.writeReq(key())); err != nil {
-				return err
-			}
-			sent++
+			return s.send(s.writeReq(key()))
+		})
+		if sent += n; err != nil {
+			return err
 		}
 		if len(s.sentAt) == 0 {
 			break

@@ -2,7 +2,6 @@ package netrun
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -19,14 +18,14 @@ import (
 	"nuconsensus/internal/wire"
 )
 
-// writeCounter counts the Write calls reaching a connection.
+// writeCounter keeps the Write calls reaching a connection.
 type writeCounter struct {
 	net.Conn
-	writes int
+	writes [][]byte
 }
 
 func (c *writeCounter) Write(b []byte) (int, error) {
-	c.writes++
+	c.writes = append(c.writes, bytes.Clone(b))
 	return c.Conn.Write(b)
 }
 
@@ -42,18 +41,19 @@ func (r *countingReader) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// TestFrameOneWrite: dispatch's frames (link.send) — the length prefix
-// written into the hole appendFrame keeps in front of the encoded message —
-// reach the socket in one Write each, and the link's reader reads them back
-// as the messages sent: From and To from the link, Seq from the count of
-// frames, the payload from the frame, decoded on the receiver's codec for
-// the link. bytes_sent counts prefix and payload. A payload of 128 bytes or
-// more takes a two-byte prefix. The second bundle's REP is round 1 behind
-// the first bundle's round 2: a sender that coded it on a fresh run would
-// let it inherit the round, and the receiver would read round 2.
+// TestFrameOneWrite: dispatch's frames (link.send) reach the socket in one
+// Write each, and each Write is one whole frame, with no prefix. The
+// link's reader reads them back as the messages sent: From and To from the
+// link, Seq from the count of frames, the payload from the frame, decoded
+// on the receiver's codec for the link. bytes_sent counts exactly the
+// bytes written. The batch's frame is longer than the reader's buffer, so
+// the reader cuts it across several reads. The second bundle's REP is
+// round 1 behind the first bundle's round 2: a sender that coded it on a
+// fresh run would let it inherit the round, and the receiver would read
+// round 2.
 func TestFrameOneWrite(t *testing.T) {
 	const from, to = 0, 1
-	big := make([]serve.Command, 40)
+	big := make([]serve.Command, 1000)
 	for i := range big {
 		big[i] = serve.Command{Client: 1, Seq: uint64(i + 1), Op: serve.OpPut, Key: uint64(i), Val: int64(i)}
 	}
@@ -74,8 +74,8 @@ func TestFrameOneWrite(t *testing.T) {
 	for i, pl := range payloads {
 		msgs = append(msgs, &model.Message{From: from, To: to, Seq: substrate.LinkSeq(from, to, uint64(i+1)), Payload: pl})
 	}
-	if b, err := wire.EncodePayload(payloads[len(payloads)-1]); err != nil || len(b) < 128 {
-		t.Fatalf("the last payload encodes in %d bytes (err %v): the two-byte prefix would go untested", len(b), err)
+	if b, err := wire.EncodePayload(payloads[len(payloads)-1]); err != nil || len(b) <= 4096 {
+		t.Fatalf("the last payload encodes in %d bytes (err %v): it would fit the reader's buffer", len(b), err)
 	}
 	local, remote := net.Pipe()
 	defer remote.Close()
@@ -111,8 +111,16 @@ func TestFrameOneWrite(t *testing.T) {
 			t.Errorf("frame %d read back as %v, want %v", i, got, want)
 		}
 	}
-	if conn.writes != len(msgs) {
-		t.Errorf("%d frames took %d writes, want one each", len(msgs), conn.writes)
+	if len(conn.writes) != len(msgs) {
+		t.Fatalf("%d frames took %d writes, want one each", len(msgs), len(conn.writes))
+	}
+	var enc wire.Link
+	for i, w := range conn.writes {
+		frame, err := enc.Append(nil, payloads[i])
+		if err != nil || !bytes.Equal(w, frame) {
+			t.Errorf("write %d is %x, want the frame %x (err %v)", i, w, frame, err)
+		}
+		enc.Commit()
 	}
 	if got := sent.Load(); got != int64(counted.n) {
 		t.Errorf("bytes sent = %d, bytes read = %d", got, counted.n)
@@ -166,8 +174,7 @@ func TestFailedWriteClosesLink(t *testing.T) {
 		if i == 0 {
 			enc.Commit()
 		}
-		frames = append(frames, frame[frameHole-1:]) // every frame here is shorter than 128 bytes
-		frames[i][0] = byte(len(frame) - frameHole)
+		frames = append(frames, frame)
 		if err := l.send(pl, &sent); (err == nil) != (i == 0) {
 			t.Errorf("send %d returned %v", i, err)
 		}
@@ -185,8 +192,8 @@ func TestFailedWriteClosesLink(t *testing.T) {
 	}
 	// The sender's codec stands after the first frame: a fresh sender that
 	// sent it alone codes the next frame the same.
-	if next, err := l.enc.Append(nil, pls[3]); err != nil || !bytes.Equal(next, frames[3][1:]) {
-		t.Errorf("after the torn write the codec codes %v as %x (err %v), want %x", pls[3], next, err, frames[3][1:])
+	if next, err := l.enc.Append(nil, pls[3]); err != nil || !bytes.Equal(next, frames[3]) {
+		t.Errorf("after the torn write the codec codes %v as %x (err %v), want %x", pls[3], next, err, frames[3])
 	}
 }
 
@@ -200,33 +207,39 @@ func TestAppendFrameRefusesOversized(t *testing.T) {
 	}
 	var enc wire.Link
 	if frame, err := appendFrame(nil, &enc, serve.BatchPayload{ID: serve.BatchID(0, 1), Cmds: cmds}); err == nil {
-		t.Fatalf("a %d-byte frame was accepted above the %d limit", len(frame)-frameHole, wire.MaxFrameSize)
+		t.Fatalf("a %d-byte frame was accepted above the %d limit", len(frame), wire.MaxFrameSize)
 	}
 }
 
-// TestCorruptFrameDropsLink: a reader delivers a frame only when its
-// payload has a kind it knows, p1 → p0 here (CMD frames: no inbox
-// collapses them). A frame of an unknown payload tag or slot item code, or
-// an empty one, drops the link without a panic, and nothing from it on
-// reaches any inbox. The frame before it arrives as p1's first message to
-// p0.
+// TestCorruptFrameDropsLink: a reader delivers a frame only when it can
+// find the frame's end, p1 → p0 here (CMD frames: no inbox collapses
+// them). An item of a first byte no item starts with, or a frame that
+// passes wire.MaxFrameSize before its last item, drops the link without a
+// panic, and nothing from it on reaches any inbox. The frame before it
+// arrives as p1's first message to p0.
 func TestCorruptFrameDropsLink(t *testing.T) {
 	const from, to = 1, 0
 	cmd, err := wire.EncodePayload(rsm.CommandPayload{Cmd: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A CMD(3) payload is the CMD tag and the command; a slot item's head
-	// byte has the top bit set and its code in bits 0–2 and 6, of which
-	// PRGR's code with bit 6 is no slot item's.
-	frame := func(b ...byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))), b...) }
+	// The first of two CMD(3) items in a frame, which says more follow.
+	cmds, err := wire.EncodePayload(rsm.Bundle{rsm.CommandPayload{Cmd: 3}, rsm.CommandPayload{Cmd: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := cmds[:len(cmd)]
+	// A slot item's head byte has the top bit set and its code in bits 0–2
+	// and 6, of which PRGR's code with bit 6 is no slot item's; 0 starts no
+	// item either.
 	for name, corrupt := range map[string][]byte{
-		"an unknown payload tag":    frame(0x7F, cmd[1]),
-		"an unknown slot item code": frame(0x80|0x40|6, 1),
-		"an empty frame":            frame(),
+		"byte 0":                    {0, cmd[1]},
+		"an unknown slot item code": {0x80 | 0x40 | 6, 1},
+		"a CMD behind byte 0":       append(bytes.Clone(first), 0),
+		"a frame past the limit":    bytes.Repeat(first, wire.MaxFrameSize/len(first)+1),
 	} {
 		inboxes := substrate.NewInboxes(3)
-		stream := bytes.Join([][]byte{frame(cmd...), corrupt, frame(cmd...)}, nil)
+		stream := bytes.Join([][]byte{cmd, corrupt, cmd}, nil)
 		read(bytes.NewReader(stream), from, to, inboxes[to])
 		if got := inboxes[to].Len(); got != 1 {
 			t.Errorf("%s: p%d's inbox holds %d frames, want the one before the corrupt frame", name, to, got)
@@ -246,23 +259,32 @@ func TestCorruptFrameDropsLink(t *testing.T) {
 	}
 }
 
-// TestUndecodableFrameDropsLaterFrames: a frame of a known kind whose body
-// does not decode reaches the inbox, since the reader only peeks, but it
-// resolves to nothing, and so does every later frame from that peer, valid
-// or not: its codec cannot re-sync the link's run. A frame from another
-// peer, on its own codec, still resolves.
+// TestUndecodableFrameDropsLaterFrames: a frame whose end the reader
+// finds but whose body does not decode reaches the inbox, since the reader
+// only cuts and peeks, but it resolves to nothing, and so does every later
+// frame from that peer, valid or not: its codec cannot re-sync the link's
+// run. A frame from another peer, on its own codec, still resolves.
 func TestUndecodableFrameDropsLaterFrames(t *testing.T) {
 	const from, to = 1, 0
 	cmd, err := wire.EncodePayload(rsm.CommandPayload{Cmd: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := func(b ...byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))), b...) }
-	truncated := frame(cmd[0], 0x80) // the CMD tag and a varint cut short
-	stream := bytes.Join([][]byte{frame(cmd...), truncated, frame(cmd...), frame(cmd...)}, nil)
+	// A REP on slot 2 behind one on slot 1 on a link: alone, it names the
+	// slot one above a slot item that never came.
+	var l wire.Link
+	if _, err := l.Append(nil, rsm.SlotPayload{Slot: 1, Inner: consensus.ReportPayload{K: 1, V: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	l.Commit()
+	orphan, err := l.Append(nil, rsm.SlotPayload{Slot: 2, Inner: consensus.ReportPayload{K: 1, V: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := bytes.Join([][]byte{cmd, orphan, cmd, cmd}, nil)
 	inbox := substrate.NewInboxes(3)[to]
 	read(bytes.NewReader(stream), from, to, inbox)
-	read(bytes.NewReader(frame(cmd...)), 2, to, inbox)
+	read(bytes.NewReader(cmd), 2, to, inbox)
 	ms := &mesh{links: [][]*link{{nil, {}, {}}, {{}, nil, {}}, {{}, {}, nil}}}
 	var got []bool
 	for m := inbox.Take(); m != nil; m = inbox.Take() {

@@ -3,10 +3,12 @@ package netrun
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"nuconsensus/internal/consensus"
+	"nuconsensus/internal/dag"
+	"nuconsensus/internal/fd"
+	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/quorum"
 	"nuconsensus/internal/rsm"
@@ -38,12 +40,11 @@ func FuzzReadLink(f *testing.F) {
 		rsm.ProgressPayload{Slot: 4},
 		rsm.SlotPayload{Slot: 5, Inner: consensus.ReportPayload{K: 2, V: 1}},
 	} {
-		b, err := enc.Append(nil, pl)
-		if err != nil {
+		var err error
+		if stream, err = enc.Append(stream, pl); err != nil {
 			f.Fatal(err)
 		}
 		enc.Commit()
-		stream = append(binary.AppendUvarint(stream, uint64(len(b))), b...)
 		f.Add(bytes.Clone(stream))
 	}
 	// Two frames of several items, each led by one item kind: the second
@@ -65,19 +66,41 @@ func FuzzReadLink(f *testing.F) {
 		var two []byte
 		var enc wire.Link
 		for i := 0; i < 2; i++ {
-			b, err := enc.Append(nil, append(rsm.Bundle{lead}, tail...))
-			if err != nil {
+			var err error
+			if two, err = enc.Append(two, append(rsm.Bundle{lead}, tail...)); err != nil {
 				f.Fatal(err)
 			}
 			enc.Commit()
-			two = append(binary.AppendUvarint(two, uint64(len(b))), b...)
 		}
 		f.Add(two)
 	}
-	f.Add(append(bytes.Clone(stream), 1, 0x7F)) // a frame of an unknown tag
-	f.Add(append(bytes.Clone(stream), 0))       // an empty frame
+	f.Add(append(bytes.Clone(stream), 0, 9))    // a byte no item starts with
+	f.Add(append(bytes.Clone(stream), 0xC6, 1)) // a code no slot item has
 	f.Add(stream[:len(stream)-1])               // cut short
 	f.Add([]byte{})
+	// A heartbeat and a DAG snapshot between two frames, a stream whose
+	// last item never comes, and one that passes MaxFrameSize without it:
+	// the first CMD of a frame of two, over and over.
+	g := dag.NewGraph()
+	g.AddSample(0, fd.NullValue{}, 1)
+	g.AddSample(1, fd.LeaderValue{Leader: 0}, 1)
+	for _, pl := range []model.Payload{hb.HeartbeatPayload{}, dag.GraphPayload{G: g}} {
+		b, err := enc.Append(bytes.Clone(stream), pl)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if b, err = enc.Append(b, rsm.ProgressPayload{Slot: 6}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	cmds, err := wire.EncodePayload(rsm.Bundle{rsm.CommandPayload{Cmd: 9}, rsm.CommandPayload{Cmd: 9}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{64, wire.MaxFrameSize + 1} {
+		f.Add(append(bytes.Clone(stream), bytes.Repeat(cmds[:len(cmds)/2], n/2+1)...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The frames the reader should accept, as it reads them.
@@ -88,7 +111,7 @@ func FuzzReadLink(f *testing.F) {
 		var accepted []frame
 		r := bufio.NewReader(bytes.NewReader(data))
 		for k := uint64(1); ; k++ {
-			b, err := wire.ReadFrame(r)
+			b, err := wire.ReadLinkFrame(r)
 			if err != nil {
 				break
 			}

@@ -1,7 +1,7 @@
 // Package netrun executes algorithm automata over a real TCP mesh on the
 // loopback interface: one goroutine per process, one TCP connection per
-// process pair, every message serialized with internal/wire and framed with
-// a varint length prefix. It is the "tcp" backend of internal/substrate —
+// process pair, every message serialized with internal/wire as one frame
+// that ends at its last item. It is the "tcp" backend of internal/substrate —
 // the most system-like of the three: the algorithms' payloads, including
 // whole DAG snapshots and quorum histories, actually cross a socket.
 //
@@ -15,9 +15,11 @@
 // A connection starts with a one-byte hello naming the dialer. After it,
 // each direction carries peer frames, and nothing else:
 //
-//	frame := varint(len(payload)) payload   (payload: wire.Link.Append)
-//	payload := item item*                   (two or more items: an rsm.Bundle)
+//	frame := item* last-item   (wire.Link.Append; two or more items: an rsm.Bundle)
 //
+// A frame has no length prefix: the first byte of each item says whether
+// it is its frame's last, and the reader finds a frame's end by walking
+// its items' fields (wire.ReadLinkFrame) without decoding them.
 // No frame names its sender, receiver or sequence number: the receiving
 // end knows all three. The link names From and To, and the frame's
 // position on the link names Seq. Only p's goroutine writes p's end of
@@ -39,8 +41,8 @@
 // over a run of steps leaves as one frame. A superseding frame the inbox
 // drops undecoded (a heartbeat, a DAG snapshot) is its frame's only item,
 // so the run misses no slot item. The reader files a frame by its peek
-// (wire.PeekMessage), which walks its first item to tell a lone payload
-// from a bundle. A frame that fails to decode breaks the run of its link:
+// (wire.PeekMessage), whose first byte tells a lone payload from a
+// bundle. A frame that fails to decode breaks the run of its link:
 // it and every later frame from that peer are dropped, as if the link had
 // closed.
 package netrun
@@ -48,7 +50,6 @@ package netrun
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -72,36 +73,24 @@ type link struct {
 	enc, dec wire.Link
 }
 
-// frameHole is the room a frame's buffer keeps in front of the encoded
-// message for its varint length prefix, so that the prefix and the message
-// leave in one Write.
-const frameHole = binary.MaxVarintLen64
-
-// appendFrame encodes pl on enc into buf behind a frameHole-byte hole for
-// the length prefix and returns the extended buffer, ready for writeFrame;
-// enc.Commit once it is written. A message above wire.MaxFrameSize is an
-// error: the peer's wire.ReadFrame would refuse it and drop the link.
+// appendFrame encodes pl on enc into buf and returns the frame, ready for
+// writeFrame; enc.Commit once it is written. A message above
+// wire.MaxFrameSize is an error: the peer's wire.ReadLinkFrame would refuse
+// it and drop the link.
 func appendFrame(buf []byte, enc *wire.Link, pl model.Payload) ([]byte, error) {
-	buf, err := enc.Append(append(buf[:0], make([]byte, frameHole)...), pl)
-	if err == nil && len(buf)-frameHole > wire.MaxFrameSize {
-		err = fmt.Errorf("netrun: %d-byte frame exceeds the %d limit", len(buf)-frameHole, wire.MaxFrameSize)
+	buf, err := enc.Append(buf[:0], pl)
+	if err == nil && len(buf) > wire.MaxFrameSize {
+		err = fmt.Errorf("netrun: %d-byte frame exceeds the %d limit", len(buf), wire.MaxFrameSize)
 	}
 	return buf, err
 }
 
-// writeFrame sends one length-prefixed message with one Write: b is an
-// encoded message behind a frameHole-byte hole (appendFrame), and the
-// length goes into the hole right-aligned against the message. A Write
-// that fails may have put part of the frame on the socket, and a frame
-// behind it would land in the middle of that one, so a failed write closes
-// the link: every later write returns "link closed", and nothing more
-// reaches the peer. Errors after the peer crashed are expected and counted
-// by the caller.
-func (l *link) writeFrame(b []byte, sent *atomic.Int64) error {
-	var hdr [frameHole]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(b)-frameHole))
-	frame := b[frameHole-n:]
-	copy(frame, hdr[:n])
+// writeFrame sends one frame with one Write. A Write that fails may have
+// put part of the frame on the socket, and a frame behind it would land in
+// the middle of that one, so a failed write closes the link: every later
+// write returns "link closed", and nothing more reaches the peer. Errors
+// after the peer crashed are expected and counted by the caller.
+func (l *link) writeFrame(frame []byte, sent *atomic.Int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.conn == nil {
@@ -122,7 +111,7 @@ func (l *link) writeFrame(b []byte, sent *atomic.Int64) error {
 // written, so its pooled buffer goes straight back. A payload the codec
 // cannot encode is a bug in the automaton that sent it.
 func (l *link) send(pl model.Payload, sent *atomic.Int64) error {
-	frame, err := appendFrame(wire.GetBuf(64+frameHole), &l.enc, pl)
+	frame, err := appendFrame(wire.GetBuf(64), &l.enc, pl)
 	if err != nil {
 		panic(fmt.Sprintf("netrun: unencodable payload: %v", err))
 	}
@@ -242,9 +231,11 @@ func (m *mesh) accept(q int, conn net.Conn, mu *sync.Mutex) error {
 // read feeds the frames arriving on c, the link on which from sends to to,
 // into to's inbox until the link closes. The link names each message's
 // From and To, and the count of frames read its Seq: the k-th is
-// substrate.LinkSeq(from, to, k). Only the payload's kind is peeked here;
-// the body decode is deferred to resolve, so frames superseded while
-// pending are dropped undecoded. A frame of no known kind drops the link.
+// substrate.LinkSeq(from, to, k). A frame is cut at its last item
+// (wire.ReadLinkFrame) and only its kind is peeked here; the body decode
+// is deferred to resolve, so frames superseded while pending are dropped
+// undecoded. An item of no known kind, or a frame that passes
+// wire.MaxFrameSize, drops the link.
 // Frames already buffered on the link are delivered as one batch under a
 // single inbox lock, which flushes whenever the buffer runs dry. Frame
 // buffers come from the wire pool and return to it after the deferred
@@ -260,9 +251,9 @@ func read(c io.Reader, from, to model.ProcessID, inbox *substrate.Inbox) {
 	}
 	defer flush()
 	for k := uint64(1); ; k++ {
-		frame, err := wire.ReadFrame(r)
+		frame, err := wire.ReadLinkFrame(r)
 		if err != nil {
-			return // closed or crashed peer
+			return // closed or crashed peer, or a corrupted stream
 		}
 		head, err := wire.PeekMessage(frame)
 		if err != nil {

@@ -303,3 +303,43 @@ func TestCrashMidBroadcastDoesNotWedgeMesh(t *testing.T) {
 		}
 	}
 }
+
+// bytesPerFrameCap bounds a steady link's bytes per frame. Fifteen runs
+// of TestBytesPerFrameOverTCP read 2.53–2.67 on a 2-vCPU host, every frame
+// coded on its link's run and ending at its last item; five runs each read
+// 3.55–3.61 with a one-byte length prefix in front of every frame, and
+// 6.09–6.14 with a wire.Link that codes every frame fresh.
+const bytesPerFrameCap = 2.9
+
+// TestBytesPerFrameOverTCP: a window-2 log of three processes deciding
+// 2400 slots with no commands over the tcp substrate sends at most
+// bytesPerFrameCap bytes per frame (netrun.bytes_sent over
+// netrun.frames_sent). Nearly every frame is a few one-byte slot items, so
+// a byte more per frame, from a length prefix or a link that stops
+// advancing its run, fails it; batch bodies, which swing a per-entry count
+// with the number of no-op slots, are not there to hide it.
+func TestBytesPerFrameOverTCP(t *testing.T) {
+	none := model.NewFailurePattern(3)
+	cluster := serve.NewCluster(serve.Config{N: 3, Slots: 2400, Pipeline: 2, Batch: 8})
+	sampler := rsm.SamplerForLog(none, 60, 1)
+	cluster.Log().WithSampler(sampler)
+	reg := obs.NewRegistry()
+	res, err := netrun.New().Run(context.Background(), cluster.Automaton(), sampler, none, substrate.Options{
+		Seed:            1,
+		MaxSteps:        1_000_000,
+		StopWhenDecided: true,
+		Metrics:         reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, sent := reg.Counter("netrun.frames_sent").Value(), reg.Counter("netrun.bytes_sent").Value()
+	if !res.Decided || frames == 0 {
+		t.Fatalf("decided %v after %d frames", res.Decided, frames)
+	}
+	perFrame := float64(sent) / float64(frames)
+	t.Logf("%d bytes in %d frames: %.3f per frame", sent, frames, perFrame)
+	if perFrame > bytesPerFrameCap {
+		t.Errorf("%.3f bytes per frame, cap %g", perFrame, bytesPerFrameCap)
+	}
+}

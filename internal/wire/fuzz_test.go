@@ -3,13 +3,14 @@ package wire_test
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
+	"io"
 	"reflect"
 	"testing"
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/dag"
 	"nuconsensus/internal/fd"
+	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/quorum"
 	"nuconsensus/internal/rsm"
@@ -226,29 +227,58 @@ func FuzzDecodeMessage(f *testing.F) {
 	})
 }
 
-// linkStream is the frames of pls on one fresh link, each behind its
-// varint length as a netrun link carries them.
+// linkStream is the frames of pls on one fresh link, one after another
+// as a netrun link carries them.
 func linkStream(tb testing.TB, pls []model.Payload) []byte {
 	tb.Helper()
 	var l wire.Link
 	var stream []byte
 	for _, pl := range pls {
-		frame, err := l.Append(nil, pl)
-		if err != nil {
+		var err error
+		if stream, err = l.Append(stream, pl); err != nil {
 			tb.Fatal(err)
 		}
 		l.Commit()
-		stream = append(binary.AppendUvarint(stream, uint64(len(frame))), frame...)
 	}
 	return stream
 }
 
-// FuzzDecodeLink checks a frame sequence through one Link: the input is
-// read as length-prefixed frames (ReadFrame), each decoded by the same
-// receiving Link. Nothing panics; after the first frame that fails, every
-// later frame fails; and the payloads the receiver accepted, sent again
-// through a fresh sending Link, make frames a fresh receiving Link decodes
-// reflect.DeepEqual to them — the two ends advance their runs alike.
+// unterminated is a link's stream whose last frame never gets its last
+// item, n bytes long: a steady cycle of a window of two, then the items
+// but the last of its steady LEAD and REP frame, each one byte, over and
+// over.
+func unterminated(tb testing.TB, n int) []byte {
+	tb.Helper()
+	cycle := append(steadyCycle(40), steadyCycle(42)...)
+	stream := linkStream(tb, cycle)
+	var l wire.Link
+	var frame []byte
+	for _, pl := range cycle {
+		var err error
+		if frame, err = l.Append(frame[:0], pl); err != nil {
+			tb.Fatal(err)
+		}
+		l.Commit()
+	}
+	lead, err := l.Append(nil, steadyCycle(44)[0])
+	if err != nil || len(lead) != 4 {
+		tb.Fatalf("the steady LEAD and REP frame is %x (err %v), want one byte per item", lead, err)
+	}
+	for len(stream) < n {
+		stream = append(stream, lead[:3]...)
+	}
+	return stream[:n]
+}
+
+// FuzzDecodeLink checks a link's stream through one Link: the input is cut
+// into frames where their last items end (ReadLinkFrame), each decoded by
+// the same receiving Link. Nothing panics; the frames cut are the
+// stream's first bytes, one after another; after the first frame that
+// fails, every later frame fails; and the payloads the receiver accepted,
+// sent again through a fresh sending Link, make frames that a reader cuts
+// at the same ends and a fresh receiving Link decodes reflect.DeepEqual
+// to them — the two ends advance their runs alike, and the reader's walk
+// ends each frame where the encoder did.
 func FuzzDecodeLink(f *testing.F) {
 	seeds := seedPayloads()
 	f.Add(linkStream(f, seeds))
@@ -259,20 +289,27 @@ func FuzzDecodeLink(f *testing.F) {
 	// first is inherited from the frame before it.
 	f.Add(linkStream(f, append(stableValues(8), stableValues(10)...)))
 	for _, r := range seedRejects(f) {
-		b := r.bytes()
-		f.Add(append(linkStream(f, seeds[:2]), append(binary.AppendUvarint(nil, uint64(len(b))), b...)...))
+		f.Add(append(linkStream(f, seeds[:2]), r.bytes()...))
 	}
+	// A heartbeat and a DAG snapshot between the frames of a window of two,
+	// a stream whose last item never comes, and one that passes
+	// MaxFrameSize without it.
+	f.Add(linkStream(f, []model.Payload{windowTwo(8), hb.HeartbeatPayload{}, windowTwo(9), dag.GraphPayload{G: sampleGraph()}, windowTwo(10)}))
+	f.Add(unterminated(f, 64))
+	f.Add(unterminated(f, wire.MaxFrameSize+1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rx wire.Link
 		var accepted []model.Payload
+		var cut []byte
 		failed := false
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
-			frame, err := wire.ReadFrame(r)
+			frame, err := wire.ReadLinkFrame(r)
 			if err != nil {
 				break
 			}
+			cut = append(cut, frame...)
 			var m model.Message
 			err = rx.Decode(&m, frame)
 			wire.PutBuf(frame)
@@ -285,17 +322,32 @@ func FuzzDecodeLink(f *testing.F) {
 				accepted = append(accepted, m.Payload)
 			}
 		}
+		if !bytes.HasPrefix(data, cut) {
+			t.Fatalf("the frames cut, %x, do not begin the stream", cut)
+		}
 		var tx, again wire.Link
+		var frames [][]byte
 		for i, pl := range accepted {
 			frame, err := tx.Append(nil, pl)
 			if err != nil {
 				t.Fatalf("accepted payload %d, %#v, cannot be re-encoded: %v", i, pl, err)
 			}
 			tx.Commit()
+			frames = append(frames, frame)
+		}
+		r = bufio.NewReader(bytes.NewReader(bytes.Join(frames, nil)))
+		for i, pl := range accepted {
+			frame, err := wire.ReadLinkFrame(r)
+			if err != nil || !bytes.Equal(frame, frames[i]) {
+				t.Fatalf("accepted payload %d, %#v, re-encodes as %x, which is read back as %x (err %v)", i, pl, frames[i], frame, err)
+			}
 			var m model.Message
 			if err := again.Decode(&m, frame); err != nil || !reflect.DeepEqual(m.Payload, pl) {
 				t.Fatalf("accepted payload %d, %#v, re-encodes as %x, which decodes as %#v (err %v)", i, pl, frame, m.Payload, err)
 			}
+		}
+		if frame, err := wire.ReadLinkFrame(r); err != io.EOF {
+			t.Fatalf("past the re-encoded frames the reader cut %x (err %v), want io.EOF", frame, err)
 		}
 	})
 }

@@ -1,17 +1,23 @@
 package wire_test
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/dag"
+	"nuconsensus/internal/fd"
 	"nuconsensus/internal/hb"
 	"nuconsensus/internal/model"
 	"nuconsensus/internal/quorum"
 	"nuconsensus/internal/rsm"
+	"nuconsensus/internal/serve"
 	"nuconsensus/internal/wire"
 )
 
@@ -298,13 +304,11 @@ func TestLinkInheritsValue(t *testing.T) {
 	}
 }
 
-// TestSteadyCycleOneBytePerItem: a served window of two in its steady
-// state sends each peer LEAD(s) LEAD(s+1) REP(s) REP(s+1) in one frame and
+// steadyCycle is what a served window of two at slot s sends each peer in
+// its steady state: LEAD(s) LEAD(s+1) REP(s) REP(s+1) in one frame and
 // PROP(s) PROP(s+1) in the next, every item in round 1 with the leader's
-// proposal and no history adds. Past the link's first frame each item
-// steps one slot up or one back and inherits round, V and frame, so it is
-// its head byte alone.
-func TestSteadyCycleOneBytePerItem(t *testing.T) {
+// proposal and no history adds.
+func steadyCycle(s int) []model.Payload {
 	const v = -1 // the no-op an idle leader proposes
 	at := quorum.Delta{Base: 3, To: 3}
 	lead := func(s int) model.Payload {
@@ -316,9 +320,25 @@ func TestSteadyCycleOneBytePerItem(t *testing.T) {
 	prop := func(s int) model.Payload {
 		return rsm.SlotPayload{Slot: s, Inner: consensus.ProposalDeltaPayload{K: 1, V: v, HasV: true, Delta: at}}
 	}
+	return []model.Payload{rsm.Bundle{lead(s), lead(s + 1), rep(s), rep(s + 1)}, rsm.Bundle{prop(s), prop(s + 1)}}
+}
+
+// TestSteadyCycleOneBytePerItem: a served window of two in its steady
+// state sends each peer LEAD(s) LEAD(s+1) REP(s) REP(s+1) in one frame and
+// PROP(s) PROP(s+1) in the next, every item in round 1 with the leader's
+// proposal and no history adds. Past the link's first frame each item
+// steps one slot up or one back and inherits round, V and frame, so it is
+// its head byte alone, and the last says it ends the frame: no byte says
+// how long the frame is.
+func TestSteadyCycleOneBytePerItem(t *testing.T) {
+	steady := [][]byte{
+		{more(head(hLeadSameVF, hNext, true)), more(head(hLeadSameVF, hNext, true)), more(head(hRepSameV, hPrev, true)), head(hRepSameV, hNext, true)},
+		{more(head(hPropVSameVF, hPrev, true)), head(hPropVSameVF, hNext, true)},
+	}
 	var tx, rx wire.Link
 	for s := 1000; s < 1040; s += 2 {
-		for i, b := range []rsm.Bundle{{lead(s), lead(s + 1), rep(s), rep(s + 1)}, {prop(s), prop(s + 1)}} {
+		for i, pl := range steadyCycle(s) {
+			b := pl.(rsm.Bundle)
 			frame, err := tx.Append(nil, b)
 			if err != nil {
 				t.Fatal(err)
@@ -328,9 +348,77 @@ func TestSteadyCycleOneBytePerItem(t *testing.T) {
 			if err := rx.Decode(&m, frame); err != nil || !reflect.DeepEqual(m.Payload, model.Payload(b)) {
 				t.Fatalf("%v: %x decodes as %v (err %v)", b, frame, m.Payload, err)
 			}
-			if first := s == 1000 && i == 0; !first && len(frame) != len(b) {
-				t.Errorf("%v is %d bytes (%x), want %d: one per item", b, len(frame), frame, len(b))
+			if first := s == 1000 && i == 0; !first && !bytes.Equal(frame, steady[i]) {
+				t.Errorf("%v is %x, want %x: one byte per item", b, frame, steady[i])
 			}
+		}
+	}
+}
+
+// TestReadLinkFrame: a reader cuts a link's stream, which has no length
+// prefixes, into the frames its sender wrote, taking exactly each frame's
+// bytes: a window of two, a heartbeat, a DAG snapshot and a BATCH each
+// longer than the reader's buffer, and a steady cycle. It returns io.EOF
+// between frames and io.ErrUnexpectedEOF inside one. A stream that passes
+// MaxFrameSize without a last item fails there, and a forged count (a DAG
+// snapshot claiming as many nodes as the limit allows, a few bytes behind
+// it) fails at the stream's end, the frame grown only by the bytes that
+// came.
+func TestReadLinkFrame(t *testing.T) {
+	g := dag.NewGraph()
+	for k := 1; k <= 200; k++ {
+		g.AddSample(model.ProcessID(k%3), fd.LeaderValue{Leader: model.ProcessID(k % 2)}, k)
+	}
+	cmds := make([]serve.Command, 1000)
+	for i := range cmds {
+		cmds[i] = serve.Command{Client: 1, Seq: uint64(i + 1), Op: serve.OpPut, Key: uint64(i), Val: int64(i)}
+	}
+	pls := append([]model.Payload{windowTwo(8), hb.HeartbeatPayload{}, dag.GraphPayload{G: g}, windowTwo(9),
+		serve.BatchPayload{ID: serve.BatchID(0, 1), Cmds: cmds}}, steadyCycle(10)...)
+	var tx wire.Link
+	var frames [][]byte
+	for _, pl := range pls {
+		frame, err := tx.Append(nil, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+		frames = append(frames, frame)
+	}
+	if len(frames[2]) <= 4096 || len(frames[4]) <= 4096 {
+		t.Fatalf("the snapshot and the batch take %d and %d bytes: they would fit the reader's buffer", len(frames[2]), len(frames[4]))
+	}
+	stream := bytes.Join(frames, nil)
+	r := bufio.NewReader(bytes.NewReader(stream))
+	for i, want := range frames {
+		got, err := wire.ReadLinkFrame(r)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d, %v, read as %x (err %v), want %x", i, pls[i], got, err, want)
+		}
+		wire.PutBuf(got)
+	}
+	if got, err := wire.ReadLinkFrame(r); err != io.EOF {
+		t.Errorf("past the last frame the reader read %x (err %v), want io.EOF", got, err)
+	}
+	if got, err := wire.ReadLinkFrame(bufio.NewReader(bytes.NewReader(frames[4][:5000]))); err != io.ErrUnexpectedEOF {
+		t.Errorf("a batch cut short read as %d bytes (err %v), want io.ErrUnexpectedEOF", len(got), err)
+	}
+
+	first := notLast([]byte{head(hPrgr, hNext, false)})
+	for name, in := range map[string][]byte{
+		"an unterminated stream": bytes.Repeat(first, wire.MaxFrameSize+1),
+		"a forged node count":    append(binary.AppendUvarint([]byte{8}, wire.MaxFrameSize/3-2), 1, 2, 3),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := wire.ReadLinkFrame(bufio.NewReader(bytes.NewReader(in)))
+		runtime.ReadMemStats(&after)
+		if err == nil || err == io.EOF {
+			t.Errorf("%s read as %d bytes (err %v)", name, len(got), err)
+		}
+		// The frame doubles as it grows: its capacities sum to under 4×.
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 8*uint64(len(in))+1<<16 {
+			t.Errorf("%s of %d bytes allocated %d bytes", name, len(in), grown)
 		}
 	}
 }

@@ -2,21 +2,27 @@
 // in the repository, so the algorithms can run over real byte-stream
 // transports (see internal/netrun). The format is deterministic and
 // self-describing at the payload level, and a peer frame is one payload and
-// nothing else: the link it travels on names its From, To and Seq.
+// nothing else: the link it travels on names its From, To and Seq, and the
+// frame's last item says where it ends.
 //
-//	message  := outer                              (a peer frame's body: AppendMessage, Link.Append)
-//	outer    := item item*                         (items run to the end; two or more are an rsm.Bundle)
-//	item     := kindTag … (per-kind body) | slot   (HB and DAG only as a frame's one item)
-//	slot     := head [slotnum] [Q] [K] [V] [Stamp] [frame]   (an rsm.SlotPayload or rsm.ProgressPayload, bare or bundled)
+//	frame    := item* last-item                    (a peer frame: AppendMessage, Link.Append; two or more items are an rsm.Bundle)
+//	item     := more(first) body                   (an item more items follow in its frame)
+//	last-item:= first body                         (so a frame of one item is that payload's bytes)
+//	first    := kindTag | head                     (body: the per-kind fields, or the slot item's)
+//	more(b)  := b's entry in the head table: the first bytes of the shared items (slot items,
+//	            FLW, BATCH, CMD), ascending, take the bytes no last item starts with, ascending,
+//	            0 aside; HB, DAG and every other tag share no frame
+//	slot     := head [slotnum] [Q] [K] [V] [Stamp] [hframe]   (an rsm.SlotPayload or rsm.ProgressPayload, bare or bundled)
 //	head     := one byte: bit 7 set (every kindTag is below 0x80), bit 5 round,
 //	            bits 3–4 slot code (0 varint follows, 1 previous, 2 next, 3 zigzag delta follows),
-//	            bits 0–2 and bit 6 the code (~V: V inherited, ~F: frame inherited)
+//	            bits 0–2 and bit 6 the code (~V: V inherited, ~F: history frame inherited);
+//	            no head has code 14, or a round bit on SAW or PRGR, which have no round
 //	code     :=  bits 0–2:  0         1         2             3      4     5           6     7
 //	             bit 6 = 0: LEADD     PROPD     PROPD no V    REP    SAW   LEADD ~V    PRGR  PROPD ~V
 //	             bit 6 = 1: LEADD ~F  PROPD ~F  PROPD no V ~F REP ~V SACK  LEADD ~V~F  —     PROPD ~V~F
-//	fields   := LEADD, PROPD (K V frame) | PROPD no V (K frame) | REP (K V) | SAW (Q)
+//	fields   := LEADD, PROPD (K V hframe) | PROPD no V (K hframe) | REP (K V) | SAW (Q)
 //	          | SACK (Q K Stamp−slot) | PRGR (none: the slot is its floor)
-//	frame    := varint(To<<1 | hasAdds) adds
+//	hframe   := varint(To<<1 | hasAdds) adds   (a history frame)
 //	adds     := count (R Q)^count when hasAdds, else nothing (1 ≤ count ≤ To)
 //	FLW      := followTag varint(leader)   (leader < MaxProcesses)
 //	BATCH    := batchTag ID count command^count
@@ -40,10 +46,14 @@
 // frame, and in a stable run, where every LEADD, PROPD and REP carries the
 // leader's proposal, V is written once per link. A SACK's stamp travels as
 // a zigzag delta from its slot (the log stamps slot + window − 1), so no
-// field of a slot item grows with the age of the log. A frame has no
-// header: its items follow one another to its end, as k messages on one
-// FIFO link taken in one step, so one item decodes as that payload and two
-// or more as an rsm.Bundle. Every frame advances its link's run in send
+// field of a slot item grows with the age of the log. A frame has neither
+// header nor length: its items follow one another, as k messages on one
+// FIFO link taken in one step, and the first byte of each says whether it
+// is the last, so one item decodes as that payload and two or more as an
+// rsm.Bundle, and a reader finds a frame's end by walking its items'
+// fields (ReadLinkFrame). That costs no byte: 129 first bytes start a last
+// item, and the 115 shared ones have a second, more-follows form among the
+// 127 left (lastOf, moreOf). Every frame advances its link's run in send
 // order; the superseding ones an inbox may drop undecoded (a heartbeat, a
 // DAG snapshot) share their frame with no other item, so they leave it as
 // it was. AppendPayload, DecodePayload, DecodeMessageInto and
@@ -56,17 +66,21 @@
 // snapshots as a node list plus per-node predecessor bitsets, each node's
 // failure-detector value inline. Everything round-trips exactly
 // (TestRoundTrip*, TestLinkRoundTrip). A decode stops at its first error
-// (truncated input, a forged count, a field out of range, a trailing byte)
-// and rejects the whole input: it never panics, and a count the remaining
-// input cannot hold fails before anything is allocated from it. A Link
-// that fails a frame fails every later one: it cannot re-sync its run.
+// (truncated input, a forged count, a field out of range, a last item
+// before the end or none at it) and rejects the whole input: it never
+// panics, and a count the remaining input cannot hold fails before
+// anything is allocated from it. A Link that fails a frame fails every
+// later one: it cannot re-sync its run.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
+	"slices"
 
 	"nuconsensus/internal/consensus"
 	"nuconsensus/internal/dag"
@@ -199,6 +213,47 @@ var (
 // bit 3.
 func codeIndex(head byte) byte { return head&codeMask | (head&codeHigh)>>3 }
 
+// validHead reports whether b, a byte with the marker, is a slot item's
+// head: its code is some slot item's, and its round bit is clear unless
+// the kind has a round.
+func validHead(b byte) bool {
+	kind := codes[codeIndex(b)].kind
+	return kind < kindCount && (b&headRound == 0 || kindFields[kind]&fieldK != 0)
+}
+
+// lastOf and moreOf are the grammar's head table. lastOf maps a byte to
+// the first byte of the item it starts as that item starts when it is its
+// frame's last: the byte itself when it starts a last item, 0 when it
+// starts no item. moreOf maps a last item's first byte to its more-follows
+// form, 0 for an item that shares no frame. The shared items' first bytes,
+// ascending, take the bytes no last item starts with, ascending, 0 aside.
+var lastOf, moreOf = headTable()
+
+func headTable() (last, more [256]byte) {
+	var shared []byte
+	for i := 1; i < len(last); i++ {
+		b := byte(i)
+		switch {
+		case b >= headMarker && validHead(b):
+			shared = append(shared, b)
+			last[b] = b
+		case b < tagCount && payloadPrototypes[b] != nil:
+			if b == tagCommand || b == tagBatch || b == tagFollow {
+				shared = append(shared, b)
+			}
+			last[b] = b
+		}
+	}
+	free := 1
+	for _, b := range shared {
+		for last[free] != 0 {
+			free++
+		}
+		last[free], more[b] = b, byte(free)
+	}
+	return last, more
+}
+
 // Failure-detector value tags.
 const (
 	tagValNull byte = iota + 1
@@ -211,11 +266,13 @@ const (
 // buf is a cursor over an encode/decode buffer. A decode latches its first
 // error in err: from then on every read returns zero and consumes nothing,
 // so a decoder reads its fields and checks err once, at its end or before
-// it acts on a decoded value.
+// it acts on a decoded value. With a src, b is the frame read so far, and
+// a read past its end pulls the bytes it needs from src (ReadLinkFrame).
 type buf struct {
 	b   []byte
 	pos int
 	err error
+	src *bufio.Reader
 }
 
 func (w *buf) putUvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
@@ -254,11 +311,51 @@ func (r *buf) done(what string) error {
 	return r.err
 }
 
+// more makes n bytes past pos readable and reports whether it could.
+// Without a src, b is the whole input, and the caller reports it
+// truncated. With one, it reads what b lacks from src onto b, and fails on
+// src's error (io.ErrUnexpectedEOF when the stream ends inside a frame)
+// and before b would pass MaxFrameSize.
+func (r *buf) more(n int) bool {
+	short := r.pos + n - len(r.b)
+	switch {
+	case short <= 0:
+		return true
+	case r.src == nil || r.err != nil:
+		return false
+	case r.pos+n > MaxFrameSize:
+		r.fail("wire: frame passes the %d-byte limit before its last item", MaxFrameSize)
+		return false
+	}
+	at := len(r.b)
+	r.b = slices.Grow(r.b, short)[:at+short]
+	if _, err := io.ReadFull(r.src, r.b[at:]); err != nil {
+		if err == io.EOF && at > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		r.b, r.err = r.b[:at], err
+		return false
+	}
+	return true
+}
+
+// end is where the input ends at the latest: b's end, or MaxFrameSize
+// when b is a frame still being read.
+func (r *buf) end() int {
+	if r.src != nil {
+		return MaxFrameSize
+	}
+	return len(r.b)
+}
+
 func (r *buf) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.pos:])
+	for n == 0 && r.more(len(r.b)-r.pos+1) {
+		v, n = binary.Uvarint(r.b[r.pos:])
+	}
 	if n <= 0 {
 		r.fail("wire: truncated varint at offset %d", r.pos)
 		return 0
@@ -268,7 +365,7 @@ func (r *buf) uvarint() uint64 {
 }
 
 func (r *buf) byte() byte {
-	if r.err != nil || r.pos >= len(r.b) {
+	if r.err != nil || r.pos >= len(r.b) && !r.more(1) {
 		r.fail("wire: truncated byte at offset %d", r.pos)
 		return 0
 	}
@@ -277,24 +374,24 @@ func (r *buf) byte() byte {
 	return v
 }
 
-// peek returns the next byte without consuming it: 0 at the end of the
-// input or once an error is latched.
-func (r *buf) peek() byte {
-	if r.err != nil || r.pos >= len(r.b) {
-		return 0
-	}
-	return r.b[r.pos]
-}
-
 // word reads a little-endian 64-bit word (a graph's predecessor bitsets).
 func (r *buf) word() uint64 {
-	if r.err != nil || r.pos+8 > len(r.b) {
+	if r.err != nil || r.pos+8 > len(r.b) && !r.more(8) {
 		r.fail("wire: truncated bitset word at offset %d", r.pos)
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(r.b[r.pos:])
 	r.pos += 8
 	return v
+}
+
+// skip moves past n bytes.
+func (r *buf) skip(n int) {
+	if r.err != nil || !r.more(n) {
+		r.fail("wire: truncated input at offset %d", r.pos)
+		return
+	}
+	r.pos += n
 }
 
 func (r *buf) slot() int {
@@ -318,7 +415,7 @@ func (r *buf) int64() int64 {
 // fails here, before anything is allocated from it.
 func (r *buf) count(what string, minBytes int) int {
 	n := r.uvarint()
-	if rem := len(r.b) - r.pos; n > uint64(rem/minBytes) {
+	if rem := r.end() - r.pos; n > uint64(rem/minBytes) {
 		r.fail("wire: %s claims %d items but only %d bytes remain", what, n, rem)
 		return 0
 	}
@@ -459,11 +556,11 @@ func DecodePayload(b []byte) (model.Payload, error) {
 	return st.decode(b)
 }
 
-// decodePayload reads one payload of a kind tag. Fields are read in the
-// order they travel: Go evaluates the calls of a composite literal left to
-// right.
-func decodePayload(r *buf) model.Payload {
-	switch tag := r.byte(); tag {
+// decodePayload reads the body of one payload of the kind tag (its first
+// byte already read). Fields are read in the order they travel: Go
+// evaluates the calls of a composite literal left to right.
+func decodePayload(r *buf, tag byte) model.Payload {
+	switch tag {
 	case tagLead:
 		return consensus.LeadPayload{K: r.int(), V: r.int(), Hist: decodeHistories(r)}
 	case tagReport:
@@ -677,16 +774,12 @@ func (st *run) putSlotItem(w *buf, slot int, it *slotItem) error {
 	return nil
 }
 
-// readSlotItem reads a slot item (its head byte not yet consumed),
-// rebuilding what it inherits from st, then advances st past it.
-func (st *run) readSlotItem(r *buf) model.Payload {
-	head := r.byte()
+// readSlotItem reads the fields of a slot item whose head, a valid one
+// (validHead) in its last-item form, is already read, rebuilding what it
+// inherits from st, then advances st past it.
+func (st *run) readSlotItem(r *buf, head byte) model.Payload {
 	code := codes[codeIndex(head)]
 	it := slotItem{kind: code.kind}
-	if it.kind >= kindCount {
-		r.fail("wire: no slot item has head 0x%02x", head)
-		return nil
-	}
 	fields := kindFields[it.kind]
 	slot := st.slot
 	if head&slotMask != slotExplicit && !st.inSlot {
@@ -713,8 +806,6 @@ func (st *run) readSlotItem(r *buf) model.Payload {
 		slot += int(step)
 	}
 	switch {
-	case head&headRound != 0 && fields&fieldK == 0:
-		r.fail("wire: round bit on slot item kind %d, which has no round", it.kind)
 	case code.v && !st.hasV:
 		r.fail("wire: inherited value before any value")
 	case code.frame && !st.hasTo:
@@ -765,10 +856,11 @@ func (st *run) advance(slot int, it *slotItem) {
 }
 
 // encodeOuter writes a payload as the whole of a frame: one item, or the
-// items of a bundle one after another, with no header, since they run to
-// the end of the frame. A bundle holds at least two items, none of which
-// supersedes: an inbox drops a superseding frame undecoded, so it must
-// carry nothing else. encodePayload rejects a bundle inside one.
+// items of a bundle one after another, with no header, each but the last
+// starting with its first byte's more-follows form (moreOf). A bundle
+// holds at least two items, each of a kind that shares a frame: not a
+// heartbeat or a DAG snapshot, which an inbox drops undecoded, so they
+// must carry nothing else. encodePayload rejects a bundle inside one.
 func encodeOuter(w *buf, st *run, pl model.Payload) error {
 	b, ok := pl.(rsm.Bundle)
 	if !ok {
@@ -777,12 +869,17 @@ func encodeOuter(w *buf, st *run, pl model.Payload) error {
 	if len(b) < 2 {
 		return fmt.Errorf("wire: bundle of %d items", len(b))
 	}
-	for _, pl := range b {
-		if _, sup := pl.(model.SupersededPayload); sup {
-			return fmt.Errorf("wire: %s shares a frame", pl.Kind())
-		}
+	for i, pl := range b {
+		start := len(w.b)
 		if err := encodeItem(w, st, pl); err != nil {
 			return err
+		}
+		more := moreOf[w.b[start]]
+		if more == 0 {
+			return fmt.Errorf("wire: %s shares a frame", pl.Kind())
+		}
+		if i < len(b)-1 {
+			w.b[start] = more
 		}
 	}
 	return nil
@@ -803,31 +900,41 @@ func encodeItem(w *buf, st *run, pl model.Payload) error {
 	return encodePayload(w, pl)
 }
 
-// decodeOuter reads a frame as encodeOuter writes it: its first item alone
-// when the frame ends there, else the bundle of its items, none of which
-// supersedes.
+// decodeOuter reads a frame as encodeOuter writes it, up to its last
+// item: that item alone when it is the first, else the bundle of its
+// items, the last of which must be of a kind that shares a frame. The
+// caller rejects what follows the last item.
 func decodeOuter(r *buf, st *run) model.Payload {
-	first := decodeItem(r, st)
-	if r.pos == len(r.b) || r.err != nil {
-		return first
-	}
-	b := append(make(rsm.Bundle, 0, 4), first)
-	for r.pos < len(r.b) && r.err == nil {
-		b = append(b, decodeItem(r, st))
-	}
-	for _, pl := range b {
-		if _, sup := pl.(model.SupersededPayload); sup {
+	var b rsm.Bundle
+	for {
+		first := r.byte()
+		head := lastOf[first]
+		var pl model.Payload
+		switch {
+		case head == 0:
+			r.fail("wire: no item starts with 0x%02x", first)
+		case head >= headMarker:
+			pl = st.readSlotItem(r, head)
+		default:
+			pl = decodePayload(r, head)
+		}
+		switch {
+		case r.err != nil:
+			return nil
+		case head != first:
+			if b == nil {
+				b = make(rsm.Bundle, 0, 4)
+			}
+			b = append(b, pl)
+		case b == nil:
+			return pl
+		case moreOf[head] == 0:
 			r.fail("wire: %s shares a frame", pl.Kind())
+			return nil
+		default:
+			return append(b, pl)
 		}
 	}
-	return b
-}
-
-func decodeItem(r *buf, st *run) model.Payload {
-	if r.peek() >= headMarker {
-		return st.readSlotItem(r)
-	}
-	return decodePayload(r)
 }
 
 // encodeHistories writes a quorum.Histories (nil allowed). Each set's
@@ -1118,9 +1225,8 @@ var payloadPrototypes = [tagCount]model.Payload{
 
 // tagShapes is, per kind tag, the fields of its body in the order
 // decodePayload reads them, which is all skipItem needs to find where the
-// item ends: i a varint, b a byte, h quorum histories, c a command and n a
-// count of commands. A heartbeat has no body, and a DAG snapshot is never
-// skipped: it is a frame's only item.
+// item ends: i a varint, b a byte, h quorum histories, c a command, n a
+// count of commands and g a DAG snapshot. A heartbeat has no body.
 var tagShapes = [tagCount]string{
 	tagLead:         "iih",
 	tagReport:       "ii",
@@ -1128,6 +1234,7 @@ var tagShapes = [tagCount]string{
 	tagSaw:          "i",
 	tagAck:          "ii",
 	tagRound:        "i",
+	tagGraph:        "g",
 	tagFollow:       "i",
 	tagCommand:      "i",
 	tagEstimate:     "iii",
@@ -1137,20 +1244,6 @@ var tagShapes = [tagCount]string{
 	tagBatch:        "in",
 	tagServeRequest: "cbi",
 	tagServeReply:   "iibii",
-}
-
-// prototype returns a zero value of the payload a frame starting with b
-// holds, or nil for a byte no frame starts with.
-func prototype(b byte) model.Payload {
-	switch {
-	case b >= headMarker:
-		if kind := codes[codeIndex(b)].kind; kind < kindCount {
-			return kindProtos[kind]
-		}
-	case b < tagCount:
-		return payloadPrototypes[b]
-	}
-	return nil
 }
 
 // MessageHead is what a transport needs of a peer frame for inbox
@@ -1164,72 +1257,71 @@ type MessageHead struct {
 }
 
 // PeekMessage reads the kind of a peer frame produced by AppendMessage or
-// Link.Append without decoding it, and allocates nothing. A frame whose
-// first byte is a heartbeat's or a DAG snapshot's is that payload, which
-// supersedes. Otherwise it walks the frame's first item (skipItem): the
-// frame is that item when it ends there, a bundle when more follows. A
-// first item the walk cannot finish reports its own kind: the frame fails
-// to decode whatever it peeks as. No slot item supersedes: a slot item
-// dropped from an inbox would break its link's run, a delta the receiver's
-// version chain too, and a stamped ACK its smallest stamp per member; nor
-// does a bundle, whatever it holds. The error names a first byte no item
-// starts with.
+// Link.Append from its first byte, and allocates nothing: an item that
+// more items follow makes the frame a bundle, and a last item as the first
+// is the frame's one payload. Only a heartbeat and a DAG snapshot
+// supersede. No slot item does: a slot item dropped from an inbox would
+// break its link's run, a delta the receiver's version chain too, and a
+// stamped ACK its smallest stamp per member; nor does a bundle, whatever
+// it holds. A frame that fails to decode may peek as anything. The error
+// names a first byte no item starts with.
 func PeekMessage(b []byte) (h MessageHead, err error) {
 	if len(b) == 0 {
 		return h, fmt.Errorf("wire: empty frame")
 	}
-	proto := prototype(b[0])
-	if proto == nil {
-		return h, fmt.Errorf("wire: unknown payload tag or slot item kind 0x%02x", b[0])
-	}
-	if _, sup := proto.(model.SupersededPayload); sup {
-		return MessageHead{Kind: proto.Kind(), Supersedes: true}, nil
-	}
-	r := buf{b: b}
-	skipItem(&r)
-	if r.err == nil && r.pos < len(b) {
+	var proto model.Payload
+	switch head := lastOf[b[0]]; {
+	case head == 0:
+		return h, fmt.Errorf("wire: no item starts with 0x%02x", b[0])
+	case head != b[0]:
 		return MessageHead{Kind: rsm.Bundle{}.Kind()}, nil
+	case head >= headMarker:
+		proto = kindProtos[codes[codeIndex(head)].kind]
+	default:
+		proto = payloadPrototypes[head]
 	}
-	return MessageHead{Kind: proto.Kind()}, nil
+	_, sup := proto.(model.SupersededPayload)
+	return MessageHead{Kind: proto.Kind(), Supersedes: sup}, nil
 }
 
-// skipItem moves r past the item at its cursor without building it: over
-// the bytes decodeItem reads there when the item decodes, and never past
-// the end of the input when it does not. A slot item's head names its
-// fields whatever it inherits, so no run is needed.
-func skipItem(r *buf) {
-	tag := r.byte()
-	if tag < headMarker {
-		if tag < tagCount {
-			skipFields(r, tagShapes[tag])
+// skipItem moves r past the item at its cursor without building it, over
+// the bytes decodeOuter reads there when the item decodes, and reports
+// whether the item is its frame's last. A byte no item starts with fails
+// r. A slot item's head names its fields whatever it inherits, so no run
+// is needed.
+func skipItem(r *buf) (last bool) {
+	first := r.byte()
+	head := lastOf[first]
+	switch {
+	case head == 0:
+		r.fail("wire: no item starts with 0x%02x", first)
+	case head < headMarker:
+		skipFields(r, tagShapes[head])
+	default:
+		code := codes[codeIndex(head)]
+		fields := kindFields[code.kind]
+		if sc := head & slotMask; sc == slotExplicit || sc == slotDelta {
+			r.uvarint()
 		}
-		return
-	}
-	code := codes[codeIndex(tag)]
-	if code.kind >= kindCount {
-		return
-	}
-	fields := kindFields[code.kind]
-	if sc := tag & slotMask; sc == slotExplicit || sc == slotDelta {
-		r.uvarint()
-	}
-	if fields&fieldQ != 0 {
-		r.uvarint()
-	}
-	if fields&fieldK != 0 && tag&headRound == 0 {
-		r.uvarint()
-	}
-	if fields&fieldV != 0 && !code.v {
-		r.uvarint()
-	}
-	if fields&fieldStamp != 0 {
-		r.uvarint()
-	}
-	if fields&fieldFrame != 0 && !code.frame && r.uvarint()&1 != 0 {
-		for n := 2 * r.count("delta frame", 2); n > 0 && r.err == nil; n-- {
-			r.uvarint() // an add's process and quorum
+		if fields&fieldQ != 0 {
+			r.uvarint()
+		}
+		if fields&fieldK != 0 && head&headRound == 0 {
+			r.uvarint()
+		}
+		if fields&fieldV != 0 && !code.v {
+			r.uvarint()
+		}
+		if fields&fieldStamp != 0 {
+			r.uvarint()
+		}
+		if fields&fieldFrame != 0 && !code.frame && r.uvarint()&1 != 0 {
+			for n := 2 * r.count("delta frame", 2); n > 0 && r.err == nil; n-- {
+				r.uvarint() // an add's process and quorum
+			}
 		}
 	}
+	return head == first
 }
 
 // skipFields moves r past a tagged item's body of the given shape
@@ -1260,7 +1352,38 @@ func skipFields(r *buf, shape string) {
 				r.byte()
 			}
 			skipFields(r, "iii")
+		case 'g':
+			// The node count is checked against the input before either
+			// loop, and every pass of each moves past at least one byte.
+			n := r.count("graph", 3)
+			for v := 0; v < n && r.err == nil; v++ {
+				r.uvarint()
+				r.uvarint()
+				skipValue(r, 0)
+			}
+			for v := 1; v < n && r.err == nil; v++ {
+				r.skip(8 * ((v + 63) / 64))
+			}
 		}
+	}
+}
+
+// skipValue moves r past a failure-detector value inside depth pairs, as
+// decodeValue reads it.
+func skipValue(r *buf, depth int) {
+	switch tag := r.byte(); tag {
+	case tagValNull:
+	case tagValLeader, tagValQuorum, tagValSuspects:
+		r.uvarint()
+	case tagValPair:
+		if depth == maxPairDepth {
+			r.fail("wire: failure-detector value nests deeper than %d pairs", maxPairDepth)
+			return
+		}
+		skipValue(r, depth+1)
+		skipValue(r, depth+1)
+	default:
+		r.fail("wire: unknown value tag %d", tag)
 	}
 }
 

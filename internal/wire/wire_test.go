@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -274,17 +275,15 @@ func TestGraphRejectsRepeatedSample(t *testing.T) {
 }
 
 // TestTruncatedSeedsAreRejected: no proper prefix of a fuzz seed decodes,
-// as a payload or as a peer frame, except where the seed is cut between
-// two whole items. A decode that runs out of input returns its first
-// error, never the zeros its reads return after it. A bundle cut after its
-// k-th item decodes as its first k items: their bundle, or from k = 1 the
-// first item alone, since a frame has no header to say how many items it
-// holds. A reject cut after one of its parts but the last decodes as those
-// parts.
+// as a payload or as a peer frame: a frame ends at the item its first byte
+// marks as the last, so a payload cut anywhere, between two items too,
+// lacks its last item or the rest of it. A decode that runs out of input
+// returns its first error, never the zeros its reads return after it. A
+// reject cut inside one of its parts does not decode either.
 func TestTruncatedSeedsAreRejected(t *testing.T) {
 	type seed struct {
-		b    []byte
-		kept map[int]model.Payload // prefix length → what it decodes to
+		b     []byte
+		parts map[int]bool // prefix lengths that end a reject's part
 	}
 	var seeds []seed
 	for _, pl := range seedPayloads() {
@@ -292,45 +291,26 @@ func TestTruncatedSeedsAreRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := seed{b: b, kept: map[int]model.Payload{}}
-		if bundle, ok := pl.(rsm.Bundle); ok {
-			for k := 1; k < len(bundle); k++ {
-				var want model.Payload = bundle[:k]
-				if k == 1 {
-					want = bundle[0]
-				}
-				head, err := wire.EncodePayload(want)
-				if err != nil || !bytes.HasPrefix(b, head) {
-					t.Fatalf("%v: its first %d items encode as %x (err %v), not a prefix of %x", bundle, k, head, err, b)
-				}
-				s.kept[len(head)] = want
-			}
-		}
-		seeds = append(seeds, s)
+		seeds = append(seeds, seed{b: b})
 	}
 	for _, r := range seedRejects(t) {
-		s := seed{b: r.bytes(), kept: map[int]model.Payload{}}
+		s := seed{b: r.bytes(), parts: map[int]bool{}}
 		for i := 1; i < len(r); i++ {
-			head := r[:i].bytes()
-			pl, err := wire.DecodePayload(head)
-			if err != nil {
-				t.Fatalf("reject %x cut after part %d, %x, does not decode: %v", s.b, i, head, err)
-			}
-			s.kept[len(head)] = pl
+			s.parts[len(r[:i].bytes())] = true
 		}
 		seeds = append(seeds, s)
 	}
 	for _, s := range seeds {
 		for cut := 0; cut < len(s.b); cut++ {
-			want, kept := s.kept[cut]
-			pl, perr := wire.DecodePayload(s.b[:cut])
-			if kept != (perr == nil) || kept && !reflect.DeepEqual(pl, want) {
-				t.Errorf("%x cut to %d bytes decodes as %v (err %v), want %v", s.b, cut, pl, perr, want)
+			if s.parts[cut] {
+				continue
+			}
+			if pl, err := wire.DecodePayload(s.b[:cut]); err == nil {
+				t.Errorf("%x cut to %d bytes decodes as %v", s.b, cut, pl)
 			}
 			var m model.Message
-			err := wire.DecodeMessageInto(&m, s.b[:cut])
-			if kept != (err == nil) || kept && !reflect.DeepEqual(m.Payload, want) {
-				t.Errorf("frame %x cut to %d bytes decodes as %v (err %v), want %v", s.b, cut, &m, err, want)
+			if err := wire.DecodeMessageInto(&m, s.b[:cut]); err == nil {
+				t.Errorf("frame %x cut to %d bytes decodes as %v", s.b, cut, &m)
 			}
 		}
 	}
@@ -886,13 +866,16 @@ func TestRoundTripBundle(t *testing.T) {
 	}
 }
 
-// TestPeekReadsFirstItemExtent: a frame has no header, so PeekMessage
-// walks its first item to tell a lone item from a bundle. Every item kind
-// alone peeks as its own kind and never supersedes; followed by a second
-// item, a tagged one or a slot item, it peeks as BNDL. A heartbeat and a
-// DAG snapshot alone supersede, and share a frame with no item: such a
-// frame fails to decode. On a link, where a frame's first item inherits
-// from the frames before it, every frame peeks as what it decodes to.
+// TestPeekReadsFirstItemExtent: a frame has no header, and the first byte
+// of its first item says whether the item ends the frame, which is all
+// PeekMessage reads to tell a lone item from a bundle. Every item kind
+// alone peeks as its own kind and never supersedes. The kinds that share
+// a frame (the slot items, PRGR, BATCH, FLW and CMD) followed by a second
+// item, a tagged one or a slot item, peek as BNDL; no other kind shares a
+// frame, so a bundle of one fails to encode. A heartbeat and a DAG
+// snapshot alone supersede, and share a frame with no item: such a frame
+// fails to decode. On a link, where a frame's first item inherits from
+// the frames before it, every frame peeks as what it decodes to.
 func TestPeekReadsFirstItemExtent(t *testing.T) {
 	peek := func(pl model.Payload) wire.MessageHead {
 		t.Helper()
@@ -906,7 +889,7 @@ func TestPeekReadsFirstItemExtent(t *testing.T) {
 		}
 		return h
 	}
-	items := []model.Payload{
+	alone := []model.Payload{
 		consensus.LeadPayload{K: 3, V: -7, Hist: sampleHistories()},
 		consensus.ReportPayload{K: 2, V: 42},
 		consensus.ProposalPayload{K: 5, V: 9, HasV: true, Hist: sampleHistories()},
@@ -920,16 +903,27 @@ func TestPeekReadsFirstItemExtent(t *testing.T) {
 		serve.RequestPayload{Client: 3, Seq: 11, Op: 9, Key: 12, Lin: true, T0: 1722000000123456789},
 		serve.ReplyPayload{Client: 3, Seq: 11, Status: serve.StatusOK, Val: 77, T0: 1722000000123456789},
 	}
+	var shared []model.Payload
 	for _, b := range ledBundles() {
-		items = append(items, b[0]) // the slot item kinds, PRGR, BATCH, FLW and CMD
+		shared = append(shared, b[0]) // the slot item kinds, PRGR, BATCH, FLW and CMD
 	}
-	for _, pl := range items {
+	seconds := []model.Payload{rsm.CommandPayload{Cmd: 1}, rsm.ProgressPayload{Slot: 1 << 20}}
+	for _, pl := range append(alone, shared...) {
 		if h, want := peek(pl), (wire.MessageHead{Kind: pl.Kind()}); h != want {
 			t.Errorf("%v alone peeks as %+v, want %+v", pl, h, want)
 		}
-		for _, second := range []model.Payload{rsm.CommandPayload{Cmd: 1}, rsm.ProgressPayload{Slot: 1 << 20}} {
+	}
+	for _, pl := range shared {
+		for _, second := range seconds {
 			if h, want := peek(rsm.Bundle{pl, second}), (wire.MessageHead{Kind: "BNDL"}); h != want {
 				t.Errorf("%v followed by %v peeks as %+v, want %+v", pl, second, h, want)
+			}
+		}
+	}
+	for _, pl := range alone {
+		for _, b := range []rsm.Bundle{{pl, seconds[0]}, {seconds[1], pl}} {
+			if enc, err := wire.EncodePayload(b); err == nil {
+				t.Errorf("%v encoded as %x", b, enc)
 			}
 		}
 	}
@@ -945,7 +939,7 @@ func TestPeekReadsFirstItemExtent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, frame := range [][]byte{append(append([]byte{}, b...), cmd...), append(append([]byte{}, cmd...), b...)} {
+		for _, frame := range [][]byte{append(append([]byte{}, b...), cmd...), append(notLast(cmd), b...)} {
 			if pl, err := wire.DecodePayload(frame); err == nil {
 				t.Errorf("%x, %v and a CMD in one frame, decoded as %v", frame, sup, pl)
 			}
@@ -991,10 +985,84 @@ func head(code, slot byte, round bool) byte {
 	return h
 }
 
+// startsLast reports whether c starts a frame's last item, as the package
+// grammar has it: a live kind tag (1–19 but the unused 9 and the retired
+// 18), or a slot item head of a code some kind has, with a round bit only
+// on a kind that has a round.
+func startsLast(c int) bool {
+	if c < 0x80 {
+		return c >= 1 && c <= 19 && c != 9 && c != 18
+	}
+	code, round := byte(c&7|(c>>6&1)<<3), c&0x20 != 0
+	return code != 14 && !(round && (code == hSaw || code == hPrgr))
+}
+
+// more is the first byte of an item that more items follow in its frame,
+// where the item as its frame's last starts with b: the package grammar's
+// head table, laid out afresh. The first bytes of the items that share a
+// frame (CMD 10, BATCH 15, FLW 19 and every slot item head), ascending,
+// take the bytes no last item starts with, ascending, 0 aside.
+func more(b byte) byte {
+	free := 0
+	for c := 1; c < 256; c++ {
+		if c != 10 && c != 15 && c != 19 && (c < 0x80 || !startsLast(c)) {
+			continue
+		}
+		for free++; startsLast(free); free++ {
+		}
+		if c == int(b) {
+			return byte(free)
+		}
+	}
+	panic(fmt.Sprintf("no item that shares a frame starts with 0x%02x", b))
+}
+
+// notLast is item, a lone item's encoding, as it starts when more items
+// follow it in its frame.
+func notLast(item []byte) []byte {
+	return append([]byte{more(item[0])}, item[1:]...)
+}
+
+// TestHeadTable: the first byte of an item says whether it is its frame's
+// last. 129 bytes start a last item: the 17 live kind tags and the 112
+// slot item heads. The 115 items that share a frame, CMD, BATCH, FLW and
+// every slot item head, each have a second first byte that says more
+// items follow, and 12 bytes start no item: 0, the round bit on PRGR with
+// the next and delta slot codes and on SAW with the delta one, and code 14
+// with every slot code but the first.
+func TestHeadTable(t *testing.T) {
+	if got := []byte{more(10), more(15), more(19), more(0x80), more(0xFF)}; !bytes.Equal(got, []byte{9, 18, 20, 21, 0xB4}) {
+		t.Errorf("more-forms of CMD, BATCH, FLW, the first and the last head: %x, want 09 12 14 15 b4", got)
+	}
+	lasts, mores, none := 0, 0, []byte{}
+	for b := 0; b < 256; b++ {
+		h, err := wire.PeekMessage([]byte{byte(b)})
+		switch {
+		case err != nil:
+			none = append(none, byte(b))
+		case startsLast(b):
+			lasts++
+			if h.Kind == "BNDL" {
+				t.Errorf("0x%02x peeks as a bundle, but starts a last item", b)
+			}
+		default:
+			mores++
+			if h.Kind != "BNDL" {
+				t.Errorf("0x%02x peeks as %+v, but starts an item more items follow", b, h)
+			}
+		}
+	}
+	wantNone := []byte{0, 0xB6, 0xBC, 0xBE, 0xC6, 0xCE, 0xD6, 0xDE, 0xE6, 0xEE, 0xF6, 0xFE}
+	if lasts != 129 || mores != 115 || !bytes.Equal(none, wantNone) {
+		t.Errorf("%d bytes start a last item, %d one more items follow, and %x none; want 129, 115 and %x", lasts, mores, none, wantNone)
+	}
+}
+
 // TestHeadByte: the head byte the encoder writes is the grammar's, for
-// each kind, slot code and inheritance, and each of the fifteen codes. A
-// PRGR is a slot item whose slot is its floor, and a slot delta is written
-// only where it is shorter than the slot's varint.
+// each kind, slot code and inheritance, and each of the fifteen codes, in
+// its more-follows form on every item but the frame's last (TestHeadTable).
+// A PRGR is a slot item whose slot is its floor, and a slot delta is
+// written only where it is shorter than the slot's varint.
 func TestHeadByte(t *testing.T) {
 	lead := consensus.LeadDeltaPayload{K: 1, V: 2, Delta: quorum.Delta{Base: 1, To: 1}}
 	for _, tc := range []struct {
@@ -1005,17 +1073,17 @@ func TestHeadByte(t *testing.T) {
 		// the same slot written out (a delta of 0 is no shorter than slot
 		// 1's varint), K 3 and V 2 inherited, no frame.
 		{rsm.Bundle{slotted(lead), slotted(consensus.ReportPayload{K: 3, V: 2})},
-			[]byte{head(hLead, hExplicit, true), 1, 4, 2, head(hRepSameV, hExplicit, false), 1, 6}},
+			[]byte{more(head(hLead, hExplicit, true)), 1, 4, 2, head(hRepSameV, hExplicit, false), 1, 6}},
 		// PROPD with and without V, the second on the next slot with the
 		// first's round and frame.
 		{rsm.Bundle{
 			slotted(consensus.ProposalDeltaPayload{K: 2, V: 5, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}),
 			rsm.SlotPayload{Slot: 2, Inner: consensus.ProposalDeltaPayload{K: 2, Delta: quorum.Delta{Base: 3, To: 3}}},
-		}, []byte{head(hPropV, hExplicit, false), 1, 4, 10, 6, head(hPropSameF, hNext, true)}},
+		}, []byte{more(head(hPropV, hExplicit, false)), 1, 4, 10, 6, head(hPropSameF, hNext, true)}},
 		// SAW (no K), then SACK on slot 9: explicit slot, round 1 inherited,
 		// stamp 4 five below its slot (zigzag 9).
 		{rsm.Bundle{slotted(consensus.SawPayload{Q: 3}), rsm.SlotPayload{Slot: 9, Inner: rsm.AckStampPayload{Q: 3, K: 1, Stamp: 4}}},
-			[]byte{head(hSaw, hExplicit, false), 1, 3, head(hSack, hExplicit, true), 9, 3, 9}},
+			[]byte{more(head(hSaw, hExplicit, false)), 1, 3, head(hSack, hExplicit, true), 9, 3, 9}},
 		// REP on slot 300 (a two-byte varint), the floor 298 two below it
 		// (zigzag 3: one byte) and SAW on 301 three above the floor (zigzag
 		// 6), then a PRGR on slot 5: a delta of −296 is no shorter than 5.
@@ -1024,15 +1092,15 @@ func TestHeadByte(t *testing.T) {
 			rsm.ProgressPayload{Slot: 298},
 			rsm.SlotPayload{Slot: 301, Inner: consensus.SawPayload{Q: 3}},
 			rsm.ProgressPayload{Slot: 5},
-		}, []byte{head(hRep, hExplicit, true), 0xAC, 0x02, 4, head(hPrgr, hDelta, false), 3,
-			head(hSaw, hDelta, false), 6, 3, head(hPrgr, hExplicit, false), 5}},
+		}, []byte{more(head(hRep, hExplicit, true)), 0xAC, 0x02, 4, more(head(hPrgr, hDelta, false)), 3,
+			more(head(hSaw, hDelta, false)), 6, 3, head(hPrgr, hExplicit, false), 5}},
 		// REP on slot 300, SAW on it again (a delta of 0: shorter than the
 		// two-byte varint), and the floor 299 one below.
 		{rsm.Bundle{
 			rsm.SlotPayload{Slot: 300, Inner: consensus.ReportPayload{K: 1, V: 2}},
 			rsm.SlotPayload{Slot: 300, Inner: consensus.SawPayload{Q: 3}},
 			rsm.ProgressPayload{Slot: 299},
-		}, []byte{head(hRep, hExplicit, true), 0xAC, 0x02, 4, head(hSaw, hDelta, false), 0, 3, head(hPrgr, hPrev, false)}},
+		}, []byte{more(head(hRep, hExplicit, true)), 0xAC, 0x02, 4, more(head(hSaw, hDelta, false)), 0, 3, head(hPrgr, hPrev, false)}},
 		// A window of two walking up from slot 1, each item one slot above
 		// or below the one before. V inherited by LEADD, PROPD and REP,
 		// across a PROPD without V, with and without the frame: V 3 (zigzag
@@ -1051,9 +1119,9 @@ func TestHeadByte(t *testing.T) {
 			rsm.SlotPayload{Slot: 4, Inner: consensus.ReportPayload{K: 1, V: -1}},
 			rsm.SlotPayload{Slot: 3, Inner: consensus.ProposalDeltaPayload{K: 1, V: 0, HasV: true, Delta: quorum.Delta{Base: 3, To: 3}}},
 			rsm.SlotPayload{Slot: 4, Inner: consensus.LeadDeltaPayload{K: 1, V: 5, Delta: quorum.Delta{Base: 3, To: 3}}},
-		}, []byte{head(hLead, hExplicit, true), 1, 6, 2, head(hPropVSameVF, hNext, true), head(hPropSameF, hPrev, true),
-			head(hRepSameV, hNext, true), head(hLeadSameV, hNext, true), 4, head(hLeadSameVF, hNext, true),
-			head(hPropVSameV, hPrev, true), 6, head(hRep, hNext, true), 1, head(hPropVSameF, hPrev, true), 0,
+		}, []byte{more(head(hLead, hExplicit, true)), 1, 6, 2, more(head(hPropVSameVF, hNext, true)), more(head(hPropSameF, hPrev, true)),
+			more(head(hRepSameV, hNext, true)), more(head(hLeadSameV, hNext, true)), 4, more(head(hLeadSameVF, hNext, true)),
+			more(head(hPropVSameV, hPrev, true)), 6, more(head(hRep, hNext, true)), 1, more(head(hPropVSameF, hPrev, true)), 0,
 			head(hLeadSameF, hNext, true), 10}},
 	} {
 		enc, err := wire.EncodePayload(tc.b)
@@ -1240,8 +1308,9 @@ func TestRoundTripGeneratedBundles(t *testing.T) {
 }
 
 // A reject is an input no payload encodes to, in parts: every part but
-// the last is one or more whole items, so the input cut after any part
-// but the last decodes, and the last part makes the whole fail.
+// the last is one whole item as it stands in the input, in its
+// more-follows form unless the reject is a last item before the end, and
+// the last part makes the whole fail.
 type reject [][]byte
 
 func (r reject) bytes() []byte { return bytes.Join(r, nil) }
@@ -1259,19 +1328,22 @@ func bundleRejects(tb testing.TB) map[string]reject {
 	}
 	cmd, rep := enc(rsm.CommandPayload{Cmd: 1}), enc(slotted(consensus.ReportPayload{K: 1, V: 2}))
 	beat, snapshot := enc(hb.HeartbeatPayload{}), enc(dag.GraphPayload{G: sampleGraph()})
+	lead := enc(consensus.LeadPayload{K: 1, V: 2})
 	return map[string]reject{
-		"retired bundle tag":                {append([]byte{18}, append(cmd, cmd...)...)},
+		"no last item":                      {notLast(cmd)},
+		"no last item after a slot item":    {notLast(rep), notLast(cmd)},
+		"a last item before the end":        {cmd, rep},
 		"heartbeat followed by an item":     {beat, cmd},
 		"DAG snapshot followed by an item":  {snapshot, rep},
-		"item followed by a heartbeat":      {cmd, beat},
-		"item followed by a DAG snapshot":   {rep, snapshot},
-		"unknown tag after an item":         {cmd, {0x7F}},
-		"truncated item after an item":      {cmd, rep[:len(rep)-1]},
-		"unknown tag after two items":       {cmd, rep, {0x7F}},
-		"heartbeat behind two items":        {rep, cmd, beat},
-		"retired bundle tag after an item":  {cmd, append([]byte{18}, rep...)},
-		"unused tag 9 after a slot item":    {rep, {9}},
-		"truncated slot item after an item": {cmd, {rep[0]}},
+		"item followed by a heartbeat":      {notLast(cmd), beat},
+		"item followed by a DAG snapshot":   {notLast(rep), snapshot},
+		"item followed by a plain LEAD":     {notLast(cmd), lead},
+		"byte 0 after an item":              {notLast(cmd), {0}},
+		"truncated item after an item":      {notLast(cmd), rep[:len(rep)-1]},
+		"byte 0 after two items":            {notLast(cmd), notLast(rep), {0}},
+		"heartbeat behind two items":        {notLast(rep), notLast(cmd), beat},
+		"code 14 after a slot item":         {notLast(rep), {head(14, hNext, false)}},
+		"truncated slot item after an item": {notLast(cmd), {rep[0]}},
 	}
 }
 
@@ -1285,38 +1357,40 @@ func headRejects(tb testing.TB) map[string]reject {
 		tb.Fatal(err)
 	}
 	// REP(K 1, V 2) on slot 1, LEADD(K 1, V 2, no adds at To 1) on it, and
-	// SAW({p0, p1}) and PROPD without V (K 1, no adds at To 1) on it.
-	rep := []byte{head(hRep, hExplicit, true), 1, 4}
-	lead := []byte{head(hLead, hExplicit, true), 1, 4, 2}
-	saw := []byte{head(hSaw, hExplicit, false), 1, 3}
-	prop := []byte{head(hProp, hExplicit, true), 1, 2}
+	// SAW({p0, p1}) and PROPD without V (K 1, no adds at To 1) on it, each
+	// as it starts ahead of another item.
+	rep := notLast([]byte{head(hRep, hExplicit, true), 1, 4})
+	lead := notLast([]byte{head(hLead, hExplicit, true), 1, 4, 2})
+	saw := notLast([]byte{head(hSaw, hExplicit, false), 1, 3})
+	prop := notLast([]byte{head(hProp, hExplicit, true), 1, 2})
 	prev := []byte{head(hRep, hPrev, true), 4}
 	next := []byte{head(hRep, hNext, true), 4}
 	last := append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true)}, math.MaxInt), 4)
 	delta := func(step int64) []byte {
 		return append(binary.AppendVarint([]byte{head(hRep, hDelta, true)}, step), 4)
 	}
+	cmd = notLast(cmd)
 	return map[string]reject{
 		"previous slot alone":                {prev},
 		"next slot alone":                    {next},
 		"previous slot before any slot item": {cmd, prev},
-		"previous slot below slot 0":         {{head(hRep, hExplicit, true), 0, 4}, prev},
+		"previous slot below slot 0":         {notLast([]byte{head(hRep, hExplicit, true), 0, 4}), prev},
 		"next slot before any slot item":     {cmd, next},
-		"next slot past MaxInt":              {last, next},
+		"next slot past MaxInt":              {notLast(last), next},
 		"slot above MaxInt":                  {append(binary.AppendUvarint([]byte{head(hRep, hExplicit, true)}, math.MaxInt+1), 4)},
 		"inherited frame alone":              {{head(hLeadSameF, hExplicit, true), 1, 4}},
 		"inherited frame before any frame":   {rep, {head(hLeadSameF, hNext, true), 4}},
 		"inherited value alone":              {{head(hRepSameV, hExplicit, true), 1}},
 		"inherited value before any value":   {saw, {head(hLeadSameV, hNext, true), 2}},
 		"inherited value behind PROPD no V":  {prop, {head(hRepSameV, hNext, true)}},
-		"inherited round on SAW":             {lead, {head(hSaw, hNext, true), 3}},
-		"round bit on PRGR":                  {{head(hPrgr, hExplicit, true), 1}},
+		"inherited round on SAW":             {lead, {head(hSaw, hDelta, true), 0, 3}},
+		"round bit on PRGR":                  {{head(hPrgr, hDelta, true), 1}},
 		"code 14 alone":                      {{head(14, hExplicit, false), 1}},
 		"code 14 behind a slot item":         {lead, {head(14, hNext, false)}},
 		"slot delta alone":                   {delta(2)},
 		"slot delta before any slot item":    {cmd, delta(2)},
 		"slot delta below slot 0":            {rep, delta(-2)},
-		"slot delta past MaxInt":             {last, delta(2)},
+		"slot delta past MaxInt":             {notLast(last), delta(2)},
 		"truncated slot":                     {{head(hRep, hExplicit, true), 0x80}},
 	}
 }
