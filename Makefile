@@ -298,8 +298,8 @@ loc:
 # ci mirrors .github/workflows/ci.yml (its header maps each job to these
 # lines; only the obs job's exports are left out): static checks, build,
 # tests, race detector, a parallel experiments run that fails on any claim
-# failure or any byte of table drift, the full-scale E16 model check, the
-# smokes and the fuzz smoke.
+# failure or any byte of table drift, the full-scale E16 model check
+# diffed against testdata/tables.e16-full.md, the smokes and the fuzz smoke.
 ci: lint-static
 	$(GO) build ./...
 	$(GO) test ./...
@@ -310,6 +310,7 @@ ci: lint-static
 	$(MAKE) counts-check
 	$(MAKE) substrate-smoke
 	$(GO) run ./cmd/experiments -full -e E16 -parallel 2 -json $(ARTIFACTS)/explore.json -o $(ARTIFACTS)/explore.tables.md > /dev/null
+	diff testdata/tables.e16-full.md $(ARTIFACTS)/explore.tables.md
 	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) fuzz FUZZTIME=15s

@@ -25,7 +25,7 @@ type DeltaEntry struct {
 }
 
 // compareEntries is the canonical (R, then Q) order used everywhere a
-// delta is rendered or encoded, so the bytes never depend on map order.
+// delta is rendered or encoded, so the bytes never depend on add order.
 func compareEntries(a, b DeltaEntry) int {
 	if a.R != b.R {
 		return int(a.R) - int(b.R)
@@ -97,12 +97,12 @@ func (v *Versioned) Floor() uint64 { return v.floor }
 func (v *Versioned) Len() int { return int(v.version) }
 
 // Add records that process r saw quorum q. It returns true iff the entry
-// is new; only novel entries advance the version.
+// is new; only novel entries advance the version. An r outside Π is
+// dropped (Histories.Add).
 func (v *Versioned) Add(r model.ProcessID, q model.ProcessSet) bool {
-	if v.h[r].Has(q) {
+	if !v.h.Add(r, q) {
 		return false
 	}
-	v.h[r].Add(q)
 	v.version++
 	v.log = append(v.log, DeltaEntry{R: r, Q: q})
 	return true
@@ -110,11 +110,12 @@ func (v *Versioned) Add(r model.ProcessID, q model.ProcessSet) bool {
 
 // Import merges a plain history — the inline Fig. 5 history a standalone
 // A_nuc's LEAD or PROP carries — returning the number of novel entries.
+// Rows run in R order and each set ascends, so the add log gains them in
+// (R, Q) order.
 func (v *Versioned) Import(other Histories) int {
 	novel := 0
-	for r := range other {
-		// Collect-then-sort: the add log must not inherit map order.
-		for _, q := range other[r].Slice() {
+	for r, set := range other {
+		for _, q := range set {
 			if v.Add(model.ProcessID(r), q) {
 				novel++
 			}
@@ -157,15 +158,14 @@ func (v *Versioned) AppendSince(dst []DeltaEntry, base uint64) ([]DeltaEntry, ui
 	return dst, v.version, false
 }
 
-// appendSnapshot appends every entry of the store in canonical order.
+// appendSnapshot appends every entry of the store in canonical order:
+// rows run in R order and each set ascends, so no sort is needed.
 func (v *Versioned) appendSnapshot(dst []DeltaEntry) []DeltaEntry {
-	start := len(dst)
-	for r := range v.h {
-		for q := range v.h[r] {
+	for r, set := range v.h {
+		for _, q := range set {
 			dst = append(dst, DeltaEntry{R: model.ProcessID(r), Q: q})
 		}
 	}
-	slices.SortFunc(dst[start:], compareEntries)
 	return dst
 }
 

@@ -255,3 +255,34 @@ func TestDeltaSpansExactlyItsAdds(t *testing.T) {
 		t.Errorf("Snapshot() = %v does not span exactly its adds", d)
 	}
 }
+
+// TestRowsOutsidePiAreDropped: a received history or delta may name a
+// process past this system's n (the decoder bounds rows only by
+// model.MaxProcesses). The store is the first code that knows n: it drops
+// such an entry, does not count it novel, and does not panic.
+func TestRowsOutsidePiAreDropped(t *testing.T) {
+	wide := NewHistories(5)
+	wide.Add(1, model.SetOf(0, 1))
+	wide.Add(4, model.SetOf(3, 4))
+
+	h := NewHistories(3)
+	h.Import(wide)
+	if want := "[p1:[{p0,p1}]]"; h.String() != want {
+		t.Errorf("Import of a 5-row history into 3 rows: %s, want %s", h, want)
+	}
+	if h.Add(3, model.SetOf(0)) {
+		t.Error("Histories.Add outside Π reported novelty")
+	}
+
+	v := NewVersioned(3)
+	if novel := v.Import(wide); novel != 1 || v.Version() != 1 {
+		t.Errorf("Versioned.Import: novel %d, version %d; want 1, 1", novel, v.Version())
+	}
+	d := Delta{Base: 0, To: 2, Adds: []DeltaEntry{{R: 2, Q: model.SetOf(2)}, {R: 5, Q: model.SetOf(5)}}}
+	if novel := v.Apply(d); novel != 1 || v.Version() != 2 {
+		t.Errorf("Apply with an add for p5: novel %d, version %d; want 1, 2", novel, v.Version())
+	}
+	if got := v.Snapshot().Adds; len(got) != 2 || got[1].R != 2 {
+		t.Errorf("snapshot %v holds an entry outside Π", got)
+	}
+}

@@ -2,6 +2,9 @@
 // consensus algorithm A_nuc (Figs. 4–5): the per-process history variable
 // H_p (all quorums of each process that p knows about), the set F_p of
 // processes p considers faulty, and the distrusts predicate (lines 51–53).
+// A quorum set is a sorted slice, so everything that walks one — the
+// distrusts scan, the wire codec, a delta snapshot — sees the one order its
+// value has, and nothing sorts on read.
 package quorum
 
 import (
@@ -12,89 +15,59 @@ import (
 	"nuconsensus/internal/model"
 )
 
-// Set is a set of quorums (process sets). The zero value is empty but not
-// ready for writes; use NewSet or Histories, which allocate on demand.
-type Set map[model.ProcessSet]struct{}
+// Set is a set of quorums (process sets), held as a strictly ascending
+// slice, so every reader sees one order and no reader sorts. The zero value
+// is the empty set and is ready for writes. A Set is a value: a copy does
+// not see later adds to its source, so mutations go through the slot that
+// holds it (h[r].Add, Histories.Add).
+type Set []model.ProcessSet
 
 // NewSet returns a quorum set containing the given quorums.
 func NewSet(qs ...model.ProcessSet) Set {
-	s := make(Set, len(qs))
+	var s Set
 	for _, q := range qs {
-		s[q] = struct{}{}
+		s.Add(q)
 	}
 	return s
 }
 
-// Add inserts q.
-func (s Set) Add(q model.ProcessSet) { s[q] = struct{}{} }
+// Add inserts q, reporting whether it was new.
+func (s *Set) Add(q model.ProcessSet) bool {
+	i, found := slices.BinarySearch(*s, q)
+	if found {
+		return false
+	}
+	*s = slices.Insert(*s, i, q)
+	return true
+}
 
 // Has reports whether q ∈ s.
-func (s Set) Has(q model.ProcessSet) bool { _, ok := s[q]; return ok }
+func (s Set) Has(q model.ProcessSet) bool {
+	_, found := slices.BinarySearch(s, q)
+	return found
+}
 
 // Union inserts all quorums of t into s.
-func (s Set) Union(t Set) {
-	for q := range t {
-		s[q] = struct{}{}
+func (s *Set) Union(t Set) {
+	for _, q := range t {
+		s.Add(q)
 	}
 }
 
-// Clone returns a copy of s.
-func (s Set) Clone() Set {
-	c := make(Set, len(s))
-	for q := range s {
-		c[q] = struct{}{}
-	}
-	return c
-}
+// Clone returns a copy of s that shares no memory with it.
+func (s Set) Clone() Set { return slices.Clone(s) }
 
-// AnyDisjointFrom reports whether some quorum in s is disjoint from some
-// quorum in t, returning the canonical (smallest) witness pair if so.
-func (s Set) AnyDisjointFrom(t Set) (model.ProcessSet, model.ProcessSet, bool) {
-	if !s.hasDisjointWith(t) {
-		return 0, 0, false
-	}
-	// A witness exists. Rescan in sorted order so the reported pair does
-	// not depend on map iteration order; the existence fast path above
-	// keeps the common (no-witness) case allocation-free.
-	for _, a := range s.Slice() {
-		for _, b := range t.Slice() {
-			if !a.Intersects(b) {
-				return a, b, true
-			}
-		}
-	}
-	return 0, 0, false
-}
-
-// hasDisjointWith reports whether some quorum of s is disjoint from some
-// quorum of t. The predicate is order-independent, so scanning the maps
-// directly is safe.
-func (s Set) hasDisjointWith(t Set) bool {
-	for a := range s {
-		for b := range t {
+// DisjointFrom reports whether some quorum in s is disjoint from some
+// quorum in t.
+func (s Set) DisjointFrom(t Set) bool {
+	for _, a := range s {
+		for _, b := range t {
 			if !a.Intersects(b) {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// Slice returns the quorums in a deterministic order (for rendering).
-func (s Set) Slice() []model.ProcessSet {
-	return s.AppendSorted(make([]model.ProcessSet, 0, len(s)))
-}
-
-// AppendSorted appends the quorums to dst in ascending order and returns
-// the extended slice. Callers on hot paths (the wire encoder) pass a reused
-// scratch buffer so the per-set allocation of Slice disappears.
-func (s Set) AppendSorted(dst []model.ProcessSet) []model.ProcessSet {
-	start := len(dst)
-	for q := range s {
-		dst = append(dst, q)
-	}
-	slices.Sort(dst[start:])
-	return dst
 }
 
 // Histories is the variable H_p of A_nuc: Histories[r] contains all the
@@ -104,21 +77,22 @@ type Histories []Set
 
 // NewHistories returns empty histories for an n-process system
 // (H_p[q] ← ∅ for all q, Fig. 4 lines 5–6).
-func NewHistories(n int) Histories {
-	h := make(Histories, n)
-	for i := range h {
-		h[i] = make(Set)
+func NewHistories(n int) Histories { return make(Histories, n) }
+
+// Add records that process r saw quorum q, reporting whether it was new.
+// An r outside Π — a received history's row past this system's n — names
+// no process any query asks about, so it is dropped and is not new.
+func (h Histories) Add(r model.ProcessID, q model.ProcessSet) bool {
+	if int(r) >= len(h) {
+		return false
 	}
-	return h
+	return h[r].Add(q)
 }
 
-// Add records that process r saw quorum q.
-func (h Histories) Add(r model.ProcessID, q model.ProcessSet) { h[r].Add(q) }
-
 // Import merges another history into h (procedure import_history, Fig. 5
-// lines 44–46).
+// lines 44–46). Rows of other past h's n are dropped, as in Add.
 func (h Histories) Import(other Histories) {
-	for r := range other {
+	for r := range min(len(h), len(other)) {
 		h[r].Union(other[r])
 	}
 }
@@ -142,7 +116,7 @@ func (h Histories) ConsideredFaulty(p model.ProcessID) model.ProcessSet {
 	var f model.ProcessSet
 	own := h[p]
 	for r := range h {
-		if _, _, disjoint := h[r].AnyDisjointFrom(own); disjoint {
+		if h[r].DisjointFrom(own) {
 			f = f.Add(model.ProcessID(r))
 		}
 	}
@@ -158,7 +132,7 @@ func (h Histories) Distrusts(p, q model.ProcessID) bool {
 		if fp.Has(model.ProcessID(r)) {
 			continue
 		}
-		if _, _, disjoint := h[q].AnyDisjointFrom(h[r]); disjoint {
+		if h[q].DisjointFrom(h[r]) {
 			return true
 		}
 	}
@@ -178,7 +152,7 @@ func (h Histories) String() string {
 			b.WriteString(", ")
 		}
 		first = false
-		fmt.Fprintf(&b, "p%d:%v", r, h[r].Slice())
+		fmt.Fprintf(&b, "p%d:%v", r, h[r])
 	}
 	b.WriteByte(']')
 	return b.String()

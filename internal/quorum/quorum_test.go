@@ -1,7 +1,9 @@
 package quorum
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,9 +15,8 @@ func TestSetBasics(t *testing.T) {
 	if !s.Has(model.SetOf(0, 1)) || !s.Has(model.SetOf(2)) {
 		t.Fatal("NewSet lost members")
 	}
-	s.Add(model.SetOf(0, 1)) // idempotent
-	if len(s) != 2 {
-		t.Fatalf("len = %d", len(s))
+	if s.Add(model.SetOf(0, 1)) || len(s) != 2 { // idempotent
+		t.Fatalf("a repeated Add reported novelty or grew the set: %v", s)
 	}
 	u := NewSet(model.SetOf(3))
 	s.Union(u)
@@ -29,28 +30,125 @@ func TestSetBasics(t *testing.T) {
 		t.Error("mutating a clone must not affect the original")
 	}
 
-	sl := s.Slice()
-	for i := 1; i < len(sl); i++ {
-		if sl[i-1] >= sl[i] {
-			t.Error("Slice must be sorted deterministically")
+	var zero Set
+	if zero.Has(model.SetOf(0)) || !zero.Add(model.SetOf(0)) || !zero.Has(model.SetOf(0)) {
+		t.Error("the zero Set must be empty and ready for writes")
+	}
+}
+
+// sortedSet is the brute-force model of a Set: qs sorted, duplicates
+// dropped.
+func sortedSet(qs ...[]model.ProcessSet) []model.ProcessSet {
+	var all []model.ProcessSet
+	for _, q := range qs {
+		all = append(all, q...)
+	}
+	slices.Sort(all)
+	return slices.Compact(all)
+}
+
+// TestSetProperties checks Set against its brute-force model over a table
+// of fixed and random inputs, each added in its own (random) order: Add
+// and Union hold the sorted, deduplicated inputs, Add reports novelty, a
+// Clone does not see later adds to its source, DisjointFrom agrees with a
+// loop over the inputs, and a Versioned store's add log after Import, and
+// its Snapshot, are in (R, Q) order.
+func TestSetProperties(t *testing.T) {
+	type tc struct {
+		name     string
+		a, b     []model.ProcessSet
+		disjoint bool // DisjointFrom(a, b), for the fixed rows
+	}
+	cases := []tc{
+		{"empty", nil, nil, false},
+		{"empty against one", nil, []model.ProcessSet{model.SetOf(0)}, false},
+		{"every pair intersects",
+			[]model.ProcessSet{model.SetOf(0, 1), model.SetOf(1, 2)},
+			[]model.ProcessSet{model.SetOf(1), model.SetOf(0, 2, 3)}, false},
+		{"one disjoint pair",
+			[]model.ProcessSet{model.SetOf(0, 1), model.SetOf(1, 2)},
+			[]model.ProcessSet{model.SetOf(1), model.SetOf(0, 2, 3), model.SetOf(3)}, true},
+		{"repeats", []model.ProcessSet{5, 3, 5, 1, 3}, []model.ProcessSet{2, 2}, true},
+	}
+	fixed := len(cases)
+	rng := rand.New(rand.NewSource(3))
+	draw := func() []model.ProcessSet {
+		qs := make([]model.ProcessSet, rng.Intn(9))
+		for i := range qs {
+			qs[i] = model.ProcessSet(rng.Intn(16))
+		}
+		return qs
+	}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, tc{name: fmt.Sprintf("random %d", i), a: draw(), b: draw()})
+	}
+
+	for i, c := range cases {
+		var s Set
+		seen := map[model.ProcessSet]bool{}
+		for _, q := range c.a {
+			if novel := s.Add(q); novel == seen[q] {
+				t.Errorf("%s: Add(%v) reported novelty %v", c.name, q, novel)
+			}
+			seen[q] = true
+		}
+		if want := sortedSet(c.a); !slices.Equal(s, want) {
+			t.Errorf("%s: Add gave %v, want %v", c.name, s, want)
+		}
+		shuffled := slices.Clone(c.a)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := NewSet(shuffled...); !slices.Equal(got, s) {
+			t.Errorf("%s: add order moved the set: %v vs %v", c.name, got, s)
+		}
+
+		clone := s.Clone()
+		s.Union(NewSet(c.b...))
+		if want := sortedSet(c.a, c.b); !slices.Equal(s, want) {
+			t.Errorf("%s: Union gave %v, want %v", c.name, s, want)
+		}
+		if want := sortedSet(c.a); !slices.Equal(clone, want) {
+			t.Errorf("%s: clone %v saw its source's later adds, want %v", c.name, clone, want)
+		}
+
+		brute := false
+		for _, x := range c.a {
+			for _, y := range c.b {
+				brute = brute || !x.Intersects(y)
+			}
+		}
+		got := NewSet(c.a...).DisjointFrom(NewSet(c.b...))
+		if got != brute || (i < fixed && got != c.disjoint) {
+			t.Errorf("%s: DisjointFrom = %v, brute force %v", c.name, got, brute)
+		}
+
+		h := NewHistories(3)
+		for _, q := range shuffled {
+			h.Add(0, q)
+		}
+		for _, q := range c.b {
+			h.Add(2, q)
+		}
+		v := NewVersioned(3)
+		v.Import(h)
+		if !strictlyAscending(v.log) {
+			t.Errorf("%s: add log after Import %v is not in strict (R, Q) order", c.name, v.log)
+		}
+		for _, q := range shuffled { // out of order: the log keeps add order
+			v.Add(1, q)
+		}
+		if snap := v.Snapshot().Adds; len(snap) != v.Len() || !strictlyAscending(snap) {
+			t.Errorf("%s: Snapshot %v is not the store's %d entries in strict (R, Q) order", c.name, snap, v.Len())
 		}
 	}
 }
 
-func TestAnyDisjointFrom(t *testing.T) {
-	a := NewSet(model.SetOf(0, 1), model.SetOf(1, 2))
-	b := NewSet(model.SetOf(1), model.SetOf(0, 2, 3))
-	if _, _, disjoint := a.AnyDisjointFrom(b); disjoint {
-		t.Error("all pairs here intersect")
+func strictlyAscending(adds []DeltaEntry) bool {
+	for i := 1; i < len(adds); i++ {
+		if compareEntries(adds[i-1], adds[i]) >= 0 {
+			return false
+		}
 	}
-	b.Add(model.SetOf(3))
-	x, y, disjoint := a.AnyDisjointFrom(b)
-	if !disjoint {
-		t.Fatal("expected a disjoint witness")
-	}
-	if x.Intersects(y) {
-		t.Errorf("witness %v, %v intersect", x, y)
-	}
+	return true
 }
 
 func TestHistoriesImportClone(t *testing.T) {
@@ -143,18 +241,9 @@ func TestImportIdempotentCommutative(t *testing.T) {
 		}
 		return h
 	}
+	// Sets are sorted values, so equal histories are equal row by row.
 	equal := func(a, b Histories) bool {
-		for i := range a {
-			if len(a[i]) != len(b[i]) {
-				return false
-			}
-			for q := range a[i] {
-				if !b[i].Has(q) {
-					return false
-				}
-			}
-		}
-		return true
+		return slices.EqualFunc(a, b, func(x, y Set) bool { return slices.Equal(x, y) })
 	}
 	if err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -171,7 +171,7 @@ func (a *awarenessAuditor) innerStep(p model.ProcessID, inst model.State, sends 
 	if ver := st.store.v.Version(); ver != a.version[p] {
 		a.version[p] = ver
 		for r, set := range st.store.v.Histories() {
-			for q := range set {
+			for _, q := range set {
 				key := histKey{model.ProcessID(r), q}
 				if _, had := a.known[p][key]; !had {
 					a.known[p][key] = eventTime{a.step, entryIndex(p, key, sends)}

@@ -89,7 +89,7 @@ func (s *sharedStore) sizeBytes() int {
 	if s.v.Version() != s.lastSizedVer {
 		total := 0
 		for r, set := range s.v.Histories() {
-			for q := range set {
+			for _, q := range set {
 				total += uvarintLen(uint64(r)) + uvarintLen(uint64(q))
 			}
 		}

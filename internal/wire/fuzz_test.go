@@ -3,8 +3,10 @@ package wire_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nuconsensus/internal/consensus"
@@ -27,6 +29,7 @@ func seedPayloads() []model.Payload {
 		consensus.LeadPayload{K: 3, V: -7, Hist: sampleHistories()},
 		consensus.ReportPayload{K: 2, V: 42},
 		consensus.ProposalPayload{K: 5},
+		consensus.ProposalPayload{K: 4, V: 1, HasV: true, Hist: sampleHistories()},
 		consensus.SawPayload{Q: model.SetOf(0, 2)},
 		consensus.AckPayload{Q: model.SetOf(1), K: 8},
 		slotted(consensus.LeadDeltaPayload{K: 3, V: -7, Delta: sampleDelta()}),
@@ -190,7 +193,55 @@ func FuzzDecodePayload(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(again, pl) {
 			t.Fatalf("decoded payload %#v re-encodes as %x, which decodes as %#v (err %v)", pl, b, again, err)
 		}
+		// A history has one encoding: the sets hold exactly the quorums the
+		// bytes list, in the order listed. So a decoded LEAD or PROP
+		// re-encodes to its input, up to varint padding (the decoder
+		// accepts overlong varints anywhere).
+		var hist quorum.Histories
+		prop := false
+		switch p := pl.(type) {
+		case consensus.LeadPayload:
+			hist = p.Hist
+		case consensus.ProposalPayload:
+			hist, prop = p.Hist, true
+		default:
+			return
+		}
+		listed := listedHistories(data, prop)
+		if len(listed) != len(hist) {
+			t.Fatalf("%x lists %d history rows, decoded %d", data, len(listed), len(hist))
+		}
+		for r, set := range hist {
+			if !slices.Equal([]model.ProcessSet(set), listed[r]) {
+				t.Fatalf("%x lists %v for p%d, decoded %v", data, listed[r], r, set)
+			}
+		}
 	})
+}
+
+// listedHistories reads the quorum lists of an accepted LEAD's or PROP's
+// histories as its bytes list them, without the decoder: the head byte, K
+// and V (and PROP's HasV byte), then a row count and, per row, a count and
+// its quorums.
+func listedHistories(data []byte, prop bool) [][]model.ProcessSet {
+	pos := 1
+	next := func() uint64 {
+		v, n := binary.Uvarint(data[pos:])
+		pos += n
+		return v
+	}
+	next()
+	next()
+	if prop {
+		pos++
+	}
+	rows := make([][]model.ProcessSet, next())
+	for r := range rows {
+		for c := next(); c > 0; c-- {
+			rows[r] = append(rows[r], model.ProcessSet(next()))
+		}
+	}
+	return rows
 }
 
 // FuzzDecodeMessage checks what a tcp link runs on every frame it reads:

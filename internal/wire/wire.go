@@ -62,7 +62,9 @@
 // adds (quorum.Delta), so the decoder rebuilds Base as To − count, and a
 // frame without adds is one varint. BATCH bodies and the client request
 // frame share the command encoding. Full quorum histories travel as, per
-// process, a count followed by that many 64-bit process sets; DAG
+// process, a count followed by that many process sets, strictly ascending
+// (the decoder rejects a repeat or a reordering, which would be a second
+// list for the same history); DAG
 // snapshots as a node list plus per-node predecessor bitsets, each node's
 // failure-detector value inline. Everything round-trips exactly
 // (TestRoundTrip*, TestLinkRoundTrip). A decode stops at its first error
@@ -937,23 +939,21 @@ func decodeOuter(r *buf, st *run) model.Payload {
 	}
 }
 
-// encodeHistories writes a quorum.Histories (nil allowed). Each set's
-// quorums travel in ascending order; the sort scratch lives on the stack,
-// so steady-state encoding of history-bearing payloads allocates nothing
-// unless one set holds more than 64 quorums.
+// encodeHistories writes a quorum.Histories (nil allowed). Each set is
+// strictly ascending already, so it is written as it stands.
 func encodeHistories(w *buf, h quorum.Histories) {
 	w.putUvarint(uint64(len(h)))
-	var stack [64]model.ProcessSet
-	qs := stack[:0]
 	for _, set := range h {
-		qs = set.AppendSorted(qs[:0])
-		w.putUvarint(uint64(len(qs)))
-		for _, q := range qs {
+		w.putUvarint(uint64(len(set)))
+		for _, q := range set {
 			w.putUvarint(uint64(q))
 		}
 	}
 }
 
+// decodeHistories reads what encodeHistories writes, building each set as
+// it stands. A set whose quorums do not strictly ascend is rejected: a
+// repeat or a reordering would be a second list for the same history.
 func decodeHistories(r *buf) quorum.Histories {
 	n := r.uvarint()
 	if n == 0 {
@@ -964,11 +964,18 @@ func decodeHistories(r *buf) quorum.Histories {
 		return nil
 	}
 	h := quorum.NewHistories(int(n))
-	for i := 0; i < int(n) && r.err == nil; i++ {
+	for i := 0; i < len(h) && r.err == nil; i++ {
 		// Every quorum costs at least one byte.
 		cnt := r.count("quorum history", 1)
+		if cnt > 0 {
+			h[i] = make(quorum.Set, 0, cnt)
+		}
 		for j := 0; j < cnt && r.err == nil; j++ {
-			h.Add(model.ProcessID(i), model.ProcessSet(r.uvarint()))
+			q := model.ProcessSet(r.uvarint())
+			if j > 0 && q <= h[i][j-1] {
+				r.fail("wire: quorum history of p%d not strictly ascending", i)
+			}
+			h[i] = append(h[i], q)
 		}
 	}
 	return h

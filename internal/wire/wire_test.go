@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nuconsensus/internal/consensus"
@@ -174,9 +175,20 @@ func TestDecodeErrors(t *testing.T) {
 		{1, 0x80},       // truncated varint in LEAD
 		{4, 3, 0, 0, 0}, // a SAW, then a byte no item starts with
 	}
+	// A history set lists its quorums strictly ascending, so a repeated
+	// quorum or a descending pair is a second encoding of some value.
+	lead, err := wire.EncodePayload(consensus.LeadPayload{K: 1, V: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := lead[:len(lead)-1] // tag, K, V: the histories follow
+	cases = append(cases,
+		append(slices.Clip(head), 1, 2, 3, 3),    // one process, two quorums: {p0,p1} twice
+		append(slices.Clip(head), 2, 0, 2, 5, 3), // two processes, p1's {p0,p2} before {p0,p1}
+	)
 	for i, b := range cases {
-		if _, err := wire.DecodePayload(b); err == nil {
-			t.Errorf("case %d: expected decode error", i)
+		if pl, err := wire.DecodePayload(b); err == nil {
+			t.Errorf("case %d: %x decoded as %v, want an error", i, b, pl)
 		}
 	}
 	// A one-node graph ends in its node's value tag: node 0 has no bitset.
